@@ -155,6 +155,33 @@ func (r Record) Project(src, target Schema) Record {
 	return out
 }
 
+// Projection is Record.Project with the attribute names resolved once: for
+// each attribute of the target schema, the position of the equally named
+// attribute in the source schema, or -1. An operator that re-lays every
+// row of a node builds one Projection and applies it per row.
+type Projection []int
+
+// NewProjection resolves target's attributes against src.
+func NewProjection(src, target Schema) Projection {
+	p := make(Projection, len(target))
+	for i, a := range target {
+		p[i] = src.Index(a)
+	}
+	return p
+}
+
+// Apply builds the projected record; positions the source schema lacks, or
+// that lie beyond the end of a short record, become NULL.
+func (p Projection) Apply(r Record) Record {
+	out := make(Record, len(p))
+	for i, j := range p {
+		if j >= 0 && j < len(r) {
+			out[i] = r[j]
+		}
+	}
+	return out
+}
+
 // Rows is a slice of records with multiset-comparison helpers.
 type Rows []Record
 

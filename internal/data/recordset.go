@@ -146,26 +146,48 @@ func (f *FileRecordset) readHeader() ([]string, error) {
 
 // Scan implements Recordset.
 func (f *FileRecordset) Scan() (Rows, error) {
-	fh, err := os.Open(f.path)
+	_, rows, err := ReadCSVFile(f.path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("recordset %s: record file %s: %w", f.name, f.path, err)
+	}
+	return rows, nil
+}
+
+// ReadCSVFile reads a record file: a header row, then one typed record per
+// line. Every CSV the system reads back as rows — a source or lookup file,
+// a spilled intermediate, a checkpoint stage — goes through this function,
+// so the three agree on quoting, line endings, the field-count check and
+// how a field becomes a Value (ParseValue).
+//
+// An empty file has a nil header and no rows; a file holding only a header
+// has no rows. Errors come back unwrapped for the caller to attribute: the
+// *fs.PathError of the open, or the *csv.ParseError, with line and column,
+// of a malformed line.
+func ReadCSVFile(path string) (Schema, Rows, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
 	defer fh.Close()
 	r := csv.NewReader(fh)
-	if _, err := r.Read(); err != nil { // header
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, err
+	header, err := r.Read()
+	if err == io.EOF {
+		return nil, nil, nil
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// The header's slice is kept; each later line reuses one slice. A
+	// record's strings are still cut from a string of its own line.
+	r.ReuseRecord = true
 	var rows Rows
 	for {
 		fields, err := r.Read()
 		if err == io.EOF {
-			break
+			return header, rows, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("record file %s: %w", f.path, err)
+			return nil, nil, err
 		}
 		rec := make(Record, len(fields))
 		for i, s := range fields {
@@ -173,7 +195,6 @@ func (f *FileRecordset) Scan() (Rows, error) {
 		}
 		rows = append(rows, rec)
 	}
-	return rows, nil
 }
 
 // Load implements Recordset by appending rows to the CSV file.

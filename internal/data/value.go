@@ -274,8 +274,36 @@ func (v Value) Key() string {
 	}
 }
 
+// Byte classes of the three literal grammars ParseValue recognises beyond
+// the keywords: base-10 integers, strconv.ParseFloat's floats (decimal,
+// hex, "inf"/"infinity"/"nan" in any case) and ISO dates.
+const (
+	numBody  uint8 = 1 << iota // may appear somewhere in such a literal
+	numFirst                   // may be its first byte
+	numDigit                   // 0-9
+)
+
+var numClass = func() (t [256]uint8) {
+	for _, c := range "+-._abcdefinptxyABCDEFINPTXY" {
+		t[c] = numBody
+	}
+	for _, c := range "+-.inIN" {
+		t[c] |= numFirst
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = numBody | numFirst | numDigit
+	}
+	return t
+}()
+
 // ParseValue parses s into the most specific kind it matches: empty string
-// and "NULL" parse as NULL, then int, float, bool, ISO date, else string.
+// and "NULL" parse as NULL, then bool, int, float, ISO date, else string.
+//
+// A parser that rejects its input allocates an error holding a copy of it,
+// so one pass over the bytes first rules out what cannot succeed: a field
+// with a byte outside the literals' alphabet is a string, ParseInt sees
+// only [+-]?[0-9]+, and the dddd-dd-dd shape, which no float has, skips
+// ParseFloat. Every other field takes the full int, float, date sequence.
 func ParseValue(s string) Value {
 	switch s {
 	case "", "NULL", "null":
@@ -285,11 +313,32 @@ func ParseValue(s string) Value {
 	case "false":
 		return NewBool(false)
 	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return NewInt(i)
+	if numClass[s[0]]&numFirst == 0 {
+		return NewString(s)
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return NewFloat(f)
+	digits := 0
+	for i := 0; i < len(s); i++ {
+		c := numClass[s[i]]
+		if c&numBody == 0 {
+			return NewString(s)
+		}
+		if c&numDigit != 0 {
+			digits++
+		}
+	}
+	unsigned := len(s)
+	if s[0] == '+' || s[0] == '-' {
+		unsigned--
+	}
+	if digits == unsigned && digits > 0 {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return NewInt(i)
+		}
+	}
+	if isoShape := len(s) == 10 && digits == 8 && s[4] == '-' && s[7] == '-'; !isoShape {
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return NewFloat(f)
+		}
 	}
 	if t, err := time.Parse("2006-01-02", s); err == nil {
 		return NewDateFromDays(t.Unix() / 86400)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -65,6 +64,7 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	eng := c.engine.withLookupCache()
 	sig := g.Signature()
 	if err := c.prepareStaging(sig); err != nil {
 		return nil, err
@@ -92,7 +92,7 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 		body := func() error {
 			// Resume path: a staged output short-circuits recomputation.
 			if stageable {
-				if err := c.engine.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
+				if err := eng.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
 					return err
 				}
 				rows, ok, err := c.loadStage(id)
@@ -105,26 +105,26 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 					return nil
 				}
 			}
-			if err := c.engine.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
+			if err := eng.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
 				return err
 			}
 			switch n.Kind {
 			case workflow.KindRecordset:
 				preds := g.Providers(id)
 				if len(preds) == 0 {
-					rows, err := c.engine.scanSource(n)
+					rows, err := eng.scanSource(n)
 					if err != nil {
 						return err
 					}
 					out[id] = rows
 				} else {
-					rows := c.engine.projectForTarget(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
-					if err := c.engine.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
+					rows := realign(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
+					if err := eng.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
 						return err
 					}
 					out[id] = rows
 					res.Targets[n.RS.Name] = rows
-					if rs, ok := c.engine.bindings[n.RS.Name]; ok {
+					if rs, ok := eng.bindings[n.RS.Name]; ok {
 						if err := rs.Load(rows); err != nil {
 							return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
 						}
@@ -138,14 +138,14 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 					inputs[i] = out[p]
 					schemas[i] = g.Node(p).Out
 				}
-				rows, err := c.engine.execActivity(n, schemas, inputs)
+				rows, err := eng.execActivity(n, schemas, inputs)
 				if err != nil {
 					return fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err)
 				}
 				out[id] = rows
 			}
 			if stageable {
-				if err := c.engine.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
+				if err := eng.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
 					return err
 				}
 				if err := c.saveStage(id, g.Node(id).Out, out[id]); err != nil {
@@ -154,13 +154,13 @@ func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResu
 			}
 			return nil
 		}
-		if err := c.engine.runNode(ctx, id, n, body); err != nil {
+		if err := eng.runNode(ctx, id, n, body); err != nil {
 			return nil, err
 		}
 		res.NodeRows[id] = len(out[id])
 		if resumed {
 			c.checkpointEvent("restored", id, n, len(out[id]))
-			if j := c.engine.journal; j != nil {
+			if j := eng.journal; j != nil {
 				j.Emit(obs.ResumeEvent(nodeKey(id, n), len(out[id])))
 			}
 		} else if stageable {
@@ -274,35 +274,12 @@ func (c *CheckpointRunner) saveStage(id workflow.NodeID, schema data.Schema, row
 
 // loadStage reads one node's staged output if present.
 func (c *CheckpointRunner) loadStage(id workflow.NodeID) (data.Rows, bool, error) {
-	f, err := os.Open(c.nodePath(id))
+	_, rows, err := data.ReadCSVFile(c.nodePath(id))
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	if _, err := r.Read(); err != nil { // header
-		if err == io.EOF {
-			return nil, true, nil
-		}
 		return nil, false, fmt.Errorf("engine: reading stage %d: %w", id, err)
-	}
-	var rows data.Rows
-	for {
-		fields, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, false, fmt.Errorf("engine: reading stage %d: %w", id, err)
-		}
-		rec := make(data.Record, len(fields))
-		for i, s := range fields {
-			rec[i] = data.ParseValue(s)
-		}
-		rows = append(rows, rec)
 	}
 	return rows, true, nil
 }

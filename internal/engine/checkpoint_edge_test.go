@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/csv"
 	"errors"
 	"os"
 	"path/filepath"
@@ -198,5 +199,41 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	}
 	if !res.Targets["DW.PARTS"].EqualMultiset(plain.Targets["DW.PARTS"]) {
 		t.Error("resumed run differs from a clean run")
+	}
+}
+
+// TestLoadStageDamage covers what a staged file can look like on disk: no
+// file means not staged, an empty or header-only file is a staged empty
+// output, and a malformed line is an error whose position survives the
+// wrapping.
+func TestLoadStageDamage(t *testing.T) {
+	cr, err := NewCheckpointRunner(New(nil), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := cr.loadStage(1); ok || err != nil {
+		t.Errorf("absent stage = staged %v, %v; want not staged, nil", ok, err)
+	}
+	for name, content := range map[string]string{"empty": "", "header only": "A,B\n"} {
+		if err := os.WriteFile(cr.nodePath(1), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rows, ok, err := cr.loadStage(1); !ok || err != nil || len(rows) != 0 {
+			t.Errorf("%s stage = %d rows, staged %v, %v; want none, staged, nil", name, len(rows), ok, err)
+		}
+	}
+	for name, content := range map[string]string{
+		"ragged row":         "A,B\n1,2\n3\n",
+		"bare quote":         "A,B\n1,2\nx\"y,3\n",
+		"unterminated quote": "A,B\n1,2\n\"x,3\n",
+	} {
+		if err := os.WriteFile(cr.nodePath(1), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := cr.loadStage(1)
+		var pe *csv.ParseError
+		if !errors.As(err, &pe) || pe.StartLine != 3 {
+			t.Errorf("%s: error %v does not carry a *csv.ParseError at line 3", name, err)
+		}
 	}
 }

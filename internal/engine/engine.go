@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"etlopt/internal/data"
@@ -79,9 +80,8 @@ type Engine struct {
 	// pprofLabels tags partition workers with runtime/pprof labels (see
 	// WithPprofLabels).
 	pprofLabels bool
-	// lookups, when non-nil, is a run-scoped shared cache of materialized
-	// surrogate-key/lookup tables: Parallel mode builds each table once and
-	// every partition references the same read-only map.
+	// lookups is the run's cache of materialized surrogate-key/lookup
+	// tables, attached by withLookupCache when a run starts.
 	lookups *lookupCache
 	// faults, when non-nil, is the armed fault-injection plan (see
 	// WithFaultPlan); nil disables every injection point.
@@ -154,6 +154,7 @@ func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error)
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	e = e.withLookupCache()
 	start := time.Now()
 	var (
 		res *RunResult
@@ -253,7 +254,7 @@ func (e *Engine) execMaterializedNode(ctx context.Context, g *workflow.Graph, id
 			out[id] = rows
 			return nil
 		}
-		rows := e.projectForTarget(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
+		rows := realign(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
 		if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
 			return err
 		}
@@ -317,41 +318,72 @@ func (e *Engine) scanSource(n *workflow.Node) (data.Rows, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: scanning %s: %w", n.RS.Name, err)
 	}
-	// Re-project in case the binding's attribute order differs.
-	if !rs.Schema().Equal(n.RS.Schema) {
-		src := rs.Schema()
-		re := make(data.Rows, len(rows))
-		for i, r := range rows {
-			re[i] = r.Project(src, n.RS.Schema)
-		}
-		rows = re
-	}
-	return rows, nil
+	// The binding's attribute order may differ from the declared one.
+	return realign(rows, rs.Schema(), n.RS.Schema), nil
 }
 
-// projectForTarget lays provider rows out in the target recordset's
-// attribute order.
-func (e *Engine) projectForTarget(rows data.Rows, src, target data.Schema) data.Rows {
-	if src.Equal(target) {
-		return rows
+// lookupCache is the run-scoped shared cache of materialized lookup
+// tables and key sets: the first node, batch or partition to need a table
+// builds it under the lock, every later request of the run gets the same
+// read-only map. It lives for one run, so a lookup rebound or rewritten
+// between runs is read again.
+type lookupCache struct {
+	mu     sync.Mutex
+	tables map[string]map[string]data.Value
+	sets   map[string]map[string]bool
+}
+
+func newLookupCache() *lookupCache {
+	return &lookupCache{
+		tables: make(map[string]map[string]data.Value),
+		sets:   make(map[string]map[string]bool),
 	}
-	out := make(data.Rows, len(rows))
-	for i, r := range rows {
-		out[i] = r.Project(src, target)
+}
+
+func (c *lookupCache) table(name string, build func(string) (map[string]data.Value, error)) (map[string]data.Value, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t, ok := c.tables[name]; ok {
+		return t, nil
 	}
-	return out
+	t, err := build(name)
+	if err != nil {
+		return nil, err
+	}
+	c.tables[name] = t
+	return t, nil
+}
+
+func (c *lookupCache) set(name string, build func(string) (map[string]bool, error)) (map[string]bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s, ok := c.sets[name]; ok {
+		return s, nil
+	}
+	s, err := build(name)
+	if err != nil {
+		return nil, err
+	}
+	c.sets[name] = s
+	return s, nil
+}
+
+// withLookupCache returns a copy of the engine carrying a fresh lookup
+// cache, which every run executes on. The copy shares the (read-only)
+// bindings and metrics.
+func (e *Engine) withLookupCache() *Engine {
+	ec := *e
+	ec.lookups = newLookupCache()
+	return &ec
 }
 
 // lookupTable materializes a surrogate-key lookup binding as a map from
 // production-key value to surrogate value. The lookup recordset's first
-// attribute is the production key, its second the surrogate. When the
-// engine carries a run-scoped lookup cache (Parallel mode), the table is
-// built once and shared read-only by every partition.
+// attribute is the production key, its second the surrogate. The table is
+// built once per run and shared read-only by every node, batch and
+// partition that consults it.
 func (e *Engine) lookupTable(name string) (map[string]data.Value, error) {
-	if e.lookups != nil {
-		return e.lookups.table(name, e.buildLookupTable)
-	}
-	return e.buildLookupTable(name)
+	return e.lookups.table(name, e.buildLookupTable)
 }
 
 func (e *Engine) buildLookupTable(name string) (map[string]data.Value, error) {
@@ -374,13 +406,9 @@ func (e *Engine) buildLookupTable(name string) (map[string]data.Value, error) {
 }
 
 // keySet materializes a lookup binding as the set of its row keys (for
-// lookup-based primary-key checks), sharing the run-scoped cache when one
-// is attached.
+// lookup-based primary-key checks), once per run like lookupTable.
 func (e *Engine) keySet(name string) (map[string]bool, error) {
-	if e.lookups != nil {
-		return e.lookups.set(name, e.buildKeySet)
-	}
-	return e.buildKeySet(name)
+	return e.lookups.set(name, e.buildKeySet)
 }
 
 func (e *Engine) buildKeySet(name string) (map[string]bool, error) {

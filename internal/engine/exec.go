@@ -63,9 +63,16 @@ func realign(rows data.Rows, src, dst data.Schema) data.Rows {
 	if src.Equal(dst) {
 		return rows
 	}
+	return projectRows(rows, src, dst)
+}
+
+// projectRows builds every row anew in layout dst, resolving the
+// attribute names once for the whole input.
+func projectRows(rows data.Rows, src, dst data.Schema) data.Rows {
+	proj := data.NewProjection(src, dst)
 	out := make(data.Rows, len(rows))
 	for i, r := range rows {
-		out[i] = r.Project(src, dst)
+		out[i] = proj.Apply(r)
 	}
 	return out
 }
@@ -226,11 +233,7 @@ func maskDistinct(rows data.Rows) []bool {
 }
 
 func (e *Engine) execProject(in, out data.Schema, rows data.Rows) (data.Rows, error) {
-	res := make(data.Rows, len(rows))
-	for i, r := range rows {
-		res[i] = r.Project(in, out)
-	}
-	return res, nil
+	return projectRows(rows, in, out), nil
 }
 
 func (e *Engine) execFunc(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, error) {
@@ -250,6 +253,7 @@ func (e *Engine) execFunc(a *workflow.Activity, in, out data.Schema, rows data.R
 	if outPos < 0 {
 		return nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
 	}
+	proj := data.NewProjection(in, out)
 	res := make(data.Rows, len(rows))
 	args := make([]data.Value, len(argPos))
 	for i, r := range rows {
@@ -260,7 +264,7 @@ func (e *Engine) execFunc(a *workflow.Activity, in, out data.Schema, rows data.R
 		if err != nil {
 			return nil, err
 		}
-		nr := r.Project(in, out)
+		nr := proj.Apply(r)
 		nr[outPos] = v
 		res[i] = nr
 	}
@@ -308,6 +312,7 @@ func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows d
 		return nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
 	}
 
+	proj := data.NewProjection(in, out)
 	groups := make(map[string]*aggState)
 	var orderCounter int
 	for _, r := range rows {
@@ -321,7 +326,7 @@ func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows d
 		k := b.String()
 		st, ok := groups[k]
 		if !ok {
-			st = &aggState{rep: r.Project(in, out), order: orderCounter}
+			st = &aggState{rep: proj.Apply(r), order: orderCounter}
 			orderCounter++
 			groups[k] = st
 		}
@@ -394,6 +399,7 @@ func (e *Engine) execSurrogateKey(a *workflow.Activity, in, out data.Schema, row
 	if outPos < 0 {
 		return nil, fmt.Errorf("surrogate attribute %q not in schema {%s}", a.Sem.OutAttr, out)
 	}
+	proj := data.NewProjection(in, out)
 	res := make(data.Rows, len(rows))
 	for i, r := range rows {
 		sk, ok := table[r[keyPos].Key()]
@@ -401,7 +407,7 @@ func (e *Engine) execSurrogateKey(a *workflow.Activity, in, out data.Schema, row
 			return nil, fmt.Errorf("surrogate key: production key %s missing from lookup %q",
 				r[keyPos], a.Sem.Lookup)
 		}
-		nr := r.Project(in, out)
+		nr := proj.Apply(r)
 		nr[outPos] = sk
 		res[i] = nr
 	}

@@ -169,51 +169,6 @@ func hashPartition(key string, p int) int {
 	return int(h.Sum32() % uint32(p))
 }
 
-// lookupCache is the run-scoped shared cache of materialized lookup
-// tables and key sets: the first partition to need a table builds it
-// under the lock, every later request — from any partition — gets the
-// same read-only map.
-type lookupCache struct {
-	mu     sync.Mutex
-	tables map[string]map[string]data.Value
-	sets   map[string]map[string]bool
-}
-
-func newLookupCache() *lookupCache {
-	return &lookupCache{
-		tables: make(map[string]map[string]data.Value),
-		sets:   make(map[string]map[string]bool),
-	}
-}
-
-func (c *lookupCache) table(name string, build func(string) (map[string]data.Value, error)) (map[string]data.Value, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.tables[name]; ok {
-		return t, nil
-	}
-	t, err := build(name)
-	if err != nil {
-		return nil, err
-	}
-	c.tables[name] = t
-	return t, nil
-}
-
-func (c *lookupCache) set(name string, build func(string) (map[string]bool, error)) (map[string]bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.sets[name]; ok {
-		return s, nil
-	}
-	s, err := build(name)
-	if err != nil {
-		return nil, err
-	}
-	c.sets[name] = s
-	return s, nil
-}
-
 // partitionCount resolves the configured partition count; default is the
 // number of CPUs.
 func (e *Engine) partitionCount() int {
@@ -221,14 +176,6 @@ func (e *Engine) partitionCount() int {
 		return e.partitions
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// withLookupCache returns a copy of the engine carrying a fresh run-scoped
-// lookup cache. The copy shares the (read-only) bindings and metrics.
-func (e *Engine) withLookupCache() *Engine {
-	ec := *e
-	ec.lookups = newLookupCache()
-	return &ec
 }
 
 // runParallel evaluates the graph node by node in topological order like
@@ -240,7 +187,6 @@ func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetr
 		return nil, err
 	}
 	p := e.partitionCount()
-	ec := e.withLookupCache()
 	out := make(map[workflow.NodeID]*pdata, len(order))
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
@@ -263,7 +209,7 @@ func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetr
 					if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
 						return err
 					}
-					rows, err := ec.scanSource(n)
+					rows, err := e.scanSource(n)
 					if err != nil {
 						return err
 					}
@@ -287,13 +233,13 @@ func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetr
 						return err
 					}
 					rows := gather(out[preds[0]])
-					rows = ec.projectForTarget(rows, g.Node(preds[0]).Out, n.RS.Schema)
+					rows = realign(rows, g.Node(preds[0]).Out, n.RS.Schema)
 					if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
 						return err
 					}
 					res.Targets[n.RS.Name] = rows
 					count = len(rows)
-					if rs, ok := ec.bindings[n.RS.Name]; ok {
+					if rs, ok := e.bindings[n.RS.Name]; ok {
 						if err := rs.Load(rows); err != nil {
 							return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
 						}
@@ -311,7 +257,7 @@ func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetr
 				}
 				sp := rm.nodeSpan(id)
 				var err error
-				pd, err = ec.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
+				pd, err = e.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
 				sp.End()
 				if err != nil {
 					return err

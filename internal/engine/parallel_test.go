@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -120,45 +121,59 @@ func TestForEachPartitionFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestParallelSharedLookupCache verifies the run-scoped cache: with 8
-// partitions all consulting a surrogate-key lookup, the lookup recordset
-// is scanned exactly once per run, and the engine value itself stays
-// reusable (a second run scans once more, not zero — the cache is per
-// run, not per engine).
-func TestParallelSharedLookupCache(t *testing.T) {
-	sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, 4242))
-	if err != nil {
-		t.Fatal(err)
+// TestLookupsScannedOncePerRun verifies the run-scoped lookup cache in
+// every execution mode and under the checkpoint runner: however many
+// nodes, batches or partitions consult a surrogate-key lookup, its
+// recordset is scanned exactly once per run, and the engine value itself
+// stays reusable (a second run scans once more, not zero — the cache is
+// per run, not per engine, so a lookup rewritten between runs is re-read).
+func TestLookupsScannedOncePerRun(t *testing.T) {
+	cases := []struct {
+		name       string
+		opts       []Option
+		checkpoint bool
+	}{
+		{name: "materialized", opts: []Option{WithMode(Materialized)}},
+		{name: "pipelined", opts: []Option{WithMode(Pipelined), WithBatchSize(16)}},
+		{name: "parallel", opts: []Option{WithMode(Parallel), WithPartitions(8)}},
+		{name: "checkpoint", checkpoint: true},
 	}
-	bindings := sc.Bind()
-	scans := make(map[string]*int)
-	for name := range sc.Lookups {
-		n := new(int)
-		bindings[name] = countingRecordset{Recordset: bindings[name], scans: n}
-		scans[name] = n
-	}
-	if len(scans) == 0 {
-		t.Fatal("scenario has no lookups to count")
-	}
-	e := New(bindings, WithMode(Parallel), WithPartitions(8))
-	if _, err := e.Run(context.Background(), sc.Graph); err != nil {
-		t.Fatal(err)
-	}
-	before := make(map[string]int)
-	for name, n := range scans {
-		if *n > 1 {
-			t.Errorf("lookup %s scanned %d times in one parallel run, want at most 1", name, *n)
-		}
-		before[name] = *n
-	}
-	if _, err := e.Run(context.Background(), sc.Graph); err != nil {
-		t.Fatal(err)
-	}
-	for name, n := range scans {
-		if *n != 2*before[name] {
-			t.Errorf("lookup %s: second run reused the first run's cache (scans %d → %d)",
-				name, before[name], *n)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, 4242))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindings := sc.Bind()
+			scans := make(map[string]*int)
+			for name := range sc.Lookups {
+				n := new(int)
+				bindings[name] = countingRecordset{Recordset: bindings[name], scans: n}
+				scans[name] = n
+			}
+			if len(scans) == 0 {
+				t.Fatal("scenario has no lookups to count")
+			}
+			e := New(bindings, c.opts...)
+			run := e.Run
+			if c.checkpoint {
+				cr, err := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = cr.Run
+			}
+			for pass := 1; pass <= 2; pass++ {
+				if _, err := run(context.Background(), sc.Graph); err != nil {
+					t.Fatal(err)
+				}
+				for name, n := range scans {
+					if *n != pass {
+						t.Errorf("lookup %s scanned %d times after %d runs, want one scan per run", name, *n, pass)
+					}
+				}
+			}
+		})
 	}
 }
 

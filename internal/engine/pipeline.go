@@ -153,7 +153,7 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 			case n.Kind == workflow.KindRecordset:
 				// Target: drain, project, load.
 				rows := drain(preds[0], id)
-				rows = e.projectForTarget(rows, g.Node(preds[0]).Out, n.RS.Schema)
+				rows = realign(rows, g.Node(preds[0]).Out, n.RS.Schema)
 				countRows(id, len(rows))
 				mu.Lock()
 				targets[n.RS.Name] = rows

@@ -1,8 +1,12 @@
 package share
 
 import (
+	"encoding/csv"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -244,5 +248,40 @@ func TestSpillRoundTripDirect(t *testing.T) {
 	}
 	if _, err := readSpill(path, data.Schema{"A", "WRONG"}); err == nil {
 		t.Fatal("readSpill accepted a mismatched schema header")
+	}
+}
+
+// TestReadSpillDamage covers what a spill file can look like on disk: a
+// header-only file is an empty result, an empty or missing file and a
+// malformed line are errors, and the malformed line's position survives
+// the wrapping.
+func TestReadSpillDamage(t *testing.T) {
+	schema := data.Schema{"A", "B"}
+	write := func(content string) string {
+		path := filepath.Join(t.TempDir(), "k.csv")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if rows, err := readSpill(write("A,B\n"), schema); err != nil || len(rows) != 0 {
+		t.Errorf("header-only spill = %d rows, %v; want none, nil", len(rows), err)
+	}
+	if _, err := readSpill(write(""), schema); err == nil {
+		t.Error("an empty spill file must be an error: a written spill always has its header")
+	}
+	if _, err := readSpill(filepath.Join(t.TempDir(), "absent.csv"), schema); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing spill = %v, want a not-exist error", err)
+	}
+	for name, content := range map[string]string{
+		"ragged row":         "A,B\n1,2\n3\n",
+		"bare quote":         "A,B\n1,2\nx\"y,3\n",
+		"unterminated quote": "A,B\n1,2\n\"x,3\n",
+	} {
+		_, err := readSpill(write(content), schema)
+		var pe *csv.ParseError
+		if !errors.As(err, &pe) || pe.StartLine != 3 {
+			t.Errorf("%s: error %v does not carry a *csv.ParseError at line 3", name, err)
+		}
 	}
 }

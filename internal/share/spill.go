@@ -3,7 +3,6 @@ package share
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -12,7 +11,7 @@ import (
 
 // Spill files use the checkpoint staging format: a CSV with the schema as
 // header row, values rendered via Value.String with NULL for nulls, and
-// parsed back with data.ParseValue. Writes go through a temp file and a
+// read back with data.ReadCSVFile. Writes go through a temp file and a
 // rename so a torn write never yields a half-readable spill.
 
 // writeSpill persists rows for key under dir and returns the file path.
@@ -62,36 +61,14 @@ func writeSpill(dir, key string, schema data.Schema, rows data.Rows) (string, er
 // readSpill loads a spill file back, verifying the header against the
 // expected schema.
 func readSpill(path string, schema data.Schema) (data.Rows, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	r := csv.NewReader(fh)
-	header, err := r.Read()
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("share: spill %s is empty", path)
-		}
-		return nil, err
-	}
-	if !data.Schema(header).Equal(schema) {
+	header, rows, err := data.ReadCSVFile(path)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("share: reading spill %s: %w", path, err)
+	case header == nil:
+		return nil, fmt.Errorf("share: spill %s is empty", path)
+	case !header.Equal(schema):
 		return nil, fmt.Errorf("share: spill %s header %v does not match schema %v", path, header, schema)
-	}
-	var rows data.Rows
-	for {
-		fields, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("share: reading spill %s: %w", path, err)
-		}
-		rec := make(data.Record, len(fields))
-		for i, s := range fields {
-			rec[i] = data.ParseValue(s)
-		}
-		rows = append(rows, rec)
 	}
 	return rows, nil
 }
