@@ -2,8 +2,12 @@
 // files: every source recordset, surrogate-key lookup and key set named by
 // the workflow is bound to <data-dir>/<name>.csv, and target recordsets
 // are written to <data-dir>/<name>.csv as well. Optionally the workflow is
-// optimized before running, executed through the pipelined engine, and
+// optimized before running, executed pipelined or partitioned, and
 // checkpointed so an interrupted load resumes instead of restarting.
+// -checkpoint honours -mode and -partitions (materialized or parallel; the
+// staged files are the same at any partition count), and composes with
+// -faults, -journal and -metrics. -mode pipelined has no node boundaries:
+// combined with -checkpoint or -faults it is refused, not ignored.
 //
 // Usage:
 //
@@ -31,9 +35,10 @@
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
 // controls optimizer search parallelism (goroutines expanding the state
 // space), while -partitions controls engine data parallelism (how many
-// ways each recordset is split in -mode parallel). They are independent
-// knobs for independent phases; -suite-workers is a third, bounding how
-// many workflows and shared stages run concurrently in suite mode.
+// ways each recordset is split in -mode parallel, checkpointed or not).
+// They are independent knobs for independent phases; -suite-workers is a
+// third, bounding how many workflows and shared stages run concurrently
+// in suite mode.
 package main
 
 import (
@@ -73,8 +78,8 @@ func run() error {
 		optimize   = flag.String("optimize", "", "optimize first: es, hs or greedy")
 		workers    = flag.Int("workers", 0, "optimizer search parallelism: worker goroutines for -optimize (0 = GOMAXPROCS)")
 		mode       = flag.String("mode", "materialized", "execution mode: materialized, pipelined or parallel")
-		partitions = flag.Int("partitions", 0, "engine data parallelism: partitions per recordset in -mode parallel (0 = GOMAXPROCS)")
-		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution")
+		partitions = flag.Int("partitions", 0, "engine data parallelism: partitions per recordset in -mode parallel, with or without -checkpoint (0 = GOMAXPROCS)")
+		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution (-mode materialized or parallel)")
 		impact     = flag.String("impact", "", "print the impact analysis of the named recordset and exit")
 		lintOnly   = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
 		explain    = flag.Bool("explain", false, "print estimated vs actual cardinalities after the run")
@@ -100,6 +105,7 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("missing workflow file (-in or positional)")
 	}
+	eflags := engineFlags{mode: *mode, partitions: *partitions, faults: *faults, retries: *retries}
 	if len(files) > 1 {
 		for flagName, set := range map[string]bool{
 			"-optimize": *optimize != "", "-checkpoint": *checkpoint != "",
@@ -111,9 +117,8 @@ func run() error {
 			}
 		}
 		return runSuite(files, suiteFlags{
-			dataDir: *dataDir, mode: *mode, partitions: *partitions,
+			engineFlags: eflags, dataDir: *dataDir,
 			workers: *suiteWork, cacheBytes: *sharedCap, spillDir: *sharedSpil,
-			faults: *faults, retries: *retries,
 			metrics: *metrics, journal: *journal,
 		})
 	}
@@ -218,35 +223,9 @@ func run() error {
 		return err
 	}
 
-	var engineMode engine.Mode
-	switch *mode {
-	case "materialized":
-		engineMode = engine.Materialized
-	case "pipelined":
-		engineMode = engine.Pipelined
-	case "parallel":
-		engineMode = engine.Parallel
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
-	eopts := []engine.Option{engine.WithMode(engineMode), engine.WithMetrics(reg),
-		engine.WithPartitions(*partitions), engine.WithJournal(jnl)}
-	if *cpuProf != "" {
-		eopts = append(eopts, engine.WithPprofLabels())
-	}
-	if *faults != "" {
-		seed, rate, err := fault.ParseSpec(*faults)
-		if err != nil {
-			return err
-		}
-		eopts = append(eopts,
-			engine.WithFaultPlan(fault.NewPlan(seed, rate)),
-			engine.WithRetry(fault.Policy{
-				MaxAttempts: *retries,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    100 * time.Millisecond,
-				Seed:        seed,
-			}))
+	eopts, err := eflags.options(reg, jnl, *cpuProf != "")
+	if err != nil {
+		return err
 	}
 	e := engine.New(bindings, eopts...)
 
@@ -261,7 +240,10 @@ func run() error {
 		}
 		result, err = cr.Run(ctx, g)
 		if err != nil {
-			return fmt.Errorf("run failed (progress staged in %s, re-run to resume): %w", *checkpoint, err)
+			if staged, _ := cr.Staged(); len(staged) > 0 {
+				return fmt.Errorf("run failed (progress staged in %s, re-run to resume): %w", *checkpoint, err)
+			}
+			return err
 		}
 	} else {
 		result, err = e.Run(ctx, g)
@@ -325,6 +307,50 @@ func run() error {
 		fmt.Printf("trace events written to %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 	return nil
+}
+
+// engineFlags is the slice of the CLI configuration that selects how the
+// engine executes; single runs and suites lower it the same way.
+type engineFlags struct {
+	mode       string
+	partitions int
+	faults     string
+	retries    int
+}
+
+// options lowers the flags to engine options.
+func (f engineFlags) options(reg *obs.Registry, jnl *obs.Journal, pprofLabels bool) ([]engine.Option, error) {
+	var mode engine.Mode
+	switch f.mode {
+	case "materialized":
+		mode = engine.Materialized
+	case "pipelined":
+		mode = engine.Pipelined
+	case "parallel":
+		mode = engine.Parallel
+	default:
+		return nil, fmt.Errorf("unknown mode %q", f.mode)
+	}
+	eopts := []engine.Option{engine.WithMode(mode), engine.WithMetrics(reg),
+		engine.WithPartitions(f.partitions), engine.WithJournal(jnl)}
+	if pprofLabels {
+		eopts = append(eopts, engine.WithPprofLabels())
+	}
+	if f.faults != "" {
+		seed, rate, err := fault.ParseSpec(f.faults)
+		if err != nil {
+			return nil, err
+		}
+		eopts = append(eopts,
+			engine.WithFaultPlan(fault.NewPlan(seed, rate)),
+			engine.WithRetry(fault.Policy{
+				MaxAttempts: f.retries,
+				BaseDelay:   time.Millisecond,
+				MaxDelay:    100 * time.Millisecond,
+				Seed:        seed,
+			}))
+	}
+	return eopts, nil
 }
 
 // bindCSV binds every recordset the workflow names — sources and targets

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -163,6 +165,58 @@ func TestCLICheckpoint(t *testing.T) {
 	if _, err := os.Stat(stage); !os.IsNotExist(err) {
 		t.Errorf("staging dir should be removed after success, stat err = %v", err)
 	}
+}
+
+// TestCLICheckpointResumeComposesWithPartitions crashes a checkpointed
+// -mode parallel -partitions 8 run mid-workflow (an injected fault with no
+// retry budget), re-runs it over the same staging directory, and requires
+// the resumed run to restore staged nodes and write target CSVs
+// byte-identical to an uninterrupted -mode materialized run.
+func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	clean := t.TempDir()
+	wf := setupFig1(t, clean)
+	if out, err := exec.Command(bin, "-in", wf, "-data", clean, "-mode", "materialized").CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	want, err := os.ReadFile(filepath.Join(clean, "DW.PARTS.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fault schedule is a pure function of the seed: take the first
+	// seed whose crash comes after at least half the nodes are staged.
+	for seed := 1; seed <= 64; seed++ {
+		dir := t.TempDir()
+		wf := setupFig1(t, dir)
+		stage := filepath.Join(dir, "stage")
+		args := []string{"-in", wf, "-data", dir, "-mode", "parallel", "-partitions", "8", "-checkpoint", stage}
+		crash := append(append([]string{}, args...), "-faults", fmt.Sprintf("%d:0.1", seed), "-retries", "1")
+		if err := exec.Command(bin, crash...).Run(); err == nil {
+			continue // this seed's schedule let the run finish
+		}
+		if staged, _ := filepath.Glob(filepath.Join(stage, "node-*.csv")); len(staged) < 5 {
+			continue
+		}
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("seed %d: resume failed: %v\n%s", seed, err, out)
+		}
+		if !strings.Contains(string(out), "resuming:") {
+			t.Errorf("seed %d: resumed run did not report staged nodes:\n%s", seed, out)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "DW.PARTS.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("seed %d: resumed parallel run wrote a target differing from the materialized run", seed)
+		}
+		return
+	}
+	t.Fatal("no seed in 1..64 crashed the run with half its nodes staged")
 }
 
 func TestCLIExplainAndCalibrate(t *testing.T) {

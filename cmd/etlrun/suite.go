@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"etlopt/internal/dsl"
-	"etlopt/internal/engine"
-	"etlopt/internal/fault"
 	"etlopt/internal/obs"
 	"etlopt/internal/share"
 	"etlopt/internal/workflow"
@@ -19,14 +17,11 @@ import (
 
 // suiteFlags is the slice of the CLI configuration suite mode consumes.
 type suiteFlags struct {
+	engineFlags
 	dataDir    string
-	mode       string
-	partitions int
 	workers    int
 	cacheBytes int64
 	spillDir   string
-	faults     string
-	retries    int
 	metrics    string
 	journal    string
 }
@@ -73,7 +68,7 @@ func runSuite(files []string, f suiteFlags) error {
 		wfs = append(wfs, share.Workflow{Name: name, Graph: g, Bindings: bindings})
 	}
 
-	eopts, err := suiteEngineOptions(f, reg, jnl)
+	eopts, err := f.options(reg, jnl, false)
 	if err != nil {
 		return err
 	}
@@ -130,38 +125,6 @@ func runSuite(files []string, f suiteFlags) error {
 		return fmt.Errorf("%d of %d workflows failed", failed, len(res.Workflows))
 	}
 	return nil
-}
-
-// suiteEngineOptions lowers the CLI flags to per-stage engine options.
-func suiteEngineOptions(f suiteFlags, reg *obs.Registry, jnl *obs.Journal) ([]engine.Option, error) {
-	var mode engine.Mode
-	switch f.mode {
-	case "materialized":
-		mode = engine.Materialized
-	case "pipelined":
-		mode = engine.Pipelined
-	case "parallel":
-		mode = engine.Parallel
-	default:
-		return nil, fmt.Errorf("unknown mode %q", f.mode)
-	}
-	eopts := []engine.Option{engine.WithMode(mode), engine.WithMetrics(reg),
-		engine.WithPartitions(f.partitions), engine.WithJournal(jnl)}
-	if f.faults != "" {
-		seed, rate, err := fault.ParseSpec(f.faults)
-		if err != nil {
-			return nil, err
-		}
-		eopts = append(eopts,
-			engine.WithFaultPlan(fault.NewPlan(seed, rate)),
-			engine.WithRetry(fault.Policy{
-				MaxAttempts: f.retries,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    100 * time.Millisecond,
-				Seed:        seed,
-			}))
-	}
-	return eopts, nil
 }
 
 // suiteDataDir returns the per-workflow data directory: the base dir's

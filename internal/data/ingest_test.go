@@ -428,3 +428,53 @@ func TestProjectionMatchesProject(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteCSVFileFailureLeavesNothing covers WriteCSVFile's failure
+// contract: a write that fails after its rows are on disk (the final
+// rename cannot replace a non-empty directory) removes its temp file and
+// leaves what was at the path untouched, and a successful write leaves
+// exactly the target, readable back row for row.
+func TestWriteCSVFileFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	schema := data.Schema{"K", "V"}
+	rows := data.Rows{{data.NewInt(1), data.Null}, {data.NewString("a,b"), data.NewFloat(2.5)}}
+
+	blocked := filepath.Join(dir, "blocked.csv")
+	if err := os.MkdirAll(filepath.Join(blocked, "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := data.WriteCSVFile(blocked, schema, rows); err == nil {
+		t.Fatal("write over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Join(blocked, "occupant")); err != nil {
+		t.Errorf("failed write disturbed what was at the path: %v", err)
+	}
+	if err := data.WriteCSVFile(filepath.Join(dir, "missing", "x.csv"), schema, rows); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+
+	ok := filepath.Join(dir, "ok.csv")
+	if err := data.WriteCSVFile(ok, schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "blocked.csv ok.csv" {
+		t.Errorf("directory holds %q after one failed and one successful write; want only the directory and the target", got)
+	}
+	header, back, err := data.ReadCSVFile(ok)
+	if err != nil || !header.Equal(schema) || len(back) != len(rows) {
+		t.Fatalf("read back header %v, %d rows, %v", header, len(back), err)
+	}
+	for i := range rows {
+		if back[i].Key() != rows[i].Key() {
+			t.Errorf("row %d read back as %s, wrote %s", i, back[i], rows[i])
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 )
@@ -109,7 +110,7 @@ type FileRecordset struct {
 func NewFileRecordset(name string, schema Schema, path string) (*FileRecordset, error) {
 	f := &FileRecordset{name: name, schema: schema.Clone(), path: path}
 	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if err := f.writeAll(nil); err != nil {
+		if err := f.Truncate(); err != nil {
 			return nil, err
 		}
 		return f, nil
@@ -197,6 +198,48 @@ func ReadCSVFile(path string) (Schema, Rows, error) {
 	}
 }
 
+// WriteCSVFile writes a record file ReadCSVFile reads back: the schema as
+// header row, then one line per record, NULL for nulls. Every CSV the
+// system writes whole — a new or truncated record file, a spilled
+// intermediate, a checkpoint stage — goes through this function. The rows
+// go to a temp file in path's directory that is renamed over path once
+// flushed and closed, so a reader sees the old file or the whole new one,
+// never a torn write; on any failure the temp file is removed and path is
+// left as it was.
+func WriteCSVFile(path string, schema Schema, rows Rows) (err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	// CreateTemp's 0600 suits scratch files; a record file is for others to read.
+	if err := tmp.Chmod(0o644); err != nil {
+		return err
+	}
+	w := csv.NewWriter(tmp)
+	if err := w.Write(schema); err != nil {
+		return err
+	}
+	for _, rec := range rows {
+		if err := w.Write(recordFields(rec)); err != nil {
+			return err
+		}
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
+
 // Load implements Recordset by appending rows to the CSV file.
 func (f *FileRecordset) Load(rows Rows) error {
 	for i, r := range rows {
@@ -221,7 +264,7 @@ func (f *FileRecordset) Load(rows Rows) error {
 }
 
 // Truncate implements Recordset by rewriting the file with only the header.
-func (f *FileRecordset) Truncate() error { return f.writeAll(nil) }
+func (f *FileRecordset) Truncate() error { return WriteCSVFile(f.path, f.schema, nil) }
 
 // Count implements Recordset.
 func (f *FileRecordset) Count() (int, error) {
@@ -230,25 +273,6 @@ func (f *FileRecordset) Count() (int, error) {
 		return 0, err
 	}
 	return len(rows), nil
-}
-
-func (f *FileRecordset) writeAll(rows Rows) error {
-	fh, err := os.Create(f.path)
-	if err != nil {
-		return err
-	}
-	defer fh.Close()
-	w := csv.NewWriter(fh)
-	if err := w.Write(f.schema); err != nil {
-		return err
-	}
-	for _, rec := range rows {
-		if err := w.Write(recordFields(rec)); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
 }
 
 func recordFields(rec Record) []string {

@@ -3,25 +3,44 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"etlopt/internal/templates"
 )
 
-// TestRunCancelled verifies both execution modes abort with ctx.Err()
-// when the context is cancelled before the run starts.
+// TestRunCancelled verifies every execution mode, and the checkpoint
+// runner over the node driver, aborts with an error that wraps ctx.Err()
+// and says where the run stopped and after how many rows, when the context
+// is cancelled before the run starts.
 func TestRunCancelled(t *testing.T) {
 	sc := templates.Fig1Scenario(80, 240)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, mode := range []struct {
-		name string
-		mode Mode
-	}{{"materialized", Materialized}, {"pipelined", Pipelined}, {"parallel", Parallel}} {
+		name       string
+		mode       Mode
+		checkpoint bool
+	}{
+		{"materialized", Materialized, false}, {"pipelined", Pipelined, false}, {"parallel", Parallel, false},
+		{"checkpoint", Parallel, true},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
-			res, err := New(sc.Bind(), WithMode(mode.mode)).Run(ctx, sc.Graph)
+			e := New(sc.Bind(), WithMode(mode.mode), WithPartitions(4))
+			run := e.Run
+			if mode.checkpoint {
+				cr, err := NewCheckpointRunner(e, t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = cr.Run
+			}
+			res, err := run(ctx, sc.Graph)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "node") || !strings.Contains(msg, "rows") {
+				t.Errorf("cancellation error names neither node nor rows: %q", msg)
 			}
 			if res != nil {
 				t.Error("cancelled run should not return a result")

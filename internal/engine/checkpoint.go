@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,8 +9,6 @@ import (
 	"strings"
 
 	"etlopt/internal/data"
-	"etlopt/internal/fault"
-	"etlopt/internal/obs"
 	"etlopt/internal/workflow"
 )
 
@@ -21,7 +18,10 @@ import (
 // fails halfway, re-running everything may not fit the remaining window.
 // CheckpointRunner executes a workflow with per-node staging: each
 // completed node's output is persisted, so a re-run after a crash resumes
-// from the frontier of completed nodes instead of from the sources.
+// from the frontier of completed nodes instead of from the sources. It is
+// the stage hook of the engine's node driver (runNodes), not a second
+// executor: the driver asks it to restore a node before running it and to
+// persist the node after.
 //
 // The staging area is a directory of CSV files keyed by node ID plus a
 // manifest recording the workflow signature; resuming with a *different*
@@ -50,139 +50,21 @@ func (c *CheckpointRunner) nodePath(id workflow.NodeID) string {
 	return filepath.Join(c.dir, fmt.Sprintf("node-%d.csv", id))
 }
 
-// Run executes the workflow, checkpointing each completed node. If the
+// Run executes the workflow through the wrapped engine's node driver —
+// in its mode, at its partition count, with its journal, metrics, fault
+// plan and retry policy — checkpointing each completed node. If the
 // staging area already holds results for this exact workflow (matching
 // signature), completed nodes are loaded from disk instead of recomputed —
-// the resumption path. On success the staging area is removed.
+// the resumption path. On success the staging area is removed. A
+// Pipelined engine is refused: it has no node boundary to stage at.
 //
-// A cancelled ctx aborts between nodes with ctx.Err() and leaves the
-// staging area in place: the nodes completed before the cancellation stay
-// checkpointed, so a later Run with the same workflow resumes from them —
-// cancellation behaves exactly like the crash the runner exists to
-// survive.
+// A cancelled ctx aborts between nodes with an error wrapping ctx.Err()
+// and leaves the staging area in place: the nodes completed before the
+// cancellation stay checkpointed, so a later Run with the same workflow
+// resumes from them — cancellation behaves exactly like the crash the
+// runner exists to survive.
 func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	eng := c.engine.withLookupCache()
-	sig := g.Signature()
-	if err := c.prepareStaging(sig); err != nil {
-		return nil, err
-	}
-
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[workflow.NodeID]data.Rows, len(order))
-	res := &RunResult{
-		Targets:  make(map[string]data.Rows),
-		NodeRows: make(map[workflow.NodeID]int),
-	}
-	for _, id := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n := g.Node(id)
-		// Targets are never staged: loading is the effect we must not
-		// repeat blindly, so targets always re-run from their providers'
-		// staged outputs.
-		stageable := n.Kind == workflow.KindActivity || len(g.Providers(id)) == 0
-		resumed := false
-		body := func() error {
-			// Resume path: a staged output short-circuits recomputation.
-			if stageable {
-				if err := eng.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
-					return err
-				}
-				rows, ok, err := c.loadStage(id)
-				if err != nil {
-					return err
-				}
-				if ok {
-					out[id] = rows
-					resumed = true
-					return nil
-				}
-			}
-			if err := eng.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-				return err
-			}
-			switch n.Kind {
-			case workflow.KindRecordset:
-				preds := g.Providers(id)
-				if len(preds) == 0 {
-					rows, err := eng.scanSource(n)
-					if err != nil {
-						return err
-					}
-					out[id] = rows
-				} else {
-					rows := realign(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
-					if err := eng.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-						return err
-					}
-					out[id] = rows
-					res.Targets[n.RS.Name] = rows
-					if rs, ok := eng.bindings[n.RS.Name]; ok {
-						if err := rs.Load(rows); err != nil {
-							return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
-						}
-					}
-				}
-			case workflow.KindActivity:
-				preds := g.Providers(id)
-				inputs := make([]data.Rows, len(preds))
-				schemas := make([]data.Schema, len(preds))
-				for i, p := range preds {
-					inputs[i] = out[p]
-					schemas[i] = g.Node(p).Out
-				}
-				rows, err := eng.execActivity(n, schemas, inputs)
-				if err != nil {
-					return fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err)
-				}
-				out[id] = rows
-			}
-			if stageable {
-				if err := eng.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
-					return err
-				}
-				if err := c.saveStage(id, g.Node(id).Out, out[id]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := eng.runNode(ctx, id, n, body); err != nil {
-			return nil, err
-		}
-		res.NodeRows[id] = len(out[id])
-		if resumed {
-			c.checkpointEvent("restored", id, n, len(out[id]))
-			if j := eng.journal; j != nil {
-				j.Emit(obs.ResumeEvent(nodeKey(id, n), len(out[id])))
-			}
-		} else if stageable {
-			c.checkpointEvent("staged", id, n, len(out[id]))
-		}
-	}
-
-	// The load completed: the staging area has served its purpose.
-	if err := c.Clear(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// checkpointEvent journals one staging step ("staged" when a node's
-// output is persisted, "restored" when a resumed run short-circuits a
-// node from disk) through the wrapped engine's flight recorder; a no-op
-// without one.
-func (c *CheckpointRunner) checkpointEvent(action string, id workflow.NodeID, n *workflow.Node, rows int) {
-	if j := c.engine.journal; j != nil {
-		j.Emit(obs.CheckpointEvent(nodeKey(id, n), action, rows))
-	}
+	return c.engine.run(ctx, g, c)
 }
 
 // prepareStaging validates or initializes the manifest. A signature
@@ -235,41 +117,9 @@ func (c *CheckpointRunner) Clear() error {
 	return nil
 }
 
-// saveStage atomically persists one node's output.
+// saveStage atomically persists one node's output, in materialized order.
 func (c *CheckpointRunner) saveStage(id workflow.NodeID, schema data.Schema, rows data.Rows) error {
-	tmp := c.nodePath(id) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write(schema); err != nil {
-		f.Close()
-		return err
-	}
-	for _, rec := range rows {
-		fields := make([]string, len(rec))
-		for i, v := range rec {
-			if v.IsNull() {
-				fields[i] = "NULL"
-			} else {
-				fields[i] = v.String()
-			}
-		}
-		if err := w.Write(fields); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.nodePath(id))
+	return data.WriteCSVFile(c.nodePath(id), schema, rows)
 }
 
 // loadStage reads one node's staged output if present.

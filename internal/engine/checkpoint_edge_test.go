@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"etlopt/internal/data"
@@ -174,8 +175,12 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.Run(ctx, sc.Graph); !errors.Is(err, context.Canceled) {
+	_, err = cr.Run(ctx, sc.Graph)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run should return context.Canceled, got %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "cancelled before node") || !strings.Contains(msg, "rows") {
+		t.Errorf("checkpoint cancellation error names neither node nor rows: %q", msg)
 	}
 	staged, err := cr.Staged()
 	if err != nil {

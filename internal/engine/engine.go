@@ -1,15 +1,16 @@
 // Package engine executes ETL workflows over real records. The paper
 // treats workflows as operational processes run in a nightly time window;
-// this package is that runtime substrate. Three execution modes are
-// provided: a materialized mode that evaluates nodes in topological order
-// (deterministic, easy to debug), a pipelined mode that runs every
-// activity as a goroutine connected by channels, matching the paper's
-// observation that activities "are allowed to output data to one another"
-// without intermediate data stores, and a partition-parallel mode that
-// splits every recordset across P partitions and executes each activity
-// partition by partition, exchanging rows by key where an operator's
-// semantics demand it (see parallel.go). All three modes produce
-// bit-identical target rows.
+// this package is that runtime substrate. One node driver (runNodes)
+// evaluates the graph in topological order, holding every recordset as P
+// tagged partitions and exchanging rows by key where an operator's
+// semantics demand it (parallel.go): Materialized mode is that driver at
+// P=1, Parallel mode the same driver at WithPartitions, and checkpointing
+// (CheckpointRunner) a stage hook on it — so mode, partition count, fault
+// plan, retry policy, journal and metrics compose. Pipelined mode is the
+// one other executor: every node a goroutine connected by channels,
+// matching the paper's observation that activities "are allowed to output
+// data to one another" without intermediate data stores. All modes
+// produce bit-identical target rows.
 //
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
@@ -19,6 +20,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -36,17 +38,19 @@ type Mode uint8
 // Execution modes.
 const (
 	// Materialized evaluates nodes one by one in topological order,
-	// materializing each node's full output.
+	// materializing each node's full output: the node driver at one
+	// partition.
 	Materialized Mode = iota
 	// Pipelined runs one goroutine per node, streaming records through
 	// channels; blocking operations (aggregations, duplicate checks,
-	// difference) buffer internally as needed.
+	// difference) buffer internally as needed. It has no node boundary,
+	// so it refuses a fault plan, a retry policy and checkpointing.
 	Pipelined
-	// Parallel partitions every recordset across P partition workers,
-	// executes order-preserving operators partition-locally, repartitions
-	// by key for key-sensitive operators, and merges partitions with an
-	// order-stable reduce so output is bit-identical to Materialized at
-	// any partition count. See WithPartitions.
+	// Parallel is the node driver at P partitions: order-preserving
+	// operators run partition-locally, key-sensitive operators
+	// repartition by key first, and an order-stable merge makes the
+	// output bit-identical to Materialized at any partition count. See
+	// WithPartitions.
 	Parallel
 )
 
@@ -107,8 +111,10 @@ func WithBatchSize(n int) Option {
 }
 
 // WithPartitions sets Parallel mode's partition count (default: the
-// number of CPUs). Any count produces bit-identical output; the count
-// only affects how the work is spread. Ignored by the other modes.
+// number of CPUs), with or without a CheckpointRunner around the engine.
+// Any count produces bit-identical output; the count only affects how the
+// work is spread. Materialized mode is always one partition and Pipelined
+// mode has none, so both ignore it.
 func WithPartitions(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -147,23 +153,43 @@ type RunResult struct {
 
 // Run executes the workflow and returns the loaded target rows. The graph
 // must be validated and have regenerated schemata. Cancelling ctx stops
-// the run at the next node (materialized and parallel modes) or batch
-// (pipelined mode) boundary and returns an error wrapping ctx.Err(); rows
-// already loaded into bound targets stay loaded.
+// the run at the next node or partition (materialized and parallel modes)
+// or batch (pipelined mode) boundary and returns an error wrapping
+// ctx.Err(); rows already loaded into bound targets stay loaded.
 func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
+	return e.run(ctx, g, nil)
+}
+
+// run is the run wrapper Run (stage nil) and CheckpointRunner.Run share:
+// it resolves the mode to a partition count, attaches the run's lookup
+// cache, metrics, journal run events and mode span, and hands the graph to
+// the node driver — or to the pipeline, which has no node boundary to
+// inject a fault at, retry from or stage after, and so refuses those
+// options instead of ignoring them.
+func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRunner) (*RunResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
+	partitions := 1 // Materialized is the node driver at one partition
+	switch e.mode {
+	case Materialized:
+	case Parallel:
+		partitions = e.partitionCount()
+	case Pipelined:
+		partitions = 0
+		switch {
+		case stage != nil:
+			return nil, errors.New("engine: pipelined mode cannot checkpoint: run the checkpoint runner over a materialized or parallel engine")
+		case e.faults != nil:
+			return nil, errors.New("engine: pipelined mode has no fault-injection sites: arm the fault plan in materialized or parallel mode")
+		case e.retry.Enabled():
+			return nil, errors.New("engine: pipelined mode cannot retry a node: set the retry policy in materialized or parallel mode")
+		}
+	default:
+		return nil, fmt.Errorf("engine: unknown mode %d", e.mode)
+	}
 	e = e.withLookupCache()
 	start := time.Now()
-	var (
-		res *RunResult
-		err error
-	)
-	partitions := 0
-	if e.mode == Parallel {
-		partitions = e.partitionCount()
-	}
 	modeName := e.mode.String()
 	rm := e.newRunMetrics(g, partitions)
 	if e.journal != nil {
@@ -172,16 +198,14 @@ func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error)
 	}
 	span := e.metrics.StartSpan("engine/" + modeName)
 	rm.setSpan(span)
-	switch e.mode {
-	case Materialized:
-		res, err = e.runMaterialized(ctx, g, rm)
-	case Pipelined:
+	var (
+		res *RunResult
+		err error
+	)
+	if e.mode == Pipelined {
 		res, err = e.runPipelined(ctx, g, rm)
-	case Parallel:
-		res, err = e.runParallel(ctx, g, rm)
-	default:
-		span.End()
-		return nil, fmt.Errorf("engine: unknown mode %d", e.mode)
+	} else {
+		res, err = e.runNodes(ctx, g, partitions, stage, rm)
 	}
 	span.End()
 	if err != nil {
@@ -192,14 +216,28 @@ func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error)
 	return res, nil
 }
 
-// runMaterialized evaluates the graph node by node in topological order,
-// checking for cancellation between nodes.
-func (e *Engine) runMaterialized(ctx context.Context, g *workflow.Graph, rm *runMetrics) (*RunResult, error) {
+// runNodes is the node driver: it evaluates the graph node by node in
+// topological order, holding each node's output as p tagged partitions
+// (parallel.go). It alone checks for cancellation between nodes, consults
+// the node-level fault sites, retries, journals and counts a node, scans
+// a source, loads a target and — given a stage — restores or persists a
+// node's output.
+//
+// A node's body is retried as a whole. Fault checks frame the computation
+// so that every side effect — loading a bound target, writing a stage
+// file — happens strictly after the body's last injection point: a
+// retried node never loads or stages twice.
+func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *CheckpointRunner, rm *runMetrics) (*RunResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[workflow.NodeID]data.Rows, len(order))
+	if stage != nil {
+		if err := stage.prepareStaging(g.Signature()); err != nil {
+			return nil, err
+		}
+	}
+	out := make(map[workflow.NodeID]*pdata, len(order))
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
 		NodeRows: make(map[workflow.NodeID]int),
@@ -209,98 +247,144 @@ func (e *Engine) runMaterialized(ctx context.Context, g *workflow.Graph, rm *run
 		n := g.Node(id)
 		if err := ctx.Err(); err != nil {
 			// Surface where the run stopped, not just that it stopped: the
-			// next activity that would have run and the progress made.
+			// next node that would have run and the progress made. Staged
+			// nodes stay on disk, so cancellation resumes like a crash.
 			return nil, fmt.Errorf("engine: run cancelled before node %d (%s) after %d rows: %w",
 				id, n.Label(), rowsSoFar, err)
 		}
+		preds := g.Providers(id)
+		activity := n.Kind == workflow.KindActivity
+		target := !activity && len(preds) > 0
+		// Targets are never staged: loading is the effect that must not be
+		// repeated blindly, so a target always re-runs from its provider.
+		stageable := stage != nil && !target
+		var (
+			pd       *pdata    // the node's output; nil for a target nothing reads
+			rows     data.Rows // a recordset's or restored node's rows, in materialized order
+			restored bool
+		)
 		body := func() error {
-			return e.execMaterializedNode(ctx, g, id, n, out, res, rm)
+			var err error
+			if stageable {
+				if err := e.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
+					return err
+				}
+				if rows, restored, err = stage.loadStage(id); err != nil {
+					return err
+				}
+				if restored {
+					pd = scatterRows(rows, p)
+					return nil
+				}
+			}
+			if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
+				return err
+			}
+			emitParts := 1
+			switch {
+			case activity:
+				emitParts = p
+				err = rm.observeNode(id, func() (err error) {
+					pd, err = e.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
+					return err
+				})
+			case target:
+				// Targets are where the partitioned world ends: merge the
+				// provider's partitions back into materialized order.
+				rows = realign(gather(out[preds[0]]), g.Node(preds[0]).Out, n.RS.Schema)
+			default:
+				if rows, err = e.scanSource(n); err == nil {
+					pd = scatterRows(rows, p)
+				}
+			}
+			if err != nil {
+				return err
+			}
+			// Every partition's emit occurrence is consumed even after one
+			// fires (forEachPartition's no-short-circuit rule), so the
+			// plan's schedule is independent of which partition fails first.
+			for q := 0; q < emitParts && e.faults != nil; q++ {
+				if ferr := e.checkFault(ctx, fault.SiteEmit, id, n, q); ferr != nil && err == nil {
+					err = ferr
+				}
+			}
+			if err != nil {
+				return err
+			}
+			if target {
+				res.Targets[n.RS.Name] = rows
+				if rs, ok := e.bindings[n.RS.Name]; ok {
+					if err := rs.Load(rows); err != nil {
+						return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
+					}
+				}
+				if len(g.Consumers(id)) > 0 {
+					pd = scatterRows(rows, p)
+				}
+			}
+			if stageable {
+				if err := e.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
+					return err
+				}
+				if activity {
+					rows = gather(pd)
+				}
+				return stage.saveStage(id, n.Out, rows)
+			}
+			return nil
 		}
-		var err error
-		if n.Kind == workflow.KindActivity {
-			err = e.runNodeJournaled(ctx, id, n, rm, func() int { return len(out[id]) }, body)
+		count := func() int {
+			if pd != nil {
+				return pd.total()
+			}
+			return len(rows)
+		}
+		if activity {
+			err = e.runNodeJournaled(ctx, id, n, rm, count, body)
 		} else {
 			err = e.runNode(ctx, id, n, body)
 		}
 		if err != nil {
 			return nil, err
 		}
-		res.NodeRows[id] = len(out[id])
-		rowsSoFar += len(out[id])
-		rm.rows(id).Add(int64(len(out[id])))
+		out[id] = pd
+		emitted := count()
+		res.NodeRows[id] = emitted
+		rowsSoFar += emitted
+		rm.rows(id).Add(int64(emitted))
+		if activity {
+			for q, ps := range pd.parts {
+				rm.partRow(id, q).Add(int64(len(ps.rows)))
+				rm.batchEvent(id, q, len(ps.rows))
+			}
+		}
+		if stageable && e.journal != nil {
+			key := nodeKey(id, n)
+			if restored {
+				e.journal.Emit(obs.CheckpointEvent(key, "restored", emitted))
+				e.journal.Emit(obs.ResumeEvent(key, emitted))
+			} else {
+				e.journal.Emit(obs.CheckpointEvent(key, "staged", emitted))
+			}
+		}
+	}
+	if stage != nil {
+		// The load completed: the staging area has served its purpose.
+		if err := stage.Clear(); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
 
-// execMaterializedNode is one node's retryable body: fault checks frame
-// the computation so every side effect — recording the output, loading a
-// bound target — happens strictly after the node's last injection point,
-// making a retried node idempotent from the outside.
-func (e *Engine) execMaterializedNode(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]data.Rows, res *RunResult, rm *runMetrics) error {
-	if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
+// execActivityTimed runs one activity over materialized inputs as an
+// observed node (see observeNode). The journal's node event is emitted by
+// the caller after the node succeeds.
+func (e *Engine) execActivityTimed(id workflow.NodeID, n *workflow.Node, schemas []data.Schema, inputs []data.Rows, rm *runMetrics) (rows data.Rows, err error) {
+	err = rm.observeNode(id, func() (err error) {
+		rows, err = e.execSem(n.Act, n.In, n.Out, schemas, inputs)
 		return err
-	}
-	switch n.Kind {
-	case workflow.KindRecordset:
-		preds := g.Providers(id)
-		if len(preds) == 0 {
-			rows, err := e.scanSource(n)
-			if err != nil {
-				return err
-			}
-			if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-				return err
-			}
-			out[id] = rows
-			return nil
-		}
-		rows := realign(out[preds[0]], g.Node(preds[0]).Out, n.RS.Schema)
-		if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-			return err
-		}
-		out[id] = rows
-		res.Targets[n.RS.Name] = rows
-		if rs, ok := e.bindings[n.RS.Name]; ok {
-			if err := rs.Load(rows); err != nil {
-				return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
-			}
-		}
-	case workflow.KindActivity:
-		preds := g.Providers(id)
-		inputs := make([]data.Rows, len(preds))
-		schemas := make([]data.Schema, len(preds))
-		for i, p := range preds {
-			inputs[i] = out[p]
-			schemas[i] = g.Node(p).Out
-		}
-		rows, err := e.execActivityTimed(id, n, schemas, inputs, rm)
-		if err != nil {
-			return fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err)
-		}
-		if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-			return err
-		}
-		out[id] = rows
-	}
-	return nil
-}
-
-// execActivityTimed runs one activity, observing its latency into the
-// per-node stage histogram and a per-node child span when either sink is
-// enabled; with both off the clock is never read. The journal's node
-// event is emitted by the caller after the node (retries included)
-// succeeds, so a journal records one node event per completed node.
-func (e *Engine) execActivityTimed(id workflow.NodeID, n *workflow.Node, schemas []data.Schema, inputs []data.Rows, rm *runMetrics) (data.Rows, error) {
-	h := rm.latency(id)
-	if h == nil && !rm.spanning() {
-		return e.execActivity(n, schemas, inputs)
-	}
-	sp := rm.nodeSpan(id)
-	start := time.Now()
-	rows, err := e.execActivity(n, schemas, inputs)
-	sec := time.Since(start).Seconds()
-	sp.End()
-	h.Observe(sec)
+	})
 	return rows, err
 }
 

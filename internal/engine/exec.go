@@ -9,15 +9,10 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// execActivity runs one activity over fully materialized inputs. schemas
-// and inputs are aligned with the node's providers; the returned rows are
-// laid out by the node's derived output schema.
-func (e *Engine) execActivity(n *workflow.Node, schemas []data.Schema, inputs []data.Rows) (data.Rows, error) {
-	return e.execSem(n.Act, n.In, n.Out, schemas, inputs)
-}
-
-// execSem dispatches on the activity's semantics. in/out are the node's
-// derived schemata; schemas/inputs the provider layouts and rows.
+// execSem runs one activity over fully materialized inputs, dispatching on
+// its semantics. in/out are the node's derived schemata; schemas/inputs
+// the provider layouts and rows, aligned with the node's providers. The
+// returned rows are laid out by out.
 func (e *Engine) execSem(a *workflow.Activity, in []data.Schema, out data.Schema, schemas []data.Schema, inputs []data.Rows) (data.Rows, error) {
 	// Realign provider rows to the derived input schemata when layouts
 	// differ (possible after graph rewrites reorder attribute generation).
@@ -39,7 +34,8 @@ func (e *Engine) execSem(a *workflow.Activity, in []data.Schema, out data.Schema
 	case workflow.OpFunc:
 		return e.execFunc(a, in[0], out, aligned[0])
 	case workflow.OpAggregate:
-		return e.execAggregate(a, in[0], out, aligned[0])
+		rows, _, err := e.execAggregate(a, in[0], out, aligned[0])
+		return rows, err
 	case workflow.OpSurrogateKey:
 		return e.execSurrogateKey(a, in[0], out, aligned[0])
 	case workflow.OpMerged:
@@ -285,18 +281,19 @@ type aggState struct {
 
 // execAggregate groups rows by the grouper attributes and folds the
 // aggregate. Output order is first-seen group order, which makes the
-// result order-sensitive in a controlled way.
+// result order-sensitive in a controlled way; first[k] is the index of the
+// input row that opened output group k.
 //
 // Partition contract: a group's rows must be co-located, so the parallel
 // engine exchanges by grouper tuple; each group's output row then carries
 // the sequence tag of the group's first input row, restoring global
 // first-seen order at the merge.
-func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, error) {
+func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, []int, error) {
 	groupPos := make([]int, 0, len(a.Sem.Attrs))
 	for _, attr := range a.Sem.Attrs {
 		p := in.Index(attr)
 		if p < 0 {
-			return nil, fmt.Errorf("grouper %q not in schema {%s}", attr, in)
+			return nil, nil, fmt.Errorf("grouper %q not in schema {%s}", attr, in)
 		}
 		groupPos = append(groupPos, p)
 	}
@@ -304,21 +301,21 @@ func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows d
 	if a.Sem.Agg != workflow.AggCount {
 		aggPos = in.Index(a.Sem.AggAttr)
 		if aggPos < 0 {
-			return nil, fmt.Errorf("aggregated attribute %q not in schema {%s}", a.Sem.AggAttr, in)
+			return nil, nil, fmt.Errorf("aggregated attribute %q not in schema {%s}", a.Sem.AggAttr, in)
 		}
 	}
 	outPos := out.Index(a.Sem.OutAttr)
 	if outPos < 0 {
-		return nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
+		return nil, nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
 	}
 
 	proj := data.NewProjection(in, out)
 	groups := make(map[string]*aggState)
-	var orderCounter int
-	for _, r := range rows {
+	var first []int
+	for i, r := range rows {
 		var b strings.Builder
-		for i, p := range groupPos {
-			if i > 0 {
+		for j, p := range groupPos {
+			if j > 0 {
 				b.WriteByte('\x1f')
 			}
 			b.WriteString(r[p].Key())
@@ -326,8 +323,8 @@ func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows d
 		k := b.String()
 		st, ok := groups[k]
 		if !ok {
-			st = &aggState{rep: proj.Apply(r), order: orderCounter}
-			orderCounter++
+			st = &aggState{rep: proj.Apply(r), order: len(first)}
+			first = append(first, i)
 			groups[k] = st
 		}
 		st.rows++
@@ -383,7 +380,7 @@ func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows d
 		rec[outPos] = v
 		res[st.order] = rec
 	}
-	return res, nil
+	return res, first, nil
 }
 
 func (e *Engine) execSurrogateKey(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, error) {

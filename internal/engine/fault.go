@@ -10,11 +10,11 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// WithFaultPlan arms a deterministic fault-injection plan: the engine
-// consults it at node start, per-partition emit, repartition exchange,
-// and (through the checkpoint runner) stage/restore. Every fired fault
-// is journaled and counted; a nil plan (the default) adds no checks on
-// hot paths beyond a nil test.
+// WithFaultPlan arms a deterministic fault-injection plan: the node
+// driver consults it at node start, per-partition emit, repartition
+// exchange, and (under a checkpoint runner) stage/restore. Every fired
+// fault is journaled and counted; a nil plan (the default) adds no checks
+// on hot paths beyond a nil test. Pipelined mode refuses a plan.
 func WithFaultPlan(p *fault.Plan) Option { return func(e *Engine) { e.faults = p } }
 
 // WithRetry attaches a per-node retry policy: nodes that fail with a
@@ -23,7 +23,7 @@ func WithFaultPlan(p *fault.Plan) Option { return func(e *Engine) { e.faults = p
 // are retry-safe by construction — target loads and checkpoint stages
 // happen strictly after a node's last injection point, so a retried node
 // never loads or stages twice. The zero policy (the default) disables
-// retries.
+// retries. Pipelined mode refuses an enabled policy.
 func WithRetry(p fault.Policy) Option { return func(e *Engine) { e.retry = p } }
 
 // checkFault consults the fault plan at one injection point, journaling

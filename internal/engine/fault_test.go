@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"etlopt/internal/fault"
@@ -154,5 +155,52 @@ func TestEngineZeroRatePlanInvisible(t *testing.T) {
 	}
 	if !res.Targets["DW.PARTS"].EqualMultiset(plain.Targets["DW.PARTS"]) {
 		t.Error("zero-rate plan changed the run's output")
+	}
+}
+
+// Pipelined mode has no node boundary to inject a fault at, retry from or
+// stage after: each of those options is refused by name before any node
+// runs, while plain Pipelined keeps running.
+func TestPipelinedRefusesWhatItCannotDo(t *testing.T) {
+	sc := templates.Fig1Scenario(40, 120)
+	cases := []struct {
+		name       string
+		opts       []Option
+		checkpoint bool
+		want       string // "" = the run must succeed
+	}{
+		{name: "plain"},
+		{name: "fault plan", opts: []Option{WithFaultPlan(fault.NewPlan(1, 0))}, want: "fault"},
+		{name: "retry", opts: []Option{WithRetry(fault.Policy{MaxAttempts: 3})}, want: "retry"},
+		{name: "checkpoint", checkpoint: true, want: "checkpoint"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bindings := sc.Bind()
+			scans := 0
+			bindings["PARTS1"] = countingRecordset{Recordset: bindings["PARTS1"], scans: &scans}
+			e := New(bindings, append([]Option{WithMode(Pipelined)}, c.opts...)...)
+			run := e.Run
+			if c.checkpoint {
+				cr, err := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = cr.Run
+			}
+			_, err := run(context.Background(), sc.Graph)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("plain pipelined run failed: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "pipelined") || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want a refusal naming pipelined mode and %q", err, c.want)
+			}
+			if scans != 0 {
+				t.Errorf("refused run scanned a source %d times", scans)
+			}
+		})
 	}
 }

@@ -258,3 +258,78 @@ func TestJournalCheckpointEvents(t *testing.T) {
 		t.Fatal("resumed checkpoint run journaled no restored events")
 	}
 }
+
+// TestCheckpointRunIsObserved pins that checkpointing is a hook on the
+// node driver, not a second executor: a checkpointed run in either driver
+// mode journals its run boundaries and one node event per activity with
+// the clean run's row counts, reports its elapsed time, and counts the
+// rows every node emitted.
+func TestCheckpointRunIsObserved(t *testing.T) {
+	sc := templates.Fig1Scenario(60, 180)
+	clean, err := New(sc.Bind()).Run(context.Background(), sc.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []struct {
+		name string
+		opts []Option
+	}{
+		{"materialized", nil},
+		{"parallel-4", []Option{WithMode(Parallel), WithPartitions(4)}},
+	} {
+		t.Run(cfg.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			j := obs.NewJournal(&buf, nil)
+			reg := obs.NewRegistry()
+			e := New(sc.Bind(), append([]Option{WithJournal(j), WithMetrics(reg)}, cfg.opts...)...)
+			cr, err := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := cr.Run(context.Background(), sc.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Elapsed <= 0 {
+				t.Errorf("Elapsed = %v, want > 0", res.Elapsed)
+			}
+			evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := 0
+			nodeEvents := map[string]int{}
+			nodeRows := map[string]int64{}
+			for _, e := range evs {
+				switch e.T {
+				case obs.EventRun:
+					runs++
+				case obs.EventNode:
+					nodeEvents[e.Node]++
+					nodeRows[e.Node] = e.Rows
+				}
+			}
+			if runs != 2 {
+				t.Errorf("%d run events, want start+end", runs)
+			}
+			snap := reg.Snapshot()
+			for id, want := range clean.NodeRows {
+				n := sc.Graph.Node(id)
+				key := nodeKey(id, n)
+				if got, ok := snap.CounterValue(`engine_rows_out_total{node="` + key + `"}`); !ok || got != int64(want) {
+					t.Errorf("rows counter for node %s = %d, %v; want %d", key, got, ok, want)
+				}
+				if n.Kind != workflow.KindActivity {
+					continue
+				}
+				if nodeEvents[key] != 1 || nodeRows[key] != int64(want) {
+					t.Errorf("node %s: %d node events carrying %d rows; want 1 carrying %d",
+						key, nodeEvents[key], nodeRows[key], want)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"etlopt/internal/obs"
 	"etlopt/internal/workflow"
@@ -24,7 +25,7 @@ func WithMetrics(r *obs.Registry) Option { return func(e *Engine) { e.metrics = 
 // TestJournalDoesNotAffectExecution). A nil journal disables emission.
 func WithJournal(j *obs.Journal) Option { return func(e *Engine) { e.journal = j } }
 
-// WithPprofLabels tags Parallel mode's partition workers with
+// WithPprofLabels tags the node driver's partition workers with
 // runtime/pprof labels (etl=engine, etl_node, etl_partition), so CPU
 // profiles attribute samples to the node and partition that burned them.
 func WithPprofLabels() Option { return func(e *Engine) { e.pprofLabels = true } }
@@ -39,7 +40,7 @@ type runMetrics struct {
 	nodeSec      map[workflow.NodeID]*obs.Histogram // engine_node_seconds{node}
 	backpressure map[workflow.NodeID]*obs.Counter   // engine_backpressure_waits_total{node}
 
-	// Parallel-mode series, allocated only when partitions > 0.
+	// Node-driver series, allocated only when partitions > 0.
 	partRows  map[workflow.NodeID][]*obs.Counter // engine_partition_rows_out_total{node,partition}
 	partBusy  []*obs.Gauge                       // engine_partition_busy_seconds{partition}
 	exchanged map[workflow.NodeID]*obs.Counter   // engine_exchange_rows_total{node}
@@ -60,11 +61,11 @@ func nodeKey(id workflow.NodeID, n *workflow.Node) string {
 }
 
 // newRunMetrics prefetches handles for every node of the graph; nil when
-// the engine has neither a registry nor a journal. partitions > 0
-// (Parallel mode) additionally prefetches the per-partition and exchange
-// series. With a journal but no registry every instrument handle is nil
-// (the nil registry hands out nil handles) and only the journal side is
-// live.
+// the engine has neither a registry nor a journal. partitions > 0 (the
+// node driver; 1 in Materialized mode) additionally prefetches the
+// per-partition and exchange series. With a journal but no registry every
+// instrument handle is nil (the nil registry hands out nil handles) and
+// only the journal side is live.
 func (e *Engine) newRunMetrics(g *workflow.Graph, partitions int) *runMetrics {
 	if e.metrics == nil && e.journal == nil {
 		return nil
@@ -132,7 +133,7 @@ func (m *runMetrics) stall(id workflow.NodeID) *obs.Counter {
 }
 
 // partRow returns the rows-out counter of one partition of a node; nil
-// when metrics or parallel-mode series are disabled.
+// when metrics or the per-partition series are disabled.
 func (m *runMetrics) partRow(id workflow.NodeID, p int) *obs.Counter {
 	if m == nil || m.partRows == nil {
 		return nil
@@ -181,6 +182,22 @@ func (m *runMetrics) nodeSpan(id workflow.NodeID) *obs.Span {
 	return m.span.Child("node/" + m.keys[id])
 }
 
+// observeNode runs fn as node id's execution: under a per-node child span
+// and timed into the node's stage histogram when either sink is live; with
+// both off the clock is never read.
+func (m *runMetrics) observeNode(id workflow.NodeID, fn func() error) error {
+	h := m.latency(id)
+	if h == nil && !m.spanning() {
+		return fn()
+	}
+	sp := m.nodeSpan(id)
+	start := time.Now()
+	err := fn()
+	sp.End()
+	h.Observe(time.Since(start).Seconds())
+	return err
+}
+
 // nodeEvent journals one node's completed execution: rows emitted and
 // wall time spent.
 func (m *runMetrics) nodeEvent(id workflow.NodeID, rows int, sec float64) {
@@ -204,9 +221,7 @@ func (m *runMetrics) exchangeEvent(id workflow.NodeID, rows int) {
 }
 
 // recordRun exports a completed run's whole-run series: the run counter
-// and latency by mode, the per-node emitted-row counts (materialized mode
-// fills them here; pipelined mode already streamed them), and the
-// observed-vs-modeled selectivity gauges — the empirical check of the §5
+// and latency by mode and the observed-vs-modeled selectivity gauges — the empirical check of the §5
 // cost model's central parameter. With a journal attached each
 // selectivity observation is also emitted as a drift event, so the
 // flight-recorder report can rank activities by model error.

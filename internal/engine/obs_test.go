@@ -47,14 +47,20 @@ func TestMetricsDoNotAffectExecution(t *testing.T) {
 // run: the run counter, per-node emitted rows matching RunResult.NodeRows,
 // stage latencies, and the observed-vs-modeled selectivity gauges.
 func TestEngineMetricsSeries(t *testing.T) {
+	for _, mode := range []Mode{Materialized, Parallel} {
+		t.Run(mode.String(), func(t *testing.T) { testEngineMetricsSeries(t, mode) })
+	}
+}
+
+func testEngineMetricsSeries(t *testing.T, mode Mode) {
 	sc := templates.Fig1Scenario(120, 360)
 	reg := obs.NewRegistry()
-	res, err := New(sc.Bind(), WithMetrics(reg)).Run(context.Background(), sc.Graph)
+	res, err := New(sc.Bind(), WithMode(mode), WithPartitions(4), WithMetrics(reg)).Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="materialized"}`); !ok || v != 1 {
+	if v, ok := snap.CounterValue(`engine_runs_total{mode="` + mode.String() + `"}`); !ok || v != 1 {
 		t.Fatalf("engine_runs_total = %d, %v; want 1", v, ok)
 	}
 	for id, want := range res.NodeRows {

@@ -16,23 +16,25 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// This file implements the Parallel execution mode: every recordset is
+// This file implements partitioned node execution, the representation the
+// node driver (runNodes) holds every intermediate in: each recordset is
 // split across P partitions, order-preserving operators run partition by
 // partition with no coordination, and key-sensitive operators repartition
 // their input by key tuple first so that all rows that must meet share a
-// partition.
+// partition. Materialized mode is P=1, where every exchange is the
+// identity and every merge returns its only input.
 //
 // Determinism is carried by sequence tags. Each partitioned row owns an
 // int64 tag with two invariants:
 //
 //  1. tags are strictly increasing within a partition, and
 //  2. sorting all of a node's rows by tag reproduces exactly the row
-//     order the materialized engine would have produced for that node.
+//     order a single partition produces for that node.
 //
 // Source scatter establishes the invariants (row i of a scan gets tag i),
 // every operator preserves them (see the "Partition contract" comments in
 // exec.go), and the final gather is a k-way merge by tag — so the target
-// rows are bit-identical to Materialized mode at any partition count.
+// rows are bit-identical at any partition count.
 
 // pslice is one partition of a node's output: rows plus their sequence
 // tags, index-aligned. A pslice is immutable once built.
@@ -169,7 +171,7 @@ func hashPartition(key string, p int) int {
 	return int(h.Sum32() % uint32(p))
 }
 
-// partitionCount resolves the configured partition count; default is the
+// partitionCount resolves Parallel mode's partition count; default is the
 // number of CPUs.
 func (e *Engine) partitionCount() int {
 	if e.partitions > 0 {
@@ -178,125 +180,11 @@ func (e *Engine) partitionCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runParallel evaluates the graph node by node in topological order like
-// runMaterialized, but holds every intermediate recordset partitioned and
-// executes each activity across P partition workers.
-func (e *Engine) runParallel(ctx context.Context, g *workflow.Graph, rm *runMetrics) (*RunResult, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	p := e.partitionCount()
-	out := make(map[workflow.NodeID]*pdata, len(order))
-	res := &RunResult{
-		Targets:  make(map[string]data.Rows),
-		NodeRows: make(map[workflow.NodeID]int),
-	}
-	rowsSoFar := 0
-	for _, id := range order {
-		n := g.Node(id)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: parallel run cancelled before node %d (%s) after %d rows: %w",
-				id, n.Label(), rowsSoFar, err)
-		}
-		count := 0
-		switch n.Kind {
-		case workflow.KindRecordset:
-			preds := g.Providers(id)
-			if len(preds) == 0 {
-				var pd *pdata
-				if err := e.runNode(ctx, id, n, func() error {
-					if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-						return err
-					}
-					rows, err := e.scanSource(n)
-					if err != nil {
-						return err
-					}
-					if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-						return err
-					}
-					pd = scatterRows(rows, p)
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-				out[id] = pd
-				count = pd.total()
-			} else {
-				// Targets are where the partitioned world ends: merge the
-				// provider's partitions back into materialized order. The
-				// emit check precedes the Load, so a retried target never
-				// loads twice.
-				if err := e.runNode(ctx, id, n, func() error {
-					if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-						return err
-					}
-					rows := gather(out[preds[0]])
-					rows = realign(rows, g.Node(preds[0]).Out, n.RS.Schema)
-					if err := e.checkFault(ctx, fault.SiteEmit, id, n, 0); err != nil {
-						return err
-					}
-					res.Targets[n.RS.Name] = rows
-					count = len(rows)
-					if rs, ok := e.bindings[n.RS.Name]; ok {
-						if err := rs.Load(rows); err != nil {
-							return fmt.Errorf("engine: loading target %s: %w", n.RS.Name, err)
-						}
-					}
-					return nil
-				}); err != nil {
-					return nil, err
-				}
-			}
-		case workflow.KindActivity:
-			var pd *pdata
-			if err := e.runNodeJournaled(ctx, id, n, rm, func() int { return pd.total() }, func() error {
-				if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
-					return err
-				}
-				sp := rm.nodeSpan(id)
-				var err error
-				pd, err = e.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
-				sp.End()
-				if err != nil {
-					return err
-				}
-				// Per-partition emit checks mirror forEachPartition's
-				// no-short-circuit rule: every partition's occurrence is
-				// consumed even after one fires, so the plan's schedule is
-				// independent of which partition fails first.
-				var emitErr error
-				if e.faults != nil {
-					for q := 0; q < p; q++ {
-						if ferr := e.checkFault(ctx, fault.SiteEmit, id, n, q); ferr != nil && emitErr == nil {
-							emitErr = ferr
-						}
-					}
-				}
-				return emitErr
-			}); err != nil {
-				return nil, err
-			}
-			out[id] = pd
-			count = pd.total()
-			for q, ps := range pd.parts {
-				rm.partRow(id, q).Add(int64(len(ps.rows)))
-				rm.batchEvent(id, q, len(ps.rows))
-			}
-		}
-		res.NodeRows[id] = count
-		rowsSoFar += count
-		rm.rows(id).Add(int64(count))
-	}
-	return res, nil
-}
-
 // forEachPartition runs fn(p) for every partition on its own goroutine,
 // observing per-partition busy time. A context already cancelled when a
-// partition starts yields the parallel cancellation error (node, partition
-// and progress identified); otherwise the lowest-indexed partition error
-// wins, deterministically.
+// partition starts yields a cancellation error naming node, partition and
+// progress; otherwise the lowest-indexed partition error wins,
+// deterministically.
 func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *workflow.Node, p int, rm *runMetrics, rowsSoFar int, fn func(q int) error) error {
 	errs := make([]error, p)
 	var wg sync.WaitGroup
@@ -305,7 +193,7 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 		go func(q int) {
 			defer wg.Done()
 			if err := ctx.Err(); err != nil {
-				errs[q] = fmt.Errorf("engine: parallel run cancelled at node %d (%s) partition %d after %d rows: %w",
+				errs[q] = fmt.Errorf("engine: run cancelled at node %d (%s) partition %d after %d rows: %w",
 					id, n.Label(), q, rowsSoFar, err)
 				return
 			}
@@ -384,7 +272,7 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 
 // execParallel runs one activity over partitioned inputs. Cancellation
 // errors pass through already annotated; any other failure is wrapped
-// with the activity's identity like the materialized path.
+// with the activity's identity.
 func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	preds := g.Providers(id)
 	// Align every input to the node's derived input layout up front, so
@@ -466,14 +354,18 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 		}
 		result := newPdata(p)
 		err = run(func(q int) error {
-			rows, err := e.execAggregate(a, n.In[0], n.Out, ex.parts[q].rows)
+			rows, first, err := e.execAggregate(a, n.In[0], n.Out, ex.parts[q].rows)
 			if err != nil {
 				return err
 			}
 			// Each group's output row adopts the tag of the group's first
 			// input row; with a group's rows co-located that is its global
 			// first occurrence, so the merge restores first-seen order.
-			result.parts[q] = pslice{rows: rows, seqs: firstSeenSeqs(ex.parts[q], keyOf)}
+			seqs := make([]int64, len(first))
+			for k, i := range first {
+				seqs[k] = ex.parts[q].seqs[i]
+			}
+			result.parts[q] = pslice{rows: rows, seqs: seqs}
 			return nil
 		})
 		return result, err
@@ -545,22 +437,6 @@ func (e *Engine) execLocal(a *workflow.Activity, in, out data.Schema, ps pslice)
 	default:
 		return pslice{}, fmt.Errorf("internal error: %s is not partition-local", a.Sem.Op)
 	}
-}
-
-// firstSeenSeqs returns, in first-seen key order, the tag of each key
-// group's first row — index-aligned with execAggregate's output, which
-// assigns group output slots in the same first-seen scan order.
-func firstSeenSeqs(ps pslice, keyOf func(data.Record) string) []int64 {
-	seen := make(map[string]bool)
-	var tags []int64
-	for i, r := range ps.rows {
-		k := keyOf(r)
-		if !seen[k] {
-			seen[k] = true
-			tags = append(tags, ps.seqs[i])
-		}
-	}
-	return tags
 }
 
 // parUnion concatenates the inputs partition-wise: left rows keep their

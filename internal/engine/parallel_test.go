@@ -93,7 +93,7 @@ func TestParallelCancelNamesPartition(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"parallel run cancelled", "partition 0", "after 17 rows", n.Label()} {
+	for _, want := range []string{"run cancelled at node", "partition 0", "after 17 rows", n.Label()} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}

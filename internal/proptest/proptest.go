@@ -448,10 +448,10 @@ func journalWellFormed(raw []byte) error {
 //	(b) a rate-1 permanent plan: the run must fail with a typed
 //	    *fault.Injected naming node, partition, and injection site, no
 //	    matter the retry budget;
-//	(c) crash-restart resume: a checkpointed run killed mid-workflow by a
-//	    permanent fault, re-run fault-free over the same staging dir,
-//	    must resume from the staged frontier and reproduce the clean
-//	    result exactly.
+//	(c) crash-restart resume, at each partition count: a checkpointed run
+//	    killed mid-workflow by a permanent fault, re-run fault-free over
+//	    the same staging dir, must resume from the staged frontier and
+//	    reproduce the clean result exactly.
 func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partitions []int) error {
 	ctx := context.Background()
 	clean, err := engine.New(sc.Bind()).Run(ctx, sc.Graph)
@@ -505,52 +505,56 @@ func CheckFaultRecoveryEquivalence(sc *templates.Scenario, seed int64, partition
 		}
 	}
 
-	// (c) Crash-restart resume through the checkpoint runner. Permanent
-	// faults at stage/start points kill the run mid-workflow, leaving the
-	// frontier staged; the fault-free re-run must resume and match.
+	// (c) Crash-restart resume through the checkpoint runner, at each
+	// partition count. Permanent faults at stage/start points kill the run
+	// mid-workflow, leaving the frontier staged; the fault-free re-run must
+	// resume and match.
 	dir, err := os.MkdirTemp("", "etlopt-faultrec-")
 	if err != nil {
 		return fmt.Errorf("staging dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	stage := filepath.Join(dir, "stage")
-	crashPlan := fault.NewPlan(seed+2, 0.5, fault.WithKind(fault.Permanent),
-		fault.WithSites(fault.SiteStage, fault.SiteNodeStart))
-	cr, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), engine.WithFaultPlan(crashPlan)), stage)
-	if err != nil {
-		return err
-	}
-	_, crashErr := cr.Run(ctx, sc.Graph)
-	staged, _ := cr.Staged()
-	var rbuf bytes.Buffer
-	rj := obs.NewJournal(&rbuf, nil)
-	cr2, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), engine.WithJournal(rj)), stage)
-	if err != nil {
-		return err
-	}
-	res, err := cr2.Run(ctx, sc.Graph)
-	if err != nil {
-		return fmt.Errorf("resume run failed after crash (%v): %w", crashErr, err)
-	}
-	if cerr := rj.Close(); cerr != nil {
-		return fmt.Errorf("closing resume journal: %w", cerr)
-	}
-	if err := sameRunResult(clean, res); err != nil {
-		return fmt.Errorf("resumed run diverges from clean run: %w", err)
-	}
-	if crashErr != nil && len(staged) > 0 {
-		evs, err := obs.ReadJournal(bytes.NewReader(rbuf.Bytes()))
+	for _, p := range partitions {
+		stage := filepath.Join(dir, fmt.Sprintf("stage-%d", p))
+		mode := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(p)}
+		crashPlan := fault.NewPlan(seed+2, 0.5, fault.WithKind(fault.Permanent),
+			fault.WithSites(fault.SiteStage, fault.SiteNodeStart))
+		cr, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(mode, engine.WithFaultPlan(crashPlan))...), stage)
 		if err != nil {
-			return fmt.Errorf("resume journal unreadable: %w", err)
+			return err
 		}
-		resumes := 0
-		for _, e := range evs {
-			if e.T == obs.EventResume {
-				resumes++
+		_, crashErr := cr.Run(ctx, sc.Graph)
+		staged, _ := cr.Staged()
+		var rbuf bytes.Buffer
+		rj := obs.NewJournal(&rbuf, nil)
+		cr2, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(mode, engine.WithJournal(rj))...), stage)
+		if err != nil {
+			return err
+		}
+		res, err := cr2.Run(ctx, sc.Graph)
+		if err != nil {
+			return fmt.Errorf("P=%d: resume run failed after crash (%v): %w", p, crashErr, err)
+		}
+		if cerr := rj.Close(); cerr != nil {
+			return fmt.Errorf("P=%d: closing resume journal: %w", p, cerr)
+		}
+		if err := sameRunResult(clean, res); err != nil {
+			return fmt.Errorf("P=%d: resumed run diverges from clean run: %w", p, err)
+		}
+		if crashErr != nil && len(staged) > 0 {
+			evs, err := obs.ReadJournal(bytes.NewReader(rbuf.Bytes()))
+			if err != nil {
+				return fmt.Errorf("P=%d: resume journal unreadable: %w", p, err)
 			}
-		}
-		if resumes == 0 {
-			return fmt.Errorf("crash left %d staged outputs but the resumed run journaled no resume events", len(staged))
+			resumes := 0
+			for _, e := range evs {
+				if e.T == obs.EventResume {
+					resumes++
+				}
+			}
+			if resumes == 0 {
+				return fmt.Errorf("P=%d: crash left %d staged outputs but the resumed run journaled no resume events", p, len(staged))
+			}
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package share
 
 import (
-	"encoding/csv"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,10 +8,8 @@ import (
 	"etlopt/internal/data"
 )
 
-// Spill files use the checkpoint staging format: a CSV with the schema as
-// header row, values rendered via Value.String with NULL for nulls, and
-// read back with data.ReadCSVFile. Writes go through a temp file and a
-// rename so a torn write never yields a half-readable spill.
+// Spill files use the checkpoint staging format: written whole with
+// data.WriteCSVFile (never torn), read back with data.ReadCSVFile.
 
 // writeSpill persists rows for key under dir and returns the file path.
 func writeSpill(dir, key string, schema data.Schema, rows data.Rows) (string, error) {
@@ -20,40 +17,8 @@ func writeSpill(dir, key string, schema data.Schema, rows data.Rows) (string, er
 		return "", err
 	}
 	path := filepath.Join(dir, key+".csv")
-	tmp, err := os.CreateTemp(dir, key+".tmp-*")
-	if err != nil {
-		return "", err
-	}
-	w := csv.NewWriter(tmp)
-	werr := w.Write(schema)
-	for _, rec := range rows {
-		if werr != nil {
-			break
-		}
-		fields := make([]string, len(rec))
-		for i, v := range rec {
-			if v.IsNull() {
-				fields[i] = "NULL"
-			} else {
-				fields[i] = v.String()
-			}
-		}
-		werr = w.Write(fields)
-	}
-	w.Flush()
-	if werr == nil {
-		werr = w.Error()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("share: spilling %s: %w", key, werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
+	if err := data.WriteCSVFile(path, schema, rows); err != nil {
+		return "", fmt.Errorf("share: spilling %s: %w", key, err)
 	}
 	return path, nil
 }

@@ -25,7 +25,7 @@
 // WithSharedCache, WithSharedSpill) configure RunSuite; WithMetrics and
 // WithJournal configure all three. Passing an option to the entry point it
 // does not affect is harmless, so one option slice can serve a whole
-// pipeline. The legacy Options struct still works as an Option value.
+// pipeline.
 //
 // Cancelling the context aborts the optimizer at the next state-expansion
 // boundary and the engine at the next node, partition or batch boundary,
@@ -82,13 +82,6 @@ type (
 	CostModel = cost.Model
 	// Mode selects the engine's execution strategy.
 	Mode = engine.Mode
-	// EngineOption configures an engine directly.
-	//
-	// Deprecated: Run now takes the package's unified Option values
-	// (WithMode, WithPartitions, WithBatchSize, WithMetrics); use those.
-	// EngineOption remains for callers constructing engines via the
-	// internal engine package's vocabulary.
-	EngineOption = engine.Option
 	// MetricsRegistry collects observability series (counters, gauges,
 	// histograms, spans) from the optimizer and the engine. Collection is
 	// write-only: results are bit-identical with metrics on or off.
@@ -165,7 +158,9 @@ var (
 const (
 	// Materialized evaluates nodes one at a time in topological order.
 	Materialized = engine.Materialized
-	// Pipelined streams records between concurrent node goroutines.
+	// Pipelined streams records between concurrent node goroutines. It
+	// has no node boundaries: Run refuses it together with WithFaultPlan
+	// or WithRetry.
 	Pipelined = engine.Pipelined
 	// Parallel partitions every recordset across P workers (see
 	// WithPartitions) and merges deterministically: target rows are
@@ -188,18 +183,9 @@ var (
 	NewBool = data.NewBool
 )
 
-// Option configures Optimize and/or Run. Options are built with the
-// package's With… constructors; the legacy Options struct is itself an
-// Option, so pre-existing call sites keep working:
-//
-//	etl.Optimize(ctx, g, etl.Options{Algorithm: etl.ES}) // still valid
-//	etl.Optimize(ctx, g, etl.WithAlgorithm(etl.ES))      // preferred
-type Option interface{ apply(*settings) }
-
-// optionFunc adapts a plain function to the Option interface.
-type optionFunc func(*settings)
-
-func (f optionFunc) apply(s *settings) { f(s) }
+// Option configures Optimize, Run and/or RunSuite. Options are built with
+// the package's With… constructors.
+type Option func(*settings)
 
 // settings is the merged configuration of one Optimize or Run call.
 type settings struct {
@@ -225,53 +211,53 @@ type settings struct {
 // WithAlgorithm selects the optimization search (default HS). Optimize
 // only.
 func WithAlgorithm(a Algorithm) Option {
-	return optionFunc(func(s *settings) { s.algo = a })
+	return func(s *settings) { s.algo = a }
 }
 
 // WithModel prices states with a custom cost model (default: the paper's
 // row-count model). Optimize only.
 func WithModel(m CostModel) Option {
-	return optionFunc(func(s *settings) { s.search.Model = m })
+	return func(s *settings) { s.search.Model = m }
 }
 
 // WithMaxStates bounds the search's generated states (0 = package
 // default). Optimize only.
 func WithMaxStates(n int) Option {
-	return optionFunc(func(s *settings) { s.search.MaxStates = n })
+	return func(s *settings) { s.search.MaxStates = n }
 }
 
 // WithGroupCap bounds HS's per-local-group exploration (0 = default).
 // Optimize only.
 func WithGroupCap(n int) Option {
-	return optionFunc(func(s *settings) { s.search.GroupCap = n })
+	return func(s *settings) { s.search.GroupCap = n }
 }
 
 // WithWorkers sets the search's parallelism: 0 means GOMAXPROCS, 1 is
 // fully sequential; results are identical for every value. Optimize only
 // — the engine's parallelism is WithPartitions.
 func WithWorkers(n int) Option {
-	return optionFunc(func(s *settings) { s.search.Workers = n })
+	return func(s *settings) { s.search.Workers = n }
 }
 
 // WithMergeConstraints lists activity pairs that must move as one unit
 // during the search (HS pre-processing; split again afterwards). Optimize
 // only.
 func WithMergeConstraints(pairs ...[2]NodeID) Option {
-	return optionFunc(func(s *settings) { s.search.MergeConstraints = pairs })
+	return func(s *settings) { s.search.MergeConstraints = pairs }
 }
 
 // WithFullCostEval disables the semi-incremental cost evaluation and
 // recomputes every state's cost from scratch. Results are identical;
 // incremental is faster. Optimize only.
 func WithFullCostEval() Option {
-	return optionFunc(func(s *settings) { s.search.IncrementalCost = false })
+	return func(s *settings) { s.search.IncrementalCost = false }
 }
 
 // WithMetrics collects observability series into r — search series from
 // Optimize, engine series from Run. etl.Metrics() supplies the
 // package-wide default registry. Collection never affects results.
 func WithMetrics(r *MetricsRegistry) Option {
-	return optionFunc(func(s *settings) { s.metrics = r })
+	return func(s *settings) { s.metrics = r }
 }
 
 // WithJournal records the run's structured event stream into j — search
@@ -280,7 +266,7 @@ func WithMetrics(r *MetricsRegistry) Option {
 // journal can span several Optimize and Run calls. Collection never
 // affects results.
 func WithJournal(j *Journal) Option {
-	return optionFunc(func(s *settings) { s.journal = j })
+	return func(s *settings) { s.journal = j }
 }
 
 // WithProfileLabels tags search workers and engine partitions with
@@ -288,12 +274,12 @@ func WithJournal(j *Journal) Option {
 // etl_partition), so CPU profiles attribute samples per worker and per
 // partition. Purely observational.
 func WithProfileLabels() Option {
-	return optionFunc(func(s *settings) { s.profile = true })
+	return func(s *settings) { s.profile = true }
 }
 
 // WithMode selects the execution mode (default Materialized). Run only.
 func WithMode(m Mode) Option {
-	return optionFunc(func(s *settings) { s.mode = m; s.modeSet = true })
+	return func(s *settings) { s.mode = m; s.modeSet = true }
 }
 
 // WithPartitions sets the partition count for partition-parallel
@@ -303,13 +289,13 @@ func WithMode(m Mode) Option {
 // bit-identical at any count. Run only — the search's parallelism is
 // WithWorkers.
 func WithPartitions(n int) Option {
-	return optionFunc(func(s *settings) { s.partitions = n })
+	return func(s *settings) { s.partitions = n }
 }
 
 // WithBatchSize sets the pipelined mode's channel batch size (default
 // 64). Run only.
 func WithBatchSize(n int) Option {
-	return optionFunc(func(s *settings) { s.batch = n })
+	return func(s *settings) { s.batch = n }
 }
 
 // WithFaultPlan arms deterministic fault injection on the run: the plan
@@ -319,14 +305,14 @@ func WithBatchSize(n int) Option {
 // policy every injected fault surfaces as a *FaultInjected error. Run
 // only.
 func WithFaultPlan(p *FaultPlan) Option {
-	return optionFunc(func(s *settings) { s.faultPlan = p })
+	return func(s *settings) { s.faultPlan = p }
 }
 
 // WithRetry re-runs transiently failed nodes under the policy's attempt
 // budget and capped, deterministically jittered exponential backoff.
 // Permanent faults and context cancellation are never retried. Run only.
 func WithRetry(p RetryPolicy) Option {
-	return optionFunc(func(s *settings) { s.retry = p })
+	return func(s *settings) { s.retry = p }
 }
 
 // WithSuiteWorkers bounds how many producer stages and residual workflows
@@ -334,7 +320,7 @@ func WithRetry(p RetryPolicy) Option {
 // or workflow may still parallelize internally via WithPartitions. Results
 // are identical at every worker count. RunSuite only.
 func WithSuiteWorkers(n int) Option {
-	return optionFunc(func(s *settings) { s.suiteWorkers = n })
+	return func(s *settings) { s.suiteWorkers = n }
 }
 
 // WithSharedCache sets RunSuite's intermediate-result cache budget in
@@ -344,7 +330,7 @@ func WithSuiteWorkers(n int) Option {
 // recently used intermediates first. Workflow outputs are bit-identical at
 // every budget. RunSuite only.
 func WithSharedCache(bytes int64) Option {
-	return optionFunc(func(s *settings) { s.cacheBytes = bytes; s.cacheSet = true })
+	return func(s *settings) { s.cacheBytes = bytes; s.cacheSet = true }
 }
 
 // WithSharedSpill spills evicted shared intermediates to CSV files (the
@@ -352,7 +338,7 @@ func WithSharedCache(bytes int64) Option {
 // recomputation for disk reads when the cache budget is tight. RunSuite
 // only.
 func WithSharedSpill(dir string) Option {
-	return optionFunc(func(s *settings) { s.spillDir = dir })
+	return func(s *settings) { s.spillDir = dir }
 }
 
 // defaultMetrics is the package-level registry Metrics returns: the
@@ -361,8 +347,8 @@ func WithSharedSpill(dir string) Option {
 var defaultMetrics = obs.NewRegistry()
 
 // Metrics returns the package's default metrics registry. Pass it to
-// Optimize via Options.Metrics and to Run via WithMetrics(etl.Metrics()),
-// then export it with Snapshot():
+// Optimize and Run via WithMetrics(etl.Metrics()), then export it with
+// Snapshot():
 //
 //	snap := etl.Metrics().Snapshot()
 //	snap.WriteJSON(os.Stdout)       // or snap.WritePrometheus(w)
@@ -421,7 +407,7 @@ type Algorithm string
 // The three search algorithms of the paper (§4.2).
 const (
 	// ES is exhaustive search: the global optimum, exponential state
-	// space — bound it with Options.MaxStates.
+	// space — bound it with WithMaxStates.
 	ES Algorithm = "es"
 	// HS is the heuristic search of Fig. 7 — near-optimal at a fraction
 	// of ES's cost; the default.
@@ -430,57 +416,6 @@ const (
 	// fastest, may miss improvements on large workflows.
 	HSGreedy Algorithm = "hs-greedy"
 )
-
-// Options configures Optimize as one struct. The zero value asks for the
-// heuristic search with semi-incremental costing and the package defaults
-// — the configuration the paper's experiments recommend.
-//
-// Deprecated: Options is the facade's original configuration surface,
-// kept as a thin shim — it implements Option, so existing
-// Optimize(ctx, g, etl.Options{…}) call sites compile and behave
-// unchanged. New code should pass the equivalent With… options
-// (WithAlgorithm, WithModel, WithMaxStates, WithGroupCap, WithWorkers,
-// WithMergeConstraints, WithFullCostEval, WithMetrics) directly.
-type Options struct {
-	// Algorithm selects the search; empty means HS.
-	Algorithm Algorithm
-	// Model prices states; nil means the paper's row-count model.
-	Model CostModel
-	// MaxStates bounds generated states (0 = package default).
-	MaxStates int
-	// GroupCap bounds HS's per-local-group exploration (0 = default).
-	GroupCap int
-	// Workers sets the search's parallelism; 0 means GOMAXPROCS, 1 is
-	// fully sequential. Results are identical for every value.
-	Workers int
-	// MergeConstraints lists activity pairs that must move as one unit
-	// (HS pre-processing; split again afterwards).
-	MergeConstraints [][2]NodeID
-	// FullCostEval disables the semi-incremental cost evaluation and
-	// recomputes every state's cost from scratch. Results are identical;
-	// incremental is faster.
-	FullCostEval bool
-	// Metrics, when non-nil, collects the search's observability series
-	// (states generated/visited/deduped, per-transition-kind counts, best
-	// cost, worker utilization). etl.Metrics() supplies the package-wide
-	// default registry. Collection never affects results.
-	Metrics *MetricsRegistry
-}
-
-// apply folds the legacy struct into the unified settings, making an
-// Options value usable anywhere an Option is expected.
-func (o Options) apply(s *settings) {
-	s.algo = o.Algorithm
-	s.search.Model = o.Model
-	s.search.MaxStates = o.MaxStates
-	s.search.GroupCap = o.GroupCap
-	s.search.Workers = o.Workers
-	s.search.MergeConstraints = o.MergeConstraints
-	s.search.IncrementalCost = !o.FullCostEval
-	if o.Metrics != nil {
-		s.metrics = o.Metrics
-	}
-}
 
 // newSettings resolves the option list over the package defaults.
 func newSettings(opts []Option) settings {
@@ -491,7 +426,7 @@ func newSettings(opts []Option) settings {
 	}
 	for _, o := range opts {
 		if o != nil {
-			o.apply(&s)
+			o(&s)
 		}
 	}
 	return s

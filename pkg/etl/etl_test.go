@@ -38,7 +38,7 @@ func TestOptimizeRunVerifyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []etl.Algorithm{etl.ES, etl.HS, etl.HSGreedy, ""} {
-		res, err := etl.Optimize(ctx, g, etl.Options{Algorithm: algo, MaxStates: 10_000})
+		res, err := etl.Optimize(ctx, g, etl.WithAlgorithm(algo), etl.WithMaxStates(10_000))
 		if err != nil {
 			t.Fatalf("%q: %v", algo, err)
 		}
@@ -70,7 +70,7 @@ func TestOptimizeUnknownAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := etl.Optimize(context.Background(), g, etl.Options{Algorithm: "magic"}); err == nil {
+	if _, err := etl.Optimize(context.Background(), g, etl.WithAlgorithm("magic")); err == nil {
 		t.Error("unknown algorithm should be rejected")
 	}
 }
@@ -82,7 +82,7 @@ func TestOptimizeCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := etl.Optimize(ctx, g, etl.Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := etl.Optimize(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Errorf("Optimize err = %v, want context.Canceled", err)
 	}
 	if _, err := etl.Run(ctx, g, buildBindings()); !errors.Is(err, context.Canceled) {
@@ -121,7 +121,7 @@ func TestMetricsFacade(t *testing.T) {
 		t.Fatal("etl.Metrics() must return one stable package-level registry")
 	}
 	reg := etl.NewMetricsRegistry()
-	res, err := etl.Optimize(ctx, g, etl.Options{Metrics: reg})
+	res, err := etl.Optimize(ctx, g, etl.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestWorkersOptionDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := etl.Optimize(ctx, g, etl.Options{Algorithm: etl.ES, Workers: 1})
+	seq, err := etl.Optimize(ctx, g, etl.WithAlgorithm(etl.ES), etl.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := etl.Optimize(ctx, g, etl.Options{Algorithm: etl.ES, Workers: 8})
+	par, err := etl.Optimize(ctx, g, etl.WithAlgorithm(etl.ES), etl.WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}

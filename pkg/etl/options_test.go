@@ -10,38 +10,26 @@ import (
 	"etlopt/pkg/etl"
 )
 
-// TestUnifiedOptionsEquivalence pins the shim contract: the deprecated
-// Options struct and the equivalent With… options must drive Optimize to
-// identical results.
-func TestUnifiedOptionsEquivalence(t *testing.T) {
+// TestFullCostEvalEquivalence pins that recomputing every state's cost
+// from scratch finds the same optimum as the semi-incremental default.
+func TestFullCostEvalEquivalence(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := etl.Optimize(ctx, g, etl.Options{Algorithm: etl.ES, MaxStates: 10_000, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := etl.Optimize(ctx, g,
+	incremental, err := etl.Optimize(ctx, g,
 		etl.WithAlgorithm(etl.ES), etl.WithMaxStates(10_000), etl.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if old.BestCost != unified.BestCost {
-		t.Errorf("BestCost: struct %v, options %v", old.BestCost, unified.BestCost)
-	}
-	if old.Best.Signature() != unified.Best.Signature() {
-		t.Errorf("signatures diverge:\n struct:  %s\n options: %s",
-			old.Best.Signature(), unified.Best.Signature())
 	}
 	full, err := etl.Optimize(ctx, g,
 		etl.WithAlgorithm(etl.ES), etl.WithMaxStates(10_000), etl.WithFullCostEval())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.BestCost != old.BestCost {
-		t.Errorf("full cost eval changed the result: %v vs %v", full.BestCost, old.BestCost)
+	if full.BestCost != incremental.BestCost {
+		t.Errorf("full cost eval changed the result: %v vs %v", full.BestCost, incremental.BestCost)
 	}
 }
 
