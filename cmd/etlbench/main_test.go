@@ -1,179 +1,84 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
+	"errors"
+	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestParsePartitions(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want []int
-		ok   bool
-	}{
-		{"", nil, true},
-		{"1,2,4,8", []int{1, 2, 4, 8}, true},
-		{" 2 , 4 ", []int{2, 4}, true},
-		{"0", nil, false},
-		{"2,x", nil, false},
-		{"-1", nil, false},
-	} {
-		got, err := parsePartitions(tc.in)
-		if tc.ok != (err == nil) {
-			t.Errorf("parsePartitions(%q): err=%v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parsePartitions(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-// writeReport serializes a benchReport to a temp file and returns its path.
-func writeReport(t *testing.T, name string, r benchReport) string {
+func buildTool(t *testing.T) string {
 	t.Helper()
-	data, err := json.Marshal(r)
+	bin := filepath.Join(t.TempDir(), "etlbench")
+	out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("building etlbench: %v\n%s", err, out)
 	}
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return bin
 }
 
-func boolp(b bool) *bool { return &b }
+func TestCLIPaperEvaluation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
 
-func engineReport(scale float64) benchReport {
-	return benchReport{
-		AllIdentical:           boolp(true),
-		MaterializedRowsPerSec: 100_000 * scale,
-		Partitions:             []int{1, 2, 4},
-		ParallelRowsPerSec:     []float64{90_000 * scale, 160_000 * scale, 250_000 * scale},
+	out, err := exec.Command(bin, "-counts", "1,0,0", "-esbudget", "400", "-hsbudget", "400", "-quiet").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"Table 1: quality of solution",
+		"Table 2: execution time, number of visited states",
+		"§4.2 claims:",
+		"\nsmall ",
+		"exec s",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("evaluation output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(string(out), "exec P=") {
+		t.Errorf("Table 2 still carries a per-partition exec column:\n%s", out)
+	}
+
+	out, err = exec.Command(bin, "-fig4").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-fig4: %v\n%s", err, out)
+	}
+	for _, want := range []string{"= 56 (paper: 56)", "= 32 (paper: 32)", "= 24 (paper: 24)"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("-fig4 output missing %q:\n%s", want, out)
+		}
 	}
 }
 
-func TestReadBenchReportErrors(t *testing.T) {
-	if _, err := readBenchReport(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("missing file: want error")
+// TestCLIRemovedFlags pins that the flags of the retired baseline stack
+// are rejected as unknown: usage on stderr, exit status 2.
+func TestCLIRemovedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	bin := buildTool(t)
+	for _, args := range [][]string{
+		{"-engine", "x"},
+		{"-shared", "x"},
+		{"-expand", "x"},
+		{"-compare", "x", "y"},
+		{"-tolerance", "0.2"},
+		{"-datarows", "100"},
+		{"-faults", "42:0.05"},
+		{"-suitesize", "3"},
+		{"-partitions", "1,2"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "Usage of") {
+			t.Errorf("%v: no usage printed:\n%s", args, out)
+		}
 	}
-	if _, err := readBenchReport(bad); err == nil || !strings.Contains(err.Error(), bad) {
-		t.Errorf("malformed report error should name the file, got %v", err)
-	}
-}
-
-func TestCompareReports(t *testing.T) {
-	base := writeReport(t, "base.json", engineReport(1))
-
-	t.Run("self-compare passes", func(t *testing.T) {
-		if err := compareReports(base, base, 0.2); err != nil {
-			t.Errorf("identical reports must pass: %v", err)
-		}
-	})
-
-	t.Run("within tolerance passes", func(t *testing.T) {
-		cur := writeReport(t, "cur.json", engineReport(0.9))
-		if err := compareReports(base, cur, 0.2); err != nil {
-			t.Errorf("-10%% inside a 20%% tolerance must pass: %v", err)
-		}
-	})
-
-	t.Run("regression fails", func(t *testing.T) {
-		cur := writeReport(t, "cur.json", engineReport(0.5))
-		err := compareReports(base, cur, 0.2)
-		if err == nil {
-			t.Fatal("-50% must fail a 20% tolerance")
-		}
-		for _, want := range []string{"materialized_rows_per_sec", "parallel_rows_per_sec[p=4]"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("regression list missing %s: %v", want, err)
-			}
-		}
-	})
-
-	t.Run("improvement passes", func(t *testing.T) {
-		cur := writeReport(t, "cur.json", engineReport(2))
-		if err := compareReports(base, cur, 0.2); err != nil {
-			t.Errorf("a speedup is not a regression: %v", err)
-		}
-	})
-
-	t.Run("lost bit-identity fails even when fast", func(t *testing.T) {
-		r := engineReport(2)
-		r.AllIdentical = boolp(false)
-		cur := writeReport(t, "cur.json", r)
-		err := compareReports(base, cur, 0.2)
-		if err == nil || !strings.Contains(err.Error(), "bit-identity") {
-			t.Errorf("all_identical=false must fail the gate, got %v", err)
-		}
-	})
-
-	t.Run("partitions matched by count not index", func(t *testing.T) {
-		r := engineReport(1)
-		r.Partitions = []int{4, 2, 1}
-		r.ParallelRowsPerSec = []float64{125_000, 160_000, 90_000}
-		cur := writeReport(t, "cur.json", r)
-		err := compareReports(base, cur, 0.2)
-		if err == nil || !strings.Contains(err.Error(), "parallel_rows_per_sec[p=4]") {
-			t.Errorf("p=4 halved under reordering must regress, got %v", err)
-		}
-	})
-
-	t.Run("wrong report kind regresses to zero", func(t *testing.T) {
-		// Comparing an engine baseline against an expand report zeroes
-		// every engine metric — the gate reads that as a regression,
-		// which is the right failure for a swapped file.
-		expand := writeReport(t, "expand.json", benchReport{
-			AllIdentical:            boolp(true),
-			IncrementalStatesPerSec: 5000,
-			FullCloneStatesPerSec:   1000,
-		})
-		err := compareReports(base, expand, 0.2)
-		if err == nil || !strings.Contains(err.Error(), "materialized_rows_per_sec") {
-			t.Errorf("engine vs expand must regress, got %v", err)
-		}
-		if err := compareReports(expand, expand, 0.2); err != nil {
-			t.Errorf("expand self-compare must pass: %v", err)
-		}
-	})
-
-	t.Run("no shared nonzero metrics error", func(t *testing.T) {
-		// An old report whose only throughput data is at a partition
-		// count the new report never ran shares nothing comparable.
-		sparse := writeReport(t, "sparse.json", benchReport{
-			Partitions:         []int{16},
-			ParallelRowsPerSec: []float64{500_000},
-		})
-		err := compareReports(sparse, base, 0.2)
-		if err == nil || !strings.Contains(err.Error(), "share no nonzero throughput metrics") {
-			t.Errorf("want the no-shared-metrics error, got %v", err)
-		}
-	})
-
-	t.Run("bad tolerance", func(t *testing.T) {
-		for _, tol := range []float64{-0.1, 1, 1.5} {
-			if err := compareReports(base, base, tol); err == nil {
-				t.Errorf("tolerance %v must be rejected", tol)
-			}
-		}
-	})
-
-	t.Run("unreadable inputs", func(t *testing.T) {
-		absent := filepath.Join(t.TempDir(), "absent.json")
-		if err := compareReports(absent, base, 0.2); err == nil {
-			t.Error("missing old report: want error")
-		}
-		if err := compareReports(base, absent, 0.2); err == nil {
-			t.Error("missing new report: want error")
-		}
-	})
 }

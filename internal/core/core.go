@@ -62,13 +62,6 @@ type Options struct {
 	// §4.1; full recomputation is used when false. Results are identical;
 	// only speed differs.
 	IncrementalCost bool
-	// DisableIncrementalExpand turns off the incremental successor
-	// machinery — signature splicing and interning, the per-activity cost
-	// memo and the transposition cache — and additionally pays a flat
-	// Graph.Clone per admitted successor, emulating the pre-COW full-clone
-	// expansion pipeline. Results are identical; it exists as the baseline
-	// of BenchmarkIncrementalExpand and `etlbench -expand`.
-	DisableIncrementalExpand bool
 	// ExpandCacheSize bounds the transposition cache that memoizes
 	// successor costings across the search's workers: 0 means the default
 	// (16384 entries), negative disables the cache. The cache never
@@ -208,9 +201,8 @@ type search struct {
 	count   int // generation attempts (budget)
 	unique  int // distinct states (reported)
 	// model is the pricing model the search actually evaluates with: the
-	// caller's Options.Model wrapped in a cost.Memo unless the incremental
-	// expansion machinery is disabled. The memo exploits COW pointer
-	// sharing across states; it never changes a price.
+	// caller's Options.Model wrapped in a cost.Memo. The memo exploits COW
+	// pointer sharing across states; it never changes a price.
 	model cost.Model
 	// xcache, when non-nil, is the transposition cache shared by workers
 	// and reducer for successor costings (see expandCache).
@@ -233,18 +225,15 @@ func newSearch(ctx context.Context, opts Options) *search {
 		ctx:     ctx,
 		pool:    newPool(opts.Workers),
 		visited: newVisitedSet(),
-		model:   opts.Model,
+		model:   cost.NewMemo(opts.Model),
 		m:       newSearchMetrics(opts.Metrics, opts.Journal, opts.Workers),
 	}
-	if !opts.DisableIncrementalExpand {
-		s.model = cost.NewMemo(opts.Model)
-		if opts.ExpandCacheSize >= 0 {
-			size := opts.ExpandCacheSize
-			if size == 0 {
-				size = 16384
-			}
-			s.xcache = newExpandCache(size)
+	if opts.ExpandCacheSize >= 0 {
+		size := opts.ExpandCacheSize
+		if size == 0 {
+			size = 16384
 		}
+		s.xcache = newExpandCache(size)
 	}
 	s.pool.busy = s.m.busyHook()
 	if opts.PprofLabels {
@@ -264,25 +253,12 @@ func searchLabelWrap(ctx context.Context) func(worker int, fn func()) {
 	}
 }
 
-// intern canonicalizes a signature through the visited set's interning
-// table; the baseline mode skips interning to emulate the pre-incremental
-// pipeline.
-func (s *search) intern(sig string) string {
-	if s.opts.DisableIncrementalExpand {
-		return sig
-	}
-	return s.visited.Intern(sig)
-}
-
 // spliceOrFull derives the signature of res.Graph from its parent's
 // signature when the transition describes itself as a local segment
 // replacement and the splice is provably exact; otherwise it re-renders
 // the signature from the graph. Under `-tags etldebug` every splice is
 // cross-checked against the full rendering.
 func (s *search) spliceOrFull(parentSig string, res *transitions.Result) string {
-	if s.opts.DisableIncrementalExpand {
-		return res.Graph.Signature()
-	}
 	if res.SigOld != "" {
 		if sig, ok := workflow.SpliceSignature(parentSig, res.SigOld, res.SigNew, s.singleChain); ok {
 			if workflow.DebugCOW {
@@ -299,7 +275,7 @@ func (s *search) spliceOrFull(parentSig string, res *transitions.Result) string 
 // signatureOf returns the canonical (interned) signature of a successor.
 // It is safe to call from worker goroutines.
 func (s *search) signatureOf(parent *state, res *transitions.Result) string {
-	return s.intern(s.spliceOrFull(parent.sig, res))
+	return s.visited.Intern(s.spliceOrFull(parent.sig, res))
 }
 
 // budgetLeft reports whether the state budget and deadline allow further
@@ -360,51 +336,41 @@ func (s *search) evaluate(parent *state, g *workflow.Graph, dirty []workflow.Nod
 	return cost.Evaluate(g, s.model)
 }
 
+// cachedEvaluate costs a successor, serving the costing from the
+// transposition cache when an identical graph (same signature and
+// structural fingerprint) was already evaluated by any worker; cached
+// costings are bit-identical to fresh ones, so the cache is invisible in
+// results.
+func (s *search) cachedEvaluate(parent *state, res *transitions.Result, sig string) (*cost.Costing, error) {
+	if s.xcache == nil {
+		return s.evaluate(parent, res.Graph, res.Dirty)
+	}
+	fp := res.Graph.Fingerprint()
+	if c, ok := s.xcache.get(sig, fp); ok {
+		s.m.cacheLookup(true)
+		return c, nil
+	}
+	s.m.cacheLookup(false)
+	c, err := s.evaluate(parent, res.Graph, res.Dirty)
+	if err != nil {
+		return nil, err
+	}
+	s.xcache.put(sig, fp, c)
+	return c, nil
+}
+
 // makeState wraps a transition result into a costed state. The parent must
 // be the state the transition was applied to — its costing is the baseline
 // of the semi-incremental evaluation, which only recomputes the dirty
 // nodes and their descendants. sig is the state's canonical signature, as
 // returned by signatureOf — computing it is the caller's job because
 // admission decides on the signature alone, before the state is built.
-//
-// The costing is served from the transposition cache when an identical
-// graph (same signature and structural fingerprint) was already evaluated
-// by any worker; cached costings are bit-identical to fresh ones, so the
-// cache is invisible in results.
 func (s *search) makeState(parent *state, res *transitions.Result, sig string) (*state, error) {
-	g := res.Graph
-	var costing *cost.Costing
-	if s.opts.DisableIncrementalExpand {
-		// Full-clone baseline: pay the flat per-successor copy the
-		// pre-COW pipeline paid, and skip every expansion cache.
-		g = g.Clone()
-		c, err := s.evaluate(parent, g, res.Dirty)
-		if err != nil {
-			return nil, err
-		}
-		costing = c
-	} else if s.xcache != nil {
-		fp := g.Fingerprint()
-		if c, ok := s.xcache.get(sig, fp); ok {
-			s.m.cacheLookup(true)
-			costing = c
-		} else {
-			s.m.cacheLookup(false)
-			c, err := s.evaluate(parent, g, res.Dirty)
-			if err != nil {
-				return nil, err
-			}
-			s.xcache.put(sig, fp, c)
-			costing = c
-		}
-	} else {
-		c, err := s.evaluate(parent, g, res.Dirty)
-		if err != nil {
-			return nil, err
-		}
-		costing = c
+	costing, err := s.cachedEvaluate(parent, res, sig)
+	if err != nil {
+		return nil, err
 	}
-	st := &state{g: g, costing: costing, sig: sig}
+	st := &state{g: res.Graph, costing: costing, sig: sig}
 	if parent != nil {
 		st.trace = append(append([]string(nil), parent.trace...), res.Description)
 	}
@@ -470,7 +436,7 @@ func (s *search) initialState(g0 *workflow.Graph) (*state, error) {
 		return nil, fmt.Errorf("core: costing initial state: %w", err)
 	}
 	s.singleChain = len(g0.Targets()) == 1
-	st := &state{g: g0, costing: costing, sig: s.intern(g0.Signature())}
+	st := &state{g: g0, costing: costing, sig: s.visited.Intern(g0.Signature())}
 	if !s.opts.DisableDedup {
 		s.visited.Add(st.sig)
 	}

@@ -9,16 +9,10 @@ import (
 )
 
 // BenchmarkIncrementalExpand measures successor-generation throughput:
-// turning an applied transition into an admitted, costed, signed state.
-// The rewrite itself (transitions.Enumerate) is hoisted out of the timed
-// loop — it runs the same code in both modes, so including it would only
-// dilute the comparison the benchmark exists to make:
-//
-//   - Incremental: the shipped pipeline — COW graphs, signature splicing +
-//     interning, per-activity cost memo, transposition cache;
-//   - FullClone (Options.DisableIncrementalExpand): the pre-incremental
-//     pipeline — a flat Graph.Clone per successor, full signature
-//     re-rendering, full re-costing of every activity, no caches.
+// turning an applied transition into an admitted, costed, signed state
+// through the expansion pipeline — COW graphs, signature splicing +
+// interning, per-activity cost memo, transposition cache. The rewrite
+// itself (transitions.Enumerate) is hoisted out of the timed loop.
 //
 // The frontier deliberately contains a parent chain plus sibling groups:
 // siblings share almost all structure with their parent, and repeated
@@ -26,83 +20,62 @@ import (
 // (shared subgraphs, transpositions) the caches are built for. Run with
 //
 //	go test -bench BenchmarkIncrementalExpand -benchtime 2s ./internal/core/
-//
-// The succ/s metric is the one BENCH_expand.json tracks over time.
 func BenchmarkIncrementalExpand(b *testing.B) {
 	sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, 31337))
 	if err != nil {
 		b.Fatal(err)
 	}
-	modes := []struct {
-		name    string
-		disable bool
-		incCost bool
-	}{
-		// The shipped expansion pipeline.
-		{"Incremental", false, true},
-		// The pre-incremental pipeline: full clone, full signature, full
-		// re-costing of every activity, no caches.
-		{"FullClone", true, false},
+	s := newSearch(context.Background(), Options{IncrementalCost: true}.withDefaults())
+	root, err := s.initialState(sc.Graph)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			opts := Options{
-				DisableIncrementalExpand: m.disable,
-				IncrementalCost:          m.incCost,
-			}.withDefaults()
-			s := newSearch(context.Background(), opts)
-			root, err := s.initialState(sc.Graph)
-			if err != nil {
+	parents := []*state{root}
+	frontier := []*state{root}
+	for depth := 0; depth < 2; depth++ {
+		var next []*state
+		for _, p := range frontier {
+			for _, res := range transitions.Enumerate(p.g) {
+				if len(next) >= 12 {
+					break
+				}
+				sig := s.signatureOf(p, res)
+				st, err := s.makeState(p, res, sig)
+				if err != nil {
+					b.Fatal(err)
+				}
+				next = append(next, st)
+			}
+		}
+		parents = append(parents, next...)
+		frontier = next
+	}
+
+	// Hoist the rewrites out of the timed loop.
+	type expansion struct {
+		parent *state
+		res    *transitions.Result
+	}
+	var work []expansion
+	for _, p := range parents {
+		for _, res := range transitions.Enumerate(p.g) {
+			work = append(work, expansion{p, res})
+		}
+	}
+
+	succ := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range work {
+			sig := s.signatureOf(w.parent, w.res)
+			if _, err := s.makeState(w.parent, w.res, sig); err != nil {
 				b.Fatal(err)
 			}
-			parents := []*state{root}
-			frontier := []*state{root}
-			for depth := 0; depth < 2; depth++ {
-				var next []*state
-				for _, p := range frontier {
-					for _, res := range transitions.Enumerate(p.g) {
-						if len(next) >= 12 {
-							break
-						}
-						sig := s.signatureOf(p, res)
-						st, err := s.makeState(p, res, sig)
-						if err != nil {
-							b.Fatal(err)
-						}
-						next = append(next, st)
-					}
-				}
-				parents = append(parents, next...)
-				frontier = next
-			}
-
-			// Hoist the (mode-independent) rewrites out of the timed loop.
-			type expansion struct {
-				parent *state
-				res    *transitions.Result
-			}
-			var work []expansion
-			for _, p := range parents {
-				for _, res := range transitions.Enumerate(p.g) {
-					work = append(work, expansion{p, res})
-				}
-			}
-
-			succ := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, w := range work {
-					sig := s.signatureOf(w.parent, w.res)
-					if _, err := s.makeState(w.parent, w.res, sig); err != nil {
-						b.Fatal(err)
-					}
-					succ++
-				}
-			}
-			b.StopTimer()
-			if succ > 0 {
-				b.ReportMetric(float64(succ)/b.Elapsed().Seconds(), "succ/s")
-			}
-		})
+			succ++
+		}
+	}
+	b.StopTimer()
+	if succ > 0 {
+		b.ReportMetric(float64(succ)/b.Elapsed().Seconds(), "succ/s")
 	}
 }

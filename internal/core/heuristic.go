@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"etlopt/internal/cost"
 	"etlopt/internal/transitions"
 	"etlopt/internal/workflow"
 )
@@ -136,7 +135,7 @@ func heuristicSearch(ctx context.Context, alg string, g0 *workflow.Graph, opts O
 		}
 		// FAC restructures branches (SigOld is empty), so the signature is
 		// rendered in full and only interned.
-		sig := s.intern(res.Graph.Signature())
+		sig := s.visited.Intern(res.Graph.Signature())
 		if !s.admit(sig) {
 			s.m.prune("FAC")
 			continue
@@ -186,7 +185,7 @@ func heuristicSearch(ctx context.Context, alg string, g0 *workflow.Graph, opts O
 			if err != nil {
 				continue
 			}
-			sig := s.intern(res.Graph.Signature())
+			sig := s.visited.Intern(res.Graph.Signature())
 			if !s.admit(sig) {
 				s.m.prune("DIS")
 				continue
@@ -392,16 +391,10 @@ func (s *search) replaySwaps(cur *state, gs *groupState) (*state, error) {
 		sig = s.spliceOrFull(sig, res)
 		dirty = append(dirty, res.Dirty...)
 		if s.opts.Trace {
-			steps = append(steps, stepOf(res.Applied, s.intern(sig), 0, false))
+			steps = append(steps, stepOf(res.Applied, s.visited.Intern(sig), 0, false))
 		}
 	}
-	var costing *cost.Costing
-	var err error
-	if s.opts.IncrementalCost {
-		costing, err = cost.EvaluateIncremental(cur.costing, g, s.model, dirty)
-	} else {
-		costing, err = cost.Evaluate(g, s.model)
-	}
+	costing, err := s.evaluate(cur, g, dirty)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +406,7 @@ func (s *search) replaySwaps(cur *state, gs *groupState) (*state, error) {
 		last.Costed = true
 	}
 	trace := append(append([]string(nil), cur.trace...), gs.descs...)
-	return &state{g: g, costing: costing, sig: s.intern(sig), trace: trace, steps: steps}, nil
+	return &state{g: g, costing: costing, sig: s.visited.Intern(sig), trace: trace, steps: steps}, nil
 }
 
 // adjacentPairs enumerates provider→consumer activity pairs within the

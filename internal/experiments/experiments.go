@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"etlopt/internal/core"
 	"etlopt/internal/cost"
@@ -44,10 +43,6 @@ type WorkflowResult struct {
 	// its generated data through the materialized engine (Table 2's
 	// "exec s" column).
 	ExecSeconds float64
-	// ParExec maps a partition count to the wall clock of the same
-	// execution through the partition-parallel engine (populated when
-	// SuiteConfig.Partitions is set).
-	ParExec map[int]float64
 	// SelDrift is the scenario's cost-model drift: the mean absolute
 	// difference between each activity's modeled selectivity and the
 	// selectivity observed when the workflow ran on its generated data
@@ -77,20 +72,6 @@ type SuiteConfig struct {
 	// Workers sets every algorithm's search parallelism (0 = GOMAXPROCS,
 	// 1 = sequential). Results are identical for every value.
 	Workers int
-	// Partitions, when non-empty, additionally executes each initial
-	// workflow through the partition-parallel engine at every listed
-	// count: RunSuite records the wall clocks in Table 2's exec columns,
-	// and EngineBench measures these counts (nil = {1, 2, 4, 8} there).
-	Partitions []int
-	// DataRows overrides the generator's per-source record volume for
-	// EngineBench (0 = 8000). RunSuite keeps the category default.
-	DataRows int
-	// FaultSpec, when non-empty, arms deterministic fault injection on
-	// EngineBench's parallel runs as "seed:rate" (etlbench's -faults
-	// flag). Each run gets a fresh plan from the same seed plus a retry
-	// budget, so the bit-identity check demonstrates recovery
-	// equivalence under chaos; the materialized reference stays clean.
-	FaultSpec string
 	// Verify additionally runs every optimized workflow against the
 	// empirical equivalence oracle (slower; always on in tests).
 	Verify bool
@@ -204,27 +185,6 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 	res.ExecSeconds = runRes.Elapsed.Seconds()
 	res.SelDrift = cost.MeanAbsSelDelta(cost.SelectivityDeltas(g, runRes.NodeRows))
 
-	// Table 2's parallel exec columns: the same run through the
-	// partition-parallel engine, held to bit-identical targets.
-	if len(cfg.Partitions) > 0 {
-		res.ParExec = make(map[int]float64, len(cfg.Partitions))
-		for _, p := range cfg.Partitions {
-			parRes, err := engine.New(sc.Bind(),
-				engine.WithMode(engine.Parallel), engine.WithPartitions(p),
-				engine.WithMetrics(cfg.Metrics), engine.WithJournal(cfg.Journal)).Run(ctx, g)
-			if err != nil {
-				return res, fmt.Errorf("executing initial workflow at P=%d: %w", p, err)
-			}
-			for _, name := range sortedTargetNames(runRes.Targets) {
-				if diff := rowsDiff(runRes.Targets[name], parRes.Targets[name]); diff != "" {
-					return res, fmt.Errorf("P=%d: target %s not bit-identical to materialized: %s",
-						p, name, diff)
-				}
-			}
-			res.ParExec[p] = parRes.Elapsed.Seconds()
-		}
-	}
-
 	// Quality of solution (Table 1): improvement relative to the best the
 	// (possibly stopped) ES achieved — "the values are compared to the
 	// best of ES when it stopped". Algorithms may exceed 100 when they
@@ -322,19 +282,14 @@ func Table1(results []WorkflowResult) string {
 // Table2 renders the execution table (paper Table 2): per category and
 // algorithm, the average number of visited states, improvement over the
 // initial state and execution time, plus the wall clock of executing the
-// initial workflow — one column for the materialized engine and, when the
-// suite ran with SuiteConfig.Partitions, one per partition count.
+// initial workflow through the materialized engine.
 func Table2(results []WorkflowResult) string {
 	rows := categoryRows(results)
-	pcols := partitionColumns(results)
 	headers := []string{"category", "acts (avg)",
 		"ES states", "ES impr %", "ES time s",
 		"HS states", "HS impr %", "HS time s",
 		"HSG states", "HSG impr %", "HSG time s",
 		"sel drift", "exec s"}
-	for _, p := range pcols {
-		headers = append(headers, fmt.Sprintf("exec P=%d s", p))
-	}
 	align := make([]int, len(headers)-1)
 	for i := range align {
 		align[i] = i + 1
@@ -346,7 +301,6 @@ func Table2(results []WorkflowResult) string {
 			continue
 		}
 		var acts, esS, esI, esT, hsS, hsI, hsT, hgS, hgI, hgT, drift, exec []float64
-		parExec := make([][]float64, len(pcols))
 		star := ""
 		for _, r := range rs {
 			acts = append(acts, float64(r.Activities))
@@ -361,11 +315,6 @@ func Table2(results []WorkflowResult) string {
 			hgT = append(hgT, r.HSG.Seconds)
 			drift = append(drift, r.SelDrift)
 			exec = append(exec, r.ExecSeconds)
-			for i, p := range pcols {
-				if s, ok := r.ParExec[p]; ok {
-					parExec[i] = append(parExec[i], s)
-				}
-			}
 			if !r.ES.Terminated {
 				star = "*"
 			}
@@ -382,36 +331,12 @@ func Table2(results []WorkflowResult) string {
 			fmt.Sprintf("%.2f", mean(hgT)),
 			fmt.Sprintf("%.3f", mean(drift)),
 			fmt.Sprintf("%.3f", mean(exec))}
-		for i := range pcols {
-			if len(parExec[i]) == 0 {
-				cells = append(cells, "-")
-				continue
-			}
-			cells = append(cells, fmt.Sprintf("%.3f", mean(parExec[i])))
-		}
 		t.AddRow(toAnys(cells)...)
 	}
 	return t.String() +
 		"* ES budget expired before the space closed; values reflect ES's status when it stopped\n" +
 		"sel drift: mean |observed - modeled| selectivity when the initial workflow ran on its generated data\n" +
-		"exec: wall clock of running the initial workflow on its generated data (materialized; P=n: parallel engine)\n"
-}
-
-// partitionColumns collects the partition counts any result was executed
-// at, sorted, so Table 2's exec columns are stable.
-func partitionColumns(results []WorkflowResult) []int {
-	set := map[int]bool{}
-	for _, r := range results {
-		for p := range r.ParExec {
-			set[p] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
+		"exec: wall clock of running the initial workflow on its generated data (materialized engine)\n"
 }
 
 func toAnys(cells []string) []interface{} {

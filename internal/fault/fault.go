@@ -214,7 +214,7 @@ func (p *Plan) roll(key string, occ int) float64 {
 }
 
 // ParseSpec parses the CLI fault specification "seed:rate" (e.g.
-// "42:0.05") shared by etlrun and etlbench.
+// "42:0.05") of etlrun -faults.
 func ParseSpec(spec string) (seed int64, rate float64, err error) {
 	s, r, ok := strings.Cut(spec, ":")
 	if !ok {

@@ -120,19 +120,34 @@ func TestRunSuiteSavesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSuite(context.Background(), suiteWorkflows(scs), Options{Workers: 2, CacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
-	if st.NodesExecuted >= st.NodesIndependent {
-		t.Fatalf("no work saved: executed %d of %d independent nodes", st.NodesExecuted, st.NodesIndependent)
-	}
-	if st.Cache.Hits == 0 {
-		t.Fatalf("no cache hits with an unbounded budget: %+v", st.Cache)
-	}
-	if st.StageRuns != int64(st.Stages) {
-		t.Fatalf("unbounded budget ran %d stage executions for %d stages", st.StageRuns, st.Stages)
+	// What sharing saves is a function of the seed alone: the node counts
+	// and the bytes served from the cache may not depend on the worker count.
+	var first Stats
+	for i, workers := range []int{1, 4} {
+		res, err := RunSuite(context.Background(), suiteWorkflows(scs), Options{Workers: workers, CacheBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.NodesExecuted >= st.NodesIndependent {
+			t.Fatalf("workers=%d: no work saved: executed %d of %d independent nodes", workers, st.NodesExecuted, st.NodesIndependent)
+		}
+		if st.Cache.Hits == 0 || st.Cache.HitBytes <= 0 {
+			t.Fatalf("workers=%d: no cache hits with an unbounded budget: %+v", workers, st.Cache)
+		}
+		if st.StageRuns != int64(st.Stages) {
+			t.Fatalf("workers=%d: unbounded budget ran %d stage executions for %d stages", workers, st.StageRuns, st.Stages)
+		}
+		if i == 0 {
+			first = st
+			continue
+		}
+		if st.NodesIndependent != first.NodesIndependent || st.NodesExecuted != first.NodesExecuted ||
+			st.Cache.HitBytes != first.Cache.HitBytes {
+			t.Fatalf("savings depend on the worker count: workers=%d independent/executed/hit bytes %d/%d/%d, workers=1 %d/%d/%d",
+				workers, st.NodesIndependent, st.NodesExecuted, st.Cache.HitBytes,
+				first.NodesIndependent, first.NodesExecuted, first.Cache.HitBytes)
+		}
 	}
 }
 

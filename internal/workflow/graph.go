@@ -443,8 +443,7 @@ func (g *Graph) Mutate() *Graph {
 // changing it, and schema regeneration replaces schema slices wholesale).
 //
 // Prefer Mutate for successor construction; Clone remains for callers that
-// want a flat, parent-independent copy, and it is what the full-clone
-// expansion baseline measures against.
+// want a flat, parent-independent copy.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		nodes:  make([]*Node, len(g.nodes)),

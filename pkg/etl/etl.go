@@ -382,8 +382,8 @@ var ReadJournalFile = obs.ReadJournalFile
 // per-key budget) refine it.
 var NewFaultPlan = fault.NewPlan
 
-// ParseFaultSpec parses the CLI-style "seed:rate" fault arming shared by
-// etlrun and etlbench into NewFaultPlan's arguments.
+// ParseFaultSpec parses the CLI-style "seed:rate" fault arming of etlrun
+// into NewFaultPlan's arguments.
 var ParseFaultSpec = fault.ParseSpec
 
 // NewGraph returns an empty workflow graph.
