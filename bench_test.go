@@ -9,6 +9,8 @@
 //	BenchmarkAblation*         — dedup, incremental costing, Phase I, merge
 //	BenchmarkEngineModes/*     — materialized vs pipelined execution
 //	BenchmarkTransitionOps/*   — per-transition micro-costs
+//	BenchmarkTopoSort, BenchmarkEvaluate{Full,Incremental}
+//	                           — the per-state constants of the search
 //
 // Absolute times are hardware-bound; the paper-facing outputs are the
 // custom metrics (improvement%, quality%, states) reported per benchmark.
@@ -388,34 +390,6 @@ func BenchmarkTransitionOps(b *testing.B) {
 		}
 	})
 
-	b.Run("CostFull", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cost.Evaluate(g, cost.RowModel{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	base, err := cost.Evaluate(g, cost.RowModel{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("CostIncremental", func(b *testing.B) {
-		if swapPair[0] == 0 {
-			b.Skip("no legal swap")
-		}
-		res, err := transitions.Swap(g, swapPair[0], swapPair[1])
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cost.EvaluateIncremental(base, res.Graph, cost.RowModel{}, res.Dirty); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
 	b.Run("Clone", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if g.Clone().Len() != g.Len() {
@@ -423,6 +397,66 @@ func BenchmarkTransitionOps(b *testing.B) {
 			}
 		}
 	})
+}
+
+// largeWorkflow is the large generator workflow the repo benchmark's
+// search workloads are built from.
+func largeWorkflow(b *testing.B) *workflow.Graph {
+	sc, err := generator.Generate(generator.CategoryConfig(generator.Large, 20050405))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sc.Graph
+}
+
+// BenchmarkTopoSort measures an uncached topological sort: each iteration
+// sorts a fresh Mutate child with the inherited order dropped, the state a
+// rewritten successor is in.
+func BenchmarkTopoSort(b *testing.B) {
+	g := largeWorkflow(b)
+	a := g.Activities()[0]
+	p := g.Providers(a)[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := g.Mutate()
+		c.MustReplaceProvider(a, p, p) // a no-op rewiring still invalidates the memo
+		b.StartTimer()
+		if _, err := c.TopoSort(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateFull and BenchmarkEvaluateIncremental are the two arms
+// of ablation A2 (EXPERIMENTS.md) on the large workflow: costing a state
+// from scratch against re-costing it from its parent's costing with two
+// dirty activities in the middle of the flow, as a swap leaves them.
+func BenchmarkEvaluateFull(b *testing.B) {
+	g := largeWorkflow(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cost.Evaluate(g, cost.RowModel{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEvaluateIncremental(b *testing.B) {
+	g := largeWorkflow(b)
+	base, err := cost.Evaluate(g, cost.RowModel{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	acts := g.Activities()
+	dirty := acts[len(acts)/2 : len(acts)/2+2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cost.EvaluateIncremental(base, g, cost.RowModel{}, dirty); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSignatureScaling reports signature cost by workflow size.

@@ -272,6 +272,6 @@ func printCosting(w io.Writer, g *workflow.Graph, label string) {
 			continue
 		}
 		fmt.Fprintf(w, "  %3d %-35s cost %12.1f  out-rows %12.1f\n",
-			id, n.Label(), c.Costs[id], c.Cards[id])
+			id, n.Label(), c.Cost(id), c.Card(id))
 	}
 }

@@ -100,7 +100,7 @@ func aggregateJournal(events []obs.Event) *obsStats {
 				m = map[string]int64{}
 				st.funnel[e.Op] = m
 			}
-			m[e.Action]++
+			m[e.Action] += max(e.Rows, 1) // a batched attempt record carries its count
 		case obs.EventCache:
 			if e.Op == obs.SharedCacheName {
 				// The shared-work cache journals richer events (per-action

@@ -24,6 +24,9 @@ func writeObsJournal(t *testing.T) string {
 	for i := 0; i < 4; i++ {
 		j.Emit(obs.TransitionEvent("SWA", "attempt", 0))
 	}
+	batch := obs.TransitionEvent("SWA", "attempt", 0) // a group job's attempts, one record
+	batch.Rows = 73
+	j.Emit(batch)
 	j.Emit(obs.TransitionEvent("SWA", "accept", 0))
 	j.Emit(obs.TransitionEvent("SWA", "prune", 0))
 	j.Emit(obs.TransitionEvent("SWA", "best", 41.5))
@@ -78,6 +81,7 @@ func TestObsReportSections(t *testing.T) {
 		"expand",
 		"transition funnel:",
 		"SWA",
+		"77", // 4 single attempts + a batch of 73
 		"cache hit rates:",
 		"33.3%",
 		"shared cache activity:",

@@ -62,12 +62,6 @@ type Options struct {
 	// §4.1; full recomputation is used when false. Results are identical;
 	// only speed differs.
 	IncrementalCost bool
-	// ExpandCacheSize bounds the transposition cache that memoizes
-	// successor costings across the search's workers: 0 means the default
-	// (16384 entries), negative disables the cache. The cache never
-	// changes results — cached costings are bit-identical to re-evaluated
-	// ones — so the size only trades memory for hit rate.
-	ExpandCacheSize int
 	// DisableDedup turns off signature-based duplicate-state detection
 	// (ablation A1). ES without dedup re-explores states and is
 	// dramatically slower.
@@ -93,8 +87,8 @@ type Options struct {
 	ProgressInterval time.Duration
 	// Journal, when non-nil, receives the search's flight-recorder event
 	// stream (see obs.Journal): run and phase boundaries, every transition
-	// attempt/accept/prune, new-best transitions with their cost, and
-	// expansion-cache hits and misses. Emission is non-blocking and
+	// attempt/accept/prune and new-best transitions with their cost.
+	// Emission is non-blocking and
 	// write-only — a saturated or failing journal drops events (counted)
 	// rather than perturbing the search — so results are bit-identical with
 	// the journal on or off (pinned by TestJournalDoesNotAffectSearch).
@@ -179,10 +173,12 @@ type state struct {
 	g       *workflow.Graph
 	costing *cost.Costing
 	sig     string
-	trace   []string
-	// steps is the structured derivation path from S0; populated only
-	// when Options.Trace is set.
-	steps []TraceStep
+	// trace is the derivation path from S0 in the paper's notation
+	// (Result.Trace); steps is the structured path (Result.Steps), recorded
+	// only when Options.Trace is set. Both are parent-linked, so a
+	// successor extends its parent's path in O(1) and shares it.
+	trace *chain[string]
+	steps *chain[TraceStep]
 }
 
 // search carries the shared bookkeeping of all three algorithms.
@@ -204,9 +200,6 @@ type search struct {
 	// caller's Options.Model wrapped in a cost.Memo. The memo exploits COW
 	// pointer sharing across states; it never changes a price.
 	model cost.Model
-	// xcache, when non-nil, is the transposition cache shared by workers
-	// and reducer for successor costings (see expandCache).
-	xcache *expandCache
 	// singleChain records whether S0 renders as a single target chain —
 	// the precondition under which signature splicing is provably exact
 	// (see workflow.SpliceSignature). The target count is invariant under
@@ -217,6 +210,9 @@ type search struct {
 	// and stops the periodic progress line (see close).
 	m            *searchMetrics
 	stopProgress func()
+	// admitLog, when non-nil, receives every signature passed to admit, one
+	// per line in admission order — the seam of the frozen-sequence test.
+	admitLog io.Writer
 }
 
 func newSearch(ctx context.Context, opts Options) *search {
@@ -227,13 +223,6 @@ func newSearch(ctx context.Context, opts Options) *search {
 		visited: newVisitedSet(),
 		model:   cost.NewMemo(opts.Model),
 		m:       newSearchMetrics(opts.Metrics, opts.Journal, opts.Workers),
-	}
-	if opts.ExpandCacheSize >= 0 {
-		size := opts.ExpandCacheSize
-		if size == 0 {
-			size = 16384
-		}
-		s.xcache = newExpandCache(size)
 	}
 	s.pool.busy = s.m.busyHook()
 	if opts.PprofLabels {
@@ -256,20 +245,24 @@ func searchLabelWrap(ctx context.Context) func(worker int, fn func()) {
 // spliceOrFull derives the signature of res.Graph from its parent's
 // signature when the transition describes itself as a local segment
 // replacement and the splice is provably exact; otherwise it re-renders
-// the signature from the graph. Under `-tags etldebug` every splice is
-// cross-checked against the full rendering.
+// the signature from the graph.
 func (s *search) spliceOrFull(parentSig string, res *transitions.Result) string {
-	if res.SigOld != "" {
-		if sig, ok := workflow.SpliceSignature(parentSig, res.SigOld, res.SigNew, s.singleChain); ok {
-			if workflow.DebugCOW {
-				if full := res.Graph.Signature(); full != sig {
-					panic(fmt.Sprintf("core: spliced signature diverged from full rendering\n  spliced: %s\n  full:    %s", sig, full))
-				}
-			}
-			return sig
-		}
+	if sig, ok := workflow.SpliceSignature(parentSig, res.SigOld, res.SigNew, s.singleChain); ok {
+		auditSplice(sig, res.Graph)
+		return sig
 	}
 	return res.Graph.Signature()
+}
+
+// auditSplice cross-checks a spliced signature against the full rendering
+// of the graph it claims to describe; it is a no-op without `-tags etldebug`.
+func auditSplice(sig string, g *workflow.Graph) {
+	if !workflow.DebugCOW {
+		return
+	}
+	if full := g.Signature(); full != sig {
+		panic(fmt.Sprintf("core: spliced signature diverged from full rendering\n  spliced: %s\n  full:    %s", sig, full))
+	}
 }
 
 // signatureOf returns the canonical (interned) signature of a successor.
@@ -299,6 +292,9 @@ func (s *search) aborted() error {
 // duplicate (already visited) and dedup is enabled. Every call counts one
 // generated state against the budget.
 func (s *search) admit(sig string) bool {
+	if s.admitLog != nil {
+		io.WriteString(s.admitLog, sig+"\n")
+	}
 	s.count++
 	s.m.generated.Inc()
 	if s.opts.DisableDedup {
@@ -336,29 +332,6 @@ func (s *search) evaluate(parent *state, g *workflow.Graph, dirty []workflow.Nod
 	return cost.Evaluate(g, s.model)
 }
 
-// cachedEvaluate costs a successor, serving the costing from the
-// transposition cache when an identical graph (same signature and
-// structural fingerprint) was already evaluated by any worker; cached
-// costings are bit-identical to fresh ones, so the cache is invisible in
-// results.
-func (s *search) cachedEvaluate(parent *state, res *transitions.Result, sig string) (*cost.Costing, error) {
-	if s.xcache == nil {
-		return s.evaluate(parent, res.Graph, res.Dirty)
-	}
-	fp := res.Graph.Fingerprint()
-	if c, ok := s.xcache.get(sig, fp); ok {
-		s.m.cacheLookup(true)
-		return c, nil
-	}
-	s.m.cacheLookup(false)
-	c, err := s.evaluate(parent, res.Graph, res.Dirty)
-	if err != nil {
-		return nil, err
-	}
-	s.xcache.put(sig, fp, c)
-	return c, nil
-}
-
 // makeState wraps a transition result into a costed state. The parent must
 // be the state the transition was applied to — its costing is the baseline
 // of the semi-incremental evaluation, which only recomputes the dirty
@@ -366,20 +339,13 @@ func (s *search) cachedEvaluate(parent *state, res *transitions.Result, sig stri
 // returned by signatureOf — computing it is the caller's job because
 // admission decides on the signature alone, before the state is built.
 func (s *search) makeState(parent *state, res *transitions.Result, sig string) (*state, error) {
-	costing, err := s.cachedEvaluate(parent, res, sig)
+	costing, err := s.evaluate(parent, res.Graph, res.Dirty)
 	if err != nil {
 		return nil, err
 	}
-	st := &state{g: res.Graph, costing: costing, sig: sig}
-	if parent != nil {
-		st.trace = append(append([]string(nil), parent.trace...), res.Description)
-	}
+	st := &state{g: res.Graph, costing: costing, sig: sig, trace: parent.trace.push(res.Description)}
 	if s.opts.Trace {
-		var ps []TraceStep
-		if parent != nil {
-			ps = parent.steps
-		}
-		st.steps = appendStep(ps, stepOf(res.Applied, st.sig, costing.Total, true))
+		st.steps = parent.steps.push(stepOf(res.Applied, sig, costing.Total, true))
 	}
 	return st, nil
 }
@@ -393,29 +359,20 @@ func (s *search) makeState(parent *state, res *transitions.Result, sig string) (
 // intermediate graphs are transient, so they carry no signature — while
 // res's own transition is recorded costed.
 func (s *search) makeStateFull(traceParent *state, res *transitions.Result, pre1, pre2 []transitions.Applied, sig string) (*state, error) {
-	g := res.Graph
-	costing, err := cost.Evaluate(g, s.model)
+	costing, err := cost.Evaluate(res.Graph, s.model)
 	if err != nil {
 		return nil, err
 	}
-	st := &state{g: g, costing: costing, sig: sig}
-	if traceParent != nil {
-		st.trace = append(append([]string(nil), traceParent.trace...), res.Description)
-	}
+	st := &state{g: res.Graph, costing: costing, sig: sig, trace: traceParent.trace.push(res.Description)}
 	if s.opts.Trace {
-		var ps []TraceStep
-		if traceParent != nil {
-			ps = traceParent.steps
-		}
-		steps := make([]TraceStep, len(ps), len(ps)+len(pre1)+len(pre2)+1)
-		copy(steps, ps)
+		steps := traceParent.steps
 		for _, a := range pre1 {
-			steps = append(steps, stepOf(a, "", 0, false))
+			steps = steps.push(stepOf(a, "", 0, false))
 		}
 		for _, a := range pre2 {
-			steps = append(steps, stepOf(a, "", 0, false))
+			steps = steps.push(stepOf(a, "", 0, false))
 		}
-		st.steps = append(steps, stepOf(res.Applied, st.sig, costing.Total, true))
+		st.steps = steps.push(stepOf(res.Applied, sig, costing.Total, true))
 	}
 	return st, nil
 }
@@ -469,7 +426,7 @@ func finishResult(alg string, s0, best *state, s *search, start time.Time, termi
 		}
 	}
 	if s.opts.Trace {
-		final, steps, err = splitAllTraced(best.g, best.steps)
+		final, steps, err = splitAllTraced(best.g, best.steps.slice())
 	} else {
 		final, err = transitions.SplitAll(best.g)
 	}
@@ -481,7 +438,7 @@ func finishResult(alg string, s0, best *state, s *search, start time.Time, termi
 	}
 	s.m.bestCost.Set(best.costing.Total)
 	s.m.recordPath(steps)
-	s.flushCacheMetrics()
+	s.flushMemoMetrics()
 	return &Result{
 		Best:        final,
 		BestCost:    best.costing.Total,
@@ -491,7 +448,7 @@ func finishResult(alg string, s0, best *state, s *search, start time.Time, termi
 		Elapsed:     time.Since(start),
 		Terminated:  terminated,
 		Algorithm:   alg,
-		Trace:       best.trace,
+		Trace:       best.trace.slice(),
 		Steps:       steps,
 	}, nil
 }
@@ -499,8 +456,7 @@ func finishResult(alg string, s0, best *state, s *search, start time.Time, termi
 // splitAllTraced mirrors transitions.SplitAll while recording each SPL as
 // an uncosted trace step (splits never change a state's cost, only its
 // granularity).
-func splitAllTraced(g *workflow.Graph, prior []TraceStep) (*workflow.Graph, []TraceStep, error) {
-	steps := append([]TraceStep(nil), prior...)
+func splitAllTraced(g *workflow.Graph, steps []TraceStep) (*workflow.Graph, []TraceStep, error) {
 	cur := g
 	for {
 		var mergedID workflow.NodeID = -1

@@ -11,13 +11,13 @@ import (
 // BenchmarkIncrementalExpand measures successor-generation throughput:
 // turning an applied transition into an admitted, costed, signed state
 // through the expansion pipeline — COW graphs, signature splicing +
-// interning, per-activity cost memo, transposition cache. The rewrite
+// interning, per-activity cost memo, semi-incremental costing. The rewrite
 // itself (transitions.Enumerate) is hoisted out of the timed loop.
 //
 // The frontier deliberately contains a parent chain plus sibling groups:
 // siblings share almost all structure with their parent, and repeated
 // sweeps re-materialize known states — both are the steady-state shapes
-// (shared subgraphs, transpositions) the caches are built for. Run with
+// (shared subgraphs) the memo and the interner are built for. Run with
 //
 //	go test -bench BenchmarkIncrementalExpand -benchtime 2s ./internal/core/
 func BenchmarkIncrementalExpand(b *testing.B) {

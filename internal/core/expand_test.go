@@ -9,57 +9,9 @@ import (
 
 	"etlopt/internal/cost"
 	"etlopt/internal/generator"
+	"etlopt/internal/transitions"
 	"etlopt/internal/workflow"
 )
-
-func TestExpandCacheGetPut(t *testing.T) {
-	c := newExpandCache(64)
-	costing := &cost.Costing{Total: 42}
-	if _, ok := c.get("sig", 1); ok {
-		t.Fatal("empty cache reported a hit")
-	}
-	c.put("sig", 1, costing)
-	got, ok := c.get("sig", 1)
-	if !ok || got != costing {
-		t.Fatalf("get after put = (%v, %v), want the stored costing", got, ok)
-	}
-	// Same signature, different structural fingerprint: must NOT hit —
-	// this is the guard against NodeID-relabeled states sharing costings.
-	if _, ok := c.get("sig", 2); ok {
-		t.Fatal("fingerprint mismatch served a cached costing")
-	}
-	// Keep-first admission: a second put for the key is ignored.
-	other := &cost.Costing{Total: 7}
-	c.put("sig", 9, other)
-	if got, ok := c.get("sig", 1); !ok || got != costing {
-		t.Fatal("second put overwrote the canonical first entry")
-	}
-}
-
-func TestExpandCacheEviction(t *testing.T) {
-	// One entry per stripe: inserting two keys on one stripe evicts the
-	// first (FIFO ring of size 1).
-	c := newExpandCache(expandShards)
-	var onStripe []string
-	target := c.stripeFor("probe-0")
-	for i := 0; len(onStripe) < 2; i++ {
-		k := fmt.Sprintf("probe-%d", i)
-		if c.stripeFor(k) == target {
-			onStripe = append(onStripe, k)
-		}
-	}
-	c.put(onStripe[0], 1, &cost.Costing{Total: 1})
-	c.put(onStripe[1], 2, &cost.Costing{Total: 2})
-	if _, ok := c.get(onStripe[0], 1); ok {
-		t.Fatal("oldest key survived a full stripe")
-	}
-	if _, ok := c.get(onStripe[1], 2); !ok {
-		t.Fatal("newest key missing after eviction")
-	}
-	if _, _, ev := c.stats(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-}
 
 // fullCloneReference holds the answers of the full-clone arm — the expander
 // that paid a flat Graph.Clone per successor, re-rendered every signature,
@@ -100,7 +52,7 @@ var fullCloneReference = []struct {
 
 // TestIncrementalExpandEquivalence is the correctness contract of the
 // whole incremental-expansion machinery (COW successors, cost memo,
-// signature splicing + interning, transposition cache): for every
+// signature splicing + interning, dedupe before derive): for every
 // algorithm, a spread of scenarios and Workers ∈ {1, 4}, the search must
 // reproduce the frozen full-clone arm's search statistics, best cost and
 // best signature, and its best cost must equal a from-scratch re-costing
@@ -150,24 +102,154 @@ func TestIncrementalExpandEquivalence(t *testing.T) {
 	}
 }
 
-// TestExpandCacheDisabled pins that a negative ExpandCacheSize turns the
-// transposition cache off without changing results.
-func TestExpandCacheDisabled(t *testing.T) {
-	sc, err := generator.Generate(generator.CategoryConfig(generator.Small, 77))
+// frozenSequence holds the search sequence of the benchmark's optimizer
+// workloads, recorded at commit 383c14e — before the successor path was
+// made to derive only what it keeps — identically at Workers 1 and 4:
+// the four search-deep workflows (generator.Suite of 2 medium and 2 large
+// at seed 20050405, HS) and the window-wide workflow (the large generator
+// workflow at that seed, HS-Greedy), all with IncrementalCost and
+// MaxStates 1000. bestCostBits is math.Float64bits(BestCost); admitSHA256
+// hashes every signature passed to search.admit, newline-terminated, in
+// admission order.
+var frozenSequence = []struct {
+	name               string
+	generated, visited int
+	bestCostBits       uint64
+	bestSigSHA256      string
+	admitSHA256        string
+}{
+	{"medium-1", 1294, 1280, 0x415a983bdb924fc6, "5fd6122c47f0e2643e328ce0043635131c53a81da114e532e93d9d858ac4a9ab", "b414dc79f91ea6bac329020cd236410d52b5e23b2d62064537e6ed8a28bbae11"},
+	{"medium-2", 1214, 1203, 0x415640122cefaeee, "cec59d34b31f64d72f03e269c52f44830d4258b856ae6b89b084961a13787b7b", "fe33cf928275eb9a45bd552c2785f6e6a028b1d15a2bae5e27e81d33d57e3b61"},
+	{"large-1", 1216, 1203, 0x416a5514fac079a9, "cd921983269c9354febf603eb7ed4ccaf005894d0fbc390aee0baab56b46df3f", "26b0dd3c205237fb1e3894835a1b13f24269745fb99d76b12de49f62e35d4bea"},
+	{"large-2", 1217, 1202, 0x4164cd7726646e32, "2eab42a12684465bec5f11d54d63713c9214300ce3d08966a9db35c36b83c5ad", "6fa87af32f9b83bd09fcab55a6094096516d91f03ba7ddb67b861a3332dfe632"},
+	{"wide", 1007, 1007, 0x4161c6d4a81c70cf, "a7ec42633cc68380cab282e29581c5542084b11c5658bfc19c5cc109a3c589b9", "4d52e06eb5670d0eebc142d1a8c25cc118f1cd74c7ebf6c9825713743810ddfc"},
+}
+
+// TestFrozenSearchSequence pins that the search still visits the same
+// states in the same order as it did before its per-state cost was cut:
+// counts, the best cost bit for bit, the best signature and the whole
+// admission log, at Workers 1 and 4.
+func TestFrozenSearchSequence(t *testing.T) {
+	medium, err := generator.Suite(generator.Medium, 2, 20050405)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	with, err := Exhaustive(ctx, sc.Graph, Options{IncrementalCost: true, MaxStates: 2000})
+	large, err := generator.Suite(generator.Large, 2, 20050405)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Exhaustive(ctx, sc.Graph, Options{IncrementalCost: true, MaxStates: 2000, ExpandCacheSize: -1})
+	wide, err := generator.Generate(generator.CategoryConfig(generator.Large, 20050405))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if with.BestCost != without.BestCost || with.Best.Signature() != without.Best.Signature() {
-		t.Fatalf("transposition cache changed results: %v/%s vs %v/%s",
-			with.BestCost, with.Best.Signature(), without.BestCost, without.Best.Signature())
+	graphs := map[string]*workflow.Graph{
+		"medium-1": medium[0].Graph, "medium-2": medium[1].Graph,
+		"large-1": large[0].Graph, "large-2": large[1].Graph,
+		"wide": wide.Graph,
+	}
+	for _, ref := range frozenSequence {
+		for _, workers := range []int{1, 4} {
+			alg, greedy := "HS", false
+			if ref.name == "wide" {
+				alg, greedy = "HS-Greedy", true
+			}
+			s := newSearch(context.Background(), Options{IncrementalCost: true, MaxStates: 1000, Workers: workers}.withDefaults())
+			log := sha256.New()
+			s.admitLog = log
+			res, err := s.heuristic(alg, graphs[ref.name], greedy)
+			s.close()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", ref.name, workers, err)
+			}
+			if res.Generated != ref.generated || res.Visited != ref.visited {
+				t.Errorf("%s workers=%d: generated/visited (%d,%d), recorded (%d,%d)",
+					ref.name, workers, res.Generated, res.Visited, ref.generated, ref.visited)
+			}
+			if got := math.Float64bits(res.BestCost); got != ref.bestCostBits {
+				t.Errorf("%s workers=%d: BestCost %v (%#x), recorded %#x",
+					ref.name, workers, res.BestCost, got, ref.bestCostBits)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Best.Signature()))); got != ref.bestSigSHA256 {
+				t.Errorf("%s workers=%d: best signature hashes to %s, recorded %s", ref.name, workers, got, ref.bestSigSHA256)
+			}
+			if got := fmt.Sprintf("%x", log.Sum(nil)); got != ref.admitSHA256 {
+				t.Errorf("%s workers=%d: admission log hashes to %s, recorded %s", ref.name, workers, got, ref.admitSHA256)
+			}
+		}
+	}
+}
+
+// TestSearchAllocations pins the per-state constants of the successor path
+// on the large generator workflow: an uncached topological sort, a
+// semi-incremental costing after a swap, and a swap attempt that leads to
+// a signature its group has already seen.
+func TestSearchAllocations(t *testing.T) {
+	sc, err := generator.Generate(generator.CategoryConfig(generator.Large, 20050405))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sc.Graph
+	s := newSearch(context.Background(), Options{IncrementalCost: true}.withDefaults())
+	defer s.close()
+	s0, err := s.initialState(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewired children whose inherited order is gone, one per call
+	// (AllocsPerRun makes one warm-up call).
+	const runs = 50
+	a := g.Activities()[0]
+	p := g.Providers(a)[0]
+	stale := make([]*workflow.Graph, runs+1)
+	for i := range stale {
+		stale[i] = g.Mutate()
+		stale[i].MustReplaceProvider(a, p, p)
+	}
+	n := testing.AllocsPerRun(runs, func() {
+		if _, err := stale[0].TopoSort(); err != nil {
+			t.Fatal(err)
+		}
+		stale = stale[1:]
+	})
+	if n > 3 {
+		t.Errorf("TopoSort allocates %v times, want at most 3", n)
+	}
+
+	// The first legal swap of a local group, through the group search's own
+	// successor function: the first attempt derives the child, the second
+	// finds its signature in seen.
+	var pair [2]workflow.NodeID
+	var child *transitions.Result
+	seen := map[string]bool{s0.sig: true}
+	for _, grp := range g.LocalGroups() {
+		for i := 0; i+1 < len(grp) && child == nil; i++ {
+			pair = [2]workflow.NodeID{grp[i], grp[i+1]}
+			child, _ = s.swapUnseen(s0, pair, seen)
+		}
+	}
+	if child == nil {
+		t.Fatal("no legal swap on the large workflow")
+	}
+	n = testing.AllocsPerRun(runs, func() {
+		if _, err := cost.EvaluateIncremental(s0.costing, child.Graph, s.model, child.Dirty); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(child.Dirty) != 2 || n > 4 {
+		t.Errorf("EvaluateIncremental with %d dirty nodes allocates %v times, want at most 4 for 2", len(child.Dirty), n)
+	}
+
+	if workflow.DebugCOW {
+		return // the audit derives skipped candidates on purpose
+	}
+	// Two segments and the spliced signature; deriving a Graph takes dozens.
+	n = testing.AllocsPerRun(runs, func() {
+		if res, _ := s.swapUnseen(s0, pair, seen); res != nil {
+			t.Fatal("a seen signature was derived again")
+		}
+	})
+	if n > 3 {
+		t.Errorf("a duplicate swap attempt allocates %v times, want at most 3 (no Graph)", n)
 	}
 }

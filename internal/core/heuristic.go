@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"etlopt/internal/transitions"
@@ -26,7 +28,7 @@ import (
 //
 // Local groups are disjoint by construction (Heuristic 4 partitions the
 // unary activities), so Phases I and IV optimize them concurrently in the
-// Options.Workers pool; see optimizeLocalGroupsFrom for why that cannot
+// Options.Workers pool; see optimizeLocalGroups for why that cannot
 // change the result. A cancelled ctx aborts the search at the next
 // expansion boundary and returns ctx.Err().
 func Heuristic(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result, error) {
@@ -43,10 +45,15 @@ func HSGreedy(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result, e
 }
 
 func heuristicSearch(ctx context.Context, alg string, g0 *workflow.Graph, opts Options, greedy bool) (*Result, error) {
-	opts = opts.withDefaults()
-	start := time.Now()
-	s := newSearch(ctx, opts)
+	s := newSearch(ctx, opts.withDefaults())
 	defer s.close()
+	return s.heuristic(alg, g0, greedy)
+}
+
+// heuristic is the body of HS and HS-Greedy, run on a prepared search.
+func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result, error) {
+	opts := s.opts
+	start := time.Now()
 	span := s.m.reg.StartSpan("search/" + alg)
 	defer span.End()
 	s.startProgress(alg)
@@ -235,7 +242,7 @@ func heuristicSearch(ctx context.Context, alg string, g0 *workflow.Graph, opts O
 		if !s.budgetLeft() {
 			break
 		}
-		opt := s.optimizeLocalGroupsFrom(si, greedy)
+		opt := s.optimizeLocalGroups(si, greedy)
 		if opt.costing.Total < sMin.costing.Total {
 			sMin = opt
 			s.m.bestCost.Set(sMin.costing.Total)
@@ -253,55 +260,55 @@ func heuristicSearch(ctx context.Context, alg string, g0 *workflow.Graph, opts O
 	return finishResult(alg, s0, sMin, s, start, true)
 }
 
+// swapStep is one SWA of a local group's search: the pair it swapped and
+// its description in the paper's notation.
+type swapStep struct {
+	pair [2]workflow.NodeID
+	desc string
+}
+
 // groupState is a state inside one local group's search, carrying the SWA
 // transitions that produced it from the group job's base state so the
 // winning ordering can be replayed onto any graph that shares the group.
 type groupState struct {
 	st    *state
-	swaps [][2]workflow.NodeID
-	descs []string
+	swaps *chain[swapStep]
 }
 
 func (gs *groupState) extend(st *state, pair [2]workflow.NodeID, desc string) *groupState {
-	return &groupState{
-		st:    st,
-		swaps: append(append([][2]workflow.NodeID(nil), gs.swaps...), pair),
-		descs: append(append([]string(nil), gs.descs...), desc),
-	}
+	return &groupState{st: st, swaps: gs.swaps.push(swapStep{pair, desc})}
 }
 
 // groupOutcome is what one local-group job reports back to the reducer:
-// the best ordering found and the admission log — every signature the job
-// would have passed to search.admit, in discovery order. The reducer
-// replays the log sequentially, so the global counters and visited set
-// end up exactly as if the group had been optimized inline.
+// the best ordering found, the admission log — every signature the job
+// would have passed to search.admit, in discovery order — and the number
+// of SWA applications it attempted. The reducer replays the log
+// sequentially and commits the attempts with it, so the global counters
+// and visited set end up exactly as if the group had been optimized
+// inline, and a job whose outcome is never read leaves no trace.
 type groupOutcome struct {
-	best   *groupState
-	admits []string
+	best     *groupState
+	admits   []string
+	attempts int
 }
 
-// optimizeLocalGroups runs the Phase I/IV swap optimization over every
-// local group of the state. The cheapest combination seen is returned.
+// optimizeLocalGroups runs the Phase I/IV swap optimization: it optimizes
+// every local group of the state and composes the winning orderings; the
+// cheapest combination seen is returned. Groups partition the unary
+// activities (Heuristic 4) and a unary activity's output cardinality is
+// invariant under reordering its group (selectivities multiply
+// commutatively), so each group's search — legality, costs, and therefore
+// its best ordering — is independent of every other group's ordering.
+// That independence is what lets the groups run concurrently in the
+// worker pool without coordination: each job explores its group against
+// the shared base state (read-only; transitions clone before rewriting),
+// and a sequential reduction in group order replays the admission logs
+// and applies the winning swap sequences, keeping counters, visited set
+// and the returned state identical for every worker count. MaxStates is
+// enforced at group granularity: once the budget is exhausted, remaining
+// groups are skipped (uncounted), exactly as the sequential search would
+// have skipped them.
 func (s *search) optimizeLocalGroups(st *state, greedy bool) *state {
-	return s.optimizeLocalGroupsFrom(st, greedy)
-}
-
-// optimizeLocalGroupsFrom optimizes every local group of the state and
-// composes the winning orderings. Groups partition the unary activities
-// (Heuristic 4) and a unary activity's output cardinality is invariant
-// under reordering its group (selectivities multiply commutatively), so
-// each group's search — legality, costs, and therefore its best ordering —
-// is independent of every other group's ordering. That independence is
-// what lets the groups run concurrently in the worker pool without
-// coordination: each job explores its group against the shared base state
-// (read-only; transitions clone before rewriting), and a sequential
-// reduction in group order replays the admission logs and applies the
-// winning swap sequences, keeping counters, visited set and the returned
-// state identical for every worker count. MaxStates is enforced at group
-// granularity: once the budget is exhausted, remaining groups are
-// skipped (uncounted), exactly as the sequential search would have
-// skipped them.
-func (s *search) optimizeLocalGroupsFrom(st *state, greedy bool) *state {
 	if !s.budgetLeft() {
 		return st
 	}
@@ -323,8 +330,20 @@ func (s *search) optimizeLocalGroupsFrom(st *state, greedy bool) *state {
 	// start reading it concurrently.
 	st.g.TopoSort()
 
+	// A job is released to the pool only while the admissions of the jobs
+	// already finished leave budget: the reducer below stops at the first
+	// outcome past MaxStates, so exploring that group would be thrown away.
+	// Jobs are claimed in index order, so every finished job precedes the
+	// one being released and spent never exceeds what the reducer will
+	// have counted by then — exact at one worker, and at higher widths at
+	// most the jobs in flight are wasted.
 	outcomes := make([]*groupOutcome, len(members))
+	var spent atomic.Int64
+	spent.Store(int64(s.count))
 	s.pool.run(len(members), func(i int) {
+		if spent.Load() >= int64(s.opts.MaxStates) {
+			return
+		}
 		out := &groupOutcome{}
 		if greedy {
 			out.best = s.groupGreedy(st, members[i], out)
@@ -332,14 +351,16 @@ func (s *search) optimizeLocalGroupsFrom(st *state, greedy bool) *state {
 			out.best = s.groupFull(st, members[i], out)
 		}
 		outcomes[i] = out
+		spent.Add(int64(len(out.admits)))
 	})
 
 	// Deterministic reduction in group order.
 	cur := st
 	for _, out := range outcomes {
-		if !s.budgetLeft() {
+		if !s.budgetLeft() || out == nil {
 			break
 		}
+		s.m.attemptBatch("SWA", out.attempts)
 		for _, sig := range out.admits {
 			if s.admit(sig) {
 				s.m.accept("SWA")
@@ -347,7 +368,7 @@ func (s *search) optimizeLocalGroupsFrom(st *state, greedy bool) *state {
 				s.m.prune("SWA")
 			}
 		}
-		if out.best == nil || len(out.best.swaps) == 0 {
+		if out.best.swaps == nil {
 			continue
 		}
 		next, err := s.replaySwaps(cur, out.best)
@@ -377,19 +398,18 @@ func (s *search) optimizeLocalGroupsFrom(st *state, greedy bool) *state {
 func (s *search) replaySwaps(cur *state, gs *groupState) (*state, error) {
 	g := cur.g
 	sig := cur.sig
+	trace := cur.trace
 	var dirty []workflow.NodeID
 	var steps []TraceStep
-	if s.opts.Trace {
-		steps = append([]TraceStep(nil), cur.steps...)
-	}
-	for _, pair := range gs.swaps {
-		res, err := transitions.Swap(g, pair[0], pair[1])
+	for _, sw := range gs.swaps.slice() {
+		res, err := transitions.Swap(g, sw.pair[0], sw.pair[1])
 		if err != nil {
 			return nil, err
 		}
 		g = res.Graph
 		sig = s.spliceOrFull(sig, res)
 		dirty = append(dirty, res.Dirty...)
+		trace = trace.push(sw.desc)
 		if s.opts.Trace {
 			steps = append(steps, stepOf(res.Applied, s.visited.Intern(sig), 0, false))
 		}
@@ -398,15 +418,18 @@ func (s *search) replaySwaps(cur *state, gs *groupState) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.Trace && len(steps) > len(cur.steps) {
+	st := &state{g: g, costing: costing, sig: s.visited.Intern(sig), trace: trace, steps: cur.steps}
+	if len(steps) > 0 {
 		// The composed state is the one the search costs; stamp the total
 		// on the last replayed swap.
 		last := &steps[len(steps)-1]
 		last.Cost = costing.Total
 		last.Costed = true
 	}
-	trace := append(append([]string(nil), cur.trace...), gs.descs...)
-	return &state{g: g, costing: costing, sig: s.visited.Intern(sig), trace: trace, steps: steps}, nil
+	for _, step := range steps {
+		st.steps = st.steps.push(step)
+	}
+	return st, nil
 }
 
 // adjacentPairs enumerates provider→consumer activity pairs within the
@@ -419,7 +442,7 @@ func adjacentPairs(g *workflow.Graph, members map[workflow.NodeID]bool) [][2]wor
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	var out [][2]workflow.NodeID
 	for _, id := range ids {
 		for _, c := range g.Consumers(id) {
@@ -447,19 +470,11 @@ func (s *search) groupFull(base *state, members map[workflow.NodeID]bool, out *g
 		cur := frontier[0]
 		frontier = frontier[1:]
 		for _, pair := range adjacentPairs(cur.st.g, members) {
-			// Group jobs may run on pool workers; the attempt counter is
-			// atomic, and the set of attempts per group is a pure function
-			// of the base state, so totals stay deterministic.
-			s.m.attempt("SWA")
-			res, err := transitions.Swap(cur.st.g, pair[0], pair[1])
-			if err != nil {
+			out.attempts++
+			res, sig := s.swapUnseen(cur.st, pair, localSeen)
+			if res == nil {
 				continue
 			}
-			sig := s.signatureOf(cur.st, res)
-			if localSeen[sig] {
-				continue
-			}
-			localSeen[sig] = true
 			out.admits = append(out.admits, sig)
 			generated++
 			st2, err := s.makeState(cur.st, res, sig)
@@ -479,6 +494,42 @@ func (s *search) groupFull(base *state, members map[workflow.NodeID]bool, out *g
 	return best
 }
 
+// swapUnseen applies SWA(pair) to parent and returns the successor with
+// its interned signature, or nil when the swap is rejected or leads to a
+// signature already in seen; a new signature is added to seen. It
+// dedupes before it derives: a swap's signature follows from the parent's
+// and the two tags alone, so it is spliced first and a duplicate is
+// dropped without building the child. Every signature in seen got there
+// through a successful derivation, so whether the skipped swap would have
+// been legal changes nothing. When the splice is not provably exact the
+// child is derived and rendered in full. Under `-tags etldebug` skipped
+// candidates are derived anyway and audited against the full rendering.
+func (s *search) swapUnseen(parent *state, pair [2]workflow.NodeID, seen map[string]bool) (*transitions.Result, string) {
+	var sig string
+	var spliced bool
+	if oldSeg, newSeg, ok := transitions.SwapSegments(parent.g, pair[0], pair[1]); ok {
+		sig, spliced = workflow.SpliceSignature(parent.sig, oldSeg, newSeg, s.singleChain)
+	}
+	if spliced && seen[sig] && !workflow.DebugCOW {
+		return nil, ""
+	}
+	res, err := transitions.Swap(parent.g, pair[0], pair[1])
+	if err != nil {
+		return nil, ""
+	}
+	if spliced {
+		auditSplice(sig, res.Graph)
+	} else {
+		sig = res.Graph.Signature()
+	}
+	if seen[sig] {
+		return nil, ""
+	}
+	sig = s.visited.Intern(sig)
+	seen[sig] = true
+	return res, sig
+}
+
 // groupGreedy performs the HS-Greedy variant of Phases I and IV: a single
 // pass over the group's adjacent pairs, applying a swap only when it
 // lowers the cost of the current minimum — the paper's "swaps only those
@@ -492,7 +543,7 @@ func (s *search) groupGreedy(base *state, members map[workflow.NodeID]bool, out 
 		if s.ctx.Err() != nil {
 			break
 		}
-		s.m.attempt("SWA")
+		out.attempts++
 		res, err := transitions.Swap(cur.st.g, pair[0], pair[1])
 		if err != nil {
 			continue

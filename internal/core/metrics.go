@@ -34,10 +34,10 @@ func opIndex(op string) int {
 type searchMetrics struct {
 	reg *obs.Registry
 	// j, when non-nil, is the flight recorder receiving per-event records
-	// (transition attempts/accepts/prunes, phase boundaries, cache
-	// lookups). Like the instrument handles, it is write-only and nil-safe:
-	// with Options.Journal unset every emission degrades to one nil check
-	// and event structs are never even constructed.
+	// (transition attempts/accepts/prunes, phase boundaries). Like the
+	// instrument handles, it is write-only and nil-safe: with
+	// Options.Journal unset every emission degrades to one nil check and
+	// event structs are never even constructed.
 	j *obs.Journal
 
 	generated  *obs.Counter // search_states_generated_total: admission attempts incl. duplicates
@@ -55,17 +55,14 @@ type searchMetrics struct {
 
 	workerBusy []*obs.Gauge // search_worker_busy_seconds{worker}: per-worker pool time
 
-	// Expansion-cache effectiveness. These live outside the search_*
-	// namespace on purpose: hit/miss splits depend on worker timing
-	// (concurrent misses on one key each count), so they are exempt from
-	// the worker-invariance contract that TestMetricsSeriesDeterministic
-	// enforces over every search_* series — while the search *results*
-	// stay bit-identical because cached values are canonical.
-	expandHits  *obs.Counter // expand_cache_hits_total: transposition-cache hits
-	expandMiss  *obs.Counter // expand_cache_misses_total
-	expandEvict *obs.Counter // expand_cache_evictions_total: FIFO ring overwrites
-	memoHits    *obs.Counter // expand_cost_memo_hits_total: per-activity cost memo hits
-	memoMiss    *obs.Counter // expand_cost_memo_misses_total
+	// Cost-memo effectiveness. These live outside the search_* namespace on
+	// purpose: hit/miss splits depend on worker timing (concurrent misses
+	// on one key each count), so they are exempt from the worker-invariance
+	// contract that TestMetricsSeriesDeterministic enforces over every
+	// search_* series — while the search *results* stay bit-identical
+	// because memoized prices are canonical.
+	memoHits *obs.Counter // expand_cost_memo_hits_total: per-activity cost memo hits
+	memoMiss *obs.Counter // expand_cost_memo_misses_total
 }
 
 // newSearchMetrics builds the handle set against a registry (nil registry
@@ -83,9 +80,6 @@ func newSearchMetrics(r *obs.Registry, j *obs.Journal, workers int) *searchMetri
 		frontier:    r.Gauge("search_frontier_size"),
 		bestCost:    r.Gauge("search_best_cost"),
 		initialCost: r.Gauge("search_initial_cost"),
-		expandHits:  r.Counter("expand_cache_hits_total"),
-		expandMiss:  r.Counter("expand_cache_misses_total"),
-		expandEvict: r.Counter("expand_cache_evictions_total"),
 		memoHits:    r.Counter("expand_cost_memo_hits_total"),
 		memoMiss:    r.Counter("expand_cost_memo_misses_total"),
 	}
@@ -113,6 +107,24 @@ func (m *searchMetrics) attempt(op string) {
 	}
 }
 
+// attemptBatch records the n attempts of one local-group job, which reach
+// the reducer as a count. They are journaled as one event carrying n in
+// Rows: thousands of events emitted back to back would overrun the
+// journal's buffer and be dropped.
+func (m *searchMetrics) attemptBatch(op string, n int) {
+	if n == 0 {
+		return
+	}
+	if i := opIndex(op); i >= 0 {
+		m.attempts[i].Add(int64(n))
+	}
+	if m.j != nil {
+		e := obs.TransitionEvent(op, "attempt", 0)
+		e.Rows = int64(n)
+		m.j.Emit(e)
+	}
+}
+
 // accept records an admitted (non-duplicate) state reached by the kind.
 func (m *searchMetrics) accept(op string) {
 	if i := opIndex(op); i >= 0 {
@@ -137,15 +149,6 @@ func (m *searchMetrics) prune(op string) {
 func (m *searchMetrics) best(op string, cost float64) {
 	if m.j != nil {
 		m.j.Emit(obs.TransitionEvent(op, "best", cost))
-	}
-}
-
-// cacheLookup records one expansion-cache probe. Safe from worker
-// goroutines (the journal is concurrency-safe); the aggregate hit/miss
-// counters flush separately in flushCacheMetrics.
-func (m *searchMetrics) cacheLookup(hit bool) {
-	if m.j != nil {
-		m.j.Emit(obs.CacheEvent("expand", hit))
 	}
 }
 
@@ -194,17 +197,11 @@ func (m *searchMetrics) busyHook() func(worker int, d time.Duration) {
 	}
 }
 
-// flushCacheMetrics publishes the expansion caches' cumulative counters
-// into the expand_* series. It runs once per search, at result assembly —
-// the caches are write-hot, so they count in local atomics and export at
-// the end rather than bumping registry counters per lookup.
-func (s *search) flushCacheMetrics() {
-	if s.xcache != nil {
-		h, m, e := s.xcache.stats()
-		s.m.expandHits.Add(h)
-		s.m.expandMiss.Add(m)
-		s.m.expandEvict.Add(e)
-	}
+// flushMemoMetrics publishes the cost memo's cumulative counters into the
+// expand_cost_memo_* series. It runs once per search, at result assembly —
+// the memo is write-hot, so it counts in local atomics and exports at the
+// end rather than bumping registry counters per lookup.
+func (s *search) flushMemoMetrics() {
 	if memo, ok := s.model.(*cost.Memo); ok {
 		h, m := memo.Stats()
 		s.m.memoHits.Add(h)

@@ -37,10 +37,31 @@ func stepOf(a transitions.Applied, sig string, cost float64, costed bool) TraceS
 	return TraceStep{Op: a.Op, Args: a.ArgIDs(), Desc: a.Desc, Sig: sig, Cost: cost, Costed: costed}
 }
 
-// appendStep returns a copy of parent extended with one step. The copy is
-// exact-capacity so sibling states never share a growable tail.
-func appendStep(parent []TraceStep, step TraceStep) []TraceStep {
-	out := make([]TraceStep, len(parent), len(parent)+1)
-	copy(out, parent)
-	return append(out, step)
+// chain is an immutable parent-linked list: the derivation paths of
+// sibling states share their common prefix, extending one is O(1), and
+// the slice form is materialised once, for the state that wins.
+type chain[T any] struct {
+	parent *chain[T]
+	v      T
+}
+
+// push returns c extended by v; c itself (nil for the empty chain) is
+// unchanged.
+func (c *chain[T]) push(v T) *chain[T] { return &chain[T]{parent: c, v: v} }
+
+// slice returns the elements oldest first, nil for the empty chain.
+func (c *chain[T]) slice() []T {
+	n := 0
+	for l := c; l != nil; l = l.parent {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, n)
+	for l := c; l != nil; l = l.parent {
+		n--
+		out[n] = l.v
+	}
+	return out
 }

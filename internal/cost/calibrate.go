@@ -41,7 +41,7 @@ func Explain(g *workflow.Graph, m Model, nodeRows map[workflow.NodeID]int) ([]Es
 		out = append(out, Estimate{
 			Node:      id,
 			Label:     g.Node(id).Label(),
-			Estimated: c.Cards[id],
+			Estimated: c.Card(id),
 			Actual:    nodeRows[id],
 		})
 	}

@@ -13,6 +13,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"etlopt/internal/workflow"
 )
@@ -91,27 +92,65 @@ func (RowModel) OutputRows(a *workflow.Activity, in []float64) float64 {
 }
 
 // Costing holds the evaluated cost of one state: per-node output
-// cardinalities, per-node costs, and the total C(S).
+// cardinalities, per-node costs, and the total C(S). The per-node figures
+// are stored densely, indexed by NodeID like the graph's own node table;
+// has marks the nodes that were evaluated, so asking for a node the
+// costing never saw stays distinguishable from a genuine zero.
 type Costing struct {
-	Cards map[workflow.NodeID]float64
-	Costs map[workflow.NodeID]float64
 	Total float64
+
+	cards, costs []float64
+	has          []bool
+	// in is evalNode's scratch for the provider cardinalities handed to
+	// the model; it lives here so that costing a node allocates nothing.
+	in [2]float64
 }
 
-// Clone returns an independent copy, used as the baseline of a
-// semi-incremental re-evaluation.
+// newCosting returns an empty costing for node IDs below n.
+func newCosting(n int) *Costing {
+	vals := make([]float64, 2*n)
+	return &Costing{cards: vals[:n:n], costs: vals[n:], has: make([]bool, n)}
+}
+
+// Has reports whether the node was evaluated.
+func (c *Costing) Has(id workflow.NodeID) bool {
+	return id > 0 && int(id) < len(c.has) && c.has[id]
+}
+
+// Card returns the node's output cardinality, 0 when it was not evaluated.
+func (c *Costing) Card(id workflow.NodeID) float64 {
+	if !c.Has(id) {
+		return 0
+	}
+	return c.cards[id]
+}
+
+// Cost returns the node's cost, 0 when it was not evaluated.
+func (c *Costing) Cost(id workflow.NodeID) float64 {
+	if !c.Has(id) {
+		return 0
+	}
+	return c.costs[id]
+}
+
+// Nodes returns the evaluated nodes in ascending ID order.
+func (c *Costing) Nodes() []workflow.NodeID {
+	var out []workflow.NodeID
+	for id, ok := range c.has {
+		if ok {
+			out = append(out, workflow.NodeID(id))
+		}
+	}
+	return out
+}
+
+// Clone returns an independent copy.
 func (c *Costing) Clone() *Costing {
-	out := &Costing{
-		Cards: make(map[workflow.NodeID]float64, len(c.Cards)),
-		Costs: make(map[workflow.NodeID]float64, len(c.Costs)),
-		Total: c.Total,
-	}
-	for k, v := range c.Cards {
-		out.Cards[k] = v
-	}
-	for k, v := range c.Costs {
-		out.Costs[k] = v
-	}
+	out := newCosting(len(c.has))
+	out.Total = c.Total
+	copy(out.cards, c.cards)
+	copy(out.costs, c.costs)
+	copy(out.has, c.has)
 	return out
 }
 
@@ -131,50 +170,46 @@ func Evaluate(g *workflow.Graph, m Model) (*Costing, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Costing{
-		Cards: make(map[workflow.NodeID]float64, len(order)),
-		Costs: make(map[workflow.NodeID]float64, len(order)),
-	}
+	c := newCosting(int(g.MaxID()) + 1)
 	for _, id := range order {
-		if err := evalNode(g, m, c, id); err != nil {
+		if err := c.evalNode(g, m, id); err != nil {
 			return nil, err
 		}
-		c.Total += c.Costs[id]
+		c.Total += c.costs[id]
 	}
 	return c, nil
 }
 
 // evalNode computes the cardinality and cost of one node from its
-// providers' already-computed cardinalities.
-func evalNode(g *workflow.Graph, m Model, c *Costing, id workflow.NodeID) error {
+// providers' already-computed cardinalities and marks it evaluated.
+func (c *Costing) evalNode(g *workflow.Graph, m Model, id workflow.NodeID) error {
 	n := g.Node(id)
 	if n == nil {
 		return fmt.Errorf("cost: unknown node %d", id)
 	}
+	in := c.in[:0]
+	for _, p := range g.Providers(id) {
+		if !c.Has(p) {
+			return fmt.Errorf("cost: provider %d of node %d not evaluated", p, id)
+		}
+		in = append(in, c.cards[p])
+	}
 	switch n.Kind {
 	case workflow.KindRecordset:
-		if preds := g.Providers(id); len(preds) == 1 {
-			c.Cards[id] = c.Cards[preds[0]] // target: stores what arrives
+		if len(in) == 1 {
+			c.cards[id] = in[0] // target: stores what arrives
 		} else {
-			c.Cards[id] = n.RS.Rows
+			c.cards[id] = n.RS.Rows
 		}
-		c.Costs[id] = 0
+		c.costs[id] = 0
 	case workflow.KindActivity:
-		preds := g.Providers(id)
-		in := make([]float64, len(preds))
-		for i, p := range preds {
-			card, ok := c.Cards[p]
-			if !ok {
-				return fmt.Errorf("cost: provider %d of node %d not evaluated", p, id)
-			}
-			in[i] = card
-		}
 		if len(in) == 0 {
 			return fmt.Errorf("cost: activity %d has no provider", id)
 		}
-		c.Costs[id] = m.ActivityCost(n.Act, in)
-		c.Cards[id] = m.OutputRows(n.Act, in)
+		c.costs[id] = m.ActivityCost(n.Act, in)
+		c.cards[id] = m.OutputRows(n.Act, in)
 	}
+	c.has[id] = true
 	return nil
 }
 
@@ -183,48 +218,49 @@ func evalNode(g *workflow.Graph, m Model, c *Costing, id workflow.NodeID) error 
 // by computing only the cost of the path from the affected activities
 // towards the target". prev is the costing of the parent state (whose node
 // IDs are stable across the transition), g the derived graph and dirty the
-// nodes the transition touched. Only dirty nodes and their descendants are
-// recomputed; everything else is copied from prev.
+// nodes the transition touched: every node whose activity or provider list
+// differs from the parent's must be listed, except that a direct consumer
+// of a listed node may be left out. Dirty nodes are recomputed, and from
+// them the recomputation walks towards the targets for as long as a
+// node's output cardinality comes out different from the parent's; where
+// it reconverges, everything further down is copied from prev like the
+// rest of the state. Total is re-summed over every node in topological
+// order, exactly as Evaluate sums it, so the two agree bit for bit.
 func EvaluateIncremental(prev *Costing, g *workflow.Graph, m Model, dirty []workflow.NodeID) (*Costing, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-	affected := make(map[workflow.NodeID]bool, len(dirty))
+	c := newCosting(int(g.MaxID()) + 1)
+	copy(c.cards, prev.cards)
+	copy(c.costs, prev.costs)
+	// Until the pass below reaches a node, c.has marks it as to be
+	// recomputed rather than as evaluated: a recomputed node marks its
+	// consumers, which all come later in the order, and a node only ever
+	// reads providers the pass has already turned into the real thing.
 	for _, id := range dirty {
-		affected[id] = true
-	}
-	// Propagate the affected set to descendants in topological order.
-	for _, id := range order {
-		if affected[id] {
-			continue
+		if g.Node(id) != nil {
+			c.has[id] = true
 		}
-		for _, p := range g.Providers(id) {
-			if affected[p] {
-				affected[id] = true
-				break
-			}
-		}
-	}
-	c := &Costing{
-		Cards: make(map[workflow.NodeID]float64, len(order)),
-		Costs: make(map[workflow.NodeID]float64, len(order)),
 	}
 	for _, id := range order {
-		if !affected[id] {
-			if card, ok := prev.Cards[id]; ok {
-				c.Cards[id] = card
-				c.Costs[id] = prev.Costs[id]
-				c.Total += c.Costs[id]
-				continue
+		// A node the parent never costed (should not happen for clean
+		// transitions) is recomputed too.
+		known := prev.Has(id)
+		if known && !c.has[id] {
+			c.has[id] = true
+		} else {
+			was := c.cards[id]
+			if err := c.evalNode(g, m, id); err != nil {
+				return nil, err
 			}
-			// Node unknown to the parent (should not happen for clean
-			// transitions); fall through to recomputation.
+			if !known || c.cards[id] != was || slices.Contains(dirty, id) {
+				for _, s := range g.Consumers(id) {
+					c.has[s] = true
+				}
+			}
 		}
-		if err := evalNode(g, m, c, id); err != nil {
-			return nil, err
-		}
-		c.Total += c.Costs[id]
+		c.Total += c.costs[id]
 	}
 	return c, nil
 }

@@ -30,7 +30,7 @@ func TestFig4CostCases(t *testing.T) {
 		costs[c] = costing.Total
 		for _, id := range g.Activities() {
 			if g.Node(id).Act.Sem.Op == workflow.OpUnion {
-				unionCharge[c] = costing.Costs[id]
+				unionCharge[c] = costing.Cost(id)
 			}
 		}
 	}
@@ -162,15 +162,15 @@ func TestEvaluateFig1(t *testing.T) {
 	// Source cardinalities propagate: PARTS1 has 1000, PARTS2 has 3000.
 	sums := 0.0
 	for _, id := range g.Sources() {
-		sums += c.Cards[id]
+		sums += c.Card(id)
 	}
 	if !almostEqual(sums, 4000) {
 		t.Errorf("source cards = %v", sums)
 	}
 	// The total is the sum of per-activity costs.
 	var total float64
-	for _, v := range c.Costs {
-		total += v
+	for _, id := range c.Nodes() {
+		total += c.Cost(id)
 	}
 	if !almostEqual(total, c.Total) {
 		t.Errorf("Total %v != Σcosts %v", c.Total, total)
@@ -216,15 +216,19 @@ func TestEvaluateIncrementalMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(full.Total, inc.Total) {
+	// Bit-equal, not merely close: both sum Total in topological order.
+	if full.Total != inc.Total {
 		t.Errorf("incremental total %v != full total %v", inc.Total, full.Total)
 	}
-	for id := range full.Costs {
-		if !almostEqual(full.Costs[id], inc.Costs[id]) {
-			t.Errorf("node %d: incremental cost %v != full %v", id, inc.Costs[id], full.Costs[id])
+	if len(inc.Nodes()) != len(full.Nodes()) {
+		t.Errorf("incremental costing covers %d nodes, full %d", len(inc.Nodes()), len(full.Nodes()))
+	}
+	for _, id := range full.Nodes() {
+		if full.Cost(id) != inc.Cost(id) {
+			t.Errorf("node %d: incremental cost %v != full %v", id, inc.Cost(id), full.Cost(id))
 		}
-		if !almostEqual(full.Cards[id], inc.Cards[id]) {
-			t.Errorf("node %d: incremental card %v != full %v", id, inc.Cards[id], full.Cards[id])
+		if full.Card(id) != inc.Card(id) {
+			t.Errorf("node %d: incremental card %v != full %v", id, inc.Card(id), full.Card(id))
 		}
 	}
 }
@@ -248,14 +252,15 @@ func TestCostingClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := c.Clone()
-	for id := range c.Costs {
-		cl.Costs[id] += 42
+	for _, id := range c.Nodes() {
+		cl.costs[id] += 42
+		cl.cards[id] += 42
+		cl.has[id] = false
 	}
-	for id := range c.Costs {
-		if c.Costs[id] == cl.Costs[id] {
-			t.Fatal("Clone shares cost storage")
+	for _, id := range c.Nodes() {
+		if c.Cost(id) == cl.costs[id] || c.Card(id) == cl.cards[id] || !c.Has(id) {
+			t.Fatal("Clone shares storage")
 		}
-		break
 	}
 }
 

@@ -97,8 +97,8 @@ func TestMemoMatchesBaseOnGraph(t *testing.T) {
 	if plain.Total != memoed.Total {
 		t.Fatalf("memoized total %v != plain total %v", memoed.Total, plain.Total)
 	}
-	for id, want := range plain.Costs {
-		if got := memoed.Costs[id]; got != want {
+	for _, id := range plain.Nodes() {
+		if got, want := memoed.Cost(id), plain.Cost(id); got != want {
 			t.Fatalf("node %d: memoized cost %v != plain %v", id, got, want)
 		}
 	}

@@ -123,10 +123,10 @@ func EvaluateWithIO(g *workflow.Graph, m PhysicalModel) (activityCost, ioCost fl
 		return 0, 0, err
 	}
 	for _, id := range g.Sources() {
-		ioCost += m.RecordsetIO(c.Cards[id])
+		ioCost += m.RecordsetIO(c.Card(id))
 	}
 	for _, id := range g.Targets() {
-		ioCost += m.RecordsetIO(c.Cards[id])
+		ioCost += m.RecordsetIO(c.Card(id))
 	}
 	return c.Total, ioCost, nil
 }

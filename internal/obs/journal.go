@@ -39,10 +39,12 @@ const (
 	// EventTransition is one optimizer transition: Op is the mnemonic
 	// (SWA, FAC, DIS, MER, SPL), Action is "attempt", "accept", "prune"
 	// (rejected as a duplicate by the visited set) or "best" (a new
-	// minimum, Cost carries the new best cost).
+	// minimum, Cost carries the new best cost). An "attempt" with Rows set
+	// stands for that many attempts, recorded together.
 	EventTransition = "transition"
-	// EventCache is one expansion-cache lookup: Op names the cache
-	// ("expand"), Action is "hit" or "miss".
+	// EventCache is one lookup in a named cache: Op names the cache, Action
+	// is "hit" or "miss" (the shared-work cache adds its own actions, see
+	// SharedCacheEvent).
 	EventCache = "cache"
 	// EventNode is one executed workflow node: Node identifies it, Rows its
 	// output cardinality, Sec its wall-clock execution time.

@@ -63,38 +63,20 @@ func relDiff(a, b float64) float64 {
 // per-node cardinalities and costs within costTol, and totals within
 // costTol.
 func compareCostings(inc, scratch *cost.Costing) error {
-	if len(inc.Costs) != len(scratch.Costs) {
-		return fmt.Errorf("incremental costing covers %d nodes, scratch %d", len(inc.Costs), len(scratch.Costs))
+	ids := scratch.Nodes()
+	if got := len(inc.Nodes()); got != len(ids) {
+		return fmt.Errorf("incremental costing covers %d nodes, scratch %d", got, len(ids))
 	}
-	// Walk node IDs in sorted order so a failure always reports the same
+	// Nodes are in ascending ID order, so a failure always reports the same
 	// (smallest) offending node.
-	ids := make([]workflow.NodeID, 0, len(scratch.Costs))
-	for id := range scratch.Costs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		want := scratch.Costs[id]
-		got, ok := inc.Costs[id]
-		if !ok {
+		if !inc.Has(id) {
 			return fmt.Errorf("node %d missing from incremental costing", id)
 		}
-		if relDiff(got, want) > costTol {
+		if got, want := inc.Cost(id), scratch.Cost(id); relDiff(got, want) > costTol {
 			return fmt.Errorf("node %d cost: incremental %v vs scratch %v", id, got, want)
 		}
-	}
-	ids = ids[:0]
-	for id := range scratch.Cards {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		want := scratch.Cards[id]
-		got, ok := inc.Cards[id]
-		if !ok {
-			return fmt.Errorf("node %d missing from incremental cardinalities", id)
-		}
-		if relDiff(got, want) > costTol {
+		if got, want := inc.Card(id), scratch.Card(id); relDiff(got, want) > costTol {
 			return fmt.Errorf("node %d cardinality: incremental %v vs scratch %v", id, got, want)
 		}
 	}

@@ -215,9 +215,23 @@ func Swap(g *workflow.Graph, a1, a2 workflow.NodeID) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.SigOld = n1.Act.Tag + "." + n2.Act.Tag
-	res.SigNew = n2.Act.Tag + "." + n1.Act.Tag
+	res.SigOld, res.SigNew, _ = SwapSegments(g, a1, a2)
 	return res, nil
+}
+
+// SwapSegments returns the signature segments of SWA(a1,a2) — the
+// Result.SigOld and Result.SigNew a successful Swap reports — without
+// deriving the child: they depend on the two tags alone, so a caller can
+// splice the successor's signature and drop a duplicate before paying for
+// the rewrite. ok is false when either node is not an activity. The
+// segments say nothing about legality; only Swap runs the guards.
+func SwapSegments(g *workflow.Graph, a1, a2 workflow.NodeID) (oldSeg, newSeg string, ok bool) {
+	n1, n2 := g.Node(a1), g.Node(a2)
+	if n1 == nil || n2 == nil || n1.Kind != workflow.KindActivity || n2.Kind != workflow.KindActivity {
+		return "", "", false
+	}
+	t1, t2 := n1.Act.Tag, n2.Act.Tag
+	return t1 + "." + t2, t2 + "." + t1, true
 }
 
 // combineTags merges the signature tags of factorized activities: equal

@@ -2,7 +2,6 @@ package workflow
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -362,6 +361,10 @@ func (g *Graph) Nodes() []NodeID {
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return g.live }
 
+// MaxID returns the largest node ID the graph has allocated; every live
+// node's ID is in [1, MaxID], so MaxID+1 sizes a NodeID-indexed table.
+func (g *Graph) MaxID() NodeID { return g.nextID }
+
 // Activities returns the IDs of all activity nodes in insertion order.
 func (g *Graph) Activities() []NodeID {
 	var out []NodeID
@@ -529,31 +532,34 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 	if g.topoCache != nil {
 		return g.topoCache, nil
 	}
+	// Kahn's algorithm over a binary min-heap of ready IDs: three
+	// allocations (in-degrees, heap, order) however many nodes unlock.
 	indeg := make([]int, len(g.nodes))
-	var ready []NodeID
+	ready := make([]NodeID, 0, g.live)
 	for id := 1; id < len(g.nodes); id++ {
 		if g.nodes[id] == nil {
 			continue
 		}
 		indeg[id] = len(g.pred[id])
 		if indeg[id] == 0 {
-			ready = append(ready, NodeID(id))
+			ready = append(ready, NodeID(id)) // ascending, so already a heap
 		}
 	}
-	var out []NodeID
+	out := make([]NodeID, 0, g.live)
 	for len(ready) > 0 {
 		id := ready[0]
-		ready = ready[1:]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
 		out = append(out, id)
-		var unlocked []NodeID
 		for _, s := range g.succ[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				unlocked = append(unlocked, s)
+				ready = append(ready, s)
+				siftUp(ready)
 			}
 		}
-		sortIDs(unlocked)
-		ready = mergeSorted(ready, unlocked)
 	}
 	if len(out) != g.live {
 		return nil, fmt.Errorf("workflow: graph contains a cycle (%d of %d nodes ordered)", len(out), g.live)
@@ -562,28 +568,34 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 	return out, nil
 }
 
-func sortIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// siftUp restores the min-heap property after an append to h.
+func siftUp(h []NodeID) {
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if h[i] <= h[j] {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
 }
 
-func mergeSorted(a, b []NodeID) []NodeID {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]NodeID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
+// siftDown restores the min-heap property after h[0] was replaced.
+func siftDown(h []NodeID) {
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && h[j+1] < h[j] {
 			j++
 		}
+		if h[i] <= h[j] {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // Validate checks the structural well-formedness rules of §2.1: the graph

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -74,7 +75,7 @@ func (g *Graph) reach(id NodeID, step func(NodeID) []NodeID) []NodeID {
 			}
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -71,11 +71,7 @@ func SpliceSignature(sig, oldSeg, newSeg string, singleChain bool) (string, bool
 		if open < 0 {
 			break // top level: a single target chain has no sorted siblings
 		}
-		close := matchingClose(sig, open)
-		if close < 0 {
-			return "", false // malformed signature; be conservative
-		}
-		if !siblingOrderPreserved(sig, open+1, close, lo, hi, newSeg) {
+		if !siblingOrderPreserved(sig, open+1, lo, hi, newSeg) {
 			return "", false
 		}
 		spanLo = open
@@ -101,68 +97,73 @@ func enclosingOpen(s string, i int) int {
 	return -1
 }
 
-// matchingClose returns the index of the ')' matching the '(' at open.
-func matchingClose(s string, open int) int {
-	depth := 0
-	for j := open; j < len(s); j++ {
+// siblingOrderPreserved walks the depth-0 "//"-separated siblings of the
+// group whose interior starts at s[start], up to the group's closing
+// parenthesis, finds the one containing the splice [lo,hi), and reports
+// whether that sibling — with the splice applied — still compares between
+// its left and right neighbors, i.e. whether a re-render would keep the
+// branches in the same sorted order.
+func siblingOrderPreserved(s string, start, lo, hi int, repl string) bool {
+	var left string      // the sibling before the spliced one
+	var pre, post string // the spliced sibling's text around the splice
+	found := false
+	depth, a := 0, start
+	for j := start; j < len(s); j++ {
+		last := false
 		switch s[j] {
 		case '(':
 			depth++
+			continue
 		case ')':
-			depth--
-			if depth == 0 {
-				return j
+			if depth > 0 {
+				depth--
+				continue
 			}
+			last = true // the group's own close ends its last sibling
+		case '/':
+			if depth > 0 || j+1 == len(s) || s[j+1] != '/' || (j > start && s[j-1] == '/') {
+				continue
+			}
+		default:
+			continue
 		}
+		// s[a:j] is a complete sibling.
+		switch {
+		case found: // the right neighbor
+			return compareSpliced(pre, repl, post, s[a:j]) <= 0
+		case lo >= a && hi <= j:
+			found, pre, post = true, s[a:lo], s[hi:j]
+			if a > start && compareSpliced(pre, repl, post, left) < 0 {
+				return false
+			}
+		default:
+			left = s[a:j]
+		}
+		if last {
+			return found // false: the splice straddles a separator and cannot be local
+		}
+		a = j + 2
 	}
-	return -1
+	return false // unbalanced signature; be conservative
 }
 
-// siblingOrderPreserved splits the group interior s[start:end] at depth-0
-// "//" separators, locates the sibling containing the splice [lo,hi), and
-// reports whether that sibling — with the splice applied — still compares
-// between its left and right neighbors, i.e. whether a re-render would
-// keep the branches in the same sorted order.
-func siblingOrderPreserved(s string, start, end, lo, hi int, repl string) bool {
-	type span struct{ a, b int }
-	var sibs []span
-	depth, a := 0, start
-	for j := start; j < end; j++ {
-		switch s[j] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case '/':
-			if depth == 0 && j+1 < end && s[j+1] == '/' && (j == start || s[j-1] != '/') {
-				sibs = append(sibs, span{a, j})
-				a = j + 2
-			}
+// compareSpliced compares the concatenation a+b+c with other, like
+// strings.Compare, without building it.
+func compareSpliced(a, b, c, other string) int {
+	for _, part := range [...]string{a, b, c} {
+		n := min(len(part), len(other))
+		if r := strings.Compare(part[:n], other[:n]); r != 0 {
+			return r
 		}
-	}
-	sibs = append(sibs, span{a, end})
-	if len(sibs) == 1 {
-		return true
-	}
-	idx := -1
-	for i, sp := range sibs {
-		if lo >= sp.a && hi <= sp.b {
-			idx = i
-			break
+		if len(part) > n {
+			return 1
 		}
+		other = other[n:]
 	}
-	if idx < 0 {
-		return false // splice straddles a separator; cannot be local
+	if len(other) > 0 {
+		return -1
 	}
-	sp := sibs[idx]
-	mod := s[sp.a:lo] + repl + s[hi:sp.b]
-	if idx > 0 && s[sibs[idx-1].a:sibs[idx-1].b] > mod {
-		return false
-	}
-	if idx < len(sibs)-1 && mod > s[sibs[idx+1].a:sibs[idx+1].b] {
-		return false
-	}
-	return true
+	return 0
 }
 
 // Fingerprint returns a 64-bit structural hash of the graph: node IDs,
@@ -171,8 +172,9 @@ func siblingOrderPreserved(s string, start, end, lo, hi int, repl string) bool {
 // ascending-ID order. Unlike Signature, it distinguishes graphs whose
 // signatures coincide but whose node-ID labelings differ (states reached
 // through different MER/FAC lineages), which is exactly what NodeID-keyed
-// costings are sensitive to — the transposition cache uses the pair
-// (signature, fingerprint) as its admission guard.
+// costings are sensitive to. The search no longer keys anything on it (the
+// transposition cache it guarded was deleted on its measured 1 % hit
+// ratio); it remains as the benchmark's workflow.fingerprint_us figure.
 func (g *Graph) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -61,10 +61,10 @@ func TestFingerprintStableAcrossCopies(t *testing.T) {
 	}
 }
 
-// TestFingerprintSeparatesEqualSignatures pins the property the
-// transposition cache depends on: two graphs can render the same signature
-// while carrying different node-ID labelings, and the fingerprint must
-// tell them apart because costings are NodeID-keyed.
+// TestFingerprintSeparatesEqualSignatures pins what the fingerprint adds
+// to the signature: two graphs can render the same signature while
+// carrying different node-ID labelings, and the fingerprint must tell
+// them apart because costings are NodeID-keyed.
 func TestFingerprintSeparatesEqualSignatures(t *testing.T) {
 	build := func(burn int) *Graph {
 		g := NewGraph()
