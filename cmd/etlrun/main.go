@@ -107,13 +107,18 @@ func run() error {
 	}
 	eflags := engineFlags{mode: *mode, partitions: *partitions, faults: *faults, retries: *retries}
 	if len(files) > 1 {
-		for flagName, set := range map[string]bool{
-			"-optimize": *optimize != "", "-checkpoint": *checkpoint != "",
-			"-impact": *impact != "", "-lint": *lintOnly,
-			"-explain": *explain, "-calibrate": *calibrate,
+		// A slice, not a map: with two such flags set the error names the
+		// same one in every run.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-optimize", *optimize != ""}, {"-checkpoint", *checkpoint != ""},
+			{"-impact", *impact != ""}, {"-lint", *lintOnly},
+			{"-explain", *explain}, {"-calibrate", *calibrate},
 		} {
-			if set {
-				return fmt.Errorf("%s applies to single-workflow runs, not suites", flagName)
+			if f.set {
+				return fmt.Errorf("%s applies to single-workflow runs, not suites", f.name)
 			}
 		}
 		return runSuite(files, suiteFlags{

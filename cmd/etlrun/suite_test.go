@@ -117,6 +117,14 @@ func TestCLISuiteRejectsSingleRunFlags(t *testing.T) {
 	if !strings.Contains(string(out), "-checkpoint applies to single-workflow runs") {
 		t.Errorf("unexpected error output:\n%s", out)
 	}
+	// With two offending flags the guard names the first in its fixed
+	// order, every time: it once ranged over a map.
+	for i := 0; i < 8; i++ {
+		out, err := exec.Command(bin, "-optimize", "hs", "-checkpoint", filepath.Join(dir, "stage"), wf, wf).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-optimize applies to single-workflow runs") {
+			t.Fatalf("run %d: want the error to name -optimize, got %v:\n%s", i, err, out)
+		}
+	}
 }
 
 // TestCLISuiteTargetCollision covers the duplicate-target guard: two

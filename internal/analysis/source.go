@@ -209,6 +209,11 @@ func expandPatterns(patterns []string) ([]string, error) {
 					(name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 					return filepath.SkipDir
 				}
+				// A nested go.mod starts another module, which "..." does
+				// not descend into (as in the go tool).
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != rest {
+					return filepath.SkipDir
+				}
 				if hasGoFiles(path) {
 					add(path)
 				}

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,6 +99,36 @@ func TestInternalTreeLintsClean(t *testing.T) {
 	}
 	for _, f := range fs {
 		t.Errorf("determinism finding under internal/: %s", f)
+	}
+}
+
+// TestExpandSkipsNestedModules: "dir/..." stops at a directory with its
+// own go.mod, as the go tool does. Before, the repository benchmark's
+// module sorted first among the matches of "./..." and every other
+// package was reported outside it.
+func TestExpandSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for _, f := range []string{"go.mod", "a/a.go", "a/sub/sub.go", "nested/go.mod", "nested/n.go", "nested/deep/d.go"} {
+		path := filepath.Join(root, f)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte("package p\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := expandPatterns([]string{root + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(root, "a"), filepath.Join(root, "a", "sub")}
+	if !slices.Equal(dirs, want) {
+		t.Errorf("expandPatterns = %v, want %v", dirs, want)
+	}
+	// Naming the nested module itself still expands it.
+	dirs, err = expandPatterns([]string{filepath.Join(root, "nested") + "/..."})
+	if err != nil || len(dirs) != 2 {
+		t.Errorf("expanding the nested module: %v, %v; want its 2 packages", dirs, err)
 	}
 }
 

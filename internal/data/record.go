@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -117,16 +118,45 @@ func (r Record) Clone() Record {
 	return c
 }
 
-// Key returns a canonical string key identifying the record's contents;
-// records with Equal values share a key. Used for multiset comparison and
-// duplicate detection.
+// Key returns a canonical string key identifying the record's contents:
+// the values' Key strings joined by "\x1f". It serves multiset comparison
+// in the equivalence and property suites and is the independent statement
+// HashKey/KeyEqual are tested against; the engine does not key on it. The
+// string form cannot tell ("a\x1fs:b", "c") from ("a", "b\x1fs:c");
+// KeyEqual, comparing column by column, can.
 func (r Record) Key() string {
+	size := len(r)
+	for i := range r {
+		size += 2 + len(r[i].s)
+		if r[i].kind != KindString {
+			size += 24 // the longest 'g' float or decimal int64
+		}
+	}
 	var b strings.Builder
-	for i, v := range r {
+	b.Grow(size)
+	var num [32]byte
+	for i := range r {
 		if i > 0 {
 			b.WriteByte('\x1f')
 		}
-		b.WriteString(v.Key())
+		switch v := &r[i]; v.kind {
+		case KindNull:
+			b.WriteByte(0)
+		case KindInt, KindFloat:
+			b.WriteString("n:")
+			b.Write(strconv.AppendFloat(num[:0], v.Float(), 'g', -1, 64))
+		case KindString:
+			b.WriteString("s:")
+			b.WriteString(v.s)
+		case KindBool:
+			b.WriteString("b:")
+			b.Write(strconv.AppendInt(num[:0], v.i, 10))
+		case KindDate:
+			b.WriteString("d:")
+			b.Write(strconv.AppendInt(num[:0], v.i, 10))
+		default:
+			b.WriteByte('?')
+		}
 	}
 	return b.String()
 }

@@ -255,24 +255,11 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// Key returns a string usable as a map key that distinguishes values the
-// way Equal does. Numeric values of equal magnitude share a key.
-func (v Value) Key() string {
-	switch v.kind {
-	case KindNull:
-		return "\x00"
-	case KindInt, KindFloat:
-		return "n:" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
-	case KindString:
-		return "s:" + v.s
-	case KindBool:
-		return "b:" + strconv.FormatInt(v.i, 10)
-	case KindDate:
-		return "d:" + strconv.FormatInt(v.i, 10)
-	default:
-		return "?"
-	}
-}
+// Key returns the value's canonical key string: a class tag ("\x00" for
+// NULL, "n:", "s:", "b:", "d:") and the payload, numbers as the shortest
+// rendering of Float(). Its equivalence classes — close to Equal, but
+// transitive — are the ones HashKey and KeyEqual implement (see key.go).
+func (v Value) Key() string { return Record{v}.Key() }
 
 // Byte classes of the three literal grammars ParseValue recognises beyond
 // the keywords: base-10 integers, strconv.ParseFloat's floats (decimal,

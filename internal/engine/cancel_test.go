@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,6 +78,26 @@ func TestCheckpointRunCancelled(t *testing.T) {
 		if len(res.Targets[name]) != len(rows) {
 			t.Errorf("target %s: resumed run loaded %d rows, direct run %d",
 				name, len(res.Targets[name]), len(rows))
+		}
+	}
+}
+
+// TestPipelinedCancelledBeforeStart pins the pipeline's synchronous
+// cancellation check. On one processor a tiny pipeline used to run to
+// completion before the goroutine watching ctx.Done() was ever scheduled,
+// and the cancelled run returned a result.
+func TestPipelinedCancelledBeforeStart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sc := templates.Fig1Scenario(3, 6)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 500; i++ {
+		res, err := New(sc.Bind(), WithMode(Pipelined)).Run(ctx, sc.Graph)
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("run %d: res = %v, err = %v, want no result and context.Canceled", i, res, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "node") || !strings.Contains(msg, "rows") {
+			t.Fatalf("cancellation error names neither node nor rows: %q", msg)
 		}
 	}
 }

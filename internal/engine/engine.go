@@ -406,50 +406,22 @@ func (e *Engine) scanSource(n *workflow.Node) (data.Rows, error) {
 	return realign(rows, rs.Schema(), n.RS.Schema), nil
 }
 
-// lookupCache is the run-scoped shared cache of materialized lookup
-// tables and key sets: the first node, batch or partition to need a table
-// builds it under the lock, every later request of the run gets the same
-// read-only map. It lives for one run, so a lookup rebound or rewritten
-// between runs is read again.
+// lookupCache is the run-scoped shared cache of indexed lookup recordsets:
+// the first node, batch or partition to need one builds it under the lock,
+// every later request of the run gets the same read-only key table. It
+// lives for one run, so a lookup rebound or rewritten between runs is read
+// again.
 type lookupCache struct {
 	mu     sync.Mutex
-	tables map[string]map[string]data.Value
-	sets   map[string]map[string]bool
+	tables map[lookupUse]*keyTable
 }
 
-func newLookupCache() *lookupCache {
-	return &lookupCache{
-		tables: make(map[string]map[string]data.Value),
-		sets:   make(map[string]map[string]bool),
-	}
-}
-
-func (c *lookupCache) table(name string, build func(string) (map[string]data.Value, error)) (map[string]data.Value, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.tables[name]; ok {
-		return t, nil
-	}
-	t, err := build(name)
-	if err != nil {
-		return nil, err
-	}
-	c.tables[name] = t
-	return t, nil
-}
-
-func (c *lookupCache) set(name string, build func(string) (map[string]bool, error)) (map[string]bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.sets[name]; ok {
-		return s, nil
-	}
-	s, err := build(name)
-	if err != nil {
-		return nil, err
-	}
-	c.sets[name] = s
-	return s, nil
+// lookupUse names a lookup recordset and how it is keyed: by its first
+// attribute (a surrogate-key table: production key → surrogate in the
+// second attribute) or by the whole row (a primary-key check's key set).
+type lookupUse struct {
+	name     string
+	firstKey bool
 }
 
 // withLookupCache returns a copy of the engine carrying a fresh lookup
@@ -457,20 +429,19 @@ func (c *lookupCache) set(name string, build func(string) (map[string]bool, erro
 // bindings and metrics.
 func (e *Engine) withLookupCache() *Engine {
 	ec := *e
-	ec.lookups = newLookupCache()
+	ec.lookups = &lookupCache{tables: make(map[lookupUse]*keyTable)}
 	return &ec
 }
 
-// lookupTable materializes a surrogate-key lookup binding as a map from
-// production-key value to surrogate value. The lookup recordset's first
-// attribute is the production key, its second the surrogate. The table is
-// built once per run and shared read-only by every node, batch and
-// partition that consults it.
-func (e *Engine) lookupTable(name string) (map[string]data.Value, error) {
-	return e.lookups.table(name, e.buildLookupTable)
-}
-
-func (e *Engine) buildLookupTable(name string) (map[string]data.Value, error) {
+// lookupTable indexes a lookup binding, once per run.
+func (e *Engine) lookupTable(name string, firstKey bool) (*keyTable, error) {
+	c := e.lookups
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	use := lookupUse{name, firstKey}
+	if t, ok := c.tables[use]; ok {
+		return t, nil
+	}
 	rs, ok := e.bindings[name]
 	if !ok {
 		return nil, fmt.Errorf("lookup recordset %q not bound", name)
@@ -479,43 +450,21 @@ func (e *Engine) buildLookupTable(name string) (map[string]data.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string]data.Value, len(rows))
-	for _, r := range rows {
-		if len(r) < 2 {
-			return nil, fmt.Errorf("lookup %q: row %s has fewer than 2 attributes", name, r)
-		}
-		m[r[0].Key()] = r[1]
-	}
-	return m, nil
-}
-
-// keySet materializes a lookup binding as the set of its row keys (for
-// lookup-based primary-key checks), once per run like lookupTable.
-func (e *Engine) keySet(name string) (map[string]bool, error) {
-	return e.lookups.set(name, e.buildKeySet)
-}
-
-func (e *Engine) buildKeySet(name string) (map[string]bool, error) {
-	rs, ok := e.bindings[name]
-	if !ok {
-		return nil, fmt.Errorf("lookup recordset %q not bound", name)
-	}
-	rows, err := rs.Scan()
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]bool, len(rows))
-	for _, r := range rows {
-		var key string
-		for i, v := range r {
-			if i > 0 {
-				key += "\x1f"
+	var pos []int
+	if firstKey {
+		pos = []int{0}
+		for _, r := range rows {
+			if len(r) < 2 {
+				return nil, fmt.Errorf("lookup %q: row %s has fewer than 2 attributes", name, r)
 			}
-			key += v.Key()
 		}
-		m[key] = true
 	}
-	return m, nil
+	t, err := newKeyTable(hashKeys(rows, pos))
+	if err != nil {
+		return nil, err
+	}
+	c.tables[use] = t
+	return t, nil
 }
 
 // SortTargets returns the target names of a result in sorted order, for

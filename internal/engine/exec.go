@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"etlopt/internal/algebra"
 	"etlopt/internal/data"
@@ -34,7 +33,11 @@ func (e *Engine) execSem(a *workflow.Activity, in []data.Schema, out data.Schema
 	case workflow.OpFunc:
 		return e.execFunc(a, in[0], out, aligned[0])
 	case workflow.OpAggregate:
-		rows, _, err := e.execAggregate(a, in[0], out, aligned[0])
+		pos, err := keyPositions(in[0], a.Sem.Attrs)
+		if err != nil {
+			return nil, err
+		}
+		rows, _, err := e.execAggregate(a, in[0], out, hashKeys(aligned[0], pos))
 		return rows, err
 	case workflow.OpSurrogateKey:
 		return e.execSurrogateKey(a, in[0], out, aligned[0])
@@ -45,9 +48,9 @@ func (e *Engine) execSem(a *workflow.Activity, in []data.Schema, out data.Schema
 	case workflow.OpJoin:
 		return e.execJoin(a, in, out, aligned)
 	case workflow.OpDiff:
-		return e.execDiff(a, in, aligned)
+		return e.execKeyPresence(a, in, aligned, false)
 	case workflow.OpIntersect:
-		return e.execIntersect(a, in, aligned)
+		return e.execKeyPresence(a, in, aligned, true)
 	default:
 		return nil, fmt.Errorf("unsupported operation %s", a.Sem.Op)
 	}
@@ -82,13 +85,26 @@ func projectRows(rows data.Rows, src, dst data.Schema) data.Rows {
 
 // applyMask collects the rows whose mask entry is true, sharing records.
 func applyMask(rows data.Rows, keep []bool) data.Rows {
-	var out data.Rows
+	n := countKept(keep)
+	if n == 0 {
+		return nil
+	}
+	out := make(data.Rows, 0, n)
 	for i, k := range keep {
 		if k {
 			out = append(out, rows[i])
 		}
 	}
 	return out
+}
+
+func countKept(keep []bool) (n int) {
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	return n
 }
 
 // Partition contract (filter): per-row and order-preserving, so it runs
@@ -157,7 +173,10 @@ func (e *Engine) execPKCheck(a *workflow.Activity, schema data.Schema, rows data
 	if a.Sem.Lookup != "" {
 		keep, err = e.maskPKCheckLookup(a, schema, rows)
 	} else {
-		keep, err = maskPKCheckGroup(a, schema, rows)
+		var pos []int
+		if pos, err = keyPositions(schema, a.Sem.Attrs); err == nil {
+			keep, err = maskGroupFirsts(hashKeys(rows, pos), true)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -169,36 +188,37 @@ func (e *Engine) execPKCheck(a *workflow.Activity, schema data.Schema, rows data
 // key set — partition local; the parallel engine shares one cached set
 // across partitions.
 func (e *Engine) maskPKCheckLookup(a *workflow.Activity, schema data.Schema, rows data.Rows) ([]bool, error) {
-	keyOf, err := rowKeyFn(schema, a.Sem.Attrs, "pkcheck")
+	pos, err := keyPositions(schema, a.Sem.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	existing, err := e.keySet(a.Sem.Lookup)
+	existing, err := e.lookupTable(a.Sem.Lookup, false)
 	if err != nil {
 		return nil, fmt.Errorf("pkcheck: %w", err)
 	}
 	keep := make([]bool, len(rows))
 	for i, r := range rows {
-		keep[i] = !existing[keyOf(r)]
+		keep[i] = existing.find(data.HashKey(r, pos), r, pos) < 0
 	}
 	return keep, nil
 }
 
+// maskGroupFirsts keeps the first row of each key group — of every group
+// (DISTINCT, keyed by the whole record) or only of groups of one (the
+// group-based primary-key check, which rejects every row of a repeated
+// key).
+//
 // Partition contract (pkcheck, group-based): needs every row of a key
 // group in one place, so the parallel engine exchanges rows by key tuple
-// first; partition-local counts are then global counts.
-func maskPKCheckGroup(a *workflow.Activity, schema data.Schema, rows data.Rows) ([]bool, error) {
-	keyOf, err := rowKeyFn(schema, a.Sem.Attrs, "pkcheck")
+// first; partition-local groups are then global groups.
+func maskGroupFirsts(in keyed, single bool) ([]bool, error) {
+	t, err := newKeyTable(in)
 	if err != nil {
 		return nil, err
 	}
-	counts := make(map[string]int, len(rows))
-	for _, r := range rows {
-		counts[keyOf(r)]++
-	}
-	keep := make([]bool, len(rows))
-	for i, r := range rows {
-		keep[i] = counts[keyOf(r)] == 1
+	keep := make([]bool, len(in.rows))
+	for _, g := range t.groups {
+		keep[g.first] = !single || g.first == g.last
 	}
 	return keep, nil
 }
@@ -211,21 +231,11 @@ func maskPKCheckGroup(a *workflow.Activity, schema data.Schema, rows data.Rows) 
 // engine exchanges by full record key; first-occurrence-within-partition
 // (by sequence tag) then equals first occurrence globally.
 func (e *Engine) execDistinct(rows data.Rows) (data.Rows, error) {
-	return applyMask(rows, maskDistinct(rows)), nil
-}
-
-// maskDistinct keeps the first occurrence of each distinct record.
-func maskDistinct(rows data.Rows) []bool {
-	seen := make(map[string]bool, len(rows))
-	keep := make([]bool, len(rows))
-	for i, r := range rows {
-		k := r.Key()
-		if !seen[k] {
-			seen[k] = true
-			keep[i] = true
-		}
+	keep, err := maskGroupFirsts(hashKeys(rows, nil), false)
+	if err != nil {
+		return nil, err
 	}
-	return keep
+	return applyMask(rows, keep), nil
 }
 
 func (e *Engine) execProject(in, out data.Schema, rows data.Rows) (data.Rows, error) {
@@ -269,14 +279,11 @@ func (e *Engine) execFunc(a *workflow.Activity, in, out data.Schema, rows data.R
 
 // aggState accumulates one group.
 type aggState struct {
-	rep   data.Record // representative grouper values (laid out by out schema)
 	sum   float64
-	count int64 // rows contributing a non-NULL aggregated value
-	rows  int64 // all rows in the group
-	min   data.Value
-	max   data.Value
+	count int64      // rows contributing a non-NULL aggregated value
+	rows  int64      // all rows in the group
+	best  data.Value // the minimum or maximum so far, for min and max
 	any   bool
-	order int // first-seen order for deterministic output
 }
 
 // execAggregate groups rows by the grouper attributes and folds the
@@ -288,15 +295,8 @@ type aggState struct {
 // engine exchanges by grouper tuple; each group's output row then carries
 // the sequence tag of the group's first input row, restoring global
 // first-seen order at the merge.
-func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, []int, error) {
-	groupPos := make([]int, 0, len(a.Sem.Attrs))
-	for _, attr := range a.Sem.Attrs {
-		p := in.Index(attr)
-		if p < 0 {
-			return nil, nil, fmt.Errorf("grouper %q not in schema {%s}", attr, in)
-		}
-		groupPos = append(groupPos, p)
-	}
+func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, input keyed) (data.Rows, []int, error) {
+	rows := input.rows
 	aggPos := -1
 	if a.Sem.Agg != workflow.AggCount {
 		aggPos = in.Index(a.Sem.AggAttr)
@@ -309,82 +309,68 @@ func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, rows d
 		return nil, nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
 	}
 
+	t, err := newKeyTable(input)
+	if err != nil {
+		return nil, nil, err
+	}
 	proj := data.NewProjection(in, out)
-	groups := make(map[string]*aggState)
-	var first []int
+	states := make([]aggState, len(t.groups))
 	for i, r := range rows {
-		var b strings.Builder
-		for j, p := range groupPos {
-			if j > 0 {
-				b.WriteByte('\x1f')
-			}
-			b.WriteString(r[p].Key())
-		}
-		k := b.String()
-		st, ok := groups[k]
-		if !ok {
-			st = &aggState{rep: proj.Apply(r), order: len(first)}
-			first = append(first, i)
-			groups[k] = st
-		}
+		st := &states[t.group[i]]
 		st.rows++
 		if aggPos >= 0 {
-			v := r[aggPos]
-			if !v.IsNull() {
-				st.count++
-				f := v.Float()
-				st.sum += f
-				if !st.any || v.Compare(st.min) < 0 {
-					st.min = v
-				}
-				if !st.any || v.Compare(st.max) > 0 {
-					st.max = v
-				}
-				st.any = true
-			}
+			st.fold(&r[aggPos], a.Sem.Agg)
 		}
 	}
-
-	res := make(data.Rows, len(groups))
-	for _, st := range groups {
-		var v data.Value
-		switch a.Sem.Agg {
-		case workflow.AggSum:
-			if st.any {
-				v = data.NewFloat(st.sum)
-			} else {
-				v = data.Null
-			}
-		case workflow.AggCount:
-			v = data.NewInt(st.rows)
-		case workflow.AggMin:
-			if st.any {
-				v = st.min
-			} else {
-				v = data.Null
-			}
-		case workflow.AggMax:
-			if st.any {
-				v = st.max
-			} else {
-				v = data.Null
-			}
-		case workflow.AggAvg:
-			if st.count > 0 {
-				v = data.NewFloat(st.sum / float64(st.count))
-			} else {
-				v = data.Null
-			}
-		}
-		rec := st.rep.Clone()
-		rec[outPos] = v
-		res[st.order] = rec
+	res := make(data.Rows, len(t.groups))
+	first := make([]int, len(t.groups))
+	for k, g := range t.groups {
+		first[k] = int(g.first)
+		res[k] = proj.Apply(rows[g.first])
+		res[k][outPos] = states[k].result(a.Sem.Agg)
 	}
 	return res, first, nil
 }
 
+// fold accumulates one aggregated value; NULLs count only as rows.
+func (st *aggState) fold(v *data.Value, fn workflow.AggKind) {
+	if v.IsNull() {
+		return
+	}
+	st.count++
+	switch fn {
+	case workflow.AggMin:
+		if !st.any || v.Compare(st.best) < 0 {
+			st.best = *v
+		}
+	case workflow.AggMax:
+		if !st.any || v.Compare(st.best) > 0 {
+			st.best = *v
+		}
+	default:
+		st.sum += v.Float()
+	}
+	st.any = true
+}
+
+// result is the group's aggregate; NULL when no value contributed.
+func (st *aggState) result(fn workflow.AggKind) data.Value {
+	switch {
+	case fn == workflow.AggCount:
+		return data.NewInt(st.rows)
+	case !st.any:
+		return data.Null
+	case fn == workflow.AggSum:
+		return data.NewFloat(st.sum)
+	case fn == workflow.AggAvg:
+		return data.NewFloat(st.sum / float64(st.count))
+	default: // AggMin, AggMax
+		return st.best
+	}
+}
+
 func (e *Engine) execSurrogateKey(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, error) {
-	table, err := e.lookupTable(a.Sem.Lookup)
+	table, err := e.lookupTable(a.Sem.Lookup, true)
 	if err != nil {
 		return nil, fmt.Errorf("surrogate key: %w", err)
 	}
@@ -398,14 +384,16 @@ func (e *Engine) execSurrogateKey(a *workflow.Activity, in, out data.Schema, row
 	}
 	proj := data.NewProjection(in, out)
 	res := make(data.Rows, len(rows))
+	pos := []int{keyPos}
 	for i, r := range rows {
-		sk, ok := table[r[keyPos].Key()]
-		if !ok {
+		g := table.find(data.HashKey(r, pos), r, pos)
+		if g < 0 {
 			return nil, fmt.Errorf("surrogate key: production key %s missing from lookup %q",
 				r[keyPos], a.Sem.Lookup)
 		}
 		nr := proj.Apply(r)
-		nr[outPos] = sk
+		// A production key listed twice maps to its last surrogate.
+		nr[outPos] = table.rows[table.groups[g].last][1]
 		res[i] = nr
 	}
 	return res, nil
@@ -494,31 +482,47 @@ func (jl joinLayout) row(l, r data.Record) data.Record {
 // left order, then right-input match order within a left row.
 //
 // Partition contract: both inputs are exchanged by the join key tuple, so
-// every matching pair is co-located; the parallel engine tags each output
-// row with its (left seq, right seq) pair and merges partitions in that
-// lexicographic order, reproducing this nested-loop order exactly.
+// every matching pair is co-located and a left row's matches sit in one
+// partition in right-input order; the parallel engine tags each output
+// row with its left row's tag and merges partitions by it, reproducing
+// this nested-loop order exactly.
 func (e *Engine) execJoin(a *workflow.Activity, in []data.Schema, out data.Schema, inputs []data.Rows) (data.Rows, error) {
-	leftKey, err := keyPositions(in[0], a.Sem.Attrs)
+	leftKey, rightKey, err := keyPositions2(in, a.Sem.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	rightKey, err := keyPositions(in[1], a.Sem.Attrs)
+	li, ri, err := joinMatches(hashKeys(inputs[0], leftKey), hashKeys(inputs[1], rightKey))
 	if err != nil {
 		return nil, err
-	}
-	// Hash the right input.
-	index := make(map[string][]data.Record)
-	for _, r := range inputs[1] {
-		index[tupleKey(r, rightKey)] = append(index[tupleKey(r, rightKey)], r)
 	}
 	jl := newJoinLayout(out, in[0], in[1])
-	var res data.Rows
-	for _, l := range inputs[0] {
-		for _, r := range index[tupleKey(l, leftKey)] {
-			res = append(res, jl.row(l, r))
-		}
+	res := make(data.Rows, len(li))
+	for k := range li {
+		res[k] = jl.row(inputs[0][li[k]], inputs[1][ri[k]])
 	}
 	return res, nil
+}
+
+// joinMatches returns the matching (left row, right row) index pairs in
+// join output order.
+func joinMatches(left, right keyed) (li, ri []int32, err error) {
+	t, err := newKeyTable(right)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, l := range left.rows {
+		g := t.find(left.hashes[i], l, left.pos)
+		if g < 0 {
+			continue
+		}
+		for m := t.groups[g].first; ; m = t.next[m] {
+			li, ri = append(li, int32(i)), append(ri, m)
+			if t.next[m] == 0 {
+				break
+			}
+		}
+	}
+	return li, ri, nil
 }
 
 // maskKeyPresence marks the left rows whose key tuple does (keepPresent)
@@ -528,57 +532,34 @@ func (e *Engine) execJoin(a *workflow.Activity, in []data.Schema, out data.Schem
 // Partition contract (diff/intersect): both inputs are exchanged by key
 // tuple, so a left row and every right row that could veto or admit it
 // share a partition; survivors keep their left sequence tags.
-func maskKeyPresence(a *workflow.Activity, in []data.Schema, left, right data.Rows, keepPresent bool) ([]bool, error) {
-	leftKey, err := keyPositions(in[0], a.Sem.Attrs)
+func maskKeyPresence(left, right keyed, keepPresent bool) ([]bool, error) {
+	t, err := newKeyTable(right)
 	if err != nil {
 		return nil, err
 	}
-	rightKey, err := keyPositions(in[1], a.Sem.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	present := make(map[string]bool, len(right))
-	for _, r := range right {
-		present[tupleKey(r, rightKey)] = true
-	}
-	keep := make([]bool, len(left))
-	for i, l := range left {
-		keep[i] = present[tupleKey(l, leftKey)] == keepPresent
+	keep := make([]bool, len(left.rows))
+	for i, l := range left.rows {
+		keep[i] = (t.find(left.hashes[i], l, left.pos) >= 0) == keepPresent
 	}
 	return keep, nil
 }
 
-func (e *Engine) execDiff(a *workflow.Activity, in []data.Schema, inputs []data.Rows) (data.Rows, error) {
-	keep, err := maskKeyPresence(a, in, inputs[0], inputs[1], false)
+// execKeyPresence is difference (keepPresent false) or intersection.
+func (e *Engine) execKeyPresence(a *workflow.Activity, in []data.Schema, inputs []data.Rows, keepPresent bool) (data.Rows, error) {
+	leftKey, rightKey, err := keyPositions2(in, a.Sem.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	keep, err := maskKeyPresence(hashKeys(inputs[0], leftKey), hashKeys(inputs[1], rightKey), keepPresent)
 	if err != nil {
 		return nil, err
 	}
 	return applyMask(inputs[0], keep), nil
 }
 
-func (e *Engine) execIntersect(a *workflow.Activity, in []data.Schema, inputs []data.Rows) (data.Rows, error) {
-	keep, err := maskKeyPresence(a, in, inputs[0], inputs[1], true)
-	if err != nil {
-		return nil, err
-	}
-	return applyMask(inputs[0], keep), nil
-}
-
-// rowKeyFn resolves attrs against schema once and returns a closure
-// computing the canonical key tuple of a record. op names the operator in
-// the resolution error.
-func rowKeyFn(schema data.Schema, attrs []string, op string) (func(data.Record) string, error) {
-	positions := make([]int, len(attrs))
-	for i, a := range attrs {
-		p := schema.Index(a)
-		if p < 0 {
-			return nil, fmt.Errorf("%s: attribute %q not in schema {%s}", op, a, schema)
-		}
-		positions[i] = p
-	}
-	return func(r data.Record) string { return tupleKey(r, positions) }, nil
-}
-
+// keyPositions resolves key attributes to positions in schema. The result
+// is never nil, even for no attributes: to data.HashKey a nil position
+// list means the whole record, an empty one the empty tuple.
 func keyPositions(schema data.Schema, attrs []string) ([]int, error) {
 	out := make([]int, len(attrs))
 	for i, a := range attrs {
@@ -591,13 +572,10 @@ func keyPositions(schema data.Schema, attrs []string) ([]int, error) {
 	return out, nil
 }
 
-func tupleKey(r data.Record, positions []int) string {
-	var b strings.Builder
-	for i, p := range positions {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(r[p].Key())
+// keyPositions2 resolves a binary operator's key attributes on both inputs.
+func keyPositions2(in []data.Schema, attrs []string) (left, right []int, err error) {
+	if left, err = keyPositions(in[0], attrs); err == nil {
+		right, err = keyPositions(in[1], attrs)
 	}
-	return b.String()
+	return left, right, err
 }

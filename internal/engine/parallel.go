@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -37,11 +36,17 @@ import (
 // rows are bit-identical at any partition count.
 
 // pslice is one partition of a node's output: rows plus their sequence
-// tags, index-aligned. A pslice is immutable once built.
+// tags, index-aligned. A partition fresh from exchangeByKey also carries
+// each row's hash under the exchange key. A pslice is immutable once built.
 type pslice struct {
-	rows data.Rows
-	seqs []int64
+	rows   data.Rows
+	seqs   []int64
+	hashes []uint64
 }
+
+// keyed presents an exchanged partition to a kernel as an input keyed by
+// pos, the positions it was exchanged on.
+func (ps pslice) keyed(pos []int) keyed { return keyed{rows: ps.rows, pos: pos, hashes: ps.hashes} }
 
 // pdata is a node's full partitioned output.
 type pdata struct {
@@ -89,17 +94,23 @@ func scatterRows(rows data.Rows, p int) *pdata {
 }
 
 // mergeBySeq k-way-merges tagged slices into one slice ordered by
-// ascending tag. Inputs must honour invariant 1; tags are globally
-// unique, so the merge is total.
+// ascending tag, carrying the rows' hashes along when the inputs have
+// them. Tags ascend within an input and no tag occurs in two inputs, so
+// the merge is total; a tag repeated within one input (parJoin) keeps its
+// rows together and in order.
 func mergeBySeq(parts []pslice) pslice {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	total := 0
+	total, hashed := 0, 0
 	for _, ps := range parts {
 		total += len(ps.rows)
+		hashed += len(ps.hashes)
 	}
 	out := pslice{rows: make(data.Rows, 0, total), seqs: make([]int64, 0, total)}
+	if hashed > 0 {
+		out.hashes = make([]uint64, 0, total)
+	}
 	heads := make([]int, len(parts))
 	for len(out.rows) < total {
 		best := -1
@@ -113,6 +124,9 @@ func mergeBySeq(parts []pslice) pslice {
 		}
 		out.rows = append(out.rows, parts[best].rows[heads[best]])
 		out.seqs = append(out.seqs, parts[best].seqs[heads[best]])
+		if hashed > 0 {
+			out.hashes = append(out.hashes, parts[best].hashes[heads[best]])
+		}
 		heads[best]++
 	}
 	return out
@@ -142,15 +156,11 @@ func realignPdata(pd *pdata, src, dst data.Schema) *pdata {
 }
 
 // applyMaskTagged keeps the rows (and tags) selected by an exec.go mask.
+// The result is an operator's output, so it sheds the input's key hashes.
 func applyMaskTagged(ps pslice, keep []bool) pslice {
-	n := 0
-	for _, k := range keep {
-		if k {
-			n++
-		}
-	}
+	n := countKept(keep)
 	if n == len(ps.rows) {
-		return ps
+		return pslice{rows: ps.rows, seqs: ps.seqs}
 	}
 	out := pslice{rows: make(data.Rows, 0, n), seqs: make([]int64, 0, n)}
 	for i, k := range keep {
@@ -160,15 +170,6 @@ func applyMaskTagged(ps pslice, keep []bool) pslice {
 		}
 	}
 	return out
-}
-
-// hashPartition routes a key tuple to a partition with FNV-1a — a fixed,
-// platform-independent hash, so the partitioning (and therefore every
-// intermediate partition layout) is reproducible across runs and builds.
-func hashPartition(key string, p int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(p))
 }
 
 // partitionCount resolves Parallel mode's partition count; default is the
@@ -223,27 +224,43 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 	return nil
 }
 
-// exchangeByKey repartitions pd so that every row whose key tuple hashes
-// to partition q lands in partition q, preserving tag order within each
-// destination. Rows routed are counted on the node's exchange series.
-func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rm *runMetrics, rowsSoFar int, keyOf func(data.Record) string) (*pdata, error) {
+// exchangeByKey repartitions pd so that all rows with the same key tuple
+// under pos land in one partition, preserving tag order within each
+// destination. A row is hashed once: the hash's high bits pick the
+// destination (seedless, so partition layouts repeat across runs and
+// builds) and the hash travels with the row for the kernel's key table.
+// Rows routed are counted on the node's exchange series.
+func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rm *runMetrics, rowsSoFar int, pos []int) (*pdata, error) {
 	if p == 1 {
 		// A single partition already co-locates every key; nothing routes.
-		return pd, nil
+		ps := pd.parts[0]
+		ps.hashes = hashKeys(ps.rows, pos).hashes
+		return &pdata{parts: []pslice{ps}}, nil
 	}
-	// Phase 1, partition-parallel: each source partition deals its rows
-	// into per-destination buckets; buckets inherit ascending tags.
+	// Phase 1, partition-parallel: each source partition hashes its rows,
+	// counts them per destination and deals them into exact-size buckets;
+	// buckets inherit ascending tags.
 	buckets := make([][]pslice, p) // [src][dst]
 	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
 		if err := e.checkFault(ctx, fault.SiteExchange, id, n, q); err != nil {
 			return err
 		}
-		dst := make([]pslice, p)
 		ps := pd.parts[q]
-		for i, r := range ps.rows {
-			d := hashPartition(keyOf(r), p)
-			dst[d].rows = append(dst[d].rows, r)
-			dst[d].seqs = append(dst[d].seqs, ps.seqs[i])
+		hashes := hashKeys(ps.rows, pos).hashes
+		route := func(h uint64) int { return int((h >> 32) * uint64(p) >> 32) }
+		counts := make([]int, p)
+		for _, h := range hashes {
+			counts[route(h)]++
+		}
+		dst := make([]pslice, p)
+		for d, c := range counts {
+			dst[d] = pslice{rows: make(data.Rows, 0, c), seqs: make([]int64, 0, c), hashes: make([]uint64, 0, c)}
+		}
+		for i, h := range hashes {
+			b := &dst[route(h)]
+			b.rows = append(b.rows, ps.rows[i])
+			b.seqs = append(b.seqs, ps.seqs[i])
+			b.hashes = append(b.hashes, h)
 		}
 		buckets[q] = dst
 		return nil
@@ -312,60 +329,44 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 		return result, err
 	}
 	switch a.Sem.Op {
-	case workflow.OpDistinct:
-		// All copies of a record must meet: exchange by full record key.
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, data.Record.Key)
+	case workflow.OpDistinct, workflow.OpPKCheck, workflow.OpAggregate:
+		// All rows of a key must meet: exchange by the whole record
+		// (distinct), the key attributes (group-based pkcheck; the
+		// lookup-based one is streamable) or the groupers.
+		var pos []int
+		if a.Sem.Op != workflow.OpDistinct {
+			var err error
+			if pos, err = keyPositions(n.In[0], a.Sem.Attrs); err != nil {
+				return nil, err
+			}
+		}
+		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, pos)
 		if err != nil {
 			return nil, err
 		}
 		result := newPdata(p)
 		err = run(func(q int) error {
-			result.parts[q] = applyMaskTagged(ex.parts[q], maskDistinct(ex.parts[q].rows))
-			return nil
-		})
-		return result, err
-	case workflow.OpPKCheck: // group-based; lookup-based is streamable
-		keyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, "pkcheck")
-		if err != nil {
-			return nil, err
-		}
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, keyOf)
-		if err != nil {
-			return nil, err
-		}
-		result := newPdata(p)
-		err = run(func(q int) error {
-			keep, err := maskPKCheckGroup(a, n.In[0], ex.parts[q].rows)
+			ps := ex.parts[q]
+			if a.Sem.Op == workflow.OpAggregate {
+				rows, first, err := e.execAggregate(a, n.In[0], n.Out, ps.keyed(pos))
+				if err != nil {
+					return err
+				}
+				// Each group's output row adopts the tag of the group's first
+				// input row; with a group's rows co-located that is its global
+				// first occurrence, so the merge restores first-seen order.
+				seqs := make([]int64, len(first))
+				for k, i := range first {
+					seqs[k] = ps.seqs[i]
+				}
+				result.parts[q] = pslice{rows: rows, seqs: seqs}
+				return nil
+			}
+			keep, err := maskGroupFirsts(ps.keyed(pos), a.Sem.Op == workflow.OpPKCheck)
 			if err != nil {
 				return err
 			}
-			result.parts[q] = applyMaskTagged(ex.parts[q], keep)
-			return nil
-		})
-		return result, err
-	case workflow.OpAggregate:
-		keyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, "aggregate")
-		if err != nil {
-			return nil, err
-		}
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, keyOf)
-		if err != nil {
-			return nil, err
-		}
-		result := newPdata(p)
-		err = run(func(q int) error {
-			rows, first, err := e.execAggregate(a, n.In[0], n.Out, ex.parts[q].rows)
-			if err != nil {
-				return err
-			}
-			// Each group's output row adopts the tag of the group's first
-			// input row; with a group's rows co-located that is its global
-			// first occurrence, so the merge restores first-seen order.
-			seqs := make([]int64, len(first))
-			for k, i := range first {
-				seqs[k] = ex.parts[q].seqs[i]
-			}
-			result.parts[q] = pslice{rows: rows, seqs: seqs}
+			result.parts[q] = applyMaskTagged(ps, keep)
 			return nil
 		})
 		return result, err
@@ -464,52 +465,28 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 }
 
 // parJoin exchanges both inputs by the join key so matching pairs are
-// co-located, joins each partition in nested-loop order, then k-way
-// merges the partitions by (left tag, right tag) — the exact materialized
-// join order — and re-scatters the merged rows with fresh tags.
+// co-located and joins each partition in nested-loop order. Every output
+// row takes its left row's tag: a left row lives in one partition, so
+// equal tags sit side by side there, already in right-input order, and
+// the tag merge reproduces the materialized join order; the merged rows
+// are re-scattered with fresh tags.
 func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
-	a := n.Act
-	leftKeyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, "join")
-	if err != nil {
-		return nil, err
-	}
-	rightKeyOf, err := rowKeyFn(n.In[1], a.Sem.Attrs, "join")
-	if err != nil {
-		return nil, err
-	}
-	lex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, leftKeyOf)
-	if err != nil {
-		return nil, err
-	}
-	rex, err := e.exchangeByKey(ctx, id, n, inputs[1], p, rm, rowsSoFar, rightKeyOf)
+	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rm, rowsSoFar)
 	if err != nil {
 		return nil, err
 	}
 	jl := newJoinLayout(n.Out, n.In[0], n.In[1])
-	type joined struct {
-		rows data.Rows
-		l, r []int64
-	}
-	per := make([]joined, p)
+	per := make([]pslice, p)
 	err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
-		type tagged struct {
-			rec data.Record
-			seq int64
+		lp, rp := lex.parts[q], rex.parts[q]
+		li, ri, err := joinMatches(lp.keyed(leftKey), rp.keyed(rightKey))
+		if err != nil {
+			return err
 		}
-		index := make(map[string][]tagged)
-		rp := rex.parts[q]
-		for i, r := range rp.rows {
-			k := rightKeyOf(r)
-			index[k] = append(index[k], tagged{r, rp.seqs[i]})
-		}
-		var out joined
-		lp := lex.parts[q]
-		for i, l := range lp.rows {
-			for _, m := range index[leftKeyOf(l)] {
-				out.rows = append(out.rows, jl.row(l, m.rec))
-				out.l = append(out.l, lp.seqs[i])
-				out.r = append(out.r, m.seq)
-			}
+		out := pslice{rows: make(data.Rows, len(li)), seqs: make([]int64, len(li))}
+		for k := range li {
+			out.rows[k] = jl.row(lp.rows[li[k]], rp.rows[ri[k]])
+			out.seqs[k] = lp.seqs[li[k]]
 		}
 		per[q] = out
 		return nil
@@ -517,57 +494,20 @@ func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.No
 	if err != nil {
 		return nil, err
 	}
-	// Per-partition outputs are sorted by (left, right) tag already —
-	// left rows were visited in tag order, matches in right tag order —
-	// so a k-way merge on the pair yields the global nested-loop order.
-	total := 0
-	for _, j := range per {
-		total += len(j.rows)
-	}
-	merged := make(data.Rows, 0, total)
-	heads := make([]int, p)
-	for len(merged) < total {
-		best := -1
-		for q := 0; q < p; q++ {
-			if heads[q] >= len(per[q].rows) {
-				continue
-			}
-			if best < 0 ||
-				per[q].l[heads[q]] < per[best].l[heads[best]] ||
-				(per[q].l[heads[q]] == per[best].l[heads[best]] && per[q].r[heads[q]] < per[best].r[heads[best]]) {
-				best = q
-			}
-		}
-		merged = append(merged, per[best].rows[heads[best]])
-		heads[best]++
-	}
-	return scatterRows(merged, p), nil
+	return scatterRows(mergeBySeq(per).rows, p), nil
 }
 
 // parKeyPresence is the shared parallel body of difference (keepPresent
 // false) and intersection (true): exchange both sides by key tuple, mask
 // each left partition against its co-located right rows, keep left tags.
 func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int, keepPresent bool) (*pdata, error) {
-	a := n.Act
-	leftKeyOf, err := rowKeyFn(n.In[0], a.Sem.Attrs, a.Sem.Op.String())
-	if err != nil {
-		return nil, err
-	}
-	rightKeyOf, err := rowKeyFn(n.In[1], a.Sem.Attrs, a.Sem.Op.String())
-	if err != nil {
-		return nil, err
-	}
-	lex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, leftKeyOf)
-	if err != nil {
-		return nil, err
-	}
-	rex, err := e.exchangeByKey(ctx, id, n, inputs[1], p, rm, rowsSoFar, rightKeyOf)
+	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rm, rowsSoFar)
 	if err != nil {
 		return nil, err
 	}
 	result := newPdata(p)
 	err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
-		keep, err := maskKeyPresence(a, []data.Schema{n.In[0], n.In[1]}, lex.parts[q].rows, rex.parts[q].rows, keepPresent)
+		keep, err := maskKeyPresence(lex.parts[q].keyed(leftKey), rex.parts[q].keyed(rightKey), keepPresent)
 		if err != nil {
 			return err
 		}
@@ -575,4 +515,17 @@ func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *work
 		return nil
 	})
 	return result, err
+}
+
+// exchangeBoth exchanges a binary operator's two inputs by its key
+// attributes, resolved on each side's layout.
+func (e *Engine) exchangeBoth(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (lex, rex *pdata, leftKey, rightKey []int, err error) {
+	if leftKey, rightKey, err = keyPositions2(n.In, n.Act.Sem.Attrs); err != nil {
+		return
+	}
+	if lex, err = e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, leftKey); err != nil {
+		return
+	}
+	rex, err = e.exchangeByKey(ctx, id, n, inputs[1], p, rm, rowsSoFar, rightKey)
+	return
 }

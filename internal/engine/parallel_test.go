@@ -210,8 +210,8 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 		if !rowsIdentical(gather(pd), rows) {
 			t.Fatalf("P=%d: gather(scatter(rows)) != rows", p)
 		}
-		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, nil, 0,
-			func(r data.Record) string { return r[0].Key() })
+		pos := []int{0}
+		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, nil, 0, pos)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,6 +226,10 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 				where[k] = q
 				if i > 0 && ps.seqs[i] <= ps.seqs[i-1] {
 					t.Fatalf("P=%d partition %d: tags not strictly increasing", p, q)
+				}
+				// The hash the exchange routed on rides along for the kernel.
+				if ps.hashes[i] != data.HashKey(r, pos) {
+					t.Fatalf("P=%d partition %d row %d: carried hash is not the row's key hash", p, q, i)
 				}
 			}
 		}

@@ -26,11 +26,16 @@ import (
 // Cancellation rides the same `done` channel that propagates node
 // failures: a watcher goroutine records ctx.Err() as the run's error and
 // closes done, which unblocks every send, drain and select in the node
-// goroutines.
+// goroutines. The watcher may not be scheduled before a small pipeline
+// finishes, so ctx.Err() is also read before any node starts and after
+// the last one ends: a cancelled context never yields a result.
 func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMetrics) (*RunResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("engine: pipelined run cancelled before any node emitted rows after 0 rows: %w", err)
 	}
 
 	// One channel per edge.
@@ -265,6 +270,9 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 		}(id, n)
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		fail(err)
+	}
 
 	mu.Lock()
 	defer mu.Unlock()
