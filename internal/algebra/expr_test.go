@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"etlopt/internal/data"
 )
@@ -257,6 +258,50 @@ func TestA2EDateBijection(t *testing.T) {
 	// Malformed input errors.
 	if _, err := a2e.Apply([]data.Value{data.NewString("2004-03-15")}); err == nil {
 		t.Error("a2edate on ISO format should error")
+	}
+}
+
+// TestDateReformatAcceptedSet pins what a2edate and e2adate accept —
+// exactly two "/", whatever lies between them — the error text, and that
+// a reformat allocates its result string and nothing else.
+func TestDateReformatAcceptedSet(t *testing.T) {
+	day := data.NewDate(2004, time.March, 15)
+	for _, fn := range []struct{ name, format string }{{"a2edate", "MM/DD/YYYY"}, {"e2adate", "DD/MM/YYYY"}} {
+		f, _ := LookupFunc(fn.name)
+		for _, c := range []struct {
+			in   data.Value
+			want string // the result's Str(); "" with err set means an error
+			err  string
+		}{
+			{in: data.NewString("03/15/2004"), want: "15/03/2004"},
+			{in: data.NewString("3/5/04"), want: "5/3/04"},
+			{in: data.NewString("//"), want: "//"},
+			{in: data.NewString("a//c"), want: "/a/c"},
+			{in: data.NewString(""), err: fn.name + `: "" is not ` + fn.format},
+			{in: data.NewString("1/2"), err: fn.name + `: "1/2" is not ` + fn.format},
+			{in: data.NewString("1/2/3/4"), err: fn.name + `: "1/2/3/4" is not ` + fn.format},
+			{in: data.NewString("2004-03-15"), err: fn.name + `: "2004-03-15" is not ` + fn.format},
+			{in: data.NewInt(3), err: fn.name + ": unsupported kind int"},
+		} {
+			got, err := f.Apply([]data.Value{c.in})
+			switch {
+			case c.err != "":
+				if err == nil || err.Error() != c.err || !got.IsNull() {
+					t.Errorf("%s(%v) = %v, %v; want NULL and error %q", fn.name, c.in, got, err, c.err)
+				}
+			case err != nil || got.Kind() != data.KindString || got.Str() != c.want:
+				t.Errorf("%s(%v) = %v, %v; want %q", fn.name, c.in, got, err, c.want)
+			}
+		}
+		for _, same := range []data.Value{data.Null, day} {
+			if got, err := f.Apply([]data.Value{same}); err != nil || got != same {
+				t.Errorf("%s(%v) = %v, %v; want it passed through", fn.name, same, got, err)
+			}
+		}
+		args := []data.Value{data.NewString("03/15/2004")}
+		if n := testing.AllocsPerRun(100, func() { f.Apply(args) }); n != 1 {
+			t.Errorf("%s allocates %v times per call, want 1 (the result string)", fn.name, n)
+		}
 	}
 }
 

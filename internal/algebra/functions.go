@@ -112,6 +112,23 @@ func FuncNames() []string {
 // a fixed rate keeps workflows reproducible.
 const DollarEuroRate = 0.9
 
+// swapDateFields exchanges the first two of a date string's three
+// "/"-separated fields: one concatenation and no field slice, since the
+// reformats run once per row. Exactly two "/" are accepted, as
+// strings.Split(s, "/") yielding three parts was.
+func swapDateFields(fn, format, s string) (data.Value, error) {
+	i := strings.IndexByte(s, '/')
+	j := -1
+	if i >= 0 {
+		j = strings.IndexByte(s[i+1:], '/')
+	}
+	if j < 0 || strings.IndexByte(s[i+j+2:], '/') >= 0 {
+		return data.Null, fmt.Errorf("%s: %q is not %s", fn, s, format)
+	}
+	j += i + 1
+	return data.NewString(s[i+1:j] + "/" + s[:i] + s[j:]), nil
+}
+
 func init() {
 	// dollar2euro implements the paper's $2€ transformation: Dollar costs
 	// become Euro costs. The attribute it produces is a *different*
@@ -152,11 +169,7 @@ func init() {
 		case data.KindNull, data.KindDate:
 			return v, nil
 		case data.KindString:
-			parts := strings.Split(v.Str(), "/")
-			if len(parts) != 3 {
-				return data.Null, fmt.Errorf("a2edate: %q is not MM/DD/YYYY", v.Str())
-			}
-			return data.NewString(parts[1] + "/" + parts[0] + "/" + parts[2]), nil
+			return swapDateFields("a2edate", "MM/DD/YYYY", v.Str())
 		default:
 			return data.Null, fmt.Errorf("a2edate: unsupported kind %s", v.Kind())
 		}
@@ -169,11 +182,7 @@ func init() {
 		case data.KindNull, data.KindDate:
 			return v, nil
 		case data.KindString:
-			parts := strings.Split(v.Str(), "/")
-			if len(parts) != 3 {
-				return data.Null, fmt.Errorf("e2adate: %q is not DD/MM/YYYY", v.Str())
-			}
-			return data.NewString(parts[1] + "/" + parts[0] + "/" + parts[2]), nil
+			return swapDateFields("e2adate", "DD/MM/YYYY", v.Str())
 		default:
 			return data.Null, fmt.Errorf("e2adate: unsupported kind %s", v.Kind())
 		}

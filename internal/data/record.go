@@ -204,12 +204,21 @@ func NewProjection(src, target Schema) Projection {
 // that lie beyond the end of a short record, become NULL.
 func (p Projection) Apply(r Record) Record {
 	out := make(Record, len(p))
+	p.ApplyInto(out, r)
+	return out
+}
+
+// ApplyInto is Apply into a caller-owned destination of len(p) values. It
+// writes every position, NULLs included, so dst may hold a previous row
+// (the engine's reused batch scratch); dst must not alias r.
+func (p Projection) ApplyInto(dst, r Record) {
 	for i, j := range p {
 		if j >= 0 && j < len(r) {
-			out[i] = r[j]
+			dst[i] = r[j]
+		} else {
+			dst[i] = Null
 		}
 	}
-	return out
 }
 
 // Rows is a slice of records with multiset-comparison helpers.

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"etlopt/internal/algebra"
+	"etlopt/internal/data"
 	"etlopt/internal/templates"
 )
 
@@ -98,6 +102,53 @@ func TestPipelinedCancelledBeforeStart(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.Contains(msg, "node") || !strings.Contains(msg, "rows") {
 			t.Fatalf("cancellation error names neither node nor rows: %q", msg)
+		}
+	}
+}
+
+// cancelProbe is what the registered test function "cancelprobe" calls
+// when it sees key 100 001 (whose V1 is not NULL): the running test's cancel function.
+var cancelProbe atomic.Pointer[context.CancelFunc]
+
+func init() {
+	algebra.MustRegisterFunc("cancelprobe", 1, func(args []data.Value) (data.Value, error) {
+		if cancel := cancelProbe.Load(); cancel != nil && args[0].Int() == 100_001 {
+			(*cancel)()
+		}
+		return args[0], nil
+	})
+}
+
+// TestCancelledMidStage cancels the context from inside a fused stage,
+// halfway through a 200 000-row source: the stage stops at its next batch
+// boundary with an error that wraps context.Canceled and names node,
+// partition and rows so far, and no partition worker outlives the run.
+func TestCancelledMidStage(t *testing.T) {
+	const n = 200_000
+	g, ids := chainGraph(t, measureSchema,
+		templates.NotNull(0.9, "V1"), templates.Convert("cancelprobe", "P", "KEY"), templates.Threshold("V1", 10, 0.9))
+	bindings := bindMeasures(n)()
+	for _, p := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelProbe.Store(&cancel)
+		res, err := New(bindings, WithMode(Parallel), WithPartitions(p)).Run(ctx, g)
+		cancelProbe.Store(nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("P=%d: result %v, err = %v; want no result and context.Canceled", p, res != nil, err)
+		}
+		last := g.Node(ids[len(ids)-1]).Label()
+		for _, want := range []string{"cancelled at node", last, "partition", "rows"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("P=%d: cancellation error %q does not say %q", p, err, want)
+			}
+		}
+		for wait := 0; runtime.NumGoroutine() > before && wait < 200; wait++ {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("P=%d: %d goroutines before the run, %d after it was cancelled", p, before, after)
 		}
 	}
 }

@@ -21,7 +21,10 @@ import (
 // from the frontier of completed nodes instead of from the sources. It is
 // the stage hook of the engine's node driver (runNodes), not a second
 // executor: the driver asks it to restore a node before running it and to
-// persist the node after.
+// persist the node after. Under a runner the driver fuses nothing — every
+// node stays its own stage — because a resumed run must reproduce
+// per-activity row counts from per-node files; what a checkpoint stages
+// is decided when the stage-file format is next versioned (ROADMAP 4).
 //
 // The staging area is a directory of CSV files keyed by node ID plus a
 // manifest recording the workflow signature; resuming with a *different*

@@ -1,16 +1,19 @@
 // Package engine executes ETL workflows over real records. The paper
 // treats workflows as operational processes run in a nightly time window;
 // this package is that runtime substrate. One node driver (runNodes)
-// evaluates the graph in topological order, holding every recordset as P
-// tagged partitions and exchanging rows by key where an operator's
-// semantics demand it (parallel.go): Materialized mode is that driver at
-// P=1, Parallel mode the same driver at WithPartitions, and checkpointing
-// (CheckpointRunner) a stage hook on it — so mode, partition count, fault
-// plan, retry policy, journal and metrics compose. Pipelined mode is the
-// one other executor: every node a goroutine connected by channels,
-// matching the paper's observation that activities "are allowed to output
-// data to one another" without intermediate data stores. All modes
-// produce bit-identical target rows.
+// evaluates the graph in topological order, stage by stage: a maximal
+// path of row-local activities is one batch loop that materializes
+// nothing in between (stage.go), every other node a stage of its own,
+// each output held as P tagged partitions — rows exchanged by key where
+// an operator's semantics demand it (parallel.go) — until its last reader
+// has run. Materialized mode is that driver at P=1, Parallel mode the
+// same driver at WithPartitions, and checkpointing (CheckpointRunner) a
+// stage hook on it — so mode, partition count, fault plan, retry policy,
+// journal and metrics compose. Pipelined mode is the one other executor:
+// every node a goroutine connected by channels, matching the paper's
+// observation that activities "are allowed to output data to one another"
+// without intermediate data stores. All modes produce bit-identical
+// target rows.
 //
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
@@ -37,9 +40,9 @@ type Mode uint8
 
 // Execution modes.
 const (
-	// Materialized evaluates nodes one by one in topological order,
-	// materializing each node's full output: the node driver at one
-	// partition.
+	// Materialized evaluates the graph stage by stage in topological
+	// order, materializing each stage's full output: the node driver at
+	// one partition.
 	Materialized Mode = iota
 	// Pipelined runs one goroutine per node, streaming records through
 	// channels; blocking operations (aggregations, duplicate checks,
@@ -153,9 +156,11 @@ type RunResult struct {
 
 // Run executes the workflow and returns the loaded target rows. The graph
 // must be validated and have regenerated schemata. Cancelling ctx stops
-// the run at the next node or partition (materialized and parallel modes)
-// or batch (pipelined mode) boundary and returns an error wrapping
-// ctx.Err(); rows already loaded into bound targets stay loaded.
+// the run at the next stage, partition or — inside a fused stage — batch
+// boundary (materialized and parallel modes) or channel batch (pipelined
+// mode) and returns an error wrapping ctx.Err(); rows already loaded into
+// bound targets stay loaded. NodeRows is per activity whether or not the
+// activity ran fused.
 func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
 	return e.run(ctx, g, nil)
 }
@@ -216,17 +221,24 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 	return res, nil
 }
 
-// runNodes is the node driver: it evaluates the graph node by node in
-// topological order, holding each node's output as p tagged partitions
-// (parallel.go). It alone checks for cancellation between nodes, consults
-// the node-level fault sites, retries, journals and counts a node, scans
-// a source, loads a target and — given a stage — restores or persists a
-// node's output.
+// runNodes is the node driver: it evaluates the graph stage by stage in
+// topological order, holding each stage's output as p tagged partitions
+// (parallel.go). A stage (planStages) is a maximal path of row-local
+// activities run as one batch loop (stage.go), or any other node alone.
+// The driver alone checks for cancellation between stages, consults the
+// stage-level fault sites, retries, journals and counts every member,
+// scans a source, loads a target, drops an output once its last reader
+// has completed and — given a checkpoint — restores or persists a node.
 //
-// A node's body is retried as a whole. Fault checks frame the computation
-// so that every side effect — loading a bound target, writing a stage
-// file — happens strictly after the body's last injection point: a
-// retried node never loads or stages twice.
+// A stage is the retry unit and owns the fault sites: node start and
+// per-partition emit are consulted once, under the ID of its last member
+// — the node whose output exists; consulting every member's sites in one
+// retry unit would multiply an attempt's failure probability by the
+// length of the chain. Fault checks frame the body so that every side
+// effect — loading a bound target, writing a stage file — happens
+// strictly after its last injection point, and nothing of a stage (rows,
+// node events, counters) is recorded before it succeeds: a retried stage
+// never loads, stages or counts twice.
 func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *CheckpointRunner, rm *runMetrics) (*RunResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
@@ -238,29 +250,40 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		}
 	}
 	out := make(map[workflow.NodeID]*pdata, len(order))
+	// readers counts a node's consumers yet to complete; its output is
+	// dropped with the last, so what stays live is the input of the stages
+	// still to run, not every node's output.
+	readers := make(map[workflow.NodeID]int, len(order))
+	for _, id := range order {
+		readers[id] = len(g.Consumers(id))
+	}
+	scr := make([]scratch, p) // one per partition for the whole run
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
 		NodeRows: make(map[workflow.NodeID]int),
 	}
 	rowsSoFar := 0
-	for _, id := range order {
+	// Under a checkpoint every node stays its own stage (CheckpointRunner).
+	for _, ids := range planStages(g, order, stage == nil) {
+		id := ids[len(ids)-1]
 		n := g.Node(id)
 		if err := ctx.Err(); err != nil {
 			// Surface where the run stopped, not just that it stopped: the
 			// next node that would have run and the progress made. Staged
 			// nodes stay on disk, so cancellation resumes like a crash.
 			return nil, fmt.Errorf("engine: run cancelled before node %d (%s) after %d rows: %w",
-				id, n.Label(), rowsSoFar, err)
+				ids[0], g.Node(ids[0]).Label(), rowsSoFar, err)
 		}
-		preds := g.Providers(id)
+		preds := g.Providers(ids[0])
 		activity := n.Kind == workflow.KindActivity
 		target := !activity && len(preds) > 0
 		// Targets are never staged: loading is the effect that must not be
 		// repeated blindly, so a target always re-runs from its provider.
 		stageable := stage != nil && !target
 		var (
-			pd       *pdata    // the node's output; nil for a target nothing reads
+			pd       *pdata    // the stage's output; nil for a target nothing reads
 			rows     data.Rows // a recordset's or restored node's rows, in materialized order
+			tallies  []tally   // an activity stage's rows and seconds, per partition and member
 			restored bool
 		)
 		body := func() error {
@@ -284,10 +307,11 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			switch {
 			case activity:
 				emitParts = p
-				err = rm.observeNode(id, func() (err error) {
+				if streamable(n.Act) {
+					pd, tallies, err = e.execChain(ctx, g, ids, out[preds[0]], p, rm, scr, rowsSoFar)
+				} else {
 					pd, err = e.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
-					return err
-				})
+				}
 			case target:
 				// Targets are where the partitioned world ends: merge the
 				// provider's partitions back into materialized order.
@@ -333,38 +357,61 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			}
 			return nil
 		}
-		count := func() int {
-			if pd != nil {
-				return pd.total()
-			}
-			return len(rows)
-		}
+		var span *obs.Span // the stage's, under its last member's name
 		if activity {
-			err = e.runNodeJournaled(ctx, id, n, rm, count, body)
-		} else {
-			err = e.runNode(ctx, id, n, body)
+			span = rm.nodeSpan(id)
 		}
-		if err != nil {
+		start := time.Now()
+		if err := e.runNode(ctx, id, n, body); err != nil {
 			return nil, err
 		}
+		span.End()
+		if activity && tallies == nil {
+			// A stage of one that is no row chain, or was restored: its
+			// partitions' rows and its wall seconds, retries included.
+			sec := []float64{time.Since(start).Seconds()}
+			for _, ps := range pd.parts {
+				tallies = append(tallies, tally{rows: []int{len(ps.rows)}, sec: sec})
+			}
+		}
 		out[id] = pd
-		emitted := count()
-		res.NodeRows[id] = emitted
-		rowsSoFar += emitted
-		rm.rows(id).Add(int64(emitted))
-		if activity {
-			for q, ps := range pd.parts {
-				rm.partRow(id, q).Add(int64(len(ps.rows)))
-				rm.batchEvent(id, q, len(ps.rows))
+		for m, mid := range ids {
+			emitted := len(rows)
+			if pd != nil {
+				emitted = pd.total()
+			}
+			if activity {
+				var sec float64
+				emitted = 0
+				for _, t := range tallies {
+					emitted += t.rows[m]
+					sec = max(sec, t.sec[m])
+				}
+				rm.nodeDone(mid, emitted, sec)
+			}
+			res.NodeRows[mid] = emitted
+			rowsSoFar += emitted
+			rm.rows(mid).Add(int64(emitted))
+			for q, t := range tallies {
+				rm.partRow(mid, q).Add(int64(t.rows[m]))
+				rm.batchEvent(mid, q, t.rows[m])
 			}
 		}
 		if stageable && e.journal != nil {
 			key := nodeKey(id, n)
+			emitted := res.NodeRows[id]
 			if restored {
 				e.journal.Emit(obs.CheckpointEvent(key, "restored", emitted))
 				e.journal.Emit(obs.ResumeEvent(key, emitted))
 			} else {
 				e.journal.Emit(obs.CheckpointEvent(key, "staged", emitted))
+			}
+		}
+		// The stage has completed, retries included: its inputs have one
+		// reader fewer.
+		for _, pr := range preds {
+			if readers[pr]--; readers[pr] == 0 {
+				delete(out, pr)
 			}
 		}
 	}
@@ -375,17 +422,6 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		}
 	}
 	return res, nil
-}
-
-// execActivityTimed runs one activity over materialized inputs as an
-// observed node (see observeNode). The journal's node event is emitted by
-// the caller after the node succeeds.
-func (e *Engine) execActivityTimed(id workflow.NodeID, n *workflow.Node, schemas []data.Schema, inputs []data.Rows, rm *runMetrics) (rows data.Rows, err error) {
-	err = rm.observeNode(id, func() (err error) {
-		rows, err = e.execSem(n.Act, n.In, n.Out, schemas, inputs)
-		return err
-	})
-	return rows, err
 }
 
 // scanSource reads a source recordset through its binding.

@@ -1,59 +1,35 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
-	"etlopt/internal/algebra"
 	"etlopt/internal/data"
 	"etlopt/internal/workflow"
 )
 
-// execSem runs one activity over fully materialized inputs, dispatching on
-// its semantics. in/out are the node's derived schemata; schemas/inputs
-// the provider layouts and rows, aligned with the node's providers. The
-// returned rows are laid out by out.
+// execSem runs one activity over fully materialized inputs: the pipeline's
+// blocking nodes, the components of a merged package that cannot be a
+// stage, and the tests' node-by-node reference. in/out are the node's
+// derived schemata; schemas/inputs the provider layouts and rows, which
+// are realigned to in where they differ; the result is laid out by out.
+// It has no kernels of its own: a row-local activity is a chain of one
+// (stage.go), any other runs its partition contract (parallel.go) at one
+// partition, where every exchange is the identity.
 func (e *Engine) execSem(a *workflow.Activity, in []data.Schema, out data.Schema, schemas []data.Schema, inputs []data.Rows) (data.Rows, error) {
-	// Realign provider rows to the derived input schemata when layouts
-	// differ (possible after graph rewrites reorder attribute generation).
-	aligned := make([]data.Rows, len(inputs))
+	if streamable(a) {
+		return e.execRowLocal(a, in[0], out, realign(inputs[0], schemas[0], in[0]))
+	}
+	pds := make([]*pdata, len(inputs))
 	for i := range inputs {
-		aligned[i] = realign(inputs[i], schemas[i], in[i])
+		pds[i] = scatterRows(realign(inputs[i], schemas[i], in[i]), 1)
 	}
-	switch a.Sem.Op {
-	case workflow.OpFilter:
-		return e.execFilter(a, in[0], aligned[0])
-	case workflow.OpNotNull:
-		return e.execNotNull(a, in[0], aligned[0])
-	case workflow.OpPKCheck:
-		return e.execPKCheck(a, in[0], aligned[0])
-	case workflow.OpDistinct:
-		return e.execDistinct(aligned[0])
-	case workflow.OpProject:
-		return e.execProject(in[0], out, aligned[0])
-	case workflow.OpFunc:
-		return e.execFunc(a, in[0], out, aligned[0])
-	case workflow.OpAggregate:
-		pos, err := keyPositions(in[0], a.Sem.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		rows, _, err := e.execAggregate(a, in[0], out, hashKeys(aligned[0], pos))
-		return rows, err
-	case workflow.OpSurrogateKey:
-		return e.execSurrogateKey(a, in[0], out, aligned[0])
-	case workflow.OpMerged:
-		return e.execMerged(a, in[0], aligned[0])
-	case workflow.OpUnion:
-		return e.execUnion(in, out, aligned)
-	case workflow.OpJoin:
-		return e.execJoin(a, in, out, aligned)
-	case workflow.OpDiff:
-		return e.execKeyPresence(a, in, aligned, false)
-	case workflow.OpIntersect:
-		return e.execKeyPresence(a, in, aligned, true)
-	default:
-		return nil, fmt.Errorf("unsupported operation %s", a.Sem.Op)
+	n := &workflow.Node{Kind: workflow.KindActivity, Act: a, In: in, Out: out}
+	pd, err := e.execParallelOp(context.Background(), 0, n, pds, 1, nil, 0)
+	if err != nil {
+		return nil, err
 	}
+	return gather(pd), nil
 }
 
 // realign reorders row values from layout src to layout dst; it is the
@@ -76,141 +52,16 @@ func projectRows(rows data.Rows, src, dst data.Schema) data.Rows {
 	return out
 }
 
-// The filtering operators below are written as mask producers: each
-// returns keep[i] for row i, and the caller applies the mask. This split
-// is what lets the parallel engine reuse the exact materialized-mode
-// semantics on a partition while carrying each survivor's sequence tag
-// through (parallel.go): a mask identifies *which* rows survive, which a
-// plain filtered slice cannot.
-
-// applyMask collects the rows whose mask entry is true, sharing records.
-func applyMask(rows data.Rows, keep []bool) data.Rows {
-	n := countKept(keep)
-	if n == 0 {
-		return nil
-	}
-	out := make(data.Rows, 0, n)
-	for i, k := range keep {
-		if k {
-			out = append(out, rows[i])
-		}
-	}
-	return out
-}
-
-func countKept(keep []bool) (n int) {
-	for _, k := range keep {
-		if k {
-			n++
-		}
-	}
-	return n
-}
-
-// Partition contract (filter): per-row and order-preserving, so it runs
-// partition-locally on any partitioning.
-func maskFilter(a *workflow.Activity, schema data.Schema, rows data.Rows) ([]bool, error) {
-	keep := make([]bool, len(rows))
-	for i, r := range rows {
-		v, err := a.Sem.Pred.Eval(schema, r)
-		if err != nil {
-			return nil, err
-		}
-		keep[i] = v.Bool()
-	}
-	return keep, nil
-}
-
-func (e *Engine) execFilter(a *workflow.Activity, schema data.Schema, rows data.Rows) (data.Rows, error) {
-	keep, err := maskFilter(a, schema, rows)
-	if err != nil {
-		return nil, err
-	}
-	return applyMask(rows, keep), nil
-}
-
-// Partition contract (notnull): per-row and order-preserving — partition
-// local.
-func maskNotNull(a *workflow.Activity, schema data.Schema, rows data.Rows) ([]bool, error) {
-	positions := make([]int, len(a.Sem.Attrs))
-	for i, attr := range a.Sem.Attrs {
-		p := schema.Index(attr)
-		if p < 0 {
-			return nil, fmt.Errorf("notnull: attribute %q not in schema {%s}", attr, schema)
-		}
-		positions[i] = p
-	}
-	keep := make([]bool, len(rows))
-	for i, r := range rows {
-		k := true
-		for _, p := range positions {
-			if r[p].IsNull() {
-				k = false
-				break
-			}
-		}
-		keep[i] = k
-	}
-	return keep, nil
-}
-
-func (e *Engine) execNotNull(a *workflow.Activity, schema data.Schema, rows data.Rows) (data.Rows, error) {
-	keep, err := maskNotNull(a, schema, rows)
-	if err != nil {
-		return nil, err
-	}
-	return applyMask(rows, keep), nil
-}
-
-// execPKCheck enforces a primary key. Lookup-based checks (Sem.Lookup set)
-// reject rows whose key tuple already exists in the lookup recordset — a
-// per-row, order-insensitive test. Group-based checks reject every row of
-// a key group with more than one member, which is likewise insensitive to
-// input order (a requirement for transition correctness).
-func (e *Engine) execPKCheck(a *workflow.Activity, schema data.Schema, rows data.Rows) (data.Rows, error) {
-	var keep []bool
-	var err error
-	if a.Sem.Lookup != "" {
-		keep, err = e.maskPKCheckLookup(a, schema, rows)
-	} else {
-		var pos []int
-		if pos, err = keyPositions(schema, a.Sem.Attrs); err == nil {
-			keep, err = maskGroupFirsts(hashKeys(rows, pos), true)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return applyMask(rows, keep), nil
-}
-
-// Partition contract (pkcheck, lookup-based): per-row against a read-only
-// key set — partition local; the parallel engine shares one cached set
-// across partitions.
-func (e *Engine) maskPKCheckLookup(a *workflow.Activity, schema data.Schema, rows data.Rows) ([]bool, error) {
-	pos, err := keyPositions(schema, a.Sem.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	existing, err := e.lookupTable(a.Sem.Lookup, false)
-	if err != nil {
-		return nil, fmt.Errorf("pkcheck: %w", err)
-	}
-	keep := make([]bool, len(rows))
-	for i, r := range rows {
-		keep[i] = existing.find(data.HashKey(r, pos), r, pos) < 0
-	}
-	return keep, nil
-}
-
 // maskGroupFirsts keeps the first row of each key group — of every group
 // (DISTINCT, keyed by the whole record) or only of groups of one (the
 // group-based primary-key check, which rejects every row of a repeated
-// key).
+// key). Like maskKeyPresence it returns a mask, not rows: keep[i] says
+// *which* rows survive, and so whose tags do (applyMaskTagged).
 //
-// Partition contract (pkcheck, group-based): needs every row of a key
-// group in one place, so the parallel engine exchanges rows by key tuple
-// first; partition-local groups are then global groups.
+// Partition contract (distinct; pkcheck, group-based): every row of a key
+// group must be in one place, so the parallel engine exchanges rows by
+// whole record or key tuple first; partition-local groups are then global
+// groups, and a partition's first occurrence by tag the global first.
 func maskGroupFirsts(in keyed, single bool) ([]bool, error) {
 	t, err := newKeyTable(in)
 	if err != nil {
@@ -221,60 +72,6 @@ func maskGroupFirsts(in keyed, single bool) ([]bool, error) {
 		keep[g.first] = !single || g.first == g.last
 	}
 	return keep, nil
-}
-
-// execDistinct removes exact duplicate records, keeping the first
-// occurrence of each distinct record. Because survivors are identical to
-// their duplicates, the output multiset is independent of input order.
-//
-// Partition contract: all copies of a record must meet, so the parallel
-// engine exchanges by full record key; first-occurrence-within-partition
-// (by sequence tag) then equals first occurrence globally.
-func (e *Engine) execDistinct(rows data.Rows) (data.Rows, error) {
-	keep, err := maskGroupFirsts(hashKeys(rows, nil), false)
-	if err != nil {
-		return nil, err
-	}
-	return applyMask(rows, keep), nil
-}
-
-func (e *Engine) execProject(in, out data.Schema, rows data.Rows) (data.Rows, error) {
-	return projectRows(rows, in, out), nil
-}
-
-func (e *Engine) execFunc(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, error) {
-	fn, ok := algebra.LookupFunc(a.Sem.Fn)
-	if !ok {
-		return nil, fmt.Errorf("unknown function %q", a.Sem.Fn)
-	}
-	argPos := make([]int, len(a.Sem.FnArgs))
-	for i, attr := range a.Sem.FnArgs {
-		p := in.Index(attr)
-		if p < 0 {
-			return nil, fmt.Errorf("function arg %q not in schema {%s}", attr, in)
-		}
-		argPos[i] = p
-	}
-	outPos := out.Index(a.Sem.OutAttr)
-	if outPos < 0 {
-		return nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
-	}
-	proj := data.NewProjection(in, out)
-	res := make(data.Rows, len(rows))
-	args := make([]data.Value, len(argPos))
-	for i, r := range rows {
-		for j, p := range argPos {
-			args[j] = r[p]
-		}
-		v, err := fn.Apply(args)
-		if err != nil {
-			return nil, err
-		}
-		nr := proj.Apply(r)
-		nr[outPos] = v
-		res[i] = nr
-	}
-	return res, nil
 }
 
 // aggState accumulates one group.
@@ -369,77 +166,6 @@ func (st *aggState) result(fn workflow.AggKind) data.Value {
 	}
 }
 
-func (e *Engine) execSurrogateKey(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, error) {
-	table, err := e.lookupTable(a.Sem.Lookup, true)
-	if err != nil {
-		return nil, fmt.Errorf("surrogate key: %w", err)
-	}
-	keyPos := in.Index(a.Sem.KeyAttr)
-	if keyPos < 0 {
-		return nil, fmt.Errorf("production key %q not in schema {%s}", a.Sem.KeyAttr, in)
-	}
-	outPos := out.Index(a.Sem.OutAttr)
-	if outPos < 0 {
-		return nil, fmt.Errorf("surrogate attribute %q not in schema {%s}", a.Sem.OutAttr, out)
-	}
-	proj := data.NewProjection(in, out)
-	res := make(data.Rows, len(rows))
-	pos := []int{keyPos}
-	for i, r := range rows {
-		g := table.find(data.HashKey(r, pos), r, pos)
-		if g < 0 {
-			return nil, fmt.Errorf("surrogate key: production key %s missing from lookup %q",
-				r[keyPos], a.Sem.Lookup)
-		}
-		nr := proj.Apply(r)
-		// A production key listed twice maps to its last surrogate.
-		nr[outPos] = table.rows[table.groups[g].last][1]
-		res[i] = nr
-	}
-	return res, nil
-}
-
-// execMerged runs a merged package's components in order, threading the
-// flow schema through each step.
-func (e *Engine) execMerged(a *workflow.Activity, in data.Schema, rows data.Rows) (data.Rows, error) {
-	cur := rows
-	curSchema := in
-	for _, comp := range a.Sem.Components {
-		outSchema, err := componentOutput(comp, curSchema)
-		if err != nil {
-			return nil, err
-		}
-		cur, err = e.execSem(comp, []data.Schema{curSchema}, outSchema, []data.Schema{curSchema}, []data.Rows{cur})
-		if err != nil {
-			return nil, fmt.Errorf("merged component %s: %w", comp.Sem, err)
-		}
-		curSchema = outSchema
-	}
-	return cur, nil
-}
-
-// componentOutput derives a merged component's output schema from the
-// current flow schema, mirroring the workflow package's derivation.
-func componentOutput(a *workflow.Activity, in data.Schema) (data.Schema, error) {
-	tmp := workflow.NewGraph()
-	src := tmp.AddRecordset(&workflow.RecordsetRef{Name: "_in", Schema: in, IsSource: true})
-	act := tmp.AddActivity(a)
-	sink := tmp.AddRecordset(&workflow.RecordsetRef{Name: "_out", Schema: in})
-	tmp.MustAddEdge(src, act)
-	tmp.MustAddEdge(act, sink)
-	if err := tmp.RegenerateSchemata(); err != nil {
-		return nil, err
-	}
-	return tmp.Node(act).Out, nil
-}
-
-func (e *Engine) execUnion(in []data.Schema, out data.Schema, inputs []data.Rows) (data.Rows, error) {
-	res := make(data.Rows, 0, len(inputs[0])+len(inputs[1]))
-	res = append(res, realign(inputs[0], in[0], out)...)
-	res = append(res, realign(inputs[1], in[1], out)...)
-	return res, nil
-}
-
 // joinLayout precomputes how one joined output record is assembled from a
 // left and a right record: for each output attribute, which side supplies
 // it and at what position (-1 means neither side has it — NULL).
@@ -476,31 +202,6 @@ func (jl joinLayout) row(l, r data.Record) data.Record {
 		}
 	}
 	return rec
-}
-
-// execJoin hash-joins the inputs on the key attributes. Output order is
-// left order, then right-input match order within a left row.
-//
-// Partition contract: both inputs are exchanged by the join key tuple, so
-// every matching pair is co-located and a left row's matches sit in one
-// partition in right-input order; the parallel engine tags each output
-// row with its left row's tag and merges partitions by it, reproducing
-// this nested-loop order exactly.
-func (e *Engine) execJoin(a *workflow.Activity, in []data.Schema, out data.Schema, inputs []data.Rows) (data.Rows, error) {
-	leftKey, rightKey, err := keyPositions2(in, a.Sem.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	li, ri, err := joinMatches(hashKeys(inputs[0], leftKey), hashKeys(inputs[1], rightKey))
-	if err != nil {
-		return nil, err
-	}
-	jl := newJoinLayout(out, in[0], in[1])
-	res := make(data.Rows, len(li))
-	for k := range li {
-		res[k] = jl.row(inputs[0][li[k]], inputs[1][ri[k]])
-	}
-	return res, nil
 }
 
 // joinMatches returns the matching (left row, right row) index pairs in
@@ -542,19 +243,6 @@ func maskKeyPresence(left, right keyed, keepPresent bool) ([]bool, error) {
 		keep[i] = (t.find(left.hashes[i], l, left.pos) >= 0) == keepPresent
 	}
 	return keep, nil
-}
-
-// execKeyPresence is difference (keepPresent false) or intersection.
-func (e *Engine) execKeyPresence(a *workflow.Activity, in []data.Schema, inputs []data.Rows, keepPresent bool) (data.Rows, error) {
-	leftKey, rightKey, err := keyPositions2(in, a.Sem.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	keep, err := maskKeyPresence(hashKeys(inputs[0], leftKey), hashKeys(inputs[1], rightKey), keepPresent)
-	if err != nil {
-		return nil, err
-	}
-	return applyMask(inputs[0], keep), nil
 }
 
 // keyPositions resolves key attributes to positions in schema. The result

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"etlopt/internal/data"
 	"etlopt/internal/fault"
 	"etlopt/internal/obs"
 	"etlopt/internal/templates"
@@ -202,5 +203,83 @@ func TestPipelinedRefusesWhatItCannotDo(t *testing.T) {
 				t.Errorf("refused run scanned a source %d times", scans)
 			}
 		})
+	}
+}
+
+// loadCounter counts the Loads a target receives.
+type loadCounter struct {
+	data.Recordset
+	loads *int
+}
+
+func (c loadCounter) Load(rows data.Rows) error {
+	*c.loads++
+	return c.Recordset.Load(rows)
+}
+
+// A fused stage is one retry unit with one set of fault sites: under a
+// rate-1 transient plan its node-start and emit sites fire under its last
+// member's ID only, the whole stage is retried, the target is loaded
+// once, and the journal still shows exactly one node event per member
+// with the clean run's rows.
+func TestFusedStageRetriedAsAWhole(t *testing.T) {
+	g, ids := chainGraph(t, measureSchema,
+		templates.NotNull(0.9, "V1"), templates.Convert("scale10", "W1", "V1"), templates.Threshold("W1", 300, 0.5))
+	clean, err := New(bindMeasures(5000)()).Run(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ids[len(ids)-1]
+	tgt := g.Consumers(last)[0]
+	for _, p := range []int{1, 4} {
+		bindings, loads := bindMeasures(5000)(), 0
+		bindings["TGT"] = loadCounter{data.NewMemoryRecordset("TGT", g.Node(tgt).RS.Schema), &loads}
+		plan := fault.NewPlan(9, 1.0, fault.WithSites(fault.SiteNodeStart, fault.SiteEmit))
+		var buf bytes.Buffer
+		j := obs.NewJournal(&buf, nil)
+		res, err := New(bindings, WithMode(Parallel), WithPartitions(p), WithJournal(j),
+			WithFaultPlan(plan), WithRetry(fault.Policy{MaxAttempts: 8, Seed: 9})).Run(context.Background(), g)
+		if err != nil {
+			t.Fatalf("P=%d: run failed despite retries (%d faults fired): %v", p, plan.Injected(), err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !rowsIdentical(clean.Targets["TGT"], res.Targets["TGT"]) {
+			t.Errorf("P=%d: recovered run differs from the clean run", p)
+		}
+		if loads != 1 {
+			t.Errorf("P=%d: target loaded %d times, want once", p, loads)
+		}
+		evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stageKey := nodeKey(last, g.Node(last))
+		faults, retries, nodeEvents := map[string]int{}, map[string]int{}, map[string][]int64{}
+		for _, ev := range evs {
+			switch ev.T {
+			case obs.EventFault:
+				faults[ev.Node]++
+			case obs.EventRetry:
+				retries[ev.Node]++
+			case obs.EventNode:
+				nodeEvents[ev.Node] = append(nodeEvents[ev.Node], ev.Rows)
+			}
+		}
+		// Node start once, then one emit occurrence per partition: all p
+		// are consumed by the first attempt that gets that far.
+		if faults[stageKey] != 1+p || retries[stageKey] != 2 {
+			t.Errorf("P=%d: stage %s journaled %d faults and %d retries, want %d and 2", p, stageKey, faults[stageKey], retries[stageKey], 1+p)
+		}
+		for _, id := range ids {
+			key := nodeKey(id, g.Node(id))
+			if id != last && faults[key]+retries[key] != 0 {
+				t.Errorf("P=%d: interior member %s has fault sites of its own: %d faults, %d retries", p, key, faults[key], retries[key])
+			}
+			if got := nodeEvents[key]; len(got) != 1 || got[0] != int64(clean.NodeRows[id]) {
+				t.Errorf("P=%d: member %s: node events %v, want one carrying %d", p, key, got, clean.NodeRows[id])
+			}
+		}
 	}
 }

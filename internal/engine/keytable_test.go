@@ -156,29 +156,26 @@ func TestKeyOperatorAllocations(t *testing.T) {
 	agg := templates.Aggregate([]string{"CUST"}, workflow.AggSum, "AMOUNT", "TOTAL", 1)
 	sides := []data.Schema{in, dim}
 	node := &workflow.Node{Kind: workflow.KindActivity, Act: templates.Distinct(1)}
+	unary := func(a *workflow.Activity, out data.Schema) func() (data.Rows, error) {
+		return func() (data.Rows, error) {
+			return e.execSem(a, []data.Schema{in}, out, []data.Schema{in}, []data.Rows{orders})
+		}
+	}
+	binary := func(a *workflow.Activity, in []data.Schema, out data.Schema, right data.Rows) func() (data.Rows, error) {
+		return func() (data.Rows, error) { return e.execSem(a, in, out, in, []data.Rows{orders, right}) }
+	}
 	for _, c := range []struct {
 		name    string
 		ceiling float64
 		run     func() (data.Rows, error)
 	}{
-		{"distinct", 0.1, func() (data.Rows, error) { return e.execDistinct(orders) }},
-		{"group pkcheck", 0.1, func() (data.Rows, error) { return e.execPKCheck(templates.PKCheck(1, "ORDER_ID"), in, orders) }},
-		{"lookup pkcheck", 0.1, func() (data.Rows, error) {
-			return e.execPKCheck(templates.PKCheckAgainst("DWORDERS", 1, "ORDER_ID"), in, orders)
-		}},
-		{"diff", 0.1, func() (data.Rows, error) {
-			return e.execKeyPresence(templates.Diff(1, "ORDER_ID"), []data.Schema{in, in}, []data.Rows{orders, cancelled}, false)
-		}},
-		{"intersect", 0.1, func() (data.Rows, error) {
-			return e.execKeyPresence(templates.Intersect(1, "CUST"), sides, []data.Rows{orders, customers}, true)
-		}},
-		{"aggregate", 0.5, func() (data.Rows, error) {
-			rows, _, err := e.execAggregate(agg, in, data.Schema{"CUST", "TOTAL"}, hashKeys(orders, []int{1}))
-			return rows, err
-		}},
-		{"join", 1.1, func() (data.Rows, error) {
-			return e.execJoin(templates.Join(1, "CUST"), sides, data.Schema{"ORDER_ID", "CUST", "AMOUNT", "CUST_SK"}, []data.Rows{orders, customers})
-		}},
+		{"distinct", 0.1, unary(templates.Distinct(1), in)},
+		{"group pkcheck", 0.1, unary(templates.PKCheck(1, "ORDER_ID"), in)},
+		{"lookup pkcheck", 0.1, unary(templates.PKCheckAgainst("DWORDERS", 1, "ORDER_ID"), in)},
+		{"diff", 0.1, binary(templates.Diff(1, "ORDER_ID"), []data.Schema{in, in}, in, cancelled)},
+		{"intersect", 0.1, binary(templates.Intersect(1, "CUST"), sides, in, customers)},
+		{"aggregate", 0.5, unary(agg, data.Schema{"CUST", "TOTAL"})},
+		{"join", 1.1, binary(templates.Join(1, "CUST"), sides, data.Schema{"ORDER_ID", "CUST", "AMOUNT", "CUST_SK"}, customers)},
 		{"exchange P=4", 0.1, func() (data.Rows, error) {
 			pd, err := e.exchangeByKey(context.Background(), 1, node, scatterRows(orders, 4), 4, nil, 0, []int{0})
 			if err != nil {

@@ -163,9 +163,6 @@ func (m *runMetrics) exchange(id workflow.NodeID) *obs.Counter {
 // journaling reports whether per-event journal emission is live.
 func (m *runMetrics) journaling() bool { return m != nil && m.j != nil }
 
-// spanning reports whether per-node child spans are live.
-func (m *runMetrics) spanning() bool { return m != nil && m.span != nil }
-
 // setSpan installs the run's mode span (nil-safe).
 func (m *runMetrics) setSpan(sp *obs.Span) {
 	if m != nil {
@@ -182,25 +179,26 @@ func (m *runMetrics) nodeSpan(id workflow.NodeID) *obs.Span {
 	return m.span.Child("node/" + m.keys[id])
 }
 
-// observeNode runs fn as node id's execution: under a per-node child span
-// and timed into the node's stage histogram when either sink is live; with
-// both off the clock is never read.
+// observeNode runs fn as node id's execution in the pipeline, under a
+// per-node child span and timed into the node's stage histogram. (The
+// node driver records a stage's members once the stage has succeeded.)
 func (m *runMetrics) observeNode(id workflow.NodeID, fn func() error) error {
-	h := m.latency(id)
-	if h == nil && !m.spanning() {
+	if m == nil {
 		return fn()
 	}
 	sp := m.nodeSpan(id)
 	start := time.Now()
 	err := fn()
 	sp.End()
-	h.Observe(time.Since(start).Seconds())
+	m.latency(id).Observe(time.Since(start).Seconds())
 	return err
 }
 
-// nodeEvent journals one node's completed execution: rows emitted and
-// wall time spent.
-func (m *runMetrics) nodeEvent(id workflow.NodeID, rows int, sec float64) {
+// nodeDone records one completed activity of the node driver: its seconds
+// into the node's stage histogram, and rows emitted and seconds spent as
+// the journal's node event.
+func (m *runMetrics) nodeDone(id workflow.NodeID, rows int, sec float64) {
+	m.latency(id).Observe(sec)
 	if m.journaling() {
 		m.j.Emit(obs.NodeEvent(m.keys[id], rows, sec))
 	}

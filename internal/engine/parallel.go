@@ -81,7 +81,10 @@ func (pd *pdata) maxSeq() int64 {
 // with sequence i. This is the canonical way fresh (merged-order) rows
 // enter the partitioned world.
 func scatterRows(rows data.Rows, p int) *pdata {
-	parts := rows.SplitRoundRobin(p)
+	parts := []data.Rows{rows} // one partition shares the slice: pslices are immutable
+	if p > 1 {
+		parts = rows.SplitRoundRobin(p)
+	}
 	pd := &pdata{parts: make([]pslice, len(parts))}
 	for i := range parts {
 		seqs := make([]int64, len(parts[i]))
@@ -158,7 +161,12 @@ func realignPdata(pd *pdata, src, dst data.Schema) *pdata {
 // applyMaskTagged keeps the rows (and tags) selected by an exec.go mask.
 // The result is an operator's output, so it sheds the input's key hashes.
 func applyMaskTagged(ps pslice, keep []bool) pslice {
-	n := countKept(keep)
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
 	if n == len(ps.rows) {
 		return pslice{rows: ps.rows, seqs: ps.seqs}
 	}
@@ -287,9 +295,9 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	return result, nil
 }
 
-// execParallel runs one activity over partitioned inputs. Cancellation
-// errors pass through already annotated; any other failure is wrapped
-// with the activity's identity.
+// execParallel runs one activity that is not row-local (those run as
+// stages, stage.go) over partitioned inputs. Cancellation errors pass
+// through already annotated; any other failure names the activity.
 func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	preds := g.Providers(id)
 	// Align every input to the node's derived input layout up front, so
@@ -310,24 +318,6 @@ func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflo
 
 func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	a := n.Act
-	run := func(fn func(q int) error) error {
-		return e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, fn)
-	}
-	if streamable(a) {
-		// Order-preserving unaries run partition-locally; survivors keep
-		// their tags, 1:1 transforms inherit them.
-		in := inputs[0]
-		result := newPdata(p)
-		err := run(func(q int) error {
-			ps, err := e.execLocal(a, n.In[0], n.Out, in.parts[q])
-			if err != nil {
-				return err
-			}
-			result.parts[q] = ps
-			return nil
-		})
-		return result, err
-	}
 	switch a.Sem.Op {
 	case workflow.OpDistinct, workflow.OpPKCheck, workflow.OpAggregate:
 		// All rows of a key must meet: exchange by the whole record
@@ -345,7 +335,7 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 			return nil, err
 		}
 		result := newPdata(p)
-		err = run(func(q int) error {
+		err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
 			ps := ex.parts[q]
 			if a.Sem.Op == workflow.OpAggregate {
 				rows, first, err := e.execAggregate(a, n.In[0], n.Out, ps.keyed(pos))
@@ -371,11 +361,20 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 		})
 		return result, err
 	case workflow.OpMerged:
-		// A merged package with a blocking component can't split: run it
-		// whole on merged rows and re-scatter.
-		rows, err := e.execMerged(a, n.In[0], gather(inputs[0]))
-		if err != nil {
-			return nil, err
+		// A merged package with a blocking component can't split: run its
+		// components in order on merged rows, threading the flow schema
+		// through each step, and re-scatter.
+		rows, in := gather(inputs[0]), n.In[0]
+		for _, comp := range a.Sem.Components {
+			flow := []data.Schema{in}
+			out, err := workflow.DeriveOutput(comp, flow)
+			if err == nil {
+				rows, err = e.execSem(comp, flow, out, flow, []data.Rows{rows})
+			}
+			if err != nil {
+				return nil, fmt.Errorf("merged component %s: %w", comp.Sem, err)
+			}
+			in = out
 		}
 		return scatterRows(rows, p), nil
 	case workflow.OpUnion:
@@ -388,55 +387,6 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 		return e.parKeyPresence(ctx, id, n, inputs, p, rm, rowsSoFar, true)
 	default:
 		return nil, fmt.Errorf("unsupported operation %s", a.Sem.Op)
-	}
-}
-
-// execLocal runs one order-preserving activity on a single partition,
-// carrying tags through: filters keep survivor tags, 1:1 transforms keep
-// all tags, merged packages thread both through their components.
-func (e *Engine) execLocal(a *workflow.Activity, in, out data.Schema, ps pslice) (pslice, error) {
-	switch a.Sem.Op {
-	case workflow.OpFilter:
-		keep, err := maskFilter(a, in, ps.rows)
-		if err != nil {
-			return pslice{}, err
-		}
-		return applyMaskTagged(ps, keep), nil
-	case workflow.OpNotNull:
-		keep, err := maskNotNull(a, in, ps.rows)
-		if err != nil {
-			return pslice{}, err
-		}
-		return applyMaskTagged(ps, keep), nil
-	case workflow.OpPKCheck:
-		keep, err := e.maskPKCheckLookup(a, in, ps.rows)
-		if err != nil {
-			return pslice{}, err
-		}
-		return applyMaskTagged(ps, keep), nil
-	case workflow.OpProject, workflow.OpFunc, workflow.OpSurrogateKey:
-		rows, err := e.execSem(a, []data.Schema{in}, out, []data.Schema{in}, []data.Rows{ps.rows})
-		if err != nil {
-			return pslice{}, err
-		}
-		return pslice{rows: rows, seqs: ps.seqs}, nil
-	case workflow.OpMerged:
-		cur := ps
-		curSchema := in
-		for _, comp := range a.Sem.Components {
-			outSchema, err := componentOutput(comp, curSchema)
-			if err != nil {
-				return pslice{}, err
-			}
-			cur, err = e.execLocal(comp, curSchema, outSchema, cur)
-			if err != nil {
-				return pslice{}, fmt.Errorf("merged component %s: %w", comp.Sem, err)
-			}
-			curSchema = outSchema
-		}
-		return cur, nil
-	default:
-		return pslice{}, fmt.Errorf("internal error: %s is not partition-local", a.Sem.Op)
 	}
 }
 

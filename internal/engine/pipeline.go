@@ -169,8 +169,16 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 					}
 				}
 			case streamable(n.Act):
+				// The node driver's row kernels (stage.go) as a chain of one,
+				// resolved once and run per channel batch.
 				defer closeOut(id)
-				inSchema := g.Node(preds[0]).Out
+				chain, err := e.resolveChain(g, []workflow.NodeID{id})
+				if err != nil {
+					fail(err)
+					return
+				}
+				var sc scratch
+				h := rm.latency(id)
 				ch := chans[edge{preds[0], id}]
 				for {
 					var batch data.Rows
@@ -183,12 +191,15 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 					case <-done:
 						return
 					}
-					out, err := e.execSemTimed(id, n, inSchema, batch, rm)
-					if err != nil {
+					start := time.Now()
+					out := pslice{rows: make(data.Rows, 0, len(batch))}
+					sc.fit(len(batch), chain)
+					if _, err := chain.runBatch(batch, nil, &out, &sc, nil); err != nil {
 						fail(fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err))
 						return
 					}
-					if !send(id, out) {
+					h.Observe(time.Since(start).Seconds())
+					if !send(id, out.rows) {
 						return
 					}
 				}
@@ -255,7 +266,11 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 					return
 				default:
 				}
-				out, err := e.execActivityTimed(id, n, schemas, inputs, rm)
+				var out data.Rows
+				err := rm.observeNode(id, func() (err error) {
+					out, err = e.execSem(n.Act, n.In, n.Out, schemas, inputs)
+					return err
+				})
 				if err != nil {
 					fail(fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err))
 					return
@@ -293,37 +308,4 @@ func (e *Engine) runPipelined(ctx context.Context, g *workflow.Graph, rm *runMet
 		return nil, firstErr
 	}
 	return &RunResult{Targets: targets, NodeRows: nodeRows}, nil
-}
-
-// execSemTimed runs one streamable activity's batch, observing its latency
-// into the per-node stage histogram when metrics are enabled.
-func (e *Engine) execSemTimed(id workflow.NodeID, n *workflow.Node, inSchema data.Schema, batch data.Rows, rm *runMetrics) (data.Rows, error) {
-	h := rm.latency(id)
-	if h == nil {
-		return e.execSem(n.Act, n.In, n.Out, []data.Schema{inSchema}, []data.Rows{batch})
-	}
-	start := time.Now()
-	out, err := e.execSem(n.Act, n.In, n.Out, []data.Schema{inSchema}, []data.Rows{batch})
-	h.Observe(time.Since(start).Seconds())
-	return out, err
-}
-
-// streamable reports whether an activity can process each batch
-// independently (stateless per record).
-func streamable(a *workflow.Activity) bool {
-	switch a.Sem.Op {
-	case workflow.OpFilter, workflow.OpNotNull, workflow.OpProject, workflow.OpFunc, workflow.OpSurrogateKey:
-		return true
-	case workflow.OpPKCheck:
-		return a.Sem.Lookup != ""
-	case workflow.OpMerged:
-		for _, comp := range a.Sem.Components {
-			if !streamable(comp) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
 }

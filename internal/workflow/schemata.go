@@ -41,7 +41,7 @@ func (g *Graph) RegenerateSchemata() error {
 			if len(preds) == 0 {
 				return fmt.Errorf("workflow: activity %d (%s) has no provider", id, n.Label())
 			}
-			out, err := deriveOutput(n.Act, n.In)
+			out, err := DeriveOutput(n.Act, n.In)
 			if err != nil {
 				return fmt.Errorf("workflow: activity %d (%s): %w", id, n.Label(), err)
 			}
@@ -104,7 +104,7 @@ func (g *Graph) RegenerateSchemataIncremental(dirty []NodeID) ([]NodeID, error) 
 			if len(preds) == 0 {
 				return nil, fmt.Errorf("workflow: activity %d (%s) has no provider", id, n.Label())
 			}
-			out, err := deriveOutput(n.Act, n.In)
+			out, err := DeriveOutput(n.Act, n.In)
 			if err != nil {
 				return nil, fmt.Errorf("workflow: activity %d (%s): %w", id, n.Label(), err)
 			}
@@ -115,9 +115,10 @@ func (g *Graph) RegenerateSchemataIncremental(dirty []NodeID) ([]NodeID, error) 
 	return recomputed, nil
 }
 
-// deriveOutput computes an activity's output schema from its input
-// schemata.
-func deriveOutput(a *Activity, in []data.Schema) (data.Schema, error) {
+// DeriveOutput computes an activity's output schema from its input
+// schemata. RegenerateSchemata stores the result per node; the engine calls
+// it for the components of a merged package, which are not nodes.
+func DeriveOutput(a *Activity, in []data.Schema) (data.Schema, error) {
 	if a.IsBinary() {
 		if len(in) != 2 {
 			return nil, fmt.Errorf("binary %s has %d inputs", a.Sem.Op, len(in))
@@ -141,7 +142,7 @@ func deriveOutput(a *Activity, in []data.Schema) (data.Schema, error) {
 	case OpMerged:
 		cur := in[0].Clone()
 		for _, comp := range a.Sem.Components {
-			next, err := deriveOutput(comp, []data.Schema{cur})
+			next, err := DeriveOutput(comp, []data.Schema{cur})
 			if err != nil {
 				return nil, fmt.Errorf("merged component %s: %w", comp.Sem, err)
 			}
@@ -315,7 +316,7 @@ func checkOpParams(a *Activity, in []data.Schema) error {
 			if err := checkOpParams(comp, []data.Schema{cur}); err != nil {
 				return fmt.Errorf("merged component: %w", err)
 			}
-			next, err := deriveOutput(comp, []data.Schema{cur})
+			next, err := DeriveOutput(comp, []data.Schema{cur})
 			if err != nil {
 				return err
 			}
