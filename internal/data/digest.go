@@ -1,7 +1,5 @@
 package data
 
-import "math"
-
 // FNV-1a parameters. The digest below is the package's one canonical row
 // hash: the shared-work cache key, the empirical equivalence oracle and the
 // property suites all compare rows through it, so its definition is part of
@@ -43,11 +41,9 @@ func (d *digestState) value(v Value) {
 	switch v.kind {
 	case KindNull:
 		// kind tag alone
-	case KindFloat:
-		d.uint64(math.Float64bits(v.f))
 	case KindString:
 		d.str(v.s)
-	default: // Int, Bool, Date all carry their payload in i
+	default: // Int, Bool, Date and Float (as its bits) carry their payload in i
 		d.uint64(uint64(v.i))
 	}
 	d.byte(0xfe) // value separator

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -355,7 +356,7 @@ func mixedFixture(t *testing.T) (*data.FileRecordset, int) {
 // TestIngestAllocations states the ingest path's allocation ceilings
 // (ROADMAP item 3): classifying a field allocates nothing unless it is a
 // string that looks numeric, a scanned row costs its line's string, its
-// record and a share of the row slice's growth, and re-laying a record
+// record and its slot in a row slice sized once, and re-laying a record
 // out costs the new record.
 func TestIngestAllocations(t *testing.T) {
 	var sink data.Value
@@ -385,6 +386,17 @@ func TestIngestAllocations(t *testing.T) {
 	}
 	if perRow > 3 {
 		t.Errorf("Scan allocates %.2f times per row, want at most 3", perRow)
+	}
+	// In bytes: the 7-value record (224), the line's string (64) and one
+	// slot of a row slice sized once (24), not grown by doubling (~60).
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := rs.Scan(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows); perRow > 330 {
+		t.Errorf("Scan allocates %.0f bytes per row, want at most 330", perRow)
 	}
 
 	src := data.Schema{"A", "B", "C", "D"}

@@ -53,7 +53,7 @@ func mixWord(h, w uint64) uint64 {
 // numBits is the numeric class representative: the bits of Float(), with
 // one pattern for all NaNs.
 func numBits(v *Value) uint64 {
-	f := v.f
+	f := math.Float64frombits(uint64(v.i))
 	if v.kind == KindInt {
 		f = float64(v.i)
 	}

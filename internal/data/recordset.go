@@ -18,7 +18,10 @@ type Recordset interface {
 	// Schema returns the flat record schema.
 	Schema() Schema
 	// Scan returns all records. Implementations return a fresh slice whose
-	// records the caller may retain but must not mutate.
+	// records the caller may retain but must not mutate. The engine calls
+	// Scan from a goroutine other than Run's caller (sources are read ahead
+	// of the stages that use them), one call at a time per recordset unless
+	// a workflow names the same recordset as a source and as a lookup.
 	Scan() (Rows, error)
 	// Load appends records to the recordset.
 	Load(rows Rows) error
@@ -145,9 +148,13 @@ func (f *FileRecordset) readHeader() ([]string, error) {
 	return header, nil
 }
 
-// Scan implements Recordset.
+// Scan implements Recordset. Fields are read by position, so a file whose
+// header no longer is the schema (rewritten since it was bound) is refused.
 func (f *FileRecordset) Scan() (Rows, error) {
-	_, rows, err := ReadCSVFile(f.path)
+	header, rows, err := ReadCSVFile(f.path)
+	if err == nil && header != nil && !header.Equal(f.schema) {
+		err = fmt.Errorf("header %v does not match schema %v", header, f.schema)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("recordset %s: record file %s: %w", f.name, f.path, err)
 	}
@@ -182,6 +189,7 @@ func ReadCSVFile(path string) (Schema, Rows, error) {
 	// record's strings are still cut from a string of its own line.
 	r.ReuseRecord = true
 	var rows Rows
+	start := r.InputOffset()
 	for {
 		fields, err := r.Read()
 		if err == io.EOF {
@@ -189,6 +197,14 @@ func ReadCSVFile(path string) (Schema, Rows, error) {
 		}
 		if err != nil {
 			return nil, nil, err
+		}
+		if rows == nil {
+			// Sized once, as if every record were as long as the first; the
+			// cap bounds what a short first line can claim.
+			const maxPresized = 1 << 20
+			if st, err := fh.Stat(); err == nil {
+				rows = make(Rows, 0, min((st.Size()-start)/(r.InputOffset()-start)+1, maxPresized))
+			}
 		}
 		rec := make(Record, len(fields))
 		for i, s := range fields {

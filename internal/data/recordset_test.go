@@ -1,7 +1,9 @@
 package data
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -156,5 +158,44 @@ func TestFileRecordsetEmptyScan(t *testing.T) {
 	}
 	if len(rows) != 0 {
 		t.Errorf("empty file Scan = %v", rows)
+	}
+}
+
+// A record file is read by position, so a file rewritten between bind and
+// Scan with its columns reordered (same count, same names) must be refused,
+// not read into the wrong attributes. A file emptied to zero bytes keeps
+// its meaning: no header to compare, no rows.
+func TestFileRecordsetScanChecksHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "PARTS.csv")
+	if err := os.WriteFile(path, []byte("PKEY,COST\n1,9.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewFileRecordset("PARTS", Schema{"PKEY", "COST"}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := rs.Scan(); err != nil || len(rows) != 1 {
+		t.Fatalf("Scan of the bound file = %v, %v", rows, err)
+	}
+	if err := os.WriteFile(path, []byte("COST,PKEY\n9.5,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = rs.Scan()
+	if err == nil {
+		t.Fatal("Scan read a file whose columns were reordered after binding")
+	}
+	for _, want := range []string{path, "header COST,PKEY", "schema PKEY,COST"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if _, err := rs.Count(); err == nil {
+		t.Error("Count counted a file Scan refuses")
+	}
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := rs.Scan(); err != nil || len(rows) != 0 {
+		t.Errorf("Scan of an emptied file = %v, %v; want no rows, no error", rows, err)
 	}
 }

@@ -54,12 +54,14 @@ func (k Kind) String() string {
 // an ETL workflow. Values are immutable by convention: activities construct
 // new Values rather than mutating ones they received.
 //
-// Dates are stored as days since the Unix epoch in the integer payload,
-// which keeps Value free of pointers and cheap to copy.
+// Dates are stored as days since the Unix epoch in the integer payload and
+// floats as their IEEE 754 bits (math.Float64bits), so a Value is 32 bytes —
+// tag, one word of payload, the string header — and an 8-column record
+// fits the 256-byte size class: every record the engine moves, and most of
+// what it allocates, is Values.
 type Value struct {
 	kind Kind
 	i    int64
-	f    float64
 	s    string
 }
 
@@ -70,7 +72,7 @@ var Null = Value{}
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a floating-point value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
@@ -107,7 +109,7 @@ func (v Value) Int() int64 {
 	case KindInt, KindBool, KindDate:
 		return v.i
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.Float())
 	default:
 		return 0
 	}
@@ -117,7 +119,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(uint64(v.i))
 	case KindInt, KindBool, KindDate:
 		return float64(v.i)
 	default:
@@ -141,7 +143,7 @@ func (v Value) Bool() bool {
 	case KindBool, KindInt:
 		return v.i != 0
 	case KindFloat:
-		return v.f != 0
+		return v.Float() != 0
 	default:
 		return false
 	}
@@ -166,7 +168,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
@@ -197,7 +199,8 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindFloat:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
+		a, b := v.Float(), o.Float()
+		return a == b || (a != a && b != b) // all NaNs are equal
 	case KindString:
 		return v.s == o.s
 	default:

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"etlopt/internal/algebra"
 	"etlopt/internal/data"
@@ -144,10 +143,7 @@ func TestCancelledMidStage(t *testing.T) {
 				t.Errorf("P=%d: cancellation error %q does not say %q", p, err, want)
 			}
 		}
-		for wait := 0; runtime.NumGoroutine() > before && wait < 200; wait++ {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if after := runtime.NumGoroutine(); after > before {
+		if after := settled(before); after > before {
 			t.Errorf("P=%d: %d goroutines before the run, %d after it was cancelled", p, before, after)
 		}
 	}

@@ -125,6 +125,12 @@ func (c *CheckpointRunner) saveStage(id workflow.NodeID, schema data.Schema, row
 	return data.WriteCSVFile(c.nodePath(id), schema, rows)
 }
 
+// staged reports whether a node has a stage file for loadStage to read.
+func (c *CheckpointRunner) staged(id workflow.NodeID) bool {
+	_, err := os.Stat(c.nodePath(id))
+	return err == nil
+}
+
 // loadStage reads one node's staged output if present.
 func (c *CheckpointRunner) loadStage(id workflow.NodeID) (data.Rows, bool, error) {
 	_, rows, err := data.ReadCSVFile(c.nodePath(id))

@@ -11,6 +11,7 @@ import (
 
 	"etlopt/internal/data"
 	"etlopt/internal/templates"
+	"etlopt/internal/workflow"
 )
 
 // crashStaging runs the scenario with a once-failing PARTS2 so the run
@@ -144,9 +145,10 @@ func TestCheckpointStagingDamage(t *testing.T) {
 	}
 }
 
-// cancellingRecordset cancels the run's context from inside its own scan
-// — the scan itself succeeds, so the node is staged before the runner
-// notices the cancellation at the next node boundary.
+// cancellingRecordset cancels the run's context from inside its own scan,
+// which succeeds. The scan runs on the reader goroutine, one source ahead
+// of the driver, so the driver notices at a stage boundary of its own:
+// every source handed over earlier is staged, this one may or may not be.
 type cancellingRecordset struct {
 	data.Recordset
 	cancel context.CancelFunc
@@ -161,13 +163,15 @@ func (c cancellingRecordset) Scan() (data.Rows, error) {
 
 // Cancellation mid-run behaves exactly like the crash the runner exists
 // to survive: the staging area stays intact and a later run resumes from
-// it without repeating the completed scans.
+// it without repeating a staged scan. PARTS1 is handed over before PARTS2
+// is scanned at all, so it is staged by the time the driver can notice.
 func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	sc := templates.Fig1Scenario(50, 150)
 	bindings := sc.Bind()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	scans := 0
+	scans, scans1 := 0, 0
+	bindings["PARTS1"] = countingRecordset{Recordset: bindings["PARTS1"], scans: &scans1}
 	bindings["PARTS2"] = cancellingRecordset{Recordset: bindings["PARTS2"], cancel: cancel, scans: &scans}
 
 	dir := filepath.Join(t.TempDir(), "stage")
@@ -179,7 +183,9 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run should return context.Canceled, got %v", err)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "cancelled before node") || !strings.Contains(msg, "rows") {
+	// "before node N (label)", or "waiting for source PARTS2" when the driver
+	// had already reached the source being scanned.
+	if msg := err.Error(); !strings.Contains(msg, "run cancelled") || !strings.Contains(msg, "rows") {
 		t.Errorf("checkpoint cancellation error names neither node nor rows: %q", msg)
 	}
 	staged, err := cr.Staged()
@@ -189,14 +195,20 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	if len(staged) == 0 {
 		t.Fatal("cancellation left nothing staged")
 	}
+	wantScans := 2 // PARTS2: scanned again unless its hand-over was staged
+	for _, id := range staged {
+		if n := sc.Graph.Node(id); n.Kind == workflow.KindRecordset && n.RS.Name == "PARTS2" {
+			wantScans = 1
+		}
+	}
 
-	// Resume with a fresh context: completes, reuses the staged scan.
+	// Resume with a fresh context: completes, reuses the staged scans.
 	res, err := cr.Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatalf("resume after cancellation failed: %v", err)
 	}
-	if scans != 1 {
-		t.Errorf("PARTS2 scanned %d times; the staged output should have been reused", scans)
+	if scans1 != 1 || scans != wantScans {
+		t.Errorf("PARTS1 scanned %d times, PARTS2 %d; want 1 and %d: a staged scan should have been reused", scans1, scans, wantScans)
 	}
 	plain, err := New(sc.Bind()).Run(context.Background(), sc.Graph)
 	if err != nil {

@@ -6,14 +6,14 @@
 // nothing in between (stage.go), every other node a stage of its own,
 // each output held as P tagged partitions — rows exchanged by key where
 // an operator's semantics demand it (parallel.go) — until its last reader
-// has run. Materialized mode is that driver at P=1, Parallel mode the
-// same driver at WithPartitions, and checkpointing (CheckpointRunner) a
-// stage hook on it — so mode, partition count, fault plan, retry policy,
-// journal and metrics compose. Pipelined mode is the one other executor:
-// every node a goroutine connected by channels, matching the paper's
-// observation that activities "are allowed to output data to one another"
-// without intermediate data stores. All modes produce bit-identical
-// target rows.
+// has run, each source scanned one ahead by a reader goroutine. Materialized
+// mode is that driver at P=1, Parallel mode the same driver at
+// WithPartitions, and checkpointing (CheckpointRunner) a stage hook on it
+// — so mode, partition count, fault plan, retry policy, journal and
+// metrics compose. Pipelined mode is the one other executor: every node a
+// goroutine connected by channels, matching the paper's observation that
+// activities "are allowed to output data to one another" without
+// intermediate data stores. All modes produce bit-identical target rows.
 //
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
@@ -226,19 +226,19 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 // (parallel.go). A stage (planStages) is a maximal path of row-local
 // activities run as one batch loop (stage.go), or any other node alone.
 // The driver alone checks for cancellation between stages, consults the
-// stage-level fault sites, retries, journals and counts every member,
-// scans a source, loads a target, drops an output once its last reader
-// has completed and — given a checkpoint — restores or persists a node.
+// stage-level fault sites, retries, journals and counts every member, takes
+// a source off the reader (readSources), loads a target, drops an output at
+// its last reader and — given a checkpoint — restores or persists a node.
 //
 // A stage is the retry unit and owns the fault sites: node start and
 // per-partition emit are consulted once, under the ID of its last member
-// — the node whose output exists; consulting every member's sites in one
-// retry unit would multiply an attempt's failure probability by the
-// length of the chain. Fault checks frame the body so that every side
-// effect — loading a bound target, writing a stage file — happens
-// strictly after its last injection point, and nothing of a stage (rows,
-// node events, counters) is recorded before it succeeds: a retried stage
-// never loads, stages or counts twice.
+// — the node whose output exists; consulting every member's sites would
+// multiply an attempt's failure probability by the length of the chain.
+// Fault checks frame the body so that every side effect — loading a bound
+// target, writing a stage file — happens strictly after its last injection
+// point, and nothing of a stage (rows, node events, counters) is recorded
+// before it succeeds: a retried stage never loads, stages or counts twice,
+// and a retried source keeps the rows it was handed.
 func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *CheckpointRunner, rm *runMetrics) (*RunResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
@@ -263,8 +263,12 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		NodeRows: make(map[workflow.NodeID]int),
 	}
 	rowsSoFar := 0
-	// Under a checkpoint every node stays its own stage (CheckpointRunner).
-	for _, ids := range planStages(g, order, stage == nil) {
+	stages := planStages(g, order, stage == nil) // under a checkpoint every node stays its own stage
+	ctx, stop := context.WithCancel(ctx)
+	ahead, done := make(chan *scanned), make(chan struct{})
+	go e.readSources(ctx, g, stages, stage, ahead, done)
+	defer func() { stop(); <-done }() // no return leaves the reader running
+	for _, ids := range stages {
 		id := ids[len(ids)-1]
 		n := g.Node(id)
 		if err := ctx.Err(); err != nil {
@@ -283,6 +287,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		var (
 			pd       *pdata    // the stage's output; nil for a target nothing reads
 			rows     data.Rows // a recordset's or restored node's rows, in materialized order
+			src      *scanned  // a source's hand-over, taken once however often the stage is retried
 			tallies  []tally   // an activity stage's rows and seconds, per partition and member
 			restored bool
 		)
@@ -317,7 +322,16 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				// provider's partitions back into materialized order.
 				rows = realign(gather(out[preds[0]]), g.Node(preds[0]).Out, n.RS.Schema)
 			default:
-				if rows, err = e.scanSource(n); err == nil {
+				if src == nil {
+					select {
+					case src = <-ahead:
+					case <-ctx.Done():
+						return fmt.Errorf("engine: run cancelled waiting for source %s after %d rows: %w", n.RS.Name, rowsSoFar, ctx.Err())
+					}
+				} else if src.err != nil { // retried because the scan failed: scan again, here
+					src.rows, src.err = e.scanSource(n)
+				}
+				if rows, err = src.rows, src.err; err == nil {
 					pd = scatterRows(rows, p)
 				}
 			}
@@ -422,6 +436,30 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		}
 	}
 	return res, nil
+}
+
+// scanned is one source's hand-over from the run's reader to the driver.
+type scanned struct {
+	rows data.Rows
+	err  error
+}
+
+// readSources is the run's reader goroutine: it scans the sources in plan
+// order, but for one with a stage file (the driver's to restore), handing
+// each over on the unbuffered ahead — so one is parsed, none queued, ahead of
+// the driver — until the last is taken or ctx is done, then closes done.
+func (e *Engine) readSources(ctx context.Context, g *workflow.Graph, stages [][]workflow.NodeID, stage *CheckpointRunner, ahead chan<- *scanned, done chan<- struct{}) {
+	defer close(done)
+	for _, ids := range stages {
+		if id := ids[0]; ctx.Err() == nil && len(g.Providers(id)) == 0 && (stage == nil || !stage.staged(id)) {
+			rows, err := e.scanSource(g.Node(id))
+			select {
+			case ahead <- &scanned{rows, err}:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}
 }
 
 // scanSource reads a source recordset through its binding.

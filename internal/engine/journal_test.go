@@ -20,13 +20,14 @@ import (
 func TestJournalDoesNotAffectExecution(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
 	configs := []struct {
-		name string
-		opts []Option
+		name      string
+		opts      []Option
+		unordered bool // target rows compare as multisets, not sequences
 	}{
-		{"materialized", nil},
-		{"pipelined", []Option{WithMode(Pipelined)}},
-		{"parallel-1", []Option{WithMode(Parallel), WithPartitions(1)}},
-		{"parallel-8", []Option{WithMode(Parallel), WithPartitions(8)}},
+		{"materialized", nil, false},
+		{"pipelined", []Option{WithMode(Pipelined)}, true},
+		{"parallel-1", []Option{WithMode(Parallel), WithPartitions(1)}, false},
+		{"parallel-8", []Option{WithMode(Parallel), WithPartitions(8)}, false},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -45,7 +46,14 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 				t.Fatalf("journal close: %v", err)
 			}
 			for name, rows := range plain.Targets {
-				if !rowsIdentical(rows, rec.Targets[name]) {
+				// Pipelined runs interleave a union's inputs as they arrive:
+				// two of them agree as multisets, not row for row (about one
+				// pair in a hundred differed in order before this was said).
+				same := rowsIdentical(rows, rec.Targets[name])
+				if cfg.unordered {
+					same = rows.EqualMultiset(rec.Targets[name])
+				}
+				if !same {
 					t.Errorf("target %s not bit-identical with journal attached", name)
 				}
 			}

@@ -50,16 +50,18 @@ func streamable(a *workflow.Activity) bool {
 // activities (each has one provider) whose every member but the last has
 // exactly one consumer is one stage, placed where its head stands in the
 // order — legal, since each later member reads only the member before it.
-// Every other node, and with fuse off every node, is a stage of one.
+// Every other node, and with fuse off every node, is a stage of one; a
+// source (a node without a provider) stands directly before the first
+// stage that reads it, so it is held from there on, not from the start.
 func planStages(g *workflow.Graph, order []workflow.NodeID, fuse bool) [][]workflow.NodeID {
 	stages := make([][]workflow.NodeID, 0, len(order))
-	fused := make(map[workflow.NodeID]bool)
+	placed := make(map[workflow.NodeID]bool) // fused into a stage, or a source put before its reader
 	rowLocal := func(id workflow.NodeID) bool {
 		n := g.Node(id)
 		return n.Kind == workflow.KindActivity && streamable(n.Act)
 	}
 	for _, id := range order {
-		if fused[id] {
+		if placed[id] || len(g.Providers(id)) == 0 {
 			continue
 		}
 		ids := []workflow.NodeID{id}
@@ -69,8 +71,14 @@ func planStages(g *workflow.Graph, order []workflow.NodeID, fuse bool) [][]workf
 				break
 			}
 			tail = next[0]
-			fused[tail] = true
+			placed[tail] = true
 			ids = append(ids, tail)
+		}
+		for _, pr := range g.Providers(id) {
+			if len(g.Providers(pr)) == 0 && !placed[pr] {
+				placed[pr] = true
+				stages = append(stages, []workflow.NodeID{pr})
+			}
 		}
 		stages = append(stages, ids)
 	}

@@ -374,6 +374,37 @@ func TestPlanStages(t *testing.T) {
 	if got, want := render(false), "[1] [2] [3] [4] [5] [6] [7]"; got != want {
 		t.Errorf("unfused plan %s, want %s", got, want)
 	}
+
+	// Where sources go: S1 1, S2 2, S3 3, then nn 4 (reads S1), ∪ 5 (reads
+	// nn and S2), σ 6 (S2's second reader), T1 7 ← ∪, T2 8 ← σ, T3 9 ← S3
+	// with no activity between. In ID order all three sources lead; placed,
+	// each stands directly before its first reader — S2 before ∪, not σ.
+	g = workflow.NewGraph()
+	var ids []workflow.NodeID
+	for _, name := range []string{"S1", "S2", "S3"} {
+		ids = append(ids, g.AddRecordset(&workflow.RecordsetRef{Name: name, Schema: measureSchema, Rows: 100, IsSource: true}))
+	}
+	ids = append(ids, g.AddActivity(templates.NotNull(0.9, "V1")), g.AddActivity(templates.Union()), g.AddActivity(templates.Threshold("V1", 10, 0.5)))
+	for _, name := range []string{"T1", "T2", "T3"} {
+		ids = append(ids, g.AddRecordset(&workflow.RecordsetRef{Name: name, Schema: measureSchema, IsTarget: true}))
+	}
+	for _, e := range [][2]int{{1, 4}, {4, 5}, {2, 5}, {2, 6}, {5, 7}, {6, 8}, {3, 9}} {
+		g.MustAddEdge(ids[e[0]-1], ids[e[1]-1])
+	}
+	if err := g.RegenerateSchemata(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if order, err = g.TopoSort(); err != nil {
+		t.Fatal(err)
+	}
+	for _, fuse := range []bool{true, false} {
+		if got, want := render(fuse), "[1] [4] [2] [5] [6] [7] [8] [3] [9]"; got != want {
+			t.Errorf("fuse=%v: plan %s, want %s", fuse, got, want)
+		}
+	}
 }
 
 // keyedWorkload parses benchmark/workloads/keyed.etl and generates n rows
@@ -580,8 +611,8 @@ func TestIntermediatesReleased(t *testing.T) {
 	if rows < branches*n/2 {
 		t.Fatalf("target holds %d rows; the fixture no longer carries most of its input through", rows)
 	}
-	// A target row is a slice header and width values of 40 bytes.
-	own := uint64(rows) * uint64(24+40*width)
+	// A target row is a slice header and width values of 32 bytes.
+	own := uint64(rows) * uint64(24+32*width)
 	held := live - min(live, base.HeapAlloc)
 	t.Logf("live heap at load %.1f MB, target rows %.1f MB", float64(held)/1e6, float64(own)/1e6)
 	if held > 3*own {
