@@ -409,6 +409,31 @@ func TestIngestAllocations(t *testing.T) {
 	_ = out
 }
 
+// The row slice is sized from the first record's length. A first line
+// shorter than the rest (NULLs, small numbers) oversizes it; the rows that
+// come back must not keep that estimate alive, and a first line longer than
+// the rest must still read every row.
+func TestReadCSVFileRowsHeldAreRowsRead(t *testing.T) {
+	long := strings.Repeat("x", 400)
+	for name, first := range map[string]string{"short first line": "1,2\n", "long first line": long + long + ",2\n"} {
+		var b strings.Builder
+		b.WriteString("A,B\n" + first)
+		for i := 0; i < 2000; i++ {
+			fmt.Fprintf(&b, "%s,%d\n", long, i)
+		}
+		_, rows, err := data.ReadCSVFile(writeFile(t, "SKEW.csv", b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2001 || rows[2000][1].Int() != 1999 {
+			t.Fatalf("%s: read %d rows, want 2001 ending in 1999", name, len(rows))
+		}
+		if cap(rows) > 2*len(rows) {
+			t.Errorf("%s: %d rows held in a slice of %d", name, len(rows), cap(rows))
+		}
+	}
+}
+
 // TestProjectionMatchesProject checks Projection.Apply against
 // Record.Project on random schema pairs, including attributes the source
 // lacks, attributes it repeats, and records shorter than their schema.

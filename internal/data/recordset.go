@@ -17,11 +17,10 @@ type Recordset interface {
 	Name() string
 	// Schema returns the flat record schema.
 	Schema() Schema
-	// Scan returns all records. Implementations return a fresh slice whose
-	// records the caller may retain but must not mutate. The engine calls
-	// Scan from a goroutine other than Run's caller (sources are read ahead
-	// of the stages that use them), one call at a time per recordset unless
-	// a workflow names the same recordset as a source and as a lookup.
+	// Scan returns all records: a fresh slice whose records the caller may
+	// retain but must not mutate. The engine calls it from a goroutine other
+	// than Run's caller (sources are read ahead), one call at a time per
+	// recordset unless a workflow names it as a source and as a lookup too.
 	Scan() (Rows, error)
 	// Load appends records to the recordset.
 	Load(rows Rows) error
@@ -193,17 +192,19 @@ func ReadCSVFile(path string) (Schema, Rows, error) {
 	for {
 		fields, err := r.Read()
 		if err == io.EOF {
+			if cap(rows) > 2*len(rows) { // a short first line oversized it
+				rows = append(Rows(nil), rows...)
+			}
 			return header, rows, nil
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 		if rows == nil {
-			// Sized once, as if every record were as long as the first; the
-			// cap bounds what a short first line can claim.
-			const maxPresized = 1 << 20
+			// Sized once, as if every record were as long as the first; what a
+			// short first line claims is bounded here and given back at EOF.
 			if st, err := fh.Stat(); err == nil {
-				rows = make(Rows, 0, min((st.Size()-start)/(r.InputOffset()-start)+1, maxPresized))
+				rows = make(Rows, 0, min((st.Size()-start)/(r.InputOffset()-start)+1, 1<<20))
 			}
 		}
 		rec := make(Record, len(fields))

@@ -56,9 +56,8 @@ func (k Kind) String() string {
 //
 // Dates are stored as days since the Unix epoch in the integer payload and
 // floats as their IEEE 754 bits (math.Float64bits), so a Value is 32 bytes —
-// tag, one word of payload, the string header — and an 8-column record
-// fits the 256-byte size class: every record the engine moves, and most of
-// what it allocates, is Values.
+// tag, one word of payload, the string header — and an 8-column record fits
+// the 256-byte size class; records are most of what the engine allocates.
 type Value struct {
 	kind Kind
 	i    int64

@@ -62,10 +62,10 @@ func (c *CheckpointRunner) nodePath(id workflow.NodeID) string {
 // Pipelined engine is refused: it has no node boundary to stage at.
 //
 // A cancelled ctx aborts between nodes with an error wrapping ctx.Err()
-// and leaves the staging area in place: the nodes completed before the
-// cancellation stay checkpointed, so a later Run with the same workflow
-// resumes from them — cancellation behaves exactly like the crash the
-// runner exists to survive.
+// and leaves the staging area in place: the nodes the driver completed stay
+// checkpointed and a later Run of the same workflow resumes from them, as
+// after the crash the runner exists to survive. A source read ahead that
+// the driver had not taken yet is not among them: it is scanned again.
 func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
 	return c.engine.run(ctx, g, c)
 }
@@ -125,20 +125,17 @@ func (c *CheckpointRunner) saveStage(id workflow.NodeID, schema data.Schema, row
 	return data.WriteCSVFile(c.nodePath(id), schema, rows)
 }
 
-// staged reports whether a node has a stage file for loadStage to read.
+// staged reports whether a node has a stage file; asked once per node and run.
 func (c *CheckpointRunner) staged(id workflow.NodeID) bool {
 	_, err := os.Stat(c.nodePath(id))
 	return err == nil
 }
 
-// loadStage reads one node's staged output if present.
-func (c *CheckpointRunner) loadStage(id workflow.NodeID) (data.Rows, bool, error) {
+// loadStage reads the output of a staged node.
+func (c *CheckpointRunner) loadStage(id workflow.NodeID) (data.Rows, error) {
 	_, rows, err := data.ReadCSVFile(c.nodePath(id))
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
 	if err != nil {
-		return nil, false, fmt.Errorf("engine: reading stage %d: %w", id, err)
+		return nil, fmt.Errorf("engine: reading stage %d: %w", id, err)
 	}
-	return rows, true, nil
+	return rows, nil
 }

@@ -147,8 +147,10 @@ func TestCheckpointStagingDamage(t *testing.T) {
 
 // cancellingRecordset cancels the run's context from inside its own scan,
 // which succeeds. The scan runs on the reader goroutine, one source ahead
-// of the driver, so the driver notices at a stage boundary of its own:
-// every source handed over earlier is staged, this one may or may not be.
+// of the driver, and the reader keeps it for the driver until the driver
+// returns: a driver already waiting for this source takes and stages it, a
+// driver still busy notices the cancellation at its next stage boundary and
+// never does. Every source handed over earlier is staged either way.
 type cancellingRecordset struct {
 	data.Recordset
 	cancel context.CancelFunc
@@ -183,9 +185,7 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run should return context.Canceled, got %v", err)
 	}
-	// "before node N (label)", or "waiting for source PARTS2" when the driver
-	// had already reached the source being scanned.
-	if msg := err.Error(); !strings.Contains(msg, "run cancelled") || !strings.Contains(msg, "rows") {
+	if msg := err.Error(); !strings.Contains(msg, "cancelled before node") || !strings.Contains(msg, "rows") {
 		t.Errorf("checkpoint cancellation error names neither node nor rows: %q", msg)
 	}
 	staged, err := cr.Staged()
@@ -195,7 +195,7 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	if len(staged) == 0 {
 		t.Fatal("cancellation left nothing staged")
 	}
-	wantScans := 2 // PARTS2: scanned again unless its hand-over was staged
+	wantScans := 2 // PARTS2: scanned again unless the driver had taken and staged it
 	for _, id := range staged {
 		if n := sc.Graph.Node(id); n.Kind == workflow.KindRecordset && n.RS.Name == "PARTS2" {
 			wantScans = 1
@@ -228,15 +228,15 @@ func TestLoadStageDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := cr.loadStage(1); ok || err != nil {
-		t.Errorf("absent stage = staged %v, %v; want not staged, nil", ok, err)
+	if cr.staged(1) {
+		t.Error("absent stage = staged; want not staged")
 	}
 	for name, content := range map[string]string{"empty": "", "header only": "A,B\n"} {
 		if err := os.WriteFile(cr.nodePath(1), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if rows, ok, err := cr.loadStage(1); !ok || err != nil || len(rows) != 0 {
-			t.Errorf("%s stage = %d rows, staged %v, %v; want none, staged, nil", name, len(rows), ok, err)
+		if rows, err := cr.loadStage(1); !cr.staged(1) || err != nil || len(rows) != 0 {
+			t.Errorf("%s stage = %d rows, staged %v, %v; want none, staged, nil", name, len(rows), cr.staged(1), err)
 		}
 	}
 	for name, content := range map[string]string{
@@ -247,7 +247,7 @@ func TestLoadStageDamage(t *testing.T) {
 		if err := os.WriteFile(cr.nodePath(1), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := cr.loadStage(1)
+		_, err := cr.loadStage(1)
 		var pe *csv.ParseError
 		if !errors.As(err, &pe) || pe.StartLine != 3 {
 			t.Errorf("%s: error %v does not carry a *csv.ParseError at line 3", name, err)

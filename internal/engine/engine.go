@@ -250,12 +250,13 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		}
 	}
 	out := make(map[workflow.NodeID]*pdata, len(order))
-	// readers counts a node's consumers yet to complete; its output is
-	// dropped with the last, so what stays live is the input of the stages
-	// still to run, not every node's output.
+	// readers counts a node's consumers yet to complete; its output is dropped
+	// with the last: what stays live is the input of the stages still to run.
 	readers := make(map[workflow.NodeID]int, len(order))
+	staged := make(map[workflow.NodeID]bool) // has a stage file: asked once, for the driver and the reader both
 	for _, id := range order {
 		readers[id] = len(g.Consumers(id))
+		staged[id] = stage != nil && stage.staged(id)
 	}
 	scr := make([]scratch, p) // one per partition for the whole run
 	res := &RunResult{
@@ -264,10 +265,14 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 	}
 	rowsSoFar := 0
 	stages := planStages(g, order, stage == nil) // under a checkpoint every node stays its own stage
-	ctx, stop := context.WithCancel(ctx)
-	ahead, done := make(chan *scanned), make(chan struct{})
-	go e.readSources(ctx, g, stages, stage, ahead, done)
-	defer func() { stop(); <-done }() // no return leaves the reader running
+	ahead := make(chan *scanned)
+	quit, stop := context.WithCancel(context.WithoutCancel(ctx))
+	go e.readSources(ctx, quit, g, stages, staged, ahead)
+	defer func() { // quit is done when the driver returns, and no return leaves the reader running
+		stop()
+		for range ahead {
+		}
+	}()
 	for _, ids := range stages {
 		id := ids[len(ids)-1]
 		n := g.Node(id)
@@ -285,11 +290,10 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		// repeated blindly, so a target always re-runs from its provider.
 		stageable := stage != nil && !target
 		var (
-			pd       *pdata    // the stage's output; nil for a target nothing reads
-			rows     data.Rows // a recordset's or restored node's rows, in materialized order
-			src      *scanned  // a source's hand-over, taken once however often the stage is retried
-			tallies  []tally   // an activity stage's rows and seconds, per partition and member
-			restored bool
+			pd      *pdata    // the stage's output; nil for a target nothing reads
+			rows    data.Rows // a recordset's or restored node's rows, in materialized order
+			src     *scanned  // a source's hand-over, taken once however often the stage is retried
+			tallies []tally   // an activity stage's rows and seconds, per partition and member
 		)
 		body := func() error {
 			var err error
@@ -297,12 +301,11 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				if err := e.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
 					return err
 				}
-				if rows, restored, err = stage.loadStage(id); err != nil {
+				if staged[id] {
+					if rows, err = stage.loadStage(id); err == nil {
+						pd = scatterRows(rows, p)
+					}
 					return err
-				}
-				if restored {
-					pd = scatterRows(rows, p)
-					return nil
 				}
 			}
 			if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
@@ -323,9 +326,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				rows = realign(gather(out[preds[0]]), g.Node(preds[0]).Out, n.RS.Schema)
 			default:
 				if src == nil {
-					select {
-					case src = <-ahead:
-					case <-ctx.Done():
+					if src = <-ahead; src == nil { // closed: the reader saw ctx done
 						return fmt.Errorf("engine: run cancelled waiting for source %s after %d rows: %w", n.RS.Name, rowsSoFar, ctx.Err())
 					}
 				} else if src.err != nil { // retried because the scan failed: scan again, here
@@ -414,7 +415,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		if stageable && e.journal != nil {
 			key := nodeKey(id, n)
 			emitted := res.NodeRows[id]
-			if restored {
+			if staged[id] {
 				e.journal.Emit(obs.CheckpointEvent(key, "restored", emitted))
 				e.journal.Emit(obs.ResumeEvent(key, emitted))
 			} else {
@@ -445,17 +446,18 @@ type scanned struct {
 }
 
 // readSources is the run's reader goroutine: it scans the sources in plan
-// order, but for one with a stage file (the driver's to restore), handing
-// each over on the unbuffered ahead — so one is parsed, none queued, ahead of
-// the driver — until the last is taken or ctx is done, then closes done.
-func (e *Engine) readSources(ctx context.Context, g *workflow.Graph, stages [][]workflow.NodeID, stage *CheckpointRunner, ahead chan<- *scanned, done chan<- struct{}) {
-	defer close(done)
+// order, but for the staged ones (the driver's to restore), handing each
+// over on the unbuffered ahead — so one is parsed, none queued, ahead of the
+// driver — and closes ahead after the last. It begins no scan once ctx is
+// done, but gives up a finished one only to quit: the driver's return.
+func (e *Engine) readSources(ctx, quit context.Context, g *workflow.Graph, stages [][]workflow.NodeID, staged map[workflow.NodeID]bool, ahead chan<- *scanned) {
+	defer close(ahead)
 	for _, ids := range stages {
-		if id := ids[0]; ctx.Err() == nil && len(g.Providers(id)) == 0 && (stage == nil || !stage.staged(id)) {
+		if id := ids[0]; ctx.Err() == nil && quit.Err() == nil && len(g.Providers(id)) == 0 && !staged[id] {
 			rows, err := e.scanSource(g.Node(id))
 			select {
 			case ahead <- &scanned{rows, err}:
-			case <-ctx.Done():
+			case <-quit.Done():
 				return
 			}
 		}

@@ -20,14 +20,13 @@ import (
 func TestJournalDoesNotAffectExecution(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
 	configs := []struct {
-		name      string
-		opts      []Option
-		unordered bool // target rows compare as multisets, not sequences
+		name string
+		opts []Option
 	}{
-		{"materialized", nil, false},
-		{"pipelined", []Option{WithMode(Pipelined)}, true},
-		{"parallel-1", []Option{WithMode(Parallel), WithPartitions(1)}, false},
-		{"parallel-8", []Option{WithMode(Parallel), WithPartitions(8)}, false},
+		{"materialized", nil},
+		{"pipelined", []Option{WithMode(Pipelined)}},
+		{"parallel-1", []Option{WithMode(Parallel), WithPartitions(1)}},
+		{"parallel-8", []Option{WithMode(Parallel), WithPartitions(8)}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -46,14 +45,7 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 				t.Fatalf("journal close: %v", err)
 			}
 			for name, rows := range plain.Targets {
-				// Pipelined runs interleave a union's inputs as they arrive:
-				// two of them agree as multisets, not row for row (about one
-				// pair in a hundred differed in order before this was said).
-				same := rowsIdentical(rows, rec.Targets[name])
-				if cfg.unordered {
-					same = rows.EqualMultiset(rec.Targets[name])
-				}
-				if !same {
+				if !rowsIdentical(rows, rec.Targets[name]) {
 					t.Errorf("target %s not bit-identical with journal attached", name)
 				}
 			}
