@@ -7,7 +7,7 @@
 //	BenchmarkTable1and2/*      — Tables 1 and 2 per category & algorithm
 //	                             (quality %, improvement %, visited states)
 //	BenchmarkAblation*         — dedup, incremental costing, Phase I, merge
-//	BenchmarkEngineModes/*     — materialized vs pipelined execution
+//	BenchmarkParallelEngine/*  — A5: materialized vs parallel at P ∈ {1, 2, 4, 8}
 //	BenchmarkTransitionOps/*   — per-transition micro-costs
 //	BenchmarkTopoSort, BenchmarkEvaluate{Full,Incremental}
 //	                           — the per-state constants of the search
@@ -256,38 +256,6 @@ func BenchmarkAblationMerge(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.Visited), "states")
 			b.ReportMetric(res.Improvement(), "improvement%")
-		})
-	}
-}
-
-// BenchmarkEngineModes measures A5: materialized versus pipelined
-// execution of the same optimized workflow.
-func BenchmarkEngineModes(b *testing.B) {
-	cfg := generator.CategoryConfig(generator.Medium, 33)
-	cfg.DataRows = 2000
-	sc, err := generator.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bindings := sc.Bind()
-	for _, mode := range []struct {
-		name string
-		m    engine.Mode
-	}{{"Materialized", engine.Materialized}, {"Pipelined", engine.Pipelined}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := engine.New(bindings, engine.WithMode(mode.m), engine.WithBatchSize(256))
-			var rows int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := e.Run(context.Background(), sc.Graph)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, t := range res.Targets {
-					rows = len(t)
-				}
-			}
-			b.ReportMetric(float64(rows), "target-rows")
 		})
 	}
 }

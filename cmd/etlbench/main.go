@@ -314,6 +314,6 @@ func runAblations(seed int64) error {
 		t.AddRow(v.name, fmt.Sprintf("%.1f", res.Improvement()), res.Visited)
 	}
 	fmt.Println(t)
-	fmt.Println("(A5, engine modes, needs data volume: see BenchmarkEngineModes.)")
+	fmt.Println("(A5, engine modes, needs data volume: see BenchmarkParallelEngine and DESIGN.md §8.)")
 	return nil
 }

@@ -2,17 +2,17 @@
 // files: every source recordset, surrogate-key lookup and key set named by
 // the workflow is bound to <data-dir>/<name>.csv, and target recordsets
 // are written to <data-dir>/<name>.csv as well. Optionally the workflow is
-// optimized before running, executed pipelined or partitioned, and
-// checkpointed so an interrupted load resumes instead of restarting.
-// -checkpoint honours -mode and -partitions (materialized or parallel; the
-// staged files are the same at any partition count), and composes with
-// -faults, -journal and -metrics. -mode pipelined has no node boundaries:
-// combined with -checkpoint or -faults it is refused, not ignored.
+// optimized before running, executed partitioned, and checkpointed so an
+// interrupted load resumes instead of restarting. -checkpoint honours -mode
+// and -partitions (the staged files are the same at any partition count),
+// and composes with -faults, -journal and -metrics. A -mode, -optimize or
+// -faults value etlrun does not know is rejected before any file is
+// created or written.
 //
 // Usage:
 //
 //	etlrun -in workflow.etl -data ./data [-optimize hs|greedy|es] [-workers N]
-//	       [-mode materialized|pipelined|parallel] [-partitions P]
+//	       [-mode materialized|parallel] [-partitions P]
 //	       [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
 //	       [-metrics snap.json] [-journal run.jsonl]
 //	       [-trace-out trace-events.json] [-cpuprofile cpu.pprof]
@@ -77,9 +77,9 @@ func run() error {
 		dataDir    = flag.String("data", ".", "directory of <name>.csv record files")
 		optimize   = flag.String("optimize", "", "optimize first: es, hs or greedy")
 		workers    = flag.Int("workers", 0, "optimizer search parallelism: worker goroutines for -optimize (0 = GOMAXPROCS)")
-		mode       = flag.String("mode", "materialized", "execution mode: materialized, pipelined or parallel")
+		mode       = flag.String("mode", "materialized", "execution mode: materialized or parallel")
 		partitions = flag.Int("partitions", 0, "engine data parallelism: partitions per recordset in -mode parallel, with or without -checkpoint (0 = GOMAXPROCS)")
-		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution (-mode materialized or parallel)")
+		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution (honours -mode and -partitions)")
 		impact     = flag.String("impact", "", "print the impact analysis of the named recordset and exit")
 		lintOnly   = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
 		explain    = flag.Bool("explain", false, "print estimated vs actual cardinalities after the run")
@@ -97,6 +97,16 @@ func run() error {
 		sharedSpil = flag.String("shared-spill", "", "suite mode: spill evicted shared intermediates to CSV files in this directory")
 	)
 	flag.Parse()
+	// Every flag with a closed vocabulary is checked here, before the journal,
+	// the profile or a target file exists.
+	eopts, err := engineOptions(*mode, *partitions, *faults, *retries)
+	if err != nil {
+		return err
+	}
+	search, ok := optimizers[*optimize]
+	if !ok && *optimize != "" {
+		return fmt.Errorf("unknown optimizer %q (accepted: es, greedy, hs)", *optimize)
+	}
 	files := flag.Args()
 	if *in != "" {
 		files = append([]string{*in}, files...)
@@ -105,7 +115,6 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("missing workflow file (-in or positional)")
 	}
-	eflags := engineFlags{mode: *mode, partitions: *partitions, faults: *faults, retries: *retries}
 	if len(files) > 1 {
 		// A slice, not a map: with two such flags set the error names the
 		// same one in every run.
@@ -122,7 +131,7 @@ func run() error {
 			}
 		}
 		return runSuite(files, suiteFlags{
-			engineFlags: eflags, dataDir: *dataDir,
+			engine: eopts, dataDir: *dataDir,
 			workers: *suiteWork, cacheBytes: *sharedCap, spillDir: *sharedSpil,
 			metrics: *metrics, journal: *journal,
 		})
@@ -195,8 +204,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (/, /metrics, /metrics.json)\n", bound)
 	}
 
-	if *optimize != "" {
-		var res *core.Result
+	if search != nil {
 		opts := core.Options{
 			IncrementalCost: true, MaxStates: 30_000, Metrics: reg, Workers: *workers,
 			Journal: jnl, PprofLabels: *cpuProf != "",
@@ -205,16 +213,7 @@ func run() error {
 			opts.Progress = os.Stderr
 			opts.ProgressInterval = *progress
 		}
-		switch *optimize {
-		case "es":
-			res, err = core.Exhaustive(ctx, g, opts)
-		case "hs":
-			res, err = core.Heuristic(ctx, g, opts)
-		case "greedy":
-			res, err = core.HSGreedy(ctx, g, opts)
-		default:
-			return fmt.Errorf("unknown optimizer %q", *optimize)
-		}
+		res, err := search(ctx, g, opts)
 		if err != nil {
 			return err
 		}
@@ -228,9 +227,9 @@ func run() error {
 		return err
 	}
 
-	eopts, err := eflags.options(reg, jnl, *cpuProf != "")
-	if err != nil {
-		return err
+	eopts = append(eopts, engine.WithMetrics(reg), engine.WithJournal(jnl))
+	if *cpuProf != "" {
+		eopts = append(eopts, engine.WithPprofLabels())
 	}
 	e := engine.New(bindings, eopts...)
 
@@ -314,42 +313,34 @@ func run() error {
 	return nil
 }
 
-// engineFlags is the slice of the CLI configuration that selects how the
-// engine executes; single runs and suites lower it the same way.
-type engineFlags struct {
-	mode       string
-	partitions int
-	faults     string
-	retries    int
+// optimizers are the values -optimize accepts.
+var optimizers = map[string]func(context.Context, *workflow.Graph, core.Options) (*core.Result, error){
+	"es": core.Exhaustive, "hs": core.Heuristic, "greedy": core.HSGreedy,
 }
 
-// options lowers the flags to engine options.
-func (f engineFlags) options(reg *obs.Registry, jnl *obs.Journal, pprofLabels bool) ([]engine.Option, error) {
-	var mode engine.Mode
-	switch f.mode {
+// engineOptions lowers -mode, -partitions, -faults and -retries to engine
+// options, the same way for single runs and suites; the caller adds the
+// run's registry and journal.
+func engineOptions(mode string, partitions int, faults string, retries int) ([]engine.Option, error) {
+	var m engine.Mode
+	switch mode {
 	case "materialized":
-		mode = engine.Materialized
-	case "pipelined":
-		mode = engine.Pipelined
+		m = engine.Materialized
 	case "parallel":
-		mode = engine.Parallel
+		m = engine.Parallel
 	default:
-		return nil, fmt.Errorf("unknown mode %q", f.mode)
+		return nil, fmt.Errorf("unknown mode %q (accepted: materialized, parallel)", mode)
 	}
-	eopts := []engine.Option{engine.WithMode(mode), engine.WithMetrics(reg),
-		engine.WithPartitions(f.partitions), engine.WithJournal(jnl)}
-	if pprofLabels {
-		eopts = append(eopts, engine.WithPprofLabels())
-	}
-	if f.faults != "" {
-		seed, rate, err := fault.ParseSpec(f.faults)
+	eopts := []engine.Option{engine.WithMode(m), engine.WithPartitions(partitions)}
+	if faults != "" {
+		seed, rate, err := fault.ParseSpec(faults)
 		if err != nil {
 			return nil, err
 		}
 		eopts = append(eopts,
 			engine.WithFaultPlan(fault.NewPlan(seed, rate)),
 			engine.WithRetry(fault.Policy{
-				MaxAttempts: f.retries,
+				MaxAttempts: retries,
 				BaseDelay:   time.Millisecond,
 				MaxDelay:    100 * time.Millisecond,
 				Seed:        seed,

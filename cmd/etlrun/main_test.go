@@ -78,7 +78,7 @@ func TestCLIRunFig1(t *testing.T) {
 	}
 }
 
-func TestCLIRunOptimizedPipelinedMatchesPlain(t *testing.T) {
+func TestCLIRunOptimizedParallelMatchesPlain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
@@ -91,7 +91,7 @@ func TestCLIRunOptimizedPipelinedMatchesPlain(t *testing.T) {
 	}
 	dirB := t.TempDir()
 	wfB := setupFig1(t, dirB)
-	out, err := exec.Command(bin, "-in", wfB, "-data", dirB, "-optimize", "hs", "-mode", "pipelined").CombinedOutput()
+	out, err := exec.Command(bin, "-in", wfB, "-data", dirB, "-optimize", "hs", "-mode", "parallel", "-partitions", "4").CombinedOutput()
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -111,7 +111,79 @@ func TestCLIRunOptimizedPipelinedMatchesPlain(t *testing.T) {
 	rowsA, _ := a.Scan()
 	rowsB, _ := b.Scan()
 	if !rowsA.EqualMultiset(rowsB) {
-		t.Errorf("optimized pipelined run wrote different data: %d vs %d rows", len(rowsA), len(rowsB))
+		t.Errorf("optimized parallel run wrote different data: %d vs %d rows", len(rowsA), len(rowsB))
+	}
+}
+
+// dirContents maps every file under dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestCLIRejectsUnknownFlagValuesFirst: a -mode (the removed "pipelined"
+// among them), -optimize or -faults value etlrun does not know fails the
+// run before the optimizer has run and before the journal, a target CSV or
+// anything else is created, and the error names what is accepted.
+func TestCLIRejectsUnknownFlagValuesFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	wf := setupFig1(t, dir)
+	before := dirContents(t, dir)
+	for _, c := range []struct {
+		flag, value string
+		want        []string
+	}{
+		{"-mode", "pipelined", []string{"materialized", "parallel"}},
+		{"-mode", "bogus", []string{"materialized", "parallel"}},
+		{"-optimize", "bogus", []string{"es", "greedy", "hs"}},
+		{"-faults", "nonsense", []string{"seed:rate"}},
+	} {
+		journal := filepath.Join(t.TempDir(), "run.jsonl")
+		args := []string{"-in", wf, "-data", dir, "-optimize", "hs", "-journal", journal, c.flag, c.value}
+		for _, more := range [][]string{nil, {wf}} { // single run, suite
+			cmd := exec.Command(bin, append(args, more...)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err == nil {
+				t.Errorf("%s %s: exit 0, want a refusal", c.flag, c.value)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(stderr.String(), w) {
+					t.Errorf("%s %s: stderr %q does not name %q", c.flag, c.value, stderr.String(), w)
+				}
+			}
+			if strings.Contains(stdout.String(), "optimized with") {
+				t.Errorf("%s %s: the optimizer ran before the refusal:\n%s", c.flag, c.value, stdout.String())
+			}
+			if _, err := os.Stat(journal); !os.IsNotExist(err) {
+				t.Errorf("%s %s: journal file exists after the refusal (stat err = %v)", c.flag, c.value, err)
+			}
+		}
+	}
+	after := dirContents(t, dir)
+	if len(after) != len(before) {
+		t.Errorf("refused runs changed the data directory: %d files before, %d after", len(before), len(after))
+	}
+	for path, b := range before {
+		if after[path] != b {
+			t.Errorf("refused runs changed %s", path)
+		}
 	}
 }
 

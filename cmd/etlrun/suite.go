@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"etlopt/internal/dsl"
+	"etlopt/internal/engine"
 	"etlopt/internal/obs"
 	"etlopt/internal/share"
 	"etlopt/internal/workflow"
@@ -17,7 +18,7 @@ import (
 
 // suiteFlags is the slice of the CLI configuration suite mode consumes.
 type suiteFlags struct {
-	engineFlags
+	engine     []engine.Option // of -mode, -partitions, -faults, -retries
 	dataDir    string
 	workers    int
 	cacheBytes int64
@@ -68,15 +69,11 @@ func runSuite(files []string, f suiteFlags) error {
 		wfs = append(wfs, share.Workflow{Name: name, Graph: g, Bindings: bindings})
 	}
 
-	eopts, err := f.options(reg, jnl, false)
-	if err != nil {
-		return err
-	}
 	res, err := share.RunSuite(ctx, wfs, share.Options{
 		Workers:    f.workers,
 		CacheBytes: f.cacheBytes,
 		SpillDir:   f.spillDir,
-		Engine:     eopts,
+		Engine:     append(f.engine, engine.WithMetrics(reg), engine.WithJournal(jnl)),
 		Journal:    jnl,
 		Metrics:    reg,
 	})

@@ -3,7 +3,7 @@
 // removal — unified, aggregated into daily per-page hit counts and loaded
 // into a warehouse fact table. The example contrasts all three search
 // algorithms on the same workflow and runs the optimized plan through the
-// pipelined engine.
+// engine.
 package main
 
 import (
@@ -152,18 +152,18 @@ func main() {
 	fmt.Println("\noptimized workflow:")
 	fmt.Print(best)
 
-	// Execute through the pipelined engine.
+	// Execute the optimized plan.
 	bindings := map[string]data.Recordset{
 		"WEB_LOG": data.NewMemoryRecordset("WEB_LOG",
 			data.Schema{"TS", "URL", "STATUS", "AGENT", "BYTES"}).MustLoad(logRows(3000, 10)),
 		"MOBILE_LOG": data.NewMemoryRecordset("MOBILE_LOG",
 			data.Schema{"TS", "URL", "STATUS", "AGENT", "BYTES"}).MustLoad(logRows(1200, 7)),
 	}
-	run, err := engine.New(bindings, engine.WithMode(engine.Pipelined)).Run(context.Background(), best)
+	run, err := engine.New(bindings).Run(context.Background(), best)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\npipelined execution: %d page-day rows in %v\n",
+	fmt.Printf("\nexecution: %d page-day rows in %v\n",
 		len(run.Targets["DW.PAGE_HITS"]), run.Elapsed.Round(time.Microsecond))
 	for i, r := range run.Targets["DW.PAGE_HITS"] {
 		if i == 6 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"etlopt/internal/data"
@@ -30,7 +31,7 @@ func runBinary(t *testing.T, mode Mode, lSchema, rSchema data.Schema, lRows, rRo
 	e := New(map[string]data.Recordset{
 		"L": data.NewMemoryRecordset("L", lSchema).MustLoad(lRows),
 		"R": data.NewMemoryRecordset("R", rSchema).MustLoad(rRows),
-	}, WithMode(mode), WithBatchSize(2), WithPartitions(3))
+	}, WithMode(mode), WithPartitions(3))
 	res, err := e.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -134,19 +135,19 @@ func TestIntersectExecution(t *testing.T) {
 func TestModesAgreeOnFig1(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
 	mat := New(sc.Bind(), WithMode(Materialized))
-	pip := New(sc.Bind(), WithMode(Pipelined), WithBatchSize(7))
+	par := New(sc.Bind(), WithMode(Parallel), WithPartitions(3))
 	r1, err := mat.Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := pip.Run(context.Background(), sc.Graph)
+	r2, err := par.Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows1 := r1.Targets["DW.PARTS"]
 	rows2 := r2.Targets["DW.PARTS"]
-	if !rows1.EqualMultiset(rows2) {
-		t.Errorf("modes disagree: %d vs %d rows; %v",
+	if !rowsIdentical(rows1, rows2) {
+		t.Errorf("modes disagree row for row: %d vs %d rows; %v",
 			len(rows1), len(rows2), rows1.DiffMultiset(rows2, 3))
 	}
 	if len(rows1) == 0 {
@@ -156,7 +157,8 @@ func TestModesAgreeOnFig1(t *testing.T) {
 
 func TestDiamondPipelineNoDeadlock(t *testing.T) {
 	// One source feeding two branches that re-converge on a union: the
-	// pipelined engine must drain both concurrently.
+	// source's output has two readers and lives until the second has run,
+	// and the union emits its first input's rows, then its second's.
 	schema := data.Schema{"K", "V"}
 	g := workflow.NewGraph()
 	src := g.AddRecordset(&workflow.RecordsetRef{Name: "S", Schema: schema, Rows: 500, IsSource: true})
@@ -173,26 +175,32 @@ func TestDiamondPipelineNoDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := make(data.Rows, 500)
+	var over50, over150 data.Rows
 	for i := range rows {
 		rows[i] = data.Record{data.NewInt(int64(i)), data.NewFloat(float64(i % 200))}
+		if i%200 >= 50 {
+			over50 = append(over50, rows[i])
+		}
+		if i%200 >= 150 {
+			over150 = append(over150, rows[i])
+		}
 	}
+	want := append(over50, over150...)
 	bind := map[string]data.Recordset{"S": data.NewMemoryRecordset("S", schema).MustLoad(rows)}
-	mat, err := New(bind, WithMode(Materialized)).Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pip, err := New(bind, WithMode(Pipelined), WithBatchSize(4)).Run(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.Targets["T"].EqualMultiset(pip.Targets["T"]) {
-		t.Error("diamond results differ between modes")
+	for _, p := range []int{1, 3} {
+		res, err := New(bind, WithMode(Parallel), WithPartitions(p)).Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Targets["T"]; !rowsIdentical(got, want) {
+			t.Errorf("diamond at P=%d: %d rows, want the %d of σ(V≥50) then σ(V≥150)", p, len(got), len(want))
+		}
 	}
 }
 
 func TestPipelineErrorPropagation(t *testing.T) {
 	// A surrogate key with a missing lookup binding must surface as an
-	// error, not a hang, in pipelined mode.
+	// error naming the activity, in either mode.
 	g := workflow.NewGraph()
 	src := g.AddRecordset(&workflow.RecordsetRef{Name: "S", Schema: data.Schema{"K"}, IsSource: true})
 	sk := g.AddActivity(templates.SurrogateKey("K", "SK", "NOPE"))
@@ -202,11 +210,14 @@ func TestPipelineErrorPropagation(t *testing.T) {
 	if err := g.RegenerateSchemata(); err != nil {
 		t.Fatal(err)
 	}
-	e := New(map[string]data.Recordset{
+	bind := map[string]data.Recordset{
 		"S": data.NewMemoryRecordset("S", data.Schema{"K"}).MustLoad(data.Rows{{data.NewInt(1)}}),
-	}, WithMode(Pipelined))
-	if _, err := e.Run(context.Background(), g); err == nil {
-		t.Error("missing lookup binding should error")
+	}
+	for _, mode := range []Mode{Materialized, Parallel} {
+		_, err := New(bind, WithMode(mode), WithPartitions(3)).Run(context.Background(), g)
+		if err == nil || !strings.Contains(err.Error(), g.Node(sk).Label()) || !strings.Contains(err.Error(), "NOPE") {
+			t.Errorf("mode %v: err = %v, want one naming activity %q and lookup NOPE", mode, err, g.Node(sk).Label())
+		}
 	}
 }
 
@@ -218,10 +229,32 @@ func TestUnboundSourceError(t *testing.T) {
 	if err := g.RegenerateSchemata(); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{Materialized, Pipelined} {
+	for _, mode := range []Mode{Materialized, Parallel} {
 		if _, err := New(nil, WithMode(mode)).Run(context.Background(), g); err == nil {
 			t.Errorf("mode %v: unbound source should error", mode)
 		}
+	}
+}
+
+// A Mode that is neither Materialized nor Parallel is refused before any
+// source is scanned, plain and under a checkpoint runner.
+func TestUnknownModeRefused(t *testing.T) {
+	sc := templates.Fig1Scenario(10, 30)
+	bindings := sc.Bind()
+	scans := 0
+	bindings["PARTS1"] = countingRecordset{Recordset: bindings["PARTS1"], scans: &scans}
+	e := New(bindings, WithMode(Parallel+1))
+	cr, err := NewCheckpointRunner(e, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []func(context.Context, *workflow.Graph) (*RunResult, error){e.Run, cr.Run} {
+		if _, err := run(context.Background(), sc.Graph); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+			t.Errorf("err = %v, want an unknown-mode error", err)
+		}
+	}
+	if scans != 0 {
+		t.Errorf("refused runs scanned a source %d times", scans)
 	}
 }
 

@@ -58,8 +58,7 @@ func (c *CheckpointRunner) nodePath(id workflow.NodeID) string {
 // plan and retry policy — checkpointing each completed node. If the
 // staging area already holds results for this exact workflow (matching
 // signature), completed nodes are loaded from disk instead of recomputed —
-// the resumption path. On success the staging area is removed. A
-// Pipelined engine is refused: it has no node boundary to stage at.
+// the resumption path. On success the staging area is removed.
 //
 // A cancelled ctx aborts between nodes with an error wrapping ctx.Err()
 // and leaves the staging area in place: the nodes the driver completed stay

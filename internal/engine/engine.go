@@ -10,10 +10,10 @@
 // mode is that driver at P=1, Parallel mode the same driver at
 // WithPartitions, and checkpointing (CheckpointRunner) a stage hook on it
 // — so mode, partition count, fault plan, retry policy, journal and
-// metrics compose. Pipelined mode is the one other executor: every node a
-// goroutine connected by channels, matching the paper's observation that
-// activities "are allowed to output data to one another" without
-// intermediate data stores. All modes produce bit-identical target rows.
+// metrics compose, and there is no other executor: the paper's activities
+// that "output data to one another" without intermediate data stores are
+// the members of a fused stage. Both modes produce bit-identical target
+// rows, in the same order, at any partition count.
 //
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
@@ -23,7 +23,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -44,11 +43,6 @@ const (
 	// order, materializing each stage's full output: the node driver at
 	// one partition.
 	Materialized Mode = iota
-	// Pipelined runs one goroutine per node, streaming records through
-	// channels; blocking operations (aggregations, duplicate checks,
-	// difference) buffer internally as needed. It has no node boundary,
-	// so it refuses a fault plan, a retry policy and checkpointing.
-	Pipelined
 	// Parallel is the node driver at P partitions: order-preserving
 	// operators run partition-locally, key-sensitive operators
 	// repartition by key first, and an order-stable merge makes the
@@ -62,8 +56,6 @@ func (m Mode) String() string {
 	switch m {
 	case Materialized:
 		return "materialized"
-	case Pipelined:
-		return "pipelined"
 	case Parallel:
 		return "parallel"
 	default:
@@ -75,7 +67,6 @@ func (m Mode) String() string {
 type Engine struct {
 	mode     Mode
 	bindings map[string]data.Recordset
-	batch    int
 	// partitions is Parallel mode's worker count; 0 means GOMAXPROCS.
 	partitions int
 	// metrics, when non-nil, receives the engine's observability series
@@ -104,20 +95,10 @@ type Option func(*Engine)
 // WithMode selects the execution mode (default Materialized).
 func WithMode(m Mode) Option { return func(e *Engine) { e.mode = m } }
 
-// WithBatchSize sets the pipelined mode's channel batch size (default 64).
-func WithBatchSize(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.batch = n
-		}
-	}
-}
-
 // WithPartitions sets Parallel mode's partition count (default: the
 // number of CPUs), with or without a CheckpointRunner around the engine.
 // Any count produces bit-identical output; the count only affects how the
-// work is spread. Materialized mode is always one partition and Pipelined
-// mode has none, so both ignore it.
+// work is spread. Materialized mode is always one partition and ignores it.
 func WithPartitions(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -131,11 +112,7 @@ func WithPartitions(n int) Option {
 // bound by name. Target recordsets may be bound (rows are loaded into
 // them) or unbound (rows are only reported in the RunResult).
 func New(bindings map[string]data.Recordset, opts ...Option) *Engine {
-	e := &Engine{
-		mode:     Materialized,
-		bindings: bindings,
-		batch:    64,
-	}
+	e := &Engine{mode: Materialized, bindings: bindings}
 	for _, o := range opts {
 		o(e)
 	}
@@ -157,10 +134,9 @@ type RunResult struct {
 // Run executes the workflow and returns the loaded target rows. The graph
 // must be validated and have regenerated schemata. Cancelling ctx stops
 // the run at the next stage, partition or — inside a fused stage — batch
-// boundary (materialized and parallel modes) or channel batch (pipelined
-// mode) and returns an error wrapping ctx.Err(); rows already loaded into
-// bound targets stay loaded. NodeRows is per activity whether or not the
-// activity ran fused.
+// boundary and returns an error wrapping ctx.Err(); rows already loaded
+// into bound targets stay loaded. NodeRows is per activity whether or not
+// the activity ran fused.
 func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
 	return e.run(ctx, g, nil)
 }
@@ -168,9 +144,7 @@ func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error)
 // run is the run wrapper Run (stage nil) and CheckpointRunner.Run share:
 // it resolves the mode to a partition count, attaches the run's lookup
 // cache, metrics, journal run events and mode span, and hands the graph to
-// the node driver — or to the pipeline, which has no node boundary to
-// inject a fault at, retry from or stage after, and so refuses those
-// options instead of ignoring them.
+// the node driver.
 func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRunner) (*RunResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -180,16 +154,6 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 	case Materialized:
 	case Parallel:
 		partitions = e.partitionCount()
-	case Pipelined:
-		partitions = 0
-		switch {
-		case stage != nil:
-			return nil, errors.New("engine: pipelined mode cannot checkpoint: run the checkpoint runner over a materialized or parallel engine")
-		case e.faults != nil:
-			return nil, errors.New("engine: pipelined mode has no fault-injection sites: arm the fault plan in materialized or parallel mode")
-		case e.retry.Enabled():
-			return nil, errors.New("engine: pipelined mode cannot retry a node: set the retry policy in materialized or parallel mode")
-		}
 	default:
 		return nil, fmt.Errorf("engine: unknown mode %d", e.mode)
 	}
@@ -203,15 +167,7 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 	}
 	span := e.metrics.StartSpan("engine/" + modeName)
 	rm.setSpan(span)
-	var (
-		res *RunResult
-		err error
-	)
-	if e.mode == Pipelined {
-		res, err = e.runPipelined(ctx, g, rm)
-	} else {
-		res, err = e.runNodes(ctx, g, partitions, stage, rm)
-	}
+	res, err := e.runNodes(ctx, g, partitions, stage, rm)
 	span.End()
 	if err != nil {
 		return nil, err

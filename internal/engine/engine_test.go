@@ -40,7 +40,7 @@ func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
 	for k, v := range extra {
 		bindings[k] = v
 	}
-	e := New(bindings, WithMode(mode), WithBatchSize(3), WithPartitions(3))
+	e := New(bindings, WithMode(mode), WithPartitions(3))
 	res, err := e.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,6 @@ func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
 
 func bothModes(t *testing.T, f func(t *testing.T, mode Mode)) {
 	t.Run("materialized", func(t *testing.T) { f(t, Materialized) })
-	t.Run("pipelined", func(t *testing.T) { f(t, Pipelined) })
 	t.Run("parallel", func(t *testing.T) { f(t, Parallel) })
 }
 

@@ -8,11 +8,11 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// execSem runs one activity over fully materialized inputs: the pipeline's
-// blocking nodes, the components of a merged package that cannot be a
-// stage, and the tests' node-by-node reference. in/out are the node's
-// derived schemata; schemas/inputs the provider layouts and rows, which
-// are realigned to in where they differ; the result is laid out by out.
+// execSem runs one activity over fully materialized inputs: the components
+// of a merged package that cannot be a stage, and the tests' node-by-node
+// reference. in/out are the node's derived schemata; schemas/inputs the
+// provider layouts and rows, which are realigned to in where they differ;
+// the result is laid out by out.
 // It has no kernels of its own: a row-local activity is a chain of one
 // (stage.go), any other runs its partition contract (parallel.go) at one
 // partition, where every exchange is the identity.

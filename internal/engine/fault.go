@@ -16,7 +16,7 @@ import (
 // emit are a stage's sites: a fused path of row-local activities has one
 // set, under its last member's ID. Every fired fault is journaled and
 // counted; a nil plan (the default) adds no checks on hot paths beyond a
-// nil test. Pipelined mode refuses a plan.
+// nil test.
 func WithFaultPlan(p *fault.Plan) Option { return func(e *Engine) { e.faults = p } }
 
 // WithRetry attaches a per-stage retry policy: a stage — a fused path of
@@ -27,7 +27,6 @@ func WithFaultPlan(p *fault.Plan) Option { return func(e *Engine) { e.faults = p
 // strictly after a stage's last injection point and nothing is counted
 // or journaled before it succeeds, so a retried stage never loads, stages
 // or counts twice. The zero policy (the default) disables retries.
-// Pipelined mode refuses an enabled policy.
 func WithRetry(p fault.Policy) Option { return func(e *Engine) { e.retry = p } }
 
 // checkFault consults the fault plan at one injection point, journaling

@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"strings"
+	"runtime"
 	"testing"
 
 	"etlopt/internal/data"
@@ -73,20 +73,26 @@ func TestEngineTransientFaultsRecover(t *testing.T) {
 // naming node, partition and injection site, budget notwithstanding.
 func TestEnginePermanentFaultTyped(t *testing.T) {
 	sc := templates.Fig1Scenario(40, 120)
-	_, err := New(sc.Bind(),
-		WithMode(Parallel), WithPartitions(4),
-		WithFaultPlan(fault.NewPlan(7, 1.0, fault.WithKind(fault.Permanent))),
-		WithRetry(fault.Policy{MaxAttempts: 8, Seed: 7}),
-	).Run(context.Background(), sc.Graph)
-	if err == nil {
-		t.Fatal("permanent rate-1 plan did not fail the run")
-	}
-	var inj *fault.Injected
-	if !errors.As(err, &inj) {
-		t.Fatalf("error is not a typed *fault.Injected: %v", err)
-	}
-	if inj.Site == "" || inj.Node < 0 || inj.Part < 0 || inj.Kind != fault.Permanent {
-		t.Fatalf("attribution incomplete: %+v", inj)
+	for _, p := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		_, err := New(sc.Bind(),
+			WithMode(Parallel), WithPartitions(p),
+			WithFaultPlan(fault.NewPlan(7, 1.0, fault.WithKind(fault.Permanent))),
+			WithRetry(fault.Policy{MaxAttempts: 8, Seed: 7}),
+		).Run(context.Background(), sc.Graph)
+		if err == nil {
+			t.Fatalf("P=%d: permanent rate-1 plan did not fail the run", p)
+		}
+		var inj *fault.Injected
+		if !errors.As(err, &inj) {
+			t.Fatalf("P=%d: error is not a typed *fault.Injected: %v", p, err)
+		}
+		if inj.Site == "" || inj.Node < 0 || inj.Part < 0 || inj.Kind != fault.Permanent {
+			t.Fatalf("P=%d: attribution incomplete: %+v", p, inj)
+		}
+		if after := settled(before); after > before {
+			t.Errorf("P=%d: %d goroutines before the run, %d after it faulted", p, before, after)
+		}
 	}
 }
 
@@ -156,53 +162,6 @@ func TestEngineZeroRatePlanInvisible(t *testing.T) {
 	}
 	if !res.Targets["DW.PARTS"].EqualMultiset(plain.Targets["DW.PARTS"]) {
 		t.Error("zero-rate plan changed the run's output")
-	}
-}
-
-// Pipelined mode has no node boundary to inject a fault at, retry from or
-// stage after: each of those options is refused by name before any node
-// runs, while plain Pipelined keeps running.
-func TestPipelinedRefusesWhatItCannotDo(t *testing.T) {
-	sc := templates.Fig1Scenario(40, 120)
-	cases := []struct {
-		name       string
-		opts       []Option
-		checkpoint bool
-		want       string // "" = the run must succeed
-	}{
-		{name: "plain"},
-		{name: "fault plan", opts: []Option{WithFaultPlan(fault.NewPlan(1, 0))}, want: "fault"},
-		{name: "retry", opts: []Option{WithRetry(fault.Policy{MaxAttempts: 3})}, want: "retry"},
-		{name: "checkpoint", checkpoint: true, want: "checkpoint"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			bindings := sc.Bind()
-			scans := 0
-			bindings["PARTS1"] = countingRecordset{Recordset: bindings["PARTS1"], scans: &scans}
-			e := New(bindings, append([]Option{WithMode(Pipelined)}, c.opts...)...)
-			run := e.Run
-			if c.checkpoint {
-				cr, err := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				run = cr.Run
-			}
-			_, err := run(context.Background(), sc.Graph)
-			if c.want == "" {
-				if err != nil {
-					t.Fatalf("plain pipelined run failed: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), "pipelined") || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("err = %v, want a refusal naming pipelined mode and %q", err, c.want)
-			}
-			if scans != 0 {
-				t.Errorf("refused run scanned a source %d times", scans)
-			}
-		})
 	}
 }
 

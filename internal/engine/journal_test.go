@@ -14,7 +14,7 @@ import (
 
 // TestJournalDoesNotAffectExecution is the engine half of the
 // flight-recorder determinism guard: with the journal (and pprof
-// partition labels) attached, every mode at partition counts 1 and 8
+// partition labels) attached, both modes at partition counts 1 and 8
 // must load bit-identical target rows and report identical per-node row
 // counts.
 func TestJournalDoesNotAffectExecution(t *testing.T) {
@@ -24,7 +24,6 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 		opts []Option
 	}{
 		{"materialized", nil},
-		{"pipelined", []Option{WithMode(Pipelined)}},
 		{"parallel-1", []Option{WithMode(Parallel), WithPartitions(1)}},
 		{"parallel-8", []Option{WithMode(Parallel), WithPartitions(8)}},
 	}

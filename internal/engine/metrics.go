@@ -2,18 +2,17 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"etlopt/internal/obs"
 	"etlopt/internal/workflow"
 )
 
 // WithMetrics attaches an observability registry to the engine: each run
-// then reports per-activity input/output row counts, stage latencies,
-// observed-vs-modeled selectivities and (in pipelined mode) backpressure
-// waits. Collection is write-only — the engine never reads an instrument
-// back — so execution results are identical with metrics on or off. A nil
-// registry leaves collection disabled (the default).
+// then reports per-activity and per-partition output row counts, stage
+// latencies, exchanged rows and observed-vs-modeled selectivities.
+// Collection is write-only — the engine never reads an instrument back —
+// so execution results are identical with metrics on or off. A nil registry
+// leaves collection disabled (the default).
 func WithMetrics(r *obs.Registry) Option { return func(e *Engine) { e.metrics = r } }
 
 // WithJournal attaches a flight-recorder journal: each run then emits
@@ -36,11 +35,8 @@ func WithPprofLabels() Option { return func(e *Engine) { e.pprofLabels = true } 
 // *runMetrics (metrics and journal both disabled) makes every accessor
 // return a nil handle, which no-ops.
 type runMetrics struct {
-	rowsOut      map[workflow.NodeID]*obs.Counter   // engine_rows_out_total{node}
-	nodeSec      map[workflow.NodeID]*obs.Histogram // engine_node_seconds{node}
-	backpressure map[workflow.NodeID]*obs.Counter   // engine_backpressure_waits_total{node}
-
-	// Node-driver series, allocated only when partitions > 0.
+	rowsOut   map[workflow.NodeID]*obs.Counter   // engine_rows_out_total{node}
+	nodeSec   map[workflow.NodeID]*obs.Histogram // engine_node_seconds{node}
 	partRows  map[workflow.NodeID][]*obs.Counter // engine_partition_rows_out_total{node,partition}
 	partBusy  []*obs.Gauge                       // engine_partition_busy_seconds{partition}
 	exchanged map[workflow.NodeID]*obs.Counter   // engine_exchange_rows_total{node}
@@ -60,10 +56,9 @@ func nodeKey(id workflow.NodeID, n *workflow.Node) string {
 	return fmt.Sprintf("%d:%s", id, n.Label())
 }
 
-// newRunMetrics prefetches handles for every node of the graph; nil when
-// the engine has neither a registry nor a journal. partitions > 0 (the
-// node driver; 1 in Materialized mode) additionally prefetches the
-// per-partition and exchange series. With a journal but no registry every
+// newRunMetrics prefetches handles for every node of the graph and each of
+// the run's partitions (1 in Materialized mode); nil when the engine has
+// neither a registry nor a journal. With a journal but no registry every
 // instrument handle is nil (the nil registry hands out nil handles) and
 // only the journal side is live.
 func (e *Engine) newRunMetrics(g *workflow.Graph, partitions int) *runMetrics {
@@ -71,39 +66,31 @@ func (e *Engine) newRunMetrics(g *workflow.Graph, partitions int) *runMetrics {
 		return nil
 	}
 	m := &runMetrics{
-		rowsOut:      make(map[workflow.NodeID]*obs.Counter),
-		nodeSec:      make(map[workflow.NodeID]*obs.Histogram),
-		backpressure: make(map[workflow.NodeID]*obs.Counter),
-		j:            e.journal,
-		keys:         make(map[workflow.NodeID]string),
+		rowsOut:   make(map[workflow.NodeID]*obs.Counter),
+		nodeSec:   make(map[workflow.NodeID]*obs.Histogram),
+		partRows:  make(map[workflow.NodeID][]*obs.Counter),
+		partBusy:  make([]*obs.Gauge, partitions),
+		exchanged: make(map[workflow.NodeID]*obs.Counter),
+		j:         e.journal,
+		keys:      make(map[workflow.NodeID]string),
 	}
-	if partitions > 0 {
-		m.partRows = make(map[workflow.NodeID][]*obs.Counter)
-		m.partBusy = make([]*obs.Gauge, partitions)
-		m.exchanged = make(map[workflow.NodeID]*obs.Counter)
-		for p := 0; p < partitions; p++ {
-			m.partBusy[p] = e.metrics.Gauge("engine_partition_busy_seconds", "partition", fmt.Sprint(p))
-		}
+	for p := range m.partBusy {
+		m.partBusy[p] = e.metrics.Gauge("engine_partition_busy_seconds", "partition", fmt.Sprint(p))
 	}
 	for _, id := range g.Nodes() {
 		key := nodeKey(id, g.Node(id))
 		m.keys[id] = key
 		m.rowsOut[id] = e.metrics.Counter("engine_rows_out_total", "node", key)
-		m.backpressure[id] = e.metrics.Counter("engine_backpressure_waits_total", "node", key)
 		if g.Node(id).Kind == workflow.KindActivity {
 			m.nodeSec[id] = e.metrics.Histogram("engine_node_seconds", nil, "node", key)
+			m.exchanged[id] = e.metrics.Counter("engine_exchange_rows_total", "node", key)
 		}
-		if partitions > 0 {
-			handles := make([]*obs.Counter, partitions)
-			for p := 0; p < partitions; p++ {
-				handles[p] = e.metrics.Counter("engine_partition_rows_out_total",
-					"node", key, "partition", fmt.Sprint(p))
-			}
-			m.partRows[id] = handles
-			if g.Node(id).Kind == workflow.KindActivity {
-				m.exchanged[id] = e.metrics.Counter("engine_exchange_rows_total", "node", key)
-			}
+		handles := make([]*obs.Counter, partitions)
+		for p := range handles {
+			handles[p] = e.metrics.Counter("engine_partition_rows_out_total",
+				"node", key, "partition", fmt.Sprint(p))
 		}
+		m.partRows[id] = handles
 	}
 	return m
 }
@@ -118,24 +105,10 @@ func (m *runMetrics) rows(id workflow.NodeID) *obs.Counter {
 	return m.rowsOut[id]
 }
 
-func (m *runMetrics) latency(id workflow.NodeID) *obs.Histogram {
-	if m == nil {
-		return nil
-	}
-	return m.nodeSec[id]
-}
-
-func (m *runMetrics) stall(id workflow.NodeID) *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.backpressure[id]
-}
-
 // partRow returns the rows-out counter of one partition of a node; nil
-// when metrics or the per-partition series are disabled.
+// when metrics are disabled.
 func (m *runMetrics) partRow(id workflow.NodeID, p int) *obs.Counter {
-	if m == nil || m.partRows == nil {
+	if m == nil {
 		return nil
 	}
 	if hs := m.partRows[id]; p < len(hs) {
@@ -179,27 +152,15 @@ func (m *runMetrics) nodeSpan(id workflow.NodeID) *obs.Span {
 	return m.span.Child("node/" + m.keys[id])
 }
 
-// observeNode runs fn as node id's execution in the pipeline, under a
-// per-node child span and timed into the node's stage histogram. (The
-// node driver records a stage's members once the stage has succeeded.)
-func (m *runMetrics) observeNode(id workflow.NodeID, fn func() error) error {
-	if m == nil {
-		return fn()
-	}
-	sp := m.nodeSpan(id)
-	start := time.Now()
-	err := fn()
-	sp.End()
-	m.latency(id).Observe(time.Since(start).Seconds())
-	return err
-}
-
 // nodeDone records one completed activity of the node driver: its seconds
 // into the node's stage histogram, and rows emitted and seconds spent as
 // the journal's node event.
 func (m *runMetrics) nodeDone(id workflow.NodeID, rows int, sec float64) {
-	m.latency(id).Observe(sec)
-	if m.journaling() {
+	if m == nil {
+		return
+	}
+	m.nodeSec[id].Observe(sec)
+	if m.j != nil {
 		m.j.Emit(obs.NodeEvent(m.keys[id], rows, sec))
 	}
 }

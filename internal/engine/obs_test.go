@@ -17,7 +17,7 @@ func TestMetricsDoNotAffectExecution(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		mode Mode
-	}{{"materialized", Materialized}, {"pipelined", Pipelined}} {
+	}{{"materialized", Materialized}, {"parallel", Parallel}} {
 		t.Run(mode.name, func(t *testing.T) {
 			plain, err := New(sc.Bind(), WithMode(mode.mode)).Run(context.Background(), sc.Graph)
 			if err != nil {
@@ -97,9 +97,6 @@ func testEngineMetricsSeries(t *testing.T, mode Mode) {
 	if !sawSel {
 		t.Error("no observed selectivity recorded")
 	}
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="pipelined"}`); ok && v != 0 {
-		t.Errorf("pipelined run counter unexpectedly %d", v)
-	}
 }
 
 // TestCancellationErrorIsDiagnosable covers the wrapped context errors:
@@ -119,40 +116,4 @@ func TestCancellationErrorIsDiagnosable(t *testing.T) {
 			t.Fatalf("materialized cancellation error not diagnosable: %q", msg)
 		}
 	})
-	t.Run("pipelined", func(t *testing.T) {
-		_, err := New(sc.Bind(), WithMode(Pipelined)).Run(ctx, sc.Graph)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, "pipelined run cancelled") || !strings.Contains(msg, "rows") {
-			t.Fatalf("pipelined cancellation error not diagnosable: %q", msg)
-		}
-	})
-}
-
-// TestPipelinedMetricsUnderRace exercises the instrumented pipelined mode
-// (concurrent counters, backpressure probes, per-batch latency) — most
-// valuable under -race.
-func TestPipelinedMetricsUnderRace(t *testing.T) {
-	sc := templates.Fig1Scenario(300, 900)
-	reg := obs.NewRegistry()
-	// A tiny batch size forces many sends per edge, exercising the
-	// backpressure probe path.
-	res, err := New(sc.Bind(), WithMode(Pipelined), WithBatchSize(8), WithMetrics(reg)).
-		Run(context.Background(), sc.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	for id, want := range res.NodeRows {
-		key := nodeKey(id, sc.Graph.Node(id))
-		got, ok := snap.CounterValue(`engine_rows_out_total{node="` + key + `"}`)
-		if !ok || got != int64(want) {
-			t.Errorf("rows counter for node %s = %d, %v; want %d", key, got, ok, want)
-		}
-	}
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="pipelined"}`); !ok || v != 1 {
-		t.Fatalf("engine_runs_total{mode=pipelined} = %d, %v; want 1", v, ok)
-	}
 }

@@ -134,7 +134,6 @@ func TestLookupsScannedOncePerRun(t *testing.T) {
 		checkpoint bool
 	}{
 		{name: "materialized", opts: []Option{WithMode(Materialized)}},
-		{name: "pipelined", opts: []Option{WithMode(Pipelined), WithBatchSize(16)}},
 		{name: "parallel", opts: []Option{WithMode(Parallel), WithPartitions(8)}},
 		{name: "checkpoint", checkpoint: true},
 	}

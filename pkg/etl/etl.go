@@ -20,8 +20,8 @@
 //	suite, err := etl.RunSuite(ctx, workflows, etl.WithSharedCache(64<<20))
 //
 // Search options (WithAlgorithm, WithWorkers, …) configure Optimize;
-// engine options (WithMode, WithPartitions, WithBatchSize, WithFaultPlan,
-// WithRetry) configure Run and RunSuite; suite options (WithSuiteWorkers,
+// engine options (WithMode, WithPartitions, WithFaultPlan, WithRetry)
+// configure Run and RunSuite; suite options (WithSuiteWorkers,
 // WithSharedCache, WithSharedSpill) configure RunSuite; WithMetrics and
 // WithJournal configure all three. Passing an option to the entry point it
 // does not affect is harmless, so one option slice can serve a whole
@@ -158,10 +158,6 @@ var (
 const (
 	// Materialized evaluates nodes one at a time in topological order.
 	Materialized = engine.Materialized
-	// Pipelined streams records between concurrent node goroutines. It
-	// has no node boundaries: Run refuses it together with WithFaultPlan
-	// or WithRetry.
-	Pipelined = engine.Pipelined
 	// Parallel partitions every recordset across P workers (see
 	// WithPartitions) and merges deterministically: target rows are
 	// bit-identical to Materialized at any partition count.
@@ -195,7 +191,6 @@ type settings struct {
 	mode       Mode
 	modeSet    bool
 	partitions int
-	batch      int
 	metrics    *MetricsRegistry
 	journal    *Journal
 	profile    bool
@@ -290,12 +285,6 @@ func WithMode(m Mode) Option {
 // WithWorkers.
 func WithPartitions(n int) Option {
 	return func(s *settings) { s.partitions = n }
-}
-
-// WithBatchSize sets the pipelined mode's channel batch size (default
-// 64). Run only.
-func WithBatchSize(n int) Option {
-	return func(s *settings) { s.batch = n }
 }
 
 // WithFaultPlan arms deterministic fault injection on the run: the plan
@@ -471,9 +460,6 @@ func (s *settings) engineOptions() []engine.Option {
 	eopts := []engine.Option{engine.WithMode(s.mode)}
 	if s.partitions > 0 {
 		eopts = append(eopts, engine.WithPartitions(s.partitions))
-	}
-	if s.batch > 0 {
-		eopts = append(eopts, engine.WithBatchSize(s.batch))
 	}
 	if s.metrics != nil {
 		eopts = append(eopts, engine.WithMetrics(s.metrics))

@@ -59,8 +59,8 @@ func TestModelAndConstraintOptions(t *testing.T) {
 	}
 }
 
-// TestRunModesViaOptions runs the quickstart workflow through all three
-// engine modes using the unified options and requires identical targets.
+// TestRunModesViaOptions runs the quickstart workflow through both engine
+// modes using the unified options and requires identical targets.
 func TestRunModesViaOptions(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -75,7 +75,7 @@ func TestRunModesViaOptions(t *testing.T) {
 		name string
 		opts []etl.Option
 	}{
-		{"pipelined", []etl.Option{etl.WithMode(etl.Pipelined), etl.WithBatchSize(2)}},
+		{"materialized", []etl.Option{etl.WithMode(etl.Materialized)}},
 		{"parallel", []etl.Option{etl.WithMode(etl.Parallel), etl.WithPartitions(8)}},
 	} {
 		run, err := etl.Run(ctx, g, buildBindings(), tc.opts...)
