@@ -94,7 +94,7 @@ func run() error {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile here; search workers and engine partitions are labeled")
 		suiteWork  = flag.Int("suite-workers", 0, "suite mode: concurrent shared stages and workflows (0 = GOMAXPROCS)")
 		sharedCap  = flag.Int64("shared-cache", -1, "suite mode: shared intermediate cache budget in bytes (-1 = unbounded, 0 = no retention)")
-		sharedSpil = flag.String("shared-spill", "", "suite mode: spill evicted shared intermediates to CSV files in this directory")
+		sharedSpil = flag.String("shared-spill", "", "suite mode: spill evicted shared intermediates to typed row files in this directory; the run removes them when it ends")
 	)
 	flag.Parse()
 	// Every flag with a closed vocabulary is checked here, before the journal,

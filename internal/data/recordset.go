@@ -162,9 +162,10 @@ func (f *FileRecordset) Scan() (Rows, error) {
 
 // ReadCSVFile reads a record file: a header row, then one typed record per
 // line. Every CSV the system reads back as rows — a source or lookup file,
-// a spilled intermediate, a checkpoint stage — goes through this function,
-// so the three agree on quoting, line endings, the field-count check and
-// how a field becomes a Value (ParseValue).
+// a checkpoint stage — goes through this function, so they agree on
+// quoting, line endings, the field-count check and how a field becomes a
+// Value: ParseValue, by its text (WriteRowFile is for rows that must keep
+// their kinds).
 //
 // An empty file has a nil header and no rows; a file holding only a header
 // has no rows. Errors come back unwrapped for the caller to attribute: the
@@ -215,15 +216,31 @@ func ReadCSVFile(path string) (Schema, Rows, error) {
 	}
 }
 
-// WriteCSVFile writes a record file ReadCSVFile reads back: the schema as
-// header row, then one line per record, NULL for nulls. Every CSV the
-// system writes whole — a new or truncated record file, a spilled
-// intermediate, a checkpoint stage — goes through this function. The rows
-// go to a temp file in path's directory that is renamed over path once
-// flushed and closed, so a reader sees the old file or the whole new one,
-// never a torn write; on any failure the temp file is removed and path is
-// left as it was.
-func WriteCSVFile(path string, schema Schema, rows Rows) (err error) {
+// WriteCSVFile writes a record file ReadCSVFile reads back, whole or not at
+// all (writeFileAtomic): the schema as header row, then one line per
+// record, NULL for nulls. Every CSV the system writes whole — a new or
+// truncated record file, a checkpoint stage — goes through this function.
+func WriteCSVFile(path string, schema Schema, rows Rows) error {
+	return writeFileAtomic(path, func(f *os.File) error {
+		w := csv.NewWriter(f)
+		if err := w.Write(schema); err != nil {
+			return err
+		}
+		for _, rec := range rows {
+			if err := w.Write(recordFields(rec)); err != nil {
+				return err
+			}
+		}
+		w.Flush()
+		return w.Error()
+	})
+}
+
+// writeFileAtomic has write fill a temp file in path's directory and renames
+// it over path once closed, so a reader sees the old file or the whole new
+// one, never a torn write; on any failure the temp file is removed and path
+// is left as it was.
+func writeFileAtomic(path string, write func(*os.File) error) (err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
@@ -238,17 +255,7 @@ func WriteCSVFile(path string, schema Schema, rows Rows) (err error) {
 	if err := tmp.Chmod(0o644); err != nil {
 		return err
 	}
-	w := csv.NewWriter(tmp)
-	if err := w.Write(schema); err != nil {
-		return err
-	}
-	for _, rec := range rows {
-		if err := w.Write(recordFields(rec)); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := write(tmp); err != nil {
 		return err
 	}
 	if err := tmp.Close(); err != nil {

@@ -1,10 +1,13 @@
 package share
 
 import (
-	"encoding/csv"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -211,8 +214,7 @@ func TestCacheSpillRoundTrip(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("compute ran %d times, want 1 (spill load must not recompute)", n)
 	}
-	// These values are chosen to round-trip the staging CSV format exactly,
-	// so the typed digest must survive the disk trip bit-for-bit.
+	// The typed digest must survive the disk trip bit-for-bit.
 	if orig.Digest() != rows2.Digest() {
 		t.Fatalf("spill round-trip changed rows:\n  orig %v\n  got  %v", orig, rows2)
 	}
@@ -252,36 +254,102 @@ func TestSpillRoundTripDirect(t *testing.T) {
 }
 
 // TestReadSpillDamage covers what a spill file can look like on disk: a
-// header-only file is an empty result, an empty or missing file and a
-// malformed line are errors, and the malformed line's position survives
-// the wrapping.
+// file of no rows is an empty result; an empty or missing file, a file cut
+// short or with one byte flipped anywhere, another format version, another
+// schema and bytes after the end are each refused whole, by a typed error
+// that names the file.
 func TestReadSpillDamage(t *testing.T) {
 	schema := data.Schema{"A", "B"}
-	write := func(content string) string {
-		path := filepath.Join(t.TempDir(), "k.csv")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	write := func(content []byte) string {
+		path := filepath.Join(t.TempDir(), "k.rows")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	if rows, err := readSpill(write("A,B\n"), schema); err != nil || len(rows) != 0 {
-		t.Errorf("header-only spill = %d rows, %v; want none, nil", len(rows), err)
-	}
-	if _, err := readSpill(write(""), schema); err == nil {
-		t.Error("an empty spill file must be an error: a written spill always has its header")
-	}
-	if _, err := readSpill(filepath.Join(t.TempDir(), "absent.csv"), schema); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("missing spill = %v, want a not-exist error", err)
-	}
-	for name, content := range map[string]string{
-		"ragged row":         "A,B\n1,2\n3\n",
-		"bare quote":         "A,B\n1,2\nx\"y,3\n",
-		"unterminated quote": "A,B\n1,2\n\"x,3\n",
-	} {
-		_, err := readSpill(write(content), schema)
-		var pe *csv.ParseError
-		if !errors.As(err, &pe) || pe.StartLine != 3 {
-			t.Errorf("%s: error %v does not carry a *csv.ParseError at line 3", name, err)
+	spill := func(schema data.Schema, rows data.Rows) []byte {
+		path, err := writeSpill(t.TempDir(), "k", schema, rows)
+		if err != nil {
+			t.Fatal(err)
 		}
+		content, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return content
+	}
+	refused := func(what string, content []byte) {
+		t.Helper()
+		path := write(content)
+		rows, err := readSpill(path, schema)
+		var damage *data.RowFileError
+		if !errors.As(err, &damage) || damage.Path != path || rows != nil {
+			t.Errorf("%s: %d rows, error %v; want no rows and a *data.RowFileError naming %s", what, len(rows), err, path)
+		}
+	}
+
+	if rows, err := readSpill(write(spill(schema, nil)), schema); err != nil || len(rows) != 0 {
+		t.Errorf("spill of no rows = %d rows, %v; want none, nil", len(rows), err)
+	}
+	refused("empty file", nil)
+	_, err := readSpill(filepath.Join(t.TempDir(), "absent.rows"), schema)
+	var pe *fs.PathError
+	if !errors.Is(err, fs.ErrNotExist) || !errors.As(err, &pe) {
+		t.Errorf("missing spill = %v, want the open's not-exist *fs.PathError", err)
+	}
+
+	valid := spill(schema, data.Rows{
+		{data.NewString("007"), data.NewInt(1)},
+		{data.Null, data.NewFloat(3.5)},
+	})
+	if rows, err := readSpill(write(valid), schema); err != nil || len(rows) != 2 {
+		t.Fatalf("the undamaged file = %d rows, %v", len(rows), err)
+	}
+	for n := range valid {
+		refused(fmt.Sprintf("cut at byte %d", n), valid[:n])
+		flipped := bytes.Clone(valid)
+		flipped[n] ^= 0x01
+		refused(fmt.Sprintf("byte %d flipped", n), flipped)
+	}
+	refused("trailing garbage", append(bytes.Clone(valid), "\n3,4\n"...))
+	refused("another schema", spill(data.Schema{"A", "WRONG"}, nil))
+	// The version is the byte after the four of the magic; the checksum that
+	// follows the body is brought up to date so that the version alone is wrong.
+	versioned := bytes.Clone(valid[:len(valid)-4])
+	versioned[4]++
+	refused("another version", binary.LittleEndian.AppendUint32(versioned, crc32.ChecksumIEEE(versioned)))
+}
+
+// TestSpillKeepsKinds: what is read back from a spill file has the kinds
+// and payload bits that were written. As CSV, the first six strings came
+// back as an integer, a NULL, a NULL, a boolean and a date, the whole floats
+// as integers.
+func TestSpillKeepsKinds(t *testing.T) {
+	schema := data.Schema{"V"}
+	var rows data.Rows
+	for _, v := range []data.Value{
+		data.NewString("007"), data.NewString("NULL"), data.NewString(""), data.NewString("true"),
+		data.NewString("2024-01-02"), data.NewFloat(2), data.NewFloat(math.Copysign(0, -1)),
+		data.NewFloat(math.NaN()), data.NewFloat(math.Inf(1)), data.NewFloat(math.Inf(-1)),
+		data.NewInt(math.MinInt64), data.NewString("a,b \"c\"\nd\x1fe"), data.Null,
+		data.NewBool(true), data.NewDate(2024, 1, 2),
+	} {
+		rows = append(rows, data.Record{v})
+	}
+	path, err := writeSpill(t.TempDir(), "kinds", schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readSpill(path, schema)
+	if err != nil || len(got) != len(rows) {
+		t.Fatalf("read back %d of %d rows, %v", len(got), len(rows), err)
+	}
+	for i := range rows {
+		if w, g := rows[i][0], got[i][0]; w.Kind() != g.Kind() {
+			t.Errorf("value %d: wrote %s %q, read %s %q", i, w.Kind(), w, g.Kind(), g)
+		}
+	}
+	if rows.Digest() != got.Digest() {
+		t.Error("the rows read do not digest as the rows written")
 	}
 }

@@ -3,6 +3,7 @@ package share
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"etlopt/internal/data"
 	"etlopt/internal/workflow"
@@ -19,7 +20,8 @@ type Workflow struct {
 	Graph *workflow.Graph
 	// Bindings maps recordset names to data. Every source and lookup the
 	// graph reads must be bound; target bindings are optional (unbound
-	// targets are still reported in the run result).
+	// targets are still reported in the run result). A recordset bound in
+	// several members is scanned by them concurrently, planning included.
 	Bindings map[string]data.Recordset
 }
 
@@ -76,26 +78,37 @@ type plan struct {
 
 // newPlan fingerprints every workflow, finds fingerprints that occur more
 // than once across the suite (including homologous twins inside a single
-// workflow), and builds the stage DAG and residual graphs.
-func newPlan(wfs []Workflow) (*plan, error) {
+// workflow), and builds the stage DAG and residual graphs. Fingerprinting
+// scans every bound source and lookup, so workers members do it at a time;
+// results and the first error are taken in member order, whatever workers is.
+func newPlan(wfs []Workflow, workers int) (*plan, error) {
 	p := &plan{stages: make(map[uint64]*stage)}
 
 	allFPs := make([]map[workflow.NodeID]uint64, len(wfs))
+	errs := make([]error, len(wfs))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, wf := range wfs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if wf.Graph == nil {
+				errs[i] = fmt.Errorf("it has no graph")
+			} else if errs[i] = wf.Graph.Validate(); errs[i] == nil {
+				allFPs[i], errs[i] = closureFingerprints(wf.Graph, wf.Bindings)
+			}
+		}()
+	}
+	wg.Wait()
 	counts := make(map[uint64]int)
 	for i, wf := range wfs {
-		if wf.Graph == nil {
-			return nil, fmt.Errorf("share: workflow %d has no graph", i)
+		if errs[i] != nil {
+			return nil, fmt.Errorf("share: workflow %s: %w", wfName(wf, i), errs[i])
 		}
-		if err := wf.Graph.Validate(); err != nil {
-			return nil, fmt.Errorf("share: workflow %s: %w", wfName(wf, i), err)
-		}
-		fps, err := closureFingerprints(wf.Graph, wf.Bindings)
-		if err != nil {
-			return nil, fmt.Errorf("share: workflow %s: %w", wfName(wf, i), err)
-		}
-		allFPs[i] = fps
 		for _, id := range wf.Graph.Activities() {
-			counts[fps[id]]++
+			counts[allFPs[i][id]]++
 		}
 	}
 	shared := func(fps map[workflow.NodeID]uint64, g *workflow.Graph, id workflow.NodeID) bool {

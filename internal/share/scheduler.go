@@ -3,8 +3,10 @@ package share
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"etlopt/internal/data"
 	"etlopt/internal/engine"
@@ -21,8 +23,9 @@ type Options struct {
 	// unbounded, zero forces every admission straight through eviction
 	// (and spill, when SpillDir is set).
 	CacheBytes int64
-	// SpillDir, when non-empty, spills evicted intermediates to CSV files
-	// in the checkpoint staging format instead of dropping them.
+	// SpillDir, when non-empty, spills evicted intermediates to typed row
+	// files in a subdirectory of it that RunSuite removes before it returns,
+	// instead of dropping them. A directory that cannot be made spills nothing.
 	SpillDir string
 	// Engine options are threaded unchanged into every stage and residual
 	// engine (mode, partitions, batch, metrics, journal, faults, retry).
@@ -76,18 +79,25 @@ type Result struct {
 // RunSuite returns an error only when planning fails; per-workflow
 // execution failures are isolated in the result.
 func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error) {
-	p, err := newPlan(wfs)
-	if err != nil {
-		return nil, err
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	p, err := newPlan(wfs, workers)
+	if err != nil {
+		return nil, err
+	}
+	// Spill files serve this run only (a later cache's index starts empty), so
+	// they go with it; a directory of its own keeps a concurrent suite's safe.
+	spillDir := ""
+	if opts.SpillDir != "" && os.MkdirAll(opts.SpillDir, 0o755) == nil {
+		spillDir, _ = os.MkdirTemp(opts.SpillDir, "suite-*") // "" on failure: nothing spills, nothing to remove
+		defer os.RemoveAll(spillDir)
+	}
 	r := &runner{
 		plan:       p,
 		opts:       opts,
-		cache:      newCache(opts.CacheBytes, opts.SpillDir, opts.Journal, opts.Metrics),
+		cache:      newCache(opts.CacheBytes, spillDir, opts.Journal, opts.Metrics),
 		sharedRows: make(map[uint64]int),
 		failed:     make(map[uint64]error),
 	}
@@ -139,8 +149,8 @@ func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error
 	res.Stats = Stats{
 		Workflows:     len(p.workflows),
 		Stages:        len(p.stages),
-		StageRuns:     r.stageRuns.get(),
-		NodesExecuted: r.nodesRun.get(),
+		StageRuns:     r.stageRuns.Load(),
+		NodesExecuted: r.nodesRun.Load(),
 		Cache:         r.cache.Stats(),
 	}
 	for _, pw := range p.workflows {
@@ -169,25 +179,8 @@ type runner struct {
 	failMu sync.Mutex
 	failed map[uint64]error
 
-	stageRuns lockedCounter
-	nodesRun  lockedCounter
-}
-
-type lockedCounter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (c *lockedCounter) add(n int64) {
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
-}
-
-func (c *lockedCounter) get() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
+	stageRuns atomic.Int64
+	nodesRun  atomic.Int64
 }
 
 // stageRows returns the shared intermediate's rows, from the cache when
@@ -229,8 +222,8 @@ func (r *runner) runStage(ctx context.Context, st *stage) (data.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.stageRuns.add(1)
-	r.nodesRun.add(int64(len(res.NodeRows) - 1)) // exclude the artificial target
+	r.stageRuns.Add(1)
+	r.nodesRun.Add(int64(len(res.NodeRows) - 1)) // exclude the artificial target
 
 	r.rowsMu.Lock()
 	for orig, nid := range st.idmap {
@@ -295,7 +288,7 @@ func (r *runner) runWorkflow(ctx context.Context, pw *planWorkflow) (*engine.Run
 	if err != nil {
 		return nil, err
 	}
-	r.nodesRun.add(int64(len(res.NodeRows)))
+	r.nodesRun.Add(int64(len(res.NodeRows)))
 
 	full := make(map[workflow.NodeID]int, len(pw.fps))
 	r.rowsMu.Lock()

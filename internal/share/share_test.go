@@ -3,10 +3,13 @@ package share
 import (
 	"context"
 	"fmt"
+	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"etlopt/internal/data"
+	"etlopt/internal/dsl"
 	"etlopt/internal/engine"
 	"etlopt/internal/generator"
 	"etlopt/internal/templates"
@@ -221,7 +224,7 @@ func TestSharedSuitePrefixesActuallyShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	wfs := suiteWorkflows(scs)
-	p, err := newPlan(wfs)
+	p, err := newPlan(wfs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +237,116 @@ func TestSharedSuitePrefixesActuallyShare(t *testing.T) {
 		if pw.residual.Len() <= 1+len(pw.injected) {
 			t.Fatalf("workflow %d reduced to nothing but injected sources", i)
 		}
+	}
+}
+
+// codeSuite is a two-member suite over in-memory sources whose shared prefix
+// (trim over SRC) emits strings that look like numbers — " 007" becomes
+// String("007") — and whose members then diverge: each unions its own EXTRA
+// rows in and concatenates in its own argument order.
+func codeSuite(t *testing.T) []Workflow {
+	t.Helper()
+	str := data.NewString
+	var wfs []Workflow
+	for i, args := range []string{"CODE,TAG", "TAG,CODE"} {
+		g, err := dsl.Parse(`
+recordset SRC source rows=3 schema=K,CODE,TAG
+recordset EXTRA source rows=1 schema=K,CODE,TAG
+activity t reformat fn=trim attr=CODE
+activity u union
+activity c convert fn=concat args=` + args + ` out=LABEL
+recordset OUT target schema=K,LABEL
+flow SRC -> t -> u
+flow EXTRA -> u -> c -> OUT
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := data.NewMemoryRecordset("SRC", data.Schema{"K", "CODE", "TAG"}).MustLoad(data.Rows{
+			{data.NewInt(1), str(" 007"), str("-x")},
+			{data.NewInt(2), str(" 1e3 "), str("-y")},
+			{data.NewInt(3), str("true "), str("-z")},
+		})
+		extra := data.NewMemoryRecordset("EXTRA", data.Schema{"K", "CODE", "TAG"}).MustLoad(data.Rows{
+			{data.NewInt(int64(10 + i)), str("own"), str("-w")},
+		})
+		wfs = append(wfs, Workflow{
+			Name:     fmt.Sprintf("codes%d", i),
+			Graph:    g,
+			Bindings: map[string]data.Recordset{"SRC": src, "EXTRA": extra, "OUT": data.NewMemoryRecordset("OUT", data.Schema{"K", "LABEL"})},
+		})
+	}
+	return wfs
+}
+
+// TestSpillKeepsKindsEndToEnd: a member served its shared prefix from a
+// spill file computes what it computes alone. Through a CSV spill the
+// trimmed "007" came back Int(7) and the label read "7-x".
+func TestSpillKeepsKindsEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	res, err := RunSuite(context.Background(), codeSuite(t), Options{Workers: 2, CacheBytes: 0, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.Stages != 1 || st.Cache.Spills == 0 || st.Cache.SpillLoads == 0 {
+		t.Fatalf("stats %+v: want one shared stage, spilled and read back", st)
+	}
+	for i, wf := range codeSuite(t) {
+		solo, err := engine.New(wf.Bindings).Run(context.Background(), wf.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr := res.Workflows[i]
+		if wr.Err != nil {
+			t.Fatalf("%s: %v", wr.Name, wr.Err)
+		}
+		if got, want := wr.Result.Targets["OUT"], solo.Targets["OUT"]; got.Digest() != want.Digest() {
+			t.Errorf("%s: suite loaded %v, alone it loads %v", wr.Name, got, want)
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("the suite left %d entries in its spill directory, first %s", len(left), left[0].Name())
+	}
+	if _, err := os.Stat(dir); err != nil {
+		t.Errorf("the spill directory itself must stay: %v", err)
+	}
+}
+
+// cancelOnScan is a source that cancels the run the nth time it is read.
+type cancelOnScan struct {
+	data.Recordset
+	scans  atomic.Int32
+	nth    int32
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnScan) Scan() (data.Rows, error) {
+	if c.scans.Add(1) == c.nth {
+		c.cancel()
+	}
+	return c.Recordset.Scan()
+}
+
+// TestCancelledSuiteLeavesNoSpillFiles: EXTRA is read once to fingerprint it
+// and once more by its member's residual run, which starts only after the
+// shared prefix has been computed and — at a budget of zero — spilled.
+// Cancelling there ends the suite with files written; none may stay.
+func TestCancelledSuiteLeavesNoSpillFiles(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wfs := codeSuite(t)
+	for _, wf := range wfs {
+		wf.Bindings["EXTRA"] = &cancelOnScan{Recordset: wf.Bindings["EXTRA"], nth: 2, cancel: cancel}
+	}
+	res, err := RunSuite(ctx, wfs, Options{Workers: 1, CacheBytes: 0, SpillDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() == nil || res.Stats.Cache.Spills == 0 {
+		t.Fatalf("cancelled: %v, spills %d; the run was to be cancelled after its first spill", ctx.Err(), res.Stats.Cache.Spills)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("the cancelled suite left %d entries in its spill directory, first %s", len(left), left[0].Name())
 	}
 }

@@ -2,38 +2,32 @@ package share
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"etlopt/internal/data"
 )
 
-// Spill files use the checkpoint staging format: written whole with
-// data.WriteCSVFile (never torn), read back with data.ReadCSVFile.
-
-// writeSpill persists rows for key under dir and returns the file path.
+// writeSpill persists rows for key under dir, which exists, and returns the
+// file path. The file is a typed row file, not CSV: a consumer served from
+// disk must see the kinds its producer emitted (String("007") coming back
+// Int(7) would break bit-identity with the solo run).
 func writeSpill(dir, key string, schema data.Schema, rows data.Rows) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, key+".csv")
-	if err := data.WriteCSVFile(path, schema, rows); err != nil {
+	path := filepath.Join(dir, key+".rows")
+	if err := data.WriteRowFile(path, schema, rows); err != nil {
 		return "", fmt.Errorf("share: spilling %s: %w", key, err)
 	}
 	return path, nil
 }
 
-// readSpill loads a spill file back, verifying the header against the
-// expected schema.
+// readSpill loads a spill file back, verifying its schema against the
+// expected one. Damage of either kind is a *data.RowFileError.
 func readSpill(path string, schema data.Schema) (data.Rows, error) {
-	header, rows, err := data.ReadCSVFile(path)
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("share: reading spill %s: %w", path, err)
-	case header == nil:
-		return nil, fmt.Errorf("share: spill %s is empty", path)
-	case !header.Equal(schema):
-		return nil, fmt.Errorf("share: spill %s header %v does not match schema %v", path, header, schema)
+	header, rows, err := data.ReadRowFile(path)
+	if err == nil && !header.Equal(schema) {
+		err = &data.RowFileError{Path: path, Reason: fmt.Sprintf("schema %v is not the expected %v", header, schema)}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("share: reading spill: %w", err)
 	}
 	return rows, nil
 }

@@ -322,10 +322,11 @@ func WithSharedCache(bytes int64) Option {
 	return func(s *settings) { s.cacheBytes = bytes; s.cacheSet = true }
 }
 
-// WithSharedSpill spills evicted shared intermediates to CSV files (the
-// checkpoint staging format) under dir instead of dropping them, trading
-// recomputation for disk reads when the cache budget is tight. RunSuite
-// only.
+// WithSharedSpill spills evicted shared intermediates to files under dir
+// instead of dropping them, trading recomputation for disk reads when the
+// cache budget is tight. The files are typed row files, so a value read
+// back has the kind it was written with, and RunSuite removes them before
+// it returns; dir itself stays. RunSuite only.
 func WithSharedSpill(dir string) Option {
 	return func(s *settings) { s.spillDir = dir }
 }
