@@ -6,7 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -21,6 +23,7 @@ type Recordset interface {
 	// retain but must not mutate. The engine calls it from a goroutine other
 	// than Run's caller (sources are read ahead), one call at a time per
 	// recordset unless a workflow names it as a source and as a lookup too.
+	// A Scan that starts goroutines of its own joins them before it returns.
 	Scan() (Rows, error)
 	// Load appends records to the recordset.
 	Load(rows Rows) error
@@ -149,6 +152,7 @@ func (f *FileRecordset) readHeader() ([]string, error) {
 
 // Scan implements Recordset. Fields are read by position, so a file whose
 // header no longer is the schema (rewritten since it was bound) is refused.
+// The rows' strings are cut from one copy of the file's text (ReadCSVFile).
 func (f *FileRecordset) Scan() (Rows, error) {
 	header, rows, err := ReadCSVFile(f.path)
 	if err == nil && header != nil && !header.Equal(f.schema) {
@@ -167,17 +171,154 @@ func (f *FileRecordset) Scan() (Rows, error) {
 // Value: ParseValue, by its text (WriteRowFile is for rows that must keep
 // their kinds).
 //
+// The file is read once, into one string, which a record's strings are
+// slices of and which lives until the last of them dies. A text without a
+// quote or a carriage return is parsed in parts, on up to GOMAXPROCS
+// goroutines joined before the return (readPlain); any other, and any the
+// parts give up on, is encoding/csv's to read or to refuse (readQuoted).
 // An empty file has a nil header and no rows; a file holding only a header
 // has no rows. Errors come back unwrapped for the caller to attribute: the
 // *fs.PathError of the open, or the *csv.ParseError, with line and column,
 // of a malformed line.
 func ReadCSVFile(path string) (Schema, Rows, error) {
-	fh, err := os.Open(path)
+	text, err := readText(path)
 	if err != nil {
 		return nil, nil, err
 	}
+	header, rows, ok := readPlain(text)
+	if !ok {
+		if header, rows, err = readQuoted(text); err != nil {
+			return nil, nil, err
+		}
+	}
+	if cap(rows) > 2*len(rows) { // blank lines or a short first line oversized it
+		rows = append(Rows(nil), rows...)
+	}
+	return header, rows, nil
+}
+
+// readText reads a file into one string allocated once, at the file's size,
+// through a buffer small enough to stay on the stack.
+func readText(path string) (string, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
 	defer fh.Close()
-	r := csv.NewReader(fh)
+	var text strings.Builder
+	if st, err := fh.Stat(); err == nil {
+		text.Grow(int(st.Size()))
+	}
+	var buf [8 << 10]byte
+	for {
+		n, err := fh.Read(buf[:])
+		text.Write(buf[:n])
+		if err == io.EOF {
+			return text.String(), nil
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+}
+
+// partBytes is the least text worth a goroutine of its own; like the
+// engine's batch size it is a constant, not an option.
+const partBytes = 128 << 10
+
+// readPlain reads text in the plain dialect of a record file: no quote and
+// no carriage return, so a newline always ends a record, a comma always ends
+// a field and a cut after any newline is a cut between records. It reports
+// false when the text holds either byte, no header or a line whose field
+// count is not the header's: what to make of those is encoding/csv's to say.
+func readPlain(text string) (Schema, Rows, bool) {
+	if strings.IndexByte(text, '"') >= 0 || strings.IndexByte(text, '\r') >= 0 {
+		return nil, nil, false
+	}
+	line, body, _ := strings.Cut(strings.TrimLeft(text, "\n"), "\n")
+	if line == "" {
+		return nil, nil, false
+	}
+	header := strings.Split(line, ",")
+	if body == "" {
+		return header, nil, true
+	}
+	// Part i ends after the first newline at or past i+1 k-ths of the body,
+	// or with the body. Its newlines bound its records, so one row slice is
+	// sized for all parts and each parses into its own rows[row[i]:row[i+1]].
+	k := max(1, min(runtime.GOMAXPROCS(0), len(body)/partBytes))
+	cut, row, got := make([]int, k+1), make([]int, k+1), make([]int, k)
+	for i := 1; i <= k; i++ {
+		cut[i] = len(body)
+		if j := strings.IndexByte(body[len(body)/k*i:], '\n'); i < k && j >= 0 {
+			cut[i] = len(body)/k*i + j + 1
+		}
+		part := body[cut[i-1]:cut[i]]
+		row[i] = row[i-1] + strings.Count(part, "\n")
+		if part != "" && part[len(part)-1] != '\n' {
+			row[i]++ // the text's last line
+		}
+	}
+	rows := make(Rows, row[k])
+	parse := func(i int) {
+		got[i] = parsePlain(body[cut[i]:cut[i+1]], len(header), rows[row[i]:row[i+1]])
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < k-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parse(i)
+		}()
+	}
+	parse(k - 1) // the last part is the caller's own
+	wg.Wait()
+	w := 0
+	for i, n := range got {
+		if n < 0 {
+			return nil, nil, false
+		}
+		if w != row[i] { // an earlier part skipped blank lines and left a gap
+			copy(rows[w:], rows[row[i]:row[i]+n])
+		}
+		w += n
+	}
+	return header, rows[:w], true
+}
+
+// parsePlain parses part, whole lines of a plain text, into one record of n
+// values per non-blank line and returns how many of rows it filled, or -1
+// at a line that has not n fields.
+func parsePlain(part string, n int, rows Rows) int {
+	w := 0
+	for part != "" {
+		line, rest, _ := strings.Cut(part, "\n")
+		part = rest
+		if line == "" {
+			continue // as encoding/csv skips it
+		}
+		rec := make(Record, n)
+		for f := 0; f < n-1; f++ {
+			i := strings.IndexByte(line, ',')
+			if i < 0 {
+				return -1
+			}
+			rec[f], line = ParseValue(line[:i]), line[i+1:]
+		}
+		if strings.IndexByte(line, ',') >= 0 {
+			return -1
+		}
+		rec[n-1] = ParseValue(line)
+		rows[w] = rec
+		w++
+	}
+	return w
+}
+
+// readQuoted reads text with encoding/csv: quoting, CRLF, embedded newlines,
+// the field-count check and every *csv.ParseError are the library's.
+func readQuoted(text string) (Schema, Rows, error) {
+	r := csv.NewReader(strings.NewReader(text))
 	header, err := r.Read()
 	if err == io.EOF {
 		return nil, nil, nil
@@ -185,17 +326,12 @@ func ReadCSVFile(path string) (Schema, Rows, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// The header's slice is kept; each later line reuses one slice. A
-	// record's strings are still cut from a string of its own line.
-	r.ReuseRecord = true
+	r.ReuseRecord = true // after the header, whose slice is kept
 	var rows Rows
 	start := r.InputOffset()
 	for {
 		fields, err := r.Read()
 		if err == io.EOF {
-			if cap(rows) > 2*len(rows) { // a short first line oversized it
-				rows = append(Rows(nil), rows...)
-			}
 			return header, rows, nil
 		}
 		if err != nil {
@@ -203,10 +339,8 @@ func ReadCSVFile(path string) (Schema, Rows, error) {
 		}
 		if rows == nil {
 			// Sized once, as if every record were as long as the first; what a
-			// short first line claims is bounded here and given back at EOF.
-			if st, err := fh.Stat(); err == nil {
-				rows = make(Rows, 0, min((st.Size()-start)/(r.InputOffset()-start)+1, 1<<20))
-			}
+			// short first line claims is bounded here and given back by the caller.
+			rows = make(Rows, 0, min((int64(len(text))-start)/(r.InputOffset()-start)+1, 1<<20))
 		}
 		rec := make(Record, len(fields))
 		for i, s := range fields {
@@ -264,7 +398,9 @@ func writeFileAtomic(path string, write func(*os.File) error) (err error) {
 	return os.Rename(tmp.Name(), path)
 }
 
-// Load implements Recordset by appending rows to the CSV file.
+// Load implements Recordset by appending rows to the CSV file: after the
+// header when the file is empty, which Scan reads as no header and no rows,
+// and on a line of their own when the last line lacks its newline.
 func (f *FileRecordset) Load(rows Rows) error {
 	for i, r := range rows {
 		if len(r) != len(f.schema) {
@@ -272,12 +408,24 @@ func (f *FileRecordset) Load(rows Rows) error {
 				f.name, i, len(r), len(f.schema))
 		}
 	}
-	fh, err := os.OpenFile(f.path, os.O_APPEND|os.O_WRONLY, 0o644)
+	fh, err := os.OpenFile(f.path, os.O_APPEND|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
 	defer fh.Close()
+	st, err := fh.Stat()
+	if err != nil {
+		return err
+	}
 	w := csv.NewWriter(fh)
+	if last := []byte{'\n'}; st.Size() == 0 {
+		err = w.Write(f.schema)
+	} else if _, err = fh.ReadAt(last, st.Size()-1); err == nil && last[0] != '\n' {
+		_, err = fh.Write([]byte{'\n'})
+	}
+	if err != nil {
+		return err
+	}
 	for _, rec := range rows {
 		if err := w.Write(recordFields(rec)); err != nil {
 			return err

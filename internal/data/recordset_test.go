@@ -199,3 +199,55 @@ func TestFileRecordsetScanChecksHeader(t *testing.T) {
 		t.Errorf("Scan of an emptied file = %v, %v; want no rows, no error", rows, err)
 	}
 }
+
+// PartBytes lets the external tests build files around the part size.
+const PartBytes = partBytes
+
+// Load appends, so what the file ends in decides what the appended records
+// mean. An empty file — which Scan reads as "no header, no rows" — gets its
+// header first, and a last line without its newline is ended before the
+// first record, not continued by it.
+func TestFileRecordsetLoadStartsOnAFreshLine(t *testing.T) {
+	cases := []struct {
+		name, before, after string
+		schema              Schema
+		load, want          Rows
+	}{
+		{name: "empty file", before: "", after: "A,B\n1,2\n", schema: Schema{"A", "B"},
+			load: Rows{{NewInt(1), NewInt(2)}}, want: Rows{{NewInt(1), NewInt(2)}}},
+		{name: "empty file, no rows", before: "", after: "A,B\n", schema: Schema{"A", "B"}},
+		{name: "unterminated record", before: "A\n1", after: "A\n1\n3\n", schema: Schema{"A"},
+			load: Rows{{NewInt(3)}}, want: Rows{{NewInt(1)}, {NewInt(3)}}},
+		{name: "unterminated record, two columns", before: "A,B\n1,2", after: "A,B\n1,2\n3,4\n", schema: Schema{"A", "B"},
+			load: Rows{{NewInt(3), NewInt(4)}}, want: Rows{{NewInt(1), NewInt(2)}, {NewInt(3), NewInt(4)}}},
+		{name: "unterminated header", before: "A", after: "A\n3\n", schema: Schema{"A"},
+			load: Rows{{NewInt(3)}}, want: Rows{{NewInt(3)}}},
+		{name: "terminated", before: "A\n1\n", after: "A\n1\n3\n", schema: Schema{"A"},
+			load: Rows{{NewInt(3)}}, want: Rows{{NewInt(1)}, {NewInt(3)}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "T.csv")
+			rs, err := NewFileRecordset("T", c.schema, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(c.before), 0o644); err != nil { // rewritten since it was bound
+				t.Fatal(err)
+			}
+			if err := rs.Load(c.load); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != c.after {
+				t.Errorf("file after Load = %q, %v; want %q", got, err, c.after)
+			}
+			got, err := rs.Scan()
+			if err != nil {
+				t.Fatalf("Scan after Load: %v", err)
+			}
+			if len(got) != len(c.want) || got.Digest() != c.want.Digest() {
+				t.Errorf("Scan after Load = %v, want %v", got, c.want)
+			}
+		})
+	}
+}

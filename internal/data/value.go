@@ -285,6 +285,9 @@ var numClass = func() (t [256]uint8) {
 	return t
 }()
 
+// pow10 holds the powers of ten a plain decimal of up to 15 digits divides by.
+var pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
 // ParseValue parses s into the most specific kind it matches: empty string
 // and "NULL" parse as NULL, then bool, int, float, ISO date, else string.
 //
@@ -292,7 +295,11 @@ var numClass = func() (t [256]uint8) {
 // so one pass over the bytes first rules out what cannot succeed: a field
 // with a byte outside the literals' alphabet is a string, ParseInt sees
 // only [+-]?[0-9]+, and the dddd-dd-dd shape, which no float has, skips
-// ParseFloat. Every other field takes the full int, float, date sequence.
+// ParseFloat. The same pass converts a plain number — a sign, up to 15
+// digits, at most one point, k digits behind it: the digits are an integer
+// m < 2⁵³ and ±m / 10^k is one correctly rounded division of two exact
+// floats, which is what strconv computes for it (Clinger). Every other
+// field takes the full int, float, date sequence.
 func ParseValue(s string) Value {
 	switch s {
 	case "", "NULL", "null":
@@ -305,7 +312,8 @@ func ParseValue(s string) Value {
 	if numClass[s[0]]&numFirst == 0 {
 		return NewString(s)
 	}
-	digits := 0
+	var m int64
+	digits, points, frac := 0, 0, 0
 	for i := 0; i < len(s); i++ {
 		c := numClass[s[i]]
 		if c&numBody == 0 {
@@ -313,11 +321,25 @@ func ParseValue(s string) Value {
 		}
 		if c&numDigit != 0 {
 			digits++
+			frac += points
+			m = m*10 + int64(s[i]-'0') // wraps past 18 digits, where it is not used
+		} else if s[i] == '.' {
+			points++
 		}
 	}
 	unsigned := len(s)
 	if s[0] == '+' || s[0] == '-' {
 		unsigned--
+	}
+	if digits+points == unsigned && points <= 1 && 0 < digits && digits <= 15 {
+		f := float64(m) / pow10[frac]
+		if s[0] == '-' {
+			m, f = -m, -f
+		}
+		if points == 0 {
+			return NewInt(m)
+		}
+		return NewFloat(f)
 	}
 	if digits == unsigned && digits > 0 {
 		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
