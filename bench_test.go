@@ -11,6 +11,7 @@
 //	BenchmarkTransitionOps/*   — per-transition micro-costs
 //	BenchmarkTopoSort, BenchmarkEvaluate{Full,Incremental}
 //	                           — the per-state constants of the search
+//	BenchmarkGroupDedupe/*     — a duplicate swap attempt of a local group's search
 //
 // Absolute times are hardware-bound; the paper-facing outputs are the
 // custom metrics (improvement%, quality%, states) reported per benchmark.
@@ -424,6 +425,54 @@ func BenchmarkEvaluateIncremental(b *testing.B) {
 		if _, err := cost.EvaluateIncremental(base, g, cost.RowModel{}, dirty); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGroupDedupe measures what a local group's search pays for a
+// swap that leads to a state it has already seen — on `search-deep` two
+// attempts in three — on the larger of that workload's large workflows and
+// its longest group: the successor's signature spliced from the parent's
+// and probed in the seen-set. "located" splices at the site the job's
+// first splice located (what core.groupJob does); "one-shot" locates per
+// attempt, which is what every attempt cost before the site existed.
+func BenchmarkGroupDedupe(b *testing.B) {
+	large, err := generator.Suite(generator.Large, 2, 20050405)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := large[0].Graph
+	if large[1].Graph.Len() > g.Len() {
+		g = large[1].Graph
+	}
+	var grp workflow.LocalGroup
+	for _, c := range g.LocalGroups() {
+		if len(c) > len(grp) {
+			grp = c
+		}
+	}
+	sig := g.Signature()
+	oldSeg, newSeg, _ := transitions.SwapSegments(g, grp[0], grp[1])
+	site, ok := workflow.LocateSplice(sig, oldSeg, true)
+	child, spliced := site.Splice(sig, oldSeg, newSeg)
+	if !ok || !spliced {
+		b.Fatalf("no exact splice of %s in %s", oldSeg, sig)
+	}
+	seen := map[string]bool{sig: true, child: true}
+	for _, c := range []struct {
+		name   string
+		splice func() (string, bool)
+	}{
+		{"located", func() (string, bool) { return site.Splice(sig, oldSeg, newSeg) }},
+		{"one-shot", func() (string, bool) { return workflow.SpliceSignature(sig, oldSeg, newSeg, true) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got, ok := c.splice(); !ok || !seen[got] {
+					b.Fatalf("%q, %v: not the seen child", got, ok)
+				}
+			}
+		})
 	}
 }
 

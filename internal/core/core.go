@@ -242,12 +242,29 @@ func searchLabelWrap(ctx context.Context) func(worker int, fn func()) {
 	}
 }
 
+// splice derives a successor's signature from its parent's by replacing
+// oldSeg with newSeg at site, which it locates in parentSig first when
+// site does not answer: nothing located yet, or parentSig has left the
+// frame. The states of a local group's job share one frame. ok is false
+// when no splice is provably exact and only a full render will do.
+func (s *search) splice(site *workflow.SpliceSite, parentSig, oldSeg, newSeg string) (string, bool) {
+	if sig, ok := site.Splice(parentSig, oldSeg, newSeg); ok {
+		return sig, true
+	}
+	at, ok := workflow.LocateSplice(parentSig, oldSeg, s.singleChain)
+	if !ok {
+		return "", false
+	}
+	*site = at
+	return site.Splice(parentSig, oldSeg, newSeg)
+}
+
 // spliceOrFull derives the signature of res.Graph from its parent's
 // signature when the transition describes itself as a local segment
 // replacement and the splice is provably exact; otherwise it re-renders
 // the signature from the graph.
-func (s *search) spliceOrFull(parentSig string, res *transitions.Result) string {
-	if sig, ok := workflow.SpliceSignature(parentSig, res.SigOld, res.SigNew, s.singleChain); ok {
+func (s *search) spliceOrFull(site *workflow.SpliceSite, parentSig string, res *transitions.Result) string {
+	if sig, ok := s.splice(site, parentSig, res.SigOld, res.SigNew); ok {
 		auditSplice(sig, res.Graph)
 		return sig
 	}
@@ -268,24 +285,14 @@ func auditSplice(sig string, g *workflow.Graph) {
 // signatureOf returns the canonical (interned) signature of a successor.
 // It is safe to call from worker goroutines.
 func (s *search) signatureOf(parent *state, res *transitions.Result) string {
-	return s.visited.Intern(s.spliceOrFull(parent.sig, res))
+	var site workflow.SpliceSite // a single splice: nothing to keep
+	return s.visited.Intern(s.spliceOrFull(&site, parent.sig, res))
 }
 
-// budgetLeft reports whether the state budget and deadline allow further
-// generation.
+// budgetLeft reports whether the state budget and the caller's context
+// allow further generation.
 func (s *search) budgetLeft() bool {
-	if s.count >= s.opts.MaxStates {
-		return false
-	}
-	if s.ctx.Err() != nil {
-		return false
-	}
-	return true
-}
-
-// aborted returns the caller's cancellation error, if any.
-func (s *search) aborted() error {
-	return s.ctx.Err()
+	return s.count < s.opts.MaxStates && s.ctx.Err() == nil
 }
 
 // admit registers a generated state; it returns false when the state is a
@@ -400,13 +407,6 @@ func (s *search) initialState(g0 *workflow.Graph) (*state, error) {
 	s.m.initialCost.Set(costing.Total)
 	s.m.bestCost.Set(costing.Total)
 	return st, nil
-}
-
-// expansions enumerates every transition applicable to a state — the
-// successor function of the exhaustive search, delegated to
-// transitions.Enumerate.
-func expansions(st *state) []*transitions.Result {
-	return transitions.Enumerate(st.g)
 }
 
 // finishResult splits any merged packages in the best state and assembles

@@ -159,7 +159,7 @@ func Exhaustive(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result,
 		}
 		cur := queue.pop()
 		s.m.frontier.Set(float64(queue.Len()))
-		exps := expansions(cur)
+		exps := transitions.Enumerate(cur.g)
 		cands := s.precost(cur, exps)
 		for i, res := range exps {
 			if !s.budgetLeft() {
@@ -196,7 +196,7 @@ func Exhaustive(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result,
 			queue.push(st)
 		}
 	}
-	if err := s.aborted(); err != nil {
+	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
 	return finishResult("ES", s0, best, s, start, terminated)

@@ -221,11 +221,13 @@ func TestSearchAllocations(t *testing.T) {
 	// finds its signature in seen.
 	var pair [2]workflow.NodeID
 	var child *transitions.Result
+	var job *groupJob
 	seen := map[string]bool{s0.sig: true}
 	for _, grp := range g.LocalGroups() {
 		for i := 0; i+1 < len(grp) && child == nil; i++ {
+			job = s.newGroupJob(s0, grp)
 			pair = [2]workflow.NodeID{grp[i], grp[i+1]}
-			child, _ = s.swapUnseen(s0, pair, seen)
+			child, _ = job.swapUnseen(s0, pair, seen)
 		}
 	}
 	if child == nil {
@@ -243,13 +245,13 @@ func TestSearchAllocations(t *testing.T) {
 	if workflow.DebugCOW {
 		return // the audit derives skipped candidates on purpose
 	}
-	// Two segments and the spliced signature; deriving a Graph takes dozens.
+	// The spliced signature; deriving a Graph takes dozens.
 	n = testing.AllocsPerRun(runs, func() {
-		if res, _ := s.swapUnseen(s0, pair, seen); res != nil {
+		if res, _ := job.swapUnseen(s0, pair, seen); res != nil {
 			t.Fatal("a seen signature was derived again")
 		}
 	})
-	if n > 3 {
-		t.Errorf("a duplicate swap attempt allocates %v times, want at most 3 (no Graph)", n)
+	if n > 1 {
+		t.Errorf("a duplicate swap attempt allocates %v times, want at most 1 (no Graph, no segment)", n)
 	}
 }

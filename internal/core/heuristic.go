@@ -252,7 +252,7 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 	p4.End()
 	p4End()
 
-	if err := s.aborted(); err != nil {
+	if err := s.ctx.Err(); err != nil {
 		return nil, err
 	}
 	// Post-processing (Ln 36): split merged activities — done by
@@ -279,19 +279,6 @@ func (gs *groupState) extend(st *state, pair [2]workflow.NodeID, desc string) *g
 	return &groupState{st: st, swaps: gs.swaps.push(swapStep{pair, desc})}
 }
 
-// groupOutcome is what one local-group job reports back to the reducer:
-// the best ordering found, the admission log — every signature the job
-// would have passed to search.admit, in discovery order — and the number
-// of SWA applications it attempted. The reducer replays the log
-// sequentially and commits the attempts with it, so the global counters
-// and visited set end up exactly as if the group had been optimized
-// inline, and a job whose outcome is never read leaves no trace.
-type groupOutcome struct {
-	best     *groupState
-	admits   []string
-	attempts int
-}
-
 // optimizeLocalGroups runs the Phase I/IV swap optimization: it optimizes
 // every local group of the state and composes the winning orderings; the
 // cheapest combination seen is returned. Groups partition the unary
@@ -312,18 +299,8 @@ func (s *search) optimizeLocalGroups(st *state, greedy bool) *state {
 	if !s.budgetLeft() {
 		return st
 	}
-	var members []map[workflow.NodeID]bool
-	for _, grp := range st.g.LocalGroups() {
-		if len(grp) < 2 {
-			continue
-		}
-		m := make(map[workflow.NodeID]bool, len(grp))
-		for _, id := range grp {
-			m[id] = true
-		}
-		members = append(members, m)
-	}
-	if len(members) == 0 {
+	groups := slices.DeleteFunc(st.g.LocalGroups(), func(grp workflow.LocalGroup) bool { return len(grp) < 2 })
+	if len(groups) == 0 {
 		return st
 	}
 	// Prime the shared graph's memoized topological order before the jobs
@@ -337,21 +314,21 @@ func (s *search) optimizeLocalGroups(st *state, greedy bool) *state {
 	// one being released and spent never exceeds what the reducer will
 	// have counted by then — exact at one worker, and at higher widths at
 	// most the jobs in flight are wasted.
-	outcomes := make([]*groupOutcome, len(members))
+	outcomes := make([]*groupJob, len(groups))
 	var spent atomic.Int64
 	spent.Store(int64(s.count))
-	s.pool.run(len(members), func(i int) {
+	s.pool.run(len(groups), func(i int) {
 		if spent.Load() >= int64(s.opts.MaxStates) {
 			return
 		}
-		out := &groupOutcome{}
+		job := s.newGroupJob(st, groups[i])
 		if greedy {
-			out.best = s.groupGreedy(st, members[i], out)
+			job.best = job.greedy()
 		} else {
-			out.best = s.groupFull(st, members[i], out)
+			job.best = job.full()
 		}
-		outcomes[i] = out
-		spent.Add(int64(len(out.admits)))
+		outcomes[i] = job
+		spent.Add(int64(len(job.admits)))
 	})
 
 	// Deterministic reduction in group order.
@@ -390,14 +367,15 @@ func (s *search) optimizeLocalGroups(st *state, greedy bool) *state {
 // than trusted.
 //
 // The signature is maintained incrementally across the replay: each swap
-// splices its segment into the running signature, and both the trace
-// steps and the final state carry the interned handle — the same string
-// instance the visited set stores — instead of a post-hoc re-rendering of
-// the graph, so trace and dedup bookkeeping are provably about the same
-// state.
+// splices its segment into the running signature, at one site, and both
+// the trace steps and the final state carry the interned handle — the
+// same string instance the visited set stores — instead of a post-hoc
+// re-rendering of the graph, so trace and dedup bookkeeping are provably
+// about the same state.
 func (s *search) replaySwaps(cur *state, gs *groupState) (*state, error) {
 	g := cur.g
 	sig := cur.sig
+	var site workflow.SpliceSite
 	trace := cur.trace
 	var dirty []workflow.NodeID
 	var steps []TraceStep
@@ -407,7 +385,7 @@ func (s *search) replaySwaps(cur *state, gs *groupState) (*state, error) {
 			return nil, err
 		}
 		g = res.Graph
-		sig = s.spliceOrFull(sig, res)
+		sig = s.spliceOrFull(&site, sig, res)
 		dirty = append(dirty, res.Dirty...)
 		trace = trace.push(sw.desc)
 		if s.opts.Trace {
@@ -432,50 +410,76 @@ func (s *search) replaySwaps(cur *state, gs *groupState) (*state, error) {
 	return st, nil
 }
 
-// adjacentPairs enumerates provider→consumer activity pairs within the
-// member set on the given graph, ordered from the upstream end of the
-// chain so results are deterministic.
-func adjacentPairs(g *workflow.Graph, members map[workflow.NodeID]bool) [][2]workflow.NodeID {
-	ids := make([]workflow.NodeID, 0, len(members))
-	for id := range members {
-		if g.Node(id) != nil {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	var out [][2]workflow.NodeID
-	for _, id := range ids {
+// groupJob is the search of one local group against a base state. Every
+// state it generates is the base with the group's activities reordered,
+// so its signature differs from the base's only inside the run of tags
+// the group's chain renders as: site is that run, located by the job's
+// first splice, and every candidate is spliced there (search.splice).
+//
+// The reducer reads the best ordering found, the admission log — every
+// signature the job would have passed to search.admit, in discovery
+// order — and the number of SWA applications attempted. It replays the
+// log and commits the attempts with it, so the global counters and the
+// visited set end up exactly as if the group had been optimized inline,
+// and a job that is never read leaves no trace.
+type groupJob struct {
+	s    *search
+	base *state
+	ids  []workflow.NodeID // the group's activities, ascending: the order their pairs are tried in
+	site workflow.SpliceSite
+	buf  [][2]workflow.NodeID // what pairs returns
+	// segs holds the signature segments of the swaps tried so far: a pair
+	// comes up in many states and its activities' tags never change.
+	segs     map[[2]workflow.NodeID][2]string
+	best     *groupState
+	admits   []string
+	attempts int
+}
+
+func (s *search) newGroupJob(base *state, grp workflow.LocalGroup) *groupJob {
+	j := &groupJob{s: s, base: base, ids: slices.Clone(grp), segs: make(map[[2]workflow.NodeID][2]string)}
+	slices.Sort(j.ids)
+	return j
+}
+
+// pairs enumerates the provider→consumer pairs of the group's activities
+// on g, providers in ascending ID order so results are deterministic. The
+// next call reuses the slice.
+func (j *groupJob) pairs(g *workflow.Graph) [][2]workflow.NodeID {
+	j.buf = j.buf[:0]
+	for _, id := range j.ids {
 		for _, c := range g.Consumers(id) {
-			if members[c] {
-				out = append(out, [2]workflow.NodeID{id, c})
+			if _, member := slices.BinarySearch(j.ids, c); member {
+				j.buf = append(j.buf, [2]workflow.NodeID{id, c})
 			}
 		}
 	}
-	return out
+	return j.buf
 }
 
-// groupFull explores, breadth-first, every ordering of the group's
-// activities reachable through legal swaps, returning the cheapest state —
-// HS's exhaustive-within-a-group behaviour. The exploration is seeded with
-// the hill-climbing result so that, under a bounded budget, the full search
+// full explores, breadth-first, every ordering of the group's activities
+// reachable through legal swaps, returning the cheapest state — HS's
+// exhaustive-within-a-group behaviour. The exploration is seeded with the
+// hill-climbing result so that, under a bounded budget, the full search
 // never returns a worse ordering than the greedy variant would. The
 // exploration is bounded by Options.GroupCap; it runs entirely against
 // job-local state so several groups can search concurrently.
-func (s *search) groupFull(base *state, members map[workflow.NodeID]bool, out *groupOutcome) *groupState {
-	best := s.groupGreedy(base, members, out)
+func (j *groupJob) full() *groupState {
+	s := j.s
+	best := j.greedy()
 	frontier := []*groupState{best}
-	localSeen := map[string]bool{base.sig: true, best.st.sig: true}
+	seen := map[string]bool{j.base.sig: true, best.st.sig: true}
 	generated := 0
 	for len(frontier) > 0 && s.ctx.Err() == nil && generated < s.opts.GroupCap {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for _, pair := range adjacentPairs(cur.st.g, members) {
-			out.attempts++
-			res, sig := s.swapUnseen(cur.st, pair, localSeen)
+		for _, pair := range j.pairs(cur.st.g) {
+			j.attempts++
+			res, sig := j.swapUnseen(cur.st, pair, seen)
 			if res == nil {
 				continue
 			}
-			out.admits = append(out.admits, sig)
+			j.admits = append(j.admits, sig)
 			generated++
 			st2, err := s.makeState(cur.st, res, sig)
 			if err != nil {
@@ -504,12 +508,13 @@ func (s *search) groupFull(base *state, members map[workflow.NodeID]bool, out *g
 // been legal changes nothing. When the splice is not provably exact the
 // child is derived and rendered in full. Under `-tags etldebug` skipped
 // candidates are derived anyway and audited against the full rendering.
-func (s *search) swapUnseen(parent *state, pair [2]workflow.NodeID, seen map[string]bool) (*transitions.Result, string) {
-	var sig string
-	var spliced bool
-	if oldSeg, newSeg, ok := transitions.SwapSegments(parent.g, pair[0], pair[1]); ok {
-		sig, spliced = workflow.SpliceSignature(parent.sig, oldSeg, newSeg, s.singleChain)
+func (j *groupJob) swapUnseen(parent *state, pair [2]workflow.NodeID, seen map[string]bool) (*transitions.Result, string) {
+	segs, ok := j.segs[pair]
+	if !ok {
+		segs[0], segs[1], _ = transitions.SwapSegments(parent.g, pair[0], pair[1])
+		j.segs[pair] = segs
 	}
+	sig, spliced := j.s.splice(&j.site, parent.sig, segs[0], segs[1]) // refuses empty segments
 	if spliced && seen[sig] && !workflow.DebugCOW {
 		return nil, ""
 	}
@@ -525,31 +530,32 @@ func (s *search) swapUnseen(parent *state, pair [2]workflow.NodeID, seen map[str
 	if seen[sig] {
 		return nil, ""
 	}
-	sig = s.visited.Intern(sig)
+	sig = j.s.visited.Intern(sig)
 	seen[sig] = true
 	return res, sig
 }
 
-// groupGreedy performs the HS-Greedy variant of Phases I and IV: a single
-// pass over the group's adjacent pairs, applying a swap only when it
+// greedy performs the HS-Greedy variant of Phases I and IV: a single pass
+// over the base state's adjacent pairs, applying a swap only when it
 // lowers the cost of the current minimum — the paper's "swaps only those
 // that lead to a state with less cost than the existing minimum". One
 // pass (rather than iterating to a fixpoint) is what makes HS-Greedy fast
 // but "unstable" on large workflows (§4.2): an improving swap further
 // down the group can be missed when an earlier pair was processed first.
-func (s *search) groupGreedy(base *state, members map[workflow.NodeID]bool, out *groupOutcome) *groupState {
-	cur := &groupState{st: base}
-	for _, pair := range adjacentPairs(cur.st.g, members) {
+func (j *groupJob) greedy() *groupState {
+	s := j.s
+	cur := &groupState{st: j.base}
+	for _, pair := range j.pairs(j.base.g) {
 		if s.ctx.Err() != nil {
 			break
 		}
-		out.attempts++
+		j.attempts++
 		res, err := transitions.Swap(cur.st.g, pair[0], pair[1])
 		if err != nil {
 			continue
 		}
-		sig := s.signatureOf(cur.st, res)
-		out.admits = append(out.admits, sig)
+		sig := s.visited.Intern(s.spliceOrFull(&j.site, cur.st.sig, res))
+		j.admits = append(j.admits, sig)
 		st2, err := s.makeState(cur.st, res, sig)
 		if err != nil {
 			continue

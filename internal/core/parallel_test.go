@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"etlopt/internal/generator"
 	"etlopt/internal/workflow"
@@ -114,11 +115,16 @@ func TestVisitedSet(t *testing.T) {
 	if !v.Contains("a") {
 		t.Error("set should contain a after Add")
 	}
-	for _, sig := range []string{"b", "c", "d", "1.2.3", "1.3.2"} {
-		v.Add(sig)
+	// Interning does not admit, and admitting keeps the interned instance.
+	held := string([]byte("1.2.3"))
+	if got := v.Intern(held); v.Contains("1.2.3") || unsafe.StringData(got) != unsafe.StringData(held) {
+		t.Errorf("Intern of a new signature admitted it or returned another instance")
 	}
-	if got := v.Len(); got != 6 {
-		t.Errorf("Len = %d, want 6", got)
+	if !v.Add("1.2.3") || !v.Contains("1.2.3") || v.Contains("1.3.2") {
+		t.Error("Add(1.2.3) after Intern should report new and admit that signature only")
+	}
+	if got := v.Intern("1.2.3"); unsafe.StringData(got) != unsafe.StringData(held) {
+		t.Error("Intern after Add returned another instance than the first one interned")
 	}
 }
 

@@ -144,10 +144,57 @@ func checkResult(parentSig string, base *cost.Costing, model cost.Model, singleC
 	return nil
 }
 
+// checkGroupJob searches the orderings of one local group of g the way HS
+// does — breadth-first over legal swaps, up to maxStates of them — with
+// every successor's signature spliced at one site, located for the job's
+// first swap. Whatever the site answers, from whichever state of the job,
+// must equal the full rendering, and it may answer only where the one-shot
+// SpliceSignature does. sig is g's signature.
+func checkGroupJob(g *workflow.Graph, sig string, grp workflow.LocalGroup, singleChain bool, maxStates int) error {
+	var site workflow.SpliceSite
+	located := false
+	type jobState struct {
+		g   *workflow.Graph
+		sig string
+	}
+	frontier := []jobState{{g, sig}}
+	seen := map[string]bool{sig: true}
+	for len(frontier) > 0 && len(seen) < maxStates {
+		cur := frontier[0]
+		frontier = frontier[1:]
+		for _, a := range grp {
+			consumers := cur.g.Consumers(a)
+			if len(consumers) != 1 {
+				continue
+			}
+			res, err := transitions.Swap(cur.g, a, consumers[0])
+			if err != nil {
+				continue // the group's last activity, or an illegal swap
+			}
+			full := res.Graph.Signature()
+			if !located {
+				site, located = workflow.LocateSplice(cur.sig, res.SigOld, singleChain)
+			}
+			at, okAt := site.Splice(cur.sig, res.SigOld, res.SigNew)
+			one, okOne := workflow.SpliceSignature(cur.sig, res.SigOld, res.SigNew, singleChain)
+			if okAt && (at != full || !okOne || one != full) {
+				return fmt.Errorf("%s in the job of group %v: located splice %q, one-shot %q (ok=%v), full rendering %q (parent %q)",
+					res.Description, grp, at, one, okOne, full, cur.sig)
+			}
+			if !seen[full] {
+				seen[full] = true
+				frontier = append(frontier, jobState{res.Graph, full})
+			}
+		}
+	}
+	return nil
+}
+
 // CheckExpansion applies every applicable transition to the scenario's
 // initial state and asserts the metamorphic invariants of incremental
 // expansion: delta cost == from-scratch cost, spliced signature == full
-// signature, MER∘SPL restores the state signature, the parent state is
+// signature — one-shot, and through one located site per local group's
+// search — MER∘SPL restores the state signature, the parent state is
 // byte-identical after all of its children have been derived and
 // rewritten (the copy-on-write leak guard), and — for up to verifyData
 // sampled successors — empirical equivalence of parent and child on the
@@ -190,6 +237,15 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 		if got := sres.Graph.Signature(); got != sig0 {
 			return fmt.Errorf("%s then %s: signature %q, want the original %q",
 				res.Description, sres.Description, got, sig0)
+		}
+	}
+
+	for _, grp := range g0.LocalGroups() {
+		if len(grp) < 2 {
+			continue
+		}
+		if err := checkGroupJob(g0, sig0, grp, singleChain, 24); err != nil {
+			return err
 		}
 	}
 

@@ -44,6 +44,61 @@ func TestSpliceSignature(t *testing.T) {
 	}
 }
 
+// TestSpliceSite follows one located site through the states of a group
+// job: splices chain off each other's results, and the site refuses what
+// lies outside its run, what would move a sibling, and a signature that a
+// full render has taken out of the frame.
+func TestSpliceSite(t *testing.T) {
+	const base = "((((1.2)//(3.4)).5.6.7)//(8.9)).10"
+	site, ok := LocateSplice(base, "5.6.7", true)
+	if !ok {
+		t.Fatal("no site for 5.6.7")
+	}
+	// "(((1." sorts before "(8." whatever the run holds: no bound is kept.
+	if got := base[site.lo:site.hi]; got != ".5.6.7" || len(site.bounds) != 0 {
+		t.Fatalf("run %q with %d bounds, want .5.6.7 with none", got, len(site.bounds))
+	}
+	sig := base
+	for _, c := range []struct{ old, new, want string }{
+		{"5.6", "6.5", "((((1.2)//(3.4)).6.5.7)//(8.9)).10"},
+		{"5.7", "7.5", "((((1.2)//(3.4)).6.7.5)//(8.9)).10"},
+		{"6.7", "6+7", "((((1.2)//(3.4)).6+7.5)//(8.9)).10"},
+		{"6+7.5", "5", "((((1.2)//(3.4)).5)//(8.9)).10"},
+	} {
+		got, ok := site.Splice(sig, c.old, c.new)
+		if !ok || got != c.want {
+			t.Fatalf("Splice(%q, %q, %q) = %q, %v; want %q", sig, c.old, c.new, got, ok, c.want)
+		}
+		sig = got
+	}
+	for _, c := range []struct{ name, sig, old, new string }{
+		{"another run", base, "1.2", "2.1"},
+		{"not in the signature", base, "6.5", "5.6"},
+		{"left the frame", "((((1.2)//(3.4)).5.6.7)//(0.9)).10", "5.6", "6.5"},
+		{"frame around more than a run", "((((1.2)//(3.4)).5)//(6.7)//(8.9)).10", "6.7", "7.6"},
+	} {
+		if got, ok := site.Splice(c.sig, c.old, c.new); ok {
+			t.Errorf("%s: Splice(%q, %q, %q) = %q, want a refusal", c.name, c.sig, c.old, c.new, got)
+		}
+	}
+
+	// A first tag that ties with the neighbor's leaves the order to the run.
+	tied, ok := LocateSplice("((1.3.6)//(1.5.4)).7", "3.6", true)
+	if !ok || len(tied.bounds) != 1 {
+		t.Fatalf("site for 3.6: ok=%v, bounds %v; want one bound", ok, tied.bounds)
+	}
+	if got, ok := tied.Splice("((1.3.6)//(1.5.4)).7", "3.6", "4.6"); !ok || got != "((1.4.6)//(1.5.4)).7" {
+		t.Errorf("1.4.6 stays below 1.5.4: got %q, %v", got, ok)
+	}
+	if got, ok := tied.Splice("((1.3.6)//(1.5.4)).7", "3.6", "6.3"); ok {
+		t.Errorf("1.6.3 sorts above 1.5.4: got %q, want a refusal", got)
+	}
+	var none SpliceSite
+	if got, ok := none.Splice("1.2.3", "2.3", "3.2"); ok {
+		t.Errorf("a site that was never located spliced %q", got)
+	}
+}
+
 func TestFingerprintStableAcrossCopies(t *testing.T) {
 	g, _ := linearGraph(t, data.Schema{"A"}, filterOn("A"), filterOn("A"))
 	fp := g.Fingerprint()

@@ -149,6 +149,9 @@ func (g *Graph) LocalGroups() []LocalGroup {
 
 // GroupOf returns the local group containing the given activity, or nil.
 func (g *Graph) GroupOf(id NodeID) LocalGroup {
+	if n := g.Node(id); n == nil || n.Kind != KindActivity || n.Act.IsBinary() {
+		return nil // in no group: spare the callers that ask per binary activity the grouping
+	}
 	for _, grp := range g.LocalGroups() {
 		for _, m := range grp {
 			if m == id {
@@ -184,8 +187,7 @@ func (g *Graph) FindHomologousPairs() []HomologousPair {
 		if len(preds) != 2 {
 			continue
 		}
-		left := g.groupEndingAt(preds[0])
-		right := g.groupEndingAt(preds[1])
+		left, right := g.GroupOf(preds[0]), g.GroupOf(preds[1]) // nil unless a unary activity
 		for _, a := range left {
 			for _, b := range right {
 				if g.nodes[a].Act.Homologous(g.nodes[b].Act) {
@@ -195,16 +197,6 @@ func (g *Graph) FindHomologousPairs() []HomologousPair {
 		}
 	}
 	return pairs
-}
-
-// groupEndingAt returns the local group whose last activity is tail, if
-// tail is a unary activity; otherwise nil.
-func (g *Graph) groupEndingAt(tail NodeID) LocalGroup {
-	n := g.nodes[tail]
-	if n == nil || n.Kind != KindActivity || n.Act.IsBinary() {
-		return nil
-	}
-	return g.GroupOf(tail)
 }
 
 // DistributableActivity names an activity that could be cloned into the
@@ -231,24 +223,13 @@ func (g *Graph) FindDistributableActivities() []DistributableActivity {
 		if len(succs) != 1 {
 			continue
 		}
-		grp := g.groupStartingAt(succs[0])
-		for _, a := range grp {
+		for _, a := range g.GroupOf(succs[0]) {
 			if CanDistributeOver(g.nodes[a].Act, n.Act) {
 				out = append(out, DistributableActivity{Activity: a, Binary: id})
 			}
 		}
 	}
 	return out
-}
-
-// groupStartingAt returns the local group whose first activity is head, if
-// head is a unary activity; otherwise nil.
-func (g *Graph) groupStartingAt(head NodeID) LocalGroup {
-	n := g.nodes[head]
-	if n == nil || n.Kind != KindActivity || n.Act.IsBinary() {
-		return nil
-	}
-	return g.GroupOf(head)
 }
 
 // CanDistributeOver reports whether cloning unary activity a into the input
