@@ -1,16 +1,14 @@
 // Command etlvet is the static-analysis front end for the ETL optimizer.
-// It runs the three pass families of internal/analysis:
+// It runs the three kinds of passes of internal/analysis:
 //
 //	etlvet workflow <file.etl>...   audit workflow definitions (schema
 //	                                dataflow, design checks, abstract
 //	                                interpretation over cardinality,
 //	                                nullability and provenance domains)
 //	etlvet trace <trace.json>...    re-verify recorded optimization runs
-//	                                (guards, signatures, costs, §4
-//	                                post-conditions)
+//	                                (guards, signatures, costs)
 //	etlvet src <packages>...        lint Go sources for determinism
-//	                                hazards and COW/concurrency
-//	                                invariant violations
+//	                                hazards
 //	etlvet metrics <snap.json> [series]...
 //	                                validate a -metrics snapshot: internal
 //	                                consistency plus presence of every
@@ -20,7 +18,7 @@
 //	                                slow nodes, selectivity drift, cache hit
 //	                                rates, drop accounting) and audit its
 //	                                integrity
-//	etlvet passes                   list every registered pass
+//	etlvet passes                   list every pass
 //
 // Every subcommand shares one reporting surface: -format {text,json,sarif}
 // (-json is shorthand for -format json), -baseline FILE to suppress
@@ -52,15 +50,15 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   etlvet workflow [flags] <file.etl>...   audit workflow definitions
   etlvet trace    [flags] <trace.json>... re-verify recorded optimization runs
-  etlvet src      [flags] <packages>...   lint Go sources for determinism and
-                                          COW/concurrency invariants
+  etlvet src      [flags] <packages>...   lint Go sources for determinism
+                                          hazards
   etlvet metrics  [flags] <snap.json> [series]...
                                           validate a -metrics snapshot and
                                           require series
   etlvet obs      [flags] <run.jsonl>...  render a run report from a -journal
                                           flight recording and audit its
                                           integrity
-  etlvet passes   [flags]                 list registered passes
+  etlvet passes   [flags]                 list the passes
 
 flags (shared by every subcommand):
   -format FORM      output format: text (default), json, or sarif (2.1.0)
@@ -320,7 +318,7 @@ func writeJSON(w io.Writer, findings []analysis.Finding) error {
 	return enc.Encode(out)
 }
 
-// runPasses lists the registry in the chosen format. SARIF output is
+// runPasses lists the pass table in the chosen format. SARIF output is
 // the rule table with zero results — a machine-readable pass inventory.
 func runPasses(o *options, stdout, stderr io.Writer) int {
 	switch o.format {
@@ -332,7 +330,7 @@ func runPasses(o *options, stdout, stderr io.Writer) int {
 		}
 		var out []jsonPass
 		for _, p := range analysis.AllPasses() {
-			out = append(out, jsonPass{p.Kind().String(), p.Name(), p.Doc()})
+			out = append(out, jsonPass{p.Kind(), p.Name, p.Doc})
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
@@ -347,7 +345,7 @@ func runPasses(o *options, stdout, stderr io.Writer) int {
 		}
 	default:
 		for _, p := range analysis.AllPasses() {
-			fmt.Fprintf(stdout, "%-8s %-22s %s\n", p.Kind(), p.Name(), p.Doc())
+			fmt.Fprintf(stdout, "%-8s %-22s %s\n", p.Kind(), p.Name, p.Doc)
 		}
 	}
 	return 0

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"etlopt/internal/analysis"
 )
 
 // runCLI invokes the command in-process and returns stdout, stderr and
@@ -172,8 +174,8 @@ func TestFlagValidation(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &ps); err != nil {
 		t.Fatalf("passes -json invalid: %v", err)
 	}
-	if len(ps) < 20 {
-		t.Errorf("registry too small over json: %d", len(ps))
+	if len(ps) != len(analysis.AllPasses()) {
+		t.Errorf("passes -json lists %d passes, the table holds %d", len(ps), len(analysis.AllPasses()))
 	}
 	help, _, code := runCLI(t, "-h")
 	if code != 0 {

@@ -11,7 +11,7 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// This file implements the workflow abstract interpreter: a fixpoint
+// This file implements the workflow abstract interpreter: a forward
 // dataflow analysis over the provider edges of a workflow graph that
 // propagates, from sources to targets,
 //
@@ -115,21 +115,6 @@ func (iv Interval) String() string {
 	return lb + lo + "," + hi + rb
 }
 
-// widen applies the widening operator: any bound that moved since prev
-// jumps straight to infinity. On a DAG the fixpoint is reached in one
-// topological sweep and widening never fires; it bounds the iteration
-// count defensively should cyclic flows ever be admitted.
-func (iv Interval) widen(prev Interval) Interval {
-	out := iv
-	if iv.Lo < prev.Lo {
-		out.Lo = math.Inf(-1)
-	}
-	if iv.Hi > prev.Hi {
-		out.Hi = math.Inf(1)
-	}
-	return out
-}
-
 // AttrDomain abstracts one attribute's value at a node's output.
 type AttrDomain struct {
 	// Val over-approximates the attribute's non-null numeric values.
@@ -191,23 +176,6 @@ func unionRoots(a, b []string) []string {
 	return out
 }
 
-func sameRoots(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameDomain(a, b AttrDomain) bool {
-	return a.Val == b.Val && a.MaybeNull == b.MaybeNull &&
-		sameRoots(a.Roots, b.Roots) && a.GenBy == b.GenBy
-}
-
 // NodeAbs is the abstract state at one node's output.
 type NodeAbs struct {
 	// Card is the node's output cardinality interval.
@@ -219,19 +187,6 @@ type NodeAbs struct {
 	Sel Interval
 	// Attrs maps each output-schema attribute to its domain.
 	Attrs map[string]AttrDomain
-}
-
-func (na *NodeAbs) equal(o *NodeAbs) bool {
-	if o == nil || na.Card != o.Card || na.Sel != o.Sel || len(na.Attrs) != len(o.Attrs) {
-		return false
-	}
-	for k, v := range na.Attrs {
-		ov, ok := o.Attrs[k]
-		if !ok || !sameDomain(v, ov) {
-			return false
-		}
-	}
-	return true
 }
 
 // DomainString renders the evidence for one attribute — interval,
@@ -254,18 +209,12 @@ type AbsResult struct {
 	Nodes map[workflow.NodeID]*NodeAbs
 	// SourceRows is the summed declared cardinality of the sources.
 	SourceRows float64
-	// Iterations counts worklist sweeps until the fixpoint.
-	Iterations int
 }
 
-// maxVisits bounds per-node transfer evaluations before widening kicks
-// in; a DAG in topological order stabilizes in one visit per node.
-const maxVisits = 4
-
-// Interpret runs the abstract interpreter to fixpoint. The graph must be
-// validated with schemata regenerated (CheckWorkflow guarantees both).
-// The analysis is deterministic: the worklist drains in ascending NodeID
-// order and every rendered set is sorted.
+// Interpret computes every node's abstract state in one topological
+// sweep — workflows are acyclic (Graph.Validate), so each node's providers
+// are final when it is reached. The graph must be validated with schemata
+// regenerated (CheckWorkflow guarantees both).
 func Interpret(g *workflow.Graph) (*AbsResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
@@ -275,51 +224,9 @@ func Interpret(g *workflow.Graph) (*AbsResult, error) {
 	for _, id := range g.Sources() {
 		res.SourceRows += g.Node(id).RS.Rows
 	}
-
-	// Worklist seeded with the topological order; reprocessing (never
-	// needed on a DAG, defensive for future cyclic extensions) widens
-	// after maxVisits.
-	pending := make(map[workflow.NodeID]bool, len(order))
-	work := append([]workflow.NodeID(nil), order...)
-	for _, id := range work {
-		pending[id] = true
-	}
-	visits := make(map[workflow.NodeID]int, len(order))
-	for len(work) > 0 {
-		id := work[0]
-		work = work[1:]
-		if !pending[id] {
-			continue
-		}
-		pending[id] = false
-		visits[id]++
-		res.Iterations++
-		next, err := transfer(g, res, id)
-		if err != nil {
+	for _, id := range order {
+		if res.Nodes[id], err = transfer(g, res, id); err != nil {
 			return nil, err
-		}
-		prev := res.Nodes[id]
-		if visits[id] > maxVisits && prev != nil {
-			next.Card = next.Card.widen(prev.Card)
-			for k, d := range next.Attrs {
-				if pd, ok := prev.Attrs[k]; ok {
-					d.Val = d.Val.widen(pd.Val)
-					next.Attrs[k] = d
-				}
-			}
-		}
-		if next.equal(prev) {
-			continue
-		}
-		res.Nodes[id] = next
-		// Requeue consumers in ascending ID order for determinism.
-		consumers := append([]workflow.NodeID(nil), g.Consumers(id)...)
-		sort.Slice(consumers, func(i, j int) bool { return consumers[i] < consumers[j] })
-		for _, c := range consumers {
-			if !pending[c] {
-				pending[c] = true
-				work = append(work, c)
-			}
 		}
 	}
 	return res, nil
@@ -333,16 +240,7 @@ func transfer(g *workflow.Graph, res *AbsResult, id workflow.NodeID) (*NodeAbs, 
 		if len(preds) == 1 {
 			// Target (or intermediate) recordset: stores what arrives.
 			in := res.Nodes[preds[0]]
-			if in == nil {
-				return &NodeAbs{Card: PointInterval(0), Sel: PointInterval(1)}, nil
-			}
-			out := &NodeAbs{Card: in.Card, Sel: PointInterval(1), Attrs: make(map[string]AttrDomain, len(n.RS.Schema))}
-			for _, attr := range n.RS.Schema {
-				if d, ok := in.Attrs[attr]; ok {
-					out.Attrs[attr] = d
-				}
-			}
-			return out, nil
+			return &NodeAbs{Card: in.Card, Sel: PointInterval(1), Attrs: copyAttrs(n.RS.Schema, in.Attrs)}, nil
 		}
 		// Source: declared rows, top domains, provenance roots.
 		out := &NodeAbs{Card: PointInterval(n.RS.Rows), Sel: PointInterval(1), Attrs: make(map[string]AttrDomain, len(n.RS.Schema))}
@@ -355,11 +253,6 @@ func transfer(g *workflow.Graph, res *AbsResult, id workflow.NodeID) (*NodeAbs, 
 	in := make([]*NodeAbs, len(preds))
 	for i, p := range preds {
 		in[i] = res.Nodes[p]
-		if in[i] == nil {
-			// Provider not yet evaluated (only possible off the topological
-			// prefix); treat as empty and let the worklist revisit.
-			in[i] = &NodeAbs{Card: PointInterval(0), Sel: PointInterval(1), Attrs: map[string]AttrDomain{}}
-		}
 	}
 	return transferActivity(n, id, in)
 }

@@ -10,25 +10,9 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// The abstract-interpretation pass family: each pass runs the fixpoint
-// interpreter of absint.go and reads proofs off the abstract states. All
+// The checks that read proofs off the abstract states of flow.abs. All
 // findings carry the interval/lineage evidence that justifies them, so a
 // reader can audit the proof without re-running the analysis.
-
-func init() {
-	RegisterWorkflow("dead-filter",
-		"filters and guards the abstract domains prove pass every row",
-		deadFilters)
-	RegisterWorkflow("unsatisfiable-guard",
-		"guard predicates no row can satisfy given the upstream domains",
-		unsatisfiableGuards)
-	RegisterWorkflow("broken-provenance",
-		"target columns no source attribute's value can reach",
-		brokenProvenance)
-	RegisterWorkflowOpts("cardinality-blowup",
-		"nodes whose estimated cardinality exceeds the configured multiple of the source rows",
-		cardinalityBlowups)
-}
 
 // guardEvidence renders the upstream domains of every attribute a
 // predicate reads, sorted for determinism.
@@ -46,12 +30,12 @@ func guardEvidence(pred algebra.Expr, in *NodeAbs) string {
 }
 
 // providerState returns the abstract state feeding a unary activity.
-func providerState(g *workflow.Graph, res *AbsResult, id workflow.NodeID) *NodeAbs {
-	preds := g.Providers(id)
+func (c *flow) providerState(id workflow.NodeID) *NodeAbs {
+	preds := c.g.Providers(id)
 	if len(preds) != 1 {
 		return nil
 	}
-	return res.Nodes[preds[0]]
+	return c.abs.Nodes[preds[0]]
 }
 
 // deadFilters flags filters whose predicate the interpreter proves true
@@ -59,15 +43,12 @@ func providerState(g *workflow.Graph, res *AbsResult, id workflow.NodeID) *NodeA
 // already proven non-null. The operation then passes every row: it costs
 // a scan but changes nothing, so the finding is advice, not a warning —
 // the workflow is correct, just wasteful.
-func deadFilters(g *workflow.Graph) []Finding {
-	res, err := Interpret(g)
-	if err != nil {
-		return nil
-	}
+func deadFilters(c *flow) []Finding {
+	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		a := g.Node(id).Act
-		in := providerState(g, res, id)
+		in := c.providerState(id)
 		if in == nil {
 			continue
 		}
@@ -109,18 +90,15 @@ func deadFilters(g *workflow.Graph) []Finding {
 // false for every upstream row: the flow downstream is statically empty,
 // which is almost always a mistyped constant or inverted comparison, so
 // the finding is a warning.
-func unsatisfiableGuards(g *workflow.Graph) []Finding {
-	res, err := Interpret(g)
-	if err != nil {
-		return nil
-	}
+func unsatisfiableGuards(c *flow) []Finding {
+	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		a := g.Node(id).Act
 		if a.Sem.Op != workflow.OpFilter {
 			continue
 		}
-		in := providerState(g, res, id)
+		in := c.providerState(id)
 		if in == nil {
 			continue
 		}
@@ -141,11 +119,8 @@ func unsatisfiableGuards(g *workflow.Graph) []Finding {
 // filled from synthesized values only (e.g. a count aggregate) and can
 // never carry source data. Columns untouched by the flow are left to the
 // schema passes.
-func brokenProvenance(g *workflow.Graph) []Finding {
-	res, err := Interpret(g)
-	if err != nil {
-		return nil
-	}
+func brokenProvenance(c *flow) []Finding {
+	g, res := c.g, c.abs
 	var out []Finding
 	for _, id := range g.Targets() {
 		n := g.Node(id)
@@ -180,11 +155,8 @@ func brokenProvenance(g *workflow.Graph) []Finding {
 // interval exceeds CardinalityBound times the total declared source rows
 // — typically an equi-join whose selectivity estimate admits a near-cross
 // product. The bound is configurable via WorkflowOptions.
-func cardinalityBlowups(g *workflow.Graph, o *WorkflowOptions) []Finding {
-	res, err := Interpret(g)
-	if err != nil {
-		return nil
-	}
+func cardinalityBlowups(c *flow) []Finding {
+	g, res, o := c.g, c.abs, c.opts
 	if res.SourceRows <= 0 || o.CardinalityBound <= 0 {
 		return nil
 	}

@@ -64,10 +64,6 @@ func TestIntervalOps(t *testing.T) {
 	if s := (Interval{117, math.Inf(1)}).String(); s != "[117,+inf)" {
 		t.Errorf("string: %q", s)
 	}
-	w := (Interval{0, 10}).widen(Interval{0, 5})
-	if !math.IsInf(w.Hi, 1) || w.Lo != 0 {
-		t.Errorf("widen: %v", w)
-	}
 }
 
 // A three-stage flow: filter refines V's domain and proves it non-null,

@@ -1,23 +1,24 @@
-// Package analysis is a pluggable static-analysis framework for the ETL
-// optimizer — the verification counterpart of the paper's correctness
-// story (§4): every optimization is supposed to be semantics-preserving,
-// and this package makes that checkable without executing data.
+// Package analysis is the static-analysis layer of the ETL optimizer —
+// the verification counterpart of the paper's correctness story (§4):
+// every optimization is supposed to be semantics-preserving, and this
+// package states the design-time conditions a second time, outside the
+// optimizer, checkable without executing data.
 //
-// Three families of passes share one finding model and one registry:
+// Three kinds of passes share one finding model and one pass table:
 //
-//   - workflow passes perform schema dataflow analysis over the provider
-//     edges of a parsed workflow (unresolved or shadowed reference names,
-//     attributes produced but never consumed, auxiliary-schema coverage
-//     gaps, underivable input schemata), absorbing the design checks that
-//     previously lived in internal/lint;
+//   - workflow passes read one analysis context per graph — schemata, the
+//     abstract interpreter's states, attribute liveness — for unresolved or
+//     shadowed reference names, attributes produced but never consumed,
+//     auxiliary-schema coverage gaps, and proofs about guards,
+//     provenance and cardinality;
 //   - trace passes re-verify a recorded optimization run offline: every
 //     transition in a core.Result trace is replayed, its applicability
-//     guard re-run, its post-conditions (§4) re-checked and its
-//     signature/cost chain validated, certifying the run;
+//     guard re-run and its signature/cost chain validated, certifying
+//     the run;
 //   - source passes lint the optimizer's own Go sources with go/ast and
 //     go/types, protecting the determinism invariants the parallel
 //     search depends on (no order-sensitive map iteration, no wall-clock
-//     or entropy in search paths, ctx-first exported APIs).
+//     or entropy in search paths).
 //
 // Findings carry a severity, a check name, a location (graph node,
 // trace step or source position) and a suggested fix. Warnings fail CI;
@@ -138,44 +139,6 @@ func CountWarnings(fs []Finding) int {
 	return n
 }
 
-// Kind distinguishes the three pass families.
-type Kind uint8
-
-// Pass kinds.
-const (
-	KindWorkflow Kind = iota
-	KindTrace
-	KindSource
-)
-
-// String returns the kind's name.
-func (k Kind) String() string {
-	switch k {
-	case KindWorkflow:
-		return "workflow"
-	case KindTrace:
-		return "trace"
-	default:
-		return "src"
-	}
-}
-
-// Pass is the common metadata of a registered analysis pass.
-type Pass interface {
-	Name() string
-	Doc() string
-	Kind() Kind
-}
-
-type passMeta struct {
-	name, doc string
-	kind      Kind
-}
-
-func (p passMeta) Name() string { return p.name }
-func (p passMeta) Doc() string  { return p.doc }
-func (p passMeta) Kind() Kind   { return p.kind }
-
 // WorkflowOptions tunes the workflow pass family. The zero value is not
 // meaningful; use DefaultWorkflowOptions as the base.
 type WorkflowOptions struct {
@@ -191,89 +154,83 @@ func DefaultWorkflowOptions() *WorkflowOptions {
 	return &WorkflowOptions{CardinalityBound: 10}
 }
 
-// workflowPass analyzes one workflow graph (schemata regenerated).
-type workflowPass struct {
-	passMeta
-	run func(g *workflow.Graph, o *WorkflowOptions) []Finding
+// Pass is one row of the pass table: a named check with the function of
+// its kind set.
+type Pass struct {
+	Name, Doc string
+
+	workflow func(*flow) []Finding          // one analysed graph
+	trace    func(*StepInfo) []Finding      // one replayed step, or the run summary (Index == -1)
+	source   func(*SourcePackage) []Finding // one type-checked package
 }
 
-// tracePass inspects one replayed trace step, or the run summary.
-type tracePass struct {
-	passMeta
-	check func(si *StepInfo) []Finding
-}
-
-// sourcePass inspects one type-checked Go package.
-type sourcePass struct {
-	passMeta
-	check func(p *SourcePackage) []Finding
-}
-
-var registry []Pass
-
-func register(p Pass) {
-	for _, q := range registry {
-		if q.Name() == p.Name() {
-			panic("analysis: duplicate pass " + p.Name())
-		}
+// Kind names what the pass inspects: "workflow", "trace" or "src".
+func (p Pass) Kind() string {
+	switch {
+	case p.workflow != nil:
+		return "workflow"
+	case p.trace != nil:
+		return "trace"
+	default:
+		return "src"
 	}
-	registry = append(registry, p)
 }
 
-// RegisterWorkflow adds a workflow pass to the registry. Passes run in
-// name order, so registration order never matters.
-func RegisterWorkflow(name, doc string, run func(g *workflow.Graph) []Finding) {
-	register(&workflowPass{passMeta{name, doc, KindWorkflow},
-		func(g *workflow.Graph, _ *WorkflowOptions) []Finding { return run(g) }})
+// passes is every check etlvet runs, in the order `etlvet passes` and the
+// SARIF rule table list them: by kind, then by name. The rule for the
+// table is TestKillTable's: a pass stays only while a seeded defect exists
+// that it reports and no other pass does; a pass without one is deleted.
+var passes = []Pass{
+	{Name: "aux-schema-gap", workflow: auxSchemaGaps,
+		Doc: "auxiliary schemata (Fun/Gen/PrjOut) that under-cover the activity's semantics"},
+	{Name: "broken-provenance", workflow: brokenProvenance,
+		Doc: "target columns no source attribute's value can reach"},
+	{Name: "cardinality-blowup", workflow: cardinalityBlowups,
+		Doc: "nodes whose estimated cardinality exceeds the configured multiple of the source rows"},
+	{Name: "dead-attribute", workflow: deadAttributes,
+		Doc: "source attributes nothing reads and no target stores"},
+	{Name: "dead-filter", workflow: deadFilters,
+		Doc: "filters and guards the abstract domains prove pass every row"},
+	{Name: "dead-generation", workflow: deadGenerations,
+		Doc: "attributes generated but never consumed by any activity or target"},
+	{Name: "late-projection", workflow: lateProjections,
+		Doc: "projections whose dropped attributes died far upstream"},
+	{Name: "redundant-activity", workflow: redundantActivities,
+		Doc: "directly repeated activities with identical semantics"},
+	{Name: "selectivity-range", workflow: selectivityRanges,
+		Doc: "selectivity estimates the cost model cannot price"},
+	{Name: "shadowed-reference", workflow: shadowedReferences,
+		Doc: "generated attributes that collide with an incoming reference name"},
+	{Name: "unguarded-surrogate-key", workflow: unprotectedLookups,
+		Doc: "surrogate-key lookups without an upstream not-null guard"},
+	{Name: "unresolved-reference", workflow: unresolvedReferences,
+		Doc: "attributes an activity references but no upstream output provides"},
+	{Name: "unsatisfiable-guard", workflow: unsatisfiableGuards,
+		Doc: "guard predicates no row can satisfy given the upstream domains"},
+
+	{Name: "trace-cost", trace: auditCost,
+		Doc: "recorded costs must match re-evaluation, and the final cost must not exceed the initial"},
+	{Name: "trace-guard", trace: auditGuard,
+		Doc: "every recorded transition must pass its applicability guard when replayed"},
+	{Name: "trace-signature", trace: auditSignature,
+		Doc: "recorded state signatures must match the replayed states"},
+
+	{Name: "map-iteration", source: checkMapIteration,
+		Doc: "map iteration feeding an order-sensitive sink (append without sort, last-writer-wins assignment, float/string accumulation, counter-indexed store, channel send, early return)"},
+	{Name: "randomness", source: checkRandomness,
+		Doc: "global math/rand or crypto/rand draws are unseeded; use rand.New(rand.NewSource(seed))"},
+	{Name: "wall-clock", source: checkWallClock,
+		Doc: "time.Now outside the elapsed-time idiom makes results depend on when they run"},
 }
 
-// RegisterWorkflowOpts adds a workflow pass that reads the per-run
-// WorkflowOptions (never nil when invoked through CheckWorkflow).
-func RegisterWorkflowOpts(name, doc string, run func(g *workflow.Graph, o *WorkflowOptions) []Finding) {
-	register(&workflowPass{passMeta{name, doc, KindWorkflow}, run})
-}
-
-// RegisterTrace adds a trace pass; its check runs once per replayed step
-// and once for the run summary (StepInfo.Index == -1).
-func RegisterTrace(name, doc string, check func(si *StepInfo) []Finding) {
-	register(&tracePass{passMeta{name, doc, KindTrace}, check})
-}
-
-// RegisterSource adds a source pass; its check runs once per package.
-func RegisterSource(name, doc string, check func(p *SourcePackage) []Finding) {
-	register(&sourcePass{passMeta{name, doc, KindSource}, check})
-}
-
-// Passes lists every registered pass of the given kind, sorted by name.
-func Passes(k Kind) []Pass {
-	var out []Pass
-	for _, p := range registry {
-		if p.Kind() == k {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// AllPasses lists every registered pass, grouped by kind then name.
-func AllPasses() []Pass {
-	out := append([]Pass(nil), registry...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind() != out[j].Kind() {
-			return out[i].Kind() < out[j].Kind()
-		}
-		return out[i].Name() < out[j].Name()
-	})
-	return out
-}
+// AllPasses returns the pass table.
+func AllPasses() []Pass { return passes }
 
 // CheckWorkflow runs every workflow pass over the graph and returns the
 // sorted findings. The graph is cloned and its schemata regenerated
-// first, so callers may pass freshly parsed workflows; a graph whose
-// schemata cannot be derived at all yields a single schema-derivation
-// warning, since no dataflow pass can reason about it. Structural
-// invalidity (dangling edges, cycles) is an error, not a finding.
+// first, so callers may pass freshly built workflows. Structural
+// invalidity (dangling edges, cycles, an activity without its inputs) is
+// an error, not a finding.
 func CheckWorkflow(g *workflow.Graph) ([]Finding, error) {
 	return CheckWorkflowOpts(g, nil)
 }
@@ -289,17 +246,17 @@ func CheckWorkflowOpts(g *workflow.Graph, opts *WorkflowOptions) ([]Finding, err
 	}
 	c := g.Clone()
 	if err := c.RegenerateSchemata(); err != nil {
-		return []Finding{{
-			Severity: Warning,
-			Check:    "schema-derivation",
-			Node:     -1,
-			Message:  fmt.Sprintf("input schemata cannot be derived from upstream outputs: %v", err),
-			Fix:      "correct the flow edges or the source schemata so every activity's input is derivable",
-		}}, nil
+		return nil, err
+	}
+	fl, err := newFlow(c, opts)
+	if err != nil {
+		return nil, err
 	}
 	var out []Finding
-	for _, p := range Passes(KindWorkflow) {
-		out = append(out, p.(*workflowPass).run(c, opts)...)
+	for _, p := range passes {
+		if p.workflow != nil {
+			out = append(out, p.workflow(fl)...)
+		}
 	}
 	Sort(out)
 	return out, nil

@@ -30,16 +30,6 @@ func baselineKey(f Finding) string {
 	return f.Check + "\t" + f.File + "\t" + f.Message
 }
 
-// NewBaseline builds a baseline acknowledging exactly the given
-// findings.
-func NewBaseline(fs []Finding) *Baseline {
-	b := &Baseline{counts: map[string]int{}}
-	for _, f := range fs {
-		b.counts[baselineKey(f)]++
-	}
-	return b
-}
-
 // Len reports the number of acknowledged finding instances.
 func (b *Baseline) Len() int {
 	n := 0

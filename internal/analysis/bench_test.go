@@ -46,7 +46,7 @@ func BenchmarkAnalysisPasses(b *testing.B) {
 	}
 }
 
-// BenchmarkAbstractInterpret isolates the fixpoint interpreter from the
+// BenchmarkAbstractInterpret isolates the abstract interpreter from the
 // rest of the pass suite.
 func BenchmarkAbstractInterpret(b *testing.B) {
 	for _, band := range []struct {

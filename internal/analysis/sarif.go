@@ -4,7 +4,7 @@ package analysis
 // systems (GitHub code scanning, among others) ingest etlvet findings
 // without parsing our text output. Only the slice of the spec we need
 // is modelled: one run, the driver's rule table built from the pass
-// registry, and one result per finding with a physical location when
+// table, and one result per finding with a physical location when
 // the finding carries one.
 
 import (
@@ -88,18 +88,18 @@ func sarifLevel(s Severity) string {
 	return "note"
 }
 
-// sarifRules builds the driver rule table: every registered pass, in
-// AllPasses order, plus synthetic entries for any finding checks the
-// registry does not know (e.g. the framework's own schema-derivation
-// finding), appended in name order so output stays deterministic.
+// sarifRules builds the driver rule table: every pass, in table order,
+// plus synthetic entries for any finding checks the table does not know
+// (the CLI's own "metrics" and "obs" audits), appended in name order so
+// output stays deterministic.
 func sarifRules(fs []Finding) ([]sarifRule, map[string]int) {
 	var rules []sarifRule
 	index := map[string]int{}
-	for _, p := range AllPasses() {
-		index[p.Name()] = len(rules)
+	for _, p := range passes {
+		index[p.Name] = len(rules)
 		rules = append(rules, sarifRule{
-			ID:               p.Name(),
-			ShortDescription: &sarifMessage{Text: p.Doc()},
+			ID:               p.Name,
+			ShortDescription: &sarifMessage{Text: p.Doc},
 		})
 	}
 	var extra []string
@@ -119,7 +119,7 @@ func sarifRules(fs []Finding) ([]sarifRule, map[string]int) {
 }
 
 // WriteSARIF renders the findings as a SARIF 2.1.0 log: one run whose
-// driver rule table is the full pass registry and whose results are the
+// driver rule table is the full pass table and whose results are the
 // findings in their given order. Findings with a File carry a physical
 // location (module-relative URI, 1-based region when the line is
 // known). The output is indented JSON with a trailing newline, byte-

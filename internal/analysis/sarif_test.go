@@ -13,8 +13,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // sarifFixture is a small deterministic finding set covering every
 // shape the writer handles: a warning with a full location, advice with
-// file but no line, a registry-known workflow check with no artifact,
-// and a check the registry does not know.
+// file but no line, a workflow check with no artifact, and a check the
+// pass table does not know.
 func sarifFixture() []Finding {
 	return []Finding{
 		{Severity: Warning, Check: "map-iteration", Node: -1,
@@ -32,7 +32,7 @@ func sarifFixture() []Finding {
 
 // TestWriteSARIFGolden pins the exact SARIF bytes for the fixture. Run
 // `go test ./internal/analysis -run SARIFGolden -update` after a
-// deliberate registry or writer change.
+// deliberate pass-table or writer change.
 func TestWriteSARIFGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSARIF(&buf, sarifFixture()); err != nil {
@@ -54,7 +54,7 @@ func TestWriteSARIFGolden(t *testing.T) {
 }
 
 // TestWriteSARIFStructure checks the schema-level contract: version,
-// $schema, the rule table sourced from the pass registry, level
+// $schema, the rule table sourced from the pass table, level
 // mapping, and locations.
 func TestWriteSARIFStructure(t *testing.T) {
 	var buf bytes.Buffer
@@ -111,23 +111,23 @@ func TestWriteSARIFStructure(t *testing.T) {
 	if run.Tool.Driver.Name != "etlvet" || run.Tool.Driver.Version == "" {
 		t.Errorf("driver %q %q", run.Tool.Driver.Name, run.Tool.Driver.Version)
 	}
-	// Every registered pass appears as a rule, with its doc.
+	// Every pass appears as a rule, with its doc.
 	ruleIdx := map[string]int{}
 	for i, r := range run.Tool.Driver.Rules {
 		ruleIdx[r.ID] = i
 	}
 	for _, p := range AllPasses() {
-		i, ok := ruleIdx[p.Name()]
+		i, ok := ruleIdx[p.Name]
 		if !ok {
-			t.Errorf("registered pass %q missing from rule table", p.Name())
+			t.Errorf("pass %q missing from rule table", p.Name)
 			continue
 		}
 		r := run.Tool.Driver.Rules[i]
-		if r.ShortDescription == nil || r.ShortDescription.Text != p.Doc() {
-			t.Errorf("rule %q doc not taken from registry", p.Name())
+		if r.ShortDescription == nil || r.ShortDescription.Text != p.Doc {
+			t.Errorf("rule %q doc not taken from the pass table", p.Name)
 		}
 	}
-	// The framework-only check got a synthetic rule.
+	// The check outside the table got a synthetic rule.
 	if _, ok := ruleIdx["schema-derivation"]; !ok {
 		t.Error("schema-derivation missing from rule table")
 	}

@@ -248,7 +248,7 @@ func hasGoFiles(dir string) bool {
 }
 
 // AnalyzeSource loads the packages matched by the patterns and runs every
-// registered source pass over each, returning the sorted findings.
+// source pass over each, returning the sorted findings.
 func AnalyzeSource(patterns []string) ([]Finding, error) {
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
@@ -262,7 +262,6 @@ func AnalyzeSource(patterns []string) ([]Finding, error) {
 		return nil, err
 	}
 	l := newLoader(root, modPath)
-	passes := Passes(KindSource)
 	var out []Finding
 	for _, dir := range dirs {
 		abs, err := filepath.Abs(dir)
@@ -285,7 +284,9 @@ func AnalyzeSource(patterns []string) ([]Finding, error) {
 			continue
 		}
 		for _, p := range passes {
-			out = append(out, p.(*sourcePass).check(sp)...)
+			if p.source != nil {
+				out = append(out, p.source(sp)...)
+			}
 		}
 	}
 	Sort(out)

@@ -12,23 +12,7 @@ import (
 // reproducibility rests on: identical inputs must yield identical search
 // results, traces and exhibits on every run and on every GOMAXPROCS. The
 // three classic leaks are order-sensitive map iteration, wall-clock
-// reads, and unseeded entropy; the fourth pass enforces the ctx-first
-// exported API convention.
-
-func init() {
-	RegisterSource("map-iteration",
-		"map iteration feeding an order-sensitive sink (append without sort, last-writer-wins assignment, float/string accumulation, counter-indexed store, channel send, early return)",
-		checkMapIteration)
-	RegisterSource("wall-clock",
-		"time.Now outside the elapsed-time idiom makes results depend on when they run",
-		checkWallClock)
-	RegisterSource("randomness",
-		"global math/rand or crypto/rand draws are unseeded; use rand.New(rand.NewSource(seed))",
-		checkRandomness)
-	RegisterSource("ctx-first",
-		"exported functions taking a context.Context must take it as the first parameter",
-		checkCtxFirst)
-}
+// reads, and unseeded entropy.
 
 // buildParents maps every node in the file to its parent.
 func buildParents(f *ast.File) map[ast.Node]ast.Node {
@@ -501,38 +485,6 @@ func checkRandomness(p *SourcePackage) []Finding {
 			}
 			return true
 		})
-	}
-	return out
-}
-
-// checkCtxFirst flags exported functions and methods that accept a
-// context.Context anywhere but the first parameter.
-func checkCtxFirst(p *SourcePackage) []Finding {
-	var out []Finding
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() || fd.Type.Params == nil {
-				continue
-			}
-			pos := 0
-			for _, field := range fd.Type.Params.List {
-				isCtx := false
-				if name, ok := selOnPackage(p.Info, field.Type, "context"); ok && name == "Context" {
-					isCtx = true
-				}
-				n := len(field.Names)
-				if n == 0 {
-					n = 1
-				}
-				if isCtx && pos > 0 {
-					out = append(out, p.finding(Warning, "ctx-first", field.Pos(),
-						fmt.Sprintf("%s takes context.Context at parameter %d; the project convention is ctx first", fd.Name.Name, pos),
-						"move the context.Context parameter to the front"))
-				}
-				pos += n
-			}
-		}
 	}
 	return out
 }

@@ -71,7 +71,6 @@ func TestFixtureOtherPasses(t *testing.T) {
 	for check, want := range map[string]int{
 		"wall-clock": 1,
 		"randomness": 1,
-		"ctx-first":  1,
 	} {
 		if got := len(byCheck(fs, check)); got != want {
 			t.Errorf("%s: want %d finding(s), got %d: %v", check, want, got, byCheck(fs, check))

@@ -4,7 +4,6 @@
 package fixture
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -135,18 +134,4 @@ func BadGlobalRand() int {
 func GoodSeededRand(seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
 	return rng.Intn(10)
-}
-
-// BadCtxPlacement takes the context second. (ctx-first)
-func BadCtxPlacement(name string, ctx context.Context) error {
-	_ = name
-	<-ctx.Done()
-	return nil
-}
-
-// GoodCtxPlacement takes the context first: exempt.
-func GoodCtxPlacement(ctx context.Context, name string) error {
-	_ = name
-	<-ctx.Done()
-	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"etlopt/internal/core"
 	"etlopt/internal/cost"
 	"etlopt/internal/dsl"
-	"etlopt/internal/equiv"
 	"etlopt/internal/transitions"
 	"etlopt/internal/workflow"
 )
@@ -134,12 +133,10 @@ type StepInfo struct {
 	Index int
 	// Step is the recorded step (zero value at the summary).
 	Step core.TraceStep
-	// Initial is the re-parsed S0.
-	Initial *workflow.Graph
-	// Prev and Cur are the replayed states before and after the step; at
-	// the summary Cur is the final replayed state. Cur is nil when the
-	// transition could not be applied (Err != nil).
-	Prev, Cur *workflow.Graph
+	// Cur is the replayed state after the step; at the summary, the final
+	// replayed state. Nil when the transition could not be applied
+	// (Err != nil).
+	Cur *workflow.Graph
 	// Err is the transition application error, if the replay's guard
 	// re-check rejected the step.
 	Err error
@@ -157,21 +154,6 @@ func (si *StepInfo) Where() string {
 		return fmt.Sprintf("step %d %s", si.Index, si.Step.Desc)
 	}
 	return fmt.Sprintf("step %d", si.Index)
-}
-
-func init() {
-	RegisterTrace("trace-guard",
-		"every recorded transition must pass its applicability guard when replayed",
-		auditGuard)
-	RegisterTrace("trace-signature",
-		"recorded state signatures must match the replayed states",
-		auditSignature)
-	RegisterTrace("trace-cost",
-		"recorded costs must match re-evaluation, and the final cost must not exceed the initial",
-		auditCost)
-	RegisterTrace("trace-postcondition",
-		"every step must preserve workflow equivalence (§3.4/§4 post-conditions)",
-		auditPostcondition)
 }
 
 func auditGuard(si *StepInfo) []Finding {
@@ -258,31 +240,6 @@ func auditCost(si *StepInfo) []Finding {
 	return nil
 }
 
-func auditPostcondition(si *StepInfo) []Finding {
-	if si.Cur == nil {
-		return nil
-	}
-	base, label := si.Prev, "the pre-step state"
-	if si.Index < 0 {
-		base, label = si.Initial, "the initial state"
-	}
-	ok, diff, err := equiv.Equivalent(base, si.Cur)
-	if err != nil {
-		return []Finding{{
-			Severity: Warning, Check: "trace-postcondition", Node: -1, Where: si.Where(),
-			Message: fmt.Sprintf("equivalence with %s cannot be established: %v", label, err),
-		}}
-	}
-	if !ok {
-		return []Finding{{
-			Severity: Warning, Check: "trace-postcondition", Node: -1, Where: si.Where(),
-			Message: fmt.Sprintf("state is not equivalent to %s: %s", label, diff),
-			Fix:     "the rewrite changed the workflow's semantics; do not trust this run",
-		}}
-	}
-	return nil
-}
-
 // appliedOf converts a recorded step back into a structural transition.
 func appliedOf(stp core.TraceStep) (transitions.Applied, error) {
 	a := transitions.Applied{Op: stp.Op, NArgs: len(stp.Args), Desc: stp.Desc}
@@ -295,11 +252,12 @@ func appliedOf(stp core.TraceStep) (transitions.Applied, error) {
 
 // AuditTrace statically re-verifies an optimization run: it re-parses the
 // recorded initial workflow, replays every recorded transition — which
-// re-runs the applicability guards — and runs every registered trace pass
-// on each step and on the run summary, checking signature consistency,
-// cost re-evaluation and monotonicity, and §4 post-condition preservation
-// through workflow equivalence. A clean audit (no findings) certifies the
-// run without executing any data. Malformed traces that cannot be
+// re-runs the applicability guards — and runs every trace pass on each
+// step and on the run summary, checking signature consistency, cost
+// re-evaluation and monotonicity. Every replayed state is derived by the
+// guarded transitions themselves, so it stays inside S0's equivalence
+// class (§3.4) by the argument the optimizer itself rests on. A clean
+// audit (no findings) certifies the run without executing any data. Malformed traces that cannot be
 // replayed at all yield an error; verifiable-but-wrong traces yield
 // findings.
 func AuditTrace(t *Trace) ([]Finding, error) {
@@ -336,10 +294,11 @@ func AuditTrace(t *Trace) ([]Finding, error) {
 		})
 	}
 
-	passes := Passes(KindTrace)
 	run := func(si *StepInfo) {
 		for _, p := range passes {
-			out = append(out, p.(*tracePass).check(si)...)
+			if p.trace != nil {
+				out = append(out, p.trace(si)...)
+			}
 		}
 	}
 
@@ -347,7 +306,7 @@ func AuditTrace(t *Trace) ([]Finding, error) {
 	lastCost := c0.Total
 	halted := false
 	for i, stp := range t.Steps {
-		si := &StepInfo{Trace: t, Model: model, Index: i, Step: stp, Initial: g0, Prev: prev, LastCost: lastCost}
+		si := &StepInfo{Trace: t, Model: model, Index: i, Step: stp, LastCost: lastCost}
 		app, err := appliedOf(stp)
 		if err == nil {
 			var res *transitions.Result
@@ -372,7 +331,7 @@ func AuditTrace(t *Trace) ([]Finding, error) {
 		prev = si.Cur
 	}
 	if !halted {
-		run(&StepInfo{Trace: t, Model: model, Index: -1, Initial: g0, Prev: prev, Cur: prev, LastCost: lastCost})
+		run(&StepInfo{Trace: t, Model: model, Index: -1, Cur: prev, LastCost: lastCost})
 	}
 	Sort(out)
 	return out, nil

@@ -7,39 +7,61 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// The workflow pass family: schema dataflow analysis over provider edges
-// (§3.1's naming principle — one Ωn reference name, one entity — plus the
-// auxiliary-schema discipline of §3.2), together with the design checks
-// absorbed from the former internal/lint rule set.
+// The workflow checks: schema dataflow over provider edges (§3.1's naming
+// principle — one Ωn reference name, one entity — and the auxiliary-schema
+// discipline of §3.2), the design checks absorbed from the former
+// internal/lint, and the proofs read off the abstract interpreter
+// (absint_passes.go). All of them read one flow.
 
-func init() {
-	RegisterWorkflow("unresolved-reference",
-		"attributes an activity references but no upstream output provides",
-		unresolvedReferences)
-	RegisterWorkflow("shadowed-reference",
-		"generated attributes that collide with an incoming reference name",
-		shadowedReferences)
-	RegisterWorkflow("dead-generation",
-		"attributes generated but never consumed by any activity or target",
-		deadGenerations)
-	RegisterWorkflow("aux-schema-gap",
-		"auxiliary schemata (Fun/Gen/PrjOut) that under-cover the activity's semantics",
-		auxSchemaGaps)
-	RegisterWorkflow("dead-attribute",
-		"source attributes nothing reads and no target stores",
-		deadAttributes)
-	RegisterWorkflow("unguarded-surrogate-key",
-		"surrogate-key lookups without an upstream not-null guard",
-		unprotectedLookups)
-	RegisterWorkflow("selectivity-range",
-		"selectivity estimates the cost model cannot price",
-		selectivityRanges)
-	RegisterWorkflow("redundant-activity",
-		"directly repeated activities with identical semantics",
-		redundantActivities)
-	RegisterWorkflow("late-projection",
-		"projections whose dropped attributes died far upstream",
-		lateProjections)
+// flow is the analysis context of one graph. CheckWorkflowOpts builds it
+// once — schemata regenerated, the abstract interpreter run, liveness
+// computed — and every workflow check is a reader of it.
+type flow struct {
+	g    *workflow.Graph
+	opts *WorkflowOptions
+	// abs answers "what can this attribute hold here": value interval,
+	// nullability and provenance per node output.
+	abs *AbsResult
+	// live answers "is this attribute read below here": live[id] holds the
+	// attributes that an activity downstream of node id's output reads or a
+	// recordset there stores, on a path that carries them. A projection
+	// dropping an attribute disposes of it; that is not a read.
+	live map[workflow.NodeID]data.Schema
+}
+
+func newFlow(g *workflow.Graph, opts *WorkflowOptions) (*flow, error) {
+	abs, err := Interpret(g)
+	if err != nil {
+		return nil, err
+	}
+	order, err := g.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	// Backward liveness, consumers before providers. liveIn is what a node
+	// needs on its input: its own reads plus whatever it lets through.
+	live := make(map[workflow.NodeID]data.Schema, len(order))
+	liveIn := make(map[workflow.NodeID]data.Schema, len(order))
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
+		var below data.Schema
+		for _, c := range g.Consumers(id) {
+			below = below.Union(liveIn[c])
+		}
+		live[id] = below
+		n := g.Node(id)
+		if n.Kind == workflow.KindRecordset {
+			liveIn[id] = n.RS.Schema.Union(below)
+			continue
+		}
+		a := n.Act
+		reads, drops := a.Fun.Union(a.RequiredIn).Union(semParams(a)), a.PrjOut
+		if a.Sem.Op == workflow.OpProject {
+			reads, drops = reads.Minus(a.Sem.Attrs), drops.Union(a.Sem.Attrs)
+		}
+		liveIn[id] = reads.Union(below.Minus(drops))
+	}
+	return &flow{g: g, opts: opts, abs: abs, live: live}, nil
 }
 
 // availIn returns the union of the activity node's derived input
@@ -81,7 +103,8 @@ func semParams(a *workflow.Activity) []string {
 // output delivers — activities whose input schema cannot actually be
 // derived from their providers' outputs — plus union branches and target
 // loads whose schemata disagree.
-func unresolvedReferences(g *workflow.Graph) []Finding {
+func unresolvedReferences(c *flow) []Finding {
+	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		n := g.Node(id)
@@ -147,7 +170,8 @@ func unresolvedReferences(g *workflow.Graph) []Finding {
 // incoming attribute of the same name — under the §3.1 naming principle
 // one reference name denotes one entity, so a collision silently merges
 // two. Joins whose inputs share non-key attributes collapse the same way.
-func shadowedReferences(g *workflow.Graph) []Finding {
+func shadowedReferences(c *flow) []Finding {
+	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		n := g.Node(id)
@@ -192,7 +216,8 @@ func shadowedReferences(g *workflow.Graph) []Finding {
 // deadGenerations flags attributes an activity generates that nothing
 // downstream consumes and no target stores — computed, carried, and
 // thrown away.
-func deadGenerations(g *workflow.Graph) []Finding {
+func deadGenerations(c *flow) []Finding {
+	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		n := g.Node(id)
@@ -205,7 +230,7 @@ func deadGenerations(g *workflow.Graph) []Finding {
 			if all.Has(attr) {
 				continue // in-place transformation, not a fresh name
 			}
-			if consumedDownstream(g, id, attr) {
+			if c.live[id].Has(attr) {
 				continue
 			}
 			out = append(out, Finding{
@@ -218,45 +243,12 @@ func deadGenerations(g *workflow.Graph) []Finding {
 	return out
 }
 
-// consumedDownstream reports whether any activity reachable from id reads
-// attr (projections dropping it are disposal, not consumption) or any
-// reachable target stores it.
-func consumedDownstream(g *workflow.Graph, id workflow.NodeID, attr string) bool {
-	seen := map[workflow.NodeID]bool{id: true}
-	queue := append([]workflow.NodeID(nil), g.Consumers(id)...)
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		n := g.Node(cur)
-		if n.Kind == workflow.KindRecordset {
-			if n.RS.Schema.Has(attr) {
-				return true
-			}
-			queue = append(queue, g.Consumers(cur)...)
-			continue
-		}
-		a := n.Act
-		reads := a.Fun.Has(attr) || a.RequiredIn.Has(attr) || data.Schema(semParams(a)).Has(attr)
-		if reads && !(a.Sem.Op == workflow.OpProject && data.Schema(a.Sem.Attrs).Has(attr)) {
-			return true
-		}
-		if a.PrjOut.Has(attr) || (a.Sem.Op == workflow.OpProject && data.Schema(a.Sem.Attrs).Has(attr)) {
-			continue // dropped on this path
-		}
-		queue = append(queue, g.Consumers(cur)...)
-	}
-	return false
-}
-
 // auxSchemaGaps flags auxiliary schemata that under-cover the activity's
 // semantics. The swap guards (§3.3) and the homologous-activity test
 // (§3.2) reason over Fun/Gen/PrjOut, so a gap there lets the optimizer
 // prove equivalences that do not hold.
-func auxSchemaGaps(g *workflow.Graph) []Finding {
+func auxSchemaGaps(c *flow) []Finding {
+	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		n := g.Node(id)
@@ -308,51 +300,47 @@ func auxSchemaGaps(g *workflow.Graph) []Finding {
 }
 
 // deadAttributes reports source attributes that no activity reads and no
-// target stores — rows carry them through the whole flow for nothing.
-func deadAttributes(g *workflow.Graph) []Finding {
-	used := map[string]bool{}
-	for _, id := range g.Activities() {
-		a := g.Node(id).Act
-		for _, attr := range a.Fun {
-			used[attr] = true
-		}
-		for _, attr := range a.RequiredIn {
-			used[attr] = true
-		}
+// target stores — rows carry them through the whole flow for nothing. A
+// name denotes one entity workflow-wide (§3.1), so an attribute any
+// source's flow needs is alive at every source; one a projection names is
+// being dropped already, and late-projection judges where.
+func deadAttributes(c *flow) []Finding {
+	var alive data.Schema
+	for _, id := range c.g.Sources() {
+		alive = alive.Union(c.live[id])
 	}
-	for _, id := range g.Targets() {
-		for _, attr := range g.Node(id).RS.Schema {
-			used[attr] = true
+	for _, id := range c.g.Activities() {
+		if a := c.g.Node(id).Act; a.Sem.Op == workflow.OpProject {
+			alive = alive.Union(a.Sem.Attrs)
 		}
 	}
 	var out []Finding
-	for _, id := range g.Sources() {
-		n := g.Node(id)
-		for _, attr := range n.RS.Schema {
-			if !used[attr] {
-				out = append(out, Finding{
-					Severity: Advice, Node: id, Check: "dead-attribute",
-					Message: fmt.Sprintf("source %s attribute %q is never read and never stored; project it out at the source",
-						n.RS.Name, attr),
-					Fix: "project the attribute out at the source, or remove it from the source schema",
-				})
-			}
+	for _, id := range c.g.Sources() {
+		n := c.g.Node(id)
+		for _, attr := range n.RS.Schema.Minus(alive) {
+			out = append(out, Finding{
+				Severity: Advice, Node: id, Check: "dead-attribute",
+				Message: fmt.Sprintf("source %s attribute %q is never read and never stored; project it out at the source",
+					n.RS.Name, attr),
+				Fix: "project the attribute out at the source, or remove it from the source schema",
+			})
 		}
 	}
 	return out
 }
 
 // unprotectedLookups reports surrogate-key activities whose production key
-// is not guarded by an upstream not-null check: a NULL key cannot resolve
-// and fails the load at run time.
-func unprotectedLookups(g *workflow.Graph) []Finding {
+// may be NULL on arrival — no not-null check, surviving comparison or
+// join guards it on every path: a NULL key cannot resolve and fails the
+// load at run time.
+func unprotectedLookups(c *flow) []Finding {
 	var out []Finding
-	for _, id := range g.Activities() {
-		a := g.Node(id).Act
+	for _, id := range c.g.Activities() {
+		a := c.g.Node(id).Act
 		if a.Sem.Op != workflow.OpSurrogateKey {
 			continue
 		}
-		if !guardedUpstream(g, id, a.Sem.KeyAttr) {
+		if d, ok := c.providerState(id).Attrs[a.Sem.KeyAttr]; !ok || d.MaybeNull {
 			out = append(out, Finding{
 				Severity: Warning, Node: id, Check: "unguarded-surrogate-key",
 				Message: fmt.Sprintf("no upstream not-null check on %q; a NULL production key fails the lookup at run time",
@@ -364,60 +352,25 @@ func unprotectedLookups(g *workflow.Graph) []Finding {
 	return out
 }
 
-// guardedUpstream reports whether every path from the sources to node id
-// passes a not-null check covering attr. An activity that generates attr
-// is a guard boundary: the attribute did not exist before it, so the
-// guard question applies to the generator's own semantics.
-func guardedUpstream(g *workflow.Graph, id workflow.NodeID, attr string) bool {
-	preds := g.Providers(id)
-	if len(preds) == 0 {
-		return false // reached a source without a guard
-	}
-	for _, p := range preds {
-		n := g.Node(p)
-		if n.Kind == workflow.KindActivity {
-			a := n.Act
-			if a.Sem.Op == workflow.OpNotNull && data.Schema(a.Sem.Attrs).Has(attr) {
-				continue // this path is guarded
-			}
-			if a.Gen.Has(attr) {
-				continue // generated here; guarding is the generator's concern
-			}
-		}
-		if !guardedUpstream(g, p, attr) {
-			return false
-		}
-	}
-	return true
-}
-
-// selectivityRanges reports selectivity estimates outside what the cost
-// model can price: unary activities want (0, 1]; joins want a positive
-// match fraction well below 1.
-func selectivityRanges(g *workflow.Graph) []Finding {
+// selectivityRanges reports selectivity estimates outside (0, 1], which
+// the cost model cannot price. The workflow format accepts any number and
+// the optimizer runs on it without complaint; unions carry no estimate.
+func selectivityRanges(c *flow) []Finding {
 	var out []Finding
-	for _, id := range g.Activities() {
-		a := g.Node(id).Act
-		switch {
-		case a.Sem.Op == workflow.OpUnion:
-			// No selectivity.
-		case a.Sem.Op == workflow.OpJoin:
-			if a.Sel <= 0 || a.Sel > 1 {
-				out = append(out, Finding{
-					Severity: Warning, Node: id, Check: "selectivity-range",
-					Message: fmt.Sprintf("join selectivity %g outside (0,1]", a.Sel),
-					Fix:     "estimate the join match fraction as a value in (0,1]",
-				})
-			}
-		default:
-			if a.Sel <= 0 || a.Sel > 1 {
-				out = append(out, Finding{
-					Severity: Warning, Node: id, Check: "selectivity-range",
-					Message: fmt.Sprintf("selectivity %g outside (0,1]", a.Sel),
-					Fix:     "estimate the selectivity as a value in (0,1]",
-				})
-			}
+	for _, id := range c.g.Activities() {
+		a := c.g.Node(id).Act
+		if a.Sem.Op == workflow.OpUnion || (a.Sel > 0 && a.Sel <= 1) {
+			continue
 		}
+		what, fix := "selectivity", "estimate the selectivity as a value in (0,1]"
+		if a.Sem.Op == workflow.OpJoin {
+			what, fix = "join selectivity", "estimate the join match fraction as a value in (0,1]"
+		}
+		out = append(out, Finding{
+			Severity: Warning, Node: id, Check: "selectivity-range",
+			Message: fmt.Sprintf("%s %g outside (0,1]", what, a.Sel),
+			Fix:     fix,
+		})
 	}
 	return out
 }
@@ -425,7 +378,8 @@ func selectivityRanges(g *workflow.Graph) []Finding {
 // redundantActivities reports directly repeated activities with identical
 // semantics — the second is a no-op for filters and checks, and a likely
 // copy-paste error for everything else.
-func redundantActivities(g *workflow.Graph) []Finding {
+func redundantActivities(c *flow) []Finding {
+	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		n := g.Node(id)
@@ -451,35 +405,16 @@ func redundantActivities(g *workflow.Graph) []Finding {
 // read far upstream: every row between the last reader and the projection
 // carried the attribute for nothing. (The optimizer can often push the
 // projection itself; this check fires even when swap conditions block it.)
-func lateProjections(g *workflow.Graph) []Finding {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil
-	}
-	pos := map[workflow.NodeID]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
+func lateProjections(c *flow) []Finding {
 	var out []Finding
-	for _, id := range g.Activities() {
-		a := g.Node(id).Act
+	for _, id := range c.g.Activities() {
+		a := c.g.Node(id).Act
 		if a.Sem.Op != workflow.OpProject {
 			continue
 		}
 		for _, attr := range a.Sem.Attrs {
-			lastUse := -1
-			for _, other := range g.Activities() {
-				if other == id {
-					continue
-				}
-				oa := g.Node(other).Act
-				if oa.Fun.Has(attr) && pos[other] < pos[id] && pos[other] > lastUse {
-					lastUse = pos[other]
-				}
-			}
-			// "Far" = more than two nodes of slack between the last reader
-			// (or the source) and the projection.
-			if pos[id]-lastUse > 3 {
+			// "Far" = more than two nodes of slack.
+			if c.slack(id, attr) > 2 {
 				out = append(out, Finding{
 					Severity: Advice, Node: id, Check: "late-projection",
 					Message: fmt.Sprintf("attribute %q is dead long before this projection; consider dropping it earlier", attr),
@@ -490,4 +425,24 @@ func lateProjections(g *workflow.Graph) []Finding {
 		}
 	}
 	return out
+}
+
+// slack counts the nodes on the provider path above id that carry attr
+// without anything at or below them needing it: the walk stops at the
+// attribute's last reader, at the activity that generated it and at a fork
+// whose other branch still reads it. The source recordset counts as one
+// node; where two inputs deliver the attribute the longer path counts.
+func (c *flow) slack(id workflow.NodeID, attr string) int {
+	most := 0
+	for _, p := range c.g.Providers(id) {
+		n := c.g.Node(p)
+		if !n.Out.Has(attr) || c.live[p].Has(attr) {
+			continue
+		}
+		if n.Kind == workflow.KindActivity && (n.Act.Fun.Has(attr) || n.Act.Gen.Has(attr)) {
+			continue
+		}
+		most = max(most, 1+c.slack(p, attr))
+	}
+	return most
 }
