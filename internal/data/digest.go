@@ -1,83 +1,87 @@
 package data
 
-// FNV-1a parameters. The digest below is the package's one canonical row
-// hash: the shared-work cache key, the empirical equivalence oracle and the
-// property suites all compare rows through it, so its definition is part of
-// the bit-identity contract — change it and every content-addressed cache
-// entry and recorded baseline is invalidated.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
+import (
+	"encoding/binary"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"os"
 )
 
-// digestState is an incremental FNV-1a fold over typed values.
-type digestState uint64
+// The digests below name content: rows (Rows.Digest) and whole recordsets
+// (Recordset.Digest). They are the data half of the shared-work cache key,
+// and the equivalence oracle and the property suites compare rows through
+// Rows.Digest, so their definition is part of the bit-identity contract. They
+// fold words through mixWord, as HashKey does, but tell apart what a key puts
+// in one class: Int(7) from Float(7), one NaN from another.
+const (
+	tagFloat = 0x94d049bb133111eb // a float by its bits; tagNum tags an int by its value
+	// One per recordset kind, folded first: a file names bytes, a table values.
+	tagFile   = 0xbf58476d1ce4e5b9
+	tagMemory = 0x369dea0f31a53f85
+)
 
-func newDigest() digestState { return digestState(fnvOffset) }
-
-func (d *digestState) byte(b byte) {
-	*d = digestState((uint64(*d) ^ uint64(b)) * fnvPrime)
-}
-
-func (d *digestState) uint64(x uint64) {
-	for i := 0; i < 8; i++ {
-		d.byte(byte(x))
-		x >>= 8
-	}
-}
-
-func (d *digestState) str(s string) {
-	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
-	}
-	d.byte(0xff) // terminator: ("ab","c") must differ from ("a","bc")
-}
-
-// value folds one typed value: the kind tag first, then the kind's
-// canonical payload, so Int(7), Float(7) and String("7") all digest
-// differently even though they render identically in CSV.
-func (d *digestState) value(v Value) {
-	d.byte(byte(v.kind))
-	switch v.kind {
-	case KindNull:
-		// kind tag alone
-	case KindString:
-		d.str(v.s)
-	default: // Int, Bool, Date and Float (as its bits) carry their payload in i
-		d.uint64(uint64(v.i))
-	}
-	d.byte(0xfe) // value separator
-}
-
-// Digest returns an order-sensitive FNV-1a digest of the rows: every typed
-// value is folded in record order, with record separators, so two row
-// slices digest equal exactly when they hold the same typed values in the
-// same positions. An empty and a nil slice digest equal.
+// Digest returns an order-sensitive digest of the rows: every typed value is
+// folded in record order (numbers by kind and raw payload, the rest as
+// hashValue does), each record behind its length, so two row slices digest
+// equal exactly when they hold the same typed values in the same positions
+// (up to a 64-bit collision). An empty and a nil slice digest equal.
 func (rows Rows) Digest() uint64 {
-	d := newDigest()
+	h := uint64(hashInit)
 	for _, rec := range rows {
-		for _, v := range rec {
-			d.value(v)
+		h = mixWord(h, uint64(len(rec)))
+		for i := range rec {
+			switch v := &rec[i]; v.kind {
+			case KindInt:
+				h = mixWord(h+tagNum, uint64(v.i))
+			case KindFloat:
+				h = mixWord(h+tagFloat, uint64(v.i))
+			default:
+				h = hashValue(h, v)
+			}
 		}
-		d.byte(0xfd) // record separator
 	}
-	return uint64(d)
+	return mixWord(h, uint64(len(rows)))
 }
 
-// RecordsetDigest scans a recordset and returns the canonical digest of its
-// schema and contents: the schema's attribute names in order, then the rows
-// via Rows.Digest. It is the data half of the shared-work cache key — two
-// recordsets with equal names, schemas and row-for-row equal typed contents
-// are interchangeable as ETL sources.
-func RecordsetDigest(rs Recordset) (uint64, error) {
-	rows, err := rs.Scan()
+// digestFile folds the bytes of the record file at path, a word at a time
+// through a buffer that stays on the stack whatever the file's size, after
+// refusing a header row that is not schema (an empty file has none).
+func digestFile(path string, schema Schema) (uint64, error) {
+	fh, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
-	d := newDigest()
-	for _, attr := range rs.Schema() {
-		d.str(attr)
+	defer fh.Close()
+	header, err := csv.NewReader(fh).Read()
+	if err == nil && !schema.Equal(header) {
+		err = fmt.Errorf("header %v does not match schema %v", Schema(header), schema)
 	}
-	d.uint64(rows.Digest())
-	return uint64(d), nil
+	if err == nil || err == io.EOF {
+		_, err = fh.Seek(0, io.SeekStart)
+	}
+	if err != nil {
+		return 0, err
+	}
+	h, size := mixWord(hashInit, tagFile), 0
+	var buf [32<<10 + 8]byte
+	fill := 0 // bytes read and not yet folded: under 8 between reads
+	for {
+		n, err := fh.Read(buf[fill : len(buf)-8])
+		fill, size = fill+n, size+n
+		if err == io.EOF {
+			clear(buf[fill : fill+8]) // the last word is zero-padded; the size, folded last, says by how much
+			fill += 7
+		} else if err != nil {
+			return 0, err
+		}
+		whole := fill &^ 7
+		for i := 0; i < whole; i += 8 {
+			h = mixWord(h, binary.LittleEndian.Uint64(buf[i:]))
+		}
+		if err == io.EOF {
+			return mixWord(h, uint64(size)), nil
+		}
+		fill = copy(buf[:], buf[whole:fill])
+	}
 }

@@ -1,6 +1,8 @@
 package data
 
 import (
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -81,11 +83,11 @@ func TestRecordsetDigest(t *testing.T) {
 	schema := Schema{"KEY", "NAME", "V1"}
 	a := NewMemoryRecordset("A", schema).MustLoad(digestRows())
 	b := NewMemoryRecordset("B", schema).MustLoad(digestRows())
-	da, err := RecordsetDigest(a)
+	da, err := a.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := RecordsetDigest(b)
+	db, err := b.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +95,75 @@ func TestRecordsetDigest(t *testing.T) {
 		t.Fatal("same schema and contents, different digest")
 	}
 	c := NewMemoryRecordset("C", Schema{"KEY", "NAME", "V2"}).MustLoad(digestRows())
-	dc, err := RecordsetDigest(c)
+	dc, err := c.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dc == da {
 		t.Fatal("schema change did not change the digest")
+	}
+}
+
+// A memory table's digest is its content's: reading leaves it alone, every
+// write moves it, and it can be asked for while another goroutine loads.
+func TestMemoryRecordsetDigest(t *testing.T) {
+	digest := func(rs Recordset) uint64 {
+		t.Helper()
+		d, err := rs.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	schema := Schema{"KEY", "NAME", "V1"}
+	m := NewMemoryRecordset("M", schema).MustLoad(digestRows())
+	loaded := digest(m)
+	for i := 0; i < 2; i++ {
+		if _, err := m.Scan(); err != nil {
+			t.Fatal(err)
+		}
+		if digest(m) != loaded {
+			t.Fatal("a Scan changed the digest")
+		}
+	}
+	m.MustLoad(digestRows()[:1])
+	if digest(m) == loaded {
+		t.Fatal("Load did not change the digest")
+	}
+	if err := m.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if d := digest(m); d == loaded || d != digest(NewMemoryRecordset("E", schema)) {
+		t.Fatal("a truncated table does not digest as an empty one")
+	}
+
+	// The same rows in a record file: a digest names content within one
+	// kind of recordset only, so the two are not found equal.
+	f, err := NewFileRecordset("F", schema, filepath.Join(t.TempDir(), "F.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := Rows{{NewInt(1), NewString("alpha"), NewFloat(10.5)}}
+	if err := f.Load(rows); err != nil {
+		t.Fatal(err)
+	}
+	if digest(f) == digest(NewMemoryRecordset("M", schema).MustLoad(rows)) {
+		t.Fatal("a record file and a memory table digest equal")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			m.MustLoad(rows)
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		digest(m)
+	}
+	wg.Wait()
+	if want := NewMemoryRecordset("W", schema); digest(m) != digest(want.MustLoad(m.rows)) {
+		t.Fatal("the digest after concurrent loads is not the content's")
 	}
 }

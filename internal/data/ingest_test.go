@@ -495,19 +495,23 @@ func sameRows(t *testing.T, got, want data.Rows) {
 // FuzzReadCSVFile reads arbitrary bytes as a record file: whichever of its
 // two readers ReadCSVFile takes, the answer is encoding/csv's.
 func FuzzReadCSVFile(f *testing.F) {
-	for _, s := range []string{
-		"A,B\n1,\"x,y\"\n", "A,B\n1,\"x\"\"y\"\n", "A,B\n1,\"x\ny\"\n2,z\n", // quoting
-		"A,B\r\n1,x\r\n", "A,B\n1,x\ry\n", "A,B\n1,x\r", "A,B\n1,x\"y\n", "A,B\n1,\"xy\n2,z\n",
-		"\n\nA,B\n1,x\n", "A,B\n\n\n1,x\n\n2,y\n", "A,B\n1,x\n\n\n", "\n", "\n\n\n", // blank lines
-		"A,B\n", "A,B", "", "A,B\n1,x", "A,B\n1,x\n2\n", "A,B\n1,x,y\n", "A,B\n1\n2,y\n", // ragged
-		"A,B\n1,\x00\n", "\xef\xbb\xbfA,B\n1,x\n", "A\n1\n\nNULL\n x \n", "A\n,\n", "A,B\n,\n ,\n",
-		"A,B\n1.5,-0.0\n007,2004-02-15\ntrue,null\n", "A,B\n1,\xff\xfe\n", ",\n,\n", "A,A\n1,2\n",
-	} {
+	for _, s := range csvSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, content []byte) {
 		checkRead(t, content)
 	})
+}
+
+// csvSeeds are the shapes a record file takes at its edges, the seed corpus
+// of the fuzz tests that read one.
+var csvSeeds = []string{
+	"A,B\n1,\"x,y\"\n", "A,B\n1,\"x\"\"y\"\n", "A,B\n1,\"x\ny\"\n2,z\n", // quoting
+	"A,B\r\n1,x\r\n", "A,B\n1,x\ry\n", "A,B\n1,x\r", "A,B\n1,x\"y\n", "A,B\n1,\"xy\n2,z\n",
+	"\n\nA,B\n1,x\n", "A,B\n\n\n1,x\n\n2,y\n", "A,B\n1,x\n\n\n", "\n", "\n\n\n", // blank lines
+	"A,B\n", "A,B", "", "A,B\n1,x", "A,B\n1,x\n2\n", "A,B\n1,x,y\n", "A,B\n1\n2,y\n", // ragged
+	"A,B\n1,\x00\n", "\xef\xbb\xbfA,B\n1,x\n", "A\n1\n\nNULL\n x \n", "A\n,\n", "A,B\n,\n ,\n",
+	"A,B\n1.5,-0.0\n007,2004-02-15\ntrue,null\n", "A,B\n1,\xff\xfe\n", ",\n,\n", "A,A\n1,2\n",
 }
 
 // partsFixture is a record file of fixed-width lines whose body is just over

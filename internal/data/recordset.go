@@ -25,6 +25,12 @@ type Recordset interface {
 	// recordset unless a workflow names it as a source and as a lookup too.
 	// A Scan that starts goroutines of its own joins them before it returns.
 	Scan() (Rows, error)
+	// Digest names the schema and the rows Scan would return without reading
+	// them out: two recordsets of one kind with equal digests Scan to rows
+	// equal value for value; anything else promises nothing. It fails where
+	// Scan refuses the whole recordset; content it does not parse may still
+	// fail Scan. A type embedding a Recordset inherits a Digest true of it.
+	Digest() (uint64, error)
 	// Load appends records to the recordset.
 	Load(rows Rows) error
 	// Truncate removes all records.
@@ -61,6 +67,18 @@ func (m *MemoryRecordset) Scan() (Rows, error) {
 	out := make(Rows, len(m.rows))
 	copy(out, m.rows)
 	return out, nil
+}
+
+// Digest implements Recordset over the attribute names and the typed values,
+// read in place.
+func (m *MemoryRecordset) Digest() (uint64, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	h := mixWord(hashInit, tagMemory)
+	for _, attr := range m.schema {
+		h = hashValue(h, &Value{kind: KindString, s: attr})
+	}
+	return mixWord(h, m.rows.Digest()), nil
 }
 
 // Load implements Recordset. Each record must match the schema's arity.
@@ -162,6 +180,17 @@ func (f *FileRecordset) Scan() (Rows, error) {
 		return nil, fmt.Errorf("recordset %s: record file %s: %w", f.name, f.path, err)
 	}
 	return rows, nil
+}
+
+// Digest implements Recordset over the file's bytes, the header row checked
+// as Scan checks it and the body unparsed: files that spell the same rows
+// differently digest apart, and a body Scan cannot parse is Scan's to refuse.
+func (f *FileRecordset) Digest() (uint64, error) {
+	d, err := digestFile(f.path, f.schema)
+	if err != nil {
+		return 0, fmt.Errorf("recordset %s: record file %s: %w", f.name, f.path, err)
+	}
+	return d, nil
 }
 
 // ReadCSVFile reads a record file: a header row, then one typed record per

@@ -211,8 +211,9 @@ func TestValueSize(t *testing.T) {
 // recorded from the layout that kept them in a float64 field of their own
 // (commit de1c458): every float, the edge cases included, must go through
 // every accessor, the key path, the digest and the CSV round trip exactly
-// as it did there. cmp and eq are Compare and Equal against int 0 and int
-// MaxInt64.
+// as it did there — the digest column excepted, re-recorded when Rows.Digest
+// moved from the byte-wise FNV fold to HashKey's word fold (PR 28). cmp and
+// eq are Compare and Equal against int 0 and int MaxInt64.
 func TestFloatPayloadAnswersUnchanged(t *testing.T) {
 	cases := []struct {
 		bits       uint64
@@ -225,23 +226,23 @@ func TestFloatPayloadAnswersUnchanged(t *testing.T) {
 		cmp        [2]int
 		eq         [2]bool
 	}{
-		{0x0, "0", "n:0", 0x5b73f5e69926939f, 0x27494fcc43a50394, KindInt, 0x0, false, [2]int{0, -1}, [2]bool{true, false}},
-		{0x8000000000000000, "-0", "n:-0", 0x67dd6da1d3635f29, 0x7f6dcfceba893514, KindInt, 0x0, false, [2]int{0, -1}, [2]bool{true, false}},
-		{0x7ff0000000000000, "+Inf", "n:+Inf", 0x7936f8d585ffbbe, 0x698d6f651872c7dd, KindFloat, 0x7ff0000000000000, true, [2]int{1, 1}, [2]bool{false, false}},
-		{0xfff0000000000000, "-Inf", "n:-Inf", 0x8a2e4e0aeae4c4e6, 0x116aef62a191fc5d, KindFloat, 0xfff0000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
+		{0x0, "0", "n:0", 0x5b73f5e69926939f, 0x74fad7e66bc9a1ed, KindInt, 0x0, false, [2]int{0, -1}, [2]bool{true, false}},
+		{0x8000000000000000, "-0", "n:-0", 0x67dd6da1d3635f29, 0x4474ad0987fee3d8, KindInt, 0x0, false, [2]int{0, -1}, [2]bool{true, false}},
+		{0x7ff0000000000000, "+Inf", "n:+Inf", 0x7936f8d585ffbbe, 0xc1f5cd643d9b8435, KindFloat, 0x7ff0000000000000, true, [2]int{1, 1}, [2]bool{false, false}},
+		{0xfff0000000000000, "-Inf", "n:-Inf", 0x8a2e4e0aeae4c4e6, 0xcbba1a34ea3ddf16, KindFloat, 0xfff0000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
 		// Two NaN payloads: one key class and one rendering, two digests.
-		{0x7ff8000000000001, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0xa9e699c5efb29a20, KindFloat, 0x7ff8000000000001, true, [2]int{0, 0}, [2]bool{false, false}},
-		{0xfff8000000000123, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0xeb003a22d7d606e9, KindFloat, 0x7ff8000000000001, true, [2]int{0, 0}, [2]bool{false, false}},
+		{0x7ff8000000000001, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0x42fe551a857254c4, KindFloat, 0x7ff8000000000001, true, [2]int{0, 0}, [2]bool{false, false}},
+		{0xfff8000000000123, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0x987403c2ae645593, KindFloat, 0x7ff8000000000001, true, [2]int{0, 0}, [2]bool{false, false}},
 		// Subnormals: the smallest positive, the largest negative.
-		{0x1, "5e-324", "n:5e-324", 0x6c94b74998c2c4f9, 0xf7e58c8c10ecc69, KindFloat, 0x1, true, [2]int{1, -1}, [2]bool{false, false}},
-		{0x800fffffffffffff, "-2.225073858507201e-308", "n:-2.225073858507201e-308", 0x19fa58b46297aabc, 0xf61df56f08d58205, KindFloat, 0x800fffffffffffff, true, [2]int{-1, -1}, [2]bool{false, false}},
+		{0x1, "5e-324", "n:5e-324", 0x6c94b74998c2c4f9, 0x5ae8149c197e3b1a, KindFloat, 0x1, true, [2]int{1, -1}, [2]bool{false, false}},
+		{0x800fffffffffffff, "-2.225073858507201e-308", "n:-2.225073858507201e-308", 0x19fa58b46297aabc, 0x3e66d0b8f8819907, KindFloat, 0x800fffffffffffff, true, [2]int{-1, -1}, [2]bool{false, false}},
 		// 2^63 (what float64(MaxInt64) rounds to), its predecessor, -2^63, 2^53.
-		{0x43e0000000000000, "9.223372036854776e+18", "n:9.223372036854776e+18", 0xe917502b131230fb, 0x35765bedc2e63bd1, KindFloat, 0x43e0000000000000, true, [2]int{1, 0}, [2]bool{false, true}},
-		{0x43dfffffffffffff, "9.223372036854775e+18", "n:9.223372036854775e+18", 0x81638089ecef651b, 0x3a698ae02693b478, KindFloat, 0x43dfffffffffffff, true, [2]int{1, -1}, [2]bool{false, false}},
-		{0xc3e0000000000000, "-9.223372036854776e+18", "n:-9.223372036854776e+18", 0xfda25cd1d0f190c0, 0x8d9adbf039ca6d51, KindFloat, 0xc3e0000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
-		{0x4340000000000000, "9.007199254740992e+15", "n:9.007199254740992e+15", 0x47d15afd74278981, 0xe4e616b56e088fb1, KindFloat, 0x4340000000000000, true, [2]int{1, -1}, [2]bool{false, false}},
-		{0x3ff8000000000000, "1.5", "n:1.5", 0x9db16cf5cbfaa20c, 0x33a8af248c182025, KindFloat, 0x3ff8000000000000, true, [2]int{1, -1}, [2]bool{false, false}},
-		{0xc01c000000000000, "-7", "n:-7", 0x59ce2b992efb913d, 0xd73c26e414038e78, KindInt, 0xc01c000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
+		{0x43e0000000000000, "9.223372036854776e+18", "n:9.223372036854776e+18", 0xe917502b131230fb, 0xd8fb4fe2cff53d07, KindFloat, 0x43e0000000000000, true, [2]int{1, 0}, [2]bool{false, true}},
+		{0x43dfffffffffffff, "9.223372036854775e+18", "n:9.223372036854775e+18", 0x81638089ecef651b, 0x21a05602ee7e71d7, KindFloat, 0x43dfffffffffffff, true, [2]int{1, -1}, [2]bool{false, false}},
+		{0xc3e0000000000000, "-9.223372036854776e+18", "n:-9.223372036854776e+18", 0xfda25cd1d0f190c0, 0xf29343282283f1d7, KindFloat, 0xc3e0000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
+		{0x4340000000000000, "9.007199254740992e+15", "n:9.007199254740992e+15", 0x47d15afd74278981, 0x88e16667a15f9f9d, KindFloat, 0x4340000000000000, true, [2]int{1, -1}, [2]bool{false, false}},
+		{0x3ff8000000000000, "1.5", "n:1.5", 0x9db16cf5cbfaa20c, 0xeece8111feb429a6, KindFloat, 0x3ff8000000000000, true, [2]int{1, -1}, [2]bool{false, false}},
+		{0xc01c000000000000, "-7", "n:-7", 0x59ce2b992efb913d, 0x2c176d7f897ca2f8, KindInt, 0xc01c000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
 	}
 	ints := [2]Value{NewInt(0), NewInt(math.MaxInt64)}
 	for _, c := range cases {

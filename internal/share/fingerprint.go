@@ -13,6 +13,7 @@
 package share
 
 import (
+	"context"
 	"fmt"
 
 	"etlopt/internal/data"
@@ -70,7 +71,7 @@ type fingerprinter struct {
 // nodes (in the same or different workflows) with equal fingerprints
 // produce bit-identical rows, which is what makes the fingerprint sound as
 // a cache key (see DESIGN.md §12).
-func closureFingerprints(g *workflow.Graph, bindings map[string]data.Recordset) (map[workflow.NodeID]uint64, error) {
+func closureFingerprints(ctx context.Context, g *workflow.Graph, bindings map[string]data.Recordset) (map[workflow.NodeID]uint64, error) {
 	fp := &fingerprinter{
 		g:        g,
 		bindings: bindings,
@@ -82,15 +83,16 @@ func closureFingerprints(g *workflow.Graph, bindings map[string]data.Recordset) 
 		return nil, err
 	}
 	for _, id := range order {
-		if err := fp.node(id); err != nil {
+		if err := fp.node(ctx, id); err != nil {
 			return nil, err
 		}
 	}
 	return fp.memo, nil
 }
 
-// bindingDigest returns the content digest of the named bound recordset.
-func (fp *fingerprinter) bindingDigest(name string) (uint64, error) {
+// bindingDigest returns the content digest of the named bound recordset, as
+// the recordset states it: fingerprinting scans nothing and knows no kinds.
+func (fp *fingerprinter) bindingDigest(ctx context.Context, name string) (uint64, error) {
 	if d, ok := fp.digests[name]; ok {
 		return d, nil
 	}
@@ -98,7 +100,10 @@ func (fp *fingerprinter) bindingDigest(name string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("share: recordset %q is not bound", name)
 	}
-	d, err := data.RecordsetDigest(rs)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	d, err := rs.Digest()
 	if err != nil {
 		return 0, fmt.Errorf("share: digesting %q: %w", name, err)
 	}
@@ -120,7 +125,7 @@ func lookupNames(sem *workflow.Semantics, into []string) []string {
 
 // node folds one node's fingerprint into the memo. Providers are already
 // fingerprinted (topological order).
-func (fp *fingerprinter) node(id workflow.NodeID) error {
+func (fp *fingerprinter) node(ctx context.Context, id workflow.NodeID) error {
 	n := fp.g.Node(id)
 	f := newFP()
 	switch n.Kind {
@@ -134,7 +139,7 @@ func (fp *fingerprinter) node(id workflow.NodeID) error {
 			f.str("src")
 			f.str(n.RS.Name)
 			f.schema(n.RS.Schema)
-			d, err := fp.bindingDigest(n.RS.Name)
+			d, err := fp.bindingDigest(ctx, n.RS.Name)
 			if err != nil {
 				return err
 			}
@@ -157,7 +162,7 @@ func (fp *fingerprinter) node(id workflow.NodeID) error {
 		f.schema(n.Out)
 		for _, name := range lookupNames(&n.Act.Sem, nil) {
 			f.str(name)
-			d, err := fp.bindingDigest(name)
+			d, err := fp.bindingDigest(ctx, name)
 			if err != nil {
 				return err
 			}

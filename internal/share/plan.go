@@ -1,6 +1,7 @@
 package share
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -21,7 +22,7 @@ type Workflow struct {
 	// Bindings maps recordset names to data. Every source and lookup the
 	// graph reads must be bound; target bindings are optional (unbound
 	// targets are still reported in the run result). A recordset bound in
-	// several members is scanned by them concurrently, planning included.
+	// several members is digested and scanned by them concurrently.
 	Bindings map[string]data.Recordset
 }
 
@@ -79,9 +80,10 @@ type plan struct {
 // newPlan fingerprints every workflow, finds fingerprints that occur more
 // than once across the suite (including homologous twins inside a single
 // workflow), and builds the stage DAG and residual graphs. Fingerprinting
-// scans every bound source and lookup, so workers members do it at a time;
-// results and the first error are taken in member order, whatever workers is.
-func newPlan(wfs []Workflow, workers int) (*plan, error) {
+// digests every bound source and lookup (a record file reads its bytes), so
+// workers members do it at a time, until ctx is done; results and the first
+// error are taken in member order, whatever workers is.
+func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
 	p := &plan{stages: make(map[uint64]*stage)}
 
 	allFPs := make([]map[workflow.NodeID]uint64, len(wfs))
@@ -97,7 +99,7 @@ func newPlan(wfs []Workflow, workers int) (*plan, error) {
 			if wf.Graph == nil {
 				errs[i] = fmt.Errorf("it has no graph")
 			} else if errs[i] = wf.Graph.Validate(); errs[i] == nil {
-				allFPs[i], errs[i] = closureFingerprints(wf.Graph, wf.Bindings)
+				allFPs[i], errs[i] = closureFingerprints(ctx, wf.Graph, wf.Bindings)
 			}
 		}()
 	}

@@ -83,7 +83,7 @@ func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p, err := newPlan(wfs, workers)
+	p, err := newPlan(ctx, wfs, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -224,7 +224,7 @@ func TestSharedSuitePrefixesActuallyShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	wfs := suiteWorkflows(scs)
-	p, err := newPlan(wfs, 2)
+	p, err := newPlan(context.Background(), wfs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,17 +327,17 @@ func (c *cancelOnScan) Scan() (data.Rows, error) {
 	return c.Recordset.Scan()
 }
 
-// TestCancelledSuiteLeavesNoSpillFiles: EXTRA is read once to fingerprint it
-// and once more by its member's residual run, which starts only after the
-// shared prefix has been computed and — at a budget of zero — spilled.
-// Cancelling there ends the suite with files written; none may stay.
+// TestCancelledSuiteLeavesNoSpillFiles: EXTRA is first read by its member's
+// residual run (planning digests it, and scans nothing), which starts only
+// after the shared prefix has been computed and — at a budget of zero —
+// spilled. Cancelling there ends the suite with files written; none may stay.
 func TestCancelledSuiteLeavesNoSpillFiles(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wfs := codeSuite(t)
 	for _, wf := range wfs {
-		wf.Bindings["EXTRA"] = &cancelOnScan{Recordset: wf.Bindings["EXTRA"], nth: 2, cancel: cancel}
+		wf.Bindings["EXTRA"] = &cancelOnScan{Recordset: wf.Bindings["EXTRA"], nth: 1, cancel: cancel}
 	}
 	res, err := RunSuite(ctx, wfs, Options{Workers: 1, CacheBytes: 0, SpillDir: dir})
 	if err != nil {

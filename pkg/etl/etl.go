@@ -65,6 +65,18 @@ type (
 	// RunResult reports a workflow execution (target rows, node counts).
 	RunResult = engine.RunResult
 	// Recordset is the storage abstraction workflows read and load.
+	//
+	// An implementation's Digest is how RunSuite finds members reading the
+	// same data without reading it: return a 64-bit name of the schema and
+	// of everything Scan would return, such that two recordsets of your
+	// type with equal digests Scan to equal rows, value for value and kind
+	// for kind. Unequal digests promise nothing (the same rows are then
+	// computed once per member, never wrongly), so a content version, a
+	// hash of the stored bytes or data.Rows.Digest of the rows all serve;
+	// fold in a constant of your own first, so that your digests do not
+	// meet another type's. Fail only where Scan would refuse the recordset
+	// as a whole. A wrapper that embeds a Recordset inherits its Digest,
+	// which stays true as long as its Scan returns the embedded one's rows.
 	Recordset = data.Recordset
 	// MemoryRecordset is an in-memory Recordset, convenient for tests and
 	// examples.
