@@ -3,9 +3,11 @@
 // the workflow is bound to <data-dir>/<name>.csv, and target recordsets
 // are written to <data-dir>/<name>.csv as well. Optionally the workflow is
 // optimized before running, executed partitioned, and checkpointed so an
-// interrupted load resumes instead of restarting. -checkpoint honours -mode
-// and -partitions (the staged files are the same at any partition count),
-// and composes with -faults, -journal and -metrics. A -mode, -optimize or
+// interrupted load resumes instead of restarting. -checkpoint stages one
+// typed row file per completed stage plus a MANIFEST, removes only those
+// files when the load completes, honours -mode and -partitions (the staged
+// files are the same at any partition count), and composes with -faults,
+// -journal and -metrics. A -mode, -optimize or
 // -faults value etlrun does not know is rejected before any file is
 // created or written.
 //
@@ -79,7 +81,7 @@ func run() error {
 		workers    = flag.Int("workers", 0, "optimizer search parallelism: worker goroutines for -optimize (0 = GOMAXPROCS)")
 		mode       = flag.String("mode", "materialized", "execution mode: materialized or parallel")
 		partitions = flag.Int("partitions", 0, "engine data parallelism: partitions per recordset in -mode parallel, with or without -checkpoint (0 = GOMAXPROCS)")
-		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution (honours -mode and -partitions)")
+		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution: a typed row file per completed stage and a MANIFEST, removed once the load completes (honours -mode and -partitions)")
 		impact     = flag.String("impact", "", "print the impact analysis of the named recordset and exit")
 		lintOnly   = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
 		explain    = flag.Bool("explain", false, "print estimated vs actual cardinalities after the run")
@@ -138,7 +140,7 @@ func run() error {
 	}
 	*in = files[0]
 	// An interrupt cancels the optimizer and the engine; with -checkpoint,
-	// completed nodes stay staged so a re-run resumes.
+	// completed stages stay staged so a re-run resumes.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 	src, err := os.ReadFile(*in)
@@ -240,7 +242,7 @@ func run() error {
 			return err
 		}
 		if staged, _ := cr.Staged(); len(staged) > 0 {
-			fmt.Printf("resuming: %d staged node outputs found\n", len(staged))
+			fmt.Printf("resuming: %d staged stages found\n", len(staged))
 		}
 		result, err = cr.Run(ctx, g)
 		if err != nil {

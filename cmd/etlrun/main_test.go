@@ -242,7 +242,7 @@ func TestCLICheckpoint(t *testing.T) {
 // TestCLICheckpointResumeComposesWithPartitions crashes a checkpointed
 // -mode parallel -partitions 8 run mid-workflow (an injected fault with no
 // retry budget), re-runs it over the same staging directory, and requires
-// the resumed run to restore staged nodes and write target CSVs
+// the resumed run to restore staged stages and write target CSVs
 // byte-identical to an uninterrupted -mode materialized run.
 func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 	if testing.Short() {
@@ -259,7 +259,9 @@ func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The fault schedule is a pure function of the seed: take the first
-	// seed whose crash comes after at least half the nodes are staged.
+	// seed whose crash comes after at least half the stages are staged —
+	// Fig. 1 runs as 7 stages before its target, one of them two fused
+	// activities.
 	for seed := 1; seed <= 64; seed++ {
 		dir := t.TempDir()
 		wf := setupFig1(t, dir)
@@ -269,7 +271,7 @@ func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 		if err := exec.Command(bin, crash...).Run(); err == nil {
 			continue // this seed's schedule let the run finish
 		}
-		if staged, _ := filepath.Glob(filepath.Join(stage, "node-*.csv")); len(staged) < 5 {
+		if staged, _ := filepath.Glob(filepath.Join(stage, "stage-*.rows")); len(staged) < 4 {
 			continue
 		}
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -277,7 +279,7 @@ func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 			t.Fatalf("seed %d: resume failed: %v\n%s", seed, err, out)
 		}
 		if !strings.Contains(string(out), "resuming:") {
-			t.Errorf("seed %d: resumed run did not report staged nodes:\n%s", seed, out)
+			t.Errorf("seed %d: resumed run did not report staged stages:\n%s", seed, out)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, "DW.PARTS.csv"))
 		if err != nil {
@@ -288,7 +290,33 @@ func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 		}
 		return
 	}
-	t.Fatal("no seed in 1..64 crashed the run with half its nodes staged")
+	t.Fatal("no seed in 1..64 crashed the run with half its stages staged")
+}
+
+// TestCLICheckpointInTheDataDir stages into the data directory itself:
+// the run removes its own files only, so the sources and the target it
+// just loaded are still there, byte for byte where they were inputs.
+func TestCLICheckpointInTheDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	wf := setupFig1(t, dir)
+	before := dirContents(t, dir)
+	if out, err := exec.Command(bin, "-in", wf, "-data", dir, "-checkpoint", dir).CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	after := dirContents(t, dir)
+	for path, b := range before {
+		if after[path] != b {
+			t.Errorf("%s changed or went missing", path)
+		}
+	}
+	target := filepath.Join(dir, "DW.PARTS.csv")
+	if len(after) != len(before)+1 || after[target] == "" {
+		t.Errorf("the directory holds %d files, %d before; want the inputs and a non-empty %s", len(after), len(before), target)
+	}
 }
 
 func TestCLIExplainAndCalibrate(t *testing.T) {

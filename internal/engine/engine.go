@@ -8,12 +8,12 @@
 // an operator's semantics demand it (parallel.go) — until its last reader
 // has run, each source scanned one ahead by a reader goroutine. Materialized
 // mode is that driver at P=1, Parallel mode the same driver at
-// WithPartitions, and checkpointing (CheckpointRunner) a stage hook on it
-// — so mode, partition count, fault plan, retry policy, journal and
-// metrics compose, and there is no other executor: the paper's activities
-// that "output data to one another" without intermediate data stores are
-// the members of a fused stage. Both modes produce bit-identical target
-// rows, in the same order, at any partition count.
+// WithPartitions, and checkpointing (CheckpointRunner) a hook staging each
+// completed stage, fused or not, as a typed row file — so mode, partitions,
+// fault plan, retry policy, journal and metrics compose, and there is no
+// other executor: the paper's activities that "output data to one another"
+// without intermediate data stores are the members of a fused stage. Both
+// modes produce bit-identical target rows, in order, at any partition count.
 //
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
@@ -166,7 +166,9 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 		defer e.journal.Emit(obs.RunEvent("end", "engine/"+modeName))
 	}
 	span := e.metrics.StartSpan("engine/" + modeName)
-	rm.setSpan(span)
+	if rm != nil {
+		rm.span = span
+	}
 	res, err := e.runNodes(ctx, g, partitions, stage, rm)
 	span.End()
 	if err != nil {
@@ -184,7 +186,7 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 // The driver alone checks for cancellation between stages, consults the
 // stage-level fault sites, retries, journals and counts every member, takes
 // a source off the reader (readSources), loads a target, drops an output at
-// its last reader and — given a checkpoint — restores or persists a node.
+// its last reader and — given a checkpoint — restores or persists a stage.
 //
 // A stage is the retry unit and owns the fault sites: node start and
 // per-partition emit are consulted once, under the ID of its last member
@@ -200,8 +202,10 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 	if err != nil {
 		return nil, err
 	}
+	stages := planStages(g, order)
+	var restore map[workflow.NodeID][]int // staged member rows by last member: read once, for driver and reader
 	if stage != nil {
-		if err := stage.prepareStaging(g.Signature()); err != nil {
+		if restore, err = stage.prepareStaging(g, stages); err != nil {
 			return nil, err
 		}
 	}
@@ -209,10 +213,8 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 	// readers counts a node's consumers yet to complete; its output is dropped
 	// with the last: what stays live is the input of the stages still to run.
 	readers := make(map[workflow.NodeID]int, len(order))
-	staged := make(map[workflow.NodeID]bool) // has a stage file: asked once, for the driver and the reader both
 	for _, id := range order {
 		readers[id] = len(g.Consumers(id))
-		staged[id] = stage != nil && stage.staged(id)
 	}
 	scr := make([]scratch, p) // one per partition for the whole run
 	res := &RunResult{
@@ -220,10 +222,9 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		NodeRows: make(map[workflow.NodeID]int),
 	}
 	rowsSoFar := 0
-	stages := planStages(g, order, stage == nil) // under a checkpoint every node stays its own stage
 	ahead := make(chan *scanned)
 	quit, stop := context.WithCancel(context.WithoutCancel(ctx))
-	go e.readSources(ctx, quit, g, stages, staged, ahead)
+	go e.readSources(ctx, quit, g, stages, restore, ahead)
 	defer func() { // quit is done when the driver returns, and no return leaves the reader running
 		stop()
 		for range ahead {
@@ -235,7 +236,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		if err := ctx.Err(); err != nil {
 			// Surface where the run stopped, not just that it stopped: the
 			// next node that would have run and the progress made. Staged
-			// nodes stay on disk, so cancellation resumes like a crash.
+			// stages stay on disk, so cancellation resumes like a crash.
 			return nil, fmt.Errorf("engine: run cancelled before node %d (%s) after %d rows: %w",
 				ids[0], g.Node(ids[0]).Label(), rowsSoFar, err)
 		}
@@ -245,24 +246,23 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		// Targets are never staged: loading is the effect that must not be
 		// repeated blindly, so a target always re-runs from its provider.
 		stageable := stage != nil && !target
+		members, restored := restore[id] // never a target's
 		var (
 			pd      *pdata    // the stage's output; nil for a target nothing reads
-			rows    data.Rows // a recordset's or restored node's rows, in materialized order
+			rows    data.Rows // a recordset's or restored stage's rows, in materialized order
 			src     *scanned  // a source's hand-over, taken once however often the stage is retried
 			tallies []tally   // an activity stage's rows and seconds, per partition and member
+			counts  []int     // each member's rows
 		)
 		body := func() error {
 			var err error
-			if stageable {
+			if restored { // ran nowhere: no partition or second to report
 				if err := e.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
 					return err
 				}
-				if staged[id] {
-					if rows, err = stage.loadStage(id); err == nil {
-						pd = scatterRows(rows, p)
-					}
-					return err
-				}
+				rows, err = stage.loadStage(id, n.Out)
+				pd, counts = scatterRows(rows, p), members
+				return err
 			}
 			if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
 				return err
@@ -272,7 +272,10 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			case activity:
 				emitParts = p
 				if streamable(n.Act) {
-					pd, tallies, err = e.execChain(ctx, g, ids, out[preds[0]], p, rm, scr, rowsSoFar)
+					var c *rowChain
+					if c, err = e.resolveChain(g, ids); err == nil {
+						pd, tallies, err = e.execChain(ctx, id, n, c, out[preds[0]], p, rm, scr, rowsSoFar)
+					}
 				} else {
 					pd, err = e.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
 				}
@@ -317,6 +320,18 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 					pd = scatterRows(rows, p)
 				}
 			}
+			// Each member's rows: a chain's from its tallies, the output's
+			// from pd, or for a target nothing reads from rows.
+			counts = make([]int, len(ids))
+			for _, t := range tallies {
+				for m, r := range t.rows {
+					counts[m] += r
+				}
+			}
+			counts[len(ids)-1] = len(rows)
+			if pd != nil {
+				counts[len(ids)-1] = pd.total()
+			}
 			if stageable {
 				if err := e.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
 					return err
@@ -324,7 +339,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				if activity {
 					rows = gather(pd)
 				}
-				return stage.saveStage(id, n.Out, rows)
+				return stage.saveStage(id, n.Out, rows, counts)
 			}
 			return nil
 		}
@@ -337,9 +352,9 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			return nil, err
 		}
 		span.End()
-		if activity && tallies == nil {
-			// A stage of one that is no row chain, or was restored: its
-			// partitions' rows and its wall seconds, retries included.
+		if activity && tallies == nil && !restored {
+			// A stage of one that is no row chain: its partitions' rows and
+			// its wall seconds, retries included.
 			sec := []float64{time.Since(start).Seconds()}
 			for _, ps := range pd.parts {
 				tallies = append(tallies, tally{rows: []int{len(ps.rows)}, sec: sec})
@@ -347,22 +362,16 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		}
 		out[id] = pd
 		for m, mid := range ids {
-			emitted := len(rows)
-			if pd != nil {
-				emitted = pd.total()
-			}
 			if activity {
 				var sec float64
-				emitted = 0
 				for _, t := range tallies {
-					emitted += t.rows[m]
 					sec = max(sec, t.sec[m])
 				}
-				rm.nodeDone(mid, emitted, sec)
+				rm.nodeDone(mid, counts[m], sec)
 			}
-			res.NodeRows[mid] = emitted
-			rowsSoFar += emitted
-			rm.rows(mid).Add(int64(emitted))
+			res.NodeRows[mid] = counts[m]
+			rowsSoFar += counts[m]
+			rm.rows(mid).Add(int64(counts[m]))
 			for q, t := range tallies {
 				rm.partRow(mid, q).Add(int64(t.rows[m]))
 				rm.batchEvent(mid, q, t.rows[m])
@@ -371,7 +380,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		if stageable && e.journal != nil {
 			key := nodeKey(id, n)
 			emitted := res.NodeRows[id]
-			if staged[id] {
+			if restored {
 				e.journal.Emit(obs.CheckpointEvent(key, "restored", emitted))
 				e.journal.Emit(obs.ResumeEvent(key, emitted))
 			} else {
@@ -388,7 +397,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 	}
 	if stage != nil {
 		// The load completed: the staging area has served its purpose.
-		if err := stage.Clear(); err != nil {
+		if err := stage.clear(); err != nil {
 			return nil, err
 		}
 	}
@@ -406,10 +415,11 @@ type scanned struct {
 // over on the unbuffered ahead — so one is parsed, none queued, ahead of the
 // driver — and closes ahead after the last. It begins no scan once ctx is
 // done, but gives up a finished one only to quit: the driver's return.
-func (e *Engine) readSources(ctx, quit context.Context, g *workflow.Graph, stages [][]workflow.NodeID, staged map[workflow.NodeID]bool, ahead chan<- *scanned) {
+func (e *Engine) readSources(ctx, quit context.Context, g *workflow.Graph, stages [][]workflow.NodeID, restore map[workflow.NodeID][]int, ahead chan<- *scanned) {
 	defer close(ahead)
 	for _, ids := range stages {
-		if id := ids[0]; ctx.Err() == nil && quit.Err() == nil && len(g.Providers(id)) == 0 && !staged[id] {
+		id := ids[0]
+		if _, staged := restore[id]; ctx.Err() == nil && quit.Err() == nil && len(g.Providers(id)) == 0 && !staged {
 			rows, err := e.scanSource(g.Node(id))
 			select {
 			case ahead <- &scanned{rows, err}:

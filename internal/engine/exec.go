@@ -1,49 +1,19 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"etlopt/internal/data"
 	"etlopt/internal/workflow"
 )
 
-// execSem runs one activity over fully materialized inputs: the components
-// of a merged package that cannot be a stage, and the tests' node-by-node
-// reference. in/out are the node's derived schemata; schemas/inputs the
-// provider layouts and rows, which are realigned to in where they differ;
-// the result is laid out by out.
-// It has no kernels of its own: a row-local activity is a chain of one
-// (stage.go), any other runs its partition contract (parallel.go) at one
-// partition, where every exchange is the identity.
-func (e *Engine) execSem(a *workflow.Activity, in []data.Schema, out data.Schema, schemas []data.Schema, inputs []data.Rows) (data.Rows, error) {
-	if streamable(a) {
-		return e.execRowLocal(a, in[0], out, realign(inputs[0], schemas[0], in[0]))
-	}
-	pds := make([]*pdata, len(inputs))
-	for i := range inputs {
-		pds[i] = scatterRows(realign(inputs[i], schemas[i], in[i]), 1)
-	}
-	n := &workflow.Node{Kind: workflow.KindActivity, Act: a, In: in, Out: out}
-	pd, err := e.execParallelOp(context.Background(), 0, n, pds, 1, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return gather(pd), nil
-}
-
-// realign reorders row values from layout src to layout dst; it is the
-// identity when the layouts already match.
+// realign reorders row values from layout src to layout dst, building
+// every row anew and resolving the attribute names once for the whole
+// input; it is the identity when the layouts already match.
 func realign(rows data.Rows, src, dst data.Schema) data.Rows {
 	if src.Equal(dst) {
 		return rows
 	}
-	return projectRows(rows, src, dst)
-}
-
-// projectRows builds every row anew in layout dst, resolving the
-// attribute names once for the whole input.
-func projectRows(rows data.Rows, src, dst data.Schema) data.Rows {
 	proj := data.NewProjection(src, dst)
 	out := make(data.Rows, len(rows))
 	for i, r := range rows {
@@ -258,12 +228,4 @@ func keyPositions(schema data.Schema, attrs []string) ([]int, error) {
 		out[i] = p
 	}
 	return out, nil
-}
-
-// keyPositions2 resolves a binary operator's key attributes on both inputs.
-func keyPositions2(in []data.Schema, attrs []string) (left, right []int, err error) {
-	if left, err = keyPositions(in[0], attrs); err == nil {
-		right, err = keyPositions(in[1], attrs)
-	}
-	return left, right, err
 }

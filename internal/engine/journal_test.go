@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"etlopt/internal/obs"
@@ -175,9 +176,9 @@ func TestJournalEngineEvents(t *testing.T) {
 }
 
 // journalCheckpointActions runs g under a journaled CheckpointRunner on
-// dir and returns how often each checkpoint action ("staged",
-// "restored") appears in the journal, plus the run error.
-func journalCheckpointActions(t *testing.T, ctx context.Context, sc *templates.Scenario, dir string) (map[string]int, error) {
+// dir and returns the node keys each checkpoint action ("staged",
+// "restored") appears under in the journal, plus the run error.
+func journalCheckpointActions(t *testing.T, ctx context.Context, sc *templates.Scenario, dir string) (map[string][]string, error) {
 	t.Helper()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, nil)
@@ -193,28 +194,45 @@ func journalCheckpointActions(t *testing.T, ctx context.Context, sc *templates.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	actions := map[string]int{}
+	actions := map[string][]string{}
 	for _, e := range evs {
 		if e.T == obs.EventCheckpoint {
-			actions[e.Action]++
+			actions[e.Action] = append(actions[e.Action], e.Node)
 		}
+	}
+	for _, keys := range actions {
+		slices.Sort(keys)
 	}
 	return actions, runErr
 }
 
 // TestJournalCheckpointEvents checks the staging narration: a completed
-// checkpointed run journals staged events, and a resumed run over a
-// pre-seeded staging area journals restored events.
+// checkpointed run journals one staged event per stage but the targets',
+// under the stage's last member's key, and a resumed run over a pre-seeded
+// staging area a restored event for the seeded stage and staged events for
+// the others.
 func TestJournalCheckpointEvents(t *testing.T) {
 	sc := templates.Fig1Scenario(60, 180)
 	dir := filepath.Join(t.TempDir(), "stage")
+	order, err := sc.Graph.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stageKeys []string
+	for _, ids := range planStages(sc.Graph, order) {
+		id := ids[len(ids)-1]
+		if n := sc.Graph.Node(id); n.Kind == workflow.KindActivity || len(sc.Graph.Providers(id)) == 0 {
+			stageKeys = append(stageKeys, nodeKey(id, n))
+		}
+	}
+	slices.Sort(stageKeys)
 
 	actions, err := journalCheckpointActions(t, context.Background(), sc, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if actions["staged"] == 0 {
-		t.Fatal("completed checkpoint run journaled no staged events")
+	if got := actions["staged"]; !slices.Equal(got, stageKeys) {
+		t.Fatalf("completed checkpoint run journaled staged events under %v, want one per stage: %v", got, stageKeys)
 	}
 
 	// Simulate a crash: a cancelled run writes the manifest but completes
@@ -229,32 +247,27 @@ func TestJournalCheckpointEvents(t *testing.T) {
 		t.Fatalf("cancelled run left no manifest: %v", err)
 	}
 	eng := New(sc.Bind())
-	seeder := CheckpointRunner{engine: eng, dir: dir}
-	seeded := false
-	for _, id := range sc.Graph.Nodes() {
-		n := sc.Graph.Node(id)
-		if n.Kind == workflow.KindRecordset && len(sc.Graph.Providers(id)) == 0 {
-			rows, err := eng.scanSource(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := seeder.saveStage(id, n.Out, rows); err != nil {
-				t.Fatal(err)
-			}
-			seeded = true
-			break
-		}
+	seeder, _ := NewCheckpointRunner(eng, dir)
+	src := sc.Graph.Sources()[0]
+	n := sc.Graph.Node(src)
+	rows, err := eng.scanSource(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !seeded {
-		t.Fatal("no source node to seed the stage with")
+	if err := seeder.saveStage(src, n.Out, rows, []int{len(rows)}); err != nil {
+		t.Fatal(err)
 	}
 
 	actions, err = journalCheckpointActions(t, context.Background(), sc, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if actions["restored"] == 0 {
-		t.Fatal("resumed checkpoint run journaled no restored events")
+	seeded := nodeKey(src, n)
+	if got := actions["restored"]; !slices.Equal(got, []string{seeded}) {
+		t.Fatalf("resumed checkpoint run journaled restored events under %v, want %s", got, seeded)
+	}
+	if got, want := actions["staged"], slices.DeleteFunc(stageKeys, func(k string) bool { return k == seeded }); !slices.Equal(got, want) {
+		t.Fatalf("resumed checkpoint run journaled staged events under %v, want %v", got, want)
 	}
 }
 

@@ -143,7 +143,9 @@ func orderFixture(n int) (orders, customers data.Rows) {
 
 // TestKeyOperatorAllocations is the allocation ceiling of the key path:
 // per input row, a key-sensitive operator allocates (almost) nothing
-// beyond what it outputs — no key string, no map entry per row.
+// beyond what it outputs — no key string, no map entry per row. Each runs
+// at one partition as a stage of one: through execParallelOp, or as a
+// chain of one when it is row-local.
 func TestKeyOperatorAllocations(t *testing.T) {
 	const n = 10000
 	orders, customers := orderFixture(n)
@@ -151,18 +153,36 @@ func TestKeyOperatorAllocations(t *testing.T) {
 	dim := data.Schema{"CUST", "CUST_SK"}
 	cancelled := orders[:n/10]
 	e := New(map[string]data.Recordset{
-		"DWORDERS": data.NewMemoryRecordset("DWORDERS", data.Schema{"ORDER_ID"}).MustLoad(projectRows(cancelled, in, data.Schema{"ORDER_ID"})),
+		"DWORDERS": data.NewMemoryRecordset("DWORDERS", data.Schema{"ORDER_ID"}).MustLoad(realign(cancelled, in, data.Schema{"ORDER_ID"})),
 	}).withLookupCache()
 	agg := templates.Aggregate([]string{"CUST"}, workflow.AggSum, "AMOUNT", "TOTAL", 1)
 	sides := []data.Schema{in, dim}
 	node := &workflow.Node{Kind: workflow.KindActivity, Act: templates.Distinct(1)}
-	unary := func(a *workflow.Activity, out data.Schema) func() (data.Rows, error) {
+	binary := func(a *workflow.Activity, in []data.Schema, out data.Schema, right data.Rows) func() (data.Rows, error) {
+		n := &workflow.Node{Kind: workflow.KindActivity, Act: a, In: in, Out: out}
 		return func() (data.Rows, error) {
-			return e.execSem(a, []data.Schema{in}, out, []data.Schema{in}, []data.Rows{orders})
+			inputs := []*pdata{scatterRows(orders, 1)}
+			if right != nil {
+				inputs = append(inputs, scatterRows(right, 1))
+			}
+			var pd *pdata
+			var err error
+			if !streamable(a) {
+				pd, err = e.execParallelOp(context.Background(), 0, n, inputs, 1, nil, 0)
+			} else {
+				var ks []rowKernel
+				if ks, err = e.appendKernels(nil, rowKernel{}, a, in[0], out); err == nil {
+					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain(ks), inputs[0], 1, nil, make([]scratch, 1), 0)
+				}
+			}
+			if err != nil {
+				return nil, err
+			}
+			return gather(pd), nil
 		}
 	}
-	binary := func(a *workflow.Activity, in []data.Schema, out data.Schema, right data.Rows) func() (data.Rows, error) {
-		return func() (data.Rows, error) { return e.execSem(a, in, out, in, []data.Rows{orders, right}) }
+	unary := func(a *workflow.Activity, out data.Schema) func() (data.Rows, error) {
+		return binary(a, []data.Schema{in}, out, nil)
 	}
 	for _, c := range []struct {
 		name    string

@@ -133,16 +133,6 @@ func (m *runMetrics) exchange(id workflow.NodeID) *obs.Counter {
 	return m.exchanged[id]
 }
 
-// journaling reports whether per-event journal emission is live.
-func (m *runMetrics) journaling() bool { return m != nil && m.j != nil }
-
-// setSpan installs the run's mode span (nil-safe).
-func (m *runMetrics) setSpan(sp *obs.Span) {
-	if m != nil {
-		m.span = sp
-	}
-}
-
 // nodeSpan opens a per-node child span under the mode span; nil (no-op
 // End) when spans are disabled.
 func (m *runMetrics) nodeSpan(id workflow.NodeID) *obs.Span {
@@ -167,14 +157,14 @@ func (m *runMetrics) nodeDone(id workflow.NodeID, rows int, sec float64) {
 
 // batchEvent journals the rows one partition of a node emitted.
 func (m *runMetrics) batchEvent(id workflow.NodeID, part, rows int) {
-	if m.journaling() {
+	if m != nil && m.j != nil {
 		m.j.Emit(obs.BatchEvent(m.keys[id], part, rows))
 	}
 }
 
 // exchangeEvent journals a repartition exchange routing rows rows.
 func (m *runMetrics) exchangeEvent(id workflow.NodeID, rows int) {
-	if m.journaling() {
+	if m != nil && m.j != nil {
 		m.j.Emit(obs.ExchangeEvent(m.keys[id], rows))
 	}
 }

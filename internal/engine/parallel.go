@@ -64,19 +64,6 @@ func (pd *pdata) total() int {
 	return n
 }
 
-// maxSeq returns the largest tag across all partitions, or -1 when empty.
-func (pd *pdata) maxSeq() int64 {
-	max := int64(-1)
-	for _, ps := range pd.parts {
-		if n := len(ps.seqs); n > 0 && ps.seqs[n-1] > max {
-			// Tags are ascending within a partition, so the last one is
-			// the partition's max.
-			max = ps.seqs[n-1]
-		}
-	}
-	return max
-}
-
 // scatterRows deals rows round-robin into P partitions, tagging row i
 // with sequence i. This is the canonical way fresh (merged-order) rows
 // enter the partitioned world.
@@ -361,22 +348,28 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 		})
 		return result, err
 	case workflow.OpMerged:
-		// A merged package with a blocking component can't split: run its
-		// components in order on merged rows, threading the flow schema
-		// through each step, and re-scatter.
-		rows, in := gather(inputs[0]), n.In[0]
+		// A package with a blocking component runs over the partitions one
+		// component at a time: a row-local one as a chain, any other by contract.
+		pd, in := inputs[0], n.In
 		for _, comp := range a.Sem.Components {
-			flow := []data.Schema{in}
-			out, err := workflow.DeriveOutput(comp, flow)
-			if err == nil {
-				rows, err = e.execSem(comp, flow, out, flow, []data.Rows{rows})
+			out, err := workflow.DeriveOutput(comp, in)
+			var ks []rowKernel
+			switch {
+			case err != nil:
+			case !streamable(comp):
+				step := &workflow.Node{Kind: workflow.KindActivity, Act: comp, In: in, Out: out}
+				pd, err = e.execParallelOp(ctx, id, step, []*pdata{pd}, p, rm, rowsSoFar)
+			default:
+				if ks, err = e.appendKernels(nil, rowKernel{}, comp, in[0], out); err == nil {
+					pd, _, err = e.execChain(ctx, id, n, newRowChain(ks), pd, p, rm, make([]scratch, p), rowsSoFar)
+				}
 			}
 			if err != nil {
 				return nil, fmt.Errorf("merged component %s: %w", comp.Sem, err)
 			}
-			in = out
+			in = []data.Schema{out}
 		}
-		return scatterRows(rows, p), nil
+		return pd, nil
 	case workflow.OpUnion:
 		return e.parUnion(ctx, id, n, inputs, p, rm, rowsSoFar)
 	case workflow.OpJoin:
@@ -396,7 +389,12 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 // materialized union order.
 func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
 	l, r := inputs[0], inputs[1]
-	offset := l.maxSeq() + 1
+	var offset int64 // tags ascend within a partition: its last is its largest
+	for _, ps := range l.parts {
+		if n := len(ps.seqs); n > 0 {
+			offset = max(offset, ps.seqs[n-1]+1)
+		}
+	}
 	result := newPdata(p)
 	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
 		lp, rp := l.parts[q], r.parts[q]
@@ -470,7 +468,10 @@ func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *work
 // exchangeBoth exchanges a binary operator's two inputs by its key
 // attributes, resolved on each side's layout.
 func (e *Engine) exchangeBoth(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (lex, rex *pdata, leftKey, rightKey []int, err error) {
-	if leftKey, rightKey, err = keyPositions2(n.In, n.Act.Sem.Attrs); err != nil {
+	if leftKey, err = keyPositions(n.In[0], n.Act.Sem.Attrs); err == nil {
+		rightKey, err = keyPositions(n.In[1], n.Act.Sem.Attrs)
+	}
+	if err != nil {
 		return
 	}
 	if lex, err = e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, leftKey); err != nil {

@@ -14,24 +14,12 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// rowsIdentical reports bit-identity: same rows, same order, same values.
-// This is deliberately stricter than EqualMultiset — Parallel mode
-// promises the materialized row order, not just the multiset.
+// rowsIdentical reports bit-identity: same rows, same order, same typed
+// values (Rows.Digest tells Int(2) from Float(2)). This is deliberately
+// stricter than EqualMultiset — Parallel mode promises the materialized row
+// order, not just the multiset, and a resumed run the kinds a plain one has.
 func rowsIdentical(a, b data.Rows) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j].Key() != b[i][j].Key() {
-				return false
-			}
-		}
-	}
-	return true
+	return len(a) == len(b) && a.Digest() == b.Digest()
 }
 
 // TestParallelMatchesMaterialized is the mode's core contract: for

@@ -375,10 +375,8 @@ func TestCheckpointResumeScansOnlyUnstagedSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A multiset of keys, not a digest: a whole float comes back from a
-	// stage file as an int.
 	for name, rows := range clean.Targets {
-		if !res.Targets[name].EqualMultiset(rows) {
+		if !rowsIdentical(res.Targets[name], rows) {
 			t.Errorf("resumed run's %s differs from a clean run's", name)
 		}
 	}

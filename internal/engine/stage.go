@@ -46,14 +46,14 @@ func streamable(a *workflow.Activity) bool {
 }
 
 // planStages groups a topological order into stages, each a list of node
-// IDs in flow order. With fuse set, a maximal path of streamable
-// activities (each has one provider) whose every member but the last has
-// exactly one consumer is one stage, placed where its head stands in the
-// order — legal, since each later member reads only the member before it.
-// Every other node, and with fuse off every node, is a stage of one; a
-// source (a node without a provider) stands directly before the first
-// stage that reads it, so it is held from there on, not from the start.
-func planStages(g *workflow.Graph, order []workflow.NodeID, fuse bool) [][]workflow.NodeID {
+// IDs in flow order. A maximal path of streamable activities (each has one
+// provider) whose every member but the last has exactly one consumer is one
+// stage, placed where its head stands in the order — legal, since each
+// later member reads only the member before it. Every other node is a
+// stage of one; a source (a node without a provider) stands directly
+// before the first stage that reads it, so it is held from there on, not
+// from the start.
+func planStages(g *workflow.Graph, order []workflow.NodeID) [][]workflow.NodeID {
 	stages := make([][]workflow.NodeID, 0, len(order))
 	placed := make(map[workflow.NodeID]bool) // fused into a stage, or a source put before its reader
 	rowLocal := func(id workflow.NodeID) bool {
@@ -65,7 +65,7 @@ func planStages(g *workflow.Graph, order []workflow.NodeID, fuse bool) [][]workf
 			continue
 		}
 		ids := []workflow.NodeID{id}
-		for tail := id; fuse && rowLocal(tail); {
+		for tail := id; rowLocal(tail); {
 			next := g.Consumers(tail)
 			if len(next) != 1 || !rowLocal(next[0]) {
 				break
@@ -92,9 +92,9 @@ func planStages(g *workflow.Graph, order []workflow.NodeID, fuse bool) [][]workf
 // shared by the partitions.
 type rowKernel struct {
 	op     workflow.OpKind
-	member int                // the chain member the kernel belongs to
-	counts bool               // the member's last kernel: what survives it is the member's output
-	comp   *workflow.Activity // the merged-package component the kernel is, for error text
+	member int    // the chain member the kernel belongs to
+	counts bool   // the member's last kernel: what survives it is the member's output
+	name   string // what its errors are wrapped in: the member, and the package component it is
 
 	// Filters (proj nil): the predicate and its layout, the not-null
 	// positions, or the key positions and existing keys of a lookup PK check.
@@ -135,7 +135,7 @@ type rowChain struct {
 
 // appendKernels resolves activity a — a merged package component by
 // component — reading layout in and writing layout out. k carries the
-// member and component the kernels belong to.
+// member the kernels belong to and its name.
 func (e *Engine) appendKernels(ks []rowKernel, k rowKernel, a *workflow.Activity, in, out data.Schema) ([]rowKernel, error) {
 	k.op = a.Sem.Op
 	var err error
@@ -163,10 +163,11 @@ func (e *Engine) appendKernels(ks []rowKernel, k rowKernel, a *workflow.Activity
 		}
 	case workflow.OpMerged:
 		for _, comp := range a.Sem.Components {
-			k.comp = comp
+			kc := k
+			kc.name = fmt.Sprintf("%s: merged component %s", k.name, comp.Sem)
 			next, err := workflow.DeriveOutput(comp, []data.Schema{in})
 			if err == nil {
-				ks, err = e.appendKernels(ks, k, comp, in, next)
+				ks, err = e.appendKernels(ks, kc, comp, in, next)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("merged component %s: %w", comp.Sem, err)
@@ -227,12 +228,13 @@ func (e *Engine) resolveChain(g *workflow.Graph, ids []workflow.NodeID) (*rowCha
 	src := g.Node(g.Providers(ids[0])[0]).Out
 	for m, id := range ids {
 		n := g.Node(id)
+		k := rowKernel{member: m, name: fmt.Sprintf("engine: activity %d (%s)", id, n.Label())}
 		if !src.Equal(n.In[0]) {
 			ks = append(ks, rowKernel{op: workflow.OpProject, member: m, proj: data.NewProjection(src, n.In[0])})
 		}
 		var err error
-		if ks, err = e.appendKernels(ks, rowKernel{member: m}, n.Act, n.In[0], n.Out); err != nil {
-			return nil, fmt.Errorf("engine: activity %d (%s): %w", id, n.Label(), err)
+		if ks, err = e.appendKernels(ks, k, n.Act, n.In[0], n.Out); err != nil {
+			return nil, fmt.Errorf("%s: %w", k.name, err)
 		}
 		ks[len(ks)-1].counts = true
 		src = n.Out
@@ -279,10 +281,9 @@ type tally struct {
 // survivors (and, given seqs and a filtering chain, their tags) to out,
 // which must have room for len(rows) more; sc must fit len(rows). The
 // first kernel reads the input where it lies and the last writes out
-// where it lands, so a chain of one copies nothing. A non-nil t is told
-// each member's rows and seconds. On failure runBatch also returns the
-// member whose kernel raised the error.
-func (c *rowChain) runBatch(rows data.Rows, seqs []int64, out *pslice, sc *scratch, t *tally) (int, error) {
+// where it lands, so a chain of one copies nothing. t is told each
+// member's rows and seconds.
+func (c *rowChain) runBatch(rows data.Rows, seqs []int64, out *pslice, sc *scratch, t *tally) error {
 	if !c.filters {
 		seqs = nil // 1:1: the caller shares the input's tags
 	}
@@ -296,19 +297,17 @@ func (c *rowChain) runBatch(rows data.Rows, seqs []int64, out *pslice, sc *scrat
 		start := time.Now()
 		n, err := c.step(k, src, srcSeq, dst, dstSeq, sc)
 		if err != nil {
-			if k.comp != nil {
-				err = fmt.Errorf("merged component %s: %w", k.comp.Sem, err)
+			if k.name != "" {
+				err = fmt.Errorf("%s: %w", k.name, err)
 			}
-			return k.member, err
+			return err
 		}
 		if src = dst[:n]; seqs != nil {
 			srcSeq = dstSeq[:n]
 		}
-		if t != nil {
-			t.sec[k.member] += time.Since(start).Seconds()
-			if k.counts {
-				t.rows[k.member] += n
-			}
+		t.sec[k.member] += time.Since(start).Seconds()
+		if k.counts {
+			t.rows[k.member] += n
 		}
 	}
 	if w := c.copyWidth; w > 0 {
@@ -319,7 +318,7 @@ func (c *rowChain) runBatch(rows data.Rows, seqs []int64, out *pslice, sc *scrat
 	if out.rows = out.rows[:len(out.rows)+len(src)]; seqs != nil {
 		out.seqs = out.seqs[:len(out.seqs)+len(src)]
 	}
-	return -1, nil
+	return nil
 }
 
 // step runs one kernel over src (and its tags, when the chain tracks them)
@@ -401,40 +400,17 @@ func (c *rowChain) step(k *rowKernel, src data.Rows, srcSeq []int64, dst data.Ro
 	return len(src), nil
 }
 
-// execRowLocal runs one row-local activity over materialized rows: the
-// chain of one behind execSem.
-func (e *Engine) execRowLocal(a *workflow.Activity, in, out data.Schema, rows data.Rows) (data.Rows, error) {
-	ks, err := e.appendKernels(nil, rowKernel{}, a, in, out)
-	if err != nil {
-		return nil, err
-	}
-	c := newRowChain(ks)
-	res := pslice{rows: make(data.Rows, 0, len(rows))}
-	var sc scratch
-	b := min(batchRows, len(rows))
-	sc.fit(b, c)
-	for lo := 0; lo < len(rows); lo += b {
-		if _, err := c.runBatch(rows[lo:min(lo+b, len(rows))], nil, &res, &sc, nil); err != nil {
-			return nil, err
-		}
-	}
-	return res.rows, nil
-}
-
-// execChain runs a stage of row-local activities: per partition, batch by
-// batch, every member's kernels in turn. Filters keep survivor tags and
-// 1:1 transforms inherit them, so the tag invariants hold for the stage
-// as for each member. It returns each partition's per-member tally.
-func (e *Engine) execChain(ctx context.Context, g *workflow.Graph, ids []workflow.NodeID, in *pdata, p int, rm *runMetrics, scr []scratch, rowsSoFar int) (*pdata, []tally, error) {
-	c, err := e.resolveChain(g, ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	last := ids[len(ids)-1]
+// execChain runs chain c over in — a stage of row-local activities ending
+// at node id, or a component of package id — per partition, batch by batch.
+// Filters keep survivor tags and 1:1 transforms inherit them, so the tag
+// invariants hold for the chain as for each member. It returns each
+// partition's per-member tally.
+func (e *Engine) execChain(ctx context.Context, id workflow.NodeID, n *workflow.Node, c *rowChain, in *pdata, p int, rm *runMetrics, scr []scratch, rowsSoFar int) (*pdata, []tally, error) {
+	members := c.kernels[len(c.kernels)-1].member + 1
 	result, tallies := newPdata(p), make([]tally, p)
-	err = e.forEachPartition(ctx, last, g.Node(last), p, rm, rowsSoFar, func(q int) error {
+	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
 		ps, sc, t := in.parts[q], &scr[q], &tallies[q]
-		t.rows, t.sec = make([]int, len(ids)), make([]float64, len(ids))
+		t.rows, t.sec = make([]int, members), make([]float64, members)
 		res := pslice{rows: make(data.Rows, 0, len(ps.rows)), seqs: ps.seqs}
 		if c.filters {
 			res.seqs = make([]int64, 0, len(ps.rows))
@@ -444,11 +420,11 @@ func (e *Engine) execChain(ctx context.Context, g *workflow.Graph, ids []workflo
 		for lo := 0; lo < len(ps.rows); lo += b {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("engine: run cancelled at node %d (%s) partition %d after %d rows: %w",
-					last, g.Node(last).Label(), q, rowsSoFar+lo, err)
+					id, n.Label(), q, rowsSoFar+lo, err)
 			}
 			hi := min(lo+b, len(ps.rows))
-			if m, err := c.runBatch(ps.rows[lo:hi], ps.seqs[lo:hi], &res, sc, t); err != nil {
-				return fmt.Errorf("engine: activity %d (%s): %w", ids[m], g.Node(ids[m]).Label(), err)
+			if err := c.runBatch(ps.rows[lo:hi], ps.seqs[lo:hi], &res, sc, t); err != nil {
+				return err
 			}
 		}
 		result.parts[q] = res

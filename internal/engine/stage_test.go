@@ -28,10 +28,9 @@ type refRun struct {
 
 // nodeByNode is the frozen reference the stage loop is held to: the
 // driver as it was before stages, one activity at a time, every node's
-// output materialized per partition and kept. A row-local activity goes
-// through execSem partition by partition (refLocal); every other node takes
-// the path it takes in the driver. It is test-only by design — not a
-// production switch.
+// output materialized per partition and kept. Each activity runs as a stage
+// of one (runStage); every other node takes the path it takes in the
+// driver. It is test-only by design — not a production switch.
 func nodeByNode(t testing.TB, e *Engine, g *workflow.Graph, p int) refRun {
 	t.Helper()
 	e = e.withLookupCache()
@@ -45,13 +44,8 @@ func nodeByNode(t testing.TB, e *Engine, g *workflow.Graph, p int) refRun {
 		n, preds := g.Node(id), g.Providers(id)
 		var pd *pdata
 		switch {
-		case n.Kind == workflow.KindActivity && streamable(n.Act):
-			pd = newPdata(p)
-			for q, ps := range out[preds[0]].parts {
-				pd.parts[q] = refLocal(t, e, n.Act, g.Node(preds[0]).Out, n.In[0], n.Out, ps)
-			}
 		case n.Kind == workflow.KindActivity:
-			if pd, err = e.execParallel(context.Background(), g, id, n, out, p, nil, 0); err != nil {
+			if pd, err = runStage(e, g, []workflow.NodeID{id}, out, p); err != nil {
 				t.Fatal(err)
 			}
 		case len(preds) > 0:
@@ -76,43 +70,20 @@ func nodeByNode(t testing.TB, e *Engine, g *workflow.Graph, p int) refRun {
 	return ref
 }
 
-// refLocal evaluates one row-local activity on one partition through
-// execSem — a merged package one component at a time — and recovers the
-// tags: a filter's survivors are its input's records, found again by
-// identity; a transform is 1:1.
-func refLocal(t testing.TB, e *Engine, a *workflow.Activity, src, in, out data.Schema, ps pslice) pslice {
-	t.Helper()
-	if a.Sem.Op == workflow.OpMerged {
-		cur := pslice{rows: realign(ps.rows, src, in), seqs: ps.seqs}
-		for _, comp := range a.Sem.Components {
-			next, err := workflow.DeriveOutput(comp, []data.Schema{in})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur = refLocal(t, e, comp, in, in, next, cur)
-			in = next
-		}
-		return cur
+// runStage runs the activities ids as the driver runs a stage of them: a
+// chain through execChain, a blocking activity through execParallel.
+func runStage(e *Engine, g *workflow.Graph, ids []workflow.NodeID, out map[workflow.NodeID]*pdata, p int) (*pdata, error) {
+	id := ids[len(ids)-1]
+	n := g.Node(id)
+	if !streamable(n.Act) {
+		return e.execParallel(context.Background(), g, id, n, out, p, nil, 0)
 	}
-	aligned := realign(ps.rows, src, in)
-	rows, err := e.execSem(a, []data.Schema{in}, out, []data.Schema{in}, []data.Rows{aligned})
+	c, err := e.resolveChain(g, ids)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	switch a.Sem.Op {
-	case workflow.OpFilter, workflow.OpNotNull, workflow.OpPKCheck:
-		seqs := make([]int64, 0, len(rows))
-		i := 0
-		for _, r := range rows {
-			for &aligned[i][0] != &r[0] {
-				i++
-			}
-			seqs = append(seqs, ps.seqs[i])
-			i++
-		}
-		return pslice{rows: rows, seqs: seqs}
-	}
-	return pslice{rows: rows, seqs: ps.seqs}
+	pd, _, err := e.execChain(context.Background(), id, n, c, out[g.Providers(ids[0])[0]], p, nil, make([]scratch, p), 0)
+	return pd, err
 }
 
 // checkFused runs g through the driver at p partitions with a journal
@@ -199,12 +170,14 @@ func truncated(sc *templates.Scenario, n int) func() map[string]data.Recordset {
 }
 
 // TestFusedStageMatchesNodeByNode holds the stage loop to the
-// node-by-node reference on 200 generator workflows (every fourth with a
-// MER package folded into a chain), each at P ∈ {1, 2, 8} and one of
-// fusedSizes in rotation, then on the hand-built shapes and keyed.etl at
-// every size.
+// node-by-node reference on 200 generator workflows, each at P ∈ {1, 2, 8}
+// and one of fusedSizes in rotation, then on the hand-built shapes and
+// keyed.etl at every size. Every fourth workflow has a row-local pair
+// folded into a MER package, every fourth but two a row-local activity
+// and an aggregate, and blockingPackages adds DISTINCT and the group-based
+// PK check: such a package must also match its SPL form (checkSplit).
 func TestFusedStageMatchesNodeByNode(t *testing.T) {
-	i, fused := 0, 0
+	i, fused, blocking := 0, 0, 0
 	for _, c := range []struct {
 		cat generator.Category
 		n   int
@@ -217,24 +190,34 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			label := fmt.Sprintf("%s #%d size %d", c.cat, k, size)
 			g := sc.Graph
-			if i%4 == 0 {
-				g = withMergedPackage(g)
+			switch i % 4 {
+			case 0:
+				g, _, _ = withMergedPackage(g, false)
+			case 2:
+				var pkg, last workflow.NodeID
+				if g, pkg, last = withMergedPackage(g, true); pkg != 0 {
+					blocking++
+					for _, p := range []int{1, 2, 8} {
+						checkSplit(t, label, truncated(sc, size), g, sc.Graph, map[workflow.NodeID]workflow.NodeID{pkg: last}, p)
+					}
+				}
 			}
 			order, _ := g.TopoSort()
-			for _, ids := range planStages(g, order, true) {
+			for _, ids := range planStages(g, order) {
 				if len(ids) > 1 {
 					fused++
 				}
 			}
 			for _, p := range []int{1, 2, 8} {
-				checkFused(t, fmt.Sprintf("%s #%d size %d", c.cat, k, size), truncated(sc, size), g, p)
+				checkFused(t, label, truncated(sc, size), g, p)
 			}
 			i++
 		}
 	}
-	if fused < 200 {
-		t.Errorf("only %d fused stages over the corpus; it no longer exercises fusion", fused)
+	if fused < 200 || blocking < 10 {
+		t.Errorf("%d fused stages and %d blocking packages over the corpus; it no longer exercises them", fused, blocking)
 	}
 	for _, size := range fusedSizes {
 		for _, p := range []int{1, 2, 8} {
@@ -244,25 +227,77 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 			checkFused(t, fmt.Sprintf("two consumers, size %d", size), bind, g, p)
 			g, bind = keyedWorkload(t, size)
 			checkFused(t, fmt.Sprintf("keyed.etl, size %d", size), bind, g, p)
+			g, split, last, bind := blockingPackages(t, size)
+			checkSplit(t, fmt.Sprintf("blocking packages, size %d", size), bind, g, split, last, p)
+			checkFused(t, fmt.Sprintf("blocking packages, size %d", size), bind, g, p)
 		}
 	}
 }
 
 // withMergedPackage folds the first mergeable adjacent pair of g into a
-// MER package; g itself when there is none.
-func withMergedPackage(g *workflow.Graph) *workflow.Graph {
+// MER package — a pair of row-local activities, or with blocking set a
+// row-local and an aggregate, distinct or group-based PK check — and
+// returns the new graph, the package's ID and the ID in g of the pair's
+// second; g itself and no IDs when there is no such pair.
+func withMergedPackage(g *workflow.Graph, blocking bool) (*workflow.Graph, workflow.NodeID, workflow.NodeID) {
 	for _, grp := range g.LocalGroups() {
 		for i := 0; i+1 < len(grp); i++ {
-			a, b := g.Node(grp[i]).Act, g.Node(grp[i+1]).Act
-			if !streamable(a) || !streamable(b) {
+			a, b := streamable(g.Node(grp[i]).Act), streamable(g.Node(grp[i+1]).Act)
+			if blocking && a == b || !blocking && !(a && b) {
 				continue
 			}
 			if res, err := transitions.Merge(g, grp[i], grp[i+1]); err == nil {
-				return res.Graph
+				return res.Graph, res.Dirty[0], grp[i+1]
 			}
 		}
 	}
-	return g
+	return g, 0, 0
+}
+
+// checkSplit runs the graph with packages and its SPL form at p
+// partitions: the target rows must be the same, value for value and in
+// order, and each package must count what its last component counts in the
+// SPL form (last maps the one to the other).
+func checkSplit(t *testing.T, label string, bind func() map[string]data.Recordset, merged, split *workflow.Graph, last map[workflow.NodeID]workflow.NodeID, p int) {
+	t.Helper()
+	var res [2]*RunResult
+	for k, g := range []*workflow.Graph{merged, split} {
+		var err error
+		if res[k], err = New(bind(), WithMode(Parallel), WithPartitions(p)).Run(context.Background(), g); err != nil {
+			t.Fatalf("%s P=%d: %v", label, p, err)
+		}
+	}
+	for name, want := range res[1].Targets {
+		if !rowsIdentical(res[0].Targets[name], want) {
+			t.Fatalf("%s P=%d: target %s differs between the packages and their SPL form", label, p, name)
+		}
+	}
+	for pkg, comp := range last {
+		if op := merged.Node(pkg).Act.Sem.Op; op != workflow.OpMerged {
+			t.Fatalf("%s: node %d is %s, not a package", label, pkg, op)
+		}
+		if got, want := res[0].NodeRows[pkg], res[1].NodeRows[comp]; got != want {
+			t.Fatalf("%s P=%d: package %s counts %d rows, its last component %d", label, p, merged.Node(pkg).Label(), got, want)
+		}
+	}
+}
+
+// blockingPackages is SRC → nn+DISTINCT → PK(KEY)+scale10 → σ+γ → TGT:
+// each package a row-local and a blocking activity, in either order. It
+// returns the graph, its SPL form and each package's last component there.
+func blockingPackages(t testing.TB, n int) (*workflow.Graph, *workflow.Graph, map[workflow.NodeID]workflow.NodeID, func() map[string]data.Recordset) {
+	split, ids := chainGraph(t, measureSchema,
+		templates.NotNull(0.9, "V1"), templates.Distinct(1), templates.PKCheck(1, "KEY"), templates.Convert("scale10", "W1", "V1"),
+		templates.Threshold("W1", 100, 0.9), templates.Aggregate([]string{"V3"}, workflow.AggSum, "W1", "TOTAL", 0.1))
+	merged, last := split, map[workflow.NodeID]workflow.NodeID{}
+	for i := 0; i < len(ids); i += 2 {
+		res, err := transitions.Merge(merged, ids[i], ids[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, last[res.Dirty[0]] = res.Graph, ids[i+1]
+	}
+	return merged, split, last, bindMeasures(n)
 }
 
 // chainGraph builds SRC → acts… → TGT over schema, like runChain.
@@ -360,19 +395,16 @@ func TestPlanStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(fuse bool) string {
+	render := func() string {
 		var parts []string
-		for _, ids := range planStages(g, order, fuse) {
+		for _, ids := range planStages(g, order) {
 			parts = append(parts, fmt.Sprint(ids))
 		}
 		return strings.Join(parts, " ")
 	}
 	// IDs in insertion order: SRC 1, nn 2, scale 3, σ 4, π 5, T1 6, T2 7.
-	if got, want := render(true), "[1] [2 3] [4] [5] [6] [7]"; got != want {
-		t.Errorf("fused plan %s, want %s", got, want)
-	}
-	if got, want := render(false), "[1] [2] [3] [4] [5] [6] [7]"; got != want {
-		t.Errorf("unfused plan %s, want %s", got, want)
+	if got, want := render(), "[1] [2 3] [4] [5] [6] [7]"; got != want {
+		t.Errorf("plan %s, want %s", got, want)
 	}
 
 	// Where sources go: S1 1, S2 2, S3 3, then nn 4 (reads S1), ∪ 5 (reads
@@ -400,10 +432,8 @@ func TestPlanStages(t *testing.T) {
 	if order, err = g.TopoSort(); err != nil {
 		t.Fatal(err)
 	}
-	for _, fuse := range []bool{true, false} {
-		if got, want := render(fuse), "[1] [4] [2] [5] [6] [7] [8] [3] [9]"; got != want {
-			t.Errorf("fuse=%v: plan %s, want %s", fuse, got, want)
-		}
+	if got, want := render(), "[1] [4] [2] [5] [6] [7] [8] [3] [9]"; got != want {
+		t.Errorf("plan %s, want %s", got, want)
 	}
 }
 
@@ -494,9 +524,10 @@ func TestStageAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out *pdata
+	inputs := map[workflow.NodeID]*pdata{g.Providers(ids[0])[0]: in}
 	perRun := testing.AllocsPerRun(3, func() {
 		var err error
-		if out, _, err = e.execChain(context.Background(), g, ids, in, 1, nil, make([]scratch, 1), 0); err != nil {
+		if out, err = runStage(e, g, ids, inputs, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -519,17 +550,19 @@ func TestStageAllocations(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	inputs = map[workflow.NodeID]*pdata{g.Providers(ids[0])[0]: in}
 	fused := bytesOf(func() {
-		if _, _, err := e.execChain(context.Background(), g, ids, in, 1, nil, make([]scratch, 1), 0); err != nil {
+		if _, err := runStage(e, g, ids, inputs, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	reference := bytesOf(func() {
-		ps, src := in.parts[0], measureSchema
 		for _, id := range ids {
-			n := g.Node(id)
-			ps = refLocal(t, e, n.Act, src, n.In[0], n.Out, ps)
-			src = n.Out
+			pd, err := runStage(e, g, []workflow.NodeID{id}, inputs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs[id] = pd
 		}
 	})
 	if fused > reference {

@@ -334,12 +334,9 @@ func CheckPartitionInvariance(sc *templates.Scenario, partitions []int) error {
 	return nil
 }
 
-// sameRowOrder requires bit-identity: equal lengths, and equal record
-// keys position by position. Equal canonical digests prove identity in one
-// pass; the key scan only runs to locate a divergence (or to tolerate the
-// one legitimate digest mismatch — checkpoint-resumed rows re-read from
-// staging CSVs collapse integral floats to ints, which the type-insensitive
-// keys deliberately ignore).
+// sameRowOrder requires bit-identity: equal lengths and equal digests —
+// the same typed values in the same positions (Rows.Digest tells Int(2)
+// from Float(2)). The scan only locates the first row that differs.
 func sameRowOrder(want, got data.Rows) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d vs %d rows", len(got), len(want))
@@ -348,11 +345,11 @@ func sameRowOrder(want, got data.Rows) error {
 		return nil
 	}
 	for i := range want {
-		if want[i].Key() != got[i].Key() {
-			return fmt.Errorf("row %d: %s, want %s", i, got[i], want[i])
+		if (data.Rows{want[i]}).Digest() != (data.Rows{got[i]}).Digest() {
+			return fmt.Errorf("row %d: %s, want %s (kinds included)", i, got[i], want[i])
 		}
 	}
-	return nil
+	return fmt.Errorf("rows digest differently")
 }
 
 // CheckJournalInvariance asserts the flight recorder's metamorphic
