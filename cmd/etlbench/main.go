@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -103,6 +104,9 @@ func run() error {
 	}
 	if *metrics != "" || *debugAddr != "" || *traceOut != "" {
 		cfg.Metrics = obs.NewRegistry()
+	}
+	if *traceOut != "" {
+		cfg.Metrics.SetSpanCap(math.MaxInt) // the export is the whole suite's tree: keep every span
 	}
 	var jnl *obs.Journal
 	if *journal != "" {

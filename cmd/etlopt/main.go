@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -98,6 +99,9 @@ func run() error {
 	var reg *obs.Registry
 	if *metrics != "" || *debugAddr != "" || *progress > 0 || *traceOut != "" {
 		reg = obs.NewRegistry()
+	}
+	if *traceOut != "" {
+		reg.SetSpanCap(math.MaxInt) // the export is the whole run's tree: keep every span
 	}
 	var jnl *obs.Journal
 	if *journal != "" {

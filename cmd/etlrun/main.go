@@ -47,6 +47,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -170,6 +171,9 @@ func run() error {
 	var reg *obs.Registry
 	if *metrics != "" || *debugAddr != "" || *progress > 0 || *traceOut != "" {
 		reg = obs.NewRegistry()
+	}
+	if *traceOut != "" {
+		reg.SetSpanCap(math.MaxInt) // the export is the whole run's tree: keep every span
 	}
 	var jnl *obs.Journal
 	if *journal != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -11,6 +12,7 @@ import (
 
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
+	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 )
 
@@ -336,5 +338,83 @@ func TestCLIExplainAndCalibrate(t *testing.T) {
 	}
 	if !strings.Contains(text, "calibrated re-optimization") {
 		t.Errorf("missing calibration report:\n%s", text)
+	}
+}
+
+// TestCLITraceHoldsEveryActivity runs a workflow of 300 activities, whose
+// run derives more spans than the default window of 256 holds, under
+// -journal and -trace-out: the trace must hold one node/<key> event per
+// journaled node event.
+func TestCLITraceHoldsEveryActivity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	var wf strings.Builder
+	wf.WriteString("recordset SRC source rows=10 schema=K,V\n")
+	prev := "SRC"
+	var flows strings.Builder
+	for i := 0; i < 300; i++ {
+		name := fmt.Sprintf("f%d", i)
+		fmt.Fprintf(&wf, "activity %s filter pred=\"(V>=%d)\" sel=1\n", name, -i)
+		fmt.Fprintf(&flows, "flow %s -> %s\n", prev, name)
+		prev = name
+	}
+	wf.WriteString("recordset DW target schema=K,V\n\n")
+	fmt.Fprintf(&flows, "flow %s -> DW\n", prev)
+	wf.WriteString(flows.String())
+	in := filepath.Join(dir, "chain.etl")
+	if err := os.WriteFile(in, []byte(wf.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "SRC.csv"), []byte("K,V\n1,5\n2,7\n3,9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal, trace := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "trace.json")
+	out, err := exec.Command(bin, "-in", in, "-data", dir, "-mode", "parallel", "-partitions", "2",
+		"-journal", journal, "-trace-out", trace).CombinedOutput()
+	if err != nil {
+		t.Fatalf("etlrun: %v\n%s", err, out)
+	}
+	evs, err := obs.ReadJournalFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, e := range evs {
+		if e.T == obs.EventNode {
+			want["node/"+e.Node]++
+		}
+	}
+	if len(want) != 300 {
+		t.Fatalf("journal holds node events for %d activities, want 300", len(want))
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &tf); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, e := range tf.TraceEvents {
+		if e.Ph == "X" {
+			spans++
+			if strings.HasPrefix(e.Name, "node/") {
+				want[e.Name]--
+			}
+		}
+	}
+	if spans <= 256 {
+		t.Errorf("the trace holds %d spans; the workflow should derive more than the default window", spans)
+	}
+	for name, n := range want {
+		if n != 0 {
+			t.Errorf("%s: %d journaled node event(s) without a trace event", name, n)
+		}
 	}
 }

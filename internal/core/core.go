@@ -310,8 +310,7 @@ func (s *search) admit(sig string) bool {
 		return true
 	}
 	if !s.visited.Add(sig) {
-		s.m.deduped.Inc()
-		return false
+		return false // the caller records the prune
 	}
 	s.unique++
 	s.m.visited.Inc()

@@ -137,8 +137,6 @@ func Exhaustive(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result,
 	start := time.Now()
 	s := newSearch(ctx, opts)
 	defer s.close()
-	span := s.m.reg.StartSpan("search/ES")
-	defer span.End()
 	s.startProgress("ES")
 	s.m.runEvent("start", "ES")
 	defer s.m.runEvent("end", "ES")
@@ -190,7 +188,6 @@ func Exhaustive(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result,
 			if st.costing.Total < best.costing.Total ||
 				(st.costing.Total == best.costing.Total && st.sig < best.sig) {
 				best = st
-				s.m.bestCost.Set(best.costing.Total)
 				s.m.best(res.Applied.Op, best.costing.Total)
 			}
 			queue.push(st)

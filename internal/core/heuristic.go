@@ -54,8 +54,6 @@ func heuristicSearch(ctx context.Context, alg string, g0 *workflow.Graph, opts O
 func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result, error) {
 	opts := s.opts
 	start := time.Now()
-	span := s.m.reg.StartSpan("search/" + alg)
-	defer span.End()
 	s.startProgress(alg)
 	s.m.runEvent("start", alg)
 	defer s.m.runEvent("end", alg)
@@ -66,7 +64,6 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 	}
 
 	// Pre-processing (Ln 4-8): apply MER per the merge constraints.
-	pre := span.Child("preprocess")
 	preEnd := s.m.phase("preprocess")
 	cur := s0
 	for _, pair := range opts.MergeConstraints {
@@ -97,25 +94,21 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 		distributableTags[cur.g.Node(da.Activity).Act.Tag] = true
 	}
 
-	pre.End()
 	preEnd()
 	sMin := cur
 	s.m.bestCost.Set(sMin.costing.Total)
 
 	// Phase I (Ln 9-13): swap optimization inside each local group.
 	if !opts.DisablePhaseI {
-		p1 := span.Child("phaseI")
 		p1End := s.m.phase("phaseI")
 		sMin = s.optimizeLocalGroups(sMin, greedy)
 		s.m.bestCost.Set(sMin.costing.Total)
-		p1.End()
 		p1End()
 	}
 
 	visited := []*state{sMin}
 
 	// Phase II (Ln 14-20): shift homologous pairs forward and factorize.
-	p2 := span.Child("phaseII")
 	p2End := s.m.phase("phaseII")
 	for _, hp := range homologous {
 		if !s.budgetLeft() {
@@ -154,12 +147,10 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 		}
 		if st.costing.Total < sMin.costing.Total {
 			sMin = st
-			s.m.bestCost.Set(sMin.costing.Total)
 			s.m.best("FAC", sMin.costing.Total)
 		}
 		visited = append(visited, st)
 	}
-	p2.End()
 	p2End()
 
 	// Phase III (Ln 21-28): distribute over the accumulated states. The
@@ -168,7 +159,6 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 	// list is processed as a worklist: a state produced by one distribution
 	// is itself examined for further distributions, so several selections
 	// can be pushed into the branches of the same flow.
-	p3 := span.Child("phaseIII")
 	p3End := s.m.phase("phaseIII")
 	unvisited := append([]*state(nil), visited...)
 	for len(unvisited) > 0 && s.budgetLeft() {
@@ -205,7 +195,6 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 			improving := st.costing.Total < si.costing.Total
 			if st.costing.Total < sMin.costing.Total {
 				sMin = st
-				s.m.bestCost.Set(sMin.costing.Total)
 				s.m.best("DIS", sMin.costing.Total)
 			}
 			visited = append(visited, st)
@@ -225,7 +214,6 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 		}
 	}
 
-	p3.End()
 	p3End()
 
 	// Phase IV (Ln 29-35): repeat the swap optimization on every state
@@ -233,7 +221,6 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 	// contents of the local groups. States are processed cheapest-first so
 	// that a bounded budget is spent where Phase IV is most likely to find
 	// the optimum.
-	p4 := span.Child("phaseIV")
 	p4End := s.m.phase("phaseIV")
 	sort.SliceStable(visited, func(i, j int) bool {
 		return visited[i].costing.Total < visited[j].costing.Total
@@ -245,11 +232,9 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 		opt := s.optimizeLocalGroups(si, greedy)
 		if opt.costing.Total < sMin.costing.Total {
 			sMin = opt
-			s.m.bestCost.Set(sMin.costing.Total)
 			s.m.best("SWA", sMin.costing.Total)
 		}
 	}
-	p4.End()
 	p4End()
 
 	if err := s.ctx.Err(); err != nil {

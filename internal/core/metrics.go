@@ -8,85 +8,62 @@ import (
 	"etlopt/internal/obs"
 )
 
-// opNames are the five transition mnemonics, in the paper's order. They
-// index the per-kind counter arrays of searchMetrics.
+// opNames are the five transition mnemonics, in the paper's order.
 var opNames = [...]string{"SWA", "FAC", "DIS", "MER", "SPL"}
 
-// opIndex maps a transition mnemonic to its opNames slot; -1 when unknown.
-func opIndex(op string) int {
-	for i, n := range opNames {
-		if n == op {
-			return i
-		}
-	}
-	return -1
-}
-
-// searchMetrics holds the instrument handles of one search. It is always
-// allocated — with a nil Options.Metrics registry every handle is nil and
-// every record call below degrades to a single nil check, which is what
-// keeps the disabled search within the ISSUE's <2% overhead budget.
+// searchMetrics records one search. It is always allocated — with
+// Options.Metrics and Options.Journal unset its recorder and handles are
+// nil and every record call below degrades to a single nil check, which is
+// what keeps the disabled search within its overhead budget.
 //
-// All handles are write-only from the search's point of view: nothing in
-// the search ever reads an instrument back, so collection cannot perturb
+// Transitions, phases and the run's boundaries are events, recorded once
+// through the recorder, which derives the search_transition_* counters,
+// search_states_deduped_total, search_best_cost on a new best and the
+// search's spans from them (obs.Recorder). The handles below are the facts
+// that have no event.
+//
+// All of it is write-only from the search's point of view: nothing in the
+// search ever reads an instrument back, so collection cannot perturb
 // exploration order and the parallel-determinism contract survives intact
 // (pinned by TestMetricsDoNotAffectSearch).
 type searchMetrics struct {
 	reg *obs.Registry
-	// j, when non-nil, is the flight recorder receiving per-event records
-	// (transition attempts/accepts/prunes, phase boundaries). Like the
-	// instrument handles, it is write-only and nil-safe: with
-	// Options.Journal unset every emission degrades to one nil check and
-	// event structs are never even constructed.
-	j *obs.Journal
+	rec *obs.Recorder
 
 	generated  *obs.Counter // search_states_generated_total: admission attempts incl. duplicates
 	visited    *obs.Counter // search_states_visited_total: distinct admitted states
-	deduped    *obs.Counter // search_states_deduped_total: duplicate hits rejected by the visited set
 	shiftSwaps *obs.Counter // search_shift_swaps_total: intermediate SWA states inside Phase II/III shifts
-
-	attempts  [len(opNames)]*obs.Counter // search_transition_attempts_total{op}
-	accepts   [len(opNames)]*obs.Counter // search_transition_accepts_total{op}
-	pathSteps [len(opNames)]*obs.Counter // search_path_steps_total{op}: steps on the winning derivation path
 
 	frontier    *obs.Gauge // search_frontier_size: ES heap / HS Phase III worklist length
 	bestCost    *obs.Gauge // search_best_cost: live C(S_MIN)
 	initialCost *obs.Gauge // search_initial_cost: C(S0)
 
 	workerBusy []*obs.Gauge // search_worker_busy_seconds{worker}: per-worker pool time
-
-	// Cost-memo effectiveness. These live outside the search_* namespace on
-	// purpose: hit/miss splits depend on worker timing (concurrent misses
-	// on one key each count), so they are exempt from the worker-invariance
-	// contract that TestMetricsSeriesDeterministic enforces over every
-	// search_* series — while the search *results* stay bit-identical
-	// because memoized prices are canonical.
-	memoHits *obs.Counter // expand_cost_memo_hits_total: per-activity cost memo hits
-	memoMiss *obs.Counter // expand_cost_memo_misses_total
 }
 
-// newSearchMetrics builds the handle set against a registry (nil registry
-// → all-nil handles). Series are registered eagerly so a snapshot taken
-// after any run carries the full schema, zeros included — consumers like
-// `etlvet metrics` can then assert on series presence.
+// newSearchMetrics builds the recorder and handle set against a registry
+// and a journal (nil registry → all-nil handles). Series are registered
+// eagerly so a snapshot taken after any run carries the full schema, zeros
+// included — consumers like `etlvet metrics` can then assert on series
+// presence.
 func newSearchMetrics(r *obs.Registry, j *obs.Journal, workers int) *searchMetrics {
 	m := &searchMetrics{
 		reg:         r,
-		j:           j,
+		rec:         obs.NewRecorder(r, j),
 		generated:   r.Counter("search_states_generated_total"),
 		visited:     r.Counter("search_states_visited_total"),
-		deduped:     r.Counter("search_states_deduped_total"),
 		shiftSwaps:  r.Counter("search_shift_swaps_total"),
 		frontier:    r.Gauge("search_frontier_size"),
 		bestCost:    r.Gauge("search_best_cost"),
 		initialCost: r.Gauge("search_initial_cost"),
-		memoHits:    r.Counter("expand_cost_memo_hits_total"),
-		memoMiss:    r.Counter("expand_cost_memo_misses_total"),
 	}
-	for i, op := range opNames {
-		m.attempts[i] = r.Counter("search_transition_attempts_total", "op", op)
-		m.accepts[i] = r.Counter("search_transition_accepts_total", "op", op)
-		m.pathSteps[i] = r.Counter("search_path_steps_total", "op", op)
+	r.Counter("expand_cost_memo_hits_total") // published by flushMemoMetrics
+	r.Counter("expand_cost_memo_misses_total")
+	m.rec.Declare(obs.TransitionEvent("", "prune", 0))
+	for _, op := range opNames {
+		m.rec.Declare(obs.TransitionEvent(op, "attempt", 0))
+		m.rec.Declare(obs.TransitionEvent(op, "accept", 0))
+		r.Counter("search_path_steps_total", "op", op) // tallied by recordPath
 	}
 	if r != nil {
 		m.workerBusy = make([]*obs.Gauge, workers)
@@ -97,79 +74,41 @@ func newSearchMetrics(r *obs.Registry, j *obs.Journal, workers int) *searchMetri
 	return m
 }
 
-// attempt records a transition application attempt of the given kind.
-func (m *searchMetrics) attempt(op string) {
-	if i := opIndex(op); i >= 0 {
-		m.attempts[i].Inc()
-	}
-	if m.j != nil {
-		m.j.Emit(obs.TransitionEvent(op, "attempt", 0))
+// attempt, accept, prune and best record one transition of kind op: an
+// application attempt, a state admitted, a state the visited set rejected
+// as a duplicate, a new minimum of cost ("" when the winning transition is
+// not singular, e.g. a replayed swap sequence).
+func (m *searchMetrics) attempt(op string)            { m.transition(op, "attempt", 0) }
+func (m *searchMetrics) accept(op string)             { m.transition(op, "accept", 0) }
+func (m *searchMetrics) prune(op string)              { m.transition(op, "prune", 0) }
+func (m *searchMetrics) best(op string, cost float64) { m.transition(op, "best", cost) }
+
+func (m *searchMetrics) transition(op, action string, cost float64) {
+	if m.rec != nil {
+		m.rec.Emit(obs.TransitionEvent(op, action, cost))
 	}
 }
 
 // attemptBatch records the n attempts of one local-group job, which reach
-// the reducer as a count. They are journaled as one event carrying n in
-// Rows: thousands of events emitted back to back would overrun the
-// journal's buffer and be dropped.
+// the reducer as a count. They are one event carrying n in Rows: thousands
+// of events emitted back to back would overrun the journal's buffer and be
+// dropped.
 func (m *searchMetrics) attemptBatch(op string, n int) {
-	if n == 0 {
-		return
-	}
-	if i := opIndex(op); i >= 0 {
-		m.attempts[i].Add(int64(n))
-	}
-	if m.j != nil {
+	if m.rec != nil && n > 0 {
 		e := obs.TransitionEvent(op, "attempt", 0)
 		e.Rows = int64(n)
-		m.j.Emit(e)
+		m.rec.Emit(e)
 	}
 }
 
-// accept records an admitted (non-duplicate) state reached by the kind.
-func (m *searchMetrics) accept(op string) {
-	if i := opIndex(op); i >= 0 {
-		m.accepts[i].Inc()
-	}
-	if m.j != nil {
-		m.j.Emit(obs.TransitionEvent(op, "accept", 0))
-	}
-}
+// phase records a phase boundary: it emits the start event and returns the
+// function that emits the matching end event.
+func (m *searchMetrics) phase(name string) func() { return m.rec.Phase(name) }
 
-// prune records a generated state of the given kind rejected by the
-// visited set. The deduped counter is already bumped inside admit — this
-// only journals the event, with the transition kind admit cannot know.
-func (m *searchMetrics) prune(op string) {
-	if m.j != nil {
-		m.j.Emit(obs.TransitionEvent(op, "prune", 0))
-	}
-}
-
-// best records a new minimum-cost state reached by the given kind ("" when
-// the winning transition is not singular, e.g. a replayed swap sequence).
-func (m *searchMetrics) best(op string, cost float64) {
-	if m.j != nil {
-		m.j.Emit(obs.TransitionEvent(op, "best", cost))
-	}
-}
-
-// noopEnd is the shared zero-cost closure phase returns when journaling is
-// off, so disabled phases allocate nothing.
-var noopEnd = func() {}
-
-// phase journals a phase boundary: it emits the start event and returns
-// the closure that emits the matching end event.
-func (m *searchMetrics) phase(name string) func() {
-	if m.j == nil {
-		return noopEnd
-	}
-	m.j.Emit(obs.PhaseEvent(name, "start"))
-	return func() { m.j.Emit(obs.PhaseEvent(name, "end")) }
-}
-
-// runEvent journals a run boundary ("start"/"end") for the named algorithm.
+// runEvent records a run boundary ("start"/"end") for the named algorithm.
 func (m *searchMetrics) runEvent(action, alg string) {
-	if m.j != nil {
-		m.j.Emit(obs.RunEvent(action, "search/"+alg))
+	if m.rec != nil {
+		m.rec.Emit(obs.RunEvent(action, "search/"+alg))
 	}
 }
 
@@ -178,9 +117,7 @@ func (m *searchMetrics) runEvent(action, alg string) {
 // invariant checked against Options.Trace by the acceptance tests.
 func (m *searchMetrics) recordPath(steps []TraceStep) {
 	for _, st := range steps {
-		if i := opIndex(st.Op); i >= 0 {
-			m.pathSteps[i].Inc()
-		}
+		m.reg.Counter("search_path_steps_total", "op", st.Op).Inc()
 	}
 }
 
@@ -200,12 +137,18 @@ func (m *searchMetrics) busyHook() func(worker int, d time.Duration) {
 // flushMemoMetrics publishes the cost memo's cumulative counters into the
 // expand_cost_memo_* series. It runs once per search, at result assembly —
 // the memo is write-hot, so it counts in local atomics and exports at the
-// end rather than bumping registry counters per lookup.
+// end rather than bumping registry counters per lookup. The series live
+// outside the search_* namespace on purpose: hit/miss splits depend on
+// worker timing (concurrent misses on one key each count), so they are
+// exempt from the worker-invariance contract that
+// TestMetricsSeriesDeterministic enforces over every search_* series —
+// while the search *results* stay bit-identical because memoized prices
+// are canonical.
 func (s *search) flushMemoMetrics() {
 	if memo, ok := s.model.(*cost.Memo); ok {
 		h, m := memo.Stats()
-		s.m.memoHits.Add(h)
-		s.m.memoMiss.Add(m)
+		s.m.reg.Counter("expand_cost_memo_hits_total").Add(h)
+		s.m.reg.Counter("expand_cost_memo_misses_total").Add(m)
 	}
 }
 

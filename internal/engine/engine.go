@@ -75,11 +75,16 @@ type Engine struct {
 	// journal, when non-nil, receives the flight-recorder event stream of
 	// each run (see WithJournal); nil disables emission.
 	journal *obs.Journal
+	// rec is the run's recorder over metrics and journal, attached by forRun
+	// when a run starts (nil when both are off); keys holds each node's
+	// label in the run's events (keyNodes).
+	rec  *obs.Recorder
+	keys map[workflow.NodeID]string
 	// pprofLabels tags partition workers with runtime/pprof labels (see
 	// WithPprofLabels).
 	pprofLabels bool
 	// lookups is the run's cache of materialized surrogate-key/lookup
-	// tables, attached by withLookupCache when a run starts.
+	// tables, attached by forRun when a run starts.
 	lookups *lookupCache
 	// faults, when non-nil, is the armed fault-injection plan (see
 	// WithFaultPlan); nil disables every injection point.
@@ -143,8 +148,8 @@ func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error)
 
 // run is the run wrapper Run (stage nil) and CheckpointRunner.Run share:
 // it resolves the mode to a partition count, attaches the run's lookup
-// cache, metrics, journal run events and mode span, and hands the graph to
-// the node driver.
+// cache and recorder, emits the run's boundary events and hands the graph
+// to the node driver.
 func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRunner) (*RunResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
@@ -157,20 +162,15 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 	default:
 		return nil, fmt.Errorf("engine: unknown mode %d", e.mode)
 	}
-	e = e.withLookupCache()
+	e = e.forRun()
 	start := time.Now()
 	modeName := e.mode.String()
-	rm := e.newRunMetrics(g, partitions)
-	if e.journal != nil {
-		e.journal.Emit(obs.RunEvent("start", "engine/"+modeName))
-		defer e.journal.Emit(obs.RunEvent("end", "engine/"+modeName))
+	e.keyNodes(g, partitions)
+	if e.rec != nil {
+		e.rec.Emit(obs.RunEvent("start", "engine/"+modeName))
+		defer e.rec.Emit(obs.RunEvent("end", "engine/"+modeName))
 	}
-	span := e.metrics.StartSpan("engine/" + modeName)
-	if rm != nil {
-		rm.span = span
-	}
-	res, err := e.runNodes(ctx, g, partitions, stage, rm)
-	span.End()
+	res, err := e.runNodes(ctx, g, partitions, stage)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +197,7 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 // point, and nothing of a stage (rows, node events, counters) is recorded
 // before it succeeds: a retried stage never loads, stages or counts twice,
 // and a retried source keeps the rows it was handed.
-func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *CheckpointRunner, rm *runMetrics) (*RunResult, error) {
+func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *CheckpointRunner) (*RunResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
@@ -274,10 +274,10 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				if streamable(n.Act) {
 					var c *rowChain
 					if c, err = e.resolveChain(g, ids); err == nil {
-						pd, tallies, err = e.execChain(ctx, id, n, c, out[preds[0]], p, rm, scr, rowsSoFar)
+						pd, tallies, err = e.execChain(ctx, id, n, c, out[preds[0]], p, scr, rowsSoFar)
 					}
 				} else {
-					pd, err = e.execParallel(ctx, g, id, n, out, p, rm, rowsSoFar)
+					pd, err = e.execParallel(ctx, g, id, n, out, p, rowsSoFar)
 				}
 			case target:
 				// Targets are where the partitioned world ends: merge the
@@ -343,15 +343,10 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			}
 			return nil
 		}
-		var span *obs.Span // the stage's, under its last member's name
-		if activity {
-			span = rm.nodeSpan(id)
-		}
 		start := time.Now()
-		if err := e.runNode(ctx, id, n, body); err != nil {
+		if err := e.runNode(ctx, id, body); err != nil {
 			return nil, err
 		}
-		span.End()
 		if activity && tallies == nil && !restored {
 			// A stage of one that is no row chain: its partitions' rows and
 			// its wall seconds, retries included.
@@ -362,29 +357,27 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		}
 		out[id] = pd
 		for m, mid := range ids {
-			if activity {
-				var sec float64
-				for _, t := range tallies {
-					sec = max(sec, t.sec[m])
-				}
-				rm.nodeDone(mid, counts[m], sec)
-			}
 			res.NodeRows[mid] = counts[m]
 			rowsSoFar += counts[m]
-			rm.rows(mid).Add(int64(counts[m]))
+			if !activity { // a recordset's rows are no event's
+				e.metrics.Counter("engine_rows_out_total", "node", e.keys[mid]).Add(int64(counts[m]))
+				continue
+			}
+			var sec float64
+			for _, t := range tallies {
+				sec = max(sec, t.sec[m])
+			}
+			e.rec.Emit(obs.NodeEvent(e.keys[mid], counts[m], sec))
 			for q, t := range tallies {
-				rm.partRow(mid, q).Add(int64(t.rows[m]))
-				rm.batchEvent(mid, q, t.rows[m])
+				e.rec.Emit(obs.BatchEvent(e.keys[mid], q, t.rows[m]))
 			}
 		}
-		if stageable && e.journal != nil {
-			key := nodeKey(id, n)
-			emitted := res.NodeRows[id]
+		if key := e.keys[id]; stageable {
 			if restored {
-				e.journal.Emit(obs.CheckpointEvent(key, "restored", emitted))
-				e.journal.Emit(obs.ResumeEvent(key, emitted))
+				e.rec.Emit(obs.CheckpointEvent(key, "restored", counts[len(ids)-1]))
+				e.rec.Emit(obs.ResumeEvent(key, counts[len(ids)-1]))
 			} else {
-				e.journal.Emit(obs.CheckpointEvent(key, "staged", emitted))
+				e.rec.Emit(obs.CheckpointEvent(key, "staged", counts[len(ids)-1]))
 			}
 		}
 		// The stage has completed, retries included: its inputs have one
@@ -466,12 +459,13 @@ type lookupUse struct {
 	firstKey bool
 }
 
-// withLookupCache returns a copy of the engine carrying a fresh lookup
-// cache, which every run executes on. The copy shares the (read-only)
-// bindings and metrics.
-func (e *Engine) withLookupCache() *Engine {
+// forRun returns the copy of the engine a run executes on: it carries a
+// fresh lookup cache and the run's recorder, and shares the (read-only)
+// bindings, registry and journal.
+func (e *Engine) forRun() *Engine {
 	ec := *e
 	ec.lookups = &lookupCache{tables: make(map[lookupUse]*keyTable)}
+	ec.rec = obs.NewRecorder(e.metrics, e.journal)
 	return &ec
 }
 

@@ -29,9 +29,8 @@ func WithFaultPlan(p *fault.Plan) Option { return func(e *Engine) { e.faults = p
 // or counts twice. The zero policy (the default) disables retries.
 func WithRetry(p fault.Policy) Option { return func(e *Engine) { e.retry = p } }
 
-// checkFault consults the fault plan at one injection point, journaling
-// and counting the fault when it fires. Nil-plan calls are a single
-// pointer test.
+// checkFault consults the fault plan at one injection point, recording a
+// fault event when it fires. Nil-plan calls are a single pointer test.
 func (e *Engine) checkFault(ctx context.Context, site fault.Site, id workflow.NodeID, n *workflow.Node, part int) error {
 	if e.faults == nil {
 		return nil
@@ -45,26 +44,20 @@ func (e *Engine) checkFault(ctx context.Context, site fault.Site, id workflow.No
 	if errors.As(err, &inj) {
 		kind = inj.Kind
 	}
-	if e.journal != nil {
-		e.journal.Emit(obs.FaultEvent(nodeKey(id, n), part, string(site), kind.String()))
-	}
-	e.metrics.Counter("engine_faults_injected_total", "site", string(site)).Inc()
+	e.rec.Emit(obs.FaultEvent(nodeKey(id, n), part, string(site), kind.String()))
 	return err
 }
 
 // runNode executes one stage's body under the engine's retry policy:
 // transient failures are re-run within the attempt budget, each retry
-// journaled and counted; permanent failures and cancellations surface
+// recorded as a retry event; permanent failures and cancellations surface
 // immediately. With retries disabled the body runs exactly once with no
 // wrapping overhead.
-func (e *Engine) runNode(ctx context.Context, id workflow.NodeID, n *workflow.Node, body func() error) error {
+func (e *Engine) runNode(ctx context.Context, id workflow.NodeID, body func() error) error {
 	if !e.retry.Enabled() {
 		return body()
 	}
 	return e.retry.Do(ctx, body, func(attempt int, delay time.Duration, cause error) {
-		if e.journal != nil {
-			e.journal.Emit(obs.RetryEvent(nodeKey(id, n), attempt, delay.Seconds(), cause.Error()))
-		}
-		e.metrics.Counter("engine_retries_total", "node", nodeKey(id, n)).Inc()
+		e.rec.Emit(obs.RetryEvent(e.keys[id], attempt, delay.Seconds(), cause.Error()))
 	})
 }

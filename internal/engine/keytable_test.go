@@ -154,7 +154,7 @@ func TestKeyOperatorAllocations(t *testing.T) {
 	cancelled := orders[:n/10]
 	e := New(map[string]data.Recordset{
 		"DWORDERS": data.NewMemoryRecordset("DWORDERS", data.Schema{"ORDER_ID"}).MustLoad(realign(cancelled, in, data.Schema{"ORDER_ID"})),
-	}).withLookupCache()
+	}).forRun()
 	agg := templates.Aggregate([]string{"CUST"}, workflow.AggSum, "AMOUNT", "TOTAL", 1)
 	sides := []data.Schema{in, dim}
 	node := &workflow.Node{Kind: workflow.KindActivity, Act: templates.Distinct(1)}
@@ -168,11 +168,11 @@ func TestKeyOperatorAllocations(t *testing.T) {
 			var pd *pdata
 			var err error
 			if !streamable(a) {
-				pd, err = e.execParallelOp(context.Background(), 0, n, inputs, 1, nil, 0)
+				pd, err = e.execParallelOp(context.Background(), 0, n, inputs, 1, 0)
 			} else {
 				var ks []rowKernel
 				if ks, err = e.appendKernels(nil, rowKernel{}, a, in[0], out); err == nil {
-					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain(ks), inputs[0], 1, nil, make([]scratch, 1), 0)
+					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain(ks), inputs[0], 1, make([]scratch, 1), 0)
 				}
 			}
 			if err != nil {
@@ -197,7 +197,7 @@ func TestKeyOperatorAllocations(t *testing.T) {
 		{"aggregate", 0.5, unary(agg, data.Schema{"CUST", "TOTAL"})},
 		{"join", 1.1, binary(templates.Join(1, "CUST"), sides, data.Schema{"ORDER_ID", "CUST", "AMOUNT", "CUST_SK"}, customers)},
 		{"exchange P=4", 0.1, func() (data.Rows, error) {
-			pd, err := e.exchangeByKey(context.Background(), 1, node, scatterRows(orders, 4), 4, nil, 0, []int{0})
+			pd, err := e.exchangeByKey(context.Background(), 1, node, scatterRows(orders, 4), 4, 0, []int{0})
 			if err != nil {
 				return nil, err
 			}

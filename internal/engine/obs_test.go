@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"etlopt/internal/generator"
 	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 )
@@ -116,4 +119,68 @@ func TestCancellationErrorIsDiagnosable(t *testing.T) {
 			t.Fatalf("materialized cancellation error not diagnosable: %q", msg)
 		}
 	})
+}
+
+// TestEveryActivityHasItsSpan runs a workflow whose row-local paths fuse
+// into stages and requires one node/<key> span per journaled node event —
+// not one per stage — lasting exactly the event's Sec, parented under the
+// run's own span.
+func TestEveryActivityHasItsSpan(t *testing.T) {
+	sc, err := generator.Generate(generator.CategoryConfig(generator.Small, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := sc.Graph.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stages := planStages(sc.Graph, order); len(stages) == len(order) {
+		t.Fatal("no stage of the workflow fuses: the test would prove nothing")
+	}
+	reg := obs.NewRegistry()
+	reg.SetSpanCap(1 << 12)
+	var buf bytes.Buffer
+	j := obs.NewJournal(&buf, reg)
+	if _, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(4), WithMetrics(reg), WithJournal(j)).Run(context.Background(), sc.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{} // "node/<key> <sec>" per node event
+	events := 0
+	for _, e := range evs {
+		if e.T == obs.EventNode {
+			want[fmt.Sprintf("node/%s %v", e.Node, e.Sec)]++
+			events++
+		}
+	}
+	var run obs.SpanRecord
+	var nodes []obs.SpanRecord
+	for _, sp := range reg.Snapshot().Spans {
+		switch {
+		case sp.Name == "engine/parallel":
+			run = sp
+		case strings.HasPrefix(sp.Name, "node/"):
+			nodes = append(nodes, sp)
+		}
+	}
+	if len(nodes) != events {
+		t.Errorf("%d node spans for %d node events", len(nodes), events)
+	}
+	for _, sp := range nodes {
+		want[fmt.Sprintf("%s %v", sp.Name, sp.DurationSeconds)]--
+		if sp.ParentID != run.ID || sp.TraceID != run.ID || run.ID == 0 {
+			t.Errorf("span %s (parent %d) is not under the run's span %d", sp.Name, sp.ParentID, run.ID)
+		}
+	}
+	for k, n := range want {
+		if n != 0 {
+			t.Errorf("node event vs span %q: %+d unmatched", k, n)
+		}
+	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"etlopt/internal/data"
 	"etlopt/internal/fault"
+	"etlopt/internal/obs"
 	"etlopt/internal/workflow"
 )
 
@@ -181,7 +182,7 @@ func (e *Engine) partitionCount() int {
 // partition starts yields a cancellation error naming node, partition and
 // progress; otherwise the lowest-indexed partition error wins,
 // deterministically.
-func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *workflow.Node, p int, rm *runMetrics, rowsSoFar int, fn func(q int) error) error {
+func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *workflow.Node, p int, rowsSoFar int, fn func(q int) error) error {
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	wg.Add(p)
@@ -207,7 +208,7 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 			} else {
 				errs[q] = fn(q)
 			}
-			rm.busy(q).Add(time.Since(start).Seconds())
+			e.metrics.Gauge("engine_partition_busy_seconds", "partition", strconv.Itoa(q)).Add(time.Since(start).Seconds())
 		}(q)
 	}
 	wg.Wait()
@@ -224,8 +225,8 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 // destination. A row is hashed once: the hash's high bits pick the
 // destination (seedless, so partition layouts repeat across runs and
 // builds) and the hash travels with the row for the kernel's key table.
-// Rows routed are counted on the node's exchange series.
-func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rm *runMetrics, rowsSoFar int, pos []int) (*pdata, error) {
+// The rows routed are one exchange event.
+func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rowsSoFar int, pos []int) (*pdata, error) {
 	if p == 1 {
 		// A single partition already co-locates every key; nothing routes.
 		ps := pd.parts[0]
@@ -236,7 +237,7 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	// counts them per destination and deals them into exact-size buckets;
 	// buckets inherit ascending tags.
 	buckets := make([][]pslice, p) // [src][dst]
-	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		if err := e.checkFault(ctx, fault.SiteExchange, id, n, q); err != nil {
 			return err
 		}
@@ -266,7 +267,7 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	// Phase 2, partition-parallel: each destination merges its p source
 	// buckets by tag, restoring invariant 1.
 	result := newPdata(p)
-	err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		mine := make([]pslice, p)
 		for src := 0; src < p; src++ {
 			mine[src] = buckets[src][q]
@@ -277,15 +278,14 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	if err != nil {
 		return nil, err
 	}
-	rm.exchange(id).Add(int64(pd.total()))
-	rm.exchangeEvent(id, pd.total())
+	e.rec.Emit(obs.ExchangeEvent(e.keys[id], pd.total()))
 	return result, nil
 }
 
 // execParallel runs one activity that is not row-local (those run as
 // stages, stage.go) over partitioned inputs. Cancellation errors pass
 // through already annotated; any other failure names the activity.
-func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
+func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, p int, rowsSoFar int) (*pdata, error) {
 	preds := g.Providers(id)
 	// Align every input to the node's derived input layout up front, so
 	// key resolution and per-partition execution see n.In[i] layouts.
@@ -293,7 +293,7 @@ func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflo
 	for i, pr := range preds {
 		inputs[i] = realignPdata(out[pr], g.Node(pr).Out, n.In[i])
 	}
-	pd, err := e.execParallelOp(ctx, id, n, inputs, p, rm, rowsSoFar)
+	pd, err := e.execParallelOp(ctx, id, n, inputs, p, rowsSoFar)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
@@ -303,7 +303,7 @@ func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflo
 	return pd, nil
 }
 
-func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
+func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (*pdata, error) {
 	a := n.Act
 	switch a.Sem.Op {
 	case workflow.OpDistinct, workflow.OpPKCheck, workflow.OpAggregate:
@@ -317,12 +317,12 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 				return nil, err
 			}
 		}
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, pos)
+		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rowsSoFar, pos)
 		if err != nil {
 			return nil, err
 		}
 		result := newPdata(p)
-		err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+		err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 			ps := ex.parts[q]
 			if a.Sem.Op == workflow.OpAggregate {
 				rows, first, err := e.execAggregate(a, n.In[0], n.Out, ps.keyed(pos))
@@ -358,10 +358,10 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 			case err != nil:
 			case !streamable(comp):
 				step := &workflow.Node{Kind: workflow.KindActivity, Act: comp, In: in, Out: out}
-				pd, err = e.execParallelOp(ctx, id, step, []*pdata{pd}, p, rm, rowsSoFar)
+				pd, err = e.execParallelOp(ctx, id, step, []*pdata{pd}, p, rowsSoFar)
 			default:
 				if ks, err = e.appendKernels(nil, rowKernel{}, comp, in[0], out); err == nil {
-					pd, _, err = e.execChain(ctx, id, n, newRowChain(ks), pd, p, rm, make([]scratch, p), rowsSoFar)
+					pd, _, err = e.execChain(ctx, id, n, newRowChain(ks), pd, p, make([]scratch, p), rowsSoFar)
 				}
 			}
 			if err != nil {
@@ -371,13 +371,13 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 		}
 		return pd, nil
 	case workflow.OpUnion:
-		return e.parUnion(ctx, id, n, inputs, p, rm, rowsSoFar)
+		return e.parUnion(ctx, id, n, inputs, p, rowsSoFar)
 	case workflow.OpJoin:
-		return e.parJoin(ctx, id, n, inputs, p, rm, rowsSoFar)
+		return e.parJoin(ctx, id, n, inputs, p, rowsSoFar)
 	case workflow.OpDiff:
-		return e.parKeyPresence(ctx, id, n, inputs, p, rm, rowsSoFar, false)
+		return e.parKeyPresence(ctx, id, n, inputs, p, rowsSoFar, false)
 	case workflow.OpIntersect:
-		return e.parKeyPresence(ctx, id, n, inputs, p, rm, rowsSoFar, true)
+		return e.parKeyPresence(ctx, id, n, inputs, p, rowsSoFar, true)
 	default:
 		return nil, fmt.Errorf("unsupported operation %s", a.Sem.Op)
 	}
@@ -387,7 +387,7 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 // tags, right tags are shifted past the left input's global maximum, so
 // the merged order is all left rows then all right rows — the
 // materialized union order.
-func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
+func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (*pdata, error) {
 	l, r := inputs[0], inputs[1]
 	var offset int64 // tags ascend within a partition: its last is its largest
 	for _, ps := range l.parts {
@@ -396,7 +396,7 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 		}
 	}
 	result := newPdata(p)
-	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		lp, rp := l.parts[q], r.parts[q]
 		rows := make(data.Rows, 0, len(lp.rows)+len(rp.rows))
 		rows = append(rows, realign(lp.rows, n.In[0], n.Out)...)
@@ -418,14 +418,14 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 // equal tags sit side by side there, already in right-input order, and
 // the tag merge reproduces the materialized join order; the merged rows
 // are re-scattered with fresh tags.
-func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (*pdata, error) {
-	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rm, rowsSoFar)
+func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (*pdata, error) {
+	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rowsSoFar)
 	if err != nil {
 		return nil, err
 	}
 	jl := newJoinLayout(n.Out, n.In[0], n.In[1])
 	per := make([]pslice, p)
-	err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		lp, rp := lex.parts[q], rex.parts[q]
 		li, ri, err := joinMatches(lp.keyed(leftKey), rp.keyed(rightKey))
 		if err != nil {
@@ -448,13 +448,13 @@ func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.No
 // parKeyPresence is the shared parallel body of difference (keepPresent
 // false) and intersection (true): exchange both sides by key tuple, mask
 // each left partition against its co-located right rows, keep left tags.
-func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int, keepPresent bool) (*pdata, error) {
-	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rm, rowsSoFar)
+func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int, keepPresent bool) (*pdata, error) {
+	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rowsSoFar)
 	if err != nil {
 		return nil, err
 	}
 	result := newPdata(p)
-	err = e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		keep, err := maskKeyPresence(lex.parts[q].keyed(leftKey), rex.parts[q].keyed(rightKey), keepPresent)
 		if err != nil {
 			return err
@@ -467,16 +467,16 @@ func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *work
 
 // exchangeBoth exchanges a binary operator's two inputs by its key
 // attributes, resolved on each side's layout.
-func (e *Engine) exchangeBoth(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rm *runMetrics, rowsSoFar int) (lex, rex *pdata, leftKey, rightKey []int, err error) {
+func (e *Engine) exchangeBoth(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (lex, rex *pdata, leftKey, rightKey []int, err error) {
 	if leftKey, err = keyPositions(n.In[0], n.Act.Sem.Attrs); err == nil {
 		rightKey, err = keyPositions(n.In[1], n.Act.Sem.Attrs)
 	}
 	if err != nil {
 		return
 	}
-	if lex, err = e.exchangeByKey(ctx, id, n, inputs[0], p, rm, rowsSoFar, leftKey); err != nil {
+	if lex, err = e.exchangeByKey(ctx, id, n, inputs[0], p, rowsSoFar, leftKey); err != nil {
 		return
 	}
-	rex, err = e.exchangeByKey(ctx, id, n, inputs[1], p, rm, rowsSoFar, rightKey)
+	rex, err = e.exchangeByKey(ctx, id, n, inputs[1], p, rowsSoFar, rightKey)
 	return
 }

@@ -76,7 +76,7 @@ func TestParallelCancelNamesPartition(t *testing.T) {
 		}
 	}
 	n := sc.Graph.Node(id)
-	err := e.forEachPartition(ctx, id, n, 4, nil, 17, func(q int) error { return nil })
+	err := e.forEachPartition(ctx, id, n, 4, 17, func(q int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -97,7 +97,7 @@ func TestForEachPartitionFirstErrorWins(t *testing.T) {
 	id := sc.Graph.Nodes()[0]
 	n := sc.Graph.Node(id)
 	for i := 0; i < 20; i++ {
-		err := e.forEachPartition(context.Background(), id, n, 8, nil, 0, func(q int) error {
+		err := e.forEachPartition(context.Background(), id, n, 8, 0, func(q int) error {
 			if q >= 3 {
 				return errors.New("boom " + string(rune('0'+q)))
 			}
@@ -198,7 +198,7 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 			t.Fatalf("P=%d: gather(scatter(rows)) != rows", p)
 		}
 		pos := []int{0}
-		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, nil, 0, pos)
+		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, 0, pos)
 		if err != nil {
 			t.Fatal(err)
 		}

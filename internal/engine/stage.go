@@ -405,10 +405,10 @@ func (c *rowChain) step(k *rowKernel, src data.Rows, srcSeq []int64, dst data.Ro
 // Filters keep survivor tags and 1:1 transforms inherit them, so the tag
 // invariants hold for the chain as for each member. It returns each
 // partition's per-member tally.
-func (e *Engine) execChain(ctx context.Context, id workflow.NodeID, n *workflow.Node, c *rowChain, in *pdata, p int, rm *runMetrics, scr []scratch, rowsSoFar int) (*pdata, []tally, error) {
+func (e *Engine) execChain(ctx context.Context, id workflow.NodeID, n *workflow.Node, c *rowChain, in *pdata, p int, scr []scratch, rowsSoFar int) (*pdata, []tally, error) {
 	members := c.kernels[len(c.kernels)-1].member + 1
 	result, tallies := newPdata(p), make([]tally, p)
-	err := e.forEachPartition(ctx, id, n, p, rm, rowsSoFar, func(q int) error {
+	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		ps, sc, t := in.parts[q], &scr[q], &tallies[q]
 		t.rows, t.sec = make([]int, members), make([]float64, members)
 		res := pslice{rows: make(data.Rows, 0, len(ps.rows)), seqs: ps.seqs}

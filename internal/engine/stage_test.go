@@ -33,7 +33,7 @@ type refRun struct {
 // driver. It is test-only by design — not a production switch.
 func nodeByNode(t testing.TB, e *Engine, g *workflow.Graph, p int) refRun {
 	t.Helper()
-	e = e.withLookupCache()
+	e = e.forRun()
 	order, err := g.TopoSort()
 	if err != nil {
 		t.Fatal(err)
@@ -76,13 +76,13 @@ func runStage(e *Engine, g *workflow.Graph, ids []workflow.NodeID, out map[workf
 	id := ids[len(ids)-1]
 	n := g.Node(id)
 	if !streamable(n.Act) {
-		return e.execParallel(context.Background(), g, id, n, out, p, nil, 0)
+		return e.execParallel(context.Background(), g, id, n, out, p, 0)
 	}
 	c, err := e.resolveChain(g, ids)
 	if err != nil {
 		return nil, err
 	}
-	pd, _, err := e.execChain(context.Background(), id, n, c, out[g.Providers(ids[0])[0]], p, nil, make([]scratch, p), 0)
+	pd, _, err := e.execChain(context.Background(), id, n, c, out[g.Providers(ids[0])[0]], p, make([]scratch, p), 0)
 	return pd, err
 }
 
@@ -509,7 +509,7 @@ func allocChain(t testing.TB, n int) (*Engine, *workflow.Graph, []workflow.NodeI
 	}
 	e := New(map[string]data.Recordset{
 		"KEYS": data.NewMemoryRecordset("KEYS", data.Schema{"KEY", "SKEY"}).MustLoad(keys),
-	}).withLookupCache()
+	}).forRun()
 	return e, g, ids, scatterRows(measureRows(n), 1)
 }
 

@@ -11,10 +11,12 @@ import (
 )
 
 // This file is the flight recorder: a bounded, lock-cheap structured run
-// journal. Instrumented code emits typed Events; a single writer goroutine
-// drains them to an io.Writer as JSONL (one JSON object per line), so the
-// hot path pays one atomic sequence bump, one clock read and one
-// non-blocking channel send per event — no marshalling, no I/O, no mutex.
+// journal. Instrumented code records typed Events through a Recorder
+// (recorder.go), which folds each into the registry and then emits it
+// here; a single writer goroutine drains them to an io.Writer as JSONL
+// (one JSON object per line), so the hot path pays one atomic sequence
+// bump, one clock read and one non-blocking channel send per event — no
+// marshalling, no I/O, no mutex.
 //
 // The journal is explicitly lossy under pressure: when the channel buffer
 // is full the event is dropped and counted, never blocked on. Write
@@ -47,7 +49,8 @@ const (
 	// SharedCacheEvent).
 	EventCache = "cache"
 	// EventNode is one executed workflow node: Node identifies it, Rows its
-	// output cardinality, Sec its wall-clock execution time.
+	// output cardinality, Sec its execution seconds (a fused stage's member:
+	// its kernel time on the slowest partition).
 	EventNode = "node"
 	// EventBatch is one partition's share of a node in the parallel
 	// engine: Node and Part identify the batch, Rows its output size.

@@ -1,14 +1,17 @@
 // Package obs is the observability substrate of the optimizer and the
-// execution engine: a metrics registry (counters, gauges, histograms with
-// lock-free atomic hot paths), a hierarchical span/event API, and the
-// exposition machinery behind the CLIs' -metrics and -debug-addr flags
-// (JSON snapshots, Prometheus text format, a live status page and a
-// periodic progress line).
+// execution engine: typed events (journal.go) recorded through one per-run
+// Recorder (recorder.go), which folds each into a metrics registry
+// (counters, gauges, histograms with lock-free atomic hot paths, and the
+// spans derived from events) before the flight-recorder journal receives
+// it, plus the exposition machinery behind the CLIs' -metrics,
+// -trace-out and -debug-addr flags (JSON snapshots, Prometheus text
+// format, trace-event JSON, a live status page and a periodic progress
+// line).
 //
 // Two properties shape the design:
 //
-//   - Near-zero cost when disabled. Every instrument handle is nil-safe:
-//     methods on a nil *Counter, *Gauge, *Histogram or *Span are no-ops,
+//   - Near-zero cost when disabled. Every handle is nil-safe: methods on a
+//     nil *Recorder, *Journal, *Counter, *Gauge or *Histogram are no-ops,
 //     so instrumented code holds handles unconditionally and pays one
 //     predictable nil check per event when collection is off — no
 //     interface dispatch, no map lookups, no allocation.
@@ -226,8 +229,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // Registry holds a process- or run-scoped set of named instruments plus a
-// bounded log of completed spans. A nil *Registry is the disabled state:
-// its instrument constructors return nil handles, which no-op.
+// bounded log of completed spans, which Recorders derive from events. A
+// nil *Registry is the disabled state: its instrument constructors return
+// nil handles, which no-op.
 //
 // Series are identified by a metric family name plus optional label
 // key/value pairs; the same (family, labels) always returns the same
@@ -236,9 +240,9 @@ type Registry struct {
 	created time.Time
 
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	counters   map[seriesKey]*Counter
+	gauges     map[seriesKey]*Gauge
+	histograms map[seriesKey]*Histogram
 
 	spanSeq atomic.Int64
 	spans   spanLog
@@ -248,16 +252,35 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{
 		created:    now(),
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		counters:   make(map[seriesKey]*Counter),
+		gauges:     make(map[seriesKey]*Gauge),
+		histograms: make(map[seriesKey]*Histogram),
 	}
 	// The span window and its loss accounting exist from the start, so
 	// obs_spans_dropped_total is always present in snapshots — zero until
 	// the window actually overwrites history.
-	r.spans.ring = make([]SpanRecord, spanLogCap)
+	r.spans.cap = spanLogCap
 	r.spans.dropped = r.Counter("obs_spans_dropped_total")
 	return r
+}
+
+// seriesKey identifies a series by its family and up to two label pairs,
+// ordered by key, so finding a registered instrument renders no name; a
+// series with more labels is keyed by its rendered name.
+type seriesKey struct{ family, k1, v1, k2, v2 string }
+
+func keyOf(family string, labels []string) seriesKey {
+	switch {
+	case len(labels) < 2:
+		return seriesKey{family: family}
+	case len(labels) < 4:
+		return seriesKey{family: family, k1: labels[0], v1: labels[1]}
+	case len(labels) >= 6:
+		return seriesKey{family: seriesName(family, labels)}
+	case labels[2] < labels[0]:
+		return seriesKey{family, labels[2], labels[3], labels[0], labels[1]}
+	}
+	return seriesKey{family, labels[0], labels[1], labels[2], labels[3]}
 }
 
 // seriesName renders family plus label pairs as a canonical series name:
@@ -315,14 +338,14 @@ func (r *Registry) Counter(family string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	series := seriesName(family, labels)
+	k := keyOf(family, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[series]; ok {
+	if c, ok := r.counters[k]; ok {
 		return c
 	}
-	c := &Counter{family: family, series: series}
-	r.counters[series] = c
+	c := &Counter{family: family, series: seriesName(family, labels)}
+	r.counters[k] = c
 	return c
 }
 
@@ -332,14 +355,14 @@ func (r *Registry) Gauge(family string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	series := seriesName(family, labels)
+	k := keyOf(family, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[series]; ok {
+	if g, ok := r.gauges[k]; ok {
 		return g
 	}
-	g := &Gauge{family: family, series: series}
-	r.gauges[series] = g
+	g := &Gauge{family: family, series: seriesName(family, labels)}
+	r.gauges[k] = g
 	return g
 }
 
@@ -354,21 +377,21 @@ func (r *Registry) Histogram(family string, buckets []float64, labels ...string)
 	if len(buckets) == 0 {
 		buckets = DefBuckets
 	}
-	series := seriesName(family, labels)
+	k := keyOf(family, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.histograms[series]; ok {
+	if h, ok := r.histograms[k]; ok {
 		return h
 	}
 	bounds := append([]float64(nil), buckets...)
 	sort.Float64s(bounds)
 	h := &Histogram{
 		family: family,
-		series: series,
+		series: seriesName(family, labels),
 		bounds: bounds,
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
-	r.histograms[series] = h
+	r.histograms[k] = h
 	return h
 }
 

@@ -31,9 +31,13 @@ func TestNilHandlesNoOp(t *testing.T) {
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Fatalf("nil histogram quantile must be NaN")
 	}
-	sp := r.StartSpan("root")
-	sp.Child("leaf").End()
-	sp.Annotate("k", "v").End()
+	rec := NewRecorder(r, nil)
+	if rec != nil {
+		t.Fatalf("a recorder over neither a registry nor a journal must be nil")
+	}
+	rec.Emit(RunEvent("start", "root"))
+	rec.Declare(NodeEvent("leaf", 1, 0))
+	rec.Phase("p")()
 	if got := r.RecentSpans(0); got != nil {
 		t.Fatalf("nil registry spans = %v, want nil", got)
 	}
@@ -82,8 +86,7 @@ func TestConcurrentInstruments(t *testing.T) {
 				g.Add(1)
 				h.Observe(float64(i%4) * 0.25)
 				if i%100 == 0 {
-					sp := r.StartSpan("hammer")
-					sp.End()
+					runSpan(r, "hammer")
 				}
 			}
 		}(w)
@@ -165,9 +168,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r.Counter("states_total", "algo", "HS").Add(42)
 	r.Gauge("best_cost").Set(123.5)
 	r.Histogram("lat_seconds", []float64{0.1, 1}).Observe(0.05)
-	sp := r.StartSpan("run")
-	sp.Child("phase").End()
-	sp.End()
+	rec := NewRecorder(r, nil)
+	rec.Emit(RunEvent("start", "run"))
+	rec.Phase("phase")()
+	rec.Emit(RunEvent("end", "run"))
 
 	snap := r.Snapshot()
 	var b strings.Builder
@@ -239,7 +243,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestSpanRing(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < spanLogCap+10; i++ {
-		r.StartSpan("s").End()
+		runSpan(r, "s")
 	}
 	got := r.RecentSpans(0)
 	if len(got) != spanLogCap {
@@ -317,6 +321,14 @@ func TestStartProgress(t *testing.T) {
 	StartProgress(nil, time.Second, func() string { return "x" })()
 	StartProgress(w, 0, func() string { return "x" })()
 	StartProgress(w, time.Second, nil)()
+}
+
+// runSpan records one root span named name: a run's start and end events
+// through a recorder of its own.
+func runSpan(r *Registry, name string) {
+	rec := NewRecorder(r, nil)
+	rec.Emit(RunEvent("start", name))
+	rec.Emit(RunEvent("end", name))
 }
 
 type writerFunc func([]byte) (int, error)

@@ -2,51 +2,21 @@ package obs
 
 import (
 	"sync"
-	"time"
 )
 
 // spanLogCap is the default bound on the completed-span window per
 // registry. Old spans are overwritten (and counted as dropped in
 // obs_spans_dropped_total); live introspection wants the recent past, not
-// history. Registry.SetSpanCap raises or lowers the bound — trace export
-// (-trace-out) raises it so a whole run's tree survives to the export.
+// history. Registry.SetSpanCap raises or lowers the bound — the CLIs'
+// -trace-out raises it before a run so the whole run's tree survives to
+// the export.
 const spanLogCap = 256
 
-// Span is one timed region of work, optionally nested under a parent.
-// Spans are the event half of the observability API: the search wraps
-// phases in them, the engine wraps node executions, and the status page
-// lists the most recent completions. A nil *Span ignores every call, so
-// instrumented code never branches on whether collection is on.
-//
-// Every span carries a registry-unique ID; a root span starts a new trace
-// (TraceID == its own ID) and children inherit the trace, so completed
-// records reassemble into trace trees — the basis of the Chrome/Perfetto
-// export in trace.go.
-//
-// A Span is not safe for concurrent mutation; create one span per
-// goroutine (children are independent once created).
-type Span struct {
-	reg      *Registry
-	name     string
-	parent   string
-	id       int64
-	parentID int64
-	traceID  int64
-	depth    int
-	start    time.Time
-	attrs    []SpanAttr
-}
-
-// SpanAttr is one key/value annotation on a span.
-type SpanAttr struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
 // SpanRecord is a completed span as kept in the registry's window and
-// reported by snapshots. Times are relative to the registry's creation so
-// records are position-independent (no absolute wall-clock leaks into
-// exhibits).
+// reported by snapshots. Spans are derived from events by a Recorder: a
+// run's or a phase's start/end pair, or a node event (recorder.go). Times
+// are relative to the registry's creation so records are
+// position-independent (no absolute wall-clock leaks into exhibits).
 type SpanRecord struct {
 	// ID is registry-unique; ParentID is the enclosing span's ID (0 at a
 	// root) and TraceID the root span's ID, shared by the whole tree.
@@ -60,27 +30,29 @@ type SpanRecord struct {
 	Depth  int    `json:"depth"`
 	// StartOffsetSeconds is the span's start relative to registry
 	// creation; DurationSeconds its length.
-	StartOffsetSeconds float64    `json:"start_offset_seconds"`
-	DurationSeconds    float64    `json:"duration_seconds"`
-	Attrs              []SpanAttr `json:"attrs,omitempty"`
+	StartOffsetSeconds float64 `json:"start_offset_seconds"`
+	DurationSeconds    float64 `json:"duration_seconds"`
 }
 
-// spanLog is a bounded ring of completed spans. Overwrites of
-// not-yet-snapshotted records are counted in dropped, so span loss is
-// visible instead of silent.
+// spanLog is a bounded ring of completed spans, grown on demand up to its
+// capacity. Overwrites of not-yet-snapshotted records are counted in
+// dropped, so span loss is visible instead of silent.
 type spanLog struct {
 	mu      sync.Mutex
 	ring    []SpanRecord
+	cap     int
 	n       int // total appended since the last resize
 	dropped *Counter
 }
 
 func (l *spanLog) add(rec SpanRecord) {
 	l.mu.Lock()
-	if l.n >= len(l.ring) {
+	if len(l.ring) < l.cap {
+		l.ring = append(l.ring, rec)
+	} else {
 		l.dropped.Inc()
+		l.ring[l.n%l.cap] = rec
 	}
-	l.ring[l.n%len(l.ring)] = rec
 	l.n++
 	l.mu.Unlock()
 }
@@ -92,31 +64,22 @@ func (l *spanLog) recent(max int) []SpanRecord {
 	return l.recentLocked(max)
 }
 
-// resize rebuilds the ring at capacity c, keeping the most recent
+// resize bounds the ring at capacity c, keeping the most recent
 // min(kept, c) records. Records shed by a shrink count as dropped.
 func (l *spanLog) resize(c int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	kept := l.n
-	if kept > len(l.ring) {
-		kept = len(l.ring)
-	}
-	if kept > c {
+	if kept := len(l.ring); kept > c {
 		l.dropped.Add(int64(kept - c))
 	}
-	old := l.recentLocked(c)
-	ring := make([]SpanRecord, c)
-	copy(ring, old)
-	l.ring = ring
-	l.n = len(old)
+	l.ring = l.recentLocked(c)
+	l.cap = c
+	l.n = len(l.ring)
 }
 
 // recentLocked is recent(max) for callers already holding the mutex.
 func (l *spanLog) recentLocked(max int) []SpanRecord {
-	n := l.n
-	if n > len(l.ring) {
-		n = len(l.ring)
-	}
+	n := len(l.ring)
 	if max > 0 && n > max {
 		n = max
 	}
@@ -129,8 +92,9 @@ func (l *spanLog) recentLocked(max int) []SpanRecord {
 
 // SetSpanCap bounds the completed-span window at c records, keeping the
 // most recent records it already holds. c <= 0 restores the default.
-// Shrinking counts the shed records in obs_spans_dropped_total. No-op on
-// a nil registry.
+// Shrinking counts the shed records in obs_spans_dropped_total. The window
+// grows as spans complete, so a large bound costs nothing until it is
+// used. No-op on a nil registry.
 func (r *Registry) SetSpanCap(c int) {
 	if r == nil {
 		return
@@ -151,58 +115,11 @@ func (r *Registry) SpansDropped() int64 {
 	return r.spans.dropped.Value()
 }
 
-// StartSpan opens a root span, beginning a new trace. Nil registry → nil
-// span.
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	id := r.spanSeq.Add(1)
-	return &Span{reg: r, name: name, id: id, traceID: id, start: now()}
-}
-
-// Child opens a nested span under sp, in sp's trace. Nil span → nil child.
-func (sp *Span) Child(name string) *Span {
-	if sp == nil {
-		return nil
-	}
-	return &Span{
-		reg: sp.reg, name: name, parent: sp.name,
-		id: sp.reg.spanSeq.Add(1), parentID: sp.id, traceID: sp.traceID,
-		depth: sp.depth + 1, start: now(),
-	}
-}
-
-// Annotate attaches a key/value pair to the span.
-func (sp *Span) Annotate(key, value string) *Span {
-	if sp == nil {
-		return nil
-	}
-	sp.attrs = append(sp.attrs, SpanAttr{Key: key, Value: value})
-	return sp
-}
-
-// End closes the span: its duration is observed into the
-// obs_span_seconds{span=name} histogram and the completed record joins
-// the registry's window. End on a nil span is a no-op; End at most once.
-func (sp *Span) End() {
-	if sp == nil {
-		return
-	}
-	end := now()
-	d := end.Sub(sp.start)
-	sp.reg.Histogram("obs_span_seconds", nil, "span", sp.name).Observe(d.Seconds())
-	sp.reg.spans.add(SpanRecord{
-		ID:                 sp.id,
-		ParentID:           sp.parentID,
-		TraceID:            sp.traceID,
-		Name:               sp.name,
-		Parent:             sp.parent,
-		Depth:              sp.depth,
-		StartOffsetSeconds: sp.start.Sub(sp.reg.created).Seconds(),
-		DurationSeconds:    d.Seconds(),
-		Attrs:              sp.attrs,
-	})
+// addSpan completes a span: its duration is observed into the
+// obs_span_seconds{span=name} histogram and the record joins the window.
+func (r *Registry) addSpan(rec SpanRecord) {
+	r.Histogram("obs_span_seconds", nil, "span", rec.Name).Observe(rec.DurationSeconds)
+	r.spans.add(rec)
 }
 
 // RecentSpans returns up to max recently completed spans, oldest first

@@ -14,7 +14,7 @@ import (
 // tree — a root span and its descendants — gets its own track (tid =
 // TraceID), named after the root span; every span becomes one complete
 // ("ph":"X") event with microsecond timestamps relative to registry
-// creation. Span attributes and the parent name travel in args, so the
+// creation. The span's ID and its parent's name travel in args, so the
 // UI's selection panel shows them.
 
 // traceEvent is one record in the trace-event JSON format.
@@ -78,13 +78,9 @@ func (s Snapshot) WriteTraceEvents(w io.Writer) error {
 	}
 
 	for _, sp := range spans {
-		args := make(map[string]string, len(sp.Attrs)+2)
+		args := map[string]string{"span_id": strconv.FormatInt(sp.ID, 10)}
 		if sp.Parent != "" {
 			args["parent"] = sp.Parent
-		}
-		args["span_id"] = strconv.FormatInt(sp.ID, 10)
-		for _, a := range sp.Attrs {
-			args[a.Key] = a.Value
 		}
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: sp.Name,

@@ -11,16 +11,18 @@ import (
 	"testing"
 )
 
+// TestSpanTraceTree derives a run's trace tree from its events: the run's
+// start/end pair is the root, a phase's pair and a node event are spans
+// under it, and another recorder's run is a trace of its own.
 func TestSpanTraceTree(t *testing.T) {
 	r := NewRegistry()
-	root := r.StartSpan("run")
-	child := root.Child("phase")
-	grand := child.Child("step")
-	grand.End()
-	child.End()
-	root.End()
-	other := r.StartSpan("other")
-	other.End()
+	rec := NewRecorder(r, nil)
+	rec.Emit(RunEvent("start", "run"))
+	end := rec.Phase("phase")
+	rec.Emit(NodeEvent("step", 3, 0.25))
+	end()
+	rec.Emit(RunEvent("end", "run"))
+	runSpan(r, "other")
 
 	recs := r.RecentSpans(0)
 	if len(recs) != 4 {
@@ -30,15 +32,15 @@ func TestSpanTraceTree(t *testing.T) {
 	for _, rec := range recs {
 		byName[rec.Name] = rec
 	}
-	run, phase, step, oth := byName["run"], byName["phase"], byName["step"], byName["other"]
+	run, phase, step, oth := byName["run"], byName["phase"], byName["node/step"], byName["other"]
 	if run.ID == 0 || run.TraceID != run.ID || run.ParentID != 0 {
 		t.Errorf("root record ids: %+v", run)
 	}
 	if phase.TraceID != run.ID || phase.ParentID != run.ID {
 		t.Errorf("child must inherit trace and point at parent: %+v (root %d)", phase, run.ID)
 	}
-	if step.TraceID != run.ID || step.ParentID != phase.ID || step.Depth != 2 {
-		t.Errorf("grandchild ids: %+v", step)
+	if step.TraceID != run.ID || step.ParentID != run.ID || step.Depth != 1 || step.DurationSeconds != 0.25 {
+		t.Errorf("a node span lies under its run and lasts the event's Sec: %+v", step)
 	}
 	if oth.TraceID == run.ID || oth.TraceID != oth.ID {
 		t.Errorf("separate root must start its own trace: %+v", oth)
@@ -61,7 +63,7 @@ func TestSetSpanCapAndDropAccounting(t *testing.T) {
 
 	// Overflow the default window: overwrites are counted.
 	for i := 0; i < spanLogCap+10; i++ {
-		r.StartSpan("s").End()
+		runSpan(r, "s")
 	}
 	if got := r.SpansDropped(); got != 10 {
 		t.Errorf("SpansDropped after %d spans = %d, want 10", spanLogCap+10, got)
@@ -73,7 +75,7 @@ func TestSetSpanCapAndDropAccounting(t *testing.T) {
 		t.Errorf("after grow, retained %d spans, want %d", got, spanLogCap)
 	}
 	for i := 0; i < 100; i++ {
-		r.StartSpan("t").End()
+		runSpan(r, "t")
 	}
 	if got := r.SpansDropped(); got != 10 {
 		t.Errorf("grown window must not drop: SpansDropped = %d, want 10", got)
@@ -101,7 +103,7 @@ func TestSetSpanCapAndDropAccounting(t *testing.T) {
 	// c <= 0 restores the default bound.
 	r.SetSpanCap(0)
 	for i := 0; i < spanLogCap+5; i++ {
-		r.StartSpan("u").End()
+		runSpan(r, "u")
 	}
 	if got := len(r.RecentSpans(0)); got != spanLogCap {
 		t.Errorf("default-restored window retains %d, want %d", got, spanLogCap)
@@ -117,11 +119,11 @@ func TestSetSpanCapAndDropAccounting(t *testing.T) {
 
 func TestWriteTraceEvents(t *testing.T) {
 	r := NewRegistry()
-	root := r.StartSpan("run").Annotate("algo", "hs")
-	child := root.Child("p1")
-	child.End()
-	root.End()
-	r.StartSpan("exec").End()
+	rec := NewRecorder(r, nil)
+	rec.Emit(RunEvent("start", "run"))
+	rec.Phase("p1")()
+	rec.Emit(RunEvent("end", "run"))
+	runSpan(r, "exec")
 
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteTraceEvents(&buf); err != nil {
@@ -180,8 +182,8 @@ func TestWriteTraceEvents(t *testing.T) {
 	if exec.Tid == run.Tid {
 		t.Error("separate traces must get separate tracks")
 	}
-	if run.Args["algo"] != "hs" {
-		t.Errorf("annotations must reach args: %v", run.Args)
+	if run.Args["span_id"] == "" {
+		t.Errorf("args must carry the span's ID: %v", run.Args)
 	}
 	if p1.Args["parent"] != "run" {
 		t.Errorf("child args must carry parent: %v", p1.Args)
@@ -199,7 +201,7 @@ func TestWriteTraceEvents(t *testing.T) {
 
 func TestWriteTraceEventsFile(t *testing.T) {
 	r := NewRegistry()
-	r.StartSpan("x").End()
+	runSpan(r, "x")
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := r.Snapshot().WriteTraceEventsFile(path); err != nil {
 		t.Fatal(err)
@@ -248,9 +250,10 @@ func TestStatusPageHandler(t *testing.T) {
 	r.Counter("page_total", "op", "<SWA>").Add(5)
 	r.Gauge("page_gauge").Set(1.25)
 	r.Histogram("page_seconds", nil).Observe(0.001)
-	sp := r.StartSpan("run<script>")
-	sp.Child("phase").End()
-	sp.End()
+	o := NewRecorder(r, nil)
+	o.Emit(RunEvent("start", "run<script>"))
+	o.Phase("phase")()
+	o.Emit(RunEvent("end", "run<script>"))
 
 	h := Handler(r)
 	rec := httptest.NewRecorder()

@@ -56,8 +56,7 @@ type flight struct {
 type cache struct {
 	budget   int64
 	spillDir string
-	journal  *obs.Journal
-	metrics  *cacheMetrics
+	rec      *obs.Recorder // shared_cache_* series are folded from its events
 
 	mu      sync.Mutex
 	used    int64
@@ -67,34 +66,16 @@ type cache struct {
 	stats   CacheStats
 }
 
-// cacheMetrics are the registry counters the cache drives; nil-safe.
-type cacheMetrics struct {
-	lookups, hits, misses *obs.Counter
-	admitted, evicted     *obs.Counter
-	spilled, savedBytes   *obs.Counter
-}
-
-func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
-	if reg == nil {
-		return nil
+// newCache returns a cache recording its activity through rec, which may
+// be nil; every shared_cache_* series is registered from the start.
+func newCache(budget int64, spillDir string, rec *obs.Recorder) *cache {
+	for _, action := range []string{"lookup", "hit", "miss", "admit", "evict", "spill"} {
+		rec.Declare(obs.SharedCacheEvent(action, 0))
 	}
-	return &cacheMetrics{
-		lookups:    reg.Counter("shared_cache_lookups_total"),
-		hits:       reg.Counter("shared_cache_hits_total"),
-		misses:     reg.Counter("shared_cache_misses_total"),
-		admitted:   reg.Counter("shared_cache_admitted_bytes_total"),
-		evicted:    reg.Counter("shared_cache_evicted_bytes_total"),
-		spilled:    reg.Counter("shared_cache_spilled_bytes_total"),
-		savedBytes: reg.Counter("shared_cache_saved_bytes_total"),
-	}
-}
-
-func newCache(budget int64, spillDir string, journal *obs.Journal, reg *obs.Registry) *cache {
 	return &cache{
 		budget:   budget,
 		spillDir: spillDir,
-		journal:  journal,
-		metrics:  newCacheMetrics(reg),
+		rec:      rec,
 		lru:      list.New(),
 		byKey:    make(map[string]*entry),
 		flights:  make(map[string]*flight),
@@ -102,7 +83,7 @@ func newCache(budget int64, spillDir string, journal *obs.Journal, reg *obs.Regi
 }
 
 func (c *cache) emit(action string, bytes int64) {
-	c.journal.Emit(obs.SharedCacheEvent(action, bytes))
+	c.rec.Emit(obs.SharedCacheEvent(action, bytes))
 }
 
 // Stats returns a snapshot of the cache accounting.
@@ -116,10 +97,6 @@ func (c *cache) Stats() CacheStats {
 func (c *cache) hitLocked(bytes int64) {
 	c.stats.Hits++
 	c.stats.HitBytes += bytes
-	if m := c.metrics; m != nil {
-		m.hits.Inc()
-		m.savedBytes.Add(bytes)
-	}
 	c.emit("hit", bytes)
 }
 
@@ -132,9 +109,6 @@ func (c *cache) hitLocked(bytes int64) {
 func (c *cache) GetOrCompute(key string, schema data.Schema, compute func() (data.Rows, error)) (data.Rows, bool, error) {
 	c.mu.Lock()
 	c.stats.Lookups++
-	if m := c.metrics; m != nil {
-		m.lookups.Inc()
-	}
 	c.emit("lookup", 0)
 
 	if e := c.byKey[key]; e != nil && e.rows != nil {
@@ -164,9 +138,6 @@ func (c *cache) GetOrCompute(key string, schema data.Schema, compute func() (dat
 		spillPath = e.path
 	} else {
 		c.stats.Misses++
-		if m := c.metrics; m != nil {
-			m.misses.Inc()
-		}
 		c.emit("miss", 0)
 	}
 	c.mu.Unlock()
@@ -221,9 +192,6 @@ func (c *cache) admitLocked(key string, schema data.Schema, rows data.Rows, byte
 	c.used += bytes
 	c.stats.Admissions++
 	c.stats.AdmittedBytes += bytes
-	if m := c.metrics; m != nil {
-		m.admitted.Add(bytes)
-	}
 	c.emit("admit", bytes)
 
 	if c.budget < 0 {
@@ -244,9 +212,6 @@ func (c *cache) evictLocked(e *entry) {
 	c.used -= e.bytes
 	c.stats.Evictions++
 	c.stats.EvictedBytes += e.bytes
-	if m := c.metrics; m != nil {
-		m.evicted.Add(e.bytes)
-	}
 	c.emit("evict", e.bytes)
 
 	if c.spillDir != "" && e.path == "" {
@@ -255,9 +220,6 @@ func (c *cache) evictLocked(e *entry) {
 			e.path = path
 			c.stats.Spills++
 			c.stats.SpilledBytes += e.bytes
-			if m := c.metrics; m != nil {
-				m.spilled.Add(e.bytes)
-			}
 			c.emit("spill", e.bytes)
 		}
 		// A failed spill is not fatal: the entry just falls out of the

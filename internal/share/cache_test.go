@@ -55,7 +55,7 @@ func get(t *testing.T, c *cache, key string, computes *int) data.Rows {
 func TestCacheLRUEvictsAtByteBoundary(t *testing.T) {
 	// Budget 80 holds exactly two 40-byte entries: admission is only over
 	// budget at the third, and the least recently used entry goes.
-	c := newCache(80, "", nil, nil)
+	c := newCache(80, "", nil)
 	nA, nB, nC := 0, 0, 0
 	get(t, c, "a", &nA)
 	get(t, c, "b", &nB)
@@ -88,7 +88,7 @@ func TestCacheLRUEvictsAtByteBoundary(t *testing.T) {
 func TestCacheBudgetOneUnderEvictsImmediately(t *testing.T) {
 	// Budget 79 cannot hold two 40-byte entries: admitting b pushes a out,
 	// proving the boundary is used > budget, not >=.
-	c := newCache(79, "", nil, nil)
+	c := newCache(79, "", nil)
 	nA, nB := 0, 0
 	get(t, c, "a", &nA)
 	get(t, c, "b", &nB)
@@ -100,7 +100,7 @@ func TestCacheBudgetOneUnderEvictsImmediately(t *testing.T) {
 }
 
 func TestCacheZeroBudgetAdmitsThenEvicts(t *testing.T) {
-	c := newCache(0, "", nil, nil)
+	c := newCache(0, "", nil)
 	n := 0
 	get(t, c, "k", &n)
 	get(t, c, "k", &n)
@@ -114,7 +114,7 @@ func TestCacheZeroBudgetAdmitsThenEvicts(t *testing.T) {
 }
 
 func TestCacheUnboundedNeverEvicts(t *testing.T) {
-	c := newCache(-1, "", nil, nil)
+	c := newCache(-1, "", nil)
 	for i := 0; i < 50; i++ {
 		n := 0
 		get(t, c, fmt.Sprintf("k%d", i), &n)
@@ -125,7 +125,7 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 }
 
 func TestCacheSingleFlight(t *testing.T) {
-	c := newCache(-1, "", nil, nil)
+	c := newCache(-1, "", nil)
 	const waiters = 10
 	var computes int32
 	release := make(chan struct{})
@@ -166,7 +166,7 @@ func TestCacheSingleFlight(t *testing.T) {
 }
 
 func TestCacheSingleFlightErrorPropagates(t *testing.T) {
-	c := newCache(-1, "", nil, nil)
+	c := newCache(-1, "", nil)
 	n := 0
 	_, _, err := c.GetOrCompute("k", data.Schema{"V"}, func() (data.Rows, error) {
 		n++
@@ -184,7 +184,7 @@ func TestCacheSingleFlightErrorPropagates(t *testing.T) {
 
 func TestCacheSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c := newCache(0, dir, nil, nil)
+	c := newCache(0, dir, nil)
 	schema := data.Schema{"I", "F", "S", "B", "D", "N"}
 	orig := data.Rows{
 		{data.NewInt(-7), data.NewFloat(2.5), data.NewString("héllo, \"world\""), data.NewBool(true), data.NewDate(2021, 3, 4), data.Null},

@@ -34,7 +34,8 @@ type Options struct {
 	// admit/evict/spill); nil disables them. Results are identical with
 	// the journal on or off.
 	Journal *obs.Journal
-	// Metrics receives shared_cache_* counters; nil disables them.
+	// Metrics receives the shared_cache_* counters, folded from the cache's
+	// events; nil disables them.
 	Metrics *obs.Registry
 }
 
@@ -97,7 +98,7 @@ func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error
 	r := &runner{
 		plan:       p,
 		opts:       opts,
-		cache:      newCache(opts.CacheBytes, spillDir, opts.Journal, opts.Metrics),
+		cache:      newCache(opts.CacheBytes, spillDir, obs.NewRecorder(opts.Metrics, opts.Journal)),
 		sharedRows: make(map[uint64]int),
 		failed:     make(map[uint64]error),
 	}
