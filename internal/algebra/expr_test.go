@@ -294,7 +294,7 @@ func TestDateReformatAcceptedSet(t *testing.T) {
 			}
 		}
 		for _, same := range []data.Value{data.Null, day} {
-			if got, err := f.Apply([]data.Value{same}); err != nil || got != same {
+			if got, err := f.Apply([]data.Value{same}); err != nil || got.Kind() != same.Kind() || !got.Equal(same) {
 				t.Errorf("%s(%v) = %v, %v; want it passed through", fn.name, same, got, err)
 			}
 		}

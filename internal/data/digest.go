@@ -31,13 +31,14 @@ func (rows Rows) Digest() uint64 {
 	for _, rec := range rows {
 		h = mixWord(h, uint64(len(rec)))
 		for i := range rec {
-			switch v := &rec[i]; v.kind {
+			v := &rec[i]
+			switch k := v.kind(); k {
 			case KindInt:
-				h = mixWord(h+tagNum, uint64(v.i))
+				h = mixWord(h+tagNum, uint64(v.n))
 			case KindFloat:
-				h = mixWord(h+tagFloat, uint64(v.i))
+				h = mixWord(h+tagFloat, uint64(v.n))
 			default:
-				h = hashValue(h, v)
+				h = hashValue(h, k, v)
 			}
 		}
 	}

@@ -392,17 +392,17 @@ func TestIngestAllocations(t *testing.T) {
 	if perRow > 1.1 {
 		t.Errorf("Scan allocates %.2f times per row, want at most 1.1", perRow)
 	}
-	// In bytes: the 7-value record (224), the line's share of the file's
+	// In bytes: the 7-value record (112), the line's share of the file's
 	// text (64) and one slot of a row slice sized once (24), not grown by
-	// doubling (~60).
+	// doubling (~60): 203 on the fixture, 211 under -race.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := rs.Scan(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows); perRow > 330 {
-		t.Errorf("Scan allocates %.0f bytes per row, want at most 330", perRow)
+	if perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(rows); perRow > 220 {
+		t.Errorf("Scan allocates %.0f bytes per row, want at most 220", perRow)
 	}
 
 	src := data.Schema{"A", "B", "C", "D"}

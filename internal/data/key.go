@@ -50,12 +50,12 @@ func mixWord(h, w uint64) uint64 {
 	return hi ^ lo
 }
 
-// numBits is the numeric class representative: the bits of Float(), with
-// one pattern for all NaNs.
-func numBits(v *Value) uint64 {
-	f := math.Float64frombits(uint64(v.i))
-	if v.kind == KindInt {
-		f = float64(v.i)
+// numBits is the numeric class representative of an int or float of kind k
+// and payload n: the bits of Float(), with one pattern for all NaNs.
+func numBits(k Kind, n int64) uint64 {
+	f := math.Float64frombits(uint64(n))
+	if k == KindInt {
+		f = float64(n)
 	}
 	if f != f {
 		return nanBits
@@ -70,17 +70,17 @@ func load64(s string) uint64 {
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
-// hashValue folds one value into h.
-func hashValue(h uint64, v *Value) uint64 {
-	switch v.kind {
+// hashValue folds v, of kind k, into h.
+func hashValue(h uint64, k Kind, v *Value) uint64 {
+	switch k {
 	case KindNull:
 		return mixWord(h, tagNull)
 	case KindInt, KindFloat:
-		return mixWord(h+tagNum, numBits(v))
+		return mixWord(h+tagNum, numBits(k, v.n))
 	case KindString:
 		// Whole words, then the 0–7 bytes left as one zero-padded word;
 		// the length, folded in first, keeps the padding unambiguous.
-		s := v.s
+		s := v.str()
 		h = mixWord(h+tagString, uint64(len(s)))
 		for ; len(s) >= 8; s = s[8:] {
 			h = mixWord(h, load64(s))
@@ -91,9 +91,9 @@ func hashValue(h uint64, v *Value) uint64 {
 		}
 		return mixWord(h, w)
 	case KindBool:
-		return mixWord(h+tagBool, uint64(v.i))
+		return mixWord(h+tagBool, uint64(v.n))
 	default:
-		return mixWord(h+tagDate, uint64(v.i))
+		return mixWord(h+tagDate, uint64(v.n))
 	}
 }
 
@@ -103,7 +103,8 @@ func hashValue(h uint64, v *Value) uint64 {
 func HashKey(r Record, positions []int) uint64 {
 	h, n := uint64(hashInit), keyLen(r, positions)
 	for k := 0; k < n; k++ {
-		h = hashValue(h, keyAt(r, positions, k))
+		v := keyAt(r, positions, k)
+		h = hashValue(h, v.kind(), v)
 	}
 	return mixWord(h, uint64(n))
 }
@@ -139,14 +140,15 @@ func keyAt(r Record, positions []int, k int) *Value {
 }
 
 func sameKeyClass(a, b *Value) bool {
-	switch a.kind {
+	ak, bk := a.kind(), b.kind()
+	switch ak {
 	case KindNull:
-		return b.kind == KindNull
+		return bk == KindNull
 	case KindInt, KindFloat:
-		return (b.kind == KindInt || b.kind == KindFloat) && numBits(a) == numBits(b)
+		return (bk == KindInt || bk == KindFloat) && numBits(ak, a.n) == numBits(bk, b.n)
 	case KindString:
-		return b.kind == KindString && a.s == b.s
+		return bk == KindString && a.str() == b.str()
 	default:
-		return a.kind == b.kind && a.i == b.i
+		return ak == bk && a.n == b.n
 	}
 }

@@ -127,9 +127,10 @@ func (r Record) Clone() Record {
 func (r Record) Key() string {
 	size := len(r)
 	for i := range r {
-		size += 2 + len(r[i].s)
-		if r[i].kind != KindString {
-			size += 24 // the longest 'g' float or decimal int64
+		if r[i].kind() == KindString {
+			size += 2 + int(r[i].n)
+		} else {
+			size += 2 + 24 // the longest 'g' float or decimal int64
 		}
 	}
 	var b strings.Builder
@@ -139,7 +140,7 @@ func (r Record) Key() string {
 		if i > 0 {
 			b.WriteByte('\x1f')
 		}
-		switch v := &r[i]; v.kind {
+		switch v := &r[i]; v.kind() {
 		case KindNull:
 			b.WriteByte(0)
 		case KindInt, KindFloat:
@@ -147,13 +148,13 @@ func (r Record) Key() string {
 			b.Write(strconv.AppendFloat(num[:0], v.Float(), 'g', -1, 64))
 		case KindString:
 			b.WriteString("s:")
-			b.WriteString(v.s)
+			b.WriteString(v.str())
 		case KindBool:
 			b.WriteString("b:")
-			b.Write(strconv.AppendInt(num[:0], v.i, 10))
+			b.Write(strconv.AppendInt(num[:0], v.n, 10))
 		case KindDate:
 			b.WriteString("d:")
-			b.Write(strconv.AppendInt(num[:0], v.i, 10))
+			b.Write(strconv.AppendInt(num[:0], v.n, 10))
 		default:
 			b.WriteByte('?')
 		}

@@ -76,7 +76,8 @@ func (m *MemoryRecordset) Digest() (uint64, error) {
 	defer m.mu.RUnlock()
 	h := mixWord(hashInit, tagMemory)
 	for _, attr := range m.schema {
-		h = hashValue(h, &Value{kind: KindString, s: attr})
+		v := NewString(attr)
+		h = hashValue(h, KindString, &v)
 	}
 	return mixWord(h, m.rows.Digest()), nil
 }

@@ -50,13 +50,15 @@ func WriteRowFile(path string, schema Schema, rows Rows) error {
 			if len(rec) != len(schema) || len(rec) == 0 {
 				return fmt.Errorf("row file %s: record %d has %d values, schema has %d attributes", path, i, len(rec), len(schema))
 			}
-			for _, v := range rec {
-				switch buf = append(buf, byte(v.kind)); v.kind {
+			for c := range rec {
+				v := &rec[c]
+				k := v.kind()
+				switch buf = append(buf, byte(k)); k {
 				case KindNull:
 				case KindString:
-					buf = appendString(buf, v.s)
+					buf = appendString(buf, v.str())
 				default:
-					buf = binary.LittleEndian.AppendUint64(buf, uint64(v.i))
+					buf = binary.LittleEndian.AppendUint64(buf, uint64(v.n))
 				}
 			}
 			if len(buf) >= rowFileChunk {
@@ -119,14 +121,14 @@ func (d *rowDecoder) value() Value {
 		d.off++
 	case Kind(rest[0]) == KindString:
 		d.off++
-		return Value{kind: KindString, s: d.str()}
+		return NewString(d.str())
 	case Kind(rest[0]) > KindDate:
 		d.fail(d.off, fmt.Sprintf("unknown kind %d", rest[0]))
 	case len(rest) < 9:
 		d.fail(d.off, "short read")
 	default:
 		d.off += 9
-		return Value{kind: Kind(rest[0]), i: int64(binary.LittleEndian.Uint64(rest[1:]))}
+		return tagged(Kind(rest[0]), int64(binary.LittleEndian.Uint64(rest[1:])))
 	}
 	return Null
 }

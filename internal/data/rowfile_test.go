@@ -277,7 +277,7 @@ func FuzzReadRowFile(f *testing.F) {
 			runtime.ReadMemStats(&before)
 			schema, rows, err := data.ReadRowFile(in)
 			runtime.ReadMemStats(&after)
-			// 80 bytes a file byte covers a 32-byte Value for every kind byte
+			// 80 bytes a file byte covers a 16-byte Value for every kind byte
 			// and a 24-byte record header for every row; the rest is the
 			// read's own buffers.
 			if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(80*len(content)+(64<<10)); grew > bound {

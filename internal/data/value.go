@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the scalar types a Value can hold. The zero Kind is
@@ -54,27 +55,62 @@ func (k Kind) String() string {
 // an ETL workflow. Values are immutable by convention: activities construct
 // new Values rather than mutating ones they received.
 //
-// Dates are stored as days since the Unix epoch in the integer payload and
-// floats as their IEEE 754 bits (math.Float64bits), so a Value is 32 bytes —
-// tag, one word of payload, the string header — and an 8-column record fits
-// the 256-byte size class; records are most of what the engine allocates.
+// A Value is two words, 16 bytes, so an 8-column record is 128; records are
+// most of what the engine allocates. The pointer word p decides the kind:
+//
+//	p == nil            NULL (the zero Value)
+//	p == &kindTags[k]   kind k (Int, Float, Bool, Date, or the empty String),
+//	                    its payload in n: the integer, a float's IEEE 754
+//	                    bits, 0 or 1, days since the Unix epoch; 0 for ""
+//	any other p         a non-empty String of n bytes starting at p
+//
+// Each datum has one representation: an empty string is always tagged, never
+// its data pointer, which may be nil or point into a text it would keep
+// alive. The pointer keeps a string's bytes alive as a string header would;
+// a tag points outside the heap, so the collector looks it up and discards it.
+// The zero-length func array makes Value non-comparable: == would compare
+// two strings' addresses, not their bytes. Use Equal, Compare or KeyEqual.
 type Value struct {
-	kind Kind
-	i    int64
-	s    string
+	_ [0]func()
+	p unsafe.Pointer
+	n int64
 }
+
+// kindTags gives each non-NULL kind an address of its own.
+var kindTags [KindDate + 1]byte
+
+// kind classifies v by its pointer word.
+func (v Value) kind() Kind {
+	if d := uintptr(v.p) - uintptr(unsafe.Pointer(&kindTags)); d < uintptr(len(kindTags)) {
+		return Kind(d)
+	}
+	if v.p == nil {
+		return KindNull
+	}
+	return KindString
+}
+
+// str is the bytes of a value kind reports as KindString.
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.n) }
+
+func tagged(k Kind, n int64) Value { return Value{p: unsafe.Pointer(&kindTags[k]), n: n} }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return tagged(KindInt, v) }
 
 // NewFloat returns a floating-point value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
+func NewFloat(v float64) Value { return tagged(KindFloat, int64(math.Float64bits(v))) }
 
 // NewString returns a string value.
-func NewString(v string) Value { return Value{kind: KindString, s: v} }
+func NewString(v string) Value {
+	if v == "" {
+		return tagged(KindString, 0)
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: int64(len(v))}
+}
 
 // NewBool returns a boolean value.
 func NewBool(v bool) Value {
@@ -82,31 +118,31 @@ func NewBool(v bool) Value {
 	if v {
 		i = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return tagged(KindBool, i)
 }
 
 // NewDate returns a date value for the given civil date.
 func NewDate(year int, month time.Month, day int) Value {
 	t := time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
-	return Value{kind: KindDate, i: t.Unix() / 86400}
+	return tagged(KindDate, t.Unix()/86400)
 }
 
 // NewDateFromDays returns a date value holding the given count of days since
 // the Unix epoch.
-func NewDateFromDays(days int64) Value { return Value{kind: KindDate, i: days} }
+func NewDateFromDays(days int64) Value { return tagged(KindDate, days) }
 
 // Kind reports the kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind { return v.kind() }
 
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // Int returns the integer payload. It is valid only for KindInt values;
 // for other kinds it returns a best-effort coercion (0 for non-numerics).
 func (v Value) Int() int64 {
-	switch v.kind {
+	switch v.kind() {
 	case KindInt, KindBool, KindDate:
-		return v.i
+		return v.n
 	case KindFloat:
 		return int64(v.Float())
 	default:
@@ -116,11 +152,11 @@ func (v Value) Int() int64 {
 
 // Float returns the value as a float64, coercing integers.
 func (v Value) Float() float64 {
-	switch v.kind {
+	switch v.kind() {
 	case KindFloat:
-		return math.Float64frombits(uint64(v.i))
+		return math.Float64frombits(uint64(v.n))
 	case KindInt, KindBool, KindDate:
-		return float64(v.i)
+		return float64(v.n)
 	default:
 		return 0
 	}
@@ -129,8 +165,8 @@ func (v Value) Float() float64 {
 // Str returns the string payload for KindString values and a formatted
 // rendering for every other kind.
 func (v Value) Str() string {
-	if v.kind == KindString {
-		return v.s
+	if v.kind() == KindString {
+		return v.str()
 	}
 	return v.String()
 }
@@ -138,9 +174,9 @@ func (v Value) Str() string {
 // Bool returns the boolean payload; non-bool kinds report false except
 // non-zero numerics, which report true.
 func (v Value) Bool() bool {
-	switch v.kind {
+	switch v.kind() {
 	case KindBool, KindInt:
-		return v.i != 0
+		return v.n != 0
 	case KindFloat:
 		return v.Float() != 0
 	default:
@@ -148,30 +184,39 @@ func (v Value) Bool() bool {
 	}
 }
 
-// Days returns the date payload in days since the Unix epoch.
-func (v Value) Days() int64 { return v.i }
+// Days returns the date payload in days since the Unix epoch. It reads the
+// payload word of any kind but a string, whose word is its length, and is
+// meaningful for dates only.
+func (v Value) Days() int64 {
+	if v.kind() == KindString {
+		return 0
+	}
+	return v.n
+}
 
 // Time returns the date payload as a UTC time.Time at midnight.
 func (v Value) Time() time.Time {
-	return time.Unix(v.i*86400, 0).UTC()
+	return time.Unix(v.Days()*86400, 0).UTC()
 }
 
 // IsNumeric reports whether the value is an int or float.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool { return numeric(v.kind()) }
+
+func numeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
 // String renders the value for display and for CSV serialization.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
 		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -186,24 +231,25 @@ func (v Value) String() string {
 // (this is identity-based equality for grouping and set operations, not
 // SQL ternary comparison; predicates handle NULL separately).
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
+	vk, ok := v.kind(), o.kind()
+	if vk != ok {
 		// Allow int/float cross-kind numeric equality so that, e.g., an
 		// aggregation producing floats compares equal to integer input.
-		if v.IsNumeric() && o.IsNumeric() {
+		if numeric(vk) && numeric(ok) {
 			return v.Float() == o.Float()
 		}
 		return false
 	}
-	switch v.kind {
+	switch vk {
 	case KindNull:
 		return true
 	case KindFloat:
 		a, b := v.Float(), o.Float()
 		return a == b || (a != a && b != b) // all NaNs are equal
 	case KindString:
-		return v.s == o.s
+		return v.str() == o.str()
 	default:
-		return v.i == o.i
+		return v.n == o.n
 	}
 }
 
@@ -211,17 +257,18 @@ func (v Value) Equal(o Value) bool {
 // NULL sorts before every non-NULL value. Cross-kind numeric comparison
 // coerces to float64; otherwise kinds are ordered by their Kind tag.
 func (v Value) Compare(o Value) int {
-	if v.kind == KindNull || o.kind == KindNull {
+	vk, ok := v.kind(), o.kind()
+	if vk == KindNull || ok == KindNull {
 		switch {
-		case v.kind == o.kind:
+		case vk == ok:
 			return 0
-		case v.kind == KindNull:
+		case vk == KindNull:
 			return -1
 		default:
 			return 1
 		}
 	}
-	if v.IsNumeric() && o.IsNumeric() {
+	if numeric(vk) && numeric(ok) {
 		a, b := v.Float(), o.Float()
 		switch {
 		case a < b:
@@ -232,22 +279,22 @@ func (v Value) Compare(o Value) int {
 			return 0
 		}
 	}
-	if v.kind != o.kind {
+	if vk != ok {
 		switch {
-		case v.kind < o.kind:
+		case vk < ok:
 			return -1
 		default:
 			return 1
 		}
 	}
-	switch v.kind {
+	switch vk {
 	case KindString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	case KindBool, KindDate:
 		switch {
-		case v.i < o.i:
+		case v.n < o.n:
 			return -1
-		case v.i > o.i:
+		case v.n > o.n:
 			return 1
 		default:
 			return 0

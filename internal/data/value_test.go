@@ -1,7 +1,11 @@
 package data
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -198,13 +202,83 @@ func TestDateRoundTrip(t *testing.T) {
 	}
 }
 
-// A Value is a tag, one payload word and a string header. An 8-column
-// record sits in the 256-byte size class because of it; a ninth word per
-// value puts it in the 320-byte one.
+// A Value is a pointer word (string bytes or a kind tag) and a payload
+// word: an 8-column record is 128 bytes. The zero-length field that makes
+// Value non-comparable adds nothing.
 func TestValueSize(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
 	}
+}
+
+// A string Value's pointer word is what keeps its bytes alive. Values cut
+// from texts nothing else references — interior and tail substrings of
+// their own texts and of one shared text — read back intact after
+// collections that reuse the memory of the texts whose values were
+// dropped, and an empty value cut at a text's end holds nothing.
+func TestStringValuesKeepTheirBytes(t *testing.T) {
+	const n = 2000
+	piece := func(i int) string { return fmt.Sprintf("%05d-%x|", i, uint32(i*2654435761)) }
+	// own[i] is cut from a text of its own, from offset i%7 to the end.
+	own := make([]Value, n)
+	var shared []Value
+	freed := make(chan struct{})
+	func() {
+		var b strings.Builder
+		for i := range own {
+			text := strings.Repeat("#", i%7) + strings.Repeat(piece(i), 1+i%40)
+			own[i] = NewString(text[i%7:])
+			b.WriteString(piece(i))
+		}
+		whole := b.String()
+		for i, off := 0, 0; i < n; i++ {
+			shared = append(shared, NewString(whole[off:off+len(piece(i))]))
+			off += len(piece(i))
+		}
+		shared = append(shared, NewString(whole[len(whole)-len(piece(n-1)):]), NewString(whole[len(whole):]))
+
+		// An empty value cut at the end of a text does not keep the text.
+		buf := make([]byte, 64)
+		runtime.SetFinalizer(&buf[0], func(*byte) { close(freed) })
+		own[0] = NewString(unsafe.String(&buf[0], len(buf))[len(buf):])
+	}()
+	for i := 2; i < n; i += 2 {
+		own[i] = Null
+	}
+	var junk [][]byte
+	for round := 0; round < 4; round++ {
+		runtime.GC()
+		for j := 0; j < 256; j++ {
+			junk = append(junk, bytes.Repeat([]byte{0xff}, 16+j%200))
+		}
+	}
+	for i := 1; i < n; i += 2 {
+		if want := strings.Repeat(piece(i), 1+i%40); own[i].Kind() != KindString || own[i].Str() != want {
+			t.Fatalf("own text %d reads %q after collections, want %q", i, own[i].Str(), want)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if shared[i].Str() != piece(i) {
+			t.Fatalf("shared text value %d reads %q after collections, want %q", i, shared[i].Str(), piece(i))
+		}
+	}
+	if tail, end := shared[n], shared[n+1]; tail.Str() != piece(n-1) || end.Kind() != KindString || end.Str() != "" || own[0].Str() != "" {
+		t.Fatalf("tail %q, empty at the end %v %q, empty of a freed text %q", tail.Str(), end.Kind(), end.Str(), own[0].Str())
+	}
+	for wait := 0; ; wait++ {
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Millisecond):
+			if wait < 100 {
+				continue
+			}
+			t.Error("an empty value cut at the end of a text keeps the text alive")
+		}
+		break
+	}
+	runtime.KeepAlive(own)
+	runtime.KeepAlive(junk)
 }
 
 // Floats live in the integer payload as their bits. The answers below were

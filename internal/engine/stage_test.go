@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
@@ -644,8 +645,8 @@ func TestIntermediatesReleased(t *testing.T) {
 	if rows < branches*n/2 {
 		t.Fatalf("target holds %d rows; the fixture no longer carries most of its input through", rows)
 	}
-	// A target row is a slice header and width values of 32 bytes.
-	own := uint64(rows) * uint64(24+32*width)
+	// A target row is a slice header and width values.
+	own := uint64(rows) * uint64(24+int(unsafe.Sizeof(data.Value{}))*width)
 	held := live - min(live, base.HeapAlloc)
 	t.Logf("live heap at load %.1f MB, target rows %.1f MB", float64(held)/1e6, float64(own)/1e6)
 	if held > 3*own {

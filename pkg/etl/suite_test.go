@@ -43,8 +43,16 @@ func TestRunSuiteFacade(t *testing.T) {
 		if wr.Err != nil {
 			t.Fatalf("workflow %d: %v", i, wr.Err)
 		}
-		if !reflect.DeepEqual(wr.Result.Targets, solos[i].Targets) {
-			t.Fatalf("workflow %d: suite targets differ from solo run", i)
+		// Row for row and value for value: reflect.DeepEqual would compare
+		// a string value's address, not its bytes.
+		got, want := wr.Result.Targets, solos[i].Targets
+		if len(got) != len(want) {
+			t.Fatalf("workflow %d: suite loads %d targets, solo run %d", i, len(got), len(want))
+		}
+		for name, rows := range want {
+			if g, ok := got[name]; !ok || len(g) != len(rows) || g.Digest() != rows.Digest() {
+				t.Fatalf("workflow %d: suite target %s (%d rows) differs from solo run (%d rows)", i, name, len(got[name]), len(rows))
+			}
 		}
 		if !reflect.DeepEqual(wr.Result.NodeRows, solos[i].NodeRows) {
 			t.Fatalf("workflow %d: suite NodeRows differ from solo run", i)
