@@ -23,7 +23,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -61,9 +60,7 @@ func run() error {
 		lintOnly  = flag.Bool("lint", false, "run the design checks over the generated suite and exit (warnings exit nonzero)")
 		quiet     = flag.Bool("quiet", false, "suppress per-workflow progress")
 		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot of the whole suite here (auditable with etlvet metrics)")
-		debugAddr = flag.String("debug-addr", "", "serve a live status page, /metrics (Prometheus) and /metrics.json on this address during the run")
-		journal   = flag.String("journal", "", "record a structured run journal of the whole suite here (JSONL flight recorder, auditable with etlvet obs)")
-		traceOut  = flag.String("trace-out", "", "write the suite's span tree as Chrome/Perfetto trace-event JSON here")
+		journal   = flag.String("journal", "", "record a structured run journal of the whole suite here (JSONL flight recorder; etlvet obs reports it, etlvet obs -format trace writes its spans)")
 	)
 	flag.Parse()
 
@@ -102,11 +99,8 @@ func run() error {
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
-	if *metrics != "" || *debugAddr != "" || *traceOut != "" {
+	if *metrics != "" {
 		cfg.Metrics = obs.NewRegistry()
-	}
-	if *traceOut != "" {
-		cfg.Metrics.SetSpanCap(math.MaxInt) // the export is the whole suite's tree: keep every span
 	}
 	var jnl *obs.Journal
 	if *journal != "" {
@@ -117,14 +111,6 @@ func run() error {
 		}
 		defer jnl.Close()
 		cfg.Journal = jnl
-	}
-	if *debugAddr != "" {
-		bound, stopSrv, err := obs.Serve(*debugAddr, cfg.Metrics)
-		if err != nil {
-			return err
-		}
-		defer stopSrv()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/, /metrics, /metrics.json)\n", bound)
 	}
 	results, err := experiments.RunSuite(context.Background(), cfg)
 	if err != nil {
@@ -142,12 +128,6 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "run journal written to %s (%d events, %d dropped)\n",
 			*journal, jnl.Written(), jnl.Dropped())
-	}
-	if *traceOut != "" {
-		if err := cfg.Metrics.Snapshot().WriteTraceEventsFile(*traceOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace events written to %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 
 	fmt.Println("Table 1: quality of solution (avg % of best-ES improvement)")

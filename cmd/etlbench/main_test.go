@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"etlopt/internal/clidoc"
 )
 
 func buildTool(t *testing.T) string {
@@ -54,8 +56,9 @@ func TestCLIPaperEvaluation(t *testing.T) {
 	}
 }
 
-// TestCLIRemovedFlags pins that the flags of the retired baseline stack
-// are rejected as unknown: usage on stderr, exit status 2.
+// TestCLIRemovedFlags pins that the flags of the retired baseline stack,
+// the live status server and the trace export are rejected as unknown:
+// usage on stderr, exit status 2.
 func TestCLIRemovedFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -71,6 +74,8 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"-faults", "42:0.05"},
 		{"-suitesize", "3"},
 		{"-partitions", "1,2"},
+		{"-debug-addr", "localhost:0"},
+		{"-trace-out", "trace.json"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError
@@ -81,4 +86,17 @@ func TestCLIRemovedFlags(t *testing.T) {
 			t.Errorf("%v: no usage printed:\n%s", args, out)
 		}
 	}
+}
+
+// TestREADMEFlagsExist: every -flag README.md passes to etlbench is a flag
+// `etlbench -h` lists.
+func TestREADMEFlagsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	clidoc.Check(t, "../../README.md", "etlbench", func([]string) []byte {
+		out, _ := exec.Command(bin, "-h").CombinedOutput()
+		return out
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"etlopt/internal/clidoc"
 	"etlopt/internal/dsl"
 )
 
@@ -111,4 +112,17 @@ func TestCLIGenerateSharedSuite(t *testing.T) {
 	if string(src1) != string(src2) {
 		t.Error("suite members do not share source data")
 	}
+}
+
+// TestREADMEFlagsExist: every -flag README.md passes to etlgen is a flag
+// `etlgen -h` lists.
+func TestREADMEFlagsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	clidoc.Check(t, "../../README.md", "etlgen", func([]string) []byte {
+		out, _ := exec.Command(bin, "-h").CombinedOutput()
+		return out
+	})
 }

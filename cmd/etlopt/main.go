@@ -8,9 +8,7 @@
 //	etlopt -in workflow.etl [-algo hs|greedy|es] [-maxstates N]
 //	       [-workers N] [-timeout 30s] [-out optimized.etl] [-verbose]
 //	       [-lint] [-trace trace.json] [-metrics snap.json]
-//	       [-journal run.jsonl] [-trace-out trace-events.json]
-//	       [-cpuprofile cpu.pprof]
-//	       [-debug-addr localhost:6060] [-progress 1s]
+//	       [-journal run.jsonl] [-cpuprofile cpu.pprof]
 //
 // An interrupt (Ctrl-C) cancels the search and exits with an error.
 package main
@@ -20,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -55,10 +52,7 @@ func run() error {
 		dot       = flag.Bool("dot", false, "print the optimized workflow in Graphviz dot syntax")
 		tracePath = flag.String("trace", "", "record the transition trace here (JSON, auditable with etlvet trace)")
 		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot here after the search (auditable with etlvet metrics)")
-		debugAddr = flag.String("debug-addr", "", "serve a live status page, /metrics (Prometheus) and /metrics.json on this address during the run")
-		progress  = flag.Duration("progress", 0, "print a search progress line to stderr at this interval (e.g. 1s; 0 = off)")
-		journal   = flag.String("journal", "", "record a structured run journal (JSONL flight recorder, auditable with etlvet obs) here")
-		traceOut  = flag.String("trace-out", "", "write the run's span tree as Chrome/Perfetto trace-event JSON here")
+		journal   = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, etlvet obs -format trace writes its spans) here")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile here; search workers are labeled (etl=search, etl_worker=N)")
 	)
 	flag.Parse()
@@ -97,11 +91,8 @@ func run() error {
 	defer stop()
 
 	var reg *obs.Registry
-	if *metrics != "" || *debugAddr != "" || *progress > 0 || *traceOut != "" {
+	if *metrics != "" {
 		reg = obs.NewRegistry()
-	}
-	if *traceOut != "" {
-		reg.SetSpanCap(math.MaxInt) // the export is the whole run's tree: keep every span
 	}
 	var jnl *obs.Journal
 	if *journal != "" {
@@ -129,15 +120,6 @@ func run() error {
 			}
 		}()
 	}
-	if *debugAddr != "" {
-		bound, stopSrv, err := obs.Serve(*debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer stopSrv()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/, /metrics, /metrics.json)\n", bound)
-	}
-
 	if *timeout > 0 {
 		var cancelTimeout context.CancelFunc
 		ctx, cancelTimeout = context.WithTimeout(ctx, *timeout)
@@ -151,10 +133,6 @@ func run() error {
 		Metrics:         reg,
 		Journal:         jnl,
 		PprofLabels:     *cpuProf != "",
-	}
-	if *progress > 0 {
-		opts.Progress = os.Stderr
-		opts.ProgressInterval = *progress
 	}
 	var res *core.Result
 	switch *algo {
@@ -213,12 +191,6 @@ func run() error {
 		}
 		fmt.Printf("run journal written to %s (%d events, %d dropped)\n",
 			*journal, jnl.Written(), jnl.Dropped())
-	}
-	if *traceOut != "" {
-		if err := reg.Snapshot().WriteTraceEventsFile(*traceOut); err != nil {
-			return err
-		}
-		fmt.Printf("trace events written to %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 
 	if *dot {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"etlopt/internal/clidoc"
 	"etlopt/internal/dsl"
 	"etlopt/internal/templates"
 )
@@ -112,4 +113,17 @@ func TestCLIStdin(t *testing.T) {
 	if !strings.Contains(string(out), "HS-Greedy") {
 		t.Errorf("unexpected output:\n%s", out)
 	}
+}
+
+// TestREADMEFlagsExist: every -flag README.md passes to etlopt is a flag
+// `etlopt -h` lists.
+func TestREADMEFlagsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	clidoc.Check(t, "../../README.md", "etlopt", func([]string) []byte {
+		out, _ := exec.Command(bin, "-h").CombinedOutput()
+		return out
+	})
 }

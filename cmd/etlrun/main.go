@@ -16,9 +16,7 @@
 //	etlrun -in workflow.etl -data ./data [-optimize hs|greedy|es] [-workers N]
 //	       [-mode materialized|parallel] [-partitions P]
 //	       [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
-//	       [-metrics snap.json] [-journal run.jsonl]
-//	       [-trace-out trace-events.json] [-cpuprofile cpu.pprof]
-//	       [-debug-addr localhost:6060] [-progress 1s]
+//	       [-metrics snap.json] [-journal run.jsonl] [-cpuprofile cpu.pprof]
 //
 // Passing several workflow files (positionally, or one via -in plus the
 // rest positionally) switches to suite mode: the workflows execute as one
@@ -47,7 +45,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -88,12 +85,9 @@ func run() error {
 		explain    = flag.Bool("explain", false, "print estimated vs actual cardinalities after the run")
 		calibrate  = flag.Bool("calibrate", false, "after running, calibrate selectivities from observation and report the re-optimized plan")
 		metrics    = flag.String("metrics", "", "write a JSON metrics snapshot here after the run (auditable with etlvet metrics)")
-		debugAddr  = flag.String("debug-addr", "", "serve a live status page, /metrics (Prometheus) and /metrics.json on this address during the run")
-		progress   = flag.Duration("progress", 0, "print an optimizer progress line to stderr at this interval (e.g. 1s; 0 = off)")
-		journal    = flag.String("journal", "", "record a structured run journal (JSONL flight recorder, auditable with etlvet obs) here")
+		journal    = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, etlvet obs -format trace writes its spans) here")
 		faults     = flag.String("faults", "", "arm deterministic fault injection as seed:rate (e.g. 42:0.05); transient faults are retried")
 		retries    = flag.Int("retries", 6, "per-node attempt budget for retrying injected transient faults (with -faults)")
-		traceOut   = flag.String("trace-out", "", "write the run's span tree as Chrome/Perfetto trace-event JSON here")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile here; search workers and engine partitions are labeled")
 		suiteWork  = flag.Int("suite-workers", 0, "suite mode: concurrent shared stages and workflows (0 = GOMAXPROCS)")
 		sharedCap  = flag.Int64("shared-cache", -1, "suite mode: shared intermediate cache budget in bytes (-1 = unbounded, 0 = no retention)")
@@ -169,11 +163,8 @@ func run() error {
 	}
 
 	var reg *obs.Registry
-	if *metrics != "" || *debugAddr != "" || *progress > 0 || *traceOut != "" {
+	if *metrics != "" {
 		reg = obs.NewRegistry()
-	}
-	if *traceOut != "" {
-		reg.SetSpanCap(math.MaxInt) // the export is the whole run's tree: keep every span
 	}
 	var jnl *obs.Journal
 	if *journal != "" {
@@ -201,25 +192,11 @@ func run() error {
 			}
 		}()
 	}
-	if *debugAddr != "" {
-		bound, stopSrv, err := obs.Serve(*debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer stopSrv()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/, /metrics, /metrics.json)\n", bound)
-	}
-
 	if search != nil {
-		opts := core.Options{
+		res, err := search(ctx, g, core.Options{
 			IncrementalCost: true, MaxStates: 30_000, Metrics: reg, Workers: *workers,
 			Journal: jnl, PprofLabels: *cpuProf != "",
-		}
-		if *progress > 0 {
-			opts.Progress = os.Stderr
-			opts.ProgressInterval = *progress
-		}
-		res, err := search(ctx, g, opts)
+		})
 		if err != nil {
 			return err
 		}
@@ -309,12 +286,6 @@ func run() error {
 		}
 		fmt.Printf("run journal written to %s (%d events, %d dropped)\n",
 			*journal, jnl.Written(), jnl.Dropped())
-	}
-	if *traceOut != "" {
-		if err := reg.Snapshot().WriteTraceEventsFile(*traceOut); err != nil {
-			return err
-		}
-		fmt.Printf("trace events written to %s (load in Perfetto or chrome://tracing)\n", *traceOut)
 	}
 	return nil
 }

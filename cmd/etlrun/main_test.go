@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"etlopt/internal/clidoc"
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
 	"etlopt/internal/obs"
@@ -341,10 +342,10 @@ func TestCLIExplainAndCalibrate(t *testing.T) {
 	}
 }
 
-// TestCLITraceHoldsEveryActivity runs a workflow of 300 activities, whose
-// run derives more spans than the default window of 256 holds, under
-// -journal and -trace-out: the trace must hold one node/<key> event per
-// journaled node event.
+// TestCLITraceHoldsEveryActivity runs a workflow of 300 activities, more
+// spans than the span window of 256 the registry once kept, under -journal
+// and converts the journal with etlvet obs -format trace: the trace must
+// hold one node/<key> event per journaled node event.
 func TestCLITraceHoldsEveryActivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -371,9 +372,9 @@ func TestCLITraceHoldsEveryActivity(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "SRC.csv"), []byte("K,V\n1,5\n2,7\n3,9\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	journal, trace := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "trace.json")
+	journal := filepath.Join(dir, "run.jsonl")
 	out, err := exec.Command(bin, "-in", in, "-data", dir, "-mode", "parallel", "-partitions", "2",
-		"-journal", journal, "-trace-out", trace).CombinedOutput()
+		"-journal", journal).CombinedOutput()
 	if err != nil {
 		t.Fatalf("etlrun: %v\n%s", err, out)
 	}
@@ -390,14 +391,20 @@ func TestCLITraceHoldsEveryActivity(t *testing.T) {
 	if len(want) != 300 {
 		t.Fatalf("journal holds node events for %d activities, want 300", len(want))
 	}
-	raw, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
+	vet := filepath.Join(t.TempDir(), "etlvet")
+	if out, err := exec.Command("go", "build", "-o", vet, "../etlvet").CombinedOutput(); err != nil {
+		t.Fatalf("building etlvet: %v\n%s", err, out)
+	}
+	var raw, stderr bytes.Buffer
+	conv := exec.Command(vet, "obs", "-format", "trace", journal)
+	conv.Stdout, conv.Stderr = &raw, &stderr
+	if err := conv.Run(); err != nil {
+		t.Fatalf("etlvet obs -format trace: %v\n%s", err, stderr.String())
 	}
 	var tf struct {
 		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(raw, &tf); err != nil {
+	if err := json.Unmarshal(raw.Bytes(), &tf); err != nil {
 		t.Fatal(err)
 	}
 	spans := 0
@@ -410,11 +417,24 @@ func TestCLITraceHoldsEveryActivity(t *testing.T) {
 		}
 	}
 	if spans <= 256 {
-		t.Errorf("the trace holds %d spans; the workflow should derive more than the default window", spans)
+		t.Errorf("the trace holds %d spans; the workflow should derive more than 256", spans)
 	}
 	for name, n := range want {
 		if n != 0 {
 			t.Errorf("%s: %d journaled node event(s) without a trace event", name, n)
 		}
 	}
+}
+
+// TestREADMEFlagsExist: every -flag README.md passes to etlrun is a flag
+// `etlrun -h` lists.
+func TestREADMEFlagsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	clidoc.Check(t, "../../README.md", "etlrun", func([]string) []byte {
+		out, _ := exec.Command(bin, "-h").CombinedOutput()
+		return out
+	})
 }

@@ -17,11 +17,13 @@
 //	                                flight recording (phase timeline, top-k
 //	                                slow nodes, selectivity drift, cache hit
 //	                                rates, drop accounting) and audit its
-//	                                integrity
+//	                                integrity; with -format trace, write
+//	                                one journal's spans as trace-event JSON
 //	etlvet passes                   list every pass
 //
 // Every subcommand shares one reporting surface: -format {text,json,sarif}
-// (-json is shorthand for -format json), -baseline FILE to suppress
+// (-json is shorthand for -format json; obs also takes -format trace),
+// -baseline FILE to suppress
 // findings acknowledged in a committed baseline, and -write-baseline to
 // regenerate that file from the current findings.
 //
@@ -58,10 +60,14 @@ func usage(w io.Writer) {
   etlvet obs      [flags] <run.jsonl>...  render a run report from a -journal
                                           flight recording and audit its
                                           integrity
+  etlvet obs -format trace <run.jsonl>    write the journal's spans as
+                                          Chrome/Perfetto trace-event JSON;
+                                          findings go to stderr
   etlvet passes   [flags]                 list the passes
 
 flags (shared by every subcommand):
-  -format FORM      output format: text (default), json, or sarif (2.1.0)
+  -format FORM      output format: text (default), json, or sarif (2.1.0);
+                    obs also takes trace
   -json             shorthand for -format json
   -baseline FILE    suppress findings acknowledged in FILE; only NEW
                     findings are reported and counted
@@ -89,7 +95,11 @@ type options struct {
 }
 
 func (o *options) bind(fs *flag.FlagSet, cmd string) {
-	fs.StringVar(&o.format, "format", "text", "output format: text, json or sarif")
+	formats := "text, json or sarif"
+	if cmd == "obs" {
+		formats = "text, json, sarif or trace (one journal's spans as trace-event JSON)"
+	}
+	fs.StringVar(&o.format, "format", "text", "output format: "+formats)
 	fs.BoolVar(&o.jsonShorthand, "json", false, "shorthand for -format json")
 	fs.StringVar(&o.baselinePath, "baseline", "", "baseline file of acknowledged findings")
 	fs.BoolVar(&o.writeBaseline, "write-baseline", false, "rewrite the -baseline file from current findings")
@@ -102,14 +112,17 @@ func (o *options) bind(fs *flag.FlagSet, cmd string) {
 	}
 }
 
-func (o *options) validate() error {
+func (o *options) validate(cmd string) error {
 	if o.jsonShorthand {
 		o.format = "json"
 	}
-	switch o.format {
-	case "text", "json", "sarif":
+	switch {
+	case o.format == "text", o.format == "json", o.format == "sarif":
+	case o.format == "trace" && cmd == "obs":
+	case o.format == "trace":
+		return fmt.Errorf("-format trace applies to etlvet obs only")
 	default:
-		return fmt.Errorf("unknown -format %q (want text, json or sarif)", o.format)
+		return fmt.Errorf("unknown -format %q (want text, json or sarif; obs also takes trace)", o.format)
 	}
 	if o.writeBaseline && o.baselinePath == "" {
 		return fmt.Errorf("-write-baseline needs -baseline FILE")
@@ -140,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(rest); err != nil {
 		return 2
 	}
-	if err := o.validate(); err != nil {
+	if err := o.validate(cmd); err != nil {
 		fmt.Fprintf(stderr, "etlvet: %v\n", err)
 		return 2
 	}
@@ -203,18 +216,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	case "obs":
-		// The report renders as it goes (text is the product here); only
-		// integrity problems flow through the finding/baseline layer.
-		reportTo := stdout
-		if o.format != "text" {
-			reportTo = io.Discard
+		// The report or the trace is the product here, written as each
+		// journal is read; only integrity problems flow through the
+		// finding/baseline layer, to stderr under -format trace, whose
+		// stdout is the trace alone.
+		if o.format == "trace" && len(rest) != 1 {
+			fmt.Fprintln(stderr, "etlvet: obs -format trace takes exactly one journal")
+			return 2
 		}
 		for _, arg := range rest {
 			if !collect(arg, func(path string) ([]analysis.Finding, error) {
-				return renderObsReport(reportTo, path, o.topK)
+				return renderObs(stdout, path, &o)
 			}) {
 				return 2
 			}
+		}
+		if o.format == "trace" {
+			stdout = stderr
 		}
 	}
 

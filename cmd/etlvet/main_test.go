@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"etlopt/internal/clidoc"
 	"etlopt/internal/dsl"
 	"etlopt/internal/templates"
 )
@@ -144,4 +145,17 @@ func TestCLIUsage(t *testing.T) {
 			t.Errorf("passes output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestREADMEFlagsExist: every -flag README.md passes to an etlvet
+// subcommand is a flag `etlvet <subcommand> -h` lists.
+func TestREADMEFlagsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	clidoc.Check(t, "../../README.md", "etlvet", func(args []string) []byte {
+		out, _ := exec.Command(bin, args[0], "-h").CombinedOutput()
+		return out
+	})
 }

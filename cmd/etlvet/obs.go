@@ -15,10 +15,10 @@ import (
 // -journal JSONL file, renders a human-readable run report (run header,
 // phase timeline, top-k slow nodes, selectivity drift, cache hit rates,
 // shared-work cache activity, transition funnel, checkpoint and drop
-// accounting) to stdout, and
-// returns integrity problems as findings through the shared report
-// layer, so -format/-baseline/exit codes behave like every other
-// subcommand.
+// accounting) to stdout — or, with -format trace, the journal's spans as
+// trace-event JSON — and returns integrity problems as findings through
+// the shared report layer, so -format/-baseline/exit codes behave like
+// every other subcommand.
 
 // obsStats is the aggregation of one journal: everything the report
 // sections print, computed in a single pass over the events.
@@ -218,19 +218,28 @@ func (st *obsStats) auditObs(path string) []analysis.Finding {
 
 func badRatio(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
-// renderObsReport writes the human-readable run report for one journal
-// and returns its integrity findings.
-func renderObsReport(w io.Writer, path string, topK int) ([]analysis.Finding, error) {
+// renderObs reads one journal, writes its view for o.format to w — the
+// run report for text, obs.Spans as trace-event JSON for trace, nothing
+// for json and sarif, which print findings only — and returns its
+// integrity findings.
+func renderObs(w io.Writer, path string, o *options) ([]analysis.Finding, error) {
 	events, err := obs.ReadJournalFile(path)
 	if err != nil {
 		return nil, err
 	}
 	st := aggregateJournal(events)
 	findings := st.auditObs(path)
-	if len(st.events) == 0 {
-		return findings, nil
+	switch {
+	case o.format == "trace":
+		return findings, obs.WriteTraceEvents(w, obs.Spans(events))
+	case o.format == "text" && len(st.events) > 0:
+		st.render(w, path, o.topK)
 	}
+	return findings, nil
+}
 
+// render writes the human-readable run report of one journal.
+func (st *obsStats) render(w io.Writer, path string, topK int) {
 	fmt.Fprintf(w, "== %s ==\n", path)
 	for _, r := range st.runs {
 		fmt.Fprintf(w, "run %-5s %-24s at %8.3fs\n", r.Action, r.Detail, r.Off)
@@ -374,7 +383,6 @@ func renderObsReport(w io.Writer, path string, topK int) ([]analysis.Finding, er
 		}
 	}
 	fmt.Fprintln(w)
-	return findings, nil
 }
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {

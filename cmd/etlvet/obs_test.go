@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,8 +13,8 @@ import (
 )
 
 // writeObsJournal records a small but fully populated flight-recorder
-// journal — every event type the report has a section for — and returns
-// its path.
+// journal — every event type the report has a section for, from a search
+// run and an engine run — and returns its path.
 func writeObsJournal(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jsonl")
@@ -19,46 +22,47 @@ func writeObsJournal(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Emit(obs.RunEvent("start", "search/HS"))
-	j.Emit(obs.PhaseEvent("expand", "start"))
+	search, engine := obs.NewRecorder(nil, j), obs.NewRecorder(nil, j)
+	search.Emit(obs.RunEvent("start", "search/HS"))
+	search.Emit(obs.PhaseEvent("expand", "start"))
 	for i := 0; i < 4; i++ {
-		j.Emit(obs.TransitionEvent("SWA", "attempt", 0))
+		search.Emit(obs.TransitionEvent("SWA", "attempt", 0))
 	}
 	batch := obs.TransitionEvent("SWA", "attempt", 0) // a group job's attempts, one record
 	batch.Rows = 73
-	j.Emit(batch)
-	j.Emit(obs.TransitionEvent("SWA", "accept", 0))
-	j.Emit(obs.TransitionEvent("SWA", "prune", 0))
-	j.Emit(obs.TransitionEvent("SWA", "best", 41.5))
-	j.Emit(obs.TransitionEvent("FAC", "attempt", 0))
-	j.Emit(obs.CacheEvent("expand", true))
-	j.Emit(obs.CacheEvent("expand", false))
-	j.Emit(obs.CacheEvent("expand", false))
-	j.Emit(obs.PhaseEvent("expand", "end"))
-	j.Emit(obs.RunEvent("end", "search/HS"))
-	j.Emit(obs.RunEvent("start", "engine/parallel"))
-	j.Emit(obs.NodeEvent("extract", 100, 0.25))
-	j.Emit(obs.NodeEvent("extract", 100, 0.25))
-	j.Emit(obs.NodeEvent("filter", 40, 0.5))
-	j.Emit(obs.NodeEvent("load", 40, 0.01))
-	j.Emit(obs.BatchEvent("filter", 1, 20))
-	j.Emit(obs.BatchEvent("filter", 0, 20))
-	j.Emit(obs.ExchangeEvent("join", 37))
-	j.Emit(obs.CheckpointEvent("filter", "staged", 40))
-	j.Emit(obs.SharedCacheEvent("lookup", 0))
-	j.Emit(obs.SharedCacheEvent("miss", 0))
-	j.Emit(obs.SharedCacheEvent("admit", 640))
-	j.Emit(obs.SharedCacheEvent("lookup", 0))
-	j.Emit(obs.SharedCacheEvent("hit", 640))
-	j.Emit(obs.SharedCacheEvent("spill", 640))
-	j.Emit(obs.SharedCacheEvent("evict", 640))
-	j.Emit(obs.FaultEvent("filter", 1, "emit", "transient"))
-	j.Emit(obs.FaultEvent("join", 0, "exchange", "transient"))
-	j.Emit(obs.RetryEvent("filter", 2, 0.002, "fault: injected transient fault"))
-	j.Emit(obs.ResumeEvent("extract", 100))
-	j.Emit(obs.DriftEvent("filter", 0.4, 0.5))
-	j.Emit(obs.DriftEvent("load", 1.0, 1.0))
-	j.Emit(obs.RunEvent("end", "engine/parallel"))
+	search.Emit(batch)
+	search.Emit(obs.TransitionEvent("SWA", "accept", 0))
+	search.Emit(obs.TransitionEvent("SWA", "prune", 0))
+	search.Emit(obs.TransitionEvent("SWA", "best", 41.5))
+	search.Emit(obs.TransitionEvent("FAC", "attempt", 0))
+	search.Emit(obs.CacheEvent("expand", true))
+	search.Emit(obs.CacheEvent("expand", false))
+	search.Emit(obs.CacheEvent("expand", false))
+	search.Emit(obs.PhaseEvent("expand", "end"))
+	search.Emit(obs.RunEvent("end", "search/HS"))
+	engine.Emit(obs.RunEvent("start", "engine/parallel"))
+	engine.Emit(obs.NodeEvent("extract", 100, 0.25))
+	engine.Emit(obs.NodeEvent("extract", 100, 0.25))
+	engine.Emit(obs.NodeEvent("filter", 40, 0.5))
+	engine.Emit(obs.NodeEvent("load", 40, 0.01))
+	engine.Emit(obs.BatchEvent("filter", 1, 20))
+	engine.Emit(obs.BatchEvent("filter", 0, 20))
+	engine.Emit(obs.ExchangeEvent("join", 37))
+	engine.Emit(obs.CheckpointEvent("filter", "staged", 40))
+	engine.Emit(obs.SharedCacheEvent("lookup", 0))
+	engine.Emit(obs.SharedCacheEvent("miss", 0))
+	engine.Emit(obs.SharedCacheEvent("admit", 640))
+	engine.Emit(obs.SharedCacheEvent("lookup", 0))
+	engine.Emit(obs.SharedCacheEvent("hit", 640))
+	engine.Emit(obs.SharedCacheEvent("spill", 640))
+	engine.Emit(obs.SharedCacheEvent("evict", 640))
+	engine.Emit(obs.FaultEvent("filter", 1, "emit", "transient"))
+	engine.Emit(obs.FaultEvent("join", 0, "exchange", "transient"))
+	engine.Emit(obs.RetryEvent("filter", 2, 0.002, "fault: injected transient fault"))
+	engine.Emit(obs.ResumeEvent("extract", 100))
+	engine.Emit(obs.DriftEvent("filter", 0.4, 0.5))
+	engine.Emit(obs.DriftEvent("load", 1.0, 1.0))
+	engine.Emit(obs.RunEvent("end", "engine/parallel"))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,5 +260,67 @@ func TestBadRatio(t *testing.T) {
 	inf := func() float64 { z := 0.0; return 1 / z }()
 	if !badRatio(nan) || !badRatio(inf) || !badRatio(-inf) {
 		t.Error("non-finite values not flagged")
+	}
+}
+
+// TestObsTraceFormat: -format trace writes one journal's spans to stdout
+// as trace-event JSON, each node span under the run that executed it;
+// findings go to stderr with the usual exit codes; it takes exactly one
+// journal, and no other subcommand takes it.
+func TestObsTraceFormat(t *testing.T) {
+	path := writeObsJournal(t)
+	out, errb, code := runCLI(t, "obs", "-format", "trace", path)
+	if code != 0 || !strings.Contains(errb, "no findings") {
+		t.Fatalf("clean journal: exit %d, stderr %q; want 0 and no findings", code, errb)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Args     map[string]string
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(out), &tf); err != nil {
+		t.Fatalf("stdout is not trace-event JSON: %v\n%s", err, out)
+	}
+	parents := map[string]string{}
+	nodes := 0
+	for _, e := range tf.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		parents[e.Name] = e.Args["parent"]
+		if strings.HasPrefix(e.Name, "node/") {
+			nodes++
+		}
+	}
+	want := map[string]string{
+		"search/HS": "", "expand": "search/HS", "engine/parallel": "",
+		"node/extract": "engine/parallel", "node/filter": "engine/parallel", "node/load": "engine/parallel",
+	}
+	if !reflect.DeepEqual(parents, want) || nodes != 4 {
+		t.Errorf("span -> parent %v with %d node spans; want %v with 4", parents, nodes, want)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(t.TempDir(), "truncated.jsonl")
+	if err := os.WriteFile(truncated, data[:bytes.LastIndexByte(data[:len(data)-1], '\n')+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errb, code = runCLI(t, "obs", "-format", "trace", truncated)
+	if code != 1 || !strings.Contains(errb, "no summary trailer") || !json.Valid([]byte(out)) {
+		t.Errorf("journal without its trailer: exit %d, stderr %q, stdout valid JSON %v; want 1, the finding, true", code, errb, json.Valid([]byte(out)))
+	}
+
+	for _, args := range [][]string{
+		{"obs", "-format", "trace", path, path},
+		{"obs", "-format", "trace"},
+		{"workflow", "-format", "trace", writeFig1(t)},
+	} {
+		if out, errb, code := runCLI(t, args...); code != 2 || out != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 and nothing on stdout", args, code, out, errb)
+		}
 	}
 }

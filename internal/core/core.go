@@ -77,14 +77,6 @@ type Options struct {
 	// results are bit-identical with metrics on or off; nil (the default)
 	// disables collection at the cost of one nil check per event.
 	Metrics *obs.Registry
-	// Progress, when non-nil, receives a periodic one-line progress report
-	// during the search (states/sec, frontier size, current best cost,
-	// ETA against the state budget) — the -progress flag of the CLIs.
-	// Requires no Metrics registry: one is created internally if needed.
-	Progress io.Writer
-	// ProgressInterval is the period of the Progress line; 0 means one
-	// second.
-	ProgressInterval time.Duration
 	// Journal, when non-nil, receives the search's flight-recorder event
 	// stream (see obs.Journal): run and phase boundaries, every transition
 	// attempt/accept/prune and new-best transitions with their cost.
@@ -121,11 +113,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Progress != nil && o.Metrics == nil {
-		// The progress line reads live gauges, so it needs somewhere to
-		// collect them even when the caller did not ask for metrics.
-		o.Metrics = obs.NewRegistry()
 	}
 	return o
 }
@@ -206,10 +193,8 @@ type search struct {
 	// all five transitions, so it is computed once from the initial state.
 	singleChain bool
 	// m is never nil: with Options.Metrics unset its handles are nil and
-	// every record degrades to a no-op. stopProgress, when set, flushes
-	// and stops the periodic progress line (see close).
-	m            *searchMetrics
-	stopProgress func()
+	// every record degrades to a no-op.
+	m *searchMetrics
 	// admitLog, when non-nil, receives every signature passed to admit, one
 	// per line in admission order — the seam of the frozen-sequence test.
 	admitLog io.Writer

@@ -136,8 +136,6 @@ func Exhaustive(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result,
 	opts = opts.withDefaults()
 	start := time.Now()
 	s := newSearch(ctx, opts)
-	defer s.close()
-	s.startProgress("ES")
 	s.m.runEvent("start", "ES")
 	defer s.m.runEvent("end", "ES")
 

@@ -157,7 +157,6 @@ func TestFrozenSearchSequence(t *testing.T) {
 			log := sha256.New()
 			s.admitLog = log
 			res, err := s.heuristic(alg, graphs[ref.name], greedy)
-			s.close()
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", ref.name, workers, err)
 			}
@@ -190,7 +189,6 @@ func TestSearchAllocations(t *testing.T) {
 	}
 	g := sc.Graph
 	s := newSearch(context.Background(), Options{IncrementalCost: true}.withDefaults())
-	defer s.close()
 	s0, err := s.initialState(g)
 	if err != nil {
 		t.Fatal(err)

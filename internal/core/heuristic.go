@@ -45,16 +45,13 @@ func HSGreedy(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result, e
 }
 
 func heuristicSearch(ctx context.Context, alg string, g0 *workflow.Graph, opts Options, greedy bool) (*Result, error) {
-	s := newSearch(ctx, opts.withDefaults())
-	defer s.close()
-	return s.heuristic(alg, g0, greedy)
+	return newSearch(ctx, opts.withDefaults()).heuristic(alg, g0, greedy)
 }
 
 // heuristic is the body of HS and HS-Greedy, run on a prepared search.
 func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result, error) {
 	opts := s.opts
 	start := time.Now()
-	s.startProgress(alg)
 	s.m.runEvent("start", alg)
 	defer s.m.runEvent("end", alg)
 

@@ -18,9 +18,10 @@ var opNames = [...]string{"SWA", "FAC", "DIS", "MER", "SPL"}
 //
 // Transitions, phases and the run's boundaries are events, recorded once
 // through the recorder, which derives the search_transition_* counters,
-// search_states_deduped_total, search_best_cost on a new best and the
-// search's spans from them (obs.Recorder). The handles below are the facts
-// that have no event.
+// search_states_deduped_total and search_best_cost on a new best from them
+// (obs.Recorder); the journal keeps them, and obs.Spans derives the
+// search's spans from it. The handles below are the facts that have no
+// event.
 //
 // All of it is write-only from the search's point of view: nothing in the
 // search ever reads an instrument back, so collection cannot perturb
@@ -149,46 +150,5 @@ func (s *search) flushMemoMetrics() {
 		h, m := memo.Stats()
 		s.m.reg.Counter("expand_cost_memo_hits_total").Add(h)
 		s.m.reg.Counter("expand_cost_memo_misses_total").Add(m)
-	}
-}
-
-// startProgress begins the periodic progress line for long searches:
-// states generated per second, frontier size, current best cost and an
-// ETA against the state budget. It reads only atomic instruments — never
-// the search's own unsynchronized counters — so it can run concurrently
-// with the algorithm goroutine. The returned stop emits one final line.
-func (s *search) startProgress(alg string) {
-	if s.opts.Progress == nil {
-		return
-	}
-	interval := s.opts.ProgressInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	begin := time.Now()
-	m := s.m
-	budget := s.opts.MaxStates
-	s.stopProgress = obs.StartProgress(s.opts.Progress, interval, func() string {
-		elapsed := time.Since(begin).Seconds()
-		gen := m.generated.Value()
-		rate := 0.0
-		if elapsed > 0 {
-			rate = float64(gen) / elapsed
-		}
-		eta := "-"
-		if rate > 0 && gen < int64(budget) {
-			eta = (time.Duration(float64(int64(budget)-gen) / rate * float64(time.Second))).Round(time.Second).String()
-		}
-		return fmt.Sprintf("[%s] %d states (%.0f/s) frontier=%.0f best=%.1f eta≤%s",
-			alg, gen, rate, m.frontier.Value(), m.bestCost.Value(), eta)
-	})
-}
-
-// close releases the search's run-scoped resources: the progress emitter
-// (flushing a final line).
-func (s *search) close() {
-	if s.stopProgress != nil {
-		s.stopProgress()
-		s.stopProgress = nil
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 
 	"etlopt/internal/generator"
@@ -157,47 +156,4 @@ func TestPathStepCountersMatchTrace(t *testing.T) {
 	if v, ok := snap.GaugeValue("search_initial_cost"); !ok || v != res.InitialCost {
 		t.Errorf("search_initial_cost = %v, %v; want %v", v, ok, res.InitialCost)
 	}
-}
-
-// TestProgressLine exercises Options.Progress: the periodic reporter must
-// emit at least the final line, and must not require a caller-supplied
-// registry.
-func TestProgressLine(t *testing.T) {
-	sc, err := generator.Generate(generator.CategoryConfig(generator.Small, 9103))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf syncBuffer
-	res, err := Heuristic(context.Background(), sc.Graph, Options{
-		IncrementalCost: true, Progress: &buf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "[HS]") || !strings.Contains(out, "states") {
-		t.Fatalf("progress output missing expected fields: %q", out)
-	}
-	if res.Best == nil {
-		t.Fatal("search with progress enabled returned no result")
-	}
-}
-
-// syncBuffer is a mutex-guarded string buffer: the progress emitter writes
-// from its own goroutine.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
 }

@@ -11,7 +11,7 @@ import (
 // WithMetrics attaches an observability registry to the engine: each run
 // then reports per-activity and per-partition output row counts, activity
 // seconds, exchanged rows and observed-vs-modeled selectivities, folded
-// from the run's events (obs.Recorder), plus the spans derived from them.
+// from the run's events (obs.Recorder).
 // Collection is write-only — the engine never reads an instrument back —
 // so execution results are identical with metrics on or off. A nil registry
 // leaves collection disabled (the default).

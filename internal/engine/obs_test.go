@@ -138,7 +138,6 @@ func TestEveryActivityHasItsSpan(t *testing.T) {
 		t.Fatal("no stage of the workflow fuses: the test would prove nothing")
 	}
 	reg := obs.NewRegistry()
-	reg.SetSpanCap(1 << 12)
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, reg)
 	if _, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(4), WithMetrics(reg), WithJournal(j)).Run(context.Background(), sc.Graph); err != nil {
@@ -161,7 +160,7 @@ func TestEveryActivityHasItsSpan(t *testing.T) {
 	}
 	var run obs.SpanRecord
 	var nodes []obs.SpanRecord
-	for _, sp := range reg.Snapshot().Spans {
+	for _, sp := range obs.Spans(evs) {
 		switch {
 		case sp.Name == "engine/parallel":
 			run = sp

@@ -3,27 +3,22 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"html"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Snapshot is a point-in-time, serialization-friendly copy of a registry:
-// every series with its current value, plus the recent span window. All
-// times are durations or offsets — a snapshot carries no absolute
-// wall-clock values, so it is safe to diff across runs.
+// every series with its current value. All times are durations — a
+// snapshot carries no absolute wall-clock values, so it is safe to diff
+// across runs.
 type Snapshot struct {
 	UptimeSeconds float64          `json:"uptime_seconds"`
 	Counters      []CounterPoint   `json:"counters"`
 	Gauges        []GaugePoint     `json:"gauges"`
 	Histograms    []HistogramPoint `json:"histograms"`
-	Spans         []SpanRecord     `json:"spans,omitempty"`
 }
 
 // CounterPoint is one counter series in a snapshot.
@@ -93,7 +88,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Series < snap.Counters[j].Series })
 	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Series < snap.Gauges[j].Series })
 	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Series < snap.Histograms[j].Series })
-	snap.Spans = r.RecentSpans(0)
 	return snap
 }
 
@@ -254,103 +248,4 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Handler returns the debug HTTP handler for a registry:
-//
-//	/             a human-readable status page
-//	/metrics      Prometheus text exposition
-//	/metrics.json the JSON snapshot
-func Handler(r *Registry) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.Snapshot().WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		r.Snapshot().WriteJSON(w)
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/" {
-			http.NotFound(w, req)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeStatusPage(w, r.Snapshot())
-	})
-	return mux
-}
-
-// writeStatusPage renders the snapshot as a minimal HTML status page.
-func writeStatusPage(w io.Writer, s Snapshot) {
-	fmt.Fprintf(w, "<!DOCTYPE html><html><head><title>etlopt status</title>"+
-		"<style>body{font-family:monospace}table{border-collapse:collapse}"+
-		"td,th{border:1px solid #999;padding:2px 8px;text-align:left}</style>"+
-		"</head><body><h1>etlopt status</h1><p>uptime %.1fs</p>", s.UptimeSeconds)
-	fmt.Fprint(w, "<h2>Counters</h2><table><tr><th>series</th><th>value</th></tr>")
-	for _, c := range s.Counters {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td></tr>", html.EscapeString(c.Series), c.Value)
-	}
-	fmt.Fprint(w, "</table><h2>Gauges</h2><table><tr><th>series</th><th>value</th></tr>")
-	for _, g := range s.Gauges {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td></tr>", html.EscapeString(g.Series), formatValue(g.Value))
-	}
-	fmt.Fprint(w, "</table><h2>Histograms</h2><table><tr><th>series</th><th>count</th><th>sum</th></tr>")
-	for _, h := range s.Histograms {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%s</td></tr>",
-			html.EscapeString(h.Series), h.Count, formatValue(h.Sum))
-	}
-	fmt.Fprint(w, "</table><h2>Recent spans</h2><table><tr><th>span</th><th>depth</th><th>start&nbsp;+s</th><th>duration</th></tr>")
-	for _, sp := range s.Spans {
-		fmt.Fprintf(w, "<tr><td>%s%s</td><td>%d</td><td>%.3f</td><td>%s</td></tr>",
-			strings.Repeat("&nbsp;&nbsp;", sp.Depth), html.EscapeString(sp.Name),
-			sp.Depth, sp.StartOffsetSeconds,
-			time.Duration(sp.DurationSeconds*float64(time.Second)).Round(time.Microsecond))
-	}
-	fmt.Fprint(w, "</table></body></html>")
-}
-
-// Serve starts the debug HTTP listener for a registry on addr (e.g.
-// "localhost:6060", or "localhost:0" for an ephemeral port). It returns
-// the bound address and a shutdown function. This backs the CLIs'
-// -debug-addr flag.
-func Serve(addr string, r *Registry) (boundAddr string, stop func() error, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: Handler(r)}
-	go srv.Serve(ln)
-	return ln.Addr().String(), srv.Close, nil
-}
-
-// StartProgress emits line() to w every interval until the returned stop
-// function is called (stop waits for the emitter to finish, and emits one
-// final line so short runs still report). A nil writer or non-positive
-// interval yields a no-op stop.
-func StartProgress(w io.Writer, interval time.Duration, line func() string) (stop func()) {
-	if w == nil || interval <= 0 || line == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				fmt.Fprintln(w, line())
-			case <-done:
-				fmt.Fprintln(w, line())
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
 }

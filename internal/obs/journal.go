@@ -86,7 +86,10 @@ const (
 // journal was opened (journals carry no absolute wall-clock values, like
 // snapshots); Seq is a process-wide emission sequence number, so a sort by
 // Seq reconstructs emission order even though concurrent emitters may
-// interleave arbitrarily in the file.
+// interleave arbitrarily in the file. Run is the id of the Recorder that
+// emitted the event, unique within its journal (0 for an event emitted
+// straight to the journal): the events of one run share it, so Spans can
+// keep concurrent runs apart.
 //
 // Part is the engine partition index; encoding omits zero values, so a
 // batch event without a "part" field is partition 0.
@@ -94,6 +97,7 @@ type Event struct {
 	Seq      int64   `json:"seq"`
 	T        string  `json:"t"`
 	Off      float64 `json:"off"`
+	Run      int64   `json:"run,omitempty"`
 	Op       string  `json:"op,omitempty"`
 	Action   string  `json:"action,omitempty"`
 	Node     string  `json:"node,omitempty"`
@@ -110,7 +114,8 @@ type Event struct {
 	Errors   int64   `json:"errors,omitempty"`
 }
 
-// Typed event constructors. They only fill fields; Emit stamps Seq and Off.
+// Typed event constructors. They only fill fields; Journal.Emit stamps Seq
+// and Off, Recorder.Emit stamps Run.
 
 // RunEvent marks a run boundary ("start"/"end") for the named tool/mode.
 func RunEvent(action, detail string) Event {
@@ -207,6 +212,7 @@ type Journal struct {
 	done          chan struct{}
 	start         time.Time
 	seq           atomic.Int64
+	runs          atomic.Int64 // the last run id handed to a Recorder
 	written       atomic.Int64
 	dropped       atomic.Int64
 	errs          atomic.Int64
@@ -217,7 +223,7 @@ type Journal struct {
 	owned io.Closer // non-nil when the journal opened the file itself
 
 	// Registry mirrors, may be nil: the same accounting as the summary
-	// event, live, for the status page and snapshots.
+	// event, for -metrics snapshots.
 	cWritten *Counter
 	cDropped *Counter
 	cErrors  *Counter
@@ -345,9 +351,11 @@ func (j *Journal) Written() int64 {
 
 // Close stops the journal: it drains the buffered events, appends the
 // summary event (total written, dropped, write errors), flushes, and —
-// for NewJournalFile journals — closes the file. Emits racing or
-// following Close are counted as drops, never a panic. Close returns the
-// first write failure, if any occurred, so callers can surface a warning;
+// for NewJournalFile journals — closes the file. The caller quiesces every
+// emitter first: an Emit racing Close may leave its event neither written
+// nor counted. An Emit after Close is counted as a drop, never a panic.
+// Close returns the first write failure, if any occurred, so callers can
+// surface a warning;
 // the failure is informational — every counted event before it was
 // already accepted without blocking the run. Closing twice or closing a
 // nil journal is a no-op.

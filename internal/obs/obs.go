@@ -1,12 +1,12 @@
 // Package obs is the observability substrate of the optimizer and the
 // execution engine: typed events (journal.go) recorded through one per-run
 // Recorder (recorder.go), which folds each into a metrics registry
-// (counters, gauges, histograms with lock-free atomic hot paths, and the
-// spans derived from events) before the flight-recorder journal receives
-// it, plus the exposition machinery behind the CLIs' -metrics,
-// -trace-out and -debug-addr flags (JSON snapshots, Prometheus text
-// format, trace-event JSON, a live status page and a periodic progress
-// line).
+// (counters, gauges, histograms with lock-free atomic hot paths) and
+// stamps it with its run's id before the flight-recorder journal receives
+// it. A run's artefacts are the journal and, with -metrics, a registry
+// snapshot (JSON or Prometheus text); its span tree is a function of the
+// journal (Spans, span.go), written as trace-event JSON by
+// `etlvet obs -format trace`.
 //
 // Two properties shape the design:
 //
@@ -228,10 +228,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// Registry holds a process- or run-scoped set of named instruments plus a
-// bounded log of completed spans, which Recorders derive from events. A
-// nil *Registry is the disabled state: its instrument constructors return
-// nil handles, which no-op.
+// Registry holds a process- or run-scoped set of named instruments. A nil
+// *Registry is the disabled state: its instrument constructors return nil
+// handles, which no-op.
 //
 // Series are identified by a metric family name plus optional label
 // key/value pairs; the same (family, labels) always returns the same
@@ -243,25 +242,16 @@ type Registry struct {
 	counters   map[seriesKey]*Counter
 	gauges     map[seriesKey]*Gauge
 	histograms map[seriesKey]*Histogram
-
-	spanSeq atomic.Int64
-	spans   spanLog
 }
 
 // NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		created:    now(),
 		counters:   make(map[seriesKey]*Counter),
 		gauges:     make(map[seriesKey]*Gauge),
 		histograms: make(map[seriesKey]*Histogram),
 	}
-	// The span window and its loss accounting exist from the start, so
-	// obs_spans_dropped_total is always present in snapshots — zero until
-	// the window actually overwrites history.
-	r.spans.cap = spanLogCap
-	r.spans.dropped = r.Counter("obs_spans_dropped_total")
-	return r
 }
 
 // seriesKey identifies a series by its family and up to two label pairs,

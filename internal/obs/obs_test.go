@@ -2,12 +2,10 @@ package obs
 
 import (
 	"math"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"etlopt/internal/stats"
 )
@@ -38,9 +36,6 @@ func TestNilHandlesNoOp(t *testing.T) {
 	rec.Emit(RunEvent("start", "root"))
 	rec.Declare(NodeEvent("leaf", 1, 0))
 	rec.Phase("p")()
-	if got := r.RecentSpans(0); got != nil {
-		t.Fatalf("nil registry spans = %v, want nil", got)
-	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot must be empty")
@@ -85,9 +80,6 @@ func TestConcurrentInstruments(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i%4) * 0.25)
-				if i%100 == 0 {
-					runSpan(r, "hammer")
-				}
 			}
 		}(w)
 	}
@@ -168,10 +160,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r.Counter("states_total", "algo", "HS").Add(42)
 	r.Gauge("best_cost").Set(123.5)
 	r.Histogram("lat_seconds", []float64{0.1, 1}).Observe(0.05)
-	rec := NewRecorder(r, nil)
-	rec.Emit(RunEvent("start", "run"))
-	rec.Phase("phase")()
-	rec.Emit(RunEvent("end", "run"))
 
 	snap := r.Snapshot()
 	var b strings.Builder
@@ -190,13 +178,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if v, ok := back.GaugeValue("best_cost"); !ok || v != 123.5 {
 		t.Fatalf("gauge value = %v, %v; want 123.5, true", v, ok)
-	}
-	if len(back.Spans) != 2 {
-		t.Fatalf("spans round-tripped = %d, want 2", len(back.Spans))
-	}
-	// Spans complete innermost-first; the child must carry its parent.
-	if back.Spans[0].Name != "phase" || back.Spans[0].Parent != "run" || back.Spans[0].Depth != 1 {
-		t.Fatalf("child span = %+v", back.Spans[0])
 	}
 	if snap.Has("missing") {
 		t.Fatalf("Has must not invent series")
@@ -233,104 +214,8 @@ func TestWritePrometheus(t *testing.T) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
-	// obs_span_seconds is absent (no spans ended), and no series repeats
-	// its TYPE line.
+	// No family repeats its TYPE line.
 	if strings.Count(out, "# TYPE h_seconds histogram") != 1 {
 		t.Fatalf("TYPE line must appear once per family:\n%s", out)
 	}
 }
-
-func TestSpanRing(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < spanLogCap+10; i++ {
-		runSpan(r, "s")
-	}
-	got := r.RecentSpans(0)
-	if len(got) != spanLogCap {
-		t.Fatalf("ring keeps %d spans, want %d", len(got), spanLogCap)
-	}
-	if len(r.RecentSpans(5)) != 5 {
-		t.Fatalf("RecentSpans(5) must cap the window")
-	}
-	if h := r.Histogram("obs_span_seconds", nil, "span", "s"); h.Count() != spanLogCap+10 {
-		t.Fatalf("span histogram count = %d, want %d", h.Count(), spanLogCap+10)
-	}
-}
-
-func TestServeAndHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("served_total").Add(3)
-	addr, stop, err := Serve("localhost:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var b strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			b.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		return b.String()
-	}
-	if out := get("/metrics"); !strings.Contains(out, "served_total 3") {
-		t.Fatalf("/metrics missing counter:\n%s", out)
-	}
-	snap, err := ReadSnapshot(strings.NewReader(get("/metrics.json")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := snap.CounterValue("served_total"); !ok || v != 3 {
-		t.Fatalf("/metrics.json counter = %d, %v", v, ok)
-	}
-	if page := get("/"); !strings.Contains(page, "served_total") {
-		t.Fatalf("status page missing counter:\n%s", page)
-	}
-}
-
-func TestStartProgress(t *testing.T) {
-	var mu sync.Mutex
-	var b strings.Builder
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return b.Write(p)
-	})
-	stop := StartProgress(w, 10*time.Millisecond, func() string { return "tick" })
-	time.Sleep(35 * time.Millisecond)
-	stop()
-	mu.Lock()
-	out := b.String()
-	mu.Unlock()
-	if strings.Count(out, "tick") < 2 {
-		t.Fatalf("expected periodic + final progress lines, got %q", out)
-	}
-	// Disabled variants are inert.
-	StartProgress(nil, time.Second, func() string { return "x" })()
-	StartProgress(w, 0, func() string { return "x" })()
-	StartProgress(w, time.Second, nil)()
-}
-
-// runSpan records one root span named name: a run's start and end events
-// through a recorder of its own.
-func runSpan(r *Registry, name string) {
-	rec := NewRecorder(r, nil)
-	rec.Emit(RunEvent("start", name))
-	rec.Emit(RunEvent("end", name))
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

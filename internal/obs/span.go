@@ -1,25 +1,17 @@
 package obs
 
 import (
-	"sync"
+	"cmp"
+	"slices"
 )
 
-// spanLogCap is the default bound on the completed-span window per
-// registry. Old spans are overwritten (and counted as dropped in
-// obs_spans_dropped_total); live introspection wants the recent past, not
-// history. Registry.SetSpanCap raises or lowers the bound — the CLIs'
-// -trace-out raises it before a run so the whole run's tree survives to
-// the export.
-const spanLogCap = 256
-
-// SpanRecord is a completed span as kept in the registry's window and
-// reported by snapshots. Spans are derived from events by a Recorder: a
-// run's or a phase's start/end pair, or a node event (recorder.go). Times
-// are relative to the registry's creation so records are
-// position-independent (no absolute wall-clock leaks into exhibits).
+// SpanRecord is one span of a run's trace tree, as Spans derives it from a
+// journal. Times are offsets from the journal's opening, like the events'
+// Off, so records carry no absolute wall-clock values.
 type SpanRecord struct {
-	// ID is registry-unique; ParentID is the enclosing span's ID (0 at a
-	// root) and TraceID the root span's ID, shared by the whole tree.
+	// ID is unique among the spans of one journal; ParentID is the
+	// enclosing span's ID (0 at a root) and TraceID the root span's ID,
+	// shared by the whole tree.
 	ID       int64 `json:"id"`
 	ParentID int64 `json:"parent_id,omitempty"`
 	TraceID  int64 `json:"trace_id"`
@@ -28,105 +20,77 @@ type SpanRecord struct {
 	Name   string `json:"name"`
 	Parent string `json:"parent,omitempty"`
 	Depth  int    `json:"depth"`
-	// StartOffsetSeconds is the span's start relative to registry
-	// creation; DurationSeconds its length.
+	// StartOffsetSeconds is the span's start relative to the journal's
+	// opening; DurationSeconds its length.
 	StartOffsetSeconds float64 `json:"start_offset_seconds"`
 	DurationSeconds    float64 `json:"duration_seconds"`
 }
 
-// spanLog is a bounded ring of completed spans, grown on demand up to its
-// capacity. Overwrites of not-yet-snapshotted records are counted in
-// dropped, so span loss is visible instead of silent.
-type spanLog struct {
-	mu      sync.Mutex
-	ring    []SpanRecord
-	cap     int
-	n       int // total appended since the last resize
-	dropped *Counter
-}
-
-func (l *spanLog) add(rec SpanRecord) {
-	l.mu.Lock()
-	if len(l.ring) < l.cap {
-		l.ring = append(l.ring, rec)
-	} else {
-		l.dropped.Inc()
-		l.ring[l.n%l.cap] = rec
+// Spans derives the span tree of every run recorded in a journal's events.
+// Events are taken in Seq order and grouped by Run:
+//
+//   - a run's start/end pair is its root span, named by the start's Detail;
+//   - a phase's start/end pair is a span named by its Op, and each node
+//     event a span named node/<Node> over [Off−Sec, Off];
+//   - the phase and node spans of a run lie under its root, or are roots of
+//     their own when the run has no root span.
+//
+// A start whose end never comes, or an end with no start, gives no span.
+// IDs follow the Seq of each span's first event, so the result, ordered by
+// ID, is a function of the journal alone. Spans are exact wherever the
+// journal dropped nothing.
+func Spans(events []Event) []SpanRecord {
+	evs := slices.Clone(events)
+	slices.SortStableFunc(evs, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	type found struct {
+		at   int // index in evs of the span's first event
+		run  int64
+		root bool
+		rec  SpanRecord
 	}
-	l.n++
-	l.mu.Unlock()
-}
-
-// recent returns up to max completed spans, oldest first.
-func (l *spanLog) recent(max int) []SpanRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recentLocked(max)
-}
-
-// resize bounds the ring at capacity c, keeping the most recent
-// min(kept, c) records. Records shed by a shrink count as dropped.
-func (l *spanLog) resize(c int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if kept := len(l.ring); kept > c {
-		l.dropped.Add(int64(kept - c))
+	type pair struct {
+		run     int64
+		t, name string
 	}
-	l.ring = l.recentLocked(c)
-	l.cap = c
-	l.n = len(l.ring)
-}
-
-// recentLocked is recent(max) for callers already holding the mutex.
-func (l *spanLog) recentLocked(max int) []SpanRecord {
-	n := len(l.ring)
-	if max > 0 && n > max {
-		n = max
+	var spans []found
+	open := map[pair]int{} // an open pair -> index in evs of its start
+	for i, e := range evs {
+		switch e.T {
+		case EventNode:
+			spans = append(spans, found{i, e.Run, false, SpanRecord{
+				Name: "node/" + e.Node, StartOffsetSeconds: e.Off - e.Sec, DurationSeconds: e.Sec}})
+		case EventRun, EventPhase:
+			k := pair{e.Run, e.T, e.Op}
+			switch s, ok := open[k]; {
+			case e.Action == "start":
+				open[k] = i
+			case e.Action == "end" && ok:
+				delete(open, k)
+				start := evs[s]
+				name := start.Op
+				if e.T == EventRun {
+					name = start.Detail
+				}
+				spans = append(spans, found{s, e.Run, e.T == EventRun, SpanRecord{
+					Name: name, StartOffsetSeconds: start.Off, DurationSeconds: e.Off - start.Off}})
+			}
+		}
 	}
-	out := make([]SpanRecord, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, l.ring[(l.n-n+i)%len(l.ring)])
+	slices.SortFunc(spans, func(a, b found) int { return cmp.Compare(a.at, b.at) })
+	roots := map[int64]int{} // run -> index in spans of its root
+	for i, sp := range spans {
+		if _, ok := roots[sp.run]; sp.root && !ok {
+			roots[sp.run] = i
+		}
+	}
+	out := make([]SpanRecord, len(spans))
+	for i, sp := range spans {
+		rec := sp.rec
+		rec.ID, rec.TraceID = int64(i+1), int64(i+1)
+		if r, ok := roots[sp.run]; ok && r != i {
+			rec.ParentID, rec.TraceID, rec.Parent, rec.Depth = int64(r+1), int64(r+1), spans[r].rec.Name, 1
+		}
+		out[i] = rec
 	}
 	return out
-}
-
-// SetSpanCap bounds the completed-span window at c records, keeping the
-// most recent records it already holds. c <= 0 restores the default.
-// Shrinking counts the shed records in obs_spans_dropped_total. The window
-// grows as spans complete, so a large bound costs nothing until it is
-// used. No-op on a nil registry.
-func (r *Registry) SetSpanCap(c int) {
-	if r == nil {
-		return
-	}
-	if c <= 0 {
-		c = spanLogCap
-	}
-	r.spans.resize(c)
-}
-
-// SpansDropped reports how many completed spans have been lost to window
-// overwrites or shrinks; the same number is exposed as the
-// obs_spans_dropped_total counter.
-func (r *Registry) SpansDropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.spans.dropped.Value()
-}
-
-// addSpan completes a span: its duration is observed into the
-// obs_span_seconds{span=name} histogram and the record joins the window.
-func (r *Registry) addSpan(rec SpanRecord) {
-	r.Histogram("obs_span_seconds", nil, "span", rec.Name).Observe(rec.DurationSeconds)
-	r.spans.add(rec)
-}
-
-// RecentSpans returns up to max recently completed spans, oldest first
-// (max ≤ 0 means the full retained window).
-func (r *Registry) RecentSpans(max int) []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	return r.spans.recent(max)
 }

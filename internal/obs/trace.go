@@ -3,19 +3,18 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 )
 
-// Trace export: the snapshot's completed-span window rendered as Chrome
-// trace-event JSON (the "JSON Array Format" with a traceEvents wrapper),
-// loadable in Perfetto (ui.perfetto.dev) and chrome://tracing. Each trace
-// tree — a root span and its descendants — gets its own track (tid =
-// TraceID), named after the root span; every span becomes one complete
-// ("ph":"X") event with microsecond timestamps relative to registry
-// creation. The span's ID and its parent's name travel in args, so the
-// UI's selection panel shows them.
+// Trace export: spans rendered as Chrome trace-event JSON (the "JSON Array
+// Format" with a traceEvents wrapper), loadable in Perfetto
+// (ui.perfetto.dev) and chrome://tracing. Each trace tree — a root span
+// and its descendants — gets its own track (tid = TraceID), named after
+// the root span; every span becomes one complete ("ph":"X") event with
+// microsecond timestamps relative to the journal's opening. The span's ID
+// and its parent's name travel in args, so the UI's selection panel shows
+// them.
 
 // traceEvent is one record in the trace-event JSON format.
 type traceEvent struct {
@@ -35,11 +34,11 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteTraceEvents writes the snapshot's spans as Chrome/Perfetto
-// trace-event JSON. Output is deterministic for a given snapshot: spans
-// sort by start offset, then ID.
-func (s Snapshot) WriteTraceEvents(w io.Writer) error {
-	spans := append([]SpanRecord(nil), s.Spans...)
+// WriteTraceEvents writes spans as Chrome/Perfetto trace-event JSON.
+// Output is deterministic for given spans: they sort by start offset, then
+// ID.
+func WriteTraceEvents(w io.Writer, spans []SpanRecord) error {
+	spans = append([]SpanRecord(nil), spans...)
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].StartOffsetSeconds != spans[j].StartOffsetSeconds {
 			return spans[i].StartOffsetSeconds < spans[j].StartOffsetSeconds
@@ -56,9 +55,7 @@ func (s Snapshot) WriteTraceEvents(w io.Writer) error {
 		Args: map[string]string{"name": "etlopt"},
 	})
 
-	// One named track per trace tree, labeled by its root span. Roots are
-	// spans with no parent; a trace whose root fell out of the span window
-	// keeps a numeric label.
+	// One named track per trace tree, labeled by its root span.
 	rootName := map[int64]string{}
 	for _, sp := range spans {
 		if sp.ParentID == 0 {
@@ -96,17 +93,4 @@ func (s Snapshot) WriteTraceEvents(w io.Writer) error {
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// WriteTraceEventsFile writes the trace-event JSON to path.
-func (s Snapshot) WriteTraceEventsFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteTraceEvents(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

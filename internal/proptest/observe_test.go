@@ -28,7 +28,8 @@ const observationsGolden = "testdata/observations.golden"
 // TestObservationsUnchanged pins what the engine, the search and the suite
 // cache record, with a registry and a journal attached: every series name,
 // every counter value, every histogram count, every gauge that is not a
-// time, and the journal's multiset of events with Seq, Off and Sec zeroed.
+// time, the spans obs.Spans derives from the journal, counted by name, and
+// the journal's multiset of events with Seq, Off, Sec and Run zeroed.
 // Four sections, each on its own registry and journal:
 //
 //   - fig1, small: Fig1Scenario and a generated small workflow at P ∈ {1, 4},
@@ -210,7 +211,6 @@ func observeEngine(t *testing.T, sc *templates.Scenario, seed int64, reg *obs.Re
 func observeSection(t *testing.T, section string, gaugeValues bool, fn func(*obs.Registry, *obs.Journal)) []string {
 	t.Helper()
 	reg := obs.NewRegistry()
-	reg.SetSpanCap(1 << 12)
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, reg)
 	fn(reg, j)
@@ -241,9 +241,16 @@ func observeSection(t *testing.T, section string, gaugeValues bool, fn func(*obs
 	for _, h := range snap.Histograms {
 		lines = append(lines, fmt.Sprintf("histogram %s count %d", h.Series, h.Count))
 	}
+	spans := map[string]int{}
+	for _, sp := range obs.Spans(evs) {
+		spans[sp.Name]++
+	}
+	for name, n := range spans {
+		lines = append(lines, fmt.Sprintf("span %s x%d", name, n))
+	}
 	events := map[string]int{}
 	for _, e := range evs {
-		e.Seq, e.Off, e.Sec = 0, 0, 0
+		e.Seq, e.Off, e.Sec, e.Run = 0, 0, 0, 0
 		b, err := json.Marshal(e)
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,6 @@ func TestSuiteNodeSpansUnderTheirOwnRun(t *testing.T) {
 	}
 	wfs := suiteWorkflows(scs)
 	reg := obs.NewRegistry()
-	reg.SetSpanCap(1 << 12)
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, reg)
 	eopts := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(2), engine.WithMetrics(reg), engine.WithJournal(j)}
@@ -67,7 +66,7 @@ func TestSuiteNodeSpansUnderTheirOwnRun(t *testing.T) {
 	}
 	runs := map[int64]obs.SpanRecord{}
 	children := map[int64][]string{}
-	spans := reg.Snapshot().Spans
+	spans := obs.Spans(evs)
 	for _, sp := range spans {
 		if strings.HasPrefix(sp.Name, "engine/") {
 			runs[sp.ID] = sp

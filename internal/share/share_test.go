@@ -2,11 +2,14 @@ package share
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
@@ -173,7 +176,12 @@ func TestRunSuiteSingleWorkflowHomologousTwins(t *testing.T) {
 	checkSameResult(t, "wf0", solo, res.Workflows[0].Result)
 }
 
-func TestRunSuiteFailureIsolation(t *testing.T) {
+// poisonedSuite is two members sharing a prefix and an independent third,
+// with one shared source poisoned in both sharing members: the bound
+// recordset digests fine during planning but its schema no longer matches
+// the graph's declaration, so the producer stage fails at scan time.
+func poisonedSuite(t *testing.T) []Workflow {
+	t.Helper()
 	scs, err := generator.SharedSuite(generator.Small, 2, 777)
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +191,6 @@ func TestRunSuiteFailureIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wfs := suiteWorkflows(append(scs, indep))
-
-	// Poison one shared source in both sharing members: the bound recordset
-	// digests fine during planning but its schema no longer matches the
-	// graph's declaration, so the producer stage fails at scan time.
 	srcs := scs[0].Graph.Sources()
 	if len(srcs) == 0 {
 		t.Fatal("scenario has no sources")
@@ -199,8 +203,11 @@ func TestRunSuiteFailureIsolation(t *testing.T) {
 		}
 		wfs[i].Bindings[name] = bad
 	}
+	return wfs
+}
 
-	res, err := RunSuite(context.Background(), wfs, Options{Workers: 4, CacheBytes: -1})
+func TestRunSuiteFailureIsolation(t *testing.T) {
+	res, err := RunSuite(context.Background(), poisonedSuite(t), Options{Workers: 4, CacheBytes: -1})
 	if err != nil {
 		t.Fatalf("RunSuite must isolate execution failures, got: %v", err)
 	}
@@ -348,5 +355,81 @@ func TestCancelledSuiteLeavesNoSpillFiles(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Errorf("the cancelled suite left %d entries in its spill directory, first %s", len(left), left[0].Name())
+	}
+}
+
+// settled waits for the goroutine count to fall back to before.
+func settled(before int) int {
+	for wait := 0; runtime.NumGoroutine() > before && wait < 400; wait++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestSuiteLeavesNoGoroutine: every goroutine a suite starts — its stage
+// and member runs, their partitions and source readers — has exited once
+// RunSuite returns, or is about to: after a clean suite, after one whose
+// members fail, and after one cancelled mid-run.
+func TestSuiteLeavesNoGoroutine(t *testing.T) {
+	scs, err := generator.SharedSuite(generator.Small, 3, 4242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(4)}
+	for _, c := range []struct {
+		name  string
+		suite func(cancel context.CancelFunc) []Workflow
+		opts  Options
+		check func(*Result) string
+	}{
+		{"clean", func(context.CancelFunc) []Workflow { return suiteWorkflows(scs) },
+			Options{Workers: 4, CacheBytes: -1, Engine: parallel},
+			func(res *Result) string {
+				for _, wr := range res.Workflows {
+					if wr.Err != nil {
+						return wr.Err.Error()
+					}
+				}
+				return ""
+			}},
+		{"failing member", func(context.CancelFunc) []Workflow { return poisonedSuite(t) },
+			Options{Workers: 4, CacheBytes: -1, Engine: parallel},
+			func(res *Result) string {
+				if res.Workflows[0].Err == nil || res.Workflows[2].Err != nil {
+					return "want the poisoned member failed and the independent one loaded"
+				}
+				return ""
+			}},
+		{"cancelled", func(cancel context.CancelFunc) []Workflow {
+			wfs := codeSuite(t)
+			for _, wf := range wfs {
+				wf.Bindings["EXTRA"] = &cancelOnScan{Recordset: wf.Bindings["EXTRA"], nth: 1, cancel: cancel}
+			}
+			return wfs
+		}, Options{Workers: 2, CacheBytes: 0, SpillDir: t.TempDir(), Engine: parallel},
+			func(res *Result) string {
+				for _, wr := range res.Workflows {
+					if errors.Is(wr.Err, context.Canceled) {
+						return ""
+					}
+				}
+				return "no member was cancelled"
+			}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		wfs := c.suite(cancel)
+		before := runtime.NumGoroutine()
+		res, err := RunSuite(ctx, wfs, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if msg := c.check(res); msg != "" {
+			t.Errorf("%s: %s", c.name, msg)
+		}
+		if after := settled(before); after > before {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%s: %d goroutines before the suite, %d after it returned:\n%s", c.name, before, after, buf[:runtime.Stack(buf, true)])
+		}
+		cancel()
 	}
 }

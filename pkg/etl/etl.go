@@ -95,7 +95,7 @@ type (
 	// Mode selects the engine's execution strategy.
 	Mode = engine.Mode
 	// MetricsRegistry collects observability series (counters, gauges,
-	// histograms, spans) from the optimizer and the engine. Collection is
+	// histograms) from the optimizer and the engine. Collection is
 	// write-only: results are bit-identical with metrics on or off.
 	MetricsRegistry = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a MetricsRegistry,
