@@ -561,39 +561,6 @@ func BenchmarkParallelHS(b *testing.B) {
 	}
 }
 
-// BenchmarkPhysicalVsLogical optimizes the same workflow under the
-// logical row model and under the physical model (hash/sort operator
-// choice, cached lookups, I/O-aware spills) — the §6 "physical
-// optimization" direction. Plans may differ: under the physical model,
-// keeping flows below the hash-memory threshold pays, while n·log₂n
-// blocking costs vanish for in-memory inputs.
-func BenchmarkPhysicalVsLogical(b *testing.B) {
-	sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, 36))
-	if err != nil {
-		b.Fatal(err)
-	}
-	models := map[string]cost.Model{
-		"RowModel":      cost.RowModel{},
-		"PhysicalModel": cost.DefaultPhysicalModel(),
-	}
-	for name, m := range models {
-		b.Run(name, func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = core.Heuristic(context.Background(), sc.Graph, core.Options{
-					Model: m, IncrementalCost: true, MaxStates: 6_000,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Improvement(), "improvement%")
-			b.ReportMetric(res.BestCost, "final-cost")
-		})
-	}
-}
-
 // BenchmarkTraceOverhead measures what transition tracing costs the
 // heuristic search: the Off/On pair must show identical allocation counts
 // when tracing is off versus the pre-trace baseline — recording is gated

@@ -158,7 +158,7 @@ func run() error {
 	}
 
 	if *tracePath != "" {
-		t, err := analysis.NewTrace(res, g, cost.RowModel{})
+		t, err := analysis.NewTrace(res, g)
 		if err != nil {
 			return err
 		}

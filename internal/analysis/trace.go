@@ -23,7 +23,7 @@ import (
 type Trace struct {
 	// Algorithm names the search that produced the run (ES, HS, HS-Greedy).
 	Algorithm string `json:"algorithm"`
-	// Model names the cost model: "row" or "physical".
+	// Model names the cost model; "row" is the only one.
 	Model string `json:"model"`
 	// Workflow is the initial state S0 in the workflow definition format.
 	Workflow string `json:"workflow"`
@@ -39,21 +39,11 @@ type Trace struct {
 	Steps []core.TraceStep `json:"steps"`
 }
 
-// ModelName returns the trace-file name of a cost model.
-func ModelName(m cost.Model) string {
-	if _, ok := m.(cost.PhysicalModel); ok {
-		return "physical"
-	}
-	return "row"
-}
-
 // modelByName resolves a trace-file model name.
 func modelByName(name string) (cost.Model, error) {
 	switch name {
 	case "", "row":
 		return cost.RowModel{}, nil
-	case "physical":
-		return cost.DefaultPhysicalModel(), nil
 	default:
 		return nil, fmt.Errorf("analysis: unknown cost model %q", name)
 	}
@@ -65,7 +55,7 @@ func modelByName(name string) (cost.Model, error) {
 // the round-trip is verified — a workflow whose re-parse does not
 // reproduce its node IDs cannot be replayed, and is reported here rather
 // than as a spurious audit failure later.
-func NewTrace(res *core.Result, g0 *workflow.Graph, model cost.Model) (*Trace, error) {
+func NewTrace(res *core.Result, g0 *workflow.Graph) (*Trace, error) {
 	if res.Steps == nil && res.Best.Signature() != g0.Signature() {
 		return nil, fmt.Errorf("analysis: result carries no transition trace; run the search with Options.Trace")
 	}
@@ -86,7 +76,7 @@ func NewTrace(res *core.Result, g0 *workflow.Graph, model cost.Model) (*Trace, e
 	}
 	return &Trace{
 		Algorithm:   res.Algorithm,
-		Model:       ModelName(model),
+		Model:       "row",
 		Workflow:    src,
 		InitialSig:  g0.Signature(),
 		InitialCost: res.InitialCost,

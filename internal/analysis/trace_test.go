@@ -37,7 +37,7 @@ func runTraced(t *testing.T, algo string) (*core.Result, *workflow.Graph) {
 
 func mustTrace(t *testing.T, res *core.Result, g *workflow.Graph) *Trace {
 	t.Helper()
-	tr, err := NewTrace(res, g, cost.RowModel{})
+	tr, err := NewTrace(res, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,24 +197,25 @@ func TestNewTraceRequiresTracing(t *testing.T) {
 	if res.Steps != nil {
 		t.Fatalf("tracing off must record no steps, got %d", len(res.Steps))
 	}
-	if _, err := NewTrace(res, g, cost.RowModel{}); err == nil {
+	if _, err := NewTrace(res, g); err == nil {
 		t.Fatal("NewTrace should refuse a stepless improving result")
 	}
 }
 
-// TestModelNameRoundTrips both model names through the resolver.
+// TestModelNameRoundTrips the name a trace records through the resolver,
+// which refuses any other name — "physical" included, the name of a model
+// that no longer exists.
 func TestModelNameRoundTrips(t *testing.T) {
-	for _, m := range []cost.Model{cost.RowModel{}, cost.DefaultPhysicalModel()} {
-		name := ModelName(m)
-		got, err := modelByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ModelName(got) != name {
-			t.Errorf("model %q round-trips as %q", name, ModelName(got))
-		}
+	tr, err := NewTrace(&core.Result{Best: templates.Fig1Workflow()}, templates.Fig1Workflow())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := modelByName("quantum"); err == nil {
-		t.Error("unknown model name should error")
+	if got, err := modelByName(tr.Model); err != nil || got != (cost.RowModel{}) {
+		t.Errorf("trace model %q resolves as %v, %v", tr.Model, got, err)
+	}
+	for _, name := range []string{"quantum", "physical"} {
+		if _, err := modelByName(name); err == nil {
+			t.Errorf("unknown model name %q should error", name)
+		}
 	}
 }

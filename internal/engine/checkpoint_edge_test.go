@@ -65,13 +65,8 @@ func sameAsClean(t testing.TB, sc *templates.Scenario, res *RunResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rows := range clean.Targets {
-		if !rowsIdentical(rows, res.Targets[name]) {
-			t.Errorf("target %s differs from a clean run's", name)
-		}
-	}
-	if !reflect.DeepEqual(res.NodeRows, clean.NodeRows) {
-		t.Errorf("NodeRows %v, a clean run's %v", res.NodeRows, clean.NodeRows)
+	if err := SameRun(clean, res); err != nil {
+		t.Errorf("not a clean run: %v", err)
 	}
 }
 
@@ -361,8 +356,8 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rowsIdentical(res.Targets["DW.PARTS"], plain.Targets["DW.PARTS"]) {
-		t.Error("resumed run differs from a clean run")
+	if err := SameRun(plain, res); err != nil {
+		t.Errorf("resumed run differs from a clean run: %v", err)
 	}
 }
 

@@ -47,8 +47,8 @@ func TestCheckpointRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rowsIdentical(res.Targets["DW.PARTS"], plain.Targets["DW.PARTS"]) {
-		t.Error("checkpointed run differs from plain run")
+	if err := SameRun(plain, res); err != nil {
+		t.Errorf("checkpointed run differs from plain run: %v", err)
 	}
 	// Success cleans the staging area.
 	staged, err := cr.Staged()
@@ -154,8 +154,8 @@ func TestCheckpointSignatureMismatchClearsStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rowsIdentical(res.Targets["DW.PARTS"], plain.Targets["DW.PARTS"]) {
-		t.Error("stale stages leaked into a different workflow's run")
+	if err := SameRun(plain, res); err != nil {
+		t.Errorf("stale stages leaked into a different workflow's run: %v", err)
 	}
 }
 

@@ -24,7 +24,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -134,6 +136,64 @@ type RunResult struct {
 	NodeRows map[workflow.NodeID]int
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
+}
+
+// SameRun returns nil when got is the same run as want — the run-level
+// form of §2.2's "same input, same output" that every equivalence check
+// holds the engine to: the same target names, each target's rows the same
+// typed values in the same order (equal lengths and Rows.Digest, which
+// tells Int(2) from Float(2)), and equal NodeRows. Elapsed is ignored.
+// Otherwise the error names the first difference, targets by name and
+// nodes by ID: a missing or extra target, the first differing row of a
+// target, or a node that is missing, extra or counted differently.
+func SameRun(want, got *RunResult) error {
+	typed := func(r data.Record) string {
+		parts := make([]string, len(r))
+		for i, v := range r {
+			parts[i] = fmt.Sprintf("%s(%s)", v.Kind(), v)
+		}
+		return "(" + strings.Join(parts, ", ") + ")"
+	}
+	names := append(want.SortTargets(), got.SortTargets()...)
+	sort.Strings(names)
+	for _, name := range slices.Compact(names) {
+		w, inWant := want.Targets[name]
+		g, inGot := got.Targets[name]
+		switch {
+		case !inGot:
+			return fmt.Errorf("target %s missing (want %d rows)", name, len(w))
+		case !inWant:
+			return fmt.Errorf("target %s extra (%d rows)", name, len(g))
+		case len(w) == len(g) && w.Digest() == g.Digest():
+			continue
+		}
+		for i := range min(len(w), len(g)) {
+			if (data.Rows{w[i]}).Digest() != (data.Rows{g[i]}).Digest() {
+				return fmt.Errorf("target %s row %d: %s, want %s", name, i, typed(g[i]), typed(w[i]))
+			}
+		}
+		return fmt.Errorf("target %s: %d rows, want %d", name, len(g), len(w))
+	}
+	var ids []workflow.NodeID
+	for _, rows := range []map[workflow.NodeID]int{want.NodeRows, got.NodeRows} {
+		for id := range rows {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range slices.Compact(ids) {
+		w, inWant := want.NodeRows[id]
+		g, inGot := got.NodeRows[id]
+		switch {
+		case !inGot:
+			return fmt.Errorf("node %d missing (want %d rows)", id, w)
+		case !inWant:
+			return fmt.Errorf("node %d extra (%d rows)", id, g)
+		case w != g:
+			return fmt.Errorf("node %d emitted %d rows, want %d", id, g, w)
+		}
+	}
+	return nil
 }
 
 // Run executes the workflow and returns the loaded target rows. The graph

@@ -132,8 +132,8 @@ func TestCheckpointRunnerRetriesFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rowsIdentical(res.Targets["DW.PARTS"], plain.Targets["DW.PARTS"]) {
-		t.Error("recovered checkpointed run differs from plain run")
+	if err := SameRun(plain, res); err != nil {
+		t.Errorf("recovered checkpointed run differs from plain run: %v", err)
 	}
 	staged, err := cr.Staged()
 	if err != nil {
@@ -204,8 +204,8 @@ func TestFusedStageRetriedAsAWhole(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !rowsIdentical(clean.Targets["TGT"], res.Targets["TGT"]) {
-			t.Errorf("P=%d: recovered run differs from the clean run", p)
+		if err := SameRun(clean, res); err != nil {
+			t.Errorf("P=%d: recovered run differs from the clean run: %v", p, err)
 		}
 		if loads != 1 {
 			t.Errorf("P=%d: target loaded %d times, want once", p, loads)

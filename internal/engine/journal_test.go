@@ -44,15 +44,8 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatalf("journal close: %v", err)
 			}
-			for name, rows := range plain.Targets {
-				if !rowsIdentical(rows, rec.Targets[name]) {
-					t.Errorf("target %s not bit-identical with journal attached", name)
-				}
-			}
-			for id, n := range plain.NodeRows {
-				if rec.NodeRows[id] != n {
-					t.Errorf("node %d: %d rows with journal, %d without", id, rec.NodeRows[id], n)
-				}
+			if err := SameRun(plain, rec); err != nil {
+				t.Errorf("journal attached: %v", err)
 			}
 
 			evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))

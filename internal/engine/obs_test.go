@@ -31,16 +31,8 @@ func TestMetricsDoNotAffectExecution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, rows := range plain.Targets {
-				if len(instr.Targets[name]) != len(rows) {
-					t.Errorf("target %s: %d rows with metrics, %d without",
-						name, len(instr.Targets[name]), len(rows))
-				}
-			}
-			for id, n := range plain.NodeRows {
-				if instr.NodeRows[id] != n {
-					t.Errorf("node %d: %d rows with metrics, %d without", id, instr.NodeRows[id], n)
-				}
+			if err := SameRun(plain, instr); err != nil {
+				t.Errorf("metrics attached: %v", err)
 			}
 		})
 	}

@@ -14,12 +14,13 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// rowsIdentical reports bit-identity: same rows, same order, same typed
-// values (Rows.Digest tells Int(2) from Float(2)). This is deliberately
-// stricter than EqualMultiset — Parallel mode promises the materialized row
-// order, not just the multiset, and a resumed run the kinds a plain one has.
+// rowsIdentical reports bit-identity of two row slices by SameRun's rule:
+// same rows, same order, same typed values. This is deliberately stricter
+// than EqualMultiset — Parallel mode promises the materialized row order,
+// not just the multiset, and a resumed run the kinds a plain one has.
 func rowsIdentical(a, b data.Rows) bool {
-	return len(a) == len(b) && a.Digest() == b.Digest()
+	run := func(rows data.Rows) *RunResult { return &RunResult{Targets: map[string]data.Rows{"": rows}} }
+	return SameRun(run(a), run(b)) == nil
 }
 
 // TestParallelMatchesMaterialized is the mode's core contract: for
@@ -43,17 +44,8 @@ func TestParallelMatchesMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cat %v seed %d P=%d: %v", cat, seed, p, err)
 				}
-				for name, want := range mat.Targets {
-					if !rowsIdentical(want, par.Targets[name]) {
-						t.Errorf("cat %v seed %d P=%d: target %s not bit-identical to materialized",
-							cat, seed, p, name)
-					}
-				}
-				for id, want := range mat.NodeRows {
-					if got := par.NodeRows[id]; got != want {
-						t.Errorf("cat %v seed %d P=%d: node %d rows = %d, want %d",
-							cat, seed, p, id, got, want)
-					}
+				if err := SameRun(mat, par); err != nil {
+					t.Errorf("cat %v seed %d P=%d: not the materialized run: %v", cat, seed, p, err)
 				}
 			}
 		}

@@ -375,9 +375,7 @@ func TestCheckpointResumeScansOnlyUnstagedSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rows := range clean.Targets {
-		if !rowsIdentical(res.Targets[name], rows) {
-			t.Errorf("resumed run's %s differs from a clean run's", name)
-		}
+	if err := SameRun(clean, res); err != nil {
+		t.Errorf("resumed run differs from a clean run: %v", err)
 	}
 }

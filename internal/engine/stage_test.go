@@ -103,18 +103,8 @@ func checkFused(t *testing.T, label string, bind func() map[string]data.Recordse
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range ref.targets {
-		if !rowsIdentical(want, res.Targets[name]) {
-			t.Fatalf("%s P=%d: target %s: row sequence differs from the node-by-node reference", label, p, name)
-		}
-	}
-	if len(res.NodeRows) != len(ref.nodeRows) {
-		t.Fatalf("%s P=%d: %d nodes counted, reference %d", label, p, len(res.NodeRows), len(ref.nodeRows))
-	}
-	for id, want := range ref.nodeRows {
-		if got := res.NodeRows[id]; got != want {
-			t.Fatalf("%s P=%d: node %d (%s) emitted %d rows, reference %d", label, p, id, g.Node(id).Label(), got, want)
-		}
+	if err := SameRun(&RunResult{Targets: ref.targets, NodeRows: ref.nodeRows}, res); err != nil {
+		t.Fatalf("%s P=%d: differs from the node-by-node reference: %v", label, p, err)
 	}
 	evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {

@@ -184,8 +184,9 @@ func setDiff(a, b map[string]bool) string {
 // means both ran and disagreed.
 //
 // The second workflow is additionally executed in partition-parallel mode
-// (P=4) and held to the engine's stronger contract: bit-identical target
-// rows — same order, same values — against its own materialized run. This
+// (P=4) and held to the engine's stronger contract, engine.SameRun against
+// its own materialized run: bit-identical target rows — same order, same
+// typed values — and the same per-node row counts. This
 // folds the parallel engine into every empirical equivalence check the
 // test suite performs.
 func VerifyEmpirical(g1, g2 *workflow.Graph, bindings map[string]data.Recordset) (bool, string, error) {
@@ -218,31 +219,8 @@ func VerifyEmpirical(g1, g2 *workflow.Graph, bindings map[string]data.Recordset)
 	if err != nil {
 		return false, "", fmt.Errorf("equiv: running second workflow in parallel mode: %w", err)
 	}
-	for _, name := range sortedKeys(r2.Targets) {
-		if diff := identicalDiff(r2.Targets[name], rp.Targets[name]); diff != "" {
-			return false, fmt.Sprintf("target %s: parallel run not bit-identical to materialized: %s",
-				name, diff), nil
-		}
+	if err := engine.SameRun(r2, rp); err != nil {
+		return false, fmt.Sprintf("parallel run not bit-identical to materialized: %v", err), nil
 	}
 	return true, "", nil
-}
-
-// identicalDiff describes the first divergence between two row slices
-// under bit-identity (order-sensitive), or "" when identical. Both slices
-// come straight from in-process engine runs, so the canonical typed digest
-// is sound here: equal digests prove identity in one pass, and the per-row
-// key scan only runs to describe a divergence.
-func identicalDiff(a, b data.Rows) string {
-	if len(a) != len(b) {
-		return fmt.Sprintf("%d vs %d rows", len(a), len(b))
-	}
-	if a.Digest() == b.Digest() {
-		return ""
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return fmt.Sprintf("row %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	return ""
 }

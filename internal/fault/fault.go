@@ -19,8 +19,8 @@
 // attempts burn occurrences site level by site level — restore, node
 // start, exchange, emit, stage — so with a retry budget larger than the
 // number of site levels on a node's path, a transiently faulted run is
-// *guaranteed* to converge: proptest.CheckFaultRecoveryEquivalence pins
-// that any such run is bit-identical to the clean one.
+// *guaranteed* to converge: the fault cells of proptest.CheckRuns pin
+// that any such run is engine.SameRun as the clean one.
 package fault
 
 import (

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -39,42 +38,6 @@ func soloRun(t *testing.T, sc *templates.Scenario) *engine.RunResult {
 		t.Fatalf("solo run: %v", err)
 	}
 	return res
-}
-
-// sameRows compares positionally by Value.Key — the repo's equivalence
-// contract for rows that may have crossed a CSV staging boundary.
-func sameRows(a, b data.Rows) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return false
-		}
-	}
-	return true
-}
-
-func checkSameResult(t *testing.T, name string, solo, suite *engine.RunResult) {
-	t.Helper()
-	if suite == nil {
-		t.Fatalf("%s: suite run missing", name)
-	}
-	if len(solo.Targets) != len(suite.Targets) {
-		t.Fatalf("%s: target count %d vs %d", name, len(suite.Targets), len(solo.Targets))
-	}
-	for tgt, want := range solo.Targets {
-		got, ok := suite.Targets[tgt]
-		if !ok {
-			t.Fatalf("%s: suite run lost target %s", name, tgt)
-		}
-		if !sameRows(want, got) {
-			t.Fatalf("%s: target %s differs from solo run (%d vs %d rows)", name, tgt, len(got), len(want))
-		}
-	}
-	if !reflect.DeepEqual(solo.NodeRows, suite.NodeRows) {
-		t.Fatalf("%s: NodeRows differ\n  solo  %v\n  suite %v", name, solo.NodeRows, suite.NodeRows)
-	}
 }
 
 func TestRunSuiteMatchesSoloRuns(t *testing.T) {
@@ -112,7 +75,9 @@ func TestRunSuiteMatchesSoloRuns(t *testing.T) {
 				if wr.Err != nil {
 					t.Fatalf("workflow %s failed: %v", wr.Name, wr.Err)
 				}
-				checkSameResult(t, wr.Name, solos[i], wr.Result)
+				if err := engine.SameRun(solos[i], wr.Result); err != nil {
+					t.Fatalf("%s differs from its solo run: %v", wr.Name, err)
+				}
 			}
 			if res.Stats.Stages == 0 {
 				t.Fatal("shared-prefix suite planned no stages")
@@ -173,7 +138,9 @@ func TestRunSuiteSingleWorkflowHomologousTwins(t *testing.T) {
 	if res.Workflows[0].Err != nil {
 		t.Fatal(res.Workflows[0].Err)
 	}
-	checkSameResult(t, "wf0", solo, res.Workflows[0].Result)
+	if err := engine.SameRun(solo, res.Workflows[0].Result); err != nil {
+		t.Fatalf("differs from the solo run: %v", err)
+	}
 }
 
 // poisonedSuite is two members sharing a prefix and an independent third,
