@@ -263,10 +263,8 @@ func (rs Rows) EqualMultiset(o Rows) bool {
 }
 
 // SplitRoundRobin deals the rows into n partitions: row i goes to
-// partition i mod n. Each partition preserves the relative order of its
-// rows, so interleaving the partitions back (InterleaveRoundRobin)
-// reproduces the original slice. Records are shared, not copied. n < 1 is
-// treated as 1.
+// partition i mod n, and each partition preserves the relative order of
+// its rows. Records are shared, not copied. n < 1 is treated as 1.
 func (rs Rows) SplitRoundRobin(n int) []Rows {
 	if n < 1 {
 		n = 1
@@ -283,36 +281,6 @@ func (rs Rows) SplitRoundRobin(n int) []Rows {
 		parts[i%n] = append(parts[i%n], r)
 	}
 	return parts
-}
-
-// InterleaveRoundRobin is the inverse of SplitRoundRobin: it reassembles
-// partitions produced by a round-robin deal into the original row order.
-// It must only be used on partitions that still hold a round-robin layout
-// (no rows dropped); partitions that filtered rows need an order tag to
-// merge deterministically.
-func InterleaveRoundRobin(parts []Rows) Rows {
-	n := len(parts)
-	if n == 0 {
-		return nil
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(Rows, 0, total)
-	for i := 0; ; i++ {
-		advanced := false
-		for p := 0; p < n; p++ {
-			if i < len(parts[p]) {
-				out = append(out, parts[p][i])
-				advanced = true
-			}
-		}
-		if !advanced {
-			break
-		}
-	}
-	return out
 }
 
 // DiffMultiset returns human-readable descriptions of records whose

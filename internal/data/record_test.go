@@ -194,15 +194,6 @@ func TestSplitRoundRobin(t *testing.T) {
 				}
 			}
 		}
-		back := InterleaveRoundRobin(parts)
-		if len(back) != len(rows) {
-			t.Fatalf("n=%d: round trip lost rows: %d != %d", n, len(back), len(rows))
-		}
-		for i := range rows {
-			if back[i].Key() != rows[i].Key() {
-				t.Fatalf("n=%d: round trip reordered row %d", n, i)
-			}
-		}
 	}
 	// Degenerate counts clamp to one partition.
 	if parts := rows.SplitRoundRobin(0); len(parts) != 1 || len(parts[0]) != len(rows) {
@@ -210,8 +201,5 @@ func TestSplitRoundRobin(t *testing.T) {
 	}
 	if parts := Rows(nil).SplitRoundRobin(4); len(parts) != 4 {
 		t.Errorf("empty rows should still yield 4 empty partitions")
-	}
-	if got := InterleaveRoundRobin(nil); got != nil {
-		t.Errorf("InterleaveRoundRobin(nil) = %v, want nil", got)
 	}
 }

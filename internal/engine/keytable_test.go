@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -145,7 +146,10 @@ func orderFixture(n int) (orders, customers data.Rows) {
 // per input row, a key-sensitive operator allocates (almost) nothing
 // beyond what it outputs — no key string, no map entry per row. Each runs
 // at one partition as a stage of one: through execParallelOp, or as a
-// chain of one when it is row-local.
+// chain of one when it is row-local. The exchange also has a bytes
+// ceiling: it copies a row once, so per input row it allocates the row's
+// hash and, at the destination, the row, its tag and its hash (48 B),
+// where dealing rows into buckets first took 88–94 B.
 func TestKeyOperatorAllocations(t *testing.T) {
 	const n = 10000
 	orders, customers := orderFixture(n)
@@ -172,7 +176,7 @@ func TestKeyOperatorAllocations(t *testing.T) {
 			} else {
 				var ks []rowKernel
 				if ks, err = e.appendKernels(nil, rowKernel{}, a, in[0], out); err == nil {
-					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain(ks), inputs[0], 1, make([]scratch, 1), 0)
+					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain(ks, out), inputs[0], 1, make([]scratch, 1), 0)
 				}
 			}
 			if err != nil {
@@ -184,29 +188,40 @@ func TestKeyOperatorAllocations(t *testing.T) {
 	unary := func(a *workflow.Activity, out data.Schema) func() (data.Rows, error) {
 		return binary(a, []data.Schema{in}, out, nil)
 	}
+	exchange := func(p int) func() (data.Rows, error) {
+		src := scatterRows(orders, p)
+		return func() (data.Rows, error) {
+			pd, err := e.exchangeByKey(context.Background(), 1, node, src, p, 0, in[:1], []int{0})
+			if err != nil {
+				return nil, err
+			}
+			return pd.parts[0].rows, nil // not gathered: the bytes are the exchange's alone
+		}
+	}
 	for _, c := range []struct {
 		name    string
 		ceiling float64
 		run     func() (data.Rows, error)
+		bytes   float64 // a ceiling on bytes per input row; 0 = none
 	}{
-		{"distinct", 0.1, unary(templates.Distinct(1), in)},
-		{"group pkcheck", 0.1, unary(templates.PKCheck(1, "ORDER_ID"), in)},
-		{"lookup pkcheck", 0.1, unary(templates.PKCheckAgainst("DWORDERS", 1, "ORDER_ID"), in)},
-		{"diff", 0.1, binary(templates.Diff(1, "ORDER_ID"), []data.Schema{in, in}, in, cancelled)},
-		{"intersect", 0.1, binary(templates.Intersect(1, "CUST"), sides, in, customers)},
-		{"aggregate", 0.5, unary(agg, data.Schema{"CUST", "TOTAL"})},
-		{"join", 1.1, binary(templates.Join(1, "CUST"), sides, data.Schema{"ORDER_ID", "CUST", "AMOUNT", "CUST_SK"}, customers)},
-		{"exchange P=4", 0.1, func() (data.Rows, error) {
-			pd, err := e.exchangeByKey(context.Background(), 1, node, scatterRows(orders, 4), 4, 0, []int{0})
-			if err != nil {
-				return nil, err
-			}
-			return gather(pd), nil
-		}},
+		{"distinct", 0.1, unary(templates.Distinct(1), in), 0},
+		{"group pkcheck", 0.1, unary(templates.PKCheck(1, "ORDER_ID"), in), 0},
+		{"lookup pkcheck", 0.1, unary(templates.PKCheckAgainst("DWORDERS", 1, "ORDER_ID"), in), 0},
+		{"diff", 0.1, binary(templates.Diff(1, "ORDER_ID"), []data.Schema{in, in}, in, cancelled), 0},
+		{"intersect", 0.1, binary(templates.Intersect(1, "CUST"), sides, in, customers), 0},
+		{"aggregate", 0.5, unary(agg, data.Schema{"CUST", "TOTAL"}), 0},
+		{"join", 1.1, binary(templates.Join(1, "CUST"), sides, data.Schema{"ORDER_ID", "CUST", "AMOUNT", "CUST_SK"}, customers), 0},
+		{"exchange P=2", 0.1, exchange(2), 56},
+		{"exchange P=4", 0.1, exchange(4), 56},
+		{"exchange P=8", 0.1, exchange(8), 56},
 	} {
 		var out data.Rows
 		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		perRow := testing.AllocsPerRun(3, func() { out, err = c.run() }) / n
+		runtime.ReadMemStats(&after)
+		bytesPerRow := float64(after.TotalAlloc-before.TotalAlloc) / 4 / n // a warm-up and 3 runs
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -215,6 +230,9 @@ func TestKeyOperatorAllocations(t *testing.T) {
 		}
 		if perRow > c.ceiling {
 			t.Errorf("%s: %.3f allocations per input row, ceiling %.1f", c.name, perRow, c.ceiling)
+		}
+		if c.bytes > 0 && bytesPerRow > c.bytes {
+			t.Errorf("%s: %.1f bytes per input row, ceiling %.0f", c.name, bytesPerRow, c.bytes)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -21,8 +22,9 @@ import (
 // split across P partitions, order-preserving operators run partition by
 // partition with no coordination, and key-sensitive operators repartition
 // their input by key tuple first so that all rows that must meet share a
-// partition. Materialized mode is P=1, where every exchange is the
-// identity and every merge returns its only input.
+// partition — unless the input already lies that way. Materialized mode is
+// P=1, where every exchange is the identity and every merge returns its
+// only input.
 //
 // Determinism is carried by sequence tags. Each partitioned row owns an
 // int64 tag with two invariants:
@@ -35,6 +37,13 @@ import (
 // every operator preserves them (see the "Partition contract" comments in
 // exec.go), and the final gather is a k-way merge by tag — so the target
 // rows are bit-identical at any partition count.
+//
+// Partitioning is carried along the dataflow (Liu, PAPERS.md: partition
+// once, then keep it). An exchange records the attribute list it routed
+// on; an operator that moves no row between partitions and rewrites no
+// listed value passes the list on; and a key operator whose input already
+// co-locates its keys runs where the rows are. An exchanged row is copied
+// once, from its source partition straight into its destination's merge.
 
 // pslice is one partition of a node's output: rows plus their sequence
 // tags, index-aligned. A partition fresh from exchangeByKey also carries
@@ -45,16 +54,36 @@ type pslice struct {
 	hashes []uint64
 }
 
-// keyed presents an exchanged partition to a kernel as an input keyed by
-// pos, the positions it was exchanged on.
-func (ps pslice) keyed(pos []int) keyed { return keyed{rows: ps.rows, pos: pos, hashes: ps.hashes} }
-
-// pdata is a node's full partitioned output.
-type pdata struct {
-	parts []pslice
+// keyed presents a partition to a kernel as an input keyed by pos: with
+// the hashes an exchange on pos carried, or hashed here when the partition
+// was not exchanged.
+func (ps pslice) keyed(pos []int) keyed {
+	if ps.hashes == nil {
+		return hashKeys(ps.rows, pos)
+	}
+	return keyed{rows: ps.rows, pos: pos, hashes: ps.hashes}
 }
 
-func newPdata(p int) *pdata { return &pdata{parts: make([]pslice, p)} }
+// pdata is a node's full partitioned output. on is the attribute list its
+// rows are hash-partitioned on at the run's P — each row sits in the
+// partition its values on those attributes route to (exchangeByKey) — or
+// nil when a row may sit in any partition. Only an exchange sets it;
+// operators that move no row between partitions and write no listed
+// attribute carry it.
+type pdata struct {
+	parts []pslice
+	on    []string
+}
+
+// colocated reports whether pd's rows with equal key tuples under key
+// share a partition: pd is partitioned on attributes all in the key, so
+// equal keys (data.KeyEqual) agree on them and route alike.
+func (pd *pdata) colocated(key []string) bool {
+	return pd.on != nil && !slices.ContainsFunc(pd.on, func(a string) bool { return !slices.Contains(key, a) })
+}
+
+// newPdata is the output of p partitions, partitioned on on.
+func newPdata(p int, on []string) *pdata { return &pdata{parts: make([]pslice, p), on: on} }
 
 // total counts the rows across all partitions.
 func (pd *pdata) total() int {
@@ -73,7 +102,7 @@ func scatterRows(rows data.Rows, p int) *pdata {
 	if p > 1 {
 		parts = rows.SplitRoundRobin(p)
 	}
-	pd := &pdata{parts: make([]pslice, len(parts))}
+	pd := newPdata(len(parts), nil)
 	for i := range parts {
 		seqs := make([]int64, len(parts[i]))
 		for j := range seqs {
@@ -84,56 +113,42 @@ func scatterRows(rows data.Rows, p int) *pdata {
 	return pd
 }
 
-// mergeBySeq k-way-merges tagged slices into one slice ordered by
-// ascending tag, carrying the rows' hashes along when the inputs have
-// them. Tags ascend within an input and no tag occurs in two inputs, so
-// the merge is total; a tag repeated within one input (parJoin) keeps its
-// rows together and in order.
-func mergeBySeq(parts []pslice) pslice {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	total, hashed := 0, 0
-	for _, ps := range parts {
-		total += len(ps.rows)
-		hashed += len(ps.hashes)
-	}
-	out := pslice{rows: make(data.Rows, 0, total), seqs: make([]int64, 0, total)}
-	if hashed > 0 {
-		out.hashes = make([]uint64, 0, total)
-	}
-	heads := make([]int, len(parts))
-	for len(out.rows) < total {
-		best := -1
-		for p, ps := range parts {
-			if heads[p] >= len(ps.rows) {
-				continue
-			}
-			if best < 0 || ps.seqs[heads[p]] < parts[best].seqs[heads[best]] {
-				best = p
-			}
+// smallest returns the slice whose next row (at heads) has the smallest
+// tag, or -1 when every slice is exhausted.
+func smallest(parts []pslice, heads []int) int {
+	best := -1
+	for q, i := range heads {
+		if i < len(parts[q].seqs) && (best < 0 || parts[q].seqs[i] < parts[best].seqs[heads[best]]) {
+			best = q
 		}
-		out.rows = append(out.rows, parts[best].rows[heads[best]])
-		out.seqs = append(out.seqs, parts[best].seqs[heads[best]])
-		if hashed > 0 {
-			out.hashes = append(out.hashes, parts[best].hashes[heads[best]])
-		}
-		heads[best]++
+	}
+	return best
+}
+
+// gather restores a node's materialized row order (invariant 2): a k-way
+// merge of its partitions by tag.
+func gather(pd *pdata) data.Rows {
+	if len(pd.parts) == 1 {
+		return pd.parts[0].rows
+	}
+	out := make(data.Rows, 0, pd.total())
+	heads := make([]int, len(pd.parts))
+	for q := smallest(pd.parts, heads); q >= 0; q = smallest(pd.parts, heads) {
+		out = append(out, pd.parts[q].rows[heads[q]])
+		heads[q]++
 	}
 	return out
 }
 
-// gather restores a node's materialized row order (invariant 2).
-func gather(pd *pdata) data.Rows { return mergeBySeq(pd.parts).rows }
-
 // realignPdata re-lays each partition's rows out from schema src to dst,
-// keeping tags; identity when the layouts match. Partitions are realigned
-// concurrently — the projection is pure per-row work.
+// keeping tags and partitioning; identity when the layouts match.
+// Partitions are realigned concurrently — the projection is pure per-row
+// work.
 func realignPdata(pd *pdata, src, dst data.Schema) *pdata {
 	if src.Equal(dst) {
 		return pd
 	}
-	out := newPdata(len(pd.parts))
+	out := newPdata(len(pd.parts), pd.on)
 	var wg sync.WaitGroup
 	wg.Add(len(pd.parts))
 	for p := range pd.parts {
@@ -220,59 +235,66 @@ func (e *Engine) forEachPartition(ctx context.Context, id workflow.NodeID, n *wo
 	return nil
 }
 
+// route is the destination of a row whose key hashes to h among p
+// partitions: the hash's high bits, so the routing is independent of
+// whatever bits a key table indexes by.
+func route(h uint64, p int) int { return int((h >> 32) * uint64(p) >> 32) }
+
 // exchangeByKey repartitions pd so that all rows with the same key tuple
 // under pos land in one partition, preserving tag order within each
-// destination. A row is hashed once: the hash's high bits pick the
-// destination (seedless, so partition layouts repeat across runs and
-// builds) and the hash travels with the row for the kernel's key table.
-// The rows routed are one exchange event.
-func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rowsSoFar int, pos []int) (*pdata, error) {
+// destination; the result is partitioned on on, the attributes at pos. A
+// row is hashed once (seedless, so partition layouts repeat across runs
+// and builds), copied once, and its hash travels with it for the kernel's
+// key table. The rows routed are one exchange event.
+func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workflow.Node, pd *pdata, p int, rowsSoFar int, on []string, pos []int) (*pdata, error) {
 	if p == 1 {
 		// A single partition already co-locates every key; nothing routes.
 		ps := pd.parts[0]
 		ps.hashes = hashKeys(ps.rows, pos).hashes
-		return &pdata{parts: []pslice{ps}}, nil
+		return &pdata{parts: []pslice{ps}, on: on}, nil
 	}
-	// Phase 1, partition-parallel: each source partition hashes its rows,
-	// counts them per destination and deals them into exact-size buckets;
-	// buckets inherit ascending tags.
-	buckets := make([][]pslice, p) // [src][dst]
+	// Phase 1, partition-parallel: each source partition hashes its rows
+	// and counts them per destination. Nothing is copied.
+	hashes, counts := make([][]uint64, p), make([][]int, p) // [src][row], [src][dst]
 	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		if err := e.checkFault(ctx, fault.SiteExchange, id, n, q); err != nil {
 			return err
 		}
-		ps := pd.parts[q]
-		hashes := hashKeys(ps.rows, pos).hashes
-		route := func(h uint64) int { return int((h >> 32) * uint64(p) >> 32) }
-		counts := make([]int, p)
-		for _, h := range hashes {
-			counts[route(h)]++
+		hashes[q], counts[q] = hashKeys(pd.parts[q].rows, pos).hashes, make([]int, p)
+		for _, h := range hashes[q] {
+			counts[q][route(h, p)]++
 		}
-		dst := make([]pslice, p)
-		for d, c := range counts {
-			dst[d] = pslice{rows: make(data.Rows, 0, c), seqs: make([]int64, 0, c), hashes: make([]uint64, 0, c)}
-		}
-		for i, h := range hashes {
-			b := &dst[route(h)]
-			b.rows = append(b.rows, ps.rows[i])
-			b.seqs = append(b.seqs, ps.seqs[i])
-			b.hashes = append(b.hashes, h)
-		}
-		buckets[q] = dst
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Phase 2, partition-parallel: each destination merges its p source
-	// buckets by tag, restoring invariant 1.
-	result := newPdata(p)
-	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
-		mine := make([]pslice, p)
-		for src := 0; src < p; src++ {
-			mine[src] = buckets[src][q]
+	// Phase 2, partition-parallel: each destination sizes its rows exactly
+	// and merges them by tag straight out of the source partitions, taking
+	// only the rows routed to it — restoring invariant 1.
+	result := newPdata(p, on)
+	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(d int) error {
+		total := 0
+		for _, c := range counts {
+			total += c[d]
 		}
-		result.parts[q] = mergeBySeq(mine)
+		out := pslice{rows: make(data.Rows, total), seqs: make([]int64, total), hashes: make([]uint64, total)}
+		heads := make([]int, p)
+		skip := func(q int) { // to the source's next row routed here
+			for hs := hashes[q]; heads[q] < len(hs) && route(hs[heads[q]], p) != d; heads[q]++ {
+			}
+		}
+		for q := range heads {
+			skip(q)
+		}
+		for k := range total {
+			q := smallest(pd.parts, heads)
+			i := heads[q]
+			out.rows[k], out.seqs[k], out.hashes[k] = pd.parts[q].rows[i], pd.parts[q].seqs[i], hashes[q][i]
+			heads[q]++
+			skip(q)
+		}
+		result.parts[d] = out
 		return nil
 	})
 	if err != nil {
@@ -309,19 +331,25 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 	case workflow.OpDistinct, workflow.OpPKCheck, workflow.OpAggregate:
 		// All rows of a key must meet: exchange by the whole record
 		// (distinct), the key attributes (group-based pkcheck; the
-		// lookup-based one is streamable) or the groupers.
-		var pos []int
+		// lookup-based one is streamable) or the groupers — unless the
+		// input already co-locates them.
+		key, pos, ex := []string(n.In[0]), []int(nil), inputs[0]
+		var err error
 		if a.Sem.Op != workflow.OpDistinct {
-			var err error
-			if pos, err = keyPositions(n.In[0], a.Sem.Attrs); err != nil {
+			key = a.Sem.Attrs
+			if pos, err = keyPositions(n.In[0], key); err != nil {
 				return nil, err
 			}
 		}
-		ex, err := e.exchangeByKey(ctx, id, n, inputs[0], p, rowsSoFar, pos)
-		if err != nil {
-			return nil, err
+		if !ex.colocated(key) {
+			if ex, err = e.exchangeByKey(ctx, id, n, ex, p, rowsSoFar, key, pos); err != nil {
+				return nil, err
+			}
 		}
-		result := newPdata(p)
+		result := newPdata(p, ex.on)
+		if slices.Contains(ex.on, a.Sem.OutAttr) { // an aggregate overwriting a grouper
+			result.on = nil
+		}
 		err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 			ps := ex.parts[q]
 			if a.Sem.Op == workflow.OpAggregate {
@@ -361,7 +389,7 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 				pd, err = e.execParallelOp(ctx, id, step, []*pdata{pd}, p, rowsSoFar)
 			default:
 				if ks, err = e.appendKernels(nil, rowKernel{}, comp, in[0], out); err == nil {
-					pd, _, err = e.execChain(ctx, id, n, newRowChain(ks), pd, p, make([]scratch, p), rowsSoFar)
+					pd, _, err = e.execChain(ctx, id, n, newRowChain(ks, out), pd, p, make([]scratch, p), rowsSoFar)
 				}
 			}
 			if err != nil {
@@ -386,7 +414,7 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 // parUnion concatenates the inputs partition-wise: left rows keep their
 // tags, right tags are shifted past the left input's global maximum, so
 // the merged order is all left rows then all right rows — the
-// materialized union order.
+// materialized union order. Inputs partitioned on the same list stay so.
 func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (*pdata, error) {
 	l, r := inputs[0], inputs[1]
 	var offset int64 // tags ascend within a partition: its last is its largest
@@ -395,7 +423,10 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 			offset = max(offset, ps.seqs[n-1]+1)
 		}
 	}
-	result := newPdata(p)
+	result := newPdata(p, nil)
+	if slices.Equal(l.on, r.on) {
+		result.on = l.on
+	}
 	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		lp, rp := l.parts[q], r.parts[q]
 		rows := make(data.Rows, 0, len(lp.rows)+len(rp.rows))
@@ -412,19 +443,19 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 	return result, err
 }
 
-// parJoin exchanges both inputs by the join key so matching pairs are
-// co-located and joins each partition in nested-loop order. Every output
-// row takes its left row's tag: a left row lives in one partition, so
-// equal tags sit side by side there, already in right-input order, and
-// the tag merge reproduces the materialized join order; the merged rows
-// are re-scattered with fresh tags.
+// parJoin co-locates both inputs by the join key and joins each
+// partition in nested-loop order, so a left row's matches sit side by
+// side in its partition, in right-input order. Each output row is then
+// tagged with its rank in (left tag, right order) — a merge over the
+// partitions' tags alone, which is the materialized join order — and
+// stays where it was made, partitioned like the left side.
 func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (*pdata, error) {
 	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rowsSoFar)
 	if err != nil {
 		return nil, err
 	}
 	jl := newJoinLayout(n.Out, n.In[0], n.In[1])
-	per := make([]pslice, p)
+	result := newPdata(p, lex.on)
 	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		lp, rp := lex.parts[q], rex.parts[q]
 		li, ri, err := joinMatches(lp.keyed(leftKey), rp.keyed(rightKey))
@@ -436,24 +467,30 @@ func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.No
 			out.rows[k] = jl.row(lp.rows[li[k]], rp.rows[ri[k]])
 			out.seqs[k] = lp.seqs[li[k]]
 		}
-		per[q] = out
+		result.parts[q] = out
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return scatterRows(mergeBySeq(per).rows, p), nil
+	heads := make([]int, p)
+	for k, q := int64(0), smallest(result.parts, heads); q >= 0; k, q = k+1, smallest(result.parts, heads) {
+		result.parts[q].seqs[heads[q]] = k
+		heads[q]++
+	}
+	return result, nil
 }
 
 // parKeyPresence is the shared parallel body of difference (keepPresent
-// false) and intersection (true): exchange both sides by key tuple, mask
-// each left partition against its co-located right rows, keep left tags.
+// false) and intersection (true): co-locate both sides by key tuple, mask
+// each left partition against its co-located right rows, keep left tags
+// and the left side's partitioning.
 func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int, keepPresent bool) (*pdata, error) {
 	lex, rex, leftKey, rightKey, err := e.exchangeBoth(ctx, id, n, inputs, p, rowsSoFar)
 	if err != nil {
 		return nil, err
 	}
-	result := newPdata(p)
+	result := newPdata(p, lex.on)
 	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		keep, err := maskKeyPresence(lex.parts[q].keyed(leftKey), rex.parts[q].keyed(rightKey), keepPresent)
 		if err != nil {
@@ -465,18 +502,21 @@ func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *work
 	return result, err
 }
 
-// exchangeBoth exchanges a binary operator's two inputs by its key
-// attributes, resolved on each side's layout.
+// exchangeBoth co-locates a binary operator's two inputs by its key
+// attributes, resolved on each side's layout. A side already partitioned
+// on exactly the key list, in order, stays put; every other side is
+// exchanged on that list, so both route a key alike.
 func (e *Engine) exchangeBoth(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (lex, rex *pdata, leftKey, rightKey []int, err error) {
-	if leftKey, err = keyPositions(n.In[0], n.Act.Sem.Attrs); err == nil {
-		rightKey, err = keyPositions(n.In[1], n.Act.Sem.Attrs)
+	keys := n.Act.Sem.Attrs
+	if leftKey, err = keyPositions(n.In[0], keys); err == nil {
+		rightKey, err = keyPositions(n.In[1], keys)
 	}
-	if err != nil {
-		return
+	lex, rex = inputs[0], inputs[1]
+	if err == nil && (lex.on == nil || !slices.Equal(lex.on, keys)) {
+		lex, err = e.exchangeByKey(ctx, id, n, lex, p, rowsSoFar, keys, leftKey)
 	}
-	if lex, err = e.exchangeByKey(ctx, id, n, inputs[0], p, rowsSoFar, leftKey); err != nil {
-		return
+	if err == nil && (rex.on == nil || !slices.Equal(rex.on, keys)) {
+		rex, err = e.exchangeByKey(ctx, id, n, rex, p, rowsSoFar, keys, rightKey)
 	}
-	rex, err = e.exchangeByKey(ctx, id, n, inputs[1], p, rowsSoFar, rightKey)
 	return
 }

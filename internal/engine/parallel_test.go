@@ -1,15 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"etlopt/internal/data"
 	"etlopt/internal/generator"
+	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
 )
@@ -190,7 +194,7 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 			t.Fatalf("P=%d: gather(scatter(rows)) != rows", p)
 		}
 		pos := []int{0}
-		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, 0, pos)
+		ex, err := e.exchangeByKey(context.Background(), id, n, pd, p, 0, []string{"K"}, pos)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,6 +218,74 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 		}
 		if !rowsIdentical(gather(ex), rows) {
 			t.Fatalf("P=%d: gather(exchange(rows)) != rows", p)
+		}
+	}
+}
+
+// TestKeyedExchanges pins where keyed.etl routes rows: an operator whose
+// input already lies partitioned on its key runs where the rows are. The
+// group PK check after the difference, the join's left side (the
+// intersection's output, on CUST_SK) and the aggregate (grouped by
+// REGION, CUST_SK, fed on CUST_SK) exchange nothing; every other key
+// operator exchanges as before, each exchange carrying its input's rows.
+// The run is the one-partition run.
+func TestKeyedExchanges(t *testing.T) {
+	g, bind := keyedWorkload(t, 3000)
+	one, err := New(bind()).Run(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parser numbers nodes in declaration order.
+	text, err := os.ReadFile("../../benchmark/workloads/keyed.etl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, key := map[string]workflow.NodeID{}, map[string]string{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && (f[0] == "recordset" || f[0] == "activity") {
+			nid := g.Nodes()[len(id)]
+			id[f[1]], key[nodeKey(nid, g.Node(nid))] = nid, f[1]
+		}
+	}
+	if g.Node(id["CUSTDIM"]).Label() != "CUSTDIM" || g.Node(id["agg"]).Act.Sem.Op != workflow.OpAggregate {
+		t.Fatal("keyed.etl's nodes are not numbered in declaration order")
+	}
+	rows := func(names ...string) []int64 {
+		var out []int64
+		for _, name := range names {
+			out = append(out, int64(one.NodeRows[id[name]]))
+		}
+		return out
+	}
+	want := map[string][]int64{ // node → rows of each exchange, left side first
+		"dA": rows("nnA"), "dB": rows("nnB"), "df": rows("u", "CANCELLED"),
+		"ix": rows("pkl", "ACTIVE"), "j": rows("CUSTDIM"),
+	}
+	for _, p := range []int{2, 4, 8} {
+		var buf bytes.Buffer
+		j := obs.NewJournal(&buf, nil)
+		res, err := New(bind(), WithMode(Parallel), WithPartitions(p), WithJournal(j)).Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := SameRun(one, res); err != nil {
+			t.Fatalf("P=%d: not the one-partition run: %v", p, err)
+		}
+		evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string][]int64{}
+		for _, ev := range evs {
+			if ev.T == obs.EventExchange {
+				got[key[ev.Node]] = append(got[key[ev.Node]], ev.Rows)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("P=%d: exchanges %v, want %v", p, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"etlopt/internal/algebra"
@@ -112,6 +113,7 @@ type rowKernel struct {
 	fn     algebra.Func
 	outPos int
 	off    int
+	writes string // the attribute at outPos
 }
 
 const escapes = -1
@@ -131,6 +133,8 @@ type rowChain struct {
 	// shares its input's records.
 	copyWidth int
 	maxArgs   int
+	// out is the chain's output layout.
+	out data.Schema
 }
 
 // appendKernels resolves activity a — a merged package component by
@@ -181,7 +185,7 @@ func (e *Engine) appendKernels(ks []rowKernel, k rowKernel, a *workflow.Activity
 	}
 	switch a.Sem.Op {
 	case workflow.OpFunc, workflow.OpSurrogateKey:
-		if k.outPos = out.Index(a.Sem.OutAttr); k.outPos < 0 {
+		if k.writes, k.outPos = a.Sem.OutAttr, out.Index(a.Sem.OutAttr); k.outPos < 0 {
 			return nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
 		}
 		fallthrough
@@ -191,11 +195,12 @@ func (e *Engine) appendKernels(ks []rowKernel, k rowKernel, a *workflow.Activity
 	return append(ks, k), nil
 }
 
-// newRowChain lays the kernels' records out: the last transform's records
-// escape when no filter can drop them afterwards, every other transform
-// writes its own part of the row's scratch.
-func newRowChain(ks []rowKernel) *rowChain {
-	c := &rowChain{kernels: ks}
+// newRowChain lays the kernels' records out, given the chain's output
+// layout: the last transform's records escape when no filter can drop
+// them afterwards, every other transform writes its own part of the row's
+// scratch.
+func newRowChain(ks []rowKernel, out data.Schema) *rowChain {
+	c := &rowChain{kernels: ks, out: out}
 	last := len(ks) - 1 // the last transform; filters may trail it
 	for last >= 0 && ks[last].proj == nil {
 		last--
@@ -239,7 +244,7 @@ func (e *Engine) resolveChain(g *workflow.Graph, ids []workflow.NodeID) (*rowCha
 		ks[len(ks)-1].counts = true
 		src = n.Out
 	}
-	return newRowChain(ks), nil
+	return newRowChain(ks, src), nil
 }
 
 // scratch is one partition's reusable batch state: the batch's current
@@ -403,11 +408,18 @@ func (c *rowChain) step(k *rowKernel, src data.Rows, srcSeq []int64, dst data.Ro
 // execChain runs chain c over in — a stage of row-local activities ending
 // at node id, or a component of package id — per partition, batch by batch.
 // Filters keep survivor tags and 1:1 transforms inherit them, so the tag
-// invariants hold for the chain as for each member. It returns each
+// invariants hold for the chain as for each member. No row changes
+// partition, so the output keeps in's partitioning unless a kernel writes
+// a listed attribute or the output layout drops one. It returns each
 // partition's per-member tally.
 func (e *Engine) execChain(ctx context.Context, id workflow.NodeID, n *workflow.Node, c *rowChain, in *pdata, p int, scr []scratch, rowsSoFar int) (*pdata, []tally, error) {
 	members := c.kernels[len(c.kernels)-1].member + 1
-	result, tallies := newPdata(p), make([]tally, p)
+	result, tallies := newPdata(p, in.on), make([]tally, p)
+	for _, attr := range in.on {
+		if !c.out.Has(attr) || slices.ContainsFunc(c.kernels, func(k rowKernel) bool { return k.writes == attr }) {
+			result.on = nil
+		}
+	}
 	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		ps, sc, t := in.parts[q], &scr[q], &tallies[q]
 		t.rows, t.sec = make([]int, members), make([]float64, members)

@@ -90,7 +90,8 @@ func runStage(e *Engine, g *workflow.Graph, ids []workflow.NodeID, out map[workf
 // checkFused runs g through the driver at p partitions with a journal
 // and holds it to the reference: target row sequences, per-activity
 // NodeRows, and exactly one node event per activity and one batch event
-// per activity and partition, carrying the reference's counts.
+// per activity and partition, carrying the reference's counts. Targets
+// and NodeRows must also be the run's at one partition.
 func checkFused(t *testing.T, label string, bind func() map[string]data.Recordset, g *workflow.Graph, p int) {
 	t.Helper()
 	ref := nodeByNode(t, New(bind()), g, p)
@@ -105,6 +106,15 @@ func checkFused(t *testing.T, label string, bind func() map[string]data.Recordse
 	}
 	if err := SameRun(&RunResult{Targets: ref.targets, NodeRows: ref.nodeRows}, res); err != nil {
 		t.Fatalf("%s P=%d: differs from the node-by-node reference: %v", label, p, err)
+	}
+	if p > 1 { // the reference shares the partitioning rules: hold both to one partition
+		one, err := New(bind()).Run(context.Background(), g)
+		if err != nil {
+			t.Fatalf("%s P=1: %v", label, err)
+		}
+		if err := SameRun(one, res); err != nil {
+			t.Fatalf("%s P=%d: differs from the one-partition run: %v", label, p, err)
+		}
 	}
 	evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -167,6 +177,7 @@ func truncated(sc *templates.Scenario, n int) func() map[string]data.Recordset {
 // folded into a MER package, every fourth but two a row-local activity
 // and an aggregate, and blockingPackages adds DISTINCT and the group-based
 // PK check: such a package must also match its SPL form (checkSplit).
+// partitioningShapes try each rule that lets an operator skip its exchange.
 func TestFusedStageMatchesNodeByNode(t *testing.T) {
 	i, fused, blocking := 0, 0, 0
 	for _, c := range []struct {
@@ -210,6 +221,7 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 	if fused < 200 || blocking < 10 {
 		t.Errorf("%d fused stages and %d blocking packages over the corpus; it no longer exercises them", fused, blocking)
 	}
+	shapes := partitioningShapes(t)
 	for _, size := range fusedSizes {
 		for _, p := range []int{1, 2, 8} {
 			g, bind := realignedHead(t, size)
@@ -221,6 +233,116 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 			g, split, last, bind := blockingPackages(t, size)
 			checkSplit(t, fmt.Sprintf("blocking packages, size %d", size), bind, g, split, last, p)
 			checkFused(t, fmt.Sprintf("blocking packages, size %d", size), bind, g, p)
+			for _, shape := range shapes {
+				checkFused(t, fmt.Sprintf("%s, size %d", shape.name, size), bindShapes(size), shape.g, p)
+			}
+		}
+	}
+}
+
+// partitioningShapes are flows that would go wrong if a partitioning were
+// carried where it does not hold (pdata.on): between two operators keyed
+// alike, something rewrites (a function, a package's component, an
+// aggregate's output) or drops the key, merges differently
+// partitioned inputs, or leaves a binary operator's side partitioned on
+// only part of its key; or a join fans a left row out to rows that are
+// then exchanged apart. They read bindShapes' recordsets.
+func partitioningShapes(t testing.TB) []shape {
+	// γ by V2 (on V2), then V2 rewritten many-to-one, then γ by V2 again.
+	byV2 := func(attr, out string) *workflow.Activity {
+		return templates.Aggregate([]string{"V2"}, workflow.AggSum, attr, out, 0.1)
+	}
+	round := func() *workflow.Activity { return templates.Reformat("round", "V2") }
+	funcRewrites, _ := chainGraph(t, measureSchema, byV2("V1", "TOTAL"), round(), byV2("TOTAL", "T2"))
+	projectDrops, _ := chainGraph(t, measureSchema, byV2("V1", "TOTAL"), templates.ProjectOut("V2"),
+		templates.Apply("round", "V2", "TOTAL"), byV2("TOTAL", "T2"))
+	packaged, ids := chainGraph(t, measureSchema, byV2("V1", "TOTAL"), round(), byV2("TOTAL", "T2"))
+	// The middle γ writes its row count over its grouper V2.
+	overwrites, _ := chainGraph(t, measureSchema, byV2("V1", "TOTAL"),
+		templates.Aggregate([]string{"V2"}, workflow.AggCount, "", "V2", 1), byV2("V2", "T2"))
+	res, err := transitions.Merge(packaged, ids[1], ids[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := func(keys ...string) *workflow.Activity { return templates.PKCheck(1, keys...) }
+	return []shape{
+		{"function rewrites the key", funcRewrites},
+		{"projection drops the key", projectDrops},
+		// DISTINCT (on the whole record) ∪ PK(KEY) (on KEY), grouped by the
+		// whole record.
+		{"union of differently partitioned inputs", shapeGraph(t, map[string]*workflow.Activity{
+			"d": templates.Distinct(1), "pk": pk("KEY"), "u": templates.Union(),
+			"agg": templates.Aggregate(measureSchema, workflow.AggCount, "", "N", 1),
+		}, "SRC d", "SRC2 pk", "d u", "pk u", "u agg")},
+		// PK(KEY) (on KEY) minus SRC2 (arbitrary) by (KEY, V3).
+		{"diff partitioned on part of its key", shapeGraph(t, map[string]*workflow.Activity{
+			"pk": pk("KEY"), "df": templates.Diff(0.5, "KEY", "V3"),
+		}, "SRC pk", "pk df", "SRC2 df")},
+		// Each row matches two DIM rows, which PK(KEY, LABEL) exchanges apart.
+		{"join fans out before an exchange", shapeGraph(t, map[string]*workflow.Activity{
+			"pk": pk("KEY"), "j": templates.Join(2, "V3"), "pk2": pk("KEY", "LABEL"),
+		}, "SRC pk", "pk j", "DIM j", "j pk2")},
+		{"package rewrites the key before its aggregate", res.Graph},
+		{"aggregate overwrites its grouper", overwrites},
+	}
+}
+
+type shape struct {
+	name string
+	g    *workflow.Graph
+}
+
+// shapeGraph builds a flow over the sources SRC, SRC2 and DIM from
+// "from to" edges between them and the named activities; the last edge's
+// head feeds the target TGT.
+func shapeGraph(t testing.TB, acts map[string]*workflow.Activity, edges ...string) *workflow.Graph {
+	g := workflow.NewGraph()
+	ids := map[string]workflow.NodeID{}
+	node := func(name string) workflow.NodeID {
+		if _, ok := ids[name]; !ok && acts[name] != nil {
+			ids[name] = g.AddActivity(acts[name])
+		} else if !ok {
+			schema := map[string]data.Schema{"SRC": measureSchema, "SRC2": measureSchema, "DIM": dimSchema}[name]
+			ids[name] = g.AddRecordset(&workflow.RecordsetRef{Name: name, Schema: schema, Rows: 1000, IsSource: true})
+		}
+		return ids[name]
+	}
+	var last workflow.NodeID
+	for _, e := range edges {
+		from, to, _ := strings.Cut(e, " ")
+		last = node(to)
+		g.MustAddEdge(node(from), last)
+	}
+	if err := g.RegenerateSchemata(); err != nil {
+		t.Fatal(err)
+	}
+	g.MustAddEdge(last, g.AddRecordset(&workflow.RecordsetRef{Name: "TGT", Schema: g.Node(last).Out.Clone(), IsTarget: true}))
+	if err := g.RegenerateSchemata(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+var dimSchema = data.Schema{"V3", "LABEL"}
+
+// bindShapes binds SRC to n measure rows, SRC2 to every third of them, so
+// the two share keys and whole records, and DIM to two labels per V3.
+func bindShapes(n int) func() map[string]data.Recordset {
+	return func() map[string]data.Recordset {
+		rows := measureRows(n)
+		var third, dim data.Rows
+		for i := 0; i < len(rows); i += 3 {
+			third = append(third, rows[i])
+		}
+		for v := range 7 {
+			for _, label := range []string{"a", "b"} {
+				dim = append(dim, data.Record{data.NewInt(int64(v)), data.NewString(label)})
+			}
+		}
+		return map[string]data.Recordset{
+			"SRC":  data.NewMemoryRecordset("SRC", measureSchema).MustLoad(rows),
+			"SRC2": data.NewMemoryRecordset("SRC2", measureSchema).MustLoad(third),
+			"DIM":  data.NewMemoryRecordset("DIM", dimSchema).MustLoad(dim),
 		}
 	}
 }
