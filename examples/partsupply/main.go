@@ -1,6 +1,6 @@
 // Partsupply reproduces the paper's running example end to end: the
 // Fig. 1 workflow (monthly Euro costs from S1, daily Dollar costs from
-// S2), its naming-principle setup, the exhaustive optimization that
+// S2) over reference attribute names, the exhaustive optimization that
 // rediscovers Fig. 2, and the empirical proof that both workflows load
 // the same records.
 package main
@@ -13,41 +13,18 @@ import (
 	"etlopt/internal/core"
 	"etlopt/internal/engine"
 	"etlopt/internal/equiv"
-	"etlopt/internal/naming"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
 )
 
 func main() {
-	// The naming principle (§3.1): PARTS1.COST and PARTS2.COST are
-	// homonyms (Euros vs Dollars) and must map to different reference
-	// names; the DATE columns are the same grouper entity in both formats.
-	reg := naming.NewRegistry()
-	for _, ref := range []string{"PKEY", "SOURCE", "DATE", "ECOST", "DCOST", "DEPT"} {
-		if err := reg.Declare(ref); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for _, m := range [][3]string{
-		{"PARTS1", "PKEY", "PKEY"}, {"PARTS1", "SOURCE", "SOURCE"},
-		{"PARTS1", "DATE", "DATE"}, {"PARTS1", "COST", "ECOST"},
-		{"PARTS2", "PKEY", "PKEY"}, {"PARTS2", "SOURCE", "SOURCE"},
-		{"PARTS2", "DATE", "DATE"}, {"PARTS2", "COST", "DCOST"},
-		{"PARTS2", "DEPT", "DEPT"},
-	} {
-		if err := reg.Map(m[0], m[1], m[2]); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println("reference attribute names Ωn:", reg.RefNames())
-	for _, h := range reg.Homonyms() {
-		fmt.Println("homonym detected:", h)
-	}
-
-	// The Fig. 1 workflow over reference names.
+	// The Fig. 1 workflow over reference names (§3.1): the homonyms
+	// PARTS1.COST (Euros) and PARTS2.COST (Dollars) are ECOST and DCOST.
+	// `etlvet workflow`'s shadowed-reference pass checks that one reference
+	// name denotes one entity.
 	sc := templates.Fig1Scenario(400, 1200)
 	g := sc.Graph
-	fmt.Println("\nFig. 1 workflow (signature", g.Signature()+"):")
+	fmt.Println("Fig. 1 workflow (signature", g.Signature()+"):")
 	fmt.Print(g)
 
 	// Optimize exhaustively — the space is small enough to close.

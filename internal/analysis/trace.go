@@ -232,7 +232,7 @@ func auditCost(si *StepInfo) []Finding {
 
 // appliedOf converts a recorded step back into a structural transition.
 func appliedOf(stp core.TraceStep) (transitions.Applied, error) {
-	a := transitions.Applied{Op: stp.Op, NArgs: len(stp.Args), Desc: stp.Desc}
+	a := transitions.Applied{Op: stp.Op, NArgs: len(stp.Args)}
 	if len(stp.Args) > len(a.Args) {
 		return a, fmt.Errorf("analysis: step %s records %d node arguments", stp.Op, len(stp.Args))
 	}

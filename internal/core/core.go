@@ -161,11 +161,12 @@ type state struct {
 	g       *workflow.Graph
 	costing *cost.Costing
 	sig     string
-	// trace is the derivation path from S0 in the paper's notation
-	// (Result.Trace); steps is the structured path (Result.Steps), recorded
-	// only when Options.Trace is set. Both are parent-linked, so a
-	// successor extends its parent's path in O(1) and shares it.
-	trace *chain[string]
+	// trace is the derivation path from S0, rendered in the paper's
+	// notation only for the winner (Result.Trace); steps is the structured
+	// path (Result.Steps), recorded only when Options.Trace is set. Both
+	// are parent-linked, so a successor extends its parent's path in O(1)
+	// and shares it.
+	trace *chain[transitions.Applied]
 	steps *chain[TraceStep]
 }
 
@@ -349,7 +350,7 @@ func (s *search) makeState(parent *state, res *transitions.Result, sig string) (
 	if err != nil {
 		return nil, err
 	}
-	st := &state{g: res.Graph, costing: costing, sig: sig, trace: parent.trace.push(res.Description)}
+	st := &state{g: res.Graph, costing: costing, sig: sig, trace: parent.trace.push(res.Applied)}
 	if s.opts.Trace {
 		st.steps = parent.steps.push(stepOf(res.Applied, sig, costing.Total, true))
 	}
@@ -369,7 +370,7 @@ func (s *search) makeStateFull(traceParent *state, res *transitions.Result, pre1
 	if err != nil {
 		return nil, err
 	}
-	st := &state{g: res.Graph, costing: costing, sig: sig, trace: traceParent.trace.push(res.Description)}
+	st := &state{g: res.Graph, costing: costing, sig: sig, trace: traceParent.trace.push(res.Applied)}
 	if s.opts.Trace {
 		steps := traceParent.steps
 		for _, a := range pre1 {
@@ -447,9 +448,21 @@ func finishResult(alg string, s0, best *state, s *search, start time.Time, termi
 		Elapsed:     time.Since(start),
 		Terminated:  terminated,
 		Algorithm:   alg,
-		Trace:       best.trace.slice(),
+		Trace:       descs(best.trace.slice()),
 		Steps:       steps,
 	}, nil
+}
+
+// descs renders a derivation path in the paper's notation.
+func descs(path []transitions.Applied) []string {
+	if path == nil {
+		return nil
+	}
+	out := make([]string, len(path))
+	for i, a := range path {
+		out[i] = a.Desc()
+	}
+	return out
 }
 
 // splitAllTraced mirrors transitions.SplitAll while recording each SPL as

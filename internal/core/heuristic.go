@@ -242,23 +242,17 @@ func (s *search) heuristic(alg string, g0 *workflow.Graph, greedy bool) (*Result
 	return finishResult(alg, s0, sMin, s, start, true)
 }
 
-// swapStep is one SWA of a local group's search: the pair it swapped and
-// its description in the paper's notation.
-type swapStep struct {
-	pair [2]workflow.NodeID
-	desc string
-}
-
-// groupState is a state inside one local group's search, carrying the SWA
-// transitions that produced it from the group job's base state so the
-// winning ordering can be replayed onto any graph that shares the group.
+// groupState is a state inside one local group's search, carrying the
+// pairs of the SWA transitions that produced it from the group job's base
+// state so the winning ordering can be replayed onto any graph that shares
+// the group.
 type groupState struct {
 	st    *state
-	swaps *chain[swapStep]
+	swaps *chain[[2]workflow.NodeID]
 }
 
-func (gs *groupState) extend(st *state, pair [2]workflow.NodeID, desc string) *groupState {
-	return &groupState{st: st, swaps: gs.swaps.push(swapStep{pair, desc})}
+func (gs *groupState) extend(st *state, pair [2]workflow.NodeID) *groupState {
+	return &groupState{st: st, swaps: gs.swaps.push(pair)}
 }
 
 // optimizeLocalGroups runs the Phase I/IV swap optimization: it optimizes
@@ -362,15 +356,15 @@ func (s *search) replaySwaps(cur *state, job *groupJob) (*state, error) {
 	trace := cur.trace
 	var dirty []workflow.NodeID
 	var steps []TraceStep
-	for _, sw := range job.best.swaps.slice() {
-		res, err := transitions.Swap(g, sw.pair[0], sw.pair[1])
+	for _, pair := range job.best.swaps.slice() {
+		res, err := transitions.Swap(g, pair[0], pair[1])
 		if err != nil {
 			return nil, err
 		}
 		g = res.Graph
 		sig = s.spliceOrFull(&site, sig, res, job.tags)
 		dirty = append(dirty, res.Dirty...)
-		trace = trace.push(sw.desc)
+		trace = trace.push(res.Applied)
 		if s.opts.Trace {
 			steps = append(steps, stepOf(res.Applied, s.visited.Intern(sig), 0, false))
 		}
@@ -471,7 +465,7 @@ func (j *groupJob) full() *groupState {
 			if err != nil {
 				continue
 			}
-			gs2 := cur.extend(st2, pair, res.Description)
+			gs2 := cur.extend(st2, pair)
 			if st2.costing.Total < best.st.costing.Total {
 				best = gs2
 			}
@@ -543,7 +537,7 @@ func (j *groupJob) greedy() *groupState {
 			continue
 		}
 		if st2.costing.Total < cur.st.costing.Total {
-			cur = cur.extend(st2, pair, res.Description)
+			cur = cur.extend(st2, pair)
 		}
 	}
 	return cur

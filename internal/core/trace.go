@@ -34,7 +34,7 @@ type TraceStep struct {
 
 // stepOf converts a structural transition record into a trace step.
 func stepOf(a transitions.Applied, sig string, cost float64, costed bool) TraceStep {
-	return TraceStep{Op: a.Op, Args: a.ArgIDs(), Desc: a.Desc, Sig: sig, Cost: cost, Costed: costed}
+	return TraceStep{Op: a.Op, Args: a.ArgIDs(), Desc: a.Desc(), Sig: sig, Cost: cost, Costed: costed}
 }
 
 // chain is an immutable parent-linked list: the derivation paths of

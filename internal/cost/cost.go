@@ -159,12 +159,12 @@ func (c *Costing) Clone() *Costing {
 // priced on the cardinalities of its providers, and C(S) sums the activity
 // costs.
 //
-// Evaluate and EvaluateIncremental are pure: they read the graph (and
-// prev) and allocate a fresh Costing. The parallel search relies on this —
-// worker goroutines cost different successor graphs concurrently, sharing
-// a parent Costing read-only. The one subtlety is the graph's memoized
-// topological order: prime it (call TopoSort once) before sharing one
-// graph across goroutines.
+// Evaluate and EvaluateIncremental read the graph (and prev) and allocate
+// a fresh Costing. The parallel search relies on this — worker goroutines
+// cost different successor graphs concurrently, sharing a parent Costing
+// read-only. Evaluate sorts through TopoSort, the one writer of the
+// graph's memoized order: prime it (call TopoSort once) before sharing one
+// graph across goroutines. EvaluateIncremental writes nothing.
 func Evaluate(g *workflow.Graph, m Model) (*Costing, error) {
 	order, err := g.TopoSort()
 	if err != nil {
@@ -224,10 +224,13 @@ func (c *Costing) evalNode(g *workflow.Graph, m Model, id workflow.NodeID) error
 // them the recomputation walks towards the targets for as long as a
 // node's output cardinality comes out different from the parent's; where
 // it reconverges, everything further down is copied from prev like the
-// rest of the state. Total is re-summed over every node in topological
-// order, exactly as Evaluate sums it, so the two agree bit for bit.
+// rest of the state. Total is re-summed over every node in the canonical
+// topological order, exactly as Evaluate sums it, so the two agree bit
+// for bit. A successor is sorted into a stack buffer through TopoOrder
+// and keeps no order: its costing allocates only the Costing.
 func EvaluateIncremental(prev *Costing, g *workflow.Graph, m Model, dirty []workflow.NodeID) (*Costing, error) {
-	order, err := g.TopoSort()
+	var buf [256]workflow.NodeID // up to 256 nodes sort without allocating
+	order, err := g.TopoOrder(buf[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -209,11 +209,11 @@ func TestTransitionsPreserveOutputs(t *testing.T) {
 			pick := candidates[rng.Intn(len(candidates))]
 			ok, diff, err := VerifyEmpirical(sc.Graph, pick.Graph, bindings)
 			if err != nil {
-				t.Fatalf("seed %d step %d (%s): %v", seed, step, pick.Description, err)
+				t.Fatalf("seed %d step %d (%s): %v", seed, step, pick.Description(), err)
 			}
 			if !ok {
 				t.Fatalf("seed %d step %d: transition %s changed the output: %s",
-					seed, step, pick.Description, diff)
+					seed, step, pick.Description(), diff)
 			}
 			cur = pick.Graph
 		}

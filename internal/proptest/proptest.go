@@ -123,20 +123,20 @@ func serialized(g *workflow.Graph) string {
 func checkResult(parentSig string, base *cost.Costing, model cost.Model, singleChain bool, res *transitions.Result) error {
 	inc, err := cost.EvaluateIncremental(base, res.Graph, model, res.Dirty)
 	if err != nil {
-		return fmt.Errorf("%s: incremental evaluation: %w", res.Description, err)
+		return fmt.Errorf("%s: incremental evaluation: %w", res.Description(), err)
 	}
 	scratch, err := cost.Evaluate(res.Graph, model)
 	if err != nil {
-		return fmt.Errorf("%s: scratch evaluation: %w", res.Description, err)
+		return fmt.Errorf("%s: scratch evaluation: %w", res.Description(), err)
 	}
 	if err := compareCostings(inc, scratch); err != nil {
-		return fmt.Errorf("%s: %w", res.Description, err)
+		return fmt.Errorf("%s: %w", res.Description(), err)
 	}
 	if res.SigOld != "" {
 		full := res.Graph.Signature()
 		if spliced, ok := workflow.SpliceSignature(parentSig, res.SigOld, res.SigNew, singleChain); ok && spliced != full {
 			return fmt.Errorf("%s: spliced signature %q != full rendering %q (parent %q, %q->%q)",
-				res.Description, spliced, full, parentSig, res.SigOld, res.SigNew)
+				res.Description(), spliced, full, parentSig, res.SigOld, res.SigNew)
 		}
 	}
 	return nil
@@ -179,14 +179,14 @@ func checkGroupJob(g *workflow.Graph, sig string, grp workflow.LocalGroup, singl
 			one, okOne := workflow.SpliceSignature(cur.sig, res.SigOld, res.SigNew, singleChain, anchors...)
 			if okAt && at != full || okOne && one != full {
 				return fmt.Errorf("%s in the job of group %v: located splice %q, one-shot %q (ok=%v), full rendering %q (parent %q)",
-					res.Description, grp, at, one, okOne, full, cur.sig)
+					res.Description(), grp, at, one, okOne, full, cur.sig)
 			}
 			if okAt && !okOne {
 				have := strings.Split(site.Run(), ".")
 				for _, tag := range anchors {
 					if !slices.Contains(have, tag) {
 						return fmt.Errorf("%s in the job of group %v: the site answered in run %q, which lacks tag %s (parent %q)",
-							res.Description, grp, site.Run(), tag, cur.sig)
+							res.Description(), grp, site.Run(), tag, cur.sig)
 					}
 				}
 			}
@@ -234,18 +234,18 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 		msig := mg.Signature()
 		mbase, err := cost.Evaluate(mg, model)
 		if err != nil {
-			return fmt.Errorf("%s: costing merged state: %w", res.Description, err)
+			return fmt.Errorf("%s: costing merged state: %w", res.Description(), err)
 		}
 		sres, err := transitions.Split(mg, res.Dirty[0])
 		if err != nil {
-			return fmt.Errorf("%s: splitting the merged package back: %w", res.Description, err)
+			return fmt.Errorf("%s: splitting the merged package back: %w", res.Description(), err)
 		}
 		if err := checkResult(msig, mbase, model, singleChain, sres); err != nil {
 			return err
 		}
 		if got := sres.Graph.Signature(); got != sig0 {
 			return fmt.Errorf("%s then %s: signature %q, want the original %q",
-				res.Description, sres.Description, got, sig0)
+				res.Description(), sres.Description(), got, sig0)
 		}
 	}
 
@@ -278,10 +278,10 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 			res := succs[k*len(succs)/n]
 			ok, diff, err := equiv.VerifyEmpirical(g0, res.Graph, bindings)
 			if err != nil {
-				return fmt.Errorf("%s: empirical verification: %w", res.Description, err)
+				return fmt.Errorf("%s: empirical verification: %w", res.Description(), err)
 			}
 			if !ok {
-				return fmt.Errorf("%s: derived state not equivalent on data: %s", res.Description, diff)
+				return fmt.Errorf("%s: derived state not equivalent on data: %s", res.Description(), diff)
 			}
 		}
 	}

@@ -113,8 +113,9 @@ func TestResultCarriesApplied(t *testing.T) {
 	if a.Op != "SWA" || a.NArgs != 2 || a.Args[0] != ids[0] || a.Args[1] != ids[1] {
 		t.Errorf("swap applied = %+v", a)
 	}
-	if a.Desc != res.Description {
-		t.Errorf("desc %q != description %q", a.Desc, res.Description)
+	want := "SWA(" + g.Node(ids[0]).Act.Tag + "," + g.Node(ids[1]).Act.Tag + ")"
+	if a.Desc() != want || res.Description() != want {
+		t.Errorf("desc %q, description %q, want %q", a.Desc(), res.Description(), want)
 	}
 	if got := a.ArgIDs(); len(got) != 2 || got[0] != ids[0] {
 		t.Errorf("ArgIDs = %v", got)

@@ -15,13 +15,13 @@ func TestEnumerateFig1(t *testing.T) {
 	}
 	kinds := map[string]int{}
 	for _, r := range results {
-		kinds[r.Description[:3]]++
+		kinds[r.Description()[:3]]++
 		// Every enumerated state is valid and distinct from the input.
 		if err := r.Graph.Validate(); err != nil {
-			t.Errorf("%s produced invalid state: %v", r.Description, err)
+			t.Errorf("%s produced invalid state: %v", r.Description(), err)
 		}
 		if r.Graph.Signature() == g.Signature() {
-			t.Errorf("%s produced an identical state", r.Description)
+			t.Errorf("%s produced an identical state", r.Description())
 		}
 	}
 	// Fig. 1 offers the γ↔A2E swap and the σ distribution at least.
@@ -43,9 +43,9 @@ func TestEnumerateDistinctSignatures(t *testing.T) {
 	for _, r := range results {
 		sig := r.Graph.Signature()
 		if prev, dup := seen[sig]; dup {
-			t.Errorf("transitions %s and %s produce the same signature %q", prev, r.Description, sig)
+			t.Errorf("transitions %s and %s produce the same signature %q", prev, r.Description(), sig)
 		}
-		seen[sig] = r.Description
+		seen[sig] = r.Description()
 	}
 }
 

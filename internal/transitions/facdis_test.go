@@ -110,6 +110,26 @@ func TestFactorizeAggregationRejected(t *testing.T) {
 	}
 }
 
+// TestFactorizeProjectionsRederivesTheUnion: factorizing two projections
+// hands the union the unprojected schemas, so the union is re-derived
+// although only its new consumer is created.
+func TestFactorizeProjectionsRederivesTheUnion(t *testing.T) {
+	g, ids := forked(t, data.Schema{"K", "V"}, templates.ProjectOut("V"), templates.ProjectOut("V"))
+	res, err := Factorize(g, ids["u"], ids["a1"], ids["a2"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := res.Graph.Node(ids["u"])
+	for i, in := range u.In {
+		if !in.Equal(data.Schema{"K", "V"}) {
+			t.Errorf("union input %d = {%s}, want {K, V}", i, in)
+		}
+	}
+	if na := res.Graph.Node(res.Graph.Consumers(ids["u"])[0]); !na.Out.Equal(data.Schema{"K"}) {
+		t.Errorf("factorized projection delivers {%s}, want {K}", na.Out)
+	}
+}
+
 func TestDistributeFilterOverUnion(t *testing.T) {
 	schema := data.Schema{"K", "V"}
 	g, ids := forked(t, schema, templates.NotNull(0.9, "K"), templates.NotNull(0.9, "K"),

@@ -46,8 +46,8 @@ func reject(transition, format string, args ...interface{}) error {
 // are deterministic (clones inherit the ID counter), so a recorded
 // sequence of Applied values replayed against the same initial workflow
 // reproduces the exact derivation — the basis of offline trace auditing.
-// Args is a fixed-size array so recording allocates nothing beyond the
-// Result itself.
+// Args and Tags are fixed-size arrays so recording allocates nothing
+// beyond the Result itself; the description is rendered only when read.
 type Applied struct {
 	// Op is the transition mnemonic: SWA, FAC, DIS, MER or SPL.
 	Op string
@@ -55,13 +55,21 @@ type Applied struct {
 	// SWA(a1,a2), FAC(ab,a1,a2), DIS(ab,a), MER(a1,a2), SPL(a).
 	Args  [3]workflow.NodeID
 	NArgs int
-	// Desc is the paper-notation description, e.g. "SWA(5,6)".
-	Desc string
+	// Tags are the activity tags Desc renders: two for SWA and DIS,
+	// three for FAC, MER and SPL.
+	Tags [3]string
 }
 
 // ArgIDs returns the call arguments as a freshly allocated slice.
 func (a Applied) ArgIDs() []workflow.NodeID {
 	return append([]workflow.NodeID(nil), a.Args[:a.NArgs]...)
+}
+
+// Desc renders the paper-notation description by activity tag:
+// SWA(a1,a2), FAC(ab,a1,a2), DIS(ab,a), MER(a1+2,a1,a2) and
+// SPL(a1+2,a1,a2), e.g. "SWA(5,6)".
+func (a Applied) Desc() string {
+	return a.Op + "(" + strings.TrimRight(strings.Join(a.Tags[:], ","), ",") + ")"
 }
 
 // Result is a successfully derived state.
@@ -72,9 +80,6 @@ type Result struct {
 	// to recompute these and their descendants (§4.1 semi-incremental
 	// costing).
 	Dirty []workflow.NodeID
-	// Description names the transition in the paper's notation, e.g.
-	// "SWA(5,6)".
-	Description string
 	// Applied records the transition structurally for replay and audit.
 	Applied Applied
 	// SigOld/SigNew describe the rewrite's effect on the state signature
@@ -87,41 +92,51 @@ type Result struct {
 	SigOld, SigNew string
 }
 
+// Description names the transition in the paper's notation, e.g.
+// "SWA(5,6)"; see Applied.Desc.
+func (r *Result) Description() string { return r.Applied.Desc() }
+
 // finish regenerates schemata on the rewritten clone (incrementally from
 // the dirty nodes) and verifies well-formedness of every recomputed node,
-// converting violations into rejections of the named transition. The
+// converting violations into rejections of the transition. The
 // well-formedness check is what enforces the paper's swap conditions (3)
-// and (4) "after the swapping".
-func finish(name string, g *workflow.Graph, dirty []workflow.NodeID, applied Applied) (*Result, error) {
+// and (4) "after the swapping". dirty is also the set cost evaluation
+// starts from, so it must meet cost.EvaluateIncremental's precondition.
+func finish(g *workflow.Graph, dirty []workflow.NodeID, applied Applied) (*Result, error) {
+	name := applied.Op
 	recomputed, err := g.RegenerateSchemataIncremental(dirty)
 	if err != nil {
 		return nil, reject(name, "schema regeneration failed: %v", err)
 	}
-	if err := g.CheckWellFormedNodes(recomputed); err != nil {
-		return nil, reject(name, "resulting state ill-formed: %v", err)
-	}
 	if workflow.DebugCOW {
-		// `-tags etldebug`: audit the copy-on-write discipline after every
-		// rewrite — the derived graph must be internally consistent and the
-		// parent it structurally shares with must be untouched.
+		// `-tags etldebug`: audit every rewrite, before a stale schema can
+		// turn into a rejection. The derived graph must be internally
+		// consistent, the parent it structurally shares with untouched, and
+		// its schemata those a whole-graph regeneration derives.
 		if err := g.CheckIntegrity(); err != nil {
 			panic(fmt.Sprintf("transitions: %s corrupted the derived graph: %v", name, err))
 		}
 		g.DebugVerifySharing()
+		auditSchemata(g, applied)
 	}
-	return &Result{Graph: g, Dirty: dirty, Description: applied.Desc, Applied: applied}, nil
+	if err := g.CheckWellFormedNodes(recomputed); err != nil {
+		return nil, reject(name, "resulting state ill-formed: %v", err)
+	}
+	return &Result{Graph: g, Dirty: dirty, Applied: applied}, nil
 }
 
-func applied1(op string, desc string, a workflow.NodeID) Applied {
-	return Applied{Op: op, Args: [3]workflow.NodeID{a}, NArgs: 1, Desc: desc}
-}
-
-func applied2(op string, desc string, a, b workflow.NodeID) Applied {
-	return Applied{Op: op, Args: [3]workflow.NodeID{a, b}, NArgs: 2, Desc: desc}
-}
-
-func applied3(op string, desc string, a, b, c workflow.NodeID) Applied {
-	return Applied{Op: op, Args: [3]workflow.NodeID{a, b, c}, NArgs: 3, Desc: desc}
+// auditSchemata panics unless a full RegenerateSchemata of a Clone of g
+// derives the schemata g holds on every node: a dirty set that misses a
+// rewired node leaves it outside the incremental walk's cone, stale.
+func auditSchemata(g *workflow.Graph, applied Applied) {
+	full := g.Clone()
+	err := full.RegenerateSchemata()
+	for _, id := range g.Nodes() {
+		if got, want := g.Node(id), full.Node(id); err != nil || fmt.Sprint(got.In, got.Out) != fmt.Sprint(want.In, want.Out) {
+			panic(fmt.Sprintf("transitions: %s left node %d with In %v Out %v; full regeneration derives In %v Out %v (%v)",
+				applied.Desc(), id, got.In, got.Out, want.In, want.Out, err))
+		}
+	}
 }
 
 // Apply replays a recorded transition against g, dispatching on the
@@ -202,16 +217,13 @@ func Swap(g *workflow.Graph, a1, a2 workflow.NodeID) (*Result, error) {
 	}
 
 	c := g.Mutate()
-	p := c.Providers(a1)[0]
-	consumer := c.Consumers(a2)[0]
-	// p→a1→a2→consumer becomes p→a2→a1→consumer. Each rewiring preserves
-	// provider positions, so binary consumers keep their input ordering.
-	c.MustReplaceProvider(consumer, a2, a1)
-	c.MustReplaceProvider(a1, p, a2)
-	c.MustReplaceProvider(a2, a1, p)
-
-	desc := fmt.Sprintf("SWA(%s,%s)", n1.Act.Tag, n2.Act.Tag)
-	res, err := finish(name, c, []workflow.NodeID{a1, a2}, applied2(name, desc, a1, a2))
+	// p→a1→a2→consumer becomes p→a2→a1→consumer, keeping positions, so
+	// binary consumers keep their input ordering.
+	if err := c.SwapChain(a1, a2); err != nil {
+		return nil, err
+	}
+	a := Applied{Op: name, Args: [3]workflow.NodeID{a1, a2}, NArgs: 2, Tags: [3]string{n1.Act.Tag, n2.Act.Tag}}
+	res, err := finish(c, []workflow.NodeID{a1, a2}, a)
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +320,8 @@ func Factorize(g *workflow.Graph, ab, a1, a2 workflow.NodeID) (*Result, error) {
 	c.RemoveNode(a1)
 	c.RemoveNode(a2)
 
-	desc := fmt.Sprintf("FAC(%s,%s,%s)", nb.Act.Tag, n1.Act.Tag, n2.Act.Tag)
-	return finish(name, c, []workflow.NodeID{ab, na}, applied3(name, desc, ab, a1, a2))
+	return finish(c, []workflow.NodeID{ab, na}, Applied{Op: name, Args: [3]workflow.NodeID{ab, a1, a2}, NArgs: 3,
+		Tags: [3]string{nb.Act.Tag, n1.Act.Tag, n2.Act.Tag}})
 }
 
 // Distribute applies DIS(ab,a): the activity a, fed directly by the binary
@@ -359,8 +371,8 @@ func Distribute(g *workflow.Graph, ab, a workflow.NodeID) (*Result, error) {
 	}
 	c.RemoveNode(a)
 
-	desc := fmt.Sprintf("DIS(%s,%s)", nb.Act.Tag, na.Act.Tag)
-	return finish(name, c, dirty, applied2(name, desc, ab, a))
+	return finish(c, dirty, Applied{Op: name, Args: [3]workflow.NodeID{ab, a}, NArgs: 2,
+		Tags: [3]string{nb.Act.Tag, na.Act.Tag}})
 }
 
 // flattenComponents returns the activity itself, or its components if it is
@@ -443,8 +455,8 @@ func Merge(g *workflow.Graph, a1, a2 workflow.NodeID) (*Result, error) {
 	c.RemoveNode(a1)
 	c.RemoveNode(a2)
 
-	desc := fmt.Sprintf("MER(%s,%s,%s)", m.Tag, n1.Act.Tag, n2.Act.Tag)
-	res, err := finish(name, c, []workflow.NodeID{id}, applied2(name, desc, a1, a2))
+	res, err := finish(c, []workflow.NodeID{id}, Applied{Op: name, Args: [3]workflow.NodeID{a1, a2}, NArgs: 2,
+		Tags: [3]string{m.Tag, n1.Act.Tag, n2.Act.Tag}})
 	if err != nil {
 		return nil, err
 	}
@@ -487,8 +499,8 @@ func Split(g *workflow.Graph, id workflow.NodeID) (*Result, error) {
 	c.MustReplaceProvider(consumer, id, id2)
 	c.RemoveNode(id)
 
-	desc := fmt.Sprintf("SPL(%s,%s,%s)", n.Act.Tag, first.Tag, second.Tag)
-	res, err := finish(name, c, []workflow.NodeID{id1, id2}, applied1(name, desc, id))
+	res, err := finish(c, []workflow.NodeID{id1, id2}, Applied{Op: name, Args: [3]workflow.NodeID{id}, NArgs: 1,
+		Tags: [3]string{n.Act.Tag, first.Tag, second.Tag}})
 	if err != nil {
 		return nil, err
 	}

@@ -59,8 +59,8 @@ func TestSwapTwoFilters(t *testing.T) {
 	if pos[ids[1]] >= pos[ids[0]] {
 		t.Error("swap did not reorder the activities")
 	}
-	if res.Description != "SWA(2,3)" {
-		t.Errorf("Description = %q", res.Description)
+	if res.Description() != "SWA(2,3)" {
+		t.Errorf("Description = %q", res.Description())
 	}
 	// The original graph is untouched.
 	o, _ := g.TopoSort()

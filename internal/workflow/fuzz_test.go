@@ -75,7 +75,7 @@ func FuzzSignatureRoundTrip(f *testing.F) {
 		succs := transitions.Enumerate(g)
 		for _, res := range succs {
 			if err := res.Graph.CheckIntegrity(); err != nil {
-				t.Fatalf("%s produced a corrupt graph: %v", res.Description, err)
+				t.Fatalf("%s produced a corrupt graph: %v", res.Description(), err)
 			}
 		}
 		if got := g.Signature(); got != sig {
@@ -239,13 +239,13 @@ func spliceWalk(t *testing.T, src string, steps []byte) (sig string, located, re
 		one, okOne := workflow.SpliceSignature(sig, res.SigOld, res.SigNew, single, anchors...)
 		at, okAt := site.Splice(sig, res.SigOld, res.SigNew)
 		if okOne && one != full {
-			t.Fatalf("%s on %q: one-shot splice %q, full rendering %q", res.Description, sig, one, full)
+			t.Fatalf("%s on %q: one-shot splice %q, full rendering %q", res.Description(), sig, one, full)
 		}
 		if okAt && at != full {
-			t.Fatalf("%s on %q: located splice %q, full rendering %q", res.Description, sig, at, full)
+			t.Fatalf("%s on %q: located splice %q, full rendering %q", res.Description(), sig, at, full)
 		}
 		if okAt && !okOne && !runHolds(site.Run(), anchors) {
-			t.Fatalf("%s on %q: the site answered in run %q, which lacks a tag of %v", res.Description, sig, site.Run(), anchors)
+			t.Fatalf("%s on %q: the site answered in run %q, which lacks a tag of %v", res.Description(), sig, site.Run(), anchors)
 		}
 		switch {
 		case okAt:

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -134,9 +135,10 @@ type Graph struct {
 
 	// topoCache memoizes TopoSort between mutations; every structural
 	// change invalidates it (by clearing this graph's field only — a
-	// shared cache slice itself is never written). Derived states are
-	// costed, signed and checked several times each, so the memo is a
-	// large win during search.
+	// shared cache slice itself is never written). Only TopoSort writes
+	// it: a search state is sorted through it once before its successors
+	// fan out, and the successors themselves are sorted through TopoOrder
+	// and keep no order, since each is rewired again before any reuse.
 	topoCache []NodeID
 
 	// owner is the graph's current ownership epoch (see gtag). It is
@@ -307,6 +309,32 @@ func (g *Graph) MustReplaceProvider(node, oldP, newP NodeID) {
 	if err := g.ReplaceProvider(node, oldP, newP); err != nil {
 		panic(err)
 	}
+}
+
+// replaceID returns a fresh copy of ids with new at old's position.
+func replaceID(ids []NodeID, old, new NodeID) []NodeID {
+	out := slices.Clone(ids)
+	out[slices.Index(out, old)] = new
+	return out
+}
+
+// SwapChain rewires p→a1→a2→c into p→a2→a1→c, where a1 and a2 have one
+// provider and one consumer each. p's and c's lists are copied once with
+// the one position replaced, so a binary c keeps its input order; a2 and
+// a1 take a1's provider and a2's consumer list as they stand.
+func (g *Graph) SwapChain(a1, a2 NodeID) error {
+	n1, n2 := g.Node(a1), g.Node(a2)
+	if n1 == nil || n2 == nil || len(n1.pred) != 1 || len(n2.pred) != 1 || len(n2.succ) != 1 ||
+		!slices.Equal(n1.succ, []NodeID{a2}) {
+		return fmt.Errorf("workflow: %d->%d is not a link of a unary chain", a1, a2)
+	}
+	p, c := g.mutableNode(n1.pred[0]), g.mutableNode(n2.succ[0])
+	p.succ, c.pred = replaceID(p.succ, a1, a2), replaceID(c.pred, a2, a1)
+	link := []NodeID{a2, a1} // one allocation for both new one-element lists
+	m1, m2 := g.mutableNode(a1), g.mutableNode(a2)
+	m1.pred, m1.succ, m2.pred, m2.succ = link[0:1:1], n2.succ, n1.pred, link[1:2:2]
+	g.topoCache = nil
+	return nil
 }
 
 // Node returns the node with the given ID, or nil.
@@ -487,81 +515,80 @@ func (g *Graph) DeepClone() *Graph {
 }
 
 // TopoSort returns the node IDs in a deterministic topological order
-// (Kahn's algorithm breaking ties by smallest ID). It returns an error if
-// the graph contains a cycle.
+// (Kahn's algorithm breaking ties by smallest ID), or an error if the
+// graph contains a cycle. It is TopoOrder with a memo: the order is
+// allocated once and kept until the next structural change.
 //
-// The order is memoized; callers that share one graph across goroutines
-// must call TopoSort once beforehand to prime the cache (see the core
-// package's pool). A Mutate child inherits its parent's primed cache and
+// TopoSort is the only writer of the memo, so callers that share one
+// graph across goroutines call it once beforehand (the core package's
+// local-group fan-out does). A Mutate child inherits its parent's memo and
 // drops only its own reference on rewrite.
 func (g *Graph) TopoSort() ([]NodeID, error) {
+	if g.topoCache == nil {
+		order, err := g.TopoOrder(make([]NodeID, 0, g.live))
+		if err != nil {
+			return nil, err
+		}
+		g.topoCache = order
+	}
+	return g.topoCache, nil
+}
+
+// stackSlots is the node-table size up to which TopoOrder and the cone
+// walk of RegenerateSchemataIncremental keep their scratch in stack
+// buffers; larger graphs fall back to make.
+const stackSlots = 256
+
+// TopoOrder is TopoSort without the memo: it returns the memoized order
+// when there is one, and otherwise appends the order to buf[:0] and stores
+// nothing. Ready IDs are bits of a word set and each step pops the lowest,
+// so the smallest ready ID always comes next; the in-degrees and the word
+// set live on the stack up to stackSlots node slots.
+func (g *Graph) TopoOrder(buf []NodeID) ([]NodeID, error) {
 	if g.topoCache != nil {
 		return g.topoCache, nil
 	}
-	// Kahn's algorithm over a binary min-heap of ready IDs: three
-	// allocations (in-degrees, heap, order) however many nodes unlock.
-	indeg := make([]int, len(g.nodes))
-	ready := make([]NodeID, 0, g.live)
-	for id := 1; id < len(g.nodes); id++ {
-		if g.nodes[id] == nil {
-			continue
-		}
-		indeg[id] = len(g.nodes[id].pred)
-		if indeg[id] == 0 {
-			ready = append(ready, NodeID(id)) // ascending, so already a heap
+	n := len(g.nodes)
+	var indegBuf [stackSlots]int32
+	var readyBuf [stackSlots / 64]uint64
+	indeg, ready := indegBuf[:], readyBuf[:]
+	if n > stackSlots {
+		indeg, ready = make([]int32, n), make([]uint64, (n+63)/64)
+	}
+	ready = ready[:(n+63)/64]
+	for id, nd := range g.nodes {
+		if nd != nil {
+			if indeg[id] = int32(len(nd.pred)); indeg[id] == 0 {
+				ready[id>>6] |= 1 << (id & 63)
+			}
 		}
 	}
-	out := make([]NodeID, 0, g.live)
-	for len(ready) > 0 {
-		id := ready[0]
-		last := len(ready) - 1
-		ready[0] = ready[last]
-		ready = ready[:last]
-		siftDown(ready)
+	out := buf[:0]
+	// lo is the first word that may hold a ready bit: popping only clears
+	// bits, and an unlocked node below it moves it back.
+	for lo := 0; ; {
+		for lo < len(ready) && ready[lo] == 0 {
+			lo++
+		}
+		if lo == len(ready) {
+			break
+		}
+		b := bits.TrailingZeros64(ready[lo])
+		ready[lo] &^= 1 << b
+		id := NodeID(lo<<6 | b)
 		out = append(out, id)
 		for _, s := range g.nodes[id].succ {
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready = append(ready, s)
-				siftUp(ready)
+				ready[s>>6] |= 1 << (s & 63)
+				lo = min(lo, int(s>>6))
 			}
 		}
 	}
 	if len(out) != g.live {
 		return nil, fmt.Errorf("workflow: graph contains a cycle (%d of %d nodes ordered)", len(out), g.live)
 	}
-	g.topoCache = out
 	return out, nil
-}
-
-// siftUp restores the min-heap property after an append to h.
-func siftUp(h []NodeID) {
-	for j := len(h) - 1; j > 0; {
-		i := (j - 1) / 2
-		if h[i] <= h[j] {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-// siftDown restores the min-heap property after h[0] was replaced.
-func siftDown(h []NodeID) {
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
-		}
-		if j+1 < len(h) && h[j+1] < h[j] {
-			j++
-		}
-		if h[i] <= h[j] {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
 }
 
 // Validate checks the structural well-formedness rules of §2.1: the graph

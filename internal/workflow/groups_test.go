@@ -26,7 +26,7 @@ func groupCorpus(t *testing.T) map[string]*workflow.Graph {
 			name := fmt.Sprintf("%s-%d", cat, seed)
 			out[name] = sc.Graph
 			for _, res := range transitions.Enumerate(sc.Graph) {
-				out[name+"/"+res.Description] = res.Graph
+				out[name+"/"+res.Description()] = res.Graph
 			}
 		}
 	}

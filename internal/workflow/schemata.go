@@ -26,28 +26,34 @@ func (g *Graph) RegenerateSchemata() error {
 		return err
 	}
 	for _, id := range order {
-		n := g.mutableNode(id)
-		preds := n.pred
-		n.In = make([]data.Schema, len(preds))
-		for i, p := range preds {
-			// Schemas are immutable once derived, so sharing the
-			// provider's Out slice is safe and avoids one allocation per
-			// node per regeneration.
-			n.In[i] = g.nodes[p].Out
+		if err := g.derive(id); err != nil {
+			return err
 		}
-		switch n.Kind {
-		case KindRecordset:
-			n.Out = n.RS.Schema.Clone()
-		case KindActivity:
-			if len(preds) == 0 {
-				return fmt.Errorf("workflow: activity %d (%s) has no provider", id, n.Label())
-			}
-			out, err := DeriveOutput(n.Act, n.In)
-			if err != nil {
-				return fmt.Errorf("workflow: activity %d (%s): %w", id, n.Label(), err)
-			}
-			n.Out = out
+	}
+	return nil
+}
+
+// derive recomputes one node's schemata from its providers' outputs.
+func (g *Graph) derive(id NodeID) error {
+	n := g.mutableNode(id)
+	n.In = make([]data.Schema, len(n.pred))
+	for i, p := range n.pred {
+		// Schemas are immutable once derived, so sharing the provider's Out
+		// slice is safe and avoids one allocation per node per regeneration.
+		n.In[i] = g.nodes[p].Out
+	}
+	switch n.Kind {
+	case KindRecordset:
+		n.Out = n.RS.Schema.Clone()
+	case KindActivity:
+		if len(n.pred) == 0 {
+			return fmt.Errorf("workflow: activity %d (%s) has no provider", id, n.Label())
 		}
+		out, err := DeriveOutput(n.Act, n.In)
+		if err != nil {
+			return fmt.Errorf("workflow: activity %d (%s): %w", id, n.Label(), err)
+		}
+		n.Out = out
 	}
 	return nil
 }
@@ -61,55 +67,80 @@ func sameSlice(a, b data.Schema) bool {
 	return len(a) == 0 || &a[0] == &b[0]
 }
 
-// RegenerateSchemataIncremental recomputes the derived schemata of the
-// dirty nodes and of every node whose stored input schema no longer
-// matches its provider's output — the nodes a graph rewrite actually
-// affected. Untouched nodes keep their (structurally shared) schemas. It
-// returns the IDs of the recomputed nodes so the caller can restrict
-// well-formedness checking to them.
+// RegenerateSchemataIncremental re-derives the schemata of the nodes a
+// rewrite affected and returns their IDs, so the caller can restrict
+// well-formedness checking to them; other nodes keep their shared schemas.
+// dirty must meet cost.EvaluateIncremental's precondition, so only the
+// forward cone of the dirty nodes can change. The cone is walked in
+// reverse DFS postorder, its marks in stack buffers, and a node is
+// re-derived when it is dirty or an input schema no longer matches its
+// provider's output. Every rewired edge has a dirty endpoint, so a cycle
+// the rewrite closed shows as a back edge. Nothing is sorted or memoized.
 func (g *Graph) RegenerateSchemataIncremental(dirty []NodeID) ([]NodeID, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
+	var marksBuf [stackSlots]uint8
+	var postBuf [stackSlots]NodeID
+	marks, post := marksBuf[:], postBuf[:0]
+	if len(g.nodes) > stackSlots {
+		marks, post = make([]uint8, len(g.nodes)), nil
 	}
-	var recomputed []NodeID
-	for _, id := range order {
-		n := g.nodes[id]
-		preds := n.pred
-		need := slices.Contains(dirty, id) || len(n.In) != len(preds)
-		if !need {
-			for i, p := range preds {
-				cur := g.nodes[p].Out
-				if !sameSlice(n.In[i], cur) && !n.In[i].Equal(cur) {
-					need = true
-					break
-				}
+	for _, d := range dirty {
+		if g.has(d) && marks[d] == 0 {
+			var err error
+			if post, err = g.cone(d, marks, post); err != nil {
+				return nil, err
 			}
 		}
-		if !need {
-			continue
-		}
-		n = g.mutableNode(id)
-		n.In = make([]data.Schema, len(preds))
-		for i, p := range preds {
-			n.In[i] = g.nodes[p].Out
-		}
-		switch n.Kind {
-		case KindRecordset:
-			n.Out = n.RS.Schema.Clone()
-		case KindActivity:
-			if len(preds) == 0 {
-				return nil, fmt.Errorf("workflow: activity %d (%s) has no provider", id, n.Label())
+	}
+	recomputed := make([]NodeID, 0, len(dirty))
+	for i := len(post) - 1; i >= 0; i-- {
+		if id := post[i]; slices.Contains(dirty, id) || g.inputsStale(g.nodes[id]) {
+			if err := g.derive(id); err != nil {
+				return nil, err
 			}
-			out, err := DeriveOutput(n.Act, n.In)
-			if err != nil {
-				return nil, fmt.Errorf("workflow: activity %d (%s): %w", id, n.Label(), err)
-			}
-			n.Out = out
+			recomputed = append(recomputed, id)
 		}
-		recomputed = append(recomputed, id)
 	}
 	return recomputed, nil
+}
+
+// Marks of the cone walk: a node is open while the walk is below it.
+const (
+	openMark uint8 = iota + 1
+	doneMark
+)
+
+// cone appends the forward cone of id to post in DFS postorder, marking
+// the nodes it visits. A consumer reached while still open closes a back
+// edge: the cycle error.
+func (g *Graph) cone(id NodeID, marks []uint8, post []NodeID) ([]NodeID, error) {
+	marks[id] = openMark
+	for _, s := range g.nodes[id].succ {
+		switch marks[s] {
+		case openMark:
+			return nil, fmt.Errorf("workflow: graph contains a cycle through node %d", s)
+		case 0:
+			var err error
+			if post, err = g.cone(s, marks, post); err != nil {
+				return nil, err
+			}
+		}
+	}
+	marks[id] = doneMark
+	return append(post, id), nil
+}
+
+// inputsStale reports whether n's stored input schemata no longer match
+// its providers' outputs.
+func (g *Graph) inputsStale(n *Node) bool {
+	if len(n.In) != len(n.pred) {
+		return true
+	}
+	for i, p := range n.pred {
+		if cur := g.nodes[p].Out; !sameSlice(n.In[i], cur) && !n.In[i].Equal(cur) {
+			return true
+		}
+	}
+	return false
 }
 
 // DeriveOutput computes an activity's output schema from its input
@@ -202,21 +233,7 @@ func (g *Graph) CheckWellFormed() error {
 	if err != nil {
 		return err
 	}
-	for _, id := range order {
-		n := g.nodes[id]
-		switch n.Kind {
-		case KindActivity:
-			if err := checkActivity(n); err != nil {
-				return fmt.Errorf("workflow: activity %d (%s): %w", id, n.Label(), err)
-			}
-		case KindRecordset:
-			if len(n.In) == 1 && !n.In[0].SameSet(n.RS.Schema) {
-				return fmt.Errorf("workflow: target %s expects schema {%s}, provider delivers {%s}",
-					n.RS.Name, n.RS.Schema, n.In[0])
-			}
-		}
-	}
-	return nil
+	return g.CheckWellFormedNodes(order)
 }
 
 // CheckWellFormedNodes verifies the well-formedness conditions for the
