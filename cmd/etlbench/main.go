@@ -59,8 +59,7 @@ func run() error {
 		ablations = flag.Bool("ablations", false, "run the DESIGN.md ablation studies and exit")
 		lintOnly  = flag.Bool("lint", false, "run the design checks over the generated suite and exit (warnings exit nonzero)")
 		quiet     = flag.Bool("quiet", false, "suppress per-workflow progress")
-		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot of the whole suite here (auditable with etlvet metrics)")
-		journal   = flag.String("journal", "", "record a structured run journal of the whole suite here (JSONL flight recorder; etlvet obs reports it, etlvet obs -format trace writes its spans)")
+		journal   = flag.String("journal", "", "record a structured run journal of the whole suite here (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics)")
 	)
 	flag.Parse()
 
@@ -99,12 +98,10 @@ func run() error {
 	if !*quiet {
 		cfg.Progress = os.Stderr
 	}
-	if *metrics != "" {
-		cfg.Metrics = obs.NewRegistry()
-	}
 	var jnl *obs.Journal
 	if *journal != "" {
 		var err error
+		cfg.Metrics = obs.NewRegistry()
 		jnl, err = obs.NewJournalFile(*journal, cfg.Metrics)
 		if err != nil {
 			return err
@@ -115,12 +112,6 @@ func run() error {
 	results, err := experiments.RunSuite(context.Background(), cfg)
 	if err != nil {
 		return err
-	}
-	if *metrics != "" {
-		if err := cfg.Metrics.Snapshot().WriteJSONFile(*metrics); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "metrics snapshot written to %s\n", *metrics)
 	}
 	if jnl != nil {
 		if err := jnl.Close(); err != nil {

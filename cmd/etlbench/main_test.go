@@ -57,7 +57,8 @@ func TestCLIPaperEvaluation(t *testing.T) {
 }
 
 // TestCLIRemovedFlags pins that the flags of the retired baseline stack,
-// the live status server and the trace export are rejected as unknown:
+// the live status server, the trace export and the metrics snapshot (the
+// journal's trailer carries it) are rejected as unknown:
 // usage on stderr, exit status 2.
 func TestCLIRemovedFlags(t *testing.T) {
 	if testing.Short() {
@@ -76,6 +77,7 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"-partitions", "1,2"},
 		{"-debug-addr", "localhost:0"},
 		{"-trace-out", "trace.json"},
+		{"-metrics", "snap.json"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError

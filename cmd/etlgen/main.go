@@ -5,7 +5,7 @@
 // Usage:
 //
 //	etlgen -category small|medium|large -n 5 -seed 7 -dir out/
-//	       [-data datadir/] [-metrics snap.json]
+//	       [-data datadir/]
 //
 // With -data, the generated source rows and surrogate-key lookup tables
 // are also written as <datadir>/<name>.csv, so the emitted workflows are
@@ -31,7 +31,6 @@ import (
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
 	"etlopt/internal/generator"
-	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 )
 
@@ -49,7 +48,6 @@ func run() error {
 		seed     = flag.Int64("seed", 1, "base random seed")
 		dir      = flag.String("dir", ".", "output directory")
 		dataDir  = flag.String("data", "", "also write each scenario's source and lookup rows as <dir>/<name>.csv for etlrun")
-		metrics  = flag.String("metrics", "", "write a JSON metrics snapshot of the generation run here")
 		suite    = flag.Int("suite", 0, "emit this many workflows sharing their extract/clean prefix (overrides -n)")
 	)
 	flag.Parse()
@@ -81,10 +79,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var reg *obs.Registry
-	if *metrics != "" {
-		reg = obs.NewRegistry()
-	}
 	for i, sc := range scenarios {
 		text, err := dsl.Serialize(sc.Graph)
 		if err != nil {
@@ -105,17 +99,8 @@ func run() error {
 				return err
 			}
 		}
-		reg.Counter("gen_workflows_total", "category", *category).Inc()
-		reg.Counter("gen_activities_total", "category", *category).Add(int64(len(sc.Graph.Activities())))
-		reg.Counter("gen_nodes_total", "category", *category).Add(int64(sc.Graph.Len()))
 		fmt.Printf("wrote %s (%d activities, %d nodes)\n",
 			name, len(sc.Graph.Activities()), sc.Graph.Len())
-	}
-	if *metrics != "" {
-		if err := reg.Snapshot().WriteJSONFile(*metrics); err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", *metrics)
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 //
 //	etlopt -in workflow.etl [-algo hs|greedy|es] [-maxstates N]
 //	       [-workers N] [-timeout 30s] [-out optimized.etl] [-verbose]
-//	       [-lint] [-trace trace.json] [-metrics snap.json]
-//	       [-journal run.jsonl] [-cpuprofile cpu.pprof]
+//	       [-lint] [-trace trace.json] [-journal run.jsonl]
+//	       [-cpuprofile cpu.pprof]
 //
 // An interrupt (Ctrl-C) cancels the search and exits with an error.
 package main
@@ -51,8 +51,7 @@ func run() error {
 		lintOnly  = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
 		dot       = flag.Bool("dot", false, "print the optimized workflow in Graphviz dot syntax")
 		tracePath = flag.String("trace", "", "record the transition trace here (JSON, auditable with etlvet trace)")
-		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot here after the search (auditable with etlvet metrics)")
-		journal   = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, etlvet obs -format trace writes its spans) here")
+		journal   = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics) here")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile here; search workers are labeled (etl=search, etl_worker=N)")
 	)
 	flag.Parse()
@@ -91,11 +90,9 @@ func run() error {
 	defer stop()
 
 	var reg *obs.Registry
-	if *metrics != "" {
-		reg = obs.NewRegistry()
-	}
 	var jnl *obs.Journal
 	if *journal != "" {
+		reg = obs.NewRegistry()
 		jnl, err = obs.NewJournalFile(*journal, reg)
 		if err != nil {
 			return err
@@ -174,13 +171,6 @@ func run() error {
 			return err
 		}
 		fmt.Printf("transition trace written to %s (%d steps)\n", *tracePath, len(t.Steps))
-	}
-
-	if *metrics != "" {
-		if err := reg.Snapshot().WriteJSONFile(*metrics); err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", *metrics)
 	}
 
 	if jnl != nil {

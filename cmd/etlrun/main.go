@@ -6,17 +6,16 @@
 // interrupted load resumes instead of restarting. -checkpoint stages one
 // typed row file per completed stage plus a MANIFEST, removes only those
 // files when the load completes, honours -mode and -partitions (the staged
-// files are the same at any partition count), and composes with -faults,
-// -journal and -metrics. A -mode, -optimize or
-// -faults value etlrun does not know is rejected before any file is
-// created or written.
+// files are the same at any partition count), and composes with -faults
+// and -journal. A -mode, -optimize or -faults value etlrun does not know is
+// rejected before any file is created or written.
 //
 // Usage:
 //
 //	etlrun -in workflow.etl -data ./data [-optimize hs|greedy|es] [-workers N]
 //	       [-mode materialized|parallel] [-partitions P]
 //	       [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
-//	       [-metrics snap.json] [-journal run.jsonl] [-cpuprofile cpu.pprof]
+//	       [-journal run.jsonl] [-cpuprofile cpu.pprof]
 //
 // Passing several workflow files (positionally, or one via -in plus the
 // rest positionally) switches to suite mode: the workflows execute as one
@@ -84,8 +83,7 @@ func run() error {
 		lintOnly   = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
 		explain    = flag.Bool("explain", false, "print estimated vs actual cardinalities after the run")
 		calibrate  = flag.Bool("calibrate", false, "after running, calibrate selectivities from observation and report the re-optimized plan")
-		metrics    = flag.String("metrics", "", "write a JSON metrics snapshot here after the run (auditable with etlvet metrics)")
-		journal    = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, etlvet obs -format trace writes its spans) here")
+		journal    = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics) here")
 		faults     = flag.String("faults", "", "arm deterministic fault injection as seed:rate (e.g. 42:0.05); transient faults are retried")
 		retries    = flag.Int("retries", 6, "per-node attempt budget for retrying injected transient faults (with -faults)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile here; search workers and engine partitions are labeled")
@@ -130,7 +128,7 @@ func run() error {
 		return runSuite(files, suiteFlags{
 			engine: eopts, dataDir: *dataDir,
 			workers: *suiteWork, cacheBytes: *sharedCap, spillDir: *sharedSpil,
-			metrics: *metrics, journal: *journal,
+			journal: *journal,
 		})
 	}
 	*in = files[0]
@@ -163,11 +161,9 @@ func run() error {
 	}
 
 	var reg *obs.Registry
-	if *metrics != "" {
-		reg = obs.NewRegistry()
-	}
 	var jnl *obs.Journal
 	if *journal != "" {
+		reg = obs.NewRegistry()
 		jnl, err = obs.NewJournalFile(*journal, reg)
 		if err != nil {
 			return err
@@ -271,12 +267,6 @@ func run() error {
 			res.InitialCost, res.BestCost, res.Improvement())
 		fmt.Println("re-optimized plan under observed selectivities:")
 		fmt.Print(res.Best)
-	}
-	if *metrics != "" {
-		if err := reg.Snapshot().WriteJSONFile(*metrics); err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", *metrics)
 	}
 	if jnl != nil {
 		// Journal write failures are non-fatal by design — the load

@@ -23,7 +23,6 @@ type suiteFlags struct {
 	workers    int
 	cacheBytes int64
 	spillDir   string
-	metrics    string
 	journal    string
 }
 
@@ -33,12 +32,10 @@ func runSuite(files []string, f suiteFlags) error {
 	defer stopSignals()
 
 	var reg *obs.Registry
-	if f.metrics != "" {
-		reg = obs.NewRegistry()
-	}
 	var jnl *obs.Journal
 	if f.journal != "" {
 		var err error
+		reg = obs.NewRegistry()
 		jnl, err = obs.NewJournalFile(f.journal, reg)
 		if err != nil {
 			return err
@@ -105,12 +102,6 @@ func runSuite(files []string, f suiteFlags) error {
 		st.Cache.Lookups, st.Cache.Hits, st.Cache.Misses,
 		st.Cache.Evictions, st.Cache.Spills, st.Cache.HitBytes)
 
-	if f.metrics != "" {
-		if err := reg.Snapshot().WriteJSONFile(f.metrics); err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", f.metrics)
-	}
 	if jnl != nil {
 		if err := jnl.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "etlrun: journal:", err)

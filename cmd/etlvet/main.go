@@ -9,20 +9,19 @@
 //	                                (guards, signatures, costs)
 //	etlvet src <packages>...        lint Go sources for determinism
 //	                                hazards
-//	etlvet metrics <snap.json> [series]...
-//	                                validate a -metrics snapshot: internal
-//	                                consistency plus presence of every
-//	                                named series
 //	etlvet obs <run.jsonl>...       render a run report from a -journal
 //	                                flight recording (phase timeline, top-k
-//	                                slow nodes, selectivity drift, cache hit
-//	                                rates, drop accounting) and audit its
-//	                                integrity; with -format trace, write
-//	                                one journal's spans as trace-event JSON
+//	                                slow nodes, selectivity drift, drop
+//	                                accounting) and audit its integrity,
+//	                                the trailer's metrics snapshot included;
+//	                                with -format trace, write one journal's
+//	                                spans as trace-event JSON, with -format
+//	                                snapshot its metrics snapshot as JSON
 //	etlvet passes                   list every pass
 //
 // Every subcommand shares one reporting surface: -format {text,json,sarif}
-// (-json is shorthand for -format json; obs also takes -format trace),
+// (-json is shorthand for -format json; obs also takes -format trace and
+// -format snapshot),
 // -baseline FILE to suppress
 // findings acknowledged in a committed baseline, and -write-baseline to
 // regenerate that file from the current findings.
@@ -36,12 +35,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"etlopt/internal/analysis"
 	"etlopt/internal/dsl"
-	"etlopt/internal/obs"
 )
 
 func main() {
@@ -54,20 +51,20 @@ func usage(w io.Writer) {
   etlvet trace    [flags] <trace.json>... re-verify recorded optimization runs
   etlvet src      [flags] <packages>...   lint Go sources for determinism
                                           hazards
-  etlvet metrics  [flags] <snap.json> [series]...
-                                          validate a -metrics snapshot and
-                                          require series
   etlvet obs      [flags] <run.jsonl>...  render a run report from a -journal
                                           flight recording and audit its
                                           integrity
   etlvet obs -format trace <run.jsonl>    write the journal's spans as
                                           Chrome/Perfetto trace-event JSON;
                                           findings go to stderr
+  etlvet obs -format snapshot <run.jsonl> write the metrics snapshot the
+                                          journal's trailer carries as JSON;
+                                          findings go to stderr
   etlvet passes   [flags]                 list the passes
 
 flags (shared by every subcommand):
   -format FORM      output format: text (default), json, or sarif (2.1.0);
-                    obs also takes trace
+                    obs also takes trace and snapshot
   -json             shorthand for -format json
   -baseline FILE    suppress findings acknowledged in FILE; only NEW
                     findings are reported and counted
@@ -97,7 +94,7 @@ type options struct {
 func (o *options) bind(fs *flag.FlagSet, cmd string) {
 	formats := "text, json or sarif"
 	if cmd == "obs" {
-		formats = "text, json, sarif or trace (one journal's spans as trace-event JSON)"
+		formats = "text, json, sarif, trace (one journal's spans as trace-event JSON) or snapshot (its trailer's metrics snapshot as JSON)"
 	}
 	fs.StringVar(&o.format, "format", "text", "output format: "+formats)
 	fs.BoolVar(&o.jsonShorthand, "json", false, "shorthand for -format json")
@@ -112,17 +109,21 @@ func (o *options) bind(fs *flag.FlagSet, cmd string) {
 	}
 }
 
+// journalView reports whether the format is one of obs's single-journal
+// views, which own stdout.
+func (o *options) journalView() bool { return o.format == "trace" || o.format == "snapshot" }
+
 func (o *options) validate(cmd string) error {
 	if o.jsonShorthand {
 		o.format = "json"
 	}
 	switch {
 	case o.format == "text", o.format == "json", o.format == "sarif":
-	case o.format == "trace" && cmd == "obs":
-	case o.format == "trace":
-		return fmt.Errorf("-format trace applies to etlvet obs only")
+	case o.journalView() && cmd == "obs":
+	case o.journalView():
+		return fmt.Errorf("-format %s applies to etlvet obs only", o.format)
 	default:
-		return fmt.Errorf("unknown -format %q (want text, json or sarif; obs also takes trace)", o.format)
+		return fmt.Errorf("unknown -format %q (want text, json or sarif; obs also takes trace and snapshot)", o.format)
 	}
 	if o.writeBaseline && o.baselinePath == "" {
 		return fmt.Errorf("-write-baseline needs -baseline FILE")
@@ -140,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "-h", "--help", "help":
 		usage(stdout)
 		return 0
-	case "workflow", "trace", "src", "metrics", "obs", "passes":
+	case "workflow", "trace", "src", "obs", "passes":
 	default:
 		usage(stderr)
 		return 2
@@ -163,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runPasses(&o, stdout, stderr)
 	}
 	switch cmd {
-	case "workflow", "trace", "metrics", "obs":
+	case "workflow", "trace", "obs":
 		if len(rest) == 0 {
 			usage(stderr)
 			return 2
@@ -209,19 +210,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-	case "metrics":
-		if !collect(rest[0], func(path string) ([]analysis.Finding, error) {
-			return auditMetricsFile(path, rest[1:])
-		}) {
-			return 2
-		}
 	case "obs":
-		// The report or the trace is the product here, written as each
-		// journal is read; only integrity problems flow through the
-		// finding/baseline layer, to stderr under -format trace, whose
-		// stdout is the trace alone.
-		if o.format == "trace" && len(rest) != 1 {
-			fmt.Fprintln(stderr, "etlvet: obs -format trace takes exactly one journal")
+		// The report, the trace or the snapshot is the product here,
+		// written as each journal is read; only integrity problems flow
+		// through the finding/baseline layer, to stderr under -format trace
+		// and snapshot, whose stdout is that one view alone.
+		if o.journalView() && len(rest) != 1 {
+			fmt.Fprintf(stderr, "etlvet: obs -format %s takes exactly one journal\n", o.format)
 			return 2
 		}
 		for _, arg := range rest {
@@ -231,7 +226,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-		if o.format == "trace" {
+		if o.journalView() {
 			stdout = stderr
 		}
 	}
@@ -367,63 +362,6 @@ func runPasses(o *options, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// auditMetricsFile validates a -metrics JSON snapshot: it must parse,
-// every instrument must be internally consistent (non-negative counters
-// and histogram counts, bucket counts summing to the histogram count,
-// finite gauge values), and every series named on the command line must
-// be present. Problems come back as warning findings so the shared
-// report layer handles formats, baselines and exit codes.
-func auditMetricsFile(path string, required []string) ([]analysis.Finding, error) {
-	snap, err := obs.ReadSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []analysis.Finding
-	report := func(format string, args ...interface{}) {
-		out = append(out, analysis.Finding{
-			Severity: analysis.Warning, Check: "metrics", Node: -1,
-			File: path, Message: fmt.Sprintf(format, args...),
-		})
-	}
-	for _, c := range snap.Counters {
-		if c.Value < 0 {
-			report("counter %s is negative (%d)", c.Series, c.Value)
-		}
-	}
-	for _, g := range snap.Gauges {
-		if math.IsNaN(g.Value) || math.IsInf(g.Value, 0) {
-			report("gauge %s is not finite (%v)", g.Series, g.Value)
-		}
-	}
-	for _, h := range snap.Histograms {
-		if h.Count < 0 {
-			report("histogram %s has negative count (%d)", h.Series, h.Count)
-			continue
-		}
-		if len(h.BucketCounts) != len(h.Bounds)+1 {
-			report("histogram %s has %d bucket counts for %d bounds (want bounds+1)",
-				h.Series, len(h.BucketCounts), len(h.Bounds))
-			continue
-		}
-		var sum int64
-		for _, n := range h.BucketCounts {
-			if n < 0 {
-				report("histogram %s has a negative bucket count (%d)", h.Series, n)
-			}
-			sum += n
-		}
-		if sum != h.Count {
-			report("histogram %s bucket counts sum to %d, count is %d", h.Series, sum, h.Count)
-		}
-	}
-	for _, series := range required {
-		if !snap.Has(series) {
-			report("required series %s is missing", series)
-		}
-	}
-	return out, nil
 }
 
 func auditWorkflowFile(path string, opts *analysis.WorkflowOptions) ([]analysis.Finding, error) {

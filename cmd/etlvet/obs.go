@@ -13,12 +13,12 @@ import (
 
 // This file is `etlvet obs`: the flight-recorder report. It reads a
 // -journal JSONL file, renders a human-readable run report (run header,
-// phase timeline, top-k slow nodes, selectivity drift, cache hit rates,
-// shared-work cache activity, transition funnel, checkpoint and drop
-// accounting) to stdout — or, with -format trace, the journal's spans as
-// trace-event JSON — and returns integrity problems as findings through
-// the shared report layer, so -format/-baseline/exit codes behave like
-// every other subcommand.
+// phase timeline, top-k slow nodes, selectivity drift, shared-work cache
+// activity, transition funnel, checkpoint and drop accounting) to stdout —
+// or, with -format trace, the journal's spans as trace-event JSON, with
+// -format snapshot the metrics snapshot its trailer carries — and returns
+// integrity problems as findings through the shared report layer, so
+// -format/-baseline/exit codes behave like every other subcommand.
 
 // obsStats is the aggregation of one journal: everything the report
 // sections print, computed in a single pass over the events.
@@ -30,7 +30,6 @@ type obsStats struct {
 	phases   []obsPhase                  // phase boundaries, paired in file order
 	nodes    map[string]*obsNode         // per-node execution aggregate
 	drift    map[string][2]float64       // node -> last {observed, modeled}
-	caches   map[string][2]int64         // cache -> {hits, total}
 	shared   map[string][2]int64         // shared-cache action -> {count, bytes}
 	funnel   map[string]map[string]int64 // transition op -> action -> count
 	chkpt    map[string]int64            // checkpoint action -> count
@@ -63,7 +62,6 @@ func aggregateJournal(events []obs.Event) *obsStats {
 		events: events,
 		nodes:  map[string]*obsNode{},
 		drift:  map[string][2]float64{},
-		caches: map[string][2]int64{},
 		shared: map[string][2]int64{},
 		funnel: map[string]map[string]int64{},
 		chkpt:  map[string]int64{},
@@ -102,22 +100,10 @@ func aggregateJournal(events []obs.Event) *obsStats {
 			}
 			m[e.Action] += max(e.Rows, 1) // a batched attempt record carries its count
 		case obs.EventCache:
-			if e.Op == obs.SharedCacheName {
-				// The shared-work cache journals richer events (per-action
-				// byte counts), so it gets its own aggregate instead of the
-				// plain hit/total bucket.
-				s := st.shared[e.Action]
-				s[0]++
-				s[1] += e.Rows
-				st.shared[e.Action] = s
-				break
-			}
-			c := st.caches[e.Op]
-			if e.Action == "hit" {
-				c[0]++
-			}
-			c[1]++
-			st.caches[e.Op] = c
+			s := st.shared[e.Action]
+			s[0]++
+			s[1] += e.Rows
+			st.shared[e.Action] = s
 		case obs.EventNode:
 			n := st.nodes[e.Node]
 			if n == nil {
@@ -151,9 +137,9 @@ func aggregateJournal(events []obs.Event) *obsStats {
 }
 
 // auditObs returns the integrity findings for a parsed journal: a
-// missing or inconsistent summary trailer, write failures, and
-// malformed per-event payloads. Drops are legal (the journal is lossy
-// by design) and surface as advice, not warnings.
+// missing or inconsistent summary trailer or metrics snapshot, write
+// failures, and malformed per-event payloads. Drops are legal (the
+// journal is lossy by design) and surface as advice, not warnings.
 func (st *obsStats) auditObs(path string) []analysis.Finding {
 	var out []analysis.Finding
 	report := func(sev analysis.Severity, format string, args ...interface{}) {
@@ -181,6 +167,11 @@ func (st *obsStats) auditObs(path string) []analysis.Finding {
 		}
 		if st.summary.Dropped > 0 {
 			report(analysis.Advice, "%d event(s) dropped under buffer pressure (the journal is lossy by design; totals below are partial)", st.summary.Dropped)
+		}
+		if snap := st.summary.Snapshot; snap != nil {
+			auditSnapshot(snap, func(format string, args ...interface{}) {
+				report(analysis.Warning, "snapshot: "+format, args...)
+			})
 		}
 	}
 	if len(st.shared) > 0 {
@@ -218,10 +209,48 @@ func (st *obsStats) auditObs(path string) []analysis.Finding {
 
 func badRatio(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
+// auditSnapshot reports a metrics snapshot's internal inconsistencies:
+// negative counters and histogram counts, non-finite gauges, bucket counts
+// that are not one per bound plus the overflow or do not sum to the count.
+func auditSnapshot(snap *obs.Snapshot, report func(format string, args ...interface{})) {
+	for _, c := range snap.Counters {
+		if c.Value < 0 {
+			report("counter %s is negative (%d)", c.Series, c.Value)
+		}
+	}
+	for _, g := range snap.Gauges {
+		if badRatio(g.Value) {
+			report("gauge %s is not finite (%v)", g.Series, g.Value)
+		}
+	}
+	for _, h := range snap.Histograms {
+		if h.Count < 0 {
+			report("histogram %s has negative count (%d)", h.Series, h.Count)
+			continue
+		}
+		if len(h.BucketCounts) != len(h.Bounds)+1 {
+			report("histogram %s has %d bucket counts for %d bounds (want bounds+1)",
+				h.Series, len(h.BucketCounts), len(h.Bounds))
+			continue
+		}
+		var sum int64
+		for _, n := range h.BucketCounts {
+			if n < 0 {
+				report("histogram %s has a negative bucket count (%d)", h.Series, n)
+			}
+			sum += n
+		}
+		if sum != h.Count {
+			report("histogram %s bucket counts sum to %d, count is %d", h.Series, sum, h.Count)
+		}
+	}
+}
+
 // renderObs reads one journal, writes its view for o.format to w — the
-// run report for text, obs.Spans as trace-event JSON for trace, nothing
-// for json and sarif, which print findings only — and returns its
-// integrity findings.
+// run report for text, obs.Spans as trace-event JSON for trace, the
+// trailer's metrics snapshot as JSON for snapshot, nothing for json and
+// sarif, which print findings only — and returns its integrity findings.
+// A journal without a snapshot has no snapshot view: that is an error.
 func renderObs(w io.Writer, path string, o *options) ([]analysis.Finding, error) {
 	events, err := obs.ReadJournalFile(path)
 	if err != nil {
@@ -232,6 +261,14 @@ func renderObs(w io.Writer, path string, o *options) ([]analysis.Finding, error)
 	switch {
 	case o.format == "trace":
 		return findings, obs.WriteTraceEvents(w, obs.Spans(events))
+	case o.format == "snapshot":
+		switch {
+		case st.summary == nil:
+			return nil, fmt.Errorf("no metrics snapshot: the journal has no summary trailer (the recording run did not close it)")
+		case st.summary.Snapshot == nil:
+			return nil, fmt.Errorf("no metrics snapshot: the summary trailer carries none (the journal was recorded without a registry)")
+		}
+		return findings, st.summary.Snapshot.WriteJSON(w)
 	case o.format == "text" && len(st.events) > 0:
 		st.render(w, path, o.topK)
 	}
@@ -270,20 +307,6 @@ func (st *obsStats) render(w io.Writer, path string, topK int) {
 		for _, op := range sortedKeys(st.funnel) {
 			m := st.funnel[op]
 			t.AddRow(op, m["attempt"], m["accept"], m["prune"], m["best"])
-		}
-		fmt.Fprint(w, t.String())
-	}
-
-	if len(st.caches) > 0 {
-		fmt.Fprintln(w, "\ncache hit rates:")
-		t := stats.NewTable("cache", "hits", "lookups", "rate")
-		for _, name := range sortedKeys(st.caches) {
-			c := st.caches[name]
-			rate := 0.0
-			if c[1] > 0 {
-				rate = float64(c[0]) / float64(c[1])
-			}
-			t.AddRow(name, c[0], c[1], fmt.Sprintf("%.1f%%", 100*rate))
 		}
 		fmt.Fprint(w, t.String())
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,15 +15,16 @@ import (
 
 // writeObsJournal records a small but fully populated flight-recorder
 // journal — every event type the report has a section for, from a search
-// run and an engine run — and returns its path.
-func writeObsJournal(t *testing.T) string {
+// run and an engine run — and returns its path. reg, when non-nil,
+// receives the runs' series, and its snapshot lands in the trailer.
+func writeObsJournal(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	j, err := obs.NewJournalFile(path, nil)
+	j, err := obs.NewJournalFile(path, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	search, engine := obs.NewRecorder(nil, j), obs.NewRecorder(nil, j)
+	search, engine := obs.NewRecorder(reg, j), obs.NewRecorder(reg, j)
 	search.Emit(obs.RunEvent("start", "search/HS"))
 	search.Emit(obs.PhaseEvent("expand", "start"))
 	for i := 0; i < 4; i++ {
@@ -35,9 +37,6 @@ func writeObsJournal(t *testing.T) string {
 	search.Emit(obs.TransitionEvent("SWA", "prune", 0))
 	search.Emit(obs.TransitionEvent("SWA", "best", 41.5))
 	search.Emit(obs.TransitionEvent("FAC", "attempt", 0))
-	search.Emit(obs.CacheEvent("expand", true))
-	search.Emit(obs.CacheEvent("expand", false))
-	search.Emit(obs.CacheEvent("expand", false))
 	search.Emit(obs.PhaseEvent("expand", "end"))
 	search.Emit(obs.RunEvent("end", "search/HS"))
 	engine.Emit(obs.RunEvent("start", "engine/parallel"))
@@ -72,7 +71,7 @@ func writeObsJournal(t *testing.T) string {
 // TestObsReportSections: a well-formed journal renders every report
 // section, audits clean, and exits 0.
 func TestObsReportSections(t *testing.T) {
-	path := writeObsJournal(t)
+	path := writeObsJournal(t, nil)
 	out, errb, code := runCLI(t, "obs", path)
 	if code != 0 {
 		t.Fatalf("clean journal should exit 0, got %d\nstdout: %s\nstderr: %s", code, out, errb)
@@ -86,8 +85,6 @@ func TestObsReportSections(t *testing.T) {
 		"transition funnel:",
 		"SWA",
 		"77", // 4 single attempts + a batch of 73
-		"cache hit rates:",
-		"33.3%",
 		"shared cache activity:",
 		"640 byte(s) of recomputation saved",
 		"slow node(s) of 3",
@@ -114,7 +111,7 @@ func TestObsReportSections(t *testing.T) {
 
 // TestObsTopK: -top trims both the slow-node and the drift tables.
 func TestObsTopK(t *testing.T) {
-	path := writeObsJournal(t)
+	path := writeObsJournal(t, nil)
 	out, _, code := runCLI(t, "obs", "-top", "1", path)
 	if code != 0 {
 		t.Fatalf("exit %d", code)
@@ -134,7 +131,7 @@ func TestObsTopK(t *testing.T) {
 // TestObsTruncatedJournal: a journal without its summary trailer (a
 // crashed or killed recording run) is a warning and exits 1.
 func TestObsTruncatedJournal(t *testing.T) {
-	full := writeObsJournal(t)
+	full := writeObsJournal(t, nil)
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +265,7 @@ func TestBadRatio(t *testing.T) {
 // findings go to stderr with the usual exit codes; it takes exactly one
 // journal, and no other subcommand takes it.
 func TestObsTraceFormat(t *testing.T) {
-	path := writeObsJournal(t)
+	path := writeObsJournal(t, nil)
 	out, errb, code := runCLI(t, "obs", "-format", "trace", path)
 	if code != 0 || !strings.Contains(errb, "no findings") {
 		t.Fatalf("clean journal: exit %d, stderr %q; want 0 and no findings", code, errb)
@@ -322,5 +319,117 @@ func TestObsTraceFormat(t *testing.T) {
 		if out, errb, code := runCLI(t, args...); code != 2 || out != "" {
 			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 and nothing on stdout", args, code, out, errb)
 		}
+	}
+}
+
+// TestObsSnapshotFormat: -format snapshot prints the metrics snapshot the
+// journal's trailer carries, equal to the registry the run recorded into;
+// findings go to stderr; a journal with no snapshot is an error naming
+// the file, never an empty snapshot; it takes exactly one journal, and no
+// other subcommand takes it.
+func TestObsSnapshotFormat(t *testing.T) {
+	reg := obs.NewRegistry()
+	path := writeObsJournal(t, reg)
+	out, errb, code := runCLI(t, "obs", "-format", "snapshot", path)
+	if code != 0 || !strings.Contains(errb, "no findings") {
+		t.Fatalf("clean journal: exit %d, stderr %q; want 0 and no findings", code, errb)
+	}
+	var got obs.Snapshot
+	if err := json.Unmarshal([]byte(out), &got); err != nil {
+		t.Fatalf("stdout is not a snapshot: %v\n%s", err, out)
+	}
+	want := reg.Snapshot()
+	if len(want.Counters) == 0 || len(want.Gauges) == 0 || len(want.Histograms) == 0 {
+		t.Fatalf("the registry recorded %d counters, %d gauges, %d histograms: the test would prove little",
+			len(want.Counters), len(want.Gauges), len(want.Histograms))
+	}
+	if !reflect.DeepEqual(got.Counters, want.Counters) || !reflect.DeepEqual(got.Gauges, want.Gauges) ||
+		!reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Errorf("printed snapshot differs from the registry's:\ngot  %+v\nwant %+v", got, want)
+	}
+
+	plain := writeObsJournal(t, nil)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(t.TempDir(), "truncated.jsonl")
+	if err := os.WriteFile(truncated, data[:bytes.LastIndexByte(data[:len(data)-1], '\n')+1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{plain, truncated} {
+		out, errb, code := runCLI(t, "obs", "-format", "snapshot", p)
+		if code != 2 || out != "" || !strings.Contains(errb, p+": no metrics snapshot") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2, nothing, an error naming the file", p, code, out, errb)
+		}
+	}
+
+	for _, args := range [][]string{
+		{"obs", "-format", "snapshot", path, path},
+		{"obs", "-format", "snapshot"},
+		{"workflow", "-format", "snapshot", writeFig1(t)},
+		{"metrics", path}, // the journal's trailer replaced the snapshot file this audited
+	} {
+		if out, errb, code := runCLI(t, args...); code != 2 || out != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 and nothing on stdout", args, code, out, errb)
+		}
+	}
+}
+
+// TestObsSnapshotAudit: a hand-damaged trailer snapshot gets one warning
+// per broken check, under every format. JSON cannot carry a non-finite
+// gauge, so that check is held on a decoded trailer.
+func TestObsSnapshotAudit(t *testing.T) {
+	trailer := `{"seq":2,"t":"summary","off":0.2,"events":1,"snapshot":{"uptime_seconds":1,` +
+		`"counters":[{"series":"a_total","family":"a_total","value":-3},{"series":"b_total","family":"b_total","value":4}],` +
+		`"gauges":[{"series":"g","family":"g","value":1.5}],` +
+		`"histograms":[` +
+		`{"series":"short","family":"short","count":1,"sum":1,"bounds":[1,2],"bucket_counts":[1]},` +
+		`{"series":"off","family":"off","count":5,"sum":1,"bounds":[1],"bucket_counts":[1,1]},` +
+		`{"series":"neg","family":"neg","count":-1,"sum":0,"bounds":[1],"bucket_counts":[0,0]},` +
+		`{"series":"ok","family":"ok","count":2,"sum":1,"bounds":[1],"bucket_counts":[1,1]}]}}`
+	path := filepath.Join(t.TempDir(), "damaged.jsonl")
+	body := `{"seq":1,"t":"run","off":0.1,"action":"start"}` + "\n" + trailer + "\n"
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wants := []string{
+		"snapshot: counter a_total is negative (-3)",
+		"snapshot: histogram short has 1 bucket counts for 2 bounds (want bounds+1)",
+		"snapshot: histogram off bucket counts sum to 2, count is 5",
+		"snapshot: histogram neg has negative count (-1)",
+	}
+	for _, format := range []string{"json", "snapshot"} {
+		out, errb, code := runCLI(t, "obs", "-format", format, path)
+		findings := out
+		if format == "snapshot" {
+			findings = errb
+		}
+		if code != 1 {
+			t.Fatalf("-format %s: exit %d, want 1\nstdout: %s\nstderr: %s", format, code, out, errb)
+		}
+		for _, want := range wants {
+			if n := strings.Count(findings, want); n != 1 {
+				t.Errorf("-format %s: %d findings %q, want 1:\n%s", format, n, want, findings)
+			}
+		}
+		if n := strings.Count(findings, "snapshot: "); n != len(wants) {
+			t.Errorf("-format %s: %d snapshot findings, want %d:\n%s", format, n, len(wants), findings)
+		}
+	}
+
+	events, err := obs.ReadJournalFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events[1].Snapshot.Gauges[0].Value = math.Inf(1)
+	var gauge []string
+	for _, f := range aggregateJournal(events).auditObs(path) {
+		if strings.Contains(f.Message, "gauge") {
+			gauge = append(gauge, f.Message)
+		}
+	}
+	if len(gauge) != 1 || gauge[0] != "snapshot: gauge g is not finite (+Inf)" {
+		t.Errorf("gauge findings %q, want the one non-finite gauge", gauge)
 	}
 }

@@ -90,7 +90,7 @@ func sarifLevel(s Severity) string {
 
 // sarifRules builds the driver rule table: every pass, in table order,
 // plus synthetic entries for any finding checks the table does not know
-// (the CLI's own "metrics" and "obs" audits), appended in name order so
+// (the CLI's own "obs" audit), appended in name order so
 // output stays deterministic.
 func sarifRules(fs []Finding) ([]sarifRule, map[string]int) {
 	var rules []sarifRule

@@ -45,8 +45,8 @@ type searchMetrics struct {
 // newSearchMetrics builds the recorder and handle set against a registry
 // and a journal (nil registry → all-nil handles). Series are registered
 // eagerly so a snapshot taken after any run carries the full schema, zeros
-// included — consumers like `etlvet metrics` can then assert on series
-// presence.
+// included — consumers of `etlvet obs -format snapshot` can then assert on
+// series presence.
 func newSearchMetrics(r *obs.Registry, j *obs.Journal, workers int) *searchMetrics {
 	m := &searchMetrics{
 		reg:         r,

@@ -176,3 +176,16 @@ func ReadRowFile(path string) (Schema, Rows, error) {
 	}
 	return schema, rows, nil
 }
+
+// ReadRowFileAs reads a file WriteRowFile wrote with schema: a readable
+// file whose header is another schema is a *RowFileError too.
+func ReadRowFileAs(path string, schema Schema) (Rows, error) {
+	header, rows, err := ReadRowFile(path)
+	if err == nil && !header.Equal(schema) {
+		err = &RowFileError{Path: path, Reason: fmt.Sprintf("schema %v is not the expected %v", header, schema)}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}

@@ -135,6 +135,24 @@ func TestRowFileEmptyAndMissing(t *testing.T) {
 	readDamaged(t, "empty file", nil)
 }
 
+// TestReadRowFileAs: the file's rows under the schema it was written with;
+// under any other schema, a *RowFileError naming the file and both schemata.
+func TestReadRowFileAs(t *testing.T) {
+	schema, rows := rowFileFixture()
+	path := filepath.Join(t.TempDir(), "as.rows")
+	if err := data.WriteRowFile(path, schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := data.ReadRowFileAs(path, schema); err != nil || len(got) != len(rows) {
+		t.Errorf("read as its own schema: %d rows, %v; want %d, nil", len(got), err, len(rows))
+	}
+	got, err := data.ReadRowFileAs(path, schema[:2])
+	var rf *data.RowFileError
+	if !errors.As(err, &rf) || rf.Path != path || !strings.Contains(rf.Reason, "is not the expected") || got != nil {
+		t.Errorf("read as another schema: %d rows, %v; want a *RowFileError naming %s", len(got), err, path)
+	}
+}
+
 // TestWriteRowFileRefusesWhatItCouldNotReadBack: the layout has no row
 // boundaries, so a record of another arity would shift every value after
 // it; the refused write leaves no file and no temp file.

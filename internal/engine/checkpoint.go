@@ -179,12 +179,9 @@ func (c *CheckpointRunner) saveStage(id workflow.NodeID, schema data.Schema, row
 }
 
 // loadStage reads a stage's output back, refusing a file whose schema is
-// not the one the run expects, as share's spill reader does.
+// not the one the run expects.
 func (c *CheckpointRunner) loadStage(id workflow.NodeID, schema data.Schema) (data.Rows, error) {
-	header, rows, err := data.ReadRowFile(c.stagePath(id))
-	if err == nil && !header.Equal(schema) {
-		err = &data.RowFileError{Path: c.stagePath(id), Reason: fmt.Sprintf("schema %v is not the expected %v", header, schema)}
-	}
+	rows, err := data.ReadRowFileAs(c.stagePath(id), schema)
 	if err != nil {
 		return nil, fmt.Errorf("engine: reading stage %d: %w", id, err)
 	}

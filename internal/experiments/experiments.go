@@ -76,7 +76,8 @@ type SuiteConfig struct {
 	// empirical equivalence oracle (slower; always on in tests).
 	Verify bool
 	// Metrics, when non-nil, collects the observability series of every
-	// search and every execution in the suite (etlbench's -metrics flag).
+	// search and every execution in the suite (etlbench builds one with
+	// -journal, whose trailer carries its snapshot).
 	Metrics *obs.Registry
 	// Journal, when non-nil, receives the flight-recorder event stream of
 	// every search and every execution in the suite (etlbench's -journal

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,39 +138,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteJSONFile writes the snapshot to path (0644).
-func (s Snapshot) WriteJSONFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadSnapshot parses a snapshot previously written with WriteJSON.
-func ReadSnapshot(rd io.Reader) (Snapshot, error) {
-	var s Snapshot
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&s); err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
-}
-
-// ReadSnapshotFile parses a snapshot from a JSON file.
-func ReadSnapshotFile(path string) (Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
 }
 
 // formatValue renders a float the way the Prometheus text format expects.

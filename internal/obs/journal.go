@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,10 @@ import (
 // propagate into the instrumented computation — the run completes and the
 // drop/error accounting lands both in the trailing summary event and, when
 // a Registry is attached, in the journal_events_dropped_total and
-// journal_errors_total counters.
+// journal_errors_total counters. With a Registry attached the summary also
+// carries its final Snapshot, so the journal is a run's one artefact: its
+// series stay exact when events drop, because every event is folded into
+// the registry before it reaches the journal (recorder.go).
 //
 // Like every other obs instrument, a nil *Journal no-ops on every method,
 // so callers hold the handle unconditionally; and collection is
@@ -47,9 +51,8 @@ const (
 	// minimum, Cost carries the new best cost). An "attempt" with Rows set
 	// stands for that many attempts, recorded together.
 	EventTransition = "transition"
-	// EventCache is one lookup in a named cache: Op names the cache, Action
-	// is "hit" or "miss" (the shared-work cache adds its own actions, see
-	// SharedCacheEvent).
+	// EventCache is one action of the shared-work suite cache: Op is
+	// SharedCacheName, see SharedCacheEvent.
 	EventCache = "cache"
 	// EventNode is one executed workflow node: Node identifies it, Rows its
 	// output cardinality, Sec its execution seconds (a fused stage's member:
@@ -79,7 +82,8 @@ const (
 	// recomputing Node because Rows staged rows survived a crash.
 	EventResume = "resume"
 	// EventSummary is the trailing accounting record Close writes: Events,
-	// Dropped and Errors report the journal's own bookkeeping.
+	// Dropped and Errors report the journal's own bookkeeping, Snapshot
+	// the registry the journal was opened with (absent without one).
 	EventSummary = "summary"
 )
 
@@ -115,6 +119,8 @@ type Event struct {
 	Events   int64   `json:"events,omitempty"`
 	Dropped  int64   `json:"dropped,omitempty"`
 	Errors   int64   `json:"errors,omitempty"`
+	// Snapshot is set on the summary alone, when the journal has a registry.
+	Snapshot *Snapshot `json:"snapshot,omitempty"`
 }
 
 // Typed event constructors. They only fill fields; Journal.Emit stamps Seq
@@ -135,19 +141,8 @@ func TransitionEvent(op, action string, cost float64) Event {
 	return Event{T: EventTransition, Op: op, Action: action, Cost: cost}
 }
 
-// CacheEvent records one lookup in the named cache.
-func CacheEvent(cache string, hit bool) Event {
-	action := "miss"
-	if hit {
-		action = "hit"
-	}
-	return Event{T: EventCache, Op: cache, Action: action}
-}
-
 // SharedCacheName is the Op under which the shared-work suite scheduler's
-// intermediate-result cache journals its activity. Consumers (etlvet obs)
-// aggregate these events separately from plain hit/miss caches because
-// they carry byte counts and extra actions.
+// intermediate-result cache journals its activity.
 const SharedCacheName = "shared"
 
 // SharedCacheEvent records shared intermediate-result cache activity.
@@ -230,8 +225,9 @@ type Journal struct {
 	w     *bufio.Writer
 	owned io.Closer // non-nil when the journal opened the file itself
 
-	// Registry mirrors, may be nil: the same accounting as the summary
-	// event, for -metrics snapshots.
+	// The registry whose snapshot the summary carries, and its mirrors of
+	// the summary's accounting; all nil without one.
+	reg      *Registry
 	cWritten *Counter
 	cDropped *Counter
 	cErrors  *Counter
@@ -239,14 +235,16 @@ type Journal struct {
 
 // NewJournal starts a journal writing JSONL to w. reg, when non-nil,
 // receives the journal's accounting as journal_events_total,
-// journal_events_dropped_total and journal_errors_total counters; nil
-// skips the mirroring. Close the journal to flush.
+// journal_events_dropped_total and journal_errors_total counters, and its
+// final snapshot is written into the summary trailer; nil skips both.
+// Close the journal to flush.
 func NewJournal(w io.Writer, reg *Registry) *Journal {
 	j := &Journal{
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 		start: now(),
 		w:     bufio.NewWriterSize(w, 64<<10),
+		reg:   reg,
 	}
 	if reg != nil {
 		j.cWritten = reg.Counter("journal_events_total")
@@ -384,8 +382,9 @@ func (j *Journal) Written() int64 {
 }
 
 // Close stops the journal: it drains the buffered events, appends the
-// summary event (total written, dropped, write errors), flushes, and —
-// for NewJournalFile journals — closes the file. The caller quiesces every
+// summary event (total written, dropped, write errors and, with a
+// registry, its snapshot, taken once the drained events are counted),
+// flushes, and — for NewJournalFile journals — closes the file. The caller quiesces every
 // emitter first: an Emit racing Close may leave its event neither written
 // nor counted. An Emit after Close is counted as a drop, never a panic.
 // Close returns the first write failure, if any occurred, so callers can
@@ -403,10 +402,15 @@ func (j *Journal) Close() error {
 	j.mu.Unlock()
 	j.signal()
 	<-j.done
-	j.writeEvent(Event{
+	sum := Event{
 		Seq: j.seq.Add(1), T: EventSummary, Off: now().Sub(j.start).Seconds(),
 		Events: j.written.Load(), Dropped: j.dropped.Load(), Errors: j.errs.Load(),
-	}, false)
+	}
+	if j.reg != nil {
+		snap := j.reg.Snapshot()
+		sum.Snapshot = &snap
+	}
+	j.writeEvent(sum, false)
 	if err := j.w.Flush(); err != nil {
 		j.errs.Add(1)
 		j.cErrors.Inc()
@@ -427,11 +431,12 @@ func (j *Journal) Close() error {
 }
 
 // ReadJournal parses a JSONL journal back into events, in file order.
-// Unparseable lines abort with an error identifying the line number.
+// Unparseable lines abort with an error identifying the line number. A
+// line may be as long as it is: the summary carries a whole registry.
 func ReadJournal(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), math.MaxInt)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

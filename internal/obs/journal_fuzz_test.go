@@ -32,8 +32,21 @@ func FuzzReadJournal(f *testing.F) {
 		f.Fatalf("recording seed journal: %v", err)
 	}
 	full := buf.Bytes()
+	// The same events recorded with a registry: the trailer carries its
+	// snapshot.
+	reg := NewRegistry()
+	var withSnap bytes.Buffer
+	j = NewJournal(&withSnap, reg)
+	rec := NewRecorder(reg, j)
+	rec.Emit(NodeEvent("1:σ(COST>=100)", 120, 0.004))
+	rec.Emit(DriftEvent("1:σ(COST>=100)", 0.5, 0.45))
+	if err := j.Close(); err != nil {
+		f.Fatalf("recording seed journal: %v", err)
+	}
 
 	f.Add(full)
+	f.Add(withSnap.Bytes())
+	f.Add(withSnap.Bytes()[:withSnap.Len()-40])                                                      // snapshot cut mid-JSON
 	f.Add(full[:len(full)/2])                                                                        // truncated mid-file
 	f.Add(bytes.TrimRight(full, "\n}0123456789"))                                                    // trailer cut mid-JSON
 	f.Add([]byte(`{"seq":1,"t":"node","off":0.1}` + "\n" + `{"seq":1,"t":"node","off":0.2}` + "\n")) // duplicate seqs

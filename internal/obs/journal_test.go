@@ -2,11 +2,14 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,8 +23,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.Emit(TransitionEvent("SWA", "attempt", 0))
 	j.Emit(TransitionEvent("SWA", "accept", 0))
 	j.Emit(TransitionEvent("FAC", "best", 123.5))
-	j.Emit(CacheEvent("expand", true))
-	j.Emit(CacheEvent("expand", false))
 	j.Emit(NodeEvent("3:σ(COST>=100)", 42, 0.001))
 	j.Emit(BatchEvent("3:σ(COST>=100)", 2, 10))
 	j.Emit(ExchangeEvent("5:γ(KEY)", 800))
@@ -37,7 +38,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadJournal: %v", err)
 	}
-	const emitted = 14
+	const emitted = 12
 	if len(evs) != emitted+1 { // +1 trailing summary
 		t.Fatalf("got %d events, want %d", len(evs), emitted+1)
 	}
@@ -55,14 +56,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if evs[4].T != EventTransition || evs[4].Op != "FAC" || evs[4].Action != "best" || evs[4].Cost != 123.5 {
 		t.Errorf("best event mangled: %+v", evs[4])
 	}
-	if evs[5].Action != "hit" || evs[6].Action != "miss" {
-		t.Errorf("cache events mangled: %+v %+v", evs[5], evs[6])
-	}
-	if evs[8].T != EventBatch || evs[8].Part != 2 || evs[8].Rows != 10 {
-		t.Errorf("batch event mangled: %+v", evs[8])
+	if evs[6].T != EventBatch || evs[6].Part != 2 || evs[6].Rows != 10 {
+		t.Errorf("batch event mangled: %+v", evs[6])
 	}
 	sum := evs[emitted]
-	if sum.T != EventSummary || sum.Events != emitted || sum.Dropped != 0 || sum.Errors != 0 {
+	if sum.T != EventSummary || sum.Events != emitted || sum.Dropped != 0 || sum.Errors != 0 || sum.Snapshot != nil {
 		t.Errorf("summary mangled: %+v", sum)
 	}
 	if j.Written() != emitted || j.Dropped() != 0 || j.Errors() != 0 {
@@ -258,6 +256,63 @@ func TestJournalConcurrentEmit(t *testing.T) {
 			t.Fatalf("duplicate Seq %d", e.Seq)
 		}
 		seen[e.Seq] = true
+	}
+}
+
+// TestJournalTrailerSnapshot: a journal opened without a registry writes
+// the summary with no snapshot key at all; one opened with a registry
+// writes the registry's final snapshot into it, on one line, and
+// ReadJournal reads that line back whole however long it is — here 20 000
+// series, well past a megabyte.
+func TestJournalTrailerSnapshot(t *testing.T) {
+	var buf bytes.Buffer
+	j := NewJournal(&buf, nil)
+	j.Emit(RunEvent("start", "t"))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 4 || keys["t"] == nil || keys["seq"] == nil || keys["off"] == nil || keys["events"] == nil {
+		t.Errorf("trailer without a registry = %s, want seq, t, off and events only", lines[len(lines)-1])
+	}
+
+	reg := NewRegistry()
+	for i := range 20_000 {
+		reg.Counter("big_total", "i", strconv.Itoa(i)).Add(int64(i))
+	}
+	reg.Gauge("g").Set(2.5)
+	reg.Histogram("h_seconds", []float64{0.1, 1}).Observe(0.5)
+	buf.Reset()
+	j = NewJournal(&buf, reg)
+	rec := NewRecorder(reg, j)
+	rec.Emit(RunEvent("start", "t"))
+	rec.Emit(NodeEvent("a", 3, 0.01))
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 3 || len(lines[2]) <= 1<<20 {
+		t.Fatalf("%d lines, trailer of %d bytes; want 3 lines and a trailer past 1 MiB", len(lines), len(lines[len(lines)-1]))
+	}
+	evs, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := evs[len(evs)-1].Snapshot
+	if got == nil {
+		t.Fatal("the trailer carries no snapshot")
+	}
+	want := reg.Snapshot()
+	if !reflect.DeepEqual(got.Counters, want.Counters) || !reflect.DeepEqual(got.Gauges, want.Gauges) ||
+		!reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Error("the trailer's snapshot differs from the registry's")
+	}
+	if v, _ := got.CounterValue("journal_events_total"); v != 2 {
+		t.Errorf("trailer journal_events_total = %d, want the 2 events written before it", v)
 	}
 }
 

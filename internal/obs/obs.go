@@ -3,10 +3,10 @@
 // Recorder (recorder.go), which folds each into a metrics registry
 // (counters, gauges, histograms with lock-free atomic hot paths) and
 // stamps it with its run's id before the flight-recorder journal receives
-// it. A run's artefacts are the journal and, with -metrics, a registry
-// snapshot (JSON or Prometheus text); its span tree is a function of the
-// journal (Spans, span.go), written as trace-event JSON by
-// `etlvet obs -format trace`.
+// it. A run's one artefact is the journal: its summary trailer carries the
+// registry's final snapshot (`etlvet obs -format snapshot` prints it), and
+// its span tree is a function of its events (Spans, span.go), written as
+// trace-event JSON by `etlvet obs -format trace`.
 //
 // Two properties shape the design:
 //

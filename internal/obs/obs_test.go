@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -155,20 +157,25 @@ func TestQuantileAgainstSummarize(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip: a registry's snapshot survives the journal's
+// trailer, series and values intact.
 func TestSnapshotRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("states_total", "algo", "HS").Add(42)
 	r.Gauge("best_cost").Set(123.5)
 	r.Histogram("lat_seconds", []float64{0.1, 1}).Observe(0.05)
 
-	snap := r.Snapshot()
-	var b strings.Builder
-	if err := snap.WriteJSON(&b); err != nil {
+	var b bytes.Buffer
+	if err := NewJournal(&b, r).Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshot(strings.NewReader(b.String()))
+	evs, err := ReadJournal(&b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	back := evs[len(evs)-1].Snapshot
+	if back == nil {
+		t.Fatal("the trailer carries no snapshot")
 	}
 	if !back.Has(`states_total{algo="HS"}`) || !back.Has("best_cost") || !back.Has("lat_seconds") {
 		t.Fatalf("round-tripped snapshot missing series: %+v", back)
@@ -179,7 +186,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if v, ok := back.GaugeValue("best_cost"); !ok || v != 123.5 {
 		t.Fatalf("gauge value = %v, %v; want 123.5, true", v, ok)
 	}
-	if snap.Has("missing") {
+	if h := back.Histograms[0]; h.Count != 1 || !reflect.DeepEqual(h.BucketCounts, []int64{1, 0, 0}) {
+		t.Fatalf("histogram = %+v; want one observation in the first bucket", h)
+	}
+	if back.Has("missing") {
 		t.Fatalf("Has must not invent series")
 	}
 }

@@ -72,8 +72,7 @@ func (r *Recorder) Phase(name string) (end func()) {
 // fold derives from e every series that describes it; with declare set it
 // only registers the series. This switch is the whole mapping from events
 // to the registry: an event type or action it does not name (run and phase
-// boundaries, checkpoint, resume, a plain cache's lookups) lives in the
-// journal only.
+// boundaries, checkpoint, resume) lives in the journal only.
 func (r *Recorder) fold(e *Event, declare bool) {
 	f := folder{r.reg, declare}
 	switch e.T {
@@ -103,9 +102,6 @@ func (r *Recorder) fold(e *Event, declare bool) {
 		f.set(e.Observed, "engine_selectivity_observed", "node", e.Node)
 		f.set(e.Modeled, "engine_selectivity_modeled", "node", e.Node)
 	case EventCache:
-		if e.Op != SharedCacheName {
-			break
-		}
 		switch e.Action {
 		case "lookup":
 			f.add(1, "shared_cache_lookups_total")

@@ -106,7 +106,10 @@ func TestObservationsUnchanged(t *testing.T) {
 // and a suite with a journal whose writer never drains, so that events
 // beyond its buffer are dropped, and requires every counter folded from
 // events to equal the same runs' with no journal attached: the registry
-// receives each event before the journal's lossy channel does.
+// receives each event before the journal's lossy channel does. A second
+// journal's writer stalls while the runs emit, so it drops too, and is
+// then released: the snapshot its trailer carries, read back from its
+// bytes, must hold the same folded counters.
 func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 	medium, err := generator.Generate(generator.CategoryConfig(generator.Medium, 20050405))
 	if err != nil {
@@ -116,9 +119,19 @@ func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observe := func(j *obs.Journal) map[string]int64 {
+	folded := func(snap obs.Snapshot) map[string]int64 {
+		out := map[string]int64{}
+		for _, c := range snap.Counters {
+			for _, prefix := range []string{"search_transition_", "search_states_deduped", "engine_", "shared_cache_"} {
+				if strings.HasPrefix(c.Series, prefix) {
+					out[c.Series] = c.Value
+				}
+			}
+		}
+		return out
+	}
+	observe := func(reg *obs.Registry, j *obs.Journal) map[string]int64 {
 		ctx := context.Background()
-		reg := obs.NewRegistry()
 		opts := core.Options{IncrementalCost: true, Workers: 1, MaxStates: 10_000, Metrics: reg, Journal: j}
 		if _, err := core.Heuristic(ctx, medium.Graph, opts); err != nil {
 			t.Fatal(err)
@@ -135,33 +148,64 @@ func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 		if _, err := share.RunSuite(ctx, wfs, share.Options{Workers: 4, CacheBytes: -1, Engine: eopts, Journal: j, Metrics: reg}); err != nil {
 			t.Fatal(err)
 		}
-		folded := map[string]int64{}
-		for _, c := range reg.Snapshot().Counters {
-			for _, prefix := range []string{"search_transition_", "search_states_deduped", "engine_", "shared_cache_"} {
-				if strings.HasPrefix(c.Series, prefix) {
-					folded[c.Series] = c.Value
-				}
+		return folded(reg.Snapshot())
+	}
+	same := func(how string, dropped int64, got, want map[string]int64) {
+		t.Helper()
+		for series, v := range want {
+			if got[series] != v {
+				t.Errorf("%s: %s = %d with %d events dropped, %d with no journal", how, series, got[series], dropped, v)
 			}
 		}
-		return folded
+		if len(got) != len(want) {
+			t.Errorf("%s: %d folded series, %d with no journal", how, len(got), len(want))
+		}
 	}
-	want := observe(nil)
+	want := observe(obs.NewRegistry(), nil)
+
 	pr, pw := io.Pipe()
 	j := obs.NewJournal(pw, nil)
-	got := observe(j)
+	got := observe(obs.NewRegistry(), j)
 	pr.CloseWithError(io.ErrClosedPipe) // lets the stalled writer fail and the journal close
 	j.Close()
 	if j.Dropped() == 0 {
 		t.Fatal("the journal dropped nothing: the test would prove nothing")
 	}
-	for series, v := range want {
-		if got[series] != v {
-			t.Errorf("%s = %d with %d events dropped, %d with no journal", series, got[series], j.Dropped(), v)
-		}
+	same("registry", j.Dropped(), got, want)
+
+	stalled := &stallWriter{release: make(chan struct{})}
+	reg := obs.NewRegistry()
+	j = obs.NewJournal(stalled, reg)
+	observe(reg, j)
+	close(stalled.release)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Errorf("%d folded series with a journal, %d without", len(got), len(want))
+	if j.Dropped() == 0 {
+		t.Fatal("the stalled journal dropped nothing: the test would prove nothing")
 	}
+	evs, err := obs.ReadJournal(&stalled.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := evs[len(evs)-1]
+	if trailer.T != obs.EventSummary || trailer.Snapshot == nil || trailer.Dropped != j.Dropped() {
+		t.Fatalf("last record %s with snapshot %v, %d dropped; want the summary with one, %d dropped",
+			trailer.T, trailer.Snapshot != nil, trailer.Dropped, j.Dropped())
+	}
+	same("trailer", j.Dropped(), folded(*trailer.Snapshot), want)
+}
+
+// stallWriter blocks every Write until release is closed, then collects
+// what it is given.
+type stallWriter struct {
+	release chan struct{}
+	buf     bytes.Buffer
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	<-w.release
+	return w.buf.Write(p)
 }
 
 // observeEngine runs sc at P=1 and P=4, each under a transient fault plan
@@ -207,7 +251,8 @@ func observeEngine(t *testing.T, sc *templates.Scenario, seed int64, reg *obs.Re
 
 // observeSection runs fn with a fresh registry and journal and renders what
 // they recorded as sorted lines prefixed with the section's name; gauge
-// values only when gaugeValues is set.
+// values only when gaugeValues is set. The snapshot the journal's trailer
+// carries must be the registry's, and is then zeroed like Seq and Off.
 func observeSection(t *testing.T, section string, gaugeValues bool, fn func(*obs.Registry, *obs.Journal)) []string {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -224,23 +269,17 @@ func observeSection(t *testing.T, section string, gaugeValues bool, fn func(*obs
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lines []string
 	snap := reg.Snapshot()
-	for _, c := range snap.Counters {
-		lines = append(lines, fmt.Sprintf("counter %s %d", c.Series, c.Value))
+	trailer := evs[len(evs)-1].Snapshot
+	if trailer == nil {
+		t.Fatalf("%s: the journal's trailer carries no snapshot", section)
 	}
-	for _, g := range snap.Gauges {
-		switch {
-		case strings.Contains(g.Family, "_seconds"):
-		case gaugeValues:
-			lines = append(lines, fmt.Sprintf("gauge %s %s", g.Series, strconv.FormatFloat(g.Value, 'g', -1, 64)))
-		default:
-			lines = append(lines, "gauge "+g.Series)
-		}
+	if missing, extra := lineDiff(snapshotLines(snap, true), snapshotLines(*trailer, true)); len(missing)+len(extra) > 0 {
+		t.Errorf("%s: the trailer's snapshot differs from the registry's: %d line(s) missing, %d unexpected\nmissing:\n  %s\nunexpected:\n  %s",
+			section, len(missing), len(extra), strings.Join(head(missing, 20), "\n  "), strings.Join(head(extra, 20), "\n  "))
 	}
-	for _, h := range snap.Histograms {
-		lines = append(lines, fmt.Sprintf("histogram %s count %d", h.Series, h.Count))
-	}
+	evs[len(evs)-1].Snapshot = nil
+	lines := snapshotLines(snap, gaugeValues)
 	spans := map[string]int{}
 	for _, sp := range obs.Spans(evs) {
 		spans[sp.Name]++
@@ -263,6 +302,29 @@ func observeSection(t *testing.T, section string, gaugeValues bool, fn func(*obs
 	sort.Strings(lines)
 	for i := range lines {
 		lines[i] = section + " " + lines[i]
+	}
+	return lines
+}
+
+// snapshotLines renders a snapshot's series as lines: every counter with
+// its value, every histogram with its count, every gauge that is not a
+// time, with its value when gaugeValues is set.
+func snapshotLines(snap obs.Snapshot, gaugeValues bool) []string {
+	var lines []string
+	for _, c := range snap.Counters {
+		lines = append(lines, fmt.Sprintf("counter %s %d", c.Series, c.Value))
+	}
+	for _, g := range snap.Gauges {
+		switch {
+		case strings.Contains(g.Family, "_seconds"):
+		case gaugeValues:
+			lines = append(lines, fmt.Sprintf("gauge %s %s", g.Series, strconv.FormatFloat(g.Value, 'g', -1, 64)))
+		default:
+			lines = append(lines, "gauge "+g.Series)
+		}
+	}
+	for _, h := range snap.Histograms {
+		lines = append(lines, fmt.Sprintf("histogram %s count %d", h.Series, h.Count))
 	}
 	return lines
 }

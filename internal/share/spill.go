@@ -22,10 +22,7 @@ func writeSpill(dir, key string, schema data.Schema, rows data.Rows) (string, er
 // readSpill loads a spill file back, verifying its schema against the
 // expected one. Damage of either kind is a *data.RowFileError.
 func readSpill(path string, schema data.Schema) (data.Rows, error) {
-	header, rows, err := data.ReadRowFile(path)
-	if err == nil && !header.Equal(schema) {
-		err = &data.RowFileError{Path: path, Reason: fmt.Sprintf("schema %v is not the expected %v", header, schema)}
-	}
+	rows, err := data.ReadRowFileAs(path, schema)
 	if err != nil {
 		return nil, fmt.Errorf("share: reading spill: %w", err)
 	}

@@ -364,8 +364,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewJournal starts a flight-recorder journal writing JSONL to w. reg,
 // when non-nil, mirrors the journal's own accounting (events written,
-// dropped, write errors) as counters; nil skips the mirroring. Close the
-// journal to flush it and append the summary trailer.
+// dropped, write errors) as counters, and its final snapshot is written
+// into the summary trailer; nil skips both. Close the journal to flush it
+// and append the summary trailer.
 var NewJournal = obs.NewJournal
 
 // NewJournalFile opens (creating or truncating) path and starts a
