@@ -102,10 +102,11 @@ type Option func(*Engine)
 // WithMode selects the execution mode (default Materialized).
 func WithMode(m Mode) Option { return func(e *Engine) { e.mode = m } }
 
-// WithPartitions sets Parallel mode's partition count (default: the
-// number of CPUs), with or without a CheckpointRunner around the engine.
-// Any count produces bit-identical output; the count only affects how the
-// work is spread. Materialized mode is always one partition and ignores it.
+// WithPartitions sets Parallel mode's partition count (default:
+// runtime.GOMAXPROCS(0)), with or without a CheckpointRunner around the
+// engine. Any count produces bit-identical output; the count only affects
+// how the work is spread. Materialized mode is always one partition and
+// ignores it.
 func WithPartitions(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 
 	"etlopt/internal/data"
 )
@@ -12,14 +14,15 @@ import (
 // operator: rows are addressed by position in the input, and a key's
 // group is found by the row's 64-bit data.HashKey and confirmed against
 // the row that opened the group. Groups are numbered in the order their
-// first rows appear.
+// first rows appear; which slot holds a group depends on the table's seed
+// and is never read out.
 type keyTable struct {
 	keyed
-	head   map[uint64]int32 // key hash → the latest group opened under it
-	clash  map[int32]int32  // group → an earlier group with the same hash; nil until two keys collide on all 64 bits
-	groups []keyGroup       // group → the row that opened it and the latest row to join it
-	group  []int32          // row → its group
-	next   []int32          // row → the next row of its group, in input order; 0 (never a successor) ends the chain
+	seed   uint64     // random per table, mixed into every home slot
+	slots  []int32    // open-addressed, linearly probed, a power of two above 2× the rows: group+1, 0 = empty
+	groups []keyGroup // group → the row that opened it and the latest row to join it
+	group  []int32    // row → its group
+	next   []int32    // row → the next row of its group, in input order; 0 (never a successor) ends the chain
 }
 
 type keyGroup struct{ first, last int32 }
@@ -43,48 +46,53 @@ func hashKeys(rows data.Rows, pos []int) keyed {
 }
 
 // newKeyTable indexes an input by key.
-func newKeyTable(in keyed) (*keyTable, error) {
-	rows, pos, hashes := in.rows, in.pos, in.hashes
+func newKeyTable(in keyed) (*keyTable, error) { return newSeededKeyTable(in, rand.Uint64()) }
+
+func newSeededKeyTable(in keyed, seed uint64) (*keyTable, error) {
+	rows := in.rows
 	if len(rows) > math.MaxInt32 {
 		return nil, fmt.Errorf("key table: %d rows exceed the 2^31-1 one input can index", len(rows))
 	}
-	t := &keyTable{keyed: in, head: make(map[uint64]int32, len(rows)),
+	t := &keyTable{keyed: in, seed: seed, slots: make([]int32, 1<<bits.Len(uint(2*len(rows)))),
 		group: make([]int32, len(rows)), next: make([]int32, len(rows))}
 	for i, r := range rows {
-		latest, seen := t.head[hashes[i]]
-		g, ok := latest, seen
-		for ok && !data.KeyEqual(r, pos, rows[t.groups[g].first], pos) {
-			g, ok = t.clash[g]
-		}
-		if ok {
+		s := t.probe(in.hashes[i], r, in.pos)
+		if g := t.slots[s] - 1; g >= 0 {
 			t.group[i] = g
 			t.next[t.groups[g].last] = int32(i)
 			t.groups[g].last = int32(i)
 			continue
 		}
-		g = int32(len(t.groups))
-		t.group[i] = g
+		t.group[i] = int32(len(t.groups))
 		t.groups = append(t.groups, keyGroup{first: int32(i), last: int32(i)})
-		if seen {
-			if t.clash == nil {
-				t.clash = make(map[int32]int32)
-			}
-			t.clash[g] = latest
-		}
-		t.head[hashes[i]] = g
+		t.slots[s] = int32(len(t.groups))
 	}
 	return t, nil
+}
+
+// home is the first slot probed for a key whose hash is h: h mixed with
+// the seed as data.HashKey mixes a word, so keys whose hashes agree in
+// the low bits still spread.
+func (t *keyTable) home(h uint64) int {
+	hi, lo := bits.Mul64(h^t.seed, 0xd6e8feb86659fd93)
+	return int(hi^lo) & (len(t.slots) - 1)
+}
+
+// probe returns the slot of the group holding the key of r under pos,
+// whose hash is h, or else the empty slot where that group would go.
+func (t *keyTable) probe(h uint64, r data.Record, pos []int) int {
+	s := t.home(h)
+	for g := t.slots[s] - 1; g >= 0; g = t.slots[s] - 1 {
+		if first := t.groups[g].first; t.hashes[first] == h && data.KeyEqual(r, pos, t.rows[first], t.pos) {
+			break
+		}
+		s = (s + 1) & (len(t.slots) - 1)
+	}
+	return s
 }
 
 // find returns the group holding the key of r under pos, whose hash is h,
 // or -1.
 func (t *keyTable) find(h uint64, r data.Record, pos []int) int32 {
-	g, ok := t.head[h]
-	for ok && !data.KeyEqual(r, pos, t.rows[t.groups[g].first], t.pos) {
-		g, ok = t.clash[g]
-	}
-	if !ok {
-		return -1
-	}
-	return g
+	return t.slots[t.probe(h, r, pos)] - 1
 }

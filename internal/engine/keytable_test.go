@@ -37,7 +37,7 @@ func TestKeyTableForcedCollisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mask != ^uint64(0) && tab.clash == nil {
+		if mask != ^uint64(0) && !fullHashCollision(tab) {
 			t.Fatalf("mask %x: no full-hash collision was forced", mask)
 		}
 		var order []string            // reference: keys in first-appearance order
@@ -79,6 +79,116 @@ func TestKeyTableForcedCollisions(t *testing.T) {
 		absent := data.Record{data.NewString("absent"), data.NewInt(1)}
 		if found := tab.find(data.HashKey(absent, nil)&mask, absent, nil); found != -1 {
 			t.Fatalf("mask %x: find of an absent key = %d, want -1", mask, found)
+		}
+	}
+}
+
+// fullHashCollision reports whether two different keys of tab share all
+// 64 bits of their hash, so that only KeyEqual tells their groups apart.
+func fullHashCollision(tab *keyTable) bool {
+	seen := map[uint64]bool{}
+	for _, g := range tab.groups {
+		h := tab.hashes[g.first]
+		if seen[h] {
+			return true
+		}
+		seen[h] = true
+	}
+	return false
+}
+
+// TestKeyTableProbeSpread builds tables over 2^16 distinct keys whose
+// hashes are forced equal in their low 32 bits, then in their high 32
+// bits. The seeded home slot must spread them either way: the grouping is
+// still one group per key in input order, and no group sits more than 64
+// slots past its home.
+func TestKeyTableProbeSpread(t *testing.T) {
+	const n = 1 << 16
+	rows := make(data.Rows, n)
+	for i := range rows {
+		rows[i] = data.Record{data.NewString(fmt.Sprintf("KEY-%08d", i))}
+	}
+	for _, c := range []struct {
+		name       string
+		keep, fill uint64
+	}{
+		{"low 32 bits equal", 0xffffffff00000000, 0x5bd1e995},
+		{"high 32 bits equal", 0x00000000ffffffff, 0x5bd1e995 << 32},
+	} {
+		in := hashKeys(rows, nil)
+		for i := range in.hashes {
+			in.hashes[i] = in.hashes[i]&c.keep | c.fill
+		}
+		tab, err := newKeyTable(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.groups) != n {
+			t.Fatalf("%s: %d groups, want %d", c.name, len(tab.groups), n)
+		}
+		for i := range rows {
+			if tab.group[i] != int32(i) || tab.groups[i] != (keyGroup{int32(i), int32(i)}) || tab.next[i] != 0 {
+				t.Fatalf("%s: row %d is in group %d (%v), want a group of its own", c.name, i, tab.group[i], tab.groups[tab.group[i]])
+			}
+		}
+		mask, worst := len(tab.slots)-1, 0
+		for s, g := range tab.slots {
+			if g > 0 {
+				worst = max(worst, (s-tab.home(tab.hashes[tab.groups[g-1].first]))&mask)
+			}
+		}
+		if worst > 64 {
+			t.Errorf("%s: a group sits %d slots past its home, bound 64", c.name, worst)
+		}
+	}
+}
+
+// TestKeyTableSeedInvariance builds one table under seeds 0, 1 and a
+// random one: the seed moves groups between slots, and nothing a caller
+// reads — groups, group, next, find — may move with it.
+func TestKeyTableSeedInvariance(t *testing.T) {
+	orders, _ := orderFixture(2000)
+	x := data.Record{data.NewString("a\x1fs:b"), data.NewString("c")}
+	y := data.Record{data.NewString("a"), data.NewString("b\x1fs:c")}
+	absent := data.Record{data.NewString("absent"), data.NewString("absent"), data.NewFloat(-1)}
+	for _, c := range []struct {
+		name string
+		rows data.Rows
+		pos  []int
+	}{
+		{"orders by ORDER_ID", orders, []int{0}},
+		{"orders by CUST", orders, []int{1}},
+		{"orders whole", orders, nil},
+		{"separator keys", data.Rows{x, y, x, y, y}, nil},
+	} {
+		probes := append(data.Rows{absent, {x[1], x[0]}}, c.rows...)
+		var ref *keyTable
+		var refFound []int32
+		for _, seed := range []uint64{0, 1, rand.Uint64()} {
+			tab, err := newSeededKeyTable(hashKeys(c.rows, c.pos), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := make([]int32, len(probes))
+			for i, p := range probes {
+				found[i] = tab.find(data.HashKey(p, c.pos), p, c.pos)
+			}
+			if ref == nil {
+				ref, refFound = tab, found
+				if found[0] != -1 {
+					t.Fatalf("%s: find of an absent key = %d, want -1", c.name, found[0])
+				}
+				for i, g := range tab.group {
+					if found[i+2] != g {
+						t.Fatalf("%s: find of row %d's key = %d, want its group %d", c.name, i, found[i+2], g)
+					}
+				}
+				continue
+			}
+			if !slices.Equal(tab.groups, ref.groups) || !slices.Equal(tab.group, ref.group) ||
+				!slices.Equal(tab.next, ref.next) || !slices.Equal(found, refFound) {
+				t.Fatalf("%s: seed %#x changes the table's answers", c.name, seed)
+			}
 		}
 	}
 }
@@ -149,7 +259,9 @@ func orderFixture(n int) (orders, customers data.Rows) {
 // chain of one when it is row-local. The exchange also has a bytes
 // ceiling: it copies a row once, so per input row it allocates the row's
 // hash and, at the destination, the row, its tag and its hash (48 B),
-// where dealing rows into buckets first took 88–94 B.
+// where dealing rows into buckets first took 88–94 B. DISTINCT, the group
+// key check and γ have one too: their key table holds an int32 slot array,
+// not a builtin map (121–122 and 66 B per row with the map).
 func TestKeyOperatorAllocations(t *testing.T) {
 	const n = 10000
 	orders, customers := orderFixture(n)
@@ -204,12 +316,12 @@ func TestKeyOperatorAllocations(t *testing.T) {
 		run     func() (data.Rows, error)
 		bytes   float64 // a ceiling on bytes per input row; 0 = none
 	}{
-		{"distinct", 0.1, unary(templates.Distinct(1), in), 0},
-		{"group pkcheck", 0.1, unary(templates.PKCheck(1, "ORDER_ID"), in), 0},
+		{"distinct", 0.1, unary(templates.Distinct(1), in), 112},
+		{"group pkcheck", 0.1, unary(templates.PKCheck(1, "ORDER_ID"), in), 112},
 		{"lookup pkcheck", 0.1, unary(templates.PKCheckAgainst("DWORDERS", 1, "ORDER_ID"), in), 0},
 		{"diff", 0.1, binary(templates.Diff(1, "ORDER_ID"), []data.Schema{in, in}, in, cancelled), 0},
 		{"intersect", 0.1, binary(templates.Intersect(1, "CUST"), sides, in, customers), 0},
-		{"aggregate", 0.5, unary(agg, data.Schema{"CUST", "TOTAL"}), 0},
+		{"aggregate", 0.5, unary(agg, data.Schema{"CUST", "TOTAL"}), 56},
 		{"join", 1.1, binary(templates.Join(1, "CUST"), sides, data.Schema{"ORDER_ID", "CUST", "AMOUNT", "CUST_SK"}, customers), 0},
 		{"exchange P=2", 0.1, exchange(2), 56},
 		{"exchange P=4", 0.1, exchange(4), 56},

@@ -183,8 +183,8 @@ func applyMaskTagged(ps pslice, keep []bool) pslice {
 	return out
 }
 
-// partitionCount resolves Parallel mode's partition count; default is the
-// number of CPUs.
+// partitionCount resolves Parallel mode's partition count; default is
+// runtime.GOMAXPROCS(0).
 func (e *Engine) partitionCount() int {
 	if e.partitions > 0 {
 		return e.partitions

@@ -290,7 +290,7 @@ func WithMode(m Mode) Option {
 }
 
 // WithPartitions sets the partition count for partition-parallel
-// execution (default: the number of CPUs) and, unless WithMode is given
+// execution (default: runtime.GOMAXPROCS(0)) and, unless WithMode is given
 // explicitly, selects Parallel mode — etl.Run(ctx, g, bindings,
 // etl.WithPartitions(8)) is a complete parallel run. Output is
 // bit-identical at any count. Run only — the search's parallelism is
