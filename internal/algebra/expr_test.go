@@ -51,6 +51,18 @@ func TestCmpOperators(t *testing.T) {
 	}
 }
 
+// TestCmpExactOn64BitInts: two ints compare as int64s. Through float64,
+// which rounds 2⁵³+1 to 2⁵³, the two would be one number.
+func TestCmpExactOn64BitInts(t *testing.T) {
+	r := rec(1<<53, 1<<53+1, "")
+	if e := (Cmp{Op: LT, Left: Attr{Name: "A"}, Right: Const{Value: data.NewInt(1<<53 + 1)}}); !mustEval(t, e, r).Bool() {
+		t.Errorf("%s drops A = 2⁵³", e)
+	}
+	if e := (Cmp{Op: LE, Left: Attr{Name: "B"}, Right: Const{Value: data.NewInt(1 << 53)}}); mustEval(t, e, r).Bool() {
+		t.Errorf("%s keeps B = 2⁵³+1", e)
+	}
+}
+
 func TestCmpNullSemantics(t *testing.T) {
 	r := data.Record{data.Null, data.NewInt(1), data.NewString("")}
 	// NULL comparisons reject (SQL-style), so a filter on a NULL attribute

@@ -7,6 +7,7 @@ import (
 
 	"etlopt/internal/algebra"
 	"etlopt/internal/data"
+	"etlopt/internal/dsl"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
 )
@@ -274,5 +275,35 @@ func TestMergedExecution(t *testing.T) {
 	pkg := runChain(t, Materialized, data.Schema{"V"}, rows, nil, merged)
 	if !seq.EqualMultiset(pkg) {
 		t.Errorf("merged package differs from sequence: %v vs %v", seq, pkg)
+	}
+}
+
+// TestDistinctKeepsIDsFloatCannotTell: 2⁵³ and 2⁵³+1 are two ids that
+// float64 rounds to one number. DISTINCT keeps both rows, so the filter
+// behind it finds the second, at one partition and at four.
+func TestDistinctKeepsIDsFloatCannotTell(t *testing.T) {
+	g, err := dsl.Parse(`
+recordset SRC source rows=2 schema=ID,V
+activity a1 distinct sel=0.9
+activity a2 filter pred="(ID=9007199254740993)" sel=0.5
+recordset DW.T target schema=ID,V
+flow SRC -> a1
+flow a1 -> a2
+flow a2 -> DW.T
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := data.Rows{{data.NewInt(1 << 53), data.NewString("x")}, {data.NewInt(1<<53 + 1), data.NewString("x")}}
+	for _, p := range []int{1, 4} {
+		bind := map[string]data.Recordset{"SRC": data.NewMemoryRecordset("SRC", data.Schema{"ID", "V"}).MustLoad(rows)}
+		res, err := New(bind, WithMode(Parallel), WithPartitions(p)).Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Targets["DW.T"]
+		if len(got) != 1 || got[0][0].Kind() != data.KindInt || got[0][0].Int() != 1<<53+1 || got[0][1].Str() != "x" {
+			t.Errorf("P=%d: loaded %v, want (9007199254740993, x)", p, got)
+		}
 	}
 }

@@ -1,10 +1,15 @@
 package equiv
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"etlopt/internal/core"
+	"etlopt/internal/data"
+	"etlopt/internal/dsl"
+	"etlopt/internal/engine"
 	"etlopt/internal/generator"
 	"etlopt/internal/templates"
 	"etlopt/internal/transitions"
@@ -261,5 +266,44 @@ func TestRejectedSwapsWouldChangeOutputs(t *testing.T) {
 	}
 	if ok {
 		t.Error("pushing the Euro threshold below the aggregation should change results; the swap guard is load-bearing")
+	}
+}
+
+// TestOptimizedPlanKeepsIDsFloatCannotTell: DISTINCT then σ(ID = 2⁵³+1)
+// over the ids 2⁵³ and 2⁵³+1, which float64 rounds to one number. The
+// heuristic search swaps the two activities; both plans must load the
+// second row.
+func TestOptimizedPlanKeepsIDsFloatCannotTell(t *testing.T) {
+	g, err := dsl.Parse(`
+recordset SRC source rows=2 schema=ID,V
+activity a1 distinct sel=0.9
+activity a2 filter pred="(ID=9007199254740993)" sel=0.5
+recordset DW.T target schema=ID,V
+flow SRC -> a1
+flow a1 -> a2
+flow a2 -> DW.T
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Heuristic(context.Background(), g, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := data.Rows{{data.NewInt(1 << 53), data.NewString("x")}, {data.NewInt(1<<53 + 1), data.NewString("x")}}
+	bind := map[string]data.Recordset{"SRC": data.NewMemoryRecordset("SRC", data.Schema{"ID", "V"}).MustLoad(rows)}
+	ok, diff, err := VerifyEmpirical(g, res.Best, bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Errorf("the optimized plan loads other rows: %s", diff)
+	}
+	run, err := engine.New(bind).Run(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.Targets["DW.T"]; len(got) != 1 || got[0][0].Int() != 1<<53+1 {
+		t.Errorf("the written plan loads %v, want (9007199254740993, x)", got)
 	}
 }
