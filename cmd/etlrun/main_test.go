@@ -113,8 +113,8 @@ func TestCLIRunOptimizedParallelMatchesPlain(t *testing.T) {
 	}
 	rowsA, _ := a.Scan()
 	rowsB, _ := b.Scan()
-	if !rowsA.EqualMultiset(rowsB) {
-		t.Errorf("optimized parallel run wrote different data: %d vs %d rows", len(rowsA), len(rowsB))
+	if err := rowsA.SameMultiset(rowsB); err != nil {
+		t.Errorf("optimized parallel run wrote different data: %v", err)
 	}
 }
 

@@ -115,9 +115,9 @@ func ParseCmpOp(s string) (CmpOp, error) {
 	}
 }
 
-// Cmp compares two sub-expressions. A comparison involving NULL evaluates
-// to false (SQL-style rejection), except NE which is true when exactly one
-// side is NULL.
+// Cmp compares two sub-expressions by data.Value.Compare, the one order on
+// values. A comparison involving NULL evaluates to false (SQL-style
+// rejection), except NE which is true when exactly one side is NULL.
 type Cmp struct {
 	Op          CmpOp
 	Left, Right Expr
@@ -140,9 +140,9 @@ func (c Cmp) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
 	var out bool
 	switch c.Op {
 	case EQ:
-		out = l.Equal(r)
+		out = cmp == 0
 	case NE:
-		out = !l.Equal(r)
+		out = cmp != 0
 	case LT:
 		out = cmp < 0
 	case LE:

@@ -620,7 +620,7 @@ func exprInterval(e algebra.Expr, in *NodeAbs) (iv Interval, maybeNull, ok bool)
 		if !x.Value.IsNumeric() && x.Value.Kind() != data.KindDate {
 			return Interval{}, false, false // strings: no numeric order modelled
 		}
-		return PointInterval(x.Value.Float()), false, true
+		return constInterval(x.Value), false, true
 	case algebra.Arith:
 		l, ln, lok := exprInterval(x.Left, in)
 		r, rn, rok := exprInterval(x.Right, in)
@@ -640,6 +640,18 @@ func exprInterval(e algebra.Expr, in *NodeAbs) (iv Interval, maybeNull, ok bool)
 	default:
 		return Interval{}, false, false
 	}
+}
+
+// constInterval is the interval of a number or date constant: its point,
+// or, for an int float64 cannot hold, the floats either side of the one it
+// rounds to. Values compare exactly (data.Value.Compare), so the point of
+// the rounding would claim that 2⁵³+1 equals 2⁵³.
+func constInterval(v data.Value) Interval {
+	f := v.Float()
+	if v.Kind() == data.KindInt && data.NewFloat(f).Compare(v) != 0 {
+		return Interval{math.Nextafter(f, math.Inf(-1)), math.Nextafter(f, math.Inf(1))}
+	}
+	return PointInterval(f)
 }
 
 // refinePred narrows the attribute domains under the assumption that the
@@ -672,16 +684,16 @@ func refinePred(e algebra.Expr, attrs map[string]AttrDomain) map[string]AttrDoma
 			if !ok {
 				return attrs
 			}
-			c := cst.Value.Float()
+			c := constInterval(cst.Value)
 			switch op {
 			case algebra.EQ:
-				d.Val = d.Val.Intersect(PointInterval(c))
+				d.Val = d.Val.Intersect(c)
 			case algebra.LT, algebra.LE:
 				// v < c over-approximated by v ≤ c: sound for both the
 				// always-true and always-false proofs downstream.
-				d.Val = d.Val.Intersect(Interval{math.Inf(-1), c})
+				d.Val = d.Val.Intersect(Interval{math.Inf(-1), c.Hi})
 			case algebra.GT, algebra.GE:
-				d.Val = d.Val.Intersect(Interval{c, math.Inf(1)})
+				d.Val = d.Val.Intersect(Interval{c.Lo, math.Inf(1)})
 			case algebra.NE:
 				// No interval refinement, and NULL rows pass NE.
 				attrs[attr.Name] = d

@@ -216,6 +216,26 @@ flow f2 -> TGT
 	if got := checksOf(fs, "dead-filter"); len(got) != 0 {
 		t.Errorf("boundary fixture fired: %v", got)
 	}
+
+	// Boundary: 2⁵³+1 is not 2⁵³, though float64 rounds it there. The
+	// second filter rejects every row the first passes; it does not pass
+	// them all.
+	fs, err = CheckWorkflow(mustParse(t, `
+recordset SRC source rows=2 schema=ID,V
+activity f1 filter pred="(ID=9007199254740992)" sel=0.5
+activity f2 filter pred="(ID=9007199254740993)" sel=0.5
+recordset TGT target schema=ID,V
+
+flow SRC -> f1
+flow f1 -> f2
+flow f2 -> TGT
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := checksOf(fs, "dead-filter"); len(got) != 0 {
+		t.Errorf("a filter on 2⁵³+1 behind one on 2⁵³ reported dead: %v", got)
+	}
 }
 
 func TestUnsatisfiableGuardPass(t *testing.T) {

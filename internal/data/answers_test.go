@@ -45,7 +45,7 @@ func short(s string) string {
 func answerLine(v, csv Value) string {
 	return fmt.Sprintf("%v null=%v num=%v int=%d float=%#x str=%s bool=%v days=%d time=%d string=%s key=%s hash=%#x digest=%#x csv=%v:%s",
 		v.Kind(), v.IsNull(), v.IsNumeric(), v.Int(), math.Float64bits(v.Float()), short(v.Str()), v.Bool(), v.Days(), v.Time().Unix(),
-		short(v.String()), short(v.Key()), HashKey(Record{v}, nil), Rows{{v}}.Digest(), csv.Kind(), short(csv.String()))
+		short(v.String()), short(Record{v}.Key()), HashKey(Record{v}, nil), Rows{{v}}.Digest(), csv.Kind(), short(csv.String()))
 }
 
 // pairLine renders row i of a pairwise relation over vs, one byte a pair.
@@ -61,6 +61,9 @@ func pairLine(vs []Value, i int, rel func(a, b Value) byte) string {
 // and what the key path, the digest, the row-file bytes and the CSV round
 // trip make of it, as recorded from the 32-byte layout (a kind tag, a
 // payload word and a string header): a layout change moves none of them.
+// The cells that moved when Compare became the one exact order were
+// re-recorded: NaN against a number, -0 against 0 as a key, and the
+// hashes of -0, MaxInt64 and the tuple holding them.
 func TestValueAnswersUnchanged(t *testing.T) {
 	vs := answerValues()
 	dir := t.TempDir()
@@ -147,9 +150,9 @@ var valueAnswers = []string{
 	"int null=false num=true int=0 float=0x0 str=\"0\" bool=false days=0 time=0 string=\"0\" key=\"n:0\" hash=0x5b73f5e69926939f digest=0x980ed94d8a36149d csv=int:\"0\"",
 	"int null=false num=true int=-7 float=0xc01c000000000000 str=\"-7\" bool=true days=-7 time=-604800 string=\"-7\" key=\"n:-7\" hash=0x59ce2b992efb913d digest=0xe18b6821d3f8d11a csv=int:\"-7\"",
 	"int null=false num=true int=-9223372036854775808 float=0xc3e0000000000000 str=\"-9223372036854775808\" bool=true days=-9223372036854775808 time=0 string=\"-9223372036854775808\" key=\"n:-9.223372036854776e+18\" hash=0xfda25cd1d0f190c0 digest=0x96b03c6fda486565 csv=int:\"-9223372036854775808\"",
-	"int null=false num=true int=9223372036854775807 float=0x43e0000000000000 str=\"9223372036854775807\" bool=true days=9223372036854775807 time=-86400 string=\"9223372036854775807\" key=\"n:9.223372036854776e+18\" hash=0xe917502b131230fb digest=0xcbf0e56e1dd93131 csv=int:\"9223372036854775807\"",
+	"int null=false num=true int=9223372036854775807 float=0x43e0000000000000 str=\"9223372036854775807\" bool=true days=9223372036854775807 time=-86400 string=\"9223372036854775807\" key=\"n:9.223372036854776e+18\" hash=0x9c52b5ebf285bded digest=0xcbf0e56e1dd93131 csv=int:\"9223372036854775807\"",
 	"float null=false num=true int=0 float=0x0 str=\"0\" bool=false days=0 time=0 string=\"0\" key=\"n:0\" hash=0x5b73f5e69926939f digest=0x74fad7e66bc9a1ed csv=int:\"0\"",
-	"float null=false num=true int=0 float=0x8000000000000000 str=\"-0\" bool=false days=-9223372036854775808 time=0 string=\"-0\" key=\"n:-0\" hash=0x67dd6da1d3635f29 digest=0x4474ad0987fee3d8 csv=int:\"0\"",
+	"float null=false num=true int=0 float=0x8000000000000000 str=\"-0\" bool=false days=-9223372036854775808 time=0 string=\"-0\" key=\"n:-0\" hash=0x5b73f5e69926939f digest=0x4474ad0987fee3d8 csv=int:\"0\"",
 	"float null=false num=true int=1 float=0x3ff8000000000000 str=\"1.5\" bool=true days=4609434218613702656 time=8358680908399640576 string=\"1.5\" key=\"n:1.5\" hash=0x9db16cf5cbfaa20c digest=0xeece8111feb429a6 csv=float:\"1.5\"",
 	"float null=false num=true int=-9223372036854775808 float=0x7ff0000000000000 str=\"+Inf\" bool=true days=9218868437227405312 time=-1729382256910270464 string=\"+Inf\" key=\"n:+Inf\" hash=0x7936f8d585ffbbe digest=0xc1f5cd643d9b8435 csv=float:\"+Inf\"",
 	"float null=false num=true int=-9223372036854775808 float=0x7ff8000000000001 str=\"NaN\" bool=true days=9221120237041090561 time=8358680908399726976 string=\"NaN\" key=\"n:NaN\" hash=0xaa534a1bb8e2998c digest=0x42fe551a857254c4 csv=float:\"NaN\"",
@@ -168,16 +171,16 @@ var valueAnswers = []string{
 	"cmp >=<<<<=<<>>>>>>>>>><<<<<",
 	"cmp >>>>>>>=<>>>>>>>>>><<<<<",
 	"cmp >>>>>>>>=>>>>>>>>>><<<<<",
-	"cmp ><<<<<<<<=>><==<<==<<<<<",
-	"cmp ><<<<<<<<<=><<<<<==<<<<<",
-	"cmp ><<<<<<<<<<=<<<<<==<<<<<",
-	"cmp ><<<<<<<<>>>=>>><==<<<<<",
-	"cmp ><<<<<<<<=>><==<<==<<<<<",
-	"cmp ><<<<<<<<=>><==<<==<<<<<",
-	"cmp ><<<<<<<<>>><>>=<==<<<<<",
-	"cmp ><<<<<<<<>>>>>>>===<<<<<",
-	"cmp ><<<<<<<<==========<<<<<",
-	"cmp ><<<<<<<<==========<<<<<",
+	"cmp ><<<<<<<<=>><==<<<<<<<<<",
+	"cmp ><<<<<<<<<=><<<<<<<<<<<<",
+	"cmp ><<<<<<<<<<=<<<<<<<<<<<<",
+	"cmp ><<<<<<<<>>>=>>><<<<<<<<",
+	"cmp ><<<<<<<<=>><==<<<<<<<<<",
+	"cmp ><<<<<<<<=>><==<<<<<<<<<",
+	"cmp ><<<<<<<<>>><>>=<<<<<<<<",
+	"cmp ><<<<<<<<>>>>>>>=<<<<<<<",
+	"cmp ><<<<<<<<>>>>>>>>==<<<<<",
+	"cmp ><<<<<<<<>>>>>>>>==<<<<<",
 	"cmp >>>>>>>>>>>>>>>>>>>=<<<<",
 	"cmp >>>>>>>>>>>>>>>>>>>>=<<<",
 	"cmp >>>>>>>>>>>>>>>>>>>>>=>>",
@@ -216,12 +219,12 @@ var valueAnswers = []string{
 	"key .K....K.................",
 	"key .......K................",
 	"key ........K...............",
-	"key .........K...K..........",
+	"key .........K...KK.........",
 	"key ..........K.............",
 	"key ...........K............",
 	"key ............K...........",
-	"key .........K...K..........",
-	"key ..............K.........",
+	"key .........K...KK.........",
+	"key .........K...KK.........",
 	"key ...............K........",
 	"key ................K.......",
 	"key .................KK.....",
@@ -231,6 +234,6 @@ var valueAnswers = []string{
 	"key .....................K..",
 	"key ......................K.",
 	"key .......................K",
-	"tuple hash=0x2bf869406d67bacf digest=0x43134e25c4f9cd8 key=<1048742 bytes, crc 2749a42b>",
+	"tuple hash=0xf47987440a9d749c digest=0x43134e25c4f9cd8 key=<1048742 bytes, crc 2749a42b>",
 	"row file 1048762 bytes, sha256 0ca3aa5f94da8c4ba09e86961217aa69c40199b4fa2c2038024b18b9b53b0165",
 }

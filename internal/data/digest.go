@@ -1,11 +1,14 @@
 package data
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 )
 
 // The digests below name content: rows (Rows.Digest) and whole recordsets
@@ -43,6 +46,57 @@ func (rows Rows) Digest() uint64 {
 		}
 	}
 	return mixWord(h, uint64(len(rows)))
+}
+
+// SameMultiset returns nil when rs and o hold the same records, each as
+// often, in any order: the paper's empirical notion of equivalent
+// workflows, "based on the same input, produce the same output" (§2.2).
+// Two records are the same when their Digests are, so kinds count: Int(2)
+// is not Float(2). Otherwise the error names one record, with its kinds,
+// that one side holds more often than the other.
+func (rs Rows) SameMultiset(o Rows) error {
+	a, b := sortedByDigest(rs), sortedByDigest(o)
+	for len(a) > 0 || len(b) > 0 {
+		head := b
+		if len(b) == 0 || len(a) > 0 && a[0].d <= b[0].d {
+			head = a
+		}
+		d, r := head[0].d, head[0].r
+		na, nb := leading(a, d), leading(b, d)
+		if na != nb {
+			kinds := make([]string, len(r))
+			for i, v := range r {
+				kinds[i] = v.Kind().String()
+			}
+			return fmt.Errorf("record %v of kinds (%s): %d× in the first rows, %d× in the second",
+				r, strings.Join(kinds, ", "), na, nb)
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return nil
+}
+
+type digested struct {
+	d uint64
+	r Record
+}
+
+func sortedByDigest(rows Rows) []digested {
+	out := make([]digested, len(rows))
+	for i, r := range rows {
+		out[i] = digested{Rows{r}.Digest(), r}
+	}
+	slices.SortFunc(out, func(x, y digested) int { return cmp.Compare(x.d, y.d) })
+	return out
+}
+
+// leading counts the records at the head of s whose digest is d.
+func leading(s []digested, d uint64) int {
+	n := 0
+	for n < len(s) && s[n].d == d {
+		n++
+	}
+	return n
 }
 
 // digestFile folds the bytes of the record file at path, a word at a time

@@ -9,21 +9,11 @@ import (
 // bring equal key tuples together (DISTINCT, key checks, surrogate-key
 // lookups, grouping, joins, difference, intersection, the partition
 // exchange) hashes a row once and compares tuples column by column, with
-// no key string built. Their equivalence classes are exactly those of
-// Value.Key, which stays as the independent statement they are tested
-// against:
-//
-//	NULL                    one class
-//	int, float              one class per float64 bit pattern of Float():
-//	                        int 1 = float 1, ints beyond 2^53 collapse as
-//	                        Float() does, -0 and +0 differ, all NaNs are one
-//	string, bool, date      tagged apart from each other and from the above,
-//	                        then compared by payload
-//
-// This is not Value.Equal, which puts -0 with +0 and tells 2^53 from
-// 2^53+1 as ints but not once either meets a float — it is not transitive,
-// so it cannot key a table. Unlike the "\x1f"-joined Record.Key, a tuple
-// comparison cannot confuse ("a\x1fs:b", "c") with ("a", "b\x1fs:c").
+// no key string built. Two tuples are one key when they are equally long
+// and Value.Compare puts each column pair at 0; the hash gives each
+// number the class it has there: a number float64 holds exactly hashes by
+// those float bits, -0 as +0 and every NaN as one, and an int float64
+// cannot hold hashes as itself under a tag of its own.
 //
 // The hash has no seed: a key's partition under the exchange, and with it
 // every intermediate partition layout, is the same in every run and build.
@@ -34,12 +24,13 @@ const (
 	// One tag per key class, added to the running hash before the payload.
 	tagNull   = 0x2545f4914f6cdd1d
 	tagNum    = 0x9fb21c651e98df25
+	tagWide   = 0x5851f42d4c957f2d // an int float64 cannot hold
 	tagString = 0xc2b2ae3d27d4eb4f
 	tagBool   = 0x165667b19e3779f9
 	tagDate   = 0x27d4eb2f165667c5
 )
 
-// nanBits stands for every NaN payload: Value.Key renders them all "NaN".
+// nanBits stands for every NaN payload.
 var nanBits = math.Float64bits(math.NaN())
 
 // mixWord folds one 64-bit word into the running hash: a 64×64→128-bit
@@ -50,17 +41,22 @@ func mixWord(h, w uint64) uint64 {
 	return hi ^ lo
 }
 
-// numBits is the numeric class representative of an int or float of kind k
-// and payload n: the bits of Float(), with one pattern for all NaNs.
-func numBits(k Kind, n int64) uint64 {
+// hashNumber folds the int or float of kind k and payload n into h.
+func hashNumber(h uint64, k Kind, n int64) uint64 {
 	f := math.Float64frombits(uint64(n))
 	if k == KindInt {
-		f = float64(n)
+		// float64(n) rounds MaxInt64 up to 2⁶³, which int64 cannot hold.
+		if f = float64(n); f == 0x1p63 || int64(f) != n {
+			return mixWord(h+tagWide, uint64(n))
+		}
 	}
-	if f != f {
-		return nanBits
+	switch {
+	case f != f:
+		return mixWord(h+tagNum, nanBits)
+	case f == 0:
+		f = 0
 	}
-	return math.Float64bits(f)
+	return mixWord(h+tagNum, math.Float64bits(f))
 }
 
 // load64 reads s[:8] little-endian; the compiler turns it into one load.
@@ -76,7 +72,7 @@ func hashValue(h uint64, k Kind, v *Value) uint64 {
 	case KindNull:
 		return mixWord(h, tagNull)
 	case KindInt, KindFloat:
-		return mixWord(h+tagNum, numBits(k, v.n))
+		return hashNumber(h, k, v.n)
 	case KindString:
 		// Whole words, then the 0–7 bytes left as one zero-padded word;
 		// the length, folded in first, keeps the padding unambiguous.
@@ -110,15 +106,15 @@ func HashKey(r Record, positions []int) uint64 {
 }
 
 // KeyEqual reports whether the key tuple of a under apos and that of b
-// under bpos are the same key: equally long and column by column in the
-// same key class (see above). A nil position list means the whole record.
+// under bpos are the same key: equally long and column by column Equal.
+// A nil position list means the whole record.
 func KeyEqual(a Record, apos []int, b Record, bpos []int) bool {
 	n := keyLen(a, apos)
 	if n != keyLen(b, bpos) {
 		return false
 	}
 	for k := 0; k < n; k++ {
-		if !sameKeyClass(keyAt(a, apos, k), keyAt(b, bpos, k)) {
+		if !keyAt(a, apos, k).Equal(*keyAt(b, bpos, k)) {
 			return false
 		}
 	}
@@ -137,18 +133,4 @@ func keyAt(r Record, positions []int, k int) *Value {
 		k = positions[k]
 	}
 	return &r[k]
-}
-
-func sameKeyClass(a, b *Value) bool {
-	ak, bk := a.kind(), b.kind()
-	switch ak {
-	case KindNull:
-		return bk == KindNull
-	case KindInt, KindFloat:
-		return (bk == KindInt || bk == KindFloat) && numBits(ak, a.n) == numBits(bk, b.n)
-	case KindString:
-		return bk == KindString && a.str() == b.str()
-	default:
-		return ak == bk && a.n == b.n
-	}
 }

@@ -3,6 +3,7 @@ package data_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,10 +12,9 @@ import (
 	"etlopt/internal/data"
 )
 
-// valueKeyReference and recordKeyReference are Value.Key and Record.Key
-// as they stood when the engine still keyed its maps by them, frozen here:
-// the one-buffer Record.Key must reproduce their bytes, and HashKey and
-// KeyEqual must reproduce their equivalence classes.
+// valueKeyReference and recordKeyReference are Record.Key as it stood when
+// the engine still keyed its maps by it, frozen here: the one-buffer
+// Record.Key must reproduce their bytes.
 func valueKeyReference(v data.Value) string {
 	switch v.Kind() {
 	case data.KindNull:
@@ -44,10 +44,11 @@ func recordKeyReference(r data.Record) string {
 }
 
 // adversarialValues are the values on the class boundaries: signed zeros,
-// NaNs of different payloads, infinities, ints against floats of equal
-// magnitude, ints around 2^53 and at the int64 limits, bool, date and
-// string look-alikes of a number, NULL against "", and strings of length
-// 0–17 (around the hash's 8-byte words) differing in one byte each.
+// NaNs of different payloads, infinities, subnormals, ints against floats
+// of equal or nearest magnitude, ints at ±2⁵³ ± k and at the int64 limits,
+// bool, date and string look-alikes of a number, NULL against "", and
+// strings of length 0–17 (around the hash's 8-byte words) differing in
+// one byte each, generated after the fixed values.
 func adversarialValues() []data.Value {
 	vs := []data.Value{
 		data.Null, data.NewString(""), data.NewString("NULL"), data.NewString("\x00"),
@@ -61,6 +62,9 @@ func adversarialValues() []data.Value {
 		data.NewInt(math.MaxInt64), data.NewInt(math.MaxInt64 - 1), data.NewFloat(math.MaxInt64),
 		data.NewInt(math.MinInt64), data.NewFloat(math.MinInt64),
 		data.NewFloat(0.1), data.NewFloat(-2.5e-300), data.NewDate(2005, time.April, 5),
+		data.NewInt(-1 << 53), data.NewInt(-1<<53 - 1), data.NewFloat(-1 << 53), data.NewInt(1<<53 + 2), data.NewFloat(1<<53 + 2),
+		data.NewInt(1<<63 - 1024), data.NewFloat(1<<63 - 1024), data.NewFloat(2.5), data.NewInt(2), data.NewFloat(-2.5), data.NewInt(-2),
+		data.NewFloat(5e-324), data.NewFloat(-5e-324), data.NewFloat(math.Float64frombits(0x800fffffffffffff)),
 	}
 	const alphabet = "abcdefghijklmnopqrstuvwxyz"
 	for n := 1; n <= 17; n++ {
@@ -73,20 +77,18 @@ func adversarialValues() []data.Value {
 	return vs
 }
 
-// checkKeyPair asserts the two properties on one pair of tuples: KeyEqual
-// agrees with the reference key strings (one direction only when a string
-// holds the separator, where the string form itself is wrong), and equal
-// keys hash equally.
+// checkKeyPair asserts on one pair of tuples that KeyEqual is column by
+// column equality under data.ReferenceCompare, the exact math/big order,
+// that it is symmetric, and that equal keys hash equally.
 func checkKeyPair(t *testing.T, a, b data.Record) {
 	t.Helper()
 	same := data.KeyEqual(a, nil, b, nil)
-	ref := recordKeyReference(a) == recordKeyReference(b)
-	separator := false
-	for _, v := range append(a.Clone(), b...) {
-		separator = separator || (v.Kind() == data.KindString && strings.Contains(v.Str(), "\x1f"))
+	ref := len(a) == len(b)
+	for i := 0; ref && i < len(a); i++ {
+		ref = data.ReferenceCompare(a[i], b[i]) == 0
 	}
-	if same && !ref || (ref && !same && !separator) {
-		t.Fatalf("KeyEqual(%v, %v) = %v, reference keys %q and %q", a, b, same, recordKeyReference(a), recordKeyReference(b))
+	if same != ref {
+		t.Fatalf("KeyEqual(%v, %v) = %v, reference %v", a, b, same, ref)
 	}
 	if same && data.HashKey(a, nil) != data.HashKey(b, nil) {
 		t.Fatalf("%v and %v are one key but hash %x and %x", a, b, data.HashKey(a, nil), data.HashKey(b, nil))
@@ -96,13 +98,36 @@ func checkKeyPair(t *testing.T, a, b data.Record) {
 	}
 }
 
-// TestKeyClasses sweeps every pair of adversarial values, then random
-// tuples of them, and checks key positions against the projected record.
+// checkOrder asserts that Compare is the reference order on a and b, both
+// ways round, and that Equal is its 0.
+func checkOrder(t *testing.T, a, b data.Value) {
+	t.Helper()
+	ref := data.ReferenceCompare(a, b)
+	if got, back := a.Compare(b), b.Compare(a); got != ref || back != -ref || a.Equal(b) != (ref == 0) {
+		t.Fatalf("%v (%v) against %v (%v): Compare %d, reverse %d, Equal %v; reference %d",
+			a, a.Kind(), b, b.Kind(), got, back, a.Equal(b), ref)
+	}
+}
+
+// TestKeyClasses sweeps every pair of adversarial values, every triple of
+// the fixed ones for transitivity, then random tuples of them, and
+// checks key positions against the projected record.
 func TestKeyClasses(t *testing.T) {
 	vs := adversarialValues()
 	for _, a := range vs {
 		for _, b := range vs {
+			checkOrder(t, a, b)
 			checkKeyPair(t, data.Record{a}, data.Record{b})
+		}
+	}
+	fixed := vs[:slices.IndexFunc(vs, func(v data.Value) bool { return v.Kind() == data.KindString && v.Str() == "a" })]
+	for _, a := range fixed {
+		for _, b := range fixed {
+			for _, c := range fixed {
+				if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+					t.Fatalf("Compare is not transitive: %v ≤ %v ≤ %v but %v > %v", a, b, c, a, c)
+				}
+			}
 		}
 	}
 	checkKeyPair(t, data.Record{}, data.Record{})
@@ -160,14 +185,27 @@ func TestKeyEqualSeparatesWhatTheStringKeyJoins(t *testing.T) {
 	}
 }
 
-// FuzzKeyEquivalence builds two values from raw parts and checks them as
-// single keys and as the two orders of a pair.
+// FuzzKeyEquivalence builds two values from raw parts and checks them
+// against the reference order as values, as single keys and as the two
+// orders of a pair. The seeds after the fifth sit on the order's edges.
 func FuzzKeyEquivalence(f *testing.F) {
 	f.Add(uint8(1), int64(1), 1.0, "n:1", uint8(2), int64(1), 1.0, "1")
 	f.Add(uint8(2), int64(0), math.Copysign(0, -1), "", uint8(2), int64(0), 0.0, "")
 	f.Add(uint8(1), int64(1<<53+1), math.NaN(), "a\x1fs:b", uint8(2), int64(0), float64(1<<53), "abcdefgh")
 	f.Add(uint8(3), int64(0), 0.0, "abcdefghi", uint8(3), int64(0), 0.0, "abcdefghj")
 	f.Add(uint8(4), int64(1), 0.0, "", uint8(5), int64(1), 0.0, "")
+	for _, c := range []struct {
+		i int64
+		f float64
+	}{
+		{1<<53 + 1, 1 << 53}, {-1<<53 - 1, -1 << 53}, {1<<53 - 1, 1<<53 - 1},
+		{math.MaxInt64, 0x1p63}, {math.MinInt64, -0x1p63}, {1<<63 - 1024, 1<<63 - 1024},
+		{0, math.Copysign(0, -1)}, {math.MaxInt64, math.Float64frombits(0x7ff8000000000001)},
+		{math.MinInt64, math.Inf(-1)}, {0, 5e-324}, {-2, -2.5},
+	} {
+		f.Add(uint8(1), c.i, 0.0, "", uint8(2), int64(0), c.f, "")
+	}
+	f.Add(uint8(2), int64(0), math.Float64frombits(0xfff8000000000123), "", uint8(2), int64(0), math.Inf(1), "")
 	mk := func(kind uint8, i int64, f float64, s string) data.Value {
 		switch kind % 6 {
 		case 0:
@@ -186,27 +224,17 @@ func FuzzKeyEquivalence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, k1 uint8, i1 int64, f1 float64, s1 string, k2 uint8, i2 int64, f2 float64, s2 string) {
 		a, b := mk(k1, i1, f1, s1), mk(k2, i2, f2, s2)
-		if a.Key() != valueKeyReference(a) {
-			t.Fatalf("Value.Key %q, reference %q", a.Key(), valueKeyReference(a))
-		}
-		if r := (data.Record{a, b}); r.Key() != recordKeyReference(r) {
-			t.Fatalf("Record.Key %q, reference %q", r.Key(), recordKeyReference(r))
-		}
+		checkOrder(t, a, b)
 		checkKeyPair(t, data.Record{a}, data.Record{b})
 		checkKeyPair(t, data.Record{a, b}, data.Record{b, a})
 		checkKeyPair(t, data.Record{a, b}, data.Record{a})
 	})
 }
 
-// TestRecordKeyMatchesReference holds the one-buffer Record.Key (and
-// Value.Key, now a one-value record key) to the frozen bytes.
+// TestRecordKeyMatchesReference holds the one-buffer Record.Key to the
+// frozen bytes.
 func TestRecordKeyMatchesReference(t *testing.T) {
 	vs := adversarialValues()
-	for _, v := range vs {
-		if got, want := v.Key(), valueKeyReference(v); got != want {
-			t.Errorf("Value.Key(%v) = %q, reference %q", v, got, want)
-		}
-	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		r := make(data.Record, rng.Intn(7))
@@ -220,8 +248,8 @@ func TestRecordKeyMatchesReference(t *testing.T) {
 }
 
 // TestKeyAllocations is the key path's allocation ceiling: hashing and
-// comparing key tuples allocate nothing, and the string key — still the
-// equivalence suites' multiset key — is one allocation, not ten.
+// comparing key tuples allocate nothing, and the string key is one
+// allocation, not ten.
 func TestKeyAllocations(t *testing.T) {
 	a := data.Record{data.NewString("ORD-2005-A-0042-000000123456"), data.NewInt(7), data.NewFloat(12.125),
 		data.Null, data.NewDate(2005, time.April, 5), data.NewString("note 0badcafe carrier=7 instructions=leave-at-door-000042")}

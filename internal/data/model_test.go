@@ -1,7 +1,9 @@
 package data
 
 import (
+	"cmp"
 	"math"
+	"math/big"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,8 +12,9 @@ import (
 
 // refValue is the 32-byte layout Value had before its string bytes and its
 // kind shared one word: a kind tag, a payload word (ints, bools, dates, a
-// float's bits) and a string header, with each accessor as it read them.
-// FuzzValueModel holds Value to it.
+// float's bits) and a string header, with each accessor as it read them,
+// and the order on values computed exactly. FuzzValueModel holds Value to
+// it.
 type refValue struct {
 	kind Kind
 	i    int64
@@ -82,84 +85,61 @@ func (v refValue) String() string {
 	}
 }
 
-func (v refValue) Equal(o refValue) bool {
-	if v.kind != o.kind {
-		if v.IsNumeric() && o.IsNumeric() {
-			return v.Float() == o.Float()
-		}
-		return false
+// Compare is the order Value.Compare must implement, stated apart from
+// it: kinds by their tag, ints and floats as one kind of number; numbers
+// as exact math/big floats (so -0 = +0), and every NaN one number above
+// them all; strings bytewise; bools and dates by payload.
+func (v refValue) Compare(o refValue) int {
+	if vr, or := v.rank(), o.rank(); vr != or {
+		return cmp.Compare(vr, or)
 	}
 	switch v.kind {
 	case KindNull:
-		return true
-	case KindFloat:
-		a, b := v.Float(), o.Float()
-		return a == b || (a != a && b != b)
-	case KindString:
-		return v.s == o.s
-	default:
-		return v.i == o.i
-	}
-}
-
-func (v refValue) Compare(o refValue) int {
-	if v.kind == KindNull || o.kind == KindNull {
-		switch {
-		case v.kind == o.kind:
-			return 0
-		case v.kind == KindNull:
-			return -1
-		default:
-			return 1
+		return 0
+	case KindInt, KindFloat:
+		a, b := v.exact(), o.exact()
+		if a == nil || b == nil {
+			return cmp.Compare(b2i(a == nil), b2i(b == nil))
 		}
-	}
-	if v.IsNumeric() && o.IsNumeric() {
-		a, b := v.Float(), o.Float()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
-	}
-	switch v.kind {
+		return a.Cmp(b)
 	case KindString:
 		return strings.Compare(v.s, o.s)
-	case KindBool, KindDate:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		default:
-			return 0
-		}
 	default:
-		return 0
+		return cmp.Compare(v.i, o.i)
 	}
 }
 
-func (v refValue) Key() string {
-	switch v.kind {
-	case KindNull:
-		return "\x00"
-	case KindInt, KindFloat:
-		return "n:" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
-	case KindString:
-		return "s:" + v.s
-	case KindBool:
-		return "b:" + strconv.FormatInt(v.i, 10)
-	default:
-		return "d:" + strconv.FormatInt(v.i, 10)
+func (v refValue) Equal(o refValue) bool { return v.Compare(o) == 0 }
+
+// rank is the kind's place in the order: a float ranks as an int.
+func (v refValue) rank() Kind {
+	if v.kind == KindFloat {
+		return KindInt
 	}
+	return v.kind
+}
+
+// exact is the number v as a math/big float, nil for a NaN.
+func (v refValue) exact() *big.Float {
+	if v.kind == KindInt {
+		return new(big.Float).SetInt64(v.i)
+	}
+	if f := v.Float(); f == f {
+		return big.NewFloat(f)
+	}
+	return nil
+}
+
+// ReferenceCompare is refValue.Compare on two Values: the independent
+// statement the key tests in package data_test hold Compare, Equal,
+// KeyEqual and HashKey to.
+func ReferenceCompare(a, b Value) int { return refOf(a).Compare(refOf(b)) }
+
+func refOf(v Value) refValue {
+	if v.kind() == KindString {
+		return refValue{kind: KindString, s: v.str()}
+	}
+	return refValue{kind: v.kind(), i: v.n}
 }
 
 // modelPair builds the same datum both ways from fuzz input: kind k, payload
@@ -193,15 +173,17 @@ func checkModel(t *testing.T, v Value, m refValue) {
 		t.Fatalf("%+v: Int %d, Float %v, Bool %v; model %d, %v, %v", m, v.Int(), v.Float(), v.Bool(), m.Int(), m.Float(), m.Bool())
 	case v.Days() != m.i || !v.Time().Equal(m.Time()):
 		t.Fatalf("%+v: Days %d, Time %v; model %d, %v", m, v.Days(), v.Time(), m.i, m.Time())
-	case v.Str() != m.Str() || v.String() != m.String() || v.Key() != m.Key():
-		t.Fatalf("%+v: Str %q, String %q, Key %q; model %q, %q, %q", m, v.Str(), v.String(), v.Key(), m.Str(), m.String(), m.Key())
+	case v.Str() != m.Str() || v.String() != m.String():
+		t.Fatalf("%+v: Str %q, String %q; model %q, %q", m, v.Str(), v.String(), m.Str(), m.String())
 	}
 }
 
 // FuzzValueModel holds Value to refValue, the layout it had before it was 16
-// bytes: every accessor on each of two values; Equal, Compare and KeyEqual
-// between them; equal hashes for equal keys; and digests equal exactly when
-// the two are the same kind and payload.
+// bytes: every accessor on each of two values; Equal, Compare (both ways)
+// and KeyEqual between them against the model's exact order; equal hashes
+// for equal keys; and digests equal exactly when the two are the same kind
+// and payload. The seeds after the seventh sit on the order's edges: ints
+// at ±2⁵³ ± k and ±2⁶³ against floats, -0, NaNs, ±Inf and subnormals.
 func FuzzValueModel(f *testing.F) {
 	f.Add(uint8(KindString), int64(0), "head,tail", uint8(KindString), int64(0), "tail", uint(5))
 	f.Add(uint8(KindString), int64(0), "x", uint8(KindNull), int64(0), "", uint(1))
@@ -210,18 +192,40 @@ func FuzzValueModel(f *testing.F) {
 	f.Add(uint8(KindFloat), int64(0x7ff8000000000001), "", uint8(KindFloat), int64(-0x7ffffffffffffedd), "", uint(0))
 	f.Add(uint8(KindDate), int64(-25567), "", uint8(KindBool), int64(1), "", uint(0))
 	f.Add(uint8(KindInt), int64(1), "", uint8(KindBool), int64(1), "", uint(0))
+	fb := func(f float64) int64 { return int64(math.Float64bits(f)) }
+	for _, c := range []struct {
+		ka Kind
+		ia int64
+		kb Kind
+		ib int64
+	}{
+		{KindInt, 1<<53 + 1, KindFloat, fb(1 << 53)},
+		{KindInt, -1<<53 - 1, KindFloat, fb(-1 << 53)},
+		{KindInt, 1<<53 + 2, KindFloat, fb(1<<53 + 2)},
+		{KindInt, math.MaxInt64, KindFloat, fb(0x1p63)},
+		{KindInt, math.MinInt64, KindFloat, fb(-0x1p63)},
+		{KindInt, 1<<63 - 1024, KindFloat, fb(1<<63 - 1024)},
+		{KindInt, 0, KindFloat, fb(math.Copysign(0, -1))},
+		{KindFloat, 0x7ff8000000000001, KindFloat, fb(math.Inf(1))},
+		{KindFloat, -0x7ffffffffffffedd, KindInt, math.MaxInt64},
+		{KindFloat, fb(math.Inf(-1)), KindInt, math.MinInt64},
+		{KindFloat, 1, KindInt, 0},
+		{KindFloat, fb(-2.5), KindInt, -2},
+	} {
+		f.Add(uint8(c.ka), c.ia, "", uint8(c.kb), c.ib, "", uint(0))
+	}
 	f.Fuzz(func(t *testing.T, ka uint8, ia int64, sa string, kb uint8, ib int64, sb string, cut uint) {
 		a, ma := modelPair(ka, ia, sa, cut)
 		b, mb := modelPair(kb, ib, sb, cut)
 		checkModel(t, a, ma)
 		checkModel(t, b, mb)
-		if a.Equal(b) != ma.Equal(mb) || a.Compare(b) != ma.Compare(mb) {
-			t.Fatalf("%+v vs %+v: Equal %v, Compare %d; model %v, %d", ma, mb, a.Equal(b), a.Compare(b), ma.Equal(mb), ma.Compare(mb))
+		if a.Equal(b) != ma.Equal(mb) || a.Compare(b) != ma.Compare(mb) || b.Compare(a) != -ma.Compare(mb) {
+			t.Fatalf("%+v vs %+v: Equal %v, Compare %d, reverse %d; model %v, %d", ma, mb, a.Equal(b), a.Compare(b), b.Compare(a), ma.Equal(mb), ma.Compare(mb))
 		}
 		ra, rb := Record{a}, Record{b}
-		sameKey := ma.Key() == mb.Key()
-		if KeyEqual(ra, nil, rb, nil) != sameKey || sameKey && HashKey(ra, nil) != HashKey(rb, nil) {
-			t.Fatalf("%+v vs %+v: KeyEqual %v, hashes %#x %#x; keys equal %v", ma, mb, KeyEqual(ra, nil, rb, nil), HashKey(ra, nil), HashKey(rb, nil), sameKey)
+		same := ma.Equal(mb)
+		if KeyEqual(ra, nil, rb, nil) != same || same && HashKey(ra, nil) != HashKey(rb, nil) {
+			t.Fatalf("%+v vs %+v: KeyEqual %v, hashes %#x %#x; model equal %v", ma, mb, KeyEqual(ra, nil, rb, nil), HashKey(ra, nil), HashKey(rb, nil), same)
 		}
 		if same := ma == mb; (Rows{ra}.Digest() == Rows{rb}.Digest()) != same {
 			t.Fatalf("%+v vs %+v: digests equal %v, values the same %v", ma, mb, !same, same)

@@ -1,8 +1,6 @@
 package data
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -118,12 +116,12 @@ func (r Record) Clone() Record {
 	return c
 }
 
-// Key returns a canonical string key identifying the record's contents:
-// the values' Key strings joined by "\x1f". It serves multiset comparison
-// in the equivalence and property suites and is the independent statement
-// HashKey/KeyEqual are tested against; the engine does not key on it. The
-// string form cannot tell ("a\x1fs:b", "c") from ("a", "b\x1fs:c");
-// KeyEqual, comparing column by column, can.
+// Key returns a string naming the record's contents: per value a class
+// tag and the payload, numbers as the shortest rendering of Float(),
+// joined by "\x1f". Its classes are not the key classes (KeyEqual): it
+// puts 2⁵³ with 2⁵³+1, tells -0 from +0, and the joined form cannot tell
+// ("a\x1fs:b", "c") from ("a", "b\x1fs:c"). Nothing compares by it; it
+// stays while the benchmark times it, until ROADMAP 7a removes it.
 func (r Record) Key() string {
 	size := len(r)
 	for i := range r {
@@ -222,7 +220,7 @@ func (p Projection) ApplyInto(dst, r Record) {
 	}
 }
 
-// Rows is a slice of records with multiset-comparison helpers.
+// Rows is a slice of records.
 type Rows []Record
 
 // Clone deep-copies the row set.
@@ -232,34 +230,6 @@ func (rs Rows) Clone() Rows {
 		out[i] = r.Clone()
 	}
 	return out
-}
-
-// KeyCounts returns the multiset of record keys.
-func (rs Rows) KeyCounts() map[string]int {
-	m := make(map[string]int, len(rs))
-	for _, r := range rs {
-		m[r.Key()]++
-	}
-	return m
-}
-
-// EqualMultiset reports whether two row sets contain the same records with
-// the same multiplicities, regardless of order. This is the paper's
-// empirical notion of equivalent workflows: "based on the same input,
-// produce the same output".
-func (rs Rows) EqualMultiset(o Rows) bool {
-	if len(rs) != len(o) {
-		return false
-	}
-	a := rs.KeyCounts()
-	for _, r := range o {
-		k := r.Key()
-		a[k]--
-		if a[k] == 0 {
-			delete(a, k)
-		}
-	}
-	return len(a) == 0
 }
 
 // SplitRoundRobin deals the rows into n partitions: row i goes to
@@ -281,34 +251,4 @@ func (rs Rows) SplitRoundRobin(n int) []Rows {
 		parts[i%n] = append(parts[i%n], r)
 	}
 	return parts
-}
-
-// DiffMultiset returns human-readable descriptions of records whose
-// multiplicities differ between rs and o, capped at limit entries.
-// It returns nil when the multisets are equal.
-func (rs Rows) DiffMultiset(o Rows, limit int) []string {
-	a := rs.KeyCounts()
-	b := o.KeyCounts()
-	var diffs []string
-	keys := make([]string, 0, len(a)+len(b))
-	seen := map[string]bool{}
-	for k := range a {
-		keys = append(keys, k)
-		seen[k] = true
-	}
-	for k := range b {
-		if !seen[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if a[k] != b[k] {
-			diffs = append(diffs, fmt.Sprintf("key %q: left ×%d, right ×%d", k, a[k], b[k]))
-			if len(diffs) >= limit {
-				break
-			}
-		}
-	}
-	return diffs
 }

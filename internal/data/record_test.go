@@ -103,26 +103,30 @@ func TestRecordKey(t *testing.T) {
 	}
 }
 
-func TestRowsEqualMultiset(t *testing.T) {
+func TestRowsSameMultiset(t *testing.T) {
 	r1 := Record{NewInt(1)}
 	r2 := Record{NewInt(2)}
 	a := Rows{r1, r2, r1}
 	b := Rows{r2, r1, r1}
-	if !a.EqualMultiset(b) {
-		t.Error("order should not matter")
+	if err := a.SameMultiset(b); err != nil {
+		t.Errorf("order should not matter: %v", err)
 	}
-	if a.EqualMultiset(Rows{r1, r2}) {
+	if a.SameMultiset(Rows{r1, r2}) == nil {
 		t.Error("different sizes should differ")
 	}
-	if a.EqualMultiset(Rows{r1, r2, r2}) {
+	if a.SameMultiset(Rows{r1, r2, r2}) == nil {
 		t.Error("different multiplicities should differ")
 	}
-	if !(Rows{}).EqualMultiset(Rows{}) {
-		t.Error("empty multisets should be equal")
+	if err := (Rows{}).SameMultiset(nil); err != nil {
+		t.Errorf("empty multisets should be equal: %v", err)
+	}
+	// Kinds count: an int is not the float of equal value.
+	if (Rows{{NewInt(2)}}).SameMultiset(Rows{{NewFloat(2)}}) == nil {
+		t.Error("Int(2) and Float(2) should differ")
 	}
 }
 
-func TestRowsEqualMultisetProperty(t *testing.T) {
+func TestRowsSameMultisetProperty(t *testing.T) {
 	f := func(vals []int64, seed uint8) bool {
 		rows := make(Rows, len(vals))
 		for i, v := range vals {
@@ -134,26 +138,27 @@ func TestRowsEqualMultisetProperty(t *testing.T) {
 			k = int(seed) % len(rows)
 		}
 		perm := append(append(Rows{}, rows[k:]...), rows[:k]...)
-		return rows.EqualMultiset(perm)
+		return rows.SameMultiset(perm) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestRowsDiffMultiset(t *testing.T) {
-	a := Rows{Record{NewInt(1)}, Record{NewInt(2)}}
-	b := Rows{Record{NewInt(1)}, Record{NewInt(3)}}
-	diffs := a.DiffMultiset(b, 10)
-	if len(diffs) != 2 {
-		t.Errorf("expected 2 diffs, got %v", diffs)
+// TestRowsSameMultisetNamesTheRecord: a mismatch names a record one side
+// holds more often, with its kinds and both counts.
+func TestRowsSameMultisetNamesTheRecord(t *testing.T) {
+	a := Rows{{NewInt(1), NewString("x")}, {NewInt(2), NewString("y")}, {NewInt(2), NewString("y")}}
+	b := Rows{{NewInt(1), NewString("x")}, {NewInt(2), NewString("y")}}
+	want := "record (2, y) of kinds (int, string): 2× in the first rows, 1× in the second"
+	if err := a.SameMultiset(b); err == nil || err.Error() != want {
+		t.Errorf("SameMultiset = %v, want %q", err, want)
 	}
-	if got := a.DiffMultiset(a, 10); got != nil {
-		t.Errorf("self-diff should be nil, got %v", got)
-	}
-	// Limit respected.
-	if got := a.DiffMultiset(b, 1); len(got) != 1 {
-		t.Errorf("limit ignored: %v", got)
+	// Int(2) against Float(2): either may be named, with its own kind.
+	err := (Rows{{NewInt(2)}}).SameMultiset(Rows{{NewFloat(2)}})
+	if err == nil || err.Error() != "record (2) of kinds (int): 1× in the first rows, 0× in the second" &&
+		err.Error() != "record (2) of kinds (float): 0× in the first rows, 1× in the second" {
+		t.Errorf("SameMultiset = %v, want Int(2) or Float(2) named with its kind", err)
 	}
 }
 
@@ -169,10 +174,8 @@ func TestSortRows(t *testing.T) {
 		{NewInt(2), NewString("a")},
 		{NewInt(2), NewString("b")},
 	}
-	for i := range want {
-		if rows[i].Key() != want[i].Key() {
-			t.Fatalf("row %d = %v, want %v", i, rows[i], want[i])
-		}
+	if rows.Digest() != want.Digest() {
+		t.Fatalf("sorted %v, want %v", rows, want)
 	}
 }
 

@@ -27,8 +27,8 @@ func TestMemoryRecordsetBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.EqualMultiset(rows) {
-		t.Errorf("Scan = %v", got)
+	if err := got.SameMultiset(rows); err != nil {
+		t.Errorf("Scan = %v: %v", got, err)
 	}
 	if err := rs.Truncate(); err != nil {
 		t.Fatal(err)

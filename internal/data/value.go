@@ -9,6 +9,7 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -227,88 +228,75 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports deep equality of two values. NULL equals only NULL
-// (this is identity-based equality for grouping and set operations, not
-// SQL ternary comparison; predicates handle NULL separately).
+// Equal reports v.Compare(o) == 0 without ordering two strings. NULL
+// equals NULL: this is identity for grouping and set operations, not SQL's
+// ternary comparison; predicates handle NULL apart.
 func (v Value) Equal(o Value) bool {
-	vk, ok := v.kind(), o.kind()
-	if vk != ok {
-		// Allow int/float cross-kind numeric equality so that, e.g., an
-		// aggregation producing floats compares equal to integer input.
-		if numeric(vk) && numeric(ok) {
-			return v.Float() == o.Float()
+	if k := v.kind(); k == o.kind() && k != KindFloat {
+		if k == KindString {
+			return v.str() == o.str()
 		}
-		return false
-	}
-	switch vk {
-	case KindNull:
-		return true
-	case KindFloat:
-		a, b := v.Float(), o.Float()
-		return a == b || (a != a && b != b) // all NaNs are equal
-	case KindString:
-		return v.str() == o.str()
-	default:
 		return v.n == o.n
 	}
+	return v.Compare(o) == 0
 }
 
-// Compare orders two values: -1 if v < o, 0 if equal, +1 if v > o.
-// NULL sorts before every non-NULL value. Cross-kind numeric comparison
-// coerces to float64; otherwise kinds are ordered by their Kind tag.
+// Compare orders two values: -1 if v < o, 0 if equal, +1 if v > o. It is
+// the one order on values: Equal, KeyEqual and HashKey's classes all mean
+// Compare == 0. Kinds sort by their Kind tag — NULL first, then numbers,
+// strings, bools and dates — except that ints and floats are one kind of
+// number, ordered by exact real value: Int(2⁵³+1) ≠ Float(2⁵³), -0 = +0,
+// and every NaN is one number above +Inf. Strings sort bytewise, bools
+// false first, dates by day.
 func (v Value) Compare(o Value) int {
 	vk, ok := v.kind(), o.kind()
-	if vk == KindNull || ok == KindNull {
-		switch {
-		case vk == ok:
-			return 0
-		case vk == KindNull:
-			return -1
-		default:
-			return 1
-		}
-	}
-	if numeric(vk) && numeric(ok) {
-		a, b := v.Float(), o.Float()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if vk != ok {
-		switch {
-		case vk < ok:
-			return -1
-		default:
-			return 1
-		}
-	}
-	switch vk {
-	case KindString:
+	switch {
+	case vk == ok && vk == KindString:
 		return strings.Compare(v.str(), o.str())
-	case KindBool, KindDate:
-		switch {
-		case v.n < o.n:
-			return -1
-		case v.n > o.n:
-			return 1
-		default:
-			return 0
-		}
-	default:
+	case vk == ok && vk == KindFloat:
+		return compareFloats(v.Float(), o.Float())
+	case vk == ok: // a NULL's payload is 0
+		return cmp.Compare(v.n, o.n)
+	case vk == KindFloat && ok == KindInt:
+		return compareFloatInt(v.Float(), o.n)
+	case vk == KindInt && ok == KindFloat:
+		return -compareFloatInt(o.Float(), v.n)
+	}
+	return cmp.Compare(vk, ok)
+}
+
+// compareFloats is Compare on two floats: -0 = +0, NaNs equal each other
+// and sort above +Inf.
+func compareFloats(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b || a != a && b != b:
 		return 0
+	case a != a:
+		return 1
+	default:
+		return -1
 	}
 }
 
-// Key returns the value's canonical key string: a class tag ("\x00" for
-// NULL, "n:", "s:", "b:", "d:") and the payload, numbers as the shortest
-// rendering of Float(). Its equivalence classes — close to Equal, but
-// transitive — are the ones HashKey and KeyEqual implement (see key.go).
-func (v Value) Key() string { return Record{v}.Key() }
+// compareFloatInt is Compare on the float f and the int i, exact: within
+// the int64 range, the integer part of f decides, then its fraction.
+func compareFloatInt(f float64, i int64) int {
+	switch {
+	case f != f || f >= 0x1p63:
+		return 1
+	case f < -0x1p63:
+		return -1
+	}
+	t := math.Trunc(f) // in [-2⁶³, 2⁶³), so the conversion is exact
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return cmp.Compare(f, t)
+}
 
 // Byte classes of the three literal grammars ParseValue recognises beyond
 // the keywords: base-10 integers, strconv.ParseFloat's floats (decimal,

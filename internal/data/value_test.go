@@ -110,6 +110,12 @@ func TestValueCompare(t *testing.T) {
 		{Null, Null, 0},
 		{NewDate(2004, time.January, 1), NewDate(2004, time.February, 1), -1},
 		{NewBool(false), NewBool(true), -1},
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1},
+		{NewInt(1 << 53), NewInt(1<<53 + 1), -1},
+		{NewFloat(0x1p63), NewInt(math.MaxInt64), 1},
+		{NewFloat(math.Copysign(0, -1)), NewInt(0), 0},
+		{NewFloat(math.NaN()), NewFloat(math.Inf(1)), 1},
+		{NewFloat(math.NaN()), NewInt(math.MaxInt64), 1},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
@@ -131,25 +137,45 @@ func TestValueKeyDistinguishes(t *testing.T) {
 	distinct := []Value{
 		Null, NewInt(0), NewInt(1), NewFloat(0.5), NewString(""),
 		NewString("0"), NewBool(false), NewBool(true), NewDate(2004, time.May, 5),
+		NewInt(1<<53 + 1), NewFloat(1 << 53), NewInt(math.MaxInt64), NewFloat(0x1p63),
 	}
-	seen := map[string]Value{}
-	for _, v := range distinct {
-		k := v.Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("values %v and %v share key %q", prev, v, k)
+	seen := map[uint64]Value{}
+	for i, v := range distinct {
+		h := HashKey(Record{v}, nil)
+		if prev, dup := seen[h]; dup {
+			t.Errorf("values %v and %v share hash %#x", prev, v, h)
 		}
-		seen[k] = v
+		seen[h] = v
+		for _, o := range distinct[:i] {
+			if KeyEqual(Record{v}, nil, Record{o}, nil) {
+				t.Errorf("values %v and %v are one key", o, v)
+			}
+		}
 	}
-	// Numeric cross-kind equality shares keys by design.
-	if NewInt(5).Key() != NewFloat(5).Key() {
-		t.Error("int 5 and float 5 should share a key")
+	// Numbers of equal value are one key across kinds, -0 with +0.
+	for _, pair := range [][2]Value{{NewInt(5), NewFloat(5)}, {NewFloat(math.Copysign(0, -1)), NewInt(0)}, {NewInt(-1 << 63), NewFloat(-0x1p63)}} {
+		a, b := Record{pair[0]}, Record{pair[1]}
+		if !KeyEqual(a, nil, b, nil) || HashKey(a, nil) != HashKey(b, nil) {
+			t.Errorf("%v (%v) and %v (%v) should be one key", pair[0], pair[0].Kind(), pair[1], pair[1].Kind())
+		}
 	}
 }
 
+// TestValueKeyEqualConsistency: on ints a step apart, anywhere in the
+// int64 range, and on the floats they round to, Equal, Compare == 0 and
+// KeyEqual each answer what the exact math/big order answers.
 func TestValueKeyEqualConsistency(t *testing.T) {
-	f := func(a, b int64) bool {
-		va, vb := NewInt(a), NewInt(b)
-		return (va.Key() == vb.Key()) == va.Equal(vb)
+	f := func(a int64, step int8) bool {
+		vs := []Value{NewInt(a), NewInt(a + int64(step)), NewFloat(float64(a)), NewFloat(float64(a + int64(step)))}
+		for _, va := range vs {
+			for _, vb := range vs {
+				ref := ReferenceCompare(va, vb) == 0
+				if va.Equal(vb) != ref || (va.Compare(vb) == 0) != ref || KeyEqual(Record{va}, nil, Record{vb}, nil) != ref {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -287,7 +313,9 @@ func TestStringValuesKeepTheirBytes(t *testing.T) {
 // every accessor, the key path, the digest and the CSV round trip exactly
 // as it did there — the digest column excepted, re-recorded when Rows.Digest
 // moved from the byte-wise FNV fold to HashKey's word fold (PR 28). cmp and
-// eq are Compare and Equal against int 0 and int MaxInt64.
+// eq are Compare and Equal against int 0 and int MaxInt64. Three kinds of
+// cell were re-recorded when Compare became exact: -0 hashes as 0, a NaN
+// sorts above every int, and 2⁶³ above MaxInt64 (no longer equal to it).
 func TestFloatPayloadAnswersUnchanged(t *testing.T) {
 	cases := []struct {
 		bits       uint64
@@ -301,17 +329,17 @@ func TestFloatPayloadAnswersUnchanged(t *testing.T) {
 		eq         [2]bool
 	}{
 		{0x0, "0", "n:0", 0x5b73f5e69926939f, 0x74fad7e66bc9a1ed, KindInt, 0x0, false, [2]int{0, -1}, [2]bool{true, false}},
-		{0x8000000000000000, "-0", "n:-0", 0x67dd6da1d3635f29, 0x4474ad0987fee3d8, KindInt, 0x0, false, [2]int{0, -1}, [2]bool{true, false}},
+		{0x8000000000000000, "-0", "n:-0", 0x5b73f5e69926939f, 0x4474ad0987fee3d8, KindInt, 0x0, false, [2]int{0, -1}, [2]bool{true, false}},
 		{0x7ff0000000000000, "+Inf", "n:+Inf", 0x7936f8d585ffbbe, 0xc1f5cd643d9b8435, KindFloat, 0x7ff0000000000000, true, [2]int{1, 1}, [2]bool{false, false}},
 		{0xfff0000000000000, "-Inf", "n:-Inf", 0x8a2e4e0aeae4c4e6, 0xcbba1a34ea3ddf16, KindFloat, 0xfff0000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
 		// Two NaN payloads: one key class and one rendering, two digests.
-		{0x7ff8000000000001, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0x42fe551a857254c4, KindFloat, 0x7ff8000000000001, true, [2]int{0, 0}, [2]bool{false, false}},
-		{0xfff8000000000123, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0x987403c2ae645593, KindFloat, 0x7ff8000000000001, true, [2]int{0, 0}, [2]bool{false, false}},
+		{0x7ff8000000000001, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0x42fe551a857254c4, KindFloat, 0x7ff8000000000001, true, [2]int{1, 1}, [2]bool{false, false}},
+		{0xfff8000000000123, "NaN", "n:NaN", 0xaa534a1bb8e2998c, 0x987403c2ae645593, KindFloat, 0x7ff8000000000001, true, [2]int{1, 1}, [2]bool{false, false}},
 		// Subnormals: the smallest positive, the largest negative.
 		{0x1, "5e-324", "n:5e-324", 0x6c94b74998c2c4f9, 0x5ae8149c197e3b1a, KindFloat, 0x1, true, [2]int{1, -1}, [2]bool{false, false}},
 		{0x800fffffffffffff, "-2.225073858507201e-308", "n:-2.225073858507201e-308", 0x19fa58b46297aabc, 0x3e66d0b8f8819907, KindFloat, 0x800fffffffffffff, true, [2]int{-1, -1}, [2]bool{false, false}},
 		// 2^63 (what float64(MaxInt64) rounds to), its predecessor, -2^63, 2^53.
-		{0x43e0000000000000, "9.223372036854776e+18", "n:9.223372036854776e+18", 0xe917502b131230fb, 0xd8fb4fe2cff53d07, KindFloat, 0x43e0000000000000, true, [2]int{1, 0}, [2]bool{false, true}},
+		{0x43e0000000000000, "9.223372036854776e+18", "n:9.223372036854776e+18", 0xe917502b131230fb, 0xd8fb4fe2cff53d07, KindFloat, 0x43e0000000000000, true, [2]int{1, 1}, [2]bool{false, false}},
 		{0x43dfffffffffffff, "9.223372036854775e+18", "n:9.223372036854775e+18", 0x81638089ecef651b, 0x21a05602ee7e71d7, KindFloat, 0x43dfffffffffffff, true, [2]int{1, -1}, [2]bool{false, false}},
 		{0xc3e0000000000000, "-9.223372036854776e+18", "n:-9.223372036854776e+18", 0xfda25cd1d0f190c0, 0xf29343282283f1d7, KindFloat, 0xc3e0000000000000, true, [2]int{-1, -1}, [2]bool{false, false}},
 		{0x4340000000000000, "9.007199254740992e+15", "n:9.007199254740992e+15", 0x47d15afd74278981, 0x88e16667a15f9f9d, KindFloat, 0x4340000000000000, true, [2]int{1, -1}, [2]bool{false, false}},
@@ -328,8 +356,8 @@ func TestFloatPayloadAnswersUnchanged(t *testing.T) {
 		if got := v.Int(); got != int64(f) {
 			t.Errorf("%#x: Int = %d, want %d", c.bits, got, int64(f))
 		}
-		if v.String() != c.str || v.Str() != c.str || v.Key() != c.key {
-			t.Errorf("%#x: String %q, Str %q, Key %q; want %q, %q", c.bits, v.String(), v.Str(), v.Key(), c.str, c.key)
+		if key := (Record{v}).Key(); v.String() != c.str || v.Str() != c.str || key != c.key {
+			t.Errorf("%#x: String %q, Str %q, Key %q; want %q, %q", c.bits, v.String(), v.Str(), key, c.str, c.key)
 		}
 		if got := HashKey(Record{v}, nil); got != c.hash {
 			t.Errorf("%#x: HashKey = %#x, want %#x", c.bits, got, c.hash)

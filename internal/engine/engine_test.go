@@ -273,8 +273,8 @@ func TestMergedExecution(t *testing.T) {
 	}
 	seq := runChain(t, Materialized, data.Schema{"V"}, rows, nil, templates.NotNull(0.9, "V"), templates.Threshold("V", 100, 0.5))
 	pkg := runChain(t, Materialized, data.Schema{"V"}, rows, nil, merged)
-	if !seq.EqualMultiset(pkg) {
-		t.Errorf("merged package differs from sequence: %v vs %v", seq, pkg)
+	if err := seq.SameMultiset(pkg); err != nil {
+		t.Errorf("merged package differs from sequence: %v", err)
 	}
 }
 

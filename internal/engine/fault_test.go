@@ -42,8 +42,8 @@ func TestEngineTransientFaultsRecover(t *testing.T) {
 		if plan.Injected() == 0 {
 			t.Fatalf("%s: rate-1 plan fired no faults", mode)
 		}
-		if !res.Targets["DW.PARTS"].EqualMultiset(clean.Targets["DW.PARTS"]) {
-			t.Errorf("%s: recovered run differs from clean run", mode)
+		if err := res.Targets["DW.PARTS"].SameMultiset(clean.Targets["DW.PARTS"]); err != nil {
+			t.Errorf("%s: recovered run differs from clean run: %v", mode, err)
 		}
 		for id, want := range clean.NodeRows {
 			if got := res.NodeRows[id]; got != want {
@@ -160,8 +160,8 @@ func TestEngineZeroRatePlanInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Targets["DW.PARTS"].EqualMultiset(plain.Targets["DW.PARTS"]) {
-		t.Error("zero-rate plan changed the run's output")
+	if err := res.Targets["DW.PARTS"].SameMultiset(plain.Targets["DW.PARTS"]); err != nil {
+		t.Errorf("zero-rate plan changed the run's output: %v", err)
 	}
 }
 

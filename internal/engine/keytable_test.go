@@ -16,7 +16,7 @@ import (
 // TestKeyTableForcedCollisions builds tables whose 64-bit hashes are
 // truncated to two bits and to nothing, so that most different keys
 // collide on the full hash, and checks groups, member order and the last
-// member against a grouping by the (separator-free) string key.
+// member against a grouping by Value.Compare.
 func TestKeyTableForcedCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pool := []data.Value{
@@ -40,20 +40,24 @@ func TestKeyTableForcedCollisions(t *testing.T) {
 		if mask != ^uint64(0) && !fullHashCollision(tab) {
 			t.Fatalf("mask %x: no full-hash collision was forced", mask)
 		}
-		var order []string            // reference: keys in first-appearance order
-		members := map[string][]int{} // reference: a key's rows in input order
+		var order []data.Record // reference: keys in first-appearance order
+		var members [][]int     // reference: a key's rows in input order
+	grouping:
 		for i, r := range rows {
-			k := data.Record{r[2], r[0]}.Key()
-			if members[k] == nil {
-				order = append(order, k)
+			for g, k := range order {
+				if r[2].Compare(k[0]) == 0 && r[0].Compare(k[1]) == 0 {
+					members[g] = append(members[g], i)
+					continue grouping
+				}
 			}
-			members[k] = append(members[k], i)
+			order = append(order, data.Record{r[2], r[0]})
+			members = append(members, []int{i})
 		}
 		if len(tab.groups) != len(order) {
 			t.Fatalf("mask %x: %d groups, want %d", mask, len(tab.groups), len(order))
 		}
 		for g, k := range order {
-			want := members[k]
+			want := members[g]
 			var got []int
 			for m := tab.groups[g].first; ; m = tab.next[m] {
 				got = append(got, int(m))
@@ -65,7 +69,7 @@ func TestKeyTableForcedCollisions(t *testing.T) {
 				}
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("mask %x group %d (%q): members %v, want %v", mask, g, k, got, want)
+				t.Fatalf("mask %x group %d (%v): members %v, want %v", mask, g, k, got, want)
 			}
 			if last := int(tab.groups[g].last); last != want[len(want)-1] {
 				t.Fatalf("mask %x group %d: last = %d, want %d (last wins)", mask, g, last, want[len(want)-1])
@@ -194,16 +198,13 @@ func TestKeyTableSeedInvariance(t *testing.T) {
 }
 
 // TestSeparatorCollision: the two tuples below share one "\x1f"-joined
-// string key, so a string-keyed engine treated them as one key — DISTINCT
-// and the group key check dropped a row, difference dropped the wrong one,
-// intersection and join matched them, aggregation merged them. Keys are
-// compared column by column now.
+// string key (Record.Key), so a string-keyed engine treated them as one
+// key — DISTINCT and the group key check dropped a row, difference dropped
+// the wrong one, intersection and join matched them, aggregation merged
+// them. Keys are compared column by column now.
 func TestSeparatorCollision(t *testing.T) {
 	x := data.Record{data.NewString("a\x1fs:b"), data.NewString("c")}
 	y := data.Record{data.NewString("a"), data.NewString("b\x1fs:c")}
-	if x.Key() != y.Key() {
-		t.Fatal("fixture: the string keys are expected to collide")
-	}
 	schema := data.Schema{"K1", "K2"}
 	both, left, right := data.Rows{x, y}, data.Rows{x}, data.Rows{y}
 	bothModes(t, func(t *testing.T, mode Mode) {

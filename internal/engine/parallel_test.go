@@ -20,7 +20,7 @@ import (
 
 // rowsIdentical reports bit-identity of two row slices by SameRun's rule:
 // same rows, same order, same typed values. This is deliberately stricter
-// than EqualMultiset — Parallel mode promises the materialized row order,
+// than SameMultiset — Parallel mode promises the materialized row order,
 // not just the multiset, and a resumed run the kinds a plain one has.
 func rowsIdentical(a, b data.Rows) bool {
 	run := func(rows data.Rows) *RunResult { return &RunResult{Targets: map[string]data.Rows{"": rows}} }
@@ -199,12 +199,12 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every row with the same key must land in the same partition.
-		where := map[string]int{}
+		where := map[int64]int{} // the keys are ints
 		for q, ps := range ex.parts {
 			for i, r := range ps.rows {
-				k := r[0].Key()
+				k := r[0].Int()
 				if prev, ok := where[k]; ok && prev != q {
-					t.Fatalf("P=%d: key %s split across partitions %d and %d", p, k, prev, q)
+					t.Fatalf("P=%d: key %d split across partitions %d and %d", p, k, prev, q)
 				}
 				where[k] = q
 				if i > 0 && ps.seqs[i] <= ps.seqs[i-1] {

@@ -178,10 +178,11 @@ func setDiff(a, b map[string]bool) string {
 }
 
 // VerifyEmpirical executes both workflows on the same bindings and reports
-// whether every target receives the same record multiset — the operational
-// definition of equivalent states (§2.2). Targets are compared by name; a
-// non-nil error means an execution failed, while ok=false with a diff
-// means both ran and disagreed.
+// whether every target receives the same multiset of typed records
+// (data.Rows.SameMultiset) — the operational definition of equivalent
+// states (§2.2). Targets are compared by name; a non-nil error means an
+// execution failed, while ok=false with a diff means both ran and
+// disagreed.
 //
 // The second workflow is additionally executed in partition-parallel mode
 // (P=4) and held to the engine's stronger contract, engine.SameRun against
@@ -208,10 +209,9 @@ func VerifyEmpirical(g1, g2 *workflow.Graph, bindings map[string]data.Recordset)
 		if !ok {
 			return false, fmt.Sprintf("target %s missing from second run", name), nil
 		}
-		if !rows1.EqualMultiset(rows2) {
-			diffs := rows1.DiffMultiset(rows2, 5)
-			return false, fmt.Sprintf("target %s differs (%d vs %d rows): %s",
-				name, len(rows1), len(rows2), strings.Join(diffs, "; ")), nil
+		if err := rows1.SameMultiset(rows2); err != nil {
+			return false, fmt.Sprintf("target %s differs (%d vs %d rows): %v",
+				name, len(rows1), len(rows2), err), nil
 		}
 	}
 	ep := engine.New(bindings, engine.WithMode(engine.Parallel), engine.WithPartitions(4))

@@ -2,6 +2,7 @@ package generator
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"etlopt/internal/data"
@@ -82,8 +83,8 @@ func TestDeterministicGeneration(t *testing.T) {
 		t.Error("same seed should generate identical workflows")
 	}
 	for name, rows := range a.Sources {
-		if !rows.EqualMultiset(b.Sources[name]) {
-			t.Errorf("source %s data differs across identical seeds", name)
+		if err := rows.SameMultiset(b.Sources[name]); err != nil {
+			t.Errorf("source %s data differs across identical seeds: %v", name, err)
 		}
 	}
 	c, err := Generate(CategoryConfig(Medium, 124))
@@ -139,15 +140,16 @@ func TestLookupsCoverKeyDomain(t *testing.T) {
 	if len(sk) == 0 {
 		t.Fatal("no surrogate-key lookup generated")
 	}
-	keys := map[string]bool{}
+	keys := map[uint64][]data.Value{} // the lookup's keys by their key hash
 	for _, r := range sk {
-		keys[r[0].Key()] = true
+		h := data.HashKey(r[:1], nil)
+		keys[h] = append(keys[h], r[0])
 	}
 	for name, rows := range sc.Sources {
 		schema := sc.Schemas[name]
 		kpos := schema.Index("KEY")
 		for _, r := range rows {
-			if !keys[r[kpos].Key()] {
+			if !slices.ContainsFunc(keys[data.HashKey(r[kpos:kpos+1], nil)], r[kpos].Equal) {
 				t.Fatalf("source %s key %v missing from SK lookup", name, r[kpos])
 			}
 		}

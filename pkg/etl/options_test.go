@@ -83,8 +83,8 @@ func TestRunModesViaOptions(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for name, want := range base.Targets {
-			if !want.EqualMultiset(run.Targets[name]) {
-				t.Errorf("%s: target %s differs from materialized", tc.name, name)
+			if err := want.SameMultiset(run.Targets[name]); err != nil {
+				t.Errorf("%s: target %s differs from materialized: %v", tc.name, name, err)
 			}
 		}
 	}
@@ -109,8 +109,8 @@ func TestPartitionsImplyParallelMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range base.Targets {
-		if !want.EqualMultiset(run.Targets[name]) {
-			t.Errorf("target %s differs from materialized", name)
+		if err := want.SameMultiset(run.Targets[name]); err != nil {
+			t.Errorf("target %s differs from materialized: %v", name, err)
 		}
 	}
 	if v, ok := reg.Snapshot().CounterValue(`engine_runs_total{mode="parallel"}`); !ok || v != 1 {
@@ -163,8 +163,8 @@ func TestJournalOptionSpansPipeline(t *testing.T) {
 		t.Errorf("journal changed the optimization: cost %v vs %v", res.BestCost, base.BestCost)
 	}
 	for name, want := range baseRun.Targets {
-		if !want.EqualMultiset(run.Targets[name]) {
-			t.Errorf("journal changed target %s", name)
+		if err := want.SameMultiset(run.Targets[name]); err != nil {
+			t.Errorf("journal changed target %s: %v", name, err)
 		}
 	}
 
