@@ -185,9 +185,10 @@ func TestKeyEqualSeparatesWhatTheStringKeyJoins(t *testing.T) {
 	}
 }
 
-// FuzzKeyEquivalence builds two values from raw parts and checks them
-// against the reference order as values, as single keys and as the two
-// orders of a pair. The seeds after the fifth sit on the order's edges.
+// FuzzKeyEquivalence builds two values from raw parts, holds Record.Key of
+// them to the frozen bytes, and checks them against the reference order as
+// values, as single keys and as the two orders of a pair. The seeds after
+// the fifth sit on the order's edges.
 func FuzzKeyEquivalence(f *testing.F) {
 	f.Add(uint8(1), int64(1), 1.0, "n:1", uint8(2), int64(1), 1.0, "1")
 	f.Add(uint8(2), int64(0), math.Copysign(0, -1), "", uint8(2), int64(0), 0.0, "")
@@ -224,6 +225,12 @@ func FuzzKeyEquivalence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, k1 uint8, i1 int64, f1 float64, s1 string, k2 uint8, i2 int64, f2 float64, s2 string) {
 		a, b := mk(k1, i1, f1, s1), mk(k2, i2, f2, s2)
+		if r := (data.Record{a}); r.Key() != valueKeyReference(a) {
+			t.Fatalf("Record.Key %q, reference %q", r.Key(), valueKeyReference(a))
+		}
+		if r := (data.Record{a, b}); r.Key() != recordKeyReference(r) {
+			t.Fatalf("Record.Key %q, reference %q", r.Key(), recordKeyReference(r))
+		}
 		checkOrder(t, a, b)
 		checkKeyPair(t, data.Record{a}, data.Record{b})
 		checkKeyPair(t, data.Record{a, b}, data.Record{b, a})

@@ -142,6 +142,22 @@ func refOf(v Value) refValue {
 	return refValue{kind: v.kind(), i: v.n}
 }
 
+// Key is the string Record.Key writes for the one-value record {v}.
+func (v refValue) Key() string {
+	switch v.kind {
+	case KindNull:
+		return "\x00"
+	case KindInt, KindFloat:
+		return "n:" + strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	case KindString:
+		return "s:" + v.s
+	case KindBool:
+		return "b:" + strconv.FormatInt(v.i, 10)
+	default:
+		return "d:" + strconv.FormatInt(v.i, 10)
+	}
+}
+
 // modelPair builds the same datum both ways from fuzz input: kind k, payload
 // word i (a float as its bits), and for a string the tail of s from cut on,
 // so that substrings ending where their text ends, empty ones too, occur.
@@ -173,13 +189,13 @@ func checkModel(t *testing.T, v Value, m refValue) {
 		t.Fatalf("%+v: Int %d, Float %v, Bool %v; model %d, %v, %v", m, v.Int(), v.Float(), v.Bool(), m.Int(), m.Float(), m.Bool())
 	case v.Days() != m.i || !v.Time().Equal(m.Time()):
 		t.Fatalf("%+v: Days %d, Time %v; model %d, %v", m, v.Days(), v.Time(), m.i, m.Time())
-	case v.Str() != m.Str() || v.String() != m.String():
-		t.Fatalf("%+v: Str %q, String %q; model %q, %q", m, v.Str(), v.String(), m.Str(), m.String())
+	case v.Str() != m.Str() || v.String() != m.String() || (Record{v}).Key() != m.Key():
+		t.Fatalf("%+v: Str %q, String %q, Key %q; model %q, %q, %q", m, v.Str(), v.String(), Record{v}.Key(), m.Str(), m.String(), m.Key())
 	}
 }
 
 // FuzzValueModel holds Value to refValue, the layout it had before it was 16
-// bytes: every accessor on each of two values; Equal, Compare (both ways)
+// bytes: every accessor, and Record.Key, on each of two values; Equal, Compare (both ways)
 // and KeyEqual between them against the model's exact order; equal hashes
 // for equal keys; and digests equal exactly when the two are the same kind
 // and payload. The seeds after the seventh sit on the order's edges: ints
