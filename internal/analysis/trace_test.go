@@ -8,6 +8,8 @@ import (
 
 	"etlopt/internal/core"
 	"etlopt/internal/cost"
+	"etlopt/internal/generator"
+	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
 )
@@ -218,4 +220,37 @@ func TestModelNameRoundTrips(t *testing.T) {
 			t.Errorf("unknown model name %q should error", name)
 		}
 	}
+}
+
+// TestUntracedSearchCountsItsPath: a search run with default options
+// records its derivation path, the auditor certifies it, and the
+// path-step counters sum to its length.
+func TestUntracedSearchCountsItsPath(t *testing.T) {
+	sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, 20050405))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	res, err := core.Heuristic(context.Background(), sc.Graph, core.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := mustAudit(t, mustTrace(t, res, sc.Graph))
+	for _, f := range fs {
+		t.Errorf("unexpected finding: %s", f)
+	}
+	if sum := pathStepSum(t, reg.Snapshot()); sum != int64(len(res.Steps)) || sum == 0 {
+		t.Errorf("path-step counters sum to %d, Result.Steps has %d steps; want equal and > 0", sum, len(res.Steps))
+	}
+}
+
+// pathStepSum adds up the search_path_steps_total series of a snapshot.
+func pathStepSum(t *testing.T, snap obs.Snapshot) int64 {
+	t.Helper()
+	var sum int64
+	for _, op := range []string{"SWA", "FAC", "DIS", "MER", "SPL"} {
+		v, _ := snap.CounterValue(`search_path_steps_total{op="` + op + `"}`)
+		sum += v
+	}
+	return sum
 }
