@@ -561,52 +561,6 @@ func BenchmarkParallelHS(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceOverhead measures what transition tracing costs the
-// heuristic search: the Off/On pair must show identical allocation counts
-// when tracing is off versus the pre-trace baseline — recording is gated
-// on Options.Trace and the structured transition record (a fixed-size
-// array) allocates nothing — while On pays only for the recorded steps.
-// The trace-steps metric reports the recorded path length.
-func BenchmarkTraceOverhead(b *testing.B) {
-	sc, err := generator.Generate(generator.CategoryConfig(generator.Small, 7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for name, g := range map[string]*workflow.Graph{
-		"Fig1":  templates.Fig1Workflow(),
-		"Small": sc.Graph,
-	} {
-		for _, traced := range []bool{false, true} {
-			label := name + "/Off"
-			if traced {
-				label = name + "/On"
-			}
-			b.Run(label, func(b *testing.B) {
-				opts := core.Options{MaxStates: 20_000, IncrementalCost: true, Trace: traced}
-				var res *core.Result
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = core.Heuristic(context.Background(), g, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				if traced {
-					b.ReportMetric(float64(len(res.Steps)), "trace-steps")
-					if len(res.Steps) == 0 && res.Best.Signature() != g.Signature() {
-						b.Fatal("tracing on but no steps recorded")
-					}
-				} else if res.Steps != nil {
-					b.Fatal("tracing off must record no steps")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkObsOverhead guards the observability overhead budget: with
 // metrics disabled (Off), ES and HS must run within noise of the
 // uninstrumented baseline — the hot paths see exactly one nil check per

@@ -10,7 +10,6 @@
 //	etlbench -fig4           # only the Fig. 4 cost cases
 //	etlbench -verify         # also validate every optimized workflow on data
 //	etlbench -ablations      # the DESIGN.md ablation studies A1-A4
-//	etlbench -lint           # design checks over the generated suite
 //
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
 // controls optimizer search parallelism. Engine data parallelism is
@@ -28,10 +27,8 @@ import (
 	"strings"
 	"time"
 
-	"etlopt/internal/analysis"
 	"etlopt/internal/core"
 	"etlopt/internal/cost"
-	"etlopt/internal/dsl"
 	"etlopt/internal/experiments"
 	"etlopt/internal/generator"
 	"etlopt/internal/obs"
@@ -57,7 +54,6 @@ func run() error {
 		verify    = flag.Bool("verify", false, "validate every optimized workflow on generated data")
 		fig4      = flag.Bool("fig4", false, "print only the Fig. 4 cost cases")
 		ablations = flag.Bool("ablations", false, "run the DESIGN.md ablation studies and exit")
-		lintOnly  = flag.Bool("lint", false, "run the design checks over the generated suite and exit (warnings exit nonzero)")
 		quiet     = flag.Bool("quiet", false, "suppress per-workflow progress")
 		journal   = flag.String("journal", "", "record a structured run journal of the whole suite here (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics)")
 	)
@@ -81,10 +77,6 @@ func run() error {
 			return fmt.Errorf("-counts: %v", err)
 		}
 		countMap[cat] = n
-	}
-
-	if *lintOnly {
-		return lintSuite(countMap, *seed)
 	}
 
 	cfg := experiments.SuiteConfig{
@@ -127,36 +119,6 @@ func run() error {
 	fmt.Println(experiments.Table2(results))
 	fmt.Println("§4.2 claims:")
 	fmt.Println(experiments.Claims(results))
-	return nil
-}
-
-// lintSuite runs the workflow design checks over every generated suite
-// workflow, sharing the same finding output and exit-code semantics as
-// `etlopt -lint` and `etlrun -lint`: warnings exit nonzero, advice does
-// not.
-func lintSuite(counts map[generator.Category]int, seed int64) error {
-	warnings := 0
-	for _, cat := range []generator.Category{generator.Small, generator.Medium, generator.Large} {
-		n := counts[cat]
-		if n == 0 {
-			continue
-		}
-		scenarios, err := generator.Suite(cat, n, seed+int64(cat)*104729)
-		if err != nil {
-			return err
-		}
-		for i, sc := range scenarios {
-			fmt.Printf("%s #%02d:\n", cat, i+1)
-			w, err := analysis.RunLint(os.Stdout, sc.Graph, dsl.NodeNames(sc.Graph))
-			if err != nil {
-				return fmt.Errorf("%s workflow %d: %w", cat, i+1, err)
-			}
-			warnings += w
-		}
-	}
-	if warnings > 0 {
-		return fmt.Errorf("%d warning(s)", warnings)
-	}
 	return nil
 }
 

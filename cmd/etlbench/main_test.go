@@ -57,8 +57,9 @@ func TestCLIPaperEvaluation(t *testing.T) {
 }
 
 // TestCLIRemovedFlags pins that the flags of the retired baseline stack,
-// the live status server, the trace export and the metrics snapshot (the
-// journal's trailer carries it) are rejected as unknown:
+// the live status server, the trace export, the metrics snapshot (the
+// journal's trailer carries it) and the design checks (etlvet workflow
+// runs them) are rejected as unknown:
 // usage on stderr, exit status 2.
 func TestCLIRemovedFlags(t *testing.T) {
 	if testing.Short() {
@@ -78,6 +79,7 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"-debug-addr", "localhost:0"},
 		{"-trace-out", "trace.json"},
 		{"-metrics", "snap.json"},
+		{"-lint"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError

@@ -7,7 +7,7 @@
 //
 //	etlopt -in workflow.etl [-algo hs|greedy|es] [-maxstates N]
 //	       [-workers N] [-timeout 30s] [-out optimized.etl] [-verbose]
-//	       [-lint] [-trace trace.json] [-journal run.jsonl]
+//	       [-trace trace.json] [-journal run.jsonl]
 //	       [-cpuprofile cpu.pprof]
 //
 // An interrupt (Ctrl-C) cancels the search and exits with an error.
@@ -48,9 +48,8 @@ func run() error {
 		timeout   = flag.Duration("timeout", 0, "abort the search after this long (0 = none)")
 		out       = flag.String("out", "", "write the optimized workflow definition here")
 		verbose   = flag.Bool("verbose", false, "print both workflow graphs")
-		lintOnly  = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
 		dot       = flag.Bool("dot", false, "print the optimized workflow in Graphviz dot syntax")
-		tracePath = flag.String("trace", "", "record the transition trace here (JSON, auditable with etlvet trace)")
+		tracePath = flag.String("trace", "", "write the derivation path to the best state here (JSON, auditable with etlvet trace)")
 		journal   = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics) here")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile here; search workers are labeled (etl=search, etl_worker=N)")
 	)
@@ -73,17 +72,6 @@ func run() error {
 	g, err := dsl.Parse(string(src))
 	if err != nil {
 		return err
-	}
-
-	if *lintOnly {
-		warnings, err := analysis.RunLint(os.Stdout, g, dsl.NodeNames(g))
-		if err != nil {
-			return err
-		}
-		if warnings > 0 {
-			return fmt.Errorf("%d warning(s)", warnings)
-		}
-		return nil
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -126,7 +114,6 @@ func run() error {
 		MaxStates:       *maxStates,
 		Workers:         *workers,
 		IncrementalCost: true,
-		Trace:           *tracePath != "",
 		Metrics:         reg,
 		Journal:         jnl,
 		PprofLabels:     *cpuProf != "",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -35,6 +36,19 @@ func writeFig1(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestCLILintRemoved: the design checks are etlvet workflow's; -lint is
+// rejected as unknown, with usage on stderr and exit status 2.
+func TestCLILintRemoved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	out, err := exec.Command(buildTool(t), "-in", writeFig1(t), "-lint").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "Usage of") {
+		t.Errorf("-lint: err = %v, want usage and exit status 2\n%s", err, out)
+	}
 }
 
 func TestCLIOptimizeFig1(t *testing.T) {

@@ -28,7 +28,7 @@
 //	etlrun -data ./data [-suite-workers N] [-shared-cache BYTES]
 //	       [-shared-spill DIR] load1.etl load2.etl load3.etl
 //
-// Suite mode is execution-only: -optimize, -checkpoint, -impact, -lint,
+// Suite mode is execution-only: -optimize, -checkpoint, -impact,
 // -explain and -calibrate apply to single-workflow runs.
 //
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
@@ -52,7 +52,6 @@ import (
 	"strings"
 	"time"
 
-	"etlopt/internal/analysis"
 	"etlopt/internal/core"
 	"etlopt/internal/cost"
 	"etlopt/internal/data"
@@ -80,7 +79,6 @@ func run() error {
 		partitions = flag.Int("partitions", 0, "engine data parallelism: partitions per recordset in -mode parallel, with or without -checkpoint (0 = GOMAXPROCS)")
 		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution: a typed row file per completed stage and a MANIFEST, removed once the load completes (honours -mode and -partitions)")
 		impact     = flag.String("impact", "", "print the impact analysis of the named recordset and exit")
-		lintOnly   = flag.Bool("lint", false, "run the design checks and exit (warnings exit nonzero)")
 		explain    = flag.Bool("explain", false, "print estimated vs actual cardinalities after the run")
 		calibrate  = flag.Bool("calibrate", false, "after running, calibrate selectivities from observation and report the re-optimized plan")
 		journal    = flag.String("journal", "", "record a structured run journal (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics) here")
@@ -118,7 +116,7 @@ func run() error {
 			set  bool
 		}{
 			{"-optimize", *optimize != ""}, {"-checkpoint", *checkpoint != ""},
-			{"-impact", *impact != ""}, {"-lint", *lintOnly},
+			{"-impact", *impact != ""},
 			{"-explain", *explain}, {"-calibrate", *calibrate},
 		} {
 			if f.set {
@@ -143,17 +141,6 @@ func run() error {
 	g, err := dsl.Parse(string(src))
 	if err != nil {
 		return err
-	}
-
-	if *lintOnly {
-		warnings, err := analysis.RunLint(os.Stdout, g, dsl.NodeNames(g))
-		if err != nil {
-			return err
-		}
-		if warnings > 0 {
-			return fmt.Errorf("%d warning(s)", warnings)
-		}
-		return nil
 	}
 
 	if *impact != "" {

@@ -35,7 +35,10 @@ func main() {
 	fmt.Printf("\nES closed the space: %v (%d distinct states)\n", res.Terminated, res.Visited)
 	fmt.Printf("cost %.0f -> %.0f (%.1f%% improvement)\n",
 		res.InitialCost, res.BestCost, res.Improvement())
-	fmt.Println("transition path to the optimum:", res.Trace)
+	fmt.Println("transition path to the optimum:")
+	for _, st := range res.Steps {
+		fmt.Println("  " + st.Desc)
+	}
 	fmt.Println("\noptimized workflow (the Fig. 2 shape):")
 	fmt.Print(res.Best)
 

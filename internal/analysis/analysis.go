@@ -27,7 +27,6 @@ package analysis
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"etlopt/internal/workflow"
@@ -260,23 +259,4 @@ func CheckWorkflowOpts(g *workflow.Graph, opts *WorkflowOptions) ([]Finding, err
 	}
 	Sort(out)
 	return out, nil
-}
-
-// RunLint runs the workflow design checks on g and prints each finding
-// to w, using names (e.g. dsl.NodeNames) to label graph locations. It
-// returns the number of warnings; every CLI's -lint flag shares this
-// helper and its exit semantics: warnings exit nonzero, advice does not.
-func RunLint(w io.Writer, g *workflow.Graph, names map[workflow.NodeID]string) (int, error) {
-	fs, err := CheckWorkflow(g)
-	if err != nil {
-		return 0, err
-	}
-	if len(fs) == 0 {
-		fmt.Fprintln(w, "no findings")
-		return 0, nil
-	}
-	for _, f := range fs {
-		fmt.Fprintln(w, f.StringNamed(names))
-	}
-	return CountWarnings(fs), nil
 }

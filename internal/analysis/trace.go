@@ -49,16 +49,13 @@ func modelByName(name string) (cost.Model, error) {
 	}
 }
 
-// NewTrace assembles the trace of an optimization run. res must come
-// from a run with Options.Trace enabled on the initial workflow g0 (after
-// schema regeneration). The workflow is serialized through the DSL and
-// the round-trip is verified — a workflow whose re-parse does not
-// reproduce its node IDs cannot be replayed, and is reported here rather
-// than as a spurious audit failure later.
+// NewTrace assembles the trace of an optimization run: res must come
+// from a search on the initial workflow g0 (after schema regeneration).
+// The workflow is serialized through the DSL and the round-trip is
+// verified — a workflow whose re-parse does not reproduce its node IDs
+// cannot be replayed, and is reported here rather than as a spurious audit
+// failure later.
 func NewTrace(res *core.Result, g0 *workflow.Graph) (*Trace, error) {
-	if res.Steps == nil && res.Best.Signature() != g0.Signature() {
-		return nil, fmt.Errorf("analysis: result carries no transition trace; run the search with Options.Trace")
-	}
 	src, err := dsl.Serialize(g0)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: serializing initial workflow: %w", err)

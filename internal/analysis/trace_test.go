@@ -3,6 +3,8 @@ package analysis
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,11 +16,11 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// runTraced optimizes Fig. 1 with tracing enabled.
+// runTraced optimizes Fig. 1.
 func runTraced(t *testing.T, algo string) (*core.Result, *workflow.Graph) {
 	t.Helper()
 	g := templates.Fig1Workflow()
-	opts := core.Options{IncrementalCost: true, Trace: true}
+	opts := core.Options{IncrementalCost: true}
 	var (
 		res *core.Result
 		err error
@@ -30,6 +32,18 @@ func runTraced(t *testing.T, algo string) (*core.Result, *workflow.Graph) {
 		res, err = core.Heuristic(context.Background(), g, opts)
 	case "greedy":
 		res, err = core.HSGreedy(context.Background(), g, opts)
+	case "hs-merge":
+		// Merge $2€ and A2E up front: the path gains a MER and its SPL.
+		var pair [2]workflow.NodeID
+		for _, id := range g.Activities() {
+			if a := g.Node(id).Act; a.Sem.Op == workflow.OpFunc && a.Sem.DropArgs {
+				pair[0] = id
+			} else if a.Sem.Op == workflow.OpFunc && a.InPlace() {
+				pair[1] = id
+			}
+		}
+		opts.MergeConstraints = [][2]workflow.NodeID{pair}
+		res, err = core.Heuristic(context.Background(), g, opts)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +73,7 @@ func mustAudit(t *testing.T, tr *Trace) []Finding {
 // Fig. 1 workflow produces a trace the auditor certifies with zero
 // findings, for every algorithm.
 func TestAuditCertifiesFig1(t *testing.T) {
-	for _, algo := range []string{"es", "hs", "greedy"} {
+	for _, algo := range []string{"es", "hs", "greedy", "hs-merge"} {
 		t.Run(algo, func(t *testing.T) {
 			res, g := runTraced(t, algo)
 			if len(res.Steps) == 0 {
@@ -188,22 +202,6 @@ func TestAuditRejectsUnparsableWorkflow(t *testing.T) {
 	}
 }
 
-// TestNewTraceRequiresTracing: a result produced without Options.Trace
-// cannot be packaged as a trace when transitions were applied.
-func TestNewTraceRequiresTracing(t *testing.T) {
-	g := templates.Fig1Workflow()
-	res, err := core.Heuristic(context.Background(), g, core.Options{IncrementalCost: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps != nil {
-		t.Fatalf("tracing off must record no steps, got %d", len(res.Steps))
-	}
-	if _, err := NewTrace(res, g); err == nil {
-		t.Fatal("NewTrace should refuse a stepless improving result")
-	}
-}
-
 // TestModelNameRoundTrips the name a trace records through the resolver,
 // which refuses any other name — "physical" included, the name of a model
 // that no longer exists.
@@ -241,6 +239,49 @@ func TestUntracedSearchCountsItsPath(t *testing.T) {
 	}
 	if sum := pathStepSum(t, reg.Snapshot()); sum != int64(len(res.Steps)) || sum == 0 {
 		t.Errorf("path-step counters sum to %d, Result.Steps has %d steps; want equal and > 0", sum, len(res.Steps))
+	}
+}
+
+// TestEverySearchRecordsAnAuditablePath: ES, HS and HS-Greedy with
+// default options but a 5000-state budget, on small and medium generator
+// workflows, each return a path the auditor certifies, the same path at 1
+// and 4 workers, and path-step counters that sum to its length.
+func TestEverySearchRecordsAnAuditablePath(t *testing.T) {
+	searches := map[string]func(context.Context, *workflow.Graph, core.Options) (*core.Result, error){
+		"ES": core.Exhaustive, "HS": core.Heuristic, "HS-Greedy": core.HSGreedy,
+	}
+	var scs []*templates.Scenario
+	for _, cat := range []generator.Category{generator.Small, generator.Medium} {
+		suite, err := generator.Suite(cat, 3, 4040)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, suite...)
+	}
+	for i, sc := range scs {
+		for name, search := range searches {
+			t.Run(fmt.Sprintf("%d/%s", i, name), func(t *testing.T) {
+				var first []core.TraceStep
+				for _, workers := range []int{1, 4} {
+					reg := obs.NewRegistry()
+					res, err := search(context.Background(), sc.Graph, core.Options{MaxStates: 5000, Workers: workers, Metrics: reg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, f := range mustAudit(t, mustTrace(t, res, sc.Graph)) {
+						t.Errorf("workers=%d: unexpected finding: %s", workers, f)
+					}
+					if sum := pathStepSum(t, reg.Snapshot()); sum != int64(len(res.Steps)) {
+						t.Errorf("workers=%d: path-step counters sum to %d, Result.Steps has %d steps", workers, sum, len(res.Steps))
+					}
+					if workers == 1 {
+						first = res.Steps
+					} else if !reflect.DeepEqual(res.Steps, first) {
+						t.Errorf("workers=4 recorded %d steps, workers=1 %d; paths differ", len(res.Steps), len(first))
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -91,14 +91,6 @@ type Options struct {
 	// attribute samples per worker. Off by default; labels cost a small
 	// per-pool-run overhead and are only useful under active profiling.
 	PprofLabels bool
-	// Trace enables structured transition tracing: every transition on
-	// the derivation path of each retained state is recorded as a
-	// TraceStep, and Result.Steps carries the full path from S0 to the
-	// best state (including the post-processing splits). The trace can be
-	// audited offline by internal/analysis without executing data. Off by
-	// default; when off, the search performs no trace bookkeeping and
-	// Result.Steps is nil.
-	Trace bool
 }
 
 // withDefaults fills unset options.
@@ -141,13 +133,10 @@ type Result struct {
 	Terminated bool
 	// Algorithm names the search that produced this result.
 	Algorithm string
-	// Trace optionally lists the transition descriptions on the path to
-	// Best (populated by ES).
-	Trace []string
-	// Steps is the structured transition trace from S0 to Best, recorded
-	// when Options.Trace is set; nil otherwise. Unlike Trace it includes
-	// the post-processing SPL transitions, so replaying Steps from S0
-	// reproduces Best exactly.
+	// Steps is the derivation path from S0 to Best, shift swaps and the
+	// post-processing SPL transitions included, so replaying Steps from S0
+	// reproduces Best exactly; internal/analysis audits it offline without
+	// executing data. Nil when Best is S0.
 	Steps []TraceStep
 }
 
@@ -161,13 +150,10 @@ type state struct {
 	g       *workflow.Graph
 	costing *cost.Costing
 	sig     string
-	// trace is the derivation path from S0, rendered in the paper's
-	// notation only for the winner (Result.Trace); steps is the structured
-	// path (Result.Steps), recorded only when Options.Trace is set. Both
-	// are parent-linked, so a successor extends its parent's path in O(1)
-	// and shares it.
-	trace *chain[transitions.Applied]
-	steps *chain[TraceStep]
+	// path is the derivation path from S0, rendered as Result.Steps only
+	// for the winner. It is parent-linked, so a successor extends its
+	// parent's path in O(1) and shares it.
+	path *chain[pathStep]
 }
 
 // search carries the shared bookkeeping of all three algorithms.
@@ -350,11 +336,8 @@ func (s *search) makeState(parent *state, res *transitions.Result, sig string) (
 	if err != nil {
 		return nil, err
 	}
-	st := &state{g: res.Graph, costing: costing, sig: sig, trace: parent.trace.push(res.Applied)}
-	if s.opts.Trace {
-		st.steps = parent.steps.push(stepOf(res.Applied, sig, costing.Total, true))
-	}
-	return st, nil
+	step := pathStep{res.Applied, sig, costing.Total, true}
+	return &state{g: res.Graph, costing: costing, sig: sig, path: parent.path.push(step)}, nil
 }
 
 // makeStateFull costs a derived graph from scratch. It is used when the
@@ -362,26 +345,22 @@ func (s *search) makeState(parent *state, res *transitions.Result, sig string) (
 // ShiftFrw/ShiftBkw swap sequences of HS Phases II and III), so no single
 // dirty set relative to the parent exists and incremental costing would
 // copy stale values. The shift sequences (pre1 then pre2, either may be
-// nil) are recorded in the structured trace as uncosted steps — their
-// intermediate graphs are transient, so they carry no signature — while
-// res's own transition is recorded costed.
+// nil) are recorded on the path as uncosted steps — their intermediate
+// graphs are transient, so they carry no signature — while res's own
+// transition is recorded costed.
 func (s *search) makeStateFull(traceParent *state, res *transitions.Result, pre1, pre2 []transitions.Applied, sig string) (*state, error) {
 	costing, err := cost.Evaluate(res.Graph, s.model)
 	if err != nil {
 		return nil, err
 	}
-	st := &state{g: res.Graph, costing: costing, sig: sig, trace: traceParent.trace.push(res.Applied)}
-	if s.opts.Trace {
-		steps := traceParent.steps
-		for _, a := range pre1 {
-			steps = steps.push(stepOf(a, "", 0, false))
+	path := traceParent.path
+	for _, pre := range [2][]transitions.Applied{pre1, pre2} {
+		for _, a := range pre {
+			path = path.push(pathStep{a: a})
 		}
-		for _, a := range pre2 {
-			steps = steps.push(stepOf(a, "", 0, false))
-		}
-		st.steps = steps.push(stepOf(res.Applied, sig, costing.Total, true))
 	}
-	return st, nil
+	step := pathStep{res.Applied, sig, costing.Total, true}
+	return &state{g: res.Graph, costing: costing, sig: sig, path: path.push(step)}, nil
 }
 
 // initialState validates and costs S0.
@@ -409,14 +388,10 @@ func (s *search) initialState(g0 *workflow.Graph) (*state, error) {
 	return st, nil
 }
 
-// finishResult splits any merged packages in the best state and assembles
-// the Result. When tracing is enabled the splits are applied one at a
-// time so each SPL lands in the structured trace; otherwise the batch
-// SplitAll is used.
+// finishResult splits any merged packages in the best state, recording
+// each SPL on the path as an uncosted step (splits never change a state's
+// cost, only its granularity), and assembles the Result.
 func finishResult(alg string, s0, best *state, s *search, start time.Time, terminated bool) (*Result, error) {
-	var final *workflow.Graph
-	var steps []TraceStep
-	var err error
 	// The post-processing splits count as SPL attempts/accepts: one per
 	// merged package in the best state.
 	for _, id := range best.g.Activities() {
@@ -425,17 +400,18 @@ func finishResult(alg string, s0, best *state, s *search, start time.Time, termi
 			s.m.accept("SPL")
 		}
 	}
-	if s.opts.Trace {
-		final, steps, err = splitAllTraced(best.g, best.steps.slice())
-	} else {
-		final, err = transitions.SplitAll(best.g)
-	}
+	final, splits, err := transitions.SplitAll(best.g)
 	if err != nil {
 		return nil, fmt.Errorf("core: splitting merged activities: %w", err)
 	}
 	if err := final.RegenerateSchemata(); err != nil {
 		return nil, err
 	}
+	path := best.path.slice()
+	for _, res := range splits {
+		path = append(path, pathStep{a: res.Applied, sig: res.Graph.Signature()})
+	}
+	steps := render(path)
 	s.m.bestCost.Set(best.costing.Total)
 	s.m.recordPath(steps)
 	s.flushMemoMetrics()
@@ -448,44 +424,6 @@ func finishResult(alg string, s0, best *state, s *search, start time.Time, termi
 		Elapsed:     time.Since(start),
 		Terminated:  terminated,
 		Algorithm:   alg,
-		Trace:       descs(best.trace.slice()),
 		Steps:       steps,
 	}, nil
-}
-
-// descs renders a derivation path in the paper's notation.
-func descs(path []transitions.Applied) []string {
-	if path == nil {
-		return nil
-	}
-	out := make([]string, len(path))
-	for i, a := range path {
-		out[i] = a.Desc()
-	}
-	return out
-}
-
-// splitAllTraced mirrors transitions.SplitAll while recording each SPL as
-// an uncosted trace step (splits never change a state's cost, only its
-// granularity).
-func splitAllTraced(g *workflow.Graph, steps []TraceStep) (*workflow.Graph, []TraceStep, error) {
-	cur := g
-	for {
-		var mergedID workflow.NodeID = -1
-		for _, id := range cur.Activities() {
-			if cur.Node(id).Act.Sem.Op == workflow.OpMerged {
-				mergedID = id
-				break
-			}
-		}
-		if mergedID < 0 {
-			return cur, steps, nil
-		}
-		res, err := transitions.Split(cur, mergedID)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur = res.Graph
-		steps = append(steps, stepOf(res.Applied, cur.Signature(), 0, false))
-	}
 }

@@ -317,6 +317,11 @@ func TestMergeConstraints(t *testing.T) {
 			t.Error("post-processing failed to split the constrained merge")
 		}
 	}
+	// The path opens with the MER and closes with the SPL that yields Best.
+	if n := len(res.Steps); n < 2 || res.Steps[0].Op != "MER" || res.Steps[n-1].Op != "SPL" ||
+		res.Steps[n-1].Sig != res.Best.Signature() {
+		t.Errorf("path %+v does not run from the MER to the SPL that yields Best", res.Steps)
+	}
 }
 
 func TestInvalidInitialState(t *testing.T) {
@@ -410,13 +415,14 @@ func TestTraceRecordsPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) == 0 {
+	if len(res.Steps) == 0 {
 		t.Fatal("optimal state should record its transition path")
 	}
-	for _, step := range res.Trace {
-		if !strings.HasPrefix(step, "SWA(") && !strings.HasPrefix(step, "FAC(") &&
-			!strings.HasPrefix(step, "DIS(") && !strings.HasPrefix(step, "MER(") {
-			t.Errorf("unexpected trace step %q", step)
+	for _, step := range res.Steps {
+		if !strings.HasPrefix(step.Desc, "SWA(") && !strings.HasPrefix(step.Desc, "FAC(") &&
+			!strings.HasPrefix(step.Desc, "DIS(") && !strings.HasPrefix(step.Desc, "MER(") &&
+			!strings.HasPrefix(step.Desc, "SPL(") {
+			t.Errorf("unexpected trace step %q", step.Desc)
 		}
 	}
 }

@@ -285,6 +285,17 @@ func TestSearchAllocations(t *testing.T) {
 	if workflow.DebugCOW {
 		return // the audits render signatures and regenerate whole clones
 	}
+	// The successor state: the semi-incremental costing, the state and the
+	// one cell its derivation path grows by; no step is rendered.
+	sig := s.signatureOf(s0, child)
+	n = testing.AllocsPerRun(runs, func() {
+		if _, err := s.makeState(s0, child, sig); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 5 {
+		t.Errorf("makeState allocates %v times, want at most 5", n)
+	}
 	// The swap itself: the child, four node copies, the rewired lists, the
 	// regenerated schemas and the Result; no description is rendered.
 	n = testing.AllocsPerRun(runs, func() {

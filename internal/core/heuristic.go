@@ -344,18 +344,16 @@ func (s *search) optimizeLocalGroups(st *state, greedy bool) *state {
 //
 // The signature is maintained incrementally across the replay: each swap
 // splices its segment into the running signature, at one site anchored by
-// the group's tags, and both
-// the trace steps and the final state carry the interned handle — the
-// same string instance the visited set stores — instead of a post-hoc
-// re-rendering of the graph, so trace and dedup bookkeeping are provably
-// about the same state.
+// the group's tags, and each path step records the running signature. The
+// final state carries the interned handle — the same string instance the
+// visited set stores — instead of a post-hoc re-rendering of the graph, so
+// path and dedup bookkeeping are provably about the same state.
 func (s *search) replaySwaps(cur *state, job *groupJob) (*state, error) {
 	g := cur.g
 	sig := cur.sig
 	var site workflow.SpliceSite
-	trace := cur.trace
+	path := cur.path
 	var dirty []workflow.NodeID
-	var steps []TraceStep
 	for _, pair := range job.best.swaps.slice() {
 		res, err := transitions.Swap(g, pair[0], pair[1])
 		if err != nil {
@@ -364,27 +362,17 @@ func (s *search) replaySwaps(cur *state, job *groupJob) (*state, error) {
 		g = res.Graph
 		sig = s.spliceOrFull(&site, sig, res, job.tags)
 		dirty = append(dirty, res.Dirty...)
-		trace = trace.push(res.Applied)
-		if s.opts.Trace {
-			steps = append(steps, stepOf(res.Applied, s.visited.Intern(sig), 0, false))
-		}
+		path = path.push(pathStep{a: res.Applied, sig: sig})
 	}
 	costing, err := s.evaluate(cur, g, dirty)
 	if err != nil {
 		return nil, err
 	}
-	st := &state{g: g, costing: costing, sig: s.visited.Intern(sig), trace: trace, steps: cur.steps}
-	if len(steps) > 0 {
-		// The composed state is the one the search costs; stamp the total
-		// on the last replayed swap.
-		last := &steps[len(steps)-1]
-		last.Cost = costing.Total
-		last.Costed = true
-	}
-	for _, step := range steps {
-		st.steps = st.steps.push(step)
-	}
-	return st, nil
+	// The composed state is the one the search costs; stamp it on the last
+	// replayed swap, which no other state shares yet.
+	path.v.sig = s.visited.Intern(sig)
+	path.v.cost, path.v.costed = costing.Total, true
+	return &state{g: g, costing: costing, sig: path.v.sig, path: path}, nil
 }
 
 // groupJob is the search of one local group against a base state. Every

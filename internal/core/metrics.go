@@ -114,8 +114,7 @@ func (m *searchMetrics) runEvent(action, alg string) {
 }
 
 // recordPath tallies the winning derivation path into the per-kind
-// path-step counters. Their sum equals len(steps) exactly — the snapshot
-// invariant checked against Options.Trace by the acceptance tests.
+// path-step counters. Their sum equals len(Result.Steps) exactly.
 func (m *searchMetrics) recordPath(steps []TraceStep) {
 	for _, st := range steps {
 		m.reg.Counter("search_path_steps_total", "op", st.Op).Inc()

@@ -104,10 +104,9 @@ func TestMetricsSeriesDeterministic(t *testing.T) {
 	}
 }
 
-// TestPathStepCountersMatchTrace is the ISSUE's acceptance invariant: on a
-// full HS run over a medium scenario with tracing on, the exported
-// per-transition-kind path-step counts must sum exactly to the length of
-// the structured trace in Result.Steps.
+// TestPathStepCountersMatchTrace: on a full HS run over a medium
+// scenario, the exported per-transition-kind path-step counts must sum
+// exactly to the length of the derivation path in Result.Steps.
 func TestPathStepCountersMatchTrace(t *testing.T) {
 	ctx := context.Background()
 	sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, 20050405))
@@ -116,7 +115,7 @@ func TestPathStepCountersMatchTrace(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	res, err := Heuristic(ctx, sc.Graph, Options{
-		IncrementalCost: true, Trace: true, Metrics: reg,
+		IncrementalCost: true, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,7 @@ import (
 )
 
 // TraceStep records one applied transition on the derivation path from
-// the initial state to the best state. Steps are recorded only when
-// Options.Trace is set; with tracing disabled the search allocates
-// nothing for them.
+// the initial state to the best state.
 type TraceStep struct {
 	// Op is the transition mnemonic: SWA, FAC, DIS, MER or SPL.
 	Op string `json:"op"`
@@ -32,9 +30,27 @@ type TraceStep struct {
 	Costed bool    `json:"costed,omitempty"`
 }
 
-// stepOf converts a structural transition record into a trace step.
-func stepOf(a transitions.Applied, sig string, cost float64, costed bool) TraceStep {
-	return TraceStep{Op: a.Op, Args: a.ArgIDs(), Desc: a.Desc(), Sig: sig, Cost: cost, Costed: costed}
+// pathStep is a TraceStep before rendering: the transition record, the
+// signature after it ("" for a shift intermediate) and its cost when
+// evaluated. Rendering the arguments and the description is left to the
+// winner's path.
+type pathStep struct {
+	a      transitions.Applied
+	sig    string
+	cost   float64
+	costed bool
+}
+
+// render converts a derivation path into trace steps, oldest first.
+func render(path []pathStep) []TraceStep {
+	if path == nil {
+		return nil
+	}
+	out := make([]TraceStep, len(path))
+	for i, p := range path {
+		out[i] = TraceStep{Op: p.a.Op, Args: p.a.ArgIDs(), Desc: p.a.Desc(), Sig: p.sig, Cost: p.cost, Costed: p.costed}
+	}
+	return out
 }
 
 // chain is an immutable parent-linked list: the derivation paths of

@@ -3,7 +3,6 @@ package cost
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"etlopt/internal/workflow"
@@ -65,54 +64,24 @@ func FormatExplain(estimates []Estimate) string {
 
 // Calibrate returns a copy of the workflow whose activity selectivities —
 // and source cardinality hints — are set from the observed row counts of
-// an executed run. Unary activities take actual-out / actual-in; joins
-// take actual-out / (actual-in₁ × actual-in₂); differences and
-// intersections actual-out / actual-in₁. Activities whose input was empty
-// keep their declared estimate (no evidence). Re-optimizing the calibrated
-// workflow searches with measured reality instead of design-time guesses.
+// an executed run: each activity SelectivityDeltas has evidence for takes
+// its observed selectivity, the others keep their declared estimate.
+// Re-optimizing the calibrated workflow searches with measured reality
+// instead of design-time guesses.
 func Calibrate(g *workflow.Graph, nodeRows map[workflow.NodeID]int) (*workflow.Graph, error) {
 	c := g.Clone()
 	for _, id := range c.Nodes() {
-		n := c.Node(id)
-		if n.Kind == workflow.KindRecordset {
-			if len(c.Providers(id)) == 0 {
-				if rows, ok := nodeRows[id]; ok && rows > 0 {
-					ref := n.RS.Clone()
-					ref.Rows = float64(rows)
-					n.RS = ref
-				}
+		if n := c.Node(id); n.Kind == workflow.KindRecordset && len(c.Providers(id)) == 0 {
+			if rows, ok := nodeRows[id]; ok && rows > 0 {
+				ref := n.RS.Clone()
+				ref.Rows = float64(rows)
+				n.RS = ref
 			}
-			continue
 		}
-		out, ok := nodeRows[id]
-		if !ok {
-			continue
-		}
-		preds := c.Providers(id)
-		in := make([]float64, len(preds))
-		evidence := true
-		for i, p := range preds {
-			rows, ok := nodeRows[p]
-			if !ok || rows == 0 {
-				evidence = false
-				break
-			}
-			in[i] = float64(rows)
-		}
-		if !evidence {
-			continue
-		}
-		var sel float64
-		switch n.Act.Sem.Op {
-		case workflow.OpUnion:
-			continue // no selectivity
-		case workflow.OpJoin:
-			sel = float64(out) / (in[0] * in[1])
-		case workflow.OpDiff, workflow.OpIntersect:
-			sel = float64(out) / in[0]
-		default:
-			sel = float64(out) / in[0]
-		}
+	}
+	for _, d := range SelectivityDeltas(c, nodeRows) {
+		n := c.Node(d.Node)
+		sel := d.Observed
 		if sel <= 0 {
 			// A fully-filtering activity: keep a tiny positive estimate so
 			// cost formulas stay well-behaved.
@@ -120,37 +89,13 @@ func Calibrate(g *workflow.Graph, nodeRows map[workflow.NodeID]int) (*workflow.G
 		}
 		if sel > 1 && !n.Act.IsBinary() {
 			return nil, fmt.Errorf("cost: activity %d (%s) observed selectivity %g > 1; row counts inconsistent",
-				id, n.Label(), sel)
+				d.Node, d.Label, sel)
 		}
 		calibrated := n.Act.Clone()
 		calibrated.Sel = sel
 		n.Act = calibrated
 	}
 	return c, nil
-}
-
-// WorstEstimates returns the k nodes with the largest relative cardinality
-// estimation error — where the design-time selectivities mislead the
-// optimizer the most.
-func WorstEstimates(estimates []Estimate, k int) []Estimate {
-	scored := make([]Estimate, 0, len(estimates))
-	for _, e := range estimates {
-		if e.Actual > 0 {
-			scored = append(scored, e)
-		}
-	}
-	relErr := func(e Estimate) float64 {
-		d := e.Estimated - float64(e.Actual)
-		if d < 0 {
-			d = -d
-		}
-		return d / float64(e.Actual)
-	}
-	sort.SliceStable(scored, func(i, j int) bool { return relErr(scored[i]) > relErr(scored[j]) })
-	if len(scored) > k {
-		scored = scored[:k]
-	}
-	return scored
 }
 
 // SelDelta pairs one activity's modeled (design-time) selectivity with the
@@ -169,11 +114,12 @@ func (d SelDelta) Delta() float64 { return d.Observed - d.Modeled }
 
 // SelectivityDeltas computes, for every activity with evidence, the
 // observed selectivity of an executed run (engine.RunResult.NodeRows)
-// against the activity's declared estimate, using the same formulas as
-// Calibrate: out/in for unaries, out/(in₁·in₂) for joins, out/in₁ for
-// differences and intersections. Unions (no selectivity) and activities
+// against the activity's declared estimate: out/in for unaries,
+// out/(in₁·in₂) for joins, out/in₁ for differences and intersections.
+// Unions (no selectivity) and activities whose output is unrecorded or
 // whose inputs were empty or unrecorded are skipped. Results are in
-// topological order.
+// topological order. This is the one statement of the formula: Calibrate
+// and the engine's drift events both read it.
 func SelectivityDeltas(g *workflow.Graph, nodeRows map[workflow.NodeID]int) []SelDelta {
 	order, err := g.TopoSort()
 	if err != nil {
@@ -190,7 +136,7 @@ func SelectivityDeltas(g *workflow.Graph, nodeRows map[workflow.NodeID]int) []Se
 			continue
 		}
 		preds := g.Providers(id)
-		in := make([]float64, len(preds))
+		denom := 1.0
 		evidence := len(preds) > 0
 		for i, p := range preds {
 			r, ok := nodeRows[p]
@@ -198,18 +144,14 @@ func SelectivityDeltas(g *workflow.Graph, nodeRows map[workflow.NodeID]int) []Se
 				evidence = false
 				break
 			}
-			in[i] = float64(r)
+			if i == 0 || n.Act.Sem.Op == workflow.OpJoin {
+				denom *= float64(r)
+			}
 		}
 		if !evidence {
 			continue
 		}
-		var observed float64
-		switch {
-		case n.Act.Sem.Op == workflow.OpJoin && len(in) > 1:
-			observed = float64(rows) / (in[0] * in[1])
-		default:
-			observed = float64(rows) / in[0]
-		}
+		observed := float64(rows) / denom
 		out = append(out, SelDelta{Node: id, Label: n.Label(), Modeled: n.Act.Sel, Observed: observed})
 	}
 	return out

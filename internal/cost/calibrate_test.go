@@ -1,10 +1,11 @@
-package cost
+package cost_test
 
 import (
 	"context"
 	"strings"
 	"testing"
 
+	"etlopt/internal/cost"
 	"etlopt/internal/engine"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
@@ -24,7 +25,7 @@ func runFig1(t *testing.T) (*workflow.Graph, map[workflow.NodeID]int) {
 
 func TestExplainPairsEstimatesWithActuals(t *testing.T) {
 	g, rows := runFig1(t)
-	est, err := Explain(g, RowModel{}, rows)
+	est, err := cost.Explain(g, cost.RowModel{}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestExplainPairsEstimatesWithActuals(t *testing.T) {
 	if !sawSourceMismatch {
 		t.Error("expected the declared source hints to differ from actual data volume")
 	}
-	text := FormatExplain(est)
+	text := cost.FormatExplain(est)
 	if !strings.Contains(text, "estimated") || !strings.Contains(text, "PARTS1") {
 		t.Errorf("FormatExplain output unexpected:\n%s", text)
 	}
@@ -54,14 +55,14 @@ func TestExplainPairsEstimatesWithActuals(t *testing.T) {
 
 func TestCalibrateMatchesObservation(t *testing.T) {
 	g, rows := runFig1(t)
-	cal, err := Calibrate(g, rows)
+	cal, err := cost.Calibrate(g, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-estimating the calibrated workflow must reproduce the observed
 	// cardinalities nearly exactly (up to the multiplicative composition
 	// of per-activity rates).
-	est, err := Explain(cal, RowModel{}, rows)
+	est, err := cost.Explain(cal, cost.RowModel{}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCalibrateRejectsInconsistentCounts(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Calibrate(g, rows); err == nil {
+	if _, err := cost.Calibrate(g, rows); err == nil {
 		t.Error("inconsistent observations should be rejected")
 	}
 }
@@ -104,15 +105,15 @@ func TestCalibrateThenReoptimize(t *testing.T) {
 	// The full feedback loop: run, calibrate, verify the calibrated costing
 	// reflects the data rather than the design-time hints.
 	g, rows := runFig1(t)
-	cal, err := Calibrate(g, rows)
+	cal, err := cost.Calibrate(g, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := Evaluate(g, RowModel{})
+	before, err := cost.Evaluate(g, cost.RowModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Evaluate(cal, RowModel{})
+	after, err := cost.Evaluate(cal, cost.RowModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,28 +121,5 @@ func TestCalibrateThenReoptimize(t *testing.T) {
 	// calibrated state must cost far less.
 	if after.Total >= before.Total {
 		t.Errorf("calibrated cost %v should be below hinted cost %v", after.Total, before.Total)
-	}
-}
-
-func TestWorstEstimates(t *testing.T) {
-	g, rows := runFig1(t)
-	est, err := Explain(g, RowModel{}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := WorstEstimates(est, 3)
-	if len(worst) != 3 {
-		t.Fatalf("WorstEstimates returned %d entries", len(worst))
-	}
-	// Ordered by descending relative error.
-	rel := func(e Estimate) float64 {
-		d := e.Estimated - float64(e.Actual)
-		if d < 0 {
-			d = -d
-		}
-		return d / float64(e.Actual)
-	}
-	if rel(worst[0]) < rel(worst[1]) || rel(worst[1]) < rel(worst[2]) {
-		t.Errorf("WorstEstimates not sorted: %v", worst)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"etlopt/internal/cost"
 	"etlopt/internal/obs"
 	"etlopt/internal/workflow"
 )
@@ -73,39 +74,7 @@ func (e *Engine) recordRun(g *workflow.Graph, res *RunResult, modeName string) {
 	}
 	e.metrics.Counter("engine_runs_total", "mode", modeName).Inc()
 	e.metrics.Histogram("engine_run_seconds", nil, "mode", modeName).Observe(res.Elapsed.Seconds())
-	// Observed selectivity uses the cost model's own formulas (see
-	// cost.Calibrate / cost.SelectivityDeltas): out/in for unaries,
-	// out/(in₁·in₂) for joins; unions carry no selectivity, and activities
-	// with empty or unrecorded inputs offer no evidence.
-	order, err := g.TopoSort()
-	if err != nil {
-		return
-	}
-	for _, id := range order {
-		n := g.Node(id)
-		if n.Kind != workflow.KindActivity || n.Act.Sem.Op == workflow.OpUnion {
-			continue
-		}
-		rows, ok := res.NodeRows[id]
-		if !ok {
-			continue
-		}
-		preds := g.Providers(id)
-		denom := 1.0
-		evidence := len(preds) > 0
-		for i, p := range preds {
-			r, ok := res.NodeRows[p]
-			if !ok || r == 0 {
-				evidence = false
-				break
-			}
-			if i == 0 || n.Act.Sem.Op == workflow.OpJoin {
-				denom *= float64(r)
-			}
-		}
-		if !evidence {
-			continue
-		}
-		e.rec.Emit(obs.DriftEvent(e.keys[id], float64(rows)/denom, n.Act.Sel))
+	for _, d := range cost.SelectivityDeltas(g, res.NodeRows) {
+		e.rec.Emit(obs.DriftEvent(e.keys[d.Node], d.Observed, d.Modeled))
 	}
 }

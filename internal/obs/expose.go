@@ -2,11 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Snapshot is a point-in-time, serialization-friendly copy of a registry:
@@ -138,80 +135,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// formatValue renders a float the way the Prometheus text format expects.
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// withLabel splices an extra label into a series name: "fam{a=\"b\"}" →
-// "fam{a=\"b\",k=\"v\"}", "fam" → "fam{k=\"v\"}". newFamily, when
-// non-empty, also replaces the family prefix (for _bucket suffixes).
-func withLabel(series, family, newFamily, k, v string) string {
-	rest := series[len(family):]
-	if newFamily == "" {
-		newFamily = family
-	}
-	label := k + `="` + escapeLabel(v) + `"`
-	if strings.HasPrefix(rest, "{") {
-		return newFamily + "{" + label + "," + rest[1:]
-	}
-	return newFamily + "{" + label + "}" + rest
-}
-
-// WritePrometheus writes the snapshot in the Prometheus text exposition
-// format: families grouped under # TYPE lines, histograms expanded into
-// cumulative _bucket{le=...} series plus _sum and _count.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
-	type family struct {
-		name, kind string
-		lines      []string
-	}
-	byName := map[string]*family{}
-	add := func(name, kind, line string) {
-		f, ok := byName[name]
-		if !ok {
-			f = &family{name: name, kind: kind}
-			byName[name] = f
-		}
-		f.lines = append(f.lines, line)
-	}
-	for _, c := range s.Counters {
-		add(c.Family, "counter", c.Series+" "+strconv.FormatInt(c.Value, 10))
-	}
-	for _, g := range s.Gauges {
-		add(g.Family, "gauge", g.Series+" "+formatValue(g.Value))
-	}
-	for _, h := range s.Histograms {
-		cum := int64(0)
-		for i, b := range h.Bounds {
-			cum += h.BucketCounts[i]
-			add(h.Family, "histogram",
-				withLabel(h.Series, h.Family, h.Family+"_bucket", "le", formatValue(b))+" "+strconv.FormatInt(cum, 10))
-		}
-		add(h.Family, "histogram",
-			withLabel(h.Series, h.Family, h.Family+"_bucket", "le", "+Inf")+" "+strconv.FormatInt(h.Count, 10))
-		sumSeries := h.Family + "_sum" + h.Series[len(h.Family):]
-		countSeries := h.Family + "_count" + h.Series[len(h.Family):]
-		add(h.Family, "histogram", sumSeries+" "+formatValue(h.Sum))
-		add(h.Family, "histogram", countSeries+" "+strconv.FormatInt(h.Count, 10))
-	}
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := byName[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
-		}
-		for _, line := range f.lines {
-			if _, err := io.WriteString(w, line+"\n"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

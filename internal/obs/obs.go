@@ -123,8 +123,7 @@ func (g *Gauge) Name() string {
 	return g.series
 }
 
-// Histogram accumulates observations into fixed buckets (cumulative-style
-// exposition, Prometheus-compatible). Observations and reads are lock-free;
+// Histogram accumulates observations into fixed buckets. Observations and reads are lock-free;
 // a nil *Histogram ignores every call.
 type Histogram struct {
 	family string

@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -191,41 +190,5 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if back.Has("missing") {
 		t.Fatalf("Has must not invent series")
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "op", "SWA").Add(7)
-	r.Gauge("g").Set(2.5)
-	h := r.Histogram("h_seconds", []float64{0.1, 1}, "stage", "load")
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
-
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE c_total counter",
-		`c_total{op="SWA"} 7`,
-		"# TYPE g gauge",
-		"g 2.5",
-		"# TYPE h_seconds histogram",
-		`h_seconds_bucket{le="0.1",stage="load"} 1`,
-		`h_seconds_bucket{le="1",stage="load"} 2`,
-		`h_seconds_bucket{le="+Inf",stage="load"} 3`,
-		`h_seconds_sum{stage="load"} 5.55`,
-		`h_seconds_count{stage="load"} 3`,
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-	// No family repeats its TYPE line.
-	if strings.Count(out, "# TYPE h_seconds histogram") != 1 {
-		t.Fatalf("TYPE line must appear once per family:\n%s", out)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -90,28 +89,17 @@ func TestWriteTraceEvents(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusLabelEscaping(t *testing.T) {
+// TestSeriesLabelEscaping: a label value's quote, backslash and newline
+// are escaped in the series name a snapshot reports.
+func TestSeriesLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("esc_total", "node", "3:σ(A=\"x\\y\")\nz").Inc()
-	h := r.Histogram("esc_seconds", []float64{1}, "node", "a\"b")
-	h.Observe(0.5)
-
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	r.Histogram("esc_seconds", []float64{1}, "node", "a\"b").Observe(0.5)
+	snap := r.Snapshot()
+	if v, ok := snap.CounterValue(`esc_total{node="3:σ(A=\"x\\y\")\nz"}`); !ok || v != 1 {
+		t.Errorf("counter label not escaped: %+v", snap.Counters)
 	}
-	out := b.String()
-	if !strings.Contains(out, `esc_total{node="3:σ(A=\"x\\y\")\nz"} 1`) {
-		t.Errorf("counter label not escaped:\n%s", out)
-	}
-	// The le label splices in *before* existing labels keep their escaping.
-	if !strings.Contains(out, `esc_seconds_bucket{le="1",node="a\"b"} 1`) {
-		t.Errorf("histogram bucket label not escaped/spliced:\n%s", out)
-	}
-	if !strings.Contains(out, `esc_seconds_bucket{le="+Inf",node="a\"b"} 1`) {
-		t.Errorf("+Inf bucket missing:\n%s", out)
-	}
-	if !strings.Contains(out, `esc_seconds_sum{node="a\"b"} 0.5`) {
-		t.Errorf("sum series missing:\n%s", out)
+	if len(snap.Histograms) != 1 || snap.Histograms[0].Series != `esc_seconds{node="a\"b"}` {
+		t.Errorf("histogram label not escaped: %+v", snap.Histograms)
 	}
 }

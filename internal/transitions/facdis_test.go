@@ -294,9 +294,17 @@ func TestSplitAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := SplitAll(m2.Graph)
+	flat, splits, err := SplitAll(m2.Graph)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(splits) != 2 || splits[1].Graph != flat {
+		t.Fatalf("SplitAll applied %d splits, want 2 ending in the flat graph", len(splits))
+	}
+	for _, res := range splits {
+		if res.Applied.Op != "SPL" {
+			t.Errorf("SplitAll applied %s, want SPL", res.Applied.Desc())
+		}
 	}
 	if flat.Signature() != sig0 {
 		t.Errorf("SplitAll signature = %q, want %q", flat.Signature(), sig0)

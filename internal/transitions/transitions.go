@@ -512,9 +512,10 @@ func Split(g *workflow.Graph, id workflow.NodeID) (*Result, error) {
 // SplitAll repeatedly splits every merged activity until none remain —
 // the post-processing step of the heuristic search ("when the application
 // of the transitions has finished, we can ungroup any grouped
-// activities").
-func SplitAll(g *workflow.Graph) (*workflow.Graph, error) {
+// activities"). It returns the flat graph and the SPLs applied, in order.
+func SplitAll(g *workflow.Graph) (*workflow.Graph, []*Result, error) {
 	cur := g
+	var splits []*Result
 	for {
 		var mergedID workflow.NodeID = -1
 		for _, id := range cur.Activities() {
@@ -524,12 +525,13 @@ func SplitAll(g *workflow.Graph) (*workflow.Graph, error) {
 			}
 		}
 		if mergedID < 0 {
-			return cur, nil
+			return cur, splits, nil
 		}
 		res, err := Split(cur, mergedID)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cur = res.Graph
+		splits = append(splits, res)
 	}
 }

@@ -99,7 +99,7 @@ type (
 	// write-only: results are bit-identical with metrics on or off.
 	MetricsRegistry = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a MetricsRegistry,
-	// serializable as JSON or Prometheus text.
+	// serializable as JSON.
 	MetricsSnapshot = obs.Snapshot
 	// Journal is the flight recorder: a bounded, lossy, structured JSONL
 	// run journal of search transitions, executed nodes, partition
@@ -353,7 +353,7 @@ var defaultMetrics = obs.NewRegistry()
 // Snapshot():
 //
 //	snap := etl.Metrics().Snapshot()
-//	snap.WriteJSON(os.Stdout)       // or snap.WritePrometheus(w)
+//	snap.WriteJSON(os.Stdout)
 //
 // Applications that want isolated collection build their own registry
 // with NewMetricsRegistry instead.
