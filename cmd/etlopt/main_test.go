@@ -38,9 +38,9 @@ func writeFig1(t *testing.T) string {
 	return path
 }
 
-// TestCLILintRemoved: the design checks are etlvet workflow's; -lint is
+// TestCLILint: the design checks are etlvet workflow's; -lint is
 // rejected as unknown, with usage on stderr and exit status 2.
-func TestCLILintRemoved(t *testing.T) {
+func TestCLILint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}

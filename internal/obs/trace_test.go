@@ -89,9 +89,10 @@ func TestWriteTraceEvents(t *testing.T) {
 	}
 }
 
-// TestSeriesLabelEscaping: a label value's quote, backslash and newline
-// are escaped in the series name a snapshot reports.
-func TestSeriesLabelEscaping(t *testing.T) {
+// TestWritePrometheusLabelEscaping: a label value's quote, backslash and
+// newline are escaped, as the Prometheus text format writes them, in the
+// series name a snapshot reports.
+func TestWritePrometheusLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("esc_total", "node", "3:σ(A=\"x\\y\")\nz").Inc()
 	r.Histogram("esc_seconds", []float64{1}, "node", "a\"b").Observe(0.5)
