@@ -13,6 +13,7 @@ import (
 	"etlopt/internal/clidoc"
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
+	"etlopt/internal/generator"
 	"etlopt/internal/obs"
 	"etlopt/internal/templates"
 )
@@ -422,6 +423,94 @@ func TestCLITraceHoldsEveryActivity(t *testing.T) {
 	for name, n := range want {
 		if n != 0 {
 			t.Errorf("%s: %d journaled node event(s) without a trace event", name, n)
+		}
+	}
+}
+
+// TestCLILookupHeaderSpellings: a lookup file's header is read as every
+// record file is read, by data's CSV reader, so a quoted header and a
+// header-only file without its final newline (an empty dimension) bind
+// like their plain spellings, and the run writes the same targets.
+func TestCLILookupHeaderSpellings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	sc, err := generator.Generate(generator.CategoryConfig(generator.Small, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lookup = "DWKEYS"
+	if _, ok := sc.Lookups[lookup]; !ok {
+		t.Fatalf("the scenario has no %s lookup", lookup)
+	}
+	text, err := dsl.Serialize(sc.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run writes the scenario with the lookup file spelled as given, runs
+	// etlrun on it and returns every file of the data dir but the lookup.
+	run := func(spelling string) map[string]string {
+		dir := t.TempDir()
+		wf := filepath.Join(dir, "wf.etl")
+		if err := os.WriteFile(wf, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, bindings := range []map[string]data.Rows{sc.Sources, sc.Lookups} {
+			for name, rows := range bindings {
+				rs, err := data.NewFileRecordset(name, sc.Schemas[name], filepath.Join(dir, name+".csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rs.Load(rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		path := filepath.Join(dir, lookup+".csv")
+		if err := os.WriteFile(path, []byte(spelling), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := exec.Command(bin, "-in", wf, "-data", dir).CombinedOutput(); err != nil {
+			t.Errorf("lookup file %q: %v\n%s", spelling, err, out)
+			return nil
+		}
+		files := map[string]string{}
+		for path, b := range dirContents(t, dir) {
+			if name := filepath.Base(path); name != lookup+".csv" {
+				files[name] = string(b)
+			}
+		}
+		return files
+	}
+
+	header := strings.Join(sc.Schemas[lookup], ",")
+	var body strings.Builder
+	for _, r := range sc.Lookups[lookup] {
+		for i, v := range r {
+			if i > 0 {
+				body.WriteByte(',')
+			}
+			body.WriteString(v.String())
+		}
+		body.WriteByte('\n')
+	}
+	quoted := `"` + strings.Join(sc.Schemas[lookup], `","`) + `"`
+	for _, tc := range []struct{ name, plain, spelled string }{
+		{"quoted header", header + "\n" + body.String(), quoted + "\n" + body.String()},
+		{"empty dimension without a final newline", header + "\n", header},
+	} {
+		want, got := run(tc.plain), run(tc.spelled)
+		if want == nil || got == nil {
+			continue
+		}
+		if len(want) != len(got) {
+			t.Errorf("%s: %d files after the run, the plain spelling leaves %d", tc.name, len(got), len(want))
+		}
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("%s: %s differs from the plain spelling's", tc.name, name)
+			}
 		}
 	}
 }
