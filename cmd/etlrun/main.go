@@ -321,7 +321,7 @@ func bindCSV(g *workflow.Graph, dir string) (map[string]data.Recordset, error) {
 			}
 			// Schema comes from the file header for lookups (schema nil).
 			if schema == nil {
-				header, err := readHeader(path)
+				header, err := data.ReadCSVHeader(path)
 				if err != nil {
 					return err
 				}
@@ -356,28 +356,6 @@ func bindCSV(g *workflow.Graph, dir string) (map[string]data.Recordset, error) {
 
 func csvPath(dir, name string) string {
 	return filepath.Join(dir, strings.ReplaceAll(name, string(filepath.Separator), "_")+".csv")
-}
-
-func readHeader(path string) (data.Schema, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var line strings.Builder
-	buf := make([]byte, 1)
-	for {
-		if _, err := f.Read(buf); err != nil {
-			return nil, fmt.Errorf("reading header of %s: %w", path, err)
-		}
-		if buf[0] == '\n' {
-			break
-		}
-		if buf[0] != '\r' {
-			line.WriteByte(buf[0])
-		}
-	}
-	return data.Schema(strings.Split(line.String(), ",")), nil
 }
 
 // printImpact renders the change/failure impact analysis for the named

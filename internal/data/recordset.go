@@ -139,11 +139,11 @@ func NewFileRecordset(name string, schema Schema, path string) (*FileRecordset, 
 		}
 		return f, nil
 	}
-	header, err := f.readHeader()
+	header, err := ReadCSVHeader(path)
 	if err != nil {
 		return nil, err
 	}
-	if !Schema(header).Equal(schema) {
+	if !header.Equal(schema) {
 		return nil, fmt.Errorf("record file %s: header %v does not match schema %v", path, header, schema)
 	}
 	return f, nil
@@ -155,16 +155,18 @@ func (f *FileRecordset) Name() string { return f.name }
 // Schema implements Recordset.
 func (f *FileRecordset) Schema() Schema { return f.schema.Clone() }
 
-func (f *FileRecordset) readHeader() ([]string, error) {
-	fh, err := os.Open(f.path)
+// ReadCSVHeader reads a record file's header row with encoding/csv, which
+// reads a header as ReadCSVFile does: quotes taken off, a final newline
+// optional. It is how a caller that holds no schema takes one from a file.
+func ReadCSVHeader(path string) (Schema, error) {
+	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer fh.Close()
-	r := csv.NewReader(fh)
-	header, err := r.Read()
+	header, err := csv.NewReader(fh).Read()
 	if err != nil {
-		return nil, fmt.Errorf("record file %s: reading header: %w", f.path, err)
+		return nil, fmt.Errorf("record file %s: reading header: %w", path, err)
 	}
 	return header, nil
 }
