@@ -19,15 +19,11 @@
 //	                                snapshot its metrics snapshot as JSON
 //	etlvet passes                   list every pass
 //
-// Every subcommand shares one reporting surface: -format {text,json,sarif}
-// (-json is shorthand for -format json; obs also takes -format trace and
-// -format snapshot),
-// -baseline FILE to suppress
-// findings acknowledged in a committed baseline, and -write-baseline to
-// regenerate that file from the current findings.
+// Every subcommand reports its findings as text or, with -format json, as
+// JSON; obs also takes -format trace and -format snapshot.
 //
-// Exit status: 0 when clean (advice-only counts as clean), 1 when any
-// warning survives the baseline, 2 on usage or input errors.
+// Exit status: 0 when clean (advice-only counts as clean), 1 when there is
+// at least one warning, 2 on usage or input errors.
 package main
 
 import (
@@ -62,14 +58,9 @@ func usage(w io.Writer) {
                                           findings go to stderr
   etlvet passes   [flags]                 list the passes
 
-flags (shared by every subcommand):
-  -format FORM      output format: text (default), json, or sarif (2.1.0);
-                    obs also takes trace and snapshot
-  -json             shorthand for -format json
-  -baseline FILE    suppress findings acknowledged in FILE; only NEW
-                    findings are reported and counted
-  -write-baseline   rewrite -baseline FILE from the current findings
-                    instead of reporting them
+flags:
+  -format FORM      output format: text (default) or json; obs also takes
+                    trace and snapshot
   -card-bound N     (workflow only) flag nodes whose estimated cardinality
                     exceeds N x the total source rows (default 10)
   -top N            (obs only) rows shown in the slow-node and drift
@@ -77,29 +68,23 @@ flags (shared by every subcommand):
 
 exit status:
   0  clean — no warnings (advice alone never fails)
-  1  at least one warning survived the baseline
+  1  at least one warning
   2  usage error or unreadable input`)
 }
 
-// options are the reporting flags shared by every subcommand.
+// options are the flags of one subcommand.
 type options struct {
-	format        string
-	jsonShorthand bool
-	baselinePath  string
-	writeBaseline bool
-	cardBound     float64
-	topK          int
+	format    string
+	cardBound float64
+	topK      int
 }
 
 func (o *options) bind(fs *flag.FlagSet, cmd string) {
-	formats := "text, json or sarif"
+	formats := "text or json"
 	if cmd == "obs" {
-		formats = "text, json, sarif, trace (one journal's spans as trace-event JSON) or snapshot (its trailer's metrics snapshot as JSON)"
+		formats = "text, json, trace (one journal's spans as trace-event JSON) or snapshot (its trailer's metrics snapshot as JSON)"
 	}
 	fs.StringVar(&o.format, "format", "text", "output format: "+formats)
-	fs.BoolVar(&o.jsonShorthand, "json", false, "shorthand for -format json")
-	fs.StringVar(&o.baselinePath, "baseline", "", "baseline file of acknowledged findings")
-	fs.BoolVar(&o.writeBaseline, "write-baseline", false, "rewrite the -baseline file from current findings")
 	if cmd == "workflow" {
 		fs.Float64Var(&o.cardBound, "card-bound", analysis.DefaultWorkflowOptions().CardinalityBound,
 			"cardinality-blowup threshold as a multiple of total source rows")
@@ -114,19 +99,13 @@ func (o *options) bind(fs *flag.FlagSet, cmd string) {
 func (o *options) journalView() bool { return o.format == "trace" || o.format == "snapshot" }
 
 func (o *options) validate(cmd string) error {
-	if o.jsonShorthand {
-		o.format = "json"
-	}
 	switch {
-	case o.format == "text", o.format == "json", o.format == "sarif":
+	case o.format == "text", o.format == "json":
 	case o.journalView() && cmd == "obs":
 	case o.journalView():
 		return fmt.Errorf("-format %s applies to etlvet obs only", o.format)
 	default:
-		return fmt.Errorf("unknown -format %q (want text, json or sarif; obs also takes trace and snapshot)", o.format)
-	}
-	if o.writeBaseline && o.baselinePath == "" {
-		return fmt.Errorf("-write-baseline needs -baseline FILE")
+		return fmt.Errorf("unknown -format %q (want text or json; obs also takes trace and snapshot)", o.format)
 	}
 	return nil
 }
@@ -213,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "obs":
 		// The report, the trace or the snapshot is the product here,
 		// written as each journal is read; only integrity problems flow
-		// through the finding/baseline layer, to stderr under -format trace
+		// through the finding layer, to stderr under -format trace
 		// and snapshot, whose stdout is that one view alone.
 		if o.journalView() && len(rest) != 1 {
 			fmt.Fprintf(stderr, "etlvet: obs -format %s takes exactly one journal\n", o.format)
@@ -234,54 +213,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return report(&o, findings, stdout, stderr)
 }
 
-// report applies the baseline and renders the surviving findings in the
-// chosen format, returning the process exit code.
+// report renders the findings in the chosen format, returning the process
+// exit code.
 func report(o *options, findings []analysis.Finding, stdout, stderr io.Writer) int {
-	if o.writeBaseline {
-		f, err := os.Create(o.baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "etlvet: %v\n", err)
-			return 2
-		}
-		werr := analysis.WriteBaseline(f, findings)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "etlvet: writing baseline: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "etlvet: baseline %s rewritten with %d finding(s)\n", o.baselinePath, len(findings))
-		return 0
-	}
-	if o.baselinePath != "" {
-		f, err := os.Open(o.baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "etlvet: %v (create it with -write-baseline)\n", err)
-			return 2
-		}
-		base, err := analysis.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "etlvet: %s: %v\n", o.baselinePath, err)
-			return 2
-		}
-		suppressed := len(findings)
-		findings = base.Filter(findings)
-		suppressed -= len(findings)
-		if suppressed > 0 && o.format == "text" {
-			fmt.Fprintf(stderr, "etlvet: %d baselined finding(s) suppressed\n", suppressed)
-		}
-	}
-
 	switch o.format {
 	case "json":
 		if err := writeJSON(stdout, findings); err != nil {
-			fmt.Fprintf(stderr, "etlvet: %v\n", err)
-			return 2
-		}
-	case "sarif":
-		if err := analysis.WriteSARIF(stdout, findings); err != nil {
 			fmt.Fprintf(stderr, "etlvet: %v\n", err)
 			return 2
 		}
@@ -331,8 +268,7 @@ func writeJSON(w io.Writer, findings []analysis.Finding) error {
 	return enc.Encode(out)
 }
 
-// runPasses lists the pass table in the chosen format. SARIF output is
-// the rule table with zero results — a machine-readable pass inventory.
+// runPasses lists the pass table in the chosen format.
 func runPasses(o *options, stdout, stderr io.Writer) int {
 	switch o.format {
 	case "json":
@@ -348,11 +284,6 @@ func runPasses(o *options, stdout, stderr io.Writer) int {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "etlvet: %v\n", err)
-			return 2
-		}
-	case "sarif":
-		if err := analysis.WriteSARIF(stdout, nil); err != nil {
 			fmt.Fprintf(stderr, "etlvet: %v\n", err)
 			return 2
 		}
@@ -378,7 +309,7 @@ func auditWorkflowFile(path string, opts *analysis.WorkflowOptions) ([]analysis.
 		return nil, err
 	}
 	// Render graph locations with their DSL names rather than raw IDs,
-	// and anchor every finding to the audited file for SARIF/baselines.
+	// and anchor every finding to the audited file.
 	names := dsl.NodeNames(g)
 	for i := range fs {
 		if name, ok := names[fs[i].Node]; fs[i].Node >= 0 && ok {

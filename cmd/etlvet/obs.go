@@ -18,7 +18,7 @@ import (
 // or, with -format trace, the journal's spans as trace-event JSON, with
 // -format snapshot the metrics snapshot its trailer carries — and returns
 // integrity problems as findings through the shared report layer, so
-// -format/-baseline/exit codes behave like every other subcommand.
+// -format and exit codes behave like every other subcommand.
 
 // obsStats is the aggregation of one journal: everything the report
 // sections print, computed in a single pass over the events.
@@ -248,8 +248,8 @@ func auditSnapshot(snap *obs.Snapshot, report func(format string, args ...interf
 
 // renderObs reads one journal, writes its view for o.format to w — the
 // run report for text, obs.Spans as trace-event JSON for trace, the
-// trailer's metrics snapshot as JSON for snapshot, nothing for json and
-// sarif, which print findings only — and returns its integrity findings.
+// trailer's metrics snapshot as JSON for snapshot, nothing for json, which
+// prints findings only — and returns its integrity findings.
 // A journal without a snapshot has no snapshot view: that is an error.
 func renderObs(w io.Writer, path string, o *options) ([]analysis.Finding, error) {
 	events, err := obs.ReadJournalFile(path)

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -77,105 +76,30 @@ func TestCardBoundFlag(t *testing.T) {
 	}
 }
 
-// TestSARIFOutput: the CLI's -format sarif emits a 2.1.0 log whose
-// results carry the audited file as the artifact.
-func TestSARIFOutput(t *testing.T) {
-	path := "../../examples/workflows/diagnostics/unsatisfiable-guard.etl"
-	out, _, code := runCLI(t, "workflow", "-format", "sarif", path)
-	if code != 1 {
-		t.Errorf("exit %d, want 1", code)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out), &log); err != nil {
-		t.Fatalf("invalid SARIF: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("version %q runs %d", log.Version, len(log.Runs))
-	}
-	found := false
-	for _, r := range log.Runs[0].Results {
-		if r.RuleID == "unsatisfiable-guard" {
-			found = true
-			if len(r.Locations) == 0 || r.Locations[0].PhysicalLocation.ArtifactLocation.URI != path {
-				t.Errorf("result lacks the audited file artifact: %+v", r)
-			}
-		}
-	}
-	if !found {
-		t.Error("unsatisfiable-guard missing from SARIF results")
-	}
-}
-
-// TestBaselineGate: -write-baseline acknowledges today's findings, and
-// the same audit against that baseline exits 0; a different workflow's
-// findings still fail.
-func TestBaselineGate(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, ".etlvetbase")
-	path := "../../examples/workflows/diagnostics/unsatisfiable-guard.etl"
-
-	if _, _, code := runCLI(t, "workflow", "-baseline", base, "-write-baseline", path); code != 0 {
-		t.Fatalf("-write-baseline exit %d", code)
-	}
-	raw, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "unsatisfiable-guard") {
-		t.Fatalf("baseline lacks the acknowledged finding:\n%s", raw)
-	}
-	out, _, code := runCLI(t, "workflow", "-baseline", base, path)
-	if code != 0 {
-		t.Errorf("baselined audit should exit 0, got %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "no findings") {
-		t.Errorf("suppressed audit should report clean:\n%s", out)
-	}
-	// A workflow with a different (un-acknowledged) warning still fails.
-	other := "../../examples/workflows/diagnostics/broken-provenance.etl"
-	if _, _, code := runCLI(t, "workflow", "-baseline", base, other); code != 1 {
-		t.Errorf("new finding should survive the baseline, exit %d", code)
-	}
-	// Missing baseline file is a usage error, not a silent pass.
-	if _, _, code := runCLI(t, "workflow", "-baseline", filepath.Join(dir, "nope"), path); code != 2 {
-		t.Errorf("missing baseline should exit 2, got %d", code)
-	}
-}
-
-// TestFlagValidation: bad -format and bare -write-baseline are usage
-// errors; -json is shorthand for -format json; help exits 0 and
-// documents the exit contract.
+// TestFlagValidation: a bad -format is a usage error; -format json renders
+// src findings and the pass table as JSON; help exits 0 and documents the
+// exit contract.
 func TestFlagValidation(t *testing.T) {
 	if _, _, code := runCLI(t, "src", "-format", "xml", "./."); code != 2 {
 		t.Errorf("bad format exit %d, want 2", code)
 	}
-	if _, _, code := runCLI(t, "src", "-write-baseline", "./."); code != 2 {
-		t.Errorf("bare -write-baseline exit %d, want 2", code)
-	}
-	out, _, code := runCLI(t, "passes", "-json")
+	out, _, code := runCLI(t, "src", "-format", "json", "./.")
 	if code != 0 {
-		t.Fatalf("passes -json exit %d", code)
+		t.Errorf("src -format json exit %d, want 0", code)
+	}
+	if fs := decodeFindings(t, out); len(fs) != 0 {
+		t.Errorf("src -format json reports %d findings on a clean package: %+v", len(fs), fs)
+	}
+	out, _, code = runCLI(t, "passes", "-format", "json")
+	if code != 0 {
+		t.Fatalf("passes -format json exit %d", code)
 	}
 	var ps []struct{ Kind, Name, Doc string }
 	if err := json.Unmarshal([]byte(out), &ps); err != nil {
-		t.Fatalf("passes -json invalid: %v", err)
+		t.Fatalf("passes -format json invalid: %v", err)
 	}
 	if len(ps) != len(analysis.AllPasses()) {
-		t.Errorf("passes -json lists %d passes, the table holds %d", len(ps), len(analysis.AllPasses()))
+		t.Errorf("passes -format json lists %d passes, the table holds %d", len(ps), len(analysis.AllPasses()))
 	}
 	help, _, code := runCLI(t, "-h")
 	if code != 0 {
@@ -184,6 +108,32 @@ func TestFlagValidation(t *testing.T) {
 	for _, want := range []string{"exit status", "0  clean", "1  at least one warning", "2  usage error"} {
 		if !strings.Contains(help, want) {
 			t.Errorf("help missing %q", want)
+		}
+	}
+}
+
+// TestCLIRemovedFlags pins that the flags and the format of the retired
+// reporting layer (the -json shorthand, the finding baseline and SARIF) are
+// rejected: exit status 2, naming the flag or value.
+func TestCLIRemovedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"passes", "-json"}, "-json"},
+		{[]string{"src", "-baseline", "X", "./."}, "-baseline"},
+		{[]string{"src", "-write-baseline", "./."}, "-write-baseline"},
+		{[]string{"workflow", "-format", "sarif", writeFig1(t)}, "sarif"},
+	} {
+		out, errb, code := runCLI(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if out != "" {
+			t.Errorf("%v: wrote to stdout:\n%s", tc.args, out)
+		}
+		if !strings.Contains(errb, tc.name) {
+			t.Errorf("%v: stderr does not name %s:\n%s", tc.args, tc.name, errb)
 		}
 	}
 }

@@ -71,8 +71,7 @@ type Finding struct {
 	// File is the machine-readable artifact location: a module-relative Go
 	// source path for source findings, or the analyzed workflow/trace file
 	// as set by the CLI. Empty when no artifact applies. Line and Col are
-	// 1-based and 0 when unknown. The SARIF and baseline layers key on
-	// these instead of parsing Where.
+	// 1-based and 0 when unknown.
 	File string
 	Line int
 	Col  int
@@ -92,21 +91,6 @@ func (f Finding) String() string {
 		msg += " (fix: " + f.Fix + ")"
 	}
 	return msg
-}
-
-// StringNamed renders the finding using node names (dsl.NodeNames) in
-// place of raw node IDs.
-func (f Finding) StringNamed(names map[workflow.NodeID]string) string {
-	if f.Node >= 0 {
-		if name, ok := names[f.Node]; ok {
-			msg := fmt.Sprintf("%s [%s] %s: %s", f.Severity, f.Check, name, f.Message)
-			if f.Fix != "" {
-				msg += " (fix: " + f.Fix + ")"
-			}
-			return msg
-		}
-	}
-	return f.String()
 }
 
 // Sort orders findings deterministically: by check name, then location
@@ -175,8 +159,8 @@ func (p Pass) Kind() string {
 	}
 }
 
-// passes is every check etlvet runs, in the order `etlvet passes` and the
-// SARIF rule table list them: by kind, then by name. The rule for the
+// passes is every check etlvet runs, in the order `etlvet passes` lists
+// them: by kind, then by name. The rule for the
 // table is TestKillTable's: a pass stays only while a seeded defect exists
 // that it reports and no other pass does; a pass without one is deleted.
 var passes = []Pass{

@@ -35,8 +35,8 @@ func (p *SourcePackage) Pos(pos token.Pos) string {
 }
 
 // Loc returns the module-relative artifact path and 1-based line/column
-// for a position — the machine-readable location SARIF and the baseline
-// key on. Falls back to the base name when the file is outside the root.
+// for a position — the machine-readable location -format json reports.
+// Falls back to the base name when the file is outside the root.
 func (p *SourcePackage) Loc(pos token.Pos) (file string, line, col int) {
 	pp := p.Fset.Position(pos)
 	file = filepath.Base(pp.Filename)

@@ -40,12 +40,6 @@ type Options struct {
 	// the package default (200 000). ES reports Terminated=false when the
 	// budget is exhausted before the space closes.
 	MaxStates int
-	// GroupCap bounds the states generated while exhaustively exploring
-	// one local group's orderings in HS Phases I and IV (0 means the
-	// default of 400). Groups short enough to close within the cap are
-	// explored completely; larger groups are explored breadth-first until
-	// the cap. HS-Greedy ignores the cap (hill-climbing converges).
-	GroupCap int
 	// Workers sets the number of goroutines used to cost successor states
 	// (ES) and to optimize independent local groups (HS). 0 means
 	// runtime.GOMAXPROCS(0); 1 runs the search fully sequentially. The
@@ -100,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxStates <= 0 {
 		o.MaxStates = 200_000
-	}
-	if o.GroupCap <= 0 {
-		o.GroupCap = 400
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)

@@ -344,17 +344,27 @@ func TestIncrementalCostMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Heuristic(context.Background(), sc.Graph, Options{IncrementalCost: true, MaxStates: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Heuristic(context.Background(), sc.Graph, Options{IncrementalCost: false, MaxStates: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestCost != b.BestCost || a.Visited != b.Visited {
-		t.Errorf("incremental (%v,%d) vs full (%v,%d) diverge",
-			a.BestCost, a.Visited, b.BestCost, b.Visited)
+	for _, tc := range []struct {
+		name   string
+		search func(context.Context, *workflow.Graph, Options) (*Result, error)
+		g      *workflow.Graph
+		states int
+	}{
+		{"HS", Heuristic, sc.Graph, 4000},
+		{"ES", Exhaustive, templates.Fig1Workflow(), 10_000},
+	} {
+		a, err := tc.search(context.Background(), tc.g, Options{IncrementalCost: true, MaxStates: tc.states, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := tc.search(context.Background(), tc.g, Options{IncrementalCost: false, MaxStates: tc.states})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.BestCost != b.BestCost || a.Visited != b.Visited {
+			t.Errorf("%s: incremental (%v,%d) vs full (%v,%d) diverge",
+				tc.name, a.BestCost, a.Visited, b.BestCost, b.Visited)
+		}
 	}
 }
 

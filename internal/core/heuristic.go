@@ -425,20 +425,27 @@ func (j *groupJob) pairs(g *workflow.Graph) [][2]workflow.NodeID {
 	return j.buf
 }
 
+// groupCap bounds the states generated while exhaustively exploring one
+// local group's orderings in HS Phases I and IV. Groups short enough to
+// close within the cap are explored completely; larger groups are explored
+// breadth-first until the cap. HS-Greedy has no cap (hill-climbing
+// converges).
+const groupCap = 400
+
 // full explores, breadth-first, every ordering of the group's activities
 // reachable through legal swaps, returning the cheapest state — HS's
 // exhaustive-within-a-group behaviour. The exploration is seeded with the
 // hill-climbing result so that, under a bounded budget, the full search
 // never returns a worse ordering than the greedy variant would. The
-// exploration is bounded by Options.GroupCap; it runs entirely against
-// job-local state so several groups can search concurrently.
+// exploration is bounded by groupCap; it runs entirely against job-local
+// state so several groups can search concurrently.
 func (j *groupJob) full() *groupState {
 	s := j.s
 	best := j.greedy()
 	frontier := []*groupState{best}
 	seen := map[string]bool{j.base.sig: true, best.st.sig: true}
 	generated := 0
-	for len(frontier) > 0 && s.ctx.Err() == nil && generated < s.opts.GroupCap {
+	for len(frontier) > 0 && s.ctx.Err() == nil && generated < groupCap {
 		cur := frontier[0]
 		frontier = frontier[1:]
 		for _, pair := range j.pairs(cur.st.g) {
@@ -458,7 +465,7 @@ func (j *groupJob) full() *groupState {
 				best = gs2
 			}
 			frontier = append(frontier, gs2)
-			if generated >= s.opts.GroupCap || s.ctx.Err() != nil {
+			if generated >= groupCap || s.ctx.Err() != nil {
 				break
 			}
 		}

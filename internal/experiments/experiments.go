@@ -67,8 +67,6 @@ type SuiteConfig struct {
 	ESBudget int
 	// HSBudget caps HS's generated states per workflow. 0 means 30 000.
 	HSBudget int
-	// GroupCap bounds HS's per-local-group exploration (0 = core default).
-	GroupCap int
 	// Workers sets every algorithm's search parallelism (0 = GOMAXPROCS,
 	// 1 = sequential). Results are identical for every value.
 	Workers int
@@ -154,7 +152,6 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 	}
 	hsRes, err := core.Heuristic(ctx, g, core.Options{
 		MaxStates:       cfg.HSBudget,
-		GroupCap:        cfg.GroupCap,
 		Workers:         cfg.Workers,
 		IncrementalCost: true,
 		Metrics:         cfg.Metrics,

@@ -88,13 +88,6 @@ func ShiftBackward(g *workflow.Graph, a, ab workflow.NodeID) (*ShiftResult, erro
 	}
 }
 
-// CanShiftForward reports whether ShiftForward would succeed, without
-// keeping the intermediate states.
-func CanShiftForward(g *workflow.Graph, a, ab workflow.NodeID) bool {
-	_, err := ShiftForward(g, a, ab)
-	return err == nil
-}
-
 // CanShiftBackward reports whether ShiftBackward would succeed.
 func CanShiftBackward(g *workflow.Graph, a, ab workflow.NodeID) bool {
 	_, err := ShiftBackward(g, a, ab)

@@ -20,8 +20,8 @@
 //	suite, err := etl.RunSuite(ctx, workflows, etl.WithSharedCache(64<<20))
 //
 // Search options (WithAlgorithm, WithWorkers, …) configure Optimize;
-// engine options (WithMode, WithPartitions, WithFaultPlan, WithRetry)
-// configure Run and RunSuite; suite options (WithSuiteWorkers,
+// engine options (WithPartitions, WithFaultPlan, WithRetry) configure Run
+// and RunSuite; suite options (WithSuiteWorkers,
 // WithSharedCache, WithSharedSpill) configure RunSuite; WithMetrics and
 // WithJournal configure all three. Passing an option to the entry point it
 // does not affect is harmless, so one option slice can serve a whole
@@ -92,8 +92,6 @@ type (
 	// CostModel prices workflow states; the default is the paper's
 	// row-count model.
 	CostModel = cost.Model
-	// Mode selects the engine's execution strategy.
-	Mode = engine.Mode
 	// MetricsRegistry collects observability series (counters, gauges,
 	// histograms) from the optimizer and the engine. Collection is
 	// write-only: results are bit-identical with metrics on or off.
@@ -166,16 +164,6 @@ var (
 	WithFaultMaxPerKey = fault.WithMaxPerKey
 )
 
-// Execution modes for WithMode.
-const (
-	// Materialized evaluates nodes one at a time in topological order.
-	Materialized = engine.Materialized
-	// Parallel partitions every recordset across P workers (see
-	// WithPartitions) and merges deterministically: target rows are
-	// bit-identical to Materialized at any partition count.
-	Parallel = engine.Parallel
-)
-
 // Null is the SQL-style null Value.
 var Null = data.Null
 
@@ -200,8 +188,6 @@ type settings struct {
 	search core.Options
 	algo   Algorithm
 
-	mode       Mode
-	modeSet    bool
 	partitions int
 	metrics    *MetricsRegistry
 	journal    *Journal
@@ -233,12 +219,6 @@ func WithMaxStates(n int) Option {
 	return func(s *settings) { s.search.MaxStates = n }
 }
 
-// WithGroupCap bounds HS's per-local-group exploration (0 = default).
-// Optimize only.
-func WithGroupCap(n int) Option {
-	return func(s *settings) { s.search.GroupCap = n }
-}
-
 // WithWorkers sets the search's parallelism: 0 means GOMAXPROCS, 1 is
 // fully sequential; results are identical for every value. Optimize only
 // — the engine's parallelism is WithPartitions.
@@ -253,16 +233,9 @@ func WithMergeConstraints(pairs ...[2]NodeID) Option {
 	return func(s *settings) { s.search.MergeConstraints = pairs }
 }
 
-// WithFullCostEval disables the semi-incremental cost evaluation and
-// recomputes every state's cost from scratch. Results are identical;
-// incremental is faster. Optimize only.
-func WithFullCostEval() Option {
-	return func(s *settings) { s.search.IncrementalCost = false }
-}
-
 // WithMetrics collects observability series into r — search series from
-// Optimize, engine series from Run. etl.Metrics() supplies the
-// package-wide default registry. Collection never affects results.
+// Optimize, engine series from Run; NewMetricsRegistry builds one.
+// Collection never affects results.
 func WithMetrics(r *MetricsRegistry) Option {
 	return func(s *settings) { s.metrics = r }
 }
@@ -284,17 +257,12 @@ func WithProfileLabels() Option {
 	return func(s *settings) { s.profile = true }
 }
 
-// WithMode selects the execution mode (default Materialized). Run only.
-func WithMode(m Mode) Option {
-	return func(s *settings) { s.mode = m; s.modeSet = true }
-}
-
-// WithPartitions sets the partition count for partition-parallel
-// execution (default: runtime.GOMAXPROCS(0)) and, unless WithMode is given
-// explicitly, selects Parallel mode — etl.Run(ctx, g, bindings,
-// etl.WithPartitions(8)) is a complete parallel run. Output is
-// bit-identical at any count. Run only — the search's parallelism is
-// WithWorkers.
+// WithPartitions runs the workflow partition-parallel over n partitions:
+// every recordset is split across n workers and merged deterministically,
+// so etl.Run(ctx, g, bindings, etl.WithPartitions(8)) is a complete
+// parallel run whose output is bit-identical to the default run, which
+// evaluates the graph stage by stage in one partition. n <= 0 keeps the
+// default. Run only — the search's parallelism is WithWorkers.
 func WithPartitions(n int) Option {
 	return func(s *settings) { s.partitions = n }
 }
@@ -343,23 +311,12 @@ func WithSharedSpill(dir string) Option {
 	return func(s *settings) { s.spillDir = dir }
 }
 
-// defaultMetrics is the package-level registry Metrics returns: the
-// rendezvous point for applications that want one process-wide view of
-// every Optimize and Run they route through it.
-var defaultMetrics = obs.NewRegistry()
-
-// Metrics returns the package's default metrics registry. Pass it to
-// Optimize and Run via WithMetrics(etl.Metrics()), then export it with
-// Snapshot():
+// NewMetricsRegistry returns a fresh, empty metrics registry. Pass it to
+// Optimize and Run via WithMetrics, then export it with Snapshot():
 //
-//	snap := etl.Metrics().Snapshot()
-//	snap.WriteJSON(os.Stdout)
-//
-// Applications that want isolated collection build their own registry
-// with NewMetricsRegistry instead.
-func Metrics() *MetricsRegistry { return defaultMetrics }
-
-// NewMetricsRegistry returns a fresh, empty metrics registry.
+//	reg := etl.NewMetricsRegistry()
+//	res, err := etl.Optimize(ctx, g, etl.WithMetrics(reg))
+//	reg.Snapshot().WriteJSON(os.Stdout)
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewJournal starts a flight-recorder journal writing JSONL to w. reg,
@@ -425,7 +382,6 @@ func newSettings(opts []Option) settings {
 	s := settings{
 		search: core.Options{IncrementalCost: true},
 		algo:   HS,
-		mode:   Materialized,
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -468,12 +424,9 @@ func Run(ctx context.Context, g *Graph, bindings map[string]Recordset, opts ...O
 // engineOptions lowers the merged settings to the internal engine's option
 // vocabulary — the single translation Run and RunSuite share.
 func (s *settings) engineOptions() []engine.Option {
-	if s.partitions > 0 && !s.modeSet {
-		s.mode = Parallel
-	}
-	eopts := []engine.Option{engine.WithMode(s.mode)}
+	var eopts []engine.Option
 	if s.partitions > 0 {
-		eopts = append(eopts, engine.WithPartitions(s.partitions))
+		eopts = append(eopts, engine.WithMode(engine.Parallel), engine.WithPartitions(s.partitions))
 	}
 	if s.metrics != nil {
 		eopts = append(eopts, engine.WithMetrics(s.metrics))
@@ -508,7 +461,7 @@ func (s *settings) engineOptions() []engine.Option {
 // with the same error — and no others.
 //
 // WithSuiteWorkers, WithSharedCache and WithSharedSpill configure the
-// suite; engine options (WithMode, WithPartitions, WithFaultPlan, …) apply
+// suite; engine options (WithPartitions, WithFaultPlan, …) apply
 // to every stage and residual run; WithMetrics and WithJournal also
 // receive the shared cache's activity.
 func RunSuite(ctx context.Context, workflows []SuiteWorkflow, opts ...Option) (*SuiteResult, error) {

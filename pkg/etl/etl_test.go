@@ -117,9 +117,6 @@ func TestMetricsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if etl.Metrics() == nil || etl.Metrics() != etl.Metrics() {
-		t.Fatal("etl.Metrics() must return one stable package-level registry")
-	}
 	reg := etl.NewMetricsRegistry()
 	res, err := etl.Optimize(ctx, g, etl.WithMetrics(reg))
 	if err != nil {
@@ -134,10 +131,6 @@ func TestMetricsFacade(t *testing.T) {
 	}
 	if v, ok := snap.CounterValue(`engine_runs_total{mode="materialized"}`); !ok || v != 1 {
 		t.Errorf(`engine_runs_total{mode="materialized"} = %d, %v; want 1`, v, ok)
-	}
-	// The default registry stayed untouched by the isolated one above.
-	if _, ok := etl.Metrics().Snapshot().CounterValue("search_states_visited_total"); ok {
-		t.Error("isolated registry leaked series into etl.Metrics()")
 	}
 }
 

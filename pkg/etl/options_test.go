@@ -10,32 +10,9 @@ import (
 	"etlopt/pkg/etl"
 )
 
-// TestFullCostEvalEquivalence pins that recomputing every state's cost
-// from scratch finds the same optimum as the semi-incremental default.
-func TestFullCostEvalEquivalence(t *testing.T) {
-	ctx := context.Background()
-	g, err := etl.Parse(quickstartDSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incremental, err := etl.Optimize(ctx, g,
-		etl.WithAlgorithm(etl.ES), etl.WithMaxStates(10_000), etl.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := etl.Optimize(ctx, g,
-		etl.WithAlgorithm(etl.ES), etl.WithMaxStates(10_000), etl.WithFullCostEval())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.BestCost != incremental.BestCost {
-		t.Errorf("full cost eval changed the result: %v vs %v", full.BestCost, incremental.BestCost)
-	}
-}
-
 // TestModelAndConstraintOptions pins the remaining Optimize options: an
-// explicit row model, a group cap and empty merge constraints must all
-// reproduce the default result, and NewGraph starts empty.
+// explicit row model and empty merge constraints must reproduce the
+// default result, and NewGraph starts empty.
 func TestModelAndConstraintOptions(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -47,7 +24,7 @@ func TestModelAndConstraintOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuned, err := etl.Optimize(ctx, g,
-		etl.WithModel(cost.RowModel{}), etl.WithGroupCap(64), etl.WithMergeConstraints())
+		etl.WithModel(cost.RowModel{}), etl.WithMergeConstraints())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +36,8 @@ func TestModelAndConstraintOptions(t *testing.T) {
 	}
 }
 
-// TestRunModesViaOptions runs the quickstart workflow through both engine
-// modes using the unified options and requires identical targets.
+// TestRunModesViaOptions runs the quickstart workflow by default and with
+// WithPartitions(8) and requires identical targets.
 func TestRunModesViaOptions(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -71,28 +48,19 @@ func TestRunModesViaOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		opts []etl.Option
-	}{
-		{"materialized", []etl.Option{etl.WithMode(etl.Materialized)}},
-		{"parallel", []etl.Option{etl.WithMode(etl.Parallel), etl.WithPartitions(8)}},
-	} {
-		run, err := etl.Run(ctx, g, buildBindings(), tc.opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for name, want := range base.Targets {
-			if err := want.SameMultiset(run.Targets[name]); err != nil {
-				t.Errorf("%s: target %s differs from materialized: %v", tc.name, name, err)
-			}
+	run, err := etl.Run(ctx, g, buildBindings(), etl.WithPartitions(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range base.Targets {
+		if err := want.SameMultiset(run.Targets[name]); err != nil {
+			t.Errorf("target %s differs from the default run: %v", name, err)
 		}
 	}
 }
 
 // TestPartitionsImplyParallelMode pins the quickstart idiom: passing
-// WithPartitions alone selects Parallel mode, while an explicit WithMode
-// still wins over the implication.
+// WithPartitions alone selects Parallel mode.
 func TestPartitionsImplyParallelMode(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -115,14 +83,6 @@ func TestPartitionsImplyParallelMode(t *testing.T) {
 	}
 	if v, ok := reg.Snapshot().CounterValue(`engine_runs_total{mode="parallel"}`); !ok || v != 1 {
 		t.Errorf("WithPartitions alone did not run parallel: runs=%d ok=%v", v, ok)
-	}
-	reg = etl.NewMetricsRegistry()
-	if _, err := etl.Run(ctx, g, buildBindings(),
-		etl.WithMode(etl.Materialized), etl.WithPartitions(3), etl.WithMetrics(reg)); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := reg.Snapshot().CounterValue(`engine_runs_total{mode="materialized"}`); !ok || v != 1 {
-		t.Errorf("explicit WithMode lost to the partitions implication: runs=%d ok=%v", v, ok)
 	}
 }
 
@@ -202,7 +162,6 @@ func TestOneOptionSliceForBothEntryPoints(t *testing.T) {
 	opts := []etl.Option{
 		etl.WithAlgorithm(etl.HS),
 		etl.WithWorkers(2),
-		etl.WithMode(etl.Parallel),
 		etl.WithPartitions(4),
 		etl.WithMetrics(reg),
 	}
