@@ -6,9 +6,34 @@ import (
 	"errors"
 	"testing"
 
+	"etlopt/internal/core"
 	"etlopt/internal/cost"
 	"etlopt/pkg/etl"
 )
+
+// TestFullCostEvalEquivalence pins that the facade's ES, which costs each
+// state semi-incrementally, finds the same optimum as a search that
+// recomputes every state's cost from scratch.
+func TestFullCostEvalEquivalence(t *testing.T) {
+	ctx := context.Background()
+	g, err := etl.Parse(quickstartDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	incremental, err := etl.Optimize(ctx, g,
+		etl.WithAlgorithm(etl.ES), etl.WithMaxStates(10_000), etl.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := core.Exhaustive(ctx, g, core.Options{MaxStates: 10_000, IncrementalCost: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.BestCost != incremental.BestCost || full.Visited != incremental.Visited {
+		t.Errorf("full cost eval changed the result: (%v,%d) vs (%v,%d)",
+			full.BestCost, full.Visited, incremental.BestCost, incremental.Visited)
+	}
+}
 
 // TestModelAndConstraintOptions pins the remaining Optimize options: an
 // explicit row model and empty merge constraints must reproduce the
