@@ -1,11 +1,13 @@
 package etl_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
 
+	"etlopt/internal/generator"
 	"etlopt/pkg/etl"
 )
 
@@ -131,6 +133,69 @@ func TestMetricsFacade(t *testing.T) {
 	}
 	if v, ok := snap.CounterValue(`engine_runs_total{mode="materialized"}`); !ok || v != 1 {
 		t.Errorf(`engine_runs_total{mode="materialized"} = %d, %v; want 1`, v, ok)
+	}
+}
+
+// TestJournalAloneRecordsEveryLayer pins that a journal opened with a
+// registry is the only observability handle a pipeline needs: passed
+// alone through WithJournal to Optimize, Run and RunSuite, its trailer
+// snapshot carries the search's, the engine's and the shared cache's
+// series.
+func TestJournalAloneRecordsEveryLayer(t *testing.T) {
+	ctx := context.Background()
+	g, err := etl.Parse(quickstartDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	j := etl.NewJournal(&buf, etl.NewMetricsRegistry())
+	res, err := etl.Optimize(ctx, g, etl.WithJournal(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := etl.Run(ctx, res.Best, buildBindings(), etl.WithJournal(j)); err != nil {
+		t.Fatal(err)
+	}
+	scs, err := generator.SharedSuite(generator.Small, 2, 2026)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wfs := make([]etl.SuiteWorkflow, len(scs))
+	for i, sc := range scs {
+		wfs[i] = etl.SuiteWorkflow{Graph: sc.Graph, Bindings: sc.Bind()}
+	}
+	if _, err := etl.RunSuite(ctx, wfs, etl.WithJournal(j)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := etl.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := evs[len(evs)-1]
+	if trailer.T != "summary" || trailer.Snapshot == nil {
+		t.Fatalf("journal of %d events ends without a snapshot trailer", len(evs))
+	}
+	snap := trailer.Snapshot
+	families := map[string]bool{}
+	for _, c := range snap.Counters {
+		families[c.Family] = true
+	}
+	for _, gp := range snap.Gauges {
+		families[gp.Family] = true
+	}
+	for _, want := range []string{
+		"search_states_visited_total",
+		"engine_rows_out_total",
+		"engine_selectivity_observed",
+		"shared_cache_lookups_total",
+	} {
+		if !families[want] {
+			t.Errorf("trailer snapshot (%d counters, %d gauges for %d events) lacks %s",
+				len(snap.Counters), len(snap.Gauges), len(evs), want)
+		}
 	}
 }
 
