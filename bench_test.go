@@ -597,10 +597,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					opts := core.Options{MaxStates: algo.max, IncrementalCost: true}
 					if on {
-						opts.Metrics = obs.NewRegistry()
+						opts.Journal = obs.NewJournal(io.Discard, obs.NewRegistry())
 					}
 					var err error
 					res, err = algo.run(context.Background(), sc.Graph, opts)
+					opts.Journal.Close()
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -77,11 +77,9 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	var reg *obs.Registry
 	var jnl *obs.Journal
 	if *journal != "" {
-		reg = obs.NewRegistry()
-		jnl, err = obs.NewJournalFile(*journal, reg)
+		jnl, err = obs.NewJournalFile(*journal, obs.NewRegistry())
 		if err != nil {
 			return err
 		}
@@ -114,7 +112,6 @@ func run() error {
 		MaxStates:       *maxStates,
 		Workers:         *workers,
 		IncrementalCost: true,
-		Metrics:         reg,
 		Journal:         jnl,
 		PprofLabels:     *cpuProf != "",
 	}

@@ -147,11 +147,9 @@ func run() error {
 		return printImpact(g, *impact)
 	}
 
-	var reg *obs.Registry
 	var jnl *obs.Journal
 	if *journal != "" {
-		reg = obs.NewRegistry()
-		jnl, err = obs.NewJournalFile(*journal, reg)
+		jnl, err = obs.NewJournalFile(*journal, obs.NewRegistry())
 		if err != nil {
 			return err
 		}
@@ -177,7 +175,7 @@ func run() error {
 	}
 	if search != nil {
 		res, err := search(ctx, g, core.Options{
-			IncrementalCost: true, MaxStates: 30_000, Metrics: reg, Workers: *workers,
+			IncrementalCost: true, MaxStates: 30_000, Workers: *workers,
 			Journal: jnl, PprofLabels: *cpuProf != "",
 		})
 		if err != nil {
@@ -193,7 +191,7 @@ func run() error {
 		return err
 	}
 
-	eopts = append(eopts, engine.WithMetrics(reg), engine.WithJournal(jnl))
+	eopts = append(eopts, engine.WithJournal(jnl))
 	if *cpuProf != "" {
 		eopts = append(eopts, engine.WithPprofLabels())
 	}
@@ -201,10 +199,7 @@ func run() error {
 
 	var result *engine.RunResult
 	if *checkpoint != "" {
-		cr, err := engine.NewCheckpointRunner(e, *checkpoint)
-		if err != nil {
-			return err
-		}
+		cr := engine.NewCheckpointRunner(e, *checkpoint)
 		if staged, _ := cr.Staged(); len(staged) > 0 {
 			fmt.Printf("resuming: %d staged stages found\n", len(staged))
 		}

@@ -31,12 +31,10 @@ func runSuite(files []string, f suiteFlags) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	var reg *obs.Registry
 	var jnl *obs.Journal
 	if f.journal != "" {
 		var err error
-		reg = obs.NewRegistry()
-		jnl, err = obs.NewJournalFile(f.journal, reg)
+		jnl, err = obs.NewJournalFile(f.journal, obs.NewRegistry())
 		if err != nil {
 			return err
 		}
@@ -70,9 +68,8 @@ func runSuite(files []string, f suiteFlags) error {
 		Workers:    f.workers,
 		CacheBytes: f.cacheBytes,
 		SpillDir:   f.spillDir,
-		Engine:     append(f.engine, engine.WithMetrics(reg), engine.WithJournal(jnl)),
+		Engine:     f.engine,
 		Journal:    jnl,
-		Metrics:    reg,
 	})
 	if err != nil {
 		return err

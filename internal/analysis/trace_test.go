@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -229,7 +230,9 @@ func TestUntracedSearchCountsItsPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	res, err := core.Heuristic(context.Background(), sc.Graph, core.Options{Metrics: reg})
+	j := obs.NewJournal(io.Discard, reg)
+	res, err := core.Heuristic(context.Background(), sc.Graph, core.Options{Journal: j})
+	j.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +267,9 @@ func TestEverySearchRecordsAnAuditablePath(t *testing.T) {
 				var first []core.TraceStep
 				for _, workers := range []int{1, 4} {
 					reg := obs.NewRegistry()
-					res, err := search(context.Background(), sc.Graph, core.Options{MaxStates: 5000, Workers: workers, Metrics: reg})
+					j := obs.NewJournal(io.Discard, reg)
+					res, err := search(context.Background(), sc.Graph, core.Options{MaxStates: 5000, Workers: workers, Journal: j})
+					j.Close()
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -64,21 +64,18 @@ type Options struct {
 	// DisablePhaseI skips HS Phase I (ablation A3; the paper argues the
 	// phase pays for itself despite Phase IV's repetition).
 	DisablePhaseI bool
-	// Metrics, when non-nil, receives the search's observability series:
-	// states generated/visited/deduped, per-transition-kind attempt and
-	// accept counts, frontier size, per-worker pool utilization and the
-	// best cost as a live gauge (see internal/obs and DESIGN.md §6).
-	// Collection is write-only — instruments are never read back — so
-	// results are bit-identical with metrics on or off; nil (the default)
-	// disables collection at the cost of one nil check per event.
-	Metrics *obs.Registry
 	// Journal, when non-nil, receives the search's flight-recorder event
 	// stream (see obs.Journal): run and phase boundaries, every transition
-	// attempt/accept/prune and new-best transitions with their cost.
-	// Emission is non-blocking and
+	// attempt/accept/prune and new-best transitions with their cost. The
+	// registry the journal was opened with, if any, receives the search's
+	// observability series: states generated/visited/deduped,
+	// per-transition-kind attempt and accept counts, frontier size,
+	// per-worker pool utilization and the best cost as a live gauge (see
+	// internal/obs and DESIGN.md §6). Emission is non-blocking and
 	// write-only — a saturated or failing journal drops events (counted)
-	// rather than perturbing the search — so results are bit-identical with
-	// the journal on or off (pinned by TestJournalDoesNotAffectSearch).
+	// rather than perturbing the search, and no instrument is read back —
+	// so results are bit-identical with the journal on or off (pinned by
+	// TestJournalDoesNotAffectSearch).
 	Journal *obs.Journal
 	// PprofLabels, when true, tags the search's worker goroutines with
 	// runtime/pprof labels (etl=search, etl_worker=<index>) so CPU profiles
@@ -171,7 +168,7 @@ type search struct {
 	// (see workflow.SpliceSignature). The target count is invariant under
 	// all five transitions, so it is computed once from the initial state.
 	singleChain bool
-	// m is never nil: with Options.Metrics unset its handles are nil and
+	// m is never nil: without a journal registry its handles are nil and
 	// every record degrades to a no-op.
 	m *searchMetrics
 	// admitLog, when non-nil, receives every signature passed to admit, one
@@ -189,7 +186,7 @@ func newSearch(ctx context.Context, opts Options) *search {
 		pool:    newPool(opts.Workers),
 		visited: newVisitedSet(),
 		model:   cost.NewMemo(opts.Model),
-		m:       newSearchMetrics(opts.Metrics, opts.Journal, opts.Workers),
+		m:       newSearchMetrics(opts.Journal, opts.Workers),
 	}
 	s.pool.busy = s.m.busyHook()
 	if opts.PprofLabels {

@@ -103,8 +103,8 @@ func TestJournalDoesNotAffectSearch(t *testing.T) {
 	}
 }
 
-// TestJournalTransitionCountsMatchMetrics runs one search with both the
-// journal and the metrics registry attached and cross-checks the two
+// TestJournalTransitionCountsMatchMetrics runs one search with a journal
+// opened with a metrics registry and cross-checks the two
 // reporting channels against each other: per-op journal counts must equal
 // the exported attempt/accept counters, and prune counts must sum to the
 // deduped counter.
@@ -118,7 +118,7 @@ func TestJournalTransitionCountsMatchMetrics(t *testing.T) {
 	j := obs.NewJournal(&buf, reg)
 	_, err = Heuristic(context.Background(), sc.Graph, Options{
 		IncrementalCost: true, MaxStates: 3000, Workers: 2,
-		Metrics: reg, Journal: j,
+		Journal: j,
 	})
 	if err != nil {
 		t.Fatal(err)

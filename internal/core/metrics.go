@@ -12,7 +12,7 @@ import (
 var opNames = [...]string{"SWA", "FAC", "DIS", "MER", "SPL"}
 
 // searchMetrics records one search. It is always allocated — with
-// Options.Metrics and Options.Journal unset its recorder and handles are
+// Options.Journal unset its recorder and handles are
 // nil and every record call below degrades to a single nil check, which is
 // what keeps the disabled search within its overhead budget.
 //
@@ -42,12 +42,13 @@ type searchMetrics struct {
 	workerBusy []*obs.Gauge // search_worker_busy_seconds{worker}: per-worker pool time
 }
 
-// newSearchMetrics builds the recorder and handle set against a registry
-// and a journal (nil registry → all-nil handles). Series are registered
+// newSearchMetrics builds the recorder and handle set against a journal
+// and its registry (no registry → all-nil handles). Series are registered
 // eagerly so a snapshot taken after any run carries the full schema, zeros
 // included — consumers of `etlvet obs -format snapshot` can then assert on
 // series presence.
-func newSearchMetrics(r *obs.Registry, j *obs.Journal, workers int) *searchMetrics {
+func newSearchMetrics(j *obs.Journal, workers int) *searchMetrics {
+	r := j.Registry()
 	m := &searchMetrics{
 		reg:         r,
 		rec:         obs.NewRecorder(r, j),

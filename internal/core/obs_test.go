@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // TestMetricsDoNotAffectSearch is the obs determinism guard: collection
 // must never feed back into search ordering. Every algorithm, at several
 // worker widths, must produce bit-identical signatures, costs and search
-// statistics with metrics enabled and disabled.
+// statistics with metrics (a journal's registry) enabled and disabled.
 func TestMetricsDoNotAffectSearch(t *testing.T) {
 	ctx := context.Background()
 	algos := map[string]func(context.Context, *workflow.Graph, Options) (*Result, error){
@@ -33,9 +34,11 @@ func TestMetricsDoNotAffectSearch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s workers=%d metrics off: %v", seed, name, workers, err)
 				}
+				reg := obs.NewRegistry()
 				withM := base
-				withM.Metrics = obs.NewRegistry()
+				withM.Journal = obs.NewJournal(io.Discard, reg)
 				on, err := algo(ctx, sc.Graph, withM)
+				withM.Journal.Close()
 				if err != nil {
 					t.Fatalf("seed %d %s workers=%d metrics on: %v", seed, name, workers, err)
 				}
@@ -53,7 +56,7 @@ func TestMetricsDoNotAffectSearch(t *testing.T) {
 				}
 				// The exported counters must agree with the Result they
 				// describe.
-				snap := withM.Metrics.Snapshot()
+				snap := reg.Snapshot()
 				if v, _ := snap.CounterValue("search_states_generated_total"); v != int64(on.Generated) {
 					t.Errorf("seed %d %s workers=%d: generated series %d != Result.Generated %d",
 						seed, name, workers, v, on.Generated)
@@ -78,9 +81,11 @@ func TestMetricsSeriesDeterministic(t *testing.T) {
 	}
 	counters := func(workers int) map[string]int64 {
 		reg := obs.NewRegistry()
+		j := obs.NewJournal(io.Discard, reg)
 		_, err := Heuristic(ctx, sc.Graph, Options{
-			IncrementalCost: true, MaxStates: 3000, Workers: workers, Metrics: reg,
+			IncrementalCost: true, MaxStates: 3000, Workers: workers, Journal: j,
 		})
+		j.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -114,9 +119,11 @@ func TestPathStepCountersMatchTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
+	j := obs.NewJournal(io.Discard, reg)
 	res, err := Heuristic(ctx, sc.Graph, Options{
-		IncrementalCost: true, Metrics: reg,
+		IncrementalCost: true, Journal: j,
 	})
+	j.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

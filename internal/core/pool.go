@@ -20,7 +20,7 @@ import (
 type pool struct {
 	workers int
 	// busy, when non-nil, receives each worker's total time inside one run
-	// call — the per-worker utilization feed of Options.Metrics. The hook
+	// call — the per-worker utilization feed of the journal's registry. The hook
 	// must be safe for concurrent use; nil (the default) keeps run free of
 	// clock reads.
 	busy func(worker int, d time.Duration)

@@ -162,23 +162,6 @@ func TestRowsSameMultisetNamesTheRecord(t *testing.T) {
 	}
 }
 
-func TestSortRows(t *testing.T) {
-	rows := Rows{
-		{NewInt(2), NewString("b")},
-		{NewInt(1), NewString("z")},
-		{NewInt(2), NewString("a")},
-	}
-	SortRows(rows, []int{0, 1})
-	want := Rows{
-		{NewInt(1), NewString("z")},
-		{NewInt(2), NewString("a")},
-		{NewInt(2), NewString("b")},
-	}
-	if rows.Digest() != want.Digest() {
-		t.Fatalf("sorted %v, want %v", rows, want)
-	}
-}
-
 func TestSplitRoundRobin(t *testing.T) {
 	rows := make(Rows, 11)
 	for i := range rows {

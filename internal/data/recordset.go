@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -489,18 +488,4 @@ func recordFields(rec Record) []string {
 		}
 	}
 	return fields
-}
-
-// SortRows sorts rows in place by the given attribute positions, using
-// Value.Compare lexicographically. It is a stable sort so that equal keys
-// preserve input order.
-func SortRows(rows Rows, positions []int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, p := range positions {
-			if c := rows[i][p].Compare(rows[j][p]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }

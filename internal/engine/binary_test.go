@@ -241,10 +241,7 @@ func TestUnknownModeRefused(t *testing.T) {
 	scans := 0
 	bindings["PARTS1"] = countingRecordset{Recordset: bindings["PARTS1"], scans: &scans}
 	e := New(bindings, WithMode(Parallel+1))
-	cr, err := NewCheckpointRunner(e, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(e, t.TempDir())
 	for _, run := range []func(context.Context, *workflow.Graph) (*RunResult, error){e.Run, cr.Run} {
 		if _, err := run(context.Background(), sc.Graph); err == nil || !strings.Contains(err.Error(), "unknown mode") {
 			t.Errorf("err = %v, want an unknown-mode error", err)

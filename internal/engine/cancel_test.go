@@ -32,10 +32,7 @@ func TestRunCancelled(t *testing.T) {
 			e := New(sc.Bind(), WithMode(mode.mode), WithPartitions(4))
 			run := e.Run
 			if mode.checkpoint {
-				cr, err := NewCheckpointRunner(e, t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
+				cr := NewCheckpointRunner(e, t.TempDir())
 				run = cr.Run
 			}
 			before := runtime.NumGoroutine()
@@ -62,10 +59,7 @@ func TestRunCancelled(t *testing.T) {
 func TestCheckpointRunCancelled(t *testing.T) {
 	sc := templates.Fig1Scenario(50, 150)
 	dir := t.TempDir()
-	cr, err := NewCheckpointRunner(New(sc.Bind()), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(sc.Bind()), dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := cr.Run(ctx, sc.Graph); !errors.Is(err, context.Canceled) {

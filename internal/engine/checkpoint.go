@@ -45,8 +45,8 @@ const manifestMagic = "etlstage 2\n"
 
 // NewCheckpointRunner wraps an engine with staging in dir, which a run
 // creates when it needs it (and removes when it leaves it empty).
-func NewCheckpointRunner(e *Engine, dir string) (*CheckpointRunner, error) {
-	return &CheckpointRunner{engine: e, dir: dir, manifest: filepath.Join(dir, "MANIFEST")}, nil
+func NewCheckpointRunner(e *Engine, dir string) *CheckpointRunner {
+	return &CheckpointRunner{engine: e, dir: dir, manifest: filepath.Join(dir, "MANIFEST")}
 }
 
 func (c *CheckpointRunner) stagePath(id workflow.NodeID) string {

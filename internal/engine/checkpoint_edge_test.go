@@ -23,10 +23,7 @@ func crashStaging(t testing.TB, sc *templates.Scenario) string {
 	failures := 1
 	bindings["PARTS2"] = failingRecordset{Recordset: bindings["PARTS2"], failuresLeft: &failures}
 	dir := filepath.Join(t.TempDir(), "stage")
-	cr, err := NewCheckpointRunner(New(bindings), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(bindings), dir)
 	if _, err := cr.Run(context.Background(), sc.Graph); !errors.Is(err, errInjected) {
 		t.Fatalf("setup run should fail with the injected error, got %v", err)
 	}
@@ -114,7 +111,7 @@ func TestCheckpointStagingDamage(t *testing.T) {
 			}
 		}},
 		{name: "corrupt staged rows", damage: func(t *testing.T, dir string) {
-			cr, _ := NewCheckpointRunner(nil, dir)
+			cr := NewCheckpointRunner(nil, dir)
 			staged, err := cr.Staged()
 			if err != nil {
 				t.Fatal(err)
@@ -141,10 +138,7 @@ func TestCheckpointStagingDamage(t *testing.T) {
 				c.damage(t, dir)
 			}
 			before := dirFiles(t, dir)
-			cr, err := NewCheckpointRunner(New(sc.Bind()), dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cr := NewCheckpointRunner(New(sc.Bind()), dir)
 			res, err := cr.Run(context.Background(), sc.Graph)
 			switch {
 			case c.want == refused:
@@ -191,10 +185,7 @@ func FuzzCheckpointManifest(f *testing.F) {
 			t.Fatal(err)
 		}
 		before := dirFiles(t, dir)
-		cr, err := NewCheckpointRunner(New(sc.Bind()), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cr := NewCheckpointRunner(New(sc.Bind()), dir)
 		res, err := cr.Run(context.Background(), sc.Graph)
 		if err == nil {
 			sameAsClean(t, sc, res)
@@ -261,11 +252,8 @@ func TestCheckpointRemovesOnlyItsOwnFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			before, _ := os.ReadDir(dir)
-			cr, err := NewCheckpointRunner(New(sc.Bind()), dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = cr.Run(context.Background(), c.g)
+			cr := NewCheckpointRunner(New(sc.Bind()), dir)
+			_, err := cr.Run(context.Background(), c.g)
 			after, _ := os.ReadDir(dir)
 			switch {
 			case c.refused:
@@ -319,11 +307,8 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 	bindings["PARTS2"] = cancellingRecordset{Recordset: bindings["PARTS2"], cancel: cancel, scans: &scans}
 
 	dir := filepath.Join(t.TempDir(), "stage")
-	cr, err := NewCheckpointRunner(New(bindings), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = cr.Run(ctx, sc.Graph)
+	cr := NewCheckpointRunner(New(bindings), dir)
+	_, err := cr.Run(ctx, sc.Graph)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run should return context.Canceled, got %v", err)
 	}
@@ -366,10 +351,7 @@ func TestCheckpointResumeAfterCancellation(t *testing.T) {
 // with one byte flipped, or of another schema it is a *data.RowFileError
 // whose message names the stage.
 func TestLoadStageDamage(t *testing.T) {
-	cr, err := NewCheckpointRunner(New(nil), t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(nil), t.TempDir())
 	schema := data.Schema{"A", "B"}
 	rows := data.Rows{{data.NewString("007"), data.NewFloat(2)}, {data.NewString("NULL"), data.Null}}
 	if err := data.WriteRowFile(cr.stagePath(7), schema, rows); err != nil {

@@ -34,10 +34,7 @@ func (f failingRecordset) Scan() (data.Rows, error) {
 func TestCheckpointRunCompletes(t *testing.T) {
 	sc := templates.Fig1Scenario(80, 240)
 	dir := filepath.Join(t.TempDir(), "stage")
-	cr, err := NewCheckpointRunner(New(sc.Bind()), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(sc.Bind()), dir)
 	res, err := cr.Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +67,7 @@ func TestCheckpointResumeAfterFailure(t *testing.T) {
 	bindings["PARTS2"] = failingRecordset{Recordset: bindings["PARTS2"], failuresLeft: &failures}
 
 	dir := filepath.Join(t.TempDir(), "stage")
-	cr, err := NewCheckpointRunner(New(bindings), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(bindings), dir)
 	if _, err := cr.Run(context.Background(), sc.Graph); !errors.Is(err, errInjected) {
 		t.Fatalf("first run should fail with the injected error, got %v", err)
 	}
@@ -105,10 +99,7 @@ func TestCheckpointResumeSkipsCompletedWork(t *testing.T) {
 	bindings["PARTS2"] = failingRecordset{Recordset: bindings["PARTS2"], failuresLeft: &failures}
 
 	dir := filepath.Join(t.TempDir(), "stage")
-	cr, err := NewCheckpointRunner(New(bindings), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(bindings), dir)
 	cr.Run(context.Background(), sc.Graph) // fails after staging PARTS1's scan
 	if scans != 1 {
 		t.Fatalf("PARTS1 scanned %d times before failure", scans)
@@ -138,10 +129,7 @@ func TestCheckpointSignatureMismatchClearsStage(t *testing.T) {
 	bindings["PARTS2"] = failingRecordset{Recordset: bindings["PARTS2"], failuresLeft: &failures}
 
 	dir := filepath.Join(t.TempDir(), "stage")
-	cr, err := NewCheckpointRunner(New(bindings), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(bindings), dir)
 	cr.Run(context.Background(), sc.Graph) // leaves stages behind
 
 	// A *different* workflow (one more activity) must not consume them.
@@ -240,18 +228,12 @@ func TestCheckpointKeepsKinds(t *testing.T) {
 		}
 		dir := filepath.Join(t.TempDir(), "stage")
 		once := 1
-		crash, err := NewCheckpointRunner(New(bind(&once), opts...), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		crash := NewCheckpointRunner(New(bind(&once), opts...), dir)
 		if _, err := crash.Run(context.Background(), g); !errors.Is(err, errInjected) {
 			t.Fatalf("P=%d: the crashing run returned %v, want the injected error", p, err)
 		}
 		got, gotEvents, restored := journalNodeRows(t, g, func(j *obs.Journal) (*RunResult, error) {
-			cr, err := NewCheckpointRunner(New(bind(&none), append(opts, WithJournal(j))...), dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cr := NewCheckpointRunner(New(bind(&none), append(opts, WithJournal(j))...), dir)
 			return cr.Run(context.Background(), g)
 		})
 		if got == nil {
@@ -304,10 +286,7 @@ func TestCheckpointNullsSurviveStaging(t *testing.T) {
 		"S": data.NewMemoryRecordset("S", schema).MustLoad(rows),
 	}
 	dir := filepath.Join(t.TempDir(), "stage")
-	cr, err := NewCheckpointRunner(New(bindings), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(bindings), dir)
 	res, err := cr.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ type Engine struct {
 	// partitions is Parallel mode's worker count; 0 means GOMAXPROCS.
 	partitions int
 	// metrics, when non-nil, receives the engine's observability series
-	// (see WithMetrics); nil disables collection.
+	// (see WithMetrics); forRun falls back to the journal's registry.
 	metrics *obs.Registry
 	// journal, when non-nil, receives the flight-recorder event stream of
 	// each run (see WithJournal); nil disables emission.
@@ -318,14 +318,14 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		body := func() error {
 			var err error
 			if restored { // ran nowhere: no partition or second to report
-				if err := e.checkFault(ctx, fault.SiteRestore, id, n, 0); err != nil {
+				if err := e.checkFault(fault.SiteRestore, id, n, 0); err != nil {
 					return err
 				}
 				rows, err = stage.loadStage(id, n.Out)
 				pd, counts = scatterRows(rows, p), members
 				return err
 			}
-			if err := e.checkFault(ctx, fault.SiteNodeStart, id, n, 0); err != nil {
+			if err := e.checkFault(fault.SiteNodeStart, id, n, 0); err != nil {
 				return err
 			}
 			emitParts := 1
@@ -363,7 +363,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			// fires (forEachPartition's no-short-circuit rule), so the
 			// plan's schedule is independent of which partition fails first.
 			for q := 0; q < emitParts && e.faults != nil; q++ {
-				if ferr := e.checkFault(ctx, fault.SiteEmit, id, n, q); ferr != nil && err == nil {
+				if ferr := e.checkFault(fault.SiteEmit, id, n, q); ferr != nil && err == nil {
 					err = ferr
 				}
 			}
@@ -394,7 +394,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				counts[len(ids)-1] = pd.total()
 			}
 			if stageable {
-				if err := e.checkFault(ctx, fault.SiteStage, id, n, 0); err != nil {
+				if err := e.checkFault(fault.SiteStage, id, n, 0); err != nil {
 					return err
 				}
 				if activity {
@@ -522,11 +522,15 @@ type lookupUse struct {
 
 // forRun returns the copy of the engine a run executes on: it carries a
 // fresh lookup cache and the run's recorder, and shares the (read-only)
-// bindings, registry and journal.
+// bindings, registry and journal. The run's registry is WithMetrics's,
+// else the journal's.
 func (e *Engine) forRun() *Engine {
 	ec := *e
 	ec.lookups = &lookupCache{tables: make(map[lookupUse]*keyTable)}
-	ec.rec = obs.NewRecorder(e.metrics, e.journal)
+	if ec.metrics == nil {
+		ec.metrics = e.journal.Registry()
+	}
+	ec.rec = obs.NewRecorder(ec.metrics, e.journal)
 	return &ec
 }
 

@@ -31,11 +31,11 @@ func WithRetry(p fault.Policy) Option { return func(e *Engine) { e.retry = p } }
 
 // checkFault consults the fault plan at one injection point, recording a
 // fault event when it fires. Nil-plan calls are a single pointer test.
-func (e *Engine) checkFault(ctx context.Context, site fault.Site, id workflow.NodeID, n *workflow.Node, part int) error {
+func (e *Engine) checkFault(site fault.Site, id workflow.NodeID, n *workflow.Node, part int) error {
 	if e.faults == nil {
 		return nil
 	}
-	err := e.faults.Check(ctx, site, int(id), part)
+	err := e.faults.Check(site, int(id), part)
 	if err == nil {
 		return nil
 	}

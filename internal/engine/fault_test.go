@@ -115,12 +115,9 @@ func TestEngineTransientFaultWithoutRetrySurfaces(t *testing.T) {
 func TestCheckpointRunnerRetriesFaults(t *testing.T) {
 	sc := templates.Fig1Scenario(60, 180)
 	plan := fault.NewPlan(5, 1.0)
-	cr, err := NewCheckpointRunner(
+	cr := NewCheckpointRunner(
 		New(sc.Bind(), WithFaultPlan(plan), WithRetry(fault.Policy{MaxAttempts: 8, Seed: 5})),
 		filepath.Join(t.TempDir(), "stage"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := cr.Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatalf("checkpointed run failed despite retries (%d faults fired): %v", plan.Injected(), err)

@@ -175,10 +175,7 @@ func journalCheckpointActions(t *testing.T, ctx context.Context, sc *templates.S
 	t.Helper()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, nil)
-	cr, err := NewCheckpointRunner(New(sc.Bind(), WithJournal(j)), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(sc.Bind(), WithJournal(j)), dir)
 	_, runErr := cr.Run(ctx, sc.Graph)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -240,7 +237,7 @@ func TestJournalCheckpointEvents(t *testing.T) {
 		t.Fatalf("cancelled run left no manifest: %v", err)
 	}
 	eng := New(sc.Bind())
-	seeder, _ := NewCheckpointRunner(eng, dir)
+	seeder := NewCheckpointRunner(eng, dir)
 	src := sc.Graph.Sources()[0]
 	n := sc.Graph.Node(src)
 	rows, err := eng.scanSource(n)
@@ -287,10 +284,7 @@ func TestCheckpointRunIsObserved(t *testing.T) {
 			j := obs.NewJournal(&buf, nil)
 			reg := obs.NewRegistry()
 			e := New(sc.Bind(), append([]Option{WithJournal(j), WithMetrics(reg)}, cfg.opts...)...)
-			cr, err := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			cr := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
 			res, err := cr.Run(context.Background(), sc.Graph)
 			if err != nil {
 				t.Fatal(err)

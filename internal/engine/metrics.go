@@ -12,7 +12,8 @@ import (
 // WithMetrics attaches an observability registry to the engine: each run
 // then reports per-activity and per-partition output row counts, activity
 // seconds, exchanged rows and observed-vs-modeled selectivities, folded
-// from the run's events (obs.Recorder).
+// from the run's events (obs.Recorder). It is for a registry with no
+// journal: a journal's own registry is the run's without it (WithJournal).
 // Collection is write-only — the engine never reads an instrument back —
 // so execution results are identical with metrics on or off. A nil registry
 // leaves collection disabled (the default).
@@ -21,8 +22,9 @@ func WithMetrics(r *obs.Registry) Option { return func(e *Engine) { e.metrics = 
 // WithJournal attaches a flight-recorder journal: each run then emits
 // typed events (run boundaries, per-node row counts and kernel seconds,
 // per-partition batch sizes, repartition exchanges, selectivity drift)
-// into the journal's bounded stream. Like the metrics registry, the
-// journal is write-only and non-blocking, so execution results are
+// into the journal's bounded stream, and folds its series into the
+// registry the journal was opened with (unless WithMetrics names one).
+// The journal is write-only and non-blocking, so execution results are
 // bit-identical with journaling on or off (pinned by
 // TestJournalDoesNotAffectExecution). A nil journal disables emission.
 func WithJournal(j *obs.Journal) Option { return func(e *Engine) { e.journal = j } }

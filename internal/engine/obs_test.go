@@ -132,7 +132,7 @@ func TestEveryActivityHasItsSpan(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, reg)
-	if _, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(4), WithMetrics(reg), WithJournal(j)).Run(context.Background(), sc.Graph); err != nil {
+	if _, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(4), WithJournal(j)).Run(context.Background(), sc.Graph); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

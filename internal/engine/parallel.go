@@ -257,7 +257,7 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	// and counts them per destination. Nothing is copied.
 	hashes, counts := make([][]uint64, p), make([][]int, p) // [src][row], [src][dst]
 	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
-		if err := e.checkFault(ctx, fault.SiteExchange, id, n, q); err != nil {
+		if err := e.checkFault(fault.SiteExchange, id, n, q); err != nil {
 			return err
 		}
 		hashes[q], counts[q] = hashKeys(pd.parts[q].rows, pos).hashes, make([]int, p)

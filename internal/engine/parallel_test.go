@@ -140,10 +140,7 @@ func TestLookupsScannedOncePerRun(t *testing.T) {
 			e := New(bindings, c.opts...)
 			run := e.Run
 			if c.checkpoint {
-				cr, err := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
-				if err != nil {
-					t.Fatal(err)
-				}
+				cr := NewCheckpointRunner(e, filepath.Join(t.TempDir(), "stage"))
 				run = cr.Run
 			}
 			for pass := 1; pass <= 2; pass++ {

@@ -344,10 +344,8 @@ func TestCheckpointResumeScansOnlyUnstagedSources(t *testing.T) {
 		}
 		return nil
 	}
-	cr, err := NewCheckpointRunner(New(b), filepath.Join(t.TempDir(), "stage"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := NewCheckpointRunner(New(b), filepath.Join(t.TempDir(), "stage"))
+	var err error
 	within(t, time.Minute, func() { _, err = cr.Run(context.Background(), g) })
 	if err == nil || !strings.Contains(err.Error(), "scanning SRC3") {
 		t.Fatalf("first run: err = %v, want SRC3's scan error", err)

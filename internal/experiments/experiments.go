@@ -73,13 +73,10 @@ type SuiteConfig struct {
 	// Verify additionally runs every optimized workflow against the
 	// empirical equivalence oracle (slower; always on in tests).
 	Verify bool
-	// Metrics, when non-nil, collects the observability series of every
-	// search and every execution in the suite (etlbench builds one with
-	// -journal, whose trailer carries its snapshot).
-	Metrics *obs.Registry
 	// Journal, when non-nil, receives the flight-recorder event stream of
 	// every search and every execution in the suite (etlbench's -journal
-	// flag). The caller owns the journal and closes it after the suite.
+	// flag), and the registry it was opened with, if any, their series.
+	// The caller owns the journal and closes it after the suite.
 	Journal *obs.Journal
 	// Progress, when non-nil, receives one line per workflow.
 	Progress io.Writer
@@ -144,7 +141,6 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 		MaxStates:       cfg.ESBudget,
 		Workers:         cfg.Workers,
 		IncrementalCost: true,
-		Metrics:         cfg.Metrics,
 		Journal:         cfg.Journal,
 	})
 	if err != nil {
@@ -154,7 +150,6 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 		MaxStates:       cfg.HSBudget,
 		Workers:         cfg.Workers,
 		IncrementalCost: true,
-		Metrics:         cfg.Metrics,
 		Journal:         cfg.Journal,
 	})
 	if err != nil {
@@ -164,7 +159,6 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 		MaxStates:       cfg.HSBudget,
 		Workers:         cfg.Workers,
 		IncrementalCost: true,
-		Metrics:         cfg.Metrics,
 		Journal:         cfg.Journal,
 	})
 	if err != nil {
@@ -174,9 +168,8 @@ func runOne(ctx context.Context, cat generator.Category, sc *templates.Scenario,
 	// Execute the initial workflow on its generated data and compare each
 	// activity's observed selectivity against the modeled value the search
 	// just optimized under: Table 2's "sel drift" column. The run also
-	// feeds the engine's observability series when cfg.Metrics is set.
-	runRes, err := engine.New(sc.Bind(), engine.WithMetrics(cfg.Metrics),
-		engine.WithJournal(cfg.Journal)).Run(ctx, g)
+	// records into cfg.Journal.
+	runRes, err := engine.New(sc.Bind(), engine.WithJournal(cfg.Journal)).Run(ctx, g)
 	if err != nil {
 		return res, fmt.Errorf("executing initial workflow: %w", err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestSuiteDeterminism(t *testing.T) {
 	}
 }
 
-// TestSuiteMetrics checks that a registry attached to the suite collects
+// TestSuiteMetrics checks that the registry of the suite's journal collects
 // both the optimizer's and the executor's series, and that attaching it
 // does not change any result.
 func TestSuiteMetrics(t *testing.T) {
@@ -122,8 +123,9 @@ func TestSuiteMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cfg.Metrics = reg
+	cfg.Journal = obs.NewJournal(io.Discard, reg)
 	instr, err := RunSuite(context.Background(), cfg)
+	cfg.Journal.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

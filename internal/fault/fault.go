@@ -15,7 +15,7 @@
 // same in every run, so the whole fault schedule replays exactly from the
 // seed alone.
 //
-// Each key fires at most MaxPerKey times (default 1). Failed node
+// Each key fires at most once (maxPerKey). Failed node
 // attempts burn occurrences site level by site level — restore, node
 // start, exchange, emit, stage — so with a retry budget larger than the
 // number of site levels on a node's path, a transiently faulted run is
@@ -24,13 +24,11 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Site names one injection point in the engine.
@@ -100,39 +98,26 @@ func (e *Injected) Transient() bool { return e.Kind == Transient }
 // every method, so callers hold the handle unconditionally — the same
 // idiom as the obs instruments. Check is safe for concurrent use.
 type Plan struct {
-	seed    int64
-	rate    float64
-	kind    Kind
-	perKey  int
-	latency time.Duration
-	sites   map[Site]bool // nil: every site armed
+	seed  int64
+	rate  float64
+	kind  Kind
+	sites map[Site]bool // nil: every site armed
 
 	mu       sync.Mutex
 	occ      map[string]int
 	injected int
 }
 
+// maxPerKey caps how many faults one (site, node, partition) key may
+// fire. The cap is what bounds the retry budget a faulted run needs to
+// converge: once a key is exhausted it never fires again.
+const maxPerKey = 1
+
 // PlanOption configures a Plan.
 type PlanOption func(*Plan)
 
 // WithKind sets the kind of every injected fault (default Transient).
 func WithKind(k Kind) PlanOption { return func(p *Plan) { p.kind = k } }
-
-// WithMaxPerKey caps how many faults one (site, node, partition) key may
-// fire (default 1). The cap is what bounds the retry budget a faulted
-// run needs to converge: once a key is exhausted it never fires again.
-func WithMaxPerKey(n int) PlanOption {
-	return func(p *Plan) {
-		if n > 0 {
-			p.perKey = n
-		}
-	}
-}
-
-// WithLatency adds a fixed delay before each fired fault returns,
-// modeling slow failures (timeouts) rather than instant ones. The sleep
-// respects context cancellation.
-func WithLatency(d time.Duration) PlanOption { return func(p *Plan) { p.latency = d } }
 
 // WithSites arms only the listed sites (default: all).
 func WithSites(sites ...Site) PlanOption {
@@ -153,7 +138,7 @@ func NewPlan(seed int64, rate float64, opts ...PlanOption) *Plan {
 	if rate > 1 {
 		rate = 1
 	}
-	p := &Plan{seed: seed, rate: rate, perKey: 1, occ: make(map[string]int)}
+	p := &Plan{seed: seed, rate: rate, occ: make(map[string]int)}
 	for _, o := range opts {
 		o(p)
 	}
@@ -163,7 +148,7 @@ func NewPlan(seed int64, rate float64, opts ...PlanOption) *Plan {
 // Check consults the plan at one injection point and returns a typed
 // *Injected error when the schedule says this occurrence fires, nil
 // otherwise. A nil plan or a zero rate never fires.
-func (p *Plan) Check(ctx context.Context, site Site, node, part int) error {
+func (p *Plan) Check(site Site, node, part int) error {
 	if p == nil || p.rate <= 0 {
 		return nil
 	}
@@ -174,21 +159,13 @@ func (p *Plan) Check(ctx context.Context, site Site, node, part int) error {
 	p.mu.Lock()
 	o := p.occ[key]
 	p.occ[key] = o + 1
-	fire := o < p.perKey && p.roll(key, o) < p.rate
+	fire := o < maxPerKey && p.roll(key, o) < p.rate
 	if fire {
 		p.injected++
 	}
 	p.mu.Unlock()
 	if !fire {
 		return nil
-	}
-	if p.latency > 0 {
-		t := time.NewTimer(p.latency)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-		case <-t.C:
-		}
 	}
 	return &Injected{Site: site, Node: node, Part: part, Kind: p.kind, Occurrence: o}
 }

@@ -11,16 +11,15 @@ import (
 // Two plans with the same seed must fire the exact same schedule; a
 // different seed must diverge somewhere over a long check sequence.
 func TestPlanDeterministic(t *testing.T) {
-	ctx := context.Background()
 	sites := []Site{SiteNodeStart, SiteEmit, SiteExchange, SiteStage, SiteRestore}
 	schedule := func(seed int64) []bool {
-		p := NewPlan(seed, 0.3, WithMaxPerKey(3))
+		p := NewPlan(seed, 0.3)
 		var fired []bool
 		for round := 0; round < 3; round++ {
 			for _, s := range sites {
 				for node := 0; node < 8; node++ {
 					for part := 0; part < 4; part++ {
-						fired = append(fired, p.Check(ctx, s, node, part) != nil)
+						fired = append(fired, p.Check(s, node, part) != nil)
 					}
 				}
 			}
@@ -46,17 +45,16 @@ func TestPlanDeterministic(t *testing.T) {
 }
 
 func TestPlanMaxPerKey(t *testing.T) {
-	ctx := context.Background()
 	p := NewPlan(7, 1) // rate 1: every eligible occurrence fires
-	if err := p.Check(ctx, SiteEmit, 1, 0); err == nil {
+	if err := p.Check(SiteEmit, 1, 0); err == nil {
 		t.Fatal("rate-1 plan did not fire on first check")
 	}
 	for i := 0; i < 5; i++ {
-		if err := p.Check(ctx, SiteEmit, 1, 0); err != nil {
-			t.Fatalf("key fired again after MaxPerKey exhausted (check %d): %v", i+2, err)
+		if err := p.Check(SiteEmit, 1, 0); err != nil {
+			t.Fatalf("key fired again after maxPerKey exhausted (check %d): %v", i+2, err)
 		}
 	}
-	if err := p.Check(ctx, SiteEmit, 1, 1); err == nil {
+	if err := p.Check(SiteEmit, 1, 1); err == nil {
 		t.Fatal("distinct partition key should have its own budget")
 	}
 	if got := p.Injected(); got != 2 {
@@ -65,9 +63,8 @@ func TestPlanMaxPerKey(t *testing.T) {
 }
 
 func TestPlanNilAndZeroRate(t *testing.T) {
-	ctx := context.Background()
 	var nilPlan *Plan
-	if err := nilPlan.Check(ctx, SiteEmit, 0, 0); err != nil {
+	if err := nilPlan.Check(SiteEmit, 0, 0); err != nil {
 		t.Fatalf("nil plan fired: %v", err)
 	}
 	if n := nilPlan.Injected(); n != 0 {
@@ -75,27 +72,25 @@ func TestPlanNilAndZeroRate(t *testing.T) {
 	}
 	p := NewPlan(1, 0)
 	for i := 0; i < 100; i++ {
-		if err := p.Check(ctx, SiteNodeStart, i, 0); err != nil {
+		if err := p.Check(SiteNodeStart, i, 0); err != nil {
 			t.Fatalf("zero-rate plan fired: %v", err)
 		}
 	}
 }
 
 func TestPlanSiteFilter(t *testing.T) {
-	ctx := context.Background()
 	p := NewPlan(9, 1, WithSites(SiteExchange))
-	if err := p.Check(ctx, SiteEmit, 0, 0); err != nil {
+	if err := p.Check(SiteEmit, 0, 0); err != nil {
 		t.Fatalf("unarmed site fired: %v", err)
 	}
-	if err := p.Check(ctx, SiteExchange, 0, 0); err == nil {
+	if err := p.Check(SiteExchange, 0, 0); err == nil {
 		t.Fatal("armed site did not fire at rate 1")
 	}
 }
 
 func TestInjectedTyped(t *testing.T) {
-	ctx := context.Background()
 	p := NewPlan(3, 1, WithKind(Permanent))
-	err := p.Check(ctx, SiteExchange, 4, 2)
+	err := p.Check(SiteExchange, 4, 2)
 	if err == nil {
 		t.Fatal("rate-1 plan did not fire")
 	}
@@ -114,22 +109,6 @@ func TestInjectedTyped(t *testing.T) {
 		if !contains(inj.Error(), want) {
 			t.Fatalf("error %q missing %q", inj.Error(), want)
 		}
-	}
-}
-
-func TestPlanLatencyRespectsContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := NewPlan(5, 1, WithLatency(time.Hour))
-	done := make(chan error, 1)
-	go func() { done <- p.Check(ctx, SiteEmit, 0, 0) }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("fault swallowed by cancellation")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Check blocked on latency despite cancelled context")
 	}
 }
 

@@ -173,23 +173,6 @@ func TestSuiteCountsAndSeeds(t *testing.T) {
 	}
 }
 
-func TestPaperSuiteShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates 40 workflows")
-	}
-	suite, err := PaperSuite(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, scenarios := range suite {
-		total += len(scenarios)
-	}
-	if total != 40 {
-		t.Errorf("paper suite has %d workflows, want 40", total)
-	}
-}
-
 func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(Config{Branches: 1}); err == nil {
 		t.Error("single-branch config should be rejected")

@@ -41,19 +41,3 @@ func SharedSuite(cat Category, n int, baseSeed int64) ([]*templates.Scenario, er
 	}
 	return out, nil
 }
-
-// PaperSuite reproduces the shape of the paper's test set: 40 workflows
-// split across the small, medium and large categories (§4.2). The exact
-// split was not published; 14/13/13 keeps the categories balanced.
-func PaperSuite(baseSeed int64) (map[Category][]*templates.Scenario, error) {
-	counts := map[Category]int{Small: 14, Medium: 13, Large: 13}
-	out := make(map[Category][]*templates.Scenario, len(counts))
-	for _, cat := range []Category{Small, Medium, Large} {
-		suite, err := Suite(cat, counts[cat], baseSeed+int64(cat)*104729)
-		if err != nil {
-			return nil, err
-		}
-		out[cat] = suite
-	}
-	return out, nil
-}

@@ -356,6 +356,16 @@ func (j *Journal) writeEvent(e Event, count bool) {
 	}
 }
 
+// Registry returns the registry the journal was opened with: every run
+// that records into the journal folds its series into it, so the
+// trailer's snapshot carries them. Nil without one, and for a nil journal.
+func (j *Journal) Registry() *Registry {
+	if j == nil {
+		return nil
+	}
+	return j.reg
+}
+
 // Dropped returns how many events were dropped (journal full or emitted
 // after Close).
 func (j *Journal) Dropped() int64 {

@@ -47,15 +47,15 @@ func TestObservationsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	got = append(got, observeSection(t, "fig1", true, func(reg *obs.Registry, j *obs.Journal) {
-		observeEngine(t, templates.Fig1Scenario(40, 60), 7, reg, j)
+	got = append(got, observeSection(t, "fig1", true, func(j *obs.Journal) {
+		observeEngine(t, templates.Fig1Scenario(40, 60), 7, j)
 	})...)
-	got = append(got, observeSection(t, "small", true, func(reg *obs.Registry, j *obs.Journal) {
-		observeEngine(t, small, 8, reg, j)
+	got = append(got, observeSection(t, "small", true, func(j *obs.Journal) {
+		observeEngine(t, small, 8, j)
 	})...)
-	got = append(got, observeSection(t, "search", true, func(reg *obs.Registry, j *obs.Journal) {
+	got = append(got, observeSection(t, "search", true, func(j *obs.Journal) {
 		ctx := context.Background()
-		opts := core.Options{IncrementalCost: true, Workers: 1, Metrics: reg, Journal: j}
+		opts := core.Options{IncrementalCost: true, Workers: 1, Journal: j}
 		opts.MaxStates = 1500
 		if _, err := core.Heuristic(ctx, small.Graph, opts); err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestObservationsUnchanged(t *testing.T) {
 	})...)
 	// Members sharing a node key set its gauges concurrently, last writer
 	// wins: the suite pins their names, not their values.
-	got = append(got, observeSection(t, "suite", false, func(reg *obs.Registry, j *obs.Journal) {
+	got = append(got, observeSection(t, "suite", false, func(j *obs.Journal) {
 		scs, err := generator.SharedSuite(generator.Small, 3, 73)
 		if err != nil {
 			t.Fatal(err)
@@ -78,8 +78,8 @@ func TestObservationsUnchanged(t *testing.T) {
 		}
 		res, err := share.RunSuite(context.Background(), wfs, share.Options{
 			Workers: 4, CacheBytes: -1,
-			Engine:  []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(2), engine.WithMetrics(reg), engine.WithJournal(j)},
-			Journal: j, Metrics: reg,
+			Engine:  []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(2), engine.WithJournal(j)},
+			Journal: j,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -105,11 +105,12 @@ func TestObservationsUnchanged(t *testing.T) {
 // TestDerivedSeriesExactUnderDrops runs an HS search, a faulted engine run
 // and a suite with a journal whose writer never drains, so that events
 // beyond its buffer are dropped, and requires every counter folded from
-// events to equal the same runs' with no journal attached: the registry
-// receives each event before the journal's lossy channel does. A second
-// journal's writer stalls while the runs emit, so it drops too, and is
-// then released: the snapshot its trailer carries, read back from its
-// bytes, must hold the same folded counters.
+// events into the journal's registry to equal the same runs' through a
+// journal that drains: the registry receives each event before the
+// journal's lossy channel does. A third journal's writer stalls while the
+// runs emit, so it drops too, and is then released: the snapshot its
+// trailer carries, read back from its bytes, must hold the same folded
+// counters.
 func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 	medium, err := generator.Generate(generator.CategoryConfig(generator.Medium, 20050405))
 	if err != nil {
@@ -130,13 +131,13 @@ func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 		}
 		return out
 	}
-	observe := func(reg *obs.Registry, j *obs.Journal) map[string]int64 {
+	observe := func(j *obs.Journal) map[string]int64 {
 		ctx := context.Background()
-		opts := core.Options{IncrementalCost: true, Workers: 1, MaxStates: 10_000, Metrics: reg, Journal: j}
+		opts := core.Options{IncrementalCost: true, Workers: 1, MaxStates: 10_000, Journal: j}
 		if _, err := core.Heuristic(ctx, medium.Graph, opts); err != nil {
 			t.Fatal(err)
 		}
-		eopts := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(4), engine.WithMetrics(reg), engine.WithJournal(j)}
+		eopts := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(4), engine.WithJournal(j)}
 		faulted := append(eopts[:len(eopts):len(eopts)], engine.WithFaultPlan(fault.NewPlan(7, 0.3)), engine.WithRetry(fault.Policy{MaxAttempts: 8, Seed: 7}))
 		if _, err := engine.New(medium.Bind(), faulted...).Run(ctx, medium.Graph); err != nil {
 			t.Fatal(err)
@@ -145,27 +146,29 @@ func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 		for i, sc := range scs {
 			wfs[i] = share.Workflow{Name: fmt.Sprintf("wf-%d", i+1), Graph: sc.Graph, Bindings: sc.Bind()}
 		}
-		if _, err := share.RunSuite(ctx, wfs, share.Options{Workers: 4, CacheBytes: -1, Engine: eopts, Journal: j, Metrics: reg}); err != nil {
+		if _, err := share.RunSuite(ctx, wfs, share.Options{Workers: 4, CacheBytes: -1, Engine: eopts, Journal: j}); err != nil {
 			t.Fatal(err)
 		}
-		return folded(reg.Snapshot())
+		return folded(j.Registry().Snapshot())
 	}
 	same := func(how string, dropped int64, got, want map[string]int64) {
 		t.Helper()
 		for series, v := range want {
 			if got[series] != v {
-				t.Errorf("%s: %s = %d with %d events dropped, %d with no journal", how, series, got[series], dropped, v)
+				t.Errorf("%s: %s = %d with %d events dropped, %d with none", how, series, got[series], dropped, v)
 			}
 		}
 		if len(got) != len(want) {
-			t.Errorf("%s: %d folded series, %d with no journal", how, len(got), len(want))
+			t.Errorf("%s: %d folded series, %d with no drops", how, len(got), len(want))
 		}
 	}
-	want := observe(obs.NewRegistry(), nil)
+	draining := obs.NewJournal(io.Discard, obs.NewRegistry())
+	want := observe(draining)
+	draining.Close()
 
 	pr, pw := io.Pipe()
-	j := obs.NewJournal(pw, nil)
-	got := observe(obs.NewRegistry(), j)
+	j := obs.NewJournal(pw, obs.NewRegistry())
+	got := observe(j)
 	pr.CloseWithError(io.ErrClosedPipe) // lets the stalled writer fail and the journal close
 	j.Close()
 	if j.Dropped() == 0 {
@@ -174,9 +177,8 @@ func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 	same("registry", j.Dropped(), got, want)
 
 	stalled := &stallWriter{release: make(chan struct{})}
-	reg := obs.NewRegistry()
-	j = obs.NewJournal(stalled, reg)
-	observe(reg, j)
+	j = obs.NewJournal(stalled, obs.NewRegistry())
+	observe(j)
 	close(stalled.release)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -210,11 +212,11 @@ func (w *stallWriter) Write(p []byte) (int, error) {
 
 // observeEngine runs sc at P=1 and P=4, each under a transient fault plan
 // with retries and then as a checkpointed crash followed by a resume.
-func observeEngine(t *testing.T, sc *templates.Scenario, seed int64, reg *obs.Registry, j *obs.Journal) {
+func observeEngine(t *testing.T, sc *templates.Scenario, seed int64, j *obs.Journal) {
 	t.Helper()
 	ctx := context.Background()
 	for _, p := range []int{1, 4} {
-		opts := []engine.Option{engine.WithMode(engine.Materialized), engine.WithMetrics(reg), engine.WithJournal(j)}
+		opts := []engine.Option{engine.WithMode(engine.Materialized), engine.WithJournal(j)}
 		if p > 1 {
 			opts = append(opts, engine.WithMode(engine.Parallel), engine.WithPartitions(p))
 		}
@@ -229,20 +231,14 @@ func observeEngine(t *testing.T, sc *templates.Scenario, seed int64, reg *obs.Re
 		}
 		dir := filepath.Join(t.TempDir(), "stage")
 		crash := fault.NewPlan(seed, 0.15, fault.WithKind(fault.Permanent), fault.WithSites(fault.SiteStage, fault.SiteNodeStart))
-		cr, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(opts, engine.WithFaultPlan(crash))...), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cr := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(opts, engine.WithFaultPlan(crash))...), dir)
 		if _, err := cr.Run(ctx, sc.Graph); err == nil {
 			t.Fatalf("P=%d: the crash plan did not crash the run", p)
 		}
 		if staged, _ := cr.Staged(); len(staged) == 0 {
 			t.Fatalf("P=%d: the crash left nothing staged to resume from", p)
 		}
-		cr, err = engine.NewCheckpointRunner(engine.New(sc.Bind(), opts...), dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cr = engine.NewCheckpointRunner(engine.New(sc.Bind(), opts...), dir)
 		if _, err := cr.Run(ctx, sc.Graph); err != nil {
 			t.Fatalf("P=%d: resumed run: %v", p, err)
 		}
@@ -253,12 +249,12 @@ func observeEngine(t *testing.T, sc *templates.Scenario, seed int64, reg *obs.Re
 // they recorded as sorted lines prefixed with the section's name; gauge
 // values only when gaugeValues is set. The snapshot the journal's trailer
 // carries must be the registry's, and is then zeroed like Seq and Off.
-func observeSection(t *testing.T, section string, gaugeValues bool, fn func(*obs.Registry, *obs.Journal)) []string {
+func observeSection(t *testing.T, section string, gaugeValues bool, fn func(*obs.Journal)) []string {
 	t.Helper()
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, reg)
-	fn(reg, j)
+	fn(j)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

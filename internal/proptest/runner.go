@@ -84,10 +84,7 @@ func checkCell(sc *templates.Scenario, seed int64, ref *engine.RunResult, c Cell
 		stage = dir
 		crash := fault.NewPlan(seed+2, 0.5, fault.WithKind(fault.Permanent),
 			fault.WithSites(fault.SiteStage, fault.SiteNodeStart))
-		cr, err := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(mode, engine.WithFaultPlan(crash), retry)...), dir)
-		if err != nil {
-			return err
-		}
+		cr := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(mode, engine.WithFaultPlan(crash), retry)...), dir)
 		_, err = cr.Run(ctx, sc.Graph)
 		var inj *fault.Injected
 		switch fired := crash.Injected(); {
@@ -112,7 +109,7 @@ func checkCell(sc *templates.Scenario, seed int64, ref *engine.RunResult, c Cell
 	}
 	var plan *fault.Plan
 	if c.Faults {
-		// MaxPerKey 1 bounds the failed attempts of one node by its
+		// One fault per key bounds the failed attempts of one node by its
 		// injection-site depth (restore, start, exchange, emit), so a
 		// budget of 8 guarantees convergence.
 		plan = fault.NewPlan(seed, 0.35)
@@ -121,11 +118,7 @@ func checkCell(sc *templates.Scenario, seed int64, ref *engine.RunResult, c Cell
 	e := engine.New(sc.Bind(), opts...)
 	run := e.Run
 	if c.Crash {
-		cr, err := engine.NewCheckpointRunner(e, stage)
-		if err != nil {
-			return err
-		}
-		run = cr.Run
+		run = engine.NewCheckpointRunner(e, stage).Run
 	}
 	res, err := run(ctx, sc.Graph)
 	if j != nil {
@@ -219,7 +212,6 @@ func CheckSuite(scs []*templates.Scenario, refs []*engine.RunResult, c SuiteCell
 	var buf bytes.Buffer
 	if c.Journal {
 		opts.Journal = obs.NewJournal(&buf, nil)
-		opts.Engine = append(opts.Engine, engine.WithJournal(opts.Journal))
 	}
 	wfs := make([]share.Workflow, len(scs))
 	for i, sc := range scs {

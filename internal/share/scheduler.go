@@ -28,15 +28,14 @@ type Options struct {
 	// instead of dropping them. A directory that cannot be made spills nothing.
 	SpillDir string
 	// Engine options are threaded unchanged into every stage and residual
-	// engine (mode, partitions, batch, metrics, journal, faults, retry).
+	// engine (mode, partitions, batch, faults, retry).
 	Engine []engine.Option
 	// Journal receives shared-cache activity events (lookup/hit/miss/
-	// admit/evict/spill); nil disables them. Results are identical with
-	// the journal on or off.
+	// admit/evict/spill) and every stage and residual run's events; the
+	// registry it was opened with, if any, receives the shared_cache_*
+	// counters and the runs' series. nil disables them. Results are
+	// identical with the journal on or off.
 	Journal *obs.Journal
-	// Metrics receives the shared_cache_* counters, folded from the cache's
-	// events; nil disables them.
-	Metrics *obs.Registry
 }
 
 // WorkflowResult is one suite member's outcome. Exactly one of Result and
@@ -95,10 +94,11 @@ func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error
 		spillDir, _ = os.MkdirTemp(opts.SpillDir, "suite-*") // "" on failure: nothing spills, nothing to remove
 		defer os.RemoveAll(spillDir)
 	}
+	opts.Engine = append([]engine.Option{engine.WithJournal(opts.Journal)}, opts.Engine...)
 	r := &runner{
 		plan:       p,
 		opts:       opts,
-		cache:      newCache(opts.CacheBytes, spillDir, obs.NewRecorder(opts.Metrics, opts.Journal)),
+		cache:      newCache(opts.CacheBytes, spillDir, obs.NewRecorder(opts.Journal.Registry(), opts.Journal)),
 		sharedRows: make(map[uint64]int),
 		failed:     make(map[uint64]error),
 	}

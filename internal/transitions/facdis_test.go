@@ -367,11 +367,11 @@ func TestShiftForwardAndBackward(t *testing.T) {
 	if got := res.Graph.Providers(ids["p3"]); len(got) != 1 || got[0] != ids["u"] {
 		t.Errorf("after shift, providers = %v", got)
 	}
-	// And shifting it forward again to the target-side end.
-	if !CanShiftBackward(g, ids["p3"], ids["u"]) {
-		t.Error("CanShiftBackward = false")
+	// The shift left g untouched: it succeeds on g again.
+	if _, err := ShiftBackward(g, ids["p3"], ids["u"]); err != nil {
+		t.Errorf("shifting the original again: %v", err)
 	}
-	if CanShiftBackward(g, ids["p3"], ids["tgt"]) {
+	if _, err := ShiftBackward(g, ids["p3"], ids["tgt"]); err == nil {
 		t.Error("shifting to a non-provider should fail")
 	}
 }

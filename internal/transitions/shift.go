@@ -87,9 +87,3 @@ func ShiftBackward(g *workflow.Graph, a, ab workflow.NodeID) (*ShiftResult, erro
 		res.Graph = cur
 	}
 }
-
-// CanShiftBackward reports whether ShiftBackward would succeed.
-func CanShiftBackward(g *workflow.Graph, a, ab workflow.NodeID) bool {
-	_, err := ShiftBackward(g, a, ab)
-	return err == nil
-}

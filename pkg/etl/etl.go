@@ -22,10 +22,11 @@
 // Search options (WithAlgorithm, WithWorkers, …) configure Optimize;
 // engine options (WithPartitions, WithFaultPlan, WithRetry) configure Run
 // and RunSuite; suite options (WithSuiteWorkers,
-// WithSharedCache, WithSharedSpill) configure RunSuite; WithMetrics and
-// WithJournal configure all three. Passing an option to the entry point it
-// does not affect is harmless, so one option slice can serve a whole
-// pipeline.
+// WithSharedCache, WithSharedSpill) configure RunSuite; WithJournal
+// configures all three, and a journal opened with a registry
+// (NewJournal(w, NewMetricsRegistry())) collects every layer's series in
+// it. Passing an option to the entry point it does not affect is harmless,
+// so one option slice can serve a whole pipeline.
 //
 // Cancelling the context aborts the optimizer at the next state-expansion
 // boundary and the engine at the next node, partition or batch boundary,
@@ -119,8 +120,8 @@ type (
 	// capped, deterministically jittered exponential backoff. Arm it via
 	// WithRetry.
 	RetryPolicy = fault.Policy
-	// FaultPlanOption refines a NewFaultPlan call (kind, latency, site
-	// filter, per-key budget).
+	// FaultPlanOption refines a NewFaultPlan call: WithFaultKind,
+	// WithFaultSites.
 	FaultPlanOption = fault.PlanOption
 	// FaultKind distinguishes transient (retryable) from permanent
 	// injected faults.
@@ -154,14 +155,8 @@ const (
 var (
 	// WithFaultKind sets the kind of every injected fault.
 	WithFaultKind = fault.WithKind
-	// WithFaultLatency adds a context-aware sleep before each injected
-	// failure, modeling slow-then-dead dependencies.
-	WithFaultLatency = fault.WithLatency
 	// WithFaultSites restricts injection to the listed sites.
 	WithFaultSites = fault.WithSites
-	// WithFaultMaxPerKey caps how often one (site, node, partition) key
-	// may fire (default 1).
-	WithFaultMaxPerKey = fault.WithMaxPerKey
 )
 
 // Null is the SQL-style null Value.
@@ -189,9 +184,7 @@ type settings struct {
 	algo   Algorithm
 
 	partitions int
-	metrics    *MetricsRegistry
 	journal    *Journal
-	profile    bool
 	faultPlan  *FaultPlan
 	retry      RetryPolicy
 
@@ -226,35 +219,15 @@ func WithWorkers(n int) Option {
 	return func(s *settings) { s.search.Workers = n }
 }
 
-// WithMergeConstraints lists activity pairs that must move as one unit
-// during the search (HS pre-processing; split again afterwards). Optimize
-// only.
-func WithMergeConstraints(pairs ...[2]NodeID) Option {
-	return func(s *settings) { s.search.MergeConstraints = pairs }
-}
-
-// WithMetrics collects observability series into r — search series from
-// Optimize, engine series from Run; NewMetricsRegistry builds one.
-// Collection never affects results.
-func WithMetrics(r *MetricsRegistry) Option {
-	return func(s *settings) { s.metrics = r }
-}
-
 // WithJournal records the run's structured event stream into j — search
 // transitions and phases from Optimize, node/batch/exchange events from
-// Run. The caller owns j and closes it when the pipeline is done; one
-// journal can span several Optimize and Run calls. Collection never
-// affects results.
+// Run, shared-cache activity from RunSuite — and every layer's series
+// into the registry j was opened with, whose snapshot j's trailer
+// carries. The caller owns j and closes it when the pipeline is done; one
+// journal can span several Optimize, Run and RunSuite calls. Collection
+// never affects results.
 func WithJournal(j *Journal) Option {
 	return func(s *settings) { s.journal = j }
-}
-
-// WithProfileLabels tags search workers and engine partitions with
-// runtime/pprof labels (etl=search/engine, etl_worker, etl_node,
-// etl_partition), so CPU profiles attribute samples per worker and per
-// partition. Purely observational.
-func WithProfileLabels() Option {
-	return func(s *settings) { s.profile = true }
 }
 
 // WithPartitions runs the workflow partition-parallel over n partitions:
@@ -311,18 +284,22 @@ func WithSharedSpill(dir string) Option {
 	return func(s *settings) { s.spillDir = dir }
 }
 
-// NewMetricsRegistry returns a fresh, empty metrics registry. Pass it to
-// Optimize and Run via WithMetrics, then export it with Snapshot():
+// NewMetricsRegistry returns a fresh, empty metrics registry. Open a
+// journal with it and pass the journal to Optimize, Run and RunSuite via
+// WithJournal; the journal's trailer carries its snapshot, and Snapshot()
+// exports it at any time:
 //
 //	reg := etl.NewMetricsRegistry()
-//	res, err := etl.Optimize(ctx, g, etl.WithMetrics(reg))
+//	j := etl.NewJournal(w, reg)
+//	res, err := etl.Optimize(ctx, g, etl.WithJournal(j))
 //	reg.Snapshot().WriteJSON(os.Stdout)
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewJournal starts a flight-recorder journal writing JSONL to w. reg,
-// when non-nil, mirrors the journal's own accounting (events written,
-// dropped, write errors) as counters, and its final snapshot is written
-// into the summary trailer; nil skips both. Close the journal to flush it
+// when non-nil, receives the series of every run recording into the
+// journal and the journal's own accounting (events written, dropped,
+// write errors) as counters, and its final snapshot is written into the
+// summary trailer; nil skips all three. Close the journal to flush it
 // and append the summary trailer.
 var NewJournal = obs.NewJournal
 
@@ -337,9 +314,8 @@ var ReadJournal = obs.ReadJournal
 var ReadJournalFile = obs.ReadJournalFile
 
 // NewFaultPlan builds a deterministic fault-injection plan from a seed
-// and a per-occurrence firing rate in [0, 1]; see WithFaultPlan. The
-// internal/fault package's options (kind, latency, site filter,
-// per-key budget) refine it.
+// and a per-occurrence firing rate in [0, 1]; see WithFaultPlan.
+// WithFaultKind and WithFaultSites refine it.
 var NewFaultPlan = fault.NewPlan
 
 // ParseFaultSpec parses the CLI-style "seed:rate" fault arming of etlrun
@@ -397,9 +373,7 @@ func newSettings(opts []Option) settings {
 // slice can configure a whole optimize-then-run pipeline.
 func Optimize(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
 	s := newSettings(opts)
-	s.search.Metrics = s.metrics
 	s.search.Journal = s.journal
-	s.search.PprofLabels = s.profile
 	switch s.algo {
 	case ES:
 		return core.Exhaustive(ctx, g, s.search)
@@ -418,24 +392,16 @@ func Optimize(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
 // options are accepted and ignored.
 func Run(ctx context.Context, g *Graph, bindings map[string]Recordset, opts ...Option) (*RunResult, error) {
 	s := newSettings(opts)
-	return engine.New(bindings, s.engineOptions()...).Run(ctx, g)
+	return engine.New(bindings, append(s.engineOptions(), engine.WithJournal(s.journal))...).Run(ctx, g)
 }
 
 // engineOptions lowers the merged settings to the internal engine's option
-// vocabulary — the single translation Run and RunSuite share.
+// vocabulary — the single translation Run and RunSuite share (RunSuite
+// hands the journal to its engines itself).
 func (s *settings) engineOptions() []engine.Option {
 	var eopts []engine.Option
 	if s.partitions > 0 {
 		eopts = append(eopts, engine.WithMode(engine.Parallel), engine.WithPartitions(s.partitions))
-	}
-	if s.metrics != nil {
-		eopts = append(eopts, engine.WithMetrics(s.metrics))
-	}
-	if s.journal != nil {
-		eopts = append(eopts, engine.WithJournal(s.journal))
-	}
-	if s.profile {
-		eopts = append(eopts, engine.WithPprofLabels())
 	}
 	if s.faultPlan != nil {
 		eopts = append(eopts, engine.WithFaultPlan(s.faultPlan))
@@ -462,8 +428,8 @@ func (s *settings) engineOptions() []engine.Option {
 //
 // WithSuiteWorkers, WithSharedCache and WithSharedSpill configure the
 // suite; engine options (WithPartitions, WithFaultPlan, …) apply
-// to every stage and residual run; WithMetrics and WithJournal also
-// receive the shared cache's activity.
+// to every stage and residual run; WithJournal also receives the shared
+// cache's activity.
 func RunSuite(ctx context.Context, workflows []SuiteWorkflow, opts ...Option) (*SuiteResult, error) {
 	s := newSettings(opts)
 	cacheBytes := int64(-1)
@@ -476,7 +442,6 @@ func RunSuite(ctx context.Context, workflows []SuiteWorkflow, opts ...Option) (*
 		SpillDir:   s.spillDir,
 		Engine:     s.engineOptions(),
 		Journal:    s.journal,
-		Metrics:    s.metrics,
 	})
 }
 

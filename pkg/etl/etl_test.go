@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -120,11 +121,13 @@ func TestMetricsFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := etl.NewMetricsRegistry()
-	res, err := etl.Optimize(ctx, g, etl.WithMetrics(reg))
+	j := etl.NewJournal(io.Discard, reg)
+	defer j.Close()
+	res, err := etl.Optimize(ctx, g, etl.WithJournal(j))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := etl.Run(ctx, res.Best, buildBindings(), etl.WithMetrics(reg)); err != nil {
+	if _, err := etl.Run(ctx, res.Best, buildBindings(), etl.WithJournal(j)); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

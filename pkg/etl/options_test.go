@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"testing"
 
 	"etlopt/internal/core"
@@ -35,9 +36,9 @@ func TestFullCostEvalEquivalence(t *testing.T) {
 	}
 }
 
-// TestModelAndConstraintOptions pins the remaining Optimize options: an
-// explicit row model and empty merge constraints must reproduce the
-// default result, and NewGraph starts empty.
+// TestModelAndConstraintOptions pins the remaining Optimize option: an
+// explicit row model must reproduce the default result, and NewGraph
+// starts empty.
 func TestModelAndConstraintOptions(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -48,8 +49,7 @@ func TestModelAndConstraintOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := etl.Optimize(ctx, g,
-		etl.WithModel(cost.RowModel{}), etl.WithMergeConstraints())
+	tuned, err := etl.Optimize(ctx, g, etl.WithModel(cost.RowModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,9 @@ func TestPartitionsImplyParallelMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := etl.NewMetricsRegistry()
-	run, err := etl.Run(ctx, g, buildBindings(), etl.WithPartitions(3), etl.WithMetrics(reg))
+	j := etl.NewJournal(io.Discard, reg)
+	run, err := etl.Run(ctx, g, buildBindings(), etl.WithPartitions(3), etl.WithJournal(j))
+	j.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestJournalOptionSpansPipeline(t *testing.T) {
 
 	var buf bytes.Buffer
 	j := etl.NewJournal(&buf, nil)
-	opts := []etl.Option{etl.WithJournal(j), etl.WithProfileLabels(), etl.WithPartitions(4)}
+	opts := []etl.Option{etl.WithJournal(j), etl.WithPartitions(4)}
 	res, err := etl.Optimize(ctx, g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +178,7 @@ func TestJournalOptionSpansPipeline(t *testing.T) {
 
 // TestOneOptionSliceForBothEntryPoints verifies cross-entry-point
 // tolerance: a single slice mixing search and engine options configures
-// Optimize and Run without error, and WithMetrics feeds both.
+// Optimize and Run without error, and WithJournal's registry gets both.
 func TestOneOptionSliceForBothEntryPoints(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -184,11 +186,13 @@ func TestOneOptionSliceForBothEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := etl.NewMetricsRegistry()
+	j := etl.NewJournal(io.Discard, reg)
+	defer j.Close()
 	opts := []etl.Option{
 		etl.WithAlgorithm(etl.HS),
 		etl.WithWorkers(2),
 		etl.WithPartitions(4),
-		etl.WithMetrics(reg),
+		etl.WithJournal(j),
 	}
 	res, err := etl.Optimize(ctx, g, opts...)
 	if err != nil {

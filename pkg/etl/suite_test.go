@@ -2,6 +2,7 @@ package etl_test
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"testing"
 
@@ -29,12 +30,14 @@ func TestRunSuiteFacade(t *testing.T) {
 	}
 
 	reg := etl.NewMetricsRegistry()
+	j := etl.NewJournal(io.Discard, reg)
+	defer j.Close()
 	res, err := etl.RunSuite(context.Background(), wfs,
 		etl.WithSuiteWorkers(2),
 		etl.WithSharedCache(1<<20),
 		etl.WithSharedSpill(t.TempDir()),
 		etl.WithPartitions(2),
-		etl.WithMetrics(reg),
+		etl.WithJournal(j),
 	)
 	if err != nil {
 		t.Fatal(err)
