@@ -133,9 +133,11 @@ func (s *search) precost(cur *state, exps []*transitions.Result) []candidate {
 // returns ctx.Err(); a context deadline is the supported way to bound
 // wall-clock time.
 func Exhaustive(ctx context.Context, g0 *workflow.Graph, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	return newSearch(ctx, opts.withDefaults()).exhaustive(g0)
+}
+
+func (s *search) exhaustive(g0 *workflow.Graph) (*Result, error) {
 	start := time.Now()
-	s := newSearch(ctx, opts)
 	s.m.runEvent("start", "ES")
 	defer s.m.runEvent("end", "ES")
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"etlopt/internal/cost"
@@ -123,12 +124,20 @@ var frozenSequence = []struct {
 	{"large-1", 1216, 1203, 0x416a5514fac079a9, "cd921983269c9354febf603eb7ed4ccaf005894d0fbc390aee0baab56b46df3f", "26b0dd3c205237fb1e3894835a1b13f24269745fb99d76b12de49f62e35d4bea"},
 	{"large-2", 1217, 1202, 0x4164cd7726646e32, "2eab42a12684465bec5f11d54d63713c9214300ce3d08966a9db35c36b83c5ad", "6fa87af32f9b83bd09fcab55a6094096516d91f03ba7ddb67b861a3332dfe632"},
 	{"wide", 1007, 1007, 0x4161c6d4a81c70cf, "a7ec42633cc68380cab282e29581c5542084b11c5658bfc19c5cc109a3c589b9", "4d52e06eb5670d0eebc142d1a8c25cc118f1cd74c7ebf6c9825713743810ddfc"},
+	// ES on three of the same workflows, recorded at commit b0b57fb — while
+	// ES still costed successors speculatively at Workers > 1 and lazily at
+	// 1 — identically at Workers 1 and 4. None of the three spaces closes
+	// within the budget.
+	{"medium-1/ES", 1000, 925, 0x41585539c710518e, "d0b798306a67d7d8c64569769de7fd13a47869d30f3783e79cd03ed9ed6e4505", "8b4f7760d8d80b4b023f0e3010ca7259900e84dcd2a3a2118a95851115430f76"},
+	{"medium-2/ES", 1000, 954, 0x41347de3dbdde20e, "dc1585a5f7dc26f42582cbf71121b7947906d7b1fdb8094a61c592736a0957f1", "517028e8cb2a15085e6ae462baeb06e718d9a99645e6f7f61e2c2f90b407890f"},
+	{"large-1/ES", 1000, 979, 0x415bab675c8dfb29, "6fb548353350576dcd5c49f2f80be7f417eaee79c8e549ecfda0d9153455d19a", "79da13112d668a5f8d00bb8e3d3bdf24713371421798e525c7e2640049b0258b"},
 }
 
 // TestFrozenSearchSequence pins that the search still visits the same
 // states in the same order as it did before its per-state cost was cut:
 // counts, the best cost bit for bit, the best signature and the whole
-// admission log, at Workers 1 and 4.
+// admission log, at Workers 1 and 4. A row named "<workflow>/ES" runs ES,
+// which must stop on its budget.
 func TestFrozenSearchSequence(t *testing.T) {
 	medium, err := generator.Suite(generator.Medium, 2, 20050405)
 	if err != nil {
@@ -148,17 +157,26 @@ func TestFrozenSearchSequence(t *testing.T) {
 		"wide": wide.Graph,
 	}
 	for _, ref := range frozenSequence {
+		name, es := strings.CutSuffix(ref.name, "/ES")
 		for _, workers := range []int{1, 4} {
-			alg, greedy := "HS", false
-			if ref.name == "wide" {
-				alg, greedy = "HS-Greedy", true
-			}
 			s := newSearch(context.Background(), Options{IncrementalCost: true, MaxStates: 1000, Workers: workers}.withDefaults())
 			log := sha256.New()
 			s.admitLog = log
-			res, err := s.heuristic(alg, graphs[ref.name], greedy)
+			var res *Result
+			var err error
+			switch {
+			case es:
+				res, err = s.exhaustive(graphs[name])
+			case name == "wide":
+				res, err = s.heuristic("HS-Greedy", graphs[name], true)
+			default:
+				res, err = s.heuristic("HS", graphs[name], false)
+			}
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", ref.name, workers, err)
+			}
+			if es && res.Terminated {
+				t.Errorf("%s workers=%d: ES closed the space within the budget", ref.name, workers)
 			}
 			if res.Generated != ref.generated || res.Visited != ref.visited {
 				t.Errorf("%s workers=%d: generated/visited (%d,%d), recorded (%d,%d)",
