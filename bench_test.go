@@ -160,7 +160,9 @@ func BenchmarkAblationDedup(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(res.Generated), "generated")
+			b.ReportMetric(float64(res.Visited), "distinct")
 			b.ReportMetric(boolMetric(res.Terminated), "terminated")
+			b.ReportMetric(res.Improvement(), "improvement%")
 		})
 	}
 }
@@ -184,13 +186,17 @@ func BenchmarkAblationIncrementalCost(b *testing.B) {
 		inc  bool
 	}{{"Incremental", true}, {"Full", false}} {
 		b.Run(mode.name, func(b *testing.B) {
+			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Heuristic(context.Background(), sc.Graph, core.Options{
+				var err error
+				res, err = core.Heuristic(context.Background(), sc.Graph, core.Options{
 					MaxStates: 4_000, IncrementalCost: mode.inc,
-				}); err != nil {
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(res.Improvement(), "improvement%")
 		})
 	}
 }
@@ -218,6 +224,7 @@ func BenchmarkAblationPhaseI(b *testing.B) {
 				}
 			}
 			b.ReportMetric(res.Improvement(), "improvement%")
+			b.ReportMetric(float64(res.Visited), "states")
 		})
 	}
 }

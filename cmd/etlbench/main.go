@@ -9,7 +9,6 @@
 //	etlbench -counts 4,3,3   # a quicker suite
 //	etlbench -fig4           # only the Fig. 4 cost cases
 //	etlbench -verify         # also validate every optimized workflow on data
-//	etlbench -ablations      # the DESIGN.md ablation studies A1-A4
 //
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
 // controls optimizer search parallelism. Engine data parallelism is
@@ -25,16 +24,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"etlopt/internal/core"
 	"etlopt/internal/cost"
 	"etlopt/internal/experiments"
 	"etlopt/internal/generator"
 	"etlopt/internal/obs"
 	"etlopt/internal/stats"
 	"etlopt/internal/templates"
-	"etlopt/internal/workflow"
 )
 
 func main() {
@@ -49,24 +45,20 @@ func run() error {
 		// The paper's test set is 40 workflows over the three categories
 		// (§4.2); it did not publish the split, and 14/13/13 keeps the
 		// categories balanced.
-		counts    = flag.String("counts", "14,13,13", "workflows per category: small,medium,large")
-		seed      = flag.Int64("seed", 20050405, "base random seed (ICDE 2005 started April 5)")
-		esBudget  = flag.Int("esbudget", 60_000, "ES state budget per workflow")
-		hsBudget  = flag.Int("hsbudget", 30_000, "HS state budget per workflow")
-		workers   = flag.Int("workers", 0, "optimizer search parallelism (0 = all CPUs, 1 = sequential; same results either way)")
-		verify    = flag.Bool("verify", false, "validate every optimized workflow on generated data")
-		fig4      = flag.Bool("fig4", false, "print only the Fig. 4 cost cases")
-		ablations = flag.Bool("ablations", false, "run the DESIGN.md ablation studies and exit")
-		quiet     = flag.Bool("quiet", false, "suppress per-workflow progress")
-		journal   = flag.String("journal", "", "record a structured run journal of the whole suite here (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics)")
+		counts   = flag.String("counts", "14,13,13", "workflows per category: small,medium,large")
+		seed     = flag.Int64("seed", 20050405, "base random seed (ICDE 2005 started April 5)")
+		esBudget = flag.Int("esbudget", 60_000, "ES state budget per workflow")
+		hsBudget = flag.Int("hsbudget", 30_000, "HS state budget per workflow")
+		workers  = flag.Int("workers", 0, "optimizer search parallelism (0 = all CPUs, 1 = sequential; same results either way)")
+		verify   = flag.Bool("verify", false, "validate every optimized workflow on generated data")
+		fig4     = flag.Bool("fig4", false, "print only the Fig. 4 cost cases")
+		quiet    = flag.Bool("quiet", false, "suppress per-workflow progress")
+		journal  = flag.String("journal", "", "record a structured run journal of the whole suite here (JSONL flight recorder; etlvet obs reports it, -format trace writes its spans, -format snapshot its metrics)")
 	)
 	flag.Parse()
 
 	if *fig4 {
 		return printFig4()
-	}
-	if *ablations {
-		return runAblations(*seed)
 	}
 
 	parts := strings.Split(*counts, ",")
@@ -164,95 +156,5 @@ func printFig4() error {
 	}
 	fmt.Print(t.String())
 	fmt.Println("Both rewrites price below the original, matching the figure's conclusion that DIS and FAC reduce state cost.")
-	return nil
-}
-
-// runAblations executes the DESIGN.md ablation studies (A1-A4) on fixed
-// seeds and prints one table per study. BenchmarkAblation* provide the
-// same measurements as testing.B benchmarks; this command trades
-// statistical rigor for a readable one-shot report.
-func runAblations(seed int64) error {
-	fmt.Println("A1 — signature dedup (ES on Fig. 1, 5000-state budget)")
-	t := stats.NewTable("variant", "generated", "distinct", "terminated", "improvement %")
-	for _, v := range []struct {
-		name    string
-		disable bool
-	}{{"with dedup", false}, {"without dedup", true}} {
-		res, err := core.Exhaustive(context.Background(), templates.Fig1Workflow(), core.Options{
-			MaxStates: 5000, IncrementalCost: true, DisableDedup: v.disable,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(v.name, res.Generated, res.Visited, fmt.Sprint(res.Terminated),
-			fmt.Sprintf("%.1f", res.Improvement()))
-	}
-	fmt.Println(t)
-
-	sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, seed))
-	if err != nil {
-		return err
-	}
-
-	fmt.Println("A2 — semi-incremental costing (HS, medium workflow, 4000-state budget)")
-	t = stats.NewTable("variant", "time", "improvement %")
-	for _, v := range []struct {
-		name string
-		inc  bool
-	}{{"incremental", true}, {"full recomputation", false}} {
-		start := time.Now()
-		res, err := core.Heuristic(context.Background(), sc.Graph, core.Options{MaxStates: 4000, IncrementalCost: v.inc})
-		if err != nil {
-			return err
-		}
-		t.AddRow(v.name, time.Since(start).Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1f", res.Improvement()))
-	}
-	fmt.Println(t)
-
-	fmt.Println("A3 — HS Phase I (medium workflow, 6000-state budget)")
-	t = stats.NewTable("variant", "improvement %", "visited")
-	for _, v := range []struct {
-		name    string
-		disable bool
-	}{{"with Phase I", false}, {"without Phase I", true}} {
-		res, err := core.Heuristic(context.Background(), sc.Graph, core.Options{
-			MaxStates: 6000, IncrementalCost: true, DisablePhaseI: v.disable,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(v.name, fmt.Sprintf("%.1f", res.Improvement()), res.Visited)
-	}
-	fmt.Println(t)
-
-	fmt.Println("A4 — merge constraints (HS on Fig. 1; $2€ and A2E packaged)")
-	g := templates.Fig1Workflow()
-	var d2e, a2e workflow.NodeID
-	for _, id := range g.Activities() {
-		a := g.Node(id).Act
-		if a.Sem.Op == workflow.OpFunc && a.Sem.DropArgs {
-			d2e = id
-		}
-		if a.Sem.Op == workflow.OpFunc && a.InPlace() {
-			a2e = id
-		}
-	}
-	t = stats.NewTable("variant", "improvement %", "visited")
-	for _, v := range []struct {
-		name  string
-		pairs [][2]workflow.NodeID
-	}{
-		{"unconstrained", nil},
-		{"merge constrained", [][2]workflow.NodeID{{d2e, a2e}}},
-	} {
-		res, err := core.Heuristic(context.Background(), g, core.Options{IncrementalCost: true, MergeConstraints: v.pairs})
-		if err != nil {
-			return err
-		}
-		t.AddRow(v.name, fmt.Sprintf("%.1f", res.Improvement()), res.Visited)
-	}
-	fmt.Println(t)
-	fmt.Println("(A5, engine modes, needs data volume: see BenchmarkParallelEngine and DESIGN.md §8.)")
 	return nil
 }

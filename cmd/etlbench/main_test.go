@@ -58,9 +58,10 @@ func TestCLIPaperEvaluation(t *testing.T) {
 
 // TestCLIRemovedFlags pins that the flags of the retired baseline stack,
 // the live status server, the trace export, the metrics snapshot (the
-// journal's trailer carries it) and the design checks (etlvet workflow
-// runs them) are rejected as unknown:
-// usage on stderr, exit status 2.
+// journal's trailer carries it), the design checks (etlvet workflow runs
+// them) and the one-shot ablation report (the BenchmarkAblation* benchmarks
+// run those studies) are rejected as unknown: usage on stderr, exit
+// status 2.
 func TestCLIRemovedFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -80,6 +81,7 @@ func TestCLIRemovedFlags(t *testing.T) {
 		{"-trace-out", "trace.json"},
 		{"-metrics", "snap.json"},
 		{"-lint"},
+		{"-ablations"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError

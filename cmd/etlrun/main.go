@@ -175,8 +175,7 @@ func run() error {
 	}
 	if search != nil {
 		res, err := search(ctx, g, core.Options{
-			IncrementalCost: true, MaxStates: 30_000, Workers: *workers,
-			Journal: jnl, PprofLabels: *cpuProf != "",
+			IncrementalCost: true, Workers: *workers, Journal: jnl, PprofLabels: *cpuProf != "",
 		})
 		if err != nil {
 			return err
@@ -241,7 +240,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := core.Heuristic(ctx, cal, core.Options{IncrementalCost: true, MaxStates: 30_000})
+		res, err := core.Heuristic(ctx, cal, core.Options{IncrementalCost: true})
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"etlopt/internal/clidoc"
+	"etlopt/internal/core"
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
 	"etlopt/internal/generator"
@@ -424,6 +426,63 @@ func TestCLITraceHoldsEveryActivity(t *testing.T) {
 		if n != 0 {
 			t.Errorf("%s: %d journaled node event(s) without a trace event", name, n)
 		}
+	}
+}
+
+// TestCLIOptimizeSearchesWithTheDefaultBudget: `etlrun -optimize es`
+// searches with core's default state budget, as etlopt does, so both load
+// the same plan. ES on a chain of eight commuting filters does not close
+// within 30 000 generated states, so a budget of its own would show in the
+// journal's search_states_generated_total.
+func TestCLIOptimizeSearchesWithTheDefaultBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary, and searches twice")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	var wf, flows strings.Builder
+	wf.WriteString("recordset SRC source rows=1000 schema=K,V\n")
+	prev := "SRC"
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("f%d", i)
+		fmt.Fprintf(&wf, "activity %s filter pred=\"(V>=%d)\" sel=0.%d\n", name, i, 9-i)
+		fmt.Fprintf(&flows, "flow %s -> %s\n", prev, name)
+		prev = name
+	}
+	fmt.Fprintf(&flows, "flow %s -> DW\n", prev)
+	wf.WriteString("recordset DW target schema=K,V\n\n" + flows.String())
+	in := filepath.Join(dir, "chain.etl")
+	if err := os.WriteFile(in, []byte(wf.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "SRC.csv"), []byte("K,V\n1,5\n2,7\n3,9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := dsl.Parse(wf.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Exhaustive(context.Background(), g, core.Options{IncrementalCost: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Terminated || ref.Generated <= 30_000 {
+		t.Fatalf("ES closed the chain's space or stopped at %d states; the test needs a space 30 000 states do not close", ref.Generated)
+	}
+	journal := filepath.Join(dir, "run.jsonl")
+	if out, err := exec.Command(bin, "-in", in, "-data", dir, "-optimize", "es", "-journal", journal).CombinedOutput(); err != nil {
+		t.Fatalf("etlrun: %v\n%s", err, out)
+	}
+	evs, err := obs.ReadJournalFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := evs[len(evs)-1]
+	if last.T != obs.EventSummary || last.Snapshot == nil {
+		t.Fatalf("the journal ends in %+v, not a summary with a snapshot", last)
+	}
+	if got, _ := last.Snapshot.CounterValue("search_states_generated_total"); got != int64(ref.Generated) {
+		t.Errorf("etlrun -optimize es generated %d states, the default-budget search %d", got, ref.Generated)
 	}
 }
 

@@ -36,8 +36,7 @@ type obsStats struct {
 	faults   map[string]int64            // "site (kind)" -> injected fault count
 	retries  int64
 	retrySec float64 // total backoff delay spent across retries
-	resumes  int64
-	resRows  int64 // rows restored by checkpoint resumes
+	resRows  int64   // rows restored from checkpoint stages
 	batches  int64
 	exchange int64 // total rows through repartition exchanges
 }
@@ -119,6 +118,9 @@ func aggregateJournal(events []obs.Event) *obsStats {
 			st.exchange += e.Rows
 		case obs.EventCheckpoint:
 			st.chkpt[e.Action]++
+			if e.Action == "restored" {
+				st.resRows += e.Rows
+			}
 		case obs.EventFault:
 			// FaultEvent stores the injection site in Action and the kind
 			// in Detail.
@@ -126,9 +128,6 @@ func aggregateJournal(events []obs.Event) *obsStats {
 		case obs.EventRetry:
 			st.retries++
 			st.retrySec += e.Sec
-		case obs.EventResume:
-			st.resumes++
-			st.resRows += e.Rows
 		case obs.EventDrift:
 			st.drift[e.Node] = [2]float64{e.Observed, e.Modeled}
 		}
@@ -393,7 +392,7 @@ func (st *obsStats) render(w io.Writer, path string, topK int) {
 		}
 	}
 
-	if len(st.faults) > 0 || st.retries > 0 || st.resumes > 0 {
+	if len(st.faults) > 0 || st.retries > 0 || st.chkpt["restored"] > 0 {
 		fmt.Fprintln(w, "\nfault & recovery activity:")
 		for _, key := range sortedKeys(st.faults) {
 			fmt.Fprintf(w, "  %d fault(s) injected at %s\n", st.faults[key], key)
@@ -401,8 +400,8 @@ func (st *obsStats) render(w io.Writer, path string, topK int) {
 		if st.retries > 0 {
 			fmt.Fprintf(w, "  %d retry attempt(s), %.4fs total backoff\n", st.retries, st.retrySec)
 		}
-		if st.resumes > 0 {
-			fmt.Fprintf(w, "  %d node(s) resumed from checkpoint, %d row(s) restored\n", st.resumes, st.resRows)
+		if n := st.chkpt["restored"]; n > 0 {
+			fmt.Fprintf(w, "  %d node(s) resumed from checkpoint, %d row(s) restored\n", n, st.resRows)
 		}
 	}
 	fmt.Fprintln(w)

@@ -58,7 +58,7 @@ func writeObsJournal(t *testing.T, reg *obs.Registry) string {
 	engine.Emit(obs.FaultEvent("filter", 1, "emit", "transient"))
 	engine.Emit(obs.FaultEvent("join", 0, "exchange", "transient"))
 	engine.Emit(obs.RetryEvent("filter", 2, 0.002, "fault: injected transient fault"))
-	engine.Emit(obs.ResumeEvent("extract", 100))
+	engine.Emit(obs.CheckpointEvent("extract", "restored", 100))
 	engine.Emit(obs.DriftEvent("filter", 0.4, 0.5))
 	engine.Emit(obs.DriftEvent("load", 1.0, 1.0))
 	engine.Emit(obs.RunEvent("end", "engine/parallel"))

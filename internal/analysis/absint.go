@@ -214,7 +214,8 @@ type AbsResult struct {
 // Interpret computes every node's abstract state in one topological
 // sweep — workflows are acyclic (Graph.Validate), so each node's providers
 // are final when it is reached. The graph must be validated with schemata
-// regenerated (CheckWorkflow guarantees both).
+// regenerated (CheckWorkflow guarantees both); a merged package is an
+// error.
 func Interpret(g *workflow.Graph) (*AbsResult, error) {
 	order, err := g.TopoSort()
 	if err != nil {
@@ -371,23 +372,9 @@ func transferActivity(n *workflow.Node, id workflow.NodeID, in []*NodeAbs) (*Nod
 		out.Card = in[0].Card.Mul(out.Sel)
 
 	case workflow.OpMerged:
-		// Fold the packaged components in execution order, deriving each
-		// component's output schema with the same rules RegenerateSchemata
-		// applies.
-		cur := &NodeAbs{Card: in[0].Card, Sel: PointInterval(1), Attrs: in[0].Attrs}
-		schema := data.Schema(attrNames(cur.Attrs))
-		for _, comp := range a.Sem.Components {
-			schema = componentOut(comp, schema)
-			compNode := &workflow.Node{ID: id, Kind: workflow.KindActivity, Act: comp, Out: schema}
-			next, err := transferActivity(compNode, id, []*NodeAbs{cur})
-			if err != nil {
-				return nil, err
-			}
-			cur = next
-		}
-		out.Attrs = copyAttrs(n.Out, cur.Attrs)
-		out.Card = cur.Card
-		out.Sel = PointInterval(1)
+		// The DSL cannot state a package and every search result comes
+		// back split, so no rule here folds one.
+		return nil, fmt.Errorf("analysis: node %d %s is a merged package; split it first", id, n.Label())
 
 	case workflow.OpUnion:
 		out.Sel = PointInterval(1)
@@ -442,42 +429,6 @@ func transferActivity(n *workflow.Node, id workflow.NodeID, in []*NodeAbs) (*Nod
 		out.Card.Lo = 0
 	}
 	return out, nil
-}
-
-// componentOut mirrors the schemata rules for the unary operations that
-// may appear inside an OpMerged package.
-func componentOut(a *workflow.Activity, in data.Schema) data.Schema {
-	switch a.Sem.Op {
-	case workflow.OpProject:
-		return in.Minus(data.Schema(a.Sem.Attrs))
-	case workflow.OpFunc:
-		if a.InPlace() {
-			return in
-		}
-		out := in.Clone()
-		if a.Sem.DropArgs {
-			out = out.Minus(data.Schema(a.Sem.FnArgs))
-		}
-		if !out.Has(a.Sem.OutAttr) {
-			out = append(out, a.Sem.OutAttr)
-		}
-		return out
-	case workflow.OpAggregate:
-		return append(in.Intersect(data.Schema(a.Sem.Attrs)), a.Sem.OutAttr)
-	case workflow.OpSurrogateKey:
-		return append(in.Minus(data.Schema{a.Sem.KeyAttr}), a.Sem.OutAttr)
-	default:
-		return in
-	}
-}
-
-func attrNames(m map[string]AttrDomain) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Three-valued predicate truth.

@@ -213,7 +213,8 @@ func AllPasses() []Pass { return passes }
 // sorted findings. The graph is cloned and its schemata regenerated
 // first, so callers may pass freshly built workflows. Structural
 // invalidity (dangling edges, cycles, an activity without its inputs) is
-// an error, not a finding.
+// an error, not a finding, and so is a merged package: the checks read
+// the split workflow a search returns.
 func CheckWorkflow(g *workflow.Graph) ([]Finding, error) {
 	return CheckWorkflowOpts(g, nil)
 }

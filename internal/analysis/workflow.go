@@ -109,9 +109,6 @@ func unresolvedReferences(c *flow) []Finding {
 	for _, id := range g.Activities() {
 		n := g.Node(id)
 		a := n.Act
-		if a.Sem.Op == workflow.OpMerged {
-			continue
-		}
 		all := availIn(n)
 		seen := map[string]bool{}
 		report := func(attr, role string) {
@@ -222,9 +219,6 @@ func deadGenerations(c *flow) []Finding {
 	for _, id := range g.Activities() {
 		n := g.Node(id)
 		a := n.Act
-		if a.Sem.Op == workflow.OpMerged {
-			continue
-		}
 		all := availIn(n)
 		for _, attr := range a.Gen {
 			if all.Has(attr) {
@@ -253,9 +247,6 @@ func auxSchemaGaps(c *flow) []Finding {
 	for _, id := range g.Activities() {
 		n := g.Node(id)
 		a := n.Act
-		if a.Sem.Op == workflow.OpMerged {
-			continue
-		}
 		for _, attr := range semParams(a) {
 			if attr != "" && !a.Fun.Has(attr) {
 				out = append(out, Finding{

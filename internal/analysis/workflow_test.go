@@ -6,6 +6,7 @@ import (
 
 	"etlopt/internal/data"
 	"etlopt/internal/templates"
+	"etlopt/internal/transitions"
 	"etlopt/internal/workflow"
 )
 
@@ -46,6 +47,37 @@ func wantFinding(t *testing.T, fs []Finding, check, substr string) {
 	if matched != 1 {
 		t.Errorf("want one %s finding mentioning %q, got %d in %v", check, substr, matched, fs)
 	}
+}
+
+// TestCheckWorkflowRefusesMergedPackage: no check has a rule for a MER
+// package, so Fig. 1 with $2€ and A2E merged is an error naming the
+// package, and the split workflow checks clean of it.
+func TestCheckWorkflowRefusesMergedPackage(t *testing.T) {
+	g := templates.Fig1Workflow()
+	var d2e, a2e workflow.NodeID
+	for _, id := range g.Activities() {
+		if a := g.Node(id).Act; a.Sem.Op == workflow.OpFunc && a.Sem.DropArgs {
+			d2e = id
+		} else if a.Sem.Op == workflow.OpFunc && a.InPlace() {
+			a2e = id
+		}
+	}
+	mer, err := transitions.Merge(g, d2e, a2e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := mer.Graph.Node(mer.Dirty[0])
+	if pkg.Act.Sem.Op != workflow.OpMerged {
+		t.Fatalf("MER's dirty node is %s, not the package", pkg.Label())
+	}
+	if _, err := CheckWorkflow(mer.Graph); err == nil || !strings.Contains(err.Error(), pkg.Label()) {
+		t.Errorf("CheckWorkflow on a merged package: err = %v, want one naming %q", err, pkg.Label())
+	}
+	split, _, err := transitions.SplitAll(mer.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCheckWorkflow(t, split)
 }
 
 func TestUnresolvedReferenceMissingAttr(t *testing.T) {

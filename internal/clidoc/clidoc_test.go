@@ -30,3 +30,19 @@ func TestCommandsAndFlags(t *testing.T) {
 		t.Errorf("flags of %v = %v", got[1].args, flags)
 	}
 }
+
+func TestSpans(t *testing.T) {
+	doc := "intro `cmd/tool -a 1` and `tool -b`,\n" +
+		"then `go run ./cmd/tool -c\n-d x` over two lines;\n" +
+		"not `cmd/tool/main.go`, `toolbox -e`, `a tool -f` or `tool`.\n"
+	got := spans(doc, "tool")
+	want := []command{
+		{line: 1, args: []string{"-a", "1"}},
+		{line: 1, args: []string{"-b"}},
+		{line: 2, args: []string{"-c", "-d", "x"}},
+		{line: 4, args: []string{}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("spans:\n  got  %+v\n  want %+v", got, want)
+	}
+}

@@ -40,11 +40,11 @@ type Options struct {
 	// the package default (200 000). ES reports Terminated=false when the
 	// budget is exhausted before the space closes.
 	MaxStates int
-	// Workers sets the number of goroutines used to cost successor states
-	// (ES) and to optimize independent local groups (HS). 0 means
+	// Workers sets the number of goroutines used to sign and cost successor
+	// states (ES) and to optimize independent local groups (HS). 0 means
 	// runtime.GOMAXPROCS(0); 1 runs the search fully sequentially. The
 	// result — Best signature, BestCost, Visited, Generated — is identical
-	// for every value: parallel workers only precompute pure state
+	// for every value: parallel workers only compute pure state
 	// evaluations, while admission, budgeting and best-state reduction
 	// stay on one goroutine in a fixed order (lowest cost first, ties
 	// broken by signature).

@@ -76,44 +76,6 @@ func (h stateHeap) down(i0, n int) {
 	}
 }
 
-// candidate is a speculatively evaluated successor: its signature, and —
-// when the state was not already known to the visited set — its costed
-// state. The sequential reducer decides admission; a candidate whose
-// signature loses the dedup race is simply discarded.
-type candidate struct {
-	sig string
-	st  *state
-	err error
-}
-
-// precost evaluates the signatures and costings of every successor in the
-// worker pool. It returns nil when the pool would not actually run
-// concurrently, signalling the caller to use the lazy sequential path
-// (which skips costing duplicate states entirely — exactly the previous
-// single-threaded behaviour). Costing is a pure function of (parent,
-// successor graph), so speculative evaluation cannot change the result,
-// only precompute it.
-func (s *search) precost(cur *state, exps []*transitions.Result) []candidate {
-	if !s.pool.parallel(len(exps)) {
-		return nil
-	}
-	cands := make([]candidate, len(exps))
-	s.pool.run(len(exps), func(i int) {
-		res := exps[i]
-		sig := s.signatureOf(cur, res)
-		cands[i].sig = sig
-		// States the search already admitted will be rejected by the
-		// reducer without needing a costing; skip the work. A racing miss
-		// here (the reducer admitting a sibling with the same signature)
-		// only wastes one evaluation.
-		if !s.opts.DisableDedup && s.visited.Contains(sig) {
-			return
-		}
-		cands[i].st, cands[i].err = s.makeState(cur, res, sig)
-	})
-	return cands
-}
-
 // Exhaustive runs the ES algorithm (§4.2): it generates every state
 // reachable by applicable transitions, keeping a visited set keyed by
 // state signature so no state is generated — or costed — twice. The
@@ -123,11 +85,12 @@ func (s *search) precost(cur *state, exps []*transitions.Result) []candidate {
 // 40-hour cap, and Result.Terminated reports whether the space was closed
 // (the paper's Table 2 annotates non-terminating ES runs the same way).
 //
-// With Options.Workers > 1, the successors of each expanded state are
-// signed and costed concurrently in a worker pool; admission against the
-// sharded visited set, budget accounting and the best-state reduction
-// (lowest cost, ties broken by signature) remain sequential in expansion
-// order, so the result is identical for every worker count.
+// Each expansion takes its successors in three steps: the worker pool
+// signs them all, the search goroutine admits them in order against the
+// visited set and the budget, and the pool costs the admitted ones. The
+// best-state reduction (lowest cost, ties broken by signature) then runs
+// in expansion order, so the result is identical for every worker count,
+// and no duplicate is ever costed.
 //
 // A cancelled ctx aborts the search at the next expansion boundary and
 // returns ctx.Err(); a context deadline is the supported way to bound
@@ -158,37 +121,35 @@ func (s *search) exhaustive(g0 *workflow.Graph) (*Result, error) {
 		cur := queue.pop()
 		s.m.frontier.Set(float64(queue.Len()))
 		exps := transitions.Enumerate(cur.g)
-		cands := s.precost(cur, exps)
+		sigs := make([]string, len(exps))
+		s.pool.run(len(exps), func(i int) { sigs[i] = s.signatureOf(cur, exps[i]) })
+		var admitted []int
 		for i, res := range exps {
 			if !s.budgetLeft() {
 				terminated = false
 				break
 			}
 			s.m.attempt(res.Applied.Op)
-			var sig string
-			if cands != nil {
-				sig = cands[i].sig
-			} else {
-				sig = s.signatureOf(cur, res)
-			}
-			if !s.admit(sig) {
+			if !s.admit(sigs[i]) {
 				s.m.prune(res.Applied.Op)
 				continue
 			}
 			s.m.accept(res.Applied.Op)
-			var st *state
-			if cands != nil && (cands[i].st != nil || cands[i].err != nil) {
-				st, err = cands[i].st, cands[i].err
-			} else {
-				st, err = s.makeState(cur, res, sig)
-			}
-			if err != nil {
-				return nil, err
+			admitted = append(admitted, i)
+		}
+		states, errs := make([]*state, len(admitted)), make([]error, len(admitted))
+		s.pool.run(len(admitted), func(k int) {
+			i := admitted[k]
+			states[k], errs[k] = s.makeState(cur, exps[i], sigs[i])
+		})
+		for k, st := range states {
+			if errs[k] != nil {
+				return nil, errs[k]
 			}
 			if st.costing.Total < best.costing.Total ||
 				(st.costing.Total == best.costing.Total && st.sig < best.sig) {
 				best = st
-				s.m.best(res.Applied.Op, best.costing.Total)
+				s.m.best(exps[admitted[k]].Applied.Op, best.costing.Total)
 			}
 			queue.push(st)
 		}

@@ -8,8 +8,8 @@ import (
 
 // pool fans independent work items out over a bounded number of
 // goroutines. It is the execution substrate of the parallel search: ES
-// costs the successors of an expanded state through it, and HS optimizes
-// disjoint local groups through it. A pool is cheap — it holds no
+// signs, then costs, the successors of an expanded state through it, and
+// HS optimizes disjoint local groups through it. A pool is cheap — it holds no
 // persistent goroutines; each run spawns at most min(workers, n) of them
 // and waits for all to finish.
 //

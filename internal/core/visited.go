@@ -14,10 +14,8 @@ const visitedStripes = 64
 // the search's signature interning table in one: a map from signature to
 // its canonical instance and whether the search has admitted it, sharded
 // across mutex-striped maps so concurrent workers can consult it without
-// serializing on one lock. Workers use the read paths (Contains, Intern
-// of a known signature) to skip costing states the search has already
-// generated; the authoritative write path (Add) stays on the single
-// reducer goroutine, which is what keeps admission — and therefore the
+// serializing on one lock. Workers intern the signatures they render; the
+// admitting write path (Add) stays on the single search goroutine, which is what keeps admission — and therefore the
 // search result — deterministic regardless of worker count. A signature
 // is hashed once per call; its stripe depends on the process's hash seed
 // and on nothing the search can observe.
@@ -72,16 +70,6 @@ func (v *visitedSet) Intern(sig string) string {
 		s.mu.Unlock()
 	}
 	return e.sig
-}
-
-// Contains reports whether the signature was already admitted. Safe for
-// concurrent use with Add; a racing reader may miss an in-flight Add,
-// which only costs a speculative evaluation, never correctness.
-func (v *visitedSet) Contains(sig string) bool {
-	s := v.stripe(sig)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m[sig].admitted
 }
 
 // Add admits the signature, reporting true when it was not yet admitted.

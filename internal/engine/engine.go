@@ -436,7 +436,6 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		if key := e.keys[id]; stageable {
 			if restored {
 				e.rec.Emit(obs.CheckpointEvent(key, "restored", counts[len(ids)-1]))
-				e.rec.Emit(obs.ResumeEvent(key, counts[len(ids)-1]))
 			} else {
 				e.rec.Emit(obs.CheckpointEvent(key, "staged", counts[len(ids)-1]))
 			}

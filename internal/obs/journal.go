@@ -78,9 +78,6 @@ const (
 	// the upcoming attempt number, Sec the backoff delay before it,
 	// Detail the error that caused it.
 	EventRetry = "retry"
-	// EventResume is one checkpoint-resume hit: the runner skipped
-	// recomputing Node because Rows staged rows survived a crash.
-	EventResume = "resume"
 	// EventSummary is the trailing accounting record Close writes: Events,
 	// Dropped and Errors report the journal's own bookkeeping, Snapshot
 	// the registry the journal was opened with (absent without one).
@@ -188,12 +185,6 @@ func FaultEvent(node string, part int, site, kind string) Event {
 // delaySec the backoff before it, detail the error that caused it.
 func RetryEvent(node string, attempt int, delaySec float64, detail string) Event {
 	return Event{T: EventRetry, Node: node, Attempt: attempt, Sec: delaySec, Detail: detail}
-}
-
-// ResumeEvent records a checkpoint-resume hit for node with rows staged
-// rows restored instead of recomputed.
-func ResumeEvent(node string, rows int) Event {
-	return Event{T: EventResume, Node: node, Rows: int64(rows)}
 }
 
 // journalCap bounds the in-flight events: the journal never holds more

@@ -13,8 +13,8 @@ import (
 // the events it does return must be safe to consume. The seed corpus is
 // a real journal produced by the recorder itself (the same event mix an
 // etlrun invocation emits: run boundaries, node/batch/exchange traffic,
-// checkpoint, fault, retry and resume events, summary trailer), plus
-// hand-damaged variants of it.
+// staged and restored checkpoints, fault and retry events, summary
+// trailer), plus hand-damaged variants of it.
 func FuzzReadJournal(f *testing.F) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf, nil)
@@ -25,7 +25,7 @@ func FuzzReadJournal(f *testing.F) {
 	j.Emit(CheckpointEvent("1:σ(COST>=100)", "staged", 120))
 	j.Emit(FaultEvent("2:γ(PKEY)", 1, "emit", "transient"))
 	j.Emit(RetryEvent("2:γ(PKEY)", 2, 0.001, "fault: injected transient fault at emit"))
-	j.Emit(ResumeEvent("1:σ(COST>=100)", 120))
+	j.Emit(CheckpointEvent("1:σ(COST>=100)", "restored", 120))
 	j.Emit(DriftEvent("1:σ(COST>=100)", 0.5, 0.45))
 	j.Emit(RunEvent("end", "engine/parallel"))
 	if err := j.Close(); err != nil {

@@ -72,7 +72,7 @@ func (r *Recorder) Phase(name string) (end func()) {
 // fold derives from e every series that describes it; with declare set it
 // only registers the series. This switch is the whole mapping from events
 // to the registry: an event type or action it does not name (run and phase
-// boundaries, checkpoint, resume) lives in the journal only.
+// boundaries, checkpoint) lives in the journal only.
 func (r *Recorder) fold(e *Event, declare bool) {
 	f := folder{r.reg, declare}
 	switch e.T {

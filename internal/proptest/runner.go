@@ -53,10 +53,9 @@ func Reference(sc *templates.Scenario) (*engine.RunResult, error) {
 // transient faults and a crash-restart resume must all be observationally
 // invisible. Each axis keeps its own obligations besides: a journal is
 // well-formed and carries the reference's per-node rows, a plan that fired
-// left fault and retry events, a crash that left stages left resume
-// events, and the killed run failed with a typed, fully attributed
-// permanent *fault.Injected despite its retry budget. seed fixes the fault
-// schedules.
+// left fault and retry events, a resumed run restored each stage the crash
+// left, and the killed run failed with a typed, fully attributed permanent
+// *fault.Injected despite its retry budget. seed fixes the fault schedules.
 func CheckRuns(sc *templates.Scenario, seed int64, cells []Cell) error {
 	ref, err := Reference(sc)
 	if err != nil {
@@ -137,8 +136,8 @@ func checkCell(sc *templates.Scenario, seed int64, ref *engine.RunResult, c Cell
 // boundaries, one summary trailer accounting for the file's events), one
 // node event per completed activity carrying the reference's row count,
 // attributed fault and well-formed retry events — at least one of each
-// when the plan fired injected faults — and resume events when a crash
-// left staged stages. A nil ref checks the framing alone.
+// when the plan fired injected faults — and one restored checkpoint event
+// per stage a crash left staged. A nil ref checks the framing alone.
 func checkJournal(raw []byte, ref *engine.RunResult, injected, staged int) error {
 	evs, err := obs.ReadJournal(bytes.NewReader(raw))
 	if err != nil || len(evs) == 0 {
@@ -148,6 +147,8 @@ func checkJournal(raw []byte, ref *engine.RunResult, injected, staged int) error
 	for _, e := range evs {
 		counts[e.T]++
 		switch e.T {
+		case obs.EventCheckpoint:
+			counts[e.T+"/"+e.Action]++
 		case obs.EventNode:
 			key, _, _ := strings.Cut(e.Node, ":")
 			n, err := strconv.Atoi(key)
@@ -182,14 +183,12 @@ func checkJournal(raw []byte, ref *engine.RunResult, injected, staged int) error
 		return fmt.Errorf("journal does not end with the summary trailer (last event %q)", last.T)
 	case last.Events+last.Dropped < body:
 		return fmt.Errorf("summary accounts for %d events (+%d dropped), file holds %d", last.Events, last.Dropped, body)
-	case ref == nil:
-		return nil
 	case injected > 0 && counts[obs.EventFault] == 0:
 		return fmt.Errorf("plan fired %d faults but the journal holds no fault events", injected)
 	case injected > 0 && counts[obs.EventRetry] == 0:
 		return fmt.Errorf("run recovered from %d faults with no journaled retries", injected)
-	case staged > 0 && counts[obs.EventResume] == 0:
-		return fmt.Errorf("crash left %d staged stages but the resumed run journaled no resume events", staged)
+	case counts[obs.EventCheckpoint+"/restored"] != staged:
+		return fmt.Errorf("crash left %d staged stages but the resumed run journaled %d restored ones", staged, counts[obs.EventCheckpoint+"/restored"])
 	}
 	return nil
 }

@@ -38,7 +38,6 @@ import (
 	"fmt"
 
 	"etlopt/internal/core"
-	"etlopt/internal/cost"
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
 	"etlopt/internal/engine"
@@ -90,9 +89,6 @@ type (
 	Rows = data.Rows
 	// Value is one typed attribute value.
 	Value = data.Value
-	// CostModel prices workflow states; the default is the paper's
-	// row-count model.
-	CostModel = cost.Model
 	// MetricsRegistry collects observability series (counters, gauges,
 	// histograms) from the optimizer and the engine. Collection is
 	// write-only: results are bit-identical with metrics on or off.
@@ -198,12 +194,6 @@ type settings struct {
 // only.
 func WithAlgorithm(a Algorithm) Option {
 	return func(s *settings) { s.algo = a }
-}
-
-// WithModel prices states with a custom cost model (default: the paper's
-// row-count model). Optimize only.
-func WithModel(m CostModel) Option {
-	return func(s *settings) { s.search.Model = m }
 }
 
 // WithMaxStates bounds the search's generated states (0 = package

@@ -36,9 +36,9 @@ func TestFullCostEvalEquivalence(t *testing.T) {
 	}
 }
 
-// TestModelAndConstraintOptions pins the remaining Optimize option: an
-// explicit row model must reproduce the default result, and NewGraph
-// starts empty.
+// TestModelAndConstraintOptions pins what Optimize prices with: the
+// paper's row model, so the facade's default search must reproduce HS
+// under an explicit cost.RowModel. NewGraph starts empty.
 func TestModelAndConstraintOptions(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -49,12 +49,12 @@ func TestModelAndConstraintOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := etl.Optimize(ctx, g, etl.WithModel(cost.RowModel{}))
+	row, err := core.Heuristic(ctx, g, core.Options{Model: cost.RowModel{}, IncrementalCost: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.BestCost != tuned.BestCost {
-		t.Errorf("explicit defaults changed the result: %v vs %v", tuned.BestCost, base.BestCost)
+	if base.BestCost != row.BestCost {
+		t.Errorf("the default search and HS under the row model differ: %v vs %v", base.BestCost, row.BestCost)
 	}
 	if fresh := etl.NewGraph(); fresh == nil || fresh.Len() != 0 {
 		t.Errorf("NewGraph not empty: %v", fresh)
