@@ -11,10 +11,6 @@ import (
 	"testing"
 )
 
-// docs are the documents beside the README whose backticked command spans
-// Check also holds to the tools' usage.
-var docs = []string{"DESIGN.md", "EXPERIMENTS.md"}
-
 // Check fails t for every -flag that the tool's usage does not list and
 // that a `$ go run ./cmd/<tool> …` line of the README at path passes, or a
 // backticked `[go run ./]cmd/<tool> …` or `<tool> …` span of DESIGN.md or
@@ -28,7 +24,7 @@ func Check(t testing.TB, path, tool string, usage func(args []string) []byte) {
 		t.Fatalf("%s shows no %s command", path, tool)
 	}
 	check(t, path, tool, cmds, usage)
-	for _, doc := range docs {
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md"} {
 		doc = filepath.Join(filepath.Dir(path), doc)
 		check(t, doc, tool, spans(read(t, doc), tool), usage)
 	}

@@ -90,7 +90,7 @@ func (h stateHeap) down(i0, n int) {
 // visited set and the budget, and the pool costs the admitted ones. The
 // best-state reduction (lowest cost, ties broken by signature) then runs
 // in expansion order, so the result is identical for every worker count,
-// and no duplicate is ever costed.
+// and a successor the visited set rejects is never costed.
 //
 // A cancelled ctx aborts the search at the next expansion boundary and
 // returns ctx.Err(); a context deadline is the supported way to bound

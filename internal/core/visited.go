@@ -15,10 +15,11 @@ const visitedStripes = 64
 // its canonical instance and whether the search has admitted it, sharded
 // across mutex-striped maps so concurrent workers can consult it without
 // serializing on one lock. Workers intern the signatures they render; the
-// admitting write path (Add) stays on the single search goroutine, which is what keeps admission — and therefore the
-// search result — deterministic regardless of worker count. A signature
-// is hashed once per call; its stripe depends on the process's hash seed
-// and on nothing the search can observe.
+// admitting write path (Add) stays on the single search goroutine, which
+// is what keeps admission — and therefore the search result —
+// deterministic regardless of worker count. A signature is hashed once
+// per call; its stripe depends on the process's hash seed and on nothing
+// the search can observe.
 //
 // Every signature entering the search (spliced or fully rendered) is
 // first canonicalized through Intern, so the strings stored here, carried
