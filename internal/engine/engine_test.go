@@ -2,6 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,6 +13,7 @@ import (
 	"etlopt/internal/data"
 	"etlopt/internal/dsl"
 	"etlopt/internal/templates"
+	"etlopt/internal/transitions"
 	"etlopt/internal/workflow"
 )
 
@@ -259,22 +264,46 @@ func TestDistinctExecution(t *testing.T) {
 	})
 }
 
+// TestMergedExecution: the engine runs only what a plan can hold. Fig. 1
+// with $2€ and A2E folded into a MER package is refused at either mode,
+// plainly and under a checkpoint runner, with an error naming the package,
+// before a source is scanned, a target loaded or a staging directory made.
 func TestMergedExecution(t *testing.T) {
-	// A merged NN+σ package must behave exactly like the sequence.
-	nn := templates.NotNull(0.9, "V")
-	sigma := templates.Threshold("V", 100, 0.5)
-	merged := &workflow.Activity{
-		Sem: workflow.Semantics{Op: workflow.OpMerged, Components: []*workflow.Activity{nn, sigma}},
-		Fun: data.Schema{"V"},
-		Sel: 0.45,
+	sc := templates.Fig1Scenario(20, 60)
+	var d2e, a2e workflow.NodeID
+	for _, id := range sc.Graph.Activities() {
+		if a := sc.Graph.Node(id).Act; a.Sem.Op == workflow.OpFunc && a.Sem.DropArgs {
+			d2e = id
+		} else if a.Sem.Op == workflow.OpFunc && a.InPlace() {
+			a2e = id
+		}
 	}
-	rows := data.Rows{
-		{data.NewFloat(150)}, {data.Null}, {data.NewFloat(50)},
+	mer, err := transitions.Merge(sc.Graph, d2e, a2e)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := runChain(t, Materialized, data.Schema{"V"}, rows, nil, templates.NotNull(0.9, "V"), templates.Threshold("V", 100, 0.5))
-	pkg := runChain(t, Materialized, data.Schema{"V"}, rows, nil, merged)
-	if err := seq.SameMultiset(pkg); err != nil {
-		t.Errorf("merged package differs from sequence: %v", err)
+	label := mer.Graph.Node(mer.Dirty[0]).Label()
+	for _, mode := range []Mode{Materialized, Parallel} {
+		bindings := sc.Bind()
+		scans := 0
+		for _, name := range []string{"PARTS1", "PARTS2"} {
+			bindings[name] = countingRecordset{Recordset: bindings[name], scans: &scans}
+		}
+		target := data.NewMemoryRecordset("DW.PARTS", data.Schema{"PKEY", "SOURCE", "DATE", "ECOST"})
+		bindings["DW.PARTS"] = target
+		e := New(bindings, WithMode(mode), WithPartitions(2))
+		dir := filepath.Join(t.TempDir(), "stage")
+		for _, run := range []func(context.Context, *workflow.Graph) (*RunResult, error){e.Run, NewCheckpointRunner(e, dir).Run} {
+			if _, err := run(context.Background(), mer.Graph); err == nil || !strings.Contains(err.Error(), label) {
+				t.Errorf("mode %v: err = %v, want one naming the package %s", mode, err, label)
+			}
+		}
+		if rows, _ := target.Scan(); scans != 0 || len(rows) != 0 {
+			t.Errorf("mode %v: refused runs scanned %d sources and loaded %d rows", mode, scans, len(rows))
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("mode %v: refused checkpoint run left %s (stat: %v)", mode, dir, err)
+		}
 	}
 }
 

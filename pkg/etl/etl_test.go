@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"etlopt/internal/generator"
+	"etlopt/internal/templates"
+	"etlopt/internal/transitions"
+	"etlopt/internal/workflow"
 	"etlopt/pkg/etl"
 )
 
@@ -91,6 +94,49 @@ func TestOptimizeCancellation(t *testing.T) {
 	if _, err := etl.Run(ctx, g, buildBindings()); !errors.Is(err, context.Canceled) {
 		t.Errorf("Run err = %v, want context.Canceled", err)
 	}
+}
+
+// TestRunRefusesMergedPackage: etl.Run returns the engine's refusal of a
+// MER package, naming the package, with no source scanned and the bound
+// target left empty.
+func TestRunRefusesMergedPackage(t *testing.T) {
+	sc := templates.Fig1Scenario(20, 60)
+	var d2e, a2e etl.NodeID
+	for _, id := range sc.Graph.Activities() {
+		if a := sc.Graph.Node(id).Act; a.Sem.Op == workflow.OpFunc && a.Sem.DropArgs {
+			d2e = id
+		} else if a.Sem.Op == workflow.OpFunc && a.InPlace() {
+			a2e = id
+		}
+	}
+	mer, err := transitions.Merge(sc.Graph, d2e, a2e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := mer.Graph.Node(mer.Dirty[0]).Label()
+	bindings := sc.Bind()
+	scans := 0
+	for _, name := range []string{"PARTS1", "PARTS2"} {
+		bindings[name] = scanCounter{Recordset: bindings[name], scans: &scans}
+	}
+	target := etl.NewMemoryRecordset("DW.PARTS", etl.Schema{"PKEY", "SOURCE", "DATE", "ECOST"})
+	bindings["DW.PARTS"] = target
+	if _, err := etl.Run(context.Background(), mer.Graph, bindings); err == nil || !strings.Contains(err.Error(), label) {
+		t.Errorf("err = %v, want one naming the package %s", err, label)
+	}
+	if rows, _ := target.Scan(); scans != 0 || len(rows) != 0 {
+		t.Errorf("refused run scanned %d sources and loaded %d rows", scans, len(rows))
+	}
+}
+
+type scanCounter struct {
+	etl.Recordset
+	scans *int
+}
+
+func (c scanCounter) Scan() (etl.Rows, error) {
+	*c.scans++
+	return c.Recordset.Scan()
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
