@@ -107,6 +107,39 @@ func TestArithIntPreservation(t *testing.T) {
 	}
 }
 
+// TestArithIntExact: + - * on two ints are int64 arithmetic, not float64
+// arithmetic converted back: beyond 2⁵³ the result keeps its last digit,
+// and a result int64 cannot hold is an error naming the expression.
+func TestArithIntExact(t *testing.T) {
+	c := func(v int64) Expr { return Const{Value: data.NewInt(v)} }
+	for _, tc := range []struct {
+		e    Arith
+		want int64
+	}{
+		{Arith{Op: Add, Left: c(1<<53 + 1), Right: c(0)}, 1<<53 + 1},
+		{Arith{Op: Sub, Left: c(1<<53 + 1), Right: c(2)}, 1<<53 - 1},
+		{Arith{Op: Mul, Left: c(1<<53 + 1), Right: c(3)}, 3<<53 + 3},
+		{Arith{Op: Add, Left: c(math.MaxInt64), Right: c(math.MinInt64)}, -1},
+		{Arith{Op: Mul, Left: c(math.MinInt64), Right: c(1)}, math.MinInt64},
+	} {
+		v, err := tc.e.Eval(nil, nil)
+		if err != nil || v.Kind() != data.KindInt || v.Int() != tc.want {
+			t.Errorf("%s = %v (%v), %v; want Int(%d)", tc.e, v, v.Kind(), err, tc.want)
+		}
+	}
+	for _, e := range []Arith{
+		{Op: Mul, Left: c(4611686018427387905), Right: c(4)},
+		{Op: Add, Left: c(math.MaxInt64), Right: c(1)},
+		{Op: Sub, Left: c(math.MinInt64), Right: c(1)},
+		{Op: Mul, Left: c(math.MinInt64), Right: c(-1)},
+		{Op: Mul, Left: c(-1), Right: c(math.MinInt64)},
+	} {
+		if v, err := e.Eval(nil, nil); err == nil || !strings.Contains(err.Error(), e.String()) {
+			t.Errorf("%s = %v, %v; want an overflow error naming the expression", e, v, err)
+		}
+	}
+}
+
 func TestDivisionByZero(t *testing.T) {
 	e := Arith{Op: Div, Left: Attr{Name: "A"}, Right: Const{Value: data.NewInt(0)}}
 	if _, err := e.Eval(testSchema, rec(1, 0, "")); err == nil {

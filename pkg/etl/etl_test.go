@@ -139,6 +139,29 @@ func (c scanCounter) Scan() (etl.Rows, error) {
 	return c.Recordset.Scan()
 }
 
+// TestRunFiltersIntArithmeticExactly: V+0 on two ids float64 rounds to
+// one number stays the id it was, so the filter loads 2⁵³+1 alone.
+func TestRunFiltersIntArithmeticExactly(t *testing.T) {
+	g, err := etl.Parse(`
+recordset SRC source rows=2 schema=V
+activity keep filter pred="(V+0=9007199254740993)" sel=0.5
+recordset DW target schema=V
+flow SRC -> keep -> DW
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := etl.Rows{{etl.NewInt(1<<53 + 1)}, {etl.NewInt(1 << 53)}}
+	bindings := map[string]etl.Recordset{"SRC": etl.NewMemoryRecordset("SRC", etl.Schema{"V"}).MustLoad(rows)}
+	res, err := etl.Run(context.Background(), g, bindings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Targets["DW"]; len(got) != 1 || got[0][0].Int() != 1<<53+1 {
+		t.Errorf("loaded %v, want the one row 9007199254740993", got)
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	g, err := etl.Parse(quickstartDSL)
 	if err != nil {
