@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -93,18 +92,6 @@ func IsBijective(name string) bool {
 	funcMu.RLock()
 	defer funcMu.RUnlock()
 	return bijective[name]
-}
-
-// FuncNames returns the sorted names of all registered functions.
-func FuncNames() []string {
-	funcMu.RLock()
-	defer funcMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // DollarEuroRate is the fixed conversion rate used by the built-in

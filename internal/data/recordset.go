@@ -32,10 +32,6 @@ type Recordset interface {
 	Digest() (uint64, error)
 	// Load appends records to the recordset.
 	Load(rows Rows) error
-	// Truncate removes all records.
-	Truncate() error
-	// Count returns the number of stored records.
-	Count() (int, error)
 }
 
 // MemoryRecordset is an in-memory relational table. It is safe for
@@ -95,21 +91,6 @@ func (m *MemoryRecordset) Load(rows Rows) error {
 	return nil
 }
 
-// Truncate implements Recordset.
-func (m *MemoryRecordset) Truncate() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rows = nil
-	return nil
-}
-
-// Count implements Recordset.
-func (m *MemoryRecordset) Count() (int, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.rows), nil
-}
-
 // MustLoad loads rows and panics on error; intended for tests and examples.
 func (m *MemoryRecordset) MustLoad(rows Rows) *MemoryRecordset {
 	if err := m.Load(rows); err != nil {
@@ -133,7 +114,7 @@ type FileRecordset struct {
 func NewFileRecordset(name string, schema Schema, path string) (*FileRecordset, error) {
 	f := &FileRecordset{name: name, schema: schema.Clone(), path: path}
 	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if err := f.Truncate(); err != nil {
+		if err := WriteCSVFile(path, f.schema, nil); err != nil {
 			return nil, err
 		}
 		return f, nil
@@ -464,18 +445,6 @@ func (f *FileRecordset) Load(rows Rows) error {
 	}
 	w.Flush()
 	return w.Error()
-}
-
-// Truncate implements Recordset by rewriting the file with only the header.
-func (f *FileRecordset) Truncate() error { return WriteCSVFile(f.path, f.schema, nil) }
-
-// Count implements Recordset.
-func (f *FileRecordset) Count() (int, error) {
-	rows, err := f.Scan()
-	if err != nil {
-		return 0, err
-	}
-	return len(rows), nil
 }
 
 func recordFields(rec Record) []string {

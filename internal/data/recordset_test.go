@@ -13,8 +13,8 @@ func TestMemoryRecordsetBasics(t *testing.T) {
 	if rs.Name() != "T" {
 		t.Errorf("Name = %q", rs.Name())
 	}
-	if n, _ := rs.Count(); n != 0 {
-		t.Errorf("empty Count = %d", n)
+	if got, _ := rs.Scan(); len(got) != 0 {
+		t.Errorf("empty Scan = %v", got)
 	}
 	rows := Rows{
 		{NewInt(1), NewString("x")},
@@ -29,12 +29,6 @@ func TestMemoryRecordsetBasics(t *testing.T) {
 	}
 	if err := got.SameMultiset(rows); err != nil {
 		t.Errorf("Scan = %v: %v", got, err)
-	}
-	if err := rs.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := rs.Count(); n != 0 {
-		t.Errorf("Count after truncate = %d", n)
 	}
 }
 
@@ -75,8 +69,8 @@ func TestMemoryRecordsetConcurrentLoad(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if n, _ := rs.Count(); n != 400 {
-		t.Errorf("Count = %d, want 400", n)
+	if got, _ := rs.Scan(); len(got) != 400 {
+		t.Errorf("Scan = %d rows, want 400", len(got))
 	}
 }
 
@@ -114,35 +108,13 @@ func TestFileRecordsetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := rs2.Count(); n != 3 {
-		t.Errorf("reopened Count = %d", n)
+	if got, _ := rs2.Scan(); len(got) != 3 {
+		t.Errorf("reopened Scan = %d rows", len(got))
 	}
 
 	// Mismatched schema must be rejected.
 	if _, err := NewFileRecordset("PARTS", Schema{"X"}, path); err == nil {
 		t.Error("reopening with a different schema should fail")
-	}
-}
-
-func TestFileRecordsetTruncate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.csv")
-	rs, err := NewFileRecordset("T", Schema{"A"}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Load(Rows{{NewInt(1)}, {NewInt(2)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := rs.Count(); n != 0 {
-		t.Errorf("Count after truncate = %d", n)
-	}
-	// The header must survive truncation.
-	rows, err := rs.Scan()
-	if err != nil || rows != nil {
-		t.Errorf("Scan after truncate = %v, %v", rows, err)
 	}
 }
 
@@ -188,9 +160,6 @@ func TestFileRecordsetScanChecksHeader(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
-	}
-	if _, err := rs.Count(); err == nil {
-		t.Error("Count counted a file Scan refuses")
 	}
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)

@@ -198,22 +198,30 @@ func SameRun(want, got *RunResult) error {
 }
 
 // Run executes the workflow and returns the loaded target rows. The graph
-// must be validated and have regenerated schemata. Cancelling ctx stops
-// the run at the next stage, partition or — inside a fused stage — batch
-// boundary and returns an error wrapping ctx.Err(); rows already loaded
-// into bound targets stay loaded. NodeRows is per activity whether or not
-// the activity ran fused.
+// must be validated, have regenerated schemata and hold no MER package: a
+// package is refused before anything is read, loaded or staged. Cancelling
+// ctx stops the run at the next stage, partition or — inside a fused stage
+// — batch boundary and returns an error wrapping ctx.Err(); rows already
+// loaded into bound targets stay loaded. NodeRows is per activity whether
+// or not the activity ran fused.
 func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
 	return e.run(ctx, g, nil)
 }
 
 // run is the run wrapper Run (stage nil) and CheckpointRunner.Run share:
-// it resolves the mode to a partition count, attaches the run's lookup
-// cache and recorder, emits the run's boundary events and hands the graph
-// to the node driver.
+// it refuses a package, resolves the mode to a partition count, attaches
+// the run's lookup cache and recorder, emits the run's boundary events and
+// hands the graph to the node driver.
 func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRunner) (*RunResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
+	}
+	for _, id := range g.Activities() {
+		// Fusion is planStages' job; a search splits its packages before
+		// it returns a plan (transitions.SplitAll).
+		if n := g.Node(id); n.Act.Sem.Op == workflow.OpMerged {
+			return nil, fmt.Errorf("engine: node %d %s is a merged package; split it first", id, n.Label())
+		}
 	}
 	partitions := 1 // Materialized is the node driver at one partition
 	switch e.mode {

@@ -287,9 +287,9 @@ func TestKeyOperatorAllocations(t *testing.T) {
 			if !streamable(a) {
 				pd, err = e.execParallelOp(context.Background(), 0, n, inputs, 1, 0)
 			} else {
-				var ks []rowKernel
-				if ks, err = e.appendKernels(nil, rowKernel{}, a, in[0], out); err == nil {
-					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain(ks, out), inputs[0], 1, make([]scratch, 1), 0)
+				var k rowKernel
+				if k, err = e.resolveKernel(rowKernel{}, a, in[0], out); err == nil {
+					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain([]rowKernel{k}, out), inputs[0], 1, make([]scratch, 1), 0)
 				}
 			}
 			if err != nil {

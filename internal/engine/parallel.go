@@ -375,29 +375,6 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 			return nil
 		})
 		return result, err
-	case workflow.OpMerged:
-		// A package with a blocking component runs over the partitions one
-		// component at a time: a row-local one as a chain, any other by contract.
-		pd, in := inputs[0], n.In
-		for _, comp := range a.Sem.Components {
-			out, err := workflow.DeriveOutput(comp, in)
-			var ks []rowKernel
-			switch {
-			case err != nil:
-			case !streamable(comp):
-				step := &workflow.Node{Kind: workflow.KindActivity, Act: comp, In: in, Out: out}
-				pd, err = e.execParallelOp(ctx, id, step, []*pdata{pd}, p, rowsSoFar)
-			default:
-				if ks, err = e.appendKernels(nil, rowKernel{}, comp, in[0], out); err == nil {
-					pd, _, err = e.execChain(ctx, id, n, newRowChain(ks, out), pd, p, make([]scratch, p), rowsSoFar)
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("merged component %s: %w", comp.Sem, err)
-			}
-			in = []data.Schema{out}
-		}
-		return pd, nil
 	case workflow.OpUnion:
 		return e.parUnion(ctx, id, n, inputs, p, rowsSoFar)
 	case workflow.OpJoin:

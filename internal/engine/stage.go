@@ -34,13 +34,6 @@ func streamable(a *workflow.Activity) bool {
 		return true
 	case workflow.OpPKCheck:
 		return a.Sem.Lookup != ""
-	case workflow.OpMerged:
-		for _, comp := range a.Sem.Components {
-			if !streamable(comp) {
-				return false
-			}
-		}
-		return true
 	default:
 		return false
 	}
@@ -95,7 +88,7 @@ type rowKernel struct {
 	op     workflow.OpKind
 	member int    // the chain member the kernel belongs to
 	counts bool   // the member's last kernel: what survives it is the member's output
-	name   string // what its errors are wrapped in: the member, and the package component it is
+	name   string // what its errors are wrapped in: the member
 
 	// Filters (proj nil): the predicate and its layout, the not-null
 	// positions, or the key positions and existing keys of a lookup PK check.
@@ -137,10 +130,9 @@ type rowChain struct {
 	out data.Schema
 }
 
-// appendKernels resolves activity a — a merged package component by
-// component — reading layout in and writing layout out. k carries the
-// member the kernels belong to and its name.
-func (e *Engine) appendKernels(ks []rowKernel, k rowKernel, a *workflow.Activity, in, out data.Schema) ([]rowKernel, error) {
+// resolveKernel resolves activity a, reading layout in and writing layout
+// out. k carries the member the kernel belongs to and its name.
+func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out data.Schema) (rowKernel, error) {
 	k.op = a.Sem.Op
 	var err error
 	switch a.Sem.Op {
@@ -158,41 +150,27 @@ func (e *Engine) appendKernels(ks []rowKernel, k rowKernel, a *workflow.Activity
 	case workflow.OpFunc:
 		var ok bool
 		if k.fn, ok = algebra.LookupFunc(a.Sem.Fn); !ok {
-			return nil, fmt.Errorf("unknown function %q", a.Sem.Fn)
+			return k, fmt.Errorf("unknown function %q", a.Sem.Fn)
 		}
 		k.pos, err = keyPositions(in, a.Sem.FnArgs)
 	case workflow.OpSurrogateKey:
 		if k.pos, err = keyPositions(in, []string{a.Sem.KeyAttr}); err == nil {
 			k.table, err = e.lookupTable(a.Sem.Lookup, true)
 		}
-	case workflow.OpMerged:
-		for _, comp := range a.Sem.Components {
-			kc := k
-			kc.name = fmt.Sprintf("%s: merged component %s", k.name, comp.Sem)
-			next, err := workflow.DeriveOutput(comp, []data.Schema{in})
-			if err == nil {
-				ks, err = e.appendKernels(ks, kc, comp, in, next)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("merged component %s: %w", comp.Sem, err)
-			}
-			in = next
-		}
-		return ks, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", a.Sem.Op, err)
+		return k, fmt.Errorf("%s: %w", a.Sem.Op, err)
 	}
 	switch a.Sem.Op {
 	case workflow.OpFunc, workflow.OpSurrogateKey:
 		if k.writes, k.outPos = a.Sem.OutAttr, out.Index(a.Sem.OutAttr); k.outPos < 0 {
-			return nil, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
+			return k, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
 		}
 		fallthrough
 	case workflow.OpProject:
 		k.proj = data.NewProjection(in, out)
 	}
-	return append(ks, k), nil
+	return k, nil
 }
 
 // newRowChain lays the kernels' records out, given the chain's output
@@ -237,11 +215,12 @@ func (e *Engine) resolveChain(g *workflow.Graph, ids []workflow.NodeID) (*rowCha
 		if !src.Equal(n.In[0]) {
 			ks = append(ks, rowKernel{op: workflow.OpProject, member: m, proj: data.NewProjection(src, n.In[0])})
 		}
-		var err error
-		if ks, err = e.appendKernels(ks, k, n.Act, n.In[0], n.Out); err != nil {
+		k, err := e.resolveKernel(k, n.Act, n.In[0], n.Out)
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.name, err)
 		}
-		ks[len(ks)-1].counts = true
+		k.counts = true
+		ks = append(ks, k)
 		src = n.Out
 	}
 	return newRowChain(ks, src), nil
@@ -302,10 +281,7 @@ func (c *rowChain) runBatch(rows data.Rows, seqs []int64, out *pslice, sc *scrat
 		start := time.Now()
 		n, err := c.step(k, src, srcSeq, dst, dstSeq, sc)
 		if err != nil {
-			if k.name != "" {
-				err = fmt.Errorf("%s: %w", k.name, err)
-			}
-			return err
+			return fmt.Errorf("%s: %w", k.name, err)
 		}
 		if src = dst[:n]; seqs != nil {
 			srcSeq = dstSeq[:n]
@@ -406,7 +382,7 @@ func (c *rowChain) step(k *rowKernel, src data.Rows, srcSeq []int64, dst data.Ro
 }
 
 // execChain runs chain c over in — a stage of row-local activities ending
-// at node id, or a component of package id — per partition, batch by batch.
+// at node id — per partition, batch by batch.
 // Filters keep survivor tags and 1:1 transforms inherit them, so the tag
 // invariants hold for the chain as for each member. No row changes
 // partition, so the output keeps in's partitioning unless a kernel writes

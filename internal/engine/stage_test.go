@@ -16,7 +16,6 @@ import (
 	"etlopt/internal/generator"
 	"etlopt/internal/obs"
 	"etlopt/internal/templates"
-	"etlopt/internal/transitions"
 	"etlopt/internal/workflow"
 )
 
@@ -173,13 +172,10 @@ func truncated(sc *templates.Scenario, n int) func() map[string]data.Recordset {
 // TestFusedStageMatchesNodeByNode holds the stage loop to the
 // node-by-node reference on 200 generator workflows, each at P ∈ {1, 2, 8}
 // and one of fusedSizes in rotation, then on the hand-built shapes and
-// keyed.etl at every size. Every fourth workflow has a row-local pair
-// folded into a MER package, every fourth but two a row-local activity
-// and an aggregate, and blockingPackages adds DISTINCT and the group-based
-// PK check: such a package must also match its SPL form (checkSplit).
-// partitioningShapes try each rule that lets an operator skip its exchange.
+// keyed.etl at every size. partitioningShapes try each rule that lets an
+// operator skip its exchange.
 func TestFusedStageMatchesNodeByNode(t *testing.T) {
-	i, fused, blocking := 0, 0, 0
+	i, fused := 0, 0
 	for _, c := range []struct {
 		cat generator.Category
 		n   int
@@ -194,18 +190,6 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 			}
 			label := fmt.Sprintf("%s #%d size %d", c.cat, k, size)
 			g := sc.Graph
-			switch i % 4 {
-			case 0:
-				g, _, _ = withMergedPackage(g, false)
-			case 2:
-				var pkg, last workflow.NodeID
-				if g, pkg, last = withMergedPackage(g, true); pkg != 0 {
-					blocking++
-					for _, p := range []int{1, 2, 8} {
-						checkSplit(t, label, truncated(sc, size), g, sc.Graph, map[workflow.NodeID]workflow.NodeID{pkg: last}, p)
-					}
-				}
-			}
 			order, _ := g.TopoSort()
 			for _, ids := range planStages(g, order) {
 				if len(ids) > 1 {
@@ -218,8 +202,8 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 			i++
 		}
 	}
-	if fused < 200 || blocking < 10 {
-		t.Errorf("%d fused stages and %d blocking packages over the corpus; it no longer exercises them", fused, blocking)
+	if fused < 200 {
+		t.Errorf("%d fused stages over the corpus; it no longer exercises them", fused)
 	}
 	shapes := partitioningShapes(t)
 	for _, size := range fusedSizes {
@@ -230,9 +214,6 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 			checkFused(t, fmt.Sprintf("two consumers, size %d", size), bind, g, p)
 			g, bind = keyedWorkload(t, size)
 			checkFused(t, fmt.Sprintf("keyed.etl, size %d", size), bind, g, p)
-			g, split, last, bind := blockingPackages(t, size)
-			checkSplit(t, fmt.Sprintf("blocking packages, size %d", size), bind, g, split, last, p)
-			checkFused(t, fmt.Sprintf("blocking packages, size %d", size), bind, g, p)
 			for _, shape := range shapes {
 				checkFused(t, fmt.Sprintf("%s, size %d", shape.name, size), bindShapes(size), shape.g, p)
 			}
@@ -242,11 +223,11 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 
 // partitioningShapes are flows that would go wrong if a partitioning were
 // carried where it does not hold (pdata.on): between two operators keyed
-// alike, something rewrites (a function, a package's component, an
-// aggregate's output) or drops the key, merges differently
-// partitioned inputs, or leaves a binary operator's side partitioned on
-// only part of its key; or a join fans a left row out to rows that are
-// then exchanged apart. They read bindShapes' recordsets.
+// alike, something rewrites (a function or an aggregate's output) or drops
+// the key, merges differently partitioned inputs, or leaves a binary
+// operator's side partitioned on only part of its key; or a join fans a
+// left row out to rows that are then exchanged apart. They read
+// bindShapes' recordsets.
 func partitioningShapes(t testing.TB) []shape {
 	// γ by V2 (on V2), then V2 rewritten many-to-one, then γ by V2 again.
 	byV2 := func(attr, out string) *workflow.Activity {
@@ -256,14 +237,9 @@ func partitioningShapes(t testing.TB) []shape {
 	funcRewrites, _ := chainGraph(t, measureSchema, byV2("V1", "TOTAL"), round(), byV2("TOTAL", "T2"))
 	projectDrops, _ := chainGraph(t, measureSchema, byV2("V1", "TOTAL"), templates.ProjectOut("V2"),
 		templates.Apply("round", "V2", "TOTAL"), byV2("TOTAL", "T2"))
-	packaged, ids := chainGraph(t, measureSchema, byV2("V1", "TOTAL"), round(), byV2("TOTAL", "T2"))
 	// The middle γ writes its row count over its grouper V2.
 	overwrites, _ := chainGraph(t, measureSchema, byV2("V1", "TOTAL"),
 		templates.Aggregate([]string{"V2"}, workflow.AggCount, "", "V2", 1), byV2("V2", "T2"))
-	res, err := transitions.Merge(packaged, ids[1], ids[2])
-	if err != nil {
-		t.Fatal(err)
-	}
 	pk := func(keys ...string) *workflow.Activity { return templates.PKCheck(1, keys...) }
 	return []shape{
 		{"function rewrites the key", funcRewrites},
@@ -282,7 +258,6 @@ func partitioningShapes(t testing.TB) []shape {
 		{"join fans out before an exchange", shapeGraph(t, map[string]*workflow.Activity{
 			"pk": pk("KEY"), "j": templates.Join(2, "V3"), "pk2": pk("KEY", "LABEL"),
 		}, "SRC pk", "pk j", "DIM j", "j pk2")},
-		{"package rewrites the key before its aggregate", res.Graph},
 		{"aggregate overwrites its grouper", overwrites},
 	}
 }
@@ -345,72 +320,6 @@ func bindShapes(n int) func() map[string]data.Recordset {
 			"DIM":  data.NewMemoryRecordset("DIM", dimSchema).MustLoad(dim),
 		}
 	}
-}
-
-// withMergedPackage folds the first mergeable adjacent pair of g into a
-// MER package — a pair of row-local activities, or with blocking set a
-// row-local and an aggregate, distinct or group-based PK check — and
-// returns the new graph, the package's ID and the ID in g of the pair's
-// second; g itself and no IDs when there is no such pair.
-func withMergedPackage(g *workflow.Graph, blocking bool) (*workflow.Graph, workflow.NodeID, workflow.NodeID) {
-	for _, grp := range g.LocalGroups() {
-		for i := 0; i+1 < len(grp); i++ {
-			a, b := streamable(g.Node(grp[i]).Act), streamable(g.Node(grp[i+1]).Act)
-			if blocking && a == b || !blocking && !(a && b) {
-				continue
-			}
-			if res, err := transitions.Merge(g, grp[i], grp[i+1]); err == nil {
-				return res.Graph, res.Dirty[0], grp[i+1]
-			}
-		}
-	}
-	return g, 0, 0
-}
-
-// checkSplit runs the graph with packages and its SPL form at p
-// partitions: the target rows must be the same, value for value and in
-// order, and each package must count what its last component counts in the
-// SPL form (last maps the one to the other).
-func checkSplit(t *testing.T, label string, bind func() map[string]data.Recordset, merged, split *workflow.Graph, last map[workflow.NodeID]workflow.NodeID, p int) {
-	t.Helper()
-	var res [2]*RunResult
-	for k, g := range []*workflow.Graph{merged, split} {
-		var err error
-		if res[k], err = New(bind(), WithMode(Parallel), WithPartitions(p)).Run(context.Background(), g); err != nil {
-			t.Fatalf("%s P=%d: %v", label, p, err)
-		}
-	}
-	for name, want := range res[1].Targets {
-		if !rowsIdentical(res[0].Targets[name], want) {
-			t.Fatalf("%s P=%d: target %s differs between the packages and their SPL form", label, p, name)
-		}
-	}
-	for pkg, comp := range last {
-		if op := merged.Node(pkg).Act.Sem.Op; op != workflow.OpMerged {
-			t.Fatalf("%s: node %d is %s, not a package", label, pkg, op)
-		}
-		if got, want := res[0].NodeRows[pkg], res[1].NodeRows[comp]; got != want {
-			t.Fatalf("%s P=%d: package %s counts %d rows, its last component %d", label, p, merged.Node(pkg).Label(), got, want)
-		}
-	}
-}
-
-// blockingPackages is SRC → nn+DISTINCT → PK(KEY)+scale10 → σ+γ → TGT:
-// each package a row-local and a blocking activity, in either order. It
-// returns the graph, its SPL form and each package's last component there.
-func blockingPackages(t testing.TB, n int) (*workflow.Graph, *workflow.Graph, map[workflow.NodeID]workflow.NodeID, func() map[string]data.Recordset) {
-	split, ids := chainGraph(t, measureSchema,
-		templates.NotNull(0.9, "V1"), templates.Distinct(1), templates.PKCheck(1, "KEY"), templates.Convert("scale10", "W1", "V1"),
-		templates.Threshold("W1", 100, 0.9), templates.Aggregate([]string{"V3"}, workflow.AggSum, "W1", "TOTAL", 0.1))
-	merged, last := split, map[workflow.NodeID]workflow.NodeID{}
-	for i := 0; i < len(ids); i += 2 {
-		res, err := transitions.Merge(merged, ids[i], ids[i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		merged, last[res.Dirty[0]] = res.Graph, ids[i+1]
-	}
-	return merged, split, last, bindMeasures(n)
 }
 
 // chainGraph builds SRC → acts… → TGT over schema, like runChain.

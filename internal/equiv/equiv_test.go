@@ -162,7 +162,8 @@ func TestVerifyEmpiricalDetectsDifference(t *testing.T) {
 // TestTransitionsPreserveOutputs is the central correctness property
 // (Theorem 2, empirically): starting from generated executable workflows,
 // every legal transition the search would take produces a state that loads
-// exactly the same records into every target.
+// exactly the same records into every target. A state is run in its SPL
+// form, the graph a search returns: the engine runs no package.
 func TestTransitionsPreserveOutputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for seed := int64(0); seed < 4; seed++ {
@@ -212,7 +213,11 @@ func TestTransitionsPreserveOutputs(t *testing.T) {
 				break
 			}
 			pick := candidates[rng.Intn(len(candidates))]
-			ok, diff, err := VerifyEmpirical(sc.Graph, pick.Graph, bindings)
+			flat, _, err := transitions.SplitAll(pick.Graph)
+			if err != nil {
+				t.Fatalf("seed %d step %d (%s): %v", seed, step, pick.Description(), err)
+			}
+			ok, diff, err := VerifyEmpirical(sc.Graph, flat, bindings)
 			if err != nil {
 				t.Fatalf("seed %d step %d (%s): %v", seed, step, pick.Description(), err)
 			}

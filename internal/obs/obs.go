@@ -186,47 +186,6 @@ func (h *Histogram) Name() string {
 	return h.series
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// within the bucket holding the rank, the classic Prometheus
-// histogram_quantile estimate. The error is bounded by the width of that
-// bucket; observations beyond the last finite bound are reported as the
-// last finite bound. Returns NaN when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.total.Load() == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	total := float64(h.total.Load())
-	rank := q * total
-	cum := 0.0
-	for i := range h.counts {
-		c := float64(h.counts[i].Load())
-		if cum+c >= rank && c > 0 {
-			if i >= len(h.bounds) {
-				// +Inf bucket: no upper bound to interpolate against.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - cum) / c
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Registry holds a process- or run-scoped set of named instruments. A nil
 // *Registry is the disabled state: its instrument constructors return nil
 // handles, which no-op.

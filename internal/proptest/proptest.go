@@ -206,8 +206,8 @@ func checkGroupJob(g *workflow.Graph, sig string, grp workflow.LocalGroup, singl
 // search — MER∘SPL restores the state signature, the parent state is
 // byte-identical after all of its children have been derived and
 // rewritten (the copy-on-write leak guard), and — for up to verifyData
-// sampled successors — empirical equivalence of parent and child on the
-// scenario's generated data.
+// sampled successors — empirical equivalence of parent and child (in its
+// SPL form) on the scenario's generated data.
 func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) error {
 	g0 := sc.Graph
 	before := serialized(g0)
@@ -276,7 +276,13 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 		}
 		for k := 0; k < n; k++ {
 			res := succs[k*len(succs)/n]
-			ok, diff, err := equiv.VerifyEmpirical(g0, res.Graph, bindings)
+			// The engine runs no package: a child is held to its parent in
+			// its SPL form, the graph a search returns.
+			flat, _, err := transitions.SplitAll(res.Graph)
+			if err != nil {
+				return fmt.Errorf("%s: splitting for empirical verification: %w", res.Description(), err)
+			}
+			ok, diff, err := equiv.VerifyEmpirical(g0, flat, bindings)
 			if err != nil {
 				return fmt.Errorf("%s: empirical verification: %w", res.Description(), err)
 			}

@@ -259,8 +259,8 @@ func TestDamagedSourceFailsItsReaders(t *testing.T) {
 				}
 				for _, id := range wfs[i].Graph.Targets() {
 					name := wfs[i].Graph.Node(id).RS.Name
-					if n, err := wfs[i].Bindings[name].Count(); n != 0 || err != nil {
-						t.Errorf("%s: target %s holds %d rows (%v) after a failed run", wr.Name, name, n, err)
+					if rows, err := wfs[i].Bindings[name].Scan(); len(rows) != 0 || err != nil {
+						t.Errorf("%s: target %s holds %d rows (%v) after a failed run", wr.Name, name, len(rows), err)
 					}
 				}
 			}

@@ -111,18 +111,6 @@ func (fp *fingerprinter) bindingDigest(ctx context.Context, name string) (uint64
 	return d, nil
 }
 
-// lookupNames collects the lookup recordsets an activity's semantics read,
-// including those of packaged (merged) components.
-func lookupNames(sem *workflow.Semantics, into []string) []string {
-	if sem.Lookup != "" {
-		into = append(into, sem.Lookup)
-	}
-	for _, c := range sem.Components {
-		into = lookupNames(&c.Sem, into)
-	}
-	return into
-}
-
 // node folds one node's fingerprint into the memo. Providers are already
 // fingerprinted (topological order).
 func (fp *fingerprinter) node(ctx context.Context, id workflow.NodeID) error {
@@ -160,7 +148,7 @@ func (fp *fingerprinter) node(ctx context.Context, id workflow.NodeID) error {
 			f.schema(in)
 		}
 		f.schema(n.Out)
-		for _, name := range lookupNames(&n.Act.Sem, nil) {
+		if name := n.Act.Sem.Lookup; name != "" {
 			f.str(name)
 			d, err := fp.bindingDigest(ctx, name)
 			if err != nil {
