@@ -12,6 +12,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"etlopt/internal/data"
@@ -193,6 +194,8 @@ func (op ArithOp) String() string {
 }
 
 // Arith combines two numeric sub-expressions. NULL operands yield NULL.
+// + - * on two ints are exact int64 arithmetic, and a result int64 cannot
+// hold is an error; any other operands, and /, compute in float64.
 type Arith struct {
 	Op          ArithOp
 	Left, Right Expr
@@ -211,6 +214,26 @@ func (a Arith) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return data.Null, nil
 	}
+	if l.Kind() == data.KindInt && r.Kind() == data.KindInt && a.Op != Div {
+		x, y := l.Int(), r.Int()
+		var out int64
+		var overflow bool
+		switch a.Op {
+		case Add:
+			out = x + y
+			overflow = (out > x) != (y > 0)
+		case Sub:
+			out = x - y
+			overflow = (out < x) != (y > 0)
+		case Mul:
+			out = x * y
+			overflow = x != 0 && (out/x != y || x == -1 && y == math.MinInt64)
+		}
+		if overflow {
+			return data.Null, fmt.Errorf("algebra: integer overflow in %s", a)
+		}
+		return data.NewInt(out), nil
+	}
 	x, y := l.Float(), r.Float()
 	var out float64
 	switch a.Op {
@@ -225,9 +248,6 @@ func (a Arith) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
 			return data.Null, fmt.Errorf("algebra: division by zero in %s", a)
 		}
 		out = x / y
-	}
-	if l.Kind() == data.KindInt && r.Kind() == data.KindInt && a.Op != Div {
-		return data.NewInt(int64(out)), nil
 	}
 	return data.NewFloat(out), nil
 }
