@@ -69,7 +69,7 @@ func (iv Interval) Add(o Interval) Interval {
 	if iv.IsEmpty() || o.IsEmpty() {
 		return Interval{1, 0}
 	}
-	return Interval{iv.Lo + o.Lo, iv.Hi + o.Hi}
+	return Interval{iv.Lo + o.Lo, iv.Hi + o.Hi}.outward()
 }
 
 // Sub returns the interval difference.
@@ -77,7 +77,7 @@ func (iv Interval) Sub(o Interval) Interval {
 	if iv.IsEmpty() || o.IsEmpty() {
 		return Interval{1, 0}
 	}
-	return Interval{iv.Lo - o.Hi, iv.Hi - o.Lo}
+	return Interval{iv.Lo - o.Hi, iv.Hi - o.Lo}.outward()
 }
 
 // Mul returns the interval product.
@@ -96,7 +96,21 @@ func (iv Interval) Mul(o Interval) Interval {
 			hi = math.Max(hi, p)
 		}
 	}
-	return Interval{lo, hi}
+	return Interval{lo, hi}.outward()
+}
+
+// outward widens each bound from ±2⁵³ on by one float step. Beyond 2⁵³
+// the rounded float sum or product of two bounds can miss the exact int
+// result (algebra computes + - * on ints in int64) by up to half a step;
+// below it, every int is a float and rounding keeps it inside.
+func (iv Interval) outward() Interval {
+	if math.Abs(iv.Lo) >= 1<<53 {
+		iv.Lo = math.Nextafter(iv.Lo, math.Inf(-1))
+	}
+	if math.Abs(iv.Hi) >= 1<<53 {
+		iv.Hi = math.Nextafter(iv.Hi, math.Inf(1))
+	}
+	return iv
 }
 
 // String renders the interval compactly: [117,+inf), [0,0], (-inf,+inf).
