@@ -22,7 +22,9 @@ import (
 //
 // What else was run against each defect and stayed green is asserted here
 // where it can be (a defective workflow parses, validates, derives its
-// schemata and is priced by the cost model without complaint) and recorded
+// schemata, passes Graph.CheckWellFormed and is priced by the cost model
+// without complaint: a defect the workflow layer already refuses justifies
+// no pass) and recorded
 // in CHANGES.md (PR 27) where it cannot: the source defects were seeded
 // into real packages and survived tier-1, `-race` and `-tags etldebug`.
 
@@ -67,6 +69,9 @@ func inGraph(g *workflow.Graph) func(*testing.T) []Finding {
 		}
 		if err := c.RegenerateSchemata(); err != nil {
 			t.Fatalf("schema derivation already refuses the input: %v", err)
+		}
+		if err := c.CheckWellFormed(); err != nil {
+			t.Fatalf("the workflow layer already refuses the input as ill-formed: %v", err)
 		}
 		if _, err := cost.Evaluate(c, cost.RowModel{}); err != nil {
 			t.Fatalf("the cost model already refuses the input: %v", err)
