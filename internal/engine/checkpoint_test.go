@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -303,5 +305,111 @@ func TestCheckpointNullsSurviveStaging(t *testing.T) {
 	}
 	if !foundNull {
 		t.Error("NULL lost in staging round trip")
+	}
+}
+
+// TestCheckpointClearDropsManifestFirst makes one listed stage file
+// impossible to remove (a non-empty directory in its place): clear fails,
+// and by then the MANIFEST is already gone, so a kill anywhere inside clear
+// leaves no MANIFEST naming a deleted stage file.
+func TestCheckpointClearDropsManifestFirst(t *testing.T) {
+	dir := crashStaging(t, templates.Fig1Scenario(40, 120))
+	cr := NewCheckpointRunner(nil, dir)
+	staged, err := cr.Staged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := cr.stagePath(staged[len(staged)-1])
+	if err := os.Remove(stuck); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(stuck, "pin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cr.clear(); err == nil {
+		t.Fatal("clear removed a non-empty directory in a stage file's place")
+	}
+	if _, err := os.Stat(cr.manifest); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("clear failed on a stage file with the MANIFEST still in place (stat: %v)", err)
+	}
+}
+
+// TestCheckpointRemovesItsLeftovers plants what a killed run leaves behind
+// — a row-file temporary and a stage file the MANIFEST does not list —
+// beside each staging area a run accepts: none there, another workflow's,
+// and this workflow's. The run removes them before it stages anything, so
+// a run that fails again keeps only what its MANIFEST lists, and a
+// successful run leaves no directory. A refused area keeps every file.
+func TestCheckpointRemovesItsLeftovers(t *testing.T) {
+	sc := templates.Fig1Scenario(40, 120)
+	leftovers := []string{"stage-3.rows.tmp-1234567", "stage-999.rows"}
+	removeManifest := func(t *testing.T, path string) {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	garbleManifest := func(t *testing.T, path string) {
+		if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		manifest func(t *testing.T, path string) // nil: keep the crash's
+		g        *workflow.Graph
+	}{
+		{name: "no manifest", manifest: removeManifest, g: sc.Graph},
+		{name: "another workflow's", g: withExtraNotNull(t, sc.Graph)},
+		{name: "this workflow's", g: sc.Graph},
+		{name: "refused", manifest: garbleManifest, g: sc.Graph},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := crashStaging(t, sc)
+			if c.manifest != nil {
+				c.manifest(t, filepath.Join(dir, "MANIFEST"))
+			}
+			for _, name := range leftovers {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte("ETLR garbage"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirFiles(t, dir)
+
+			// A run that dies again at PARTS2 shows what the start removed.
+			bindings := sc.Bind()
+			failures := 1
+			bindings["PARTS2"] = failingRecordset{Recordset: bindings["PARTS2"], failuresLeft: &failures}
+			cr := NewCheckpointRunner(New(bindings), dir)
+			_, err := cr.Run(context.Background(), c.g)
+			if c.name == "refused" {
+				if err == nil || !reflect.DeepEqual(dirFiles(t, dir), before) {
+					t.Fatalf("a refused staging area was changed (err = %v)", err)
+				}
+				return
+			}
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("err = %v, want the injected failure", err)
+			}
+			staged, err := cr.Staged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]bool{"MANIFEST": true}
+			for _, id := range staged {
+				want[filepath.Base(cr.stagePath(id))] = true
+			}
+			for name := range dirFiles(t, dir) {
+				if !want[name] {
+					t.Errorf("%s survived the start of a run", name)
+				}
+			}
+
+			if _, err := NewCheckpointRunner(New(sc.Bind()), dir).Run(context.Background(), c.g); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("after a successful run the staging directory is still there (stat: %v)", err)
+			}
+		})
 	}
 }
