@@ -104,6 +104,8 @@ func (c *CheckpointRunner) readManifest() (string, map[workflow.NodeID][]int, er
 // No manifest is a fresh start, another workflow's one once what it lists
 // is removed; this workflow's is rewritten with the plan's stages it lists,
 // dropping a torn last line. Any other is refused, and nothing removed.
+// In an accepted area the stage files the new manifest does not list and
+// the row-file temporaries a killed run left are removed.
 func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow.NodeID) (map[workflow.NodeID][]int, error) {
 	sig := g.Signature()
 	got, staged, err := c.readManifest()
@@ -118,12 +120,14 @@ func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow
 		staged = nil
 	}
 	text := manifestMagic + sig + "\n"
+	keep := map[string]bool{}
 	for _, ids := range stages {
 		id := ids[len(ids)-1]
 		if rows, ok := staged[id]; ok && len(rows) != len(ids) {
 			return nil, fmt.Errorf("engine: checkpoint dir %s: MANIFEST counts %d members for stage %d, which has %d", c.dir, len(rows), id, len(ids))
 		} else if ok {
 			text += stageLine(id, rows)
+			keep[filepath.Base(c.stagePath(id))] = true
 		}
 	}
 	tmp := c.manifest + ".tmp"
@@ -133,7 +137,27 @@ func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow
 	if err == nil {
 		err = os.Rename(tmp, c.manifest)
 	}
+	if err == nil {
+		err = c.removeLeftovers(keep)
+	}
 	return staged, err
+}
+
+// removeLeftovers removes the runner's files in the staging directory that
+// keep does not name: stage-<id>.rows and its stage-<id>.rows.tmp-*
+// temporaries.
+func (c *CheckpointRunner) removeLeftovers(keep map[string]bool) error {
+	entries, err := os.ReadDir(c.dir)
+	for _, e := range entries {
+		name := e.Name()
+		num, _, _ := strings.Cut(strings.TrimPrefix(name, "stage-"), ".")
+		id, nerr := strconv.Atoi(num)
+		stage := filepath.Base(c.stagePath(workflow.NodeID(id)))
+		if nerr == nil && (name == stage && !keep[stage] || strings.HasPrefix(name, stage+".tmp-")) {
+			err = errors.Join(err, os.Remove(filepath.Join(c.dir, name)))
+		}
+	}
+	return err
 }
 
 // Staged reports the stages the staging area holds, by last member ID.
@@ -150,18 +174,24 @@ func (c *CheckpointRunner) Staged() ([]workflow.NodeID, error) {
 	return ids, err
 }
 
-// clear removes the listed stage files, the manifest, then an emptied directory.
+// clear removes the manifest, then the stage files it listed, then an
+// emptied directory: a kill inside clear leaves no manifest naming a
+// removed file, only unlisted stage files the next run removes.
 func (c *CheckpointRunner) clear() error {
 	ids, err := c.Staged()
+	if err == nil {
+		err = os.Remove(c.manifest)
+	}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	err = nil
 	for _, id := range ids {
 		if rerr := os.Remove(c.stagePath(id)); !errors.Is(rerr, fs.ErrNotExist) {
 			err = errors.Join(err, rerr)
 		}
 	}
-	if err == nil {
-		err = os.Remove(c.manifest)
-		os.Remove(c.dir) // fails, as it should, while anything else is in it
-	}
+	os.Remove(c.dir) // fails, as it should, while anything else is in it
 	return err
 }
 
