@@ -140,7 +140,7 @@ func TestCLIUsage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("passes: %v\n%s", err, out)
 	}
-	for _, want := range []string{"map-iteration", "trace-guard", "unresolved-reference"} {
+	for _, want := range []string{"map-iteration", "trace-guard", "shadowed-reference"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("passes output missing %q:\n%s", want, out)
 		}

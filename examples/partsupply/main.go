@@ -20,8 +20,9 @@ import (
 func main() {
 	// The Fig. 1 workflow over reference names (§3.1): the homonyms
 	// PARTS1.COST (Euros) and PARTS2.COST (Dollars) are ECOST and DCOST.
-	// `etlvet workflow`'s shadowed-reference pass checks that one reference
-	// name denotes one entity.
+	// Graph.CheckWellFormed (a generated name already flowing in) and
+	// `etlvet workflow`'s shadowed-reference pass (join inputs sharing a
+	// name) check that one reference name denotes one entity.
 	sc := templates.Fig1Scenario(400, 1200)
 	g := sc.Graph
 	fmt.Println("Fig. 1 workflow (signature", g.Signature()+"):")

@@ -7,10 +7,11 @@
 // Three kinds of passes share one finding model and one pass table:
 //
 //   - workflow passes read one analysis context per graph — schemata, the
-//     abstract interpreter's states, attribute liveness — for unresolved or
-//     shadowed reference names, attributes produced but never consumed,
+//     abstract interpreter's states, attribute liveness — for reference
+//     names a join collapses, attributes produced but never consumed,
 //     auxiliary-schema coverage gaps, and proofs about guards,
-//     provenance and cardinality;
+//     provenance and cardinality, on a graph Graph.CheckWellFormed
+//     accepts (what it refuses, CheckWorkflow refuses);
 //   - trace passes re-verify a recorded optimization run offline: every
 //     transition in a core.Result trace is replayed, its applicability
 //     guard re-run and its signature/cost chain validated, certifying
@@ -57,7 +58,7 @@ func (s Severity) String() string {
 // Finding is one analysis result.
 type Finding struct {
 	Severity Severity
-	// Check names the rule, e.g. "unresolved-reference".
+	// Check names the rule, e.g. "dead-filter".
 	Check string
 	// Node anchors the finding to a workflow graph node; -1 when the
 	// finding is not graph-anchored (workflow-level, trace or source).
@@ -183,11 +184,9 @@ var passes = []Pass{
 	{Name: "selectivity-range", workflow: selectivityRanges,
 		Doc: "selectivity estimates the cost model cannot price"},
 	{Name: "shadowed-reference", workflow: shadowedReferences,
-		Doc: "generated attributes that collide with an incoming reference name"},
+		Doc: "join inputs that share a non-key attribute"},
 	{Name: "unguarded-surrogate-key", workflow: unprotectedLookups,
 		Doc: "surrogate-key lookups without an upstream not-null guard"},
-	{Name: "unresolved-reference", workflow: unresolvedReferences,
-		Doc: "attributes an activity references but no upstream output provides"},
 	{Name: "unsatisfiable-guard", workflow: unsatisfiableGuards,
 		Doc: "guard predicates no row can satisfy given the upstream domains"},
 
@@ -213,8 +212,10 @@ func AllPasses() []Pass { return passes }
 // sorted findings. The graph is cloned and its schemata regenerated
 // first, so callers may pass freshly built workflows. Structural
 // invalidity (dangling edges, cycles, an activity without its inputs) is
-// an error, not a finding, and so is a merged package: the checks read
-// the split workflow a search returns.
+// an error, not a finding; so is anything Graph.CheckWellFormed refuses
+// (a reference nothing delivers, a generated name already present, union
+// branches or a target load that disagree), and so is a merged package:
+// the checks read the split workflow a search returns.
 func CheckWorkflow(g *workflow.Graph) ([]Finding, error) {
 	return CheckWorkflowOpts(g, nil)
 }
@@ -230,6 +231,9 @@ func CheckWorkflowOpts(g *workflow.Graph, opts *WorkflowOptions) ([]Finding, err
 	}
 	c := g.Clone()
 	if err := c.RegenerateSchemata(); err != nil {
+		return nil, err
+	}
+	if err := c.CheckWellFormed(); err != nil {
 		return nil, err
 	}
 	fl, err := newFlow(c, opts)

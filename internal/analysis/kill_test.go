@@ -118,9 +118,8 @@ func inFixture(fn string) func(*testing.T) []Finding {
 	}
 }
 
-// built is S(K,V) -> a -> T(K,V) assembled through the API, for the two
-// defects the workflow format cannot spell: dsl.Parse refuses a reference
-// to an attribute nothing delivers, and has no syntax for an auxiliary
+// built is S(K,V) -> a -> T(K,V) assembled through the API, for the defect
+// the workflow format cannot spell: it has no syntax for an auxiliary
 // schema that disagrees with the operation.
 func built(a *workflow.Activity) *workflow.Graph {
 	g := workflow.NewGraph()
@@ -199,9 +198,6 @@ var killTable = []killRow{
 	{pass: "unguarded-surrogate-key",
 		defect: inWorkflow(chain("K,V", "V,SK", `sk key=K out=SK lookup=L`)),
 		clean:  inWorkflow(chain("K,V", "V,SK", `notnull attrs=K sel=0.9`, `sk key=K out=SK lookup=L`))},
-	{pass: "unresolved-reference",
-		defect: inGraph(built(templates.Threshold("MISSING", 10, 0.5))),
-		clean:  inGraph(built(templates.Threshold("V", 10, 0.5)))},
 	{pass: "unsatisfiable-guard",
 		clean: inWorkflow(chain("KEY,V", "KEY,V", `filter pred="(V>=117)" sel=0.5`, `filter pred="(V<500)" sel=0.3`))},
 

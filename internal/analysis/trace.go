@@ -64,9 +64,6 @@ func NewTrace(res *core.Result, g0 *workflow.Graph) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: initial workflow does not re-parse: %w", err)
 	}
-	if err := rt.RegenerateSchemata(); err != nil {
-		return nil, fmt.Errorf("analysis: re-parsed workflow: %w", err)
-	}
 	if rt.Signature() != g0.Signature() {
 		return nil, fmt.Errorf("analysis: workflow does not round-trip through the DSL (signature %q re-parses as %q); trace would not be replayable",
 			g0.Signature(), rt.Signature())
@@ -251,12 +248,6 @@ func AuditTrace(t *Trace) ([]Finding, error) {
 	g0, err := dsl.Parse(t.Workflow)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: trace workflow does not parse: %w", err)
-	}
-	if err := g0.RegenerateSchemata(); err != nil {
-		return nil, fmt.Errorf("analysis: trace workflow: %w", err)
-	}
-	if err := g0.Validate(); err != nil {
-		return nil, fmt.Errorf("analysis: trace workflow: %w", err)
 	}
 	model, err := modelByName(t.Model)
 	if err != nil {

@@ -99,112 +99,24 @@ func semParams(a *workflow.Activity) []string {
 	}
 }
 
-// unresolvedReferences flags references to attribute names no upstream
-// output delivers — activities whose input schema cannot actually be
-// derived from their providers' outputs — plus union branches and target
-// loads whose schemata disagree.
-func unresolvedReferences(c *flow) []Finding {
-	g := c.g
-	var out []Finding
-	for _, id := range g.Activities() {
-		n := g.Node(id)
-		a := n.Act
-		all := availIn(n)
-		seen := map[string]bool{}
-		report := func(attr, role string) {
-			if attr == "" || seen[attr] || all.Has(attr) {
-				return
-			}
-			seen[attr] = true
-			out = append(out, Finding{
-				Severity: Warning, Check: "unresolved-reference", Node: id,
-				Message: fmt.Sprintf("%s references %q, which no upstream output provides", role, attr),
-				Fix:     "correct the reference or extend the upstream outputs to deliver it",
-			})
-		}
-		for _, attr := range a.Fun {
-			report(attr, "functionality schema")
-		}
-		for _, attr := range a.RequiredIn {
-			report(attr, "declared input schema")
-		}
-		for _, attr := range semParams(a) {
-			report(attr, "operation parameter")
-		}
-		if a.Sem.Op == workflow.OpUnion && len(n.In) == 2 && !n.In[0].SameSet(n.In[1]) {
-			for _, attr := range n.In[0].Minus(n.In[1]).Union(n.In[1].Minus(n.In[0])) {
-				out = append(out, Finding{
-					Severity: Warning, Check: "unresolved-reference", Node: id,
-					Message: fmt.Sprintf("union branches disagree on %q: one branch delivers it, the other does not", attr),
-					Fix:     "align both branches' output schemata before the union",
-				})
-			}
-		}
-	}
-	for _, id := range g.Targets() {
-		n := g.Node(id)
-		if len(n.In) == 1 && !n.In[0].SameSet(n.RS.Schema) {
-			for _, attr := range n.RS.Schema.Minus(n.In[0]) {
-				out = append(out, Finding{
-					Severity: Warning, Check: "unresolved-reference", Node: id,
-					Message: fmt.Sprintf("target %s expects %q, which the loading flow does not deliver", n.RS.Name, attr),
-					Fix:     "generate or carry the attribute through the flow, or drop it from the target schema",
-				})
-			}
-			for _, attr := range n.In[0].Minus(n.RS.Schema) {
-				out = append(out, Finding{
-					Severity: Warning, Check: "unresolved-reference", Node: id,
-					Message: fmt.Sprintf("loading flow delivers %q, which target %s does not store", attr, n.RS.Name),
-					Fix:     "project the attribute out before the target, or add it to the target schema",
-				})
-			}
-		}
-	}
-	return out
-}
-
-// shadowedReferences flags generated attributes colliding with an
-// incoming attribute of the same name — under the §3.1 naming principle
-// one reference name denotes one entity, so a collision silently merges
-// two. Joins whose inputs share non-key attributes collapse the same way.
+// shadowedReferences flags joins whose inputs share a non-key attribute:
+// under the §3.1 naming principle one reference name denotes one entity,
+// and the joined output collapses two under one name. A generated name
+// colliding with an incoming one is Graph.CheckWellFormed's to refuse.
 func shadowedReferences(c *flow) []Finding {
 	g := c.g
 	var out []Finding
 	for _, id := range g.Activities() {
 		n := g.Node(id)
-		a := n.Act
-		all := availIn(n)
-		shadow := func(attr string) {
+		if n.Act.Sem.Op != workflow.OpJoin {
+			continue
+		}
+		for _, attr := range n.In[0].Intersect(n.In[1]).Minus(n.Act.Sem.Attrs) {
 			out = append(out, Finding{
 				Severity: Warning, Check: "shadowed-reference", Node: id,
-				Message: fmt.Sprintf("generated attribute %q shadows an incoming attribute of the same name", attr),
-				Fix:     "rename the generated attribute; one reference name must denote one entity",
+				Message: fmt.Sprintf("both join inputs carry non-key attribute %q; the joined output collapses two entities under one name", attr),
+				Fix:     "rename the attribute on one branch or project it out before the join",
 			})
-		}
-		switch a.Sem.Op {
-		case workflow.OpFunc:
-			if !a.InPlace() && all.Has(a.Sem.OutAttr) && !data.Schema(a.Sem.FnArgs).Has(a.Sem.OutAttr) {
-				shadow(a.Sem.OutAttr)
-			}
-		case workflow.OpAggregate:
-			if all.Has(a.Sem.OutAttr) && a.Sem.OutAttr != a.Sem.AggAttr {
-				shadow(a.Sem.OutAttr)
-			}
-		case workflow.OpSurrogateKey:
-			if all.Has(a.Sem.OutAttr) {
-				shadow(a.Sem.OutAttr)
-			}
-		case workflow.OpJoin:
-			if len(n.In) == 2 {
-				keys := data.Schema(a.Sem.Attrs)
-				for _, attr := range n.In[0].Intersect(n.In[1]).Minus(keys) {
-					out = append(out, Finding{
-						Severity: Warning, Check: "shadowed-reference", Node: id,
-						Message: fmt.Sprintf("both join inputs carry non-key attribute %q; the joined output collapses two entities under one name", attr),
-						Fix:     "rename the attribute on one branch or project it out before the join",
-					})
-				}
-			}
 		}
 	}
 	return out

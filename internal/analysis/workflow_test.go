@@ -10,7 +10,8 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// pipe builds S(schema) -> acts... -> T(tgtSchema) and regenerates.
+// pipe builds S(schema) -> acts... -> T(tgtSchema); CheckWorkflow derives
+// the schemata.
 func pipe(t *testing.T, schema, tgtSchema data.Schema, acts ...*workflow.Activity) *workflow.Graph {
 	t.Helper()
 	g := workflow.NewGraph()
@@ -80,57 +81,59 @@ func TestCheckWorkflowRefusesMergedPackage(t *testing.T) {
 	mustCheckWorkflow(t, split)
 }
 
-func TestUnresolvedReferenceMissingAttr(t *testing.T) {
-	g := pipe(t, data.Schema{"K", "V"}, data.Schema{"K", "V"},
-		templates.Threshold("MISSING", 10, 0.5))
-	fs := mustCheckWorkflow(t, g)
-	wantFinding(t, fs, "unresolved-reference", `"MISSING"`)
-}
-
-func TestUnresolvedReferenceTargetMismatch(t *testing.T) {
-	g := pipe(t, data.Schema{"K", "V"}, data.Schema{"K", "V", "EXTRA"},
-		templates.Threshold("V", 10, 0.5))
-	fs := mustCheckWorkflow(t, g)
-	wantFinding(t, fs, "unresolved-reference", `target T expects "EXTRA"`)
-
-	g2 := pipe(t, data.Schema{"K", "V"}, data.Schema{"K"},
-		templates.Threshold("V", 10, 0.5))
-	fs2 := mustCheckWorkflow(t, g2)
-	wantFinding(t, fs2, "unresolved-reference", `delivers "V"`)
-}
-
-func TestUnionBranchDisagreement(t *testing.T) {
-	g := workflow.NewGraph()
-	s1 := g.AddRecordset(&workflow.RecordsetRef{Name: "S1", Schema: data.Schema{"K", "V"}, Rows: 100, IsSource: true})
-	s2 := g.AddRecordset(&workflow.RecordsetRef{Name: "S2", Schema: data.Schema{"K", "W"}, Rows: 100, IsSource: true})
-	u := g.AddActivity(templates.Union())
-	tgt := g.AddRecordset(&workflow.RecordsetRef{Name: "T", Schema: data.Schema{"K", "V"}, IsTarget: true})
-	g.MustAddEdge(s1, u)
-	g.MustAddEdge(s2, u)
-	g.MustAddEdge(u, tgt)
-	fs := mustCheckWorkflow(t, g)
-	wantFinding(t, fs, "unresolved-reference", `union branches disagree on "V"`)
-	wantFinding(t, fs, "unresolved-reference", `union branches disagree on "W"`)
-}
-
-func TestShadowedReferenceFuncOutput(t *testing.T) {
-	// scale10 regenerates V from RAW while V already flows in: two
-	// entities under one name.
-	g := pipe(t, data.Schema{"K", "RAW", "V"}, data.Schema{"K", "RAW", "V"},
-		templates.Convert("scale10", "V", "RAW"))
-	fs := mustCheckWorkflow(t, g)
-	wantFinding(t, fs, "shadowed-reference", `"V"`)
+// TestCheckWorkflowRefusesIllFormed: what Graph.CheckWellFormed refuses —
+// a reference nothing delivers, a target load that disagrees with its
+// target, union branches that disagree, a generated name already flowing
+// in — CheckWorkflow refuses too, with an error naming the activity or
+// target, on graphs built in code that never went through dsl.Parse.
+func TestCheckWorkflowRefusesIllFormed(t *testing.T) {
+	kv := data.Schema{"K", "V"}
+	union := workflow.NewGraph()
+	s1 := union.AddRecordset(&workflow.RecordsetRef{Name: "S1", Schema: kv, Rows: 100, IsSource: true})
+	s2 := union.AddRecordset(&workflow.RecordsetRef{Name: "S2", Schema: data.Schema{"K", "W"}, Rows: 100, IsSource: true})
+	u := union.AddActivity(templates.Union())
+	tgt := union.AddRecordset(&workflow.RecordsetRef{Name: "T", Schema: kv, IsTarget: true})
+	union.MustAddEdge(s1, u)
+	union.MustAddEdge(s2, u)
+	union.MustAddEdge(u, tgt)
+	for _, c := range []struct {
+		name string
+		g    *workflow.Graph
+		want string // "" names the graph's first activity
+	}{
+		{"reference nothing delivers", pipe(t, kv, kv, templates.Threshold("MISSING", 10, 0.5)), ""},
+		{"target expects more", pipe(t, kv, data.Schema{"K", "V", "EXTRA"}, templates.Threshold("V", 10, 0.5)), "target T"},
+		{"target stores less", pipe(t, kv, data.Schema{"K"}, templates.Threshold("V", 10, 0.5)), "target T"},
+		{"union branches disagree", union, ""},
+		// scale10 regenerates V from RAW while V already flows in: two
+		// entities under one name.
+		{"generated name shadows", pipe(t, data.Schema{"K", "RAW", "V"}, data.Schema{"K", "RAW", "V"},
+			templates.Convert("scale10", "V", "RAW")), ""},
+		// The output schema still derives, the grouper simply absent from it.
+		{"grouper nothing delivers", pipe(t, kv, data.Schema{"G", "TOT"},
+			templates.Aggregate([]string{"G"}, workflow.AggSum, "V", "TOT", 0.4)), ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := c.want
+			if want == "" {
+				want = c.g.Node(c.g.Activities()[0]).Label()
+			}
+			if fs, err := CheckWorkflow(c.g); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("CheckWorkflow = %v, %v; want an error naming %q", fs, err, want)
+			}
+		})
+	}
 }
 
 func TestDeadGeneration(t *testing.T) {
-	// V2 is generated, never read, and the target does not store it.
-	g := pipe(t, data.Schema{"K", "RAW"}, data.Schema{"K", "RAW"},
-		templates.Convert("scale10", "V2", "RAW"))
+	// V2 is generated, never read, and projected out before the target.
+	g := pipe(t, data.Schema{"K", "RAW"}, data.Schema{"K"},
+		templates.Convert("scale10", "V2", "RAW"), templates.ProjectOut("V2"))
 	fs := mustCheckWorkflow(t, g)
 	wantFinding(t, fs, "dead-generation", `"V2"`)
 
 	// Stored by the target: not dead.
-	g2 := pipe(t, data.Schema{"K", "RAW"}, data.Schema{"K", "RAW", "V2"},
+	g2 := pipe(t, data.Schema{"K", "RAW"}, data.Schema{"K", "V2"},
 		templates.Convert("scale10", "V2", "RAW"))
 	fs2 := mustCheckWorkflow(t, g2)
 	if n := len(byCheck(fs2, "dead-generation")); n != 0 {
@@ -151,20 +154,9 @@ func TestAuxSchemaGapUndeclaredParam(t *testing.T) {
 func TestAuxSchemaGapUndeclaredGeneration(t *testing.T) {
 	a := templates.Convert("scale10", "V2", "RAW")
 	a.Gen = data.Schema{}
-	g := pipe(t, data.Schema{"K", "RAW"}, data.Schema{"K", "RAW", "V2"}, a)
+	g := pipe(t, data.Schema{"K", "RAW"}, data.Schema{"K", "V2"}, a)
 	fs := mustCheckWorkflow(t, g)
 	wantFinding(t, fs, "aux-schema-gap", `"V2"`)
-}
-
-func TestSchemaDerivationFailure(t *testing.T) {
-	// An aggregation grouped on an attribute its input cannot deliver: the
-	// output schema still derives (the grouper is simply absent from it),
-	// and the dataflow passes name the attribute at both ends.
-	g := pipe(t, data.Schema{"K", "V"}, data.Schema{"G", "TOT"},
-		templates.Aggregate([]string{"G"}, workflow.AggSum, "V", "TOT", 0.4))
-	fs := mustCheckWorkflow(t, g)
-	wantFinding(t, fs, "unresolved-reference", `functionality schema references "G"`)
-	wantFinding(t, fs, "unresolved-reference", `target T expects "G"`)
 }
 
 // TestFig1WarningFree: the paper's own example stays free of warnings
@@ -182,12 +174,14 @@ func TestFig1WarningFree(t *testing.T) {
 // deterministic order (check, then node, then message).
 func TestFindingsSorted(t *testing.T) {
 	// A workflow tripping several checks at several nodes.
-	g := pipe(t, data.Schema{"K", "V", "BALLAST"}, data.Schema{"K", "V"},
-		templates.Threshold("MISSING", 10, 0.5),
-		templates.Convert("scale10", "V", "K"),
-		templates.SurrogateKey("K", "SK", "LOOK"))
+	g := pipe(t, data.Schema{"K", "J", "V", "RAW", "BALLAST"}, data.Schema{"V", "SK", "SJ"},
+		templates.Threshold("V", 10, 0.5),
+		templates.Convert("scale10", "V2", "RAW"),
+		templates.SurrogateKey("K", "SK", "LOOK"),
+		templates.SurrogateKey("J", "SJ", "LOOK"),
+		templates.ProjectOut("BALLAST", "V2"))
 	fs := mustCheckWorkflow(t, g)
-	if len(fs) < 3 {
+	if len(fs) < 4 {
 		t.Fatalf("expected several findings, got %v", fs)
 	}
 	for i := 1; i < len(fs); i++ {
