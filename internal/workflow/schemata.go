@@ -144,8 +144,9 @@ func (g *Graph) inputsStale(n *Node) bool {
 }
 
 // DeriveOutput computes an activity's output schema from its input
-// schemata. RegenerateSchemata stores the result per node; the engine calls
-// it for the components of a merged package, which are not nodes.
+// schemata. RegenerateSchemata stores the result per node; a merged
+// package's output, and CheckWellFormed's check of the package, fold it
+// over the package's components, which are not nodes.
 func DeriveOutput(a *Activity, in []data.Schema) (data.Schema, error) {
 	if a.IsBinary() {
 		if len(in) != 2 {

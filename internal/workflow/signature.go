@@ -228,13 +228,15 @@ func (g *Graph) FindDistributableActivities() []DistributableActivity {
 // CanDistributeOver reports whether cloning unary activity a into the input
 // branches of binary activity b preserves workflow semantics:
 //
-//   - over a bag union, selections, not-null checks, scalar functions and
-//     projections distribute freely; duplicate-sensitive operations
-//     (primary-key checks, distinct, aggregations, surrogate keys whose
-//     lookup caching is shared) do not;
-//   - over joins, differences and intersections, only selection-like
-//     activities whose functionality schema is contained in the binary's
-//     key attributes distribute (both branches then filter consistently).
+//   - over a bag union, the per-row activities distribute freely:
+//     selections, not-null checks, scalar functions, projections,
+//     surrogate keys and lookup-based primary-key checks; the
+//     duplicate-sensitive ones (group-based primary-key checks, distinct,
+//     aggregations) do not;
+//   - over joins, differences and intersections, only selections,
+//     not-null checks and lookup-based primary-key checks whose
+//     functionality schema is contained in the binary's key attributes
+//     distribute (both branches then filter consistently).
 func CanDistributeOver(a *Activity, b *Activity) bool {
 	if a.IsBinary() {
 		return false
