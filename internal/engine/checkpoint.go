@@ -120,14 +120,14 @@ func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow
 		staged = nil
 	}
 	text := manifestMagic + sig + "\n"
-	keep := map[string]bool{}
+	keep := map[workflow.NodeID]bool{}
 	for _, ids := range stages {
 		id := ids[len(ids)-1]
 		if rows, ok := staged[id]; ok && len(rows) != len(ids) {
 			return nil, fmt.Errorf("engine: checkpoint dir %s: MANIFEST counts %d members for stage %d, which has %d", c.dir, len(rows), id, len(ids))
 		} else if ok {
 			text += stageLine(id, rows)
-			keep[filepath.Base(c.stagePath(id))] = true
+			keep[id] = true
 		}
 	}
 	tmp := c.manifest + ".tmp"
@@ -143,17 +143,17 @@ func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow
 	return staged, err
 }
 
-// removeLeftovers removes the runner's files in the staging directory that
-// keep does not name: stage-<id>.rows and its stage-<id>.rows.tmp-*
-// temporaries.
-func (c *CheckpointRunner) removeLeftovers(keep map[string]bool) error {
+// removeLeftovers removes the runner's own files from the staging
+// directory but for the stage files of keep: every stage-<id>.rows whose
+// stage keep does not hold and every stage-<id>.rows.tmp-* temporary.
+func (c *CheckpointRunner) removeLeftovers(keep map[workflow.NodeID]bool) error {
 	entries, err := os.ReadDir(c.dir)
 	for _, e := range entries {
 		name := e.Name()
 		num, _, _ := strings.Cut(strings.TrimPrefix(name, "stage-"), ".")
 		id, nerr := strconv.Atoi(num)
 		stage := filepath.Base(c.stagePath(workflow.NodeID(id)))
-		if nerr == nil && (name == stage && !keep[stage] || strings.HasPrefix(name, stage+".tmp-")) {
+		if nerr == nil && (name == stage && !keep[workflow.NodeID(id)] || strings.HasPrefix(name, stage+".tmp-")) {
 			err = errors.Join(err, os.Remove(filepath.Join(c.dir, name)))
 		}
 	}
@@ -182,10 +182,9 @@ func (c *CheckpointRunner) clear() error {
 	if err == nil {
 		err = os.Remove(c.manifest)
 	}
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err != nil {
 		return err
 	}
-	err = nil
 	for _, id := range ids {
 		if rerr := os.Remove(c.stagePath(id)); !errors.Is(rerr, fs.ErrNotExist) {
 			err = errors.Join(err, rerr)
