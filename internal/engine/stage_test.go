@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -78,11 +80,12 @@ func runStage(e *Engine, g *workflow.Graph, ids []workflow.NodeID, out map[workf
 	if !streamable(n.Act) {
 		return e.execParallel(context.Background(), g, id, n, out, p, 0)
 	}
+	in := out[g.Providers(ids[0])[0]]
 	c, err := e.resolveChain(g, ids)
 	if err != nil {
 		return nil, err
 	}
-	pd, _, err := e.execChain(context.Background(), id, n, c, out[g.Providers(ids[0])[0]], p, make([]scratch, p), 0)
+	pd, _, err := e.execChain(context.Background(), id, n, c, in, p, make([]scratch, p), 0)
 	return pd, err
 }
 
@@ -173,7 +176,8 @@ func truncated(sc *templates.Scenario, n int) func() map[string]data.Recordset {
 // node-by-node reference on 200 generator workflows, each at P ∈ {1, 2, 8}
 // and one of fusedSizes in rotation, then on the hand-built shapes and
 // keyed.etl at every size. partitioningShapes try each rule that lets an
-// operator skip its exchange.
+// operator skip its exchange, workRecordShapes each way members share a
+// row's work record.
 func TestFusedStageMatchesNodeByNode(t *testing.T) {
 	i, fused := 0, 0
 	for _, c := range []struct {
@@ -205,7 +209,7 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 	if fused < 200 {
 		t.Errorf("%d fused stages over the corpus; it no longer exercises them", fused)
 	}
-	shapes := partitioningShapes(t)
+	shapes := append(partitioningShapes(t), workRecordShapes(t)...)
 	for _, size := range fusedSizes {
 		for _, p := range []int{1, 2, 8} {
 			g, bind := realignedHead(t, size)
@@ -267,9 +271,56 @@ type shape struct {
 	g    *workflow.Graph
 }
 
-// shapeGraph builds a flow over the sources SRC, SRC2 and DIM from
-// "from to" edges between them and the named activities; the last edge's
-// head feeds the target TGT.
+// workRecordShapes are chains whose members share a row's work record in
+// each way that can go wrong: a slot dropped and written again, writers
+// overwriting what they read (in place, or not, and a fused writer after a
+// filter), an in-place reformat of a converted value, a filter after the
+// last writer, a projection last that drops the fused writer's output,
+// and unions fed by chains in other attribute orders — one filter-only,
+// whose input records are then re-laid out rather than shared. They read
+// bindShapes' recordsets.
+func workRecordShapes(t testing.TB) []shape {
+	chain := func(src string, acts ...*workflow.Activity) *workflow.Graph {
+		named, edges, prev := map[string]*workflow.Activity{}, []string(nil), src
+		for i, a := range acts {
+			name := fmt.Sprint("a", i)
+			named[name], edges, prev = a, append(edges, prev+" "+name), name
+		}
+		return shapeGraph(t, named, edges...)
+	}
+	nn, scale := templates.NotNull, func() *workflow.Activity { return templates.Convert("scale10", "W1", "V1") }
+	return []shape{
+		{"a dropped slot written again", chain("SRC", nn(0.9, "V1"), templates.ProjectOut("V2"),
+			templates.Apply("round", "V2", "V1"), templates.Threshold("V2", 40, 0.5))},
+		{"writers overwrite what they read", chain("SRC", templates.Reformat("round", "V2"),
+			templates.SurrogateKey("KEY", "KEY", "KEYS"), nn(0.9, "V2"), templates.Reformat("round", "V1"))},
+		{"a reformat of a converted value", chain("DATES", templates.Apply("concat", "D", "D", "M"),
+			templates.Convert("concat", "DATE", "D", "Y"), templates.Reformat("a2edate", "DATE"))},
+		{"a filter after the last writer", chain("SRC", scale(), templates.Convert("dollar2euro", "E2", "V2"),
+			templates.Threshold("W1", 300, 0.5))},
+		{"a projection last", chain("SRC", nn(0.9, "V1"), scale(), templates.Apply("round", "R", "V2"),
+			templates.ProjectOut("R", "V3"))},
+		{"a union of a chain and a filter-only chain", shapeGraph(t, map[string]*workflow.Activity{
+			"nn": nn(0.9, "V1"), "w": scale(), "th": templates.Threshold("W1", 300, 0.5), "u": templates.Union(),
+		}, "SRC nn", "nn w", "PERM th", "w u", "th u")},
+		unionOfChains(t),
+	}
+}
+
+// unionOfChains is SRC → NN → scale10 and SRC3 → NN → scale10, whose
+// outputs hold one attribute set in two orders, into a union read by a
+// filter: the union's layout is the SRC3 chain's, which is its left input.
+func unionOfChains(t testing.TB) shape {
+	scale := func() *workflow.Activity { return templates.Convert("scale10", "W1", "V1") }
+	return shape{"a union of chains in other orders", shapeGraph(t, map[string]*workflow.Activity{
+		"nn": templates.NotNull(0.9, "V1"), "w": scale(), "nn3": templates.NotNull(0.9, "V2"), "w3": scale(),
+		"u": templates.Union(), "after": templates.NotNull(0.9, "V3"),
+	}, "SRC nn", "nn w", "SRC3 nn3", "nn3 w3", "w3 u", "w u", "u after")}
+}
+
+// shapeGraph builds a flow over the sources SRC, SRC2, SRC3, PERM, DATES
+// and DIM from "from to" edges between them and the named activities; the
+// last edge's head feeds the target TGT.
 func shapeGraph(t testing.TB, acts map[string]*workflow.Activity, edges ...string) *workflow.Graph {
 	g := workflow.NewGraph()
 	ids := map[string]workflow.NodeID{}
@@ -277,7 +328,7 @@ func shapeGraph(t testing.TB, acts map[string]*workflow.Activity, edges ...strin
 		if _, ok := ids[name]; !ok && acts[name] != nil {
 			ids[name] = g.AddActivity(acts[name])
 		} else if !ok {
-			schema := map[string]data.Schema{"SRC": measureSchema, "SRC2": measureSchema, "DIM": dimSchema}[name]
+			schema := shapeSchemas[name]
 			ids[name] = g.AddRecordset(&workflow.RecordsetRef{Name: name, Schema: schema, Rows: 1000, IsSource: true})
 		}
 		return ids[name]
@@ -300,25 +351,46 @@ func shapeGraph(t testing.TB, acts map[string]*workflow.Activity, edges ...strin
 
 var dimSchema = data.Schema{"V3", "LABEL"}
 
+var shapeSchemas = map[string]data.Schema{
+	"SRC": measureSchema, "SRC2": measureSchema, "SRC3": {"V3", "V1", "KEY", "V2"}, "PERM": {"W1", "V3", "KEY", "V2"},
+	"DATES": {"KEY", "D", "M", "Y"}, "DIM": dimSchema, "KEYS": {"KEY", "SKEY"},
+}
+
 // bindShapes binds SRC to n measure rows, SRC2 to every third of them, so
-// the two share keys and whole records, and DIM to two labels per V3.
+// the two share keys and whole records, SRC3 and PERM to the measure rows
+// in other orders (PERM with W1 = 10 × V1), DATES to n dates split in
+// three strings, DIM to two labels per V3 and KEYS to a surrogate per KEY.
 func bindShapes(n int) func() map[string]data.Recordset {
 	return func() map[string]data.Recordset {
 		rows := measureRows(n)
-		var third, dim data.Rows
-		for i := 0; i < len(rows); i += 3 {
-			third = append(third, rows[i])
+		tables := map[string]data.Rows{"SRC": rows}
+		for i, r := range rows {
+			if i%3 == 0 {
+				tables["SRC2"] = append(tables["SRC2"], r)
+			}
+			w1 := data.Null
+			if !r[1].IsNull() {
+				w1 = data.NewFloat(10 * r[1].Float())
+			}
+			m := data.NewString(fmt.Sprintf("/%02d", 1+i%28))
+			if i%19 == 18 {
+				m = data.Null
+			}
+			tables["SRC3"] = append(tables["SRC3"], data.Record{r[3], r[1], r[0], r[2]})
+			tables["PERM"] = append(tables["PERM"], data.Record{w1, r[3], r[0], r[2]})
+			tables["DATES"] = append(tables["DATES"], data.Record{r[0], data.NewString(fmt.Sprintf("%02d", 1+i%12)), m, data.NewString("/2005")})
+			tables["KEYS"] = append(tables["KEYS"], data.Record{r[0], data.NewInt(int64(100000 + i))})
 		}
 		for v := range 7 {
 			for _, label := range []string{"a", "b"} {
-				dim = append(dim, data.Record{data.NewInt(int64(v)), data.NewString(label)})
+				tables["DIM"] = append(tables["DIM"], data.Record{data.NewInt(int64(v)), data.NewString(label)})
 			}
 		}
-		return map[string]data.Recordset{
-			"SRC":  data.NewMemoryRecordset("SRC", measureSchema).MustLoad(rows),
-			"SRC2": data.NewMemoryRecordset("SRC2", measureSchema).MustLoad(third),
-			"DIM":  data.NewMemoryRecordset("DIM", dimSchema).MustLoad(dim),
+		b := map[string]data.Recordset{}
+		for name, schema := range shapeSchemas {
+			b[name] = data.NewMemoryRecordset(name, schema).MustLoad(tables[name])
 		}
+		return b
 	}
 }
 
@@ -537,8 +609,10 @@ func allocChain(t testing.TB, n int) (*Engine, *workflow.Graph, []workflow.NodeI
 
 // TestStageAllocations is the allocation ceiling of a fused stage: at
 // most one record per surviving row (plus the output slices and the
-// scratch, which do not grow with the rows), and on a small input no more
-// than the node-by-node reference — a fixed batchRows slab would be.
+// scratch, which do not grow with the rows), on a small input no more than
+// the node-by-node reference — a fixed batchRows slab would be —, a
+// scratch that does not grow with the transforms, and a union of chains
+// that makes no record.
 func TestStageAllocations(t *testing.T) {
 	const n = 10000
 	e, g, ids, in := allocChain(t, n)
@@ -589,6 +663,132 @@ func TestStageAllocations(t *testing.T) {
 	})
 	if fused > reference {
 		t.Errorf("120 rows: the fused stage allocates %d bytes, node by node %d", fused, reference)
+	}
+
+	// Three transforms and a filter after them, then with three in-place
+	// rewrites more: one output record per surviving row, plus the output's
+	// slot and tag per input row (both are presized to the input), plus a
+	// scratch of batchRows work records as wide as the input layout and the
+	// attributes the members add — however many transforms write them.
+	e = New(nil).forRun()
+	var err error
+	chainBytes := func(rewrites ...*workflow.Activity) (uint64, uint64) {
+		acts := []*workflow.Activity{templates.NotNull(0.9, "V1"), templates.Convert("scale10", "W1", "V1"),
+			templates.Convert("dollar2euro", "E2", "V2"), templates.Apply("round", "R", "V3")}
+		g, ids := chainGraph(t, measureSchema, append(append(acts, rewrites...), templates.Threshold("W1", 100, 0.9))...)
+		inputs := map[workflow.NodeID]*pdata{g.Providers(ids[0])[0]: scatterRows(measureRows(n), 1)}
+		got := bytesOf(func() {
+			if out, err = runStage(e, g, ids, inputs, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		value, work := uint64(unsafe.Sizeof(data.Value{})), uint64(len(measureSchema)+3) // + W1, E2, R
+		record := value * uint64(len(g.Node(ids[len(ids)-1]).Out))
+		scratch := batchRows * (uint64(unsafe.Sizeof(data.Record{})) + 8 + 4 + value*work) // cur, seq, sel, work records
+		return got, uint64(out.total())*record + n*(uint64(unsafe.Sizeof(data.Record{}))+8) + scratch
+	}
+	three, ceiling := chainBytes()
+	six, _ := chainBytes(templates.Reformat("round", "R"), templates.Reformat("round", "E2"), templates.Reformat("scale10", "E2"))
+	if survivors := out.total(); survivors < n/2 || survivors == n {
+		t.Fatalf("%d of %d rows survive; the fixture no longer exercises the filters", survivors, n)
+	}
+	const slack = 32 << 10 // the kernels, the tally and the output slices' rounding
+	t.Logf("three transforms: %d bytes, ceiling %d + %d; six: %d", three, ceiling, slack, six)
+	if three > ceiling+slack {
+		t.Errorf("three transforms: %d bytes, ceiling %d + %d", three, ceiling, slack)
+	}
+	if six > three+slack/8 {
+		t.Errorf("six transforms: %d bytes, three: %d; the scratch grows with the transforms", six, three)
+	}
+
+	// A union fed by two chains in other orders concatenates: the chain
+	// whose layout is not the union's writes the union's.
+	sh := unionOfChains(t)
+	e = New(bindShapes(n)()).forRun()
+	outs, u := map[workflow.NodeID]*pdata{}, workflow.NodeID(0)
+	order, err := sh.g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ids := range planStages(sh.g, order) {
+		id := ids[len(ids)-1]
+		switch n := sh.g.Node(id); {
+		case u != 0: // the union and what follows it are not run here
+		case len(sh.g.Providers(id)) == 0:
+			rows, err := e.scanSource(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs[id] = scatterRows(rows, 1)
+		case n.Act.Sem.Op == workflow.OpUnion:
+			u = id
+		default:
+			if outs[id], err = runStage(e, sh.g, ids, outs, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if out, err = runStage(e, sh.g, []workflow.NodeID{u}, outs, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out.total() < n {
+		t.Fatalf("the union holds %d rows; the fixture no longer feeds it", out.total())
+	}
+	t.Logf("the union of %d rows: %.0f allocations", out.total(), allocs)
+	if allocs > 32 {
+		t.Errorf("the union of %d rows makes %.0f allocations; it should make no record", out.total(), allocs)
+	}
+}
+
+// TestCheckpointStagesAChainInItsLayout crashes a checkpointed run of
+// unionOfChains once the SRC chain — which writes the union's layout, not
+// its own — is staged (SRC3's scan fails), requires its row file to hold
+// the chain's own output layout, and resumes: targets and NodeRows must be
+// an uninterrupted run's, at P = 1 and 8.
+func TestCheckpointStagesAChainInItsLayout(t *testing.T) {
+	g := unionOfChains(t).g
+	var u workflow.NodeID
+	for _, id := range g.Activities() {
+		if g.Node(id).Act.Sem.Op == workflow.OpUnion {
+			u = id
+		}
+	}
+	w := g.Providers(u)[1] // the SRC chain's last member
+	if g.Node(w).Out.Equal(g.Node(u).Out) {
+		t.Fatal("the SRC chain's layout is the union's; the fixture no longer hands a layout over")
+	}
+	bind := func(failures *int) map[string]data.Recordset {
+		b := bindShapes(3000)()
+		b["SRC3"] = failingRecordset{b["SRC3"], failures}
+		return b
+	}
+	for _, p := range []int{1, 8} {
+		opts := []Option{WithMode(Parallel), WithPartitions(p)}
+		none, once := 0, 1
+		want, err := New(bind(&none), opts...).Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "stage")
+		if _, err := NewCheckpointRunner(New(bind(&once), opts...), dir).Run(context.Background(), g); !errors.Is(err, errInjected) {
+			t.Fatalf("P=%d: the crashing run returned %v, want the injected error", p, err)
+		}
+		schema, rows, err := data.ReadRowFile(filepath.Join(dir, fmt.Sprintf("stage-%d.rows", w)))
+		if err != nil {
+			t.Fatalf("P=%d: the SRC chain's stage: %v", p, err)
+		}
+		if !schema.Equal(g.Node(w).Out) || len(rows) != want.NodeRows[w] {
+			t.Errorf("P=%d: staged %d rows as {%s}, want %d as {%s}", p, len(rows), schema, want.NodeRows[w], g.Node(w).Out)
+		}
+		got, err := NewCheckpointRunner(New(bind(&none), opts...), dir).Run(context.Background(), g)
+		if err != nil {
+			t.Fatalf("P=%d: the resumed run: %v", p, err)
+		}
+		if err := SameRun(want, got); err != nil {
+			t.Errorf("P=%d: the resumed run differs from an uninterrupted one: %v", p, err)
+		}
 	}
 }
 
