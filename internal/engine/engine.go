@@ -330,7 +330,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 					return err
 				}
 				rows, err = stage.loadStage(id, n.Out)
-				pd, counts = scatterRows(rows, p), members
+				pd, counts = scatterRows(rows, p, n.Out), members
 				return err
 			}
 			if err := e.checkFault(fault.SiteNodeStart, id, n, 0); err != nil {
@@ -342,7 +342,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				emitParts = p
 				if streamable(n.Act) {
 					var c *rowChain
-					if c, err = e.resolveChain(g, ids); err == nil {
+					if c, err = e.resolveChain(g, ids, out[preds[0]].layout); err == nil {
 						pd, tallies, err = e.execChain(ctx, id, n, c, out[preds[0]], p, scr, rowsSoFar)
 					}
 				} else {
@@ -351,7 +351,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			case target:
 				// Targets are where the partitioned world ends: merge the
 				// provider's partitions back into materialized order.
-				rows = realign(gather(out[preds[0]]), g.Node(preds[0]).Out, n.RS.Schema)
+				rows = realign(gather(out[preds[0]]), out[preds[0]].layout, n.RS.Schema)
 			default:
 				if src == nil {
 					if src = <-ahead; src == nil { // closed: the reader saw ctx done
@@ -361,7 +361,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 					src.rows, src.err = e.scanSource(n)
 				}
 				if rows, err = src.rows, src.err; err == nil {
-					pd = scatterRows(rows, p)
+					pd = scatterRows(rows, p, n.RS.Schema)
 				}
 			}
 			if err != nil {
@@ -386,7 +386,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 					}
 				}
 				if len(g.Consumers(id)) > 0 {
-					pd = scatterRows(rows, p)
+					pd = scatterRows(rows, p, n.RS.Schema)
 				}
 			}
 			// Each member's rows: a chain's from its tallies, the output's
@@ -405,8 +405,8 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				if err := e.checkFault(fault.SiteStage, id, n, 0); err != nil {
 					return err
 				}
-				if activity {
-					rows = gather(pd)
+				if activity { // staged in the node's layout, whichever its reader wanted
+					rows = realign(gather(pd), pd.layout, n.Out)
 				}
 				return stage.saveStage(id, n.Out, rows, counts)
 			}

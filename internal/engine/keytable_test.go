@@ -278,18 +278,18 @@ func TestKeyOperatorAllocations(t *testing.T) {
 	binary := func(a *workflow.Activity, in []data.Schema, out data.Schema, right data.Rows) func() (data.Rows, error) {
 		n := &workflow.Node{Kind: workflow.KindActivity, Act: a, In: in, Out: out}
 		return func() (data.Rows, error) {
-			inputs := []*pdata{scatterRows(orders, 1)}
+			inputs := []*pdata{scatterRows(orders, 1, in[0])}
 			if right != nil {
-				inputs = append(inputs, scatterRows(right, 1))
+				inputs = append(inputs, scatterRows(right, 1, in[1]))
 			}
 			var pd *pdata
 			var err error
 			if !streamable(a) {
 				pd, err = e.execParallelOp(context.Background(), 0, n, inputs, 1, 0)
 			} else {
-				var k rowKernel
-				if k, err = e.resolveKernel(rowKernel{}, a, in[0], out); err == nil {
-					pd, _, err = e.execChain(context.Background(), 0, n, newRowChain([]rowKernel{k}, out), inputs[0], 1, make([]scratch, 1), 0)
+				var c *rowChain
+				if c, err = e.newRowChain(in[0], out, n); err == nil {
+					pd, _, err = e.execChain(context.Background(), 0, n, c, inputs[0], 1, make([]scratch, 1), 0)
 				}
 			}
 			if err != nil {
@@ -302,7 +302,7 @@ func TestKeyOperatorAllocations(t *testing.T) {
 		return binary(a, []data.Schema{in}, out, nil)
 	}
 	exchange := func(p int) func() (data.Rows, error) {
-		src := scatterRows(orders, p)
+		src := scatterRows(orders, p, in)
 		return func() (data.Rows, error) {
 			pd, err := e.exchangeByKey(context.Background(), 1, node, src, p, 0, in[:1], []int{0})
 			if err != nil {

@@ -69,10 +69,12 @@ func (ps pslice) keyed(pos []int) keyed {
 // partition its values on those attributes route to (exchangeByKey) — or
 // nil when a row may sit in any partition. Only an exchange sets it;
 // operators that move no row between partitions and write no listed
-// attribute carry it.
+// attribute carry it. layout is its rows' attribute order: the node's
+// output layout, or its reader's where a chain writes that (resolveChain).
 type pdata struct {
-	parts []pslice
-	on    []string
+	parts  []pslice
+	on     []string
+	layout data.Schema
 }
 
 // colocated reports whether pd's rows with equal key tuples under key
@@ -82,8 +84,10 @@ func (pd *pdata) colocated(key []string) bool {
 	return pd.on != nil && !slices.ContainsFunc(pd.on, func(a string) bool { return !slices.Contains(key, a) })
 }
 
-// newPdata is the output of p partitions, partitioned on on.
-func newPdata(p int, on []string) *pdata { return &pdata{parts: make([]pslice, p), on: on} }
+// newPdata is the output of p partitions, partitioned on on and laid out as layout.
+func newPdata(p int, on []string, layout data.Schema) *pdata {
+	return &pdata{parts: make([]pslice, p), on: on, layout: layout}
+}
 
 // total counts the rows across all partitions.
 func (pd *pdata) total() int {
@@ -94,15 +98,15 @@ func (pd *pdata) total() int {
 	return n
 }
 
-// scatterRows deals rows round-robin into P partitions, tagging row i
-// with sequence i. This is the canonical way fresh (merged-order) rows
-// enter the partitioned world.
-func scatterRows(rows data.Rows, p int) *pdata {
+// scatterRows deals rows laid out as layout round-robin into P partitions,
+// tagging row i with sequence i. This is the canonical way fresh
+// (merged-order) rows enter the partitioned world.
+func scatterRows(rows data.Rows, p int, layout data.Schema) *pdata {
 	parts := []data.Rows{rows} // one partition shares the slice: pslices are immutable
 	if p > 1 {
 		parts = rows.SplitRoundRobin(p)
 	}
-	pd := newPdata(len(parts), nil)
+	pd := newPdata(len(parts), nil, layout)
 	for i := range parts {
 		seqs := make([]int64, len(parts[i]))
 		for j := range seqs {
@@ -140,15 +144,15 @@ func gather(pd *pdata) data.Rows {
 	return out
 }
 
-// realignPdata re-lays each partition's rows out from schema src to dst,
-// keeping tags and partitioning; identity when the layouts match.
-// Partitions are realigned concurrently — the projection is pure per-row
-// work.
-func realignPdata(pd *pdata, src, dst data.Schema) *pdata {
+// realignPdata re-lays each partition's rows out to layout dst, keeping
+// tags and partitioning; identity when the layouts match. Partitions are
+// realigned concurrently — the projection is pure per-row work.
+func realignPdata(pd *pdata, dst data.Schema) *pdata {
+	src := pd.layout
 	if src.Equal(dst) {
 		return pd
 	}
-	out := newPdata(len(pd.parts), pd.on)
+	out := newPdata(len(pd.parts), pd.on, dst)
 	var wg sync.WaitGroup
 	wg.Add(len(pd.parts))
 	for p := range pd.parts {
@@ -251,7 +255,7 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 		// A single partition already co-locates every key; nothing routes.
 		ps := pd.parts[0]
 		ps.hashes = hashKeys(ps.rows, pos).hashes
-		return &pdata{parts: []pslice{ps}, on: on}, nil
+		return &pdata{parts: []pslice{ps}, on: on, layout: pd.layout}, nil
 	}
 	// Phase 1, partition-parallel: each source partition hashes its rows
 	// and counts them per destination. Nothing is copied.
@@ -272,7 +276,7 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 	// Phase 2, partition-parallel: each destination sizes its rows exactly
 	// and merges them by tag straight out of the source partitions, taking
 	// only the rows routed to it — restoring invariant 1.
-	result := newPdata(p, on)
+	result := newPdata(p, on, pd.layout)
 	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(d int) error {
 		total := 0
 		for _, c := range counts {
@@ -310,10 +314,15 @@ func (e *Engine) exchangeByKey(ctx context.Context, id workflow.NodeID, n *workf
 func (e *Engine) execParallel(ctx context.Context, g *workflow.Graph, id workflow.NodeID, n *workflow.Node, out map[workflow.NodeID]*pdata, p int, rowsSoFar int) (*pdata, error) {
 	preds := g.Providers(id)
 	// Align every input to the node's derived input layout up front, so
-	// key resolution and per-partition execution see n.In[i] layouts.
+	// key resolution and per-partition execution see n.In[i] layouts — a
+	// union's straight to its output layout.
 	inputs := make([]*pdata, len(preds))
 	for i, pr := range preds {
-		inputs[i] = realignPdata(out[pr], g.Node(pr).Out, n.In[i])
+		dst := n.In[i]
+		if n.Act.Sem.Op == workflow.OpUnion {
+			dst = n.Out
+		}
+		inputs[i] = realignPdata(out[pr], dst)
 	}
 	pd, err := e.execParallelOp(ctx, id, n, inputs, p, rowsSoFar)
 	if err != nil {
@@ -346,7 +355,7 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 				return nil, err
 			}
 		}
-		result := newPdata(p, ex.on)
+		result := newPdata(p, ex.on, n.Out)
 		if slices.Contains(ex.on, a.Sem.OutAttr) { // an aggregate overwriting a grouper
 			result.on = nil
 		}
@@ -388,10 +397,11 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 	}
 }
 
-// parUnion concatenates the inputs partition-wise: left rows keep their
-// tags, right tags are shifted past the left input's global maximum, so
-// the merged order is all left rows then all right rows — the
-// materialized union order. Inputs partitioned on the same list stay so.
+// parUnion concatenates the inputs, laid out as its output, partition-wise:
+// left rows keep their tags, right tags are shifted past the left input's
+// global maximum, so the merged order is all left rows then all right rows
+// — the materialized union order. Inputs partitioned on the same list stay
+// so.
 func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.Node, inputs []*pdata, p int, rowsSoFar int) (*pdata, error) {
 	l, r := inputs[0], inputs[1]
 	var offset int64 // tags ascend within a partition: its last is its largest
@@ -400,17 +410,14 @@ func (e *Engine) parUnion(ctx context.Context, id workflow.NodeID, n *workflow.N
 			offset = max(offset, ps.seqs[n-1]+1)
 		}
 	}
-	result := newPdata(p, nil)
+	result := newPdata(p, nil, n.Out)
 	if slices.Equal(l.on, r.on) {
 		result.on = l.on
 	}
 	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		lp, rp := l.parts[q], r.parts[q]
-		rows := make(data.Rows, 0, len(lp.rows)+len(rp.rows))
-		rows = append(rows, realign(lp.rows, n.In[0], n.Out)...)
-		rows = append(rows, realign(rp.rows, n.In[1], n.Out)...)
-		seqs := make([]int64, 0, len(rows))
-		seqs = append(seqs, lp.seqs...)
+		rows := append(append(make(data.Rows, 0, len(lp.rows)+len(rp.rows)), lp.rows...), rp.rows...)
+		seqs := append(make([]int64, 0, len(rows)), lp.seqs...)
 		for _, s := range rp.seqs {
 			seqs = append(seqs, s+offset)
 		}
@@ -432,7 +439,7 @@ func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.No
 		return nil, err
 	}
 	jl := newJoinLayout(n.Out, n.In[0], n.In[1])
-	result := newPdata(p, lex.on)
+	result := newPdata(p, lex.on, n.Out)
 	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		lp, rp := lex.parts[q], rex.parts[q]
 		li, ri, err := joinMatches(lp.keyed(leftKey), rp.keyed(rightKey))
@@ -467,7 +474,7 @@ func (e *Engine) parKeyPresence(ctx context.Context, id workflow.NodeID, n *work
 	if err != nil {
 		return nil, err
 	}
-	result := newPdata(p, lex.on)
+	result := newPdata(p, lex.on, n.Out)
 	err = e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		keep, err := maskKeyPresence(lex.parts[q].keyed(leftKey), rex.parts[q].keyed(rightKey), keepPresent)
 		if err != nil {

@@ -183,7 +183,7 @@ func TestScatterExchangeGatherRoundTrip(t *testing.T) {
 	id := sc.Graph.Nodes()[0]
 	n := sc.Graph.Node(id)
 	for _, p := range []int{1, 2, 3, 8, 97, 200} {
-		pd := scatterRows(rows, p)
+		pd := scatterRows(rows, p, data.Schema{"K", "I"})
 		if got := pd.total(); got != len(rows) {
 			t.Fatalf("P=%d: scatter lost rows: %d != %d", p, got, len(rows))
 		}

@@ -15,15 +15,15 @@ import (
 // of execution, retry and fault injection is a stage (planStages): a
 // maximal path of streamable activities, or any other node alone. Inside
 // a stage no member's output is materialized: a batch of at most
-// batchRows rows is carried through every member's resolved kernel,
-// interior records live in a scratch slab the next batch overwrites, and
-// only a row that survives the whole stage gets a record of its own — the
-// run-time counterpart of the paper's MER transition, and the shared-cache
-// execution trees of Liu (PAPERS.md), which cut a dataflow at its blocking
-// components.
+// batchRows rows is carried through every member's resolved kernel, each
+// row keeps one work record in a scratch slab the next batch overwrites —
+// members write its slots instead of copying it — and only a row that
+// survives the whole stage gets a record of its own, in the layout its
+// reader wants: the run-time counterpart of the paper's MER transition,
+// and the shared-cache execution trees of Liu (PAPERS.md), which cut a
+// dataflow at its blocking components.
 
-// batchRows bounds a stage's live interior records: batchRows × the
-// transforms that write scratch, whatever the input's size.
+// batchRows bounds a stage's live work records, whatever the input's size.
 const batchRows = 1024
 
 // streamable reports whether an activity is row-local: stateless per
@@ -79,37 +79,35 @@ func planStages(g *workflow.Graph, order []workflow.NodeID) [][]workflow.NodeID 
 	return stages
 }
 
-// rowKernel is one row-local step of a chain: a filter, which keeps or
-// drops a row and shares its record, or a transform, which writes one
-// output record per input record. Names, projection, function and lookup
-// table are resolved once per stage; the kernel is then read-only and
-// shared by the partitions.
+// rowKernel is one row-local step of a chain — one per member — resolved
+// against the chain's work layout once per attempt, then read-only and
+// shared by the partitions: a filter keeps or drops a row where it lies,
+// a writer (function or surrogate key) writes one slot of the row, and a
+// projection leaves the row as it is.
 type rowKernel struct {
-	op     workflow.OpKind
-	member int    // the chain member the kernel belongs to
-	counts bool   // the member's last kernel: what survives it is the member's output
-	name   string // what its errors are wrapped in: the member
+	op   workflow.OpKind
+	name string // what its errors are wrapped in: the member
 
-	// Filters (proj nil): the predicate and its layout, the not-null
-	// positions, or the key positions and existing keys of a lookup PK check.
-	in    data.Schema
-	pred  algebra.Expr
-	pos   []int
-	table *keyTable
-
-	// Transforms: every output record is proj of the input record; a
-	// function or surrogate key then overwrites outPos, reading its
-	// arguments or production key at pos. off is where in a row's scratch
-	// the record is written, or escapes: one fresh record per row, for the
-	// last transform of a chain with no filter after it.
-	proj   data.Projection
+	// Filters: the predicate and the work layout with every attribute the
+	// member does not read blanked, the not-null positions, or the key
+	// positions and existing keys of a lookup PK check. Writers: the
+	// argument or production-key positions, the function or lookup table,
+	// and the attribute written, at outPos.
+	in     data.Schema
+	pred   algebra.Expr
+	pos    []int
+	table  *keyTable
 	fn     algebra.Func
 	outPos int
-	off    int
-	writes string // the attribute at outPos
+	writes string
+	// The chain's first writer copies a row's input record into the row's
+	// work record (fresh). The last writer with no filter after it writes
+	// the row's output record instead (fused): proj of the row, with outPos
+	// its position in the output layout, or -1 when a later projection
+	// drops the attribute.
+	fresh bool
+	proj  data.Projection
 }
-
-const escapes = -1
 
 // rowChain is a path of row-local activities resolved to kernels.
 type rowChain struct {
@@ -117,27 +115,32 @@ type rowChain struct {
 	// filters: some kernel drops rows, so survivors' tags are copied out;
 	// without one the output shares its input's tags.
 	filters bool
-	// rowWidth is the scratch one row needs, in values: the widths of the
-	// transforms that do not escape.
-	rowWidth int
-	// copyWidth is the last transform's width when a filter follows it:
-	// the survivors sit in scratch and are copied out as the batch ends. 0
-	// when the last transform escapes, or there is none and the chain
-	// shares its input's records.
-	copyWidth int
-	maxArgs   int
-	// out is the chain's output layout.
-	out data.Schema
+	// work is the width of a row's work record in scratch, 0 when no writer
+	// needs one: the input layout followed by each attribute a member adds,
+	// one slot per name.
+	work    int
+	maxArgs int
+	// out is the layout the chain writes. outProj projects a survivor into
+	// its output record as the batch ends; nil when the rows already are
+	// their output records — written by a fused writer, or input records
+	// passed on in the layout they came in.
+	out     data.Schema
+	outProj data.Projection
 }
 
-// resolveKernel resolves activity a, reading layout in and writing layout
-// out. k carries the member the kernel belongs to and its name.
-func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out data.Schema) (rowKernel, error) {
+// resolveKernel resolves activity a, which reads layout in and writes
+// layout out, at in's slots in the work layout work. k carries its name.
+func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out, work data.Schema) (rowKernel, error) {
 	k.op = a.Sem.Op
 	var err error
 	switch a.Sem.Op {
 	case workflow.OpFilter:
-		k.in, k.pred = in, a.Sem.Pred
+		k.in, k.pred = make(data.Schema, len(work)), a.Sem.Pred
+		for j, attr := range work {
+			if in.Has(attr) {
+				k.in[j] = attr
+			}
+		}
 	case workflow.OpNotNull:
 		k.pos, err = keyPositions(in, a.Sem.Attrs)
 	case workflow.OpPKCheck:
@@ -146,7 +149,6 @@ func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out data.S
 		if k.pos, err = keyPositions(in, a.Sem.Attrs); err == nil {
 			k.table, err = e.lookupTable(a.Sem.Lookup, false)
 		}
-	case workflow.OpProject:
 	case workflow.OpFunc:
 		var ok bool
 		if k.fn, ok = algebra.LookupFunc(a.Sem.Fn); !ok {
@@ -161,82 +163,95 @@ func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out data.S
 	if err != nil {
 		return k, fmt.Errorf("%s: %w", a.Sem.Op, err)
 	}
-	switch a.Sem.Op {
-	case workflow.OpFunc, workflow.OpSurrogateKey:
-		if k.writes, k.outPos = a.Sem.OutAttr, out.Index(a.Sem.OutAttr); k.outPos < 0 {
-			return k, fmt.Errorf("output attribute %q not in schema {%s}", a.Sem.OutAttr, out)
+	for j, p := range k.pos {
+		k.pos[j] = work.Index(in[p])
+	}
+	if a.Sem.Op == workflow.OpFunc || a.Sem.Op == workflow.OpSurrogateKey {
+		if k.writes, k.outPos = a.Sem.OutAttr, work.Index(a.Sem.OutAttr); !out.Has(k.writes) {
+			return k, fmt.Errorf("output attribute %q not in schema {%s}", k.writes, out)
 		}
-		fallthrough
-	case workflow.OpProject:
-		k.proj = data.NewProjection(in, out)
 	}
 	return k, nil
 }
 
-// newRowChain lays the kernels' records out, given the chain's output
-// layout: the last transform's records escape when no filter can drop
-// them afterwards, every other transform writes its own part of the row's
-// scratch.
-func newRowChain(ks []rowKernel, out data.Schema) *rowChain {
-	c := &rowChain{kernels: ks, out: out}
-	last := len(ks) - 1 // the last transform; filters may trail it
-	for last >= 0 && ks[last].proj == nil {
-		last--
-	}
-	for i := range ks {
-		k := &ks[i]
-		c.maxArgs = max(c.maxArgs, len(k.pos))
-		switch {
-		case k.proj == nil:
-			c.filters = true
-		case i == len(ks)-1:
-			k.off = escapes
-		default:
-			k.off = c.rowWidth
-			c.rowWidth += len(k.proj)
+// resolveChain builds the chain of a stage's members over an input laid
+// out as src. The chain writes its last member's output layout or, when
+// its only consumer is a union, the union's, so the union only
+// concatenates.
+func (e *Engine) resolveChain(g *workflow.Graph, ids []workflow.NodeID, src data.Schema) (*rowChain, error) {
+	id := ids[len(ids)-1]
+	out := g.Node(id).Out
+	if cs := g.Consumers(id); len(cs) == 1 {
+		if u := g.Node(cs[0]); u.Kind == workflow.KindActivity && u.Act.Sem.Op == workflow.OpUnion && u.Out.SameSet(out) {
+			out = u.Out
 		}
 	}
-	if last >= 0 && last < len(ks)-1 {
-		c.copyWidth = len(ks[last].proj)
+	nodes := make([]*workflow.Node, len(ids))
+	for m, id := range ids {
+		nodes[m] = g.Node(id)
 	}
-	return c
+	return e.newRowChain(src, out, nodes...)
 }
 
-// resolveChain builds the chain of a stage's members: each member's
-// kernels, preceded by a re-layout where its provider's output layout
-// differs from its derived input layout (possible after graph rewrites
-// reorder attribute generation).
-func (e *Engine) resolveChain(g *workflow.Graph, ids []workflow.NodeID) (*rowChain, error) {
-	var ks []rowKernel
-	src := g.Node(g.Providers(ids[0])[0]).Out
-	for m, id := range ids {
-		n := g.Node(id)
-		k := rowKernel{member: m, name: fmt.Sprintf("engine: activity %d (%s)", id, n.Label())}
-		if !src.Equal(n.In[0]) {
-			ks = append(ks, rowKernel{op: workflow.OpProject, member: m, proj: data.NewProjection(src, n.In[0])})
+// newRowChain resolves the chain of nodes reading layout src and writing
+// layout out. A member's input layout holds only attributes of the layout
+// before it — a re-layout is then nothing to a work record.
+func (e *Engine) newRowChain(src, out data.Schema, nodes ...*workflow.Node) (*rowChain, error) {
+	work, prev := src.Clone(), src
+	for _, n := range nodes {
+		if !prev.HasAll(n.In[0]) {
+			return nil, fmt.Errorf("engine: activity %d (%s): input {%s} is not a layout of its provider's output {%s}", n.ID, n.Label(), n.In[0], prev)
 		}
-		k, err := e.resolveKernel(k, n.Act, n.In[0], n.Out)
+		for _, attr := range n.Out {
+			if !work.Has(attr) {
+				work = append(work, attr)
+			}
+		}
+		prev = n.Out
+	}
+	c := &rowChain{out: out, outProj: data.NewProjection(work, out)}
+	first, last, lastFilter := -1, -1, -1
+	for m, n := range nodes {
+		k, err := e.resolveKernel(rowKernel{name: fmt.Sprintf("engine: activity %d (%s)", n.ID, n.Label())}, n.Act, n.In[0], n.Out, work)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", k.name, err)
 		}
-		k.counts = true
-		ks = append(ks, k)
-		src = n.Out
+		switch {
+		case k.writes != "":
+			if last = m; first < 0 {
+				first = m
+			}
+		case k.op != workflow.OpProject:
+			lastFilter, c.filters = m, true
+		}
+		c.maxArgs = max(c.maxArgs, len(k.pos))
+		c.kernels = append(c.kernels, k)
 	}
-	return newRowChain(ks, src), nil
+	switch {
+	case last > lastFilter: // fused: the rows leave the last writer as output records
+		k := &c.kernels[last]
+		k.proj, k.outPos, c.outProj = c.outProj, out.Index(k.writes), nil
+	case last < 0 && src.Equal(out): // no writer and no re-layout: the input records pass on
+		c.outProj = nil
+	}
+	if first >= 0 && c.kernels[first].proj == nil {
+		c.kernels[first].fresh, c.work = true, len(work)
+	}
+	return c, nil
 }
 
 // scratch is one partition's reusable batch state: the batch's current
-// records and tags, the slab interior records are written into, and a
-// function's argument buffer. It lives for the run and grows to the
-// largest batch × row width a stage needs — never to batchRows for an
+// records and tags, a filter's selection, the slab work records are cut
+// from, and a function's argument buffer. It lives for the run and grows to
+// the largest batch × work width a stage needs — never to batchRows for an
 // input that is smaller. Aliasing rule: nothing reachable from a stage's
 // output may point into a scratch; a chain's survivors are input records
-// (no transform), escaping records, or copies made as the batch ends.
+// (no writer), fused writers' records, or projections made as the batch
+// ends.
 type scratch struct {
 	cur  data.Rows
 	seq  []int64
-	sel  []int32 // a filter's surviving positions
+	sel  []int32
 	vals []data.Value
 	args []data.Value
 }
@@ -246,8 +261,8 @@ func (sc *scratch) fit(n int, c *rowChain) {
 	if len(sc.cur) < n {
 		sc.cur, sc.seq, sc.sel = make(data.Rows, n), make([]int64, n), make([]int32, n)
 	}
-	if len(sc.vals) < n*c.rowWidth {
-		sc.vals = make([]data.Value, n*c.rowWidth)
+	if len(sc.vals) < n*c.work {
+		sc.vals = make([]data.Value, n*c.work)
 	}
 	if len(sc.args) < c.maxArgs {
 		sc.args = make([]data.Value, c.maxArgs)
@@ -255,7 +270,7 @@ func (sc *scratch) fit(n int, c *rowChain) {
 }
 
 // tally is what one partition's run of a stage reports per member: rows
-// emitted and seconds spent in the member's kernels.
+// emitted and seconds spent in the member's kernel.
 type tally struct {
 	rows []int
 	sec  []float64
@@ -263,134 +278,135 @@ type tally struct {
 
 // runBatch carries one batch through every kernel and appends the
 // survivors (and, given seqs and a filtering chain, their tags) to out,
-// which must have room for len(rows) more; sc must fit len(rows). The
-// first kernel reads the input where it lies and the last writes out
-// where it lands, so a chain of one copies nothing. t is told each
-// member's rows and seconds.
+// which must have room for len(rows) more; sc must fit len(rows). Kernels
+// read the input where it lies, and a fused writer writes out where the
+// rows land, so a chain of one copies nothing. t is told each member's rows
+// and seconds.
 func (c *rowChain) runBatch(rows data.Rows, seqs []int64, out *pslice, sc *scratch, t *tally) error {
 	if !c.filters {
 		seqs = nil // 1:1: the caller shares the input's tags
 	}
-	src, srcSeq := rows, seqs
+	tail := out.rows[len(out.rows):cap(out.rows)]
 	for ki := range c.kernels {
 		k := &c.kernels[ki]
-		dst, dstSeq := sc.cur, sc.seq
-		if ki == len(c.kernels)-1 {
-			dst, dstSeq = out.rows[len(out.rows):cap(out.rows)], out.seqs[len(out.seqs):cap(out.seqs)]
-		}
 		start := time.Now()
-		n, err := c.step(k, src, srcSeq, dst, dstSeq, sc)
-		if err != nil {
+		var err error
+		if rows, seqs, err = c.step(k, rows, seqs, tail, sc); err != nil {
 			return fmt.Errorf("%s: %w", k.name, err)
 		}
-		if src = dst[:n]; seqs != nil {
-			srcSeq = dstSeq[:n]
-		}
-		t.sec[k.member] += time.Since(start).Seconds()
-		if k.counts {
-			t.rows[k.member] += n
-		}
+		t.sec[ki] += time.Since(start).Seconds()
+		t.rows[ki] += len(rows)
 	}
-	if w := c.copyWidth; w > 0 {
-		for i, r := range src {
-			src[i] = append(make(data.Record, 0, w), r...)
+	for i, r := range rows {
+		if c.outProj != nil {
+			r = c.outProj.Apply(r)
 		}
+		tail[i] = r
 	}
-	if out.rows = out.rows[:len(out.rows)+len(src)]; seqs != nil {
-		out.seqs = out.seqs[:len(out.seqs)+len(src)]
-	}
+	out.rows = out.rows[:len(out.rows)+len(rows)]
+	out.seqs = append(out.seqs, seqs...)
 	return nil
 }
 
-// step runs one kernel over src (and its tags, when the chain tracks them)
-// into dst, which may be src itself: a filter selects the survivors and
-// compacts them, a transform writes one record per row. It returns how
-// many rows remain. Each kind has its own loop so the per-row work is
-// inlined, not dispatched.
-func (c *rowChain) step(k *rowKernel, src data.Rows, srcSeq []int64, dst data.Rows, dstSeq []int64, sc *scratch) (int, error) {
-	if k.proj == nil {
-		sel := sc.sel[:0]
-		switch k.op {
-		case workflow.OpFilter:
-			for i, r := range src {
-				v, err := k.pred.Eval(k.in, r)
-				if err != nil {
-					return 0, err
+// step runs one kernel over the rows src (and their tags, when the chain
+// tracks them) and returns the rows that remain: a filter compacts the
+// survivors into the scratch, a writer writes each row's work record in
+// place — the first writer fills it in the scratch first, a fused one
+// writes a fresh output record into tail instead — and a projection
+// returns src. Each filter kind has its own loop, so the per-row work is
+// inlined, not dispatched; the writers' loop branches alike on every row.
+func (c *rowChain) step(k *rowKernel, src data.Rows, seqs []int64, tail data.Rows, sc *scratch) (data.Rows, []int64, error) {
+	switch k.op {
+	case workflow.OpProject:
+		return src, seqs, nil
+	case workflow.OpFunc, workflow.OpSurrogateKey:
+		dst, args := src, sc.args[:len(k.pos)]
+		if k.proj != nil {
+			dst = tail
+		} else if k.fresh {
+			dst = sc.cur
+		}
+		for i, r := range src {
+			var v data.Value
+			if k.fn != nil {
+				for j, p := range k.pos {
+					args[j] = r[p]
 				}
-				if v.Bool() {
-					sel = append(sel, int32(i))
+				var err error
+				if v, err = k.fn.Apply(args); err != nil {
+					return nil, nil, err
 				}
+			} else if g := k.table.find(data.HashKey(r, k.pos), r, k.pos); g >= 0 {
+				// A production key listed twice maps to its last surrogate.
+				v = k.table.rows[k.table.groups[g].last][1]
+			} else {
+				return nil, nil, fmt.Errorf("surrogate key: production key %s missing from lookup", r[k.pos[0]])
 			}
-		case workflow.OpNotNull:
-		rows:
-			for i, r := range src {
-				for _, p := range k.pos {
-					if r[p].IsNull() {
-						continue rows
-					}
-				}
+			rec := r
+			if k.proj != nil {
+				rec = make(data.Record, len(k.proj))
+				k.proj.ApplyInto(rec, r)
+			} else if k.fresh {
+				o := i * c.work
+				rec = sc.vals[o : o+c.work : o+c.work]
+				copy(rec, r)
+			}
+			if k.outPos >= 0 {
+				rec[k.outPos] = v
+			}
+			dst[i] = rec
+		}
+		return dst[:len(src)], seqs, nil
+	}
+	sel := sc.sel[:0]
+	switch k.op {
+	case workflow.OpFilter:
+		for i, r := range src {
+			v, err := k.pred.Eval(k.in, r)
+			if err != nil {
+				return nil, nil, err
+			}
+			if v.Bool() {
 				sel = append(sel, int32(i))
 			}
-		default: // lookup PK check: reject keys the lookup already holds
-			for i, r := range src {
-				if k.table.find(data.HashKey(r, k.pos), r, k.pos) < 0 {
-					sel = append(sel, int32(i))
+		}
+	case workflow.OpNotNull:
+	rows:
+		for i, r := range src {
+			for _, p := range k.pos {
+				if r[p].IsNull() {
+					continue rows
 				}
 			}
+			sel = append(sel, int32(i))
 		}
-		for m, i := range sel {
-			if dst[m] = src[i]; srcSeq != nil {
-				dstSeq[m] = srcSeq[i]
+	default: // lookup PK check: reject keys the lookup already holds
+		for i, r := range src {
+			if k.table.find(data.HashKey(r, k.pos), r, k.pos) < 0 {
+				sel = append(sel, int32(i))
 			}
 		}
-		return len(sel), nil
 	}
-	w, args := len(k.proj), sc.args[:len(k.pos)]
-	for i, r := range src {
-		var rec data.Record
-		if k.off == escapes {
-			rec = make(data.Record, w)
-		} else {
-			o := i*c.rowWidth + k.off
-			rec = sc.vals[o : o+w : o+w]
+	for m, i := range sel {
+		if sc.cur[m] = src[i]; seqs != nil {
+			sc.seq[m] = seqs[i]
 		}
-		k.proj.ApplyInto(rec, r)
-		switch k.op {
-		case workflow.OpFunc:
-			for j, p := range k.pos {
-				args[j] = r[p]
-			}
-			v, err := k.fn.Apply(args)
-			if err != nil {
-				return 0, err
-			}
-			rec[k.outPos] = v
-		case workflow.OpSurrogateKey:
-			g := k.table.find(data.HashKey(r, k.pos), r, k.pos)
-			if g < 0 {
-				return 0, fmt.Errorf("surrogate key: production key %s missing from lookup", r[k.pos[0]])
-			}
-			// A production key listed twice maps to its last surrogate.
-			rec[k.outPos] = k.table.rows[k.table.groups[g].last][1]
-		}
-		dst[i] = rec
 	}
-	if srcSeq != nil {
-		copy(dstSeq, srcSeq) // a no-op in place
+	if seqs != nil {
+		seqs = sc.seq[:len(sel)]
 	}
-	return len(src), nil
+	return sc.cur[:len(sel)], seqs, nil
 }
 
 // execChain runs chain c over in — a stage of row-local activities ending
 // at node id — per partition, batch by batch.
-// Filters keep survivor tags and 1:1 transforms inherit them, so the tag
+// Filters keep survivor tags and 1:1 writers inherit them, so the tag
 // invariants hold for the chain as for each member. No row changes
 // partition, so the output keeps in's partitioning unless a kernel writes
 // a listed attribute or the output layout drops one. It returns each
 // partition's per-member tally.
 func (e *Engine) execChain(ctx context.Context, id workflow.NodeID, n *workflow.Node, c *rowChain, in *pdata, p int, scr []scratch, rowsSoFar int) (*pdata, []tally, error) {
-	members := c.kernels[len(c.kernels)-1].member + 1
-	result, tallies := newPdata(p, in.on), make([]tally, p)
+	result, tallies := newPdata(p, in.on, c.out), make([]tally, p)
 	for _, attr := range in.on {
 		if !c.out.Has(attr) || slices.ContainsFunc(c.kernels, func(k rowKernel) bool { return k.writes == attr }) {
 			result.on = nil
@@ -398,7 +414,7 @@ func (e *Engine) execChain(ctx context.Context, id workflow.NodeID, n *workflow.
 	}
 	err := e.forEachPartition(ctx, id, n, p, rowsSoFar, func(q int) error {
 		ps, sc, t := in.parts[q], &scr[q], &tallies[q]
-		t.rows, t.sec = make([]int, members), make([]float64, members)
+		t.rows, t.sec = make([]int, len(c.kernels)), make([]float64, len(c.kernels))
 		res := pslice{rows: make(data.Rows, 0, len(ps.rows)), seqs: ps.seqs}
 		if c.filters {
 			res.seqs = make([]int64, 0, len(ps.rows))

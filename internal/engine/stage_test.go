@@ -51,15 +51,15 @@ func nodeByNode(t testing.TB, e *Engine, g *workflow.Graph, p int) refRun {
 				t.Fatal(err)
 			}
 		case len(preds) > 0:
-			rows := realign(gather(out[preds[0]]), g.Node(preds[0]).Out, n.RS.Schema)
+			rows := realign(gather(out[preds[0]]), out[preds[0]].layout, n.RS.Schema)
 			ref.targets[n.RS.Name] = rows
-			pd = scatterRows(rows, p)
+			pd = scatterRows(rows, p, n.RS.Schema)
 		default:
 			rows, err := e.scanSource(n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pd = scatterRows(rows, p)
+			pd = scatterRows(rows, p, n.RS.Schema)
 		}
 		out[id] = pd
 		ref.nodeRows[id] = pd.total()
@@ -81,7 +81,7 @@ func runStage(e *Engine, g *workflow.Graph, ids []workflow.NodeID, out map[workf
 		return e.execParallel(context.Background(), g, id, n, out, p, 0)
 	}
 	in := out[g.Providers(ids[0])[0]]
-	c, err := e.resolveChain(g, ids)
+	c, err := e.resolveChain(g, ids, in.layout)
 	if err != nil {
 		return nil, err
 	}
@@ -604,7 +604,7 @@ func allocChain(t testing.TB, n int) (*Engine, *workflow.Graph, []workflow.NodeI
 	e := New(map[string]data.Recordset{
 		"KEYS": data.NewMemoryRecordset("KEYS", data.Schema{"KEY", "SKEY"}).MustLoad(keys),
 	}).forRun()
-	return e, g, ids, scatterRows(measureRows(n), 1)
+	return e, g, ids, scatterRows(measureRows(n), 1, measureSchema)
 }
 
 // TestStageAllocations is the allocation ceiling of a fused stage: at
@@ -676,7 +676,7 @@ func TestStageAllocations(t *testing.T) {
 		acts := []*workflow.Activity{templates.NotNull(0.9, "V1"), templates.Convert("scale10", "W1", "V1"),
 			templates.Convert("dollar2euro", "E2", "V2"), templates.Apply("round", "R", "V3")}
 		g, ids := chainGraph(t, measureSchema, append(append(acts, rewrites...), templates.Threshold("W1", 100, 0.9))...)
-		inputs := map[workflow.NodeID]*pdata{g.Providers(ids[0])[0]: scatterRows(measureRows(n), 1)}
+		inputs := map[workflow.NodeID]*pdata{g.Providers(ids[0])[0]: scatterRows(measureRows(n), 1, measureSchema)}
 		got := bytesOf(func() {
 			if out, err = runStage(e, g, ids, inputs, 1); err != nil {
 				t.Fatal(err)
@@ -719,7 +719,7 @@ func TestStageAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs[id] = scatterRows(rows, 1)
+			outs[id] = scatterRows(rows, 1, n.RS.Schema)
 		case n.Act.Sem.Op == workflow.OpUnion:
 			u = id
 		default:
