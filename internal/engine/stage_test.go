@@ -288,7 +288,7 @@ func workRecordShapes(t testing.TB) []shape {
 		}
 		return shapeGraph(t, named, edges...)
 	}
-	nn, scale := templates.NotNull, func() *workflow.Activity { return templates.Convert("scale10", "W1", "V1") }
+	nn := templates.NotNull
 	return []shape{
 		{"a dropped slot written again", chain("SRC", nn(0.9, "V1"), templates.ProjectOut("V2"),
 			templates.Apply("round", "V2", "V1"), templates.Threshold("V2", 40, 0.5))},
@@ -307,11 +307,13 @@ func workRecordShapes(t testing.TB) []shape {
 	}
 }
 
+// scale is W1 := scale10(V1), with V1 projected out.
+func scale() *workflow.Activity { return templates.Convert("scale10", "W1", "V1") }
+
 // unionOfChains is SRC → NN → scale10 and SRC3 → NN → scale10, whose
 // outputs hold one attribute set in two orders, into a union read by a
 // filter: the union's layout is the SRC3 chain's, which is its left input.
 func unionOfChains(t testing.TB) shape {
-	scale := func() *workflow.Activity { return templates.Convert("scale10", "W1", "V1") }
 	return shape{"a union of chains in other orders", shapeGraph(t, map[string]*workflow.Activity{
 		"nn": templates.NotNull(0.9, "V1"), "w": scale(), "nn3": templates.NotNull(0.9, "V2"), "w3": scale(),
 		"u": templates.Union(), "after": templates.NotNull(0.9, "V3"),
