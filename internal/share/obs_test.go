@@ -116,3 +116,58 @@ func activityKeys(g *workflow.Graph) string {
 	sort.Strings(keys)
 	return strings.Join(keys, " | ")
 }
+
+// TestSuiteJournalNamesMemberNodes: a suite's journal speaks of the graphs
+// its members wrote. Every node event is keyed <id>:<label> of an activity
+// of some member graph, and the suite journals as many node events as its
+// producer and member runs execute activities (21 and 43 on these suites).
+func TestSuiteJournalNamesMemberNodes(t *testing.T) {
+	for _, c := range []struct {
+		cat    generator.Category
+		events int
+	}{{generator.Small, 21}, {generator.Medium, 43}} {
+		scs, err := generator.SharedSuite(c.cat, 3, 1207)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wfs := suiteWorkflows(scs)
+		members := map[string]bool{}
+		for _, wf := range wfs {
+			for _, id := range wf.Graph.Activities() {
+				members[fmt.Sprintf("%d:%s", id, wf.Graph.Node(id).Label())] = true
+			}
+		}
+		var buf bytes.Buffer
+		j := obs.NewJournal(&buf, nil)
+		res, err := RunSuite(context.Background(), wfs, Options{Workers: 2, CacheBytes: -1, Journal: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, wr := range res.Workflows {
+			if wr.Err != nil {
+				t.Fatalf("%s: %v", wr.Name, wr.Err)
+			}
+		}
+		evs, err := obs.ReadJournal(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, foreign := 0, 0
+		for _, e := range evs {
+			if e.T != obs.EventNode {
+				continue
+			}
+			if nodes++; !members[e.Node] {
+				if foreign++; foreign <= 3 {
+					t.Errorf("%s: node event %q names no activity of a member graph", c.cat, e.Node)
+				}
+			}
+		}
+		if foreign > 0 || nodes != c.events {
+			t.Errorf("%s: %d node events, %d of them naming no member node; want %d, none", c.cat, nodes, foreign, c.events)
+		}
+	}
+}
