@@ -23,7 +23,7 @@ import (
 // CheckpointRunner executes a workflow with per-stage staging: each
 // completed stage's output is persisted, so a re-run after a crash resumes
 // from the frontier of completed stages instead of from the sources. It is
-// the stage hook of the engine's node driver (runNodes), not a second
+// a StageHook of the engine's node driver (runNodes), not a second
 // executor: the driver plans the stages of a plain run, asks the runner to
 // restore a stage before running it and to persist it after.
 //
@@ -63,7 +63,22 @@ func (c *CheckpointRunner) stagePath(id workflow.NodeID) string {
 // resume from as after a crash; a source read ahead that the driver had not
 // taken yet is not staged, and is scanned again.
 func (c *CheckpointRunner) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
-	return c.engine.run(ctx, g, c)
+	res, err := c.engine.RunWith(ctx, g, c)
+	if err != nil {
+		return nil, err
+	}
+	return res, c.clear() // the load completed: the staging area has served its purpose
+}
+
+// Ends is false: staging cuts no chain (StageHook).
+func (c *CheckpointRunner) Ends(workflow.NodeID) bool { return false }
+
+// Keeps is true: every stage but a target's is staged (StageHook).
+func (c *CheckpointRunner) Keeps(workflow.NodeID) bool { return true }
+
+// Restore reads a staged stage back (StageHook).
+func (c *CheckpointRunner) Restore(id workflow.NodeID, schema data.Schema) (data.Rows, error) {
+	return c.loadStage(id, schema)
 }
 
 // stageLine renders a stage's manifest line: last member's ID, members' rows, checksum.
@@ -99,23 +114,24 @@ func (c *CheckpointRunner) readManifest() (string, map[workflow.NodeID][]int, er
 	return strings.TrimSuffix(lines[1], "\n"), staged, nil
 }
 
-// prepareStaging readies the staging area for a run of g planned as stages
-// and returns the member rows of each stage to restore, by last member ID.
+// Plan readies the staging area for a run of g planned as stages and
+// returns the member rows of each stage to restore, by last member ID; it
+// skips none (StageHook).
 // No manifest is a fresh start, another workflow's one once what it lists
 // is removed; this workflow's is rewritten with the plan's stages it lists,
 // dropping a torn last line. Any other is refused, and nothing removed.
 // In an accepted area the stage files the new manifest does not list and
 // the row-file temporaries a killed run left are removed.
-func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow.NodeID) (map[workflow.NodeID][]int, error) {
+func (c *CheckpointRunner) Plan(g *workflow.Graph, stages [][]workflow.NodeID) (restored, skipped map[workflow.NodeID][]int, err error) {
 	sig := g.Signature()
 	got, staged, err := c.readManifest()
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 	case err != nil:
-		return nil, err
+		return nil, nil, err
 	case got != sig:
 		if err := c.clear(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		staged = nil
 	}
@@ -124,7 +140,7 @@ func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow
 	for _, ids := range stages {
 		id := ids[len(ids)-1]
 		if rows, ok := staged[id]; ok && len(rows) != len(ids) {
-			return nil, fmt.Errorf("engine: checkpoint dir %s: MANIFEST counts %d members for stage %d, which has %d", c.dir, len(rows), id, len(ids))
+			return nil, nil, fmt.Errorf("engine: checkpoint dir %s: MANIFEST counts %d members for stage %d, which has %d", c.dir, len(rows), id, len(ids))
 		} else if ok {
 			text += stageLine(id, rows)
 			keep[id] = true
@@ -140,7 +156,7 @@ func (c *CheckpointRunner) prepareStaging(g *workflow.Graph, stages [][]workflow
 	if err == nil {
 		err = c.removeLeftovers(keep)
 	}
-	return staged, err
+	return staged, nil, err
 }
 
 // removeLeftovers removes the runner's own files from the staging
@@ -194,8 +210,9 @@ func (c *CheckpointRunner) clear() error {
 	return err
 }
 
-// saveStage persists a stage: its output as a row file, then its manifest line.
-func (c *CheckpointRunner) saveStage(id workflow.NodeID, schema data.Schema, rows data.Rows, members []int) error {
+// Keep stages a stage: its output as a row file, then its manifest line
+// (StageHook).
+func (c *CheckpointRunner) Keep(id workflow.NodeID, schema data.Schema, rows data.Rows, members []int) error {
 	if err := data.WriteRowFile(c.stagePath(id), schema, rows); err != nil {
 		return fmt.Errorf("engine: staging %d: %w", id, err)
 	}

@@ -205,14 +205,30 @@ func SameRun(want, got *RunResult) error {
 // loaded into bound targets stay loaded. NodeRows is per activity whether
 // or not the activity ran fused.
 func (e *Engine) Run(ctx context.Context, g *workflow.Graph) (*RunResult, error) {
-	return e.run(ctx, g, nil)
+	return e.RunWith(ctx, g, nil)
 }
 
-// run is the run wrapper Run (stage nil) and CheckpointRunner.Run share:
-// it refuses a package, resolves the mode to a partition count, attaches
-// the run's lookup cache and recorder, emits the run's boundary events and
-// hands the graph to the node driver.
-func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRunner) (*RunResult, error) {
+// StageHook gives the node driver stage outputs that exist outside the
+// run: a CheckpointRunner's staged stages, a suite's shared intermediates
+// (share.RunSuite). Of each stage, by its last member, the driver asks
+// whether a node ends it (Ends), whether it is restored or skipped, with
+// its members' rows (Plan, once, before the first stage runs: of a skipped
+// stage nothing is read, run or journaled), and whether its output is kept
+// (Keeps). The driver keeps no target and a hook restores none: loading is
+// the effect that must not repeat blindly.
+type StageHook interface {
+	Ends(id workflow.NodeID) bool
+	Plan(g *workflow.Graph, stages [][]workflow.NodeID) (restored, skipped map[workflow.NodeID][]int, err error)
+	Restore(id workflow.NodeID, schema data.Schema) (data.Rows, error)
+	Keeps(id workflow.NodeID) bool
+	Keep(id workflow.NodeID, schema data.Schema, rows data.Rows, members []int) error
+}
+
+// RunWith is Run with a stage hook (nil: none). It refuses a package,
+// resolves the mode to a partition count, attaches the run's lookup cache
+// and recorder, emits the run's boundary events and hands the graph to the
+// node driver.
+func (e *Engine) RunWith(ctx context.Context, g *workflow.Graph, hook StageHook) (*RunResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -239,12 +255,12 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 		e.rec.Emit(obs.RunEvent("start", "engine/"+modeName))
 		defer e.rec.Emit(obs.RunEvent("end", "engine/"+modeName))
 	}
-	res, err := e.runNodes(ctx, g, partitions, stage)
+	res, quiet, err := e.runNodes(ctx, g, partitions, hook)
 	if err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
-	e.recordRun(g, res, modeName)
+	e.recordRun(g, res, quiet, modeName)
 	return res, nil
 }
 
@@ -255,7 +271,9 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 // The driver alone checks for cancellation between stages, consults the
 // stage-level fault sites, retries, journals and counts every member, takes
 // a source off the reader (readSources), loads a target, drops an output at
-// its last reader and — given a checkpoint — restores or persists a stage.
+// its last reader and — given a hook — restores, skips or keeps a stage. It
+// also returns the quiet nodes, counted and journaled by another run: a
+// skipped stage's, and a restored one's unless the hook is a checkpoint.
 //
 // A stage is the retry unit and owns the fault sites: node start and
 // per-partition emit are consulted once, under the ID of its last member
@@ -266,34 +284,41 @@ func (e *Engine) run(ctx context.Context, g *workflow.Graph, stage *CheckpointRu
 // point, and nothing of a stage (rows, node events, counters) is recorded
 // before it succeeds: a retried stage never loads, stages or counts twice,
 // and a retried source keeps the rows it was handed.
-func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *CheckpointRunner) (*RunResult, error) {
+func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, hook StageHook) (*RunResult, map[workflow.NodeID]bool, error) {
 	order, err := g.TopoSort()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	stages := planStages(g, order)
-	var restore map[workflow.NodeID][]int // staged member rows by last member: read once, for driver and reader
-	if stage != nil {
-		if restore, err = stage.prepareStaging(g, stages); err != nil {
-			return nil, err
+	stages := planStages(g, order, hook)
+	var restore, skip map[workflow.NodeID][]int // member rows by last member: read once, for driver and reader
+	if hook != nil {
+		if restore, skip, err = hook.Plan(g, stages); err != nil {
+			return nil, nil, err
 		}
 	}
 	out := make(map[workflow.NodeID]*pdata, len(order))
-	// readers counts a node's consumers yet to complete; its output is dropped
-	// with the last: what stays live is the input of the stages still to run.
+	// readers counts the stages yet to complete that read a node — a skipped
+	// one reads nothing; its output is dropped with the last: what stays
+	// live is the input of the stages still to run.
 	readers := make(map[workflow.NodeID]int, len(order))
-	for _, id := range order {
-		readers[id] = len(g.Consumers(id))
+	for _, ids := range stages {
+		if _, skipped := skip[ids[len(ids)-1]]; !skipped {
+			for _, pr := range g.Providers(ids[0]) {
+				readers[pr]++
+			}
+		}
 	}
 	scr := make([]scratch, p) // one per partition for the whole run
 	res := &RunResult{
 		Targets:  make(map[string]data.Rows),
 		NodeRows: make(map[workflow.NodeID]int),
 	}
+	_, staging := hook.(*CheckpointRunner) // its stages are this workflow's own
+	quiet := make(map[workflow.NodeID]bool)
 	rowsSoFar := 0
 	ahead := make(chan *scanned)
 	quit, stop := context.WithCancel(context.WithoutCancel(ctx))
-	go e.readSources(ctx, quit, g, stages, restore, ahead)
+	go e.readSources(ctx, quit, g, stages, restore, skip, ahead)
 	defer func() { // quit is done when the driver returns, and no return leaves the reader running
 		stop()
 		for range ahead {
@@ -302,19 +327,23 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 	for _, ids := range stages {
 		id := ids[len(ids)-1]
 		n := g.Node(id)
+		preds := g.Providers(ids[0])
+		if counts, ok := skip[id]; ok {
+			for m, mid := range ids {
+				res.NodeRows[mid], quiet[mid] = counts[m], true
+			}
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			// Surface where the run stopped, not just that it stopped: the
 			// next node that would have run and the progress made. Staged
 			// stages stay on disk, so cancellation resumes like a crash.
-			return nil, fmt.Errorf("engine: run cancelled before node %d (%s) after %d rows: %w",
+			return nil, nil, fmt.Errorf("engine: run cancelled before node %d (%s) after %d rows: %w",
 				ids[0], g.Node(ids[0]).Label(), rowsSoFar, err)
 		}
-		preds := g.Providers(ids[0])
 		activity := n.Kind == workflow.KindActivity
 		target := !activity && len(preds) > 0
-		// Targets are never staged: loading is the effect that must not be
-		// repeated blindly, so a target always re-runs from its provider.
-		stageable := stage != nil && !target
+		keep := hook != nil && !target && hook.Keeps(id)
 		members, restored := restore[id] // never a target's
 		var (
 			pd      *pdata    // the stage's output; nil for a target nothing reads
@@ -329,7 +358,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				if err := e.checkFault(fault.SiteRestore, id, n, 0); err != nil {
 					return err
 				}
-				rows, err = stage.loadStage(id, n.Out)
+				rows, err = hook.Restore(id, n.Out)
 				pd, counts = scatterRows(rows, p, n.Out), members
 				return err
 			}
@@ -401,20 +430,20 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			if pd != nil {
 				counts[len(ids)-1] = pd.total()
 			}
-			if stageable {
+			if keep {
 				if err := e.checkFault(fault.SiteStage, id, n, 0); err != nil {
 					return err
 				}
-				if activity { // staged in the node's layout, whichever its reader wanted
+				if activity { // kept in the node's layout, whichever its reader wanted
 					rows = realign(gather(pd), pd.layout, n.Out)
 				}
-				return stage.saveStage(id, n.Out, rows, counts)
+				return hook.Keep(id, n.Out, rows, counts)
 			}
 			return nil
 		}
 		start := time.Now()
 		if err := e.runNode(ctx, id, body); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if activity && tallies == nil && !restored {
 			// A stage of one that is no row chain: its partitions' rows and
@@ -428,6 +457,10 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 		for m, mid := range ids {
 			res.NodeRows[mid] = counts[m]
 			rowsSoFar += counts[m]
+			if restored && !staging {
+				quiet[mid] = true
+				continue
+			}
 			if !activity { // a recordset's rows are no event's
 				e.metrics.Counter("engine_rows_out_total", "node", e.keys[mid]).Add(int64(counts[m]))
 				continue
@@ -441,7 +474,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 				e.rec.Emit(obs.BatchEvent(e.keys[mid], q, t.rows[m]))
 			}
 		}
-		if key := e.keys[id]; stageable {
+		if key := e.keys[id]; keep && staging {
 			if restored {
 				e.rec.Emit(obs.CheckpointEvent(key, "restored", counts[len(ids)-1]))
 			} else {
@@ -456,13 +489,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, stage *
 			}
 		}
 	}
-	if stage != nil {
-		// The load completed: the staging area has served its purpose.
-		if err := stage.clear(); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return res, quiet, nil
 }
 
 // scanned is one source's hand-over from the run's reader to the driver.
@@ -472,15 +499,16 @@ type scanned struct {
 }
 
 // readSources is the run's reader goroutine: it scans the sources in plan
-// order, but for the staged ones (the driver's to restore), handing each
-// over on the unbuffered ahead — so one is parsed, none queued, ahead of the
-// driver — and closes ahead after the last. It begins no scan once ctx is
-// done, but gives up a finished one only to quit: the driver's return.
-func (e *Engine) readSources(ctx, quit context.Context, g *workflow.Graph, stages [][]workflow.NodeID, restore map[workflow.NodeID][]int, ahead chan<- *scanned) {
+// order, but for those the driver restores or skips, handing each over on
+// the unbuffered ahead — so one is parsed, none queued, ahead of the driver
+// — and closes ahead after the last. It begins no scan once ctx is done,
+// but gives up a finished one only to quit: the driver's return.
+func (e *Engine) readSources(ctx, quit context.Context, g *workflow.Graph, stages [][]workflow.NodeID, restore, skip map[workflow.NodeID][]int, ahead chan<- *scanned) {
 	defer close(ahead)
 	for _, ids := range stages {
 		id := ids[0]
-		if _, staged := restore[id]; ctx.Err() == nil && quit.Err() == nil && len(g.Providers(id)) == 0 && !staged {
+		_, restored := restore[id]
+		if _, skipped := skip[id]; ctx.Err() == nil && quit.Err() == nil && len(g.Providers(id)) == 0 && !restored && !skipped {
 			rows, err := e.scanSource(g.Node(id))
 			select {
 			case ahead <- &scanned{rows, err}:

@@ -209,7 +209,7 @@ func TestJournalCheckpointEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stageKeys []string
-	for _, ids := range planStages(sc.Graph, order) {
+	for _, ids := range planStages(sc.Graph, order, nil) {
 		id := ids[len(ids)-1]
 		if n := sc.Graph.Node(id); n.Kind == workflow.KindActivity || len(sc.Graph.Providers(id)) == 0 {
 			stageKeys = append(stageKeys, nodeKey(id, n))
@@ -244,7 +244,7 @@ func TestJournalCheckpointEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seeder.saveStage(src, n.Out, rows, []int{len(rows)}); err != nil {
+	if err := seeder.Keep(src, n.Out, rows, []int{len(rows)}); err != nil {
 		t.Fatal(err)
 	}
 

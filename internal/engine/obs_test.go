@@ -126,7 +126,7 @@ func TestEveryActivityHasItsSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stages := planStages(sc.Graph, order); len(stages) == len(order) {
+	if stages := planStages(sc.Graph, order, nil); len(stages) == len(order) {
 		t.Fatal("no stage of the workflow fuses: the test would prove nothing")
 	}
 	reg := obs.NewRegistry()

@@ -41,13 +41,13 @@ func streamable(a *workflow.Activity) bool {
 
 // planStages groups a topological order into stages, each a list of node
 // IDs in flow order. A maximal path of streamable activities (each has one
-// provider) whose every member but the last has exactly one consumer is one
-// stage, placed where its head stands in the order — legal, since each
-// later member reads only the member before it. Every other node is a
-// stage of one; a source (a node without a provider) stands directly
-// before the first stage that reads it, so it is held from there on, not
-// from the start.
-func planStages(g *workflow.Graph, order []workflow.NodeID) [][]workflow.NodeID {
+// provider) whose every member but the last has exactly one consumer and
+// is not one the hook (when not nil) Ends is one stage, placed where its
+// head stands in the order — legal, since each later member reads only the
+// member before it. Every other node is a stage of one; a source (a node
+// without a provider) stands directly before the first stage that reads
+// it, so it is held from there on, not from the start.
+func planStages(g *workflow.Graph, order []workflow.NodeID, hook StageHook) [][]workflow.NodeID {
 	stages := make([][]workflow.NodeID, 0, len(order))
 	placed := make(map[workflow.NodeID]bool) // fused into a stage, or a source put before its reader
 	rowLocal := func(id workflow.NodeID) bool {
@@ -59,7 +59,7 @@ func planStages(g *workflow.Graph, order []workflow.NodeID) [][]workflow.NodeID 
 			continue
 		}
 		ids := []workflow.NodeID{id}
-		for tail := id; rowLocal(tail); {
+		for tail := id; rowLocal(tail) && (hook == nil || !hook.Ends(tail)); {
 			next := g.Consumers(tail)
 			if len(next) != 1 || !rowLocal(next[0]) {
 				break

@@ -195,7 +195,7 @@ func TestFusedStageMatchesNodeByNode(t *testing.T) {
 			label := fmt.Sprintf("%s #%d size %d", c.cat, k, size)
 			g := sc.Graph
 			order, _ := g.TopoSort()
-			for _, ids := range planStages(g, order) {
+			for _, ids := range planStages(g, order, nil) {
 				if len(ids) > 1 {
 					fused++
 				}
@@ -493,7 +493,7 @@ func TestPlanStages(t *testing.T) {
 	}
 	render := func() string {
 		var parts []string
-		for _, ids := range planStages(g, order) {
+		for _, ids := range planStages(g, order, nil) {
 			parts = append(parts, fmt.Sprint(ids))
 		}
 		return strings.Join(parts, " ")
@@ -712,7 +712,7 @@ func TestStageAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ids := range planStages(sh.g, order) {
+	for _, ids := range planStages(sh.g, order, nil) {
 		id := ids[len(ids)-1]
 		switch n := sh.g.Node(id); {
 		case u != 0: // the union and what follows it are not run here

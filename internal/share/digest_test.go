@@ -48,13 +48,16 @@ func counted(wfs []Workflow) []*countingRecordset {
 	return all
 }
 
-// reads counts, per recordset name, how often one engine run of g scans it:
-// once per source node, and once per lookup table and use (a surrogate-key
-// table is keyed on its first attribute, a key check's on all of them).
-func reads(g *workflow.Graph) map[string]int {
+// reads counts, per recordset name, how often one engine run of g that
+// executes the nodes runs reports scans it: once per source node, and once
+// per lookup table and use (a surrogate-key table is keyed on its first
+// attribute, a key check's on all of them).
+func reads(g *workflow.Graph, runs func(workflow.NodeID) bool) map[string]int {
 	n := make(map[string]int)
 	for _, id := range g.Sources() {
-		n[g.Node(id).RS.Name]++
+		if runs(id) {
+			n[g.Node(id).RS.Name]++
+		}
 	}
 	type use struct {
 		name string
@@ -72,14 +75,22 @@ func reads(g *workflow.Graph) map[string]int {
 		}
 	}
 	for _, id := range g.Activities() {
-		walk(g.Node(id).Act)
+		if runs(id) {
+			walk(g.Node(id).Act)
+		}
 	}
 	return n
 }
 
+// executes reports the nodes a run of pw over need executes: the needed
+// ones but the shared activities it restores, all of them but keep.
+func executes(pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) func(workflow.NodeID) bool {
+	return func(id workflow.NodeID) bool { return need[id] && (!pw.shared[id] || id == keep) }
+}
+
 // TestSuitePlansWithoutScanning: a plan is made from digests alone, one per
 // member and recordset the member reads, and a whole suite run scans each
-// recordset as often as the stages and residual runs it planned read it —
+// recordset as often as the producer and member runs it planned read it —
 // no more. (A planner that scans to fingerprint reads every source and
 // lookup once more per member.)
 func TestSuitePlansWithoutScanning(t *testing.T) {
@@ -110,23 +121,21 @@ func TestSuitePlansWithoutScanning(t *testing.T) {
 					}
 					wantDigests := make(map[data.Recordset]int32)
 					for _, wf := range wfs {
-						for name := range reads(wf.Graph) {
+						for name := range reads(wf.Graph, func(workflow.NodeID) bool { return true }) {
 							wantDigests[wf.Bindings[name]] = 1
 						}
 					}
 					wantScans := make(map[data.Recordset]int32)
-					planned := func(g *workflow.Graph, bindings map[string]data.Recordset) {
-						for name, n := range reads(g) {
-							if rs, ok := bindings[name]; ok { // the others are injected intermediates
-								wantScans[rs] += int32(n)
-							}
+					planned := func(pw *planWorkflow, runs func(workflow.NodeID) bool) {
+						for name, n := range reads(pw.wf.Graph, runs) {
+							wantScans[pw.wf.Bindings[name]] += int32(n)
 						}
 					}
 					for _, st := range p.stages {
-						planned(st.graph, st.bindings)
+						planned(st.pw, executes(st.pw, st.need, st.id))
 					}
 					for _, pw := range p.workflows {
-						planned(pw.residual, pw.wf.Bindings)
+						planned(pw, executes(pw, pw.need, 0))
 					}
 					for _, c := range doubles {
 						if c.scans.Load() != 0 || c.digests.Load() != wantDigests[c] {

@@ -3,8 +3,9 @@
 // upstream-closure fingerprint covering graph structure, activity algebra
 // and the digests of every bound source and lookup the closure reads —
 // materializes each shared intermediate exactly once through a
-// content-addressed, byte-budgeted result cache, and runs the residual
-// workflows over the cached intermediates with bounded concurrency.
+// content-addressed, byte-budgeted result cache, and runs every workflow's
+// own graph with bounded concurrency, each shared intermediate restored
+// from the cache through the engine's stage hook.
 //
 // The headline invariant mirrors the engine's partition contract: every
 // workflow's targets and NodeRows are bit-identical to running it alone,
@@ -163,12 +164,6 @@ func (fp *fingerprinter) node(ctx context.Context, id workflow.NodeID) error {
 	f.mix(0x9e3779b97f4a7c15)
 	fp.memo[id] = uint64(f)
 	return nil
-}
-
-// stageName is the reserved recordset name under which a shared
-// intermediate is injected into residual graphs and spilled to disk.
-func stageName(fp uint64) string {
-	return fmt.Sprintf("__shared_%016x", fp)
 }
 
 // cacheKey renders a fingerprint as the cache's string key.

@@ -15,11 +15,11 @@ import (
 )
 
 // TestSuiteNodeSpansUnderTheirOwnRun runs a suite at Workers 4, so member
-// and stage runs overlap, and requires every journaled node event to have
-// its node/<key> span lasting exactly the event's Sec, parented under the
-// span of the run that executed it: the node spans under each run span
-// are the activities of exactly one of the suite's stage and residual
-// graphs, and lie inside that run's span.
+// and producer runs overlap, and requires every journaled node event to
+// have its node/<key> span lasting exactly the event's Sec, parented under
+// the span of the run that executed it: the node spans under each run span
+// are the activities one of the suite's producer and member runs executes,
+// and lie inside that run's span.
 func TestSuiteNodeSpansUnderTheirOwnRun(t *testing.T) {
 	scs, err := generator.SharedSuite(generator.Small, 3, 1207)
 	if err != nil {
@@ -41,17 +41,18 @@ func TestSuiteNodeSpansUnderTheirOwnRun(t *testing.T) {
 		t.Fatal("the suite shares no stage: the test would prove nothing")
 	}
 
-	// The graphs the suite executes, each as its sorted activity keys.
+	// The runs the suite makes, each as the sorted keys of the activities
+	// it executes.
 	p, err := newPlan(context.Background(), wfs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]int{}
 	for _, st := range p.stages {
-		want[activityKeys(st.graph)]++
+		want[activityKeys(st.pw.wf.Graph, executes(st.pw, st.need, st.id))]++
 	}
 	for _, pw := range p.workflows {
-		want[activityKeys(pw.residual)]++
+		want[activityKeys(pw.wf.Graph, executes(pw, pw.need, 0))]++
 	}
 
 	evs, err := obs.ReadJournal(&buf)
@@ -107,11 +108,14 @@ func TestSuiteNodeSpansUnderTheirOwnRun(t *testing.T) {
 	}
 }
 
-// activityKeys renders a graph's activities as the engine keys them, sorted.
-func activityKeys(g *workflow.Graph) string {
+// activityKeys renders the activities of g a run executes as the engine
+// keys them, sorted.
+func activityKeys(g *workflow.Graph, runs func(workflow.NodeID) bool) string {
 	var keys []string
 	for _, id := range g.Activities() {
-		keys = append(keys, fmt.Sprintf("%d:%s", id, g.Node(id).Label()))
+		if runs(id) {
+			keys = append(keys, fmt.Sprintf("%d:%s", id, g.Node(id).Label()))
+		}
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, " | ")

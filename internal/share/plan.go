@@ -26,51 +26,36 @@ type Workflow struct {
 	Bindings map[string]data.Recordset
 }
 
-// stage is one shared intermediate: the producer subgraph that computes it,
-// residualized at any deeper shared intermediates it consumes.
+// stage is one shared intermediate: a shared activity of the member whose
+// graph its producer runs execute.
 type stage struct {
-	fp       uint64
-	key      string
-	schema   data.Schema
-	graph    *workflow.Graph
-	bindings map[string]data.Recordset
-	// deps are the fingerprints of shared intermediates this stage's
-	// producer graph consumes (its injected sources).
+	fp     uint64
+	key    string
+	schema data.Schema
+	pw     *planWorkflow
+	id     workflow.NodeID
+	// need holds the nodes a producer run executes or restores: id and its
+	// upstream closure down to the shared activities it reads, restored
+	// from the stages deps names.
+	need map[workflow.NodeID]bool
 	deps []uint64
-	// idmap maps the exemplar workflow's node IDs to producer-graph IDs.
-	idmap map[workflow.NodeID]workflow.NodeID
-	// origFPs maps those exemplar node IDs to their closure fingerprints,
-	// so a producer run can publish per-fingerprint row counts that any
-	// suite member can use to reconstruct its solo NodeRows.
-	origFPs map[workflow.NodeID]uint64
-	// injected maps producer-graph injected source IDs to the dep
-	// fingerprint they stand for.
-	injected map[workflow.NodeID]uint64
-	// target is the artificial target's producer-graph node ID.
-	target workflow.NodeID
 }
 
-// planWorkflow is one suite member with its residual execution graph: the
-// original graph with every maximal shared intermediate's upstream closure
-// replaced by an injected source fed from the cache.
+// planWorkflow is one suite member: its graph's closure fingerprints, its
+// shared activities — each ends a stage and is restored wherever a run
+// reads it — and what its own run executes or restores (need) and reads
+// from stages (deps).
 type planWorkflow struct {
-	wf  Workflow
-	fps map[workflow.NodeID]uint64
-	// residual is the graph actually executed for this workflow.
-	residual *workflow.Graph
-	// idmap maps original node IDs to residual IDs (cut nodes map to
-	// their injected sources, whose scan count equals the cut node's
-	// output count).
-	idmap map[workflow.NodeID]workflow.NodeID
-	// injected maps residual injected-source IDs to stage fingerprints.
-	injected map[workflow.NodeID]uint64
-	// deps are the fingerprints of the stages this workflow consumes.
-	deps []uint64
+	wf     Workflow
+	fps    map[workflow.NodeID]uint64
+	shared map[workflow.NodeID]bool
+	need   map[workflow.NodeID]bool
+	deps   []uint64
 }
 
 // plan is the suite's stage DAG: every shared intermediate appears exactly
-// once, producer stages are ordered dependencies-first, and each workflow
-// is reduced to a residual graph over injected shared sources.
+// once, producer stages are ordered dependencies-first, and every run —
+// producer or member — executes a member's own graph.
 type plan struct {
 	workflows []*planWorkflow
 	stages    map[uint64]*stage
@@ -79,10 +64,11 @@ type plan struct {
 
 // newPlan fingerprints every workflow, finds fingerprints that occur more
 // than once across the suite (including homologous twins inside a single
-// workflow), and builds the stage DAG and residual graphs. Fingerprinting
-// digests every bound source and lookup (a record file reads its bytes), so
-// workers members do it at a time, until ctx is done; results and the first
-// error are taken in member order, whatever workers is.
+// workflow), and builds the stage DAG. Fingerprinting digests every bound
+// source and lookup (a record file reads its bytes), so workers members do
+// it at a time, until ctx is done; results and the first error are taken
+// in member order, whatever workers is. Validating a graph sorts it, so
+// the runs that later share it only read its memoized order.
 func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
 	p := &plan{stages: make(map[uint64]*stage)}
 
@@ -113,20 +99,18 @@ func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
 			counts[allFPs[i][id]]++
 		}
 	}
-	shared := func(fps map[workflow.NodeID]uint64, g *workflow.Graph, id workflow.NodeID) bool {
-		return g.Node(id).Kind == workflow.KindActivity && counts[fps[id]] >= 2
-	}
 
 	for i, wf := range wfs {
-		fps := allFPs[i]
-		pw := &planWorkflow{wf: wf, fps: fps}
-		isCut := func(id workflow.NodeID) bool { return shared(fps, wf.Graph, id) }
-		roots := wf.Graph.Targets()
-		sub, err := p.extract(wf, fps, isCut, roots, 0)
-		if err != nil {
-			return nil, fmt.Errorf("share: workflow %s: %w", wfName(wf, i), err)
+		pw := &planWorkflow{wf: wf, fps: allFPs[i], shared: make(map[workflow.NodeID]bool)}
+		for _, id := range wf.Graph.Activities() {
+			pw.shared[id] = counts[pw.fps[id]] >= 2
 		}
-		pw.residual, pw.idmap, pw.injected, pw.deps = sub.graph, sub.idmap, sub.injected, sub.deps
+		var cuts []workflow.NodeID
+		pw.need, cuts = pw.closure(wf.Graph.Targets()...)
+		for _, id := range cuts {
+			p.ensureStage(pw, id)
+		}
+		pw.deps = pw.fpsOf(cuts)
 		p.workflows = append(p.workflows, pw)
 	}
 
@@ -141,31 +125,12 @@ func wfName(wf Workflow, i int) string {
 	return fmt.Sprintf("#%d", i)
 }
 
-// subgraph is the result of one extraction: a fresh executable graph plus
-// the maps relating it to the original.
-type subgraph struct {
-	graph    *workflow.Graph
-	idmap    map[workflow.NodeID]workflow.NodeID
-	injected map[workflow.NodeID]uint64
-	deps     []uint64
-}
-
-// extract builds a fresh graph containing the original nodes reachable
-// upstream from roots, stopping the descent at cut nodes (other than the
-// roots themselves): each cut node becomes an injected source recordset
-// named after its fingerprint, and a producer stage for that fingerprint
-// is registered recursively. Walking backwards from the roots and cutting
-// at the *first* shared activity encountered is what makes the chosen
-// shared subgraphs maximal.
-func (p *plan) extract(wf Workflow, fps map[workflow.NodeID]uint64, isCut func(workflow.NodeID) bool, roots []workflow.NodeID, depth int) (*subgraph, error) {
-	if depth > wf.Graph.Len() {
-		return nil, fmt.Errorf("stage recursion exceeded graph size") // cycle guard; unreachable on a valid DAG
-	}
-	g := wf.Graph
-	rootSet := make(map[workflow.NodeID]bool, len(roots))
-	for _, r := range roots {
-		rootSet[r] = true
-	}
+// closure returns what a run of the member from roots executes or
+// restores — the roots, and upstream of them every node down to the first
+// shared activities (other than the roots themselves) — and those shared
+// activities, sorted. Cutting at the *first* shared activity walking back
+// is what makes the shared subgraphs maximal.
+func (pw *planWorkflow) closure(roots ...workflow.NodeID) (map[workflow.NodeID]bool, []workflow.NodeID) {
 	need := make(map[workflow.NodeID]bool)
 	cut := make(map[workflow.NodeID]bool)
 	var visit func(id workflow.NodeID)
@@ -173,120 +138,53 @@ func (p *plan) extract(wf Workflow, fps map[workflow.NodeID]uint64, isCut func(w
 		if need[id] {
 			return
 		}
-		need[id] = true
-		if isCut(id) && !rootSet[id] {
+		if need[id] = true; pw.shared[id] {
 			cut[id] = true
 			return
 		}
-		for _, pr := range g.Providers(id) {
+		for _, pr := range pw.wf.Graph.Providers(id) {
 			visit(pr)
 		}
 	}
 	for _, r := range roots {
 		need[r] = true
-		for _, pr := range g.Providers(r) {
+		for _, pr := range pw.wf.Graph.Providers(r) {
 			visit(pr)
 		}
 	}
-
-	// Register a producer stage for every cut fingerprint before building
-	// this graph, so the stage map is complete bottom-up.
-	for _, id := range sortedIDs(cut) {
-		if err := p.ensureStage(wf, fps, isCut, id, depth); err != nil {
-			return nil, err
-		}
-	}
-
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	sub := &subgraph{
-		graph:    workflow.NewGraph(),
-		idmap:    make(map[workflow.NodeID]workflow.NodeID, len(need)),
-		injected: make(map[workflow.NodeID]uint64),
-	}
-	depSet := make(map[uint64]bool)
-	for _, id := range order {
-		if !need[id] {
-			continue
-		}
-		n := g.Node(id)
-		var nid workflow.NodeID
-		switch {
-		case cut[id]:
-			fp := fps[id]
-			nid = sub.graph.AddRecordset(&workflow.RecordsetRef{
-				Name:     stageName(fp),
-				Schema:   n.Out.Clone(),
-				IsSource: true,
-			})
-			sub.injected[nid] = fp
-			depSet[fp] = true
-		case n.Kind == workflow.KindActivity:
-			nid = sub.graph.AddActivity(n.Act)
-		default:
-			nid = sub.graph.AddRecordset(n.RS)
-		}
-		sub.idmap[id] = nid
-		if !cut[id] {
-			for _, pr := range g.Providers(id) {
-				sub.graph.MustAddEdge(sub.idmap[pr], nid)
-			}
-		}
-	}
-	// Derive the activity schemas the canonical way rather than copying
-	// them node by node: the residual preserves provider order and the
-	// injected sources carry the cut nodes' exact output schemas, so the
-	// regeneration reproduces the original schemata exactly.
-	if err := sub.graph.RegenerateSchemata(); err != nil {
-		return nil, err
-	}
-	sub.deps = sortedFPs(depSet)
-	return sub, nil
+	return need, sortedIDs(cut)
 }
 
-// ensureStage registers the producer stage for the cut node's fingerprint,
-// extracting its closure (residualized at deeper cuts) from the first
-// workflow that exhibits it.
-func (p *plan) ensureStage(wf Workflow, fps map[workflow.NodeID]uint64, isCut func(workflow.NodeID) bool, id workflow.NodeID, depth int) error {
-	fp := fps[id]
-	if _, ok := p.stages[fp]; ok {
-		return nil
+// fpsOf returns the sorted distinct fingerprints of ids.
+func (pw *planWorkflow) fpsOf(ids []workflow.NodeID) []uint64 {
+	set := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		set[pw.fps[id]] = true
 	}
-	sub, err := p.extract(wf, fps, isCut, []workflow.NodeID{id}, depth+1)
-	if err != nil {
-		return err
-	}
-	root := sub.idmap[id]
-	out := wf.Graph.Node(id).Out
-	target := sub.graph.AddRecordset(&workflow.RecordsetRef{
-		Name:     stageName(fp),
-		Schema:   out.Clone(),
-		IsTarget: true,
-	})
-	sub.graph.MustAddEdge(root, target)
-	if err := sub.graph.Validate(); err != nil {
-		return fmt.Errorf("stage %s: %w", cacheKey(fp), err)
-	}
+	return sortedFPs(set)
+}
 
-	origFPs := make(map[workflow.NodeID]uint64, len(sub.idmap))
-	for orig := range sub.idmap {
-		origFPs[orig] = fps[orig]
+// ensureStage registers the stage of the shared activity id of pw, after
+// the stages its closure reads, unless a member planned before registered
+// its fingerprint: that member's graph is the one its producer runs execute.
+func (p *plan) ensureStage(pw *planWorkflow, id workflow.NodeID) {
+	fp := pw.fps[id]
+	if _, ok := p.stages[fp]; ok {
+		return
+	}
+	need, cuts := pw.closure(id)
+	for _, c := range cuts {
+		p.ensureStage(pw, c)
 	}
 	p.stages[fp] = &stage{
-		fp:       fp,
-		key:      cacheKey(fp),
-		schema:   out.Clone(),
-		graph:    sub.graph,
-		bindings: wf.Bindings,
-		deps:     sub.deps,
-		idmap:    sub.idmap,
-		origFPs:  origFPs,
-		injected: sub.injected,
-		target:   target,
+		fp:     fp,
+		key:    cacheKey(fp),
+		schema: pw.wf.Graph.Node(id).Out.Clone(),
+		pw:     pw,
+		id:     id,
+		need:   need,
+		deps:   pw.fpsOf(cuts),
 	}
-	return nil
 }
 
 // orderStages sorts the stage DAG dependencies-first (and by fingerprint
@@ -304,17 +202,13 @@ func (p *plan) orderStages() {
 		}
 		p.order = append(p.order, fp)
 	}
-	for _, fp := range sortedFPs(stageSet(p.stages)) {
+	fps := make(map[uint64]bool, len(p.stages))
+	for fp := range p.stages {
+		fps[fp] = true
+	}
+	for _, fp := range sortedFPs(fps) {
 		emit(fp)
 	}
-}
-
-func stageSet(m map[uint64]*stage) map[uint64]bool {
-	s := make(map[uint64]bool, len(m))
-	for fp := range m {
-		s[fp] = true
-	}
-	return s
 }
 
 func sortedFPs(set map[uint64]bool) []uint64 {

@@ -16,7 +16,7 @@ import (
 
 // Options parameterizes a suite run.
 type Options struct {
-	// Workers bounds how many stages and residual workflows execute
+	// Workers bounds how many producer and member runs execute
 	// concurrently; 0 or less means GOMAXPROCS.
 	Workers int
 	// CacheBytes is the intermediate-result cache budget: negative means
@@ -27,11 +27,11 @@ type Options struct {
 	// files in a subdirectory of it that RunSuite removes before it returns,
 	// instead of dropping them. A directory that cannot be made spills nothing.
 	SpillDir string
-	// Engine options are threaded unchanged into every stage and residual
-	// engine (mode, partitions, batch, faults, retry).
+	// Engine options are threaded unchanged into every producer and member
+	// run (mode, partitions, fault plan, retry, journal, metrics).
 	Engine []engine.Option
 	// Journal receives shared-cache activity events (lookup/hit/miss/
-	// admit/evict/spill) and every stage and residual run's events; the
+	// admit/evict/spill) and every producer and member run's events; the
 	// registry it was opened with, if any, receives the shared_cache_*
 	// counters and the runs' series. nil disables them. Results are
 	// identical with the journal on or off.
@@ -57,8 +57,8 @@ type Stats struct {
 	// StageRuns counts producer executions, including any recomputation
 	// forced by eviction; with an adequate budget it equals Stages.
 	StageRuns int64 `json:"stage_runs"`
-	// NodesExecuted counts nodes actually run across every stage and
-	// residual engine run; NodesIndependent is what independent runs
+	// NodesExecuted counts nodes run or restored across every producer and
+	// member run; NodesIndependent is what independent runs
 	// would have executed (the sum of suite graph sizes). The difference
 	// is the recomputation the suite avoided.
 	NodesExecuted    int64      `json:"nodes_executed"`
@@ -74,8 +74,9 @@ type Result struct {
 
 // RunSuite executes the workflows as one job: shared upstream closures are
 // detected by content, materialized once each through the cache, and every
-// workflow runs as a residual graph over the cached intermediates. Targets
-// and NodeRows of each workflow are bit-identical to running it alone.
+// workflow runs its own graph, restoring each shared intermediate it reads
+// from the cache and skipping what only feeds one. Targets and NodeRows of
+// each workflow are bit-identical to running it alone.
 // RunSuite returns an error only when planning fails; per-workflow
 // execution failures are isolated in the result.
 func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error) {
@@ -131,7 +132,7 @@ func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error
 		}(fp)
 	}
 
-	// Residual workflows: ready once their consumed stages settled.
+	// Member runs: ready once their consumed stages settled.
 	for i, pw := range p.workflows {
 		wg.Add(1)
 		go func(i int, pw *planWorkflow) {
@@ -168,9 +169,9 @@ type runner struct {
 	cache *cache
 
 	// sharedRows accumulates per-fingerprint output row counts from every
-	// producer run; residual results are patched back to full solo
-	// NodeRows through it. Equal fingerprints imply equal row counts, so
-	// concurrent writers never disagree.
+	// run; a later run reports the nodes it skips or restores from it.
+	// Equal fingerprints imply equal row counts, so concurrent writers
+	// never disagree.
 	rowsMu     sync.Mutex
 	sharedRows map[uint64]int
 
@@ -185,7 +186,7 @@ type runner struct {
 }
 
 // stageRows returns the shared intermediate's rows, from the cache when
-// possible and by (re)executing its producer graph otherwise.
+// possible and by (re)executing its producer run otherwise.
 func (r *runner) stageRows(ctx context.Context, fp uint64) (data.Rows, error) {
 	st := r.plan.stages[fp]
 	r.failMu.Lock()
@@ -210,97 +211,104 @@ func (r *runner) stageRows(ctx context.Context, fp uint64) (data.Rows, error) {
 	return rows, nil
 }
 
-// runStage executes one producer graph and returns the intermediate's
-// rows. Dependencies are resolved through the cache first, so a stage
-// whose inputs are still resident never recomputes them.
+// runStage executes the stage's producer run and returns the intermediate's
+// rows. Dependencies are resolved through the cache as the run restores
+// them, so a stage whose inputs are still resident never recomputes them.
 func (r *runner) runStage(ctx context.Context, st *stage) (data.Rows, error) {
-	bindings, err := r.injectBindings(ctx, st.bindings, st.graph, st.injected)
-	if err != nil {
-		return nil, err
+	_, rows, err := r.run(ctx, st.pw, st.need, st.id)
+	if err == nil {
+		r.stageRuns.Add(1)
 	}
-	eng := engine.New(bindings, r.opts.Engine...)
-	res, err := eng.Run(ctx, st.graph)
-	if err != nil {
-		return nil, err
-	}
-	r.stageRuns.Add(1)
-	r.nodesRun.Add(int64(len(res.NodeRows) - 1)) // exclude the artificial target
-
-	r.rowsMu.Lock()
-	for orig, nid := range st.idmap {
-		r.sharedRows[st.origFPs[orig]] = res.NodeRows[nid]
-	}
-	r.rowsMu.Unlock()
-
-	rows, ok := res.Targets[stageName(st.fp)]
-	if !ok {
-		return nil, fmt.Errorf("producer run yielded no %s target", stageName(st.fp))
-	}
-	return rows, nil
+	return rows, err
 }
 
-// injectBindings returns the run bindings: the workflow's own plus one
-// in-memory source per injected shared intermediate.
-func (r *runner) injectBindings(ctx context.Context, base map[string]data.Recordset, g *workflow.Graph, injected map[workflow.NodeID]uint64) (map[string]data.Recordset, error) {
-	if len(injected) == 0 {
-		return base, nil
-	}
-	bindings := make(map[string]data.Recordset, len(base)+len(injected))
-	for name, rs := range base {
-		bindings[name] = rs
-	}
-	for _, fp := range sortedInjected(injected) {
-		name := stageName(fp)
-		if _, ok := bindings[name]; ok {
-			continue
-		}
-		rows, err := r.stageRows(ctx, fp)
+// runWorkflow executes one member's run: the nodes its targets need, each
+// shared activity among them restored from the cache. A member one of
+// whose stages failed does not start, and fails with that stage's error.
+func (r *runner) runWorkflow(ctx context.Context, pw *planWorkflow) (*engine.RunResult, error) {
+	for _, fp := range pw.deps {
+		r.failMu.Lock()
+		err := r.failed[fp]
+		r.failMu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		rs := data.NewMemoryRecordset(name, r.plan.stages[fp].schema)
-		if err := rs.Load(rows); err != nil {
-			return nil, err
-		}
-		bindings[name] = rs
 	}
-	return bindings, nil
+	res, _, err := r.run(ctx, pw, pw.need, 0)
+	return res, err
 }
 
-func sortedInjected(injected map[workflow.NodeID]uint64) []uint64 {
-	set := make(map[uint64]bool, len(injected))
-	for _, fp := range injected {
-		set[fp] = true
-	}
-	return sortedFPs(set)
-}
-
-// runWorkflow executes one residual graph and reconstructs the workflow's
-// solo run result: targets come straight from the residual run, NodeRows
-// for replaced closure nodes come from the producer runs' per-fingerprint
-// counts.
-func (r *runner) runWorkflow(ctx context.Context, pw *planWorkflow) (*engine.RunResult, error) {
-	bindings, err := r.injectBindings(ctx, pw.wf.Bindings, pw.residual, pw.injected)
+// run executes pw's graph over need, returning the output of keep (0:
+// none), counts its nodes and publishes their rows by fingerprint.
+func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) (*engine.RunResult, data.Rows, error) {
+	sr := &suiteRun{ctx: ctx, r: r, pw: pw, need: need, keep: keep, rows: make(map[uint64]data.Rows)}
+	res, err := engine.New(pw.wf.Bindings, r.opts.Engine...).RunWith(ctx, pw.wf.Graph, sr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	eng := engine.New(bindings, r.opts.Engine...)
-	res, err := eng.Run(ctx, pw.residual)
-	if err != nil {
-		return nil, err
-	}
-	r.nodesRun.Add(int64(len(res.NodeRows)))
-
-	full := make(map[workflow.NodeID]int, len(pw.fps))
+	r.nodesRun.Add(int64(len(need)))
 	r.rowsMu.Lock()
-	for id := range pw.fps {
-		if nid, ok := pw.idmap[id]; ok {
-			full[id] = res.NodeRows[nid]
-		} else {
-			full[id] = r.sharedRows[pw.fps[id]]
-		}
+	for id := range need {
+		r.sharedRows[pw.fps[id]] = res.NodeRows[id]
 	}
 	r.rowsMu.Unlock()
-	res.NodeRows = full
-	return res, nil
+	return res, sr.kept, nil
+}
+
+// suiteRun is one producer or member run, and the engine's stage hook in
+// it: each shared activity ends a stage, the needed ones but keep are
+// restored from the cache, every node outside need is skipped with the
+// rows the producers counted for its fingerprint, and only keep's output
+// is kept.
+type suiteRun struct {
+	ctx  context.Context
+	r    *runner
+	pw   *planWorkflow
+	need map[workflow.NodeID]bool
+	keep workflow.NodeID
+	kept data.Rows
+	// rows holds what this run restored, by fingerprint: homologous twins
+	// take one cache lookup.
+	rows map[uint64]data.Rows
+}
+
+func (sr *suiteRun) Ends(id workflow.NodeID) bool { return sr.pw.shared[id] }
+
+func (sr *suiteRun) Plan(_ *workflow.Graph, stages [][]workflow.NodeID) (restored, skipped map[workflow.NodeID][]int, err error) {
+	restored, skipped = make(map[workflow.NodeID][]int), make(map[workflow.NodeID][]int)
+	sr.r.rowsMu.Lock()
+	defer sr.r.rowsMu.Unlock()
+	for _, ids := range stages {
+		id := ids[len(ids)-1]
+		rows := make([]int, len(ids))
+		for m, mid := range ids {
+			rows[m] = sr.r.sharedRows[sr.pw.fps[mid]]
+		}
+		switch {
+		case !sr.need[id]:
+			skipped[id] = rows
+		case sr.pw.shared[id] && id != sr.keep:
+			restored[id] = rows
+		}
+	}
+	return restored, skipped, nil
+}
+
+func (sr *suiteRun) Restore(id workflow.NodeID, _ data.Schema) (data.Rows, error) {
+	fp := sr.pw.fps[id]
+	if rows, ok := sr.rows[fp]; ok {
+		return rows, nil
+	}
+	rows, err := sr.r.stageRows(sr.ctx, fp)
+	if err == nil {
+		sr.rows[fp] = rows
+	}
+	return rows, err
+}
+
+func (sr *suiteRun) Keeps(id workflow.NodeID) bool { return id == sr.keep }
+
+func (sr *suiteRun) Keep(_ workflow.NodeID, _ data.Schema, rows data.Rows, _ []int) error {
+	sr.kept = rows
+	return nil
 }

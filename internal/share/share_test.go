@@ -15,6 +15,7 @@ import (
 	"etlopt/internal/engine"
 	"etlopt/internal/generator"
 	"etlopt/internal/templates"
+	"etlopt/internal/workflow"
 )
 
 // suiteWorkflows wraps generated scenarios as suite members, each with a
@@ -206,10 +207,17 @@ func TestSharedSuitePrefixesActuallyShare(t *testing.T) {
 		t.Fatal("SharedSuite members share no closures")
 	}
 	// Post-union pipelines diverge by seed, so the workflows must not be
-	// wholesale copies of each other: at least one node stays residual.
+	// wholesale copies of each other: each member's run executes more than
+	// its target.
 	for i, pw := range p.workflows {
-		if pw.residual.Len() <= 1+len(pw.injected) {
-			t.Fatalf("workflow %d reduced to nothing but injected sources", i)
+		ran := 0
+		for id := range pw.need {
+			if !pw.shared[id] {
+				ran++
+			}
+		}
+		if ran <= 1 {
+			t.Fatalf("workflow %d reduced to nothing but restored stages", i)
 		}
 	}
 }
@@ -302,7 +310,7 @@ func (c *cancelOnScan) Scan() (data.Rows, error) {
 }
 
 // TestCancelledSuiteLeavesNoSpillFiles: EXTRA is first read by its member's
-// residual run (planning digests it, and scans nothing), which starts only
+// run (planning digests it, and scans nothing), which starts only
 // after the shared prefix has been computed and — at a budget of zero —
 // spilled. Cancelling there ends the suite with files written; none may stay.
 func TestCancelledSuiteLeavesNoSpillFiles(t *testing.T) {
@@ -399,4 +407,151 @@ func TestSuiteLeavesNoGoroutine(t *testing.T) {
 		}
 		cancel()
 	}
+}
+
+// shapeSource is the rows every member of a shape suite reads as SRC: a
+// NULL V every seventh row, and more rows than one batch.
+func shapeSource() data.Rows {
+	rows := make(data.Rows, 3000)
+	for i := range rows {
+		v := data.NewInt(int64(i % 50))
+		if i%7 == 3 {
+			v = data.Null
+		}
+		rows[i] = data.Record{data.NewInt(int64(i)), v, data.NewString(fmt.Sprintf("c%d", i%11))}
+	}
+	return rows
+}
+
+// shapeSuite parses each source as a member reading its own copy of SRC.
+func shapeSuite(t *testing.T, srcs ...string) []Workflow {
+	t.Helper()
+	wfs := make([]Workflow, len(srcs))
+	for i, src := range srcs {
+		g, err := dsl.Parse("recordset SRC source rows=3000 schema=K,V,CODE\n" + src)
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+		rs := data.NewMemoryRecordset("SRC", data.Schema{"K", "V", "CODE"}).MustLoad(shapeSource())
+		wfs[i] = Workflow{Name: fmt.Sprintf("m%d", i), Graph: g, Bindings: map[string]data.Recordset{"SRC": rs}}
+	}
+	return wfs
+}
+
+// TestRunSuiteShapesMatchSoloRuns holds the shapes a suite run cuts a
+// member's graph into to the member's solo run, at every worker count,
+// partition count and budget: a shared activity inside a row-local chain
+// (fused alone, its own stage in the suite), homologous twins fed by one
+// unshared activity (skipped in the member's run, its rows counted by the
+// twins' producer), and members left with nothing to run but a restored
+// activity and their target.
+func TestRunSuiteShapesMatchSoloRuns(t *testing.T) {
+	shapes := []struct {
+		name   string
+		srcs   []string
+		stages int
+		check  func(p *plan) string
+	}{
+		{"shared mid-chain", []string{`
+activity nn notnull attrs=V
+activity s convert fn=scale10 args=V out=V10
+activity f filter pred="V10 >= 100"
+activity up reformat fn=upper attr=CODE
+recordset OUT target schema=K,CODE,V10
+flow SRC -> nn -> s -> f -> up -> OUT`, `
+activity nn notnull attrs=V
+activity s convert fn=scale10 args=V out=V10
+activity f filter pred="V10 >= 100"
+activity pj project attrs=CODE
+recordset OUT target schema=K,V10
+flow SRC -> nn -> s -> f -> pj -> OUT`}, 3, func(p *plan) string {
+			for _, pw := range p.workflows {
+				if f, up := workflow.NodeID(4), workflow.NodeID(5); !pw.shared[f] || pw.shared[up] {
+					return "want f shared and its row-local consumer not"
+				}
+			}
+			return ""
+		}},
+		{"twins over an unshared activity", []string{`
+activity a filter pred="K >= 5"
+activity t1 convert fn=scale10 args=V out=V10
+activity t2 convert fn=scale10 args=V out=V10
+activity u union
+activity nn notnull attrs=V10
+recordset OUT target schema=K,CODE,V10
+flow SRC -> a -> t1 -> u
+flow a -> t2 -> u -> nn -> OUT`}, 1, func(p *plan) string {
+			if pw := p.workflows[0]; pw.shared[2] || pw.need[2] {
+				return "want the twins' provider unshared and skipped by the member's run"
+			}
+			return ""
+		}},
+		{"nothing left but restored", []string{`
+activity nn notnull attrs=V
+activity f filter pred="V >= 10"
+recordset OUTA target schema=K,V,CODE
+flow SRC -> nn -> f -> OUTA`, `
+activity nn notnull attrs=V
+activity f filter pred="V >= 10"
+recordset OUTB target schema=K,V,CODE
+flow SRC -> nn -> f -> OUTB`}, 2, func(p *plan) string {
+			for _, pw := range p.workflows {
+				for id := range pw.need {
+					if n := pw.wf.Graph.Node(id); !pw.shared[id] && n.Kind == workflow.KindActivity {
+						return fmt.Sprintf("%s runs %s", pw.wf.Name, n.Label())
+					}
+				}
+			}
+			return ""
+		}},
+	}
+	for _, sh := range shapes {
+		p, err := newPlan(context.Background(), shapeSuite(t, sh.srcs...), 1)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		if msg := sh.check(p); msg != "" {
+			t.Fatalf("%s: %s", sh.name, msg)
+		}
+		var solos []*engine.RunResult
+		for _, wf := range shapeSuite(t, sh.srcs...) {
+			solos = append(solos, soloRunOf(t, wf))
+		}
+		for _, workers := range []int{1, 4} {
+			for _, parts := range []int{1, 4} {
+				for _, budget := range []int64{-1, 0} {
+					opts := Options{Workers: workers, CacheBytes: budget,
+						Engine: []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(parts)}}
+					if budget == 0 {
+						opts.SpillDir = t.TempDir()
+					}
+					res, err := RunSuite(context.Background(), shapeSuite(t, sh.srcs...), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cell := fmt.Sprintf("%s W=%d P=%d budget=%d", sh.name, workers, parts, budget)
+					if res.Stats.Stages != sh.stages {
+						t.Errorf("%s: %d stages, want %d", cell, res.Stats.Stages, sh.stages)
+					}
+					for i, wr := range res.Workflows {
+						if wr.Err != nil {
+							t.Fatalf("%s: %s: %v", cell, wr.Name, wr.Err)
+						}
+						if err := engine.SameRun(solos[i], wr.Result); err != nil {
+							t.Errorf("%s: %s differs from its solo run: %v", cell, wr.Name, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func soloRunOf(t *testing.T, wf Workflow) *engine.RunResult {
+	t.Helper()
+	res, err := engine.New(wf.Bindings).Run(context.Background(), wf.Graph)
+	if err != nil {
+		t.Fatalf("solo run of %s: %v", wf.Name, err)
+	}
+	return res
 }

@@ -247,10 +247,10 @@ func WithRetry(p RetryPolicy) Option {
 	return func(s *settings) { s.retry = p }
 }
 
-// WithSuiteWorkers bounds how many producer stages and residual workflows
-// RunSuite executes concurrently; 0 or less means GOMAXPROCS. Each stage
-// or workflow may still parallelize internally via WithPartitions. Results
-// are identical at every worker count. RunSuite only.
+// WithSuiteWorkers bounds how many producer and member runs RunSuite
+// executes concurrently; 0 or less means GOMAXPROCS. Each run may still
+// parallelize internally via WithPartitions. Results are identical at
+// every worker count. RunSuite only.
 func WithSuiteWorkers(n int) Option {
 	return func(s *settings) { s.suiteWorkers = n }
 }
@@ -406,8 +406,8 @@ func (s *settings) engineOptions() []engine.Option {
 // several workflows (or several branches of one workflow) share are
 // detected by content — a fingerprint over each node's transformation
 // structure and its bound source data — materialized exactly once each
-// through a content-addressed cache, and every workflow runs as a residual
-// graph over those shared intermediates. Each member's Targets and
+// through a content-addressed cache, and every workflow runs its own graph,
+// restoring the shared intermediates it reads. Each member's Targets and
 // NodeRows are bit-identical to an individual Run at any suite-worker
 // count, cache budget and partition count.
 //
@@ -418,7 +418,7 @@ func (s *settings) engineOptions() []engine.Option {
 //
 // WithSuiteWorkers, WithSharedCache and WithSharedSpill configure the
 // suite; engine options (WithPartitions, WithFaultPlan, …) apply
-// to every stage and residual run; WithJournal also receives the shared
+// to every producer and member run; WithJournal also receives the shared
 // cache's activity.
 func RunSuite(ctx context.Context, workflows []SuiteWorkflow, opts ...Option) (*SuiteResult, error) {
 	s := newSettings(opts)
