@@ -1,9 +1,10 @@
 package share
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"etlopt/internal/data"
@@ -152,7 +153,7 @@ func (pw *planWorkflow) closure(roots ...workflow.NodeID) (map[workflow.NodeID]b
 			visit(pr)
 		}
 	}
-	return need, sortedIDs(cut)
+	return need, sortedKeys(cut)
 }
 
 // fpsOf returns the sorted distinct fingerprints of ids.
@@ -161,7 +162,7 @@ func (pw *planWorkflow) fpsOf(ids []workflow.NodeID) []uint64 {
 	for _, id := range ids {
 		set[pw.fps[id]] = true
 	}
-	return sortedFPs(set)
+	return sortedKeys(set)
 }
 
 // ensureStage registers the stage of the shared activity id of pw, after
@@ -202,29 +203,17 @@ func (p *plan) orderStages() {
 		}
 		p.order = append(p.order, fp)
 	}
-	fps := make(map[uint64]bool, len(p.stages))
-	for fp := range p.stages {
-		fps[fp] = true
-	}
-	for _, fp := range sortedFPs(fps) {
+	for _, fp := range sortedKeys(p.stages) {
 		emit(fp)
 	}
 }
 
-func sortedFPs(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for fp := range set {
-		out = append(out, fp)
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedIDs(set map[workflow.NodeID]bool) []workflow.NodeID {
-	out := make([]workflow.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

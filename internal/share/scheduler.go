@@ -189,12 +189,9 @@ type runner struct {
 // possible and by (re)executing its producer run otherwise.
 func (r *runner) stageRows(ctx context.Context, fp uint64) (data.Rows, error) {
 	st := r.plan.stages[fp]
-	r.failMu.Lock()
-	if err := r.failed[fp]; err != nil {
-		r.failMu.Unlock()
+	if err := r.pinned(fp); err != nil {
 		return nil, err
 	}
-	r.failMu.Unlock()
 
 	rows, _, err := r.cache.GetOrCompute(st.key, st.schema, func() (data.Rows, error) {
 		return r.runStage(ctx, st)
@@ -211,10 +208,27 @@ func (r *runner) stageRows(ctx context.Context, fp uint64) (data.Rows, error) {
 	return rows, nil
 }
 
+// pinned returns the pinned error of the first of the stages fps that
+// failed, or nil.
+func (r *runner) pinned(fps ...uint64) error {
+	r.failMu.Lock()
+	defer r.failMu.Unlock()
+	for _, fp := range fps {
+		if err := r.failed[fp]; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runStage executes the stage's producer run and returns the intermediate's
 // rows. Dependencies are resolved through the cache as the run restores
 // them, so a stage whose inputs are still resident never recomputes them.
+// A stage one of whose dependencies failed does not start.
 func (r *runner) runStage(ctx context.Context, st *stage) (data.Rows, error) {
+	if err := r.pinned(st.deps...); err != nil {
+		return nil, err
+	}
 	_, rows, err := r.run(ctx, st.pw, st.need, st.id)
 	if err == nil {
 		r.stageRuns.Add(1)
@@ -226,13 +240,8 @@ func (r *runner) runStage(ctx context.Context, st *stage) (data.Rows, error) {
 // shared activity among them restored from the cache. A member one of
 // whose stages failed does not start, and fails with that stage's error.
 func (r *runner) runWorkflow(ctx context.Context, pw *planWorkflow) (*engine.RunResult, error) {
-	for _, fp := range pw.deps {
-		r.failMu.Lock()
-		err := r.failed[fp]
-		r.failMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	if err := r.pinned(pw.deps...); err != nil {
+		return nil, err
 	}
 	res, _, err := r.run(ctx, pw, pw.need, 0)
 	return res, err
