@@ -222,6 +222,48 @@ func TestSharedSuitePrefixesActuallyShare(t *testing.T) {
 	}
 }
 
+// TestEveryStageIsReadTwice: a stage is an intermediate the suite reads in
+// more than one place. Across the producer and member runs of suite-spill's
+// suite, every planned stage is restored at two nodes or more; an activity
+// that only feeds the next one in every member is computed inside that
+// one's stage, never admitted to the cache on its own.
+func TestEveryStageIsReadTwice(t *testing.T) {
+	scs, err := generator.SharedSuite(generator.Medium, 4, 20050405)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := newPlan(context.Background(), suiteWorkflows(scs), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.stages) == 0 {
+		t.Fatal("SharedSuite members share no stage")
+	}
+	restored := make(map[uint64]int)
+	count := func(pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) {
+		for id := range need {
+			if !executes(pw, need, keep)(id) {
+				restored[pw.fps[id]]++
+			}
+		}
+	}
+	for _, st := range p.stages {
+		count(st.pw, st.need, st.id)
+	}
+	for _, pw := range p.workflows {
+		count(pw, pw.need, 0)
+	}
+	unread := 0
+	for fp := range p.stages {
+		if restored[fp] < 2 {
+			unread++
+		}
+	}
+	if unread > 0 {
+		t.Errorf("%d of %d stages are restored at fewer than two nodes", unread, len(p.stages))
+	}
+}
+
 // codeSuite is a two-member suite over in-memory sources whose shared prefix
 // (trim over SRC) emits strings that look like numbers — " 007" becomes
 // String("007") — and whose members then diverge: each unions its own EXTRA
@@ -440,17 +482,20 @@ func shapeSuite(t *testing.T, srcs ...string) []Workflow {
 
 // TestRunSuiteShapesMatchSoloRuns holds the shapes a suite run cuts a
 // member's graph into to the member's solo run, at every worker count,
-// partition count and budget: a shared activity inside a row-local chain
-// (fused alone, its own stage in the suite), homologous twins fed by one
+// partition count and budget, and counts the nodes the suite executes (a
+// restored one is not executed): a shared row-local chain whose members
+// diverge after it (one stage, at its end), homologous twins fed by one
 // unshared activity (skipped in the member's run, its rows counted by the
-// twins' producer), and members left with nothing to run but a restored
-// activity and their target.
+// twins' producer), members left with nothing to run but a restored
+// activity and their target, a shared activity read by different
+// consumers, and one fanning out inside each member.
 func TestRunSuiteShapesMatchSoloRuns(t *testing.T) {
 	shapes := []struct {
-		name   string
-		srcs   []string
-		stages int
-		check  func(p *plan) string
+		name     string
+		srcs     []string
+		stages   int
+		executed int64
+		check    func(p *plan) string
 	}{
 		{"shared mid-chain", []string{`
 activity nn notnull attrs=V
@@ -464,7 +509,7 @@ activity s convert fn=scale10 args=V out=V10
 activity f filter pred="V10 >= 100"
 activity pj project attrs=CODE
 recordset OUT target schema=K,V10
-flow SRC -> nn -> s -> f -> pj -> OUT`}, 3, func(p *plan) string {
+flow SRC -> nn -> s -> f -> pj -> OUT`}, 1, 8, func(p *plan) string {
 			for _, pw := range p.workflows {
 				if f, up := workflow.NodeID(4), workflow.NodeID(5); !pw.shared[f] || pw.shared[up] {
 					return "want f shared and its row-local consumer not"
@@ -480,7 +525,7 @@ activity u union
 activity nn notnull attrs=V10
 recordset OUT target schema=K,CODE,V10
 flow SRC -> a -> t1 -> u
-flow a -> t2 -> u -> nn -> OUT`}, 1, func(p *plan) string {
+flow a -> t2 -> u -> nn -> OUT`}, 1, 6, func(p *plan) string {
 			if pw := p.workflows[0]; pw.shared[2] || pw.need[2] {
 				return "want the twins' provider unshared and skipped by the member's run"
 			}
@@ -494,12 +539,51 @@ flow SRC -> nn -> f -> OUTA`, `
 activity nn notnull attrs=V
 activity f filter pred="V >= 10"
 recordset OUTB target schema=K,V,CODE
-flow SRC -> nn -> f -> OUTB`}, 2, func(p *plan) string {
+flow SRC -> nn -> f -> OUTB`}, 1, 5, func(p *plan) string {
 			for _, pw := range p.workflows {
 				for id := range pw.need {
 					if n := pw.wf.Graph.Node(id); !pw.shared[id] && n.Kind == workflow.KindActivity {
 						return fmt.Sprintf("%s runs %s", pw.wf.Name, n.Label())
 					}
+				}
+			}
+			return ""
+		}},
+		{"shared activity, different consumers", []string{`
+activity nn notnull attrs=V
+activity f filter pred="V >= 10"
+recordset OUT target schema=K,V,CODE
+flow SRC -> nn -> f -> OUT`, `
+activity nn notnull attrs=V
+activity f filter pred="V >= 20"
+recordset OUT target schema=K,V,CODE
+flow SRC -> nn -> f -> OUT`}, 1, 6, func(p *plan) string {
+			for _, pw := range p.workflows {
+				if nn, f := workflow.NodeID(2), workflow.NodeID(3); !pw.shared[nn] || pw.shared[f] {
+					return "want nn shared and its consumer not"
+				}
+			}
+			return ""
+		}},
+		{"fan-out inside each member", []string{`
+activity nn notnull attrs=V
+activity f filter pred="V >= 10"
+activity s convert fn=scale10 args=V out=V10
+recordset OUTA target schema=K,V,CODE
+recordset OUTB target schema=K,CODE,V10
+flow SRC -> nn -> f -> OUTA
+flow nn -> s -> OUTB`, `
+activity nn notnull attrs=V
+activity f filter pred="V >= 10"
+activity s convert fn=scale10 args=V out=V10
+activity up reformat fn=upper attr=CODE
+recordset OUTA target schema=K,V,CODE
+recordset OUTB target schema=K,CODE,V10
+flow SRC -> nn -> f -> up -> OUTA
+flow nn -> s -> OUTB`}, 3, 9, func(p *plan) string {
+			for _, pw := range p.workflows {
+				if nn := workflow.NodeID(2); !pw.shared[nn] {
+					return "want nn, read by two activities in each member, shared"
 				}
 			}
 			return ""
@@ -530,8 +614,9 @@ flow SRC -> nn -> f -> OUTB`}, 2, func(p *plan) string {
 						t.Fatal(err)
 					}
 					cell := fmt.Sprintf("%s W=%d P=%d budget=%d", sh.name, workers, parts, budget)
-					if res.Stats.Stages != sh.stages {
-						t.Errorf("%s: %d stages, want %d", cell, res.Stats.Stages, sh.stages)
+					if st := res.Stats; st.Stages != sh.stages || st.NodesExecuted != sh.executed {
+						t.Errorf("%s: %d stages and %d nodes executed of %d, want %d and %d",
+							cell, st.Stages, st.NodesExecuted, st.NodesIndependent, sh.stages, sh.executed)
 					}
 					for i, wr := range res.Workflows {
 						if wr.Err != nil {
