@@ -83,7 +83,7 @@ func reads(g *workflow.Graph, runs func(workflow.NodeID) bool) map[string]int {
 }
 
 // executes reports the nodes a run of pw over need executes: the needed
-// ones but the shared activities it restores, all of them but keep.
+// ones but the stage nodes it restores, all of them but keep.
 func executes(pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) func(workflow.NodeID) bool {
 	return func(id workflow.NodeID) bool { return need[id] && (!pw.shared[id] || id == keep) }
 }

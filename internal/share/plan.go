@@ -27,8 +27,8 @@ type Workflow struct {
 	Bindings map[string]data.Recordset
 }
 
-// stage is one shared intermediate: a shared activity of the member whose
-// graph its producer runs execute.
+// stage is one shared intermediate: a stage node of the member whose graph
+// its producer runs execute.
 type stage struct {
 	fp     uint64
 	key    string
@@ -36,16 +36,17 @@ type stage struct {
 	pw     *planWorkflow
 	id     workflow.NodeID
 	// need holds the nodes a producer run executes or restores: id and its
-	// upstream closure down to the shared activities it reads, restored
+	// upstream closure down to the stage nodes it reads, restored
 	// from the stages deps names.
 	need map[workflow.NodeID]bool
 	deps []uint64
 }
 
 // planWorkflow is one suite member: its graph's closure fingerprints, its
-// shared activities — each ends a stage and is restored wherever a run
-// reads it — and what its own run executes or restores (need) and reads
-// from stages (deps).
+// stage nodes (shared) — the shared activities the suite reads in more than
+// one place: each ends a stage and is restored wherever a run reads it —
+// and what its own run executes or restores (need) and reads from stages
+// (deps).
 type planWorkflow struct {
 	wf     Workflow
 	fps    map[workflow.NodeID]uint64
@@ -65,11 +66,12 @@ type plan struct {
 
 // newPlan fingerprints every workflow, finds fingerprints that occur more
 // than once across the suite (including homologous twins inside a single
-// workflow), and builds the stage DAG. Fingerprinting digests every bound
-// source and lookup (a record file reads its bytes), so workers members do
-// it at a time, until ctx is done; results and the first error are taken
-// in member order, whatever workers is. Validating a graph sorts it, so
-// the runs that later share it only read its memoized order.
+// workflow), and builds the stage DAG over those the suite reads in more
+// than one place. Fingerprinting digests every bound source and lookup (a
+// record file reads its bytes), so workers members do it at a time, until
+// ctx is done; results and the first error are taken in member order,
+// whatever workers is. Validating a graph sorts it, so the runs that later
+// share it only read its memoized order.
 func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
 	p := &plan{stages: make(map[uint64]*stage)}
 
@@ -91,20 +93,36 @@ func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
 		}()
 	}
 	wg.Wait()
+	// A fingerprint every occurrence of which feeds one activity, all of
+	// one fingerprint occurring as often, is read only by that activity:
+	// it is computed inside its consumer's stage. feeds holds that
+	// consumer's fingerprint; forks the fingerprints read otherwise.
 	counts := make(map[uint64]int)
+	feeds := make(map[uint64]uint64)
+	forks := make(map[uint64]bool)
 	for i, wf := range wfs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("share: workflow %s: %w", wfName(wf, i), errs[i])
 		}
 		for _, id := range wf.Graph.Activities() {
-			counts[allFPs[i][id]]++
+			fp := allFPs[i][id]
+			counts[fp]++
+			cs := wf.Graph.Consumers(id)
+			if len(cs) != 1 || wf.Graph.Node(cs[0]).Kind != workflow.KindActivity {
+				forks[fp] = true
+			} else if c, seen := feeds[fp]; seen && c != allFPs[i][cs[0]] {
+				forks[fp] = true
+			} else {
+				feeds[fp] = allFPs[i][cs[0]]
+			}
 		}
 	}
 
 	for i, wf := range wfs {
 		pw := &planWorkflow{wf: wf, fps: allFPs[i], shared: make(map[workflow.NodeID]bool)}
 		for _, id := range wf.Graph.Activities() {
-			pw.shared[id] = counts[pw.fps[id]] >= 2
+			fp := pw.fps[id]
+			pw.shared[id] = counts[fp] >= 2 && (forks[fp] || counts[feeds[fp]] != counts[fp])
 		}
 		var cuts []workflow.NodeID
 		pw.need, cuts = pw.closure(wf.Graph.Targets()...)
@@ -128,9 +146,9 @@ func wfName(wf Workflow, i int) string {
 
 // closure returns what a run of the member from roots executes or
 // restores — the roots, and upstream of them every node down to the first
-// shared activities (other than the roots themselves) — and those shared
-// activities, sorted. Cutting at the *first* shared activity walking back
-// is what makes the shared subgraphs maximal.
+// stage nodes (other than the roots themselves) — and those stage nodes,
+// sorted. Cutting at the *first* stage node walking back is what makes the
+// shared subgraphs maximal.
 func (pw *planWorkflow) closure(roots ...workflow.NodeID) (map[workflow.NodeID]bool, []workflow.NodeID) {
 	need := make(map[workflow.NodeID]bool)
 	cut := make(map[workflow.NodeID]bool)
@@ -165,7 +183,7 @@ func (pw *planWorkflow) fpsOf(ids []workflow.NodeID) []uint64 {
 	return sortedKeys(set)
 }
 
-// ensureStage registers the stage of the shared activity id of pw, after
+// ensureStage registers the stage of the stage node id of pw, after
 // the stages its closure reads, unless a member planned before registered
 // its fingerprint: that member's graph is the one its producer runs execute.
 func (p *plan) ensureStage(pw *planWorkflow, id workflow.NodeID) {

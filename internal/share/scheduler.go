@@ -57,10 +57,10 @@ type Stats struct {
 	// StageRuns counts producer executions, including any recomputation
 	// forced by eviction; with an adequate budget it equals Stages.
 	StageRuns int64 `json:"stage_runs"`
-	// NodesExecuted counts nodes run or restored across every producer and
-	// member run; NodesIndependent is what independent runs
-	// would have executed (the sum of suite graph sizes). The difference
-	// is the recomputation the suite avoided.
+	// NodesExecuted counts nodes run across every producer and member run
+	// (a restored stage node is not run); NodesIndependent is what
+	// independent runs would have executed (the sum of suite graph sizes).
+	// The difference is the recomputation the suite avoided.
 	NodesExecuted    int64      `json:"nodes_executed"`
 	NodesIndependent int64      `json:"nodes_independent"`
 	Cache            CacheStats `json:"cache"`
@@ -237,7 +237,7 @@ func (r *runner) runStage(ctx context.Context, st *stage) (data.Rows, error) {
 }
 
 // runWorkflow executes one member's run: the nodes its targets need, each
-// shared activity among them restored from the cache. A member one of
+// stage node among them restored from the cache. A member one of
 // whose stages failed does not start, and fails with that stage's error.
 func (r *runner) runWorkflow(ctx context.Context, pw *planWorkflow) (*engine.RunResult, error) {
 	if err := r.pinned(pw.deps...); err != nil {
@@ -248,24 +248,29 @@ func (r *runner) runWorkflow(ctx context.Context, pw *planWorkflow) (*engine.Run
 }
 
 // run executes pw's graph over need, returning the output of keep (0:
-// none), counts its nodes and publishes their rows by fingerprint.
+// none), counts the nodes it executes and publishes their rows by
+// fingerprint.
 func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) (*engine.RunResult, data.Rows, error) {
 	sr := &suiteRun{ctx: ctx, r: r, pw: pw, need: need, keep: keep, rows: make(map[uint64]data.Rows)}
 	res, err := engine.New(pw.wf.Bindings, r.opts.Engine...).RunWith(ctx, pw.wf.Graph, sr)
 	if err != nil {
 		return nil, nil, err
 	}
-	r.nodesRun.Add(int64(len(need)))
+	executed := 0
 	r.rowsMu.Lock()
 	for id := range need {
 		r.sharedRows[pw.fps[id]] = res.NodeRows[id]
+		if !pw.shared[id] || id == keep {
+			executed++
+		}
 	}
 	r.rowsMu.Unlock()
+	r.nodesRun.Add(int64(executed))
 	return res, sr.kept, nil
 }
 
 // suiteRun is one producer or member run, and the engine's stage hook in
-// it: each shared activity ends a stage, the needed ones but keep are
+// it: each stage node ends a stage, the needed ones but keep are
 // restored from the cache, every node outside need is skipped with the
 // rows the producers counted for its fingerprint, and only keep's output
 // is kept.
