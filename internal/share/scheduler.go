@@ -260,7 +260,7 @@ func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.No
 	r.rowsMu.Lock()
 	for id := range need {
 		r.sharedRows[pw.fps[id]] = res.NodeRows[id]
-		if !pw.shared[id] || id == keep {
+		if !sr.restores(id) {
 			executed++
 		}
 	}
@@ -286,6 +286,12 @@ type suiteRun struct {
 	rows map[uint64]data.Rows
 }
 
+// restores reports whether the run takes id from the cache: a needed
+// stage node other than keep.
+func (sr *suiteRun) restores(id workflow.NodeID) bool {
+	return sr.need[id] && sr.pw.shared[id] && id != sr.keep
+}
+
 func (sr *suiteRun) Ends(id workflow.NodeID) bool { return sr.pw.shared[id] }
 
 func (sr *suiteRun) Plan(_ *workflow.Graph, stages [][]workflow.NodeID) (restored, skipped map[workflow.NodeID][]int, err error) {
@@ -301,7 +307,7 @@ func (sr *suiteRun) Plan(_ *workflow.Graph, stages [][]workflow.NodeID) (restore
 		switch {
 		case !sr.need[id]:
 			skipped[id] = rows
-		case sr.pw.shared[id] && id != sr.keep:
+		case sr.restores(id):
 			restored[id] = rows
 		}
 	}
