@@ -1,9 +1,12 @@
 // Package clidoc holds the command lines the docs show to the flags each
-// command defines, so README.md, DESIGN.md and EXPERIMENTS.md never
-// advertise a flag that is gone. Each command's tests call Check.
+// command defines, and the test names they cite to the tests, so README.md,
+// DESIGN.md and EXPERIMENTS.md never advertise a flag or a test that is
+// gone. Each command's tests call Check; the package's own test checks the
+// test names.
 package clidoc
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -109,4 +112,100 @@ func (c command) flags() []string {
 		}
 	}
 	return out
+}
+
+var (
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)(?:\*|(?:[A-Z0-9_]|\{[\w,]*\})(?:\w|\{[\w,]*\})*\*?)`)
+	codeSpan = regexp.MustCompile("`[^`]+`")
+)
+
+// checkTestNames fails t for every test name that a backticked span of
+// README.md, DESIGN.md or EXPERIMENTS.md in root cites and that no _test.go
+// file under root defines. A trailing * names a prefix, and {A,B} stands
+// for A and for B; fenced code blocks are not read.
+func checkTestNames(t testing.TB, root string) {
+	t.Helper()
+	var defined []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case strings.HasSuffix(path, "_test.go"):
+			for _, m := range testFunc.FindAllStringSubmatch(read(t, path), -1) {
+				defined = append(defined, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		doc = filepath.Join(root, doc)
+		for _, c := range citedTests(read(t, doc)) {
+			for _, name := range expand(c.name) {
+				if !definesTest(defined, name) {
+					t.Errorf("%s:%d cites %s, which no _test.go defines", doc, c.line, name)
+				}
+			}
+		}
+	}
+}
+
+// citation is one test name a doc cites, and the line it is on.
+type citation struct {
+	line int
+	name string
+}
+
+// citedTests returns the test names in doc's backticked spans, in order,
+// outside fenced code blocks.
+func citedTests(doc string) []citation {
+	lines := strings.Split(doc, "\n")
+	for i, fenced := 0, false; i < len(lines); i++ {
+		if strings.HasPrefix(strings.TrimSpace(lines[i]), "```") {
+			fenced = !fenced
+			lines[i] = ""
+		} else if fenced {
+			lines[i] = ""
+		}
+	}
+	doc = strings.Join(lines, "\n")
+	var out []citation
+	for _, span := range codeSpan.FindAllStringIndex(doc, -1) {
+		line := strings.Count(doc[:span[0]], "\n") + 1
+		for _, name := range testName.FindAllString(doc[span[0]:span[1]], -1) {
+			out = append(out, citation{line, name})
+		}
+	}
+	return out
+}
+
+// expand returns the names name stands for, each {A,B} replaced by A and by B.
+func expand(name string) []string {
+	open := strings.IndexByte(name, '{')
+	if open < 0 {
+		return []string{name}
+	}
+	end := open + strings.IndexByte(name[open:], '}')
+	var out []string
+	for _, alt := range strings.Split(name[open+1:end], ",") {
+		out = append(out, expand(name[:open]+alt+name[end+1:])...)
+	}
+	return out
+}
+
+// definesTest reports whether defined holds name, or a name it is the
+// prefix of when it ends in *.
+func definesTest(defined []string, name string) bool {
+	prefix, wild := strings.CutSuffix(name, "*")
+	for _, d := range defined {
+		if d == name || wild && strings.HasPrefix(d, prefix) {
+			return true
+		}
+	}
+	return false
 }

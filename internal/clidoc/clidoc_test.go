@@ -46,3 +46,30 @@ func TestSpans(t *testing.T) {
 		t.Fatalf("spans:\n  got  %+v\n  want %+v", got, want)
 	}
 }
+
+func TestCitedTests(t *testing.T) {
+	doc := "see `TestA` and `go test -run 'TestB|FuzzC$' ./x`,\n" +
+		"`TestD*` and `Benchmark{E,F}G`; not Testing, `Tests`, `TestFile` in\n" +
+		"```\nTestFenced `TestFenced`\n```\n" +
+		"nor `Testing`, but `Test*`.\n"
+	got := citedTests(doc)
+	want := []citation{{1, "TestA"}, {1, "TestB"}, {1, "FuzzC"}, {2, "TestD*"}, {2, "Benchmark{E,F}G"}, {2, "TestFile"}, {6, "Test*"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("citedTests:\n  got  %+v\n  want %+v", got, want)
+	}
+	if got := expand("Benchmark{E,F}G{1,2}"); !reflect.DeepEqual(got, []string{"BenchmarkEG1", "BenchmarkEG2", "BenchmarkFG1", "BenchmarkFG2"}) {
+		t.Errorf("expand = %v", got)
+	}
+	defined := []string{"TestA", "TestDeep"}
+	for name, want := range map[string]bool{"TestA": true, "TestD*": true, "TestD": false, "TestA*": true, "TestB*": false} {
+		if definesTest(defined, name) != want {
+			t.Errorf("definesTest(%v, %s) = %v, want %v", defined, name, !want, want)
+		}
+	}
+}
+
+// TestDocsCiteOnlyTestsThatExist: every test the docs name in a code span
+// is one some _test.go of the repository defines.
+func TestDocsCiteOnlyTestsThatExist(t *testing.T) {
+	checkTestNames(t, "../..")
+}

@@ -1,17 +1,18 @@
 package share
 
 import (
-	"container/list"
-	"sync"
+	"context"
+	"fmt"
+	"os"
 
 	"etlopt/internal/data"
 	"etlopt/internal/obs"
 )
 
-// CacheStats is the cache's cumulative accounting. Counts and bytes obey
-// two integrity invariants that etlvet obs audits from the journal: hits
-// never exceed lookups, and bytes freed by eviction never exceed bytes
-// admitted.
+// CacheStats is the suite's accounting of its shared intermediates. Counts
+// and bytes obey two integrity invariants that etlvet obs audits from the
+// journal: hits never exceed lookups, and bytes freed by eviction never
+// exceed bytes admitted.
 type CacheStats struct {
 	Lookups    int64 `json:"lookups"`
 	Hits       int64 `json:"hits"`
@@ -28,20 +29,26 @@ type CacheStats struct {
 	SpilledBytes  int64 `json:"spilled_bytes"`
 }
 
-// entry is one cached intermediate. An entry is resident (rows != nil),
-// spilled (rows == nil, path != ""), or both after a spill-load re-admits
-// it without invalidating the disk copy.
-type entry struct {
-	key    string
-	schema data.Schema
-	rows   data.Rows
-	bytes  int64
-	path   string
-	elem   *list.Element // nil when not resident
+// slot is a stage's intermediate during one suite run. The producer run
+// fills it once and then closes done; the runner's mutex guards the rest.
+// A filled slot is resident (rows), spilled (path), dropped (neither) or
+// failed (err, pinned for the suite's lifetime: a deterministic fault plan
+// is never re-fired by recomputation).
+type slot struct {
+	done  chan struct{}
+	rows  data.Rows
+	bytes int64
+	path  string
+	err   error
+	// readers counts the planned reads left, one per run that restores the
+	// stage: a member's run or a producer's first run. The last releases
+	// the rows and removes the spill file.
+	readers int
+	// flight is the spill load or recomputation in progress; concurrent
+	// readers wait on it instead of repeating it.
+	flight *flight
 }
 
-// flight is one in-progress population; concurrent consumers of the same
-// key wait on done instead of recomputing.
 type flight struct {
 	done  chan struct{}
 	rows  data.Rows
@@ -49,186 +56,157 @@ type flight struct {
 	err   error
 }
 
-// cache is the content-addressed intermediate-result store. Budget is in
-// estimated bytes: negative means unbounded, zero admits nothing (every
-// admission is immediately evicted — and spilled, when a spill directory
-// is configured — which keeps the recompute path honest under test).
-type cache struct {
-	budget   int64
-	spillDir string
-	rec      *obs.Recorder // shared_cache_* series are folded from its events
-
-	mu      sync.Mutex
-	used    int64
-	lru     *list.List // of *entry; front = most recently used
-	byKey   map[string]*entry
-	flights map[string]*flight
-	stats   CacheStats
-}
-
-// newCache returns a cache recording its activity through rec, which may
-// be nil; every shared_cache_* series is registered from the start.
-func newCache(budget int64, spillDir string, rec *obs.Recorder) *cache {
-	for _, action := range []string{"lookup", "hit", "miss", "admit", "evict", "spill"} {
-		rec.Declare(obs.SharedCacheEvent(action, 0))
-	}
-	return &cache{
-		budget:   budget,
-		spillDir: spillDir,
-		rec:      rec,
-		lru:      list.New(),
-		byKey:    make(map[string]*entry),
-		flights:  make(map[string]*flight),
-	}
-}
-
-func (c *cache) emit(action string, bytes int64) {
-	c.rec.Emit(obs.SharedCacheEvent(action, bytes))
-}
-
-// Stats returns a snapshot of the cache accounting.
-func (c *cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+func (r *runner) emit(action string, bytes int64) {
+	r.rec.Emit(obs.SharedCacheEvent(action, bytes))
 }
 
 // hitLocked books one hit serving the given bytes.
-func (c *cache) hitLocked(bytes int64) {
-	c.stats.Hits++
-	c.stats.HitBytes += bytes
-	c.emit("hit", bytes)
+func (r *runner) hitLocked(bytes int64) {
+	r.stats.Hits++
+	r.stats.HitBytes += bytes
+	r.emit("hit", bytes)
 }
 
-// GetOrCompute returns the rows cached under key, loading a spilled entry
-// from disk or waiting on a concurrent population when possible, and
-// invoking compute exactly once otherwise (single flight). The boolean
-// reports whether recomputation was avoided. Rows returned to callers are
-// shared and must be treated as immutable — the same discipline every
-// Recordset.Scan already demands.
-func (c *cache) GetOrCompute(key string, schema data.Schema, compute func() (data.Rows, error)) (data.Rows, bool, error) {
-	c.mu.Lock()
-	c.stats.Lookups++
-	c.emit("lookup", 0)
-
-	if e := c.byKey[key]; e != nil && e.rows != nil {
-		c.lru.MoveToFront(e.elem)
-		rows := e.rows
-		c.hitLocked(e.bytes)
-		c.mu.Unlock()
-		return rows, true, nil
-	}
-
-	if f := c.flights[key]; f != nil {
-		c.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		c.mu.Lock()
-		c.hitLocked(f.bytes)
-		c.mu.Unlock()
-		return f.rows, true, nil
-	}
-
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	spillPath := ""
-	if e := c.byKey[key]; e != nil && e.path != "" {
-		spillPath = e.path
-	} else {
-		c.stats.Misses++
-		c.emit("miss", 0)
-	}
-	c.mu.Unlock()
-
+// produce fills st's slot by its producer run, a lookup, a miss and an
+// admission, and closes done. A stage one of whose dependencies failed
+// (err) does not run, and fails with that error.
+func (r *runner) produce(ctx context.Context, st *stage, err error) {
+	defer close(st.done)
+	r.mu.Lock()
+	r.stats.Lookups++
+	r.emit("lookup", 0)
+	r.stats.Misses++
+	r.emit("miss", 0)
+	r.mu.Unlock()
 	var rows data.Rows
-	var err error
-	fromDisk := spillPath != ""
-	if fromDisk {
-		rows, err = readSpill(spillPath, schema)
-	} else {
-		rows, err = compute()
+	if err == nil {
+		_, rows, err = r.run(ctx, st.pw, st.need, st.id, true)
 	}
-
-	c.mu.Lock()
-	delete(c.flights, key)
 	if err != nil {
-		c.mu.Unlock()
-		f.err = err
-		close(f.done)
-		return nil, false, err
-	}
-	bytes := rowsBytes(rows)
-	if fromDisk {
-		c.stats.SpillLoads++
-		c.hitLocked(bytes)
-	}
-	c.admitLocked(key, schema, rows, bytes)
-	c.mu.Unlock()
-	f.rows, f.bytes = rows, bytes
-	close(f.done)
-	return rows, fromDisk, nil
-}
-
-// admitLocked inserts the entry and enforces the byte budget by evicting
-// from the LRU tail; an entry larger than the whole budget is evicted
-// immediately after admission, so the accounting still records the
-// admission and the eviction (and the spill, when configured).
-func (c *cache) admitLocked(key string, schema data.Schema, rows data.Rows, bytes int64) {
-	e := &entry{key: key, schema: schema, rows: rows, bytes: bytes}
-	if old := c.byKey[key]; old != nil {
-		if old.elem != nil {
-			c.lru.Remove(old.elem)
-			c.used -= old.bytes
-		}
-		// Keep a previous spill file so a re-admitted entry can be
-		// evicted again without rewriting it: the contents are immutable
-		// by construction (content-addressed key).
-		e.path = old.path
-	}
-	c.byKey[key] = e
-	e.elem = c.lru.PushFront(e)
-	c.used += bytes
-	c.stats.Admissions++
-	c.stats.AdmittedBytes += bytes
-	c.emit("admit", bytes)
-
-	if c.budget < 0 {
+		r.mu.Lock()
+		st.err = fmt.Errorf("share: stage %s: %w", st.key, err)
+		r.mu.Unlock()
 		return
 	}
-	for c.used > c.budget && c.lru.Len() > 0 {
-		tail := c.lru.Back()
-		c.evictLocked(tail.Value.(*entry))
-	}
+	r.admit(st, rows)
 }
 
-// evictLocked removes an entry from residency, spilling it to disk first
-// when a spill directory is configured. Spilled entries stay addressable
-// (rows nil, path set); without spill the entry is forgotten entirely.
-func (c *cache) evictLocked(e *entry) {
-	c.lru.Remove(e.elem)
-	e.elem = nil
-	c.used -= e.bytes
-	c.stats.Evictions++
-	c.stats.EvictedBytes += e.bytes
-	c.emit("evict", e.bytes)
-
-	if c.spillDir != "" && e.path == "" {
-		path, err := writeSpill(c.spillDir, e.key, e.schema, e.rows)
-		if err == nil {
-			e.path = path
-			c.stats.Spills++
-			c.stats.SpilledBytes += e.bytes
-			c.emit("spill", e.bytes)
+// admit books rows as st's intermediate and returns their bytes. They stay
+// resident if they fit beside the resident stages (any budget < 0 fits);
+// otherwise they are evicted at once, to a spill file when there is a spill
+// directory. A resident stage is never evicted for a newcomer.
+func (r *runner) admit(st *stage, rows data.Rows) int64 {
+	bytes := rowsBytes(rows)
+	r.mu.Lock()
+	r.stats.Admissions++
+	r.stats.AdmittedBytes += bytes
+	r.emit("admit", bytes)
+	if budget := r.opts.CacheBytes; budget < 0 || r.used+bytes <= budget {
+		st.rows, st.bytes = rows, bytes
+		r.used += bytes
+		r.mu.Unlock()
+		return bytes
+	}
+	r.stats.Evictions++
+	r.stats.EvictedBytes += bytes
+	r.emit("evict", bytes)
+	spill := r.spillDir != "" && st.path == ""
+	r.mu.Unlock()
+	// A failed spill is not fatal: the rows are dropped and readers
+	// recompute them, which is always correct.
+	if spill {
+		if path, err := writeSpill(r.spillDir, st.key, st.schema, rows); err == nil {
+			r.mu.Lock()
+			st.path = path
+			r.stats.Spills++
+			r.stats.SpilledBytes += bytes
+			r.emit("spill", bytes)
+			r.mu.Unlock()
 		}
-		// A failed spill is not fatal: the entry just falls out of the
-		// cache and consumers recompute, which is always correct.
 	}
-	e.rows = nil
-	if e.path == "" {
-		delete(c.byKey, e.key)
+	return bytes
+}
+
+// read returns st's rows to a run that restores it, after done. Resident
+// rows are a hit; a spill load is a hit and no admission; anything else is
+// recomputed by st's producer run, a miss and then an admission, whose
+// own restores are unplanned reads. A planned read takes one of st's
+// readers, an unplanned one none. Rows returned are shared and must be
+// treated as immutable — the same discipline every Recordset.Scan already
+// demands.
+func (r *runner) read(ctx context.Context, st *stage, planned bool) (data.Rows, error) {
+	release := "" // removed after the unlock: no file I/O under the lock
+	defer func() {
+		if release != "" {
+			_ = os.Remove(release) // one left goes with RunSuite's directory
+		}
+	}()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if st.err != nil {
+		return nil, st.err
 	}
+	r.stats.Lookups++
+	r.emit("lookup", 0)
+	f := st.flight
+	switch {
+	case st.rows != nil:
+		f = &flight{rows: st.rows}
+		r.hitLocked(st.bytes)
+	case f == nil:
+		f = r.flyLocked(ctx, st)
+	default:
+		r.mu.Unlock()
+		<-f.done
+		r.mu.Lock()
+		if f.err == nil {
+			r.hitLocked(f.bytes)
+		}
+	}
+	if f.err != nil {
+		return nil, st.err
+	}
+	if planned {
+		st.readers--
+	}
+	if st.readers == 0 && st.flight == nil {
+		if st.rows != nil {
+			r.used -= st.bytes
+			st.rows = nil
+		}
+		release, st.path = st.path, ""
+	}
+	return f.rows, nil
+}
+
+// flyLocked loads st's spill file, or recomputes st, on a flight that
+// concurrent readers wait on, and pins its failure. It is called, and
+// returns, with the lock held.
+func (r *runner) flyLocked(ctx context.Context, st *stage) *flight {
+	f := &flight{done: make(chan struct{})}
+	st.flight = f
+	path := st.path
+	if path == "" {
+		r.stats.Misses++
+		r.emit("miss", 0)
+	}
+	r.mu.Unlock()
+	if path != "" {
+		f.rows, f.err = readSpill(path, st.schema)
+		f.bytes = rowsBytes(f.rows)
+	} else if _, f.rows, f.err = r.run(ctx, st.pw, st.need, st.id, false); f.err == nil {
+		f.bytes = r.admit(st, f.rows)
+	}
+	r.mu.Lock()
+	st.flight = nil
+	if f.err != nil {
+		st.err = fmt.Errorf("share: stage %s: %w", st.key, f.err)
+	} else if path != "" {
+		r.stats.SpillLoads++
+		r.hitLocked(f.bytes)
+	}
+	close(f.done)
+	return f
 }
 
 // rowsBytes estimates the in-memory footprint of rows: slice headers plus

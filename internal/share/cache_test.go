@@ -2,6 +2,7 @@ package share
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,12 +11,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"testing"
-	"time"
 
 	"etlopt/internal/data"
+	"etlopt/internal/generator"
 )
 
 // intRows returns n single-int records; rowsBytes charges 40 bytes each
@@ -39,194 +39,180 @@ func TestRowsBytesEstimate(t *testing.T) {
 	}
 }
 
-// get runs one GetOrCompute that serves intRows(1) and counts invocations.
-func get(t *testing.T, c *cache, key string, computes *int) data.Rows {
-	t.Helper()
-	rows, _, err := c.GetOrCompute(key, data.Schema{"V"}, func() (data.Rows, error) {
-		*computes++
-		return intRows(1), nil
-	})
-	if err != nil {
-		t.Fatalf("GetOrCompute(%s): %v", key, err)
+// slotRunner returns a runner over one stage of one int column per key,
+// each planned to be read by readers runs, at the budget, spilling into
+// spillDir ("": nothing spills).
+func slotRunner(budget int64, spillDir string, readers int, keys ...string) (*runner, []*stage) {
+	p := &plan{stages: make(map[uint64]*stage)}
+	var sts []*stage
+	for i, key := range keys {
+		st := &stage{slot: slot{done: make(chan struct{}), readers: readers}, fp: uint64(i), key: key, schema: data.Schema{"V"}}
+		p.stages[st.fp] = st
+		sts = append(sts, st)
 	}
-	return rows
+	return newRunner(p, Options{CacheBytes: budget}, spillDir), sts
 }
 
-func TestCacheLRUEvictsAtByteBoundary(t *testing.T) {
-	// Budget 80 holds exactly two 40-byte entries: admission is only over
-	// budget at the third, and the least recently used entry goes.
-	c := newCache(80, "", nil)
-	nA, nB, nC := 0, 0, 0
-	get(t, c, "a", &nA)
-	get(t, c, "b", &nB)
-	get(t, c, "a", &nA) // memory hit; moves a ahead of b
-	get(t, c, "c", &nC) // 120 > 80: evicts b, keeps a and c
-	get(t, c, "c", &nC) // hit; moves c ahead of a
-	get(t, c, "b", &nB) // recomputed; evicts the LRU tail (a)
-	get(t, c, "a", &nA) // recomputed; evicts c
-
-	if nA != 2 || nB != 2 || nC != 1 {
-		t.Fatalf("compute counts a=%d b=%d c=%d, want 2/2/1", nA, nB, nC)
-	}
-	st := c.Stats()
-	want := CacheStats{
-		Lookups: 7, Hits: 2, Misses: 5,
-		Admissions: 5, Evictions: 3,
-		HitBytes: 80, AdmittedBytes: 200, EvictedBytes: 120,
-	}
-	if st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-	if st.Hits > st.Lookups {
-		t.Fatalf("integrity: hits %d > lookups %d", st.Hits, st.Lookups)
-	}
-	if st.EvictedBytes > st.AdmittedBytes {
-		t.Fatalf("integrity: evicted bytes %d > admitted bytes %d", st.EvictedBytes, st.AdmittedBytes)
-	}
-}
-
-func TestCacheBudgetOneUnderEvictsImmediately(t *testing.T) {
-	// Budget 79 cannot hold two 40-byte entries: admitting b pushes a out,
-	// proving the boundary is used > budget, not >=.
-	c := newCache(79, "", nil)
-	nA, nB := 0, 0
-	get(t, c, "a", &nA)
-	get(t, c, "b", &nB)
-	get(t, c, "b", &nB) // b survived the eviction pass
-	get(t, c, "a", &nA) // a did not
-	if nA != 2 || nB != 1 {
-		t.Fatalf("compute counts a=%d b=%d, want 2/1", nA, nB)
-	}
-}
-
-func TestCacheZeroBudgetAdmitsThenEvicts(t *testing.T) {
-	c := newCache(0, "", nil)
-	n := 0
-	get(t, c, "k", &n)
-	get(t, c, "k", &n)
-	if n != 2 {
-		t.Fatalf("compute count = %d, want 2 (budget 0 keeps nothing)", n)
-	}
-	st := c.Stats()
-	if st.Admissions != 2 || st.Evictions != 2 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want 2 admissions, 2 evictions, 0 hits", st)
-	}
-}
-
-func TestCacheUnboundedNeverEvicts(t *testing.T) {
-	c := newCache(-1, "", nil)
-	for i := 0; i < 50; i++ {
-		n := 0
-		get(t, c, fmt.Sprintf("k%d", i), &n)
-	}
-	if st := c.Stats(); st.Evictions != 0 || st.Admissions != 50 {
-		t.Fatalf("stats = %+v, want 50 admissions and no evictions", st)
-	}
-}
-
-func TestCacheSingleFlight(t *testing.T) {
-	c := newCache(-1, "", nil)
-	const waiters = 10
-	var computes int32
-	release := make(chan struct{})
-
-	var wg sync.WaitGroup
-	results := make([]data.Rows, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rows, _, err := c.GetOrCompute("k", data.Schema{"V"}, func() (data.Rows, error) {
-				atomic.AddInt32(&computes, 1)
-				<-release
-				return intRows(2), nil
-			})
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
+// TestSlotAdmissionBoundary: a stage stays resident if it fits beside the
+// resident ones — 80 bytes hold two 40-byte stages, 79 hold one — and one
+// that does not fit is evicted as it is admitted: a resident stage is never
+// evicted for a newcomer.
+func TestSlotAdmissionBoundary(t *testing.T) {
+	for _, c := range []struct {
+		budget   int64
+		resident int
+	}{{80, 2}, {79, 1}} {
+		r, sts := slotRunner(c.budget, "", 1, "a", "b", "c")
+		for _, st := range sts {
+			r.admit(st, intRows(1))
+		}
+		for i, st := range sts {
+			if got, want := st.rows != nil, i < c.resident; got != want {
+				t.Errorf("budget %d: stage %s resident %v, want %v", c.budget, st.key, got, want)
 			}
-			results[i] = rows
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if n := atomic.LoadInt32(&computes); n != 1 {
-		t.Fatalf("compute ran %d times, want exactly 1", n)
-	}
-	for i, rows := range results {
-		if len(rows) != 2 {
-			t.Fatalf("waiter %d got %d rows, want 2", i, len(rows))
+		}
+		evicted := int64(len(sts) - c.resident)
+		want := CacheStats{Admissions: 3, AdmittedBytes: 120, Evictions: evicted, EvictedBytes: 40 * evicted}
+		if r.stats != want || r.used != 40*int64(c.resident) {
+			t.Errorf("budget %d: stats %+v, %d bytes used; want %+v, %d", c.budget, r.stats, r.used, want, 40*c.resident)
 		}
 	}
-	st := c.Stats()
-	if st.Lookups != waiters || st.Misses != 1 || st.Hits != waiters-1 {
-		t.Fatalf("stats = %+v, want %d lookups, 1 miss, %d hits", st, waiters, waiters-1)
+}
+
+// TestSlotBudgets: at budget 0 without spill every reader of the one stage
+// of codeSuite recomputes it, and an unbounded budget never evicts.
+func TestSlotBudgets(t *testing.T) {
+	for _, c := range []struct {
+		budget int64
+		runs   int64
+		want   CacheStats
+	}{
+		{0, 3, CacheStats{Lookups: 3, Misses: 3, Admissions: 3, Evictions: 3}},
+		{-1, 1, CacheStats{Lookups: 3, Hits: 2, Misses: 1, Admissions: 1}},
+	} {
+		res, err := RunSuite(context.Background(), codeSuite(t), Options{Workers: 1, CacheBytes: c.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		st.Cache.HitBytes, st.Cache.AdmittedBytes, st.Cache.EvictedBytes = 0, 0, 0
+		if st.StageRuns != c.runs || st.Cache != c.want {
+			t.Errorf("budget %d: %d stage runs, %+v; want %d, %+v", c.budget, st.StageRuns, st.Cache, c.runs, c.want)
+		}
+	}
+	scs, err := generator.SharedSuite(generator.Small, 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSuite(context.Background(), suiteWorkflows(scs), Options{Workers: 4, CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.Cache.Evictions != 0 || st.StageRuns != int64(st.Stages) {
+		t.Errorf("unbounded: %d evictions, %d stage runs for %d stages", st.Cache.Evictions, st.StageRuns, st.Stages)
 	}
 }
 
-func TestCacheSingleFlightErrorPropagates(t *testing.T) {
-	c := newCache(-1, "", nil)
-	n := 0
-	_, _, err := c.GetOrCompute("k", data.Schema{"V"}, func() (data.Rows, error) {
-		n++
-		return nil, fmt.Errorf("boom")
-	})
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("err = %v, want boom", err)
+// TestSlotSpillLoadIsAHit: a stage evicted at admission is spilled; each
+// read loads it back, a hit and no admission, so it stays on disk and off
+// the budget until the last planned read removes the file.
+func TestSlotSpillLoadIsAHit(t *testing.T) {
+	r, sts := slotRunner(0, t.TempDir(), 2, "a")
+	st := sts[0]
+	r.admit(st, intRows(2))
+	want := CacheStats{Admissions: 1, AdmittedBytes: 80, Evictions: 1, EvictedBytes: 80, Spills: 1, SpilledBytes: 80}
+	path := st.path
+	if r.stats != want || st.rows != nil || path == "" {
+		t.Fatalf("admitted: stats %+v, resident %v, file %q; want %+v, spilled", r.stats, st.rows != nil, path, want)
 	}
-	// A failed flight leaves nothing behind; the next caller recomputes.
-	get(t, c, "k", &n)
-	if n != 2 {
-		t.Fatalf("compute count = %d, want 2", n)
+	for i := int64(1); i <= 2; i++ {
+		rows, err := r.read(context.Background(), st, true)
+		if err != nil || len(rows) != 2 {
+			t.Fatalf("read %d: %d rows, %v", i, len(rows), err)
+		}
+		want.Lookups, want.Hits, want.HitBytes, want.SpillLoads = i, i, 80*i, i
+		_, statErr := os.Stat(path)
+		if r.stats != want || st.rows != nil || r.used != 0 || (statErr == nil) != (i == 1) {
+			t.Errorf("read %d: stats %+v, resident %v, %d bytes used, file: %v; want %+v, the file gone after the last read",
+				i, r.stats, st.rows != nil, r.used, statErr, want)
+		}
 	}
 }
 
-func TestCacheSpillRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c := newCache(0, dir, nil)
-	schema := data.Schema{"I", "F", "S", "B", "D", "N"}
-	orig := data.Rows{
-		{data.NewInt(-7), data.NewFloat(2.5), data.NewString("héllo, \"world\""), data.NewBool(true), data.NewDate(2021, 3, 4), data.Null},
-		{data.NewInt(42), data.NewFloat(-0.125), data.NewString("line"), data.NewBool(false), data.NewDate(1999, 12, 31), data.NewString("x")},
+// TestSlotRecomputationTakesNoPlannedRead: in SharedSuite(Small, 3, 99) one
+// stage reads the other. At budget 0 without spill both are dropped as they
+// are admitted, so the second's producer recomputes the first (3 stage
+// runs); an unplanned read of the second recomputes both (5), and neither
+// read takes one of the readers the plan counted.
+func TestSlotRecomputationTakesNoPlannedRead(t *testing.T) {
+	scs, err := generator.SharedSuite(generator.Small, 3, 99)
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := 0
-	compute := func() (data.Rows, error) { n++; return orig, nil }
+	p, err := newPlan(context.Background(), suiteWorkflows(scs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.order) != 2 || len(p.stages[p.order[1]].deps) != 1 {
+		t.Fatalf("want two stages, the second reading the first; plan %v", p.order)
+	}
+	first, second := p.stages[p.order[0]], p.stages[p.order[1]]
+	r := newRunner(p, Options{CacheBytes: 0}, "")
+	for _, st := range []*stage{first, second} {
+		r.produce(context.Background(), st, nil)
+	}
+	before := []int{first.readers, second.readers} // the first's producer read taken
+	if _, err := r.read(context.Background(), second, false); err != nil {
+		t.Fatal(err)
+	}
+	if after := []int{first.readers, second.readers}; !slices.Equal(before, after) || r.stageRuns.Load() != 5 {
+		t.Errorf("readers %v before an unplanned read, %v after; %d stage runs, want 5", before, after, r.stageRuns.Load())
+	}
+}
 
-	rows, avoided, err := c.GetOrCompute("k", schema, compute)
-	if err != nil || avoided {
-		t.Fatalf("first get: rows=%d avoided=%v err=%v", len(rows), avoided, err)
+// TestSuiteReleasesEverySlot: when a clean suite's runs are done, before
+// RunSuite removes its spill directory, every planned read has been taken,
+// every stage's rows released and every spill file removed — unbounded, at
+// budget 0 with spill and at 0 without, where a stage is recomputed for each
+// reader and recomputes the stage it reads.
+func TestSuiteReleasesEverySlot(t *testing.T) {
+	scs, err := generator.SharedSuite(generator.Small, 3, 99)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Budget 0 evicted the entry immediately; with a spill dir configured it
-	// must now live on disk and stay addressable.
-	if st := c.Stats(); st.Spills != 1 || st.SpilledBytes == 0 {
-		t.Fatalf("stats after first get = %+v, want one spill", st)
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil || len(files) != 1 {
-		t.Fatalf("spill dir has %d files (err %v), want 1", len(files), err)
-	}
-
-	rows2, avoided, err := c.GetOrCompute("k", schema, compute)
-	if err != nil || !avoided {
-		t.Fatalf("second get: avoided=%v err=%v", avoided, err)
-	}
-	if n != 1 {
-		t.Fatalf("compute ran %d times, want 1 (spill load must not recompute)", n)
-	}
-	// The typed digest must survive the disk trip bit-for-bit.
-	if orig.Digest() != rows2.Digest() {
-		t.Fatalf("spill round-trip changed rows:\n  orig %v\n  got  %v", orig, rows2)
-	}
-
-	// The re-admitted entry was evicted again (budget 0) but keeps its
-	// existing spill file instead of rewriting it.
-	if _, _, err := c.GetOrCompute("k", schema, compute); err != nil {
-		t.Fatalf("third get: %v", err)
-	}
-	st := c.Stats()
-	if st.Spills != 1 || st.SpillLoads != 2 || st.Hits != 2 {
-		t.Fatalf("stats after third get = %+v, want 1 spill, 2 spill loads, 2 hits", st)
+	for _, c := range []struct {
+		budget int64
+		spill  bool
+	}{{-1, false}, {0, true}, {0, false}} {
+		for _, workers := range []int{1, 4} {
+			p, err := newPlan(context.Background(), suiteWorkflows(scs), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := ""
+			if c.spill {
+				dir = t.TempDir()
+			}
+			r := newRunner(p, Options{CacheBytes: c.budget}, dir)
+			res := r.suite(context.Background(), workers)
+			for _, wr := range res.Workflows {
+				if wr.Err != nil {
+					t.Fatalf("%s: %v", wr.Name, wr.Err)
+				}
+			}
+			for _, st := range p.stages {
+				if st.readers != 0 || st.rows != nil || st.path != "" {
+					t.Errorf("budget %d spill %v W=%d: stage %s has %d reads left, resident %v, file %q",
+						c.budget, c.spill, workers, st.key, st.readers, st.rows != nil, st.path)
+				}
+			}
+			if r.used != 0 {
+				t.Errorf("budget %d spill %v W=%d: %d bytes still held", c.budget, c.spill, workers, r.used)
+			}
+			if left, _ := os.ReadDir(dir); c.spill && len(left) != 0 {
+				t.Errorf("budget 0 with spill W=%d: %d spill files left, first %s", workers, len(left), left[0].Name())
+			}
+		}
 	}
 }
 

@@ -2,10 +2,10 @@
 // It detects maximal subgraphs shared across the suite by content — an
 // upstream-closure fingerprint covering graph structure, activity algebra
 // and the digests of every bound source and lookup the closure reads —
-// materializes each shared intermediate exactly once through a
-// content-addressed, byte-budgeted result cache, and runs every workflow's
-// own graph with bounded concurrency, each shared intermediate restored
-// from the cache through the engine's stage hook.
+// materializes each shared intermediate once into a slot, held within a
+// byte budget until the last read the plan counted, and runs every
+// workflow's own graph with bounded concurrency, each shared intermediate
+// restored from its slot through the engine's stage hook.
 //
 // The headline invariant mirrors the engine's partition contract: every
 // workflow's targets and NodeRows are bit-identical to running it alone,

@@ -28,8 +28,9 @@ type Workflow struct {
 }
 
 // stage is one shared intermediate: a stage node of the member whose graph
-// its producer runs execute.
+// its producer runs execute, and the slot a suite run keeps it in.
 type stage struct {
+	slot
 	fp     uint64
 	key    string
 	schema data.Schema
@@ -129,7 +130,7 @@ func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
 		for _, id := range cuts {
 			p.ensureStage(pw, id)
 		}
-		pw.deps = pw.fpsOf(cuts)
+		pw.deps = p.countReads(pw.fpsOf(cuts))
 		p.workflows = append(p.workflows, pw)
 	}
 
@@ -196,14 +197,24 @@ func (p *plan) ensureStage(pw *planWorkflow, id workflow.NodeID) {
 		p.ensureStage(pw, c)
 	}
 	p.stages[fp] = &stage{
+		slot:   slot{done: make(chan struct{})},
 		fp:     fp,
 		key:    cacheKey(fp),
 		schema: pw.wf.Graph.Node(id).Out.Clone(),
 		pw:     pw,
 		id:     id,
 		need:   need,
-		deps:   pw.fpsOf(cuts),
+		deps:   p.countReads(pw.fpsOf(cuts)),
 	}
+}
+
+// countReads counts one planned read of each of the stages deps and
+// returns deps.
+func (p *plan) countReads(deps []uint64) []uint64 {
+	for _, d := range deps {
+		p.stages[d].readers++
+	}
+	return deps
 }
 
 // orderStages sorts the stage DAG dependencies-first (and by fingerprint

@@ -186,7 +186,6 @@ type settings struct {
 
 	suiteWorkers int
 	cacheBytes   int64
-	cacheSet     bool
 	spillDir     string
 }
 
@@ -255,14 +254,14 @@ func WithSuiteWorkers(n int) Option {
 	return func(s *settings) { s.suiteWorkers = n }
 }
 
-// WithSharedCache sets RunSuite's intermediate-result cache budget in
-// estimated bytes. The default is unbounded; 0 disables retention entirely
-// (every shared intermediate is recomputed per consumer — or reloaded from
-// disk under WithSharedSpill), and any budget in between evicts least
-// recently used intermediates first. Workflow outputs are bit-identical at
-// every budget. RunSuite only.
+// WithSharedCache bounds, in estimated bytes, the shared intermediates
+// RunSuite holds in memory. The default is unbounded; a stage that does not
+// fit beside those held is evicted as it is made (0 holds none), and is
+// recomputed per reader — or reloaded from disk under WithSharedSpill. Each
+// is released after its last planned reader. Workflow outputs are
+// bit-identical at every budget. RunSuite only.
 func WithSharedCache(bytes int64) Option {
-	return func(s *settings) { s.cacheBytes = bytes; s.cacheSet = true }
+	return func(s *settings) { s.cacheBytes = bytes }
 }
 
 // WithSharedSpill spills evicted shared intermediates to files under dir
@@ -346,8 +345,9 @@ const (
 // newSettings resolves the option list over the package defaults.
 func newSettings(opts []Option) settings {
 	s := settings{
-		search: core.Options{IncrementalCost: true},
-		algo:   HS,
+		search:     core.Options{IncrementalCost: true},
+		algo:       HS,
+		cacheBytes: -1,
 	}
 	for _, o := range opts {
 		if o != nil {
@@ -422,13 +422,9 @@ func (s *settings) engineOptions() []engine.Option {
 // cache's activity.
 func RunSuite(ctx context.Context, workflows []SuiteWorkflow, opts ...Option) (*SuiteResult, error) {
 	s := newSettings(opts)
-	cacheBytes := int64(-1)
-	if s.cacheSet {
-		cacheBytes = s.cacheBytes
-	}
 	return share.RunSuite(ctx, workflows, share.Options{
 		Workers:    s.suiteWorkers,
-		CacheBytes: cacheBytes,
+		CacheBytes: s.cacheBytes,
 		SpillDir:   s.spillDir,
 		Engine:     s.engineOptions(),
 		Journal:    s.journal,
