@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"strings"
+	"unsafe"
 )
 
 // A row file holds a schema and typed rows as they are in memory, so what
@@ -75,9 +77,11 @@ func WriteRowFile(path string, schema Schema, rows Rows) error {
 	})
 }
 
-// rowDecoder walks a row file's bytes and keeps the first damage it finds.
+// rowDecoder walks a row file's text, through buf, a view of its bytes, and
+// keeps the first damage it finds.
 type rowDecoder struct {
 	path string
+	text string
 	buf  []byte
 	off  int
 	err  error
@@ -106,10 +110,11 @@ func (d *rowDecoder) count(size int) int {
 	return 0
 }
 
+// str cuts a string from the text: no copy.
 func (d *rowDecoder) str() string {
 	n := d.count(1)
 	d.off += n
-	return string(d.buf[d.off-n : d.off])
+	return d.text[d.off-n : d.off]
 }
 
 func (d *rowDecoder) value() Value {
@@ -137,18 +142,22 @@ func (d *rowDecoder) value() Value {
 // version, a checksum that does not match, an unknown kind, a count the file
 // is too short for, bytes after the last row — is a *RowFileError and no
 // rows; a file that cannot be read is the *fs.PathError of the attempt.
+//
+// The file is read once, into one string, which the rows' strings are
+// slices of, as ReadCSVFile's are; the schema's names are copies.
 func ReadRowFile(path string) (Schema, Rows, error) {
-	raw, err := os.ReadFile(path)
+	text, err := readText(path)
 	if err != nil {
 		return nil, nil, err
 	}
+	raw := unsafe.Slice(unsafe.StringData(text), len(text)) // read, never written
 	body, n := len(raw)-4, len(rowFileMagic)
 	if body < n {
 		return nil, nil, &RowFileError{path, 0, "short read: no room for header and checksum"}
 	}
-	d := rowDecoder{path: path, buf: raw[:body], off: n}
+	d := rowDecoder{path: path, text: text[:body], buf: raw[:body], off: n}
 	switch {
-	case string(raw[:n-1]) != rowFileMagic[:n-1]:
+	case text[:n-1] != rowFileMagic[:n-1]:
 		d.fail(0, "bad magic")
 	case raw[n-1] != rowFileMagic[n-1]:
 		d.fail(n-1, fmt.Sprintf("unknown version %d", raw[n-1]))
@@ -157,7 +166,7 @@ func ReadRowFile(path string) (Schema, Rows, error) {
 	}
 	schema := make(Schema, d.count(1))
 	for i := range schema {
-		schema[i] = d.str()
+		schema[i] = strings.Clone(d.str())
 	}
 	// Rows of no columns, counted at a byte each, end as trailing bytes.
 	rows := make(Rows, d.count(max(len(schema), 1)))

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -316,4 +318,82 @@ func FuzzReadRowFile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// stringRows returns n rows of a string, an int and an empty string; the
+// first is piece(i), so that each row's string differs.
+func stringRows(n int, piece func(int) string) (data.Schema, data.Rows) {
+	rows := make(data.Rows, n)
+	for i := range rows {
+		rows[i] = data.Record{data.NewString(piece(i)), data.NewInt(int64(i)), data.NewString("")}
+	}
+	return data.Schema{"CODE", "K", "NOTE"}, rows
+}
+
+// TestReadRowFileAllocations: a row file is decoded at one allocation a
+// row, its record, and a few a file: the text, the row slice, the schema
+// and its names. Its strings are cut from the text, so a string column
+// costs no allocation a row (it cost one each before).
+func TestReadRowFileAllocations(t *testing.T) {
+	const n = 2000
+	schema, rows := stringRows(n, func(i int) string { return fmt.Sprintf("C%05d", i) })
+	schema, rows = append(schema, "NAME", "PRICE"), append(data.Rows(nil), rows...)
+	for i := range rows {
+		rows[i] = append(rows[i], data.NewString("name "+strconv.Itoa(i%97)), data.NewFloat(float64(i)/8))
+	}
+	path := filepath.Join(t.TempDir(), "x.rows")
+	if err := data.WriteRowFile(path, schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	var got data.Rows
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if _, got, err = data.ReadRowFile(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Digest() != rows.Digest() {
+		t.Fatal("the rows read are not the rows written")
+	}
+	if perFile := allocs - n; perFile > 16 {
+		t.Errorf("ReadRowFile of %d rows allocates %v times: %v beyond one a row, want at most 16", n, allocs, perFile)
+	}
+}
+
+// TestRowFileStringsKeepTheirBytes: the strings read from a row file share
+// the file's text, and the few kept after the rest are dropped still read
+// as written through collections.
+func TestRowFileStringsKeepTheirBytes(t *testing.T) {
+	const n = 3000
+	piece := func(i int) string { return fmt.Sprintf("%05d-%x|", i, uint32(i*2654435761)) }
+	schema, rows := stringRows(n, piece)
+	path := filepath.Join(t.TempDir(), "s.rows")
+	if err := data.WriteRowFile(path, schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	var kept []data.Record
+	func() {
+		_, got, err := data.ReadRowFile(path)
+		if err != nil || len(got) != n {
+			t.Fatalf("read %d rows, %v", len(got), err)
+		}
+		for i := 0; i < n; i += 97 {
+			kept = append(kept, got[i])
+		}
+		kept = append(kept, got[n-1])
+	}()
+	var junk [][]byte
+	for round := 0; round < 4; round++ {
+		runtime.GC()
+		for j := 0; j < 256; j++ {
+			junk = append(junk, bytes.Repeat([]byte{0xff}, 16+j%200))
+		}
+	}
+	for j, rec := range kept {
+		i := min(97*j, n-1)
+		if rec[0].Kind() != data.KindString || rec[0].Str() != piece(i) || rec[1].Int() != int64(i) || rec[2].Str() != "" {
+			t.Fatalf("row %d reads %v after collections, want %s, %d and an empty string", i, rec, piece(i), i)
+		}
+	}
+	runtime.KeepAlive(junk)
 }

@@ -135,12 +135,13 @@ func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out, work 
 	var err error
 	switch a.Sem.Op {
 	case workflow.OpFilter:
-		k.in, k.pred = make(data.Schema, len(work)), a.Sem.Pred
+		k.in = make(data.Schema, len(work))
 		for j, attr := range work {
 			if in.Has(attr) {
 				k.in[j] = attr
 			}
 		}
+		k.pred = bindAttrs(a.Sem.Pred, k.in)
 	case workflow.OpNotNull:
 		k.pos, err = keyPositions(in, a.Sem.Attrs)
 	case workflow.OpPKCheck:
@@ -172,6 +173,54 @@ func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out, work 
 		}
 	}
 	return k, nil
+}
+
+// bindAttrs returns pred with each attribute reference resolved to its
+// position in the layout in once, so that a row costs no name search.
+// Expressions of other kinds are kept as they are.
+func bindAttrs(pred algebra.Expr, in data.Schema) algebra.Expr {
+	switch e := pred.(type) {
+	case algebra.Attr:
+		return boundAttr{e, in.Index(e.Name)}
+	case algebra.Cmp:
+		e.Left, e.Right = bindAttrs(e.Left, in), bindAttrs(e.Right, in)
+		return e
+	case algebra.Arith:
+		e.Left, e.Right = bindAttrs(e.Left, in), bindAttrs(e.Right, in)
+		return e
+	case algebra.Logic:
+		e.Left, e.Right = bindAttrs(e.Left, in), bindAttrs(e.Right, in)
+		return e
+	case algebra.Not:
+		e.Inner = bindAttrs(e.Inner, in)
+		return e
+	case algebra.IsNull:
+		e.Inner = bindAttrs(e.Inner, in)
+		return e
+	case algebra.Call:
+		args := make([]algebra.Expr, len(e.Args))
+		for i, arg := range e.Args {
+			args[i] = bindAttrs(arg, in)
+		}
+		e.Args = args
+		return e
+	}
+	return pred
+}
+
+// boundAttr is an attribute reference at its position in the layout it
+// was bound to. One not in the layout fails where Attr.Eval fails, at the
+// first row, with its error.
+type boundAttr struct {
+	algebra.Attr
+	pos int
+}
+
+func (b boundAttr) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
+	if b.pos < 0 || b.pos >= len(rec) {
+		return b.Attr.Eval(schema, rec)
+	}
+	return rec[b.pos], nil
 }
 
 // resolveChain builds the chain of a stage's members over an input laid

@@ -876,3 +876,49 @@ func TestIntermediatesReleased(t *testing.T) {
 		t.Errorf("live heap at load is %.1f MB for a target of %.1f MB: intermediates are still held", float64(held)/1e6, float64(own)/1e6)
 	}
 }
+
+// TestBoundFilterAnswersAsUnbound: a filter's predicate, bound to its work
+// layout when its kernel is resolved, gives every row the value and the
+// error the unbound predicate gives. An attribute the layout lacks does not
+// fail the resolution, so a stage of no rows does not fail; it fails at the
+// first row, with algebra's error.
+func TestBoundFilterAnswersAsUnbound(t *testing.T) {
+	in := data.Schema{"A", "B", "S", "T"}
+	work := data.Schema{"A", "X", "B", "S", "T"}
+	rows := data.Rows{
+		{data.NewInt(1), data.NewInt(9), data.NewFloat(2.5), data.NewString("x"), data.NewString("7")},
+		{data.NewInt(4), data.Null, data.NewInt(-3), data.NewString(""), data.Null},
+		{data.NewInt(7), data.NewString("z"), data.Null, data.Null, data.NewString(" q ")},
+	}
+	failed := 0
+	for _, src := range []string{
+		"A > 1", "A + B >= 0 and not(S = 'x')", "isnull(B) or A <> B", "upper(S) = 'X' or trim(T) = 'q'",
+		"A * 2 - B < 10", "C > 1", "A > 1 and C = 2", "A < 4 or upper(C) = 'Y'", "X = 9",
+	} {
+		pred, err := dsl.ParsePredicate(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := New(nil).resolveKernel(rowKernel{}, templates.Filter(pred, 0.5), in, in, work)
+		if err != nil {
+			t.Fatalf("%s: resolving the filter failed before any row: %v", src, err)
+		}
+		if k.pred.String() != pred.String() {
+			t.Errorf("%s: bound predicate renders %s", src, k.pred)
+		}
+		for i, r := range rows {
+			rec := data.Record{r[0], data.NewInt(9), r[1], r[2], r[3]}
+			want, wantErr := pred.Eval(k.in, rec)
+			got, gotErr := k.pred.Eval(k.in, rec)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.Kind() != want.Kind() || !got.Equal(want) {
+				t.Errorf("%s, row %d: bound gives %v, %v; unbound %v, %v", src, i, got, gotErr, want, wantErr)
+			}
+			if wantErr != nil {
+				failed++
+			}
+		}
+	}
+	if failed == 0 {
+		t.Error("no row met an attribute missing from the layout")
+	}
+}

@@ -44,8 +44,9 @@ type slot struct {
 	// stage: a member's run or a producer's first run. The last releases
 	// the rows and removes the spill file.
 	readers int
-	// flight is the spill load or recomputation in progress; concurrent
-	// readers wait on it instead of repeating it.
+	// flight is the spill load, recomputation or spill write in progress:
+	// readers that arrive wait on it instead of repeating it, and take the
+	// rows being written from memory.
 	flight *flight
 }
 
@@ -71,76 +72,91 @@ func (r *runner) hitLocked(bytes int64) {
 // admission, and closes done. A stage one of whose dependencies failed
 // (err) does not run, and fails with that error.
 func (r *runner) produce(ctx context.Context, st *stage, err error) {
-	defer close(st.done)
 	r.mu.Lock()
 	r.stats.Lookups++
 	r.emit("lookup", 0)
 	r.stats.Misses++
 	r.emit("miss", 0)
 	r.mu.Unlock()
-	var rows data.Rows
+	f := &flight{done: st.done, err: err}
 	if err == nil {
-		_, rows, err = r.run(ctx, st.pw, st.need, st.id, true)
+		_, f.rows, f.err = r.run(ctx, st.pw, st.need, st.id, true)
 	}
-	if err != nil {
-		r.mu.Lock()
-		st.err = fmt.Errorf("share: stage %s: %w", st.key, err)
-		r.mu.Unlock()
-		return
-	}
-	r.admit(st, rows)
+	r.land(st, f)
 }
 
-// admit books rows as st's intermediate and returns their bytes. They stay
-// resident if they fit beside the resident stages (any budget < 0 fits);
-// otherwise they are evicted at once, to a spill file when there is a spill
-// directory. A resident stage is never evicted for a newcomer.
-func (r *runner) admit(st *stage, rows data.Rows) int64 {
-	bytes := rowsBytes(rows)
-	r.mu.Lock()
-	r.stats.Admissions++
-	r.stats.AdmittedBytes += bytes
-	r.emit("admit", bytes)
-	if budget := r.opts.CacheBytes; budget < 0 || r.used+bytes <= budget {
-		st.rows, st.bytes = rows, bytes
-		r.used += bytes
+// land books f's outcome for st and closes f.done: a failure (of a run or
+// of a spill load) is pinned, computed rows are admitted, and rows admit
+// evicts to a spill file are written after the close, while f serves them
+// to the readers that arrive.
+func (r *runner) land(st *stage, f *flight) {
+	if f.err != nil {
+		r.mu.Lock()
+		st.flight, st.err = nil, fmt.Errorf("share: stage %s: %w", st.key, f.err)
+		close(f.done)
 		r.mu.Unlock()
-		return bytes
+	} else if r.admit(st, f) {
+		r.spill(st, f)
+	}
+}
+
+// admit books f's rows as st's intermediate and closes f.done. They stay
+// resident if they fit beside the resident stages (any budget < 0 fits);
+// otherwise they are evicted at once, and admit reports whether they are
+// to be spilled: with a spill directory, f stays st's flight until spill
+// ends. A resident stage is never evicted for a newcomer.
+func (r *runner) admit(st *stage, f *flight) bool {
+	f.bytes = rowsBytes(f.rows)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	defer close(f.done)
+	r.stats.Admissions++
+	r.stats.AdmittedBytes += f.bytes
+	r.emit("admit", f.bytes)
+	st.flight = nil
+	if budget := r.opts.CacheBytes; budget < 0 || r.used+f.bytes <= budget {
+		st.rows, st.bytes = f.rows, f.bytes
+		r.used += f.bytes
+		return false
 	}
 	r.stats.Evictions++
-	r.stats.EvictedBytes += bytes
-	r.emit("evict", bytes)
-	spill := r.spillDir != "" && st.path == ""
-	r.mu.Unlock()
-	// A failed spill is not fatal: the rows are dropped and readers
-	// recompute them, which is always correct.
-	if spill {
-		if path, err := writeSpill(r.spillDir, st.key, st.schema, rows); err == nil {
-			r.mu.Lock()
-			st.path = path
-			r.stats.Spills++
-			r.stats.SpilledBytes += bytes
-			r.emit("spill", bytes)
-			r.mu.Unlock()
-		}
+	r.stats.EvictedBytes += f.bytes
+	r.emit("evict", f.bytes)
+	if r.spillDir != "" {
+		st.flight = f
 	}
-	return bytes
+	return st.flight != nil
+}
+
+// spill writes f's rows to st's spill file and ends f. A failed write is
+// not fatal: the rows are dropped and later readers recompute them, which
+// is always correct. A file whose planned reads were all taken during the
+// write is removed at once.
+func (r *runner) spill(st *stage, f *flight) {
+	path, err := writeSpill(r.spillDir, st.key, st.schema, f.rows)
+	r.mu.Lock()
+	st.flight = nil
+	if err == nil {
+		st.path = path
+		r.stats.Spills++
+		r.stats.SpilledBytes += f.bytes
+		r.emit("spill", f.bytes)
+	}
+	release := r.releaseLocked(st)
+	r.mu.Unlock()
+	remove(release)
 }
 
 // read returns st's rows to a run that restores it, after done. Resident
-// rows are a hit; a spill load is a hit and no admission; anything else is
-// recomputed by st's producer run, a miss and then an admission, whose
-// own restores are unplanned reads. A planned read takes one of st's
-// readers, an unplanned one none. Rows returned are shared and must be
-// treated as immutable — the same discipline every Recordset.Scan already
-// demands.
+// rows, and rows being spilled, are a hit; a spill load is a hit and no
+// admission; anything else is recomputed by st's producer run, a miss and
+// then an admission, whose own restores are unplanned reads. A planned
+// read takes one of st's readers, an unplanned one none. Rows returned are
+// shared and must be treated as immutable — the same discipline every
+// Recordset.Scan already demands.
 func (r *runner) read(ctx context.Context, st *stage, planned bool) (data.Rows, error) {
-	release := "" // removed after the unlock: no file I/O under the lock
-	defer func() {
-		if release != "" {
-			_ = os.Remove(release) // one left goes with RunSuite's directory
-		}
-	}()
+	release := ""
+	defer func() { remove(release) }()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if st.err != nil {
@@ -169,14 +185,26 @@ func (r *runner) read(ctx context.Context, st *stage, planned bool) (data.Rows, 
 	if planned {
 		st.readers--
 	}
-	if st.readers == 0 && st.flight == nil {
-		if st.rows != nil {
-			r.used -= st.bytes
-			st.rows = nil
-		}
-		release, st.path = st.path, ""
-	}
+	release = r.releaseLocked(st)
 	return f.rows, nil
+}
+
+// releaseLocked releases st's rows and returns its spill file for remove,
+// once no planned read is left and no flight needs them; else "".
+func (r *runner) releaseLocked(st *stage) (path string) {
+	if st.readers == 0 && st.flight == nil {
+		r.used -= st.bytes
+		path, st.rows, st.bytes, st.path = st.path, nil, 0, ""
+	}
+	return path
+}
+
+// remove removes a released spill file after the unlock: no file I/O
+// under the lock. One left goes with RunSuite's directory.
+func remove(path string) {
+	if path != "" {
+		_ = os.Remove(path)
+	}
 }
 
 // flyLocked loads st's spill file, or recomputes st, on a flight that
@@ -191,21 +219,19 @@ func (r *runner) flyLocked(ctx context.Context, st *stage) *flight {
 		r.emit("miss", 0)
 	}
 	r.mu.Unlock()
-	if path != "" {
-		f.rows, f.err = readSpill(path, st.schema)
+	if path == "" {
+		_, f.rows, f.err = r.run(ctx, st.pw, st.need, st.id, false)
+	} else if f.rows, f.err = readSpill(path, st.schema); f.err == nil {
 		f.bytes = rowsBytes(f.rows)
-	} else if _, f.rows, f.err = r.run(ctx, st.pw, st.need, st.id, false); f.err == nil {
-		f.bytes = r.admit(st, f.rows)
-	}
-	r.mu.Lock()
-	st.flight = nil
-	if f.err != nil {
-		st.err = fmt.Errorf("share: stage %s: %w", st.key, f.err)
-	} else if path != "" {
+		r.mu.Lock()
+		st.flight = nil
 		r.stats.SpillLoads++
 		r.hitLocked(f.bytes)
+		close(f.done)
+		return f
 	}
-	close(f.done)
+	r.land(st, f) // a recomputation's rows, or a failure
+	r.mu.Lock()
 	return f
 }
 

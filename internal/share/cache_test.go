@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"etlopt/internal/data"
+	"etlopt/internal/engine"
 	"etlopt/internal/generator"
 )
 
@@ -64,7 +65,7 @@ func TestSlotAdmissionBoundary(t *testing.T) {
 	}{{80, 2}, {79, 1}} {
 		r, sts := slotRunner(c.budget, "", 1, "a", "b", "c")
 		for _, st := range sts {
-			r.admit(st, intRows(1))
+			r.admit(st, &flight{done: st.done, rows: intRows(1)})
 		}
 		for i, st := range sts {
 			if got, want := st.rows != nil, i < c.resident; got != want {
@@ -119,7 +120,7 @@ func TestSlotBudgets(t *testing.T) {
 func TestSlotSpillLoadIsAHit(t *testing.T) {
 	r, sts := slotRunner(0, t.TempDir(), 2, "a")
 	st := sts[0]
-	r.admit(st, intRows(2))
+	r.land(st, &flight{done: st.done, rows: intRows(2)})
 	want := CacheStats{Admissions: 1, AdmittedBytes: 80, Evictions: 1, EvictedBytes: 80, Spills: 1, SpilledBytes: 80}
 	path := st.path
 	if r.stats != want || st.rows != nil || path == "" {
@@ -135,6 +136,79 @@ func TestSlotSpillLoadIsAHit(t *testing.T) {
 		if r.stats != want || st.rows != nil || r.used != 0 || (statErr == nil) != (i == 1) {
 			t.Errorf("read %d: stats %+v, resident %v, %d bytes used, file: %v; want %+v, the file gone after the last read",
 				i, r.stats, st.rows != nil, r.used, statErr, want)
+		}
+	}
+}
+
+// TestSlotReadDuringSpillWrite: a stage evicted to a spill directory is
+// readable once it is admitted. A reader that arrives before its file is
+// written takes the producer's rows from memory, a hit and no spill load.
+// A planned read left when the write ends loads the file and removes it;
+// with none left, the write removes the file it made.
+func TestSlotReadDuringSpillWrite(t *testing.T) {
+	ctx := context.Background()
+	for _, during := range []int64{1, 2} {
+		dir := t.TempDir()
+		r, sts := slotRunner(0, dir, 2, "a")
+		st := sts[0]
+		f := &flight{done: st.done, rows: intRows(2)}
+		if !r.admit(st, f) { // as land admits it, before the write
+			t.Fatal("a stage over the budget is not spilled into the spill directory")
+		}
+		select {
+		case <-st.done:
+		default:
+			t.Fatal("the stage's done is still open when its write starts")
+		}
+		for range during {
+			if rows, err := r.read(ctx, st, true); err != nil || len(rows) != 2 || &rows[0] != &f.rows[0] {
+				t.Fatalf("read during the write: %d rows, %v; want the producer's 2", len(rows), err)
+			}
+		}
+		want := CacheStats{Lookups: during, Hits: during, HitBytes: 80 * during, Admissions: 1, AdmittedBytes: 80, Evictions: 1, EvictedBytes: 80}
+		if r.stats != want {
+			t.Errorf("%d reads during the write: stats %+v, want %+v", during, r.stats, want)
+		}
+		r.spill(st, f)
+		left, _ := os.ReadDir(dir)
+		if r.stats.Spills != 1 || len(left) != int(2-during) {
+			t.Errorf("%d reads during the write: %d spills, %d files left after it; want 1, %d", during, r.stats.Spills, len(left), 2-during)
+		}
+		if during == 2 {
+			continue
+		}
+		if rows, err := r.read(ctx, st, true); err != nil || len(rows) != 2 || r.stats.SpillLoads != 1 {
+			t.Errorf("read after the write: %d rows, %v, %d spill loads; want 2 rows from 1 load", len(rows), err, r.stats.SpillLoads)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 || st.path != "" {
+			t.Errorf("the last planned read left %d files, path %q", len(left), st.path)
+		}
+	}
+}
+
+// TestSlotFailedSpillIsRecomputed: a spill write that fails drops the
+// stage. At one worker codeSuite's members start after the producer's
+// write, which fails in a spill directory that is not there, so each
+// recomputes the stage and loads what it loads alone.
+func TestSlotFailedSpillIsRecomputed(t *testing.T) {
+	ctx := context.Background()
+	p, err := newPlan(ctx, codeSuite(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := newRunner(p, Options{CacheBytes: 0}, filepath.Join(t.TempDir(), "absent")).suite(ctx, 1)
+	if st := res.Stats; st.StageRuns != 3 || st.Cache.Spills != 0 || st.Cache.SpillLoads != 0 || st.Cache.Misses != 3 {
+		t.Errorf("stats %+v: want the stage run 3 times, as 3 misses, and nothing spilled", st)
+	}
+	for i, wf := range codeSuite(t) {
+		solo, err := engine.New(wf.Bindings).Run(ctx, wf.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wr := res.Workflows[i]; wr.Err != nil {
+			t.Errorf("%s: %v", wr.Name, wr.Err)
+		} else if err := engine.SameRun(solo, wr.Result); err != nil {
+			t.Errorf("%s: %v", wr.Name, err)
 		}
 	}
 }

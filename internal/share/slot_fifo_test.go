@@ -22,7 +22,7 @@ func TestSlotConcurrentSpillLoadsShare(t *testing.T) {
 	const readers = 8
 	r, sts := slotRunner(0, t.TempDir(), readers, "a")
 	st := sts[0]
-	r.admit(st, intRows(3))
+	r.land(st, &flight{done: st.done, rows: intRows(3)})
 	path := st.path
 	content, err := os.ReadFile(path)
 	if err != nil {
