@@ -5,16 +5,15 @@
 // optimized before running, executed partitioned, and checkpointed so an
 // interrupted load resumes instead of restarting. -checkpoint stages one
 // typed row file per completed stage plus a MANIFEST, removes only those
-// files when the load completes, honours -mode and -partitions (the staged
-// files are the same at any partition count), and composes with -faults
-// and -journal. A -mode, -optimize or -faults value etlrun does not know is
+// files when the load completes, honours -partitions (the staged files
+// are the same at any partition count), and composes with -faults and
+// -journal. An -optimize or -faults value etlrun does not know is
 // rejected before any file is created or written.
 //
 // Usage:
 //
 //	etlrun -in workflow.etl -data ./data [-optimize hs|greedy|es] [-workers N]
-//	       [-mode materialized|parallel] [-partitions P]
-//	       [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
+//	       [-partitions P] [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
 //	       [-journal run.jsonl] [-cpuprofile cpu.pprof]
 //
 // Passing several workflow files (positionally, or one via -in plus the
@@ -34,7 +33,7 @@
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
 // controls optimizer search parallelism (goroutines expanding the state
 // space), while -partitions controls engine data parallelism (how many
-// ways each recordset is split in -mode parallel, checkpointed or not).
+// ways each recordset is split, checkpointed or not).
 // They are independent knobs for independent phases; -suite-workers is a
 // third, bounding how many workflows and shared stages run concurrently
 // in suite mode.
@@ -75,9 +74,8 @@ func run() error {
 		dataDir    = flag.String("data", ".", "directory of <name>.csv record files")
 		optimize   = flag.String("optimize", "", "optimize first: es, hs or greedy")
 		workers    = flag.Int("workers", 0, "optimizer search parallelism: worker goroutines for -optimize (0 = GOMAXPROCS)")
-		mode       = flag.String("mode", "materialized", "execution mode: materialized or parallel")
-		partitions = flag.Int("partitions", 0, "engine data parallelism: partitions per recordset in -mode parallel, with or without -checkpoint (0 = GOMAXPROCS)")
-		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution: a typed row file per completed stage and a MANIFEST, removed once the load completes (honours -mode and -partitions)")
+		partitions = flag.Int("partitions", 1, "engine data parallelism: partitions per recordset, with or without -checkpoint (0 = GOMAXPROCS)")
+		checkpoint = flag.String("checkpoint", "", "staging directory for resumable execution: a typed row file per completed stage and a MANIFEST, removed once the load completes (honours -partitions)")
 		impact     = flag.String("impact", "", "print the impact analysis of the named recordset and exit")
 		explain    = flag.Bool("explain", false, "print estimated vs actual cardinalities after the run")
 		calibrate  = flag.Bool("calibrate", false, "after running, calibrate selectivities from observation and report the re-optimized plan")
@@ -92,7 +90,7 @@ func run() error {
 	flag.Parse()
 	// Every flag with a closed vocabulary is checked here, before the journal,
 	// the profile or a target file exists.
-	eopts, err := engineOptions(*mode, *partitions, *faults, *retries)
+	eopts, err := engineOptions(*partitions, *faults, *retries)
 	if err != nil {
 		return err
 	}
@@ -266,20 +264,11 @@ var optimizers = map[string]func(context.Context, *workflow.Graph, core.Options)
 	"es": core.Exhaustive, "hs": core.Heuristic, "greedy": core.HSGreedy,
 }
 
-// engineOptions lowers -mode, -partitions, -faults and -retries to engine
+// engineOptions lowers -partitions, -faults and -retries to engine
 // options, the same way for single runs and suites; the caller adds the
 // run's registry and journal.
-func engineOptions(mode string, partitions int, faults string, retries int) ([]engine.Option, error) {
-	var m engine.Mode
-	switch mode {
-	case "materialized":
-		m = engine.Materialized
-	case "parallel":
-		m = engine.Parallel
-	default:
-		return nil, fmt.Errorf("unknown mode %q (accepted: materialized, parallel)", mode)
-	}
-	eopts := []engine.Option{engine.WithMode(m), engine.WithPartitions(partitions)}
+func engineOptions(partitions int, faults string, retries int) ([]engine.Option, error) {
+	eopts := []engine.Option{engine.WithPartitions(partitions)}
 	if faults != "" {
 		seed, rate, err := fault.ParseSpec(faults)
 		if err != nil {

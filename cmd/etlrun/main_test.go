@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -97,7 +98,7 @@ func TestCLIRunOptimizedParallelMatchesPlain(t *testing.T) {
 	}
 	dirB := t.TempDir()
 	wfB := setupFig1(t, dirB)
-	out, err := exec.Command(bin, "-in", wfB, "-data", dirB, "-optimize", "hs", "-mode", "parallel", "-partitions", "4").CombinedOutput()
+	out, err := exec.Command(bin, "-in", wfB, "-data", dirB, "-optimize", "hs", "-partitions", "4").CombinedOutput()
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -139,9 +140,8 @@ func dirContents(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// TestCLIRejectsUnknownFlagValuesFirst: a -mode (the removed "pipelined"
-// among them), -optimize or -faults value etlrun does not know fails the
-// run before the optimizer has run and before the journal, a target CSV or
+// TestCLIRejectsUnknownFlagValuesFirst: an -optimize or -faults value
+// etlrun does not know fails the run before the optimizer has run and before the journal, a target CSV or
 // anything else is created, and the error names what is accepted.
 func TestCLIRejectsUnknownFlagValuesFirst(t *testing.T) {
 	if testing.Short() {
@@ -155,8 +155,6 @@ func TestCLIRejectsUnknownFlagValuesFirst(t *testing.T) {
 		flag, value string
 		want        []string
 	}{
-		{"-mode", "pipelined", []string{"materialized", "parallel"}},
-		{"-mode", "bogus", []string{"materialized", "parallel"}},
 		{"-optimize", "bogus", []string{"es", "greedy", "hs"}},
 		{"-faults", "nonsense", []string{"seed:rate"}},
 	} {
@@ -190,6 +188,38 @@ func TestCLIRejectsUnknownFlagValuesFirst(t *testing.T) {
 		if after[path] != b {
 			t.Errorf("refused runs changed %s", path)
 		}
+	}
+}
+
+// TestCLIRemovedFlags: -mode is gone (-partitions is the one parallelism
+// setting), so passing it exits 2 with the usage before a target, a
+// staging area or a journal exists.
+func TestCLIRemovedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	wf := setupFig1(t, dir)
+	before := dirContents(t, dir)
+	for _, mode := range []string{"parallel", "materialized"} {
+		journal := filepath.Join(dir, "run.jsonl")
+		args := []string{"-in", wf, "-data", dir, "-checkpoint", filepath.Join(dir, "stage"), "-journal", journal, "-mode", mode}
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-mode %s: err = %v, want exit status 2\n%s", mode, err, out)
+		}
+		if !strings.Contains(string(out), "Usage of") {
+			t.Errorf("-mode %s: no usage printed:\n%s", mode, out)
+		}
+	}
+	after := dirContents(t, dir)
+	if len(after) != len(before) {
+		t.Errorf("refused runs wrote into the data directory: %d files before, %d after", len(before), len(after))
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != len(before) {
+		t.Errorf("refused runs left %d entries in the data directory, want %d", len(entries), len(before))
 	}
 }
 
@@ -246,10 +276,10 @@ func TestCLICheckpoint(t *testing.T) {
 }
 
 // TestCLICheckpointResumeComposesWithPartitions crashes a checkpointed
-// -mode parallel -partitions 8 run mid-workflow (an injected fault with no
-// retry budget), re-runs it over the same staging directory, and requires
-// the resumed run to restore staged stages and write target CSVs
-// byte-identical to an uninterrupted -mode materialized run.
+// -partitions 8 run mid-workflow (an injected fault with no retry
+// budget), re-runs it over the same staging directory, and requires the
+// resumed run to restore staged stages and write target CSVs
+// byte-identical to an uninterrupted one-partition run.
 func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -257,7 +287,7 @@ func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 	bin := buildTool(t)
 	clean := t.TempDir()
 	wf := setupFig1(t, clean)
-	if out, err := exec.Command(bin, "-in", wf, "-data", clean, "-mode", "materialized").CombinedOutput(); err != nil {
+	if out, err := exec.Command(bin, "-in", wf, "-data", clean).CombinedOutput(); err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	want, err := os.ReadFile(filepath.Join(clean, "DW.PARTS.csv"))
@@ -272,7 +302,7 @@ func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 		dir := t.TempDir()
 		wf := setupFig1(t, dir)
 		stage := filepath.Join(dir, "stage")
-		args := []string{"-in", wf, "-data", dir, "-mode", "parallel", "-partitions", "8", "-checkpoint", stage}
+		args := []string{"-in", wf, "-data", dir, "-partitions", "8", "-checkpoint", stage}
 		crash := append(append([]string{}, args...), "-faults", fmt.Sprintf("%d:0.1", seed), "-retries", "1")
 		if err := exec.Command(bin, crash...).Run(); err == nil {
 			continue // this seed's schedule let the run finish
@@ -292,7 +322,7 @@ func TestCLICheckpointResumeComposesWithPartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("seed %d: resumed parallel run wrote a target differing from the materialized run", seed)
+			t.Errorf("seed %d: resumed 8-partition run wrote a target differing from the one-partition run", seed)
 		}
 		return
 	}
@@ -376,7 +406,7 @@ func TestCLITraceHoldsEveryActivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal := filepath.Join(dir, "run.jsonl")
-	out, err := exec.Command(bin, "-in", in, "-data", dir, "-mode", "parallel", "-partitions", "2",
+	out, err := exec.Command(bin, "-in", in, "-data", dir, "-partitions", "2",
 		"-journal", journal).CombinedOutput()
 	if err != nil {
 		t.Fatalf("etlrun: %v\n%s", err, out)

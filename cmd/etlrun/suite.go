@@ -18,7 +18,7 @@ import (
 
 // suiteFlags is the slice of the CLI configuration suite mode consumes.
 type suiteFlags struct {
-	engine     []engine.Option // of -mode, -partitions, -faults, -retries
+	engine     []engine.Option // of -partitions, -faults, -retries
 	dataDir    string
 	workers    int
 	cacheBytes int64

@@ -39,7 +39,7 @@ func writeObsJournal(t *testing.T, reg *obs.Registry) string {
 	search.Emit(obs.TransitionEvent("FAC", "attempt", 0))
 	search.Emit(obs.PhaseEvent("expand", "end"))
 	search.Emit(obs.RunEvent("end", "search/HS"))
-	engine.Emit(obs.RunEvent("start", "engine/parallel"))
+	engine.Emit(obs.RunEvent("start", "engine/p4"))
 	engine.Emit(obs.NodeEvent("extract", 100, 0.25))
 	engine.Emit(obs.NodeEvent("extract", 100, 0.25))
 	engine.Emit(obs.NodeEvent("filter", 40, 0.5))
@@ -61,7 +61,7 @@ func writeObsJournal(t *testing.T, reg *obs.Registry) string {
 	engine.Emit(obs.CheckpointEvent("extract", "restored", 100))
 	engine.Emit(obs.DriftEvent("filter", 0.4, 0.5))
 	engine.Emit(obs.DriftEvent("load", 1.0, 1.0))
-	engine.Emit(obs.RunEvent("end", "engine/parallel"))
+	engine.Emit(obs.RunEvent("end", "engine/p4"))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestObsReportSections(t *testing.T) {
 	for _, want := range []string{
 		"== " + path + " ==",
 		"run start search/HS",
-		"run end   engine/parallel",
+		"run end   engine/p4",
 		"phase timeline:",
 		"expand",
 		"transition funnel:",
@@ -291,8 +291,8 @@ func TestObsTraceFormat(t *testing.T) {
 		}
 	}
 	want := map[string]string{
-		"search/HS": "", "expand": "search/HS", "engine/parallel": "",
-		"node/extract": "engine/parallel", "node/filter": "engine/parallel", "node/load": "engine/parallel",
+		"search/HS": "", "expand": "search/HS", "engine/p4": "",
+		"node/extract": "engine/p4", "node/filter": "engine/p4", "node/load": "engine/p4",
 	}
 	if !reflect.DeepEqual(parents, want) || nodes != 4 {
 		t.Errorf("span -> parent %v with %d node spans; want %v with 4", parents, nodes, want)

@@ -11,7 +11,7 @@ import (
 )
 
 // runBinary executes L(bin)R → TGT and returns the target rows.
-func runBinary(t *testing.T, mode Mode, lSchema, rSchema data.Schema, lRows, rRows data.Rows, bin *workflow.Activity) data.Rows {
+func runBinary(t *testing.T, p int, lSchema, rSchema data.Schema, lRows, rRows data.Rows, bin *workflow.Activity) data.Rows {
 	t.Helper()
 	g := workflow.NewGraph()
 	l := g.AddRecordset(&workflow.RecordsetRef{Name: "L", Schema: lSchema, Rows: float64(len(lRows)), IsSource: true})
@@ -31,7 +31,7 @@ func runBinary(t *testing.T, mode Mode, lSchema, rSchema data.Schema, lRows, rRo
 	e := New(map[string]data.Recordset{
 		"L": data.NewMemoryRecordset("L", lSchema).MustLoad(lRows),
 		"R": data.NewMemoryRecordset("R", rSchema).MustLoad(rRows),
-	}, WithMode(mode), WithPartitions(3))
+	}, WithPartitions(p))
 	res, err := e.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +40,9 @@ func runBinary(t *testing.T, mode Mode, lSchema, rSchema data.Schema, lRows, rRo
 }
 
 func TestUnionExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		schema := data.Schema{"K"}
-		got := runBinary(t, mode, schema, schema,
+		got := runBinary(t, p, schema, schema,
 			data.Rows{{data.NewInt(1)}, {data.NewInt(2)}},
 			data.Rows{{data.NewInt(2)}, {data.NewInt(3)}},
 			templates.Union())
@@ -56,7 +56,7 @@ func TestUnionExecution(t *testing.T) {
 func TestUnionRealignsAttributeOrder(t *testing.T) {
 	// The second branch delivers the same attributes in a different order;
 	// the union must realign by name.
-	got := runBinary(t, Materialized,
+	got := runBinary(t, 1,
 		data.Schema{"K", "V"}, data.Schema{"V", "K"},
 		data.Rows{{data.NewInt(1), data.NewFloat(10)}},
 		data.Rows{{data.NewFloat(20), data.NewInt(2)}},
@@ -72,8 +72,8 @@ func TestUnionRealignsAttributeOrder(t *testing.T) {
 }
 
 func TestJoinExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
-		got := runBinary(t, mode,
+	bothModes(t, func(t *testing.T, p int) {
+		got := runBinary(t, p,
 			data.Schema{"K", "A"}, data.Schema{"K", "B"},
 			data.Rows{
 				{data.NewInt(1), data.NewString("a1")},
@@ -101,8 +101,8 @@ func TestJoinExecution(t *testing.T) {
 }
 
 func TestDiffExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
-		got := runBinary(t, mode,
+	bothModes(t, func(t *testing.T, p int) {
+		got := runBinary(t, p,
 			data.Schema{"K", "A"}, data.Schema{"K", "B"},
 			data.Rows{
 				{data.NewInt(1), data.NewString("x")},
@@ -117,8 +117,8 @@ func TestDiffExecution(t *testing.T) {
 }
 
 func TestIntersectExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
-		got := runBinary(t, mode,
+	bothModes(t, func(t *testing.T, p int) {
+		got := runBinary(t, p,
 			data.Schema{"K", "A"}, data.Schema{"K", "B"},
 			data.Rows{
 				{data.NewInt(1), data.NewString("x")},
@@ -134,8 +134,8 @@ func TestIntersectExecution(t *testing.T) {
 
 func TestModesAgreeOnFig1(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
-	mat := New(sc.Bind(), WithMode(Materialized))
-	par := New(sc.Bind(), WithMode(Parallel), WithPartitions(3))
+	mat := New(sc.Bind())
+	par := New(sc.Bind(), WithPartitions(3))
 	r1, err := mat.Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestModesAgreeOnFig1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := SameRun(r1, r2); err != nil {
-		t.Errorf("modes disagree: %v", err)
+		t.Errorf("P=1 and P=3 disagree: %v", err)
 	}
 	if len(r1.Targets["DW.PARTS"]) == 0 {
 		t.Error("Fig. 1 scenario produced no warehouse rows")
@@ -185,7 +185,7 @@ func TestDiamondPipelineNoDeadlock(t *testing.T) {
 	want := append(over50, over150...)
 	bind := map[string]data.Recordset{"S": data.NewMemoryRecordset("S", schema).MustLoad(rows)}
 	for _, p := range []int{1, 3} {
-		res, err := New(bind, WithMode(Parallel), WithPartitions(p)).Run(context.Background(), g)
+		res, err := New(bind, WithPartitions(p)).Run(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestDiamondPipelineNoDeadlock(t *testing.T) {
 
 func TestPipelineErrorPropagation(t *testing.T) {
 	// A surrogate key with a missing lookup binding must surface as an
-	// error naming the activity, in either mode.
+	// error naming the activity, at any partition count.
 	g := workflow.NewGraph()
 	src := g.AddRecordset(&workflow.RecordsetRef{Name: "S", Schema: data.Schema{"K"}, IsSource: true})
 	sk := g.AddActivity(templates.SurrogateKey("K", "SK", "NOPE"))
@@ -210,10 +210,10 @@ func TestPipelineErrorPropagation(t *testing.T) {
 	bind := map[string]data.Recordset{
 		"S": data.NewMemoryRecordset("S", data.Schema{"K"}).MustLoad(data.Rows{{data.NewInt(1)}}),
 	}
-	for _, mode := range []Mode{Materialized, Parallel} {
-		_, err := New(bind, WithMode(mode), WithPartitions(3)).Run(context.Background(), g)
+	for _, p := range []int{1, 3} {
+		_, err := New(bind, WithPartitions(p)).Run(context.Background(), g)
 		if err == nil || !strings.Contains(err.Error(), g.Node(sk).Label()) || !strings.Contains(err.Error(), "NOPE") {
-			t.Errorf("mode %v: err = %v, want one naming activity %q and lookup NOPE", mode, err, g.Node(sk).Label())
+			t.Errorf("P=%d: err = %v, want one naming activity %q and lookup NOPE", p, err, g.Node(sk).Label())
 		}
 	}
 }
@@ -226,29 +226,10 @@ func TestUnboundSourceError(t *testing.T) {
 	if err := g.RegenerateSchemata(); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{Materialized, Parallel} {
-		if _, err := New(nil, WithMode(mode)).Run(context.Background(), g); err == nil {
-			t.Errorf("mode %v: unbound source should error", mode)
+	for _, p := range []int{1, 3} {
+		if _, err := New(nil, WithPartitions(p)).Run(context.Background(), g); err == nil {
+			t.Errorf("P=%d: unbound source should error", p)
 		}
-	}
-}
-
-// A Mode that is neither Materialized nor Parallel is refused before any
-// source is scanned, plain and under a checkpoint runner.
-func TestUnknownModeRefused(t *testing.T) {
-	sc := templates.Fig1Scenario(10, 30)
-	bindings := sc.Bind()
-	scans := 0
-	bindings["PARTS1"] = countingRecordset{Recordset: bindings["PARTS1"], scans: &scans}
-	e := New(bindings, WithMode(Parallel+1))
-	cr := NewCheckpointRunner(e, t.TempDir())
-	for _, run := range []func(context.Context, *workflow.Graph) (*RunResult, error){e.Run, cr.Run} {
-		if _, err := run(context.Background(), sc.Graph); err == nil || !strings.Contains(err.Error(), "unknown mode") {
-			t.Errorf("err = %v, want an unknown-mode error", err)
-		}
-	}
-	if scans != 0 {
-		t.Errorf("refused runs scanned a source %d times", scans)
 	}
 }
 

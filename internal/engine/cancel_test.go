@@ -13,7 +13,7 @@ import (
 	"etlopt/internal/templates"
 )
 
-// TestRunCancelled verifies both execution modes, and the checkpoint
+// TestRunCancelled verifies the node driver at P ∈ {1, 4}, and the checkpoint
 // runner over the node driver, abort with an error that wraps ctx.Err()
 // and says where the run stopped and after how many rows, when the context
 // is cancelled before the run starts — and leave no goroutine behind.
@@ -21,17 +21,17 @@ func TestRunCancelled(t *testing.T) {
 	sc := templates.Fig1Scenario(80, 240)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []struct {
+	for _, c := range []struct {
 		name       string
-		mode       Mode
+		p          int
 		checkpoint bool
 	}{
-		{"materialized", Materialized, false}, {"parallel", Parallel, false}, {"checkpoint", Parallel, true},
+		{"materialized", 1, false}, {"parallel", 4, false}, {"checkpoint", 4, true},
 	} {
-		t.Run(mode.name, func(t *testing.T) {
-			e := New(sc.Bind(), WithMode(mode.mode), WithPartitions(4))
+		t.Run(c.name, func(t *testing.T) {
+			e := New(sc.Bind(), WithPartitions(c.p))
 			run := e.Run
-			if mode.checkpoint {
+			if c.checkpoint {
 				cr := NewCheckpointRunner(e, t.TempDir())
 				run = cr.Run
 			}
@@ -108,7 +108,7 @@ func TestCancelledMidStage(t *testing.T) {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancelProbe.Store(&cancel)
-		res, err := New(bindings, WithMode(Parallel), WithPartitions(p)).Run(ctx, g)
+		res, err := New(bindings, WithPartitions(p)).Run(ctx, g)
 		cancelProbe.Store(nil)
 		cancel()
 		if !errors.Is(err, context.Canceled) || res != nil {

@@ -54,7 +54,7 @@ func (c *CheckpointRunner) stagePath(id workflow.NodeID) string {
 }
 
 // Run executes the workflow through the wrapped engine's node driver —
-// in its mode, at its partition count, with its journal, metrics, fault
+// at its partition count, with its journal, metrics, fault
 // plan and retry policy — checkpointing each completed stage. Stages the
 // staging area holds for this exact workflow (matching signature) are
 // loaded instead of recomputed — the resumption path. On success the

@@ -220,7 +220,7 @@ func TestCheckpointKeepsKinds(t *testing.T) {
 		}
 	}
 	for _, p := range []int{1, 8} {
-		opts := []Option{WithMode(Parallel), WithPartitions(p)}
+		opts := []Option{WithPartitions(p)}
 		none := 0
 		want, wantEvents, _ := journalNodeRows(t, g, func(j *obs.Journal) (*RunResult, error) {
 			return New(bind(&none), append(opts, WithJournal(j))...).Run(context.Background(), g)

@@ -6,14 +6,14 @@
 // nothing in between (stage.go), every other node a stage of its own,
 // each output held as P tagged partitions — rows exchanged by key where
 // an operator's semantics demand it (parallel.go) — until its last reader
-// has run, each source scanned one ahead by a reader goroutine. Materialized
-// mode is that driver at P=1, Parallel mode the same driver at
-// WithPartitions, and checkpointing (CheckpointRunner) a hook staging each
-// completed stage, fused or not, as a typed row file — so mode, partitions,
+// has run, each source scanned one ahead by a reader goroutine. The
+// partition count P (WithPartitions, default 1) is the engine's one
+// parallelism setting, and checkpointing (CheckpointRunner) a hook staging
+// each completed stage, fused or not, as a typed row file — so partitions,
 // fault plan, retry policy, journal and metrics compose, and there is no
 // other executor: the paper's activities that "output data to one another"
-// without intermediate data stores are the members of a fused stage. Both
-// modes produce bit-identical target rows, in order, at any partition count.
+// without intermediate data stores are the members of a fused stage. Every
+// P produces bit-identical target rows, in order.
 //
 // Beyond running workflows, the engine is the empirical half of the
 // correctness framework: two states are equivalent when, on the same
@@ -36,40 +36,10 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// Mode selects the execution strategy.
-type Mode uint8
-
-// Execution modes.
-const (
-	// Materialized evaluates the graph stage by stage in topological
-	// order, materializing each stage's full output: the node driver at
-	// one partition.
-	Materialized Mode = iota
-	// Parallel is the node driver at P partitions: order-preserving
-	// operators run partition-locally, key-sensitive operators
-	// repartition by key first, and an order-stable merge makes the
-	// output bit-identical to Materialized at any partition count. See
-	// WithPartitions.
-	Parallel
-)
-
-// String names the mode as it appears in metric labels and journal events.
-func (m Mode) String() string {
-	switch m {
-	case Materialized:
-		return "materialized"
-	case Parallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
 // Engine executes workflows against bound recordsets.
 type Engine struct {
-	mode     Mode
 	bindings map[string]data.Recordset
-	// partitions is Parallel mode's worker count; 0 means GOMAXPROCS.
+	// partitions is the run's partition count; 0 means GOMAXPROCS.
 	partitions int
 	// metrics, when non-nil, receives the engine's observability series
 	// (see WithMetrics); forRun falls back to the journal's registry.
@@ -99,28 +69,34 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithMode selects the execution mode (default Materialized).
-func WithMode(m Mode) Option { return func(e *Engine) { e.mode = m } }
-
-// WithPartitions sets Parallel mode's partition count (default:
+// WithPartitions sets the partition count P (default 1; 0 or less:
 // runtime.GOMAXPROCS(0)), with or without a CheckpointRunner around the
 // engine. Any count produces bit-identical output; the count only affects
-// how the work is spread. Materialized mode is always one partition and
-// ignores it.
-func WithPartitions(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.partitions = n
-		}
-	}
-}
+// how the work is spread.
+func WithPartitions(n int) Option { return func(e *Engine) { e.partitions = max(n, 0) } }
+
+// Mode is a partition count under its old name.
+//
+// Deprecated: use WithPartitions.
+type Mode uint8
+
+// Deprecated: Materialized is WithPartitions(1), Parallel WithPartitions(0).
+const (
+	Materialized Mode = iota
+	Parallel
+)
+
+// WithMode is WithPartitions(1) for Materialized, else WithPartitions(0).
+//
+// Deprecated: use WithPartitions.
+func WithMode(m Mode) Option { return WithPartitions(map[Mode]int{Materialized: 1}[m]) }
 
 // New creates an engine over the given recordset bindings: every source
 // recordset and surrogate-key lookup referenced by a workflow must be
 // bound by name. Target recordsets may be bound (rows are loaded into
 // them) or unbound (rows are only reported in the RunResult).
 func New(bindings map[string]data.Recordset, opts ...Option) *Engine {
-	e := &Engine{mode: Materialized, bindings: bindings}
+	e := &Engine{bindings: bindings, partitions: 1}
 	for _, o := range opts {
 		o(e)
 	}
@@ -225,7 +201,7 @@ type StageHook interface {
 }
 
 // RunWith is Run with a stage hook (nil: none). It refuses a package,
-// resolves the mode to a partition count, attaches the run's lookup cache
+// resolves the partition count, attaches the run's lookup cache
 // and recorder, emits the run's boundary events and hands the graph to the
 // node driver.
 func (e *Engine) RunWith(ctx context.Context, g *workflow.Graph, hook StageHook) (*RunResult, error) {
@@ -239,28 +215,21 @@ func (e *Engine) RunWith(ctx context.Context, g *workflow.Graph, hook StageHook)
 			return nil, fmt.Errorf("engine: node %d %s is a merged package; split it first", id, n.Label())
 		}
 	}
-	partitions := 1 // Materialized is the node driver at one partition
-	switch e.mode {
-	case Materialized:
-	case Parallel:
-		partitions = e.partitionCount()
-	default:
-		return nil, fmt.Errorf("engine: unknown mode %d", e.mode)
-	}
+	partitions := e.partitionCount()
 	e = e.forRun()
 	start := time.Now()
-	modeName := e.mode.String()
 	e.keyNodes(g, partitions)
 	if e.rec != nil {
-		e.rec.Emit(obs.RunEvent("start", "engine/"+modeName))
-		defer e.rec.Emit(obs.RunEvent("end", "engine/"+modeName))
+		run := fmt.Sprintf("engine/p%d", partitions)
+		e.rec.Emit(obs.RunEvent("start", run))
+		defer e.rec.Emit(obs.RunEvent("end", run))
 	}
 	res, quiet, err := e.runNodes(ctx, g, partitions, hook)
 	if err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
-	e.recordRun(g, res, quiet, modeName)
+	e.recordRun(g, res, quiet, partitions)
 	return res, nil
 }
 

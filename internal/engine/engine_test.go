@@ -18,8 +18,8 @@ import (
 )
 
 // runChain executes SRC(schema, rows) → acts → TGT and returns the target
-// rows, under the given mode.
-func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
+// rows, at p partitions.
+func runChain(t *testing.T, p int, schema data.Schema, rows data.Rows,
 	extra map[string]data.Recordset, acts ...*workflow.Activity) data.Rows {
 	t.Helper()
 	g := workflow.NewGraph()
@@ -46,7 +46,7 @@ func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
 	for k, v := range extra {
 		bindings[k] = v
 	}
-	e := New(bindings, WithMode(mode), WithPartitions(3))
+	e := New(bindings, WithPartitions(p))
 	res, err := e.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
@@ -54,19 +54,21 @@ func runChain(t *testing.T, mode Mode, schema data.Schema, rows data.Rows,
 	return res.Targets["TGT"]
 }
 
-func bothModes(t *testing.T, f func(t *testing.T, mode Mode)) {
-	t.Run("materialized", func(t *testing.T) { f(t, Materialized) })
-	t.Run("parallel", func(t *testing.T) { f(t, Parallel) })
+// bothModes runs f at one partition ("materialized") and at three
+// ("parallel").
+func bothModes(t *testing.T, f func(t *testing.T, p int)) {
+	t.Run("materialized", func(t *testing.T) { f(t, 1) })
+	t.Run("parallel", func(t *testing.T) { f(t, 3) })
 }
 
 func TestFilterExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.NewFloat(50)},
 			{data.NewInt(2), data.NewFloat(150)},
 			{data.NewInt(3), data.Null},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil, templates.Threshold("V", 100, 0.5))
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil, templates.Threshold("V", 100, 0.5))
 		if len(got) != 1 || got[0][0].Int() != 2 {
 			t.Errorf("filter result = %v", got)
 		}
@@ -74,12 +76,12 @@ func TestFilterExecution(t *testing.T) {
 }
 
 func TestNotNullExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.Null},
 			{data.NewInt(2), data.NewFloat(1)},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil, templates.NotNull(0.9, "V"))
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil, templates.NotNull(0.9, "V"))
 		if len(got) != 1 || got[0][0].Int() != 2 {
 			t.Errorf("notnull result = %v", got)
 		}
@@ -87,9 +89,9 @@ func TestNotNullExecution(t *testing.T) {
 }
 
 func TestConvertExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{{data.NewInt(1), data.NewFloat(100)}}
-		got := runChain(t, mode, data.Schema{"K", "DCOST"}, rows, nil,
+		got := runChain(t, p, data.Schema{"K", "DCOST"}, rows, nil,
 			templates.Convert("dollar2euro", "ECOST", "DCOST"))
 		if len(got) != 1 {
 			t.Fatalf("convert result = %v", got)
@@ -102,9 +104,9 @@ func TestConvertExecution(t *testing.T) {
 }
 
 func TestReformatExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{{data.NewString("03/15/2004")}}
-		got := runChain(t, mode, data.Schema{"DATE"}, rows, nil,
+		got := runChain(t, p, data.Schema{"DATE"}, rows, nil,
 			templates.Reformat("a2edate", "DATE"))
 		if got[0][0].Str() != "15/03/2004" {
 			t.Errorf("reformat = %v", got[0][0])
@@ -113,9 +115,9 @@ func TestReformatExecution(t *testing.T) {
 }
 
 func TestProjectExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{{data.NewInt(1), data.NewString("drop me")}}
-		got := runChain(t, mode, data.Schema{"K", "X"}, rows, nil, templates.ProjectOut("X"))
+		got := runChain(t, p, data.Schema{"K", "X"}, rows, nil, templates.ProjectOut("X"))
 		if len(got) != 1 || len(got[0]) != 1 || got[0][0].Int() != 1 {
 			t.Errorf("project result = %v", got)
 		}
@@ -123,14 +125,14 @@ func TestProjectExecution(t *testing.T) {
 }
 
 func TestAggregateExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.NewFloat(10)},
 			{data.NewInt(1), data.NewFloat(20)},
 			{data.NewInt(2), data.NewFloat(5)},
 			{data.NewInt(2), data.Null}, // NULLs are skipped by sum
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil,
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil,
 			templates.Aggregate([]string{"K"}, workflow.AggSum, "V", "TOTV", 0.5))
 		if len(got) != 2 {
 			t.Fatalf("aggregate groups = %v", got)
@@ -162,7 +164,7 @@ func TestAggregateKinds(t *testing.T) {
 		{workflow.AggAvg, 15}, // avg over non-NULL
 	}
 	for _, c := range cases {
-		got := runChain(t, Materialized, data.Schema{"K", "V"}, rows, nil,
+		got := runChain(t, 1, data.Schema{"K", "V"}, rows, nil,
 			templates.Aggregate([]string{"K"}, c.agg, "V", "OUT", 0.5))
 		if len(got) != 1 || got[0][1].Float() != c.want {
 			t.Errorf("%v = %v, want %v", c.agg, got, c.want)
@@ -172,7 +174,7 @@ func TestAggregateKinds(t *testing.T) {
 
 func TestAggregateAllNullGroup(t *testing.T) {
 	rows := data.Rows{{data.NewInt(1), data.Null}}
-	got := runChain(t, Materialized, data.Schema{"K", "V"}, rows, nil,
+	got := runChain(t, 1, data.Schema{"K", "V"}, rows, nil,
 		templates.Aggregate([]string{"K"}, workflow.AggSum, "V", "OUT", 0.5))
 	if len(got) != 1 || !got[0][1].IsNull() {
 		t.Errorf("sum of all-NULL group = %v, want NULL", got)
@@ -180,13 +182,13 @@ func TestAggregateAllNullGroup(t *testing.T) {
 }
 
 func TestSurrogateKeyExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		lookup := data.NewMemoryRecordset("LKP", data.Schema{"K", "SK"}).MustLoad(data.Rows{
 			{data.NewInt(1), data.NewInt(1001)},
 			{data.NewInt(2), data.NewInt(1002)},
 		})
 		rows := data.Rows{{data.NewInt(2), data.NewFloat(7)}}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows,
+		got := runChain(t, p, data.Schema{"K", "V"}, rows,
 			map[string]data.Recordset{"LKP": lookup},
 			templates.SurrogateKey("K", "SK", "LKP"))
 		if len(got) != 1 {
@@ -221,13 +223,13 @@ func TestSurrogateKeyMissingKey(t *testing.T) {
 }
 
 func TestPKCheckGroupBased(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1), data.NewFloat(1)},
 			{data.NewInt(1), data.NewFloat(2)}, // duplicate key: both rejected
 			{data.NewInt(2), data.NewFloat(3)},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows, nil, templates.PKCheck(0.8, "K"))
+		got := runChain(t, p, data.Schema{"K", "V"}, rows, nil, templates.PKCheck(0.8, "K"))
 		if len(got) != 1 || got[0][0].Int() != 2 {
 			t.Errorf("group-based pkcheck = %v", got)
 		}
@@ -235,7 +237,7 @@ func TestPKCheckGroupBased(t *testing.T) {
 }
 
 func TestPKCheckLookupBased(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		existing := data.NewMemoryRecordset("DWK", data.Schema{"K"}).MustLoad(data.Rows{
 			{data.NewInt(1)},
 		})
@@ -243,7 +245,7 @@ func TestPKCheckLookupBased(t *testing.T) {
 			{data.NewInt(1), data.NewFloat(1)}, // already in DW: rejected
 			{data.NewInt(2), data.NewFloat(2)},
 		}
-		got := runChain(t, mode, data.Schema{"K", "V"}, rows,
+		got := runChain(t, p, data.Schema{"K", "V"}, rows,
 			map[string]data.Recordset{"DWK": existing},
 			templates.PKCheckAgainst("DWK", 0.8, "K"))
 		if len(got) != 1 || got[0][0].Int() != 2 {
@@ -253,11 +255,11 @@ func TestPKCheckLookupBased(t *testing.T) {
 }
 
 func TestDistinctExecution(t *testing.T) {
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		rows := data.Rows{
 			{data.NewInt(1)}, {data.NewInt(1)}, {data.NewInt(2)},
 		}
-		got := runChain(t, mode, data.Schema{"K"}, rows, nil, templates.Distinct(0.7))
+		got := runChain(t, p, data.Schema{"K"}, rows, nil, templates.Distinct(0.7))
 		if len(got) != 2 {
 			t.Errorf("distinct = %v", got)
 		}
@@ -265,7 +267,7 @@ func TestDistinctExecution(t *testing.T) {
 }
 
 // TestMergedExecution: the engine runs only what a plan can hold. Fig. 1
-// with $2€ and A2E folded into a MER package is refused at either mode,
+// with $2€ and A2E folded into a MER package is refused at P ∈ {1, 2},
 // plainly and under a checkpoint runner, with an error naming the package,
 // before a source is scanned, a target loaded or a staging directory made.
 func TestMergedExecution(t *testing.T) {
@@ -283,7 +285,7 @@ func TestMergedExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	label := mer.Graph.Node(mer.Dirty[0]).Label()
-	for _, mode := range []Mode{Materialized, Parallel} {
+	for _, p := range []int{1, 2} {
 		bindings := sc.Bind()
 		scans := 0
 		for _, name := range []string{"PARTS1", "PARTS2"} {
@@ -291,18 +293,18 @@ func TestMergedExecution(t *testing.T) {
 		}
 		target := data.NewMemoryRecordset("DW.PARTS", data.Schema{"PKEY", "SOURCE", "DATE", "ECOST"})
 		bindings["DW.PARTS"] = target
-		e := New(bindings, WithMode(mode), WithPartitions(2))
+		e := New(bindings, WithPartitions(p))
 		dir := filepath.Join(t.TempDir(), "stage")
 		for _, run := range []func(context.Context, *workflow.Graph) (*RunResult, error){e.Run, NewCheckpointRunner(e, dir).Run} {
 			if _, err := run(context.Background(), mer.Graph); err == nil || !strings.Contains(err.Error(), label) {
-				t.Errorf("mode %v: err = %v, want one naming the package %s", mode, err, label)
+				t.Errorf("P=%d: err = %v, want one naming the package %s", p, err, label)
 			}
 		}
 		if rows, _ := target.Scan(); scans != 0 || len(rows) != 0 {
-			t.Errorf("mode %v: refused runs scanned %d sources and loaded %d rows", mode, scans, len(rows))
+			t.Errorf("P=%d: refused runs scanned %d sources and loaded %d rows", p, scans, len(rows))
 		}
 		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("mode %v: refused checkpoint run left %s (stat: %v)", mode, dir, err)
+			t.Errorf("P=%d: refused checkpoint run left %s (stat: %v)", p, dir, err)
 		}
 	}
 }
@@ -326,7 +328,7 @@ flow a2 -> DW.T
 	rows := data.Rows{{data.NewInt(1 << 53), data.NewString("x")}, {data.NewInt(1<<53 + 1), data.NewString("x")}}
 	for _, p := range []int{1, 4} {
 		bind := map[string]data.Recordset{"SRC": data.NewMemoryRecordset("SRC", data.Schema{"ID", "V"}).MustLoad(rows)}
-		res, err := New(bind, WithMode(Parallel), WithPartitions(p)).Run(context.Background(), g)
+		res, err := New(bind, WithPartitions(p)).Run(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

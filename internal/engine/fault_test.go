@@ -24,30 +24,30 @@ func TestEngineTransientFaultsRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{Materialized, Parallel} {
+	for _, p := range []int{1, 4} {
 		plan := fault.NewPlan(1, 1.0)
 		var buf bytes.Buffer
 		j := obs.NewJournal(&buf, nil)
 		res, err := New(sc.Bind(),
-			WithMode(mode), WithPartitions(4), WithJournal(j),
+			WithPartitions(p), WithJournal(j),
 			WithFaultPlan(plan),
 			WithRetry(fault.Policy{MaxAttempts: 8, Seed: 1}),
 		).Run(context.Background(), sc.Graph)
 		if err != nil {
-			t.Fatalf("%s: run failed despite retries (%d faults fired): %v", mode, plan.Injected(), err)
+			t.Fatalf("P=%d: run failed despite retries (%d faults fired): %v", p, plan.Injected(), err)
 		}
 		if cerr := j.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
 		if plan.Injected() == 0 {
-			t.Fatalf("%s: rate-1 plan fired no faults", mode)
+			t.Fatalf("P=%d: rate-1 plan fired no faults", p)
 		}
 		if err := res.Targets["DW.PARTS"].SameMultiset(clean.Targets["DW.PARTS"]); err != nil {
-			t.Errorf("%s: recovered run differs from clean run: %v", mode, err)
+			t.Errorf("P=%d: recovered run differs from clean run: %v", p, err)
 		}
 		for id, want := range clean.NodeRows {
 			if got := res.NodeRows[id]; got != want {
-				t.Errorf("%s: node %d emitted %d rows, clean run %d", mode, id, got, want)
+				t.Errorf("P=%d: node %d emitted %d rows, clean run %d", p, id, got, want)
 			}
 		}
 		evs, err := obs.ReadJournal(bytes.NewReader(buf.Bytes()))
@@ -64,7 +64,7 @@ func TestEngineTransientFaultsRecover(t *testing.T) {
 			}
 		}
 		if faults == 0 || retries == 0 {
-			t.Errorf("%s: journal holds %d fault and %d retry events; want both > 0", mode, faults, retries)
+			t.Errorf("P=%d: journal holds %d fault and %d retry events; want both > 0", p, faults, retries)
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestEnginePermanentFaultTyped(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		before := runtime.NumGoroutine()
 		_, err := New(sc.Bind(),
-			WithMode(Parallel), WithPartitions(p),
+			WithPartitions(p),
 			WithFaultPlan(fault.NewPlan(7, 1.0, fault.WithKind(fault.Permanent))),
 			WithRetry(fault.Policy{MaxAttempts: 8, Seed: 7}),
 		).Run(context.Background(), sc.Graph)
@@ -150,7 +150,7 @@ func TestEngineZeroRatePlanInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := New(sc.Bind(),
-		WithMode(Parallel), WithPartitions(4),
+		WithPartitions(4),
 		WithFaultPlan(fault.NewPlan(11, 0)),
 		WithRetry(fault.Policy{MaxAttempts: 4, Seed: 11}),
 	).Run(context.Background(), sc.Graph)
@@ -193,7 +193,7 @@ func TestFusedStageRetriedAsAWhole(t *testing.T) {
 		plan := fault.NewPlan(9, 1.0, fault.WithSites(fault.SiteNodeStart, fault.SiteEmit))
 		var buf bytes.Buffer
 		j := obs.NewJournal(&buf, nil)
-		res, err := New(bindings, WithMode(Parallel), WithPartitions(p), WithJournal(j),
+		res, err := New(bindings, WithPartitions(p), WithJournal(j),
 			WithFaultPlan(plan), WithRetry(fault.Policy{MaxAttempts: 8, Seed: 9})).Run(context.Background(), g)
 		if err != nil {
 			t.Fatalf("P=%d: run failed despite retries (%d faults fired): %v", p, plan.Injected(), err)

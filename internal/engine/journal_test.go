@@ -15,7 +15,7 @@ import (
 
 // TestJournalDoesNotAffectExecution is the engine half of the
 // flight-recorder determinism guard: with the journal (and pprof
-// partition labels) attached, both modes at partition counts 1 and 8
+// partition labels) attached, the driver at partition counts 1 and 8
 // must load bit-identical target rows and report identical per-node row
 // counts.
 func TestJournalDoesNotAffectExecution(t *testing.T) {
@@ -25,8 +25,8 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 		opts []Option
 	}{
 		{"materialized", nil},
-		{"parallel-1", []Option{WithMode(Parallel), WithPartitions(1)}},
-		{"parallel-8", []Option{WithMode(Parallel), WithPartitions(8)}},
+		{"parallel-1", []Option{WithPartitions(1)}},
+		{"parallel-8", []Option{WithPartitions(8)}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -69,10 +69,10 @@ func TestJournalDoesNotAffectExecution(t *testing.T) {
 	}
 }
 
-// TestJournalEngineEvents checks the mode-specific event payloads of a
-// journaled run: materialized runs carry per-node events whose row counts
-// match the result, parallel runs additionally carry per-partition batch
-// events summing to the node totals plus exchange events for
+// TestJournalEngineEvents checks the event payloads of a journaled run:
+// a one-partition run carries per-node events whose row counts match the
+// result, a four-partition run per-partition batch events summing to the
+// node totals plus exchange events for
 // key-sensitive operators.
 func TestJournalEngineEvents(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
@@ -122,7 +122,7 @@ func TestJournalEngineEvents(t *testing.T) {
 		const parts = 4
 		var buf bytes.Buffer
 		j := obs.NewJournal(&buf, nil)
-		res, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(parts), WithJournal(j)).
+		res, err := New(sc.Bind(), WithPartitions(parts), WithJournal(j)).
 			Run(context.Background(), sc.Graph)
 		if err != nil {
 			t.Fatal(err)
@@ -262,8 +262,8 @@ func TestJournalCheckpointEvents(t *testing.T) {
 }
 
 // TestCheckpointRunIsObserved pins that checkpointing is a hook on the
-// node driver, not a second executor: a checkpointed run in either driver
-// mode journals its run boundaries and one node event per activity with
+// node driver, not a second executor: a checkpointed run at P ∈ {1, 4}
+// journals its run boundaries and one node event per activity with
 // the clean run's row counts, reports its elapsed time, and counts the
 // rows every node emitted.
 func TestCheckpointRunIsObserved(t *testing.T) {
@@ -277,7 +277,7 @@ func TestCheckpointRunIsObserved(t *testing.T) {
 		opts []Option
 	}{
 		{"materialized", nil},
-		{"parallel-4", []Option{WithMode(Parallel), WithPartitions(4)}},
+		{"parallel-4", []Option{WithPartitions(4)}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			var buf bytes.Buffer

@@ -207,19 +207,19 @@ func TestSeparatorCollision(t *testing.T) {
 	y := data.Record{data.NewString("a"), data.NewString("b\x1fs:c")}
 	schema := data.Schema{"K1", "K2"}
 	both, left, right := data.Rows{x, y}, data.Rows{x}, data.Rows{y}
-	bothModes(t, func(t *testing.T, mode Mode) {
+	bothModes(t, func(t *testing.T, p int) {
 		for _, c := range []struct {
 			name string
 			got  data.Rows
 			want int
 		}{
-			{"distinct", runChain(t, mode, schema, both, nil, templates.Distinct(1)), 2},
-			{"group pkcheck", runChain(t, mode, schema, both, nil, templates.PKCheck(1, "K1", "K2")), 2},
-			{"aggregate", runChain(t, mode, schema, both, nil,
+			{"distinct", runChain(t, p, schema, both, nil, templates.Distinct(1)), 2},
+			{"group pkcheck", runChain(t, p, schema, both, nil, templates.PKCheck(1, "K1", "K2")), 2},
+			{"aggregate", runChain(t, p, schema, both, nil,
 				templates.Aggregate([]string{"K1", "K2"}, workflow.AggCount, "", "N", 1)), 2},
-			{"diff", runBinary(t, mode, schema, schema, left, right, templates.Diff(1, "K1", "K2")), 1},
-			{"intersect", runBinary(t, mode, schema, schema, left, right, templates.Intersect(1, "K1", "K2")), 0},
-			{"join", runBinary(t, mode, schema, schema, left, right, templates.Join(1, "K1", "K2")), 0},
+			{"diff", runBinary(t, p, schema, schema, left, right, templates.Diff(1, "K1", "K2")), 1},
+			{"intersect", runBinary(t, p, schema, schema, left, right, templates.Intersect(1, "K1", "K2")), 0},
+			{"join", runBinary(t, p, schema, schema, left, right, templates.Join(1, "K1", "K2")), 0},
 		} {
 			if len(c.got) != c.want {
 				t.Errorf("%s: %d rows %v, want %d", c.name, len(c.got), c.got, c.want)

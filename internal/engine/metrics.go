@@ -66,16 +66,17 @@ func (e *Engine) keyNodes(g *workflow.Graph, p int) {
 }
 
 // recordRun exports a completed run's whole-run facts: the run counter and
-// latency by mode, and one drift event per activity with evidence — its
+// latency by partition count, and one drift event per activity with evidence — its
 // observed selectivity beside the modeled one, the empirical check of the
 // §5 cost model's central parameter, which the flight-recorder report ranks
 // activities by — but for the quiet ones, whose run journaled them.
-func (e *Engine) recordRun(g *workflow.Graph, res *RunResult, quiet map[workflow.NodeID]bool, modeName string) {
+func (e *Engine) recordRun(g *workflow.Graph, res *RunResult, quiet map[workflow.NodeID]bool, partitions int) {
 	if e.rec == nil {
 		return
 	}
-	e.metrics.Counter("engine_runs_total", "mode", modeName).Inc()
-	e.metrics.Histogram("engine_run_seconds", nil, "mode", modeName).Observe(res.Elapsed.Seconds())
+	p := strconv.Itoa(partitions)
+	e.metrics.Counter("engine_runs_total", "partitions", p).Inc()
+	e.metrics.Histogram("engine_run_seconds", nil, "partitions", p).Observe(res.Elapsed.Seconds())
 	for _, d := range cost.SelectivityDeltas(g, res.NodeRows) {
 		if !quiet[d.Node] {
 			e.rec.Emit(obs.DriftEvent(e.keys[d.Node], d.Observed, d.Modeled))

@@ -14,20 +14,20 @@ import (
 )
 
 // TestMetricsDoNotAffectExecution pins that attaching a registry changes
-// nothing about a run's results, in either mode.
+// nothing about a run's results, at P ∈ {1, 4}.
 func TestMetricsDoNotAffectExecution(t *testing.T) {
 	sc := templates.Fig1Scenario(120, 360)
-	for _, mode := range []struct {
+	for _, c := range []struct {
 		name string
-		mode Mode
-	}{{"materialized", Materialized}, {"parallel", Parallel}} {
-		t.Run(mode.name, func(t *testing.T) {
-			plain, err := New(sc.Bind(), WithMode(mode.mode)).Run(context.Background(), sc.Graph)
+		p    int
+	}{{"materialized", 1}, {"parallel", 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := New(sc.Bind(), WithPartitions(c.p)).Run(context.Background(), sc.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
 			reg := obs.NewRegistry()
-			instr, err := New(sc.Bind(), WithMode(mode.mode), WithMetrics(reg)).Run(context.Background(), sc.Graph)
+			instr, err := New(sc.Bind(), WithPartitions(c.p), WithMetrics(reg)).Run(context.Background(), sc.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,20 +42,19 @@ func TestMetricsDoNotAffectExecution(t *testing.T) {
 // run: the run counter, per-node emitted rows matching RunResult.NodeRows,
 // stage latencies, and the observed-vs-modeled selectivity gauges.
 func TestEngineMetricsSeries(t *testing.T) {
-	for _, mode := range []Mode{Materialized, Parallel} {
-		t.Run(mode.String(), func(t *testing.T) { testEngineMetricsSeries(t, mode) })
-	}
+	t.Run("materialized", func(t *testing.T) { testEngineMetricsSeries(t, 1) })
+	t.Run("parallel", func(t *testing.T) { testEngineMetricsSeries(t, 4) })
 }
 
-func testEngineMetricsSeries(t *testing.T, mode Mode) {
+func testEngineMetricsSeries(t *testing.T, p int) {
 	sc := templates.Fig1Scenario(120, 360)
 	reg := obs.NewRegistry()
-	res, err := New(sc.Bind(), WithMode(mode), WithPartitions(4), WithMetrics(reg)).Run(context.Background(), sc.Graph)
+	res, err := New(sc.Bind(), WithPartitions(p), WithMetrics(reg)).Run(context.Background(), sc.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if v, ok := snap.CounterValue(`engine_runs_total{mode="` + mode.String() + `"}`); !ok || v != 1 {
+	if v, ok := snap.CounterValue(fmt.Sprintf(`engine_runs_total{partitions="%d"}`, p)); !ok || v != 1 {
 		t.Fatalf("engine_runs_total = %d, %v; want 1", v, ok)
 	}
 	for id, want := range res.NodeRows {
@@ -132,7 +131,7 @@ func TestEveryActivityHasItsSpan(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, reg)
-	if _, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(4), WithJournal(j)).Run(context.Background(), sc.Graph); err != nil {
+	if _, err := New(sc.Bind(), WithPartitions(4), WithJournal(j)).Run(context.Background(), sc.Graph); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -154,7 +153,7 @@ func TestEveryActivityHasItsSpan(t *testing.T) {
 	var nodes []obs.SpanRecord
 	for _, sp := range obs.Spans(evs) {
 		switch {
-		case sp.Name == "engine/parallel":
+		case sp.Name == "engine/p4":
 			run = sp
 		case strings.HasPrefix(sp.Name, "node/"):
 			nodes = append(nodes, sp)

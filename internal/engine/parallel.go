@@ -22,9 +22,8 @@ import (
 // split across P partitions, order-preserving operators run partition by
 // partition with no coordination, and key-sensitive operators repartition
 // their input by key tuple first so that all rows that must meet share a
-// partition — unless the input already lies that way. Materialized mode is
-// P=1, where every exchange is the identity and every merge returns its
-// only input.
+// partition — unless the input already lies that way. At P=1 every
+// exchange is the identity and every merge returns its only input.
 //
 // Determinism is carried by sequence tags. Each partitioned row owns an
 // int64 tag with two invariants:
@@ -187,8 +186,7 @@ func applyMaskTagged(ps pslice, keep []bool) pslice {
 	return out
 }
 
-// partitionCount resolves Parallel mode's partition count; default is
-// runtime.GOMAXPROCS(0).
+// partitionCount resolves the partition count; 0 is runtime.GOMAXPROCS(0).
 func (e *Engine) partitionCount() int {
 	if e.partitions > 0 {
 		return e.partitions

@@ -20,16 +20,16 @@ import (
 
 // rowsIdentical reports bit-identity of two row slices by SameRun's rule:
 // same rows, same order, same typed values. This is deliberately stricter
-// than SameMultiset — Parallel mode promises the materialized row order,
+// than SameMultiset — any P promises the one-partition row order,
 // not just the multiset, and a resumed run the kinds a plain one has.
 func rowsIdentical(a, b data.Rows) bool {
 	run := func(rows data.Rows) *RunResult { return &RunResult{Targets: map[string]data.Rows{"": rows}} }
 	return SameRun(run(a), run(b)) == nil
 }
 
-// TestParallelMatchesMaterialized is the mode's core contract: for
+// TestParallelMatchesMaterialized is the driver's core contract: for
 // generated scenarios across all three size categories, every target is
-// byte-identical to the materialized run at P ∈ {1, 2, 4, 8}, and the
+// byte-identical to the one-partition run at P ∈ {1, 2, 4, 8}, and the
 // per-node row counts agree.
 func TestParallelMatchesMaterialized(t *testing.T) {
 	cats := []generator.Category{generator.Small, generator.Medium, generator.Large}
@@ -44,7 +44,7 @@ func TestParallelMatchesMaterialized(t *testing.T) {
 				t.Fatalf("cat %v seed %d materialized: %v", cat, seed, err)
 			}
 			for _, p := range []int{1, 2, 4, 8} {
-				par, err := New(sc.Bind(), WithMode(Parallel), WithPartitions(p)).Run(context.Background(), sc.Graph)
+				par, err := New(sc.Bind(), WithPartitions(p)).Run(context.Background(), sc.Graph)
 				if err != nil {
 					t.Fatalf("cat %v seed %d P=%d: %v", cat, seed, p, err)
 				}
@@ -61,7 +61,7 @@ func TestParallelMatchesMaterialized(t *testing.T) {
 // node and the partition index.
 func TestParallelCancelNamesPartition(t *testing.T) {
 	sc := templates.Fig1Scenario(40, 120)
-	e := New(sc.Bind(), WithMode(Parallel), WithPartitions(4))
+	e := New(sc.Bind(), WithPartitions(4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var id workflow.NodeID
@@ -106,7 +106,7 @@ func TestForEachPartitionFirstErrorWins(t *testing.T) {
 }
 
 // TestLookupsScannedOncePerRun verifies the run-scoped lookup cache in
-// every execution mode and under the checkpoint runner: however many
+// at P ∈ {1, 8} and under the checkpoint runner: however many
 // nodes, batches or partitions consult a surrogate-key lookup, its
 // recordset is scanned exactly once per run, and the engine value itself
 // stays reusable (a second run scans once more, not zero — the cache is
@@ -117,8 +117,8 @@ func TestLookupsScannedOncePerRun(t *testing.T) {
 		opts       []Option
 		checkpoint bool
 	}{
-		{name: "materialized", opts: []Option{WithMode(Materialized)}},
-		{name: "parallel", opts: []Option{WithMode(Parallel), WithPartitions(8)}},
+		{name: "materialized"},
+		{name: "parallel", opts: []Option{WithPartitions(8)}},
 		{name: "checkpoint", checkpoint: true},
 	}
 	for _, c := range cases {
@@ -157,16 +157,19 @@ func TestLookupsScannedOncePerRun(t *testing.T) {
 	}
 }
 
-// TestPartitionCount covers the default and the option.
+// TestPartitionCount covers the default (one partition) and the option
+// (a count; 0 or less is GOMAXPROCS).
 func TestPartitionCount(t *testing.T) {
-	if got := New(nil).partitionCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default partitionCount = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	if got := New(nil).partitionCount(); got != 1 {
+		t.Errorf("default partitionCount = %d, want 1", got)
 	}
 	if got := New(nil, WithPartitions(5)).partitionCount(); got != 5 {
 		t.Errorf("partitionCount = %d, want 5", got)
 	}
-	if got := New(nil, WithPartitions(0)).partitionCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("WithPartitions(0) should keep the default, got %d", got)
+	for _, n := range []int{0, -1} {
+		if got := New(nil, WithPartitions(n)).partitionCount(); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("WithPartitions(%d) = %d partitions, want GOMAXPROCS %d", n, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }
 
@@ -261,7 +264,7 @@ func TestKeyedExchanges(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		var buf bytes.Buffer
 		j := obs.NewJournal(&buf, nil)
-		res, err := New(bind(), WithMode(Parallel), WithPartitions(p), WithJournal(j)).Run(context.Background(), g)
+		res, err := New(bind(), WithPartitions(p), WithJournal(j)).Run(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -161,7 +161,7 @@ func TestSourcesScannedOnceAndOneAhead(t *testing.T) {
 		var res *RunResult
 		var err error
 		within(t, time.Minute, func() {
-			res, err = New(b, WithMode(Parallel), WithPartitions(p)).Run(context.Background(), g)
+			res, err = New(b, WithPartitions(p)).Run(context.Background(), g)
 		})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
@@ -243,7 +243,7 @@ func TestRetriedSourceKeepsItsHandOver(t *testing.T) {
 			plan := fault.NewPlan(3, 1.0, fault.WithSites(fault.SiteNodeStart, fault.SiteEmit))
 			var res *RunResult
 			within(t, time.Minute, func() {
-				res, err = New(b, WithMode(Parallel), WithPartitions(p), WithFaultPlan(plan),
+				res, err = New(b, WithPartitions(p), WithFaultPlan(plan),
 					WithRetry(fault.Policy{MaxAttempts: 8, Seed: 1})).Run(context.Background(), g)
 			})
 			if err != nil {
@@ -316,7 +316,7 @@ func TestCancelReachesTheReader(t *testing.T) {
 					cancel()
 					close(release)
 				}()
-				_, err = New(b, WithMode(Parallel), WithPartitions(p)).Run(ctx, g)
+				_, err = New(b, WithPartitions(p)).Run(ctx, g)
 			})
 			cancel()
 			if !errors.Is(err, context.Canceled) {

@@ -99,7 +99,7 @@ func checkFused(t *testing.T, label string, bind func() map[string]data.Recordse
 	ref := nodeByNode(t, New(bind()), g, p)
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, nil)
-	res, err := New(bind(), WithMode(Parallel), WithPartitions(p), WithJournal(j)).Run(context.Background(), g)
+	res, err := New(bind(), WithPartitions(p), WithJournal(j)).Run(context.Background(), g)
 	if err != nil {
 		t.Fatalf("%s P=%d: %v", label, p, err)
 	}
@@ -767,7 +767,7 @@ func TestCheckpointStagesAChainInItsLayout(t *testing.T) {
 		return b
 	}
 	for _, p := range []int{1, 8} {
-		opts := []Option{WithMode(Parallel), WithPartitions(p)}
+		opts := []Option{WithPartitions(p)}
 		none, once := 0, 1
 		want, err := New(bind(&none), opts...).Run(context.Background(), g)
 		if err != nil {

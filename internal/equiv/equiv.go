@@ -184,9 +184,9 @@ func setDiff(a, b map[string]bool) string {
 // execution failed, while ok=false with a diff means both ran and
 // disagreed.
 //
-// The second workflow is additionally executed in partition-parallel mode
-// (P=4) and held to the engine's stronger contract, engine.SameRun against
-// its own materialized run: bit-identical target rows — same order, same
+// The second workflow is additionally executed at P=4 and held to the
+// engine's stronger contract, engine.SameRun against its own one-partition
+// run: bit-identical target rows — same order, same
 // typed values — and the same per-node row counts. This
 // folds the parallel engine into every empirical equivalence check the
 // test suite performs.
@@ -214,10 +214,10 @@ func VerifyEmpirical(g1, g2 *workflow.Graph, bindings map[string]data.Recordset)
 				name, len(rows1), len(rows2), err), nil
 		}
 	}
-	ep := engine.New(bindings, engine.WithMode(engine.Parallel), engine.WithPartitions(4))
+	ep := engine.New(bindings, engine.WithPartitions(4))
 	rp, err := ep.Run(context.Background(), g2)
 	if err != nil {
-		return false, "", fmt.Errorf("equiv: running second workflow in parallel mode: %w", err)
+		return false, "", fmt.Errorf("equiv: running second workflow at P=4: %w", err)
 	}
 	if err := engine.SameRun(r2, rp); err != nil {
 		return false, fmt.Sprintf("parallel run not bit-identical to materialized: %v", err), nil

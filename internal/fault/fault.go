@@ -36,10 +36,10 @@ type Site string
 
 // The engine's injection sites.
 const (
-	// SiteNodeStart fires before a node's body runs (all modes).
+	// SiteNodeStart fires before a node's body runs.
 	SiteNodeStart Site = "node-start"
 	// SiteEmit fires after a node's output is computed but before it is
-	// committed — per partition in parallel mode, once in materialized.
+	// committed — once per partition.
 	SiteEmit Site = "emit"
 	// SiteExchange fires inside a repartition exchange, per partition.
 	SiteExchange Site = "exchange"

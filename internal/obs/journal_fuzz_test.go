@@ -18,7 +18,7 @@ import (
 func FuzzReadJournal(f *testing.F) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf, nil)
-	j.Emit(RunEvent("start", "engine/parallel"))
+	j.Emit(RunEvent("start", "engine/p4"))
 	j.Emit(NodeEvent("1:σ(COST>=100)", 120, 0.004))
 	j.Emit(BatchEvent("1:σ(COST>=100)", 3, 30))
 	j.Emit(ExchangeEvent("2:γ(PKEY)", 120))
@@ -27,7 +27,7 @@ func FuzzReadJournal(f *testing.F) {
 	j.Emit(RetryEvent("2:γ(PKEY)", 2, 0.001, "fault: injected transient fault at emit"))
 	j.Emit(CheckpointEvent("1:σ(COST>=100)", "restored", 120))
 	j.Emit(DriftEvent("1:σ(COST>=100)", 0.5, 0.45))
-	j.Emit(RunEvent("end", "engine/parallel"))
+	j.Emit(RunEvent("end", "engine/p4"))
 	if err := j.Close(); err != nil {
 		f.Fatalf("recording seed journal: %v", err)
 	}

@@ -78,7 +78,7 @@ func TestObservationsUnchanged(t *testing.T) {
 		}
 		res, err := share.RunSuite(context.Background(), wfs, share.Options{
 			Workers: 4, CacheBytes: -1,
-			Engine:  []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(2), engine.WithJournal(j)},
+			Engine:  []engine.Option{engine.WithPartitions(2), engine.WithJournal(j)},
 			Journal: j,
 		})
 		if err != nil {
@@ -137,7 +137,7 @@ func TestDerivedSeriesExactUnderDrops(t *testing.T) {
 		if _, err := core.Heuristic(ctx, medium.Graph, opts); err != nil {
 			t.Fatal(err)
 		}
-		eopts := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(4), engine.WithJournal(j)}
+		eopts := []engine.Option{engine.WithPartitions(4), engine.WithJournal(j)}
 		faulted := append(eopts[:len(eopts):len(eopts)], engine.WithFaultPlan(fault.NewPlan(7, 0.3)), engine.WithRetry(fault.Policy{MaxAttempts: 8, Seed: 7}))
 		if _, err := engine.New(medium.Bind(), faulted...).Run(ctx, medium.Graph); err != nil {
 			t.Fatal(err)
@@ -216,10 +216,7 @@ func observeEngine(t *testing.T, sc *templates.Scenario, seed int64, j *obs.Jour
 	t.Helper()
 	ctx := context.Background()
 	for _, p := range []int{1, 4} {
-		opts := []engine.Option{engine.WithMode(engine.Materialized), engine.WithJournal(j)}
-		if p > 1 {
-			opts = append(opts, engine.WithMode(engine.Parallel), engine.WithPartitions(p))
-		}
+		opts := []engine.Option{engine.WithPartitions(p), engine.WithJournal(j)}
 		opts = opts[:len(opts):len(opts)] // each run below appends its own options
 		plan := fault.NewPlan(seed, 0.3)
 		faulted := append(opts, engine.WithFaultPlan(plan), engine.WithRetry(fault.Policy{MaxAttempts: 8, Seed: seed}))

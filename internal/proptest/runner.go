@@ -18,8 +18,8 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// Cell is one run configuration of a single workflow: the node driver in
-// Parallel mode at P partitions, with or without a journal, under a seeded
+// Cell is one run configuration of a single workflow: the node driver at
+// P partitions, with or without a journal, under a seeded
 // transient fault plan with retry or not, and after a crash or not — a
 // checkpointed run killed by a permanent stage/start fault, then resumed
 // over its staging directory.
@@ -30,15 +30,15 @@ type Cell struct {
 
 // SuiteCell is one configuration of a shared suite run: W workers, a cache
 // budget (negative: unbounded), spill on or off, the engine at P
-// partitions (Parallel mode above 1), and a journal on or off.
+// partitions, and a journal on or off.
 type SuiteCell struct {
 	W, P           int
 	Budget         int64
 	Spill, Journal bool
 }
 
-// Reference is the run every cell is held to: sc alone, clean, in
-// Materialized mode. A solo cell is compared with its workflow's
+// Reference is the run every cell is held to: sc alone, clean, at one
+// partition. A solo cell is compared with its workflow's
 // reference, a suite cell's members each with their own.
 func Reference(sc *templates.Scenario) (*engine.RunResult, error) {
 	res, err := engine.New(sc.Bind()).Run(context.Background(), sc.Graph)
@@ -71,7 +71,7 @@ func CheckRuns(sc *templates.Scenario, seed int64, cells []Cell) error {
 
 func checkCell(sc *templates.Scenario, seed int64, ref *engine.RunResult, c Cell) error {
 	ctx := context.Background()
-	mode := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(c.P)}
+	parts := []engine.Option{engine.WithPartitions(c.P)}
 	retry := engine.WithRetry(fault.Policy{MaxAttempts: 8, Seed: seed})
 	stage, staged := "", 0 // the killed run's staging dir and what it left there
 	if c.Crash {
@@ -83,7 +83,7 @@ func checkCell(sc *templates.Scenario, seed int64, ref *engine.RunResult, c Cell
 		stage = dir
 		crash := fault.NewPlan(seed+2, 0.5, fault.WithKind(fault.Permanent),
 			fault.WithSites(fault.SiteStage, fault.SiteNodeStart))
-		cr := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(mode, engine.WithFaultPlan(crash), retry)...), dir)
+		cr := engine.NewCheckpointRunner(engine.New(sc.Bind(), append(parts, engine.WithFaultPlan(crash), retry)...), dir)
 		_, err = cr.Run(ctx, sc.Graph)
 		var inj *fault.Injected
 		switch fired := crash.Injected(); {
@@ -99,7 +99,7 @@ func checkCell(sc *templates.Scenario, seed int64, ref *engine.RunResult, c Cell
 		ids, _ := cr.Staged()
 		staged = len(ids)
 	}
-	opts := mode
+	opts := parts
 	var buf bytes.Buffer
 	var j *obs.Journal
 	if c.Journal {
@@ -201,10 +201,7 @@ func checkJournal(raw []byte, ref *engine.RunResult, injected, staged int) error
 // bytes than admission recorded), and a journal must be well-formed.
 // spillDir is where the cell spills, if it does.
 func CheckSuite(scs []*templates.Scenario, refs []*engine.RunResult, c SuiteCell, spillDir string) error {
-	opts := share.Options{Workers: c.W, CacheBytes: c.Budget}
-	if c.P > 1 {
-		opts.Engine = []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(c.P)}
-	}
+	opts := share.Options{Workers: c.W, CacheBytes: c.Budget, Engine: []engine.Option{engine.WithPartitions(c.P)}}
 	if c.Spill {
 		opts.SpillDir = spillDir
 	}

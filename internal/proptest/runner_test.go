@@ -117,8 +117,8 @@ func corpus200() []corpus {
 }
 
 // TestPartitionInvariance is the partition axis: every workflow at
-// P ∈ {1, 2, 8} in Parallel mode, with the journal on for every other
-// workflow, must be the same run as the clean Materialized one — the
+// P ∈ {1, 2, 8}, with the journal on for every other workflow, must be
+// the same run as the clean one-partition one — the
 // partition count is observationally invisible, row order included. Under
 // -race this also exercises the exchange and gather machinery.
 func TestPartitionInvariance(t *testing.T) {

@@ -29,7 +29,7 @@ func TestSuiteNodeSpansUnderTheirOwnRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf, reg)
-	eopts := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(2), engine.WithJournal(j)}
+	eopts := []engine.Option{engine.WithPartitions(2), engine.WithJournal(j)}
 	res, err := RunSuite(context.Background(), wfs, Options{Workers: 4, CacheBytes: -1, Engine: eopts})
 	if err != nil {
 		t.Fatal(err)

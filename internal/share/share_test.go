@@ -393,7 +393,7 @@ func TestSuiteLeavesNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(4)}
+	parallel := []engine.Option{engine.WithPartitions(4)}
 	for _, c := range []struct {
 		name  string
 		suite func(cancel context.CancelFunc) []Workflow
@@ -606,7 +606,7 @@ flow nn -> s -> OUTB`}, 3, 9, func(p *plan) string {
 			for _, parts := range []int{1, 4} {
 				for _, budget := range []int64{-1, 0} {
 					opts := Options{Workers: workers, CacheBytes: budget,
-						Engine: []engine.Option{engine.WithMode(engine.Parallel), engine.WithPartitions(parts)}}
+						Engine: []engine.Option{engine.WithPartitions(parts)}}
 					if budget == 0 {
 						opts.SpillDir = t.TempDir()
 					}

@@ -391,7 +391,7 @@ func Run(ctx context.Context, g *Graph, bindings map[string]Recordset, opts ...O
 func (s *settings) engineOptions() []engine.Option {
 	var eopts []engine.Option
 	if s.partitions > 0 {
-		eopts = append(eopts, engine.WithMode(engine.Parallel), engine.WithPartitions(s.partitions))
+		eopts = append(eopts, engine.WithPartitions(s.partitions))
 	}
 	if s.faultPlan != nil {
 		eopts = append(eopts, engine.WithFaultPlan(s.faultPlan))

@@ -85,7 +85,7 @@ func TestRunModesViaOptions(t *testing.T) {
 }
 
 // TestPartitionsImplyParallelMode pins the quickstart idiom: passing
-// WithPartitions alone selects Parallel mode.
+// WithPartitions alone runs that many partitions.
 func TestPartitionsImplyParallelMode(t *testing.T) {
 	ctx := context.Background()
 	g, err := etl.Parse(quickstartDSL)
@@ -105,11 +105,11 @@ func TestPartitionsImplyParallelMode(t *testing.T) {
 	}
 	for name, want := range base.Targets {
 		if err := want.SameMultiset(run.Targets[name]); err != nil {
-			t.Errorf("target %s differs from materialized: %v", name, err)
+			t.Errorf("target %s differs from the one-partition run: %v", name, err)
 		}
 	}
-	if v, ok := reg.Snapshot().CounterValue(`engine_runs_total{mode="parallel"}`); !ok || v != 1 {
-		t.Errorf("WithPartitions alone did not run parallel: runs=%d ok=%v", v, ok)
+	if v, ok := reg.Snapshot().CounterValue(`engine_runs_total{partitions="3"}`); !ok || v != 1 {
+		t.Errorf("WithPartitions(3) alone did not run three partitions: runs=%d ok=%v", v, ok)
 	}
 }
 
