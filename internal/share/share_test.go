@@ -641,3 +641,38 @@ func soloRunOf(t *testing.T, wf Workflow) *engine.RunResult {
 	}
 	return res
 }
+
+// TestSuiteTellsIntFromFloatConstants: σ((X+2)>X) and σ((X+2.0)>X) differ
+// at X = 2⁶⁰ — int addition is exact, the float sum rounds back to X — so
+// a suite must not serve one member's filter from the other's, in either
+// member order: each member loads what it loads alone.
+func TestSuiteTellsIntFromFloatConstants(t *testing.T) {
+	members := map[string]struct {
+		pred string
+		rows int
+	}{"int": {"(X+2)>X", 2}, "float": {"(X+2.0)>X", 1}}
+	for _, order := range [][]string{{"int", "float"}, {"float", "int"}} {
+		var wfs []Workflow
+		for _, name := range order {
+			g, err := dsl.Parse(fmt.Sprintf("recordset S source rows=2 schema=X\nactivity f filter pred=%q\nrecordset T%s target schema=X\nflow S -> f -> T%s\n",
+				members[name].pred, name, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := data.NewMemoryRecordset("S", data.Schema{"X"}).MustLoad(data.Rows{{data.NewInt(5)}, {data.NewInt(1 << 60)}})
+			wfs = append(wfs, Workflow{Name: name, Graph: g, Bindings: map[string]data.Recordset{"S": src}})
+		}
+		res, err := RunSuite(context.Background(), wfs, Options{Workers: 1, CacheBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wr := range res.Workflows {
+			if wr.Err != nil {
+				t.Fatalf("%v: %s: %v", order, wr.Name, wr.Err)
+			}
+			if got, want := len(wr.Result.Targets["T"+wr.Name]), members[wr.Name].rows; got != want {
+				t.Errorf("%v: %s loads %d rows, want %d as alone (%d shared stages)", order, wr.Name, got, want, res.Stats.Stages)
+			}
+		}
+	}
+}
