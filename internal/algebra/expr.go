@@ -55,12 +55,21 @@ func (c Const) Eval(data.Schema, data.Record) (data.Value, error) { return c.Val
 // Attrs implements Expr.
 func (c Const) Attrs(dst []string) []string { return dst }
 
-// String implements Expr.
+// String implements Expr. A float keeps a '.' or an exponent, so that its
+// text, read back (dsl.ParsePredicate), is a float and not the int that
+// prints alike: the text is the constant's identity in labels, suite
+// fingerprints and serialized workflows.
 func (c Const) String() string {
-	if c.Value.Kind() == data.KindString {
-		return "'" + c.Value.Str() + "'"
+	s := c.Value.String()
+	switch c.Value.Kind() {
+	case data.KindString:
+		return "'" + s + "'"
+	case data.KindFloat:
+		if !strings.ContainsAny(s, ".eIN") { // 1e+21, NaN and ±Inf keep theirs
+			return s + ".0"
+		}
 	}
-	return c.Value.String()
+	return s
 }
 
 // CmpOp enumerates comparison operators.

@@ -2,10 +2,14 @@ package dsl
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"etlopt/internal/algebra"
+	"etlopt/internal/data"
+	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
 )
 
@@ -76,4 +80,105 @@ func TestSerializeKeepsConstantKinds(t *testing.T) {
 			t.Errorf("%s: serialized as %s, read back as %s, want %s", pred, filterPreds(g)[0], got, want)
 		}
 	}
+}
+
+// filterGraph is S → σ(pred) → T over one column X.
+func filterGraph(t *testing.T, pred algebra.Expr) *workflow.Graph {
+	t.Helper()
+	g := workflow.NewGraph()
+	src := g.AddRecordset(&workflow.RecordsetRef{Name: "S", Schema: data.Schema{"X"}, Rows: 2, IsSource: true})
+	f := g.AddActivity(templates.Filter(pred, 0.5))
+	tgt := g.AddRecordset(&workflow.RecordsetRef{Name: "T", Schema: data.Schema{"X"}, IsTarget: true})
+	g.MustAddEdge(src, f)
+	g.MustAddEdge(f, tgt)
+	if err := g.RegenerateSchemata(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSerializeRefusesUnspellableConstants: a constant the predicate
+// language cannot spell back makes Serialize fail naming it, rather than
+// write a workflow that reads back as another.
+func TestSerializeRefusesUnspellableConstants(t *testing.T) {
+	for _, c := range []struct {
+		v    data.Value
+		want string
+	}{
+		{data.Null, "NULL"},
+		{data.NewDate(2005, 4, 5), "2005-04-05"},
+		{data.NewFloat(math.NaN()), "NaN"},
+		{data.NewFloat(math.Inf(-1)), "-Inf"},
+		{data.NewString("it's"), "'it's'"},
+	} {
+		pred := algebra.Cmp{Op: algebra.EQ, Left: algebra.Attr{Name: "X"}, Right: algebra.Const{Value: c.v}}
+		if _, err := Serialize(filterGraph(t, pred)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a refusal naming %s", pred, err, c.want)
+		}
+	}
+}
+
+// FuzzConstRoundTrip: over every kind a constant can hold, in the places a
+// constant stands in a predicate, the constant's text read back by
+// ParsePredicate — and the whole workflow by Parse(Serialize(g)) — gives
+// the same expression with the same kinds, or Serialize refuses it; and
+// it refuses only a constant whose text does not read back or would be
+// escaped in the file's quoted pred= field.
+func FuzzConstRoundTrip(f *testing.F) {
+	f.Add(uint8(data.KindInt), int64(2), 0.0, "")
+	f.Add(uint8(data.KindInt), int64(math.MinInt64), 0.0, "")
+	f.Add(uint8(data.KindFloat), int64(0), 2.0, "")
+	f.Add(uint8(data.KindFloat), int64(0), math.Copysign(0, -1), "")
+	f.Add(uint8(data.KindFloat), int64(0), 1e21, "")
+	f.Add(uint8(data.KindFloat), int64(0), -2.5e-300, "")
+	f.Add(uint8(data.KindFloat), int64(0), math.Inf(1), "")
+	f.Add(uint8(data.KindString), int64(0), 0.0, "a,b\n")
+	f.Add(uint8(data.KindString), int64(0), 0.0, "it's")
+	f.Add(uint8(data.KindBool), int64(1), 0.0, "")
+	f.Add(uint8(data.KindDate), int64(12877), 0.0, "")
+	f.Add(uint8(data.KindNull), int64(0), 0.0, "")
+	f.Fuzz(func(t *testing.T, kind uint8, i int64, fl float64, s string) {
+		var v data.Value
+		switch data.Kind(kind % 6) {
+		case data.KindNull:
+			v = data.Null
+		case data.KindInt:
+			v = data.NewInt(i)
+		case data.KindFloat:
+			v = data.NewFloat(fl)
+		case data.KindString:
+			v = data.NewString(s)
+		case data.KindBool:
+			v = data.NewBool(i&1 == 1)
+		case data.KindDate:
+			v = data.NewDateFromDays(i % 1_000_000)
+		}
+		c, x := algebra.Const{Value: v}, algebra.Attr{Name: "X"}
+		for _, pred := range []algebra.Expr{
+			algebra.Cmp{Op: algebra.GE, Left: x, Right: c},
+			algebra.Cmp{Op: algebra.LT, Left: c, Right: x},
+			algebra.Cmp{Op: algebra.GT, Left: algebra.Arith{Op: algebra.Sub, Left: x, Right: c}, Right: x},
+		} {
+			want, src := typed(pred), pred.String()
+			back, perr := ParsePredicate(src)
+			readsBack := perr == nil && typed(back) == want
+			text, err := Serialize(filterGraph(t, pred))
+			if err != nil {
+				if readsBack && strconv.Quote(src) == `"`+src+`"` {
+					t.Fatalf("Serialize refused %s, whose text reads back: %v", pred, err)
+				}
+				continue
+			}
+			if !readsBack {
+				t.Fatalf("%s reads back as %v (%v), want %s", pred, back, perr, want)
+			}
+			g, err := Parse(text)
+			if err != nil {
+				t.Fatalf("re-parse of\n%s: %v", text, err)
+			}
+			if got := typed(filterPreds(g)[0]); got != want {
+				t.Fatalf("workflow round trip of %s gives %s, want %s", pred, got, want)
+			}
+		}
+	})
 }

@@ -2,10 +2,12 @@ package dsl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"etlopt/internal/algebra"
 	"etlopt/internal/data"
 	"etlopt/internal/templates"
 	"etlopt/internal/workflow"
@@ -385,7 +387,16 @@ func serializeActivity(name string, a *workflow.Activity) (string, error) {
 	}
 	switch a.Sem.Op {
 	case workflow.OpFilter:
-		return fmt.Sprintf("activity %s filter pred=%q%s%s", name, a.Sem.Pred.String(), sel, req), nil
+		// The text must read back as this predicate: a constant the DSL
+		// cannot spell (NULL, a date, NaN, ±Inf, a string holding a quote)
+		// reads back as another expression or an attribute, or not at all,
+		// and one that %q escapes does not survive the quoted field.
+		text := a.Sem.Pred.String()
+		back, err := ParsePredicate(text)
+		if err != nil || back.String() != text || !slices.Equal(algebra.AttrSet(back), algebra.AttrSet(a.Sem.Pred)) || strconv.Quote(text) != `"`+text+`"` {
+			return "", fmt.Errorf("dsl: activity %s: predicate %s holds a constant the DSL does not read back", name, text)
+		}
+		return fmt.Sprintf("activity %s filter pred=%q%s%s", name, text, sel, req), nil
 	case workflow.OpNotNull:
 		return fmt.Sprintf("activity %s notnull attrs=%s%s%s", name, strings.Join(a.Sem.Attrs, ","), sel, req), nil
 	case workflow.OpPKCheck:

@@ -9,6 +9,7 @@ package templates
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"etlopt/internal/algebra"
@@ -222,11 +223,12 @@ func Intersect(sel float64, keys ...string) *workflow.Activity {
 
 // Threshold is a convenience for the recurring σ(attr >= limit) selection
 // (the paper's σ(€COST) check that only costs above a threshold reach the
-// warehouse).
+// warehouse). An integral limit is an int constant, as the DSL reads it
+// back.
 func Threshold(attr string, limit float64, sel float64) *workflow.Activity {
-	return Filter(algebra.Cmp{
-		Op:    algebra.GE,
-		Left:  algebra.Attr{Name: attr},
-		Right: algebra.Const{Value: data.NewFloat(limit)},
-	}, sel)
+	c := data.NewFloat(limit)
+	if limit == math.Trunc(limit) && math.Abs(limit) < 1<<53 {
+		c = data.NewInt(int64(limit))
+	}
+	return Filter(algebra.Cmp{Op: algebra.GE, Left: algebra.Attr{Name: attr}, Right: algebra.Const{Value: c}}, sel)
 }
