@@ -13,8 +13,8 @@
 // Usage:
 //
 //	etlrun -in workflow.etl -data ./data [-optimize hs|greedy|es] [-workers N]
-//	       [-partitions P] [-checkpoint ./stage] [-faults SEED:RATE] [-retries N] [-impact NODE]
-//	       [-journal run.jsonl] [-cpuprofile cpu.pprof]
+//	       [-partitions P] [-checkpoint ./stage] [-faults SEED:RATE] [-retries N]
+//	       [-impact NODE] [-journal run.jsonl] [-cpuprofile cpu.pprof]
 //
 // Passing several workflow files (positionally, or one via -in plus the
 // rest positionally) switches to suite mode: the workflows execute as one

@@ -387,13 +387,14 @@ func serializeActivity(name string, a *workflow.Activity) (string, error) {
 	}
 	switch a.Sem.Op {
 	case workflow.OpFilter:
-		// The text must read back as this predicate: a constant the DSL
-		// cannot spell (NULL, a date, NaN, ±Inf, a string holding a quote)
-		// reads back as another expression or an attribute, or not at all,
-		// and one that %q escapes does not survive the quoted field.
+		// The text must read back as this predicate. A constant the DSL
+		// cannot spell does not: NULL and NaN read back as attributes, a
+		// date as arithmetic, ±Inf and a string holding a quote not at all,
+		// and a character %q escapes does not survive the quoted field.
 		text := a.Sem.Pred.String()
 		back, err := ParsePredicate(text)
-		if err != nil || back.String() != text || !slices.Equal(algebra.AttrSet(back), algebra.AttrSet(a.Sem.Pred)) || strconv.Quote(text) != `"`+text+`"` {
+		if err != nil || back.String() != text || strconv.Quote(text) != `"`+text+`"` ||
+			!slices.Equal(algebra.AttrSet(back), algebra.AttrSet(a.Sem.Pred)) {
 			return "", fmt.Errorf("dsl: activity %s: predicate %s holds a constant the DSL does not read back", name, text)
 		}
 		return fmt.Sprintf("activity %s filter pred=%q%s%s", name, text, sel, req), nil

@@ -66,10 +66,11 @@ func (e *Engine) keyNodes(g *workflow.Graph, p int) {
 }
 
 // recordRun exports a completed run's whole-run facts: the run counter and
-// latency by partition count, and one drift event per activity with evidence — its
-// observed selectivity beside the modeled one, the empirical check of the
-// §5 cost model's central parameter, which the flight-recorder report ranks
-// activities by — but for the quiet ones, whose run journaled them.
+// latency by partition count, and one drift event per activity with
+// evidence — its observed selectivity beside the modeled one, the
+// empirical check of the §5 cost model's central parameter, which the
+// flight-recorder report ranks activities by — but for the quiet ones,
+// whose run journaled them.
 func (e *Engine) recordRun(g *workflow.Graph, res *RunResult, quiet map[workflow.NodeID]bool, partitions int) {
 	if e.rec == nil {
 		return
