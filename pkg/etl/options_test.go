@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"etlopt/internal/core"
@@ -110,6 +111,45 @@ func TestPartitionsImplyParallelMode(t *testing.T) {
 	}
 	if v, ok := reg.Snapshot().CounterValue(`engine_runs_total{partitions="3"}`); !ok || v != 1 {
 		t.Errorf("WithPartitions(3) alone did not run three partitions: runs=%d ok=%v", v, ok)
+	}
+}
+
+// TestPartitionsZeroIsGOMAXPROCS: WithPartitions(n <= 0) runs GOMAXPROCS
+// partitions, as engine.WithPartitions and etlrun -partitions 0 do, and no
+// option runs one. GOMAXPROCS is set to 3 so that it is not the default.
+func TestPartitionsZeroIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	g, err := etl.Parse(quickstartDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opts []etl.Option
+		want string
+	}{
+		{nil, "engine/p1"},
+		{[]etl.Option{etl.WithPartitions(0)}, "engine/p3"},
+		{[]etl.Option{etl.WithPartitions(-2)}, "engine/p3"},
+	} {
+		var buf bytes.Buffer
+		j := etl.NewJournal(&buf, nil)
+		_, err := etl.Run(context.Background(), g, buildBindings(), append(c.opts, etl.WithJournal(j))...)
+		if err := errors.Join(err, j.Close()); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := etl.ReadJournal(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs []string
+		for _, e := range evs {
+			if e.T == "run" {
+				runs = append(runs, e.Detail)
+			}
+		}
+		if len(runs) != 2 || runs[0] != c.want || runs[1] != c.want {
+			t.Errorf("%d options: run events %q, want start and end of %s", len(c.opts), runs, c.want)
+		}
 	}
 }
 
