@@ -223,8 +223,9 @@ func WithJournal(j *Journal) Option {
 // every recordset is split across n workers and merged deterministically,
 // so etl.Run(ctx, g, bindings, etl.WithPartitions(8)) is a complete
 // parallel run whose output is bit-identical to the default run, which
-// evaluates the graph stage by stage in one partition. n <= 0 keeps the
-// default. Run only — the search's parallelism is WithWorkers.
+// evaluates the graph stage by stage in one partition. n <= 0 runs
+// runtime.GOMAXPROCS(0) partitions. Run only — the search's parallelism is
+// WithWorkers.
 func WithPartitions(n int) Option {
 	return func(s *settings) { s.partitions = n }
 }
@@ -347,6 +348,7 @@ func newSettings(opts []Option) settings {
 	s := settings{
 		search:     core.Options{IncrementalCost: true},
 		algo:       HS,
+		partitions: 1,
 		cacheBytes: -1,
 	}
 	for _, o := range opts {
@@ -389,10 +391,7 @@ func Run(ctx context.Context, g *Graph, bindings map[string]Recordset, opts ...O
 // vocabulary — the single translation Run and RunSuite share (RunSuite
 // hands the journal to its engines itself).
 func (s *settings) engineOptions() []engine.Option {
-	var eopts []engine.Option
-	if s.partitions > 0 {
-		eopts = append(eopts, engine.WithPartitions(s.partitions))
-	}
+	eopts := []engine.Option{engine.WithPartitions(s.partitions)}
 	if s.faultPlan != nil {
 		eopts = append(eopts, engine.WithFaultPlan(s.faultPlan))
 	}
