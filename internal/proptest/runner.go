@@ -196,9 +196,10 @@ func checkJournal(raw []byte, ref *engine.RunResult, injected, staged int) error
 // CheckSuite runs the suite's members through share.RunSuite in cell c
 // and requires each to be the same run as its own reference, refs[i]
 // (engine.SameRun): the scheduler, cache, eviction and spill must be
-// observationally invisible. The suite's cache statistics must also hold
-// their invariants (hits never exceed lookups, eviction never frees more
-// bytes than admission recorded), and a journal must be well-formed.
+// observationally invisible. Each stage's producer must run once, the
+// suite's cache statistics must hold their invariants (hits never exceed
+// lookups, eviction never frees more bytes than admission recorded), and a
+// journal must be well-formed.
 // spillDir is where the cell spills, if it does.
 func CheckSuite(scs []*templates.Scenario, refs []*engine.RunResult, c SuiteCell, spillDir string) error {
 	opts := share.Options{Workers: c.W, CacheBytes: c.Budget, Engine: []engine.Option{engine.WithPartitions(c.P)}}
@@ -231,6 +232,8 @@ func CheckSuite(scs []*templates.Scenario, refs []*engine.RunResult, c SuiteCell
 	switch st := res.Stats; {
 	case st.Workflows != len(scs):
 		return fmt.Errorf("stats cover %d workflows, suite has %d", st.Workflows, len(scs))
+	case st.StageRuns != int64(st.Stages):
+		return fmt.Errorf("%d producer runs for %d stages, want one each", st.StageRuns, st.Stages)
 	case st.Cache.Hits > st.Cache.Lookups:
 		return fmt.Errorf("cache stats corrupt: %d hits exceed %d lookups", st.Cache.Hits, st.Cache.Lookups)
 	case st.Cache.EvictedBytes > st.Cache.AdmittedBytes:

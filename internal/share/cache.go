@@ -22,7 +22,7 @@ type CacheStats struct {
 	Spills     int64 `json:"spills"`
 	SpillLoads int64 `json:"spill_loads"`
 	// HitBytes is the recomputation saved: bytes served from the cache
-	// (memory, disk, or an in-flight computation) instead of recomputed.
+	// (memory, disk, or a spill write in progress) instead of recomputed.
 	HitBytes      int64 `json:"hit_bytes"`
 	AdmittedBytes int64 `json:"admitted_bytes"`
 	EvictedBytes  int64 `json:"evicted_bytes"`
@@ -31,22 +31,21 @@ type CacheStats struct {
 
 // slot is a stage's intermediate during one suite run. The producer run
 // fills it once and then closes done; the runner's mutex guards the rest.
-// A filled slot is resident (rows), spilled (path), dropped (neither) or
-// failed (err, pinned for the suite's lifetime: a deterministic fault plan
-// is never re-fired by recomputation).
+// A filled slot is resident (rows), spilled (path) or failed (err, pinned
+// for the suite's lifetime).
 type slot struct {
 	done  chan struct{}
 	rows  data.Rows
 	bytes int64
 	path  string
 	err   error
-	// readers counts the planned reads left, one per run that restores the
-	// stage: a member's run or a producer's first run. The last releases
-	// the rows and removes the spill file.
+	// readers counts the reads left, one per run that restores the stage: a
+	// member's run or a producer's. The last releases the rows and removes
+	// the spill file.
 	readers int
-	// flight is the spill load, recomputation or spill write in progress:
-	// readers that arrive wait on it instead of repeating it, and take the
-	// rows being written from memory.
+	// flight is the spill write or spill load in progress: readers that
+	// arrive wait on a load instead of repeating it, and take the rows being
+	// written from memory.
 	flight *flight
 }
 
@@ -61,16 +60,10 @@ func (r *runner) emit(action string, bytes int64) {
 	r.rec.Emit(obs.SharedCacheEvent(action, bytes))
 }
 
-// hitLocked books one hit serving the given bytes.
-func (r *runner) hitLocked(bytes int64) {
-	r.stats.Hits++
-	r.stats.HitBytes += bytes
-	r.emit("hit", bytes)
-}
-
 // produce fills st's slot by its producer run, a lookup, a miss and an
-// admission, and closes done. A stage one of whose dependencies failed
-// (err) does not run, and fails with that error.
+// admission, and closes done; rows admit sends to disk are spilled after
+// the close. A stage one of whose dependencies failed (err) does not run,
+// and fails with that error.
 func (r *runner) produce(ctx context.Context, st *stage, err error) {
 	r.mu.Lock()
 	r.stats.Lookups++
@@ -80,57 +73,42 @@ func (r *runner) produce(ctx context.Context, st *stage, err error) {
 	r.mu.Unlock()
 	f := &flight{done: st.done, err: err}
 	if err == nil {
-		_, f.rows, f.err = r.run(ctx, st.pw, st.need, st.id, true)
+		_, f.rows, f.err = r.run(ctx, st.pw, st.need, st.id)
+		f.bytes = rowsBytes(f.rows)
 	}
-	r.land(st, f)
-}
-
-// land books f's outcome for st and closes f.done: a failure (of a run or
-// of a spill load) is pinned, computed rows are admitted, and rows admit
-// evicts to a spill file are written after the close, while f serves them
-// to the readers that arrive.
-func (r *runner) land(st *stage, f *flight) {
-	if f.err != nil {
-		r.mu.Lock()
-		st.flight, st.err = nil, fmt.Errorf("share: stage %s: %w", st.key, f.err)
-		close(f.done)
-		r.mu.Unlock()
-	} else if r.admit(st, f) {
+	if r.admit(st, f) {
 		r.spill(st, f)
 	}
 }
 
-// admit books f's rows as st's intermediate and closes f.done. They stay
-// resident if they fit beside the resident stages (any budget < 0 fits);
-// otherwise they are evicted at once, and admit reports whether they are
-// to be spilled: with a spill directory, f stays st's flight until spill
-// ends. A resident stage is never evicted for a newcomer.
+// admit books f's outcome for st and closes f.done. A failure is pinned.
+// Rows stay resident if they fit beside the resident stages (any budget < 0
+// fits); otherwise admit reports that they are to be spilled, and f stays
+// st's flight until spill ends. A resident stage is never evicted for a
+// newcomer.
 func (r *runner) admit(st *stage, f *flight) bool {
-	f.bytes = rowsBytes(f.rows)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	defer close(f.done)
+	if f.err != nil {
+		st.err = fmt.Errorf("share: stage %s: %w", st.key, f.err)
+		return false
+	}
 	r.stats.Admissions++
 	r.stats.AdmittedBytes += f.bytes
 	r.emit("admit", f.bytes)
-	st.flight = nil
 	if budget := r.opts.CacheBytes; budget < 0 || r.used+f.bytes <= budget {
 		st.rows, st.bytes = f.rows, f.bytes
 		r.used += f.bytes
 		return false
 	}
-	r.stats.Evictions++
-	r.stats.EvictedBytes += f.bytes
-	r.emit("evict", f.bytes)
-	if r.spillDir != "" {
-		st.flight = f
-	}
-	return st.flight != nil
+	st.flight = f
+	return true
 }
 
-// spill writes f's rows to st's spill file and ends f. A failed write is
-// not fatal: the rows are dropped and later readers recompute them, which
-// is always correct. A file whose planned reads were all taken during the
+// spill writes f's rows to st's spill file and ends f: the stage is evicted
+// once its file is written. A failed write is not fatal: the rows stay
+// resident over the budget. A file whose reads were all taken during the
 // write is removed at once.
 func (r *runner) spill(st *stage, f *flight) {
 	path, err := writeSpill(r.spillDir, st.key, st.schema, f.rows)
@@ -138,23 +116,28 @@ func (r *runner) spill(st *stage, f *flight) {
 	st.flight = nil
 	if err == nil {
 		st.path = path
+		r.stats.Evictions++
+		r.stats.EvictedBytes += f.bytes
+		r.emit("evict", f.bytes)
 		r.stats.Spills++
 		r.stats.SpilledBytes += f.bytes
 		r.emit("spill", f.bytes)
+	} else {
+		st.rows, st.bytes = f.rows, f.bytes
+		r.used += f.bytes
 	}
 	release := r.releaseLocked(st)
 	r.mu.Unlock()
 	remove(release)
 }
 
-// read returns st's rows to a run that restores it, after done. Resident
-// rows, and rows being spilled, are a hit; a spill load is a hit and no
-// admission; anything else is recomputed by st's producer run, a miss and
-// then an admission, whose own restores are unplanned reads. A planned
-// read takes one of st's readers, an unplanned one none. Rows returned are
-// shared and must be treated as immutable — the same discipline every
-// Recordset.Scan already demands.
-func (r *runner) read(ctx context.Context, st *stage, planned bool) (data.Rows, error) {
+// read returns st's rows to a run that restores it, after done, and takes
+// one of st's readers: a hit and no admission, whether the rows are
+// resident, being spilled or loaded back. The first reader of a spilled
+// stage loads it on a flight that the others wait on, and a failed load is
+// pinned. Rows returned are shared and must be treated as immutable — the
+// same discipline every Recordset.Scan already demands.
+func (r *runner) read(st *stage) (data.Rows, error) {
 	release := ""
 	defer func() { remove(release) }()
 	r.mu.Lock()
@@ -167,30 +150,40 @@ func (r *runner) read(ctx context.Context, st *stage, planned bool) (data.Rows, 
 	f := st.flight
 	switch {
 	case st.rows != nil:
-		f = &flight{rows: st.rows}
-		r.hitLocked(st.bytes)
+		f = &flight{rows: st.rows, bytes: st.bytes}
 	case f == nil:
-		f = r.flyLocked(ctx, st)
+		f = &flight{done: make(chan struct{})}
+		st.flight = f
+		path := st.path
+		r.mu.Unlock()
+		f.rows, f.err = readSpill(path, st.schema)
+		f.bytes = rowsBytes(f.rows)
+		r.mu.Lock()
+		st.flight = nil
+		if f.err != nil {
+			st.err = fmt.Errorf("share: stage %s: %w", st.key, f.err)
+		} else {
+			r.stats.SpillLoads++
+		}
+		close(f.done)
 	default:
 		r.mu.Unlock()
 		<-f.done
 		r.mu.Lock()
-		if f.err == nil {
-			r.hitLocked(f.bytes)
-		}
 	}
 	if f.err != nil {
 		return nil, st.err
 	}
-	if planned {
-		st.readers--
-	}
+	r.stats.Hits++
+	r.stats.HitBytes += f.bytes
+	r.emit("hit", f.bytes)
+	st.readers--
 	release = r.releaseLocked(st)
 	return f.rows, nil
 }
 
 // releaseLocked releases st's rows and returns its spill file for remove,
-// once no planned read is left and no flight needs them; else "".
+// once no read is left and no flight needs them; else "".
 func (r *runner) releaseLocked(st *stage) (path string) {
 	if st.readers == 0 && st.flight == nil {
 		r.used -= st.bytes
@@ -205,34 +198,6 @@ func remove(path string) {
 	if path != "" {
 		_ = os.Remove(path)
 	}
-}
-
-// flyLocked loads st's spill file, or recomputes st, on a flight that
-// concurrent readers wait on, and pins its failure. It is called, and
-// returns, with the lock held.
-func (r *runner) flyLocked(ctx context.Context, st *stage) *flight {
-	f := &flight{done: make(chan struct{})}
-	st.flight = f
-	path := st.path
-	if path == "" {
-		r.stats.Misses++
-		r.emit("miss", 0)
-	}
-	r.mu.Unlock()
-	if path == "" {
-		_, f.rows, f.err = r.run(ctx, st.pw, st.need, st.id, false)
-	} else if f.rows, f.err = readSpill(path, st.schema); f.err == nil {
-		f.bytes = rowsBytes(f.rows)
-		r.mu.Lock()
-		st.flight = nil
-		r.stats.SpillLoads++
-		r.hitLocked(f.bytes)
-		close(f.done)
-		return f
-	}
-	r.land(st, f) // a recomputation's rows, or a failure
-	r.mu.Lock()
-	return f
 }
 
 // rowsBytes estimates the in-memory footprint of rows: slice headers plus

@@ -11,7 +11,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"etlopt/internal/data"
@@ -42,7 +41,7 @@ func TestRowsBytesEstimate(t *testing.T) {
 
 // slotRunner returns a runner over one stage of one int column per key,
 // each planned to be read by readers runs, at the budget, spilling into
-// spillDir ("": nothing spills).
+// spillDir.
 func slotRunner(budget int64, spillDir string, readers int, keys ...string) (*runner, []*stage) {
 	p := &plan{stages: make(map[uint64]*stage)}
 	var sts []*stage
@@ -54,51 +53,66 @@ func slotRunner(budget int64, spillDir string, readers int, keys ...string) (*ru
 	return newRunner(p, Options{CacheBytes: budget}, spillDir), sts
 }
 
+// fill admits rows as st's producer run does, and spills them if they do
+// not fit.
+func fill(r *runner, st *stage, rows data.Rows) {
+	f := &flight{done: st.done, rows: rows, bytes: rowsBytes(rows)}
+	if r.admit(st, f) {
+		r.spill(st, f)
+	}
+}
+
 // TestSlotAdmissionBoundary: a stage stays resident if it fits beside the
 // resident ones — 80 bytes hold two 40-byte stages, 79 hold one — and one
-// that does not fit is evicted as it is admitted: a resident stage is never
+// that does not fit is spilled as it is admitted: a resident stage is never
 // evicted for a newcomer.
 func TestSlotAdmissionBoundary(t *testing.T) {
 	for _, c := range []struct {
 		budget   int64
 		resident int
 	}{{80, 2}, {79, 1}} {
-		r, sts := slotRunner(c.budget, "", 1, "a", "b", "c")
+		r, sts := slotRunner(c.budget, t.TempDir(), 1, "a", "b", "c")
 		for _, st := range sts {
-			r.admit(st, &flight{done: st.done, rows: intRows(1)})
+			fill(r, st, intRows(1))
 		}
 		for i, st := range sts {
-			if got, want := st.rows != nil, i < c.resident; got != want {
-				t.Errorf("budget %d: stage %s resident %v, want %v", c.budget, st.key, got, want)
+			if got, want := st.rows != nil, i < c.resident; got != want || (st.path == "") != want {
+				t.Errorf("budget %d: stage %s resident %v, file %q; want resident %v, else spilled", c.budget, st.key, got, st.path, want)
 			}
 		}
 		evicted := int64(len(sts) - c.resident)
-		want := CacheStats{Admissions: 3, AdmittedBytes: 120, Evictions: evicted, EvictedBytes: 40 * evicted}
+		want := CacheStats{Admissions: 3, AdmittedBytes: 120, Evictions: evicted, EvictedBytes: 40 * evicted, Spills: evicted, SpilledBytes: 40 * evicted}
 		if r.stats != want || r.used != 40*int64(c.resident) {
 			t.Errorf("budget %d: stats %+v, %d bytes used; want %+v, %d", c.budget, r.stats, r.used, want, 40*c.resident)
 		}
 	}
 }
 
-// TestSlotBudgets: at budget 0 without spill every reader of the one stage
-// of codeSuite recomputes it, and an unbounded budget never evicts.
+// TestSlotBudgets: at budget 0 with no spill directory given, the one
+// stage of codeSuite is spilled under os.TempDir() and each member loads
+// it back, and the suite leaves nothing there; an unbounded budget never
+// evicts. Either way the stage's producer runs once.
 func TestSlotBudgets(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	for _, c := range []struct {
 		budget int64
-		runs   int64
 		want   CacheStats
 	}{
-		{0, 3, CacheStats{Lookups: 3, Misses: 3, Admissions: 3, Evictions: 3}},
-		{-1, 1, CacheStats{Lookups: 3, Hits: 2, Misses: 1, Admissions: 1}},
+		{0, CacheStats{Lookups: 3, Hits: 2, Misses: 1, Admissions: 1, Evictions: 1, Spills: 1, SpillLoads: 2}},
+		{-1, CacheStats{Lookups: 3, Hits: 2, Misses: 1, Admissions: 1}},
 	} {
 		res, err := RunSuite(context.Background(), codeSuite(t), Options{Workers: 1, CacheBytes: c.budget})
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := res.Stats
-		st.Cache.HitBytes, st.Cache.AdmittedBytes, st.Cache.EvictedBytes = 0, 0, 0
-		if st.StageRuns != c.runs || st.Cache != c.want {
-			t.Errorf("budget %d: %d stage runs, %+v; want %d, %+v", c.budget, st.StageRuns, st.Cache, c.runs, c.want)
+		st.Cache.HitBytes, st.Cache.AdmittedBytes, st.Cache.EvictedBytes, st.Cache.SpilledBytes = 0, 0, 0, 0
+		if st.StageRuns != 1 || st.Cache != c.want {
+			t.Errorf("budget %d: %d stage runs, %+v; want 1, %+v", c.budget, st.StageRuns, st.Cache, c.want)
+		}
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Errorf("budget %d: the suite left %d entries in TMPDIR, first %s", c.budget, len(left), left[0].Name())
 		}
 	}
 	scs, err := generator.SharedSuite(generator.Small, 3, 99)
@@ -120,14 +134,14 @@ func TestSlotBudgets(t *testing.T) {
 func TestSlotSpillLoadIsAHit(t *testing.T) {
 	r, sts := slotRunner(0, t.TempDir(), 2, "a")
 	st := sts[0]
-	r.land(st, &flight{done: st.done, rows: intRows(2)})
+	fill(r, st, intRows(2))
 	want := CacheStats{Admissions: 1, AdmittedBytes: 80, Evictions: 1, EvictedBytes: 80, Spills: 1, SpilledBytes: 80}
 	path := st.path
 	if r.stats != want || st.rows != nil || path == "" {
 		t.Fatalf("admitted: stats %+v, resident %v, file %q; want %+v, spilled", r.stats, st.rows != nil, path, want)
 	}
 	for i := int64(1); i <= 2; i++ {
-		rows, err := r.read(context.Background(), st, true)
+		rows, err := r.read(st)
 		if err != nil || len(rows) != 2 {
 			t.Fatalf("read %d: %d rows, %v", i, len(rows), err)
 		}
@@ -140,20 +154,19 @@ func TestSlotSpillLoadIsAHit(t *testing.T) {
 	}
 }
 
-// TestSlotReadDuringSpillWrite: a stage evicted to a spill directory is
-// readable once it is admitted. A reader that arrives before its file is
-// written takes the producer's rows from memory, a hit and no spill load.
-// A planned read left when the write ends loads the file and removes it;
-// with none left, the write removes the file it made.
+// TestSlotReadDuringSpillWrite: a stage over the budget is readable once
+// it is admitted, and evicted once its spill file is written. A reader that
+// arrives before then takes the producer's rows from memory, a hit and no
+// spill load. A read left when the write ends loads the file and removes
+// it; with none left, the write removes the file it made.
 func TestSlotReadDuringSpillWrite(t *testing.T) {
-	ctx := context.Background()
 	for _, during := range []int64{1, 2} {
 		dir := t.TempDir()
 		r, sts := slotRunner(0, dir, 2, "a")
 		st := sts[0]
-		f := &flight{done: st.done, rows: intRows(2)}
-		if !r.admit(st, f) { // as land admits it, before the write
-			t.Fatal("a stage over the budget is not spilled into the spill directory")
+		f := &flight{done: st.done, rows: intRows(2), bytes: 80}
+		if !r.admit(st, f) { // as produce admits it, before the write
+			t.Fatal("a stage over the budget is not to be spilled")
 		}
 		select {
 		case <-st.done:
@@ -161,23 +174,24 @@ func TestSlotReadDuringSpillWrite(t *testing.T) {
 			t.Fatal("the stage's done is still open when its write starts")
 		}
 		for range during {
-			if rows, err := r.read(ctx, st, true); err != nil || len(rows) != 2 || &rows[0] != &f.rows[0] {
+			if rows, err := r.read(st); err != nil || len(rows) != 2 || &rows[0] != &f.rows[0] {
 				t.Fatalf("read during the write: %d rows, %v; want the producer's 2", len(rows), err)
 			}
 		}
-		want := CacheStats{Lookups: during, Hits: during, HitBytes: 80 * during, Admissions: 1, AdmittedBytes: 80, Evictions: 1, EvictedBytes: 80}
+		want := CacheStats{Lookups: during, Hits: during, HitBytes: 80 * during, Admissions: 1, AdmittedBytes: 80}
 		if r.stats != want {
 			t.Errorf("%d reads during the write: stats %+v, want %+v", during, r.stats, want)
 		}
 		r.spill(st, f)
 		left, _ := os.ReadDir(dir)
-		if r.stats.Spills != 1 || len(left) != int(2-during) {
-			t.Errorf("%d reads during the write: %d spills, %d files left after it; want 1, %d", during, r.stats.Spills, len(left), 2-during)
+		if r.stats.Spills != 1 || r.stats.Evictions != 1 || len(left) != int(2-during) {
+			t.Errorf("%d reads during the write: %d spills, %d evictions, %d files left after it; want 1, 1, %d",
+				during, r.stats.Spills, r.stats.Evictions, len(left), 2-during)
 		}
 		if during == 2 {
 			continue
 		}
-		if rows, err := r.read(ctx, st, true); err != nil || len(rows) != 2 || r.stats.SpillLoads != 1 {
+		if rows, err := r.read(st); err != nil || len(rows) != 2 || r.stats.SpillLoads != 1 {
 			t.Errorf("read after the write: %d rows, %v, %d spill loads; want 2 rows from 1 load", len(rows), err, r.stats.SpillLoads)
 		}
 		if left, _ := os.ReadDir(dir); len(left) != 0 || st.path != "" {
@@ -186,19 +200,24 @@ func TestSlotReadDuringSpillWrite(t *testing.T) {
 	}
 }
 
-// TestSlotFailedSpillIsRecomputed: a spill write that fails drops the
-// stage. At one worker codeSuite's members start after the producer's
-// write, which fails in a spill directory that is not there, so each
-// recomputes the stage and loads what it loads alone.
-func TestSlotFailedSpillIsRecomputed(t *testing.T) {
+// TestSlotFailedSpillStaysResident: a spill write that fails leaves the
+// stage resident over the budget, not evicted. At one worker codeSuite's
+// members start after the producer's write, which fails in a spill
+// directory that is not there, so each reads the rows from memory and loads
+// what it loads alone, from the stage's one producer run.
+func TestSlotFailedSpillStaysResident(t *testing.T) {
 	ctx := context.Background()
 	p, err := newPlan(ctx, codeSuite(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := newRunner(p, Options{CacheBytes: 0}, filepath.Join(t.TempDir(), "absent")).suite(ctx, 1)
-	if st := res.Stats; st.StageRuns != 3 || st.Cache.Spills != 0 || st.Cache.SpillLoads != 0 || st.Cache.Misses != 3 {
-		t.Errorf("stats %+v: want the stage run 3 times, as 3 misses, and nothing spilled", st)
+	r := newRunner(p, Options{CacheBytes: 0}, filepath.Join(t.TempDir(), "absent"))
+	res := r.suite(ctx, 1)
+	if st := res.Stats; st.StageRuns != int64(st.Stages) || st.Cache.Spills != 0 || st.Cache.Evictions != 0 || st.Cache.Hits != 2 {
+		t.Errorf("stats %+v: want one producer run per stage, nothing spilled or evicted, and 2 hits", st)
+	}
+	if r.used != 0 {
+		t.Errorf("%d bytes still held after the last read", r.used)
 	}
 	for i, wf := range codeSuite(t) {
 		solo, err := engine.New(wf.Bindings).Run(ctx, wf.Graph)
@@ -213,47 +232,18 @@ func TestSlotFailedSpillIsRecomputed(t *testing.T) {
 	}
 }
 
-// TestSlotRecomputationTakesNoPlannedRead: in SharedSuite(Small, 3, 99) one
-// stage reads the other. At budget 0 without spill both are dropped as they
-// are admitted, so the second's producer recomputes the first (3 stage
-// runs); an unplanned read of the second recomputes both (5), and neither
-// read takes one of the readers the plan counted.
-func TestSlotRecomputationTakesNoPlannedRead(t *testing.T) {
-	scs, err := generator.SharedSuite(generator.Small, 3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := newPlan(context.Background(), suiteWorkflows(scs), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.order) != 2 || len(p.stages[p.order[1]].deps) != 1 {
-		t.Fatalf("want two stages, the second reading the first; plan %v", p.order)
-	}
-	first, second := p.stages[p.order[0]], p.stages[p.order[1]]
-	r := newRunner(p, Options{CacheBytes: 0}, "")
-	for _, st := range []*stage{first, second} {
-		r.produce(context.Background(), st, nil)
-	}
-	before := []int{first.readers, second.readers} // the first's producer read taken
-	if _, err := r.read(context.Background(), second, false); err != nil {
-		t.Fatal(err)
-	}
-	if after := []int{first.readers, second.readers}; !slices.Equal(before, after) || r.stageRuns.Load() != 5 {
-		t.Errorf("readers %v before an unplanned read, %v after; %d stage runs, want 5", before, after, r.stageRuns.Load())
-	}
-}
-
 // TestSuiteReleasesEverySlot: when a clean suite's runs are done, before
-// RunSuite removes its spill directory, every planned read has been taken,
-// every stage's rows released and every spill file removed — unbounded, at
-// budget 0 with spill and at 0 without, where a stage is recomputed for each
-// reader and recomputes the stage it reads.
+// RunSuite removes its spill directory, every read has been taken, every
+// stage's rows released and every spill file removed — unbounded, and at
+// budget 0 with a spill directory given and without, where the suite's
+// directory is made under os.TempDir(); that leaves nothing there.
 func TestSuiteReleasesEverySlot(t *testing.T) {
 	scs, err := generator.SharedSuite(generator.Small, 3, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	for _, c := range []struct {
 		budget int64
 		spill  bool
@@ -263,11 +253,15 @@ func TestSuiteReleasesEverySlot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dir := ""
+			opts := Options{CacheBytes: c.budget}
 			if c.spill {
-				dir = t.TempDir()
+				opts.SpillDir = t.TempDir()
 			}
-			r := newRunner(p, Options{CacheBytes: c.budget}, dir)
+			dir, err := makeSpillDir(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRunner(p, opts, dir)
 			res := r.suite(context.Background(), workers)
 			for _, wr := range res.Workflows {
 				if wr.Err != nil {
@@ -283,10 +277,19 @@ func TestSuiteReleasesEverySlot(t *testing.T) {
 			if r.used != 0 {
 				t.Errorf("budget %d spill %v W=%d: %d bytes still held", c.budget, c.spill, workers, r.used)
 			}
-			if left, _ := os.ReadDir(dir); c.spill && len(left) != 0 {
-				t.Errorf("budget 0 with spill W=%d: %d spill files left, first %s", workers, len(left), left[0].Name())
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("budget %d spill %v W=%d: %d spill files left, first %s", c.budget, c.spill, workers, len(left), left[0].Name())
+			}
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if st := r.stats; st.Spills == 0 != (c.budget < 0) || r.stageRuns.Load() != int64(len(p.stages)) {
+				t.Errorf("budget %d spill %v W=%d: %d spills, %d stage runs for %d stages", c.budget, c.spill, workers, st.Spills, r.stageRuns.Load(), len(p.stages))
 			}
 		}
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("%d entries left in TMPDIR, first %s", len(left), left[0].Name())
 	}
 }
 

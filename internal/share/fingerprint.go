@@ -9,8 +9,8 @@
 //
 // The headline invariant mirrors the engine's partition contract: every
 // workflow's targets and NodeRows are bit-identical to running it alone,
-// at any suite-worker count, cache budget (including 0, which forces the
-// eviction and recompute paths) and partition count.
+// at any suite-worker count, cache budget (including 0, which spills every
+// shared intermediate) and partition count.
 package share
 
 import (

@@ -3,6 +3,7 @@ package share
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -20,15 +21,15 @@ type Options struct {
 	// concurrently; 0 or less means GOMAXPROCS.
 	Workers int
 	// CacheBytes bounds the estimated bytes of shared intermediates held in
-	// memory (< 0: unbounded): a stage that does not fit is evicted as it is
-	// admitted, and each is released after its last planned read.
+	// memory (< 0: unbounded). A stage that does not fit is spilled to a
+	// typed row file as it is admitted, and each is released after its last
+	// read. The files go in a suite-* directory that RunSuite makes before
+	// any run and removes before it returns.
 	CacheBytes int64
-	// SpillDir, when non-empty, spills evicted intermediates to typed row
-	// files in a subdirectory of it that RunSuite removes before it returns,
-	// instead of dropping them. A directory that cannot be made spills nothing.
+	// SpillDir is where that directory is made ("": os.TempDir()).
 	SpillDir string
 	// Engine options are threaded unchanged into every producer and member
-	// run (mode, partitions, fault plan, retry, journal, metrics).
+	// run (partitions, fault plan, retry, journal, metrics).
 	Engine []engine.Option
 	// Journal receives shared-cache activity events (lookup/hit/miss/
 	// admit/evict/spill) and every producer and member run's events; the
@@ -54,8 +55,8 @@ type Stats struct {
 	// intermediates planned (each appears exactly once in the stage DAG).
 	Workflows int `json:"workflows"`
 	Stages    int `json:"stages"`
-	// StageRuns counts producer executions, including any recomputation
-	// forced by eviction; with an adequate budget it equals Stages.
+	// StageRuns counts producer executions: each stage's producer runs
+	// once, unless a stage it reads failed.
 	StageRuns int64 `json:"stage_runs"`
 	// NodesExecuted counts nodes run across every producer and member run
 	// (a restored stage node is not run); NodesIndependent is what
@@ -77,9 +78,15 @@ type Result struct {
 // and every workflow runs its own graph, restoring each shared intermediate
 // it reads from its slot and skipping what only feeds one. Targets and
 // NodeRows of each workflow are bit-identical to running it alone.
-// RunSuite returns an error only when planning fails; per-workflow
-// execution failures are isolated in the result.
+// RunSuite returns an error only when its spill directory cannot be made
+// or planning fails, and then runs nothing; per-workflow execution
+// failures are isolated in the result.
 func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error) {
+	spillDir, err := makeSpillDir(opts)
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(spillDir) // "" removes nothing
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -88,15 +95,24 @@ func RunSuite(ctx context.Context, wfs []Workflow, opts Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	// Spill files serve this run only, so they go with it (a file a failed or
-	// cancelled run left unread too); a directory of its own keeps a
-	// concurrent suite's safe.
-	spillDir := ""
-	if opts.SpillDir != "" && os.MkdirAll(opts.SpillDir, 0o755) == nil {
-		spillDir, _ = os.MkdirTemp(opts.SpillDir, "suite-*") // "" on failure: nothing spills, nothing to remove
-		defer os.RemoveAll(spillDir)
-	}
 	return newRunner(p, opts, spillDir).suite(ctx, workers), nil
+}
+
+// makeSpillDir makes the suite's own directory for a bounded budget's spill
+// files, which serve one run only ("" for an unbounded budget).
+func makeSpillDir(opts Options) (string, error) {
+	if opts.CacheBytes < 0 {
+		return "", nil
+	}
+	parent := cmp.Or(opts.SpillDir, os.TempDir())
+	err := os.MkdirAll(parent, 0o755)
+	if err == nil {
+		var dir string
+		if dir, err = os.MkdirTemp(parent, "suite-*"); err == nil {
+			return dir, nil
+		}
+	}
+	return "", fmt.Errorf("share: spill directory: %w", err)
 }
 
 // runner holds the mutable state of one suite execution.
@@ -119,8 +135,9 @@ type runner struct {
 	nodesRun  atomic.Int64
 }
 
-// newRunner returns the runner of p, spilling into spillDir ("": nothing
-// spills); every shared_cache_* series is registered from the start.
+// newRunner returns the runner of p, spilling into spillDir (made; "" only
+// when the budget is unbounded); every shared_cache_* series is registered
+// from the start.
 func newRunner(p *plan, opts Options, spillDir string) *runner {
 	opts.Engine = append([]engine.Option{engine.WithJournal(opts.Journal)}, opts.Engine...)
 	r := &runner{plan: p, opts: opts, spillDir: spillDir, sharedRows: make(map[uint64]int),
@@ -166,7 +183,7 @@ func (r *runner) suite(ctx context.Context, workers int) *Result {
 		start(pw.deps, func(err error) {
 			var run *engine.RunResult
 			if err == nil {
-				run, _, err = r.run(ctx, pw, pw.need, 0, true)
+				run, _, err = r.run(ctx, pw, pw.need, 0)
 			}
 			res.Workflows[i] = WorkflowResult{Name: wfName(pw.wf, i), Result: run, Err: err}
 		})
@@ -188,10 +205,9 @@ func (r *runner) suite(ctx context.Context, workers int) *Result {
 
 // run executes pw's graph over need, returning the output of keep (0:
 // none, a member's run; else a stage run), counts the nodes it executes and
-// publishes their rows by fingerprint. planned tells whether its restores
-// are planned reads: a member's run or a producer's first run.
-func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID, planned bool) (*engine.RunResult, data.Rows, error) {
-	sr := &suiteRun{ctx: ctx, r: r, pw: pw, need: need, keep: keep, planned: planned, rows: make(map[uint64]data.Rows)}
+// publishes their rows by fingerprint.
+func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) (*engine.RunResult, data.Rows, error) {
+	sr := &suiteRun{r: r, pw: pw, need: need, keep: keep, rows: make(map[uint64]data.Rows)}
 	res, err := engine.New(pw.wf.Bindings, r.opts.Engine...).RunWith(ctx, pw.wf.Graph, sr)
 	if err != nil {
 		return nil, nil, err
@@ -218,13 +234,11 @@ func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.No
 // rows the producers counted for its fingerprint, and only keep's output
 // is kept.
 type suiteRun struct {
-	ctx     context.Context
-	r       *runner
-	pw      *planWorkflow
-	need    map[workflow.NodeID]bool
-	keep    workflow.NodeID
-	planned bool
-	kept    data.Rows
+	r    *runner
+	pw   *planWorkflow
+	need map[workflow.NodeID]bool
+	keep workflow.NodeID
+	kept data.Rows
 	// rows holds what this run restored, by fingerprint: homologous twins
 	// take one read.
 	rows map[uint64]data.Rows
@@ -263,7 +277,7 @@ func (sr *suiteRun) Restore(id workflow.NodeID, _ data.Schema) (data.Rows, error
 	if rows, ok := sr.rows[fp]; ok {
 		return rows, nil
 	}
-	rows, err := sr.r.read(sr.ctx, sr.r.plan.stages[fp], sr.planned)
+	rows, err := sr.r.read(sr.r.plan.stages[fp])
 	if err == nil {
 		sr.rows[fp] = rows
 	}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -373,6 +375,39 @@ func TestCancelledSuiteLeavesNoSpillFiles(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Errorf("the cancelled suite left %d entries in its spill directory, first %s", len(left), left[0].Name())
+	}
+}
+
+// TestUnmakeableSpillDirRunsNothing: a bounded budget whose spill
+// directory cannot be made is refused before anything runs: RunSuite
+// returns an error naming it, no source is scanned and no target loaded.
+func TestUnmakeableSpillDirRunsNothing(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wfs := codeSuite(t)
+	var scanned []*cancelOnScan
+	for _, wf := range wfs {
+		for _, name := range []string{"SRC", "EXTRA"} {
+			c := &cancelOnScan{Recordset: wf.Bindings[name], cancel: func() {}}
+			wf.Bindings[name] = c
+			scanned = append(scanned, c)
+		}
+	}
+	res, err := RunSuite(context.Background(), wfs, Options{Workers: 1, CacheBytes: 0, SpillDir: filepath.Join(file, "spill")})
+	if err == nil || !strings.Contains(err.Error(), file) || res != nil {
+		t.Fatalf("RunSuite = %v, %v; want no result and an error naming %s", res, err, file)
+	}
+	for _, c := range scanned {
+		if n := c.scans.Load(); n != 0 {
+			t.Errorf("%s scanned %d times", c.Name(), n)
+		}
+	}
+	for _, wf := range wfs {
+		if rows, err := wf.Bindings["OUT"].Scan(); err != nil || len(rows) != 0 {
+			t.Errorf("%s: target holds %d rows, %v; want none loaded", wf.Name, len(rows), err)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@
 package share
 
 import (
-	"context"
 	"errors"
 	"io/fs"
 	"os"
@@ -22,7 +21,7 @@ func TestSlotConcurrentSpillLoadsShare(t *testing.T) {
 	const readers = 8
 	r, sts := slotRunner(0, t.TempDir(), readers, "a")
 	st := sts[0]
-	r.land(st, &flight{done: st.done, rows: intRows(3)})
+	fill(r, st, intRows(3))
 	path := st.path
 	content, err := os.ReadFile(path)
 	if err != nil {
@@ -39,7 +38,7 @@ func TestSlotConcurrentSpillLoadsShare(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if rows, err := r.read(context.Background(), st, true); err != nil || len(rows) != 3 {
+			if rows, err := r.read(st); err != nil || len(rows) != 3 {
 				t.Errorf("read %d rows, %v; want 3", len(rows), err)
 			}
 		}()
