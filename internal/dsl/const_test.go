@@ -118,6 +118,28 @@ func TestSerializeRefusesUnspellableConstants(t *testing.T) {
 	}
 }
 
+// TestStringConstantsRoundTrip: a filter whose string constants hold a
+// double quote, a backslash, a newline and a single quote is written by
+// Serialize and read back by Parse with every constant unchanged.
+func TestStringConstantsRoundTrip(t *testing.T) {
+	var pred algebra.Expr = algebra.Cmp{Op: algebra.NE, Left: algebra.Attr{Name: "X"}, Right: algebra.Const{Value: data.NewString("")}}
+	for _, s := range []string{`say "hi"`, `C:\tmp\`, "two\nlines", "it's", `'"\`} {
+		cmp := algebra.Cmp{Op: algebra.EQ, Left: algebra.Attr{Name: "X"}, Right: algebra.Const{Value: data.NewString(s)}}
+		pred = algebra.Logic{Op: algebra.Or, Left: pred, Right: cmp}
+	}
+	text, err := Serialize(filterGraph(t, pred))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Parse(text)
+	if err != nil {
+		t.Fatalf("re-parse of\n%s: %v", text, err)
+	}
+	if got, want := typed(filterPreds(g)[0]), typed(pred); got != want {
+		t.Errorf("read back as %s, want %s", got, want)
+	}
+}
+
 // FuzzConstRoundTrip: over every kind a constant can hold, in the places a
 // constant stands in a predicate, the constant's text read back by
 // ParsePredicate — and the whole workflow by Parse(Serialize(g)) — gives
