@@ -58,12 +58,13 @@ func (c Const) Attrs(dst []string) []string { return dst }
 // String implements Expr. A float keeps a '.' or an exponent, so that its
 // text, read back (dsl.ParsePredicate), is a float and not the int that
 // prints alike: the text is the constant's identity in labels, suite
-// fingerprints and serialized workflows.
+// fingerprints and serialized workflows. A string doubles each ' it holds,
+// which the predicate language reads back as one.
 func (c Const) String() string {
 	s := c.Value.String()
 	switch c.Value.Kind() {
 	case data.KindString:
-		return "'" + s + "'"
+		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 	case data.KindFloat:
 		if !strings.ContainsAny(s, ".eIN") { // 1e+21, NaN and ±Inf keep theirs
 			return s + ".0"

@@ -100,26 +100,29 @@ func Parse(src string) (*workflow.Graph, error) {
 }
 
 // splitFields tokenizes a line into whitespace-separated fields, keeping
-// double-quoted values (as in pred="A >= 1") intact.
+// double-quoted values (as in pred="A >= 1") intact. A quoted value is read
+// with Go's escapes (strconv.Unquote), so Serialize's %q spells any text.
 func splitFields(line string) ([]string, error) {
 	var out []string
 	var cur strings.Builder
-	inQuote := false
-	for _, c := range line {
-		switch {
-		case c == '"':
-			inQuote = !inQuote
-		case !inQuote && (c == ' ' || c == '\t'):
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; c {
+		case '"':
+			quoted, err := strconv.QuotedPrefix(line[i:])
+			if err != nil {
+				return nil, fmt.Errorf("unterminated quote or bad escape at %d", i)
+			}
+			text, _ := strconv.Unquote(quoted)
+			cur.WriteString(text)
+			i += len(quoted) - 1
+		case ' ', '\t':
 			if cur.Len() > 0 {
 				out = append(out, cur.String())
 				cur.Reset()
 			}
 		default:
-			cur.WriteRune(c)
+			cur.WriteByte(c)
 		}
-	}
-	if inQuote {
-		return nil, fmt.Errorf("unterminated quote")
 	}
 	if cur.Len() > 0 {
 		out = append(out, cur.String())
@@ -389,12 +392,10 @@ func serializeActivity(name string, a *workflow.Activity) (string, error) {
 	case workflow.OpFilter:
 		// The text must read back as this predicate. A constant the DSL
 		// cannot spell does not: NULL and NaN read back as attributes, a
-		// date as arithmetic, ±Inf and a string holding a quote not at all,
-		// and a character %q escapes does not survive the quoted field.
+		// date as arithmetic, ±Inf not at all.
 		text := a.Sem.Pred.String()
 		back, err := ParsePredicate(text)
-		if err != nil || back.String() != text || strconv.Quote(text) != `"`+text+`"` ||
-			!slices.Equal(algebra.AttrSet(back), algebra.AttrSet(a.Sem.Pred)) {
+		if err != nil || back.String() != text || !slices.Equal(algebra.AttrSet(back), algebra.AttrSet(a.Sem.Pred)) {
 			return "", fmt.Errorf("dsl: activity %s: predicate %s holds a constant the DSL does not read back", name, text)
 		}
 		return fmt.Sprintf("activity %s filter pred=%q%s%s", name, text, sel, req), nil

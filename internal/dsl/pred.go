@@ -70,16 +70,23 @@ func lexPredicate(src string) ([]tok, error) {
 		switch {
 		case unicode.IsSpace(c):
 			i++
-		case c == '\'':
+		case c == '\'': // '' inside a literal is one '
+			var lit strings.Builder
 			j := i + 1
-			for j < len(src) && src[j] != '\'' {
+			for {
+				k := strings.IndexByte(src[j:], '\'')
+				if k < 0 {
+					return nil, fmt.Errorf("dsl: unterminated string literal at %d", i)
+				}
+				lit.WriteString(src[j : j+k])
+				if j += k + 1; j == len(src) || src[j] != '\'' {
+					break
+				}
+				lit.WriteByte('\'')
 				j++
 			}
-			if j >= len(src) {
-				return nil, fmt.Errorf("dsl: unterminated string literal at %d", i)
-			}
-			toks = append(toks, tok{tokString, src[i+1 : j]})
-			i = j + 1
+			toks = append(toks, tok{tokString, lit.String()})
+			i = j
 		case unicode.IsDigit(c) || (c == '-' && i+1 < len(src) && unicode.IsDigit(rune(src[i+1])) && startsOperand(toks)):
 			j := i + 1
 			for j < len(src) && (unicode.IsDigit(rune(src[j])) || src[j] == '.') {
