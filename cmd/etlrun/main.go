@@ -84,8 +84,8 @@ func run() error {
 		retries    = flag.Int("retries", 6, "per-node attempt budget for retrying injected transient faults (with -faults)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile here; search workers and engine partitions are labeled")
 		suiteWork  = flag.Int("suite-workers", 0, "suite mode: concurrent shared stages and workflows (0 = GOMAXPROCS)")
-		sharedCap  = flag.Int64("shared-cache", -1, "suite mode: bytes of shared intermediates held in memory; a stage that does not fit is evicted as it is made (-1 = unbounded, 0 = none held)")
-		sharedSpil = flag.String("shared-spill", "", "suite mode: spill evicted shared intermediates to typed row files in this directory, each removed after its last reader and all when the run ends")
+		sharedCap  = flag.Int64("shared-cache", -1, "suite mode: bytes of shared intermediates held in memory; a stage that does not fit is spilled to disk as it is made (-1 = unbounded, 0 = none held)")
+		sharedSpil = flag.String("shared-spill", "", "suite mode: directory for the typed row files that stages over -shared-cache spill to (default: the system temporary directory), each removed after its last reader and all when the run ends")
 	)
 	flag.Parse()
 	// Every flag with a closed vocabulary is checked here, before the journal,

@@ -257,17 +257,16 @@ func WithSuiteWorkers(n int) Option {
 
 // WithSharedCache bounds, in estimated bytes, the shared intermediates
 // RunSuite holds in memory. The default is unbounded; a stage that does not
-// fit beside those held is evicted as it is made (0 holds none), and is
-// recomputed per reader — or reloaded from disk under WithSharedSpill. Each
-// is released after its last planned reader. Workflow outputs are
-// bit-identical at every budget. RunSuite only.
+// fit beside those held is spilled to a file as it is made (0 holds none)
+// and read back from it, so no stage is computed twice. Each is released
+// after its last reader. Workflow outputs are bit-identical at every
+// budget. RunSuite only.
 func WithSharedCache(bytes int64) Option {
 	return func(s *settings) { s.cacheBytes = bytes }
 }
 
-// WithSharedSpill spills evicted shared intermediates to files under dir
-// instead of dropping them, trading recomputation for disk reads when the
-// cache budget is tight. The files are typed row files, so a value read
+// WithSharedSpill puts the files of a bounded WithSharedCache under dir
+// instead of os.TempDir(). The files are typed row files, so a value read
 // back has the kind it was written with, and RunSuite removes them before
 // it returns; dir itself stays. RunSuite only.
 func WithSharedSpill(dir string) Option {
@@ -410,8 +409,9 @@ func (s *settings) engineOptions() []engine.Option {
 // NodeRows are bit-identical to an individual Run at any suite-worker
 // count, cache budget and partition count.
 //
-// RunSuite returns an error only when planning fails (an invalid graph or
-// an unbound source). Execution failures are isolated per workflow in the
+// RunSuite returns an error only when its spill directory cannot be made
+// or planning fails (an invalid graph or an unbound source), and then runs
+// nothing. Execution failures are isolated per workflow in the
 // result: a failing shared stage fails every workflow consuming it — each
 // with the same error — and no others.
 //
