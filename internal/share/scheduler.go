@@ -105,14 +105,14 @@ func makeSpillDir(opts Options) (string, error) {
 		return "", nil
 	}
 	parent := cmp.Or(opts.SpillDir, os.TempDir())
-	err := os.MkdirAll(parent, 0o755)
-	if err == nil {
-		var dir string
-		if dir, err = os.MkdirTemp(parent, "suite-*"); err == nil {
-			return dir, nil
-		}
+	if err := os.MkdirAll(parent, 0o755); err != nil {
+		return "", fmt.Errorf("share: spill directory: %w", err)
 	}
-	return "", fmt.Errorf("share: spill directory: %w", err)
+	dir, err := os.MkdirTemp(parent, "suite-*")
+	if err != nil {
+		return "", fmt.Errorf("share: spill directory: %w", err)
+	}
+	return dir, nil
 }
 
 // runner holds the mutable state of one suite execution.
