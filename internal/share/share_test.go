@@ -711,3 +711,63 @@ func TestSuiteTellsIntFromFloatConstants(t *testing.T) {
 		}
 	}
 }
+
+// TestSuiteSharesAnEmptyStage: a header-only record file scans as nil rows,
+// and DISTINCT and a PK check pass nil through, so a shared stage can hold
+// nil rows. It weighs 0 bytes and stays resident at every budget, with no
+// spill file: its readers are served the nil rows, and each member loads
+// what it loads alone.
+func TestSuiteSharesAnEmptyStage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "SRC.csv")
+	if err := data.WriteCSVFile(path, data.Schema{"K", "V"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	suite := func() []Workflow {
+		var wfs []Workflow
+		for i, rest := range []string{"activity f filter pred=\"V >= 1\"", "activity f filter pred=\"V >= 2\""} {
+			g, err := dsl.Parse(`
+recordset SRC source rows=0 schema=K,V
+activity d distinct
+activity pk pkcheck attrs=K
+` + rest + `
+recordset OUT target schema=K,V
+flow SRC -> d -> pk -> f -> OUT
+`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := data.NewFileRecordset("SRC", data.Schema{"K", "V"}, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wfs = append(wfs, Workflow{Name: fmt.Sprintf("m%d", i), Graph: g, Bindings: map[string]data.Recordset{"SRC": src}})
+		}
+		return wfs
+	}
+	var solos []*engine.RunResult
+	for _, wf := range suite() {
+		solos = append(solos, soloRunOf(t, wf))
+	}
+	for _, budget := range []int64{-1, 0} {
+		t.Setenv("TMPDIR", t.TempDir())
+		opts := Options{Workers: 1, CacheBytes: budget, Engine: []engine.Option{engine.WithPartitions(1)}}
+		res, err := RunSuite(context.Background(), suite(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.Stages == 0 || st.StageRuns != int64(st.Stages) || st.Cache.Spills != 0 {
+			t.Errorf("budget %d: stats %+v: want a shared stage, run once and never spilled", budget, st)
+		}
+		for i, wr := range res.Workflows {
+			if wr.Err != nil {
+				t.Fatalf("budget %d: %s: %v", budget, wr.Name, wr.Err)
+			}
+			if err := engine.SameRun(solos[i], wr.Result); err != nil {
+				t.Errorf("budget %d: %s differs from its solo run: %v", budget, wr.Name, err)
+			}
+		}
+		if left, _ := os.ReadDir(os.Getenv("TMPDIR")); len(left) != 0 {
+			t.Errorf("budget %d: the suite left %d entries in TMPDIR, first %s", budget, len(left), left[0].Name())
+		}
+	}
+}
