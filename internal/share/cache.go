@@ -135,8 +135,9 @@ func (r *runner) spill(st *stage, f *flight) {
 // one of st's readers: a hit and no admission, whether the rows are
 // resident, being spilled or loaded back. The first reader of a spilled
 // stage loads it on a flight that the others wait on, and a failed load is
-// pinned. Rows returned are shared and must be treated as immutable — the
-// same discipline every Recordset.Scan already demands.
+// pinned. A stage with neither flight nor file is resident, even if its
+// rows are nil. Rows returned are shared and must be treated as immutable —
+// the same discipline every Recordset.Scan already demands.
 func (r *runner) read(st *stage) (data.Rows, error) {
 	release := ""
 	defer func() { remove(release) }()
@@ -149,9 +150,13 @@ func (r *runner) read(st *stage) (data.Rows, error) {
 	r.emit("lookup", 0)
 	f := st.flight
 	switch {
-	case st.rows != nil:
+	case f != nil:
+		r.mu.Unlock()
+		<-f.done
+		r.mu.Lock()
+	case st.path == "":
 		f = &flight{rows: st.rows, bytes: st.bytes}
-	case f == nil:
+	default:
 		f = &flight{done: make(chan struct{})}
 		st.flight = f
 		path := st.path
@@ -166,10 +171,6 @@ func (r *runner) read(st *stage) (data.Rows, error) {
 			r.stats.SpillLoads++
 		}
 		close(f.done)
-	default:
-		r.mu.Unlock()
-		<-f.done
-		r.mu.Lock()
 	}
 	if f.err != nil {
 		return nil, st.err
