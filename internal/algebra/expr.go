@@ -369,6 +369,33 @@ func (c Call) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
 	if !ok {
 		return data.Null, fmt.Errorf("algebra: unknown function %q", c.Fn)
 	}
+	return c.apply(fn, schema, rec)
+}
+
+// Bind returns c with its function looked up once, for an evaluator that
+// runs it on many rows: its Eval takes neither the registry's lock nor a
+// name lookup. An unknown function is an error naming it.
+func (c Call) Bind() (Expr, error) {
+	fn, ok := LookupFunc(c.Fn)
+	if !ok {
+		return nil, fmt.Errorf("algebra: unknown function %q", c.Fn)
+	}
+	return boundCall{c, fn}, nil
+}
+
+// boundCall is a Call with its function looked up (Call.Bind).
+type boundCall struct {
+	Call
+	fn Func
+}
+
+// Eval implements Expr.
+func (b boundCall) Eval(schema data.Schema, rec data.Record) (data.Value, error) {
+	return b.apply(b.fn, schema, rec)
+}
+
+// apply evaluates the arguments on rec and applies fn to them.
+func (c Call) apply(fn Func, schema data.Schema, rec data.Record) (data.Value, error) {
 	args := make([]data.Value, len(c.Args))
 	for i, e := range c.Args {
 		v, err := e.Eval(schema, rec)

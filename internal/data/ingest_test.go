@@ -360,9 +360,9 @@ func mixedFixture(t *testing.T) (*data.FileRecordset, int) {
 
 // TestIngestAllocations states the ingest path's allocation ceilings
 // (ROADMAP item 3): classifying a field allocates nothing unless it is a
-// string that looks numeric, a scanned row costs its record — the text its
-// strings are cut from and the row slice are allocated once a file — and
-// re-laying a record out costs the new record.
+// string that looks numeric, and a scanned or re-laid row costs a share of
+// the chunk its record is cut from — the text its strings are cut from and
+// the row slice are allocated once a file.
 func TestIngestAllocations(t *testing.T) {
 	var sink data.Value
 	for _, s := range []string{"payload-12", "note 0a", "02/15/2004", "1234", "-7", "12.625", "2004-02-15", "NULL"} {
@@ -389,8 +389,8 @@ func TestIngestAllocations(t *testing.T) {
 			t.Errorf("fixture column %d parsed as %s, want %s", i, got, k)
 		}
 	}
-	if perRow > 1.1 {
-		t.Errorf("Scan allocates %.2f times per row, want at most 1.1", perRow)
+	if perRow > 0.1 {
+		t.Errorf("Scan allocates %.2f times per row, want at most 0.1", perRow)
 	}
 	// In bytes: the 7-value record (112), the line's share of the file's
 	// text (64) and one slot of a row slice sized once (24), not grown by
@@ -408,11 +408,10 @@ func TestIngestAllocations(t *testing.T) {
 	src := data.Schema{"A", "B", "C", "D"}
 	proj := data.NewProjection(src, data.Schema{"D", "Z", "A"})
 	rec := data.Record{data.NewInt(1), data.NewInt(2), data.NewInt(3), data.NewInt(4)}
-	var out data.Record
-	if n := testing.AllocsPerRun(100, func() { out = proj.Apply(rec) }); n != 1 {
-		t.Errorf("Projection.Apply allocates %v times, want 1", n)
+	var recs data.Chunks
+	if n := testing.AllocsPerRun(1000, func() { proj.Cut(&recs, rec) }); n != 0 {
+		t.Errorf("Projection.Cut allocates %v times a record, want 0 (one a chunk)", n)
 	}
-	_ = out
 }
 
 // The row slice is sized from the first record's length. A first line
@@ -641,10 +640,22 @@ func TestReadCSVFileJoinsItsParts(t *testing.T) {
 	wg.Wait()
 }
 
-// TestProjectionMatchesProject checks Projection.Apply against
-// Record.Project on random schema pairs, including attributes the source
-// lacks, attributes it repeats, and records shorter than their schema.
+// TestProjectionMatchesProject checks Projection.Cut against
+// project, a re-layout that looks each attribute up by name, on random
+// schema pairs, including attributes the source lacks, attributes it
+// repeats, and records shorter than their schema.
 func TestProjectionMatchesProject(t *testing.T) {
+	project := func(r data.Record, src, target data.Schema) data.Record {
+		out := make(data.Record, len(target))
+		for i, a := range target {
+			if j := src.Index(a); j >= 0 && j < len(r) {
+				out[i] = r[j]
+			} else {
+				out[i] = data.Null
+			}
+		}
+		return out
+	}
 	rng := rand.New(rand.NewSource(13))
 	names := []string{"A", "B", "C", "D", "E", "F"}
 	randSchema := func() data.Schema {
@@ -654,20 +665,21 @@ func TestProjectionMatchesProject(t *testing.T) {
 		}
 		return s
 	}
+	var recs data.Chunks
 	for i := 0; i < 5000; i++ {
 		src, target := randSchema(), randSchema()
 		rec := make(data.Record, rng.Intn(len(src)+2))
 		for j := range rec {
 			rec[j] = data.NewInt(int64(rng.Intn(100)))
 		}
-		want := rec.Project(src, target)
-		got := data.NewProjection(src, target).Apply(rec)
-		if len(got) != len(want) {
-			t.Fatalf("src %v target %v rec %v: Apply has %d values, Project %d", src, target, rec, len(got), len(want))
+		want := project(rec, src, target)
+		got := data.NewProjection(src, target).Cut(&recs, rec)
+		if len(got) != len(want) || cap(got) != len(want) {
+			t.Fatalf("src %v target %v rec %v: Cut has %d values (cap %d), project %d", src, target, rec, len(got), cap(got), len(want))
 		}
 		for j := range want {
 			if !sameValue(got[j], want[j]) {
-				t.Fatalf("src %v target %v rec %v: Apply = %v, Project = %v", src, target, rec, got, want)
+				t.Fatalf("src %v target %v rec %v: Cut = %v, project = %v", src, target, rec, got, want)
 			}
 		}
 	}

@@ -260,7 +260,7 @@ func TestRecordKeyMatchesReference(t *testing.T) {
 func TestKeyAllocations(t *testing.T) {
 	a := data.Record{data.NewString("ORD-2005-A-0042-000000123456"), data.NewInt(7), data.NewFloat(12.125),
 		data.Null, data.NewDate(2005, time.April, 5), data.NewString("note 0badcafe carrier=7 instructions=leave-at-door-000042")}
-	b := a.Clone()
+	b := slices.Clone(a)
 	pos := []int{5, 0, 2}
 	var h uint64
 	var eq bool

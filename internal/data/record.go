@@ -3,6 +3,7 @@ package data
 import (
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Schema is an ordered list of reference attribute names describing the
@@ -109,13 +110,6 @@ func (s Schema) String() string { return strings.Join(s, ",") }
 // so rows carry no per-row metadata.
 type Record []Value
 
-// Clone returns an independent copy of the record.
-func (r Record) Clone() Record {
-	c := make(Record, len(r))
-	copy(c, r)
-	return c
-}
-
 // Key returns a string naming the record's contents: per value a class
 // tag and the payload, numbers as the shortest rendering of Float(),
 // joined by "\x1f". Its classes are not the key classes (KeyEqual): it
@@ -160,6 +154,37 @@ func (r Record) Key() string {
 	return b.String()
 }
 
+// Chunks hands out records cut from []Value chunks of at most 32 KB, the
+// largest size class of Go's small objects: one allocation for many rows.
+// Each record has cap == len, so an append to one never reaches its
+// neighbour. A record pins its whole chunk, as a string pins its file's
+// text: what keeps a few rows of many for long copies them (Rows.Clone).
+type Chunks struct {
+	free []Value
+	left int // records still to come, when known; else whole chunks
+}
+
+// NewChunks returns Chunks for n records, the last chunk sized to fit.
+func NewChunks(n int) Chunks { return Chunks{left: n} }
+
+// Expect tells c that at most n more records are to come, what is free cut
+// first: the chunk for the last of them is sized to fit.
+func (c *Chunks) Expect(n int) { c.left = n }
+
+// Record returns a record of width NULLs.
+func (c *Chunks) Record(width int) Record {
+	if len(c.free) < width {
+		k := max(1, 32<<10/int(unsafe.Sizeof(Value{}))/width)
+		if c.left > 0 {
+			k = min(k, c.left)
+		}
+		c.free = make([]Value, k*width)
+	}
+	rec := c.free[:width:width]
+	c.free, c.left = c.free[width:], c.left-1
+	return rec
+}
+
 // String renders the record for diagnostics.
 func (r Record) String() string {
 	parts := make([]string, len(r))
@@ -169,25 +194,10 @@ func (r Record) String() string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Project builds a new record holding, for each attribute of target, the
-// value of the equally named attribute under src. Attributes missing from
-// src become NULL.
-func (r Record) Project(src, target Schema) Record {
-	out := make(Record, len(target))
-	for i, a := range target {
-		if j := src.Index(a); j >= 0 && j < len(r) {
-			out[i] = r[j]
-		} else {
-			out[i] = Null
-		}
-	}
-	return out
-}
-
-// Projection is Record.Project with the attribute names resolved once: for
-// each attribute of the target schema, the position of the equally named
-// attribute in the source schema, or -1. An operator that re-lays every
-// row of a node builds one Projection and applies it per row.
+// Projection re-lays records from a source schema to a target one: for
+// each attribute of the target, the position of the equally named
+// attribute in the source, or -1. An operator that re-lays every row of a
+// node resolves one Projection and applies it per row.
 type Projection []int
 
 // NewProjection resolves target's attributes against src.
@@ -199,35 +209,26 @@ func NewProjection(src, target Schema) Projection {
 	return p
 }
 
-// Apply builds the projected record; positions the source schema lacks, or
-// that lie beyond the end of a short record, become NULL.
-func (p Projection) Apply(r Record) Record {
-	out := make(Record, len(p))
-	p.ApplyInto(out, r)
-	return out
-}
-
-// ApplyInto is Apply into a caller-owned destination of len(p) values. It
-// writes every position, NULLs included, so dst may hold a previous row
-// (the engine's reused batch scratch); dst must not alias r.
-func (p Projection) ApplyInto(dst, r Record) {
+// Cut returns the projection of r, a record cut from c: NULL where the
+// source schema lacks the attribute or r is too short.
+func (p Projection) Cut(c *Chunks, r Record) Record {
+	rec := c.Record(len(p))
 	for i, j := range p {
 		if j >= 0 && j < len(r) {
-			dst[i] = r[j]
-		} else {
-			dst[i] = Null
+			rec[i] = r[j]
 		}
 	}
+	return rec
 }
 
 // Rows is a slice of records.
 type Rows []Record
 
-// Clone deep-copies the row set.
+// Clone deep-copies the row set into chunks of its own.
 func (rs Rows) Clone() Rows {
-	out := make(Rows, len(rs))
+	out, c := make(Rows, len(rs)), NewChunks(len(rs))
 	for i, r := range rs {
-		out[i] = r.Clone()
+		out[i] = append(c.Record(len(r))[:0], r...)
 	}
 	return out
 }

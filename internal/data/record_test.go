@@ -71,15 +71,16 @@ func TestSchemaCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestRecordProject(t *testing.T) {
+func TestProjectionCut(t *testing.T) {
 	src := Schema{"A", "B", "C"}
 	rec := Record{NewInt(1), NewInt(2), NewInt(3)}
-	got := rec.Project(src, Schema{"C", "A"})
-	if len(got) != 2 || !got[0].Equal(NewInt(3)) || !got[1].Equal(NewInt(1)) {
-		t.Errorf("Project = %v", got)
+	var c Chunks
+	got := NewProjection(src, Schema{"C", "A"}).Cut(&c, rec)
+	if len(got) != 2 || cap(got) != 2 || !got[0].Equal(NewInt(3)) || !got[1].Equal(NewInt(1)) {
+		t.Errorf("Cut = %v (cap %d)", got, cap(got))
 	}
 	// Missing attributes project to NULL.
-	got = rec.Project(src, Schema{"Z"})
+	got = NewProjection(src, Schema{"Z"}).Cut(&c, rec)
 	if !got[0].IsNull() {
 		t.Errorf("missing attribute should be NULL, got %v", got[0])
 	}

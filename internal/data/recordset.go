@@ -299,17 +299,17 @@ func readPlain(text string) (Schema, Rows, bool) {
 }
 
 // parsePlain parses part, whole lines of a plain text, into one record of n
-// values per non-blank line and returns how many of rows it filled, or -1
-// at a line that has not n fields.
+// values per non-blank line, cut from chunks, and returns how many of rows
+// it filled, or -1 at a line that has not n fields.
 func parsePlain(part string, n int, rows Rows) int {
-	w := 0
+	w, recs := 0, NewChunks(len(rows))
 	for part != "" {
 		line, rest, _ := strings.Cut(part, "\n")
 		part = rest
 		if line == "" {
 			continue // as encoding/csv skips it
 		}
-		rec := make(Record, n)
+		rec := recs.Record(n)
 		for f := 0; f < n-1; f++ {
 			i := strings.IndexByte(line, ',')
 			if i < 0 {
@@ -340,6 +340,7 @@ func readQuoted(text string) (Schema, Rows, error) {
 	}
 	r.ReuseRecord = true // after the header, whose slice is kept
 	var rows Rows
+	var recs Chunks // the count is not known: whole chunks
 	start := r.InputOffset()
 	for {
 		fields, err := r.Read()
@@ -354,7 +355,7 @@ func readQuoted(text string) (Schema, Rows, error) {
 			// short first line claims is bounded here and given back by the caller.
 			rows = make(Rows, 0, min((int64(len(text))-start)/(r.InputOffset()-start)+1, 1<<20))
 		}
-		rec := make(Record, len(fields))
+		rec := recs.Record(len(fields))
 		for i, s := range fields {
 			rec[i] = ParseValue(s)
 		}

@@ -144,7 +144,8 @@ func (d *rowDecoder) value() Value {
 // rows; a file that cannot be read is the *fs.PathError of the attempt.
 //
 // The file is read once, into one string, which the rows' strings are
-// slices of, as ReadCSVFile's are; the schema's names are copies.
+// slices of, as ReadCSVFile's are; the records are cut from chunks sized
+// to the row count, and the schema's names are copies.
 func ReadRowFile(path string) (Schema, Rows, error) {
 	text, err := readText(path)
 	if err != nil {
@@ -170,8 +171,9 @@ func ReadRowFile(path string) (Schema, Rows, error) {
 	}
 	// Rows of no columns, counted at a byte each, end as trailing bytes.
 	rows := make(Rows, d.count(max(len(schema), 1)))
+	recs := NewChunks(len(rows))
 	for r := 0; r < len(rows) && d.err == nil; r++ {
-		rec := make(Record, len(schema))
+		rec := recs.Record(len(schema))
 		for c := range rec {
 			rec[c] = d.value()
 		}

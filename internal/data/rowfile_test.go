@@ -331,7 +331,7 @@ func stringRows(n int, piece func(int) string) (data.Schema, data.Rows) {
 }
 
 // TestReadRowFileAllocations: a row file is decoded at one allocation a
-// row, its record, and a few a file: the text, the row slice, the schema
+// chunk of records and a few a file: the text, the row slice, the schema
 // and its names. Its strings are cut from the text, so a string column
 // costs no allocation a row (it cost one each before).
 func TestReadRowFileAllocations(t *testing.T) {
@@ -355,8 +355,11 @@ func TestReadRowFileAllocations(t *testing.T) {
 	if got.Digest() != rows.Digest() {
 		t.Fatal("the rows read are not the rows written")
 	}
-	if perFile := allocs - n; perFile > 16 {
-		t.Errorf("ReadRowFile of %d rows allocates %v times: %v beyond one a row, want at most 16", n, allocs, perFile)
+	// A chunk holds 32 KB of 16-byte values: 2048 / 3 records of three.
+	perChunk := 2048 / len(schema)
+	chunks := (n + perChunk - 1) / perChunk
+	if perFile := allocs - float64(chunks); perFile > 16 {
+		t.Errorf("ReadRowFile of %d rows allocates %v times: %v beyond one a chunk of %d, want at most 16", n, allocs, perFile, chunks)
 	}
 }
 

@@ -7,17 +7,15 @@ import (
 	"etlopt/internal/workflow"
 )
 
-// realign reorders row values from layout src to layout dst, building
-// every row anew and resolving the attribute names once for the whole
-// input; it is the identity when the layouts already match.
+// realign re-lays rows from layout src to layout dst, each cut anew from
+// chunks, the names resolved once; the identity when the layouts match.
 func realign(rows data.Rows, src, dst data.Schema) data.Rows {
 	if src.Equal(dst) {
 		return rows
 	}
-	proj := data.NewProjection(src, dst)
-	out := make(data.Rows, len(rows))
+	proj, out, recs := data.NewProjection(src, dst), make(data.Rows, len(rows)), data.NewChunks(len(rows))
 	for i, r := range rows {
-		out[i] = proj.Apply(r)
+		out[i] = proj.Cut(&recs, r)
 	}
 	return out
 }
@@ -89,11 +87,10 @@ func (e *Engine) execAggregate(a *workflow.Activity, in, out data.Schema, input 
 			st.fold(&r[aggPos], a.Sem.Agg)
 		}
 	}
-	res := make(data.Rows, len(t.groups))
+	res, recs := make(data.Rows, len(t.groups)), data.NewChunks(len(t.groups))
 	first := make([]int, len(t.groups))
 	for k, g := range t.groups {
-		first[k] = int(g.first)
-		res[k] = proj.Apply(rows[g.first])
+		first[k], res[k] = int(g.first), proj.Cut(&recs, rows[g.first])
 		res[k][outPos] = states[k].result(a.Sem.Agg)
 	}
 	return res, first, nil
@@ -136,38 +133,26 @@ func (st *aggState) result(fn workflow.AggKind) data.Value {
 	}
 }
 
-// joinLayout precomputes how one joined output record is assembled from a
-// left and a right record: for each output attribute, which side supplies
-// it and at what position (-1 means neither side has it — NULL).
-type joinLayout struct {
-	fromLeft []bool
-	pos      []int
-}
+// joinLayout assembles a joined output record: each attribute by name from
+// the left record, else from the right (right is -1 where the left has it),
+// else NULL.
+type joinLayout struct{ left, right data.Projection }
 
 func newJoinLayout(out, left, right data.Schema) joinLayout {
-	jl := joinLayout{fromLeft: make([]bool, len(out)), pos: make([]int, len(out))}
-	for i, attr := range out {
-		if p := left.Index(attr); p >= 0 {
-			jl.fromLeft[i] = true
-			jl.pos[i] = p
-		} else {
-			jl.pos[i] = right.Index(attr) // -1 when absent on both sides
+	jl := joinLayout{data.NewProjection(left, out), data.NewProjection(right, out)}
+	for i, p := range jl.left {
+		if p >= 0 {
+			jl.right[i] = -1
 		}
 	}
 	return jl
 }
 
-// row assembles one output record, preferring left values (the layout
-// already encoded the preference at construction).
-func (jl joinLayout) row(l, r data.Record) data.Record {
-	rec := make(data.Record, len(jl.pos))
-	for i, p := range jl.pos {
-		switch {
-		case p < 0:
-			rec[i] = data.Null
-		case jl.fromLeft[i]:
-			rec[i] = l[p]
-		default:
+// row assembles one output record, cut from c.
+func (jl joinLayout) row(c *data.Chunks, l, r data.Record) data.Record {
+	rec := jl.left.Cut(c, l)
+	for i, p := range jl.right {
+		if p >= 0 {
 			rec[i] = r[p]
 		}
 	}

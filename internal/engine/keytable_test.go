@@ -349,3 +349,50 @@ func TestKeyOperatorAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestOutputRecordsAreCutFromChunks: a join, an aggregate and a realign
+// cut their output records from chunks rather than allocating each: at
+// most 0.05 allocations per output row, the key table, match lists and
+// output slices included, and every record's cap its len.
+func TestOutputRecordsAreCutFromChunks(t *testing.T) {
+	const n = 10000
+	orders, customers := orderFixture(n)
+	in, dim := data.Schema{"ORDER_ID", "CUST", "AMOUNT"}, data.Schema{"CUST", "CUST_SK"}
+	e := New(nil).forRun()
+	op := func(a *workflow.Activity, ins []data.Schema, out data.Schema, inputs ...data.Rows) func() data.Rows {
+		node := &workflow.Node{Kind: workflow.KindActivity, Act: a, In: ins, Out: out}
+		var pds []*pdata
+		for i, rows := range inputs {
+			pds = append(pds, scatterRows(rows, 1, ins[i]))
+		}
+		return func() data.Rows {
+			pd, err := e.execParallelOp(context.Background(), 0, node, pds, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pd.parts[0].rows
+		}
+	}
+	for _, c := range []struct {
+		name string
+		run  func() data.Rows
+	}{
+		{"join", op(templates.Join(1, "CUST"), []data.Schema{in, dim}, data.Schema{"ORDER_ID", "CUST", "AMOUNT", "CUST_SK"}, orders, customers)},
+		{"aggregate", op(templates.Aggregate([]string{"CUST"}, workflow.AggSum, "AMOUNT", "TOTAL", 1), []data.Schema{in}, data.Schema{"CUST", "TOTAL"}, orders)},
+		{"realign", func() data.Rows { return realign(orders, in, data.Schema{"AMOUNT", "ORDER_ID"}) }},
+	} {
+		var out data.Rows
+		allocs := testing.AllocsPerRun(3, func() { out = c.run() })
+		if len(out) < 100 {
+			t.Fatalf("%s: %d output rows; the fixture no longer exercises it", c.name, len(out))
+		}
+		if per := allocs / float64(len(out)); per > 0.05 {
+			t.Errorf("%s: %.0f allocations for %d output rows, %.3f a row; ceiling 0.05", c.name, allocs, len(out), per)
+		}
+		for i, r := range out {
+			if cap(r) != len(r) {
+				t.Fatalf("%s: output row %d has cap %d, len %d", c.name, i, cap(r), len(r))
+			}
+		}
+	}
+}

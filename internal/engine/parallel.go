@@ -444,9 +444,9 @@ func (e *Engine) parJoin(ctx context.Context, id workflow.NodeID, n *workflow.No
 		if err != nil {
 			return err
 		}
-		out := pslice{rows: make(data.Rows, len(li)), seqs: make([]int64, len(li))}
+		out, recs := pslice{rows: make(data.Rows, len(li)), seqs: make([]int64, len(li))}, data.NewChunks(len(li))
 		for k := range li {
-			out.rows[k] = jl.row(lp.rows[li[k]], rp.rows[ri[k]])
+			out.rows[k] = jl.row(&recs, lp.rows[li[k]], rp.rows[ri[k]])
 			out.seqs[k] = lp.seqs[li[k]]
 		}
 		result.parts[q] = out

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -18,10 +19,10 @@ import (
 // batchRows rows is carried through every member's resolved kernel, each
 // row keeps one work record in a scratch slab the next batch overwrites —
 // members write its slots instead of copying it — and only a row that
-// survives the whole stage gets a record of its own, in the layout its
-// reader wants: the run-time counterpart of the paper's MER transition,
-// and the shared-cache execution trees of Liu (PAPERS.md), which cut a
-// dataflow at its blocking components.
+// survives the whole stage gets a record of its own, cut from the run's
+// chunks in the layout its reader wants: the run-time counterpart of the
+// paper's MER transition, and the shared-cache execution trees of Liu
+// (PAPERS.md), which cut a dataflow at its blocking components.
 
 // batchRows bounds a stage's live work records, whatever the input's size.
 const batchRows = 1024
@@ -141,7 +142,7 @@ func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out, work 
 				k.in[j] = attr
 			}
 		}
-		k.pred = bindAttrs(a.Sem.Pred, k.in)
+		k.pred = bindAttrs(a.Sem.Pred, k.in, &err)
 	case workflow.OpNotNull:
 		k.pos, err = keyPositions(in, a.Sem.Attrs)
 	case workflow.OpPKCheck:
@@ -176,34 +177,37 @@ func (e *Engine) resolveKernel(k rowKernel, a *workflow.Activity, in, out, work 
 }
 
 // bindAttrs returns pred with each attribute reference resolved to its
-// position in the layout in once, so that a row costs no name search.
-// Expressions of other kinds are kept as they are.
-func bindAttrs(pred algebra.Expr, in data.Schema) algebra.Expr {
+// position in the layout in, and each call to its function, once, so that
+// a row costs no name search; a function that is not registered is set in
+// err. Expressions of other kinds are kept as they are.
+func bindAttrs(pred algebra.Expr, in data.Schema, err *error) algebra.Expr {
 	switch e := pred.(type) {
 	case algebra.Attr:
 		return boundAttr{e, in.Index(e.Name)}
 	case algebra.Cmp:
-		e.Left, e.Right = bindAttrs(e.Left, in), bindAttrs(e.Right, in)
+		e.Left, e.Right = bindAttrs(e.Left, in, err), bindAttrs(e.Right, in, err)
 		return e
 	case algebra.Arith:
-		e.Left, e.Right = bindAttrs(e.Left, in), bindAttrs(e.Right, in)
+		e.Left, e.Right = bindAttrs(e.Left, in, err), bindAttrs(e.Right, in, err)
 		return e
 	case algebra.Logic:
-		e.Left, e.Right = bindAttrs(e.Left, in), bindAttrs(e.Right, in)
+		e.Left, e.Right = bindAttrs(e.Left, in, err), bindAttrs(e.Right, in, err)
 		return e
 	case algebra.Not:
-		e.Inner = bindAttrs(e.Inner, in)
+		e.Inner = bindAttrs(e.Inner, in, err)
 		return e
 	case algebra.IsNull:
-		e.Inner = bindAttrs(e.Inner, in)
+		e.Inner = bindAttrs(e.Inner, in, err)
 		return e
 	case algebra.Call:
 		args := make([]algebra.Expr, len(e.Args))
 		for i, arg := range e.Args {
-			args[i] = bindAttrs(arg, in)
+			args[i] = bindAttrs(arg, in, err)
 		}
 		e.Args = args
-		return e
+		bound, bindErr := e.Bind()
+		*err = cmp.Or(*err, bindErr)
+		return bound
 	}
 	return pred
 }
@@ -289,20 +293,21 @@ func (e *Engine) newRowChain(src, out data.Schema, nodes ...*workflow.Node) (*ro
 	return c, nil
 }
 
-// scratch is one partition's reusable batch state: the batch's current
-// records and tags, a filter's selection, the slab work records are cut
-// from, and a function's argument buffer. It lives for the run and grows to
-// the largest batch × work width a stage needs — never to batchRows for an
-// input that is smaller. Aliasing rule: nothing reachable from a stage's
-// output may point into a scratch; a chain's survivors are input records
-// (no writer), fused writers' records, or projections made as the batch
-// ends.
+// scratch is one partition's batch state: the batch's current records and
+// tags, a filter's selection, the slab work records are cut from, a
+// function's argument buffer, and the chunks output records are cut from.
+// It lives for the run; the slab grows to the largest batch × work width a
+// stage needs — never to batchRows for a smaller input. Aliasing rule:
+// nothing reachable from a stage's output may point into the reused slab;
+// a chain's survivors are input records (no writer), or fused writers'
+// records or end-of-batch projections, cut from the chunks, never reused.
 type scratch struct {
 	cur  data.Rows
 	seq  []int64
 	sel  []int32
 	vals []data.Value
 	args []data.Value
+	recs data.Chunks
 }
 
 // fit sizes the scratch for batches of up to n rows through c.
@@ -348,7 +353,7 @@ func (c *rowChain) runBatch(rows data.Rows, seqs []int64, out *pslice, sc *scrat
 	}
 	for i, r := range rows {
 		if c.outProj != nil {
-			r = c.outProj.Apply(r)
+			r = c.outProj.Cut(&sc.recs, r)
 		}
 		tail[i] = r
 	}
@@ -393,8 +398,7 @@ func (c *rowChain) step(k *rowKernel, src data.Rows, seqs []int64, tail data.Row
 			}
 			rec := r
 			if k.proj != nil {
-				rec = make(data.Record, len(k.proj))
-				k.proj.ApplyInto(rec, r)
+				rec = k.proj.Cut(&sc.recs, r)
 			} else if k.fresh {
 				o := i * c.work
 				rec = sc.vals[o : o+c.work : o+c.work]
@@ -470,6 +474,7 @@ func (e *Engine) execChain(ctx context.Context, id workflow.NodeID, n *workflow.
 		}
 		b := min(batchRows, len(ps.rows))
 		sc.fit(b, c)
+		sc.recs.Expect(len(ps.rows)) // at most one output record a row
 		for lo := 0; lo < len(ps.rows); lo += b {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("engine: run cancelled at node %d (%s) partition %d after %d rows: %w",

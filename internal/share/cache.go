@@ -21,6 +21,8 @@ type CacheStats struct {
 	Evictions  int64 `json:"evictions"`
 	Spills     int64 `json:"spills"`
 	SpillLoads int64 `json:"spill_loads"`
+	// SpillFailures counts failed spill writes: stages resident over budget.
+	SpillFailures int64 `json:"spill_failures"`
 	// HitBytes is the recomputation saved: bytes served from the cache
 	// (memory, disk, or a spill write in progress) instead of recomputed.
 	HitBytes      int64 `json:"hit_bytes"`
@@ -85,7 +87,8 @@ func (r *runner) produce(ctx context.Context, st *stage, err error) {
 // Rows stay resident if they fit beside the resident stages (any budget < 0
 // fits); otherwise admit reports that they are to be spilled, and f stays
 // st's flight until spill ends. A resident stage is never evicted for a
-// newcomer.
+// newcomer. Under a finite budget it is copied into chunks of its own, so
+// a record kept does not pin a chunk of its input the budget never charged.
 func (r *runner) admit(st *stage, f *flight) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -98,7 +101,9 @@ func (r *runner) admit(st *stage, f *flight) bool {
 	r.stats.AdmittedBytes += f.bytes
 	r.emit("admit", f.bytes)
 	if budget := r.opts.CacheBytes; budget < 0 || r.used+f.bytes <= budget {
-		st.rows, st.bytes = f.rows, f.bytes
+		if st.rows, st.bytes = f.rows, f.bytes; budget >= 0 {
+			st.rows = f.rows.Clone()
+		}
 		r.used += f.bytes
 		return false
 	}
@@ -123,6 +128,7 @@ func (r *runner) spill(st *stage, f *flight) {
 		r.stats.SpilledBytes += f.bytes
 		r.emit("spill", f.bytes)
 	} else {
+		r.stats.SpillFailures++
 		st.rows, st.bytes = f.rows, f.bytes
 		r.used += f.bytes
 	}

@@ -12,8 +12,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"etlopt/internal/data"
+	"etlopt/internal/dsl"
 	"etlopt/internal/engine"
 	"etlopt/internal/generator"
 )
@@ -204,7 +206,8 @@ func TestSlotReadDuringSpillWrite(t *testing.T) {
 // stage resident over the budget, not evicted. At one worker codeSuite's
 // members start after the producer's write, which fails in a spill
 // directory that is not there, so each reads the rows from memory and loads
-// what it loads alone, from the stage's one producer run.
+// what it loads alone, from the stage's one producer run. The failed write
+// is counted: a suite whose disk is full does not look like one that fit.
 func TestSlotFailedSpillStaysResident(t *testing.T) {
 	ctx := context.Background()
 	p, err := newPlan(ctx, codeSuite(t), 1)
@@ -213,8 +216,8 @@ func TestSlotFailedSpillStaysResident(t *testing.T) {
 	}
 	r := newRunner(p, Options{CacheBytes: 0}, filepath.Join(t.TempDir(), "absent"))
 	res := r.suite(ctx, 1)
-	if st := res.Stats; st.StageRuns != int64(st.Stages) || st.Cache.Spills != 0 || st.Cache.Evictions != 0 || st.Cache.Hits != 2 {
-		t.Errorf("stats %+v: want one producer run per stage, nothing spilled or evicted, and 2 hits", st)
+	if st := res.Stats; st.StageRuns != int64(st.Stages) || st.Cache.Spills != 0 || st.Cache.Evictions != 0 || st.Cache.Hits != 2 || st.Cache.SpillFailures != 1 {
+		t.Errorf("stats %+v: want one producer run per stage, nothing spilled or evicted, 2 hits and the one failed spill write counted", st)
 	}
 	if r.used != 0 {
 		t.Errorf("%d bytes still held after the last read", r.used)
@@ -228,6 +231,63 @@ func TestSlotFailedSpillStaysResident(t *testing.T) {
 			t.Errorf("%s: %v", wr.Name, wr.Err)
 		} else if err := engine.SameRun(solo, wr.Result); err != nil {
 			t.Errorf("%s: %v", wr.Name, err)
+		}
+	}
+}
+
+// TestResidentStageOwnsItsRecords: a stage admitted resident under a
+// finite budget is copied into chunks of its own. Made by a chain of
+// filters alone, a stage's rows are its source's records, so without the
+// copy a 1 %-selective chain would keep the source's whole chunk alive
+// behind a budget that charges a hundredth of it. Unbounded, nothing is
+// charged and nothing copied.
+func TestResidentStageOwnsItsRecords(t *testing.T) {
+	const n = 10000
+	schema := data.Schema{"K", "V"}
+	chunk := make([]data.Value, len(schema)*n) // the source's records, cut from one array
+	src := make(data.Rows, n)
+	for i := range src {
+		src[i] = chunk[2*i : 2*i+2 : 2*i+2]
+		src[i][0], src[i][1] = data.NewInt(int64(i)), data.NewInt(int64(i%100))
+	}
+	inChunk := func(r data.Record) bool {
+		lo, p := uintptr(unsafe.Pointer(&chunk[0])), uintptr(unsafe.Pointer(&r[0]))
+		return p >= lo && p < lo+uintptr(len(chunk))*unsafe.Sizeof(chunk[0])
+	}
+	var wfs []Workflow
+	for _, out := range []string{"OUTA", "OUTB"} {
+		g, err := dsl.Parse(fmt.Sprintf(`
+recordset SRC source rows=%d schema=K,V
+activity a filter pred="K >= 0"
+activity b filter pred="V < 1"
+recordset %s target schema=K,V
+flow SRC -> a -> b -> %s`, n, out, out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wfs = append(wfs, Workflow{Name: out, Graph: g, Bindings: map[string]data.Recordset{"SRC": data.NewMemoryRecordset("SRC", schema).MustLoad(src)}})
+	}
+	for _, c := range []struct {
+		budget int64
+		copied bool
+	}{{1 << 20, true}, {-1, false}} {
+		p, err := newPlan(context.Background(), wfs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.order) != 1 {
+			t.Fatalf("%d stages, want the filter chain's one", len(p.order))
+		}
+		st := p.stages[p.order[0]]
+		r := newRunner(p, Options{CacheBytes: c.budget}, t.TempDir())
+		r.produce(context.Background(), st, nil)
+		if len(st.rows) != n/100 || st.path != "" {
+			t.Fatalf("budget %d: %d rows resident, file %q; want %d resident", c.budget, len(st.rows), st.path, n/100)
+		}
+		for i, row := range st.rows {
+			if inChunk(row) == c.copied || cap(row) != len(row) {
+				t.Fatalf("budget %d: row %d in the source's chunk %v (cap %d); want %v with cap %d", c.budget, i, inChunk(row), cap(row), !c.copied, len(row))
+			}
 		}
 	}
 }
