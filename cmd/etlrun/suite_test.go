@@ -153,3 +153,57 @@ func TestCLISuiteTargetCollision(t *testing.T) {
 		t.Errorf("unexpected error output:\n%s", out)
 	}
 }
+
+// TestCLIRefusesFlagsItsModeIgnores: a single-workflow run refuses each
+// suite flag set on its command line, and a suite refuses -workers, which
+// only -optimize reads. Each refusal exits non-zero naming the flag before
+// a journal, a profile, a spill directory or a target file exists. A
+// suite honours -cpuprofile.
+func TestCLIRefusesFlagsItsModeIgnores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildTool(t)
+	dir := t.TempDir()
+	wf := setupFig1(t, dir)
+	before := dirContents(t, dir)
+	out := t.TempDir()
+	journal, profile, spill := filepath.Join(out, "run.jsonl"), filepath.Join(out, "cpu.pprof"), filepath.Join(out, "spill")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-in", wf, "-suite-workers", "3"}, "-suite-workers applies to suites, not single-workflow runs"},
+		{[]string{"-in", wf, "-shared-cache", "0"}, "-shared-cache applies to suites, not single-workflow runs"},
+		{[]string{"-in", wf, "-shared-cache", "-1"}, "-shared-cache applies to suites, not single-workflow runs"},
+		{[]string{"-in", wf, "-shared-spill", spill}, "-shared-spill applies to suites, not single-workflow runs"},
+		{[]string{"-workers", "2", wf, wf}, "-workers applies to single-workflow runs, not suites"},
+	} {
+		args := append([]string{"-data", dir, "-journal", journal, "-cpuprofile", profile}, c.args...)
+		got, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(got), c.want) {
+			t.Errorf("%v: err = %v, want a refusal naming %q:\n%s", c.args, err, c.want, got)
+		}
+		if left, _ := os.ReadDir(out); len(left) != 0 {
+			t.Errorf("%v: the refused run left %s", c.args, left[0].Name())
+		}
+	}
+	after := dirContents(t, dir)
+	if len(after) != len(before) {
+		t.Errorf("refused runs changed the data directory: %d files before, %d after", len(before), len(after))
+	}
+	for path, b := range before {
+		if after[path] != b {
+			t.Errorf("refused runs changed %s", path)
+		}
+	}
+
+	files, dataRoot := setupSharedSuite(t, t.TempDir(), 2)
+	profile = filepath.Join(t.TempDir(), "suite.pprof")
+	if got, err := exec.Command(bin, append([]string{"-data", dataRoot, "-cpuprofile", profile}, files...)...).CombinedOutput(); err != nil {
+		t.Fatalf("suite run: %v\n%s", err, got)
+	}
+	if st, err := os.Stat(profile); err != nil || st.Size() == 0 {
+		t.Errorf("the suite run wrote no CPU profile: %v", err)
+	}
+}
