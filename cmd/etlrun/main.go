@@ -27,8 +27,10 @@
 //	etlrun -data ./data [-suite-workers N] [-shared-cache BYTES]
 //	       [-shared-spill DIR] load1.etl load2.etl load3.etl
 //
-// Suite mode is execution-only: -optimize, -checkpoint, -impact,
-// -explain and -calibrate apply to single-workflow runs.
+// Suite mode is execution-only: -optimize, -workers, -checkpoint, -impact,
+// -explain and -calibrate apply to single-workflow runs, and a suite
+// refuses them; a single-workflow run refuses -suite-workers,
+// -shared-cache and -shared-spill.
 //
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
 // controls optimizer search parallelism (goroutines expanding the state
@@ -106,25 +108,29 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("missing workflow file (-in or positional)")
 	}
+	// A flag set on the command line that the mode does not read is
+	// refused. A slice, not a map: with two such flags set the error names
+	// the same one in every run.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ignored, mode := []string{"suite-workers", "shared-cache", "shared-spill"}, "suites, not single-workflow runs"
 	if len(files) > 1 {
-		// A slice, not a map: with two such flags set the error names the
-		// same one in every run.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-optimize", *optimize != ""}, {"-checkpoint", *checkpoint != ""},
-			{"-impact", *impact != ""},
-			{"-explain", *explain}, {"-calibrate", *calibrate},
-		} {
-			if f.set {
-				return fmt.Errorf("%s applies to single-workflow runs, not suites", f.name)
-			}
+		ignored = []string{"optimize", "workers", "checkpoint", "impact", "explain", "calibrate"}
+		mode = "single-workflow runs, not suites"
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s applies to %s", name, mode)
 		}
+	}
+	if *cpuProf != "" {
+		eopts = append(eopts, engine.WithPprofLabels())
+	}
+	if len(files) > 1 {
 		return runSuite(files, suiteFlags{
 			engine: eopts, dataDir: *dataDir,
 			workers: *suiteWork, cacheBytes: *sharedCap, spillDir: *sharedSpil,
-			journal: *journal,
+			journal: *journal, cpuProfile: *cpuProf,
 		})
 	}
 	*in = files[0]
@@ -155,22 +161,11 @@ func run() error {
 		// second Close is a no-op) so write errors are reported.
 		defer jnl.Close()
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "etlrun: closing cpu profile:", err)
-			}
-		}()
+	stopProfile, err := startCPUProfile(*cpuProf)
+	if err != nil {
+		return err
 	}
+	defer stopProfile()
 	if search != nil {
 		res, err := search(ctx, g, core.Options{
 			IncrementalCost: true, Workers: *workers, Journal: jnl, PprofLabels: *cpuProf != "",
@@ -188,11 +183,7 @@ func run() error {
 		return err
 	}
 
-	eopts = append(eopts, engine.WithJournal(jnl))
-	if *cpuProf != "" {
-		eopts = append(eopts, engine.WithPprofLabels())
-	}
-	e := engine.New(bindings, eopts...)
+	e := engine.New(bindings, append(eopts, engine.WithJournal(jnl))...)
 
 	var result *engine.RunResult
 	if *checkpoint != "" {
@@ -262,6 +253,28 @@ func run() error {
 // optimizers are the values -optimize accepts.
 var optimizers = map[string]func(context.Context, *workflow.Graph, core.Options) (*core.Result, error){
 	"es": core.Exhaustive, "hs": core.Heuristic, "greedy": core.HSGreedy,
+}
+
+// startCPUProfile starts a CPU profile written to path ("": none) and
+// returns what stops it.
+func startCPUProfile(path string) (stop func(), err error) {
+	if path == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "etlrun: closing cpu profile:", err)
+		}
+	}, nil
 }
 
 // engineOptions lowers -partitions, -faults and -retries to engine

@@ -18,12 +18,13 @@ import (
 
 // suiteFlags is the slice of the CLI configuration suite mode consumes.
 type suiteFlags struct {
-	engine     []engine.Option // of -partitions, -faults, -retries
+	engine     []engine.Option // of -partitions, -faults, -retries, -cpuprofile
 	dataDir    string
 	workers    int
 	cacheBytes int64
 	spillDir   string
 	journal    string
+	cpuProfile string
 }
 
 // runSuite executes several workflow files as one shared-work job.
@@ -40,6 +41,11 @@ func runSuite(files []string, f suiteFlags) error {
 		}
 		defer jnl.Close()
 	}
+	stopProfile, err := startCPUProfile(f.cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 
 	wfs := make([]share.Workflow, 0, len(files))
 	targetPaths := map[string]string{}
@@ -98,6 +104,7 @@ func runSuite(files []string, f suiteFlags) error {
 	fmt.Printf("  cache: %d lookups, %d hits, %d misses, %d evictions, %d spills; %d bytes of recomputation saved\n",
 		st.Cache.Lookups, st.Cache.Hits, st.Cache.Misses,
 		st.Cache.Evictions, st.Cache.Spills, st.Cache.HitBytes)
+	fmt.Printf("  spill: %d loads, %d failed writes\n", st.Cache.SpillLoads, st.Cache.SpillFailures)
 
 	if jnl != nil {
 		if err := jnl.Close(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -57,46 +58,55 @@ func setupSharedSuite(t *testing.T, dir string, n int) ([]string, string) {
 
 // TestCLISuiteMatchesSoloRuns runs two shared-prefix workflows through
 // suite mode and each one individually, and requires the target CSVs to be
-// byte-identical.
+// byte-identical: with a budget that holds the shared stages, and with
+// none, where every stage is spilled and, one run at a time, each reader
+// loads it back, as the summary counts.
 func TestCLISuiteMatchesSoloRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildTool(t)
-	suiteDir := t.TempDir()
-	soloDir := t.TempDir()
-	files, dataRoot := setupSharedSuite(t, suiteDir, 2)
-	soloFiles, soloData := setupSharedSuite(t, soloDir, 2)
-
-	args := append([]string{"-data", dataRoot, "-shared-cache", "1048576", "-suite-workers", "2"}, files...)
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("suite run: %v\n%s", err, out)
-	}
-	for _, want := range []string{"suite: 2 workflows", "shared stages", "recomputation saved"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("suite output missing %q:\n%s", want, out)
-		}
-	}
-
+	soloFiles, soloData := setupSharedSuite(t, t.TempDir(), 2)
 	for i, wf := range soloFiles {
 		sub := filepath.Join(soloData, fmt.Sprintf("shared-%02d", i+1))
 		if out, err := exec.Command(bin, "-in", wf, "-data", sub).CombinedOutput(); err != nil {
 			t.Fatalf("solo run %d: %v\n%s", i, err, out)
 		}
 	}
-	for i := 1; i <= 2; i++ {
-		name := fmt.Sprintf("shared-%02d", i)
-		suiteCSV, err := os.ReadFile(filepath.Join(dataRoot, name, "DW.FACT.csv"))
+	for _, c := range []struct {
+		cache, workers string
+		spill          *regexp.Regexp
+	}{
+		{"1048576", "2", regexp.MustCompile(`\n  spill: 0 loads, 0 failed writes\n`)},
+		{"0", "1", regexp.MustCompile(`\n  spill: [1-9][0-9]* loads, 0 failed writes\n`)},
+	} {
+		files, dataRoot := setupSharedSuite(t, t.TempDir(), 2)
+		args := append([]string{"-data", dataRoot, "-shared-cache", c.cache, "-suite-workers", c.workers}, files...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("suite run at -shared-cache %s: %v\n%s", c.cache, err, out)
 		}
-		soloCSV, err := os.ReadFile(filepath.Join(soloData, name, "DW.FACT.csv"))
-		if err != nil {
-			t.Fatal(err)
+		for _, want := range []string{"suite: 2 workflows", "shared stages", "recomputation saved"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("-shared-cache %s: suite output missing %q:\n%s", c.cache, want, out)
+			}
 		}
-		if string(suiteCSV) != string(soloCSV) {
-			t.Errorf("workflow %s: suite-mode target CSV differs from solo run", name)
+		if !c.spill.Match(out) {
+			t.Errorf("-shared-cache %s: suite output has no line matching %q:\n%s", c.cache, c.spill, out)
+		}
+		for i := 1; i <= 2; i++ {
+			name := fmt.Sprintf("shared-%02d", i)
+			suiteCSV, err := os.ReadFile(filepath.Join(dataRoot, name, "DW.FACT.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			soloCSV, err := os.ReadFile(filepath.Join(soloData, name, "DW.FACT.csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(suiteCSV) != string(soloCSV) {
+				t.Errorf("-shared-cache %s: workflow %s: suite-mode target CSV differs from solo run", c.cache, name)
+			}
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (c Const) Attrs(dst []string) []string { return dst }
 // String implements Expr. A float keeps a '.' or an exponent, so that its
 // text, read back (dsl.ParsePredicate), is a float and not the int that
 // prints alike: the text is the constant's identity in labels, suite
-// fingerprints and serialized workflows. A string doubles each ' it holds,
+// closure classes and serialized workflows. A string doubles each ' it holds,
 // which the predicate language reads back as one.
 func (c Const) String() string {
 	s := c.Value.String()

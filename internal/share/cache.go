@@ -94,7 +94,7 @@ func (r *runner) admit(st *stage, f *flight) bool {
 	defer r.mu.Unlock()
 	defer close(f.done)
 	if f.err != nil {
-		st.err = fmt.Errorf("share: stage %s: %w", st.key, f.err)
+		st.err = fmt.Errorf("share: stage %d: %w", st.class, f.err)
 		return false
 	}
 	r.stats.Admissions++
@@ -116,7 +116,7 @@ func (r *runner) admit(st *stage, f *flight) bool {
 // resident over the budget. A file whose reads were all taken during the
 // write is removed at once.
 func (r *runner) spill(st *stage, f *flight) {
-	path, err := writeSpill(r.spillDir, st.key, st.schema, f.rows)
+	path, err := writeSpill(r.spillDir, st.class, st.schema, f.rows)
 	r.mu.Lock()
 	st.flight = nil
 	if err == nil {
@@ -172,7 +172,7 @@ func (r *runner) read(st *stage) (data.Rows, error) {
 		r.mu.Lock()
 		st.flight = nil
 		if f.err != nil {
-			st.err = fmt.Errorf("share: stage %s: %w", st.key, f.err)
+			st.err = fmt.Errorf("share: stage %d: %w", st.class, f.err)
 		} else {
 			r.stats.SpillLoads++
 		}

@@ -45,11 +45,11 @@ func TestRowsBytesEstimate(t *testing.T) {
 // each planned to be read by readers runs, at the budget, spilling into
 // spillDir.
 func slotRunner(budget int64, spillDir string, readers int, keys ...string) (*runner, []*stage) {
-	p := &plan{stages: make(map[uint64]*stage)}
+	p := &plan{stages: make(map[int]*stage)}
 	var sts []*stage
-	for i, key := range keys {
-		st := &stage{slot: slot{done: make(chan struct{}), readers: readers}, fp: uint64(i), key: key, schema: data.Schema{"V"}}
-		p.stages[st.fp] = st
+	for i := range keys {
+		st := &stage{slot: slot{done: make(chan struct{}), readers: readers}, class: i + 1, schema: data.Schema{"V"}}
+		p.stages[st.class] = st
 		sts = append(sts, st)
 	}
 	return newRunner(p, Options{CacheBytes: budget}, spillDir), sts
@@ -79,7 +79,7 @@ func TestSlotAdmissionBoundary(t *testing.T) {
 		}
 		for i, st := range sts {
 			if got, want := st.rows != nil, i < c.resident; got != want || (st.path == "") != want {
-				t.Errorf("budget %d: stage %s resident %v, file %q; want resident %v, else spilled", c.budget, st.key, got, st.path, want)
+				t.Errorf("budget %d: stage %d resident %v, file %q; want resident %v, else spilled", c.budget, st.class, got, st.path, want)
 			}
 		}
 		evicted := int64(len(sts) - c.resident)
@@ -330,8 +330,8 @@ func TestSuiteReleasesEverySlot(t *testing.T) {
 			}
 			for _, st := range p.stages {
 				if st.readers != 0 || st.rows != nil || st.path != "" {
-					t.Errorf("budget %d spill %v W=%d: stage %s has %d reads left, resident %v, file %q",
-						c.budget, c.spill, workers, st.key, st.readers, st.rows != nil, st.path)
+					t.Errorf("budget %d spill %v W=%d: stage %d has %d reads left, resident %v, file %q",
+						c.budget, c.spill, workers, st.class, st.readers, st.rows != nil, st.path)
 				}
 			}
 			if r.used != 0 {
@@ -360,7 +360,7 @@ func TestSpillRoundTripDirect(t *testing.T) {
 		{data.NewString("comma, quote \" and\nnewline"), data.NewInt(1)},
 		{data.Null, data.NewFloat(3.5)},
 	}
-	path, err := writeSpill(dir, "deadbeef", schema, rows)
+	path, err := writeSpill(dir, 1, schema, rows)
 	if err != nil {
 		t.Fatalf("writeSpill: %v", err)
 	}
@@ -391,7 +391,7 @@ func TestReadSpillDamage(t *testing.T) {
 		return path
 	}
 	spill := func(schema data.Schema, rows data.Rows) []byte {
-		path, err := writeSpill(t.TempDir(), "k", schema, rows)
+		path, err := writeSpill(t.TempDir(), 1, schema, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func TestSpillKeepsKinds(t *testing.T) {
 	} {
 		rows = append(rows, data.Record{v})
 	}
-	path, err := writeSpill(t.TempDir(), "kinds", schema, rows)
+	path, err := writeSpill(t.TempDir(), 1, schema, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,7 @@ type Workflow struct {
 // its producer runs execute, and the slot a suite run keeps it in.
 type stage struct {
 	slot
-	fp     uint64
-	key    string
+	class  int
 	schema data.Schema
 	pw     *planWorkflow
 	id     workflow.NodeID
@@ -40,43 +39,46 @@ type stage struct {
 	// upstream closure down to the stage nodes it reads, restored
 	// from the stages deps names.
 	need map[workflow.NodeID]bool
-	deps []uint64
+	deps []int
 }
 
-// planWorkflow is one suite member: its graph's closure fingerprints, its
-// stage nodes (shared) — the shared activities the suite reads in more than
-// one place: each ends a stage and is restored wherever a run reads it —
-// and what its own run executes or restores (need) and reads from stages
+// planWorkflow is one suite member: its nodes' closure classes, its stage
+// nodes (shared) — the shared activities the suite reads in more than one
+// place: each ends a stage and is restored wherever a run reads it — and
+// what its own run executes or restores (need) and reads from stages
 // (deps).
 type planWorkflow struct {
-	wf     Workflow
-	fps    map[workflow.NodeID]uint64
-	shared map[workflow.NodeID]bool
-	need   map[workflow.NodeID]bool
-	deps   []uint64
+	wf      Workflow
+	classes map[workflow.NodeID]int
+	shared  map[workflow.NodeID]bool
+	need    map[workflow.NodeID]bool
+	deps    []int
 }
 
 // plan is the suite's stage DAG: every shared intermediate appears exactly
-// once, producer stages are ordered dependencies-first, and every run —
-// producer or member — executes a member's own graph.
+// once, under its class, and every run — producer or member — executes a
+// member's own graph.
 type plan struct {
 	workflows []*planWorkflow
-	stages    map[uint64]*stage
-	order     []uint64 // stages, dependencies before dependents
+	stages    map[int]*stage
+	// order lists the stages by class, which is dependencies first: a
+	// stage reads only stages upstream of it, and those have smaller
+	// classes.
+	order []int
 }
 
-// newPlan fingerprints every workflow, finds fingerprints that occur more
-// than once across the suite (including homologous twins inside a single
-// workflow), and builds the stage DAG over those the suite reads in more
-// than one place. Fingerprinting digests every bound source and lookup (a
-// record file reads its bytes), so workers members do it at a time, until
-// ctx is done; results and the first error are taken in member order,
-// whatever workers is. Validating a graph sorts it, so the runs that later
-// share it only read its memoized order.
+// newPlan numbers the closure classes of every workflow, finds classes that
+// occur more than once across the suite (including homologous twins inside
+// a single workflow), and builds the stage DAG over those the suite reads
+// in more than one place. Digesting a bound source or lookup may read its
+// bytes (a record file's), so workers members are validated and digested
+// at a time, until ctx is done. The first error is then taken, and classes
+// numbered, in member order, whatever workers is. Validating a graph sorts
+// it, so the runs that later share it only read its memoized order.
 func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
-	p := &plan{stages: make(map[uint64]*stage)}
+	p := &plan{stages: make(map[int]*stage)}
 
-	allFPs := make([]map[workflow.NodeID]uint64, len(wfs))
+	ds := make([]map[string]uint64, len(wfs))
 	errs := make([]error, len(wfs))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -89,52 +91,53 @@ func newPlan(ctx context.Context, wfs []Workflow, workers int) (*plan, error) {
 			if wf.Graph == nil {
 				errs[i] = fmt.Errorf("it has no graph")
 			} else if errs[i] = wf.Graph.Validate(); errs[i] == nil {
-				allFPs[i], errs[i] = closureFingerprints(ctx, wf.Graph, wf.Bindings)
+				ds[i], errs[i] = digests(ctx, wf.Graph, wf.Bindings)
 			}
 		}()
 	}
 	wg.Wait()
-	// A fingerprint every occurrence of which feeds one activity, all of
-	// one fingerprint occurring as often, is read only by that activity:
-	// it is computed inside its consumer's stage. feeds holds that
-	// consumer's fingerprint; forks the fingerprints read otherwise.
-	counts := make(map[uint64]int)
-	feeds := make(map[uint64]uint64)
-	forks := make(map[uint64]bool)
+	cls := classes{ids: make(map[string]int)}
+	// A class every occurrence of which feeds one activity, all of one
+	// class occurring as often, is read only by that activity: it is
+	// computed inside its consumer's stage. feeds holds that consumer's
+	// class; forks the classes read otherwise.
+	counts := make(map[int]int)
+	feeds := make(map[int]int)
+	forks := make(map[int]bool)
 	for i, wf := range wfs {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("share: workflow %s: %w", wfName(wf, i), errs[i])
 		}
+		of := cls.number(wf.Graph, ds[i])
+		p.workflows = append(p.workflows, &planWorkflow{wf: wf, classes: of, shared: make(map[workflow.NodeID]bool)})
 		for _, id := range wf.Graph.Activities() {
-			fp := allFPs[i][id]
-			counts[fp]++
+			c := of[id]
+			counts[c]++
 			cs := wf.Graph.Consumers(id)
 			if len(cs) != 1 || wf.Graph.Node(cs[0]).Kind != workflow.KindActivity {
-				forks[fp] = true
-			} else if c, seen := feeds[fp]; seen && c != allFPs[i][cs[0]] {
-				forks[fp] = true
+				forks[c] = true
+			} else if f, seen := feeds[c]; seen && f != of[cs[0]] {
+				forks[c] = true
 			} else {
-				feeds[fp] = allFPs[i][cs[0]]
+				feeds[c] = of[cs[0]]
 			}
 		}
 	}
 
-	for i, wf := range wfs {
-		pw := &planWorkflow{wf: wf, fps: allFPs[i], shared: make(map[workflow.NodeID]bool)}
+	for _, pw := range p.workflows {
+		wf := pw.wf
 		for _, id := range wf.Graph.Activities() {
-			fp := pw.fps[id]
-			pw.shared[id] = counts[fp] >= 2 && (forks[fp] || counts[feeds[fp]] != counts[fp])
+			c := pw.classes[id]
+			pw.shared[id] = counts[c] >= 2 && (forks[c] || counts[feeds[c]] != counts[c])
 		}
 		var cuts []workflow.NodeID
 		pw.need, cuts = pw.closure(wf.Graph.Targets()...)
 		for _, id := range cuts {
 			p.ensureStage(pw, id)
 		}
-		pw.deps = p.countReads(pw.fpsOf(cuts))
-		p.workflows = append(p.workflows, pw)
+		pw.deps = p.countReads(pw.classesOf(cuts))
 	}
-
-	p.orderStages()
+	p.order = sortedKeys(p.stages)
 	return p, nil
 }
 
@@ -175,66 +178,45 @@ func (pw *planWorkflow) closure(roots ...workflow.NodeID) (map[workflow.NodeID]b
 	return need, sortedKeys(cut)
 }
 
-// fpsOf returns the sorted distinct fingerprints of ids.
-func (pw *planWorkflow) fpsOf(ids []workflow.NodeID) []uint64 {
-	set := make(map[uint64]bool, len(ids))
+// classesOf returns the sorted distinct classes of ids.
+func (pw *planWorkflow) classesOf(ids []workflow.NodeID) []int {
+	set := make(map[int]bool, len(ids))
 	for _, id := range ids {
-		set[pw.fps[id]] = true
+		set[pw.classes[id]] = true
 	}
 	return sortedKeys(set)
 }
 
 // ensureStage registers the stage of the stage node id of pw, after
 // the stages its closure reads, unless a member planned before registered
-// its fingerprint: that member's graph is the one its producer runs execute.
+// its class: that member's graph is the one its producer runs execute.
 func (p *plan) ensureStage(pw *planWorkflow, id workflow.NodeID) {
-	fp := pw.fps[id]
-	if _, ok := p.stages[fp]; ok {
+	c := pw.classes[id]
+	if _, ok := p.stages[c]; ok {
 		return
 	}
 	need, cuts := pw.closure(id)
-	for _, c := range cuts {
-		p.ensureStage(pw, c)
+	for _, cut := range cuts {
+		p.ensureStage(pw, cut)
 	}
-	p.stages[fp] = &stage{
+	p.stages[c] = &stage{
 		slot:   slot{done: make(chan struct{})},
-		fp:     fp,
-		key:    cacheKey(fp),
+		class:  c,
 		schema: pw.wf.Graph.Node(id).Out.Clone(),
 		pw:     pw,
 		id:     id,
 		need:   need,
-		deps:   p.countReads(pw.fpsOf(cuts)),
+		deps:   p.countReads(pw.classesOf(cuts)),
 	}
 }
 
 // countReads counts one planned read of each of the stages deps and
 // returns deps.
-func (p *plan) countReads(deps []uint64) []uint64 {
+func (p *plan) countReads(deps []int) []int {
 	for _, d := range deps {
 		p.stages[d].readers++
 	}
 	return deps
-}
-
-// orderStages sorts the stage DAG dependencies-first (and by fingerprint
-// within a level, for determinism).
-func (p *plan) orderStages() {
-	visited := make(map[uint64]bool, len(p.stages))
-	var emit func(fp uint64)
-	emit = func(fp uint64) {
-		if visited[fp] {
-			return
-		}
-		visited[fp] = true
-		for _, d := range p.stages[fp].deps {
-			emit(d)
-		}
-		p.order = append(p.order, fp)
-	}
-	for _, fp := range sortedKeys(p.stages) {
-		emit(fp)
-	}
 }
 
 // sortedKeys returns the keys of m in ascending order.

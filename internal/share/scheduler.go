@@ -123,13 +123,13 @@ type runner struct {
 	rec      *obs.Recorder // shared_cache_* series are folded from its events
 
 	// mu guards every stage's slot and what follows. sharedRows holds
-	// per-fingerprint output row counts from every run; a later run reports
-	// the nodes it skips or restores from it. Equal fingerprints imply equal
-	// row counts, so concurrent writers never disagree.
+	// per-class output row counts from every run; a later run reports the
+	// nodes it skips or restores from it. One class is one computation over
+	// the same data, so concurrent writers never disagree.
 	mu         sync.Mutex
 	used       int64 // bytes of the resident stages
 	stats      CacheStats
-	sharedRows map[uint64]int
+	sharedRows map[int]int
 
 	stageRuns atomic.Int64
 	nodesRun  atomic.Int64
@@ -140,7 +140,7 @@ type runner struct {
 // from the start.
 func newRunner(p *plan, opts Options, spillDir string) *runner {
 	opts.Engine = append([]engine.Option{engine.WithJournal(opts.Journal)}, opts.Engine...)
-	r := &runner{plan: p, opts: opts, spillDir: spillDir, sharedRows: make(map[uint64]int),
+	r := &runner{plan: p, opts: opts, spillDir: spillDir, sharedRows: make(map[int]int),
 		rec: obs.NewRecorder(opts.Journal.Registry(), opts.Journal)}
 	for _, action := range []string{"lookup", "hit", "miss", "admit", "evict", "spill"} {
 		r.rec.Declare(obs.SharedCacheEvent(action, 0))
@@ -157,7 +157,7 @@ func (r *runner) suite(ctx context.Context, workers int) *Result {
 	res := &Result{Workflows: make([]WorkflowResult, len(p.workflows))}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	start := func(deps []uint64, run func(failed error)) {
+	start := func(deps []int, run func(failed error)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -175,8 +175,8 @@ func (r *runner) suite(ctx context.Context, workers int) *Result {
 			run(failed)
 		}()
 	}
-	for _, fp := range p.order {
-		st := p.stages[fp]
+	for _, c := range p.order {
+		st := p.stages[c]
 		start(st.deps, func(failed error) { r.produce(ctx, st, failed) })
 	}
 	for i, pw := range p.workflows {
@@ -205,9 +205,9 @@ func (r *runner) suite(ctx context.Context, workers int) *Result {
 
 // run executes pw's graph over need, returning the output of keep (0:
 // none, a member's run; else a stage run), counts the nodes it executes and
-// publishes their rows by fingerprint.
+// publishes their rows by class.
 func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) (*engine.RunResult, data.Rows, error) {
-	sr := &suiteRun{r: r, pw: pw, need: need, keep: keep, rows: make(map[uint64]data.Rows)}
+	sr := &suiteRun{r: r, pw: pw, need: need, keep: keep, rows: make(map[int]data.Rows)}
 	res, err := engine.New(pw.wf.Bindings, r.opts.Engine...).RunWith(ctx, pw.wf.Graph, sr)
 	if err != nil {
 		return nil, nil, err
@@ -215,7 +215,7 @@ func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.No
 	executed := 0
 	r.mu.Lock()
 	for id := range need {
-		r.sharedRows[pw.fps[id]] = res.NodeRows[id]
+		r.sharedRows[pw.classes[id]] = res.NodeRows[id]
 		if !sr.restores(id) {
 			executed++
 		}
@@ -231,7 +231,7 @@ func (r *runner) run(ctx context.Context, pw *planWorkflow, need map[workflow.No
 // suiteRun is one producer or member run, and the engine's stage hook in
 // it: each stage node ends a stage, the needed ones but keep are
 // restored from their slots, every node outside need is skipped with the
-// rows the producers counted for its fingerprint, and only keep's output
+// rows the producers counted for its class, and only keep's output
 // is kept.
 type suiteRun struct {
 	r    *runner
@@ -239,9 +239,9 @@ type suiteRun struct {
 	need map[workflow.NodeID]bool
 	keep workflow.NodeID
 	kept data.Rows
-	// rows holds what this run restored, by fingerprint: homologous twins
-	// take one read.
-	rows map[uint64]data.Rows
+	// rows holds what this run restored, by class: homologous twins take
+	// one read.
+	rows map[int]data.Rows
 }
 
 // restores reports whether the run takes id from its slot: a needed
@@ -260,7 +260,7 @@ func (sr *suiteRun) Plan(_ *workflow.Graph, stages [][]workflow.NodeID) (restore
 		id := ids[len(ids)-1]
 		rows := make([]int, len(ids))
 		for m, mid := range ids {
-			rows[m] = sr.r.sharedRows[sr.pw.fps[mid]]
+			rows[m] = sr.r.sharedRows[sr.pw.classes[mid]]
 		}
 		switch {
 		case !sr.need[id]:
@@ -273,13 +273,13 @@ func (sr *suiteRun) Plan(_ *workflow.Graph, stages [][]workflow.NodeID) (restore
 }
 
 func (sr *suiteRun) Restore(id workflow.NodeID, _ data.Schema) (data.Rows, error) {
-	fp := sr.pw.fps[id]
-	if rows, ok := sr.rows[fp]; ok {
+	c := sr.pw.classes[id]
+	if rows, ok := sr.rows[c]; ok {
 		return rows, nil
 	}
-	rows, err := sr.r.read(sr.r.plan.stages[fp])
+	rows, err := sr.r.read(sr.r.plan.stages[c])
 	if err == nil {
-		sr.rows[fp] = rows
+		sr.rows[c] = rows
 	}
 	return rows, err
 }

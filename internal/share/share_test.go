@@ -241,11 +241,11 @@ func TestEveryStageIsReadTwice(t *testing.T) {
 	if len(p.stages) == 0 {
 		t.Fatal("SharedSuite members share no stage")
 	}
-	restored := make(map[uint64]int)
+	restored := make(map[int]int)
 	count := func(pw *planWorkflow, need map[workflow.NodeID]bool, keep workflow.NodeID) {
 		for id := range need {
 			if !executes(pw, need, keep)(id) {
-				restored[pw.fps[id]]++
+				restored[pw.classes[id]]++
 			}
 		}
 	}
@@ -256,8 +256,8 @@ func TestEveryStageIsReadTwice(t *testing.T) {
 		count(pw, pw.need, 0)
 	}
 	unread := 0
-	for fp := range p.stages {
-		if restored[fp] < 2 {
+	for c := range p.stages {
+		if restored[c] < 2 {
 			unread++
 		}
 	}

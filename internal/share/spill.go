@@ -7,14 +7,15 @@ import (
 	"etlopt/internal/data"
 )
 
-// writeSpill persists rows for key under dir, which exists, and returns the
-// file path. The file is a typed row file, not CSV: a consumer served from
-// disk must see the kinds its producer emitted (String("007") coming back
-// Int(7) would break bit-identity with the solo run).
-func writeSpill(dir, key string, schema data.Schema, rows data.Rows) (string, error) {
-	path := filepath.Join(dir, key+".rows")
+// writeSpill persists the rows of the stage of class under dir, which
+// exists, as stage-<class>.rows and returns the file path. The file is a
+// typed row file, not CSV: a consumer served from disk must see the kinds
+// its producer emitted (String("007") coming back Int(7) would break
+// bit-identity with the solo run).
+func writeSpill(dir string, class int, schema data.Schema, rows data.Rows) (string, error) {
+	path := filepath.Join(dir, fmt.Sprintf("stage-%d.rows", class))
 	if err := data.WriteRowFile(path, schema, rows); err != nil {
-		return "", fmt.Errorf("share: spilling %s: %w", key, err)
+		return "", fmt.Errorf("share: spilling stage %d: %w", class, err)
 	}
 	return path, nil
 }

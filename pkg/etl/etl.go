@@ -402,10 +402,11 @@ func (s *settings) engineOptions() []engine.Option {
 
 // RunSuite executes several workflows as one job: upstream closures that
 // several workflows (or several branches of one workflow) share are
-// detected by content — a fingerprint over each node's transformation
-// structure and its bound source data — materialized exactly once each
-// through a content-addressed cache, and every workflow runs its own graph,
-// restoring the shared intermediates it reads. Each member's Targets and
+// detected by content — two nodes share exactly when their upstream
+// closures, transformation structure and bound source data, are equal —
+// materialized exactly once each through a cache keyed by that closure,
+// and every workflow runs its own graph, restoring the shared
+// intermediates it reads. Each member's Targets and
 // NodeRows are bit-identical to an individual Run at any suite-worker
 // count, cache budget and partition count.
 //
