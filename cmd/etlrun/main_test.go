@@ -141,8 +141,9 @@ func dirContents(t *testing.T, dir string) map[string]string {
 }
 
 // TestCLIRejectsUnknownFlagValuesFirst: an -optimize or -faults value
-// etlrun does not know fails the run before the optimizer has run and before the journal, a target CSV or
-// anything else is created, and the error names what is accepted.
+// etlrun does not know, or a count below its range, fails the run before
+// the optimizer has run and before the journal, a target CSV or anything
+// else is created, and the error names what is accepted.
 func TestCLIRejectsUnknownFlagValuesFirst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -152,31 +153,36 @@ func TestCLIRejectsUnknownFlagValuesFirst(t *testing.T) {
 	wf := setupFig1(t, dir)
 	before := dirContents(t, dir)
 	for _, c := range []struct {
-		flag, value string
-		want        []string
+		flags []string
+		want  []string
 	}{
-		{"-optimize", "bogus", []string{"es", "greedy", "hs"}},
-		{"-faults", "nonsense", []string{"seed:rate"}},
+		{[]string{"-optimize", "bogus"}, []string{"es", "greedy", "hs"}},
+		{[]string{"-faults", "nonsense"}, []string{"seed:rate"}},
+		{[]string{"-partitions", "-5"}, []string{"-partitions", "0 (GOMAXPROCS) or more"}},
+		{[]string{"-workers", "-3"}, []string{"-workers", "0 (GOMAXPROCS) or more"}},
+		{[]string{"-suite-workers", "-4"}, []string{"-suite-workers", "0 (GOMAXPROCS) or more"}},
+		{[]string{"-retries", "-2", "-faults", "1:0.1"}, []string{"-retries", "1 or more"}},
+		{[]string{"-shared-cache", "-7"}, []string{"-shared-cache", "-1 (unbounded), 0 or more"}},
 	} {
 		journal := filepath.Join(t.TempDir(), "run.jsonl")
-		args := []string{"-in", wf, "-data", dir, "-optimize", "hs", "-journal", journal, c.flag, c.value}
+		args := append([]string{"-in", wf, "-data", dir, "-optimize", "hs", "-journal", journal}, c.flags...)
 		for _, more := range [][]string{nil, {wf}} { // single run, suite
 			cmd := exec.Command(bin, append(args, more...)...)
 			var stdout, stderr bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			if err := cmd.Run(); err == nil {
-				t.Errorf("%s %s: exit 0, want a refusal", c.flag, c.value)
+				t.Errorf("%v: exit 0, want a refusal", c.flags)
 			}
 			for _, w := range c.want {
 				if !strings.Contains(stderr.String(), w) {
-					t.Errorf("%s %s: stderr %q does not name %q", c.flag, c.value, stderr.String(), w)
+					t.Errorf("%v: stderr %q does not name %q", c.flags, stderr.String(), w)
 				}
 			}
 			if strings.Contains(stdout.String(), "optimized with") {
-				t.Errorf("%s %s: the optimizer ran before the refusal:\n%s", c.flag, c.value, stdout.String())
+				t.Errorf("%v: the optimizer ran before the refusal:\n%s", c.flags, stdout.String())
 			}
 			if _, err := os.Stat(journal); !os.IsNotExist(err) {
-				t.Errorf("%s %s: journal file exists after the refusal (stat err = %v)", c.flag, c.value, err)
+				t.Errorf("%v: journal file exists after the refusal (stat err = %v)", c.flags, err)
 			}
 		}
 	}
