@@ -437,9 +437,10 @@ func BenchmarkEvaluateIncremental(b *testing.B) {
 // swap that leads to a state it has already seen — on `search-deep` two
 // attempts in three — on the larger of that workload's large workflows and
 // its longest group: the successor's signature spliced from the parent's
-// and probed in the seen-set. "located" splices at the site the job's
-// first splice located (what core.groupJob does); "one-shot" locates per
-// attempt, which is what every attempt cost before the site existed.
+// and probed in the seen-set. "located" splices into a reused buffer at
+// the site the job's first splice located (what core.groupJob does);
+// "one-shot" locates per attempt and makes a string, which is what every
+// attempt cost before the site existed.
 func BenchmarkGroupDedupe(b *testing.B) {
 	large, err := generator.Suite(generator.Large, 2, 20050405)
 	if err != nil {
@@ -463,18 +464,25 @@ func BenchmarkGroupDedupe(b *testing.B) {
 		b.Fatalf("no exact splice of %s in %s", oldSeg, sig)
 	}
 	seen := map[string]bool{sig: true, child: true}
+	buf := make([]byte, 0, len(sig))
 	for _, c := range []struct {
-		name   string
-		splice func() (string, bool)
+		name  string
+		probe func() bool // reports whether the splice is the seen child
 	}{
-		{"located", func() (string, bool) { return site.Splice(sig, oldSeg, newSeg) }},
-		{"one-shot", func() (string, bool) { return workflow.SpliceSignature(sig, oldSeg, newSeg, true) }},
+		{"located", func() bool {
+			got, ok := site.AppendSplice(buf[:0], sig, oldSeg, newSeg)
+			return ok && seen[string(got)]
+		}},
+		{"one-shot", func() bool {
+			got, ok := workflow.SpliceSignature(sig, oldSeg, newSeg, true)
+			return ok && seen[got]
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got, ok := c.splice(); !ok || !seen[got] {
-					b.Fatalf("%q, %v: not the seen child", got, ok)
+				if !c.probe() {
+					b.Fatal("the splice is not the seen child")
 				}
 			}
 		})

@@ -90,8 +90,23 @@ func run() error {
 		sharedSpil = flag.String("shared-spill", "", "suite mode: directory for the typed row files that stages over -shared-cache spill to (default: the system temporary directory), each removed after its last reader and all when the run ends")
 	)
 	flag.Parse()
-	// Every flag with a closed vocabulary is checked here, before the journal,
-	// the profile or a target file exists.
+	// Every count and every flag with a closed vocabulary is checked here,
+	// before the journal, the profile or a target file exists.
+	for _, c := range []struct {
+		name    string
+		v, min  int64
+		accepts string
+	}{
+		{"partitions", int64(*partitions), 0, "0 (GOMAXPROCS) or more"},
+		{"workers", int64(*workers), 0, "0 (GOMAXPROCS) or more"},
+		{"suite-workers", int64(*suiteWork), 0, "0 (GOMAXPROCS) or more"},
+		{"retries", int64(*retries), 1, "1 or more"},
+		{"shared-cache", *sharedCap, -1, "-1 (unbounded), 0 or more"},
+	} {
+		if c.v < c.min {
+			return fmt.Errorf("-%s %d: want %s", c.name, c.v, c.accepts)
+		}
+	}
 	eopts, err := engineOptions(*partitions, *faults, *retries)
 	if err != nil {
 		return err

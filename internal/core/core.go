@@ -206,62 +206,56 @@ func searchLabelWrap(ctx context.Context) func(worker int, fn func()) {
 	}
 }
 
-// splice derives a successor's signature from its parent's by replacing
-// oldSeg with newSeg at site, which it locates in parentSig first when
-// site does not answer: nothing located yet, or parentSig has left the
-// frame. The states of a local group's job share one frame; anchors are
-// the group's tags (see workflow.LocateSplice). ok is false when no splice
-// is provably exact and only a full render will do.
-func (s *search) splice(site *workflow.SpliceSite, parentSig, oldSeg, newSeg string, anchors []string) (string, bool) {
-	if sig, ok := site.Splice(parentSig, oldSeg, newSeg); ok {
-		return sig, true
+// splice appends to dst the signature of a successor derived from its
+// parent's by replacing oldSeg with newSeg at site, which it locates in
+// parentSig first when site does not answer: nothing located yet, or
+// parentSig has left the frame. The states of a local group's job share
+// one frame; anchors are the group's tags (see workflow.LocateSplice). ok
+// is false, and dst returned as it was, when no splice is provably exact
+// and only a full render will do.
+func (s *search) splice(dst []byte, site *workflow.SpliceSite, parentSig, oldSeg, newSeg string, anchors []string) ([]byte, bool) {
+	if out, ok := site.AppendSplice(dst, parentSig, oldSeg, newSeg); ok {
+		return out, true
 	}
 	at, ok := workflow.LocateSplice(parentSig, oldSeg, s.singleChain, anchors...)
 	if !ok {
-		return "", false
+		return dst, false
 	}
 	*site = at
-	return site.Splice(parentSig, oldSeg, newSeg)
+	return site.AppendSplice(dst, parentSig, oldSeg, newSeg)
 }
 
-// spliceOrFull derives the signature of res.Graph from its parent's
-// signature when the transition describes itself as a local segment
-// replacement and the splice is provably exact; otherwise it re-renders
-// the signature from the graph.
-func (s *search) spliceOrFull(site *workflow.SpliceSite, parentSig string, res *transitions.Result, anchors []string) string {
-	sig, ok := s.splice(site, parentSig, res.SigOld, res.SigNew, anchors)
-	return s.orRender(sig, ok, res.Graph)
+// signature returns the canonical signature of res.Graph, spliced from
+// parentSig into buf when provably exact, and rendered in full otherwise.
+func (s *search) signature(buf []byte, site *workflow.SpliceSite, parentSig string, res *transitions.Result, anchors []string) string {
+	sig, spliced := s.splice(buf[:0], site, parentSig, res.SigOld, res.SigNew, anchors)
+	return s.intern(sig, spliced, res.Graph)
 }
 
-// orRender returns sig, audited, when it was spliced, and otherwise g's
-// full rendering, counted under `-tags etldebug`.
-func (s *search) orRender(sig string, spliced bool, g *workflow.Graph) string {
-	if spliced {
-		auditSplice(sig, g)
-		return sig
-	}
+// intern returns the canonical instance of sig when it was spliced, else
+// of g's full rendering (counted, and splices audited, under `-tags
+// etldebug`). It makes a string only for a signature the search has not
+// met, and is safe to call from worker goroutines.
+func (s *search) intern(sig []byte, spliced bool, g *workflow.Graph) string {
 	if workflow.DebugCOW {
-		s.rendered.Add(1)
+		if full := g.Signature(); !spliced {
+			s.rendered.Add(1)
+		} else if full != string(sig) {
+			panic(fmt.Sprintf("core: spliced signature diverged from full rendering\n  spliced: %s\n  full:    %s", string(sig), full))
+		}
 	}
-	return g.Signature()
+	if spliced {
+		return s.visited.InternBytes(sig)
+	}
+	return s.visited.Intern(g.Signature())
 }
 
-// auditSplice cross-checks a spliced signature against the full rendering
-// of the graph it claims to describe; it is a no-op without `-tags etldebug`.
-func auditSplice(sig string, g *workflow.Graph) {
-	if !workflow.DebugCOW {
-		return
-	}
-	if full := g.Signature(); full != sig {
-		panic(fmt.Sprintf("core: spliced signature diverged from full rendering\n  spliced: %s\n  full:    %s", sig, full))
-	}
-}
-
-// signatureOf returns the canonical (interned) signature of a successor.
-// It is safe to call from worker goroutines.
+// signatureOf returns the canonical signature of a successor. It is safe
+// to call from worker goroutines.
 func (s *search) signatureOf(parent *state, res *transitions.Result) string {
 	var site workflow.SpliceSite // a single splice: nothing to keep
-	return s.visited.Intern(s.spliceOrFull(&site, parent.sig, res, nil))
+	var buf [512]byte
+	return s.signature(buf[:0], &site, parent.sig, res, nil)
 }
 
 // budgetLeft reports whether the state budget and the caller's context

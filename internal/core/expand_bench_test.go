@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"etlopt/internal/generator"
 	"etlopt/internal/transitions"
+	"etlopt/internal/workflow"
 )
 
 // BenchmarkIncrementalExpand measures successor-generation throughput:
@@ -21,6 +23,7 @@ import (
 //
 //	go test -bench BenchmarkIncrementalExpand -benchtime 2s ./internal/core/
 func BenchmarkIncrementalExpand(b *testing.B) {
+	b.ReportAllocs()
 	sc, err := generator.Generate(generator.CategoryConfig(generator.Medium, 31337))
 	if err != nil {
 		b.Fatal(err)
@@ -78,4 +81,49 @@ func BenchmarkIncrementalExpand(b *testing.B) {
 	if succ > 0 {
 		b.ReportMetric(float64(succ)/b.Elapsed().Seconds(), "succ/s")
 	}
+}
+
+// searchDeepGraphs returns the four workflows of the benchmark's
+// search-deep workload: two medium and two large generator workflows at
+// the default seed.
+func searchDeepGraphs(tb testing.TB) []*workflow.Graph {
+	var out []*workflow.Graph
+	for _, cat := range []generator.Category{generator.Medium, generator.Large} {
+		scs, err := generator.Suite(cat, 2, 20050405)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, sc := range scs {
+			out = append(out, sc.Graph)
+		}
+	}
+	return out
+}
+
+// BenchmarkHeuristicSearchDeep runs HS at 1 000 states on one worker over
+// the search-deep workflows, the optimizer alone, and reports what one
+// generated state costs in time and in heap:
+//
+//	go test -run '^$' -bench HeuristicSearchDeep -benchtime 20x ./internal/core/
+func BenchmarkHeuristicSearchDeep(b *testing.B) {
+	graphs := searchDeepGraphs(b)
+	opts := Options{IncrementalCost: true, MaxStates: 1000, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	states := 0
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			res, err := Heuristic(context.Background(), g, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			states += res.Generated
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(states), "allocs/state")
 }

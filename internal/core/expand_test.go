@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -280,13 +281,15 @@ func TestSearchAllocations(t *testing.T) {
 		t.Fatal("no legal swap on the large workflow")
 	}
 	// The child keeps no order, so this sorts it too, into a stack buffer.
+	// A swap keeps the nodes of its flat parent, so the costing is an
+	// overlay holding what the swap changed.
 	n = testing.AllocsPerRun(runs, func() {
 		if _, err := cost.EvaluateIncremental(s0.costing, child.Graph, s.model, child.Dirty); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if len(child.Dirty) != 2 || n > 3 {
-		t.Errorf("EvaluateIncremental with %d dirty nodes allocates %v times, want at most 3 for 2 (the Costing)", len(child.Dirty), n)
+	if len(child.Dirty) != 2 || n > 2 {
+		t.Errorf("EvaluateIncremental with %d dirty nodes allocates %v times, want at most 2 for 2 (the overlay and its figures)", len(child.Dirty), n)
 	}
 	// Regeneration walks the dirty nodes' cone with its marks on the stack:
 	// it allocates the recomputed nodes' input lists and schemas and the
@@ -311,8 +314,8 @@ func TestSearchAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 5 {
-		t.Errorf("makeState allocates %v times, want at most 5", n)
+	if n > 4 {
+		t.Errorf("makeState allocates %v times, want at most 4", n)
 	}
 	// The swap itself: the child, four node copies, the rewired lists, the
 	// regenerated schemas and the Result; no description is rendered.
@@ -324,13 +327,51 @@ func TestSearchAllocations(t *testing.T) {
 	if n > 22 {
 		t.Errorf("Swap allocates %v times, want at most 22", n)
 	}
-	// The spliced signature; deriving a Graph takes dozens.
+	// The signature is spliced into the job's buffer and probed there;
+	// deriving a Graph takes dozens.
 	n = testing.AllocsPerRun(runs, func() {
 		if res, _ := job.swapUnseen(s0, pair, seen); res != nil {
 			t.Fatal("a seen signature was derived again")
 		}
 	})
-	if n > 1 {
-		t.Errorf("a duplicate swap attempt allocates %v times, want at most 1 (no Graph, no segment)", n)
+	if n != 0 {
+		t.Errorf("a duplicate swap attempt allocates %v times, want 0 (no Graph, no segment, no string)", n)
+	}
+}
+
+// TestSearchBytesPerState pins what HS allocates per generated state on
+// the search-deep workflows at 1 000 states and one worker: a duplicate
+// swap allocates nothing, and a swap's costing holds only the nodes whose
+// figures it changed. The searches must generate and visit as many states
+// as before those cuts. The figure read 4 445 B before them.
+func TestSearchBytesPerState(t *testing.T) {
+	if workflow.DebugCOW {
+		t.Skip("the audits render signatures and regenerate whole clones")
+	}
+	graphs := searchDeepGraphs(t)
+	opts := Options{IncrementalCost: true, MaxStates: 1000, Workers: 1}
+	search := func() (generated, visited int) {
+		for _, g := range graphs {
+			res, err := Heuristic(context.Background(), g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			generated += res.Generated
+			visited += res.Visited
+		}
+		return generated, visited
+	}
+	search() // the first search regenerates each workflow's schemata
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	generated, visited := search()
+	runtime.ReadMemStats(&after)
+	if generated != 4941 || visited != 4888 {
+		t.Errorf("generated/visited %d/%d, want 4941/4888", generated, visited)
+	}
+	perState := float64(after.TotalAlloc-before.TotalAlloc) / float64(generated)
+	t.Logf("%.0f B per generated state", perState)
+	if perState > 3600 {
+		t.Errorf("HS allocates %.0f B per generated state, want at most 3600", perState)
 	}
 }

@@ -344,10 +344,11 @@ func (s *search) optimizeLocalGroups(st *state, greedy bool) *state {
 //
 // The signature is maintained incrementally across the replay: each swap
 // splices its segment into the running signature, at one site anchored by
-// the group's tags, and each path step records the running signature. The
-// final state carries the interned handle — the same string instance the
-// visited set stores — instead of a post-hoc re-rendering of the graph, so
-// path and dedup bookkeeping are provably about the same state.
+// the group's tags, and each path step records the running signature,
+// interned. The final state carries that handle — the same string
+// instance the visited set stores — instead of a post-hoc re-rendering of
+// the graph, so path and dedup bookkeeping are provably about the same
+// state.
 func (s *search) replaySwaps(cur *state, job *groupJob) (*state, error) {
 	g := cur.g
 	sig := cur.sig
@@ -360,7 +361,7 @@ func (s *search) replaySwaps(cur *state, job *groupJob) (*state, error) {
 			return nil, err
 		}
 		g = res.Graph
-		sig = s.spliceOrFull(&site, sig, res, job.tags)
+		sig = s.signature(job.sig, &site, sig, res, job.tags)
 		dirty = append(dirty, res.Dirty...)
 		path = path.push(pathStep{a: res.Applied, sig: sig})
 	}
@@ -370,9 +371,8 @@ func (s *search) replaySwaps(cur *state, job *groupJob) (*state, error) {
 	}
 	// The composed state is the one the search costs; stamp it on the last
 	// replayed swap, which no other state shares yet.
-	path.v.sig = s.visited.Intern(sig)
 	path.v.cost, path.v.costed = costing.Total, true
-	return &state{g: g, costing: costing, sig: path.v.sig, path: path}, nil
+	return &state{g: g, costing: costing, sig: sig, path: path}, nil
 }
 
 // groupJob is the search of one local group against a base state. Every
@@ -394,6 +394,7 @@ type groupJob struct {
 	ids  []workflow.NodeID // the group's activities, ascending: the order their pairs are tried in
 	tags []string          // their tags, which a reordering keeps
 	site workflow.SpliceSite
+	sig  []byte               // the splice buffer: a reordering keeps the base signature's length
 	buf  [][2]workflow.NodeID // what pairs returns
 	// segs holds the signature segments of the swaps tried so far: a pair
 	// comes up in many states and its activities' tags never change.
@@ -404,7 +405,7 @@ type groupJob struct {
 }
 
 func (s *search) newGroupJob(base *state, grp workflow.LocalGroup) *groupJob {
-	j := &groupJob{s: s, base: base, ids: slices.Clone(grp), segs: make(map[[2]workflow.NodeID][2]string)}
+	j := &groupJob{s: s, base: base, ids: slices.Clone(grp), sig: make([]byte, 0, len(base.sig)), segs: make(map[[2]workflow.NodeID][2]string)}
 	slices.Sort(j.ids)
 	j.tags = base.g.Tags(j.ids)
 	return j
@@ -477,31 +478,30 @@ func (j *groupJob) full() *groupState {
 // its interned signature, or nil when the swap is rejected or leads to a
 // signature already in seen; a new signature is added to seen. It
 // dedupes before it derives: a swap's signature follows from the parent's
-// and the two tags alone, so it is spliced first and a duplicate is
-// dropped without building the child. Every signature in seen got there
-// through a successful derivation, so whether the skipped swap would have
-// been legal changes nothing. When the splice is not provably exact the
-// child is derived and rendered in full. Under `-tags etldebug` skipped
-// candidates are derived anyway and audited against the full rendering.
+// and the two tags alone, so it is spliced into the job's buffer first and
+// a duplicate dropped without building the child or a string. Every
+// signature in seen got there through a successful derivation, so whether
+// the skipped swap would have been legal changes nothing. When the splice
+// is not provably exact the child is derived and rendered in full. Under
+// `-tags etldebug` skipped candidates are derived anyway and audited.
 func (j *groupJob) swapUnseen(parent *state, pair [2]workflow.NodeID, seen map[string]bool) (*transitions.Result, string) {
 	segs, ok := j.segs[pair]
 	if !ok {
 		segs[0], segs[1], _ = transitions.SwapSegments(parent.g, pair[0], pair[1])
 		j.segs[pair] = segs
 	}
-	sig, spliced := j.s.splice(&j.site, parent.sig, segs[0], segs[1], j.tags) // refuses empty segments
-	if spliced && seen[sig] && !workflow.DebugCOW {
+	buf, spliced := j.s.splice(j.sig[:0], &j.site, parent.sig, segs[0], segs[1], j.tags) // refuses empty segments
+	if spliced && seen[string(buf)] && !workflow.DebugCOW {
 		return nil, ""
 	}
 	res, err := transitions.Swap(parent.g, pair[0], pair[1])
 	if err != nil {
 		return nil, ""
 	}
-	sig = j.s.orRender(sig, spliced, res.Graph)
+	sig := j.s.intern(buf, spliced, res.Graph)
 	if seen[sig] {
 		return nil, ""
 	}
-	sig = j.s.visited.Intern(sig)
 	seen[sig] = true
 	return res, sig
 }
@@ -525,7 +525,7 @@ func (j *groupJob) greedy() *groupState {
 		if err != nil {
 			continue
 		}
-		sig := s.visited.Intern(s.spliceOrFull(&j.site, cur.st.sig, res, j.tags))
+		sig := s.signature(j.sig, &j.site, cur.st.sig, res, j.tags)
 		j.admits = append(j.admits, sig)
 		st2, err := s.makeState(cur.st, res, sig)
 		if err != nil {

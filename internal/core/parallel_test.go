@@ -120,6 +120,20 @@ func TestVisitedSet(t *testing.T) {
 	if got := v.Intern("1.2.3"); unsafe.StringData(got) != unsafe.StringData(held) {
 		t.Error("Intern after Add returned another instance than the first one interned")
 	}
+	// A buffer finds the instance in the stripe its string would, without
+	// making a string; a new one is interned as a copy.
+	buf := []byte("1.2.3")
+	if n := testing.AllocsPerRun(10, func() {
+		if got := v.InternBytes(buf); unsafe.StringData(got) != unsafe.StringData(held) {
+			t.Error("InternBytes of a known signature returned another instance")
+		}
+	}); n != 0 {
+		t.Errorf("InternBytes of a known signature allocates %v times, want 0", n)
+	}
+	fresh := v.InternBytes([]byte("1.3.2"))
+	if got := v.Intern("1.3.2"); fresh != "1.3.2" || unsafe.StringData(got) != unsafe.StringData(fresh) {
+		t.Error("InternBytes of a new signature did not intern it")
+	}
 }
 
 // TestPoolCoversAllItems checks the pool's claiming loop visits every

@@ -73,6 +73,18 @@ func (v *visitedSet) Intern(sig string) string {
 	return e.sig
 }
 
+// InternBytes is Intern for a buffer: it makes a string only for a new one.
+func (v *visitedSet) InternBytes(sig []byte) string {
+	s := &v.stripes[maphash.Bytes(v.seed, sig)%visitedStripes]
+	s.mu.RLock()
+	e, ok := s.m[string(sig)]
+	s.mu.RUnlock()
+	if ok {
+		return e.sig
+	}
+	return v.Intern(string(sig))
+}
+
 // Add admits the signature, reporting true when it was not yet admitted.
 func (v *visitedSet) Add(sig string) bool {
 	s := v.stripe(sig)

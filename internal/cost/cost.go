@@ -92,65 +92,85 @@ func (RowModel) OutputRows(a *workflow.Activity, in []float64) float64 {
 }
 
 // Costing holds the evaluated cost of one state: per-node output
-// cardinalities, per-node costs, and the total C(S). The per-node figures
-// are stored densely, indexed by NodeID like the graph's own node table;
-// has marks the nodes that were evaluated, so asking for a node the
-// costing never saw stays distinguishable from a genuine zero.
+// cardinalities, per-node costs, and the total C(S). A flat costing stores
+// the per-node figures densely, indexed by NodeID like the graph's own
+// node table; has marks the nodes that were evaluated, so asking for a
+// node the costing never saw stays distinguishable from a genuine zero.
+// An overlay holds only the figures that differ from its flat parent's,
+// over the same nodes. A costing is immutable once returned.
 type Costing struct {
 	Total float64
 
 	cards, costs []float64
 	has          []bool
+	base         *Costing   // an overlay's parent
+	over         []nodeCost // an overlay's figures
 	// in is evalNode's scratch for the provider cardinalities handed to
 	// the model; it lives here so that costing a node allocates nothing.
 	in [2]float64
 }
 
-// newCosting returns an empty costing for node IDs below n.
+type nodeCost struct {
+	id         workflow.NodeID
+	card, cost float64
+}
+
+// newCosting returns an empty flat costing for node IDs below n.
 func newCosting(n int) *Costing {
 	vals := make([]float64, 2*n)
 	return &Costing{cards: vals[:n:n], costs: vals[n:], has: make([]bool, n)}
 }
 
+// flat returns the costing holding c's dense figures: c or its base.
+func (c *Costing) flat() *Costing {
+	if c.base != nil {
+		return c.base
+	}
+	return c
+}
+
 // Has reports whether the node was evaluated.
 func (c *Costing) Has(id workflow.NodeID) bool {
-	return id > 0 && int(id) < len(c.has) && c.has[id]
+	f := c.flat()
+	return id > 0 && int(id) < len(f.has) && f.has[id]
+}
+
+// figures returns the node's cardinality and cost, if it was evaluated.
+func (c *Costing) figures(id workflow.NodeID) (card, cost float64, ok bool) {
+	if c.base != nil {
+		for _, e := range c.over {
+			if e.id == id {
+				return e.card, e.cost, true
+			}
+		}
+		c = c.base
+	}
+	if id > 0 && int(id) < len(c.has) && c.has[id] {
+		return c.cards[id], c.costs[id], true
+	}
+	return 0, 0, false
 }
 
 // Card returns the node's output cardinality, 0 when it was not evaluated.
 func (c *Costing) Card(id workflow.NodeID) float64 {
-	if !c.Has(id) {
-		return 0
-	}
-	return c.cards[id]
+	card, _, _ := c.figures(id)
+	return card
 }
 
 // Cost returns the node's cost, 0 when it was not evaluated.
 func (c *Costing) Cost(id workflow.NodeID) float64 {
-	if !c.Has(id) {
-		return 0
-	}
-	return c.costs[id]
+	_, cost, _ := c.figures(id)
+	return cost
 }
 
 // Nodes returns the evaluated nodes in ascending ID order.
 func (c *Costing) Nodes() []workflow.NodeID {
 	var out []workflow.NodeID
-	for id, ok := range c.has {
+	for id, ok := range c.flat().has {
 		if ok {
 			out = append(out, workflow.NodeID(id))
 		}
 	}
-	return out
-}
-
-// Clone returns an independent copy.
-func (c *Costing) Clone() *Costing {
-	out := newCosting(len(c.has))
-	out.Total = c.Total
-	copy(out.cards, c.cards)
-	copy(out.costs, c.costs)
-	copy(out.has, c.has)
 	return out
 }
 
@@ -181,7 +201,7 @@ func Evaluate(g *workflow.Graph, m Model) (*Costing, error) {
 }
 
 // evalNode computes the cardinality and cost of one node from its
-// providers' already-computed cardinalities and marks it evaluated.
+// providers' already-computed cardinalities and records them.
 func (c *Costing) evalNode(g *workflow.Graph, m Model, id workflow.NodeID) error {
 	n := g.Node(id)
 	if n == nil {
@@ -189,27 +209,31 @@ func (c *Costing) evalNode(g *workflow.Graph, m Model, id workflow.NodeID) error
 	}
 	in := c.in[:0]
 	for _, p := range g.Providers(id) {
-		if !c.Has(p) {
+		card, _, ok := c.figures(p)
+		if !ok {
 			return fmt.Errorf("cost: provider %d of node %d not evaluated", p, id)
 		}
-		in = append(in, c.cards[p])
+		in = append(in, card)
 	}
+	var card, cost float64
 	switch n.Kind {
 	case workflow.KindRecordset:
+		card = n.RS.Rows
 		if len(in) == 1 {
-			c.cards[id] = in[0] // target: stores what arrives
-		} else {
-			c.cards[id] = n.RS.Rows
+			card = in[0] // target: stores what arrives
 		}
-		c.costs[id] = 0
 	case workflow.KindActivity:
 		if len(in) == 0 {
 			return fmt.Errorf("cost: activity %d has no provider", id)
 		}
-		c.costs[id] = m.ActivityCost(n.Act, in)
-		c.cards[id] = m.OutputRows(n.Act, in)
+		card, cost = m.OutputRows(n.Act, in), m.ActivityCost(n.Act, in)
 	}
-	c.has[id] = true
+	// An overlay keeps only the figures whose bits differ from its base's.
+	if c.base == nil {
+		c.cards[id], c.costs[id], c.has[id] = card, cost, true
+	} else if bc, bs, _ := c.base.figures(id); math.Float64bits(bc) != math.Float64bits(card) || math.Float64bits(bs) != math.Float64bits(cost) {
+		c.over = append(c.over, nodeCost{id, card, cost})
+	}
 	return nil
 }
 
@@ -223,49 +247,76 @@ func (c *Costing) evalNode(g *workflow.Graph, m Model, id workflow.NodeID) error
 // of a listed node may be left out. Dirty nodes are recomputed, and from
 // them the recomputation walks towards the targets for as long as a
 // node's output cardinality comes out different from the parent's; where
-// it reconverges, everything further down is copied from prev like the
-// rest of the state. Total is re-summed over every node in the canonical
-// topological order, exactly as Evaluate sums it, so the two agree bit
-// for bit. A successor is sorted into a stack buffer through TopoOrder
-// and keeps no order: its costing allocates only the Costing.
+// it reconverges, everything further down is the parent's. Total is
+// re-summed over every node in the canonical topological order, exactly
+// as Evaluate sums it, so the two agree bit for bit. A successor is sorted
+// into a stack buffer through TopoOrder and keeps no order. When prev is
+// flat and g has exactly its nodes, as after a swap, the result is an
+// overlay of prev; otherwise it is flat.
 func EvaluateIncremental(prev *Costing, g *workflow.Graph, m Model, dirty []workflow.NodeID) (*Costing, error) {
 	var buf [256]workflow.NodeID // up to 256 nodes sort without allocating
 	order, err := g.TopoOrder(buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	c := newCosting(int(g.MaxID()) + 1)
-	copy(c.cards, prev.cards)
-	copy(c.costs, prev.costs)
-	// Until the pass below reaches a node, c.has marks it as to be
-	// recomputed rather than as evaluated: a recomputed node marks its
-	// consumers, which all come later in the order, and a node only ever
-	// reads providers the pass has already turned into the real thing.
+	var c *Costing
+	if prev.base == nil && keepsNodes(prev, g) {
+		c = &Costing{base: prev, over: make([]nodeCost, 0, len(dirty))}
+	} else {
+		c = newCosting(int(g.MaxID()) + 1)
+		copy(c.cards, prev.flat().cards)
+		copy(c.costs, prev.flat().costs)
+		for _, e := range prev.over {
+			c.cards[e.id], c.costs[e.id] = e.card, e.cost
+		}
+	}
+	// A recomputed node marks its consumers, all later in the order.
+	var marks [256]bool
+	recompute := marks[:]
+	if n := int(g.MaxID()) + 1; n > len(marks) {
+		recompute = make([]bool, n)
+	}
 	for _, id := range dirty {
 		if g.Node(id) != nil {
-			c.has[id] = true
+			recompute[id] = true
 		}
 	}
 	for _, id := range order {
-		// A node the parent never costed (should not happen for clean
-		// transitions) is recomputed too.
+		// A node the parent never costed (a rewrite that adds nodes) is
+		// recomputed too.
 		known := prev.Has(id)
-		if known && !c.has[id] {
-			c.has[id] = true
-		} else {
-			was := c.cards[id]
-			if err := c.evalNode(g, m, id); err != nil {
-				return nil, err
+		if known && !recompute[id] {
+			if c.base == nil {
+				c.has[id] = true
 			}
-			if !known || c.cards[id] != was || slices.Contains(dirty, id) {
-				for _, s := range g.Consumers(id) {
-					c.has[s] = true
-				}
+			c.Total += c.flat().costs[id]
+			continue
+		}
+		was := prev.Card(id)
+		if err := c.evalNode(g, m, id); err != nil {
+			return nil, err
+		}
+		if !known || c.Card(id) != was || slices.Contains(dirty, id) {
+			for _, s := range g.Consumers(id) {
+				recompute[s] = true
 			}
 		}
-		c.Total += c.costs[id]
+		c.Total += c.Cost(id)
 	}
 	return c, nil
+}
+
+// keepsNodes reports whether g has exactly prev's nodes: IDs are never
+// reused, so it added none if its ID counter sizes prev, removed none if
+// it has as many.
+func keepsNodes(prev *Costing, g *workflow.Graph) bool {
+	n := 0
+	for _, ok := range prev.has {
+		if ok {
+			n++
+		}
+	}
+	return int(g.MaxID())+1 == len(prev.has) && n == g.Len()
 }
 
 // Improvement returns the percentage improvement of cost over base:

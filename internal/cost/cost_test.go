@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"etlopt/internal/data"
@@ -178,15 +179,15 @@ func TestEvaluateFig1(t *testing.T) {
 }
 
 func TestEvaluateIncrementalMatchesFull(t *testing.T) {
-	// Swap two activities of Fig. 1's branch 2 and compare incremental
-	// against full costing.
+	// Swap two activities of Fig. 1's branch 2 back and forth and compare
+	// each incremental costing against a full one: a swap keeps the node
+	// set, so the child of a flat costing is an overlay, and the child of
+	// an overlay is flat again.
 	g := templates.Fig1Workflow()
-	base, err := Evaluate(g, RowModel{})
+	prev, err := Evaluate(g, RowModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Manually swap A2E (5) and γ (6) on a clone.
 	var a2e, agg workflow.NodeID
 	for _, id := range g.Activities() {
 		switch g.Node(id).Act.Sem.Op {
@@ -198,38 +199,47 @@ func TestEvaluateIncrementalMatchesFull(t *testing.T) {
 			agg = id
 		}
 	}
-	c := g.Clone()
-	p := c.Providers(a2e)[0]
-	consumer := c.Consumers(agg)[0]
-	c.MustReplaceProvider(consumer, agg, a2e)
-	c.MustReplaceProvider(a2e, p, agg)
-	c.MustReplaceProvider(agg, a2e, p)
-	if _, err := c.RegenerateSchemataIncremental([]workflow.NodeID{a2e, agg}); err != nil {
-		t.Fatal(err)
-	}
-
-	full, err := Evaluate(c, RowModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := EvaluateIncremental(base, c, RowModel{}, []workflow.NodeID{a2e, agg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bit-equal, not merely close: both sum Total in topological order.
-	if full.Total != inc.Total {
-		t.Errorf("incremental total %v != full total %v", inc.Total, full.Total)
-	}
-	if len(inc.Nodes()) != len(full.Nodes()) {
-		t.Errorf("incremental costing covers %d nodes, full %d", len(inc.Nodes()), len(full.Nodes()))
-	}
-	for _, id := range full.Nodes() {
-		if full.Cost(id) != inc.Cost(id) {
-			t.Errorf("node %d: incremental cost %v != full %v", id, inc.Cost(id), full.Cost(id))
+	first, second := a2e, agg // first provides second
+	for step := 0; step < 4; step++ {
+		c := g.Clone()
+		p := c.Providers(first)[0]
+		consumer := c.Consumers(second)[0]
+		c.MustReplaceProvider(consumer, second, first)
+		c.MustReplaceProvider(first, p, second)
+		c.MustReplaceProvider(second, first, p)
+		if _, err := c.RegenerateSchemataIncremental([]workflow.NodeID{first, second}); err != nil {
+			t.Fatal(err)
 		}
-		if full.Card(id) != inc.Card(id) {
-			t.Errorf("node %d: incremental card %v != full %v", id, inc.Card(id), full.Card(id))
+		full, err := Evaluate(c, RowModel{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		inc, err := EvaluateIncremental(prev, c, RowModel{}, []workflow.NodeID{first, second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if overlay := inc.base != nil; overlay != (prev.base == nil) {
+			t.Errorf("step %d: overlay = %v over a parent with overlay = %v", step, overlay, prev.base != nil)
+		}
+		if inc.base != nil && (len(inc.over) == 0 || len(inc.over) > 2) {
+			t.Errorf("step %d: the overlay holds %d nodes, want at most the 2 swapped", step, len(inc.over))
+		}
+		// Bit-equal, not merely close: both sum Total in topological order.
+		if full.Total != inc.Total {
+			t.Errorf("step %d: incremental total %v != full total %v", step, inc.Total, full.Total)
+		}
+		if !slices.Equal(inc.Nodes(), full.Nodes()) {
+			t.Errorf("step %d: incremental costing covers %v, full %v", step, inc.Nodes(), full.Nodes())
+		}
+		for _, id := range full.Nodes() {
+			if full.Cost(id) != inc.Cost(id) {
+				t.Errorf("step %d node %d: incremental cost %v != full %v", step, id, inc.Cost(id), full.Cost(id))
+			}
+			if full.Card(id) != inc.Card(id) {
+				t.Errorf("step %d node %d: incremental card %v != full %v", step, id, inc.Card(id), full.Card(id))
+			}
+		}
+		g, prev, first, second = c, inc, second, first
 	}
 }
 
@@ -242,25 +252,6 @@ func TestImprovement(t *testing.T) {
 	}
 	if got := Improvement(100, 120); !almostEqual(got, -20) {
 		t.Errorf("negative improvement = %v", got)
-	}
-}
-
-func TestCostingClone(t *testing.T) {
-	g := templates.Fig1Workflow()
-	c, err := Evaluate(g, RowModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := c.Clone()
-	for _, id := range c.Nodes() {
-		cl.costs[id] += 42
-		cl.cards[id] += 42
-		cl.has[id] = false
-	}
-	for _, id := range c.Nodes() {
-		if c.Cost(id) == cl.costs[id] || c.Card(id) == cl.cards[id] || !c.Has(id) {
-			t.Fatal("Clone shares storage")
-		}
 	}
 }
 

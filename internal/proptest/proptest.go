@@ -120,26 +120,28 @@ func serialized(g *workflow.Graph) string {
 //	(b) signature splicing — when the transition describes itself as a
 //	    local segment replacement and SpliceSignature accepts it, the
 //	    spliced string must equal the full Graph.Signature() re-rendering.
-func checkResult(parentSig string, base *cost.Costing, model cost.Model, singleChain bool, res *transitions.Result) error {
+//
+// It returns the incremental costing.
+func checkResult(parentSig string, base *cost.Costing, model cost.Model, singleChain bool, res *transitions.Result) (*cost.Costing, error) {
 	inc, err := cost.EvaluateIncremental(base, res.Graph, model, res.Dirty)
 	if err != nil {
-		return fmt.Errorf("%s: incremental evaluation: %w", res.Description(), err)
+		return nil, fmt.Errorf("%s: incremental evaluation: %w", res.Description(), err)
 	}
 	scratch, err := cost.Evaluate(res.Graph, model)
 	if err != nil {
-		return fmt.Errorf("%s: scratch evaluation: %w", res.Description(), err)
+		return nil, fmt.Errorf("%s: scratch evaluation: %w", res.Description(), err)
 	}
 	if err := compareCostings(inc, scratch); err != nil {
-		return fmt.Errorf("%s: %w", res.Description(), err)
+		return nil, fmt.Errorf("%s: %w", res.Description(), err)
 	}
 	if res.SigOld != "" {
 		full := res.Graph.Signature()
 		if spliced, ok := workflow.SpliceSignature(parentSig, res.SigOld, res.SigNew, singleChain); ok && spliced != full {
-			return fmt.Errorf("%s: spliced signature %q != full rendering %q (parent %q, %q->%q)",
+			return nil, fmt.Errorf("%s: spliced signature %q != full rendering %q (parent %q, %q->%q)",
 				res.Description(), spliced, full, parentSig, res.SigOld, res.SigNew)
 		}
 	}
-	return nil
+	return inc, nil
 }
 
 // checkGroupJob searches the orderings of one local group of g the way HS
@@ -220,8 +222,20 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 
 	succs := Successors(g0)
 	for _, res := range succs {
-		if err := checkResult(sig0, base, model, singleChain, res); err != nil {
+		inc, err := checkResult(sig0, base, model, singleChain, res)
+		if err != nil {
 			return err
+		}
+		if res.Applied.Op == "SWA" {
+			// A swap keeps its parent's nodes, so its costing is an overlay
+			// of the flat base; the swap back is costed from the overlay,
+			// flat again.
+			a := res.Applied.Args
+			if back, err := transitions.Swap(res.Graph, a[1], a[0]); err == nil {
+				if _, err := checkResult(res.Graph.Signature(), inc, model, singleChain, back); err != nil {
+					return fmt.Errorf("%s then %w", res.Description(), err)
+				}
+			}
 		}
 		if res.Applied.Op != "MER" {
 			continue
@@ -240,7 +254,7 @@ func CheckExpansion(sc *templates.Scenario, model cost.Model, verifyData int) er
 		if err != nil {
 			return fmt.Errorf("%s: splitting the merged package back: %w", res.Description(), err)
 		}
-		if err := checkResult(msig, mbase, model, singleChain, sres); err != nil {
+		if _, err := checkResult(msig, mbase, model, singleChain, sres); err != nil {
 			return err
 		}
 		if got := sres.Graph.Signature(); got != sig0 {

@@ -23,12 +23,14 @@ import (
 // graph-corruption errors.
 type Rejection struct {
 	Transition string
-	Reason     string
+	// The reason, rendered only by Error: the search reads none.
+	format string
+	args   []any
 }
 
 // Error implements error.
 func (r *Rejection) Error() string {
-	return fmt.Sprintf("%s rejected: %s", r.Transition, r.Reason)
+	return r.Transition + " rejected: " + fmt.Sprintf(r.format, r.args...)
 }
 
 // IsRejection reports whether err is (or wraps) a transition rejection.
@@ -37,8 +39,8 @@ func IsRejection(err error) bool {
 	return errors.As(err, &r)
 }
 
-func reject(transition, format string, args ...interface{}) error {
-	return &Rejection{Transition: transition, Reason: fmt.Sprintf(format, args...)}
+func reject(transition, format string, args ...any) error {
+	return &Rejection{Transition: transition, format: format, args: args}
 }
 
 // Applied identifies an applied transition structurally: the operation

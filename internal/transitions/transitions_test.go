@@ -1,7 +1,6 @@
 package transitions
 
 import (
-	"strings"
 	"testing"
 
 	"etlopt/internal/algebra"
@@ -100,8 +99,14 @@ func TestSwapRejectedProjectedOut(t *testing.T) {
 	if err == nil || !IsRejection(err) {
 		t.Fatalf("swap must be rejected when a declared input loses its provider, got %v", err)
 	}
-	if !strings.Contains(err.Error(), "declared input") {
-		t.Errorf("rejection should cite the declared input: %v", err)
+	// A rejection renders its message only when read; the text is the one
+	// an eagerly formatted rejection carried.
+	const want = "SWA rejected: resulting state ill-formed: workflow: activity 2 (NN(A)): declared input attributes {X} not all provided by {A}"
+	if err.Error() != want {
+		t.Errorf("rejection reads %q, want %q", err, want)
+	}
+	if _, err := Swap(g, ids[1], ids[0]); err == nil || err.Error() != "SWA rejected: activities 3 and 2 are not adjacent" {
+		t.Errorf("swapping the pair backwards: %v", err)
 	}
 	// Without the declaration, pushing the projection earlier is legal.
 	b1 := templates.NotNull(0.9, "A")

@@ -111,19 +111,28 @@ func LocateSplice(sig, seg string, singleChain bool, anchors ...string) (site Sp
 // sibling past a neighbor. Occurrences outside the run are other nodes'
 // renderings: the site's group renders only in the run.
 func (s *SpliceSite) Splice(sig, oldSeg, newSeg string) (string, bool) {
+	out, ok := s.AppendSplice(make([]byte, 0, len(sig)+len(newSeg)), sig, oldSeg, newSeg)
+	return string(out), ok
+}
+
+// AppendSplice is Splice appending the result to dst, returned as it was
+// when ok is false: a caller probing a set allocates nothing.
+func (s *SpliceSite) AppendSplice(dst []byte, sig, oldSeg, newSeg string) ([]byte, bool) {
 	tail := len(s.sig) - s.hi
 	if s.sig == "" || len(sig) < s.lo+tail || sig[:s.lo] != s.sig[:s.lo] || sig[len(sig)-tail:] != s.sig[s.hi:] ||
 		strings.ContainsAny(sig[s.lo:len(sig)-tail], groupSyntax) {
-		return "", false
+		return dst, false
 	}
 	p, n := aligned(sig[s.lo:len(sig)-tail], oldSeg)
 	if n != 1 {
-		return "", false
+		return dst, false
 	}
-	out := sig[:s.lo+p] + newSeg + sig[s.lo+p+len(oldSeg):]
+	start := len(dst)
+	out := append(append(append(dst, sig[:s.lo+p]...), newSeg...), sig[s.lo+p+len(oldSeg):]...)
 	for _, b := range s.bounds {
-		if c := strings.Compare(out[s.lo:len(out)-b.tail], b.rest); c != 0 && (c < 0) == b.left {
-			return "", false
+		// Comparing a converted slice allocates nothing.
+		if run := out[start+s.lo : len(out)-b.tail]; string(run) != b.rest && (string(run) < b.rest) == b.left {
+			return dst, false
 		}
 	}
 	return out, true

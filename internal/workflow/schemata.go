@@ -250,11 +250,11 @@ func (g *Graph) CheckWellFormedNodes(ids []NodeID) error {
 		switch n.Kind {
 		case KindActivity:
 			if err := checkActivity(n); err != nil {
-				return fmt.Errorf("workflow: activity %d (%s): %w", id, n.Label(), err)
+				return errorf("workflow: activity %d (%s): %v", id, n.Label(), err)
 			}
 		case KindRecordset:
 			if len(n.In) == 1 && !n.In[0].SameSet(n.RS.Schema) {
-				return fmt.Errorf("workflow: target %s expects schema {%s}, provider delivers {%s}",
+				return errorf("workflow: target %s expects schema {%s}, provider delivers {%s}",
 					n.RS.Name, n.RS.Schema, n.In[0])
 			}
 		}
@@ -273,10 +273,10 @@ func checkActivity(n *Node) error {
 		}
 	}
 	if !all.HasAll(a.Fun) {
-		return fmt.Errorf("functionality schema {%s} not contained in input {%s}", a.Fun, all)
+		return errorf("functionality schema {%s} not contained in input {%s}", a.Fun, all)
 	}
 	if !all.HasAll(a.RequiredIn) {
-		return fmt.Errorf("declared input attributes {%s} not all provided by {%s}", a.RequiredIn, all)
+		return errorf("declared input attributes {%s} not all provided by {%s}", a.RequiredIn, all)
 	}
 	return checkOpParams(a, n.In)
 }
@@ -285,51 +285,51 @@ func checkOpParams(a *Activity, in []data.Schema) error {
 	switch a.Sem.Op {
 	case OpFilter:
 		if a.Sem.Pred == nil {
-			return fmt.Errorf("filter without predicate")
+			return errorf("filter without predicate")
 		}
 	case OpNotNull, OpPKCheck:
 		if len(a.Sem.Attrs) == 0 {
-			return fmt.Errorf("%s without attributes", a.Sem.Op)
+			return errorf("%s without attributes", a.Sem.Op)
 		}
 		if !in[0].HasAll(data.Schema(a.Sem.Attrs)) {
-			return fmt.Errorf("%s attributes {%v} not in input {%s}", a.Sem.Op, a.Sem.Attrs, in[0])
+			return errorf("%s attributes {%v} not in input {%s}", a.Sem.Op, a.Sem.Attrs, in[0])
 		}
 	case OpProject:
 		if !in[0].HasAll(data.Schema(a.Sem.Attrs)) {
-			return fmt.Errorf("projected-out attributes {%v} not in input {%s}", a.Sem.Attrs, in[0])
+			return errorf("projected-out attributes {%v} not in input {%s}", a.Sem.Attrs, in[0])
 		}
 	case OpFunc:
 		if !in[0].HasAll(data.Schema(a.Sem.FnArgs)) {
-			return fmt.Errorf("function args {%v} not in input {%s}", a.Sem.FnArgs, in[0])
+			return errorf("function args {%v} not in input {%s}", a.Sem.FnArgs, in[0])
 		}
 		if !a.InPlace() && in[0].Has(a.Sem.OutAttr) && !data.Schema(a.Sem.FnArgs).Has(a.Sem.OutAttr) {
-			return fmt.Errorf("generated attribute %q already present in input {%s}", a.Sem.OutAttr, in[0])
+			return errorf("generated attribute %q already present in input {%s}", a.Sem.OutAttr, in[0])
 		}
 	case OpAggregate:
 		if !in[0].HasAll(data.Schema(a.Sem.Attrs)) {
-			return fmt.Errorf("groupers {%v} not in input {%s}", a.Sem.Attrs, in[0])
+			return errorf("groupers {%v} not in input {%s}", a.Sem.Attrs, in[0])
 		}
 		if a.Sem.Agg != AggCount && !in[0].Has(a.Sem.AggAttr) {
-			return fmt.Errorf("aggregated attribute %q not in input {%s}", a.Sem.AggAttr, in[0])
+			return errorf("aggregated attribute %q not in input {%s}", a.Sem.AggAttr, in[0])
 		}
 		if in[0].Has(a.Sem.OutAttr) && a.Sem.OutAttr != a.Sem.AggAttr {
-			return fmt.Errorf("generated attribute %q already present in input {%s}", a.Sem.OutAttr, in[0])
+			return errorf("generated attribute %q already present in input {%s}", a.Sem.OutAttr, in[0])
 		}
 	case OpSurrogateKey:
 		if !in[0].Has(a.Sem.KeyAttr) {
-			return fmt.Errorf("production key %q not in input {%s}", a.Sem.KeyAttr, in[0])
+			return errorf("production key %q not in input {%s}", a.Sem.KeyAttr, in[0])
 		}
 		if in[0].Has(a.Sem.OutAttr) {
-			return fmt.Errorf("surrogate attribute %q already present in input {%s}", a.Sem.OutAttr, in[0])
+			return errorf("surrogate attribute %q already present in input {%s}", a.Sem.OutAttr, in[0])
 		}
 	case OpMerged:
 		cur := in[0].Clone()
 		for _, comp := range a.Sem.Components {
 			if !cur.HasAll(comp.Fun) {
-				return fmt.Errorf("merged component %s: functionality {%s} not in flow {%s}", comp.Sem, comp.Fun, cur)
+				return errorf("merged component %s: functionality {%s} not in flow {%s}", comp.Sem, comp.Fun, cur)
 			}
 			if err := checkOpParams(comp, []data.Schema{cur}); err != nil {
-				return fmt.Errorf("merged component: %w", err)
+				return errorf("merged component: %v", err)
 			}
 			next, err := DeriveOutput(comp, []data.Schema{cur})
 			if err != nil {
@@ -339,14 +339,26 @@ func checkOpParams(a *Activity, in []data.Schema) error {
 		}
 	case OpUnion:
 		if !in[0].SameSet(in[1]) {
-			return fmt.Errorf("union inputs differ: {%s} vs {%s}", in[0], in[1])
+			return errorf("union inputs differ: {%s} vs {%s}", in[0], in[1])
 		}
 	case OpJoin, OpDiff, OpIntersect:
 		for i, s := range in {
 			if !s.HasAll(data.Schema(a.Sem.Attrs)) {
-				return fmt.Errorf("%s keys {%v} not in input %d {%s}", a.Sem.Op, a.Sem.Attrs, i+1, s)
+				return errorf("%s keys {%v} not in input %d {%s}", a.Sem.Op, a.Sem.Attrs, i+1, s)
 			}
 		}
 	}
 	return nil
 }
+
+// wellFormedError is a well-formedness violation formatted only when its
+// message is read: the search refuses most candidate rewrites on one and
+// reads none of their messages.
+type wellFormedError struct {
+	format string
+	args   []any
+}
+
+func errorf(format string, args ...any) error { return &wellFormedError{format, args} }
+
+func (e *wellFormedError) Error() string { return fmt.Sprintf(e.format, e.args...) }
