@@ -542,6 +542,53 @@ func TestPlanStages(t *testing.T) {
 	}
 }
 
+// TestPlanStagesFusesRowLocalKinds pins which members of a chain that
+// holds every unary kind planStages fuses: runs of selections, not-null
+// checks, lookup key checks, functions, projections and surrogate keys
+// become one stage each; DISTINCT, the aggregation and the group-based key
+// check stand alone.
+func TestPlanStagesFusesRowLocalKinds(t *testing.T) {
+	g := workflow.NewGraph()
+	ids := []workflow.NodeID{g.AddRecordset(&workflow.RecordsetRef{Name: "SRC", Schema: data.Schema{"K", "CUST", "DATE", "COST", "AMT", "NAME", "NOTE"}, Rows: 100, IsSource: true})}
+	for _, a := range []*workflow.Activity{
+		templates.Threshold("K", 10, 0.5),             // 2
+		templates.NotNull(0.9, "DATE"),                // 3
+		templates.Distinct(0.95),                      // 4
+		templates.Reformat("round", "COST"),           // 5
+		templates.ProjectOut("NOTE"),                  // 6
+		templates.PKCheckAgainst("KEYS", 0.7, "K"),    // 7
+		templates.Apply("dollar2euro", "EAMT", "AMT"), // 8
+		templates.Aggregate([]string{"K", "CUST", "DATE", "AMT", "NAME", "EAMT"}, workflow.AggSum, "COST", "TOTAL", 0.3), // 9
+		templates.SurrogateKey("CUST", "SKEY", "CUSTOMERS"),                                                              // 10
+		templates.Convert("upper", "UNAME", "NAME"),                                                                      // 11
+		templates.PKCheck(0.8, "K"),                                                                                      // 12
+		templates.Reformat("a2edate", "DATE"),                                                                            // 13
+	} {
+		id := g.AddActivity(a)
+		g.MustAddEdge(ids[len(ids)-1], id)
+		ids = append(ids, id)
+	}
+	tgt := g.AddRecordset(&workflow.RecordsetRef{Name: "TGT", Schema: data.Schema{"K", "DATE", "AMT", "EAMT", "TOTAL", "SKEY", "UNAME"}, IsTarget: true})
+	g.MustAddEdge(ids[len(ids)-1], tgt)
+	if err := g.RegenerateSchemata(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []string
+	for _, ids := range planStages(g, order, nil) {
+		parts = append(parts, fmt.Sprint(ids))
+	}
+	if got, want := strings.Join(parts, " "), "[1] [2 3] [4] [5 6 7 8] [9] [10 11] [12] [13] [14]"; got != want {
+		t.Errorf("plan %s, want %s", got, want)
+	}
+}
+
 // keyedWorkload parses benchmark/workloads/keyed.etl and generates n rows
 // per order feed for it (5 % duplicates, skewed customers, NULL amounts).
 func keyedWorkload(t testing.TB, n int) (*workflow.Graph, func() map[string]data.Recordset) {
