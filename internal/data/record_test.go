@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -124,6 +125,32 @@ func TestRowsSameMultiset(t *testing.T) {
 	// Kinds count: an int is not the float of equal value.
 	if (Rows{{NewInt(2)}}).SameMultiset(Rows{{NewFloat(2)}}) == nil {
 		t.Error("Int(2) and Float(2) should differ")
+	}
+}
+
+// TestRowsSameMultisetIsExact: records whose digests collide are still told
+// apart, value by value with kinds. mixWord folds a word in by XOR, so a
+// second word can cancel the first: (1, 2) and (3, -2433631551321537053)
+// digest alike. -0 and +0, and two NaNs, are told apart as the digest tells
+// them apart.
+func TestRowsSameMultisetIsExact(t *testing.T) {
+	a, b := Record{NewInt(1), NewInt(2)}, Record{NewInt(3), NewInt(-2433631551321537053)}
+	if da, db := (Rows{a}).Digest(), (Rows{b}).Digest(); da != db {
+		t.Fatalf("the records no longer collide (%016x, %016x)", da, db)
+	}
+	for _, c := range []struct {
+		x, y Rows
+		same bool
+	}{
+		{Rows{a}, Rows{b}, false},
+		{Rows{a, a, b}, Rows{a, b, b}, false},
+		{Rows{b, a, b, a}, Rows{a, b, a, b}, true},
+		{Rows{{NewFloat(math.Copysign(0, -1))}}, Rows{{NewFloat(0)}}, false},
+		{Rows{{NewFloat(math.NaN())}}, Rows{{NewFloat(-math.NaN())}}, false},
+	} {
+		if err := c.x.SameMultiset(c.y); (err == nil) != c.same {
+			t.Errorf("%v against %v: SameMultiset = %v, want the same multiset: %t", c.x, c.y, err, c.same)
+		}
 	}
 }
 

@@ -62,3 +62,21 @@ func TestSameRun(t *testing.T) {
 		})
 	}
 }
+
+// TestSameRunIsExact: a row whose digest collides with the wanted one is a
+// difference. (1, 2) and (3, -2433631551321537053) digest alike, alone and
+// as a whole target.
+func TestSameRunIsExact(t *testing.T) {
+	a := data.Record{data.NewInt(1), data.NewInt(2)}
+	b := data.Record{data.NewInt(3), data.NewInt(-2433631551321537053)}
+	if da, db := (data.Rows{a}).Digest(), (data.Rows{b}).Digest(); da != db {
+		t.Fatalf("the records no longer collide (%016x, %016x)", da, db)
+	}
+	run := func(r data.Record) *RunResult {
+		return &RunResult{Targets: map[string]data.Rows{"T": {r}}, NodeRows: map[workflow.NodeID]int{1: 1}}
+	}
+	err := SameRun(run(a), run(b))
+	if want := "target T row 0: (int(3), int(-2433631551321537053)), want (int(1), int(2))"; err == nil || err.Error() != want {
+		t.Errorf("SameRun = %v, want %q", err, want)
+	}
+}
