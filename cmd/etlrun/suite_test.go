@@ -166,9 +166,11 @@ func TestCLISuiteTargetCollision(t *testing.T) {
 
 // TestCLIRefusesFlagsItsModeIgnores: a single-workflow run refuses each
 // suite flag set on its command line, and a suite refuses -workers, which
-// only -optimize reads. Each refusal exits non-zero naming the flag before
-// a journal, a profile, a spill directory or a target file exists. A
-// suite honours -cpuprofile.
+// only -optimize reads. A flag whose companion is not set is refused too:
+// -workers without -optimize, -retries without -faults, -shared-spill with
+// an unbounded -shared-cache. Each refusal exits non-zero naming the flag
+// (and its companion) before a journal, a profile, a spill directory or a
+// target file exists. A suite honours -cpuprofile.
 func TestCLIRefusesFlagsItsModeIgnores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -188,6 +190,10 @@ func TestCLIRefusesFlagsItsModeIgnores(t *testing.T) {
 		{[]string{"-in", wf, "-shared-cache", "-1"}, "-shared-cache applies to suites, not single-workflow runs"},
 		{[]string{"-in", wf, "-shared-spill", spill}, "-shared-spill applies to suites, not single-workflow runs"},
 		{[]string{"-workers", "2", wf, wf}, "-workers applies to single-workflow runs, not suites"},
+		{[]string{"-in", wf, "-workers", "2"}, "-workers applies only with -optimize"},
+		{[]string{"-in", wf, "-retries", "3"}, "-retries applies only with -faults"},
+		{[]string{"-shared-spill", spill, wf, wf}, "-shared-spill applies only with -shared-cache 0 or more"},
+		{[]string{"-shared-spill", spill, "-shared-cache", "-1", wf, wf}, "-shared-spill applies only with -shared-cache 0 or more"},
 	} {
 		args := append([]string{"-data", dir, "-journal", journal, "-cpuprofile", profile}, c.args...)
 		got, err := exec.Command(bin, args...).CombinedOutput()
