@@ -13,8 +13,8 @@ import (
 
 // The digests below name content: rows (Rows.Digest) and whole recordsets
 // (Recordset.Digest). They are the data half of the shared-work cache key,
-// and the equivalence oracle and the property suites compare rows through
-// Rows.Digest, so their definition is part of the bit-identity contract. They
+// and Rows.SameMultiset sorts rows by Rows.Digest before it compares them
+// value by value, so their definition is part of the bit-identity contract. They
 // fold words through mixWord, as HashKey does, but tell apart what a key puts
 // in one class: Int(7) from Float(7), one NaN from another.
 const (
@@ -51,25 +51,27 @@ func (rows Rows) Digest() uint64 {
 // SameMultiset returns nil when rs and o hold the same records, each as
 // often, in any order: the paper's empirical notion of equivalent
 // workflows, "based on the same input, produce the same output" (§2.2).
-// Two records are the same when their Digests are, so kinds count: Int(2)
-// is not Float(2). Otherwise the error names one record, with its kinds,
-// that one side holds more often than the other.
+// Two records are the same when they hold the same typed values, as Digest
+// tells values apart: Int(2) is not Float(2), nor -0 +0. Records are sorted
+// by digest and, within one digest, compared value by value, so two that
+// only share a digest differ. Otherwise the error names one record, with
+// its kinds, that one side holds more often than the other.
 func (rs Rows) SameMultiset(o Rows) error {
 	a, b := sortedByDigest(rs), sortedByDigest(o)
 	for len(a) > 0 || len(b) > 0 {
 		head := b
-		if len(b) == 0 || len(a) > 0 && a[0].d <= b[0].d {
+		if len(b) == 0 || len(a) > 0 && compareDigested(a[0], b[0]) <= 0 {
 			head = a
 		}
-		d, r := head[0].d, head[0].r
-		na, nb := leading(a, d), leading(b, d)
+		x := head[0]
+		na, nb := leading(a, x), leading(b, x)
 		if na != nb {
-			kinds := make([]string, len(r))
-			for i, v := range r {
+			kinds := make([]string, len(x.r))
+			for i, v := range x.r {
 				kinds[i] = v.Kind().String()
 			}
 			return fmt.Errorf("record %v of kinds (%s): %d× in the first rows, %d× in the second",
-				r, strings.Join(kinds, ", "), na, nb)
+				x.r, strings.Join(kinds, ", "), na, nb)
 		}
 		a, b = a[na:], b[nb:]
 	}
@@ -86,14 +88,41 @@ func sortedByDigest(rows Rows) []digested {
 	for i, r := range rows {
 		out[i] = digested{Rows{r}.Digest(), r}
 	}
-	slices.SortFunc(out, func(x, y digested) int { return cmp.Compare(x.d, y.d) })
+	slices.SortFunc(out, compareDigested)
 	return out
 }
 
-// leading counts the records at the head of s whose digest is d.
-func leading(s []digested, d uint64) int {
+// compareDigested orders records by digest, then by their typed values: by
+// length, then value by value by kind and then payload (a string's bytes,
+// else the payload word, which holds a float's bits). It is 0 exactly when
+// the records hold the same typed values.
+func compareDigested(x, y digested) int {
+	if c := cmp.Compare(x.d, y.d); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(len(x.r), len(y.r)); c != 0 {
+		return c
+	}
+	for i := range x.r {
+		u, v := &x.r[i], &y.r[i]
+		k := u.kind()
+		c := cmp.Compare(k, v.kind())
+		if c == 0 && k == KindString {
+			c = strings.Compare(u.str(), v.str())
+		} else if c == 0 {
+			c = cmp.Compare(u.n, v.n) // a NULL's payload is 0
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// leading counts the records at the head of s that are x's.
+func leading(s []digested, x digested) int {
 	n := 0
-	for n < len(s) && s[n].d == d {
+	for n < len(s) && compareDigested(s[n], x) == 0 {
 		n++
 	}
 	return n

@@ -24,6 +24,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -118,8 +119,8 @@ type RunResult struct {
 // SameRun returns nil when got is the same run as want — the run-level
 // form of §2.2's "same input, same output" that every equivalence check
 // holds the engine to: the same target names, each target's rows the same
-// typed values in the same order (equal lengths and Rows.Digest, which
-// tells Int(2) from Float(2)), and equal NodeRows. Elapsed is ignored.
+// typed values in the same order (compared value by value: Int(2) is not
+// Float(2), nor -0 +0), and equal NodeRows. Elapsed is ignored.
 // Otherwise the error names the first difference, targets by name and
 // nodes by ID: a missing or extra target, the first differing row of a
 // target, or a node that is missing, extra or counted differently.
@@ -141,15 +142,15 @@ func SameRun(want, got *RunResult) error {
 			return fmt.Errorf("target %s missing (want %d rows)", name, len(w))
 		case !inWant:
 			return fmt.Errorf("target %s extra (%d rows)", name, len(g))
-		case len(w) == len(g) && w.Digest() == g.Digest():
-			continue
 		}
 		for i := range min(len(w), len(g)) {
-			if (data.Rows{w[i]}).Digest() != (data.Rows{g[i]}).Digest() {
+			if !sameValues(w[i], g[i]) {
 				return fmt.Errorf("target %s row %d: %s, want %s", name, i, typed(g[i]), typed(w[i]))
 			}
 		}
-		return fmt.Errorf("target %s: %d rows, want %d", name, len(g), len(w))
+		if len(w) != len(g) {
+			return fmt.Errorf("target %s: %d rows, want %d", name, len(g), len(w))
+		}
 	}
 	var ids []workflow.NodeID
 	for _, rows := range []map[workflow.NodeID]int{want.NodeRows, got.NodeRows} {
@@ -171,6 +172,22 @@ func SameRun(want, got *RunResult) error {
 		}
 	}
 	return nil
+}
+
+// sameValues reports whether two records hold the same typed values: equal
+// kinds, Equal values, and floats with equal bits (Equal puts -0 with +0).
+func sameValues(a, b data.Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		k := a[i].Kind()
+		if k != b[i].Kind() || !a[i].Equal(b[i]) ||
+			k == data.KindFloat && math.Float64bits(a[i].Float()) != math.Float64bits(b[i].Float()) {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes the workflow and returns the loaded target rows. The graph
