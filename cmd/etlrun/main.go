@@ -30,7 +30,9 @@
 // Suite mode is execution-only: -optimize, -workers, -checkpoint, -impact,
 // -explain and -calibrate apply to single-workflow runs, and a suite
 // refuses them; a single-workflow run refuses -suite-workers,
-// -shared-cache and -shared-spill.
+// -shared-cache and -shared-spill. A flag is refused, too, without the one
+// whose work it tunes: -workers without -optimize, -retries without
+// -faults, -shared-spill without a bounded -shared-cache.
 //
 // Flag vocabulary (shared across etlrun, etlopt and etlbench): -workers
 // controls optimizer search parallelism (goroutines expanding the state
@@ -136,6 +138,19 @@ func run() error {
 	for _, name := range ignored {
 		if set[name] {
 			return fmt.Errorf("-%s applies to %s", name, mode)
+		}
+	}
+	// So is a flag set without the one whose work it tunes.
+	for _, c := range []struct {
+		name, with string
+		on         bool
+	}{
+		{"workers", "-optimize", *optimize != ""},
+		{"retries", "-faults", *faults != ""},
+		{"shared-spill", "-shared-cache 0 or more", *sharedCap >= 0},
+	} {
+		if set[c.name] && !c.on {
+			return fmt.Errorf("-%s applies only with %s", c.name, c.with)
 		}
 	}
 	if *cpuProf != "" {
