@@ -42,17 +42,16 @@ func log2(n float64) float64 {
 	return math.Log2(n)
 }
 
-// ActivityCost implements Model: filters and per-row transformations cost
-// n; duplicate-sensitive and key-assigning operations cost n·log₂n; binary
-// operations charge both inputs (n₁+n₂ for union, sort-based n·log₂n per
-// side for join-like operations).
+// ActivityCost implements Model, by the activity's operator class: a
+// row-local activity costs n; a duplicate-sensitive one, and one that reads
+// a lookup, n·log₂n; a package its components' costs along its flow; a
+// bag union n₁+n₂ and the keyed binaries a sort-based n·log₂n per side.
+// "Reads a lookup ⇒ n·log₂n" is the model's one named exception: the
+// engine streams surrogate keys and lookup key checks row by row.
 func (RowModel) ActivityCost(a *workflow.Activity, in []float64) float64 {
-	switch a.Sem.Op {
-	case workflow.OpFilter, workflow.OpNotNull, workflow.OpProject, workflow.OpFunc:
-		return in[0]
-	case workflow.OpPKCheck, workflow.OpDistinct, workflow.OpAggregate, workflow.OpSurrogateKey:
-		return in[0] * log2(in[0])
-	case workflow.OpMerged:
+	c := a.Class()
+	switch {
+	case a.Sem.Op == workflow.OpMerged:
 		total := 0.0
 		n := in[0]
 		for _, comp := range a.Sem.Components {
@@ -60,12 +59,14 @@ func (RowModel) ActivityCost(a *workflow.Activity, in []float64) float64 {
 			n = RowModel{}.OutputRows(comp, []float64{n})
 		}
 		return total
-	case workflow.OpUnion:
+	case c&workflow.Binary != 0 && c&workflow.ValueSensitive == 0:
 		return in[0] + in[1]
-	case workflow.OpJoin, workflow.OpDiff, workflow.OpIntersect:
+	case c&workflow.Binary != 0:
 		return in[0]*log2(in[0]) + in[1]*log2(in[1])
-	default:
+	case c&workflow.RowLocal != 0 && c&workflow.ReadsLookup == 0:
 		return in[0]
+	default:
+		return in[0] * log2(in[0])
 	}
 }
 

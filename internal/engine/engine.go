@@ -355,7 +355,7 @@ func (e *Engine) runNodes(ctx context.Context, g *workflow.Graph, p int, hook St
 			switch {
 			case activity:
 				emitParts = p
-				if streamable(n.Act) {
+				if n.Act.Class()&workflow.RowLocal != 0 {
 					var c *rowChain
 					if c, err = e.resolveChain(g, ids, out[preds[0]].layout); err == nil {
 						pd, tallies, err = e.execChain(ctx, id, n, c, out[preds[0]], p, scr, rowsSoFar)

@@ -284,7 +284,7 @@ func TestKeyOperatorAllocations(t *testing.T) {
 			}
 			var pd *pdata
 			var err error
-			if !streamable(a) {
+			if a.Class()&workflow.RowLocal == 0 {
 				pd, err = e.execParallelOp(context.Background(), 0, n, inputs, 1, 0)
 			} else {
 				var c *rowChain

@@ -338,7 +338,7 @@ func (e *Engine) execParallelOp(ctx context.Context, id workflow.NodeID, n *work
 	case workflow.OpDistinct, workflow.OpPKCheck, workflow.OpAggregate:
 		// All rows of a key must meet: exchange by the whole record
 		// (distinct), the key attributes (group-based pkcheck; the
-		// lookup-based one is streamable) or the groupers — unless the
+		// lookup-based one is row-local) or the groupers — unless the
 		// input already co-locates them.
 		key, pos, ex := []string(n.In[0]), []int(nil), inputs[0]
 		var err error

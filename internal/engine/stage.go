@@ -14,34 +14,21 @@ import (
 
 // This file is the row-local half of the node driver. The driver's unit
 // of execution, retry and fault injection is a stage (planStages): a
-// maximal path of streamable activities, or any other node alone. Inside
-// a stage no member's output is materialized: a batch of at most
-// batchRows rows is carried through every member's resolved kernel, each
-// row keeps one work record in a scratch slab the next batch overwrites —
-// members write its slots instead of copying it — and only a row that
-// survives the whole stage gets a record of its own, cut from the run's
-// chunks in the layout its reader wants: the run-time counterpart of the
-// paper's MER transition, and the shared-cache execution trees of Liu
+// maximal path of row-local activities (workflow.RowLocal), or any other
+// node alone. Inside a stage no member's output is materialized: a batch
+// of at most batchRows rows is carried through every member's resolved
+// kernel, each row keeps one work record in a scratch slab the next batch
+// overwrites — members write its slots instead of copying it — and only a
+// row that survives the whole stage gets a record of its own, cut from the
+// run's chunks in the layout its reader wants: the run-time counterpart of
+// the paper's MER transition, and the shared-cache execution trees of Liu
 // (PAPERS.md), which cut a dataflow at its blocking components.
 
 // batchRows bounds a stage's live work records, whatever the input's size.
 const batchRows = 1024
 
-// streamable reports whether an activity is row-local: stateless per
-// record and order-preserving, so it runs on any batch of any partition.
-func streamable(a *workflow.Activity) bool {
-	switch a.Sem.Op {
-	case workflow.OpFilter, workflow.OpNotNull, workflow.OpProject, workflow.OpFunc, workflow.OpSurrogateKey:
-		return true
-	case workflow.OpPKCheck:
-		return a.Sem.Lookup != ""
-	default:
-		return false
-	}
-}
-
 // planStages groups a topological order into stages, each a list of node
-// IDs in flow order. A maximal path of streamable activities (each has one
+// IDs in flow order. A maximal path of row-local activities (each has one
 // provider) whose every member but the last has exactly one consumer and
 // is not one the hook (when not nil) Ends is one stage, placed where its
 // head stands in the order — legal, since each later member reads only the
@@ -53,7 +40,7 @@ func planStages(g *workflow.Graph, order []workflow.NodeID, hook StageHook) [][]
 	placed := make(map[workflow.NodeID]bool) // fused into a stage, or a source put before its reader
 	rowLocal := func(id workflow.NodeID) bool {
 		n := g.Node(id)
-		return n.Kind == workflow.KindActivity && streamable(n.Act)
+		return n.Kind == workflow.KindActivity && n.Act.Class()&workflow.RowLocal != 0
 	}
 	for _, id := range order {
 		if placed[id] || len(g.Providers(id)) == 0 {

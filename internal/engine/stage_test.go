@@ -78,7 +78,7 @@ func nodeByNode(t testing.TB, e *Engine, g *workflow.Graph, p int) refRun {
 func runStage(e *Engine, g *workflow.Graph, ids []workflow.NodeID, out map[workflow.NodeID]*pdata, p int) (*pdata, error) {
 	id := ids[len(ids)-1]
 	n := g.Node(id)
-	if !streamable(n.Act) {
+	if n.Act.Class()&workflow.RowLocal == 0 {
 		return e.execParallel(context.Background(), g, id, n, out, p, 0)
 	}
 	in := out[g.Providers(ids[0])[0]]

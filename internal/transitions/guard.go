@@ -1,6 +1,8 @@
 package transitions
 
 import (
+	"slices"
+
 	"etlopt/internal/algebra"
 	"etlopt/internal/data"
 	"etlopt/internal/workflow"
@@ -10,24 +12,9 @@ import (
 // paper's schema-subset conditions (3) and (4) cannot express. The paper
 // delegates these to the template library ([18], [19]): every template
 // carries fixed semantics, and the designer "dictates in advance" how it
-// may commute. Concretely, for the templates shipped here:
-//
-//   - value-sensitive activities (selections, scalar functions, surrogate
-//     keys, lookup-based key checks) must not cross an in-place
-//     transformation of an attribute they inspect — σ(DATE='…') before and
-//     after A2E(DATE) read different formats. Not-null checks are exempt:
-//     in-place functions are NULL-preserving by contract;
-//   - duplicate-sensitive activities (DISTINCT, group-based primary-key
-//     checks, aggregations) only cross record-injective transformations,
-//     and grouping activities only cross in-place functions that are
-//     bijections (A2E may swap with γ because the date reformat is a
-//     bijection on groupers; round() may not);
-//   - selections cross an aggregation only when they inspect grouper
-//     attributes exclusively (filtering whole groups commutes);
-//   - two duplicate-sensitive activities never swap, and DISTINCT never
-//     crosses a projection (projections create new duplicates).
-//
-// The guard is symmetric: it inspects the unordered pair.
+// may commute. The guard reads each activity's operator class
+// (workflow.Class; DESIGN §3, "Operator classes"). It is symmetric: it
+// inspects the unordered pair.
 func semanticGuard(a, b *workflow.Activity) error {
 	if err := guardOneWay(a, b); err != nil {
 		return err
@@ -36,70 +23,27 @@ func semanticGuard(a, b *workflow.Activity) error {
 }
 
 // guardOneWay checks the constraints that activity x imposes on swapping
-// with activity y.
+// with activity y:
+//
+//   - a value-sensitive activity must not cross an in-place transformation
+//     of an attribute it inspects — σ(DATE='…') before and after A2E(DATE)
+//     read different formats. Not-null checks are not value-sensitive:
+//     in-place functions are NULL-preserving by contract;
+//   - a duplicate-sensitive activity only crosses record-injective
+//     transformations, and a grouping one only in-place functions that are
+//     bijections (A2E may swap with γ, round() may not);
+//   - a selection crosses an aggregation only when it inspects grouper
+//     attributes exclusively (filtering whole groups commutes);
+//   - a group-based key check crosses no other selective or
+//     duplicate-sensitive activity, and DISTINCT never crosses a
+//     projection (projections create new duplicates).
+//
+// A package commutes only if each of its components does.
 func guardOneWay(x, y *workflow.Activity) error {
 	const name = "SWA"
-	switch x.Sem.Op {
-	case workflow.OpAggregate:
-		switch y.Sem.Op {
-		case workflow.OpAggregate, workflow.OpDistinct:
-			return reject(name, "%s and %s are both duplicate-sensitive", x.Sem.Op, y.Sem.Op)
-		case workflow.OpPKCheck:
-			if groupBasedPK(y) {
-				return reject(name, "aggregation cannot cross a group-based key check")
-			}
-			if !groupers(x).HasAll(y.Fun) {
-				return reject(name, "key check on non-grouper attributes cannot cross aggregation")
-			}
-		case workflow.OpFilter, workflow.OpNotNull:
-			if !groupers(x).HasAll(y.Fun) {
-				return reject(name, "selection on non-grouper attributes {%s} cannot cross aggregation", y.Fun)
-			}
-		case workflow.OpFunc:
-			if y.InPlace() && !algebra.IsBijective(y.Sem.Fn) {
-				return reject(name, "non-bijective in-place %s cannot cross aggregation", y.Sem.Fn)
-			}
-		}
-	case workflow.OpDistinct:
-		switch y.Sem.Op {
-		case workflow.OpProject:
-			return reject(name, "DISTINCT cannot cross a projection (projections create duplicates)")
-		case workflow.OpFunc:
-			if !recordInjective(y) {
-				return reject(name, "DISTINCT cannot cross non-injective %s", y.Sem.Fn)
-			}
-		case workflow.OpPKCheck:
-			if groupBasedPK(y) {
-				return reject(name, "DISTINCT cannot cross a group-based key check")
-			}
-		}
-	case workflow.OpPKCheck:
-		if !groupBasedPK(x) {
-			break // lookup-based checks behave like per-row filters
-		}
-		switch y.Sem.Op {
-		case workflow.OpFilter, workflow.OpNotNull:
-			return reject(name, "group-based key check cannot cross a selective activity")
-		case workflow.OpDistinct, workflow.OpAggregate:
-			return reject(name, "group-based key check cannot cross %s", y.Sem.Op)
-		case workflow.OpPKCheck:
-			if !x.SameOperation(y) {
-				return reject(name, "two different group-based key checks cannot swap")
-			}
-		case workflow.OpFunc:
-			if y.InPlace() && keysOf(x).Has(y.Sem.OutAttr) && !algebra.IsBijective(y.Sem.Fn) {
-				return reject(name, "non-bijective in-place %s on key attribute cannot cross key check", y.Sem.Fn)
-			}
-		}
-	case workflow.OpFunc:
-		if attr, ok := inPlaceAttr(x); ok {
-			if valueSensitive(y) && y.Fun.Has(attr) {
-				return reject(name,
-					"%s inspects %q, which in-place %s transforms", y.Sem.Op, attr, x.Sem.Fn)
-			}
-		}
-	case workflow.OpMerged:
-		// A merged package commutes only if each component does.
+	cx, cy := x.Class(), y.Class()
+	switch {
+	case x.Sem.Op == workflow.OpMerged:
 		for _, comp := range x.Sem.Components {
 			if err := guardOneWay(comp, y); err != nil {
 				return err
@@ -108,69 +52,54 @@ func guardOneWay(x, y *workflow.Activity) error {
 				return err
 			}
 		}
+		return nil
+	case x.InPlace():
+		if attr := x.Sem.OutAttr; cy&workflow.ValueSensitive != 0 && y.Fun.Has(attr) {
+			return reject(name, "%s inspects %q, which in-place %s transforms", y.Sem.Op, attr, x.Sem.Fn)
+		}
+		return nil
+	case cx&workflow.DuplicateSensitive == 0 || y.Sem.Op == workflow.OpMerged:
+		return nil // a package's components meet x when the roles turn
+	}
+	groupKeyCheck := y.Sem.Op == workflow.OpPKCheck && cy&workflow.DuplicateSensitive != 0
+	nonBijective := y.InPlace() && !algebra.IsBijective(y.Sem.Fn)
+	switch x.Sem.Op {
+	case workflow.OpAggregate:
+		switch {
+		case groupKeyCheck:
+			return reject(name, "aggregation cannot cross a group-based key check")
+		case cy&workflow.DuplicateSensitive != 0:
+			return reject(name, "%s and %s are both duplicate-sensitive", x.Sem.Op, y.Sem.Op)
+		case cy&workflow.Selective != 0 && !data.Schema(x.Sem.Attrs).HasAll(y.Fun):
+			if cy&workflow.ReadsLookup != 0 {
+				return reject(name, "key check on non-grouper attributes cannot cross aggregation")
+			}
+			return reject(name, "selection on non-grouper attributes {%s} cannot cross aggregation", y.Fun)
+		case nonBijective:
+			return reject(name, "non-bijective in-place %s cannot cross aggregation", y.Sem.Fn)
+		}
+	case workflow.OpDistinct:
+		switch {
+		case y.Sem.Op == workflow.OpProject:
+			return reject(name, "DISTINCT cannot cross a projection (projections create duplicates)")
+		case y.Sem.Op == workflow.OpFunc && !y.RecordInjective():
+			return reject(name, "DISTINCT cannot cross non-injective %s", y.Sem.Fn)
+		case groupKeyCheck:
+			return reject(name, "DISTINCT cannot cross a group-based key check")
+		}
+	case workflow.OpPKCheck:
+		switch {
+		case y.Sem.Op == workflow.OpPKCheck:
+			if !x.SameOperation(y) {
+				return reject(name, "two different group-based key checks cannot swap")
+			}
+		case cy&workflow.DuplicateSensitive != 0:
+			return reject(name, "group-based key check cannot cross %s", y.Sem.Op)
+		case cy&workflow.Selective != 0:
+			return reject(name, "group-based key check cannot cross a selective activity")
+		case nonBijective && slices.Contains(x.Sem.Attrs, y.Sem.OutAttr):
+			return reject(name, "non-bijective in-place %s on key attribute cannot cross key check", y.Sem.Fn)
+		}
 	}
 	return nil
-}
-
-// groupers returns an aggregation's grouping attributes as a schema.
-func groupers(a *workflow.Activity) data.Schema { return data.Schema(a.Sem.Attrs) }
-
-// keysOf returns a key check's key attributes as a schema.
-func keysOf(a *workflow.Activity) data.Schema { return data.Schema(a.Sem.Attrs) }
-
-// groupBasedPK reports whether a primary-key check detects duplicates
-// within its own input (duplicate-sensitive) rather than against a lookup
-// recordset (per-row).
-func groupBasedPK(a *workflow.Activity) bool {
-	return a.Sem.Op == workflow.OpPKCheck && a.Sem.Lookup == ""
-}
-
-// inPlaceAttr returns the attribute transformed by an in-place function
-// activity.
-func inPlaceAttr(a *workflow.Activity) (string, bool) {
-	if a.Sem.Op == workflow.OpFunc && a.InPlace() {
-		return a.Sem.OutAttr, true
-	}
-	return "", false
-}
-
-// valueSensitive reports whether the activity's semantics depend on the
-// concrete values (format) of the attributes in its functionality schema —
-// as opposed to activities that only inspect NULL-ness (not-null checks)
-// or group identity (aggregations and duplicate checks, which tolerate
-// bijective re-encodings and are guarded separately).
-func valueSensitive(a *workflow.Activity) bool {
-	switch a.Sem.Op {
-	case workflow.OpFilter, workflow.OpFunc, workflow.OpSurrogateKey:
-		return true
-	case workflow.OpPKCheck:
-		return !groupBasedPK(a) // lookup-based checks compare stored values
-	case workflow.OpMerged:
-		for _, comp := range a.Sem.Components {
-			if valueSensitive(comp) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-// recordInjective reports whether a function activity maps distinct input
-// records to distinct output records, which is what duplicate-sensitive
-// activities need in order to commute with it. Functions that keep their
-// argument attributes are always record-injective; converting and in-place
-// functions are injective exactly when the registered function is a
-// bijection (only single-argument functions can be registered bijective in
-// a meaningful way, so multi-argument converting functions are
-// conservatively non-injective).
-func recordInjective(a *workflow.Activity) bool {
-	if a.Sem.Op != workflow.OpFunc {
-		return false
-	}
-	if !a.InPlace() && !a.Sem.DropArgs {
-		return true
-	}
-	return len(a.Sem.FnArgs) == 1 && algebra.IsBijective(a.Sem.Fn)
 }

@@ -60,49 +60,64 @@ const (
 	OpIntersect
 )
 
+// Class is an operator class: the algebraic properties of an activity
+// that engine fusion, DIS, the swap guard and the cost model read
+// (DESIGN §3, "Operator classes"). It is a set of the bits below.
+type Class uint8
+
+// The operator class bits.
+const (
+	// RowLocal: stateless per record and order-preserving, so it runs on
+	// any batch of any partition.
+	RowLocal Class = 1 << iota
+	// Selective: passes or drops a record unchanged.
+	Selective
+	// ValueSensitive: its result depends on the values (the format) of the
+	// attributes it inspects, not only on their NULL-ness or identity.
+	ValueSensitive
+	// DuplicateSensitive: its result depends on which records of its input
+	// are equal, on all attributes or on some.
+	DuplicateSensitive
+	// Grouping: it groups its input by attribute values.
+	Grouping
+	// ReadsLookup: it reads a lookup recordset.
+	ReadsLookup
+	// Binary: it takes two input flows.
+	Binary
+)
+
+// opKinds is the one table of the operation kinds, indexed by OpKind: each
+// kind's short name and class. A pkcheck here is the group-based one and a
+// package has no bits of its own; (*Activity).Class settles both.
+var opKinds = [...]struct {
+	name  string
+	class Class
+}{
+	OpFilter:       {"filter", RowLocal | Selective | ValueSensitive},
+	OpNotNull:      {"notnull", RowLocal | Selective},
+	OpPKCheck:      {"pkcheck", Selective | DuplicateSensitive},
+	OpDistinct:     {"distinct", Selective | DuplicateSensitive},
+	OpProject:      {"project", RowLocal},
+	OpFunc:         {"func", RowLocal | ValueSensitive},
+	OpAggregate:    {"aggregate", DuplicateSensitive | Grouping},
+	OpSurrogateKey: {"sk", RowLocal | ValueSensitive | ReadsLookup},
+	OpMerged:       {"merged", 0},
+	OpUnion:        {"union", Binary},
+	OpJoin:         {"join", Binary | ValueSensitive},
+	OpDiff:         {"diff", Binary | Selective | ValueSensitive},
+	OpIntersect:    {"intersect", Binary | Selective | ValueSensitive},
+}
+
 // String returns the operation's short name.
 func (k OpKind) String() string {
-	switch k {
-	case OpFilter:
-		return "filter"
-	case OpNotNull:
-		return "notnull"
-	case OpPKCheck:
-		return "pkcheck"
-	case OpDistinct:
-		return "distinct"
-	case OpProject:
-		return "project"
-	case OpFunc:
-		return "func"
-	case OpAggregate:
-		return "aggregate"
-	case OpSurrogateKey:
-		return "sk"
-	case OpMerged:
-		return "merged"
-	case OpUnion:
-		return "union"
-	case OpJoin:
-		return "join"
-	case OpDiff:
-		return "diff"
-	case OpIntersect:
-		return "intersect"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(k))
+	if int(k) < len(opKinds) {
+		return opKinds[k].name
 	}
+	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
 // IsBinary reports whether the operation takes two input flows.
-func (k OpKind) IsBinary() bool {
-	switch k {
-	case OpUnion, OpJoin, OpDiff, OpIntersect:
-		return true
-	default:
-		return false
-	}
-}
+func (k OpKind) IsBinary() bool { return int(k) < len(opKinds) && opKinds[k].class&Binary != 0 }
 
 // AggKind enumerates aggregate functions for OpAggregate.
 type AggKind uint8
@@ -294,6 +309,30 @@ func (a *Activity) Clone() *Activity {
 
 // IsBinary reports whether the activity takes two input flows.
 func (a *Activity) IsBinary() bool { return a.Sem.Op.IsBinary() }
+
+// Class returns the activity's operator class: its kind's, settled for the
+// two kinds whose class depends on their parameters. A pkcheck with a
+// Lookup checks each record against the lookup's keys, so it is row-local,
+// selective, value-sensitive and reads a lookup. A merged package carries
+// the OR of its components' sensitivity bits and is never row-local: the
+// engine runs no package and DIS distributes none.
+func (a *Activity) Class() Class {
+	op := a.Sem.Op
+	if int(op) >= len(opKinds) {
+		return 0
+	}
+	if op == OpPKCheck && a.Sem.Lookup != "" {
+		return RowLocal | Selective | ValueSensitive | ReadsLookup
+	}
+	if op == OpMerged {
+		var c Class
+		for _, comp := range a.Sem.Components {
+			c |= comp.Class() & (ValueSensitive | DuplicateSensitive)
+		}
+		return c
+	}
+	return opKinds[op].class
+}
 
 // SameOperation reports whether two activities perform the same operation in
 // terms of algebraic expression — the first homologous-activity condition of

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"etlopt/internal/algebra"
 	"etlopt/internal/data"
 )
 
@@ -213,6 +214,24 @@ func funcOutput(a *Activity, in data.Schema) data.Schema {
 // share a reference name since both act as groupers).
 func (a *Activity) InPlace() bool {
 	return a.Sem.Op == OpFunc && len(a.Sem.FnArgs) == 1 && a.Sem.FnArgs[0] == a.Sem.OutAttr
+}
+
+// RecordInjective reports whether a function activity maps distinct input
+// records to distinct output records, which is what duplicate-sensitive
+// activities need in order to commute with it. Functions that keep their
+// argument attributes are always record-injective; converting and in-place
+// functions are injective exactly when the registered function is a
+// bijection (only single-argument functions can be registered bijective in
+// a meaningful way, so multi-argument converting functions are
+// conservatively non-injective).
+func (a *Activity) RecordInjective() bool {
+	if a.Sem.Op != OpFunc {
+		return false
+	}
+	if !a.InPlace() && !a.Sem.DropArgs {
+		return true
+	}
+	return len(a.Sem.FnArgs) == 1 && algebra.IsBijective(a.Sem.Fn)
 }
 
 // CheckWellFormed verifies the semantic conditions that a regenerated

@@ -226,44 +226,20 @@ func (g *Graph) FindDistributableActivities() []DistributableActivity {
 }
 
 // CanDistributeOver reports whether cloning unary activity a into the input
-// branches of binary activity b preserves workflow semantics:
-//
-//   - over a bag union, the per-row activities distribute freely:
-//     selections, not-null checks, scalar functions, projections,
-//     surrogate keys and lookup-based primary-key checks; the
-//     duplicate-sensitive ones (group-based primary-key checks, distinct,
-//     aggregations) do not;
-//   - over joins, differences and intersections, only selections,
-//     not-null checks and lookup-based primary-key checks whose
-//     functionality schema is contained in the binary's key attributes
-//     distribute (both branches then filter consistently).
+// branches of binary activity b preserves workflow semantics. Over a bag
+// union, which compares no values, every row-local activity distributes.
+// Over a join, difference or intersection only a row-local selective one
+// does, and only when its functionality schema is contained in the binary's
+// key attributes (both branches then filter consistently). Binaries and
+// packages are not row-local, so neither distributes.
 func CanDistributeOver(a *Activity, b *Activity) bool {
-	if a.IsBinary() {
+	ca, cb := a.Class(), b.Class()
+	switch {
+	case ca&RowLocal == 0 || cb&Binary == 0:
 		return false
-	}
-	switch b.Sem.Op {
-	case OpUnion:
-		switch a.Sem.Op {
-		case OpFilter, OpNotNull, OpFunc, OpProject, OpSurrogateKey:
-			return true
-		case OpPKCheck:
-			// Lookup-based checks are per-row and distribute; group-based
-			// checks are duplicate-sensitive across the merged flow and do
-			// not.
-			return a.Sem.Lookup != ""
-		default:
-			return false
-		}
-	case OpJoin, OpDiff, OpIntersect:
-		switch a.Sem.Op {
-		case OpFilter, OpNotNull:
-			return data.Schema(b.Sem.Attrs).HasAll(a.Fun)
-		case OpPKCheck:
-			return a.Sem.Lookup != "" && data.Schema(b.Sem.Attrs).HasAll(a.Fun)
-		default:
-			return false
-		}
+	case cb&ValueSensitive == 0:
+		return true
 	default:
-		return false
+		return ca&Selective != 0 && data.Schema(b.Sem.Attrs).HasAll(a.Fun)
 	}
 }
