@@ -89,7 +89,7 @@ func guardOneWay(x, y *workflow.Activity) error {
 		}
 	case workflow.OpPKCheck:
 		switch {
-		case y.Sem.Op == workflow.OpPKCheck:
+		case groupKeyCheck:
 			if !x.SameOperation(y) {
 				return reject(name, "two different group-based key checks cannot swap")
 			}
