@@ -177,11 +177,11 @@ func (f *FileRecordset) Digest() (uint64, error) {
 }
 
 // ReadCSVFile reads a record file: a header row, then one typed record per
-// line. Every CSV the system reads back as rows — a source or lookup file,
-// a checkpoint stage — goes through this function, so they agree on
-// quoting, line endings, the field-count check and how a field becomes a
-// Value: ParseValue, by its text (WriteRowFile is for rows that must keep
-// their kinds).
+// line. Every CSV the system reads back as rows — a source, lookup or
+// target file — goes through this function, so they agree on quoting, line
+// endings, the field-count check and how a field becomes a Value:
+// ParseValue, by its text (a checkpoint or spilled stage is a typed row
+// file, ReadRowFile, because its rows must keep their kinds).
 //
 // The file is read once, into one string, which a record's strings are
 // slices of and which lives until the last of them dies. A text without a
@@ -365,8 +365,9 @@ func readQuoted(text string) (Schema, Rows, error) {
 
 // WriteCSVFile writes a record file ReadCSVFile reads back, whole or not at
 // all (writeFileAtomic): the schema as header row, then one line per
-// record, NULL for nulls. Every CSV the system writes whole — a new or
-// truncated record file, a checkpoint stage — goes through this function.
+// record, NULL for nulls. Every CSV the system writes whole — a new record
+// file — goes through this function; a stage is a typed row file
+// (WriteRowFile).
 func WriteCSVFile(path string, schema Schema, rows Rows) error {
 	return writeFileAtomic(path, func(f *os.File) error {
 		w := csv.NewWriter(f)
