@@ -29,7 +29,7 @@ type corpusCount struct {
 // late-projection has moved since: the parent read {97, 136, 219, 7},
 // 0xdbd27036ef279ef9, and the 77 findings gone are projections the
 // topological-position distance misjudged because another branch's nodes
-// sorted in between (CHANGES.md lists them). Checks absent from the table never fire on this traffic.
+// sorted in between (docs/runs/PR-27.txt lists them). Checks absent from the table never fire on this traffic.
 var corpusGolden = map[string]corpusCount{
 	"dead-attribute":          {[4]int{0, 30, 4, 5}, 0x31221ea6b5aa4a4},
 	"dead-filter":             {[4]int{25, 77, 186, 5}, 0xb4c6c6b091ac8eaa},

@@ -25,7 +25,7 @@ import (
 // schemata, passes Graph.CheckWellFormed and is priced by the cost model
 // without complaint: a defect the workflow layer already refuses justifies
 // no pass) and recorded
-// in CHANGES.md (PR 27) where it cannot: the source defects were seeded
+// in docs/runs/PR-27.txt where it cannot: the source defects were seeded
 // into real packages and survived tier-1, `-race` and `-tags etldebug`.
 
 // diagnosticsDir holds the committed example of every check that has one;
